@@ -23,13 +23,12 @@ pub fn where_(cond: &Array) -> Result<Array> {
     let af = backend_of(cond);
     let device = af.device();
     let col = cond.eval()?;
-    let vals = col.to_f64_vec();
-    let idx: Vec<u32> = vals
-        .iter()
-        .enumerate()
-        .filter(|(_, &v)| v != 0.0)
-        .map(|(i, _)| i as u32)
-        .collect();
+    // Predicate masks arrive as b8 and are compacted as they are; any other
+    // dtype goes through the f64 working lanes.
+    let idx = match &*col {
+        ColumnData::B8(mask) => indices_where(mask.host(), |&b| b != 0),
+        other => indices_where(&other.to_f64_vec(), |&v| v != 0.0),
+    };
     let n = cond.len();
     let launch = device.spec().cuda_launch_latency_ns;
     device.try_charge_kernel(
@@ -44,6 +43,20 @@ pub fn where_(cond: &Array) -> Result<Array> {
             .with_launch_overhead(launch),
     )?;
     af.wrap(ColumnData::from_u32(device, idx)?)
+}
+
+/// Ascending indices of the elements `keep` accepts. Branch-free: every
+/// index is stored and the store kept only if the element qualifies, so a
+/// 50 % selectivity costs no mispredictions.
+fn indices_where<T>(vals: &[T], keep: impl Fn(&T) -> bool) -> Vec<u32> {
+    let mut out: Vec<u32> = gpu_sim::hostmem::take_scratch(vals.len());
+    let mut len = 0;
+    for (i, v) in vals.iter().enumerate() {
+        out[len] = i as u32;
+        len += usize::from(keep(v));
+    }
+    out.truncate(len);
+    out
 }
 
 /// `af::lookup` — gather `data[indices[i]]` (materialisation after
@@ -408,33 +421,31 @@ fn set_op(a: &Array, b: &Array, label: &str, intersect: bool) -> Result<Array> {
             "{label} requires sorted unique inputs"
         )));
     }
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0, 0);
+    // Branch-free merge: which side advances is data-dependent and, at
+    // middling selectivities, unpredictable, so the comparison results are
+    // used as numbers. Every step stores the smaller head and keeps the
+    // store only if it belongs to the output.
+    let bound = if intersect {
+        xs.len().min(ys.len())
+    } else {
+        xs.len() + ys.len()
+    };
+    let mut out: Vec<u32> = gpu_sim::hostmem::take_scratch(bound);
+    let (mut i, mut j, mut len) = (0, 0, 0);
     while i < xs.len() && j < ys.len() {
-        match xs[i].cmp(&ys[j]) {
-            std::cmp::Ordering::Equal => {
-                out.push(xs[i]);
-                i += 1;
-                j += 1;
-            }
-            std::cmp::Ordering::Less => {
-                if !intersect {
-                    out.push(xs[i]);
-                }
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                if !intersect {
-                    out.push(ys[j]);
-                }
-                j += 1;
-            }
-        }
+        let (x, y) = (xs[i], ys[j]);
+        out[len] = x.min(y);
+        len += usize::from(!intersect || x == y);
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
     }
     if !intersect {
-        out.extend_from_slice(&xs[i..]);
-        out.extend_from_slice(&ys[j..]);
+        for tail in [&xs[i..], &ys[j..]] {
+            out[len..len + tail.len()].copy_from_slice(tail);
+            len += tail.len();
+        }
     }
+    out.truncate(len);
     let launch = device.spec().cuda_launch_latency_ns;
     device.try_charge_kernel(
         label,

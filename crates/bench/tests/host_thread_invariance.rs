@@ -9,10 +9,12 @@
 //! CSVs — which encode backend, simulated ns and launch counts — plus
 //! the query answers.
 //!
-//! The second test covers the other process-wide knob: the scheduler's
-//! `--jobs` worker count. Both tests mutate process-global state
-//! (`GPU_SIM_HOST_THREADS`, the hostexec worker budget), so they are
-//! kept in this binary alone and serialized through [`GLOBAL_KNOBS`].
+//! A second test repeats the comparison on columns large enough for the
+//! sort, join and aggregation kernels to run in parallel. The third covers
+//! the other process-wide knob: the scheduler's `--jobs` worker count. All
+//! three mutate process-global state (`GPU_SIM_HOST_THREADS`, the hostexec
+//! worker budget), so they are kept in this binary alone and serialized
+//! through [`GLOBAL_KNOBS`].
 
 use std::sync::Mutex;
 
@@ -65,6 +67,65 @@ fn results_and_simulated_time_are_thread_count_invariant() {
         assert_eq!(
             run.1, baseline.1,
             "query answers changed at GPU_SIM_HOST_THREADS={threads}"
+        );
+    }
+}
+
+/// Sort-by-key, grouped sum (few groups and all-distinct keys) and join on
+/// 2^18 rows, on every backend: the sizes at which the block-parallel
+/// radix sort, the chunk-parallel join probe and the aggregate's sort path
+/// really open parallel regions (the pipeline above stays below them).
+/// One line per backend: a digest of every output column's bits and the
+/// simulated clock after the run.
+fn run_large_operators() -> Vec<String> {
+    use proto_core::workload as gen;
+    use std::hash::{Hash, Hasher};
+    const N: usize = 1 << 18;
+    let keys = gen::uniform_u32(N, u32::MAX, 11);
+    let vals = gen::uniform_f64(N, 12);
+    let few_groups = gen::zipf_keys(N, 64, 0.0, 13);
+    let distinct = gen::fk_join(1, N, 14).1;
+    let (outer, inner) = gen::fk_join(N, 1 << 12, 15);
+    let fw = bench::paper_framework();
+    fw.backends()
+        .iter()
+        .map(|b| {
+            let b = b.as_ref();
+            let mut digest = std::collections::hash_map::DefaultHasher::new();
+            let mut absorb = |(k, v): (proto_core::backend::Col, proto_core::backend::Col)| {
+                b.download_u32(&k).expect("download").hash(&mut digest);
+                match b.download_f64(&v) {
+                    Ok(f) => f.iter().for_each(|x| x.to_bits().hash(&mut digest)),
+                    Err(_) => b.download_u32(&v).expect("download").hash(&mut digest),
+                }
+            };
+            let v = b.upload_f64(&vals).expect("upload");
+            let up = |col: &[u32]| b.upload_u32(col).expect("upload");
+            absorb(b.sort_by_key(&up(&keys), &v).expect("sort_by_key"));
+            absorb(b.grouped_sum(&up(&few_groups), &v).expect("grouped_sum"));
+            absorb(b.grouped_sum(&up(&distinct), &v).expect("grouped_sum"));
+            if let Some(algo) = proto_core::optimizer::best_join(b) {
+                absorb(b.join(&up(&outer), &up(&inner), algo).expect("join"));
+            }
+            format!("{} {:x} @{:?}", b.name(), digest.finish(), b.device().now())
+        })
+        .collect()
+}
+
+#[test]
+fn large_sorts_groupings_and_joins_are_thread_count_invariant() {
+    let _guard = GLOBAL_KNOBS.lock().unwrap();
+    let mut runs = Vec::new();
+    for threads in ["1", "2", "3", "8"] {
+        std::env::set_var("GPU_SIM_HOST_THREADS", threads);
+        runs.push((threads, run_large_operators()));
+    }
+    std::env::remove_var("GPU_SIM_HOST_THREADS");
+    assert_eq!(runs[0].1.len(), 4, "all four backends ran");
+    for (threads, run) in &runs[1..] {
+        assert_eq!(
+            run, &runs[0].1,
+            "operator outputs or simulated time changed at GPU_SIM_HOST_THREADS={threads}"
         );
     }
 }

@@ -408,7 +408,7 @@ impl GpuBackend for BoostBackend {
             let (Stored::U32(ov), Stored::U32(iv)) = (o, i) else {
                 unreachable!("dtype checked")
             };
-            super::nlj_pairs(ov.as_slice(), iv.as_slice())
+            gpu_sim::hostexec::equi_join(ov.as_slice(), iv.as_slice())
         })?;
         compute::for_each_n(
             outer.len,

@@ -365,16 +365,14 @@ impl GpuBackend for HandwrittenBackend {
             }
         })??;
         // Normalise output order to (outer, inner) ascending for
-        // cross-backend comparability.
-        let mut pairs: Vec<(u32, u32)> = result
-            .left
-            .host()
-            .iter()
-            .zip(result.right.host())
-            .map(|(&a, &b)| (a, b))
-            .collect();
-        pairs.sort_unstable();
-        let (l, r): (Vec<u32>, Vec<u32>) = pairs.into_iter().unzip();
+        // cross-backend comparability. The hash and nested-loops kernels
+        // emit that order already; the merge join emits key order.
+        let (mut l, mut r) = (result.left.host().to_vec(), result.right.host().to_vec());
+        if algo == JoinAlgo::Merge {
+            let mut pairs: Vec<(u32, u32)> = l.into_iter().zip(r).collect();
+            pairs.sort_unstable();
+            (l, r) = pairs.into_iter().unzip();
+        }
         let lb = self
             .device
             .buffer_from_vec(l, gpu_sim::AllocPolicy::Pooled)?;

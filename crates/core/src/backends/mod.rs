@@ -12,8 +12,6 @@ pub use boost::BoostBackend;
 pub use handwritten_backend::HandwrittenBackend;
 pub use thrust::ThrustBackend;
 
-use std::collections::HashMap;
-
 /// The paper's backend line-up, in registration order (the order every
 /// experiment iterates and every table prints).
 pub const PAPER_BACKENDS: [&str; 4] = ["ArrayFire", "Boost.Compute", "Thrust", "Handwritten"];
@@ -41,50 +39,5 @@ pub fn make_backend(
         "Thrust" => Box::new(ThrustBackend::new(device)),
         "Handwritten" => Box::new(HandwrittenBackend::new(device)),
         other => panic!("unknown paper backend: {other}"),
-    }
-}
-
-/// Functional result of a nested-loops join: matched `(outer, inner)` row
-/// pairs ordered by `(outer, inner)`.
-///
-/// The library backends express NLJ through `for_each_n` and charge its
-/// quadratic kernel footprint; the *functional* matches are produced here
-/// with a hash index so host execution stays tractable at benchmark sizes
-/// (the simulator separates semantics from cost).
-pub(crate) fn nlj_pairs(outer: &[u32], inner: &[u32]) -> (Vec<u32>, Vec<u32>) {
-    let mut index: HashMap<u32, Vec<u32>> = HashMap::new();
-    for (row, &k) in inner.iter().enumerate() {
-        index.entry(k).or_default().push(row as u32);
-    }
-    let mut left = Vec::new();
-    let mut right = Vec::new();
-    for (row, &k) in outer.iter().enumerate() {
-        if let Some(matches) = index.get(&k) {
-            for &m in matches {
-                left.push(row as u32);
-                right.push(m);
-            }
-        }
-    }
-    (left, right)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn nlj_pairs_emits_ordered_matches() {
-        let outer = [5u32, 3, 5];
-        let inner = [5u32, 5, 3];
-        let (l, r) = nlj_pairs(&outer, &inner);
-        let pairs: Vec<(u32, u32)> = l.into_iter().zip(r).collect();
-        assert_eq!(pairs, vec![(0, 0), (0, 1), (1, 2), (2, 0), (2, 1)]);
-    }
-
-    #[test]
-    fn nlj_pairs_empty_sides() {
-        assert_eq!(nlj_pairs(&[], &[1]), (vec![], vec![]));
-        assert_eq!(nlj_pairs(&[1], &[]), (vec![], vec![]));
     }
 }

@@ -373,7 +373,7 @@ impl GpuBackend for ThrustBackend {
             let (Stored::U32(ov), Stored::U32(iv)) = (o, i) else {
                 unreachable!("dtype checked")
             };
-            super::nlj_pairs(ov.as_slice(), iv.as_slice())
+            gpu_sim::hostexec::equi_join(ov.as_slice(), iv.as_slice())
         })?;
         // The library expression of NLJ: one for_each_n launch over the
         // outer side whose functor scans the inner relation.

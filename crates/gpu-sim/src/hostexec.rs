@@ -1,4 +1,5 @@
-//! Host-execution engine: fast, deterministic host-side kernel bodies.
+//! Host-execution engine: the one library of fast, deterministic host-side
+//! kernel bodies the four backends share.
 //!
 //! The simulator separates *simulated* time (the cost model, charged via
 //! [`crate::Device::charge_kernel`]) from *host* time (how long the
@@ -7,26 +8,41 @@
 //! wall-clock optimisation: the backends route their data movement through
 //! these primitives while their charge sequences stay byte-identical.
 //!
-//! Two families live here:
+//! Four layers, each built on the one before:
 //!
-//! * **Real LSD radix sorts** ([`sort_keys`], [`sort_pairs`]) — stable
-//!   least-significant-digit radix sorts over 8-bit digits, replacing the
-//!   comparison sorts the backends previously used to *emulate* the radix
-//!   sorts they charge for. Digit histograms for every pass are gathered in
-//!   one read; passes whose digit is constant across the input are skipped
-//!   (they would be identity permutations), which makes small-domain keys
-//!   (group ids, flags) nearly free.
+//! * **A persistent worker pool** (`pool`) behind one primitive, `region`:
+//!   the calling thread and up to `workers - 1` parked helpers run one
+//!   closure that shares the work out by claiming indices. Nothing else in
+//!   the crate spawns threads.
 //! * **Deterministic parallel chunking** ([`par_chunks`],
-//!   [`par_chunks_mut`], [`par_map_into`]) — element-wise loops split at a
-//!   **fixed chunk granularity** ([`PAR_CHUNK`]) that does not depend on
-//!   the worker count, so the set of chunk boundaries — and therefore any
-//!   per-chunk computation, including f64 partial-reduction order — is
-//!   identical whether the work runs on 1 thread or 64. The worker count
-//!   comes from the `GPU_SIM_HOST_THREADS` environment variable when set,
-//!   else from [`std::thread::available_parallelism`].
+//!   [`par_chunks_mut`], [`par_map_into`], [`par_map_chunks`]) — loops
+//!   split at a **fixed chunk granularity** ([`PAR_CHUNK`]) that does not
+//!   depend on the worker count, so the set of chunk boundaries — and
+//!   therefore any per-chunk computation, including f64 partial-reduction
+//!   order — is identical whether the work runs on 1 thread or 64. The
+//!   worker count is [`host_threads`].
+//! * **A block-parallel stable LSD radix sort** ([`sort_keys`],
+//!   [`sort_pairs`]) over 8-bit digits. A stable sort's output is the one
+//!   permutation that orders the keys and keeps equal keys in input order,
+//!   so it is the same at any block or thread count. Passes whose digit is
+//!   constant across the input are skipped (they would be identity
+//!   permutations), which makes small-domain keys (group ids, flags)
+//!   nearly free; an input that is already in order returns at once.
+//! * **A key index** (`index`: open addressing, `u32` key → dense group id
+//!   in first-seen order, plus per-key row lists) with the two kernels no
+//!   surveyed library offers (paper Table II): [`equi_join`] and
+//!   [`group_aggregate`].
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
+
+mod index;
+mod pool;
+mod radix;
+
+pub use index::{equi_join, group_aggregate, GroupStats};
+pub use radix::{sort_keys, sort_pairs, RadixKey};
 
 /// Fixed chunk granularity (in elements) for the parallel helpers.
 ///
@@ -35,10 +51,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// threads varies. Callers must therefore ensure each chunk's effect is
 /// independent of the others (disjoint writes), which every element-wise
 /// kernel body satisfies by construction.
-pub const PAR_CHUNK: usize = 1 << 16;
+///
+/// (Under Miri this and every other size threshold of the module shrink,
+/// so the interpreted tests reach the parallel paths on a few hundred rows.)
+pub const PAR_CHUNK: usize = if cfg!(miri) { 1 << 8 } else { 1 << 16 };
 
 /// Below this input size the parallel helpers always run sequentially.
-const DEFAULT_MIN_SEQ: usize = 1 << 12;
+const DEFAULT_MIN_SEQ: usize = if cfg!(miri) { 1 << 4 } else { 1 << 12 };
 
 /// Global concurrency budget for the chunk helpers: the maximum number of
 /// host threads *one* parallel region may use (0 = uncapped). A scheduler
@@ -60,24 +79,96 @@ pub fn worker_budget() -> usize {
     WORKER_BUDGET.load(Ordering::Relaxed)
 }
 
-/// Number of worker threads for the parallel helpers:
-/// `GPU_SIM_HOST_THREADS` when set to a positive integer, otherwise
-/// [`std::thread::available_parallelism`]; in both cases capped by
-/// [`set_worker_budget`] when a budget is installed.
+/// Number of threads one parallel region may use, the caller included:
+/// `GPU_SIM_HOST_THREADS` when it parses as a positive integer, otherwise
+/// (unset, empty, `0`, not a number) [`std::thread::available_parallelism`];
+/// in both cases capped by [`set_worker_budget`] when a budget is
+/// installed. The variable and the budget are read afresh by every region,
+/// so a change to either takes effect at the next one.
 pub fn host_threads() -> usize {
-    let base = match std::env::var("GPU_SIM_HOST_THREADS") {
-        Ok(v) => v
-            .trim()
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n > 0)
-            .unwrap_or(1),
-        Err(_) => std::thread::available_parallelism().map_or(1, |n| n.get()),
-    };
+    // The core count is looked up once: the query reads the affinity mask
+    // and the cgroup quota files, which costs more than opening a region.
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let base = std::env::var("GPU_SIM_HOST_THREADS")
+        .ok()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or_else(|| {
+            *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+        });
     match WORKER_BUDGET.load(Ordering::Relaxed) {
         0 => base,
-        cap => base.min(cap.max(1)),
+        cap => base.min(cap),
     }
+}
+
+/// Piece `i` of `0..len` cut into pieces of `piece_len` (the last may be
+/// short, and pieces past the end are empty).
+fn piece_range(i: usize, piece_len: usize, len: usize) -> Range<usize> {
+    (i * piece_len).min(len)..((i + 1) * piece_len).min(len)
+}
+
+/// Threads for a region over `len` elements in `n_chunks` pieces: 1 (run
+/// inline) at or below `min_seq` elements or with a single piece.
+fn region_workers(len: usize, min_seq: usize, n_chunks: usize) -> usize {
+    if len <= min_seq || n_chunks < 2 {
+        1
+    } else {
+        host_threads().min(n_chunks)
+    }
+}
+
+/// Run `f(i)` once for every `i` in `0..n` on up to `workers` threads. Which
+/// thread runs which index is unspecified; `f`'s effects for different
+/// indices must be independent.
+fn for_each_index(n: usize, workers: usize, f: impl Fn(usize) + Sync) {
+    let next = AtomicUsize::new(0);
+    // Relaxed: the counter only hands out indices; what `f` writes is
+    // published to the caller by the pool lock `region` takes on exit.
+    pool::region(workers.min(n), &|| loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
+        }
+        f(i);
+    });
+}
+
+/// Run `f(i, item)` once for every item, moving each item into the call
+/// that claims it — how disjoint `&mut` windows reach the threads of a
+/// region without `unsafe`.
+fn for_each_owned<I: Send>(items: Vec<I>, workers: usize, f: impl Fn(usize, I) + Sync) {
+    if workers < 2 {
+        return items
+            .into_iter()
+            .enumerate()
+            .for_each(|(i, item)| f(i, item));
+    }
+    let cells: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
+    for_each_index(cells.len(), workers, |i| {
+        let item = cells[i]
+            .lock()
+            .expect("an item cell is locked only to take the item")
+            .take()
+            .expect("each index is claimed once");
+        f(i, item);
+    });
+}
+
+/// `f(b)` for every `b` in `0..blocks` on up to `workers` threads, results in
+/// index order.
+fn par_map_blocks<R: Send>(blocks: usize, workers: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    if workers < 2 {
+        return (0..blocks).map(f).collect();
+    }
+    let mut slots: Vec<Option<R>> = (0..blocks).map(|_| None).collect();
+    for_each_owned(slots.iter_mut().collect(), workers, |b, slot| {
+        *slot = Some(f(b));
+    });
+    slots
+        .into_iter()
+        .map(|r| r.expect("every block produces a result"))
+        .collect()
 }
 
 /// Run `f` over `0..len` split into fixed-granularity chunks across host
@@ -86,28 +177,12 @@ pub fn host_threads() -> usize {
 /// the thread count, so results are bit-identical at any parallelism as
 /// long as `f`'s effect per range is independent of the other ranges.
 pub fn par_chunks(len: usize, min_seq: usize, f: impl Fn(Range<usize>) + Sync) {
-    let threads = host_threads();
-    let n_chunks = len.div_ceil(PAR_CHUNK.max(1));
-    if len <= min_seq || threads < 2 || n_chunks < 2 {
-        f(0..len);
-        return;
+    let n_chunks = len.div_ceil(PAR_CHUNK);
+    let workers = region_workers(len, min_seq, n_chunks);
+    if workers < 2 {
+        return f(0..len);
     }
-    let next = AtomicUsize::new(0);
-    crossbeam::scope(|s| {
-        for _ in 0..threads.min(n_chunks) {
-            let f = &f;
-            let next = &next;
-            s.spawn(move |_| loop {
-                let ci = next.fetch_add(1, Ordering::Relaxed);
-                let start = ci * PAR_CHUNK;
-                if start >= len {
-                    break;
-                }
-                f(start..(start + PAR_CHUNK).min(len));
-            });
-        }
-    })
-    .expect("par_chunks worker panicked");
+    for_each_index(n_chunks, workers, |ci| f(piece_range(ci, PAR_CHUNK, len)));
 }
 
 /// Split `out` into fixed-granularity chunks and run `f(base_index,
@@ -115,31 +190,13 @@ pub fn par_chunks(len: usize, min_seq: usize, f: impl Fn(Range<usize>) + Sync) {
 /// each chunk is a disjoint window of `out`, so writes cannot race and the
 /// result is identical at any thread count.
 pub fn par_chunks_mut<T: Send>(out: &mut [T], min_seq: usize, f: impl Fn(usize, &mut [T]) + Sync) {
-    let len = out.len();
-    let threads = host_threads();
-    let n_chunks = len.div_ceil(PAR_CHUNK.max(1));
-    if len <= min_seq || threads < 2 || n_chunks < 2 {
-        f(0, out);
-        return;
+    let n_chunks = out.len().div_ceil(PAR_CHUNK);
+    let workers = region_workers(out.len(), min_seq, n_chunks);
+    if workers < 2 {
+        return f(0, out);
     }
-    // Deal chunks round-robin so each worker owns a fixed, disjoint set of
-    // slice windows (no unsafe aliasing, no dynamic work queue needed).
-    let workers = threads.min(n_chunks);
-    let mut per_worker: Vec<Vec<(usize, &mut [T])>> = (0..workers).map(|_| Vec::new()).collect();
-    for (ci, chunk) in out.chunks_mut(PAR_CHUNK).enumerate() {
-        per_worker[ci % workers].push((ci * PAR_CHUNK, chunk));
-    }
-    crossbeam::scope(|s| {
-        for work in per_worker {
-            let f = &f;
-            s.spawn(move |_| {
-                for (base, chunk) in work {
-                    f(base, chunk);
-                }
-            });
-        }
-    })
-    .expect("par_chunks_mut worker panicked");
+    let windows: Vec<&mut [T]> = out.chunks_mut(PAR_CHUNK).collect();
+    for_each_owned(windows, workers, |ci, chunk| f(ci * PAR_CHUNK, chunk));
 }
 
 /// Fill `out[i] = f(i)` with the work split across host threads at fixed
@@ -182,363 +239,9 @@ pub fn par_map_chunks<R: Send>(
     f: impl Fn(Range<usize>) -> R + Sync,
 ) -> Vec<R> {
     let n_chunks = len.div_ceil(PAR_CHUNK).max(1);
-    let chunk_range = |ci: usize| ci * PAR_CHUNK..((ci + 1) * PAR_CHUNK).min(len);
-    let threads = host_threads();
-    if len <= min_seq || threads < 2 || n_chunks < 2 {
-        return (0..n_chunks).map(|ci| f(chunk_range(ci))).collect();
-    }
-    let mut slots: Vec<Option<R>> = (0..n_chunks).map(|_| None).collect();
-    let workers = threads.min(n_chunks);
-    let mut per_worker: Vec<Vec<(usize, &mut Option<R>)>> =
-        (0..workers).map(|_| Vec::new()).collect();
-    for (ci, slot) in slots.iter_mut().enumerate() {
-        per_worker[ci % workers].push((ci, slot));
-    }
-    crossbeam::scope(|s| {
-        for work in per_worker {
-            let f = &f;
-            s.spawn(move |_| {
-                for (ci, slot) in work {
-                    *slot = Some(f(chunk_range(ci)));
-                }
-            });
-        }
-    })
-    .expect("par_map_chunks worker panicked");
-    slots
-        .into_iter()
-        .map(|r| r.expect("every chunk produces a result"))
-        .collect()
-}
-
-// ---------------------------------------------------------------------------
-// Radix sort
-// ---------------------------------------------------------------------------
-
-/// A key type the LSD radix sort can handle: mapped to unsigned bits whose
-/// ascending order equals the key's ascending order. Mirrors the primitive
-/// key dispatch of CUB/Thrust's radix sort (integers and IEEE floats).
-pub trait RadixKey: Copy + Send + Sync + 'static {
-    /// Number of 8-bit digit passes covering the key width.
-    const PASSES: usize;
-    /// Order-preserving mapping into unsigned bits (low `8 * PASSES` bits).
-    fn radix_bits(self) -> u64;
-}
-
-impl RadixKey for u8 {
-    const PASSES: usize = 1;
-    fn radix_bits(self) -> u64 {
-        u64::from(self)
-    }
-}
-
-impl RadixKey for u16 {
-    const PASSES: usize = 2;
-    fn radix_bits(self) -> u64 {
-        u64::from(self)
-    }
-}
-
-impl RadixKey for u32 {
-    const PASSES: usize = 4;
-    fn radix_bits(self) -> u64 {
-        u64::from(self)
-    }
-}
-
-impl RadixKey for u64 {
-    const PASSES: usize = 8;
-    fn radix_bits(self) -> u64 {
-        self
-    }
-}
-
-impl RadixKey for i32 {
-    const PASSES: usize = 4;
-    fn radix_bits(self) -> u64 {
-        u64::from((self as u32) ^ 0x8000_0000)
-    }
-}
-
-impl RadixKey for i64 {
-    const PASSES: usize = 8;
-    fn radix_bits(self) -> u64 {
-        (self as u64) ^ (1 << 63)
-    }
-}
-
-impl RadixKey for f64 {
-    const PASSES: usize = 8;
-    /// IEEE-754 total order: flip the sign bit for non-negatives, all bits
-    /// for negatives. Matches `partial_cmp` on every non-NaN input (NaNs,
-    /// which the previous comparison sorts rejected, order last).
-    fn radix_bits(self) -> u64 {
-        let b = self.to_bits();
-        if b >> 63 == 0 {
-            b ^ (1 << 63)
-        } else {
-            !b
-        }
-    }
-}
-
-/// Inputs at or below this length use a stable comparison sort instead:
-/// the histogram set-up of the radix sort costs more than it saves there.
-const RADIX_CUTOFF: usize = 256;
-
-/// Per-pass digit histograms, gathered in a single read of the input.
-fn digit_histograms<K: RadixKey>(keys: &[K]) -> Vec<[usize; 256]> {
-    let mut hist = vec![[0usize; 256]; K::PASSES];
-    for k in keys {
-        let b = k.radix_bits();
-        for (p, h) in hist.iter_mut().enumerate() {
-            h[((b >> (8 * p)) & 0xff) as usize] += 1;
-        }
-    }
-    hist
-}
-
-fn exclusive_offsets(hist: &[usize; 256]) -> [usize; 256] {
-    let mut offs = [0usize; 256];
-    let mut acc = 0usize;
-    for (o, &c) in offs.iter_mut().zip(hist.iter()) {
-        *o = acc;
-        acc += c;
-    }
-    offs
-}
-
-/// Stable ascending sort of `keys` — a real LSD radix sort over 8-bit
-/// digits. Functionally equivalent to `keys.sort_by_key(RadixKey::radix_bits)`
-/// (which for integers is plain ascending order); much faster on large
-/// inputs. Purely host-side: charges nothing to the simulated clock.
-pub fn sort_keys<K: RadixKey>(keys: &mut [K]) {
-    let n = keys.len();
-    if n <= 1 {
-        return;
-    }
-    if n <= RADIX_CUTOFF {
-        keys.sort_by_key(|k| k.radix_bits());
-        return;
-    }
-    let hist = digit_histograms(keys);
-    let mut cur = crate::hostmem::take_from_slice(keys);
-    let mut nxt = crate::hostmem::take_from_slice(keys);
-    for (p, h) in hist.iter().enumerate() {
-        if h.contains(&n) {
-            continue; // constant digit: the pass is an identity permutation
-        }
-        let mut offs = exclusive_offsets(h);
-        let shift = 8 * p;
-        for &k in cur.iter() {
-            let d = ((k.radix_bits() >> shift) & 0xff) as usize;
-            nxt[offs[d]] = k;
-            offs[d] += 1;
-        }
-        std::mem::swap(&mut cur, &mut nxt);
-    }
-    keys.copy_from_slice(&cur);
-    crate::hostmem::put_vec(cur);
-    crate::hostmem::put_vec(nxt);
-}
-
-/// Stable ascending sort of `keys` carrying `vals` along — the payload
-/// variant of [`sort_keys`]. Equal keys keep their input order (LSD radix
-/// sort is stable by construction), matching the permutation-based stable
-/// sorts it replaces.
-///
-/// # Panics
-/// If `keys` and `vals` differ in length (callers validate first).
-pub fn sort_pairs<K: RadixKey, V: Copy + Send + 'static>(keys: &mut [K], vals: &mut [V]) {
-    assert_eq!(keys.len(), vals.len(), "sort_pairs length mismatch");
-    let n = keys.len();
-    if n <= 1 {
-        return;
-    }
-    if n <= RADIX_CUTOFF {
-        let mut perm: Vec<u32> = (0..n as u32).collect();
-        perm.sort_by_key(|&i| keys[i as usize].radix_bits());
-        let old_k = keys.to_vec();
-        let old_v = vals.to_vec();
-        for (dst, &src) in perm.iter().enumerate() {
-            keys[dst] = old_k[src as usize];
-            vals[dst] = old_v[src as usize];
-        }
-        return;
-    }
-    let hist = digit_histograms(keys);
-    let mut cur_k = crate::hostmem::take_from_slice(keys);
-    let mut cur_v = crate::hostmem::take_from_slice(vals);
-    let mut nxt_k = crate::hostmem::take_from_slice(keys);
-    let mut nxt_v = crate::hostmem::take_from_slice(vals);
-    for (p, h) in hist.iter().enumerate() {
-        if h.contains(&n) {
-            continue;
-        }
-        let mut offs = exclusive_offsets(h);
-        let shift = 8 * p;
-        for (&k, &v) in cur_k.iter().zip(cur_v.iter()) {
-            let d = ((k.radix_bits() >> shift) & 0xff) as usize;
-            let pos = offs[d];
-            offs[d] += 1;
-            nxt_k[pos] = k;
-            nxt_v[pos] = v;
-        }
-        std::mem::swap(&mut cur_k, &mut nxt_k);
-        std::mem::swap(&mut cur_v, &mut nxt_v);
-    }
-    keys.copy_from_slice(&cur_k);
-    vals.copy_from_slice(&cur_v);
-    crate::hostmem::put_vec(cur_k);
-    crate::hostmem::put_vec(cur_v);
-    crate::hostmem::put_vec(nxt_k);
-    crate::hostmem::put_vec(nxt_v);
+    let workers = region_workers(len, min_seq, n_chunks);
+    par_map_blocks(n_chunks, workers, |ci| f(piece_range(ci, PAR_CHUNK, len)))
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use rand::prelude::*;
-
-    fn random_u32s(n: usize, seed: u64, modulus: Option<u32>) -> Vec<u32> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..n)
-            .map(|_| {
-                let x: u32 = rng.gen();
-                modulus.map_or(x, |m| x % m)
-            })
-            .collect()
-    }
-
-    #[test]
-    fn sort_keys_matches_sort_unstable_u32() {
-        for (n, modulus) in [
-            (0, None),
-            (1, None),
-            (257, None),
-            (10_000, None),
-            (10_000, Some(7)),
-        ] {
-            let mut a = random_u32s(n, 42, modulus);
-            let mut b = a.clone();
-            sort_keys(&mut a);
-            b.sort_unstable();
-            assert_eq!(a, b, "n={n} modulus={modulus:?}");
-        }
-    }
-
-    #[test]
-    fn sort_keys_matches_sort_unstable_u64_and_i64() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut a: Vec<u64> = (0..5000).map(|_| rng.gen()).collect();
-        let mut b = a.clone();
-        sort_keys(&mut a);
-        b.sort_unstable();
-        assert_eq!(a, b);
-        let mut c: Vec<i64> = (0..5000)
-            .map(|_| rng.gen::<i64>() >> (rng.gen::<u32>() % 64))
-            .collect();
-        let mut d = c.clone();
-        sort_keys(&mut c);
-        d.sort_unstable();
-        assert_eq!(c, d);
-    }
-
-    #[test]
-    fn sort_keys_f64_matches_total_order() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut a: Vec<f64> = (0..5000).map(|_| (rng.gen::<f64>() - 0.5) * 1e9).collect();
-        a.push(0.0);
-        a.push(-1.5);
-        a.push(f64::MAX);
-        a.push(f64::MIN);
-        let mut b = a.clone();
-        sort_keys(&mut a);
-        b.sort_by(|x, y| x.partial_cmp(y).unwrap());
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn sort_pairs_is_stable_for_duplicate_heavy_keys() {
-        // Every key duplicated many times; payload records input order.
-        let keys = random_u32s(20_000, 3, Some(16));
-        let vals: Vec<u32> = (0..keys.len() as u32).collect();
-        let mut k = keys.clone();
-        let mut v = vals.clone();
-        sort_pairs(&mut k, &mut v);
-        // Reference: std's stable sort over (key, input-index).
-        let mut perm: Vec<usize> = (0..keys.len()).collect();
-        perm.sort_by_key(|&i| keys[i]);
-        let want_k: Vec<u32> = perm.iter().map(|&i| keys[i]).collect();
-        let want_v: Vec<u32> = perm.iter().map(|&i| vals[i]).collect();
-        assert_eq!(k, want_k);
-        assert_eq!(v, want_v, "payload order must witness stability");
-    }
-
-    #[test]
-    fn sort_pairs_handles_empty_single_and_small() {
-        let mut k: Vec<u32> = vec![];
-        let mut v: Vec<u64> = vec![];
-        sort_pairs(&mut k, &mut v);
-        assert!(k.is_empty());
-        let mut k = vec![5u32];
-        let mut v = vec![50u64];
-        sort_pairs(&mut k, &mut v);
-        assert_eq!((k, v), (vec![5], vec![50]));
-        let mut k = vec![2u32, 1, 2, 1];
-        let mut v = vec![20u8, 10, 21, 11];
-        sort_pairs(&mut k, &mut v);
-        assert_eq!(k, vec![1, 1, 2, 2]);
-        assert_eq!(v, vec![10, 11, 20, 21]);
-    }
-
-    #[test]
-    fn sort_pairs_u64_keys_with_f64_payload() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let keys: Vec<u64> = (0..3000).map(|_| rng.gen::<u64>() % 100).collect();
-        let vals: Vec<f64> = (0..3000).map(|i| i as f64).collect();
-        let mut k = keys.clone();
-        let mut v = vals.clone();
-        sort_pairs(&mut k, &mut v);
-        let mut perm: Vec<usize> = (0..keys.len()).collect();
-        perm.sort_by_key(|&i| keys[i]);
-        assert_eq!(k, perm.iter().map(|&i| keys[i]).collect::<Vec<_>>());
-        assert_eq!(v, perm.iter().map(|&i| vals[i]).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn par_map_into_is_identical_at_any_thread_count() {
-        // Same output no matter how many workers GPU_SIM_HOST_THREADS asks
-        // for: chunk boundaries are fixed, and each element depends only on
-        // its own index.
-        let reference: Vec<u64> = (0..200_000u64).map(|i| i * 3 + 1).collect();
-        for threads in ["1", "2", "8"] {
-            std::env::set_var("GPU_SIM_HOST_THREADS", threads);
-            let mut out = vec![0u64; reference.len()];
-            par_map_into(&mut out, 1024, |i| i as u64 * 3 + 1);
-            assert_eq!(out, reference, "threads={threads}");
-        }
-        std::env::remove_var("GPU_SIM_HOST_THREADS");
-    }
-
-    #[test]
-    fn par_chunks_boundaries_are_fixed_multiples() {
-        std::env::set_var("GPU_SIM_HOST_THREADS", "4");
-        let starts = std::sync::Mutex::new(Vec::new());
-        par_chunks(PAR_CHUNK * 3 + 17, 0, |r| {
-            starts.lock().unwrap().push((r.start, r.end));
-        });
-        std::env::remove_var("GPU_SIM_HOST_THREADS");
-        let mut starts = starts.into_inner().unwrap();
-        starts.sort_unstable();
-        assert_eq!(
-            starts,
-            vec![
-                (0, PAR_CHUNK),
-                (PAR_CHUNK, 2 * PAR_CHUNK),
-                (2 * PAR_CHUNK, 3 * PAR_CHUNK),
-                (3 * PAR_CHUNK, 3 * PAR_CHUNK + 17),
-            ]
-        );
-    }
-}
+mod tests;

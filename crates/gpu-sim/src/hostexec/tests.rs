@@ -1,0 +1,450 @@
+//! The sort, the key index and the chunk helpers against naive references,
+//! on adversarial inputs, at 1, 2, 3 and 8 host threads. (The pool's own
+//! tests live in `pool`.) Sizes are written in terms of the module's
+//! thresholds, which shrink under Miri, so the interpreted run reaches the
+//! same parallel paths on far fewer rows.
+
+use super::index::HASH_GROUPS_MAX;
+use super::radix::{MIN_BLOCK, RADIX_CUTOFF};
+use super::*;
+use proptest::prelude::*;
+use rand::prelude::*;
+use std::collections::BTreeMap;
+
+/// Serialises the tests that set `GPU_SIM_HOST_THREADS`: the variable is
+/// process-wide and `cargo test` runs tests on parallel threads.
+static THREADS: Mutex<()> = Mutex::new(());
+
+/// Run `f(threads)` with `GPU_SIM_HOST_THREADS` set to 1, 2, 3 and 8.
+fn at_each_thread_count(mut f: impl FnMut(usize)) {
+    let _guard = THREADS.lock().unwrap_or_else(|e| e.into_inner());
+    for threads in [1, 2, 3, 8] {
+        std::env::set_var("GPU_SIM_HOST_THREADS", threads.to_string());
+        f(threads);
+    }
+    std::env::remove_var("GPU_SIM_HOST_THREADS");
+}
+
+/// Lengths on both sides of every threshold a kernel switches path at:
+/// comparison sort → radix sort, one chunk → several, one sort block →
+/// several, and block counts that do not divide the length.
+fn boundary_lengths() -> Vec<usize> {
+    let mut lens = vec![0, 1, 2];
+    for edge in [RADIX_CUTOFF, PAR_CHUNK, 2 * MIN_BLOCK, 3 * MIN_BLOCK] {
+        lens.extend([edge - 1, edge, edge + 1]);
+    }
+    lens.extend([2 * PAR_CHUNK + 1, 5 * MIN_BLOCK + 17]);
+    lens.sort_unstable();
+    lens.dedup();
+    lens
+}
+
+/// Key columns of length `n` that stress one property each.
+fn key_shapes(n: usize, seed: u64) -> Vec<(&'static str, Vec<u32>)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut distinct: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(0x9E37_79B1)).collect();
+    distinct.shuffle(&mut rng);
+    vec![
+        ("all equal", vec![7; n]),
+        ("all distinct", distinct),
+        ("extremes", (0..n).map(|i| [0, u32::MAX][i % 2]).collect()),
+        ("ascending", (0..n as u32).collect()),
+        ("descending", (0..n as u32).rev().collect()),
+        ("few groups", (0..n).map(|_| rng.gen::<u32>() % 5).collect()),
+        (
+            "one byte varies",
+            (0..n).map(|_| (rng.gen::<u32>() % 256) << 16).collect(),
+        ),
+        ("uniform", (0..n).map(|_| rng.gen()).collect()),
+    ]
+}
+
+/// Values with every IEEE special mixed in.
+fn special_values(n: usize, seed: u64) -> Vec<f64> {
+    const SPECIALS: [f64; 8] = [
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        f64::MAX,
+        f64::MIN_POSITIVE,
+        -1.5,
+    ];
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| match rng.gen::<u32>() % 4 {
+            0 => SPECIALS[rng.gen::<usize>() % SPECIALS.len()],
+            _ => (rng.gen::<f64>() - 0.5) * 1e6,
+        })
+        .collect()
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+// ---------------------------------------------------------------------------
+// host_threads and the chunk helpers
+// ---------------------------------------------------------------------------
+
+#[test]
+fn host_threads_falls_back_to_available_parallelism_on_invalid_values() {
+    let _guard = THREADS.lock().unwrap_or_else(|e| e.into_inner());
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    for (value, want) in [
+        ("5", 5),
+        (" 3 ", 3),
+        ("0", cores),
+        ("", cores),
+        ("-2", cores),
+        ("many", cores),
+    ] {
+        std::env::set_var("GPU_SIM_HOST_THREADS", value);
+        assert_eq!(host_threads(), want, "GPU_SIM_HOST_THREADS={value:?}");
+    }
+    std::env::remove_var("GPU_SIM_HOST_THREADS");
+    assert_eq!(host_threads(), cores, "unset");
+}
+
+#[test]
+fn par_map_into_is_identical_at_any_thread_count() {
+    // Chunk boundaries are fixed, and each element depends only on its own
+    // index.
+    let n = 3 * PAR_CHUNK + 1234;
+    let reference: Vec<u64> = (0..n as u64).map(|i| i * 3 + 1).collect();
+    at_each_thread_count(|threads| {
+        let mut out = vec![0u64; n];
+        par_map_into(&mut out, 16, |i| i as u64 * 3 + 1);
+        assert_eq!(out, reference, "threads={threads}");
+    });
+}
+
+#[test]
+fn par_chunks_boundaries_are_fixed_multiples() {
+    at_each_thread_count(|threads| {
+        let seen = Mutex::new(Vec::new());
+        par_chunks(PAR_CHUNK * 3 + 17, 0, |r| {
+            seen.lock().unwrap().push((r.start, r.end));
+        });
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort_unstable();
+        let want = if threads == 1 {
+            vec![(0, 3 * PAR_CHUNK + 17)] // one worker: one inline call
+        } else {
+            vec![
+                (0, PAR_CHUNK),
+                (PAR_CHUNK, 2 * PAR_CHUNK),
+                (2 * PAR_CHUNK, 3 * PAR_CHUNK),
+                (3 * PAR_CHUNK, 3 * PAR_CHUNK + 17),
+            ]
+        };
+        assert_eq!(seen, want, "threads={threads}");
+    });
+}
+
+#[test]
+fn par_map_chunks_returns_results_in_chunk_order() {
+    at_each_thread_count(|threads| {
+        for len in [0, 1, PAR_CHUNK, 4 * PAR_CHUNK + 1] {
+            let got = par_map_chunks(len, 0, |r| (r.start, r.end));
+            let want: Vec<(usize, usize)> = (0..len.div_ceil(PAR_CHUNK).max(1))
+                .map(|ci| (ci * PAR_CHUNK, ((ci + 1) * PAR_CHUNK).min(len)))
+                .collect();
+            assert_eq!(got, want, "threads={threads} len={len}");
+        }
+    });
+}
+
+// ---------------------------------------------------------------------------
+// Radix sort
+// ---------------------------------------------------------------------------
+
+/// `std`'s stable sort on `radix_bits`, the definition of the right answer.
+fn reference_sort_pairs<K: RadixKey, V: Copy>(keys: &[K], vals: &[V]) -> (Vec<K>, Vec<V>) {
+    let mut perm: Vec<usize> = (0..keys.len()).collect();
+    perm.sort_by_key(|&i| keys[i].radix_bits());
+    (
+        perm.iter().map(|&i| keys[i]).collect(),
+        perm.iter().map(|&i| vals[i]).collect(),
+    )
+}
+
+#[test]
+fn sorts_match_the_stable_reference_on_every_shape_and_boundary() {
+    // The last length gives every thread count its full set of blocks.
+    for n in boundary_lengths().into_iter().chain([16 * MIN_BLOCK + 1]) {
+        for (shape, keys) in key_shapes(n, n as u64) {
+            // The payload is the input position, so it witnesses stability.
+            let vals: Vec<u32> = (0..n as u32).collect();
+            let (want_k, want_v) = reference_sort_pairs(&keys, &vals);
+            at_each_thread_count(|threads| {
+                let (mut k, mut v) = (keys.clone(), vals.clone());
+                sort_pairs(&mut k, &mut v);
+                assert!(k == want_k, "pairs keys: {shape} n={n} threads={threads}");
+                assert!(v == want_v, "pairs vals: {shape} n={n} threads={threads}");
+                let mut k = keys.clone();
+                sort_keys(&mut k);
+                assert!(k == want_k, "keys: {shape} n={n} threads={threads}");
+            });
+        }
+    }
+}
+
+#[test]
+fn sorts_handle_every_key_type() {
+    let n = 4 * MIN_BLOCK + 3;
+    let mut rng = StdRng::seed_from_u64(7);
+    let raw: Vec<u64> = (0..n)
+        .map(|_| rng.gen::<u64>() >> (rng.gen::<u32>() % 64))
+        .collect();
+    let idx: Vec<u32> = (0..n as u32).collect();
+    fn check<K: RadixKey + PartialEq + std::fmt::Debug>(keys: Vec<K>, idx: &[u32]) {
+        let (want_k, want_v) = reference_sort_pairs(&keys, idx);
+        at_each_thread_count(|threads| {
+            let (mut k, mut v) = (keys.clone(), idx.to_vec());
+            sort_pairs(&mut k, &mut v);
+            assert!(k == want_k && v == want_v, "{threads} threads");
+        });
+    }
+    check::<u8>(raw.iter().map(|&x| x as u8).collect(), &idx);
+    check::<u16>(raw.iter().map(|&x| x as u16).collect(), &idx);
+    check::<u64>(raw.clone(), &idx);
+    check::<i32>(raw.iter().map(|&x| x as i32).collect(), &idx);
+    check::<i64>(
+        raw.iter().map(|&x| (x as i64).wrapping_neg()).collect(),
+        &idx,
+    );
+    // f64 keys: the order is IEEE total order, so compare bit patterns
+    // (NaN != NaN would fail a value comparison of equal outputs).
+    let floats = special_values(n, 11);
+    let (want_k, want_v) = reference_sort_pairs(&floats, &idx);
+    at_each_thread_count(|threads| {
+        let (mut k, mut v) = (floats.clone(), idx.clone());
+        sort_pairs(&mut k, &mut v);
+        assert!(
+            bits(&k) == bits(&want_k) && v == want_v,
+            "{threads} threads"
+        );
+    });
+    let ordered: Vec<f64> = want_k.iter().copied().filter(|x| !x.is_nan()).collect();
+    assert!(
+        ordered.windows(2).all(|w| w[0] <= w[1]),
+        "matches partial_cmp"
+    );
+}
+
+#[test]
+fn sort_pairs_carries_wide_payloads() {
+    let n = 2 * MIN_BLOCK + 9;
+    let keys: Vec<u64> = (0..n as u64)
+        .map(|i| i.wrapping_mul(0x9E37_79B9) % 100)
+        .collect();
+    let vals: Vec<(f64, u8)> = (0..n).map(|i| (i as f64, i as u8)).collect();
+    let (want_k, want_v) = reference_sort_pairs(&keys, &vals);
+    at_each_thread_count(|_| {
+        let (mut k, mut v) = (keys.clone(), vals.clone());
+        sort_pairs(&mut k, &mut v);
+        assert!(k == want_k && v == want_v);
+    });
+}
+
+// ---------------------------------------------------------------------------
+// Equi-join
+// ---------------------------------------------------------------------------
+
+/// The nested loops themselves.
+fn reference_join(outer: &[u32], inner: &[u32]) -> (Vec<u32>, Vec<u32>) {
+    let (mut l, mut r) = (Vec::new(), Vec::new());
+    for (o, ok) in outer.iter().enumerate() {
+        for (i, ik) in inner.iter().enumerate() {
+            if ok == ik {
+                l.push(o as u32);
+                r.push(i as u32);
+            }
+        }
+    }
+    (l, r)
+}
+
+#[test]
+fn join_emits_nested_loop_order_on_small_adversarial_inputs() {
+    let cases: [(&[u32], &[u32]); 9] = [
+        (&[], &[]),
+        (&[], &[1]),
+        (&[1], &[]),
+        (&[1], &[1]),
+        (&[5, 3, 5], &[5, 5, 3]),                  // duplicate build keys
+        (&[7, 7], &[7, 7]),                        // all match
+        (&[1, 2, 3], &[4, 5, 6]),                  // zero match
+        (&[0, u32::MAX, 0], &[u32::MAX, 0, 1, 0]), // extremes
+        (&[9; 40], &[9; 30]),                      // all equal: cross product
+    ];
+    for (outer, inner) in cases {
+        assert_eq!(equi_join(outer, inner), reference_join(outer, inner));
+    }
+}
+
+/// Expected join output from a `BTreeMap` index — the reference for sizes
+/// where the nested loops themselves would take too long.
+fn indexed_reference_join(outer: &[u32], inner: &[u32]) -> (Vec<u32>, Vec<u32>) {
+    let mut index: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+    for (row, &k) in inner.iter().enumerate() {
+        index.entry(k).or_default().push(row as u32);
+    }
+    let (mut l, mut r) = (Vec::new(), Vec::new());
+    for (row, k) in outer.iter().enumerate() {
+        for &m in index.get(k).map_or(&[][..], |m| m) {
+            l.push(row as u32);
+            r.push(m);
+        }
+    }
+    (l, r)
+}
+
+#[test]
+fn join_is_identical_at_any_thread_count_across_chunk_boundaries() {
+    let mut rng = StdRng::seed_from_u64(21);
+    for outer_n in [PAR_CHUNK - 1, PAR_CHUNK + 1, 3 * PAR_CHUNK + 5] {
+        let inner_n = PAR_CHUNK / 4 + 3;
+        // Foreign keys with some dangling, primary keys with some doubled.
+        let outer: Vec<u32> = (0..outer_n)
+            .map(|_| rng.gen::<u32>() % (inner_n as u32 + 50))
+            .collect();
+        let inner: Vec<u32> = (0..inner_n as u32)
+            .map(|i| if i % 7 == 0 { i / 2 } else { i })
+            .collect();
+        let want = indexed_reference_join(&outer, &inner);
+        at_each_thread_count(|threads| {
+            assert!(
+                equi_join(&outer, &inner) == want,
+                "outer {outer_n}, {threads} threads"
+            );
+        });
+        let nothing = vec![u32::MAX; 9];
+        at_each_thread_count(|_| {
+            assert_eq!(equi_join(&outer, &nothing), (vec![], vec![]));
+        });
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Grouped aggregation
+// ---------------------------------------------------------------------------
+
+/// Group-by through a `BTreeMap`, folding in row order with the documented
+/// seeds — the definition of the right answer, bit for bit.
+fn reference_groups(keys: &[u32], vals: &[f64]) -> GroupStats {
+    let mut table: BTreeMap<u32, (f64, u64, f64, f64)> = BTreeMap::new();
+    for (&k, &v) in keys.iter().zip(vals) {
+        let e = table
+            .entry(k)
+            .or_insert((0.0, 0, f64::INFINITY, f64::NEG_INFINITY));
+        e.0 += v;
+        e.1 += 1;
+        e.2 = e.2.min(v);
+        e.3 = e.3.max(v);
+    }
+    GroupStats {
+        keys: table.keys().copied().collect(),
+        sums: table.values().map(|e| e.0).collect(),
+        counts: table.values().map(|e| e.1).collect(),
+        mins: table.values().map(|e| e.2).collect(),
+        maxs: table.values().map(|e| e.3).collect(),
+    }
+}
+
+/// Sums by bit pattern; extrema by value, except that NaN equals NaN.
+fn assert_same_groups(got: &GroupStats, want: &GroupStats, what: &str) {
+    assert!(got.keys == want.keys, "keys: {what}");
+    assert!(got.counts == want.counts, "counts: {what}");
+    assert!(bits(&got.sums) == bits(&want.sums), "sums: {what}");
+    let same = |a: &[f64], b: &[f64]| {
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(x, y)| x == y || (x.is_nan() && y.is_nan()))
+    };
+    assert!(same(&got.mins, &want.mins), "mins: {what}");
+    assert!(same(&got.maxs, &want.maxs), "maxs: {what}");
+}
+
+#[test]
+fn aggregate_matches_the_reference_on_every_shape_and_boundary() {
+    let mut lens = boundary_lengths();
+    // Group counts on both sides of the hash → sort hand-over.
+    lens.extend([
+        HASH_GROUPS_MAX - 1,
+        HASH_GROUPS_MAX,
+        HASH_GROUPS_MAX + 1,
+        3 * HASH_GROUPS_MAX,
+    ]);
+    for n in lens {
+        let vals = special_values(n, n as u64 + 1);
+        for (shape, keys) in key_shapes(n, n as u64) {
+            let want = reference_groups(&keys, &vals);
+            assert!(want.keys.windows(2).all(|w| w[0] < w[1]));
+            at_each_thread_count(|threads| {
+                let got = group_aggregate(&keys, &vals);
+                assert_same_groups(&got, &want, &format!("{shape} n={n} threads={threads}"));
+            });
+        }
+    }
+}
+
+#[test]
+fn aggregate_hand_over_mid_column_keeps_row_order_sums() {
+    // Few groups first, then a burst of new keys that forces the hand-over
+    // after most rows were already hashed; sums of values whose rounding
+    // depends on order show any reordering.
+    let n = 4 * HASH_GROUPS_MAX;
+    let keys: Vec<u32> = (0..n as u32)
+        .map(|i| if i < n as u32 / 2 { i % 3 } else { i })
+        .collect();
+    let vals: Vec<f64> = (0..n).map(|i| [1e16, 1.0, -1e16, 3.0][i % 4]).collect();
+    let want = reference_groups(&keys, &vals);
+    at_each_thread_count(|threads| {
+        assert_same_groups(
+            &group_aggregate(&keys, &vals),
+            &want,
+            &format!("{threads} threads"),
+        );
+    });
+}
+
+// ---------------------------------------------------------------------------
+// Random shapes
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 2 } else { 12 }))]
+
+    /// Random length, key domain and content: sort, join and aggregate all
+    /// agree with their references at every thread count.
+    #[test]
+    fn kernels_agree_with_references_on_random_columns(
+        n in 0usize..4 * MIN_BLOCK,
+        domain_bits in 0u32..=32,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mask = ((1u64 << domain_bits) - 1) as u32;
+        let keys: Vec<u32> = (0..n).map(|_| rng.gen::<u32>() & mask).collect();
+        // Any bit pattern at all is a legal f64 value.
+        let vals: Vec<f64> = (0..n).map(|_| f64::from_bits(rng.gen())).collect();
+        // At most about two build rows per key value, so the output stays
+        // near the outer side's size even on a one-value domain.
+        let build_n = (n / 16).min(2usize << domain_bits.min(30));
+        let build: Vec<u32> = (0..build_n).map(|_| rng.gen::<u32>() & mask).collect();
+        let (want_k, want_v) = reference_sort_pairs(&keys, &vals);
+        let want_groups = reference_groups(&keys, &vals);
+        let want_join = indexed_reference_join(&keys, &build);
+        at_each_thread_count(|threads| {
+            let (mut k, mut v) = (keys.clone(), vals.clone());
+            sort_pairs(&mut k, &mut v);
+            assert!(k == want_k && bits(&v) == bits(&want_v), "sort, {threads} threads");
+            assert_same_groups(&group_aggregate(&keys, &vals), &want_groups, "aggregate");
+            assert!(equi_join(&keys, &build) == want_join, "join, {threads} threads");
+        });
+    }
+}

@@ -8,7 +8,6 @@
 
 use crate::charge_io;
 use gpu_sim::{presets, AllocPolicy, Device, DeviceBuffer, KernelCost, Result, SimError};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Result of a grouped aggregation, sorted by key for determinism.
@@ -64,23 +63,10 @@ pub fn hash_group_aggregate(
             right: values.len(),
         });
     }
-    let mut table: HashMap<u32, (f64, u64, f64, f64)> = HashMap::new();
-    for (&k, &v) in keys.host().iter().zip(values.host()) {
-        let e = table
-            .entry(k)
-            .or_insert((0.0, 0, f64::INFINITY, f64::NEG_INFINITY));
-        e.0 += v;
-        e.1 += 1;
-        e.2 = e.2.min(v);
-        e.3 = e.3.max(v);
-    }
-    let rows: Vec<(u32, (f64, u64, f64, f64))> = table.into_iter().collect();
-    // Order the (unique) group keys with the shared radix sort, carrying a
-    // row index instead of moving the wide accumulator tuples per pass.
-    let mut group_keys: Vec<u32> = rows.iter().map(|(k, _)| *k).collect();
-    let mut order: Vec<u32> = (0..rows.len() as u32).collect();
-    gpu_sim::hostexec::sort_pairs(&mut group_keys, &mut order);
-    let groups = rows.len();
+    // Per-key accumulation in row order, groups ascending by key: the shared
+    // host kernel (hashing while the groups fit in cache, sorting beyond).
+    let agg = gpu_sim::hostexec::group_aggregate(keys.host(), values.host());
+    let groups = agg.keys.len();
     // A tuned kernel keeps the table in shared memory when the group count
     // allows (≤4Ki entries): the pass is then a coalesced streaming read.
     // Larger tables spill to global memory and pay random-access traffic.
@@ -112,27 +98,12 @@ pub fn hash_group_aggregate(
         &[],
         &[],
     )?;
-    let (mut ks, mut sums, mut counts, mut mins, mut maxs) = (
-        Vec::with_capacity(groups),
-        Vec::with_capacity(groups),
-        Vec::with_capacity(groups),
-        Vec::with_capacity(groups),
-        Vec::with_capacity(groups),
-    );
-    for &i in &order {
-        let (k, (s, c, mn, mx)) = rows[i as usize];
-        ks.push(k);
-        sums.push(s);
-        counts.push(c);
-        mins.push(mn);
-        maxs.push(mx);
-    }
     Ok(GroupAggregate {
-        keys: device.buffer_from_vec(ks, AllocPolicy::Pooled)?,
-        sums: device.buffer_from_vec(sums, AllocPolicy::Pooled)?,
-        counts: device.buffer_from_vec(counts, AllocPolicy::Pooled)?,
-        mins: device.buffer_from_vec(mins, AllocPolicy::Pooled)?,
-        maxs: device.buffer_from_vec(maxs, AllocPolicy::Pooled)?,
+        keys: device.buffer_from_vec(agg.keys, AllocPolicy::Pooled)?,
+        sums: device.buffer_from_vec(agg.sums, AllocPolicy::Pooled)?,
+        counts: device.buffer_from_vec(agg.counts, AllocPolicy::Pooled)?,
+        mins: device.buffer_from_vec(agg.mins, AllocPolicy::Pooled)?,
+        maxs: device.buffer_from_vec(agg.maxs, AllocPolicy::Pooled)?,
     })
 }
 

@@ -8,7 +8,8 @@
 //! support costs.
 
 use crate::charge_io;
-use gpu_sim::{presets, AllocPolicy, Device, DeviceBuffer, KernelCost, Result};
+use gpu_sim::{hostexec, presets, AllocPolicy, Device, DeviceBuffer, KernelCost, Result};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Matched row-id pairs: `left[i]` joins with `right[i]`.
@@ -32,58 +33,23 @@ impl JoinResult {
     }
 }
 
-/// Open-addressing hash table used by the functional path (insert-all,
-/// probe-collect; duplicates chain through linear probing).
-struct ProbeTable {
-    slots: Vec<(u32, u32)>, // (key, row_id)
-    occupied: Vec<bool>,
-    mask: usize,
-}
-
-impl ProbeTable {
-    fn build(keys: &[u32]) -> Self {
-        let cap = (keys.len() * 2).next_power_of_two().max(16);
-        let mut t = ProbeTable {
-            slots: vec![(0, 0); cap],
-            occupied: vec![false; cap],
-            mask: cap - 1,
-        };
-        for (row, &k) in keys.iter().enumerate() {
-            let mut slot = Self::hash(k) & t.mask;
-            while t.occupied[slot] {
-                slot = (slot + 1) & t.mask;
-            }
-            t.slots[slot] = (k, row as u32);
-            t.occupied[slot] = true;
-        }
-        t
-    }
-
-    fn hash(k: u32) -> usize {
-        // Fibonacci hashing — what the handwritten kernel would use.
-        (k as u64).wrapping_mul(11400714819323198485) as usize >> 32
-    }
-
-    fn probe(&self, k: u32, out: &mut Vec<u32>) {
-        let mut slot = Self::hash(k) & self.mask;
-        while self.occupied[slot] {
-            if self.slots[slot].0 == k {
-                out.push(self.slots[slot].1);
-            }
-            slot = (slot + 1) & self.mask;
-        }
-    }
+/// Upload the matched `(left, right)` row-id columns of a finished join.
+fn pairs_to_device(device: &Arc<Device>, pairs: (Vec<u32>, Vec<u32>)) -> Result<JoinResult> {
+    Ok(JoinResult {
+        left: device.buffer_from_vec(pairs.0, AllocPolicy::Pooled)?,
+        right: device.buffer_from_vec(pairs.1, AllocPolicy::Pooled)?,
+    })
 }
 
 /// Equi hash join: build a table over `build_keys`, probe with
 /// `probe_keys`. Two kernels (build, probe) with random-access footprints.
-/// Returns pairs `(probe_row, build_row)`.
+/// Returns pairs `(probe_row, build_row)`, ascending.
 pub fn hash_join(
     device: &Arc<Device>,
     probe_keys: &DeviceBuffer<u32>,
     build_keys: &DeviceBuffer<u32>,
 ) -> Result<JoinResult> {
-    let table = ProbeTable::build(build_keys.host());
+    let pairs = hostexec::equi_join(probe_keys.host(), build_keys.host());
     charge_io(
         device,
         "hash_join/build",
@@ -91,29 +57,34 @@ pub fn hash_join(
         &[build_keys.id()],
         &[],
     )?;
-    let mut left = Vec::new();
-    let mut right = Vec::new();
-    let mut matches = Vec::new();
-    for (row, &k) in probe_keys.host().iter().enumerate() {
-        matches.clear();
-        table.probe(k, &mut matches);
-        for &b in &matches {
-            left.push(row as u32);
-            right.push(b);
-        }
-    }
     charge_io(
         device,
         "hash_join/probe",
         presets::hash_probe::<u32, u32>(probe_keys.len(), build_keys.len())
-            .with_write((left.len() * 8) as u64),
+            .with_write((pairs.0.len() * 8) as u64),
         &[probe_keys.id(), build_keys.id()],
         &[],
     )?;
-    Ok(JoinResult {
-        left: device.buffer_from_vec(left, AllocPolicy::Pooled)?,
-        right: device.buffer_from_vec(right, AllocPolicy::Pooled)?,
-    })
+    pairs_to_device(device, pairs)
+}
+
+/// Call `emit(left_rows, right_rows)` for every pair of equal-key runs of
+/// two ascending key columns, in key order.
+fn for_each_equal_run(ls: &[u32], rs: &[u32], mut emit: impl FnMut(Range<usize>, Range<usize>)) {
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < ls.len() && j < rs.len() {
+        match ls[i].cmp(&rs[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                let k = ls[i];
+                let (i0, j0) = (i, j);
+                i += ls[i..].iter().take_while(|&&x| x == k).count();
+                j += rs[j..].iter().take_while(|&&x| x == k).count();
+                emit(i0..i, j0..j);
+            }
+        }
+    }
 }
 
 /// Sorted-merge join: both key columns must be ascending. One linear
@@ -132,33 +103,20 @@ pub fn merge_join(
             )));
         }
     }
-    let mut left = Vec::new();
-    let mut right = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < ls.len() && j < rs.len() {
-        match ls[i].cmp(&rs[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                // emit the cross product of the equal runs
-                let k = ls[i];
-                let i0 = i;
-                while i < ls.len() && ls[i] == k {
-                    i += 1;
-                }
-                let j0 = j;
-                while j < rs.len() && rs[j] == k {
-                    j += 1;
-                }
-                for li in i0..i {
-                    for rj in j0..j {
-                        left.push(li as u32);
-                        right.push(rj as u32);
-                    }
-                }
+    // Size the output from the run lengths, then emit the cross product of
+    // each pair of equal runs.
+    let mut matches = 0;
+    for_each_equal_run(ls, rs, |l, r| matches += l.len() * r.len());
+    let mut left = Vec::with_capacity(matches);
+    let mut right = Vec::with_capacity(matches);
+    for_each_equal_run(ls, rs, |l, r| {
+        for li in l {
+            for rj in r.clone() {
+                left.push(li as u32);
+                right.push(rj as u32);
             }
         }
-    }
+    });
     charge_io(
         device,
         "merge_join",
@@ -169,51 +127,29 @@ pub fn merge_join(
         &[left_keys.id(), right_keys.id()],
         &[],
     )?;
-    Ok(JoinResult {
-        left: device.buffer_from_vec(left, AllocPolicy::Pooled)?,
-        right: device.buffer_from_vec(right, AllocPolicy::Pooled)?,
-    })
+    pairs_to_device(device, (left, right))
 }
 
 /// Tiled nested-loops join — the only join expressible with library
-/// `for_each_n`. Quadratic compute; the functional result is produced with
-/// a hash table (the simulator separates semantics from cost), while the
-/// charge is the honest `outer × inner` footprint.
+/// `for_each_n`. Quadratic compute; the functional result comes from the
+/// shared key index (the simulator separates semantics from cost), which
+/// already emits NLJ's outer-then-inner order, while the charge is the
+/// honest `outer × inner` footprint.
 pub fn nested_loops_join(
     device: &Arc<Device>,
     outer_keys: &DeviceBuffer<u32>,
     inner_keys: &DeviceBuffer<u32>,
 ) -> Result<JoinResult> {
-    let table = ProbeTable::build(inner_keys.host());
-    let mut left = Vec::new();
-    let mut right = Vec::new();
-    let mut matches = Vec::new();
-    for (row, &k) in outer_keys.host().iter().enumerate() {
-        matches.clear();
-        table.probe(k, &mut matches);
-        for &b in &matches {
-            left.push(row as u32);
-            right.push(b);
-        }
-    }
-    // NLJ emits pairs in outer-then-inner order; the hash shortcut can
-    // permute the inner matches of one outer row, so restore order.
-    let mut order: Vec<usize> = (0..left.len()).collect();
-    order.sort_by_key(|&p| (left[p], right[p]));
-    let left: Vec<u32> = order.iter().map(|&p| left[p]).collect();
-    let right: Vec<u32> = order.iter().map(|&p| right[p]).collect();
+    let pairs = hostexec::equi_join(outer_keys.host(), inner_keys.host());
     charge_io(
         device,
         "nested_loops_join",
         presets::nested_loops::<u32>(outer_keys.len(), inner_keys.len())
-            .with_write((left.len() * 8) as u64),
+            .with_write((pairs.0.len() * 8) as u64),
         &[outer_keys.id(), inner_keys.id()],
         &[],
     )?;
-    Ok(JoinResult {
-        left: device.buffer_from_vec(left, AllocPolicy::Pooled)?,
-        right: device.buffer_from_vec(right, AllocPolicy::Pooled)?,
-    })
+    pairs_to_device(device, pairs)
 }
 
 #[cfg(test)]
