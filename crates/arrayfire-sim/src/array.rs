@@ -2,7 +2,7 @@
 
 use crate::dtype::{ColumnData, DType, Scalar};
 use crate::node::{BinaryOp, Node, UnaryOp};
-use gpu_sim::{Device, KernelCost, Result, SimError};
+use gpu_sim::{Device, KernelCost, Reservation, Result, SimError};
 use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -88,6 +88,18 @@ impl Backend {
     pub fn array_b8(self: &Arc<Self>, data: &[u8]) -> Result<Array> {
         let buf = self.device.htod(data)?;
         self.wrap(ColumnData::B8(buf))
+    }
+
+    /// Back a `u32` reservation a non-fused operation's charge half made
+    /// (`af::where`, the set operations) with its index data.
+    pub fn fill_u32(self: &Arc<Self>, out: Reservation, data: Vec<u32>) -> Result<Array> {
+        self.wrap(ColumnData::U32(out.into_buffer(data)))
+    }
+
+    /// Back an `f64` reservation a non-fused operation's charge half made
+    /// with its data.
+    pub fn fill_f64(self: &Arc<Self>, out: Reservation, data: Vec<f64>) -> Result<Array> {
+        self.wrap(ColumnData::F64(out.into_buffer(data)))
     }
 
     /// Wrap an already-materialised column into an evaluated array (no
@@ -315,30 +327,42 @@ impl Array {
         if let Some(col) = self.cache.lock().as_ref() {
             return Ok(Arc::clone(col));
         }
-        let device = self.backend.device();
-        // JIT the fused kernel shape (cache-hit on repeats).
-        let sig = self.node.signature();
-        self.backend.ensure_jit(&sig);
+        let out = self.charge_eval()?;
         // Execute functionally through the compiled post-order program —
         // bit-identical to the recursive interpreter, op-at-a-time over
         // typed chunked lanes instead of a tree walk per element. The
         // result materialises in the array's dtype directly: integer
         // outputs never round-trip through a whole-column f64 buffer.
         let col = Arc::new(
-            crate::program::Program::compile(&self.node).eval_into(device, self.dtype, self.len)?,
+            crate::program::Program::compile(&self.node).eval_into(out, self.dtype, self.len),
         );
+        *self.cache.lock() = Some(Arc::clone(&col));
+        Ok(col)
+    }
+
+    /// What evaluating this (not yet evaluated) array costs on the device:
+    /// JIT of the fused kernel's shape on first sight, the output
+    /// allocation, and the one fused launch. [`Array::eval`] pays exactly
+    /// this and then computes the column into the reservation; a caller
+    /// that has the chain's final answer from elsewhere pays it for an
+    /// intermediate nobody reads.
+    pub fn charge_eval(&self) -> Result<Reservation> {
+        let device = self.backend.device();
+        // JIT the fused kernel shape (cache-hit on repeats).
+        let sig = self.node.signature();
+        self.backend.ensure_jit(&sig);
+        let out = crate::dtype::reserve_column(device, self.dtype, self.len)?;
         // One fused kernel: read each distinct leaf once, write once.
         let cost = KernelCost {
             bytes_read: self.node.leaf_bytes(),
-            bytes_written: col.size_bytes(),
+            bytes_written: out.size_bytes(),
             flops: self.node.op_count() * self.len as u64,
             pattern: gpu_sim::AccessPattern::Coalesced,
             divergence: 0.0,
             launch_overhead_ns: device.spec().cuda_launch_latency_ns,
         };
         device.try_charge_kernel("af::jit_fused", cost)?;
-        *self.cache.lock() = Some(Arc::clone(&col));
-        Ok(col)
+        Ok(out)
     }
 
     /// Evaluate and download as `f64` (charges the transfer).

@@ -1,6 +1,6 @@
 //! Runtime-typed columns — ArrayFire arrays carry their dtype at runtime.
 
-use gpu_sim::{AllocPolicy, Device, DeviceBuffer, Result, SimError};
+use gpu_sim::{AllocPolicy, Device, DeviceBuffer, Reservation, Result, SimError};
 use std::sync::Arc;
 
 /// Element type of an [`Array`](crate::Array).
@@ -248,14 +248,32 @@ fn type_err(wanted: &str, got: DType) -> SimError {
 /// Build a [`ColumnData`] of `dtype` from an `f64` working vector
 /// (interpreter output), truncating/rounding like a GPU cast.
 pub fn column_from_f64(device: &Arc<Device>, dtype: DType, v: Vec<f64>) -> Result<ColumnData> {
+    let out = reserve_column(device, dtype, v.len())?;
+    Ok(fill_from_f64(out, dtype, v))
+}
+
+/// A pooled allocation for `len` elements of `dtype`, not backed yet: what
+/// a non-fused operation's charge half returns for each output column.
+pub fn reserve_column(device: &Arc<Device>, dtype: DType, len: usize) -> Result<Reservation> {
+    device.reserve((len * dtype.size()) as u64, AllocPolicy::Pooled, true)
+}
+
+/// Back `out` (from [`reserve_column`]) with `v` cast to `dtype`,
+/// truncating/rounding like a GPU cast.
+pub fn fill_from_f64(out: Reservation, dtype: DType, v: Vec<f64>) -> ColumnData {
     let col = match dtype {
-        DType::F64 => return ColumnData::from_f64(device, v),
-        DType::U64 => ColumnData::from_u64(device, gpu_sim::par_map_vec(v.len(), |i| v[i] as u64)),
-        DType::U32 => ColumnData::from_u32(device, gpu_sim::par_map_vec(v.len(), |i| v[i] as u32)),
-        DType::I64 => ColumnData::from_i64(device, gpu_sim::par_map_vec(v.len(), |i| v[i] as i64)),
-        DType::B8 => ColumnData::from_b8(
-            device,
-            gpu_sim::par_map_vec(v.len(), |i| u8::from(v[i] != 0.0)),
+        DType::F64 => return ColumnData::F64(out.into_buffer(v)),
+        DType::U64 => {
+            ColumnData::U64(out.into_buffer(gpu_sim::par_map_vec(v.len(), |i| v[i] as u64)))
+        }
+        DType::U32 => {
+            ColumnData::U32(out.into_buffer(gpu_sim::par_map_vec(v.len(), |i| v[i] as u32)))
+        }
+        DType::I64 => {
+            ColumnData::I64(out.into_buffer(gpu_sim::par_map_vec(v.len(), |i| v[i] as i64)))
+        }
+        DType::B8 => ColumnData::B8(
+            out.into_buffer(gpu_sim::par_map_vec(v.len(), |i| u8::from(v[i] != 0.0))),
         ),
     };
     gpu_sim::hostmem::put_vec(v);

@@ -47,8 +47,9 @@ pub use array::{Array, Backend};
 pub use dtype::{ColumnData, DType, Scalar};
 pub use node::{BinaryOp, UnaryOp};
 pub use ops::{
-    accum, constant, count, count_by_key, lookup, scan, set_intersect, set_union, sort,
-    sort_by_key, sum, sum_by_key, where_,
+    accum, charge_set_op, charge_sort_by_key, charge_sum_by_key, charge_where, constant, count,
+    count_by_key, lookup, scan, set_intersect, set_union, sort, sort_by_key, sum, sum_by_key,
+    where_,
 };
 pub use ops_ext::{diff1, histogram, max_all, mean, min_all, set_unique, shift};
 pub use program::{InstrSpec, Program, ProgramSpec};

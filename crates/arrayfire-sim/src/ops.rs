@@ -6,8 +6,8 @@
 //! footprints (Table II's partial-support pathways).
 
 use crate::array::{Array, Backend};
-use crate::dtype::{ColumnData, DType};
-use gpu_sim::{presets, KernelCost, Result, SimError};
+use crate::dtype::{fill_from_f64, reserve_column, ColumnData, DType};
+use gpu_sim::{presets, KernelCost, Reservation, Result, SimError};
 use std::sync::Arc;
 
 fn backend_of(a: &Array) -> Arc<Backend> {
@@ -21,7 +21,6 @@ fn backend_of(a: &Array) -> Arc<Backend> {
 /// scan + compact pair of kernels.
 pub fn where_(cond: &Array) -> Result<Array> {
     let af = backend_of(cond);
-    let device = af.device();
     let col = cond.eval()?;
     // Predicate masks arrive as b8 and are compacted as they are; any other
     // dtype goes through the f64 working lanes.
@@ -29,7 +28,15 @@ pub fn where_(cond: &Array) -> Result<Array> {
         ColumnData::B8(mask) => indices_where(mask.host(), |&b| b != 0),
         other => indices_where(&other.to_f64_vec(), |&v| v != 0.0),
     };
-    let n = cond.len();
+    let out = charge_where(&af, cond.len(), idx.len())?;
+    af.fill_u32(out, idx)
+}
+
+/// What [`where_`] costs on the device once its condition is evaluated:
+/// the scan and compact launches over `n` mask elements and the
+/// allocation of the `kept` indices.
+pub fn charge_where(af: &Arc<Backend>, n: usize, kept: usize) -> Result<Reservation> {
+    let device = af.device();
     let launch = device.spec().cuda_launch_latency_ns;
     device.try_charge_kernel(
         "af::where/scan",
@@ -38,11 +45,11 @@ pub fn where_(cond: &Array) -> Result<Array> {
     device.try_charge_kernel(
         "af::where/compact",
         KernelCost::map::<u8, ()>(n)
-            .with_write((idx.len() * 4) as u64)
+            .with_write((kept * 4) as u64)
             .with_divergence(0.3)
             .with_launch_overhead(launch),
     )?;
-    af.wrap(ColumnData::from_u32(device, idx)?)
+    reserve_column(device, DType::U32, kept)
 }
 
 /// Ascending indices of the elements `keep` accepts. Branch-free: every
@@ -234,16 +241,9 @@ pub fn sort_by_key(keys: &Array, vals: &Array) -> Result<(Array, Array)> {
         });
     }
     let af = backend_of(keys);
-    let device = af.device();
     let kcol = keys.eval()?;
     let vcol = vals.eval()?;
-    charge_radix(
-        &af,
-        keys.len(),
-        keys.dtype().size(),
-        vals.dtype().size(),
-        "af::sort_by_key",
-    )?;
+    let (kout, vout) = charge_sort_by_key(&af, keys.len(), keys.dtype(), vals.dtype())?;
     // Stable radix sort == the old index-tiebroken comparison sort. The
     // dominant dtype pairing sorts in its native key domain (u32 keys
     // take half the digit passes of the f64 working lanes and skip both
@@ -254,18 +254,30 @@ pub fn sort_by_key(keys: &Array, vals: &Array) -> Result<(Array, Array)> {
         let mut ks = gpu_sim::hostmem::take_from_slice(kb.host());
         let mut vs = gpu_sim::hostmem::take_from_slice(vb.host());
         gpu_sim::hostexec::sort_pairs(&mut ks, &mut vs);
-        return Ok((
-            af.wrap(crate::dtype::ColumnData::from_u32(device, ks)?)?,
-            af.wrap(crate::dtype::ColumnData::from_f64(device, vs)?)?,
-        ));
+        return Ok((af.fill_u32(kout, ks)?, af.fill_f64(vout, vs)?));
     }
     let mut ks = kcol.to_f64_vec();
     let mut vs = vcol.to_f64_vec();
     gpu_sim::hostexec::sort_pairs(&mut ks, &mut vs);
     Ok((
-        af.wrap(crate::dtype::column_from_f64(device, keys.dtype(), ks)?)?,
-        af.wrap(crate::dtype::column_from_f64(device, vals.dtype(), vs)?)?,
+        af.wrap(fill_from_f64(kout, keys.dtype(), ks))?,
+        af.wrap(fill_from_f64(vout, vals.dtype(), vs))?,
     ))
+}
+
+/// What [`sort_by_key`] costs on the device once its inputs are
+/// evaluated: the radix kernel triples over `n` pairs and the allocation
+/// of the sorted key and value columns.
+pub fn charge_sort_by_key(
+    af: &Arc<Backend>,
+    n: usize,
+    keys: DType,
+    vals: DType,
+) -> Result<(Reservation, Reservation)> {
+    charge_radix(af, n, keys.size(), vals.size(), "af::sort_by_key")?;
+    let kout = reserve_column(af.device(), keys, n)?;
+    let vout = reserve_column(af.device(), vals, n)?;
+    Ok((kout, vout))
 }
 
 fn charge_radix(
@@ -330,16 +342,10 @@ fn by_key(
         });
     }
     let af = backend_of(keys);
-    let device = af.device();
     let kcol = keys.eval()?;
     let vcol = vals.eval()?;
-    let charge = |groups: usize| {
-        device.try_charge_kernel(
-            label,
-            presets::reduce_by_key::<u64, u64>(keys.len(), groups)
-                .with_launch_overhead(device.spec().cuda_launch_latency_ns),
-        )
-    };
+    let charge =
+        |groups: usize| charge_by_key(&af, label, keys.len(), groups, keys.dtype(), vals.dtype());
     // Native fast path for the dominant pairing (u32 group keys, f64
     // measures): keys compare and flow into the output column in their
     // own width instead of round-tripping through an f64 working lane.
@@ -363,11 +369,8 @@ fn by_key(
             out_v.push(acc);
             i = j;
         }
-        charge(out_k.len())?;
-        return Ok((
-            af.wrap(ColumnData::from_u32(device, out_k)?)?,
-            af.wrap(ColumnData::from_f64(device, out_v)?)?,
-        ));
+        let (kout, vout) = charge(out_k.len())?;
+        return Ok((af.fill_u32(kout, out_k)?, af.fill_f64(vout, out_v)?));
     }
     let kv = kcol.to_f64_vec();
     let vv = vcol.to_f64_vec();
@@ -386,33 +389,74 @@ fn by_key(
         out_v.push(acc);
         i = j;
     }
-    charge(out_k.len())?;
+    let (kout, vout) = charge(out_k.len())?;
     Ok((
-        af.wrap(crate::dtype::column_from_f64(device, keys.dtype(), out_k)?)?,
-        af.wrap(crate::dtype::column_from_f64(device, vals.dtype(), out_v)?)?,
+        af.wrap(fill_from_f64(kout, keys.dtype(), out_k))?,
+        af.wrap(fill_from_f64(vout, vals.dtype(), out_v))?,
     ))
+}
+
+/// What [`sum_by_key`] costs on the device once its inputs are evaluated:
+/// one segmented-reduce launch over `n` rows and the allocation of the
+/// `groups` unique keys and their sums.
+pub fn charge_sum_by_key(
+    af: &Arc<Backend>,
+    n: usize,
+    groups: usize,
+    keys: DType,
+    vals: DType,
+) -> Result<(Reservation, Reservation)> {
+    charge_by_key(af, "af::sumByKey", n, groups, keys, vals)
+}
+
+fn charge_by_key(
+    af: &Arc<Backend>,
+    label: &str,
+    n: usize,
+    groups: usize,
+    keys: DType,
+    vals: DType,
+) -> Result<(Reservation, Reservation)> {
+    let device = af.device();
+    device.try_charge_kernel(
+        label,
+        presets::reduce_by_key::<u64, u64>(n, groups)
+            .with_launch_overhead(device.spec().cuda_launch_latency_ns),
+    )?;
+    let kout = reserve_column(device, keys, groups)?;
+    let vout = reserve_column(device, vals, groups)?;
+    Ok((kout, vout))
 }
 
 /// `af::setIntersect` — intersection of two **sorted, unique** u32 index
 /// arrays (the paper's conjunction of selections).
 pub fn set_intersect(a: &Array, b: &Array) -> Result<Array> {
-    set_op(a, b, "af::setIntersect", true)
+    set_op(a, b, true)
 }
 
 /// `af::setUnion` — union of two **sorted, unique** u32 index arrays
 /// (the paper's disjunction of selections).
 pub fn set_union(a: &Array, b: &Array) -> Result<Array> {
-    set_op(a, b, "af::setUnion", false)
+    set_op(a, b, false)
 }
 
-fn set_op(a: &Array, b: &Array, label: &str, intersect: bool) -> Result<Array> {
+/// Kernel name of a set operation.
+fn set_label(intersect: bool) -> &'static str {
+    if intersect {
+        "af::setIntersect"
+    } else {
+        "af::setUnion"
+    }
+}
+
+fn set_op(a: &Array, b: &Array, intersect: bool) -> Result<Array> {
+    let label = set_label(intersect);
     if a.dtype() != DType::U32 || b.dtype() != DType::U32 {
         return Err(SimError::Unsupported(format!(
             "{label} expects u32 index arrays"
         )));
     }
     let af = backend_of(a);
-    let device = af.device();
     let av = a.eval()?;
     let bv = b.eval()?;
     let (xs, ys) = (av.as_u32()?, bv.as_u32()?);
@@ -446,15 +490,29 @@ fn set_op(a: &Array, b: &Array, label: &str, intersect: bool) -> Result<Array> {
         }
     }
     out.truncate(len);
-    let launch = device.spec().cuda_launch_latency_ns;
+    let reserved = charge_set_op(&af, intersect, xs.len(), ys.len(), out.len())?;
+    af.fill_u32(reserved, out)
+}
+
+/// What [`set_intersect`] (`intersect`) or [`set_union`] costs on the
+/// device once its inputs are evaluated: one merge launch over both index
+/// arrays and the allocation of the `out_len` resulting indices.
+pub fn charge_set_op(
+    af: &Arc<Backend>,
+    intersect: bool,
+    a_len: usize,
+    b_len: usize,
+    out_len: usize,
+) -> Result<Reservation> {
+    let device = af.device();
     device.try_charge_kernel(
-        label,
-        KernelCost::map::<u32, u32>(xs.len() + ys.len())
-            .with_write((out.len() * 4) as u64)
+        set_label(intersect),
+        KernelCost::map::<u32, u32>(a_len + b_len)
+            .with_write((out_len * 4) as u64)
             .with_divergence(0.2)
-            .with_launch_overhead(launch),
+            .with_launch_overhead(device.spec().cuda_launch_latency_ns),
     )?;
-    af.wrap(ColumnData::from_u32(device, out)?)
+    reserve_column(device, DType::U32, out_len)
 }
 
 fn is_sorted_unique(v: &[u32]) -> bool {

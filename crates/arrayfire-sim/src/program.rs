@@ -30,7 +30,7 @@
 
 use crate::dtype::{ColumnData, DType};
 use crate::node::{BinaryOp, Node, UnaryOp};
-use gpu_sim::{Device, Result};
+use gpu_sim::Reservation;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -286,16 +286,17 @@ impl Program {
     }
 
     /// Execute the program and materialise the result directly as a
-    /// `dtype` column — the native-width path `Array::eval` uses. Each
+    /// `dtype` column in `out` (a reservation for `len` elements of
+    /// `dtype`) — the native-width path `Array::eval` uses. Each
     /// `LANE` window's typed lane appends straight into a native
     /// accumulator, so an integer result never detours through a
     /// whole-column `f64` buffer. Values are bit-identical to
-    /// `column_from_f64(device, dtype, self.eval(len))`.
-    pub fn eval_into(&self, device: &Arc<Device>, dtype: DType, len: usize) -> Result<ColumnData> {
+    /// `fill_from_f64(out, dtype, self.eval(len))`.
+    pub fn eval_into(&self, out: Reservation, dtype: DType, len: usize) -> ColumnData {
         let views: Vec<LeafView<'_>> = self.leaves.iter().map(LeafView::of).collect();
         let chunks = gpu_sim::par_map_chunks(len, 1 << 12, |r| self.eval_range(&views, r, dtype));
         macro_rules! assemble {
-            ($variant:ident, $from:ident) => {{
+            ($variant:ident) => {{
                 let mut v = Vec::with_capacity(len);
                 for lane in chunks {
                     match lane {
@@ -303,15 +304,15 @@ impl Program {
                         _ => unreachable!("eval_range honours the requested accumulator dtype"),
                     }
                 }
-                ColumnData::$from(device, v)
+                ColumnData::$variant(out.into_buffer(v))
             }};
         }
         match dtype {
-            DType::F64 => assemble!(F64, from_f64),
-            DType::U64 => assemble!(U64, from_u64),
-            DType::U32 => assemble!(U32, from_u32),
-            DType::I64 => assemble!(I64, from_i64),
-            DType::B8 => assemble!(B8, from_b8),
+            DType::F64 => assemble!(F64),
+            DType::U64 => assemble!(U64),
+            DType::U32 => assemble!(U32),
+            DType::I64 => assemble!(I64),
+            DType::B8 => assemble!(B8),
         }
     }
 
@@ -746,7 +747,8 @@ mod tests {
         );
         let prog = Program::compile(&tree);
         for dt in [DType::F64, DType::U64, DType::U32, DType::I64, DType::B8] {
-            let got = prog.eval_into(&dev, dt, n).unwrap();
+            let out = crate::dtype::reserve_column(&dev, dt, n).unwrap();
+            let got = prog.eval_into(out, dt, n);
             assert_eq!(got.dtype(), dt);
             assert_eq!(got.len(), n);
             let via_f64 = crate::dtype::column_from_f64(&dev, dt, prog.eval(n)).unwrap();

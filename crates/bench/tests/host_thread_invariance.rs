@@ -18,7 +18,8 @@
 
 use std::sync::Mutex;
 
-use proto_core::ops::Connective;
+use proto_core::backend::Pred;
+use proto_core::ops::{CmpOp, Connective};
 
 /// Serializes tests that touch process-wide execution knobs.
 static GLOBAL_KNOBS: Mutex<()> = Mutex::new(());
@@ -71,10 +72,12 @@ fn results_and_simulated_time_are_thread_count_invariant() {
     }
 }
 
-/// Sort-by-key, grouped sum (few groups and all-distinct keys) and join on
-/// 2^18 rows, on every backend: the sizes at which the block-parallel
-/// radix sort, the chunk-parallel join probe and the aggregate's sort path
-/// really open parallel regions (the pipeline above stays below them).
+/// Sort-by-key, grouped sum (few groups, all-distinct and widely spread
+/// keys), the three selections and join on 2^18 rows, on every backend:
+/// the sizes at which the block-parallel radix sort, the chunk-parallel
+/// join probe, the aggregate's sort path and the row-id compaction's
+/// windows really open parallel regions (the pipeline above stays below
+/// them).
 /// One line per backend: a digest of every output column's bits and the
 /// simulated clock after the run.
 fn run_large_operators() -> Vec<String> {
@@ -85,6 +88,10 @@ fn run_large_operators() -> Vec<String> {
     let vals = gen::uniform_f64(N, 12);
     let few_groups = gen::zipf_keys(N, 64, 0.0, 13);
     let distinct = gen::fk_join(1, N, 14).1;
+    let spread: Vec<u32> = distinct
+        .iter()
+        .map(|k| k.wrapping_mul(0x9E37_79B1))
+        .collect();
     let (outer, inner) = gen::fk_join(N, 1 << 12, 15);
     let fw = bench::paper_framework();
     fw.backends()
@@ -104,6 +111,32 @@ fn run_large_operators() -> Vec<String> {
             absorb(b.sort_by_key(&up(&keys), &v).expect("sort_by_key"));
             absorb(b.grouped_sum(&up(&few_groups), &v).expect("grouped_sum"));
             absorb(b.grouped_sum(&up(&distinct), &v).expect("grouped_sum"));
+            absorb(b.grouped_sum(&up(&spread), &v).expect("grouped_sum"));
+            let k = up(&keys);
+            let half = f64::from(u32::MAX / 2);
+            absorb((
+                b.selection(&k, CmpOp::Lt, half).expect("selection"),
+                b.selection_cmp_cols(&k, &up(&distinct), CmpOp::Gt)
+                    .expect("selection_cmp_cols"),
+            ));
+            let preds = [
+                Pred {
+                    col: &k,
+                    cmp: CmpOp::Lt,
+                    lit: half,
+                },
+                Pred {
+                    col: &v,
+                    cmp: CmpOp::Ge,
+                    lit: 0.25,
+                },
+            ];
+            absorb((
+                b.selection_multi(&preds, Connective::And)
+                    .expect("selection_multi"),
+                b.selection_multi(&preds, Connective::Or)
+                    .expect("selection_multi"),
+            ));
             if let Some(algo) = proto_core::optimizer::best_join(b) {
                 absorb(b.join(&up(&outer), &up(&inner), algo).expect("join"));
             }

@@ -8,7 +8,10 @@
 
 use crate::context::CommandQueue;
 use crate::vector::Vector;
-use gpu_sim::{hostexec, presets, DeviceCopy, KernelCost, RadixKey, Result, SimError};
+use gpu_sim::{
+    hostexec, presets, AllocPolicy, BufferId, DeviceCopy, KernelCost, RadixKey, Reservation,
+    Result, SimError,
+};
 use std::any::type_name;
 use std::ops::Add;
 
@@ -19,9 +22,8 @@ fn tkey<T>() -> &'static str {
 /// `boost::compute::transform` — unary map.
 ///
 /// The kernel body runs through the host-execution engine: written once
-/// via the write-only allocation path (same single raw allocation as
-/// `Vector::zeroed`, no zero-fill) and split across host threads at fixed
-/// chunk granularity.
+/// (same single raw allocation as `Vector::zeroed`, no zero-fill) and
+/// split across host threads at fixed chunk granularity.
 pub fn transform<T, U>(
     src: &Vector<T>,
     op: impl Fn(T) -> U + Sync,
@@ -31,16 +33,37 @@ where
     T: DeviceCopy,
     U: DeviceCopy + Default,
 {
+    let out = charge_transform::<T, U>(src.len(), src.id(), queue)?;
     let input = src.as_slice();
-    let buf = queue
-        .device()
-        .alloc_map_with(src.len(), gpu_sim::AllocPolicy::Raw, |i| op(input[i]))?;
-    let out = Vector::from_buffer(buf);
+    Ok(Vector::filled(
+        out,
+        gpu_sim::par_map_vec(src.len(), |i| op(input[i])),
+    ))
+}
+
+/// A raw allocation of `n` elements of `T` whose contents are not backed
+/// yet — the output of a charge half.
+fn reserve_raw<T>(n: usize, queue: &CommandQueue) -> Result<Reservation> {
+    queue.device().reserve(
+        (n * std::mem::size_of::<T>()) as u64,
+        AllocPolicy::Raw,
+        true,
+    )
+}
+
+/// What [`transform`] costs on the device: the output allocation and the
+/// enqueue (JIT on first use), for `n` elements read from buffer `src`.
+pub fn charge_transform<T, U>(n: usize, src: BufferId, queue: &CommandQueue) -> Result<Reservation>
+where
+    T: DeviceCopy,
+    U: DeviceCopy,
+{
+    let out = reserve_raw::<U>(n, queue)?;
     queue.enqueue_io(
         "transform",
         tkey::<(T, U)>(),
-        KernelCost::map::<T, U>(src.len()),
-        &[src.id()],
+        KernelCost::map::<T, U>(n),
+        &[src],
         &[out.id()],
     )?;
     Ok(out)
@@ -60,24 +83,41 @@ where
     B: DeviceCopy,
     U: DeviceCopy + Default,
 {
-    if a.len() != b.len() {
+    let out = charge_transform_binary::<A, B, U>((a.len(), a.id()), (b.len(), b.id()), queue)?;
+    let (xa, xb) = (a.as_slice(), b.as_slice());
+    Ok(Vector::filled(
+        out,
+        gpu_sim::par_map_vec(a.len(), |i| op(xa[i], xb[i])),
+    ))
+}
+
+/// What [`transform_binary`] costs on the device, for operands given as
+/// `(length, buffer)`: the length check, the output allocation and the
+/// enqueue.
+pub fn charge_transform_binary<A, B, U>(
+    a: (usize, BufferId),
+    b: (usize, BufferId),
+    queue: &CommandQueue,
+) -> Result<Reservation>
+where
+    A: DeviceCopy,
+    B: DeviceCopy,
+    U: DeviceCopy,
+{
+    let n = a.0;
+    if n != b.0 {
         return Err(SimError::SizeMismatch {
-            left: a.len(),
-            right: b.len(),
+            left: n,
+            right: b.0,
         });
     }
-    let (xa, xb) = (a.as_slice(), b.as_slice());
-    let buf = queue
-        .device()
-        .alloc_map_with(a.len(), gpu_sim::AllocPolicy::Raw, |i| op(xa[i], xb[i]))?;
-    let out = Vector::from_buffer(buf);
-    let n = a.len();
+    let out = reserve_raw::<U>(n, queue)?;
     queue.enqueue_io(
         "transform_binary",
         tkey::<(A, B, U)>(),
         KernelCost::map::<A, U>(n)
             .with_read((n * (std::mem::size_of::<A>() + std::mem::size_of::<B>())) as u64),
-        &[a.id(), b.id()],
+        &[a.1, b.1],
         &[out.id()],
     )?;
     Ok(out)
@@ -102,10 +142,14 @@ pub fn fill<T: DeviceCopy>(vec: &mut Vector<T>, value: T, queue: &CommandQueue) 
 
 /// `boost::compute::iota` — `0, 1, 2, …`.
 pub fn iota(len: usize, queue: &CommandQueue) -> Result<Vector<u32>> {
-    let buf = queue
-        .device()
-        .alloc_map_with(len, gpu_sim::AllocPolicy::Raw, |i| i as u32)?;
-    let out = Vector::from_buffer(buf);
+    let out = charge_iota(len, queue)?;
+    Ok(Vector::filled(out, gpu_sim::par_map_vec(len, |i| i as u32)))
+}
+
+/// What [`iota`] costs on the device: the output allocation and the
+/// enqueue.
+pub fn charge_iota(len: usize, queue: &CommandQueue) -> Result<Reservation> {
+    let out = reserve_raw::<u32>(len, queue)?;
     queue.enqueue_io(
         "iota",
         "u32",
@@ -181,18 +225,30 @@ where
             i = j;
         }
     }
-    let groups = out_keys.len();
+    let (kb, vb) =
+        charge_reduce_by_key::<K, V>(keys.len(), out_keys.len(), [keys.id(), vals.id()], queue)?;
+    Ok((Vector::filled(kb, out_keys), Vector::filled(vb, out_vals)))
+}
+
+/// What [`reduce_by_key`] costs on the device: one enqueue over `n` rows
+/// of the `[keys, vals]` buffers, then the allocation of the `groups`
+/// unique keys and of their reduced values.
+pub fn charge_reduce_by_key<K: DeviceCopy, V: DeviceCopy>(
+    n: usize,
+    groups: usize,
+    reads: [BufferId; 2],
+    queue: &CommandQueue,
+) -> Result<(Reservation, Reservation)> {
     queue.enqueue_io(
         "reduce_by_key",
         tkey::<(K, V)>(),
-        presets::reduce_by_key::<K, V>(keys.len(), groups),
-        &[keys.id(), vals.id()],
+        presets::reduce_by_key::<K, V>(n, groups),
+        &reads,
         &[],
     )?;
-    let dev = queue.device();
-    let kb = dev.buffer_from_vec(out_keys, gpu_sim::AllocPolicy::Raw)?;
-    let vb = dev.buffer_from_vec(out_vals, gpu_sim::AllocPolicy::Raw)?;
-    Ok((Vector::from_buffer(kb), Vector::from_buffer(vb)))
+    let keys = reserve_raw::<K>(groups, queue)?;
+    let vals = reserve_raw::<V>(groups, queue)?;
+    Ok((keys, vals))
 }
 
 /// `boost::compute::inner_product` — fused transform+reduce.
@@ -238,21 +294,29 @@ pub fn exclusive_scan<T>(src: &Vector<T>, init: T, queue: &CommandQueue) -> Resu
 where
     T: DeviceCopy + Add<Output = T> + Default,
 {
+    let out = charge_exclusive_scan::<T>(src.len(), src.id(), queue)?;
     let mut data: Vec<T> = gpu_sim::hostmem::take_scratch(src.len());
     let mut acc = init;
     for (o, &x) in data.iter_mut().zip(src.as_slice()) {
         *o = acc;
         acc = acc + x;
     }
-    let buf = queue
-        .device()
-        .buffer_from_vec(data, gpu_sim::AllocPolicy::Raw)?;
-    let out = Vector::from_buffer(buf);
+    Ok(Vector::filled(out, data))
+}
+
+/// What [`exclusive_scan`] costs on the device: the output allocation and
+/// the enqueue, for `n` elements read from buffer `src`.
+pub fn charge_exclusive_scan<T: DeviceCopy>(
+    n: usize,
+    src: BufferId,
+    queue: &CommandQueue,
+) -> Result<Reservation> {
+    let out = reserve_raw::<T>(n, queue)?;
     queue.enqueue_io(
         "exclusive_scan",
         tkey::<T>(),
-        presets::scan::<T>(src.len()),
-        &[src.id()],
+        presets::scan::<T>(n),
+        &[src],
         &[out.id()],
     )?;
     Ok(out)
@@ -316,21 +380,32 @@ where
     K: DeviceCopy + RadixKey,
     V: DeviceCopy,
 {
-    if keys.len() != vals.len() {
+    charge_sort_by_key::<K, V>((keys.len(), keys.id()), (vals.len(), vals.id()), queue)?;
+    hostexec::sort_pairs(keys.as_mut_slice(), vals.as_mut_slice());
+    Ok(())
+}
+
+/// What [`sort_by_key`] costs on the device, for the key and value
+/// vectors given as `(length, buffer)`: the length check and the radix
+/// kernel triples.
+pub fn charge_sort_by_key<K: DeviceCopy, V: DeviceCopy>(
+    keys: (usize, BufferId),
+    vals: (usize, BufferId),
+    queue: &CommandQueue,
+) -> Result<()> {
+    if keys.0 != vals.0 {
         return Err(SimError::SizeMismatch {
-            left: keys.len(),
-            right: vals.len(),
+            left: keys.0,
+            right: vals.0,
         });
     }
-    let n = keys.len();
-    hostexec::sort_pairs(keys.as_mut_slice(), vals.as_mut_slice());
-    for (i, cost) in presets::radix_sort::<K>(n, std::mem::size_of::<V>())
+    for (i, cost) in presets::radix_sort::<K>(keys.0, std::mem::size_of::<V>())
         .into_iter()
         .enumerate()
     {
         let phase = ["histogram", "digit_scan", "scatter"][i % 3];
-        let kv = [keys.id(), vals.id()];
-        let writes: &[gpu_sim::BufferId] = if i % 3 == 2 { &kv } else { &[] };
+        let kv = [keys.1, vals.1];
+        let writes: &[BufferId] = if i % 3 == 2 { &kv } else { &[] };
         queue.enqueue_io(
             &format!("sort_by_key/{phase}"),
             tkey::<(K, V)>(),
@@ -448,11 +523,28 @@ where
             }
         }
     }
+    let kept = stencil.as_slice().iter().filter(|&&f| f != 0).count();
+    charge_scatter_if::<T>(
+        src.len(),
+        kept,
+        [src.id(), map.id(), stencil.id()],
+        dst.id(),
+        queue,
+    )
+}
+
+/// What [`scatter_if`] costs on the device: one enqueue over `n` elements
+/// of which `kept` are written, reading the `[src, map, stencil]` buffers.
+pub fn charge_scatter_if<T: DeviceCopy>(
+    n: usize,
+    kept: usize,
+    reads: [BufferId; 3],
+    dst: BufferId,
+    queue: &CommandQueue,
+) -> Result<()> {
     // Compaction writes are dense (ascending offsets) and sized by the
     // surviving rows: better coalescing than an arbitrary scatter.
-    let n = src.len();
     let elem = std::mem::size_of::<T>();
-    let kept = stencil.as_slice().iter().filter(|&&f| f != 0).count();
     queue.enqueue_io(
         "scatter_if",
         tkey::<T>(),
@@ -461,10 +553,9 @@ where
             .with_write((kept * elem) as u64)
             .with_pattern(gpu_sim::AccessPattern::Strided)
             .with_divergence(0.3),
-        &[src.id(), map.id(), stencil.id()],
-        &[dst.id()],
-    )?;
-    Ok(())
+        &reads,
+        &[dst],
+    )
 }
 
 /// `boost::compute::copy_if` — stream compaction. Boost.Compute lowers

@@ -44,9 +44,10 @@ pub mod context;
 pub mod vector;
 
 pub use algorithm::{
-    copy_if, count_if, exclusive_scan, fill, for_each_n, gather, inclusive_scan, inner_product,
-    iota, reduce, reduce_by_key, scatter, scatter_if, sort, sort_by_key, transform,
-    transform_binary,
+    charge_exclusive_scan, charge_iota, charge_reduce_by_key, charge_scatter_if,
+    charge_sort_by_key, charge_transform, charge_transform_binary, copy_if, count_if,
+    exclusive_scan, fill, for_each_n, gather, inclusive_scan, inner_product, iota, reduce,
+    reduce_by_key, scatter, scatter_if, sort, sort_by_key, transform, transform_binary,
 };
 pub use algorithm_ext::{
     accumulate, adjacent_difference, count, find, max_element, merge, min_element,

@@ -5,7 +5,7 @@
 //! ([`AllocPolicy::Raw`]), which the paper's small-input measurements feel.
 
 use crate::context::CommandQueue;
-use gpu_sim::{AllocPolicy, DeviceBuffer, DeviceCopy, Result};
+use gpu_sim::{AllocPolicy, DeviceBuffer, DeviceCopy, Reservation, Result};
 
 /// A device vector bound to an OpenCL context.
 #[derive(Debug)]
@@ -30,6 +30,14 @@ impl<T: DeviceCopy> Vector<T> {
         Ok(Vector {
             buf: queue.device().alloc_with(len, AllocPolicy::Raw)?,
         })
+    }
+
+    /// Back a [`Reservation`] an algorithm's charge half made with the
+    /// `data` its kernel body produced.
+    pub fn filled(reserved: Reservation, data: Vec<T>) -> Self {
+        Vector {
+            buf: reserved.into_buffer(data),
+        }
     }
 
     /// Wrap an existing buffer.

@@ -9,11 +9,13 @@
 //! is lazy JIT fusion: chained element-wise math (Product, predicates)
 //! compiles into a single kernel.
 
+use super::{row_preds, same_len};
 use crate::backend::{check_col, Col, ColType, GpuBackend, Pred, Slab};
 use crate::ops::{CmpOp, Connective, DbOperator, JoinAlgo, Support};
 use arrayfire_sim as af;
-use arrayfire_sim::{Array, DType};
-use gpu_sim::{Device, Result, SimError};
+use arrayfire_sim::{Array, ColumnData, DType};
+use gpu_sim::hostexec::{self, Lane, Rhs, RowPred};
+use gpu_sim::{Device, Reservation, Result, SimError};
 use std::sync::Arc;
 
 /// The ArrayFire library plugged into the framework.
@@ -66,6 +68,27 @@ impl ArrayFireBackend {
 
     fn mask(&self, p: &Pred<'_>) -> Result<Array> {
         Ok(cmp_node(&self.arr(p.col)?, p.cmp, p.lit))
+    }
+
+    /// `where()` over the lazy `mask`, charged: the fused mask kernel, the
+    /// scan + compact pair and the `kept` indices, whose contents (like
+    /// the mask's) are only backed if the caller fills them.
+    fn charge_where(&self, mask: &Array, kept: usize) -> Result<Reservation> {
+        let _mask = mask.charge_eval()?;
+        af::charge_where(&self.runtime, mask.len(), kept)
+    }
+}
+
+/// The evaluated column behind a stored array, for a host kernel to read
+/// in place. The backend stores `u32` and `f64` columns only.
+fn lane(col: &ColumnData) -> Result<Lane<'_>> {
+    match col {
+        ColumnData::U32(b) => Ok(Lane::U32(b.host())),
+        ColumnData::F64(b) => Ok(Lane::F64(b.host())),
+        other => Err(SimError::Unsupported(format!(
+            "{} column in a selection",
+            other.dtype().name()
+        ))),
     }
 }
 
@@ -165,26 +188,34 @@ impl GpuBackend for ArrayFireBackend {
     }
 
     fn selection(&self, col: &Col, cmp: CmpOp, lit: f64) -> Result<Col> {
-        let mask = self.mask(&Pred { col, cmp, lit })?;
-        let ids = af::where_(&mask)?;
-        Ok(self.mint(ids))
+        self.selection_multi(&[Pred { col, cmp, lit }], Connective::And)
     }
 
     fn selection_multi(&self, preds: &[Pred<'_>], conn: Connective) -> Result<Col> {
-        let Some(first) = preds.first() else {
-            return Err(SimError::Unsupported("empty predicate list".into()));
-        };
-        // Table II realisation: one where() per predicate, combined with
-        // set operations on the index arrays.
-        let mut ids = af::where_(&self.mask(first)?)?;
-        for p in &preds[1..] {
-            let next = af::where_(&self.mask(p)?)?;
-            ids = match conn {
-                Connective::And => af::set_intersect(&ids, &next)?,
-                Connective::Or => af::set_union(&ids, &next)?,
-            };
+        same_len(preds)?;
+        let all = conn == Connective::And;
+        let cols = preds
+            .iter()
+            .map(|p| self.arr(p.col)?.eval())
+            .collect::<Result<Vec<_>>>()?;
+        let lanes = cols.iter().map(|c| lane(c)).collect::<Result<Vec<_>>>()?;
+        let picked = hostexec::select_rows(&row_preds(&lanes, preds), all);
+        // Table II realisation, charged: one where() per predicate,
+        // combined with set operations on the index arrays. Only the last
+        // index array is ever read, so only it gets contents.
+        let mut ids = self.charge_where(&self.mask(&preds[0])?, picked.each[0])?;
+        for (j, p) in preds.iter().enumerate().skip(1) {
+            let next = self.charge_where(&self.mask(p)?, picked.each[j])?;
+            ids = af::charge_set_op(
+                &self.runtime,
+                all,
+                picked.prefix[j - 1],
+                picked.each[j],
+                picked.prefix[j],
+            )?;
+            drop(next);
         }
-        Ok(self.mint(ids))
+        Ok(self.mint(self.runtime.fill_u32(ids, picked.ids)?))
     }
 
     fn selection_cmp_cols(&self, a: &Col, b: &Col, cmp: CmpOp) -> Result<Col> {
@@ -197,7 +228,17 @@ impl GpuBackend for ArrayFireBackend {
             CmpOp::Eq => xa.eq_elem(&xb)?,
             CmpOp::Ne => xa.ne_elem(&xb)?,
         };
-        Ok(self.mint(af::where_(&mask)?))
+        let (ca, cb) = (xa.eval()?, xb.eval()?);
+        let picked = hostexec::select_rows(
+            &[RowPred {
+                col: lane(&ca)?,
+                cmp: cmp.into(),
+                rhs: Rhs::Col(lane(&cb)?),
+            }],
+            true,
+        );
+        let ids = self.charge_where(&mask, picked.ids.len())?;
+        Ok(self.mint(self.runtime.fill_u32(ids, picked.ids)?))
     }
 
     fn dense_mask(&self, col: &Col, cmp: CmpOp, lit: f64) -> Result<Col> {
@@ -255,9 +296,24 @@ impl GpuBackend for ArrayFireBackend {
     fn grouped_sum(&self, keys: &Col, vals: &Col) -> Result<(Col, Col)> {
         check_col(keys, NAME, ColType::U32)?;
         check_col(vals, NAME, ColType::F64)?;
-        let (sk, sv) = af::sort_by_key(&self.arr(keys)?, &self.arr(vals)?)?;
-        let (gk, gv) = af::sum_by_key(&sk, &sv)?;
-        Ok((self.mint(gk), self.mint(gv)))
+        if keys.len != vals.len {
+            return Err(SimError::SizeMismatch {
+                left: keys.len,
+                right: vals.len,
+            });
+        }
+        let (kcol, vcol) = (self.arr(keys)?.eval()?, self.arr(vals)?.eval()?);
+        // sort(keys, values) then sumByKey(), charged: the sorted columns
+        // are never read. The sums come from one row-order pass, seeded so
+        // that each group starts from its first value as sumByKey does.
+        let (kd, vd) = (kcol.dtype(), vcol.dtype());
+        let (_sorted_keys, _sorted_vals) = af::charge_sort_by_key(&self.runtime, keys.len, kd, vd)?;
+        let (gk, gv) = hostexec::grouped_sum(kcol.as_u32()?, vcol.as_f64()?, -0.0);
+        let (rk, rv) = af::charge_sum_by_key(&self.runtime, keys.len, gk.len(), kd, vd)?;
+        Ok((
+            self.mint(self.runtime.fill_u32(rk, gk)?),
+            self.mint(self.runtime.fill_f64(rv, gv)?),
+        ))
     }
 
     fn gather(&self, data: &Col, idx: &Col) -> Result<Col> {

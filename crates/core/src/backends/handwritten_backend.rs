@@ -5,8 +5,10 @@
 //! three joins exist — including the hash join Table II shows no library
 //! offers.
 
+use super::{same_len, select, select_cmp_cols, StoredColumn};
 use crate::backend::{check_col, Col, ColType, GpuBackend, Pred, Slab};
 use crate::ops::{CmpOp, Connective, DbOperator, JoinAlgo, Support};
+use gpu_sim::hostexec::{self, Lane};
 use gpu_sim::{Device, DeviceBuffer, Result, SimError};
 use handwritten as hw;
 use std::sync::Arc;
@@ -14,6 +16,22 @@ use std::sync::Arc;
 enum Stored {
     U32(DeviceBuffer<u32>),
     F64(DeviceBuffer<f64>),
+}
+
+impl StoredColumn for Stored {
+    fn lane(&self) -> Lane<'_> {
+        match self {
+            Stored::U32(v) => Lane::U32(v.host()),
+            Stored::F64(v) => Lane::F64(v.host()),
+        }
+    }
+
+    fn buffer_id(&self) -> gpu_sim::BufferId {
+        match self {
+            Stored::U32(v) => v.id(),
+            Stored::F64(v) => v.id(),
+        }
+    }
 }
 
 /// The handwritten kernel collection plugged into the framework.
@@ -52,23 +70,33 @@ impl HandwrittenBackend {
         }
     }
 
-    /// Snapshot a column as `f64` values for building fused predicate
-    /// closures (host-side view of what the kernel reads; no charge —
-    /// the charge is declared by the fused kernel itself).
-    fn values(&self, col: &Col) -> Result<Vec<f64>> {
-        self.slab.with(col.id, |s| match s {
-            Stored::U32(v) => v.host().iter().map(|&x| x as f64).collect(),
-            Stored::F64(v) => v.host().to_vec(),
+    /// Run `f` over the stored columns behind `cols`, read in place (the
+    /// host-side view of what a fused kernel reads; its charge is declared
+    /// by the kernel itself), and their device buffers.
+    fn with_lanes<R>(
+        &self,
+        cols: &[&Col],
+        f: impl FnOnce(&[Lane<'_>], &[gpu_sim::BufferId]) -> R,
+    ) -> Result<R> {
+        let ids: Vec<u64> = cols.iter().map(|c| c.id).collect();
+        self.slab.with_many(&ids, |stored| {
+            let lanes: Vec<Lane<'_>> = stored.iter().map(|s| s.lane()).collect();
+            let bufs: Vec<gpu_sim::BufferId> = stored.iter().map(|s| s.buffer_id()).collect();
+            f(&lanes, &bufs)
         })
     }
 
-    /// Device buffer backing `col`, for declaring kernel footprints.
-    fn buf_id(&self, col: &Col) -> Result<gpu_sim::BufferId> {
-        self.slab.with(col.id, |s| match s {
-            Stored::U32(v) => v.id(),
-            Stored::F64(v) => v.id(),
-        })
+    /// One fused predicate + compact kernel over `n` rows of `width` bytes,
+    /// charged; `ids` — the surviving rows — become its output.
+    fn select_fused(&self, n: usize, width: usize, ids: Vec<u32>) -> Result<Col> {
+        let out = hw::charge_select_fused(&self.device, n, width, ids.len())?;
+        Ok(self.mint(Stored::U32(out.into_buffer(ids))))
     }
+}
+
+/// Bytes one row of `cols` occupies.
+fn row_width<'a>(cols: impl IntoIterator<Item = &'a Col>) -> usize {
+    cols.into_iter().map(|c| c.dtype().width()).sum()
 }
 
 impl GpuBackend for HandwrittenBackend {
@@ -133,56 +161,27 @@ impl GpuBackend for HandwrittenBackend {
     }
 
     fn selection(&self, col: &Col, cmp: CmpOp, lit: f64) -> Result<Col> {
-        let vals = self.values(col)?;
-        let width = col.dtype().width();
-        let out = hw::select_fused(&self.device, vals.len(), width, |i| cmp.eval(vals[i], lit))?;
-        Ok(self.mint(Stored::U32(out)))
+        self.selection_multi(&[Pred { col, cmp, lit }], Connective::And)
     }
 
     fn selection_multi(&self, preds: &[Pred<'_>], conn: Connective) -> Result<Col> {
-        let Some(first) = preds.first() else {
-            return Err(SimError::Unsupported("empty predicate list".into()));
-        };
-        let n = first.col.len();
-        let mut cols = Vec::with_capacity(preds.len());
-        let mut width = 0;
-        for p in preds {
-            if p.col.len() != n {
-                return Err(SimError::SizeMismatch {
-                    left: n,
-                    right: p.col.len(),
-                });
-            }
-            width += p.col.dtype().width();
-            cols.push((self.values(p.col)?, p.cmp, p.lit));
-        }
+        let n = same_len(preds)?;
         // One fused kernel evaluates the whole connective per row.
-        let out = hw::select_fused(&self.device, n, width, |i| match conn {
-            Connective::And => cols.iter().all(|(v, c, l)| c.eval(v[i], *l)),
-            Connective::Or => cols.iter().any(|(v, c, l)| c.eval(v[i], *l)),
-        })?;
-        Ok(self.mint(Stored::U32(out)))
+        let (picked, _) = select(&self.slab, preds, conn)?;
+        self.select_fused(n, row_width(preds.iter().map(|p| p.col)), picked.ids)
     }
 
     fn selection_cmp_cols(&self, a: &Col, b: &Col, cmp: CmpOp) -> Result<Col> {
-        if a.len() != b.len() {
-            return Err(SimError::SizeMismatch {
-                left: a.len(),
-                right: b.len(),
-            });
-        }
-        let (va, vb) = (self.values(a)?, self.values(b)?);
-        let width = a.dtype().width() + b.dtype().width();
-        let out = hw::select_fused(&self.device, va.len(), width, |i| cmp.eval(va[i], vb[i]))?;
-        Ok(self.mint(Stored::U32(out)))
+        let (ids, _) = select_cmp_cols(&self.slab, a, b, cmp)?;
+        self.select_fused(a.len(), row_width([a, b]), ids)
     }
 
     fn dense_mask(&self, col: &Col, cmp: CmpOp, lit: f64) -> Result<Col> {
-        let vals = self.values(col)?;
-        let out: Vec<f64> = vals
-            .iter()
-            .map(|&x| f64::from(u8::from(cmp.eval(x, lit))))
-            .collect();
+        let mask = |x: f64| f64::from(u8::from(cmp.eval(x, lit)));
+        let out: Vec<f64> = self.slab.with(col.id, |s| match s.lane() {
+            Lane::U32(v) => v.iter().map(|&x| mask(f64::from(x))).collect(),
+            Lane::F64(v) => v.iter().map(|&x| mask(x)).collect(),
+        })?;
         charge_map(&self.device, out.len());
         let buf = self
             .device
@@ -272,13 +271,27 @@ impl GpuBackend for HandwrittenBackend {
     fn grouped_sum(&self, keys: &Col, vals: &Col) -> Result<(Col, Col)> {
         check_col(keys, NAME, ColType::U32)?;
         check_col(vals, NAME, ColType::F64)?;
-        let agg = self.slab.with2(keys.id, vals.id, |k, v| match (k, v) {
-            (Stored::U32(kb), Stored::F64(vb)) => hw::hash_group_aggregate(&self.device, kb, vb),
+        if keys.len != vals.len {
+            return Err(SimError::SizeMismatch {
+                left: keys.len,
+                right: vals.len,
+            });
+        }
+        // The hash-aggregation kernel pair, charged; of its five output
+        // columns only keys and sums are read, so only they get contents —
+        // from one row-order pass seeded like the kernel's zeroed
+        // accumulators.
+        let ((gk, gv), reads) = self.slab.with2(keys.id, vals.id, |k, v| match (k, v) {
+            (Stored::U32(kb), Stored::F64(vb)) => (
+                hostexec::grouped_sum(kb.host(), vb.host(), 0.0),
+                [kb.id(), vb.id()],
+            ),
             _ => unreachable!("dtype checked"),
-        })??;
+        })?;
+        let out = hw::charge_hash_group_aggregate(&self.device, keys.len, gk.len(), reads)?;
         Ok((
-            self.mint(Stored::U32(agg.keys)),
-            self.mint(Stored::F64(agg.sums)),
+            self.mint(Stored::U32(out.keys.into_buffer(gk))),
+            self.mint(Stored::F64(out.sums.into_buffer(gv))),
         ))
     }
 
@@ -385,38 +398,39 @@ impl GpuBackend for HandwrittenBackend {
     fn filter_sum_product(&self, a: &Col, b: &Col, preds: &[Pred<'_>]) -> Result<f64> {
         check_col(a, NAME, ColType::F64)?;
         check_col(b, NAME, ColType::F64)?;
-        let mut width = 0;
-        let mut cols = Vec::with_capacity(preds.len());
-        let mut pred_ids = Vec::with_capacity(preds.len());
-        for p in preds {
-            width += p.col.dtype().width();
-            cols.push((self.values(p.col)?, p.cmp, p.lit));
-            pred_ids.push(self.buf_id(p.col)?);
-        }
-        self.slab.with2(a.id, b.id, |x, y| match (x, y) {
-            (Stored::F64(va), Stored::F64(vb)) => {
-                hw::fused_filter_dot(&self.device, va, vb, width, &pred_ids, |i| {
-                    cols.iter().all(|(v, c, l)| c.eval(v[i], *l))
-                })
-            }
-            _ => unreachable!("dtype checked"),
+        let width = row_width(preds.iter().map(|p| p.col));
+        let ids: Vec<u64> = [a.id, b.id]
+            .into_iter()
+            .chain(preds.iter().map(|p| p.col.id))
+            .collect();
+        self.slab.with_many(&ids, |stored| {
+            let (Stored::F64(va), Stored::F64(vb)) = (stored[0], stored[1]) else {
+                unreachable!("dtype checked")
+            };
+            let lanes: Vec<Lane<'_>> = stored[2..].iter().map(|s| s.lane()).collect();
+            let pred_ids: Vec<gpu_sim::BufferId> =
+                stored[2..].iter().map(|s| s.buffer_id()).collect();
+            hw::fused_filter_dot(&self.device, va, vb, width, &pred_ids, |i| {
+                lanes
+                    .iter()
+                    .zip(preds)
+                    .all(|(v, p)| p.cmp.eval(v.get(i), p.lit))
+            })
         })?
     }
 
     fn fused_map(&self, inputs: &[&Col], expr: &crate::fused::FusedExpr) -> Result<Col> {
         let len = crate::fused::check_fused_inputs(NAME, inputs, &[], expr)?;
-        let mut vals = Vec::with_capacity(inputs.len());
-        let mut ids = Vec::with_capacity(inputs.len());
-        let mut bytes_per_row = 0;
-        for c in inputs {
-            bytes_per_row += c.dtype().width();
-            vals.push(self.values(c)?);
-            ids.push(self.buf_id(c)?);
-        }
         // The whole element-wise chain as one purpose-built kernel.
-        let out = hw::fused_map_expr(&self.device, len, bytes_per_row, &ids, |i| {
-            expr.eval_row(&|k| vals[k][i])
-        })?;
+        let out = self.with_lanes(inputs, |vals, ids| {
+            hw::fused_map_expr(
+                &self.device,
+                len,
+                row_width(inputs.iter().copied()),
+                ids,
+                |i| expr.eval_row(&|k| vals[k].get(i)),
+            )
+        })??;
         Ok(self.mint(Stored::F64(out)))
     }
 
@@ -427,23 +441,23 @@ impl GpuBackend for HandwrittenBackend {
         expr: &crate::fused::FusedExpr,
     ) -> Result<f64> {
         let len = crate::fused::check_fused_inputs(NAME, inputs, preds, expr)?;
-        let mut vals = Vec::with_capacity(inputs.len());
-        let mut ids = Vec::with_capacity(inputs.len());
-        let mut bytes_per_row = 0;
-        for c in inputs {
-            bytes_per_row += c.dtype().width();
-            vals.push(self.values(c)?);
-            ids.push(self.buf_id(c)?);
-        }
         // Predicate, value expression and reduction share one pass;
         // failing rows are skipped, not zero-padded, so the fold order
         // is the composed chain's exactly.
-        hw::fused_filter_sum(&self.device, len, bytes_per_row, &ids, |i| {
-            preds
-                .iter()
-                .all(|p| p.cmp.eval(vals[p.input][i], p.lit))
-                .then(|| expr.eval_row(&|k| vals[k][i]))
-        })
+        self.with_lanes(inputs, |vals, ids| {
+            hw::fused_filter_sum(
+                &self.device,
+                len,
+                row_width(inputs.iter().copied()),
+                ids,
+                |i| {
+                    preds
+                        .iter()
+                        .all(|p| p.cmp.eval(vals[p.input].get(i), p.lit))
+                        .then(|| expr.eval_row(&|k| vals[k].get(i)))
+                },
+            )
+        })?
     }
 }
 

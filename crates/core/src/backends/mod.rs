@@ -12,6 +12,99 @@ pub use boost::BoostBackend;
 pub use handwritten_backend::HandwrittenBackend;
 pub use thrust::ThrustBackend;
 
+use crate::backend::{Col, Pred, Slab};
+use crate::ops::{CmpOp, Connective};
+use gpu_sim::hostexec::{self, Lane, Rhs, RowPred, Selected};
+use gpu_sim::{BufferId, Result, SimError};
+
+/// A backend's stored column, as the shared host kernels and the charge
+/// replays need it.
+trait StoredColumn {
+    /// The column read in place, each row widened to `f64` where it is
+    /// used — the leaves of a fused kernel's zip iterator and of a
+    /// selection predicate. `u32` widens exactly as `dense_mask` does, so
+    /// a comparison sees the same operand values on every path.
+    fn lane(&self) -> Lane<'_>;
+
+    /// The device buffer behind the column, for kernel footprints.
+    fn buffer_id(&self) -> BufferId;
+}
+
+/// The common row count of a selection's predicate columns; an empty list
+/// and columns of different lengths are the caller's error.
+fn same_len(preds: &[Pred<'_>]) -> Result<usize> {
+    let Some(first) = preds.first() else {
+        return Err(SimError::Unsupported("empty predicate list".into()));
+    };
+    let n = first.col.len();
+    match preds.iter().find(|p| p.col.len() != n) {
+        Some(p) => Err(SimError::SizeMismatch {
+            left: n,
+            right: p.col.len(),
+        }),
+        None => Ok(n),
+    }
+}
+
+/// `preds` as host row predicates, `lanes[i]` being the stored column of
+/// `preds[i]` read in place.
+fn row_preds<'a>(lanes: &[Lane<'a>], preds: &[Pred<'_>]) -> Vec<RowPred<'a>> {
+    lanes
+        .iter()
+        .zip(preds)
+        .map(|(&col, p)| RowPred {
+            col,
+            cmp: p.cmp.into(),
+            rhs: Rhs::Lit(p.lit),
+        })
+        .collect()
+}
+
+/// The rows `preds` keep under `conn` (with the per-predicate counts a
+/// chain of materialised intermediates is charged by), and the buffer
+/// behind each predicate's column.
+fn select<S: StoredColumn>(
+    slab: &Slab<S>,
+    preds: &[Pred<'_>],
+    conn: Connective,
+) -> Result<(Selected, Vec<BufferId>)> {
+    let ids: Vec<u64> = preds.iter().map(|p| p.col.id).collect();
+    slab.with_many(&ids, |stored| {
+        let lanes: Vec<Lane<'_>> = stored.iter().map(|s| s.lane()).collect();
+        (
+            hostexec::select_rows(&row_preds(&lanes, preds), conn == Connective::And),
+            stored.iter().map(|s| s.buffer_id()).collect(),
+        )
+    })
+}
+
+/// The rows where `a cmp b` holds between two equally long columns, and
+/// the buffers behind them.
+fn select_cmp_cols<S: StoredColumn>(
+    slab: &Slab<S>,
+    a: &Col,
+    b: &Col,
+    cmp: CmpOp,
+) -> Result<(Vec<u32>, [BufferId; 2])> {
+    if a.len != b.len {
+        return Err(SimError::SizeMismatch {
+            left: a.len,
+            right: b.len,
+        });
+    }
+    slab.with2(a.id, b.id, |sa, sb| {
+        let pred = RowPred {
+            col: sa.lane(),
+            cmp: cmp.into(),
+            rhs: Rhs::Col(sb.lane()),
+        };
+        (
+            hostexec::select_rows(&[pred], true).ids,
+            [sa.buffer_id(), sb.buffer_id()],
+        )
+    })
+}
+
 /// The paper's backend line-up, in registration order (the order every
 /// experiment iterates and every table prints).
 pub const PAPER_BACKENDS: [&str; 4] = ["ArrayFire", "Boost.Compute", "Thrust", "Handwritten"];

@@ -7,9 +7,11 @@
 //! `reduce_by_key()`. The only join Thrust can express is nested loops via
 //! `for_each_n()`; merge and hash joins are unsupported (Table II "–").
 
+use super::{same_len, select, select_cmp_cols, StoredColumn};
 use crate::backend::{check_col, Col, ColType, GpuBackend, Pred, Slab};
 use crate::ops::{CmpOp, Connective, DbOperator, JoinAlgo, Support};
-use gpu_sim::{presets, Device, Result, SimDuration, SimError};
+use gpu_sim::hostexec::{self, Lane};
+use gpu_sim::{presets, AllocPolicy, BufferId, Device, Reservation, Result, SimDuration, SimError};
 use std::sync::Arc;
 use thrust_sim as thrust;
 use thrust_sim::DeviceVector;
@@ -20,43 +22,27 @@ enum Stored {
     F64(DeviceVector<f64>),
 }
 
-impl Stored {
-    fn view(&self) -> View<'_> {
+impl StoredColumn for Stored {
+    fn lane(&self) -> Lane<'_> {
         match self {
-            Stored::U32(v) => View::U32(v.as_slice()),
-            Stored::F64(v) => View::F64(v.as_slice()),
+            Stored::U32(v) => Lane::U32(v.as_slice()),
+            Stored::F64(v) => Lane::F64(v.as_slice()),
         }
     }
 
-    fn buffer_id(&self) -> gpu_sim::BufferId {
+    fn buffer_id(&self) -> BufferId {
         match self {
             Stored::U32(v) => v.id(),
             Stored::F64(v) => v.id(),
         }
     }
+}
 
+impl Stored {
     fn byte_len(&self) -> u64 {
         match self {
             Stored::U32(v) => (v.len() * std::mem::size_of::<u32>()) as u64,
             Stored::F64(v) => (v.len() * std::mem::size_of::<f64>()) as u64,
-        }
-    }
-}
-
-/// Borrowed per-row view of a stored column, read as `f64` — the leaves
-/// of a fused kernel's zip iterator. `u32` widens exactly as `flags`/
-/// `dense_mask` do, so a fused comparison sees the same operand values
-/// as the composed chain.
-enum View<'a> {
-    U32(&'a [u32]),
-    F64(&'a [f64]),
-}
-
-impl View<'_> {
-    fn get(&self, i: usize) -> f64 {
-        match self {
-            View::U32(v) => v[i] as f64,
-            View::F64(v) => v[i],
         }
     }
 }
@@ -97,29 +83,34 @@ impl ThrustBackend {
         }
     }
 
-    /// Predicate flags for one column: the `transform()` stage.
-    fn flags(&self, col: &Col, cmp: CmpOp, lit: f64) -> Result<DeviceVector<u32>> {
-        self.slab.with(col.id, |s| match s {
-            Stored::U32(v) => thrust::transform(v, move |x| u32::from(cmp.eval(x as f64, lit))),
-            Stored::F64(v) => thrust::transform(v, move |x| u32::from(cmp.eval(x, lit))),
-        })?
+    /// The `transform()` stage of a selection over `col` (stored in buffer
+    /// `src`), charged: its predicate-flag vector is never read.
+    fn charge_flags(&self, col: &Col, src: BufferId) -> Result<Reservation> {
+        match col.dtype {
+            ColType::U32 => thrust::charge_transform::<u32, u32>(&self.device, col.len, src),
+            ColType::F64 => thrust::charge_transform::<f64, u32>(&self.device, col.len, src),
+        }
     }
 
-    /// `exclusive_scan()` + `scatter_if()`: compact row-ids from flags.
-    fn compact(&self, flags: &DeviceVector<u32>) -> Result<DeviceVector<u32>> {
-        let offs = thrust::exclusive_scan(flags, 0u32)?;
-        let n = flags.len();
-        let count = match n {
-            0 => 0,
-            _ => (offs.as_slice()[n - 1] + flags.as_slice()[n - 1]) as usize,
-        };
+    /// `exclusive_scan()` + `scatter_if()` over `n` flags, charged; `ids`
+    /// — the rows the flags stand for — become the compacted output.
+    fn compact(&self, flags: &Reservation, n: usize, ids: Vec<u32>) -> Result<DeviceVector<u32>> {
+        let offs = thrust::charge_exclusive_scan::<u32>(&self.device, n, flags.id())?;
         // Reading the total back is a tiny device→host copy in real code.
         self.device
             .advance(SimDuration::from_nanos(self.device.spec().pcie_latency_ns));
-        let ids = thrust::sequence(&self.device, n)?;
-        let mut out: DeviceVector<u32> = DeviceVector::zeroed(&self.device, count)?;
-        thrust::scatter_if(&ids, &offs, flags, &mut out)?;
-        Ok(out)
+        let seq = thrust::charge_sequence(&self.device, n)?;
+        let out = self
+            .device
+            .reserve((ids.len() * 4) as u64, AllocPolicy::Pooled, false)?;
+        thrust::charge_scatter_if::<u32>(
+            &self.device,
+            n,
+            ids.len(),
+            [seq.id(), offs.id(), flags.id()],
+            out.id(),
+        )?;
+        Ok(DeviceVector::filled(out, ids))
     }
 }
 
@@ -187,28 +178,24 @@ impl GpuBackend for ThrustBackend {
     }
 
     fn selection(&self, col: &Col, cmp: CmpOp, lit: f64) -> Result<Col> {
-        let flags = self.flags(col, cmp, lit)?;
-        let out = self.compact(&flags)?;
-        Ok(self.mint(Stored::U32(out)))
+        self.selection_multi(&[Pred { col, cmp, lit }], Connective::And)
     }
 
     fn selection_multi(&self, preds: &[Pred<'_>], conn: Connective) -> Result<Col> {
-        let Some(first) = preds.first() else {
-            return Err(SimError::Unsupported("empty predicate list".into()));
-        };
-        let mut combined = self.flags(first.col, first.cmp, first.lit)?;
-        for p in &preds[1..] {
-            let f = self.flags(p.col, p.cmp, p.lit)?;
-            combined = match conn {
-                Connective::And => {
-                    thrust::transform_binary(&combined, &f, thrust::functional::bit_and())?
-                }
-                Connective::Or => {
-                    thrust::transform_binary(&combined, &f, thrust::functional::bit_or())?
-                }
-            };
+        let n = same_len(preds)?;
+        let (picked, srcs) = select(&self.slab, preds, conn)?;
+        // The chain Table II names, charged: one transform() per predicate,
+        // folded with bit_and / bit_or, then the scan + scatter compaction.
+        let mut combined = self.charge_flags(preds[0].col, srcs[0])?;
+        for (p, &src) in preds.iter().zip(&srcs).skip(1) {
+            let f = self.charge_flags(p.col, src)?;
+            combined = thrust::charge_transform_binary::<u32, u32, u32>(
+                &self.device,
+                (n, combined.id()),
+                (n, f.id()),
+            )?;
         }
-        let out = self.compact(&combined)?;
+        let out = self.compact(&combined, n, picked.ids)?;
         Ok(self.mint(Stored::U32(out)))
     }
 
@@ -218,16 +205,13 @@ impl GpuBackend for ThrustBackend {
                 "mixed-dtype column comparison".into(),
             ));
         }
-        let flags = self.slab.with2(a.id, b.id, |sa, sb| match (sa, sb) {
-            (Stored::U32(va), Stored::U32(vb)) => thrust::transform_binary(va, vb, move |x, y| {
-                u32::from(cmp.eval(x as f64, y as f64))
-            }),
-            (Stored::F64(va), Stored::F64(vb)) => {
-                thrust::transform_binary(va, vb, move |x, y| u32::from(cmp.eval(x, y)))
-            }
-            _ => unreachable!("dtype checked"),
-        })??;
-        let out = self.compact(&flags)?;
+        let (ids, [ia, ib]) = select_cmp_cols(&self.slab, a, b, cmp)?;
+        let (xa, xb) = ((a.len, ia), (b.len, ib));
+        let flags = match a.dtype {
+            ColType::U32 => thrust::charge_transform_binary::<u32, u32, u32>(&self.device, xa, xb),
+            ColType::F64 => thrust::charge_transform_binary::<f64, f64, u32>(&self.device, xa, xb),
+        }?;
+        let out = self.compact(&flags, a.len, ids)?;
         Ok(self.mint(Stored::U32(out)))
     }
 
@@ -311,20 +295,44 @@ impl GpuBackend for ThrustBackend {
     }
 
     fn grouped_sum(&self, keys: &Col, vals: &Col) -> Result<(Col, Col)> {
-        let (sk, sv) = self.sort_by_key(keys, vals)?;
-        let reduced = self
-            .slab
-            .with2(sk.id, sv.id, |a, b| match (a, b) {
-                (Stored::U32(k), Stored::F64(v)) => thrust::reduce_by_key(k, v, |x, y| x + y),
-                _ => unreachable!("dtype checked"),
-            })
-            .and_then(|r| r);
+        check_col(keys, NAME, ColType::U32)?;
+        check_col(vals, NAME, ColType::F64)?;
+        if keys.len != vals.len {
+            return Err(SimError::SizeMismatch {
+                left: keys.len,
+                right: vals.len,
+            });
+        }
+        // sort_by_key() on copies, then reduce_by_key(), charged: neither
+        // sorted copy is ever read. The sums come from one row-order pass,
+        // seeded so that each group starts from its first value as
+        // reduce_by_key does.
+        let (k, v, (gk, gv)) = self.slab.with2(keys.id, vals.id, |a, b| match (a, b) {
+            (Stored::U32(keys), Stored::F64(vals)) => {
+                let k = self.device.reserve_dtod(keys.buffer())?;
+                let v = self.device.reserve_dtod(vals.buffer())?;
+                let sums = hostexec::grouped_sum(keys.as_slice(), vals.as_slice(), -0.0);
+                Ok((k, v, sums))
+            }
+            _ => unreachable!("dtype checked"),
+        })??;
+        let reads = [k.id(), v.id()];
+        thrust::charge_sort_by_key::<u32, f64>(
+            &self.device,
+            (keys.len, reads[0]),
+            (vals.len, reads[1]),
+        )?;
+        let reduced =
+            thrust::charge_reduce_by_key::<u32, f64>(&self.device, keys.len, gk.len(), reads);
         // Release the sorted scratch on the fault path too: a caller
         // retrying the op must not inherit leaked intermediates.
-        self.free(sk)?;
-        self.free(sv)?;
-        let (gk, gv) = reduced?;
-        Ok((self.mint(Stored::U32(gk)), self.mint(Stored::F64(gv))))
+        drop(k);
+        drop(v);
+        let (rk, rv) = reduced?;
+        Ok((
+            self.mint(Stored::U32(DeviceVector::filled(rk, gk))),
+            self.mint(Stored::F64(DeviceVector::filled(rv, gv))),
+        ))
     }
 
     fn gather(&self, data: &Col, idx: &Col) -> Result<Col> {
@@ -438,7 +446,7 @@ impl GpuBackend for ThrustBackend {
         // element-wise chain runs as a single launch with no
         // materialised intermediates.
         let out = self.slab.with_many(&ids, |stored| {
-            let views: Vec<View<'_>> = stored.iter().map(|s| s.view()).collect();
+            let views: Vec<Lane<'_>> = stored.iter().map(|s| s.lane()).collect();
             let reads: Vec<gpu_sim::BufferId> = stored.iter().map(|s| s.buffer_id()).collect();
             let read_bytes: u64 = stored.iter().map(|s| s.byte_len()).sum();
             thrust::transform_zip(&self.device, len, read_bytes, &reads, |i| {
@@ -461,7 +469,7 @@ impl GpuBackend for ThrustBackend {
         // the composed selection→gather→reduce sequence exactly —
         // bit-equal including signed zeros.
         self.slab.with_many(&ids, |stored| {
-            let views: Vec<View<'_>> = stored.iter().map(|s| s.view()).collect();
+            let views: Vec<Lane<'_>> = stored.iter().map(|s| s.lane()).collect();
             let reads: Vec<gpu_sim::BufferId> = stored.iter().map(|s| s.buffer_id()).collect();
             let read_bytes: u64 = stored.iter().map(|s| s.byte_len()).sum();
             thrust::transform_reduce_zip(

@@ -131,6 +131,20 @@ impl CmpOp {
     }
 }
 
+impl From<CmpOp> for gpu_sim::hostexec::Cmp {
+    fn from(op: CmpOp) -> Self {
+        use gpu_sim::hostexec::Cmp;
+        match op {
+            CmpOp::Lt => Cmp::Lt,
+            CmpOp::Le => Cmp::Le,
+            CmpOp::Gt => Cmp::Gt,
+            CmpOp::Ge => Cmp::Ge,
+            CmpOp::Eq => Cmp::Eq,
+            CmpOp::Ne => Cmp::Ne,
+        }
+    }
+}
+
 /// How multiple predicates combine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Connective {

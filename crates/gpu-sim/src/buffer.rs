@@ -38,38 +38,92 @@ impl std::fmt::Display for BufferId {
     }
 }
 
-/// A typed allocation in simulated device global memory.
+/// Device memory that is accounted but not backed by host storage.
+///
+/// A reservation takes a [`BufferId`] and goes through exactly the
+/// allocation path a [`DeviceBuffer`] does — pool, memory accounting,
+/// alloc fault site, `Alloc`/`PoolAlloc` trace event, and `Free` on drop —
+/// so the device cannot tell the two apart. It exists for buffers whose
+/// *contents* nobody reads: the intermediates of a library chain whose
+/// result was computed another way (see DESIGN.md §5, "bodies vs.
+/// charges"). Being its own type, it cannot be read, copied from or
+/// downloaded; [`Reservation::into_buffer`] turns it into a real buffer
+/// once a kernel body has produced the data it stands for.
 #[derive(Debug)]
-pub struct DeviceBuffer<T: DeviceCopy> {
-    data: Vec<T>,
+pub struct Reservation {
     device: Arc<Device>,
     policy: AllocPolicy,
+    /// Logical payload size in bytes.
+    bytes: u64,
     /// Bytes charged against device memory (size-class rounded).
     alloc_bytes: u64,
     id: BufferId,
 }
 
-impl<T: DeviceCopy> DeviceBuffer<T> {
+impl Reservation {
     pub(crate) fn from_parts(
-        data: Vec<T>,
         device: Arc<Device>,
         policy: AllocPolicy,
+        bytes: u64,
         alloc_bytes: u64,
         id: BufferId,
     ) -> Self {
-        DeviceBuffer {
-            data,
+        Reservation {
             device,
             policy,
+            bytes,
             alloc_bytes,
             id,
         }
     }
 
+    /// The identity trace events and kernel read/write sets refer to.
+    pub fn id(&self) -> BufferId {
+        self.id
+    }
+
+    /// Logical payload size in bytes.
+    pub fn size_bytes(&self) -> u64 {
+        self.bytes
+    }
+
+    /// Back the reservation with `data`: the buffer keeps this
+    /// reservation's id and accounting, and the device sees no event.
+    ///
+    /// # Panics
+    /// If `data` is not exactly the reserved payload size — the caller
+    /// sized the reservation for other data, which is a bug.
+    pub fn into_buffer<T: DeviceCopy>(self, data: Vec<T>) -> DeviceBuffer<T> {
+        assert_eq!(
+            (data.len() * std::mem::size_of::<T>()) as u64,
+            self.bytes,
+            "reservation {} filled with data of another size",
+            self.id
+        );
+        DeviceBuffer { data, res: self }
+    }
+}
+
+impl Drop for Reservation {
+    fn drop(&mut self) {
+        self.device
+            .on_buffer_free(self.id, self.alloc_bytes, self.policy);
+    }
+}
+
+/// A typed allocation in simulated device global memory: a
+/// [`Reservation`] plus the host storage that stands in for its contents.
+#[derive(Debug)]
+pub struct DeviceBuffer<T: DeviceCopy> {
+    data: Vec<T>,
+    res: Reservation,
+}
+
+impl<T: DeviceCopy> DeviceBuffer<T> {
     /// This buffer's device-unique identity (what trace events and
     /// kernel read/write sets refer to).
     pub fn id(&self) -> BufferId {
-        self.id
+        self.res.id
     }
 
     /// Number of elements.
@@ -89,17 +143,17 @@ impl<T: DeviceCopy> DeviceBuffer<T> {
 
     /// Bytes actually reserved on the device for this buffer.
     pub fn reserved_bytes(&self) -> u64 {
-        self.alloc_bytes
+        self.res.alloc_bytes
     }
 
     /// The device this buffer lives on.
     pub fn device(&self) -> &Arc<Device> {
-        &self.device
+        &self.res.device
     }
 
     /// The allocation policy used for this buffer.
     pub fn policy(&self) -> AllocPolicy {
-        self.policy
+        self.res.policy
     }
 
     /// Read-only view of the backing storage. In a real system this would
@@ -131,10 +185,9 @@ impl<T: DeviceCopy> DeviceBuffer<T> {
 impl<T: DeviceCopy> Drop for DeviceBuffer<T> {
     fn drop(&mut self) {
         // Recycle the host storage: faulting fresh pages for the next
-        // buffer is far more expensive than reusing these warm ones.
+        // buffer is far more expensive than reusing these warm ones. The
+        // reservation frees the device memory when it drops right after.
         crate::hostmem::put_vec(std::mem::take(&mut self.data));
-        self.device
-            .on_buffer_free(self.id, self.alloc_bytes, self.policy);
     }
 }
 
@@ -170,6 +223,42 @@ mod tests {
         let again = dev.alloc::<u64>(1 << 16).unwrap();
         assert_eq!(dev.pool_stats().hits, 1);
         drop(again);
+    }
+
+    #[test]
+    fn reservation_is_accounted_like_a_buffer_and_fills_in_place() {
+        let dev = Device::new(DeviceSpec::gtx1080());
+        dev.set_tracing(true);
+        let res = dev.reserve(12, AllocPolicy::Pooled, true).unwrap();
+        assert_eq!(dev.live_buffers(), 1);
+        assert!(dev.mem_in_use() >= 12);
+        let id = res.id();
+        let buf = res.into_buffer(vec![1u32, 2, 3]);
+        assert_eq!((buf.id(), buf.host()), (id, &[1u32, 2, 3][..]));
+        assert_eq!(dev.take_trace().len(), 1, "filling is not a device event");
+        drop(buf);
+        drop(dev.reserve(12, AllocPolicy::Pooled, false).unwrap());
+        assert_eq!(dev.live_buffers(), 0);
+        assert_eq!(dev.pool_stats().hits, 1, "a dropped reservation is pooled");
+        use crate::trace::TraceKind::{Free, PoolAlloc};
+        let kinds: Vec<_> = dev.take_trace().into_iter().map(|e| e.kind).collect();
+        assert!(
+            matches!(
+                kinds[..],
+                [Free { .. }, PoolAlloc { init: false, .. }, Free { .. }]
+            ),
+            "{kinds:?}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "another size")]
+    fn reservation_rejects_data_of_another_size() {
+        let dev = Device::new(DeviceSpec::gtx1080());
+        let _ = dev
+            .reserve(8, AllocPolicy::Pooled, true)
+            .unwrap()
+            .into_buffer(vec![1u32]);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! single in-order timeline, which matches how the paper benchmarks each
 //! library (one stream, synchronous timing around each operator).
 
-use crate::buffer::{BufferId, DeviceBuffer, DeviceCopy};
+use crate::buffer::{BufferId, DeviceBuffer, DeviceCopy, Reservation};
 use crate::clock::{SimDuration, SimTime, VirtualClock};
 use crate::cost::KernelCost;
 use crate::error::{Result, SimError};
@@ -51,7 +51,7 @@ struct Inner {
     pool: MemoryPool,
     trace: Vec<TraceEvent>,
     faults: Option<FaultState>,
-    /// Number of live `DeviceBuffer`s — the teardown self-check
+    /// Number of live buffers and reservations — the teardown self-check
     /// (`Device::drop`) asserts this is zero in debug builds.
     live_buffers: u64,
 }
@@ -224,15 +224,8 @@ impl Device {
         policy: AllocPolicy,
     ) -> Result<DeviceBuffer<T>> {
         let bytes = (len * std::mem::size_of::<T>()) as u64;
-        let id = self.mint_buffer_id();
-        self.account_alloc(bytes, policy, id, false)?;
-        Ok(DeviceBuffer::from_parts(
-            crate::hostmem::take_zeroed(len),
-            Arc::clone(self),
-            policy,
-            rounded_size(bytes),
-            id,
-        ))
+        let res = self.reserve(bytes, policy, false)?;
+        Ok(res.into_buffer(crate::hostmem::take_zeroed(len)))
     }
 
     /// Allocate a buffer initialised from host data **without** charging a
@@ -244,14 +237,28 @@ impl Device {
         policy: AllocPolicy,
     ) -> Result<DeviceBuffer<T>> {
         let bytes = (data.len() * std::mem::size_of::<T>()) as u64;
-        let id = self.mint_buffer_id();
         // Born initialised: the buffer carries its host contents from the
         // start (uploads and materialised kernel outputs come this way).
-        self.account_alloc(bytes, policy, id, true)?;
-        Ok(DeviceBuffer::from_parts(
-            data,
+        Ok(self.reserve(bytes, policy, true)?.into_buffer(data))
+    }
+
+    /// Reserve `bytes` of device memory without host storage behind it:
+    /// the one allocation path every buffer goes through. `init` says
+    /// whether the memory counts as written from birth (a kernel output or
+    /// an upload) or starts undefined (`alloc`) — the flag the trace's
+    /// allocation event carries.
+    pub fn reserve(
+        self: &Arc<Self>,
+        bytes: u64,
+        policy: AllocPolicy,
+        init: bool,
+    ) -> Result<Reservation> {
+        let id = self.mint_buffer_id();
+        self.account_alloc(bytes, policy, id, init)?;
+        Ok(Reservation::from_parts(
             Arc::clone(self),
             policy,
+            bytes,
             rounded_size(bytes),
             id,
         ))
@@ -381,7 +388,8 @@ impl Device {
         self.record(start, TraceKind::Free { buf: id });
     }
 
-    /// Number of currently live [`DeviceBuffer`]s on this device.
+    /// Number of currently live [`DeviceBuffer`]s and [`Reservation`]s on
+    /// this device.
     pub fn live_buffers(&self) -> u64 {
         self.inner.lock().live_buffers
     }
@@ -448,9 +456,19 @@ impl Device {
     /// Device-to-device copy into a fresh buffer (what chained library
     /// calls do to materialise intermediates).
     pub fn dtod<T: DeviceCopy>(self: &Arc<Self>, src: &DeviceBuffer<T>) -> Result<DeviceBuffer<T>> {
-        let buf =
-            self.buffer_from_vec(crate::hostmem::take_from_slice(src.host()), src.policy())?;
-        let bytes = buf.size_bytes();
+        let res = self.reserve_dtod(src)?;
+        Ok(res.into_buffer(crate::hostmem::take_from_slice(src.host())))
+    }
+
+    /// Everything [`Device::dtod`] does on the device — allocation, the
+    /// copy's fault site, bandwidth charge and trace event — for a copy
+    /// whose contents will not be read.
+    pub fn reserve_dtod<T: DeviceCopy>(
+        self: &Arc<Self>,
+        src: &DeviceBuffer<T>,
+    ) -> Result<Reservation> {
+        let bytes = src.size_bytes();
+        let res = self.reserve(bytes, src.policy(), true)?;
         self.maybe_inject(FaultSite::DtoD, "", bytes)?;
         let t = transfer_time(&self.spec, Direction::DeviceToDevice, bytes);
         {
@@ -464,10 +482,10 @@ impl Device {
             TraceKind::DtoD {
                 bytes,
                 src: src.id(),
-                dst: buf.id(),
+                dst: res.id(),
             },
         );
-        Ok(buf)
+        Ok(res)
     }
 
     // ----------------------------------------------------------------

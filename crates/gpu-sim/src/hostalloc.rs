@@ -21,8 +21,9 @@
 //! * Each bucket is an intrusive singly-linked stack (the freed block's
 //!   first word stores the next pointer) guarded by a spinlock, so the
 //!   allocator itself never allocates.
-//! * Buckets cap the number of cached blocks; overflow goes back to the
-//!   system allocator.
+//! * Buckets cap what they cache by bytes (`MAX_CACHED_BYTES_PER_BUCKET`,
+//!   never fewer than `MIN_CACHED_PER_BUCKET` blocks); overflow goes back
+//!   to the system allocator.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::ptr;
@@ -38,8 +39,22 @@ const MIN_SHIFT: u32 = 16;
 /// Number of power-of-two size classes: 64 KiB up to 2 TiB.
 const BUCKETS: usize = 35;
 
-/// Maximum blocks cached per size class.
-const MAX_CACHED_PER_BUCKET: usize = 8;
+/// Bytes a size class may keep cached. One query frees a few dozen
+/// same-class columns at once and the next one takes them all back; a cap
+/// counted in blocks that is right for the multi-megabyte classes evicts
+/// most of such a burst in the small ones, and every evicted block is a
+/// fresh mapping (and its page faults) a moment later.
+const MAX_CACHED_BYTES_PER_BUCKET: usize = 32 << 20;
+
+/// Blocks every size class may keep cached however large they are.
+const MIN_CACHED_PER_BUCKET: usize = 8;
+
+/// Most blocks class `idx` keeps cached: the byte cap's worth, at least
+/// [`MIN_CACHED_PER_BUCKET`].
+#[inline]
+fn max_cached(idx: usize) -> usize {
+    (MAX_CACHED_BYTES_PER_BUCKET / bucket_size(idx)).max(MIN_CACHED_PER_BUCKET)
+}
 
 /// Largest alignment served from the cache. Every recyclable block is
 /// allocated with this alignment so any cached block satisfies any
@@ -68,7 +83,7 @@ static EVICTIONS: AtomicU64 = AtomicU64::new(0);
 
 /// Recycling effectiveness counters since process start:
 /// `(cache_hits, cache_misses, evictions)`. A rising eviction count with
-/// steady traffic means the per-class cache depth is too small for the
+/// steady traffic means the per-class byte cap is too small for the
 /// workload's working set.
 pub fn stats() -> (u64, u64, u64) {
     (
@@ -146,7 +161,7 @@ fn pop_block(idx: usize) -> *mut u8 {
 fn push_block(idx: usize, block: *mut u8) -> bool {
     let b = &FREE_LISTS[idx];
     let _g = BucketGuard::lock(b);
-    if b.count.load(Ordering::Relaxed) >= MAX_CACHED_PER_BUCKET {
+    if b.count.load(Ordering::Relaxed) >= max_cached(idx) {
         return false;
     }
     let head = b.head.load(Ordering::Relaxed);
@@ -281,6 +296,15 @@ mod tests {
             "over-aligned passes through"
         );
         assert_eq!(bucket_size(4), 1 << 20);
+    }
+
+    #[test]
+    fn small_classes_cache_a_burst_and_large_ones_eight_blocks() {
+        assert_eq!(max_cached(0), 512, "64 KiB");
+        assert_eq!(max_cached(4), 32, "1 MiB");
+        assert_eq!(max_cached(6), 8, "4 MiB: the byte cap's worth");
+        assert_eq!(max_cached(8), 8, "16 MiB: the floor");
+        assert_eq!(max_cached(BUCKETS - 1), 8);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! wall-clock optimisation: the backends route their data movement through
 //! these primitives while their charge sequences stay byte-identical.
 //!
-//! Four layers, each built on the one before:
+//! Five layers, each built on the ones before:
 //!
 //! * **A persistent worker pool** (`pool`) behind one primitive, `region`:
 //!   the calling thread and up to `workers - 1` parked helpers run one
@@ -32,6 +32,13 @@
 //!   in first-seen order, plus per-key row lists) with the two kernels no
 //!   surveyed library offers (paper Table II): [`equi_join`] and
 //!   [`group_aggregate`].
+//! * **Answers for whole library chains** (`select`, and [`grouped_sum`] in
+//!   `index`): what `transform → exclusive_scan → scatter_if` and
+//!   `sort_by_key → reduce_by_key` compute, bit for bit, in one fused pass
+//!   each — [`select_rows`] / [`select_where`] compact row ids from typed
+//!   predicates read in place, [`grouped_sum`] folds each key in row order
+//!   from a caller-chosen seed. A backend charges the chain and takes the
+//!   answer from here (DESIGN.md §5, "bodies vs. charges").
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -40,9 +47,11 @@ use std::sync::{Mutex, OnceLock};
 mod index;
 mod pool;
 mod radix;
+mod select;
 
-pub use index::{equi_join, group_aggregate, GroupStats};
+pub use index::{equi_join, group_aggregate, grouped_sum, GroupStats};
 pub use radix::{sort_keys, sort_pairs, RadixKey};
+pub use select::{select_rows, select_where, Cmp, Lane, Rhs, RowPred, Selected};
 
 /// Fixed chunk granularity (in elements) for the parallel helpers.
 ///

@@ -1,5 +1,5 @@
-//! Key index and the two kernels built on it: equi-join and grouped
-//! aggregation.
+//! Key index and the kernels built on it: equi-join and grouped
+//! aggregation (all statistics, or the sum alone).
 //!
 //! [`KeyIndex`] maps `u32` keys to dense group ids handed out in first-seen
 //! order. It is an open-addressing table of `(key, group)` slots — one
@@ -10,10 +10,10 @@
 //! `rows[starts[g]..starts[g + 1]]`, filled by one forward walk over the
 //! input, so every list is ascending.
 //!
-//! Both kernels promise more than a correct answer: an *order*. The join
-//! emits pairs ascending by `(outer row, inner row)`; the aggregate folds
-//! each group's values strictly in input row order from a `0.0` seed, so
-//! its `f64` sums are the same bits whichever internal path ran.
+//! The kernels promise more than a correct answer: an *order*. The join
+//! emits pairs ascending by `(outer row, inner row)`; the aggregates fold
+//! each group's values strictly in input row order from a stated seed, so
+//! their `f64` sums are the same bits whichever internal path ran.
 
 use super::{for_each_owned, piece_range, region_workers, sort_pairs, DEFAULT_MIN_SEQ, PAR_CHUNK};
 use crate::hostmem;
@@ -25,7 +25,7 @@ const PHI: u64 = 0x9E37_79B9_7F4A_7C15;
 /// "No group": an empty table slot, or a probe key the index does not hold.
 /// Never a real group: the join asserts that its row counts — an upper
 /// bound on its groups — stay below this value (row ids are `u32`
-/// throughout the simulator), and the aggregate stops hashing at
+/// throughout the simulator), and the aggregates stop hashing at
 /// `HASH_GROUPS_MAX` groups.
 const NONE: u32 = u32::MAX;
 
@@ -251,45 +251,23 @@ pub struct GroupStats {
     pub maxs: Vec<f64>,
 }
 
-impl GroupStats {
-    fn with_capacity(groups: usize) -> GroupStats {
-        GroupStats {
-            keys: Vec::with_capacity(groups),
-            sums: Vec::with_capacity(groups),
-            counts: Vec::with_capacity(groups),
-            mins: Vec::with_capacity(groups),
-            maxs: Vec::with_capacity(groups),
-        }
-    }
-
-    fn push(&mut self, key: u32, acc: Acc) {
-        self.keys.push(key);
-        self.sums.push(acc.sum);
-        self.counts.push(acc.count);
-        self.mins.push(acc.min);
-        self.maxs.push(acc.max);
-    }
+/// One group's running aggregate: what [`fold_groups`] keeps per key.
+trait Fold: Copy {
+    /// The one fold step every aggregation path shares, so a group's values
+    /// meet the same operations in the same order on all of them.
+    fn add(&mut self, v: f64);
 }
 
-/// One group's running aggregates.
+/// SUM / COUNT / MIN / MAX together.
 #[derive(Clone, Copy)]
-struct Acc {
+struct Stats {
     sum: f64,
     count: u64,
     min: f64,
     max: f64,
 }
 
-impl Acc {
-    const EMPTY: Acc = Acc {
-        sum: 0.0,
-        count: 0,
-        min: f64::INFINITY,
-        max: f64::NEG_INFINITY,
-    };
-
-    /// The one fold step both aggregation paths share, so a group's values
-    /// meet the same operations in the same order on either.
+impl Fold for Stats {
     #[inline]
     fn add(&mut self, v: f64) {
         self.sum += v;
@@ -299,42 +277,137 @@ impl Acc {
     }
 }
 
-/// Most groups the hash path of [`group_aggregate`] carries before it
-/// hands over to the sort path: table slots (8 B, at least two per group)
-/// plus accumulators (32 B) for this many groups are what a core's
-/// private cache holds; beyond it every row is a cache miss, and sorting —
+/// SUM alone.
+impl Fold for f64 {
+    #[inline]
+    fn add(&mut self, v: f64) {
+        *self += v;
+    }
+}
+
+/// Most groups the hash path of [`fold_groups`] carries before it hands
+/// over to the sort path: table slots (8 B, at least two per group) plus
+/// accumulators (32 B) for this many groups are what a core's private
+/// cache holds; beyond it every row is a cache miss, and sorting —
 /// sequential passes, and parallel — is cheaper.
 pub(super) const HASH_GROUPS_MAX: usize = if cfg!(miri) { 1 << 6 } else { 1 << 15 };
 
-/// Grouped SUM / COUNT / MIN / MAX of `vals` by `keys`.
-///
-/// Each group's values are folded strictly in input row order, so every
-/// result — `f64` sums included — is bit-identical whichever path runs and
-/// at any thread count. The path is chosen by the data: rows are hashed
-/// into per-group accumulators until more distinct keys have shown up than
-/// a core's private cache holds accumulators for (`HASH_GROUPS_MAX`), at
-/// which point the work so far is dropped and the column is stably sorted
-/// by key and reduced segment by segment.
+/// Accumulator bytes the direct-index path of [`fold_groups`] may spend
+/// per input row (with a floor of [`DIRECT_MIN_ROWS`] rows): the table is
+/// indexed by `key - min`, so a key range this dense costs less memory
+/// than the sorted copies of the sort path, while a sparse one (row ids of
+/// a filtered join, `0` next to `u32::MAX`) is declined.
+const DIRECT_BYTES_PER_ROW: usize = 16;
+
+/// Row count below which the direct-index budget stops shrinking, so a
+/// handful of rows over a handful of keys still index directly.
+const DIRECT_MIN_ROWS: usize = if cfg!(miri) { 1 << 4 } else { 1 << 10 };
+
+/// Grouped SUM / COUNT / MIN / MAX of `vals` by `keys`, each group folded
+/// strictly in input row order — sums from `0.0` — so every result is
+/// bit-identical whichever internal path (direct index, hash, sort) the
+/// data selects.
 ///
 /// # Panics
 /// If `keys` and `vals` differ in length (callers validate first).
 pub fn group_aggregate(keys: &[u32], vals: &[f64]) -> GroupStats {
-    assert_eq!(keys.len(), vals.len(), "group_aggregate length mismatch");
-    hash_aggregate(keys, vals).unwrap_or_else(|| sort_aggregate(keys, vals))
+    let empty = Stats {
+        sum: 0.0,
+        count: 0,
+        min: f64::INFINITY,
+        max: f64::NEG_INFINITY,
+    };
+    let (keys, stats) = fold_groups(keys, vals, empty);
+    GroupStats {
+        keys,
+        sums: stats.iter().map(|s| s.sum).collect(),
+        counts: stats.iter().map(|s| s.count).collect(),
+        mins: stats.iter().map(|s| s.min).collect(),
+        maxs: stats.iter().map(|s| s.max).collect(),
+    }
+}
+
+/// Grouped SUM of `vals` by `keys`: the distinct keys ascending, and per
+/// key `seed + v₀ + v₁ + …` over its values strictly in input row order.
+///
+/// `-0.0` is the additive identity of every `f64` (a signalling NaN comes
+/// back quiet), so seeding with it gives the sum a
+/// `sort_by_key` + `reduce_by_key` chain computes, which starts each
+/// group from its first value; `+0.0` gives the sum of a kernel that
+/// zero-initialises its accumulators (a group of only `-0.0` then sums to
+/// `+0.0`).
+///
+/// # Panics
+/// If `keys` and `vals` differ in length (callers validate first).
+pub fn grouped_sum(keys: &[u32], vals: &[f64], seed: f64) -> (Vec<u32>, Vec<f64>) {
+    fold_groups(keys, vals, seed)
+}
+
+/// Fold `vals` into one accumulator per distinct key, starting each from
+/// `empty`; keys come back ascending with their accumulators beside them.
+///
+/// The path is chosen by the data. If the observed key range is dense
+/// enough for a table indexed by `key - min` ([`DIRECT_BYTES_PER_ROW`]),
+/// one pass over the rows does it. Otherwise rows are hashed into
+/// accumulators until more distinct keys have shown up than a core's
+/// private cache holds accumulators for ([`HASH_GROUPS_MAX`]), at which
+/// point the work so far is dropped and the column is stably sorted by
+/// key and folded segment by segment. All three visit a group's values in
+/// input row order.
+fn fold_groups<A: Fold>(keys: &[u32], vals: &[f64], empty: A) -> (Vec<u32>, Vec<A>) {
+    assert_eq!(keys.len(), vals.len(), "grouped fold length mismatch");
+    if keys.is_empty() {
+        return (Vec::new(), Vec::new());
+    }
+    let (min, max) = keys
+        .iter()
+        .fold((u32::MAX, 0), |(lo, hi), &k| (lo.min(k), hi.max(k)));
+    let range = u64::from(max - min) + 1;
+    let budget = keys.len().max(DIRECT_MIN_ROWS) * DIRECT_BYTES_PER_ROW;
+    if range <= (budget / std::mem::size_of::<A>()) as u64 {
+        return direct_fold(keys, vals, min, range as usize, empty);
+    }
+    hash_fold(keys, vals, empty).unwrap_or_else(|| sort_fold(keys, vals, empty))
+}
+
+/// One pass over the rows into a table indexed by `key - min`.
+fn direct_fold<A: Fold>(
+    keys: &[u32],
+    vals: &[f64],
+    min: u32,
+    range: usize,
+    empty: A,
+) -> (Vec<u32>, Vec<A>) {
+    let mut table = vec![empty; range];
+    let mut seen: Vec<u8> = hostmem::take_zeroed(range);
+    for (&k, &v) in keys.iter().zip(vals) {
+        let at = (k - min) as usize;
+        table[at].add(v);
+        seen[at] = 1;
+    }
+    let groups = seen.iter().map(|&s| usize::from(s)).sum();
+    let mut out_keys = Vec::with_capacity(groups);
+    let mut out = Vec::with_capacity(groups);
+    for (at, _) in seen.iter().enumerate().filter(|(_, &s)| s != 0) {
+        out_keys.push(min + at as u32);
+        out.push(table[at]);
+    }
+    hostmem::put_vec(seen);
+    (out_keys, out)
 }
 
 /// One pass over the rows into a hash table of accumulators; `None` once
 /// the table would outgrow [`HASH_GROUPS_MAX`] groups.
-fn hash_aggregate(keys: &[u32], vals: &[f64]) -> Option<GroupStats> {
+fn hash_fold<A: Fold>(keys: &[u32], vals: &[f64], empty: A) -> Option<(Vec<u32>, Vec<A>)> {
     let mut index = KeyIndex::with_capacity(keys.len().min(1024));
-    let mut accs: Vec<Acc> = Vec::new();
+    let mut accs: Vec<A> = Vec::new();
     for (&k, &v) in keys.iter().zip(vals) {
         let g = index.insert(k) as usize;
         if g == accs.len() {
             if g == HASH_GROUPS_MAX {
                 return None;
             }
-            accs.push(Acc::EMPTY);
+            accs.push(empty);
         }
         accs[g].add(v);
     }
@@ -343,35 +416,35 @@ fn hash_aggregate(keys: &[u32], vals: &[f64]) -> Option<GroupStats> {
     let mut sorted_keys = index.keys;
     let mut order: Vec<u32> = (0..sorted_keys.len() as u32).collect();
     sort_pairs(&mut sorted_keys, &mut order);
-    let mut out = GroupStats::with_capacity(accs.len());
-    for (&k, &g) in sorted_keys.iter().zip(&order) {
-        out.push(k, accs[g as usize]);
-    }
-    Some(out)
+    let out = order.iter().map(|&g| accs[g as usize]).collect();
+    Some((sorted_keys, out))
 }
 
 /// Stable sort by key — equal keys stay in row order — then one fold per
 /// run of equal keys.
-fn sort_aggregate(keys: &[u32], vals: &[f64]) -> GroupStats {
+fn sort_fold<A: Fold>(keys: &[u32], vals: &[f64], empty: A) -> (Vec<u32>, Vec<A>) {
     let mut keys = hostmem::take_from_slice(keys);
     let mut vals = hostmem::take_from_slice(vals);
     sort_pairs(&mut keys, &mut vals);
     let groups = keys.windows(2).filter(|w| w[0] != w[1]).count() + usize::from(!keys.is_empty());
-    let mut out = GroupStats::with_capacity(groups);
+    let mut out_keys = Vec::with_capacity(groups);
+    let mut out = Vec::with_capacity(groups);
     let mut rows = keys.iter().zip(&vals);
     if let Some((&first, &v)) = rows.next() {
-        let (mut key, mut acc) = (first, Acc::EMPTY);
+        let (mut key, mut acc) = (first, empty);
         acc.add(v);
         for (&k, &v) in rows {
             if k != key {
-                out.push(key, acc);
-                (key, acc) = (k, Acc::EMPTY);
+                out_keys.push(key);
+                out.push(acc);
+                (key, acc) = (k, empty);
             }
             acc.add(v);
         }
-        out.push(key, acc);
+        out_keys.push(key);
+        out.push(acc);
     }
     hostmem::put_vec(keys);
     hostmem::put_vec(vals);
-    out
+    (out_keys, out)
 }

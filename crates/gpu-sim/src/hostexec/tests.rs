@@ -412,6 +412,173 @@ fn aggregate_hand_over_mid_column_keeps_row_order_sums() {
     });
 }
 
+/// `seed + v₀ + v₁ + …` per key through a `BTreeMap`, in row order.
+fn reference_sums(keys: &[u32], vals: &[f64], seed: f64) -> (Vec<u32>, Vec<u64>) {
+    let mut table: BTreeMap<u32, f64> = BTreeMap::new();
+    for (&k, &v) in keys.iter().zip(vals) {
+        *table.entry(k).or_insert(seed) += v;
+    }
+    (
+        table.keys().copied().collect(),
+        table.values().map(|s| s.to_bits()).collect(),
+    )
+}
+
+#[test]
+fn grouped_sum_matches_the_seeded_reference_on_every_shape_and_boundary() {
+    let mut lens = boundary_lengths();
+    // Dense ("ascending") columns of these lengths index directly; the
+    // scattered ones cross the hash → sort hand-over.
+    lens.extend([
+        HASH_GROUPS_MAX - 1,
+        HASH_GROUPS_MAX + 1,
+        3 * HASH_GROUPS_MAX,
+    ]);
+    for n in lens {
+        let vals = special_values(n, n as u64 + 1);
+        for (shape, keys) in key_shapes(n, n as u64) {
+            for seed in [-0.0, 0.0] {
+                let want = reference_sums(&keys, &vals, seed);
+                at_each_thread_count(|threads| {
+                    let (k, s) = grouped_sum(&keys, &vals, seed);
+                    assert!(
+                        (k, bits(&s)) == want,
+                        "{shape} n={n} seed={seed:?} threads={threads}"
+                    );
+                });
+            }
+        }
+    }
+}
+
+#[test]
+fn grouped_sum_seed_decides_the_sign_of_an_all_negative_zero_group() {
+    // Key 1 holds only -0.0; keys 0 and u32::MAX together make the range
+    // too wide to index directly, the second column is dense.
+    for keys in [[0, 1, u32::MAX, 1], [3, 1, 2, 1]] {
+        let vals = [2.5, -0.0, f64::NAN, -0.0];
+        let (k, first_value) = grouped_sum(&keys, &vals, -0.0);
+        let (_, zeroed) = grouped_sum(&keys, &vals, 0.0);
+        let at = k.iter().position(|&key| key == 1).unwrap();
+        assert_eq!(first_value[at].to_bits(), (-0.0f64).to_bits());
+        assert_eq!(zeroed[at].to_bits(), 0.0f64.to_bits());
+        // -0.0 is the identity: each sum is what a fold that starts from
+        // the group's first value gives.
+        let mut by_first: BTreeMap<u32, f64> = BTreeMap::new();
+        for (&key, &v) in keys.iter().zip(&vals) {
+            by_first.entry(key).and_modify(|s| *s += v).or_insert(v);
+        }
+        let want: Vec<u64> = by_first.values().map(|s| s.to_bits()).collect();
+        assert_eq!(bits(&first_value), want);
+    }
+    assert_eq!(grouped_sum(&[], &[], -0.0), (vec![], vec![]));
+}
+
+// ---------------------------------------------------------------------------
+// Row-id compaction
+// ---------------------------------------------------------------------------
+
+/// Flag columns of length `n`: nothing kept, everything kept, every other
+/// row, and a random half.
+fn flag_shapes(n: usize, seed: u64) -> Vec<(&'static str, Vec<u32>)> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    vec![
+        ("none", vec![0; n]),
+        ("all", vec![1; n]),
+        ("alternating", (0..n as u32).map(|i| i % 2).collect()),
+        ("random", (0..n).map(|_| rng.gen::<u32>() % 2).collect()),
+    ]
+}
+
+#[test]
+fn select_where_keeps_exactly_the_flagged_rows_across_window_boundaries() {
+    let mut lens = boundary_lengths();
+    lens.push(4 * PAR_CHUNK + 3);
+    for n in lens {
+        for (shape, keep) in flag_shapes(n, n as u64) {
+            let want: Vec<u32> = (0..n as u32).filter(|&i| keep[i as usize] == 1).collect();
+            at_each_thread_count(|threads| {
+                let got = select_where(n, |i| keep[i] == 1);
+                assert!(got == want, "{shape} n={n} threads={threads}");
+            });
+        }
+    }
+}
+
+fn reference_cmp(cmp: Cmp, x: f64, y: f64) -> bool {
+    match cmp {
+        Cmp::Lt => x < y,
+        Cmp::Le => x <= y,
+        Cmp::Gt => x > y,
+        Cmp::Ge => x >= y,
+        Cmp::Eq => x == y,
+        Cmp::Ne => x != y,
+    }
+}
+
+#[test]
+fn select_rows_matches_a_row_at_a_time_filter_for_every_operand_type() {
+    const CMPS: [Cmp; 6] = [Cmp::Lt, Cmp::Le, Cmp::Gt, Cmp::Ge, Cmp::Eq, Cmp::Ne];
+    for n in [0, 1, PAR_CHUNK - 1, 2 * PAR_CHUNK + 17] {
+        let mut rng = StdRng::seed_from_u64(n as u64);
+        let ints: Vec<u32> = (0..n)
+            .map(|i| [0, u32::MAX, 7][i % 3] ^ (rng.gen::<u32>() % 4))
+            .collect();
+        let small: Vec<u32> = (0..n).map(|_| rng.gen::<u32>() % 8).collect();
+        let floats = special_values(n, 5);
+        let lanes = [Lane::U32(&ints), Lane::U32(&small), Lane::F64(&floats)];
+        // Every operand pairing and operator, three predicates at a time so
+        // the conjunction, the disjunction and both counts are exercised.
+        let mut preds = Vec::new();
+        for (i, &col) in lanes.iter().enumerate() {
+            for (j, &cmp) in CMPS.iter().enumerate() {
+                let rhs = match (i + j) % 4 {
+                    0 => Rhs::Lit(3.0),
+                    1 => Rhs::Lit(f64::NAN),
+                    2 => Rhs::Col(lanes[(i + 1) % 3]),
+                    _ => Rhs::Col(lanes[(i + 2) % 3]),
+                };
+                preds.push(RowPred { col, cmp, rhs });
+            }
+        }
+        let holds = |p: &RowPred<'_>, row: usize| {
+            let y = match p.rhs {
+                Rhs::Lit(y) => y,
+                Rhs::Col(c) => c.get(row),
+            };
+            reference_cmp(p.cmp, p.col.get(row), y)
+        };
+        for group in preds.chunks(3).chain(preds.chunks(1)) {
+            for all in [true, false] {
+                let passes = |upto: usize, row: usize| {
+                    let mut flags = group[..=upto].iter().map(|p| holds(p, row));
+                    if all {
+                        flags.all(|f| f)
+                    } else {
+                        flags.any(|f| f)
+                    }
+                };
+                let want = Selected {
+                    ids: (0..n as u32)
+                        .filter(|&r| passes(group.len() - 1, r as usize))
+                        .collect(),
+                    each: group
+                        .iter()
+                        .map(|p| (0..n).filter(|&r| holds(p, r)).count())
+                        .collect(),
+                    prefix: (0..group.len())
+                        .map(|j| (0..n).filter(|&r| passes(j, r)).count())
+                        .collect(),
+                };
+                at_each_thread_count(|threads| {
+                    let got = select_rows(group, all);
+                    assert!(got == want, "n={n} all={all} threads={threads} {group:?}");
+                });
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Random shapes
 // ---------------------------------------------------------------------------
@@ -419,8 +586,8 @@ fn aggregate_hand_over_mid_column_keeps_row_order_sums() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 2 } else { 12 }))]
 
-    /// Random length, key domain and content: sort, join and aggregate all
-    /// agree with their references at every thread count.
+    /// Random length, key domain and content: sort, join, aggregates and
+    /// compaction all agree with their references at every thread count.
     #[test]
     fn kernels_agree_with_references_on_random_columns(
         n in 0usize..4 * MIN_BLOCK,
@@ -438,13 +605,19 @@ proptest! {
         let build: Vec<u32> = (0..build_n).map(|_| rng.gen::<u32>() & mask).collect();
         let (want_k, want_v) = reference_sort_pairs(&keys, &vals);
         let want_groups = reference_groups(&keys, &vals);
+        let want_sums = reference_sums(&keys, &vals, 0.0);
         let want_join = indexed_reference_join(&keys, &build);
+        let want_ids: Vec<u32> = (0..n as u32).filter(|&i| keys[i as usize] < mask / 2).collect();
         at_each_thread_count(|threads| {
             let (mut k, mut v) = (keys.clone(), vals.clone());
             sort_pairs(&mut k, &mut v);
             assert!(k == want_k && bits(&v) == bits(&want_v), "sort, {threads} threads");
             assert_same_groups(&group_aggregate(&keys, &vals), &want_groups, "aggregate");
             assert!(equi_join(&keys, &build) == want_join, "join, {threads} threads");
+            let (k, s) = grouped_sum(&keys, &vals, 0.0);
+            assert!((k, bits(&s)) == want_sums, "grouped sum, {threads} threads");
+            let pred = RowPred { col: Lane::U32(&keys), cmp: Cmp::Lt, rhs: Rhs::Lit(f64::from(mask / 2)) };
+            assert!(select_rows(&[pred], true).ids == want_ids, "select, {threads} threads");
         });
     }
 }

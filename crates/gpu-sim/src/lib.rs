@@ -71,7 +71,7 @@ pub mod stream;
 pub mod trace;
 pub mod transfer;
 
-pub use buffer::{BufferId, DeviceBuffer, DeviceCopy};
+pub use buffer::{BufferId, DeviceBuffer, DeviceCopy, Reservation};
 pub use clock::{SimDuration, SimTime, VirtualClock};
 pub use cost::{AccessPattern, KernelCost};
 pub use device::{Device, DEFAULT_STREAM, POOL_HIT_NS};

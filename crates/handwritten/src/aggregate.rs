@@ -7,7 +7,9 @@
 //! is far below the row count — the common analytical case.
 
 use crate::charge_io;
-use gpu_sim::{presets, AllocPolicy, Device, DeviceBuffer, KernelCost, Result, SimError};
+use gpu_sim::{
+    presets, AllocPolicy, Device, DeviceBuffer, KernelCost, Reservation, Result, SimError,
+};
 use std::sync::Arc;
 
 /// Result of a grouped aggregation, sorted by key for determinism.
@@ -64,13 +66,47 @@ pub fn hash_group_aggregate(
         });
     }
     // Per-key accumulation in row order, groups ascending by key: the shared
-    // host kernel (hashing while the groups fit in cache, sorting beyond).
+    // host kernel.
     let agg = gpu_sim::hostexec::group_aggregate(keys.host(), values.host());
-    let groups = agg.keys.len();
+    let out =
+        charge_hash_group_aggregate(device, keys.len(), agg.keys.len(), [keys.id(), values.id()])?;
+    Ok(GroupAggregate {
+        keys: out.keys.into_buffer(agg.keys),
+        sums: out.sums.into_buffer(agg.sums),
+        counts: out.counts.into_buffer(agg.counts),
+        mins: out.mins.into_buffer(agg.mins),
+        maxs: out.maxs.into_buffer(agg.maxs),
+    })
+}
+
+/// The device memory of a [`GroupAggregate`], not backed yet: one
+/// reservation per output column, named as there.
+#[derive(Debug)]
+pub struct GroupAggregateCharge {
+    /// For [`GroupAggregate::keys`].
+    pub keys: Reservation,
+    /// For [`GroupAggregate::sums`].
+    pub sums: Reservation,
+    /// For [`GroupAggregate::counts`].
+    pub counts: Reservation,
+    /// For [`GroupAggregate::mins`].
+    pub mins: Reservation,
+    /// For [`GroupAggregate::maxs`].
+    pub maxs: Reservation,
+}
+
+/// What [`hash_group_aggregate`] costs on the device: the accumulate and
+/// compact launches over `n` rows of the `[keys, values]` buffers falling
+/// into `groups` groups, then the allocation of the five output columns.
+pub fn charge_hash_group_aggregate(
+    device: &Arc<Device>,
+    n: usize,
+    groups: usize,
+    reads: [gpu_sim::BufferId; 2],
+) -> Result<GroupAggregateCharge> {
     // A tuned kernel keeps the table in shared memory when the group count
     // allows (≤4Ki entries): the pass is then a coalesced streaming read.
     // Larger tables spill to global memory and pay random-access traffic.
-    let n = keys.len();
     let input_bytes = (n * (4 + 8)) as u64;
     let accumulate = if groups <= 4096 {
         KernelCost::map::<(), ()>(n)
@@ -81,13 +117,7 @@ pub fn hash_group_aggregate(
     } else {
         presets::hash_build::<u32, f64>(n).with_flops(8 * n as u64)
     };
-    charge_io(
-        device,
-        "hash_agg/accumulate",
-        accumulate,
-        &[keys.id(), values.id()],
-        &[],
-    )?;
+    charge_io(device, "hash_agg/accumulate", accumulate, &reads, &[])?;
     charge_io(
         device,
         "hash_agg/compact",
@@ -98,12 +128,13 @@ pub fn hash_group_aggregate(
         &[],
         &[],
     )?;
-    Ok(GroupAggregate {
-        keys: device.buffer_from_vec(agg.keys, AllocPolicy::Pooled)?,
-        sums: device.buffer_from_vec(agg.sums, AllocPolicy::Pooled)?,
-        counts: device.buffer_from_vec(agg.counts, AllocPolicy::Pooled)?,
-        mins: device.buffer_from_vec(agg.mins, AllocPolicy::Pooled)?,
-        maxs: device.buffer_from_vec(agg.maxs, AllocPolicy::Pooled)?,
+    let reserve = |elem: usize| device.reserve((groups * elem) as u64, AllocPolicy::Pooled, true);
+    Ok(GroupAggregateCharge {
+        keys: reserve(4)?,
+        sums: reserve(8)?,
+        counts: reserve(8)?,
+        mins: reserve(8)?,
+        maxs: reserve(8)?,
     })
 }
 

@@ -26,13 +26,15 @@ pub mod join;
 pub mod primitives;
 pub mod selection;
 
-pub use aggregate::{hash_group_aggregate, GroupAggregate};
+pub use aggregate::{
+    charge_hash_group_aggregate, hash_group_aggregate, GroupAggregate, GroupAggregateCharge,
+};
 pub use join::{hash_join, merge_join, nested_loops_join, JoinResult};
 pub use primitives::{
     exclusive_scan_u32, fused_filter_dot, fused_filter_sum, fused_map_expr, gather_f64, gather_u32,
     product_f64, radix_sort_pairs, reduce_f64, scatter_u32, sort_u32, top_k_f64,
 };
-pub use selection::{select_fused, select_gather_f64};
+pub use selection::{charge_select_fused, select_fused, select_gather_f64};
 
 /// Kernel-name prefix for device statistics.
 pub const KERNEL_PREFIX: &str = "hw";

@@ -7,7 +7,7 @@
 //! column multiple times. The ablation experiment A1 quantifies the gap.
 
 use crate::{charge, charge_io};
-use gpu_sim::{AllocPolicy, Device, DeviceBuffer, KernelCost, Result};
+use gpu_sim::{hostexec, AllocPolicy, Device, DeviceBuffer, KernelCost, Reservation, Result};
 use std::sync::Arc;
 
 /// Single-kernel selection: returns the row-ids (u32) of the rows for
@@ -22,22 +22,21 @@ pub fn select_fused(
     bytes_per_row: usize,
     pred: impl Fn(usize) -> bool + Sync,
 ) -> Result<DeviceBuffer<u32>> {
-    // Predicate runs per fixed-granularity chunk on host threads; chunk
-    // results concatenate in chunk order, so the survivor list is the
-    // sequential one at any host parallelism.
-    let idx: Vec<u32> = gpu_sim::par_map_chunks(n_rows, 1 << 12, |range| {
-        let mut part = Vec::new();
-        for row in range {
-            if pred(row) {
-                part.push(row as u32);
-            }
-        }
-        part
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    let out_bytes = (idx.len() * 4) as u64;
+    let idx = hostexec::select_where(n_rows, pred);
+    let out = charge_select_fused(device, n_rows, bytes_per_row, idx.len())?;
+    Ok(out.into_buffer(idx))
+}
+
+/// What [`select_fused`] costs on the device: the one launch over
+/// `n_rows` rows of `bytes_per_row` bytes, then the allocation of the
+/// `kept` surviving row-ids.
+pub fn charge_select_fused(
+    device: &Arc<Device>,
+    n_rows: usize,
+    bytes_per_row: usize,
+    kept: usize,
+) -> Result<Reservation> {
+    let out_bytes = (kept * 4) as u64;
     charge(
         device,
         "select_fused",
@@ -47,7 +46,7 @@ pub fn select_fused(
             .with_flops(2 * n_rows as u64)
             .with_divergence(0.25),
     )?;
-    device.buffer_from_vec(idx, AllocPolicy::Pooled)
+    device.reserve(out_bytes, AllocPolicy::Pooled, true)
 }
 
 /// Fused selection + materialisation of one `f64` payload column in the
@@ -59,18 +58,8 @@ pub fn select_gather_f64(
     pred: impl Fn(usize) -> bool + Sync,
 ) -> Result<DeviceBuffer<f64>> {
     let src = payload.host();
-    let out: Vec<f64> = gpu_sim::par_map_chunks(src.len(), 1 << 12, |range| {
-        let mut part = Vec::new();
-        for row in range {
-            if pred(row) {
-                part.push(src[row]);
-            }
-        }
-        part
-    })
-    .into_iter()
-    .flatten()
-    .collect();
+    let idx = hostexec::select_where(src.len(), pred);
+    let out = gpu_sim::par_map_vec(idx.len(), |i| src[idx[i] as usize]);
     let out_bytes = (out.len() * 8) as u64;
     charge_io(
         device,

@@ -6,7 +6,7 @@
 
 use super::charge_io;
 use crate::vector::DeviceVector;
-use gpu_sim::{presets, AllocPolicy, DeviceCopy, Result, SimError};
+use gpu_sim::{presets, AllocPolicy, BufferId, Device, DeviceCopy, Result, SimError};
 use std::sync::Arc;
 
 /// `thrust::gather(map, src)` — `out[i] = src[map[i]]`.
@@ -115,23 +115,39 @@ where
             }
         }
     }
+    let kept = stencil.as_slice().iter().filter(|&&f| f != 0).count();
+    charge_scatter_if::<T>(
+        &device,
+        src.len(),
+        kept,
+        [src.id(), map.id(), stencil.id()],
+        dst.id(),
+    )
+}
+
+/// What [`scatter_if`] costs on the device: one launch over `n` elements
+/// of which `kept` are written, reading the `[src, map, stencil]` buffers.
+pub fn charge_scatter_if<T: DeviceCopy>(
+    device: &Device,
+    n: usize,
+    kept: usize,
+    reads: [BufferId; 3],
+    dst: BufferId,
+) -> Result<()> {
     // Compaction writes are dense (ascending offsets) and sized by the
     // surviving rows: better coalescing than an arbitrary scatter.
-    let n = src.len();
     let elem = std::mem::size_of::<T>();
-    let kept = stencil.as_slice().iter().filter(|&&f| f != 0).count();
     charge_io(
-        &device,
+        device,
         "scatter_if",
         gpu_sim::KernelCost::map::<T, ()>(n)
             .with_read((n * (elem + 8)) as u64) // data + map + stencil
             .with_write((kept * elem) as u64)
             .with_pattern(gpu_sim::AccessPattern::Strided)
             .with_divergence(0.3),
-        &[src.id(), map.id(), stencil.id()],
-        &[dst.id()],
-    )?;
-    Ok(())
+        &reads,
+        &[dst],
+    )
 }
 
 #[cfg(test)]

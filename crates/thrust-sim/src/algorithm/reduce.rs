@@ -2,7 +2,7 @@
 
 use super::charge_io;
 use crate::vector::DeviceVector;
-use gpu_sim::{presets, DeviceCopy, KernelCost, Result, SimError};
+use gpu_sim::{presets, BufferId, Device, DeviceCopy, KernelCost, Reservation, Result, SimError};
 use std::sync::Arc;
 
 /// `thrust::reduce` — fold the vector with `op` starting from `init`.
@@ -106,20 +106,35 @@ where
             i = j;
         }
     }
-    let groups = out_keys.len();
+    let (kbuf, vbuf) =
+        charge_reduce_by_key::<K, V>(&device, keys.len(), out_keys.len(), [keys.id(), vals.id()])?;
+    Ok((
+        DeviceVector::filled(kbuf, out_keys),
+        DeviceVector::filled(vbuf, out_vals),
+    ))
+}
+
+/// What [`reduce_by_key`] costs on the device: one launch over `n` rows
+/// of the `[keys, vals]` buffers, then the allocation of the `groups`
+/// unique keys and of their reduced values.
+pub fn charge_reduce_by_key<K: DeviceCopy, V: DeviceCopy>(
+    device: &Arc<Device>,
+    n: usize,
+    groups: usize,
+    reads: [BufferId; 2],
+) -> Result<(Reservation, Reservation)> {
     charge_io(
-        &device,
+        device,
         "reduce_by_key",
-        presets::reduce_by_key::<K, V>(keys.len(), groups),
-        &[keys.id(), vals.id()],
+        presets::reduce_by_key::<K, V>(n, groups),
+        &reads,
         &[],
     )?;
-    let kbuf = device.buffer_from_vec(out_keys, gpu_sim::AllocPolicy::Pooled)?;
-    let vbuf = device.buffer_from_vec(out_vals, gpu_sim::AllocPolicy::Pooled)?;
-    Ok((
-        DeviceVector::from_buffer(kbuf),
-        DeviceVector::from_buffer(vbuf),
-    ))
+    let reserve =
+        |elem: usize| device.reserve((groups * elem) as u64, gpu_sim::AllocPolicy::Pooled, true);
+    let keys = reserve(std::mem::size_of::<K>())?;
+    let vals = reserve(std::mem::size_of::<V>())?;
+    Ok((keys, vals))
 }
 
 /// `thrust::inner_product` — fused multiply(-like) + reduce in a single

@@ -6,32 +6,45 @@
 
 use super::charge_io;
 use crate::vector::DeviceVector;
-use gpu_sim::{presets, AllocPolicy, DeviceCopy, Result};
+use gpu_sim::{presets, AllocPolicy, BufferId, Device, DeviceCopy, Reservation, Result};
 use std::ops::Add;
 use std::sync::Arc;
 
 /// `thrust::exclusive_scan` — `out[i] = init + Σ src[0..i]`.
 ///
 /// The carry chain stays sequential (parallelising it would reorder the
-/// f64 additions), but the output goes through the write-only allocation
-/// path instead of zero-fill-then-overwrite.
+/// f64 additions).
 pub fn exclusive_scan<T>(src: &DeviceVector<T>, init: T) -> Result<DeviceVector<T>>
 where
     T: DeviceCopy + Add<Output = T> + Default,
 {
-    let device = Arc::clone(src.device());
+    let out = charge_exclusive_scan::<T>(src.device(), src.len(), src.id())?;
     let mut data: Vec<T> = gpu_sim::hostmem::take_scratch(src.len());
     let mut acc = init;
     for (o, &x) in data.iter_mut().zip(src.as_slice()) {
         *o = acc;
         acc = acc + x;
     }
-    let out = DeviceVector::from_buffer(device.buffer_from_vec(data, AllocPolicy::Pooled)?);
+    Ok(DeviceVector::filled(out, data))
+}
+
+/// What [`exclusive_scan`] costs on the device: the output allocation and
+/// the one kernel launch, for `n` elements read from buffer `src`.
+pub fn charge_exclusive_scan<T: DeviceCopy>(
+    device: &Arc<Device>,
+    n: usize,
+    src: BufferId,
+) -> Result<Reservation> {
+    let out = device.reserve(
+        (n * std::mem::size_of::<T>()) as u64,
+        AllocPolicy::Pooled,
+        true,
+    )?;
     charge_io(
-        &device,
+        device,
         "exclusive_scan",
-        presets::scan::<T>(src.len()),
-        &[src.id()],
+        presets::scan::<T>(n),
+        &[src],
         &[out.id()],
     )?;
     Ok(out)

@@ -54,23 +54,33 @@ where
     K: DeviceCopy + RadixKey,
     V: DeviceCopy,
 {
-    if keys.len() != vals.len() {
+    let device = Arc::clone(keys.device());
+    charge_sort_by_key::<K, V>(&device, (keys.len(), keys.id()), (vals.len(), vals.id()))?;
+    hostexec::sort_pairs(keys.as_mut_slice(), vals.as_mut_slice());
+    Ok(())
+}
+
+/// What [`sort_by_key`] costs on the device, for the key and value
+/// vectors given as `(length, buffer)`: the length check and the radix
+/// kernel triples.
+pub fn charge_sort_by_key<K, V>(
+    device: &Arc<Device>,
+    keys: (usize, gpu_sim::BufferId),
+    vals: (usize, gpu_sim::BufferId),
+) -> Result<()> {
+    if keys.0 != vals.0 {
         return Err(SimError::SizeMismatch {
-            left: keys.len(),
-            right: vals.len(),
+            left: keys.0,
+            right: vals.0,
         });
     }
-    let device = Arc::clone(keys.device());
-    let n = keys.len();
-    hostexec::sort_pairs(keys.as_mut_slice(), vals.as_mut_slice());
     charge_radix::<K>(
-        &device,
-        n,
+        device,
+        keys.0,
         std::mem::size_of::<V>(),
         "sort_by_key",
-        &[keys.id(), vals.id()],
-    )?;
-    Ok(())
+        &[keys.1, vals.1],
+    )
 }
 
 /// `thrust::is_sorted`.

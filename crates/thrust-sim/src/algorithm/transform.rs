@@ -2,30 +2,47 @@
 
 use super::charge_io;
 use crate::vector::DeviceVector;
-use gpu_sim::{AllocPolicy, Device, DeviceCopy, KernelCost, Result, SimError};
+use gpu_sim::{
+    AllocPolicy, BufferId, Device, DeviceCopy, KernelCost, Reservation, Result, SimError,
+};
 use std::sync::Arc;
 
 /// `thrust::transform(first, last, result, op)` — unary map into a fresh
 /// vector. One kernel launch; output materialised in device memory.
 ///
 /// The kernel body runs through the host-execution engine: the output is
-/// written once through the write-only allocation path (no zero-fill) and
-/// split across host threads at fixed chunk granularity. Same single
-/// allocation and kernel charge as before.
+/// written once (no zero-fill) and split across host threads at fixed
+/// chunk granularity.
 pub fn transform<T, U>(src: &DeviceVector<T>, op: impl Fn(T) -> U + Sync) -> Result<DeviceVector<U>>
 where
     T: DeviceCopy,
     U: DeviceCopy + Default,
 {
-    let device = Arc::clone(src.device());
+    let out = charge_transform::<T, U>(src.device(), src.len(), src.id())?;
     let input = src.as_slice();
-    let buf = device.alloc_map_with(src.len(), AllocPolicy::Pooled, |i| op(input[i]))?;
-    let out = DeviceVector::from_buffer(buf);
+    Ok(DeviceVector::filled(
+        out,
+        gpu_sim::par_map_vec(src.len(), |i| op(input[i])),
+    ))
+}
+
+/// What [`transform`] costs on the device: the output allocation and the
+/// one kernel launch, for `n` elements read from buffer `src`.
+pub fn charge_transform<T, U>(device: &Arc<Device>, n: usize, src: BufferId) -> Result<Reservation>
+where
+    T: DeviceCopy,
+    U: DeviceCopy,
+{
+    let out = device.reserve(
+        (n * std::mem::size_of::<U>()) as u64,
+        AllocPolicy::Pooled,
+        true,
+    )?;
     charge_io(
-        &device,
+        device,
         "transform",
-        KernelCost::map::<T, U>(src.len()),
-        &[src.id()],
+        KernelCost::map::<T, U>(n),
+        &[src],
         &[out.id()],
     )?;
     Ok(out)
@@ -42,26 +59,42 @@ where
     B: DeviceCopy,
     U: DeviceCopy + Default,
 {
-    if a.len() != b.len() {
+    let out = charge_transform_binary::<A, B, U>(a.device(), (a.len(), a.id()), (b.len(), b.id()))?;
+    let (xa, xb) = (a.as_slice(), b.as_slice());
+    Ok(DeviceVector::filled(
+        out,
+        gpu_sim::par_map_vec(a.len(), |i| op(xa[i], xb[i])),
+    ))
+}
+
+/// What [`transform_binary`] costs on the device, for operands given as
+/// `(length, buffer)`: the length check, the output allocation and the one
+/// kernel launch.
+pub fn charge_transform_binary<A, B, U>(
+    device: &Arc<Device>,
+    a: (usize, BufferId),
+    b: (usize, BufferId),
+) -> Result<Reservation>
+where
+    A: DeviceCopy,
+    B: DeviceCopy,
+    U: DeviceCopy,
+{
+    let n = a.0;
+    if n != b.0 {
         return Err(SimError::SizeMismatch {
-            left: a.len(),
-            right: b.len(),
+            left: n,
+            right: b.0,
         });
     }
-    let device = Arc::clone(a.device());
-    let (xa, xb) = (a.as_slice(), b.as_slice());
-    let buf = device.alloc_map_with(a.len(), AllocPolicy::Pooled, |i| op(xa[i], xb[i]))?;
-    let out = DeviceVector::from_buffer(buf);
-    let n = a.len();
+    let out = device.reserve(
+        (n * std::mem::size_of::<U>()) as u64,
+        AllocPolicy::Pooled,
+        true,
+    )?;
     let cost = KernelCost::map::<A, U>(n)
         .with_read((n * (std::mem::size_of::<A>() + std::mem::size_of::<B>())) as u64);
-    charge_io(
-        &device,
-        "transform_binary",
-        cost,
-        &[a.id(), b.id()],
-        &[out.id()],
-    )?;
+    charge_io(device, "transform_binary", cost, &[a.1, b.1], &[out.id()])?;
     Ok(out)
 }
 
@@ -102,8 +135,17 @@ pub fn fill<T: DeviceCopy>(vec: &mut DeviceVector<T>, value: T) -> Result<()> {
 
 /// `thrust::sequence` — write `0, 1, 2, …` (row-id generation).
 pub fn sequence(device: &Arc<Device>, len: usize) -> Result<DeviceVector<u32>> {
-    let buf = device.alloc_map_with(len, AllocPolicy::Pooled, |i| i as u32)?;
-    let out = DeviceVector::from_buffer(buf);
+    let out = charge_sequence(device, len)?;
+    Ok(DeviceVector::filled(
+        out,
+        gpu_sim::par_map_vec(len, |i| i as u32),
+    ))
+}
+
+/// What [`sequence`] costs on the device: the output allocation and the
+/// one kernel launch.
+pub fn charge_sequence(device: &Arc<Device>, len: usize) -> Result<Reservation> {
+    let out = device.reserve((len * 4) as u64, AllocPolicy::Pooled, true)?;
     charge_io(
         device,
         "sequence",

@@ -42,11 +42,16 @@ pub use algorithm::misc::{
     adjacent_difference, count, equal, max_element, merge, min_element, transform_reduce, unique,
 };
 pub use algorithm::partition::{copy_if, count_if, partition_flags};
-pub use algorithm::permute::{gather, scatter, scatter_if};
-pub use algorithm::reduce::{inner_product, reduce, reduce_by_key, transform_reduce_zip};
-pub use algorithm::scan::{exclusive_scan, inclusive_scan};
-pub use algorithm::sort::{is_sorted, sort, sort_by_key};
-pub use algorithm::transform::{fill, sequence, transform, transform_binary, transform_zip};
+pub use algorithm::permute::{charge_scatter_if, gather, scatter, scatter_if};
+pub use algorithm::reduce::{
+    charge_reduce_by_key, inner_product, reduce, reduce_by_key, transform_reduce_zip,
+};
+pub use algorithm::scan::{charge_exclusive_scan, exclusive_scan, inclusive_scan};
+pub use algorithm::sort::{charge_sort_by_key, is_sorted, sort, sort_by_key};
+pub use algorithm::transform::{
+    charge_sequence, charge_transform, charge_transform_binary, fill, sequence, transform,
+    transform_binary, transform_zip,
+};
 pub use vector::DeviceVector;
 
 /// Kernel-name prefix under which all Thrust launches are recorded in

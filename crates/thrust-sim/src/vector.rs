@@ -1,6 +1,6 @@
 //! `thrust::device_vector` equivalent.
 
-use gpu_sim::{Device, DeviceBuffer, DeviceCopy, Result};
+use gpu_sim::{Device, DeviceBuffer, DeviceCopy, Reservation, Result};
 use std::sync::Arc;
 
 /// A device-resident vector, the currency of every Thrust algorithm.
@@ -24,6 +24,14 @@ impl<T: DeviceCopy> DeviceVector<T> {
     /// Wrap an existing device buffer.
     pub fn from_buffer(buf: DeviceBuffer<T>) -> Self {
         DeviceVector { buf }
+    }
+
+    /// Back a [`Reservation`] an algorithm's charge half made with the
+    /// `data` its kernel body produced.
+    pub fn filled(reserved: Reservation, data: Vec<T>) -> Self {
+        DeviceVector {
+            buf: reserved.into_buffer(data),
+        }
     }
 
     /// Allocate a zero-initialised vector of `len` elements.
