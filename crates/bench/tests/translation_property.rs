@@ -5,16 +5,36 @@
 //! rewrite trace proves the compiled plan equivalent to the logical
 //! tree — and (b) produce bit-identical answers across all modes and
 //! backends, so the validator's "equivalent" verdict is corroborated by
-//! the executed results themselves.
+//! the executed results themselves. Each chain is also planned with a
+//! scalar `COUNT(*)` next to its sums — the `AVG` shape the `AggQuery`
+//! front-end declares — with and without its filter; those plans must
+//! lint GL4xx-clean and count the same rows in every mode on every
+//! backend.
 
 use bench::plangen::{random_chain, Rng, SEEDS};
 use proto_core::costing::TableStats;
-use proto_core::logical::LogicalPlan;
+use proto_core::logical::{AggExpr, LogicalPlan};
 use proto_core::optimizer::{self, CostingOptions, FusionPolicy, PlannerOptions};
 use proto_core::physical::PlanBindings;
 use proto_core::workload;
 
 const N: usize = 4096;
+
+/// `chain` with a scalar `n = COUNT(*)` appended to its aggregates and,
+/// when `filtered` is false, its filter removed.
+fn counted(chain: &LogicalPlan, filtered: bool) -> LogicalPlan {
+    let LogicalPlan::Aggregate { input, aggs, .. } = chain else {
+        unreachable!("chains end in an Aggregate")
+    };
+    let input = match input.as_ref() {
+        LogicalPlan::Filter { input, .. } if !filtered => input.as_ref(),
+        other => other,
+    };
+    let mut aggs: Vec<(&str, AggExpr)> =
+        aggs.iter().map(|(n, a)| (n.as_str(), a.clone())).collect();
+    aggs.push(("n", AggExpr::Count));
+    input.clone().aggregate(None, aggs)
+}
 
 #[test]
 fn random_chains_validate_and_agree_under_every_planner_mode() {
@@ -53,6 +73,7 @@ fn random_chains_validate_and_agree_under_every_planner_mode() {
             _ => unreachable!("chains end in an Aggregate"),
         };
         let mut reference: Option<Vec<u64>> = None;
+        let mut survivors: Option<f64> = None;
         for (mode, opts) in &modes {
             for b in fw.backends() {
                 let b = b.as_ref();
@@ -101,6 +122,32 @@ fn random_chains_validate_and_agree_under_every_planner_mode() {
                         b.name(),
                         logical.render()
                     ),
+                }
+                for filtered in [true, false] {
+                    let tree = counted(&logical, filtered);
+                    let plan = optimizer::plan_with("prop-count", &tree, b, opts).unwrap();
+                    let report = bench::plan_lint::lint_plan(&plan);
+                    assert!(
+                        report.is_clean(),
+                        "seed {seed} {mode} on {}:\n{}\n{}",
+                        b.name(),
+                        report.render(),
+                        plan.explain()
+                    );
+                    let out = plan.execute(b, &binds).unwrap();
+                    let n = out.scalar("n").unwrap();
+                    let want = if filtered {
+                        // The sums next to the count are the chain's own.
+                        let sums: Vec<u64> = names
+                            .iter()
+                            .map(|s| out.scalar(s).unwrap().to_bits())
+                            .collect();
+                        assert_eq!(Some(&sums), reference.as_ref(), "seed {seed} {mode}");
+                        *survivors.get_or_insert(n)
+                    } else {
+                        N as f64
+                    };
+                    assert_eq!(n, want, "seed {seed} {mode} on {}", b.name());
                 }
                 for c in [ck, ca, cb, cc] {
                     b.free(c).unwrap();

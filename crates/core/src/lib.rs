@@ -47,7 +47,6 @@
 
 #![warn(missing_docs)]
 
-pub mod advisor;
 pub mod backend;
 pub mod backends;
 pub mod costing;
@@ -66,7 +65,6 @@ pub mod workload;
 
 /// Convenient glob import for examples, tests and benches.
 pub mod prelude {
-    pub use crate::advisor::{choose_materialization, ColumnStats, Materialization};
     pub use crate::backend::{Col, ColType, GpuBackend, Pred};
     pub use crate::backends::{ArrayFireBackend, BoostBackend, HandwrittenBackend, ThrustBackend};
     pub use crate::costing::{CacheState, CostModel, CostReport, StepCost, TableStats};

@@ -1,12 +1,15 @@
 //! The logical query IR: a backend-independent relational-algebra tree.
 //!
-//! [`LogicalPlan`] generalises the filter → project → aggregate surface
-//! of [`crate::plan::AggQuery`] into a full tree — scan / filter /
-//! project / join / group-by aggregate / sort-limit — rich enough to
-//! express TPC-H Q1–Q14 declaratively. A query is *built* here,
-//! *rewritten* by [`crate::optimizer`]'s passes (predicate pushdown,
-//! projection pruning) and *lowered* onto a specific
+//! [`LogicalPlan`] is the one thing a query is declared as: a tree of
+//! scan / filter / project / join / group-by aggregate / sort-limit
+//! nodes, rich enough to express TPC-H Q1–Q14. A query is *built* here
+//! — directly (`tpch::queries`) or through the
+//! [`crate::plan::AggQuery`] front-end, which compiles to a one-scan
+//! tree — *rewritten* by [`crate::optimizer`]'s passes (predicate
+//! pushdown, projection pruning) and *lowered* onto a specific
 //! [`crate::backend::GpuBackend`] as a [`crate::physical::PhysicalPlan`].
+//! Its expressions and predicates are [`crate::plan`]'s [`Expr`] and
+//! [`Predicate`].
 //!
 //! Naming convention: [`LogicalPlan::Scan`] brings `table.column`
 //! qualified names into scope; a [`LogicalPlan::Join`]'s projection
@@ -267,6 +270,36 @@ impl LogicalPlan {
             | LogicalPlan::SortLimit { input, .. } => input.contains_join(),
             LogicalPlan::Join { .. } => true,
         }
+    }
+
+    /// The base columns the tree's scans declare — qualified name and
+    /// dtype, each name once — in the order the planner lowers the scans
+    /// (a join's build side before its probe side). This is the working
+    /// set a caller uploads and binds to run the plan.
+    pub fn scan_columns(&self) -> Vec<(String, ColType)> {
+        fn walk(plan: &LogicalPlan, out: &mut Vec<(String, ColType)>) {
+            match plan {
+                LogicalPlan::Scan { table, columns } => {
+                    for c in columns {
+                        let name = format!("{table}.{}", c.name);
+                        if !out.iter().any(|(n, _)| *n == name) {
+                            out.push((name, c.dtype));
+                        }
+                    }
+                }
+                LogicalPlan::Filter { input, .. }
+                | LogicalPlan::Project { input, .. }
+                | LogicalPlan::Aggregate { input, .. }
+                | LogicalPlan::SortLimit { input, .. } => walk(input, out),
+                LogicalPlan::Join { build, probe, .. } => {
+                    walk(build, out);
+                    walk(probe, out);
+                }
+            }
+        }
+        let mut out = Vec::new();
+        walk(self, &mut out);
+        out
     }
 
     /// Every column name resolvable somewhere in this subtree: the

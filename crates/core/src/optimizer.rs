@@ -15,10 +15,11 @@
 //!    tree into straight-line [`crate::physical::Step`]s. The lowering
 //!    deduplicates structurally identical subtrees (Q5's shared
 //!    region-filtered nations), caches common aggregate subexpressions,
-//!    mirrors [`crate::plan::Expr`]'s constant folding and affine
-//!    shortcuts, and — when [`PlannerOptions::fuse_fast_paths`] is on —
-//!    fuses conjunctive-filter + product + sum aggregates into the
-//!    single [`crate::physical::Step::FilterSumProduct`] fast path (Q6).
+//!    folds constants and turns column-with-literal arithmetic into
+//!    single affine kernels, and — when
+//!    [`PlannerOptions::fuse_fast_paths`] is on — fuses
+//!    conjunctive-filter + product + sum aggregates into the single
+//!    [`crate::physical::Step::FilterSumProduct`] fast path (Q6).
 //!
 //! Every decision the pipeline takes is *certified*: [`plan_traced`]
 //! returns the compiled plan plus a [`PassTrace`] per step, each
@@ -523,14 +524,22 @@ fn collect_used(plan: &LogicalPlan, used: &mut BTreeSet<String>) {
 
 fn prune(plan: &LogicalPlan, used: &BTreeSet<String>) -> LogicalPlan {
     match plan {
-        LogicalPlan::Scan { table, columns } => LogicalPlan::Scan {
-            table: table.clone(),
-            columns: columns
+        LogicalPlan::Scan { table, columns } => {
+            let mut kept: Vec<_> = columns
                 .iter()
                 .filter(|c| used.contains(&format!("{table}.{}", c.name)))
                 .cloned()
-                .collect(),
-        },
+                .collect();
+            // A scan nothing reads by name (`COUNT(*)`, a constant sum)
+            // still supplies the row count: keep one column to carry it.
+            if kept.is_empty() {
+                kept.extend(columns.first().cloned());
+            }
+            LogicalPlan::Scan {
+                table: table.clone(),
+                columns: kept,
+            }
+        }
         LogicalPlan::Filter { input, predicate } => LogicalPlan::Filter {
             input: Box::new(prune(input, used)),
             predicate: predicate.clone(),
@@ -594,23 +603,7 @@ pub fn plan_with(
     backend: &dyn GpuBackend,
     opts: &PlannerOptions,
 ) -> Result<PhysicalPlan> {
-    let mut opts = opts.clone();
-    let env_pinned = apply_env_threshold(&mut opts);
-    let optimized = optimize(logical);
-    if let Some(costing) = opts.costing.clone() {
-        return plan_costed(
-            query, &optimized, backend, &opts, &costing, env_pinned, None,
-        );
-    }
-    let join_algo = if optimized.contains_join() {
-        match best_join(backend) {
-            Some(a) => Some(a),
-            None => return Err(no_join_support(backend)),
-        }
-    } else {
-        None
-    };
-    lower_with_algo(query, &optimized, backend, &opts, join_algo)
+    plan_impl(query, logical, backend, opts, None)
 }
 
 /// [`plan_with`], additionally returning the full rewrite trace: the
@@ -625,20 +618,36 @@ pub fn plan_traced(
     backend: &dyn GpuBackend,
     opts: &PlannerOptions,
 ) -> Result<(PhysicalPlan, Vec<PassTrace>)> {
+    let mut traces = Vec::new();
+    let plan = plan_impl(query, logical, backend, opts, Some(&mut traces))?;
+    Ok((plan, traces))
+}
+
+/// The one body of [`plan_with`] and [`plan_traced`]. Without a `trace`
+/// the rewrite passes run through [`optimize`], which renders no trees —
+/// planning an overhead-bound query must not pay for snapshots nobody
+/// reads.
+fn plan_impl(
+    query: &str,
+    logical: &LogicalPlan,
+    backend: &dyn GpuBackend,
+    opts: &PlannerOptions,
+    mut trace: Option<&mut Vec<PassTrace>>,
+) -> Result<PhysicalPlan> {
     let mut opts = opts.clone();
     let env_pinned = apply_env_threshold(&mut opts);
-    let (optimized, mut traces) = optimize_traced(logical);
+    let optimized = match trace.as_deref_mut() {
+        Some(traces) => {
+            let (optimized, passes) = optimize_traced(logical);
+            traces.extend(passes);
+            optimized
+        }
+        None => optimize(logical),
+    };
     if let Some(costing) = opts.costing.clone() {
-        let plan = plan_costed(
-            query,
-            &optimized,
-            backend,
-            &opts,
-            &costing,
-            env_pinned,
-            Some(&mut traces),
-        )?;
-        return Ok((plan, traces));
+        return plan_costed(
+            query, &optimized, backend, &opts, &costing, env_pinned, trace,
+        );
     }
     let join_algo = if optimized.contains_join() {
         match best_join(backend) {
@@ -648,12 +657,14 @@ pub fn plan_traced(
     } else {
         None
     };
-    if let Some(algo) = join_algo {
-        traces.push(join_selection_trace(backend, algo));
-    }
     let (plan, certs) = lower_collect(query, &optimized, backend, &opts, join_algo)?;
-    push_cert_traces(&mut traces, certs);
-    Ok((plan, traces))
+    if let Some(traces) = trace {
+        if let Some(algo) = join_algo {
+            traces.push(join_selection_trace(backend, algo));
+        }
+        push_cert_traces(traces, certs);
+    }
+    Ok(plan)
 }
 
 /// Apply the [`FUSION_THRESHOLD_ENV`] override to `opts`, returning
@@ -716,7 +727,7 @@ pub fn plan_with_algo(
         )));
     }
     let optimized = optimize(logical);
-    lower_with_algo(query, &optimized, backend, opts, Some(algo))
+    lower_collect(query, &optimized, backend, opts, Some(algo)).map(|(plan, _)| plan)
 }
 
 fn no_join_support(backend: &dyn GpuBackend) -> SimError {
@@ -847,19 +858,9 @@ fn plan_costed(
 }
 
 /// Lower `optimized` for `backend` with `join_algo` already selected —
-/// the shared tail of the heuristic and costed paths.
-fn lower_with_algo(
-    query: &str,
-    optimized: &LogicalPlan,
-    backend: &dyn GpuBackend,
-    opts: &PlannerOptions,
-    join_algo: Option<JoinAlgo>,
-) -> Result<PhysicalPlan> {
-    lower_collect(query, optimized, backend, opts, join_algo).map(|(plan, _)| plan)
-}
-
-/// [`lower_with_algo`], also returning the [`RewriteCert`]s the
-/// lowering emitted (one per fused kernel, in emission order).
+/// the shared tail of the heuristic and costed paths. Also returns the
+/// [`RewriteCert`]s the lowering emitted (one per fused kernel, in
+/// emission order).
 fn lower_collect(
     query: &str,
     optimized: &LogicalPlan,
@@ -1949,15 +1950,11 @@ impl Lowerer<'_> {
         // lower once), then run one grouped reduction per aggregate.
         let mut ctx = ExprCtx::grouped();
         let mut val_refs = Vec::new();
-        for (name, agg) in aggs {
+        for (_, agg) in aggs {
             let v = match agg {
                 AggExpr::Sum(e) => match self.lower_agg_expr(e, &scope, join_of(rel), &mut ctx)? {
                     LowerVal::Ref(r) => r,
-                    LowerVal::Const(_) => {
-                        return Err(SimError::Unsupported(format!(
-                            "aggregate `{name}` reduces a constant expression"
-                        )))
-                    }
+                    LowerVal::Const(c) => self.emit_constant(c, key_ref.clone(), &mut ctx),
                 },
                 AggExpr::Count => {
                     // COUNT(*) sums a ones column: derived from the first
@@ -2037,18 +2034,17 @@ impl Lowerer<'_> {
         let scope = self.aggregate_scope(rel, &needed, &soft)?;
         let mut ctx = ExprCtx::scalar(shared_subtrees(aggs));
         for (name, agg) in aggs {
-            let AggExpr::Sum(e) = agg else {
-                return Err(SimError::Unsupported(
-                    "COUNT(*) requires a GROUP BY in a physical plan".into(),
-                ));
-            };
             let start = self.slots.len();
-            let val = match self.lower_agg_expr(e, &scope, join_of(rel), &mut ctx)? {
+            let val = match agg {
+                AggExpr::Sum(e) => self.lower_agg_expr(e, &scope, join_of(rel), &mut ctx)?,
+                // COUNT(*) is SUM(1): a ones column, reduced.
+                AggExpr::Count => LowerVal::Const(1.0),
+            };
+            let val = match val {
                 LowerVal::Ref(r) => r,
-                LowerVal::Const(_) => {
-                    return Err(SimError::Unsupported(format!(
-                        "aggregate `{name}` reduces a constant expression"
-                    )))
+                LowerVal::Const(c) => {
+                    let like = self.row_witness(rel)?;
+                    self.emit_constant(c, like, &mut ctx)
                 }
             };
             let out = self.new_slot(name, SlotKind::Scalar);
@@ -2187,9 +2183,10 @@ impl Lowerer<'_> {
         }
         let la = self.lower_expr(a, scope, join, ctx)?;
         let lb = self.lower_expr(b, scope, join, ctx)?;
-        // Mirror `plan::Expr`'s constant folding and affine shortcuts —
-        // same call count, same operand order, but no eager frees (the
-        // plan's free schedule is decided by the aggregate lowering).
+        // Constant folding and affine shortcuts keep the library call
+        // count down — what a careful rapid-prototyper would write by
+        // hand. No eager frees: the plan's free schedule is decided by
+        // the aggregate lowering.
         let result = match (la, lb, op) {
             (LowerVal::Const(x), LowerVal::Const(y), ArithOp::Add) => LowerVal::Const(x + y),
             (LowerVal::Const(x), LowerVal::Const(y), ArithOp::Sub) => LowerVal::Const(x - y),
@@ -2245,6 +2242,28 @@ impl Lowerer<'_> {
             },
             ctx,
         )
+    }
+
+    /// A column as long as `rel` has rows — what sizes the ones column of
+    /// an aggregate that reads no column by name.
+    fn row_witness(&self, rel: &Rel) -> Result<ColRef> {
+        match rel {
+            Rel::Ids { ids, .. } => Some(ColRef::Slot(*ids)),
+            Rel::Base(cols) => cols.first().map(|(n, _)| ColRef::Base(n.clone())),
+            Rel::Mat { cols, .. } => cols.first().map(|(_, s)| ColRef::Slot(*s)),
+        }
+        .ok_or_else(|| SimError::Unsupported("aggregate over a relation with no columns".into()))
+    }
+
+    /// Materialise the folded constant `c` as a column sized like `like`:
+    /// a ones column, scaled unless `c` is 1.
+    fn emit_constant(&mut self, c: f64, like: ColRef, ctx: &mut ExprCtx) -> ColRef {
+        let ones = self.emit_expr_slot("ones", |out| Step::ConstantOnes { like, out }, ctx);
+        if c == 1.0 {
+            ones
+        } else {
+            self.emit_affine(ones, c, 0.0, ctx)
+        }
     }
 }
 

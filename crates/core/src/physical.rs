@@ -16,10 +16,6 @@
 //!   freed eagerly, otherwise at plan end in creation order), so traced
 //!   runs stay alloc/free balanced;
 //! * bound base columns are borrowed, never freed;
-//! * with a [`RetryPolicy`] configured
-//!   ([`PhysicalPlan::execute_with_policy`]) every backend call runs in
-//!   the same bounded-backoff retry loop
-//!   [`ResilientBackend`](crate::resilient::ResilientBackend) uses;
 //! * on error the step's failure propagates unchanged (no unwinding
 //!   cleanup), matching the hand-rolled lowering it replaced;
 //! * all device work goes through the bound backend, so the
@@ -33,7 +29,6 @@
 use crate::backend::{Col, ColType, GpuBackend, Pred};
 use crate::fused::{FusedExpr, FusedPred};
 use crate::ops::{CmpOp, Connective, JoinAlgo};
-use crate::resilient::RetryPolicy;
 use gpu_sim::{Result, SimError};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -646,30 +641,15 @@ impl PhysicalPlan {
         out
     }
 
-    /// Execute on `backend` against `binds`. Equivalent to
-    /// [`PhysicalPlan::execute_with_policy`] with no policy.
+    /// Execute on `backend` against `binds`.
     pub fn execute(
         &self,
         backend: &dyn GpuBackend,
         binds: &PlanBindings<'_>,
     ) -> Result<PlanOutput> {
-        self.execute_with_policy(backend, binds, None)
-    }
-
-    /// Execute on `backend` against `binds`, optionally retrying every
-    /// backend call under `policy` (the
-    /// [`ResilientBackend`](crate::resilient::ResilientBackend) loop,
-    /// shared via
-    /// [`retry_with_policy`](crate::resilient::retry_with_policy)).
-    pub fn execute_with_policy(
-        &self,
-        backend: &dyn GpuBackend,
-        binds: &PlanBindings<'_>,
-        policy: Option<&RetryPolicy>,
-    ) -> Result<PlanOutput> {
         let mut store = self.new_store();
         for ix in 0..self.steps.len() {
-            self.exec_step(backend, binds, policy, &mut store, ix)?;
+            self.exec_step(backend, binds, &mut store, ix)?;
         }
         self.collect_outputs(&mut store)
     }
@@ -694,22 +674,9 @@ impl PhysicalPlan {
         &self,
         backend: &dyn GpuBackend,
         binds: &PlanBindings<'_>,
-        policy: Option<&RetryPolicy>,
         store: &mut SlotStore,
         ix: usize,
     ) -> Result<()> {
-        fn run<T>(
-            backend: &dyn GpuBackend,
-            policy: Option<&RetryPolicy>,
-            what: &str,
-            f: impl Fn() -> Result<T>,
-        ) -> Result<T> {
-            match policy {
-                Some(p) => crate::resilient::retry_with_policy(&backend.device(), p, what, f),
-                None => f(),
-            }
-        }
-
         // Handles are opaque ids; reconstructing one borrows nothing from
         // the slot store, which keeps operand resolution and result
         // storage disjoint.
@@ -740,9 +707,7 @@ impl PhysicalPlan {
                     out,
                 } => {
                     let c = resolve(store, input)?;
-                    let r = run(backend, policy, "selection", || {
-                        backend.selection(&c, *cmp, *lit)
-                    })?;
+                    let r = backend.selection(&c, *cmp, *lit)?;
                     store[*out] = Some(SlotVal::Col(r));
                 }
                 Step::SelectionMulti { preds, conn, out } => {
@@ -759,21 +724,17 @@ impl PhysicalPlan {
                             lit: p.lit,
                         })
                         .collect();
-                    let r = run(backend, policy, "selection_multi", || {
-                        backend.selection_multi(&ps, *conn)
-                    })?;
+                    let r = backend.selection_multi(&ps, *conn)?;
                     store[*out] = Some(SlotVal::Col(r));
                 }
                 Step::SelectionCmpCols { a, b, cmp, out } => {
                     let (ca, cb) = (resolve(store, a)?, resolve(store, b)?);
-                    let r = run(backend, policy, "selection_cmp_cols", || {
-                        backend.selection_cmp_cols(&ca, &cb, *cmp)
-                    })?;
+                    let r = backend.selection_cmp_cols(&ca, &cb, *cmp)?;
                     store[*out] = Some(SlotVal::Col(r));
                 }
                 Step::Gather { data, ids, out } => {
                     let (cd, ci) = (resolve(store, data)?, resolve(store, ids)?);
-                    let r = run(backend, policy, "gather", || backend.gather(&cd, &ci))?;
+                    let r = backend.gather(&cd, &ci)?;
                     store[*out] = Some(SlotVal::Col(r));
                 }
                 Step::Affine {
@@ -783,12 +744,12 @@ impl PhysicalPlan {
                     out,
                 } => {
                     let c = resolve(store, input)?;
-                    let r = run(backend, policy, "affine", || backend.affine(&c, *mul, *add))?;
+                    let r = backend.affine(&c, *mul, *add)?;
                     store[*out] = Some(SlotVal::Col(r));
                 }
                 Step::Product { a, b, out } => {
                     let (ca, cb) = (resolve(store, a)?, resolve(store, b)?);
-                    let r = run(backend, policy, "product", || backend.product(&ca, &cb))?;
+                    let r = backend.product(&ca, &cb)?;
                     store[*out] = Some(SlotVal::Col(r));
                 }
                 Step::DenseMask {
@@ -798,16 +759,12 @@ impl PhysicalPlan {
                     out,
                 } => {
                     let c = resolve(store, input)?;
-                    let r = run(backend, policy, "dense_mask", || {
-                        backend.dense_mask(&c, *cmp, *lit)
-                    })?;
+                    let r = backend.dense_mask(&c, *cmp, *lit)?;
                     store[*out] = Some(SlotVal::Col(r));
                 }
                 Step::ConstantOnes { like, out } => {
                     let c = resolve(store, like)?;
-                    let r = run(backend, policy, "constant_f64", || {
-                        backend.constant_f64(c.len(), 1.0)
-                    })?;
+                    let r = backend.constant_f64(c.len(), 1.0)?;
                     store[*out] = Some(SlotVal::Col(r));
                 }
                 Step::Join {
@@ -818,7 +775,7 @@ impl PhysicalPlan {
                     out_right,
                 } => {
                     let (co, ci) = (resolve(store, outer)?, resolve(store, inner)?);
-                    let (l, r) = run(backend, policy, "join", || backend.join(&co, &ci, *algo))?;
+                    let (l, r) = backend.join(&co, &ci, *algo)?;
                     store[*out_left] = Some(SlotVal::Col(l));
                     store[*out_right] = Some(SlotVal::Col(r));
                 }
@@ -829,15 +786,13 @@ impl PhysicalPlan {
                     out_vals,
                 } => {
                     let (ck, cv) = (resolve(store, keys)?, resolve(store, vals)?);
-                    let (k, v) = run(backend, policy, "grouped_sum", || {
-                        backend.grouped_sum(&ck, &cv)
-                    })?;
+                    let (k, v) = backend.grouped_sum(&ck, &cv)?;
                     store[*out_keys] = Some(SlotVal::Col(k));
                     store[*out_vals] = Some(SlotVal::Col(v));
                 }
                 Step::Reduce { input, out } => {
                     let c = resolve(store, input)?;
-                    let r = run(backend, policy, "reduction", || backend.reduction(&c))?;
+                    let r = backend.reduction(&c)?;
                     store[*out] = Some(SlotVal::Scalar(r));
                 }
                 Step::FilterSumProduct { a, b, preds, out } => {
@@ -855,9 +810,7 @@ impl PhysicalPlan {
                             lit: p.lit,
                         })
                         .collect();
-                    let r = run(backend, policy, "filter_sum_product", || {
-                        backend.filter_sum_product(&ca, &cb, &ps)
-                    })?;
+                    let r = backend.filter_sum_product(&ca, &cb, &ps)?;
                     store[*out] = Some(SlotVal::Scalar(r));
                 }
                 Step::FusedMap {
@@ -876,13 +829,9 @@ impl PhysicalPlan {
                     // wins above the calibrated break-even; both paths are
                     // bit-equal.
                     let r = if len > *threshold {
-                        run(backend, policy, "fused_map", || {
-                            backend.fused_map(&refs, expr)
-                        })?
+                        backend.fused_map(&refs, expr)?
                     } else {
-                        run(backend, policy, "fused_map", || {
-                            crate::fused::composed_map(backend, &refs, expr)
-                        })?
+                        crate::fused::composed_map(backend, &refs, expr)?
                     };
                     store[*out] = Some(SlotVal::Col(r));
                 }
@@ -900,24 +849,20 @@ impl PhysicalPlan {
                     let refs: Vec<&Col> = cols.iter().collect();
                     let len = refs.first().map_or(0, |c| c.len());
                     let r = if len > *threshold {
-                        run(backend, policy, "fused_filter_agg", || {
-                            backend.fused_filter_agg(&refs, preds, expr)
-                        })?
+                        backend.fused_filter_agg(&refs, preds, expr)?
                     } else {
-                        run(backend, policy, "fused_filter_agg", || {
-                            crate::fused::composed_filter_agg(backend, &refs, preds, expr)
-                        })?
+                        crate::fused::composed_filter_agg(backend, &refs, preds, expr)?
                     };
                     store[*out] = Some(SlotVal::Scalar(r));
                 }
                 Step::DownloadU32 { input, out } => {
                     let c = resolve(store, input)?;
-                    let r = run(backend, policy, "download_u32", || backend.download_u32(&c))?;
+                    let r = backend.download_u32(&c)?;
                     store[*out] = Some(SlotVal::U32s(r));
                 }
                 Step::DownloadF64 { input, out } => {
                     let c = resolve(store, input)?;
-                    let r = run(backend, policy, "download_f64", || backend.download_f64(&c))?;
+                    let r = backend.download_f64(&c)?;
                     store[*out] = Some(SlotVal::F64s(r));
                 }
                 Step::HostSort {
@@ -988,11 +933,7 @@ impl PhysicalPlan {
                             )))
                         }
                     };
-                    run(backend, policy, "free", || {
-                        // `free` consumes the column; rebuild the handle per
-                        // attempt so a retried free stays well-formed.
-                        backend.free(Col::from_raw(c.raw_id(), c.dtype(), c.len(), c.backend()))
-                    })?;
+                    backend.free(c)?;
                     // Clear the slot only once the release succeeded, so a
                     // replayed Free still sees the column.
                     store[*slot] = None;

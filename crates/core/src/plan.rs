@@ -1,13 +1,19 @@
-//! A small declarative query layer over the operator framework.
+//! The declarative query front-end.
 //!
 //! The paper's subject is *rapid prototyping*: a developer should express
 //! a database operation once and run it on whichever library is plugged
-//! in. This module provides that surface — arithmetic [`Expr`]essions,
+//! in. This module is that surface — arithmetic [`Expr`]essions,
 //! composable [`Predicate`]s and an [`AggQuery`] (filter → project →
-//! aggregate, optionally grouped) that compiles onto any
-//! [`crate::backend::GpuBackend`] using only Table-II
-//! operators. `explain()` shows the lowering, so the per-library cost
-//! differences of the same declarative query become inspectable.
+//! aggregate, optionally grouped) over named [`Bindings`].
+//!
+//! It is a *front-end only*: an [`AggQuery`] declares itself as a
+//! one-scan [`LogicalPlan`] ([`AggQuery::logical_plan`]) and enters the
+//! pipeline every query does — [`crate::optimizer`], then the
+//! [`crate::physical::PhysicalPlan`] interpreter — so it is pushed down,
+//! pruned, fused, costable and lintable like a TPC-H plan, and frees
+//! every device column it creates. [`AggQuery::explain`] prints the
+//! logical tree and the per-backend step list. [`Expr`] and
+//! [`Predicate`] are also the expression vocabulary of [`crate::logical`].
 //!
 //! ```
 //! use proto_core::plan::{AggQuery, Agg, Expr, Predicate};
@@ -29,8 +35,11 @@
 //! assert_eq!(result.scalar().unwrap(), 10.0 * 0.9 + 30.0 * 0.7);
 //! ```
 
-use crate::backend::{Col, GpuBackend, Pred};
-use crate::ops::{CmpOp, Connective};
+use crate::backend::{Col, GpuBackend};
+use crate::logical::{AggExpr, ColumnDecl, LogicalPlan};
+use crate::ops::CmpOp;
+use crate::optimizer;
+use crate::physical::PlanBindings;
 use gpu_sim::{Result, SimError};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -88,35 +97,18 @@ impl Expr {
         }
     }
 
-    /// Evaluate over the already-materialised (gathered) columns in
-    /// `cols`, producing a device column of the same length. The lowering
-    /// uses only `product`, `affine` and `constant_f64`, so it runs on
-    /// every backend; constant folding keeps the kernel count minimal.
-    fn lower(
-        &self,
-        backend: &dyn GpuBackend,
-        cols: &BTreeMap<&str, &Col>,
-        len: usize,
-    ) -> Result<Lowered> {
-        Ok(match self {
-            Expr::Col(name) => {
-                if !cols.contains_key(name.as_str()) {
-                    return Err(SimError::Unsupported(format!("unbound column `{name}`")));
-                }
-                Lowered::Borrowed(name.clone())
-            }
-            Expr::Lit(v) => Lowered::Constant(*v),
-            Expr::Mask(name, cmp, lit) => {
-                let col = cols
-                    .get(name.as_str())
-                    .copied()
-                    .ok_or_else(|| SimError::Unsupported(format!("unbound column `{name}`")))?;
-                Lowered::Owned(backend.dense_mask(col, *cmp, *lit)?)
-            }
-            Expr::Add(a, b) => combine(backend, cols, len, a, b, Op::Add)?,
-            Expr::Sub(a, b) => combine(backend, cols, len, a, b, Op::Sub)?,
-            Expr::Mul(a, b) => combine(backend, cols, len, a, b, Op::Mul)?,
-        })
+    /// The same expression with every column renamed `table.column`
+    /// (how a [`LogicalPlan::Scan`] brings names into scope).
+    fn qualified(&self, table: &str) -> Expr {
+        let q = |e: &Expr| Box::new(e.qualified(table));
+        match self {
+            Expr::Col(name) => Expr::Col(format!("{table}.{name}")),
+            Expr::Lit(v) => Expr::Lit(*v),
+            Expr::Mask(name, cmp, lit) => Expr::Mask(format!("{table}.{name}"), *cmp, *lit),
+            Expr::Add(a, b) => Expr::Add(q(a), q(b)),
+            Expr::Sub(a, b) => Expr::Sub(q(a), q(b)),
+            Expr::Mul(a, b) => Expr::Mul(q(a), q(b)),
+        }
     }
 }
 
@@ -154,102 +146,6 @@ impl fmt::Display for Expr {
     }
 }
 
-#[derive(Debug)]
-enum Lowered {
-    /// Result is the named input column itself (no kernel needed).
-    Borrowed(String),
-    /// Result is a constant (no kernel until forced).
-    Constant(f64),
-    /// A freshly computed device column.
-    Owned(Col),
-}
-
-enum Op {
-    Add,
-    Sub,
-    Mul,
-}
-
-fn combine(
-    backend: &dyn GpuBackend,
-    cols: &BTreeMap<&str, &Col>,
-    len: usize,
-    a: &Expr,
-    b: &Expr,
-    op: Op,
-) -> Result<Lowered> {
-    let la = a.lower(backend, cols, len)?;
-    let lb = b.lower(backend, cols, len)?;
-    // Constant folding and affine shortcuts keep the library call count
-    // down — what a careful rapid-prototyper would write by hand.
-    let result = match (la, lb, op) {
-        (Lowered::Constant(x), Lowered::Constant(y), Op::Add) => Lowered::Constant(x + y),
-        (Lowered::Constant(x), Lowered::Constant(y), Op::Sub) => Lowered::Constant(x - y),
-        (Lowered::Constant(x), Lowered::Constant(y), Op::Mul) => Lowered::Constant(x * y),
-        (lhs, Lowered::Constant(c), Op::Add) => affine(backend, cols, lhs, 1.0, c)?,
-        (Lowered::Constant(c), rhs, Op::Add) => affine(backend, cols, rhs, 1.0, c)?,
-        (lhs, Lowered::Constant(c), Op::Sub) => affine(backend, cols, lhs, 1.0, -c)?,
-        (Lowered::Constant(c), rhs, Op::Sub) => affine(backend, cols, rhs, -1.0, c)?,
-        (lhs, Lowered::Constant(c), Op::Mul) => affine(backend, cols, lhs, c, 0.0)?,
-        (Lowered::Constant(c), rhs, Op::Mul) => affine(backend, cols, rhs, c, 0.0)?,
-        (lhs, rhs, Op::Mul) => {
-            let ca = resolve(cols, &lhs)?;
-            let cb = resolve(cols, &rhs)?;
-            let out = backend.product(ca, cb)?;
-            free_owned(backend, lhs)?;
-            free_owned(backend, rhs)?;
-            Lowered::Owned(out)
-        }
-        (lhs, rhs, Op::Add) | (lhs, rhs, Op::Sub) => {
-            // General column±column has no direct Table-II operator; it is
-            // realised as two affines plus a product-with-ones… in
-            // practice every studied query needs only the affine forms,
-            // so keep the framework honest and reject the exotic case.
-            free_owned(backend, lhs)?;
-            free_owned(backend, rhs)?;
-            return Err(SimError::Unsupported(
-                "column±column addition is not in the Table-II operator set; \
-                 rewrite with literals or products"
-                    .into(),
-            ));
-        }
-    };
-    Ok(result)
-}
-
-fn affine(
-    backend: &dyn GpuBackend,
-    cols: &BTreeMap<&str, &Col>,
-    input: Lowered,
-    mul: f64,
-    add: f64,
-) -> Result<Lowered> {
-    let col = resolve(cols, &input)?;
-    let out = backend.affine(col, mul, add)?;
-    free_owned(backend, input)?;
-    Ok(Lowered::Owned(out))
-}
-
-fn resolve<'a>(cols: &'a BTreeMap<&str, &'a Col>, l: &'a Lowered) -> Result<&'a Col> {
-    match l {
-        Lowered::Borrowed(name) => cols
-            .get(name.as_str())
-            .copied()
-            .ok_or_else(|| SimError::Unsupported(format!("unbound column `{name}`"))),
-        Lowered::Owned(col) => Ok(col),
-        Lowered::Constant(_) => Err(SimError::Unsupported(
-            "constant expression where a column is required".into(),
-        )),
-    }
-}
-
-fn free_owned(backend: &dyn GpuBackend, l: Lowered) -> Result<()> {
-    if let Lowered::Owned(col) = l {
-        backend.free(col)?;
-    }
-    Ok(())
-}
-
 /// A filter predicate over named columns.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Predicate {
@@ -275,79 +171,16 @@ impl Predicate {
         Predicate::ColCmp(a.to_string(), op, b.to_string())
     }
 
-    /// Lower to a row-id column on `backend` using `bindings`.
-    fn lower(&self, b: &Bindings<'_>) -> Result<Col> {
+    /// The same predicate with every column renamed `table.column`.
+    fn qualified(&self, table: &str) -> Predicate {
+        let all = |ps: &[Predicate]| ps.iter().map(|p| p.qualified(table)).collect();
         match self {
-            Predicate::Cmp(col, op, lit) => b.backend.selection(b.col(col)?, *op, *lit),
-            Predicate::ColCmp(x, op, y) => b.backend.selection_cmp_cols(b.col(x)?, b.col(y)?, *op),
-            Predicate::And(parts) | Predicate::Or(parts) => {
-                let conn = if matches!(self, Predicate::And(_)) {
-                    Connective::And
-                } else {
-                    Connective::Or
-                };
-                // Fast path: all parts are simple literal comparisons →
-                // one selection_multi call (what Table II supports).
-                let simple: Option<Vec<(&str, CmpOp, f64)>> = parts
-                    .iter()
-                    .map(|p| match p {
-                        Predicate::Cmp(c, op, lit) => Some((c.as_str(), *op, *lit)),
-                        _ => None,
-                    })
-                    .collect();
-                if let Some(simple) = simple {
-                    let cols: Vec<&Col> = simple
-                        .iter()
-                        .map(|(c, _, _)| b.col(c))
-                        .collect::<Result<_>>()?;
-                    let preds: Vec<Pred<'_>> = simple
-                        .iter()
-                        .zip(&cols)
-                        .map(|((_, op, lit), col)| Pred {
-                            col,
-                            cmp: *op,
-                            lit: *lit,
-                        })
-                        .collect();
-                    return b.backend.selection_multi(&preds, conn);
-                }
-                if conn == Connective::Or {
-                    return Err(SimError::Unsupported(
-                        "OR over non-literal predicates is outside the Table-II set".into(),
-                    ));
-                }
-                // General AND: intersect row-id sets via repeated gather
-                // of a membership mask — realised as successive joins of
-                // sorted id lists. The studied queries only need the
-                // two-way case: ids(A) ∩ ids(B) by hash membership on the
-                // host side is *not* allowed here, so express as a join.
-                let mut iter = parts.iter();
-                let first = iter
-                    .next()
-                    .ok_or_else(|| SimError::Unsupported("empty predicate list".into()))?;
-                let mut acc = first.lower(b)?;
-                for p in iter {
-                    let next = p.lower(b)?;
-                    // Both id lists are sorted ascending and unique; their
-                    // intersection is an equi join of the id values.
-                    let algo = [
-                        crate::ops::JoinAlgo::Hash,
-                        crate::ops::JoinAlgo::Merge,
-                        crate::ops::JoinAlgo::NestedLoops,
-                    ]
-                    .into_iter()
-                    .find(|a| b.backend.support(a.operator()) != crate::ops::Support::None)
-                    .ok_or_else(|| SimError::Unsupported("no join for AND-intersection".into()))?;
-                    let (l, r) = b.backend.join(&acc, &next, algo)?;
-                    let ids = b.backend.gather(&acc, &l)?;
-                    for c in [l, r, next] {
-                        b.backend.free(c)?;
-                    }
-                    b.backend.free(acc)?;
-                    acc = ids;
-                }
-                Ok(acc)
+            Predicate::Cmp(c, op, lit) => Predicate::Cmp(format!("{table}.{c}"), *op, *lit),
+            Predicate::ColCmp(a, op, b) => {
+                Predicate::ColCmp(format!("{table}.{a}"), *op, format!("{table}.{b}"))
             }
+            Predicate::And(ps) => Predicate::And(all(ps)),
+            Predicate::Or(ps) => Predicate::Or(all(ps)),
         }
     }
 
@@ -469,12 +302,6 @@ impl<'a> Bindings<'a> {
         }
     }
 
-    fn col(&self, name: &str) -> Result<&Col> {
-        self.cols
-            .get(name)
-            .ok_or_else(|| SimError::Unsupported(format!("unbound column `{name}`")))
-    }
-
     /// Row count of the bound table.
     pub fn len(&self) -> usize {
         self.len.unwrap_or(0)
@@ -521,6 +348,11 @@ impl QueryResult {
     }
 }
 
+/// Table name an [`AggQuery`]'s [`Bindings`] are scanned as.
+const TABLE: &str = "t";
+/// Query name its plans carry.
+const QUERY: &str = "AggQuery";
+
 /// A declarative filter → project → aggregate query.
 #[derive(Debug, Clone)]
 pub struct AggQuery {
@@ -551,174 +383,77 @@ impl AggQuery {
         self
     }
 
-    /// Human-readable lowering description.
-    pub fn explain(&self, backend: &dyn GpuBackend) -> String {
-        let mut out = format!("AggQuery on {}:\n", backend.name());
-        if let Some(f) = &self.filter {
-            out.push_str(&format!(
-                "  σ  {}   [{}]\n",
-                f.describe(),
-                backend.realization(crate::ops::DbOperator::Selection)
-            ));
+    /// The query as the IR every query is planned from: one
+    /// [`LogicalPlan::Scan`] of the bound columns (named
+    /// `t.<column>`, dtypes from `bindings`), the filter, the aggregate.
+    /// `AVG(e)` is declared as `SUM(e)` plus `COUNT(*)`;
+    /// [`AggQuery::execute`] divides them on the host.
+    pub fn logical_plan(&self, bindings: &Bindings<'_>) -> LogicalPlan {
+        let columns = bindings
+            .cols
+            .iter()
+            .map(|(name, col)| ColumnDecl {
+                name: name.clone(),
+                dtype: col.dtype(),
+            })
+            .collect();
+        let mut plan = LogicalPlan::scan(TABLE, columns);
+        if let Some(pred) = &self.filter {
+            plan = plan.filter(pred.qualified(TABLE));
         }
-        let (agg, expr) = match &self.aggregate {
-            Agg::Sum(e) => ("SUM", Some(e)),
-            Agg::Avg(e) => ("AVG", Some(e)),
-            Agg::Count => ("COUNT", None),
+        let sum = |e: &Expr| ("sum", AggExpr::Sum(e.qualified(TABLE)));
+        let aggs = match &self.aggregate {
+            Agg::Sum(e) => vec![sum(e)],
+            Agg::Count => vec![("count", AggExpr::Count)],
+            Agg::Avg(e) => vec![sum(e), ("count", AggExpr::Count)],
         };
-        if let Some(e) = expr {
-            out.push_str(&format!(
-                "  π  {e}   [{}]\n",
-                backend.realization(crate::ops::DbOperator::Product)
-            ));
-        }
-        match &self.group_by {
-            Some(key) => out.push_str(&format!(
-                "  γ  {agg} BY {key}   [{}]\n",
-                backend.realization(crate::ops::DbOperator::GroupedAggregation)
-            )),
-            None => out.push_str(&format!(
-                "  γ  {agg}   [{}]\n",
-                backend.realization(crate::ops::DbOperator::Reduction)
-            )),
-        }
-        out
+        let key = self.group_by.as_ref().map(|k| format!("{TABLE}.{k}"));
+        plan.aggregate(key.as_deref(), aggs)
     }
 
-    /// Execute against `bindings`.
+    /// `EXPLAIN`: the logical tree, then the step list the planner
+    /// compiled for the bound backend, each step with its realising
+    /// library call. Errors where [`AggQuery::execute`] would fail to
+    /// plan (unbound column, shapes outside the Table-II operator set).
+    pub fn explain(&self, bindings: &Bindings<'_>) -> Result<String> {
+        let logical = self.logical_plan(bindings);
+        let physical = optimizer::plan(QUERY, &logical, bindings.backend)?;
+        Ok(logical.render() + &physical.explain())
+    }
+
+    /// Plan and execute against `bindings`.
     pub fn execute(&self, bindings: &Bindings<'_>) -> Result<QueryResult> {
-        let backend = bindings.backend;
-        // 1. Filter → surviving row ids (None = all rows).
-        let ids = match &self.filter {
-            Some(pred) => Some(pred.lower(bindings)?),
-            None => None,
-        };
-        let survivors = ids.as_ref().map_or(bindings.len(), Col::len);
-        // 2. Materialise the expression's input columns for survivors.
-        let expr = match &self.aggregate {
-            Agg::Sum(e) | Agg::Avg(e) => Some(e.clone()),
-            Agg::Count => None,
-        };
-        let mut gathered: BTreeMap<&str, Col> = BTreeMap::new();
-        let mut names: Vec<String> = Vec::new();
-        if let Some(e) = &expr {
-            for name in e.columns() {
-                names.push(name.to_string());
+        let plan = optimizer::plan(QUERY, &self.logical_plan(bindings), bindings.backend)?;
+        let mut binds = PlanBindings::new();
+        for (name, col) in &bindings.cols {
+            binds.bind(&format!("{TABLE}.{name}"), col);
+        }
+        let out = plan.execute(bindings.backend, &binds)?;
+        let grouped = self.group_by.is_some();
+        // One value per group, or a single one for a scalar aggregate.
+        let values = |name: &str| -> Result<Vec<f64>> {
+            if grouped {
+                out.f64s(name).map(<[f64]>::to_vec)
+            } else {
+                out.scalar(name).map(|v| vec![v])
             }
-        }
-        for name in &names {
-            let src = bindings.col(name)?;
-            let col = match &ids {
-                Some(ids) => backend.gather(src, ids)?,
-                None => backend.gather(src, &all_rows(backend, bindings.len())?)?,
-            };
-            gathered.insert(name.as_str(), col);
-        }
-        // Dense all-rows gathers are wasteful without a filter; shortcut:
-        // re-resolve straight from bindings when unfiltered.
-        // (Kept simple: the gather above is skipped by using bindings
-        // directly when ids is None.)
-        // 3. Evaluate the expression.
-        let refs: BTreeMap<&str, &Col> = if ids.is_some() {
-            gathered.iter().map(|(k, v)| (*k, v)).collect()
-        } else {
-            names
+        };
+        let vals = match &self.aggregate {
+            Agg::Sum(_) => values("sum")?,
+            Agg::Count => values("count")?,
+            // An empty input (or group) averages to 0, not NaN.
+            Agg::Avg(_) => values("sum")?
                 .iter()
-                .map(|n| Ok((n.as_str(), bindings.col(n)?)))
-                .collect::<Result<_>>()?
+                .zip(values("count")?)
+                .map(|(s, n)| if n == 0.0 { 0.0 } else { s / n })
+                .collect(),
         };
-        let value_col: Option<Col> = match &expr {
-            Some(e) => match e.lower(backend, &refs, survivors)? {
-                Lowered::Owned(c) => Some(c),
-                Lowered::Borrowed(name) => {
-                    // Copy-free path: reuse the gathered/bound column via a
-                    // 1·x+0 affine (one map kernel keeps ownership simple).
-                    let src = refs[name.as_str()];
-                    Some(backend.affine(src, 1.0, 0.0)?)
-                }
-                Lowered::Constant(c) => Some(backend.constant_f64(survivors, c)?),
-            },
-            None => None,
-        };
-        // 4. Aggregate.
-        let result = match (&self.group_by, &self.aggregate) {
-            (None, Agg::Sum(_)) => {
-                QueryResult::Scalar(backend.reduction(value_col.as_ref().expect("sum expr"))?)
-            }
-            (None, Agg::Count) => QueryResult::Scalar(survivors as f64),
-            (None, Agg::Avg(_)) => {
-                let total = backend.reduction(value_col.as_ref().expect("avg expr"))?;
-                QueryResult::Scalar(if survivors == 0 {
-                    0.0
-                } else {
-                    total / survivors as f64
-                })
-            }
-            (Some(key), agg) => {
-                let key_src = bindings.col(key)?;
-                let keys = match &ids {
-                    Some(ids) => backend.gather(key_src, ids)?,
-                    None => backend.gather(key_src, &all_rows(backend, bindings.len())?)?,
-                };
-                let vals = match (&value_col, agg) {
-                    (Some(_), _) => None,
-                    (None, Agg::Count) => Some(backend.constant_f64(survivors, 1.0)?),
-                    _ => unreachable!("expr exists for Sum/Avg"),
-                };
-                let vcol = value_col.as_ref().or(vals.as_ref()).expect("value column");
-                let rows = match agg {
-                    Agg::Avg(_) => {
-                        let (gk, sums, counts) = backend.grouped_sum_count(&keys, vcol)?;
-                        let k = backend.download_u32(&gk)?;
-                        let s = backend.download_f64(&sums)?;
-                        let c = backend.download_f64(&counts)?;
-                        for col in [gk, sums, counts] {
-                            backend.free(col)?;
-                        }
-                        k.into_iter()
-                            .zip(s.iter().zip(&c))
-                            .map(|(k, (s, c))| (k, if *c == 0.0 { 0.0 } else { s / c }))
-                            .collect()
-                    }
-                    _ => {
-                        let (gk, gv) = backend.grouped_sum(&keys, vcol)?;
-                        let k = backend.download_u32(&gk)?;
-                        let v = backend.download_f64(&gv)?;
-                        backend.free(gk)?;
-                        backend.free(gv)?;
-                        k.into_iter().zip(v).collect()
-                    }
-                };
-                backend.free(keys)?;
-                if let Some(v) = vals {
-                    backend.free(v)?;
-                }
-                QueryResult::Grouped(rows)
-            }
-        };
-        // 5. Clean up.
-        if let Some(c) = value_col {
-            backend.free(c)?;
-        }
-        for (_, c) in gathered {
-            backend.free(c)?;
-        }
-        if let Some(ids) = ids {
-            backend.free(ids)?;
-        }
-        Ok(result)
+        Ok(if grouped {
+            QueryResult::Grouped(out.u32s("keys")?.iter().copied().zip(vals).collect())
+        } else {
+            QueryResult::Scalar(vals[0])
+        })
     }
-}
-
-/// A `0..n` row-id column (one `sequence`/`iota` kernel).
-fn all_rows(backend: &dyn GpuBackend, n: usize) -> Result<Col> {
-    // Realised with prefix_sum over a ones-like column is wasteful; all
-    // studied backends upload-free construct it via scatter of ids — but
-    // the simplest Table-II expression is selection over an always-true
-    // predicate on any bound column. To stay allocation-light we upload
-    // once; the unfiltered path avoids calling this entirely.
-    let ids: Vec<u32> = (0..n as u32).collect();
-    backend.upload_u32(&ids)
 }
 
 #[cfg(test)]
@@ -861,12 +596,20 @@ mod tests {
         let q = AggQuery::new(Agg::Sum(Expr::col("a") * Expr::col("b")))
             .filter(Predicate::cmp("a", CmpOp::Gt, 0.0))
             .group_by("k");
-        let thrust = q.explain(fw.backend("Thrust").unwrap());
+        let explain = |name: &str| {
+            let mut binding = Bindings::new(fw.backend(name).unwrap());
+            binding.bind_f64("a", &[1.0]).unwrap();
+            binding.bind_f64("b", &[2.0]).unwrap();
+            binding.bind_u32("k", &[0]).unwrap();
+            q.explain(&binding).unwrap()
+        };
+        let thrust = explain("Thrust");
+        assert!(thrust.contains("Aggregate BY t.k [sum = SUM("), "{thrust}");
         assert!(thrust.contains("exclusive_scan"), "{thrust}");
         assert!(thrust.contains("reduce_by_key"), "{thrust}");
-        let hw = q.explain(fw.backend("Handwritten").unwrap());
+        let hw = explain("Handwritten");
         assert!(hw.contains("hash aggregation"), "{hw}");
-        let af = q.explain(fw.backend("ArrayFire").unwrap());
+        let af = explain("ArrayFire");
         assert!(af.contains("where(operator())"), "{af}");
     }
 

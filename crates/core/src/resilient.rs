@@ -154,11 +154,9 @@ impl ResilientBackend {
 /// [`Device::note_retry`](gpu_sim::Device::note_retry)).
 ///
 /// This is the single retry primitive the whole crate shares:
-/// [`ResilientBackend`] routes every operator call through it, and the
-/// physical-plan executor
-/// ([`PhysicalPlan::execute_with_policy`](crate::physical::PhysicalPlan::execute_with_policy))
-/// uses it when a caller hands the planner a [`RetryPolicy`] without
-/// wrapping the backend.
+/// [`ResilientBackend`] routes every operator call through it, and
+/// [`ResilientPlanExecutor`](crate::resilient_plan::ResilientPlanExecutor)
+/// stages partition windows under it.
 pub fn retry_with_policy<T>(
     device: &Device,
     policy: &RetryPolicy,

@@ -1030,7 +1030,7 @@ impl ResilientPlanExecutor {
                 }
                 let r = device
                     .inject_plan_step_fault(&label)
-                    .and_then(|()| plan.exec_step(lane.backend, lane.binds, None, &mut store, ix));
+                    .and_then(|()| plan.exec_step(lane.backend, lane.binds, &mut store, ix));
                 match r {
                     Ok(()) => {
                         match &plan.steps()[ix] {

@@ -1,13 +1,18 @@
 //! The studied TPC-H queries, expressed as logical plans.
 //!
-//! Each query module provides four things:
+//! A query is declared exactly once, as the
+//! [`proto_core::logical::LogicalPlan`] its `logical_plan()` builds —
+//! the IR every query in this repository is planned from (the
+//! single-table [`proto_core::plan::AggQuery`] front-end compiles to the
+//! same IR). Each query module provides:
 //!
 //! 1. a **reference** host implementation (ground truth for tests),
-//! 2. a **`logical_plan`** builder declaring the query as a
-//!    [`proto_core::logical::LogicalPlan`] tree — what the query *is*,
-//!    with no backend calls in sight,
-//! 3. an **upload** step building the device-resident working set
-//!    (columns a warmed system would already hold — the paper measures
+//! 2. the **`logical_plan`** builder — what the query *is*, with no
+//!    backend calls in sight,
+//! 3. a **`QnData`** working set derived from that tree: it uploads,
+//!    binds and frees exactly the base columns the plan's scans
+//!    declare, looked up by qualified name through [`crate::Database::column`] (columns a
+//!    warmed system would already hold — the paper measures
 //!    operator/query execution, not cold PCIe transfers),
 //! 4. an **execute** step that compiles the logical plan through
 //!    [`proto_core::optimizer::plan`] and interprets the resulting
@@ -15,7 +20,7 @@
 //!    [`proto_core::backend::GpuBackend`] calls only, so the same plan
 //!    runs on every library and the handwritten baseline.
 //!
-//! The pre-planner hand-rolled lowerings survive verbatim as
+//! The pre-planner hand-rolled lowerings survive as
 //! `#[cfg(test)] mod oracle` in each module; every query carries a
 //! trace-equality test proving the planned execution issues the exact
 //! same backend call sequence.
@@ -26,6 +31,7 @@ pub mod q3;
 pub mod q4;
 pub mod q5;
 pub mod q6;
+mod working_set;
 
 use proto_core::backend::GpuBackend;
 use proto_core::ops::JoinAlgo;

@@ -23,15 +23,16 @@
 //! feeds it to both the `sum_disc_price` and `sum_charge` reductions.
 
 use crate::dates::date;
+use crate::queries::working_set::{lineitem_partition_source, WorkingSet};
 use crate::schema::{Database, LINESTATUSES, RETURNFLAGS};
 use gpu_sim::Result;
-use proto_core::backend::{Col, GpuBackend};
+use proto_core::backend::GpuBackend;
 use proto_core::logical::{AggExpr, ColumnDecl, LogicalPlan, ResultOrder};
 use proto_core::ops::CmpOp;
 use proto_core::optimizer;
 use proto_core::physical::{PhysicalPlan, PlanBindings, PlanOutput};
 use proto_core::plan::{Expr, Predicate};
-use proto_core::resilient_plan::{PartitionSource, PlanLane, ResilientPlanExecutor};
+use proto_core::resilient_plan::{PartitionSource, ResilientPlanExecutor};
 
 /// One Q1 result row.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,7 +70,7 @@ impl Q1Row {
 }
 
 /// Group key encoding: `returnflag · 2 + linestatus` (6 live groups).
-fn group_key(rf: u32, ls: u32) -> u32 {
+pub(crate) fn group_key(rf: u32, ls: u32) -> u32 {
     rf * 2 + ls
 }
 
@@ -118,48 +119,20 @@ pub fn physical_plan(backend: &dyn GpuBackend) -> Result<PhysicalPlan> {
     optimizer::plan("Q1", &logical_plan(), backend)
 }
 
-/// Device-resident Q1 working set.
+/// Device-resident Q1 working set: the `lineitem` columns
+/// [`logical_plan`] scans.
 #[derive(Debug)]
 pub struct Q1Data {
-    shipdate: Col,
-    groupkey: Col,
-    quantity: Col,
-    extendedprice: Col,
-    discount: Col,
-    tax: Col,
+    pub(crate) cols: WorkingSet,
 }
 
 impl Q1Data {
     /// Upload the touched columns. The composite group key is encoded at
-    /// load time (a dictionary/encoding decision, made once per table).
+    /// load time (a dictionary/encoding decision, made once per table —
+    /// see [`Database::column`]).
     pub fn upload(backend: &dyn GpuBackend, db: &Database) -> Result<Self> {
-        let li = &db.lineitem;
-        let keys: Vec<u32> = li
-            .returnflag
-            .iter()
-            .zip(&li.linestatus)
-            .map(|(&rf, &ls)| group_key(rf, ls))
-            .collect();
-        Ok(Q1Data {
-            shipdate: backend.upload_u32(&li.shipdate)?,
-            groupkey: backend.upload_u32(&keys)?,
-            quantity: backend.upload_f64(&li.quantity)?,
-            extendedprice: backend.upload_f64(&li.extendedprice)?,
-            discount: backend.upload_f64(&li.discount)?,
-            tax: backend.upload_f64(&li.tax)?,
-        })
-    }
-
-    fn bindings(&self) -> PlanBindings<'_> {
-        let mut binds = PlanBindings::new();
-        binds
-            .bind("lineitem.shipdate", &self.shipdate)
-            .bind("lineitem.groupkey", &self.groupkey)
-            .bind("lineitem.quantity", &self.quantity)
-            .bind("lineitem.extendedprice", &self.extendedprice)
-            .bind("lineitem.discount", &self.discount)
-            .bind("lineitem.tax", &self.tax);
-        binds
+        let cols = WorkingSet::upload(backend, db, &logical_plan().scan_columns())?;
+        Ok(Q1Data { cols })
     }
 
     /// Execute Q1 through the planner, returning rows ordered by
@@ -176,7 +149,7 @@ impl Q1Data {
         exec: &ResilientPlanExecutor,
     ) -> Result<Vec<Q1Row>> {
         let plan = physical_plan(backend)?;
-        let out = exec.execute(backend, &plan, &self.bindings())?;
+        let out = exec.execute(backend, &plan, &self.cols.bindings())?;
         Self::rows(&out)
     }
 
@@ -190,23 +163,8 @@ impl Q1Data {
         spare: (&Q1Data, &dyn GpuBackend),
         exec: &ResilientPlanExecutor,
     ) -> Result<Vec<Q1Row>> {
-        let plan_a = physical_plan(backend)?;
-        let plan_b = physical_plan(spare.1)?;
-        let binds_a = self.bindings();
-        let binds_b = spare.0.bindings();
-        let lanes = [
-            PlanLane {
-                backend,
-                plan: &plan_a,
-                binds: &binds_a,
-            },
-            PlanLane {
-                backend: spare.1,
-                plan: &plan_b,
-                binds: &binds_b,
-            },
-        ];
-        let out = exec.execute_lanes(&lanes, None)?;
+        let lanes = [(&self.cols, backend), (&spare.0.cols, spare.1)];
+        let out = WorkingSet::execute_with_fallback(lanes, physical_plan, exec)?;
         Self::rows(&out)
     }
 
@@ -221,7 +179,7 @@ impl Q1Data {
     ) -> Result<Vec<Q1Row>> {
         let plan = physical_plan(backend)?;
         let src = Self::partition_source(db);
-        let out = exec.execute_partitionable(backend, &plan, &self.bindings(), &src)?;
+        let out = exec.execute_partitionable(backend, &plan, &self.cols.bindings(), &src)?;
         Self::rows(&out)
     }
 
@@ -249,21 +207,7 @@ impl Q1Data {
     /// partitioned over. The composite group key is re-encoded here,
     /// matching [`Q1Data::upload`].
     pub fn partition_source(db: &Database) -> PartitionSource<'_> {
-        let li = &db.lineitem;
-        let keys: Vec<u32> = li
-            .returnflag
-            .iter()
-            .zip(&li.linestatus)
-            .map(|(&rf, &ls)| group_key(rf, ls))
-            .collect();
-        let mut src = PartitionSource::new();
-        src.bind_u32("lineitem.shipdate", li.shipdate.as_slice())
-            .bind_u32("lineitem.groupkey", keys)
-            .bind_f64("lineitem.quantity", li.quantity.as_slice())
-            .bind_f64("lineitem.extendedprice", li.extendedprice.as_slice())
-            .bind_f64("lineitem.discount", li.discount.as_slice())
-            .bind_f64("lineitem.tax", li.tax.as_slice());
-        src
+        lineitem_partition_source(db, &logical_plan())
     }
 
     fn rows(out: &PlanOutput) -> Result<Vec<Q1Row>> {
@@ -297,17 +241,7 @@ impl Q1Data {
 
     /// Free the working set.
     pub fn free(self, backend: &dyn GpuBackend) -> Result<()> {
-        for c in [
-            self.shipdate,
-            self.groupkey,
-            self.quantity,
-            self.extendedprice,
-            self.discount,
-            self.tax,
-        ] {
-            backend.free(c)?;
-        }
-        Ok(())
+        self.cols.free(backend)
     }
 }
 
@@ -354,14 +288,15 @@ mod oracle {
     use super::*;
 
     pub fn execute(data: &Q1Data, backend: &dyn GpuBackend) -> Result<Vec<Q1Row>> {
+        let col = |name: &str| data.cols.col(name);
         let cutoff = (date(1998, 12, 1) - 90) as f64;
         // Selection + materialisation of the surviving rows.
-        let ids = backend.selection(&data.shipdate, CmpOp::Le, cutoff)?;
-        let keys = backend.gather(&data.groupkey, &ids)?;
-        let qty = backend.gather(&data.quantity, &ids)?;
-        let ext = backend.gather(&data.extendedprice, &ids)?;
-        let disc = backend.gather(&data.discount, &ids)?;
-        let tax = backend.gather(&data.tax, &ids)?;
+        let ids = backend.selection(col("lineitem.shipdate"), CmpOp::Le, cutoff)?;
+        let keys = backend.gather(col("lineitem.groupkey"), &ids)?;
+        let qty = backend.gather(col("lineitem.quantity"), &ids)?;
+        let ext = backend.gather(col("lineitem.extendedprice"), &ids)?;
+        let disc = backend.gather(col("lineitem.discount"), &ids)?;
+        let tax = backend.gather(col("lineitem.tax"), &ids)?;
         // Projections.
         let one_minus_disc = backend.affine(&disc, -1.0, 1.0)?;
         let disc_price = backend.product(&ext, &one_minus_disc)?;

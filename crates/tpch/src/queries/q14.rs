@@ -22,13 +22,14 @@
 //! aggregate's private intermediates as soon as its reduction lands.
 
 use crate::dates::date;
+use crate::queries::working_set::{lineitem_partition_source, WorkingSet};
 use crate::schema::Database;
 use gpu_sim::Result;
-use proto_core::backend::{Col, GpuBackend};
+use proto_core::backend::GpuBackend;
 use proto_core::logical::{AggExpr, ColumnDecl, JoinCol, LogicalPlan};
 use proto_core::ops::CmpOp;
 use proto_core::optimizer;
-use proto_core::physical::{PhysicalPlan, PlanBindings, PlanOutput};
+use proto_core::physical::{PhysicalPlan, PlanOutput};
 use proto_core::plan::{Expr, Predicate};
 use proto_core::resilient_plan::{PartitionSource, ResilientPlanExecutor};
 
@@ -86,40 +87,22 @@ pub fn physical_plan(backend: &dyn GpuBackend) -> Result<PhysicalPlan> {
     optimizer::plan("Q14", &logical_plan(), backend)
 }
 
-/// Device-resident Q14 working set.
+/// Device-resident Q14 working set: the `lineitem` and `part` columns
+/// [`logical_plan`] scans.
 #[derive(Debug)]
 pub struct Q14Data {
-    l_shipdate: Col,
-    l_partkey: Col,
-    l_extendedprice: Col,
-    l_discount: Col,
-    p_partkey: Col,
-    p_size: Col,
+    pub(crate) cols: WorkingSet,
 }
 
 impl Q14Data {
-    /// Upload the touched columns.
+    /// Upload the touched columns: the `lineitem` fact columns first,
+    /// then the `part` dimension (the plan lowers the build side first;
+    /// the load order predates it and allocation order is observable).
     pub fn upload(backend: &dyn GpuBackend, db: &Database) -> Result<Self> {
-        Ok(Q14Data {
-            l_shipdate: backend.upload_u32(&db.lineitem.shipdate)?,
-            l_partkey: backend.upload_u32(&db.lineitem.partkey)?,
-            l_extendedprice: backend.upload_f64(&db.lineitem.extendedprice)?,
-            l_discount: backend.upload_f64(&db.lineitem.discount)?,
-            p_partkey: backend.upload_u32(&db.part.partkey)?,
-            p_size: backend.upload_u32(&db.part.size)?,
-        })
-    }
-
-    fn bindings(&self) -> PlanBindings<'_> {
-        let mut binds = PlanBindings::new();
-        binds
-            .bind("lineitem.shipdate", &self.l_shipdate)
-            .bind("lineitem.partkey", &self.l_partkey)
-            .bind("lineitem.extendedprice", &self.l_extendedprice)
-            .bind("lineitem.discount", &self.l_discount)
-            .bind("part.partkey", &self.p_partkey)
-            .bind("part.size", &self.p_size);
-        binds
+        let mut columns = logical_plan().scan_columns();
+        columns.sort_by_key(|(name, _)| !name.starts_with("lineitem."));
+        let cols = WorkingSet::upload(backend, db, &columns)?;
+        Ok(Q14Data { cols })
     }
 
     /// Execute Q14 through the planner, returning the promo-revenue
@@ -136,7 +119,7 @@ impl Q14Data {
         exec: &ResilientPlanExecutor,
     ) -> Result<f64> {
         let plan = physical_plan(backend)?;
-        let out = exec.execute(backend, &plan, &self.bindings())?;
+        let out = exec.execute(backend, &plan, &self.cols.bindings())?;
         Self::ratio(&out)
     }
 
@@ -151,7 +134,7 @@ impl Q14Data {
     ) -> Result<f64> {
         let plan = physical_plan(backend)?;
         let src = Self::partition_source(db);
-        let out = exec.execute_partitionable(backend, &plan, &self.bindings(), &src)?;
+        let out = exec.execute_partitionable(backend, &plan, &self.cols.bindings(), &src)?;
         Self::ratio(&out)
     }
 
@@ -159,13 +142,7 @@ impl Q14Data {
     /// partitioned over. Only the probe side: partitioning `part` would
     /// change per-partition join results.
     pub fn partition_source(db: &Database) -> PartitionSource<'_> {
-        let li = &db.lineitem;
-        let mut src = PartitionSource::new();
-        src.bind_u32("lineitem.shipdate", li.shipdate.as_slice())
-            .bind_u32("lineitem.partkey", li.partkey.as_slice())
-            .bind_f64("lineitem.extendedprice", li.extendedprice.as_slice())
-            .bind_f64("lineitem.discount", li.discount.as_slice());
-        src
+        lineitem_partition_source(db, &logical_plan())
     }
 
     fn ratio(out: &PlanOutput) -> Result<f64> {
@@ -179,17 +156,7 @@ impl Q14Data {
 
     /// Free the working set.
     pub fn free(self, backend: &dyn GpuBackend) -> Result<()> {
-        for c in [
-            self.l_shipdate,
-            self.l_partkey,
-            self.l_extendedprice,
-            self.l_discount,
-            self.p_partkey,
-            self.p_size,
-        ] {
-            backend.free(c)?;
-        }
-        Ok(())
+        self.cols.free(backend)
     }
 }
 
@@ -227,6 +194,7 @@ mod oracle {
     use proto_core::ops::Connective;
 
     pub fn execute(data: &Q14Data, backend: &dyn GpuBackend) -> Result<f64> {
+        let col = |name: &str| data.cols.col(name);
         let Some(join_algo) = crate::queries::best_join(backend) else {
             return Err(SimError::Unsupported(format!(
                 "{} supports no join algorithm (Table II)",
@@ -236,23 +204,23 @@ mod oracle {
         // σ(lineitem): the September 1995 window.
         let preds = [
             Pred {
-                col: &data.l_shipdate,
+                col: col("lineitem.shipdate"),
                 cmp: CmpOp::Ge,
                 lit: date(1995, 9, 1) as f64,
             },
             Pred {
-                col: &data.l_shipdate,
+                col: col("lineitem.shipdate"),
                 cmp: CmpOp::Lt,
                 lit: date(1995, 10, 1) as f64,
             },
         ];
         let l_ids = backend.selection_multi(&preds, Connective::And)?;
-        let l_pk = backend.gather(&data.l_partkey, &l_ids)?;
-        let l_ext = backend.gather(&data.l_extendedprice, &l_ids)?;
-        let l_disc = backend.gather(&data.l_discount, &l_ids)?;
+        let l_pk = backend.gather(col("lineitem.partkey"), &l_ids)?;
+        let l_ext = backend.gather(col("lineitem.extendedprice"), &l_ids)?;
+        let l_disc = backend.gather(col("lineitem.discount"), &l_ids)?;
 
         // lineitem ⋈ part on partkey (PK side: every probe matches once).
-        let (jl, jr) = backend.join(&l_pk, &data.p_partkey, join_algo)?;
+        let (jl, jr) = backend.join(&l_pk, col("part.partkey"), join_algo)?;
 
         // Revenue per matched line.
         let m_ext = backend.gather(&l_ext, &jl)?;
@@ -262,7 +230,7 @@ mod oracle {
         // CASE WHEN p_promo: a 0/1 mask from the part's size, applied as
         // a product — the library rendering of a conditional aggregate.
         // `dense_mask` is one transform/fused kernel on every backend.
-        let indicator = backend.dense_mask(&data.p_size, CmpOp::Le, PROMO_SIZE_MAX as f64)?;
+        let indicator = backend.dense_mask(col("part.size"), CmpOp::Le, PROMO_SIZE_MAX as f64)?;
         let m_promo = backend.gather(&indicator, &jr)?;
         let masked = backend.product(&revenue, &m_promo)?;
         let promo_rev = backend.reduction(&masked)?;

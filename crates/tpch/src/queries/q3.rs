@@ -23,13 +23,14 @@
 //! query at all.
 
 use crate::dates::date;
+use crate::queries::working_set::WorkingSet;
 use crate::schema::{segment_code, Database};
 use gpu_sim::Result;
-use proto_core::backend::{Col, GpuBackend};
+use proto_core::backend::GpuBackend;
 use proto_core::logical::{AggExpr, ColumnDecl, JoinCol, LogicalPlan};
 use proto_core::ops::CmpOp;
 use proto_core::optimizer;
-use proto_core::physical::{PhysicalPlan, PlanBindings};
+use proto_core::physical::PhysicalPlan;
 use proto_core::plan::{Expr, Predicate};
 use proto_core::resilient_plan::ResilientPlanExecutor;
 
@@ -118,52 +119,18 @@ pub fn physical_plan(backend: &dyn GpuBackend) -> Result<PhysicalPlan> {
     optimizer::plan("Q3", &logical_plan(), backend)
 }
 
-/// Device-resident Q3 working set.
+/// Device-resident Q3 working set: the `customer`, `orders` and
+/// `lineitem` columns [`logical_plan`] scans.
 #[derive(Debug)]
 pub struct Q3Data {
-    // customer
-    c_mktsegment: Col,
-    c_custkey: Col,
-    // orders
-    o_orderdate: Col,
-    o_custkey: Col,
-    o_orderkey: Col,
-    // lineitem
-    l_shipdate: Col,
-    l_orderkey: Col,
-    l_extendedprice: Col,
-    l_discount: Col,
+    pub(crate) cols: WorkingSet,
 }
 
 impl Q3Data {
     /// Upload the touched columns of all three tables.
     pub fn upload(backend: &dyn GpuBackend, db: &Database) -> Result<Self> {
-        Ok(Q3Data {
-            c_mktsegment: backend.upload_u32(&db.customer.mktsegment)?,
-            c_custkey: backend.upload_u32(&db.customer.custkey)?,
-            o_orderdate: backend.upload_u32(&db.orders.orderdate)?,
-            o_custkey: backend.upload_u32(&db.orders.custkey)?,
-            o_orderkey: backend.upload_u32(&db.orders.orderkey)?,
-            l_shipdate: backend.upload_u32(&db.lineitem.shipdate)?,
-            l_orderkey: backend.upload_u32(&db.lineitem.orderkey)?,
-            l_extendedprice: backend.upload_f64(&db.lineitem.extendedprice)?,
-            l_discount: backend.upload_f64(&db.lineitem.discount)?,
-        })
-    }
-
-    fn bindings(&self) -> PlanBindings<'_> {
-        let mut binds = PlanBindings::new();
-        binds
-            .bind("customer.mktsegment", &self.c_mktsegment)
-            .bind("customer.custkey", &self.c_custkey)
-            .bind("orders.orderdate", &self.o_orderdate)
-            .bind("orders.custkey", &self.o_custkey)
-            .bind("orders.orderkey", &self.o_orderkey)
-            .bind("lineitem.shipdate", &self.l_shipdate)
-            .bind("lineitem.orderkey", &self.l_orderkey)
-            .bind("lineitem.extendedprice", &self.l_extendedprice)
-            .bind("lineitem.discount", &self.l_discount);
-        binds
+        let cols = WorkingSet::upload(backend, db, &logical_plan().scan_columns())?;
+        Ok(Q3Data { cols })
     }
 
     /// Execute Q3 through the planner. Returns the top-10 rows by
@@ -182,7 +149,7 @@ impl Q3Data {
         exec: &ResilientPlanExecutor,
     ) -> Result<Vec<Q3Row>> {
         let plan = physical_plan(backend)?;
-        let out = exec.execute(backend, &plan, &self.bindings())?;
+        let out = exec.execute(backend, &plan, &self.cols.bindings())?;
         let keys = out.u32s("keys")?;
         let revs = out.f64s("revenue")?;
 
@@ -201,10 +168,10 @@ impl Q3Data {
                 }
             })
             .collect();
+        // `total_cmp`: a `.tbl` import can carry a NaN price.
         rows.sort_by(|a, b| {
             b.revenue
-                .partial_cmp(&a.revenue)
-                .expect("finite revenue")
+                .total_cmp(&a.revenue)
                 .then(a.orderdate.cmp(&b.orderdate))
                 .then(a.orderkey.cmp(&b.orderkey))
         });
@@ -214,20 +181,7 @@ impl Q3Data {
 
     /// Free the working set.
     pub fn free(self, backend: &dyn GpuBackend) -> Result<()> {
-        for c in [
-            self.c_mktsegment,
-            self.c_custkey,
-            self.o_orderdate,
-            self.o_custkey,
-            self.o_orderkey,
-            self.l_shipdate,
-            self.l_orderkey,
-            self.l_extendedprice,
-            self.l_discount,
-        ] {
-            backend.free(c)?;
-        }
-        Ok(())
+        self.cols.free(backend)
     }
 }
 
@@ -270,8 +224,7 @@ pub fn reference(db: &Database) -> Vec<Q3Row> {
         .collect();
     rows.sort_by(|a, b| {
         b.revenue
-            .partial_cmp(&a.revenue)
-            .expect("finite revenue")
+            .total_cmp(&a.revenue)
             .then(a.orderdate.cmp(&b.orderdate))
             .then(a.orderkey.cmp(&b.orderkey))
     });
@@ -288,6 +241,7 @@ mod oracle {
     use gpu_sim::SimError;
 
     pub fn execute(data: &Q3Data, backend: &dyn GpuBackend, db: &Database) -> Result<Vec<Q3Row>> {
+        let col = |name: &str| data.cols.col(name);
         let Some(join_algo) = crate::queries::best_join(backend) else {
             return Err(SimError::Unsupported(format!(
                 "{} supports no join algorithm (Table II)",
@@ -298,23 +252,23 @@ mod oracle {
         let building = segment_code("BUILDING").expect("dictionary") as f64;
 
         // σ(customer): BUILDING customers' keys.
-        let c_ids = backend.selection(&data.c_mktsegment, CmpOp::Eq, building)?;
-        let cust_keys = backend.gather(&data.c_custkey, &c_ids)?;
+        let c_ids = backend.selection(col("customer.mktsegment"), CmpOp::Eq, building)?;
+        let cust_keys = backend.gather(col("customer.custkey"), &c_ids)?;
 
         // σ(orders): orders before the cut, project (custkey, orderkey).
-        let o_ids = backend.selection(&data.o_orderdate, CmpOp::Lt, cut)?;
-        let o_cust = backend.gather(&data.o_custkey, &o_ids)?;
-        let o_key = backend.gather(&data.o_orderkey, &o_ids)?;
+        let o_ids = backend.selection(col("orders.orderdate"), CmpOp::Lt, cut)?;
+        let o_cust = backend.gather(col("orders.custkey"), &o_ids)?;
+        let o_key = backend.gather(col("orders.orderkey"), &o_ids)?;
 
         // orders ⋈ customer on custkey (FK → at most one match).
         let (oc_l, oc_r) = backend.join(&o_cust, &cust_keys, join_algo)?;
         let sel_order_keys = backend.gather(&o_key, &oc_l)?;
 
         // σ(lineitem): shipped after the cut.
-        let l_ids = backend.selection(&data.l_shipdate, CmpOp::Gt, cut)?;
-        let l_ok = backend.gather(&data.l_orderkey, &l_ids)?;
-        let l_ext = backend.gather(&data.l_extendedprice, &l_ids)?;
-        let l_disc = backend.gather(&data.l_discount, &l_ids)?;
+        let l_ids = backend.selection(col("lineitem.shipdate"), CmpOp::Gt, cut)?;
+        let l_ok = backend.gather(col("lineitem.orderkey"), &l_ids)?;
+        let l_ext = backend.gather(col("lineitem.extendedprice"), &l_ids)?;
+        let l_disc = backend.gather(col("lineitem.discount"), &l_ids)?;
 
         // lineitem ⋈ orders on orderkey.
         let (ll, _lr) = backend.join(&l_ok, &sel_order_keys, join_algo)?;
@@ -444,6 +398,31 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_nan_price_orders_first_instead_of_panicking() {
+        let mut db = generate(0.002);
+        // Poison one line of the reference's top order (what
+        // `tbl::import` produces for an `extendedprice` of "NaN").
+        let top = reference(&db)[0].orderkey;
+        let cut = date(1995, 3, 15);
+        let li = &mut db.lineitem;
+        let line = (0..li.len())
+            .find(|&i| li.orderkey[i] == top && li.shipdate[i] > cut)
+            .expect("the top order has a qualifying line");
+        li.extendedprice[line] = "NaN".parse().unwrap();
+        let expect = reference(&db);
+        assert_eq!(expect[0].orderkey, top);
+        assert!(expect[0].revenue.is_nan());
+        let fw = Framework::with_all_backends(&DeviceSpec::gtx1080());
+        let b = fw.backend("Handwritten").unwrap();
+        let data = Q3Data::upload(b, &db).unwrap();
+        let rows = data.execute(b, &db).unwrap();
+        data.free(b).unwrap();
+        assert!(rows[0].revenue.is_nan());
+        let keys = |rows: &[Q3Row]| rows.iter().map(|r| r.orderkey).collect::<Vec<_>>();
+        assert_eq!(keys(&rows), keys(&expect));
     }
 
     #[test]

@@ -18,13 +18,14 @@
 //! join → distinct-by-grouping → regroup by priority.
 
 use crate::dates::date;
+use crate::queries::working_set::WorkingSet;
 use crate::schema::{Database, PRIORITIES};
 use gpu_sim::Result;
-use proto_core::backend::{Col, GpuBackend};
+use proto_core::backend::GpuBackend;
 use proto_core::logical::{AggExpr, ColumnDecl, JoinCol, LogicalPlan};
 use proto_core::ops::CmpOp;
 use proto_core::optimizer;
-use proto_core::physical::{PhysicalPlan, PlanBindings};
+use proto_core::physical::PhysicalPlan;
 use proto_core::plan::Predicate;
 use proto_core::resilient_plan::ResilientPlanExecutor;
 
@@ -89,40 +90,18 @@ pub fn physical_plan(backend: &dyn GpuBackend) -> Result<PhysicalPlan> {
     optimizer::plan("Q4", &logical_plan(), backend)
 }
 
-/// Device-resident Q4 working set.
+/// Device-resident Q4 working set: the `orders` and `lineitem` columns
+/// [`logical_plan`] scans.
 #[derive(Debug)]
 pub struct Q4Data {
-    o_orderdate: Col,
-    o_orderkey: Col,
-    o_priority: Col,
-    l_orderkey: Col,
-    l_commitdate: Col,
-    l_receiptdate: Col,
+    pub(crate) cols: WorkingSet,
 }
 
 impl Q4Data {
     /// Upload the touched columns.
     pub fn upload(backend: &dyn GpuBackend, db: &Database) -> Result<Self> {
-        Ok(Q4Data {
-            o_orderdate: backend.upload_u32(&db.orders.orderdate)?,
-            o_orderkey: backend.upload_u32(&db.orders.orderkey)?,
-            o_priority: backend.upload_u32(&db.orders.orderpriority)?,
-            l_orderkey: backend.upload_u32(&db.lineitem.orderkey)?,
-            l_commitdate: backend.upload_u32(&db.lineitem.commitdate)?,
-            l_receiptdate: backend.upload_u32(&db.lineitem.receiptdate)?,
-        })
-    }
-
-    fn bindings(&self) -> PlanBindings<'_> {
-        let mut binds = PlanBindings::new();
-        binds
-            .bind("orders.orderdate", &self.o_orderdate)
-            .bind("orders.orderkey", &self.o_orderkey)
-            .bind("orders.orderpriority", &self.o_priority)
-            .bind("lineitem.orderkey", &self.l_orderkey)
-            .bind("lineitem.commitdate", &self.l_commitdate)
-            .bind("lineitem.receiptdate", &self.l_receiptdate);
-        binds
+        let cols = WorkingSet::upload(backend, db, &logical_plan().scan_columns())?;
+        Ok(Q4Data { cols })
     }
 
     /// Execute Q4 through the planner, returning counts per priority
@@ -139,7 +118,7 @@ impl Q4Data {
         exec: &ResilientPlanExecutor,
     ) -> Result<Vec<Q4Row>> {
         let plan = physical_plan(backend)?;
-        let out = exec.execute(backend, &plan, &self.bindings())?;
+        let out = exec.execute(backend, &plan, &self.cols.bindings())?;
         let codes = out.u32s("keys")?;
         let counts = out.f64s("order_count")?;
         Ok(codes
@@ -154,17 +133,7 @@ impl Q4Data {
 
     /// Free the working set.
     pub fn free(self, backend: &dyn GpuBackend) -> Result<()> {
-        for c in [
-            self.o_orderdate,
-            self.o_orderkey,
-            self.o_priority,
-            self.l_orderkey,
-            self.l_commitdate,
-            self.l_receiptdate,
-        ] {
-            backend.free(c)?;
-        }
-        Ok(())
+        self.cols.free(backend)
     }
 }
 
@@ -203,6 +172,7 @@ mod oracle {
     use proto_core::ops::Connective;
 
     pub fn execute(data: &Q4Data, backend: &dyn GpuBackend) -> Result<Vec<Q4Row>> {
+        let col = |name: &str| data.cols.col(name);
         let Some(join_algo) = crate::queries::best_join(backend) else {
             return Err(SimError::Unsupported(format!(
                 "{} supports no join algorithm (Table II)",
@@ -212,24 +182,27 @@ mod oracle {
         // σ(orders): the Q3/1993 window.
         let preds = [
             Pred {
-                col: &data.o_orderdate,
+                col: col("orders.orderdate"),
                 cmp: CmpOp::Ge,
                 lit: date(1993, 7, 1) as f64,
             },
             Pred {
-                col: &data.o_orderdate,
+                col: col("orders.orderdate"),
                 cmp: CmpOp::Lt,
                 lit: date(1993, 10, 1) as f64,
             },
         ];
         let o_ids = backend.selection_multi(&preds, Connective::And)?;
-        let o_keys = backend.gather(&data.o_orderkey, &o_ids)?;
-        let o_prio = backend.gather(&data.o_priority, &o_ids)?;
+        let o_keys = backend.gather(col("orders.orderkey"), &o_ids)?;
+        let o_prio = backend.gather(col("orders.orderpriority"), &o_ids)?;
 
         // σ(lineitem): late lines (column-vs-column predicate).
-        let l_ids =
-            backend.selection_cmp_cols(&data.l_commitdate, &data.l_receiptdate, CmpOp::Lt)?;
-        let l_keys = backend.gather(&data.l_orderkey, &l_ids)?;
+        let l_ids = backend.selection_cmp_cols(
+            col("lineitem.commitdate"),
+            col("lineitem.receiptdate"),
+            CmpOp::Lt,
+        )?;
+        let l_keys = backend.gather(col("lineitem.orderkey"), &l_ids)?;
 
         // Semi join: lines ⋈ orders, then collapse to distinct orders.
         let (_jl, jr) = backend.join(&l_keys, &o_keys, join_algo)?;

@@ -24,13 +24,14 @@
 //! customer join; the planner's structural dedup lowers it once.
 
 use crate::dates::date;
+use crate::queries::working_set::WorkingSet;
 use crate::schema::{Database, NATIONS, REGIONS};
 use gpu_sim::Result;
-use proto_core::backend::{Col, GpuBackend};
+use proto_core::backend::GpuBackend;
 use proto_core::logical::{AggExpr, ColumnDecl, JoinCol, LogicalPlan, ResultOrder};
 use proto_core::ops::CmpOp;
 use proto_core::optimizer;
-use proto_core::physical::{PhysicalPlan, PlanBindings};
+use proto_core::physical::PhysicalPlan;
 use proto_core::plan::{Expr, Predicate};
 use proto_core::resilient_plan::ResilientPlanExecutor;
 
@@ -178,66 +179,18 @@ pub fn physical_plan(backend: &dyn GpuBackend) -> Result<PhysicalPlan> {
     optimizer::plan("Q5", &logical_plan(), backend)
 }
 
-/// Device-resident Q5 working set.
+/// Device-resident Q5 working set: the columns of all five tables
+/// [`logical_plan`] scans (`region` is folded into the nation filter).
 #[derive(Debug)]
 pub struct Q5Data {
-    // nation / region are joined via the nation table's region column.
-    n_nationkey: Col,
-    n_regionkey: Col,
-    // supplier
-    s_suppkey: Col,
-    s_nationkey: Col,
-    // customer
-    c_custkey: Col,
-    c_nationkey: Col,
-    // orders
-    o_orderdate: Col,
-    o_custkey: Col,
-    o_orderkey: Col,
-    // lineitem
-    l_orderkey: Col,
-    l_suppkey: Col,
-    l_extendedprice: Col,
-    l_discount: Col,
+    pub(crate) cols: WorkingSet,
 }
 
 impl Q5Data {
-    /// Upload the touched columns of all six tables.
+    /// Upload the touched columns of all five tables.
     pub fn upload(backend: &dyn GpuBackend, db: &Database) -> Result<Self> {
-        Ok(Q5Data {
-            n_nationkey: backend.upload_u32(&db.nation.nationkey)?,
-            n_regionkey: backend.upload_u32(&db.nation.regionkey)?,
-            s_suppkey: backend.upload_u32(&db.supplier.suppkey)?,
-            s_nationkey: backend.upload_u32(&db.supplier.nationkey)?,
-            c_custkey: backend.upload_u32(&db.customer.custkey)?,
-            c_nationkey: backend.upload_u32(&db.customer.nationkey)?,
-            o_orderdate: backend.upload_u32(&db.orders.orderdate)?,
-            o_custkey: backend.upload_u32(&db.orders.custkey)?,
-            o_orderkey: backend.upload_u32(&db.orders.orderkey)?,
-            l_orderkey: backend.upload_u32(&db.lineitem.orderkey)?,
-            l_suppkey: backend.upload_u32(&db.lineitem.suppkey)?,
-            l_extendedprice: backend.upload_f64(&db.lineitem.extendedprice)?,
-            l_discount: backend.upload_f64(&db.lineitem.discount)?,
-        })
-    }
-
-    fn bindings(&self) -> PlanBindings<'_> {
-        let mut binds = PlanBindings::new();
-        binds
-            .bind("nation.nationkey", &self.n_nationkey)
-            .bind("nation.regionkey", &self.n_regionkey)
-            .bind("supplier.suppkey", &self.s_suppkey)
-            .bind("supplier.nationkey", &self.s_nationkey)
-            .bind("customer.custkey", &self.c_custkey)
-            .bind("customer.nationkey", &self.c_nationkey)
-            .bind("orders.orderdate", &self.o_orderdate)
-            .bind("orders.custkey", &self.o_custkey)
-            .bind("orders.orderkey", &self.o_orderkey)
-            .bind("lineitem.orderkey", &self.l_orderkey)
-            .bind("lineitem.suppkey", &self.l_suppkey)
-            .bind("lineitem.extendedprice", &self.l_extendedprice)
-            .bind("lineitem.discount", &self.l_discount);
-        binds
+        let cols = WorkingSet::upload(backend, db, &logical_plan().scan_columns())?;
+        Ok(Q5Data { cols })
     }
 
     /// Execute Q5 through the planner, returning rows ordered by
@@ -254,7 +207,7 @@ impl Q5Data {
         exec: &ResilientPlanExecutor,
     ) -> Result<Vec<Q5Row>> {
         let plan = physical_plan(backend)?;
-        let out = exec.execute(backend, &plan, &self.bindings())?;
+        let out = exec.execute(backend, &plan, &self.cols.bindings())?;
         let keys = out.u32s("keys")?;
         let revs = out.f64s("revenue")?;
         Ok(keys
@@ -266,24 +219,7 @@ impl Q5Data {
 
     /// Free the working set.
     pub fn free(self, backend: &dyn GpuBackend) -> Result<()> {
-        for c in [
-            self.n_nationkey,
-            self.n_regionkey,
-            self.s_suppkey,
-            self.s_nationkey,
-            self.c_custkey,
-            self.c_nationkey,
-            self.o_orderdate,
-            self.o_custkey,
-            self.o_orderkey,
-            self.l_orderkey,
-            self.l_suppkey,
-            self.l_extendedprice,
-            self.l_discount,
-        ] {
-            backend.free(c)?;
-        }
-        Ok(())
+        self.cols.free(backend)
     }
 }
 
@@ -353,6 +289,7 @@ mod oracle {
     use proto_core::ops::Connective;
 
     pub fn execute(data: &Q5Data, backend: &dyn GpuBackend) -> Result<Vec<Q5Row>> {
+        let col = |name: &str| data.cols.col(name);
         let Some(join_algo) = crate::queries::best_join(backend) else {
             return Err(SimError::Unsupported(format!(
                 "{} supports no join algorithm (Table II)",
@@ -360,35 +297,35 @@ mod oracle {
             )));
         };
         // σ(nation): nations of the target region.
-        let n_ids = backend.selection(&data.n_regionkey, CmpOp::Eq, region_code() as f64)?;
-        let asia_nations = backend.gather(&data.n_nationkey, &n_ids)?;
+        let n_ids = backend.selection(col("nation.regionkey"), CmpOp::Eq, region_code() as f64)?;
+        let asia_nations = backend.gather(col("nation.nationkey"), &n_ids)?;
 
         // σ(supplier) by region: supplier ⋈ asia_nations on nationkey.
-        let (s_rows, _n1) = backend.join(&data.s_nationkey, &asia_nations, join_algo)?;
-        let asia_suppkeys = backend.gather(&data.s_suppkey, &s_rows)?;
-        let asia_supp_nation = backend.gather(&data.s_nationkey, &s_rows)?;
+        let (s_rows, _n1) = backend.join(col("supplier.nationkey"), &asia_nations, join_algo)?;
+        let asia_suppkeys = backend.gather(col("supplier.suppkey"), &s_rows)?;
+        let asia_supp_nation = backend.gather(col("supplier.nationkey"), &s_rows)?;
 
         // σ(customer) by region: customer ⋈ asia_nations on nationkey.
-        let (c_rows, _n2) = backend.join(&data.c_nationkey, &asia_nations, join_algo)?;
-        let asia_custkeys = backend.gather(&data.c_custkey, &c_rows)?;
-        let asia_cust_nation = backend.gather(&data.c_nationkey, &c_rows)?;
+        let (c_rows, _n2) = backend.join(col("customer.nationkey"), &asia_nations, join_algo)?;
+        let asia_custkeys = backend.gather(col("customer.custkey"), &c_rows)?;
+        let asia_cust_nation = backend.gather(col("customer.nationkey"), &c_rows)?;
 
         // σ(orders): the 1994 window.
         let date_preds = [
             Pred {
-                col: &data.o_orderdate,
+                col: col("orders.orderdate"),
                 cmp: CmpOp::Ge,
                 lit: date(1994, 1, 1) as f64,
             },
             Pred {
-                col: &data.o_orderdate,
+                col: col("orders.orderdate"),
                 cmp: CmpOp::Lt,
                 lit: date(1995, 1, 1) as f64,
             },
         ];
         let o_ids = backend.selection_multi(&date_preds, Connective::And)?;
-        let o_cust = backend.gather(&data.o_custkey, &o_ids)?;
-        let o_key = backend.gather(&data.o_orderkey, &o_ids)?;
+        let o_cust = backend.gather(col("orders.custkey"), &o_ids)?;
+        let o_key = backend.gather(col("orders.orderkey"), &o_ids)?;
 
         // orders ⋈ customer (region-filtered) on custkey.
         let (oc_l, oc_r) = backend.join(&o_cust, &asia_custkeys, join_algo)?;
@@ -396,11 +333,11 @@ mod oracle {
         let order_cust_nation = backend.gather(&asia_cust_nation, &oc_r)?;
 
         // lineitem ⋈ orders on orderkey.
-        let (ll, lr) = backend.join(&data.l_orderkey, &sel_order_keys, join_algo)?;
-        let line_supp = backend.gather(&data.l_suppkey, &ll)?;
+        let (ll, lr) = backend.join(col("lineitem.orderkey"), &sel_order_keys, join_algo)?;
+        let line_supp = backend.gather(col("lineitem.suppkey"), &ll)?;
         let line_cust_nation = backend.gather(&order_cust_nation, &lr)?;
-        let line_ext = backend.gather(&data.l_extendedprice, &ll)?;
-        let line_disc = backend.gather(&data.l_discount, &ll)?;
+        let line_ext = backend.gather(col("lineitem.extendedprice"), &ll)?;
+        let line_disc = backend.gather(col("lineitem.discount"), &ll)?;
 
         // lineitem ⋈ supplier (region-filtered) on suppkey.
         let (sl, sr) = backend.join(&line_supp, &asia_suppkeys, join_algo)?;

@@ -19,15 +19,16 @@
 //! Boost.Compute chain selection → gather → inner_product.
 
 use crate::dates::date;
+use crate::queries::working_set::{lineitem_partition_source, WorkingSet};
 use crate::schema::Database;
 use gpu_sim::Result;
-use proto_core::backend::{Col, GpuBackend};
+use proto_core::backend::GpuBackend;
 use proto_core::logical::{AggExpr, ColumnDecl, LogicalPlan};
 use proto_core::ops::CmpOp;
 use proto_core::optimizer;
-use proto_core::physical::{PhysicalPlan, PlanBindings};
+use proto_core::physical::PhysicalPlan;
 use proto_core::plan::{Expr, Predicate};
-use proto_core::resilient_plan::{PartitionSource, PlanLane, ResilientPlanExecutor};
+use proto_core::resilient_plan::{PartitionSource, ResilientPlanExecutor};
 
 /// The Q6 query tree: one conjunctive filter over lineitem, one
 /// `SUM(extendedprice · discount)` aggregate.
@@ -66,35 +67,18 @@ pub fn physical_plan(backend: &dyn GpuBackend) -> Result<PhysicalPlan> {
     optimizer::plan("Q6", &logical_plan(), backend)
 }
 
-/// Device-resident Q6 working set.
+/// Device-resident Q6 working set: the four `lineitem` columns
+/// [`logical_plan`] scans.
 #[derive(Debug)]
 pub struct Q6Data {
-    shipdate: Col,
-    discount: Col,
-    quantity: Col,
-    extendedprice: Col,
+    pub(crate) cols: WorkingSet,
 }
 
 impl Q6Data {
     /// Upload the four touched columns.
     pub fn upload(backend: &dyn GpuBackend, db: &Database) -> Result<Self> {
-        let li = &db.lineitem;
-        Ok(Q6Data {
-            shipdate: backend.upload_u32(&li.shipdate)?,
-            discount: backend.upload_f64(&li.discount)?,
-            quantity: backend.upload_f64(&li.quantity)?,
-            extendedprice: backend.upload_f64(&li.extendedprice)?,
-        })
-    }
-
-    fn bindings(&self) -> PlanBindings<'_> {
-        let mut binds = PlanBindings::new();
-        binds
-            .bind("lineitem.shipdate", &self.shipdate)
-            .bind("lineitem.discount", &self.discount)
-            .bind("lineitem.quantity", &self.quantity)
-            .bind("lineitem.extendedprice", &self.extendedprice);
-        binds
+        let cols = WorkingSet::upload(backend, db, &logical_plan().scan_columns())?;
+        Ok(Q6Data { cols })
     }
 
     /// Execute Q6 through the planner, returning the revenue aggregate.
@@ -110,7 +94,7 @@ impl Q6Data {
         exec: &ResilientPlanExecutor,
     ) -> Result<f64> {
         let plan = physical_plan(backend)?;
-        exec.execute(backend, &plan, &self.bindings())?
+        exec.execute(backend, &plan, &self.cols.bindings())?
             .scalar("revenue")
     }
 
@@ -124,23 +108,8 @@ impl Q6Data {
         spare: (&Q6Data, &dyn GpuBackend),
         exec: &ResilientPlanExecutor,
     ) -> Result<f64> {
-        let plan_a = physical_plan(backend)?;
-        let plan_b = physical_plan(spare.1)?;
-        let binds_a = self.bindings();
-        let binds_b = spare.0.bindings();
-        let lanes = [
-            PlanLane {
-                backend,
-                plan: &plan_a,
-                binds: &binds_a,
-            },
-            PlanLane {
-                backend: spare.1,
-                plan: &plan_b,
-                binds: &binds_b,
-            },
-        ];
-        exec.execute_lanes(&lanes, None)?.scalar("revenue")
+        let lanes = [(&self.cols, backend), (&spare.0.cols, spare.1)];
+        WorkingSet::execute_with_fallback(lanes, physical_plan, exec)?.scalar("revenue")
     }
 
     /// Execute Q6 over horizontal partitions of `lineitem`: `exec`
@@ -154,33 +123,19 @@ impl Q6Data {
     ) -> Result<f64> {
         let plan = physical_plan(backend)?;
         let src = Self::partition_source(db);
-        exec.execute_partitionable(backend, &plan, &self.bindings(), &src)?
+        exec.execute_partitionable(backend, &plan, &self.cols.bindings(), &src)?
             .scalar("revenue")
     }
 
     /// The host-side `lineitem` columns Q6 can be horizontally
     /// partitioned over.
     pub fn partition_source(db: &Database) -> PartitionSource<'_> {
-        let li = &db.lineitem;
-        let mut src = PartitionSource::new();
-        src.bind_u32("lineitem.shipdate", li.shipdate.as_slice())
-            .bind_f64("lineitem.discount", li.discount.as_slice())
-            .bind_f64("lineitem.quantity", li.quantity.as_slice())
-            .bind_f64("lineitem.extendedprice", li.extendedprice.as_slice());
-        src
+        lineitem_partition_source(db, &logical_plan())
     }
 
     /// Free the working set.
     pub fn free(self, backend: &dyn GpuBackend) -> Result<()> {
-        for c in [
-            self.shipdate,
-            self.discount,
-            self.quantity,
-            self.extendedprice,
-        ] {
-            backend.free(c)?;
-        }
-        Ok(())
+        self.cols.free(backend)
     }
 }
 
@@ -211,34 +166,39 @@ mod oracle {
     use proto_core::backend::Pred;
 
     pub fn execute(data: &Q6Data, backend: &dyn GpuBackend) -> Result<f64> {
+        let col = |name: &str| data.cols.col(name);
         let preds = [
             Pred {
-                col: &data.shipdate,
+                col: col("lineitem.shipdate"),
                 cmp: CmpOp::Ge,
                 lit: date(1994, 1, 1) as f64,
             },
             Pred {
-                col: &data.shipdate,
+                col: col("lineitem.shipdate"),
                 cmp: CmpOp::Lt,
                 lit: date(1995, 1, 1) as f64,
             },
             Pred {
-                col: &data.discount,
+                col: col("lineitem.discount"),
                 cmp: CmpOp::Ge,
                 lit: 0.045,
             },
             Pred {
-                col: &data.discount,
+                col: col("lineitem.discount"),
                 cmp: CmpOp::Le,
                 lit: 0.075,
             },
             Pred {
-                col: &data.quantity,
+                col: col("lineitem.quantity"),
                 cmp: CmpOp::Lt,
                 lit: 24.0,
             },
         ];
-        backend.filter_sum_product(&data.extendedprice, &data.discount, &preds)
+        backend.filter_sum_product(
+            col("lineitem.extendedprice"),
+            col("lineitem.discount"),
+            &preds,
+        )
     }
 }
 

@@ -1,9 +1,11 @@
 //! Rapid prototyping with the declarative query layer.
 //!
 //! Express TPC-H Q6 once as an [`AggQuery`], run it on every plugged-in
-//! library, and print each backend's `EXPLAIN` — the same declarative
-//! query lowers to very different library call sequences, which is the
-//! paper's usability/usefulness trade-off made visible.
+//! library, and print each backend's `EXPLAIN` — the logical tree the
+//! query declares and the physical plan the one planner compiles for
+//! that library. The same declarative query lowers to very different
+//! library call sequences, which is the paper's usability/usefulness
+//! trade-off made visible.
 //!
 //! ```sh
 //! cargo run --release --example declarative_query
@@ -43,7 +45,6 @@ fn main() {
     let fw = gpu_proto_db::paper_setup();
     for backend in fw.backends() {
         let b = backend.as_ref();
-        println!("{}", q6.explain(b));
         let mut binding = Bindings::new(b);
         binding
             .bind_f64("extendedprice", &li.extendedprice)
@@ -52,6 +53,7 @@ fn main() {
         binding.bind_f64("quantity", &li.quantity).unwrap();
         binding.bind_f64("shipdate", &shipdate_f64).unwrap();
         binding.bind_u32("returnflag", &li.returnflag).unwrap();
+        println!("{}", q6.explain(&binding).unwrap());
 
         // Warm-up, then measure.
         let r = q6.execute(&binding).unwrap();
