@@ -1,17 +1,16 @@
 //! Ablation experiments A1–A3 — making the paper's §II claims measurable.
 //!
 //! A1 runs on the shared per-backend devices (a part function per
-//! backend, like `crate::operators`); A2 and A3 build fresh devices for
-//! every measurement by design, so their cells are fully independent
-//! jobs for the parallel grid.
+//! backend, like `crate::operators`); A2 and A3 need a fresh device for
+//! every measurement by design, so they are `*_cell_on` functions that
+//! [`crate::experiments::TABLE`] hands one each — fully independent jobs
+//! for the parallel grid.
 
 use proto_core::backend::GpuBackend;
 use proto_core::ops::CmpOp;
 use proto_core::runner::{Experiment, Sample};
 use proto_core::workload;
 use std::fmt::Write as _;
-
-use crate::sched::merge_backend_major;
 
 /// A1 part — one backend's selection-anatomy sample.
 pub fn a1_part(b: &dyn GpuBackend, n: usize) -> Vec<Sample> {
@@ -24,29 +23,6 @@ pub fn a1_part(b: &dyn GpuBackend, n: usize) -> Vec<Sample> {
     .expect("measure");
     b.free(c).expect("free");
     vec![s]
-}
-
-/// Assemble A1 from per-backend parts.
-pub fn a1_assemble(parts: Vec<Vec<Sample>>) -> Experiment {
-    let mut exp = Experiment::new(
-        "A1",
-        "Selection cost anatomy: launches & traffic per backend",
-        "rows",
-    );
-    exp.samples = merge_backend_major(parts);
-    exp
-}
-
-/// A1 — "unwanted intermediate data movements": kernel launches and
-/// device-memory traffic of one selection, per backend. The x axis is the
-/// row count; `launches`/`kernel_bytes` are the point of the experiment.
-pub fn a1_chaining(fw: &proto_core::framework::Framework, n: usize) -> Experiment {
-    a1_assemble(
-        fw.backends()
-            .iter()
-            .map(|b| a1_part(b.as_ref(), n))
-            .collect(),
-    )
 }
 
 /// Render A1 as the anatomy table (launches, bytes, time).
@@ -76,14 +52,9 @@ pub fn render_a1(exp: &Experiment) -> String {
 pub const A2_LIBS: [&str; 2] = ["ArrayFire", "Thrust"];
 
 /// One A2 measurement cell: an element-wise chain of length `k` over `n`
-/// rows on `lib` (an [`A2_LIBS`] name), on a fresh device.
-pub fn a2_cell(lib: &str, k: usize, n: usize) -> Sample {
-    a2_cell_on(&gpu_sim::Device::new(crate::paper_device()), lib, k, n)
-}
-
-/// [`a2_cell`] on a caller-supplied device — the hook the trace-replay
-/// path uses to enable tracing before the cell runs. The device must be
-/// fresh (A2 measures cold fusion behaviour).
+/// rows on `lib` (an [`A2_LIBS`] name) — one fused kernel on ArrayFire,
+/// `k` kernels on Thrust. `dev` must be fresh (A2 measures cold fusion
+/// behaviour).
 pub fn a2_cell_on(dev: &std::sync::Arc<gpu_sim::Device>, lib: &str, k: usize, n: usize) -> Sample {
     let data = workload::cache::uniform_f64(n, workload::SEED ^ 21);
     match lib {
@@ -127,29 +98,6 @@ pub fn a2_cell_on(dev: &std::sync::Arc<gpu_sim::Device>, lib: &str, k: usize, n:
     }
 }
 
-/// Assemble A2 from its cells, in `(k, lib)` serial order.
-pub fn a2_assemble(cells: Vec<Sample>) -> Experiment {
-    let mut exp = Experiment::new(
-        "A2",
-        "Element-wise chain: fused (ArrayFire) vs. eager (Thrust)",
-        "chain_length",
-    );
-    exp.samples = cells;
-    exp
-}
-
-/// A2 — ArrayFire lazy fusion: an element-wise chain of length `k` costs
-/// one fused kernel on ArrayFire and `k` kernels on Thrust.
-pub fn a2_fusion(chain_lengths: &[usize], n: usize) -> Experiment {
-    let mut cells = Vec::new();
-    for &k in chain_lengths {
-        for lib in A2_LIBS {
-            cells.push(a2_cell(lib, k, n));
-        }
-    }
-    a2_assemble(cells)
-}
-
 fn arrayfire_backend(
     dev: &std::sync::Arc<gpu_sim::Device>,
 ) -> std::sync::Arc<arrayfire_sim::Backend> {
@@ -171,17 +119,9 @@ fn run_thrust_chain(v: &thrust_sim::DeviceVector<f64>, k: usize) {
     }
 }
 
-/// One A3 measurement cell: backend `name` (a
-/// [`PAPER_BACKENDS`](proto_core::backends::PAPER_BACKENDS) name) on a
-/// fresh device, returning its cold (x=0) and warm (x=1) rows.
-pub fn a3_cell(name: &str, n: usize) -> Vec<Sample> {
-    let b = proto_core::framework::Framework::single_backend(&crate::paper_device(), name);
-    a3_cell_on(b.as_ref(), n)
-}
-
-/// [`a3_cell`] on a caller-supplied backend — the hook the trace-replay
-/// path uses to enable tracing before the cell runs. The backend must be
-/// fresh (A3 measures the cold run's JIT cost).
+/// One A3 measurement cell: `b`'s cold (x=0) and warm (x=1) selection
+/// rows. The backend must be fresh (A3 measures the cold run's JIT
+/// cost), whatever ran before.
 pub fn a3_cell_on(b: &dyn GpuBackend, n: usize) -> Vec<Sample> {
     let (col, thr) = workload::cache::selectivity_column(n, 0.5, workload::SEED);
     let c = b.upload_u32(&col).expect("upload");
@@ -204,34 +144,22 @@ pub fn a3_cell_on(b: &dyn GpuBackend, n: usize) -> Vec<Sample> {
     ]
 }
 
-/// Assemble A3 from per-backend cells.
-pub fn a3_assemble(cells: Vec<Vec<Sample>>) -> Experiment {
-    let mut exp = Experiment::new("A3", "Cold (x=0) vs. warm (x=1) selection latency", "run");
-    exp.samples = merge_backend_major(cells);
-    exp
-}
-
-/// A3 — JIT program cache: cold vs. warm operator latency per backend.
-/// x = 0 reports the cold run, x = 1 the warm run. Builds *fresh*
-/// backends internally so caches really are cold, whatever ran before.
-pub fn a3_jit_cache(_fw: &proto_core::framework::Framework, n: usize) -> Experiment {
-    a3_assemble(
-        proto_core::backends::PAPER_BACKENDS
-            .iter()
-            .map(|name| a3_cell(name, n))
-            .collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::paper_framework;
+    use crate::experiments::serial;
+    use crate::grid::GridConfig;
+    use crate::traced::lint_config;
 
     #[test]
     fn a1_handwritten_moves_least_data() {
-        let fw = paper_framework();
-        let exp = a1_chaining(&fw, 1 << 18);
+        let exp = serial(
+            "A1",
+            GridConfig {
+                a1_n: 1 << 18,
+                ..lint_config()
+            },
+        );
         let hw = exp.get("Handwritten", 1 << 18).unwrap();
         let th = exp.get("Thrust", 1 << 18).unwrap();
         assert!(hw.launches < th.launches);
@@ -242,7 +170,14 @@ mod tests {
 
     #[test]
     fn a2_fusion_keeps_one_kernel_thrust_grows_linearly() {
-        let exp = a2_fusion(&[1, 4, 8], 1 << 16);
+        let exp = serial(
+            "A2",
+            GridConfig {
+                a2_ks: vec![1, 4, 8],
+                a2_n: 1 << 16,
+                ..lint_config()
+            },
+        );
         for &k in &[1u64, 4, 8] {
             assert_eq!(exp.get("ArrayFire", k).unwrap().launches, 1, "fused");
             assert_eq!(exp.get("Thrust", k).unwrap().launches, k, "eager");
@@ -255,8 +190,13 @@ mod tests {
 
     #[test]
     fn a3_jit_penalty_is_boosts_and_arrayfires() {
-        let fw = paper_framework();
-        let exp = a3_jit_cache(&fw, 1 << 16);
+        let exp = serial(
+            "A3",
+            GridConfig {
+                a3_n: 1 << 16,
+                ..lint_config()
+            },
+        );
         for b in ["Boost.Compute", "ArrayFire"] {
             let cold = exp.get(b, 0).unwrap().nanos;
             let warm = exp.get(b, 1).unwrap().nanos;

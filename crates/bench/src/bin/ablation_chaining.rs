@@ -1,10 +1,4 @@
 //! A1 — selection anatomy: kernel launches & device traffic per backend.
 fn main() {
-    let fw = bench::paper_framework();
-    let exp = bench::ablations::a1_chaining(&fw, 1 << 20);
-    println!("{}", bench::ablations::render_a1(&exp));
-    if let Some(dir) = bench::report::csv_dir_from_args() {
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("A1.csv"), exp.to_csv()).unwrap();
-    }
+    bench::experiments::emit_serial(&["A1"], &bench::paper_framework(), &Default::default());
 }

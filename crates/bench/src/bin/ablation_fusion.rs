@@ -1,5 +1,4 @@
 //! A2 — ArrayFire lazy fusion vs. Thrust eager chaining.
 fn main() {
-    let exp = bench::ablations::a2_fusion(&[1, 2, 4, 8], 1 << 20);
-    bench::report::emit(&exp, bench::report::csv_dir_from_args().as_deref()).unwrap();
+    bench::experiments::emit_serial(&["A2"], &bench::paper_framework(), &Default::default());
 }

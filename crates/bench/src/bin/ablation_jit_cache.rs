@@ -1,6 +1,4 @@
 //! A3 — cold (first-call, JIT) vs. warm operator latency per backend.
 fn main() {
-    let fw = bench::paper_framework();
-    let exp = bench::ablations::a3_jit_cache(&fw, 1 << 20);
-    bench::report::emit(&exp, bench::report::csv_dir_from_args().as_deref()).unwrap();
+    bench::experiments::emit_serial(&["A3"], &bench::paper_framework(), &Default::default());
 }

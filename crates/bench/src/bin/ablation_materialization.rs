@@ -1,7 +1,4 @@
 //! A4 — early vs. late materialisation across selectivities (Thrust).
 fn main() {
-    let fw = bench::paper_framework();
-    let sels = [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99];
-    let exp = bench::extensions::a4_materialization(&fw, 1 << 20, &sels);
-    bench::report::emit(&exp, bench::report::csv_dir_from_args().as_deref()).unwrap();
+    bench::experiments::emit_serial(&["A4"], &bench::paper_framework(), &Default::default());
 }

@@ -1,13 +1,8 @@
 //! E9 — conjunctive & disjunctive selection vs. predicate count.
 fn main() {
-    let fw = bench::paper_framework();
-    let counts = [1, 2, 3, 4];
-    let csv = bench::report::csv_dir_from_args();
-    for conn in [
-        proto_core::ops::Connective::And,
-        proto_core::ops::Connective::Or,
-    ] {
-        let exp = bench::operators::e9_conjunction(&fw, 1 << 20, &counts, conn);
-        bench::report::emit(&exp, csv.as_deref()).unwrap();
-    }
+    bench::experiments::emit_serial(
+        &["E9a", "E9b"],
+        &bench::paper_framework(),
+        &Default::default(),
+    );
 }

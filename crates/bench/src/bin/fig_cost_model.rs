@@ -1,9 +1,5 @@
 //! E21 — cost-model calibration: predicted vs. simulated per candidate,
 //! and the costed planner's dispatch/join picks.
 fn main() {
-    let exp = bench::extensions::e21_cost_model(
-        &bench::extensions::e21_default_sizes(),
-        &bench::extensions::e21_default_join_sizes(),
-    );
-    bench::report::emit(&exp, bench::report::csv_dir_from_args().as_deref()).unwrap();
+    bench::experiments::emit_serial(&["E21"], &bench::paper_framework(), &Default::default());
 }

@@ -3,6 +3,8 @@
 //! the E6 grouped-aggregation point (64 groups) on all three device
 //! presets and reports the per-device ranking.
 
+use bench::experiments::run_serial;
+use bench::grid::GridConfig;
 use proto_core::framework::Framework;
 use proto_core::runner::fmt_duration;
 
@@ -12,11 +14,16 @@ fn main() {
         gpu_sim::DeviceSpec::gtx1080(),
         gpu_sim::DeviceSpec::server(),
     ];
+    let point = GridConfig {
+        sizes: vec![1 << 20],
+        groups: vec![64],
+        ..GridConfig::default()
+    };
     println!("## E16 — backend ordering across device presets\n");
     for spec in presets {
         let fw = Framework::with_all_backends(&spec);
-        let sel = bench::operators::e3_selection_scaling(&fw, &[1 << 20]);
-        let agg = bench::operators::e6_group_aggregation(&fw, 1 << 20, &[64]);
+        let sel = run_serial("E3", &fw, &point).remove(0);
+        let agg = run_serial("E6", &fw, &point).remove(0);
         println!("{}:", spec.name);
         let mut sel_rank: Vec<(&str, u64)> = sel
             .backends()

@@ -1,12 +1,19 @@
 //! E17 — Q6 throughput degradation vs. injected transient-fault rate,
 //! per backend and data size, with resilient (retry + backoff) execution.
+use bench::grid::GridConfig;
+
 fn main() {
     let csv = bench::report::csv_dir_from_args();
-    let rates = [0, 10, 50, 100];
+    let fw = bench::paper_framework();
     for (suffix, sf) in [("", 0.01), ("b", 0.05)] {
-        let mut exp = bench::extensions::e17_fault_resilience(sf, &rates);
-        exp.id = format!("E17{suffix}");
-        exp.title = format!("{} (SF {sf})", exp.title);
-        bench::report::emit(&exp, csv.as_deref()).unwrap();
+        let cfg = GridConfig {
+            e17_sf: sf,
+            ..GridConfig::default()
+        };
+        for mut exp in bench::experiments::run_serial("E17", &fw, &cfg) {
+            exp.id = format!("E17{suffix}");
+            exp.title = format!("{} (SF {sf})", exp.title);
+            bench::report::emit(&exp, csv.as_deref()).unwrap();
+        }
     }
 }

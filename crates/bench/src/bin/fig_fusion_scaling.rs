@@ -1,6 +1,4 @@
 //! E20 — general operator fusion: composed chain vs. fused single-pass kernel.
 fn main() {
-    let fw = bench::paper_framework();
-    let exp = bench::extensions::e20_fusion_scaling(&fw, &bench::extensions::e20_default_sizes());
-    bench::report::emit(&exp, bench::report::csv_dir_from_args().as_deref()).unwrap();
+    bench::experiments::emit_serial(&["E20"], &bench::paper_framework(), &Default::default());
 }

@@ -1,7 +1,4 @@
 //! E6 — grouped aggregation vs. group count at 2^20 rows.
 fn main() {
-    let fw = bench::paper_framework();
-    let groups = [16, 256, 4_096, 65_536, 1 << 20];
-    let exp = bench::operators::e6_group_aggregation(&fw, 1 << 20, &groups);
-    bench::report::emit(&exp, bench::report::csv_dir_from_args().as_deref()).unwrap();
+    bench::experiments::emit_serial(&["E6"], &bench::paper_framework(), &Default::default());
 }

@@ -1,7 +1,4 @@
 //! E8 — join algorithms (per backend) on an FK→PK workload.
 fn main() {
-    let fw = bench::paper_framework();
-    let sizes = [1 << 12, 1 << 14, 1 << 16, 1 << 18];
-    let exp = bench::operators::e8_joins(&fw, &sizes);
-    bench::report::emit(&exp, bench::report::csv_dir_from_args().as_deref()).unwrap();
+    bench::experiments::emit_serial(&["E8"], &bench::paper_framework(), &Default::default());
 }

@@ -1,7 +1,7 @@
 //! E15 — kernel launches per operator call, the quantified Table II.
 fn main() {
     let fw = bench::paper_framework();
-    let exp = bench::operators::e15_launch_anatomy(&fw, 1 << 20);
+    let exp = bench::experiments::run_serial("E15", &fw, &Default::default()).remove(0);
     // The interesting columns here are launches, not time; print both.
     println!("## E15 — kernel launches per operator call (2^20 rows)");
     let ops = [
@@ -31,8 +31,5 @@ fn main() {
         }
         println!();
     }
-    if let Some(dir) = bench::report::csv_dir_from_args() {
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("E15.csv"), exp.to_csv()).unwrap();
-    }
+    bench::report::write_csv(&exp, bench::report::csv_dir_from_args().as_deref()).unwrap();
 }

@@ -1,6 +1,4 @@
 //! E14 — multi-aggregate grouping: library composition vs. fused kernel.
 fn main() {
-    let fw = bench::paper_framework();
-    let exp = bench::extensions::e14_multi_aggregate(&fw, &bench::default_sizes());
-    bench::report::emit(&exp, bench::report::csv_dir_from_args().as_deref()).unwrap();
+    bench::experiments::emit_serial(&["E14"], &bench::paper_framework(), &Default::default());
 }

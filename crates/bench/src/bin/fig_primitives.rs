@@ -1,9 +1,5 @@
 //! E7 — parallel-primitive panel (reduction, prefix sum, gather, scatter,
 //! product) vs. rows.
 fn main() {
-    let fw = bench::paper_framework();
-    let csv = bench::report::csv_dir_from_args();
-    for exp in bench::operators::e7_primitives(&fw, &bench::default_sizes()) {
-        bench::report::emit(&exp, csv.as_deref()).unwrap();
-    }
+    bench::experiments::emit_serial(&["E7"], &bench::paper_framework(), &Default::default());
 }

@@ -1,6 +1,4 @@
 //! E3 — selection runtime vs. rows (50% selectivity), all backends.
 fn main() {
-    let fw = bench::paper_framework();
-    let exp = bench::operators::e3_selection_scaling(&fw, &bench::default_sizes());
-    bench::report::emit(&exp, bench::report::csv_dir_from_args().as_deref()).unwrap();
+    bench::experiments::emit_serial(&["E3"], &bench::paper_framework(), &Default::default());
 }

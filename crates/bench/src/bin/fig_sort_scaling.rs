@@ -1,9 +1,8 @@
 //! E5 — sort and sort-by-key runtime vs. rows.
 fn main() {
-    let fw = bench::paper_framework();
-    let csv = bench::report::csv_dir_from_args();
-    for by_key in [false, true] {
-        let exp = bench::operators::e5_sort_scaling(&fw, &bench::default_sizes(), by_key);
-        bench::report::emit(&exp, csv.as_deref()).unwrap();
-    }
+    bench::experiments::emit_serial(
+        &["E5a", "E5b"],
+        &bench::paper_framework(),
+        &Default::default(),
+    );
 }

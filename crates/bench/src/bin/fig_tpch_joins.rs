@@ -3,8 +3,5 @@
 fn main() {
     let fw = bench::paper_framework();
     bench::queries::validate_all(&fw, &tpch::generate(0.001)).expect("validation");
-    let csv = bench::report::csv_dir_from_args();
-    for exp in bench::queries::e12_join_queries(&fw, &bench::queries::default_scale_factors()) {
-        bench::report::emit(&exp, csv.as_deref()).unwrap();
-    }
+    bench::experiments::emit_serial(&["E12"], &fw, &Default::default());
 }

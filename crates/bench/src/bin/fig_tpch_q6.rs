@@ -2,6 +2,5 @@
 fn main() {
     let fw = bench::paper_framework();
     bench::queries::validate_all(&fw, &tpch::generate(0.001)).expect("validation");
-    let exp = bench::queries::e10_q6(&fw, &bench::queries::default_scale_factors());
-    bench::report::emit(&exp, bench::report::csv_dir_from_args().as_deref()).unwrap();
+    bench::experiments::emit_serial(&["E10"], &fw, &Default::default());
 }

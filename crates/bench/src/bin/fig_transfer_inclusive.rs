@@ -1,6 +1,4 @@
 //! E13 — Q6 device-resident vs. transfer-inclusive, per backend.
 fn main() {
-    let fw = bench::paper_framework();
-    let exp = bench::extensions::e13_transfer_inclusive(&fw, 0.02);
-    bench::report::emit(&exp, bench::report::csv_dir_from_args().as_deref()).unwrap();
+    bench::experiments::emit_serial(&["E13"], &bench::paper_framework(), &Default::default());
 }

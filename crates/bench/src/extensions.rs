@@ -20,14 +20,19 @@
 //!   swept across row counts to locate the fusion break-even the
 //!   planner's size-adaptive threshold defaults to.
 //!
-//! Like `crate::operators`, each experiment is split into per-backend
-//! part functions (or, for E17, fully independent per-cell functions)
-//! that the parallel grid schedules; the public experiment functions
-//! merge parts back into the serial emission order.
+//! * **E21** — cost-model calibration: the E20 chain's fused and
+//!   composed dispatches and an FK join under every Table-II algorithm,
+//!   each measured on a fresh device next to the cost model's prediction.
+//!
+//! Like `crate::operators`, each experiment is a per-backend part
+//! function — or, where every measurement needs devices of its own (E17,
+//! E19, E21), a `*_cell_on` function handed a fresh backend plus an
+//! assemble function that enforces the experiment's invariants;
+//! [`crate::experiments::TABLE`] says which cells each experiment has,
+//! what each runs on and how their outputs merge.
 
 use gpu_sim::FaultPlan;
 use proto_core::backend::{GpuBackend, Pred};
-use proto_core::framework::Framework;
 use proto_core::ops::{CmpOp, Connective, JoinAlgo};
 use proto_core::resilient::RetryPolicy;
 use proto_core::resilient_plan::{PlanRecovery, ResilientPlanExecutor};
@@ -35,7 +40,7 @@ use proto_core::runner::{Experiment, Sample};
 use proto_core::workload;
 use tpch::queries::q1::Q1Row;
 
-use crate::sched::{merge_backend_major, merge_x_major, Part};
+use crate::sched::Part;
 
 /// E13 part — one backend's resident (x=0) and transfer-inclusive (x=1)
 /// Q6 samples.
@@ -83,28 +88,6 @@ pub fn e13_part(b: &dyn GpuBackend, sf: f64) -> Vec<Sample> {
     out
 }
 
-/// Assemble E13 from per-backend parts.
-pub fn e13_assemble(parts: Vec<Vec<Sample>>) -> Experiment {
-    let mut exp = Experiment::new(
-        "E13",
-        "Q6: device-resident (x=0) vs. transfer-inclusive (x=1)",
-        "mode",
-    );
-    exp.samples = merge_backend_major(parts);
-    exp
-}
-
-/// E13 — TPC-H Q6 cost, device-resident (x=0) vs. including host→device
-/// column transfers (x=1), per backend.
-pub fn e13_transfer_inclusive(fw: &proto_core::framework::Framework, sf: f64) -> Experiment {
-    e13_assemble(
-        fw.backends()
-            .iter()
-            .map(|b| e13_part(b.as_ref(), sf))
-            .collect(),
-    )
-}
-
 /// E14 part — one backend's grouped SUM+COUNT samples across `sizes`.
 pub fn e14_part(b: &dyn GpuBackend, sizes: &[usize]) -> Part {
     let mut part = Part::new();
@@ -128,30 +111,11 @@ pub fn e14_part(b: &dyn GpuBackend, sizes: &[usize]) -> Part {
     part
 }
 
-/// Assemble E14 from per-backend parts.
-pub fn e14_assemble(parts: Vec<Part>) -> Experiment {
-    let mut exp = Experiment::new(
-        "E14",
-        "Grouped SUM+COUNT (multi-aggregate) vs. rows",
-        "rows",
-    );
-    exp.samples = merge_x_major(parts);
-    exp
-}
-
-/// E14 — grouped SUM+COUNT: library composition (one pass per aggregate)
-/// vs. the handwritten fused pass, vs. rows.
-pub fn e14_multi_aggregate(fw: &proto_core::framework::Framework, sizes: &[usize]) -> Experiment {
-    e14_assemble(
-        fw.backends()
-            .iter()
-            .map(|b| e14_part(b.as_ref(), sizes))
-            .collect(),
-    )
-}
-
-/// A4 part — the Thrust early/late materialisation samples across
-/// `selectivities` (two samples per selectivity, early first).
+/// A4 part — early vs. late materialisation of `SUM(a·b) WHERE key < θ`
+/// on the (Thrust) backend `b` across `selectivities`, two samples per
+/// selectivity: (early) select → gather both columns → product → reduce,
+/// then (late) product over the full columns → gather the products →
+/// reduce. x = selectivity in permille.
 pub fn a4_part(b: &dyn GpuBackend, n: usize, selectivities: &[f64]) -> Vec<Sample> {
     let mut out = Vec::new();
     let a_vals = workload::cache::uniform_f64(n, workload::SEED ^ 40);
@@ -203,54 +167,16 @@ pub fn a4_part(b: &dyn GpuBackend, n: usize, selectivities: &[f64]) -> Vec<Sampl
     out
 }
 
-/// A4 — early vs. late materialisation on the Thrust backend:
-/// `SUM(a·b) WHERE key < θ` as (early) select → gather both columns →
-/// product → reduce, vs. (late) product over the full columns → gather
-/// the products → reduce. x = selectivity in permille.
-pub fn a4_materialization(
-    fw: &proto_core::framework::Framework,
-    n: usize,
-    selectivities: &[f64],
-) -> Experiment {
-    let b = fw.backend("Thrust").expect("Thrust registered");
-    a4_assemble(a4_part(b, n, selectivities))
-}
-
-/// Assemble A4 from its (Thrust-only) part.
-pub fn a4_assemble(samples: Vec<Sample>) -> Experiment {
-    let mut exp = Experiment::new(
-        "A4",
-        "Early vs. late materialisation (Thrust), selection+product+sum",
-        "sel_permille",
-    );
-    exp.samples = samples;
-    exp
-}
-
-/// One E17 measurement cell: backend `name` runs Q6 at fault rate
-/// `permille` on a fresh resilient device. Returns the sample, the
+/// One E17 measurement cell: Q6 at fault rate `permille` (x =
+/// probability in permille, uniform across every allocation / transfer /
+/// launch site) on `b`, a fresh backend behind a [`ResilientBackend`]
+/// retry wrapper; this installs the fault plan. Returns the sample, the
 /// revenue (asserted rate-invariant at assembly) and the number of faults
-/// observed in the two countable windows.
+/// observed in the two countable windows. The measured degradation is
+/// the *recovered* cost: injected fault latency plus exponential
+/// backoff, all charged to the simulated clock.
 ///
-/// Every cell builds its own device — exactly what the serial sweep does
-/// (a fresh framework per rate) — so cells are independent jobs for the
-/// parallel grid.
-pub fn e17_cell(sf: f64, permille: u64, name: &str) -> (Sample, f64, u64) {
-    // A deep retry budget: backends run fused multi-kernel pipelines as
-    // one retry scope, and at a 10% per-site rate a ~17-site pipeline
-    // attempt fails ~5 times out of 6 — backoff is simulated time, so
-    // patience is cheap.
-    let policy = RetryPolicy {
-        max_retries: 60,
-        ..RetryPolicy::default()
-    };
-    let b = Framework::single_backend_resilient(&crate::paper_device(), name, policy);
-    e17_cell_on(b.as_ref(), sf, permille)
-}
-
-/// [`e17_cell`] on a caller-supplied resilient backend — the hook the
-/// trace-replay path uses to enable tracing before the cell runs. The
-/// backend must be fresh; this installs the fault plan for `permille`.
+/// [`ResilientBackend`]: proto_core::resilient::ResilientBackend
 pub fn e17_cell_on(b: &dyn GpuBackend, sf: f64, permille: u64) -> (Sample, f64, u64) {
     use tpch::queries::q6::Q6Data;
     let db = tpch::cached(sf);
@@ -302,27 +228,6 @@ pub fn e17_assemble(rates_permille: &[u64], cells: Vec<(Sample, f64, u64)>) -> E
         "nonzero fault rates swept but no fault ever observed"
     );
     exp
-}
-
-/// E17 — TPC-H Q6 under injected transient faults, per backend, vs. the
-/// fault rate (x = probability in permille, uniform across every
-/// allocation / transfer / launch site).
-///
-/// Every backend runs behind a [`ResilientBackend`] retry wrapper, so the
-/// measured degradation is the *recovered* cost: injected fault latency
-/// plus exponential backoff, all charged to the simulated clock. The
-/// returned experiments' answers are asserted identical to the fault-free
-/// run — resilience must never change results, only timings.
-///
-/// [`ResilientBackend`]: proto_core::resilient::ResilientBackend
-pub fn e17_fault_resilience(sf: f64, rates_permille: &[u64]) -> Experiment {
-    let mut cells = Vec::new();
-    for &permille in rates_permille {
-        for name in proto_core::backends::PAPER_BACKENDS {
-            cells.push(e17_cell(sf, permille, name));
-        }
-    }
-    e17_assemble(rates_permille, cells)
 }
 
 /// Default row-count sweep for E20 — spans the fused-kernel break-even
@@ -427,31 +332,6 @@ pub fn e20_part(b: &dyn GpuBackend, sizes: &[usize]) -> Part {
     part
 }
 
-/// Assemble E20 from per-backend parts.
-pub fn e20_assemble(parts: Vec<Part>) -> Experiment {
-    let mut exp = Experiment::new(
-        "E20",
-        "General operator fusion: composed chain vs. fused single-pass kernel vs. rows",
-        "rows",
-    );
-    exp.samples = merge_x_major(parts);
-    exp
-}
-
-/// E20 — fused vs. unfused execution of the same filter → project →
-/// aggregate chain, per backend, vs. rows. The fused line dispatches
-/// the single-pass kernel at every size (threshold 0), so the crossover
-/// against the unfused line *is* the measured break-even that
-/// calibrates [`proto_core::optimizer::DEFAULT_FUSION_THRESHOLD`].
-pub fn e20_fusion_scaling(fw: &proto_core::framework::Framework, sizes: &[usize]) -> Experiment {
-    e20_assemble(
-        fw.backends()
-            .iter()
-            .map(|b| e20_part(b.as_ref(), sizes))
-            .collect(),
-    )
-}
-
 /// Default row-count sweep for E21's fused-vs-composed accuracy cells.
 pub fn e21_default_sizes() -> Vec<usize> {
     vec![1 << 12, 1 << 14, 1 << 16, 1 << 18]
@@ -499,17 +379,10 @@ fn e21_predicted(label: String, x: u64, report: &proto_core::costing::CostReport
     }
 }
 
-/// One E21 fusion cell on a fresh device: backend `name` runs the E20
-/// chain at `n` rows under one dispatch (`fused` pins the threshold to
-/// always-fused; otherwise the composed chain), returning the measured
-/// sample (`"{name}/{tag}"`) and its prediction (`"{name}/{tag}/pred"`).
-pub fn e21_fusion_cell(name: &str, n: usize, fused: bool) -> (Sample, Sample) {
-    let fw = Framework::single_backend(&crate::paper_device(), name);
-    e21_fusion_cell_on(fw.as_ref(), n, fused)
-}
-
-/// [`e21_fusion_cell`] on a caller-provided (fresh, possibly traced)
-/// backend.
+/// One E21 fusion cell on the fresh backend `b`: the E20 chain at `n`
+/// rows under one dispatch (`fused` pins the threshold to always-fused;
+/// otherwise the composed chain), returning the measured sample
+/// (`"{name}/{tag}"`) and its prediction (`"{name}/{tag}/pred"`).
 pub fn e21_fusion_cell_on(b: &dyn GpuBackend, n: usize, fused: bool) -> (Sample, Sample) {
     use proto_core::costing::{CostModel, TableStats};
     use proto_core::optimizer::{plan_with, FusionPolicy, PlannerOptions};
@@ -569,15 +442,9 @@ pub fn e21_join_plan() -> proto_core::logical::LogicalPlan {
     .aggregate(None, vec![("total", AggExpr::Sum(Expr::col("m_val")))])
 }
 
-/// One E21 join cell on a fresh Handwritten device: the FK join at
-/// `outer` probe rows (dim = outer/4) forced through `algo`.
-pub fn e21_join_cell(outer: usize, algo: JoinAlgo) -> (Sample, Sample) {
-    let fw = Framework::single_backend(&crate::paper_device(), "Handwritten");
-    e21_join_cell_on(fw.as_ref(), outer, algo)
-}
-
-/// [`e21_join_cell`] on a caller-provided (fresh, possibly traced)
-/// backend.
+/// One E21 join cell on the fresh backend `b` (the grid uses
+/// Handwritten, the one backend implementing every algorithm): the FK
+/// join at `outer` probe rows (dim = outer/4) forced through `algo`.
 pub fn e21_join_cell_on(b: &dyn GpuBackend, outer: usize, algo: JoinAlgo) -> (Sample, Sample) {
     use proto_core::costing::{CostModel, TableStats};
     use proto_core::optimizer::{plan_with_algo, PlannerOptions};
@@ -689,51 +556,23 @@ pub fn e21_assemble(fusion: Vec<(Sample, Sample)>, join: Vec<(Sample, Sample)>) 
     exp
 }
 
-/// E21 — cost-model calibration against the simulator: the E20 chain's
-/// fused and composed dispatches per backend across `sizes`, plus the
-/// FK join under every Table-II algorithm across `join_sizes`, each
-/// cell paired with the cost model's prediction on a fresh device.
-pub fn e21_cost_model(sizes: &[usize], join_sizes: &[usize]) -> Experiment {
-    let mut fusion = Vec::new();
-    for &n in sizes {
-        for name in proto_core::backends::PAPER_BACKENDS {
-            for fused in [false, true] {
-                fusion.push(e21_fusion_cell(name, n, fused));
-            }
-        }
-    }
-    let mut join = Vec::new();
-    for &outer in join_sizes {
-        for algo in E21_JOIN_ALGOS {
-            join.push(e21_join_cell(outer, algo));
-        }
-    }
-    e21_assemble(fusion, join)
-}
-
 /// The recovery modes E19 sweeps — one resilient-plan-executor
 /// configuration each.
 pub const E19_MODES: [&str; 3] = ["retry", "partition", "fallback"];
 
-/// One E19 measurement cell: backend `name` runs Q1 through the
+/// One E19 measurement cell: Q1 on the fresh backend `b` through the
 /// resilient plan executor in recovery mode `mode` at fault rate
-/// `permille`, on a fresh device. Returns the sample (labelled
-/// `"{name}/{mode}"`), the result rows (asserted rate-invariant at
-/// assembly) and the number of recovery actions observed (injected
-/// faults + retries + fallbacks + plan partitions).
-pub fn e19_cell(sf: f64, mode: &str, permille: u64, name: &str) -> (Sample, Vec<Q1Row>, u64) {
-    let b = Framework::single_backend(&crate::paper_device(), name);
-    // The fallback mode replays on a replica of the same backend (its
-    // own fresh, fault-free device), so answers stay bit-identical.
-    let spare =
-        (mode == "fallback").then(|| Framework::single_backend(&crate::paper_device(), name));
-    e19_cell_on(b.as_ref(), spare.as_deref(), sf, mode, permille)
-}
-
-/// [`e19_cell`] on caller-supplied backends — the hook the trace-replay
-/// path uses to enable tracing before the cell runs. The backends must
-/// be fresh; this installs the fault plan for `permille` on the primary
-/// only (the spare models a healthy standby).
+/// `permille` (uniform across every fault site including plan steps);
+/// this installs the fault plan on the primary only — `spare`, which the
+/// fallback mode needs, models a healthy standby. Returns the sample
+/// (labelled `"{name}/{mode}"`), the result rows (asserted
+/// rate-invariant at assembly) and the number of recovery actions
+/// observed (injected faults + retries + fallbacks + plan partitions).
+///
+/// Unlike E17 (operator-level retry), E19 recovers at *plan*
+/// granularity: completed steps are checkpointed and never recomputed,
+/// OOM escalates to partitioned re-execution, and a dead lane hands its
+/// checkpoints to a replica.
 pub fn e19_cell_on(
     b: &dyn GpuBackend,
     spare: Option<&dyn GpuBackend>,
@@ -854,37 +693,24 @@ pub fn e19_assemble(rates_permille: &[u64], cells: Vec<(Sample, Vec<Q1Row>, u64)
     exp
 }
 
-/// E19 — TPC-H Q1 through the resilient plan executor, per backend and
-/// recovery mode, vs. the fault rate (x = probability in permille,
-/// uniform across every fault site including plan steps).
-///
-/// Unlike E17 (operator-level retry behind a [`ResilientBackend`]
-/// wrapper), E19 recovers at *plan* granularity: completed steps are
-/// checkpointed and never recomputed, OOM escalates to partitioned
-/// re-execution, and a dead lane hands its checkpoints to a replica.
-///
-/// [`ResilientBackend`]: proto_core::resilient::ResilientBackend
-pub fn e19_plan_resilience(sf: f64, rates_permille: &[u64]) -> Experiment {
-    let mut cells = Vec::new();
-    for &permille in rates_permille {
-        for mode in E19_MODES {
-            for name in proto_core::backends::PAPER_BACKENDS {
-                cells.push(e19_cell(sf, mode, permille, name));
-            }
-        }
-    }
-    e19_assemble(rates_permille, cells)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::serial;
+    use crate::grid::GridConfig;
     use crate::paper_framework;
+    use crate::traced::lint_config;
+    use proto_core::framework::Framework;
 
     #[test]
     fn e13_transfers_dominate_resident_execution() {
-        let fw = paper_framework();
-        let exp = e13_transfer_inclusive(&fw, 0.02);
+        let exp = serial(
+            "E13",
+            GridConfig {
+                e13_sf: 0.02,
+                ..lint_config()
+            },
+        );
         for b in ["Thrust", "Handwritten", "ArrayFire"] {
             let resident = exp.get(b, 0).unwrap().nanos;
             let inclusive = exp.get(b, 1).unwrap().nanos;
@@ -898,7 +724,13 @@ mod tests {
     #[test]
     fn e14_fused_multi_aggregate_wins_and_answers_match() {
         let fw = paper_framework();
-        let exp = e14_multi_aggregate(&fw, &[1 << 18]);
+        let exp = serial(
+            "E14",
+            GridConfig {
+                sizes: vec![1 << 18],
+                ..lint_config()
+            },
+        );
         let hw = exp.get("Handwritten", 1 << 18).unwrap();
         let th = exp.get("Thrust", 1 << 18).unwrap();
         assert!(hw.nanos * 4 < th.nanos, "{} vs {}", hw.nanos, th.nanos);
@@ -937,8 +769,13 @@ mod tests {
 
     #[test]
     fn e20_fused_chain_wins_at_scale_on_every_backend() {
-        let fw = paper_framework();
-        let exp = e20_fusion_scaling(&fw, &[1 << 12, 1 << 18]);
+        let exp = serial(
+            "E20",
+            GridConfig {
+                e20_sizes: vec![1 << 12, 1 << 18],
+                ..lint_config()
+            },
+        );
         // 2 sizes × 4 backends × {unfused, fused}; answer bit-equality
         // is asserted inside the parts.
         assert_eq!(exp.samples.len(), 16);
@@ -963,7 +800,14 @@ mod tests {
 
     #[test]
     fn e17_faults_cost_time_but_add_none_when_absent() {
-        let exp = e17_fault_resilience(0.002, &[0, 100]);
+        let exp = serial(
+            "E17",
+            GridConfig {
+                e17_sf: 0.002,
+                e17_rates: vec![0, 100],
+                ..lint_config()
+            },
+        );
         // Faults only ever slow execution down (answer equality is
         // asserted inside the experiment itself).
         let mut slowed = 0;
@@ -1001,7 +845,14 @@ mod tests {
 
     #[test]
     fn e19_recovery_modes_preserve_answers_and_recover() {
-        let exp = e19_plan_resilience(0.002, &[0, 50]);
+        let exp = serial(
+            "E19",
+            GridConfig {
+                e19_sf: 0.002,
+                e19_rates: vec![0, 50],
+                ..lint_config()
+            },
+        );
         // 2 rates x 3 modes x 4 backends.
         assert_eq!(exp.samples.len(), 24);
         // Answer equality across rates is asserted inside assembly;
@@ -1019,22 +870,32 @@ mod tests {
             }
         }
         // Partition mode actually partitions (and costs chunk uploads).
-        let (_, _, rec) = e19_cell(0.002, "partition", 0, "Handwritten");
+        let fresh = |name| Framework::single_backend(&crate::paper_device(), name);
+        let (_, _, rec) = e19_cell_on(fresh("Handwritten").as_ref(), None, 0.002, "partition", 0);
         assert!(rec > 0, "partition mode must record plan partitions");
         // Fallback mode survives a lane death somewhere in the sweep:
         // at 5% per-step fault rate with no retries, at least one
         // backend's primary lane dies and the replica completes.
         let fell_back: u64 = proto_core::backends::PAPER_BACKENDS
             .iter()
-            .map(|name| e19_cell(0.002, "fallback", 50, name).2)
+            .map(|name| {
+                let (b, spare) = (fresh(name), fresh(name));
+                e19_cell_on(b.as_ref(), Some(spare.as_ref()), 0.002, "fallback", 50).2
+            })
             .sum();
         assert!(fell_back > 0, "no fallback engaged at 5% faults");
     }
 
     #[test]
     fn a4_late_wins_at_high_selectivity_early_at_low() {
-        let fw = paper_framework();
-        let exp = a4_materialization(&fw, 1 << 20, &[0.01, 0.99]);
+        let exp = serial(
+            "A4",
+            GridConfig {
+                a4_n: 1 << 20,
+                a4_sels: vec![0.01, 0.99],
+                ..lint_config()
+            },
+        );
         let early_lo = exp.get("Thrust/early", 10).unwrap().nanos;
         let late_lo = exp.get("Thrust/late", 10).unwrap().nanos;
         assert!(

@@ -1,6 +1,6 @@
-//! The benchmark grid: every experiment cell of the paper regeneration,
-//! scheduled over the deterministic parallel [`Plan`]
-//! and emitted in canonical serial order.
+//! The benchmark grid: every cell of the experiment table
+//! ([`crate::experiments::TABLE`]), scheduled over the deterministic
+//! parallel [`Plan`] and emitted in canonical serial order.
 //!
 //! ## Decomposition
 //!
@@ -9,29 +9,32 @@
 //! the cells of one backend form a serial **lane** executed in the exact
 //! order of the historical serial runner. The four lanes are mutually
 //! independent — devices are per-backend — and run concurrently. Cells
-//! that build fresh devices by design (the fault sweep E17, the fusion
-//! ablation A2, the JIT ablation A3) are fully independent jobs.
+//! that build fresh devices by design (the fault sweeps E17 / E19, the
+//! cost-model calibration E21, the fusion ablation A2, the JIT ablation
+//! A3) are fully independent jobs. Which is which, and in what order, is
+//! the table's to say; this module only walks it.
 //!
 //! ## Determinism
 //!
 //! Every cell computes simulated measurements from its own device clock;
 //! the scheduler only decides *when on the host* a cell runs, never what
-//! it computes. Results are stored per cell and assembled in the fixed
-//! emission order below, so stdout and every CSV artifact are
-//! byte-identical at any `--jobs` count — and identical to the serial
-//! runner's output (experiments are emitted in numeric order; the lanes
-//! still *execute* E15 before E14, preserving the per-device operation
-//! sequence the historical runner used).
+//! it computes. Results are stored per cell and assembled in the table's
+//! emission order, so stdout and every CSV artifact are byte-identical
+//! at any `--jobs` count — and identical to the serial runner's output
+//! (experiments are emitted in numeric order; the lanes still *execute*
+//! E15 before E14, preserving the per-device operation sequence the
+//! historical runner used).
 
 use proto_core::backend::GpuBackend;
+use proto_core::backends::PAPER_BACKENDS;
 use proto_core::framework::Framework;
-use proto_core::ops::Connective;
-use proto_core::runner::Sample;
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use crate::sched::{Part, Plan};
-use crate::{ablations, extensions, operators, queries};
+pub use crate::experiments::SECTIONS;
+use crate::experiments::{emitting_row, execution_order, CellOut, EXPERIMENTS, TABLE};
+use crate::extensions;
+use crate::queries;
+use crate::sched::Plan;
 
 /// Parameters of the full regeneration grid. [`GridConfig::default`] is
 /// the paper grid (what `all_experiments` runs); tests shrink the fields
@@ -145,301 +148,98 @@ pub struct GridRun {
     pub jobs: usize,
 }
 
-/// One cell's result — the per-backend part (or independent-cell output)
-/// each experiment defines.
-enum CellOut {
-    Part(Part),
-    Pair(Sample, Sample),
-    Rows5(Vec<[Sample; 5]>),
-    Quad([Part; 4]),
-    Flat(Vec<Sample>),
-    Fault(Sample, f64, u64),
-    PlanFault(Sample, Vec<tpch::queries::q1::Q1Row>, u64),
-    One(Sample),
-    Unit,
+struct Slot {
+    /// `section/cell label`, e.g. `"E19/r50/fallback/Boost.Compute"`.
+    label: String,
+    /// [`TABLE`] index of the cell's row.
+    row: usize,
+    /// The cell's position among its row's cells — where `assemble`
+    /// expects its output.
+    index: usize,
 }
+
+/// Each registered cell's output and host milliseconds, by slot.
+type Done = Arc<Mutex<Vec<Option<(CellOut, u128)>>>>;
 
 struct Builder {
     plan: Plan,
-    specs: Vec<(String, &'static str)>,
-    results: Arc<Mutex<HashMap<usize, CellOut>>>,
-    times: Arc<Mutex<HashMap<usize, u128>>>,
+    /// One per cell, in registration order: the canonical cell order.
+    slots: Vec<Slot>,
+    done: Done,
 }
 
 impl Builder {
-    fn new() -> Self {
-        Builder {
-            plan: Plan::new(),
-            specs: Vec::new(),
-            results: Arc::new(Mutex::new(HashMap::new())),
-            times: Arc::new(Mutex::new(HashMap::new())),
-        }
-    }
-
     /// Register a cell: `lane` tags the backend chain it belongs to (if
     /// any), `after` chains it on a lane predecessor (a task id); returns
-    /// `(task id, cell index)`.
-    fn cell(
+    /// the task id.
+    fn add(
         &mut self,
         lane: Option<&str>,
         after: Option<usize>,
-        label: String,
-        section: &'static str,
+        slot: Slot,
         f: impl FnOnce() -> CellOut + Send + 'static,
-    ) -> (usize, usize) {
-        let idx = self.specs.len();
-        self.specs.push((label, section));
-        let results = self.results.clone();
-        let times = self.times.clone();
+    ) -> usize {
+        let idx = self.slots.len();
+        self.slots.push(slot);
+        let done = self.done.clone();
+        done.lock().expect("nothing runs yet").push(None);
         let run = move || {
             let t = std::time::Instant::now();
             let out = f();
             let ms = t.elapsed().as_millis();
-            results.lock().unwrap().insert(idx, out);
-            times.lock().unwrap().insert(idx, ms);
+            done.lock().expect("no cell panics holding the lock")[idx] = Some((out, ms));
         };
-        let task = match lane {
+        match lane {
             Some(lane) => self.plan.add_on(lane, after, run),
             None => self.plan.add(after, run),
-        };
-        (task, idx)
+        }
     }
 }
 
-/// Cell indices per experiment, in the experiment's own assembly order.
-#[derive(Default)]
-struct Ids {
-    e3: Vec<usize>,
-    e4: Vec<usize>,
-    e5a: Vec<usize>,
-    e5b: Vec<usize>,
-    e6: Vec<usize>,
-    e7: Vec<usize>,
-    e8: Vec<usize>,
-    e9a: Vec<usize>,
-    e9b: Vec<usize>,
-    e10: Vec<usize>,
-    e11: Vec<usize>,
-    e12: Vec<usize>,
-    e13: Vec<usize>,
-    e14: Vec<usize>,
-    e15: Vec<usize>,
-    e17: Vec<usize>,
-    e19: Vec<usize>,
-    e20: Vec<usize>,
-    e21_fusion: Vec<usize>,
-    e21_join: Vec<usize>,
-    a1: Vec<usize>,
-    a2: Vec<usize>,
-    a3: Vec<usize>,
-    a4: Vec<usize>,
-}
+/// Register every cell of the experiment [`TABLE`] into a fresh
+/// [`Builder`]: the four lanes in [`PAPER_BACKENDS`] order, each in the
+/// table's [`execution_order`], then the fresh-device cells in table
+/// order — the order the scheduler's FIFO ready queue hands them out in.
+/// Shared between [`run`] (which executes the plan) and [`plan_spec`]
+/// (which only inspects its dependency structure).
+fn build(cfg: &Arc<GridConfig>) -> Builder {
+    let mut lanes = PAPER_BACKENDS.map(|_| Vec::new());
+    let mut fresh = Vec::new();
+    for (row, r) in execution_order() {
+        for (index, cell) in r.cells(cfg).into_iter().enumerate() {
+            let label = format!("{}/{}", r.section, cell.label);
+            let queue = match cell.lane() {
+                Some(name) => {
+                    let lane = PAPER_BACKENDS.iter().position(|b| *b == name);
+                    &mut lanes[lane.expect("lane cells name a paper backend")]
+                }
+                None => &mut fresh,
+            };
+            queue.push((Slot { label, row, index }, cell));
+        }
+    }
 
-/// Section labels in the serial runner's order (its `host.time` labels).
-pub const SECTIONS: [&str; 24] = [
-    "E3", "E4", "E5a", "E5b", "E6", "E7", "E8", "E9-and", "E9-or", "validate", "E10", "E11", "E12",
-    "E13", "E15", "E14", "E17", "E19", "E20", "E21", "A1", "A2", "A3", "A4",
-];
-
-/// Register every grid cell into a fresh [`Builder`]; shared between
-/// [`run`] (which executes the plan) and [`plan_spec`] (which only
-/// inspects its dependency structure).
-fn build(cfg: Arc<GridConfig>) -> (Builder, Ids) {
-    let mut b = Builder::new();
-    let mut ids = Ids::default();
-
-    // ---- Per-backend lanes: the serial per-device operation order. ----
-    for name in proto_core::backends::PAPER_BACKENDS {
+    let mut b = Builder {
+        plan: Plan::new(),
+        slots: Vec::new(),
+        done: Done::default(),
+    };
+    // A backend's device accumulates state, so its cells share one
+    // backend and chain in the serial per-device operation order.
+    for (name, queue) in PAPER_BACKENDS.into_iter().zip(lanes) {
         let backend: Arc<dyn GpuBackend> =
             Arc::from(Framework::single_backend(&crate::paper_device(), name));
         let mut prev = None;
-        macro_rules! lane {
-            ($list:expr, $section:expr, $body:expr) => {{
-                let bk = backend.clone();
-                let c = cfg.clone();
-                // Silence unused-variable lints for bodies that ignore cfg.
-                let (task, idx) = b.cell(
-                    Some(name),
-                    prev,
-                    format!("{}/{name}", $section),
-                    $section,
-                    move || {
-                        let _ = &c;
-                        ($body)(bk.as_ref(), &c)
-                    },
-                );
-                prev = Some(task);
-                $list.push(idx);
-            }};
-        }
-        lane!(ids.e3, "E3", |bk: &dyn GpuBackend, c: &GridConfig| {
-            CellOut::Part(operators::e3_part(bk, &c.sizes))
-        });
-        lane!(ids.e4, "E4", |bk: &dyn GpuBackend, c: &GridConfig| {
-            CellOut::Part(operators::e4_part(bk, c.e4_n, &c.sels))
-        });
-        lane!(ids.e5a, "E5a", |bk: &dyn GpuBackend, c: &GridConfig| {
-            CellOut::Part(operators::e5_part(bk, &c.sizes, false))
-        });
-        lane!(ids.e5b, "E5b", |bk: &dyn GpuBackend, c: &GridConfig| {
-            CellOut::Part(operators::e5_part(bk, &c.sizes, true))
-        });
-        lane!(ids.e6, "E6", |bk: &dyn GpuBackend, c: &GridConfig| {
-            CellOut::Part(operators::e6_part(bk, c.e6_n, &c.groups))
-        });
-        lane!(ids.e7, "E7", |bk: &dyn GpuBackend, c: &GridConfig| {
-            CellOut::Rows5(operators::e7_part(bk, &c.sizes))
-        });
-        lane!(ids.e8, "E8", |bk: &dyn GpuBackend, c: &GridConfig| {
-            CellOut::Part(operators::e8_part(bk, &c.join_sizes))
-        });
-        lane!(ids.e9a, "E9-and", |bk: &dyn GpuBackend, c: &GridConfig| {
-            CellOut::Part(operators::e9_part(bk, c.e9_n, &c.e9_preds, Connective::And))
-        });
-        lane!(ids.e9b, "E9-or", |bk: &dyn GpuBackend, c: &GridConfig| {
-            CellOut::Part(operators::e9_part(bk, c.e9_n, &c.e9_preds, Connective::Or))
-        });
-        {
+        for (slot, cell) in queue {
             let bk = backend.clone();
-            let c = cfg.clone();
-            let (task, _) = b.cell(
-                Some(name),
-                prev,
-                format!("validate/{name}"),
-                "validate",
-                move || {
-                    queries::validate_backend(bk.as_ref(), &tpch::cached(c.validate_sf))
-                        .expect("query validation");
-                    CellOut::Unit
-                },
-            );
-            prev = Some(task);
-        }
-        lane!(ids.e10, "E10", |bk: &dyn GpuBackend, c: &GridConfig| {
-            CellOut::Part(queries::e10_part(bk, &c.sfs))
-        });
-        lane!(ids.e11, "E11", |bk: &dyn GpuBackend, c: &GridConfig| {
-            CellOut::Part(queries::e11_part(bk, &c.sfs))
-        });
-        lane!(ids.e12, "E12", |bk: &dyn GpuBackend, c: &GridConfig| {
-            CellOut::Quad(queries::e12_part(bk, &c.sfs))
-        });
-        lane!(ids.e13, "E13", |bk: &dyn GpuBackend, c: &GridConfig| {
-            CellOut::Flat(extensions::e13_part(bk, c.e13_sf))
-        });
-        // The serial runner executes E15 before E14; the lanes preserve
-        // that per-device order even though emission is numeric.
-        lane!(ids.e15, "E15", |bk: &dyn GpuBackend, c: &GridConfig| {
-            CellOut::Flat(operators::e15_part(bk, c.e15_n))
-        });
-        lane!(ids.e14, "E14", |bk: &dyn GpuBackend, c: &GridConfig| {
-            CellOut::Part(extensions::e14_part(bk, &c.sizes))
-        });
-        lane!(ids.a1, "A1", |bk: &dyn GpuBackend, c: &GridConfig| {
-            CellOut::Flat(ablations::a1_part(bk, c.a1_n))
-        });
-        if name == "Thrust" {
-            lane!(ids.a4, "A4", |bk: &dyn GpuBackend, c: &GridConfig| {
-                CellOut::Flat(extensions::a4_part(bk, c.a4_n, &c.a4_sels))
-            });
-        }
-        // E20 runs at each lane's tail: earlier cells keep the exact
-        // device-state history the serial runner produced.
-        lane!(ids.e20, "E20", |bk: &dyn GpuBackend, c: &GridConfig| {
-            CellOut::Part(extensions::e20_part(bk, &c.e20_sizes))
-        });
-        let _ = prev; // each lane's tail has no successor
-    }
-
-    // ---- Independent cells (fresh devices by design). ----
-    for &permille in &cfg.e17_rates {
-        for name in proto_core::backends::PAPER_BACKENDS {
-            let c = cfg.clone();
-            let (_, idx) = b.cell(
-                None,
-                None,
-                format!("E17/r{permille}/{name}"),
-                "E17",
-                move || {
-                    let (s, revenue, faults) = extensions::e17_cell(c.e17_sf, permille, name);
-                    CellOut::Fault(s, revenue, faults)
-                },
-            );
-            ids.e17.push(idx);
+            let run = move || cell.run(Some(bk.as_ref()), false).0;
+            prev = Some(b.add(Some(name), prev, slot, run));
         }
     }
-    for &permille in &cfg.e19_rates {
-        for mode in extensions::E19_MODES {
-            for name in proto_core::backends::PAPER_BACKENDS {
-                let c = cfg.clone();
-                let (_, idx) = b.cell(
-                    None,
-                    None,
-                    format!("E19/r{permille}/{mode}/{name}"),
-                    "E19",
-                    move || {
-                        let (s, rows, recoveries) =
-                            extensions::e19_cell(c.e19_sf, mode, permille, name);
-                        CellOut::PlanFault(s, rows, recoveries)
-                    },
-                );
-                ids.e19.push(idx);
-            }
-        }
+    for (slot, cell) in fresh {
+        b.add(None, None, slot, move || cell.run(None, false).0);
     }
-    // E21 cells measure on fresh devices: each candidate's cold run is
-    // the exact quantity the cost model predicts.
-    for &n in &cfg.e21_sizes {
-        for name in proto_core::backends::PAPER_BACKENDS {
-            for fused in [false, true] {
-                let tag = if fused { "fused" } else { "composed" };
-                let (_, idx) = b.cell(
-                    None,
-                    None,
-                    format!("E21/n{n}/{name}/{tag}"),
-                    "E21",
-                    move || {
-                        let (m, p) = extensions::e21_fusion_cell(name, n, fused);
-                        CellOut::Pair(m, p)
-                    },
-                );
-                ids.e21_fusion.push(idx);
-            }
-        }
-    }
-    for &outer in &cfg.e21_join_sizes {
-        for algo in extensions::E21_JOIN_ALGOS {
-            let (_, idx) = b.cell(
-                None,
-                None,
-                format!("E21/j{outer}/{algo:?}"),
-                "E21",
-                move || {
-                    let (m, p) = extensions::e21_join_cell(outer, algo);
-                    CellOut::Pair(m, p)
-                },
-            );
-            ids.e21_join.push(idx);
-        }
-    }
-    for &k in &cfg.a2_ks {
-        for lib in ablations::A2_LIBS {
-            let c = cfg.clone();
-            let (_, idx) = b.cell(None, None, format!("A2/k{k}/{lib}"), "A2", move || {
-                CellOut::One(ablations::a2_cell(lib, k, c.a2_n))
-            });
-            ids.a2.push(idx);
-        }
-    }
-    for name in proto_core::backends::PAPER_BACKENDS {
-        let c = cfg.clone();
-        let (_, idx) = b.cell(None, None, format!("A3/{name}"), "A3", move || {
-            CellOut::Flat(ablations::a3_cell(name, c.a3_n))
-        });
-        ids.a3.push(idx);
-    }
-
-    (b, ids)
+    b
 }
 
 /// The dependency structure of the grid's plan, for static verification
@@ -447,7 +247,7 @@ fn build(cfg: Arc<GridConfig>) -> (Builder, Ids) {
 /// untagged independent cells. Registers every cell exactly as [`run`]
 /// does but executes nothing.
 pub fn plan_spec(cfg: GridConfig) -> crate::sched::PlanSpec {
-    build(Arc::new(cfg)).0.plan.spec()
+    build(&Arc::new(cfg)).plan.spec()
 }
 
 /// Run the whole grid on `jobs` workers and return its assembled output.
@@ -461,134 +261,41 @@ pub fn run(cfg: GridConfig, jobs: usize) -> GridRun {
     gpu_sim::hostexec::set_worker_budget(std::cmp::max(1, cores / jobs));
 
     let cfg = Arc::new(cfg);
-    let (b, ids) = build(cfg.clone());
-
-    // ---- Execute. ----
-    let Builder {
-        plan,
-        specs,
-        results,
-        times,
-    } = b;
+    let Builder { plan, slots, done } = build(&cfg);
     let t0 = std::time::Instant::now();
     plan.run(jobs);
     let wall_ms = t0.elapsed().as_millis();
 
-    // ---- Assemble in canonical (numeric) emission order. ----
-    let results = &mut *results.lock().unwrap();
+    // ---- Host-cost accounting, and each row's outputs in cell order. ----
+    let done = std::mem::take(&mut *done.lock().expect("every cell returned"));
+    let mut outs: Vec<Vec<(usize, CellOut)>> = TABLE.iter().map(|_| Vec::new()).collect();
+    let mut sections: Vec<(String, u128)> =
+        SECTIONS.iter().map(|sec| (sec.to_string(), 0)).collect();
+    let mut cells = Vec::new();
+    for (slot, done) in slots.into_iter().zip(done) {
+        let (out, ms) = done.expect("the plan ran every cell");
+        outs[slot.row].push((slot.index, out));
+        sections[slot.row].1 += ms;
+        cells.push((slot.label, ms));
+    }
+    let busy_ms = cells.iter().map(|(_, ms)| ms).sum();
 
-    let mut exps = vec![
-        operators::e3_assemble(take_parts(results, &ids.e3)),
-        operators::e4_assemble(take_parts(results, &ids.e4)),
-        operators::e5_assemble(take_parts(results, &ids.e5a), false),
-        operators::e5_assemble(take_parts(results, &ids.e5b), true),
-        operators::e6_assemble(take_parts(results, &ids.e6)),
-    ];
-    let e7_parts = ids
-        .e7
-        .iter()
-        .map(|i| match results.remove(i) {
-            Some(CellOut::Rows5(rows)) => rows,
-            _ => unreachable!("E7 cell"),
-        })
-        .collect();
-    exps.extend(operators::e7_assemble(e7_parts));
-    exps.push(operators::e8_assemble(take_parts(results, &ids.e8)));
-    exps.push(operators::e9_assemble(
-        take_parts(results, &ids.e9a),
-        Connective::And,
-    ));
-    exps.push(operators::e9_assemble(
-        take_parts(results, &ids.e9b),
-        Connective::Or,
-    ));
-    exps.push(queries::e10_assemble(take_parts(results, &ids.e10)));
-    exps.push(queries::e11_assemble(take_parts(results, &ids.e11)));
-    let e12_parts = ids
-        .e12
-        .iter()
-        .map(|i| match results.remove(i) {
-            Some(CellOut::Quad(q)) => q,
-            _ => unreachable!("E12 cell"),
-        })
-        .collect();
-    exps.extend(queries::e12_assemble(e12_parts));
-    exps.push(extensions::e13_assemble(take_flats(results, &ids.e13)));
-    exps.push(extensions::e14_assemble(take_parts(results, &ids.e14)));
-    exps.push(operators::e15_assemble(take_flats(results, &ids.e15)));
-    let e17_cells = ids
-        .e17
-        .iter()
-        .map(|i| match results.remove(i) {
-            Some(CellOut::Fault(s, rev, f)) => (s, rev, f),
-            _ => unreachable!("E17 cell"),
-        })
-        .collect();
-    exps.push(extensions::e17_assemble(&cfg.e17_rates, e17_cells));
-    let e19_cells = ids
-        .e19
-        .iter()
-        .map(|i| match results.remove(i) {
-            Some(CellOut::PlanFault(s, rows, r)) => (s, rows, r),
-            _ => unreachable!("E19 cell"),
-        })
-        .collect();
-    exps.push(extensions::e19_assemble(&cfg.e19_rates, e19_cells));
-    exps.push(extensions::e20_assemble(take_parts(results, &ids.e20)));
-    exps.push(extensions::e21_assemble(
-        take_pairs(results, &ids.e21_fusion),
-        take_pairs(results, &ids.e21_join),
-    ));
-    let a1 = ablations::a1_assemble(take_flats(results, &ids.a1));
-    let a2_cells = ids
-        .a2
-        .iter()
-        .map(|i| match results.remove(i) {
-            Some(CellOut::One(s)) => s,
-            _ => unreachable!("A2 cell"),
-        })
-        .collect();
-    let a2 = ablations::a2_assemble(a2_cells);
-    let a3 = ablations::a3_assemble(take_flats(results, &ids.a3));
-    let a4 = extensions::a4_assemble(take_flats(results, &ids.a4).pop().unwrap_or_default());
-
-    // ---- Render. ----
+    // ---- Assemble and render in canonical (numeric) emission order. ----
     let fw = crate::paper_framework();
     let mut stdout = String::new();
     stdout.push_str(&format!("{}\n", proto_core::survey::render_table()));
     stdout.push_str(&format!("{}\n", fw.support_matrix()));
     let mut artifacts = Vec::new();
-    for exp in &exps {
-        stdout.push_str(&format!("{}\n", exp.render()));
-        artifacts.push((format!("{}.csv", exp.id), exp.to_csv()));
+    for id in EXPERIMENTS {
+        let (row, r) = emitting_row(id);
+        let mut row_outs = std::mem::take(&mut outs[row]);
+        row_outs.sort_by_key(|(index, _)| *index);
+        let row_outs = row_outs.into_iter().map(|(_, out)| out).collect();
+        for exp in r.assemble(&cfg, row_outs) {
+            stdout.push_str(&format!("{}\n", (r.render)(&exp)));
+            artifacts.push((format!("{}.csv", exp.id), exp.to_csv()));
+        }
     }
-    stdout.push_str(&format!("{}\n", ablations::render_a1(&a1)));
-    artifacts.push(("A1.csv".to_string(), a1.to_csv()));
-    for exp in [&a2, &a3, &a4] {
-        stdout.push_str(&format!("{}\n", exp.render()));
-        artifacts.push((format!("{}.csv", exp.id), exp.to_csv()));
-    }
-
-    // ---- Host-cost accounting. ----
-    let times = times.lock().unwrap();
-    let cells: Vec<(String, u128)> = specs
-        .iter()
-        .enumerate()
-        .map(|(i, (label, _))| (label.clone(), times.get(&i).copied().unwrap_or(0)))
-        .collect();
-    let busy_ms = cells.iter().map(|(_, ms)| ms).sum();
-    let sections = SECTIONS
-        .iter()
-        .map(|&sec| {
-            let total = specs
-                .iter()
-                .enumerate()
-                .filter(|(_, (_, s))| *s == sec)
-                .map(|(i, _)| times.get(&i).copied().unwrap_or(0))
-                .sum();
-            (sec.to_string(), total)
-        })
-        .collect();
 
     GridRun {
         stdout,
@@ -601,71 +308,16 @@ pub fn run(cfg: GridConfig, jobs: usize) -> GridRun {
     }
 }
 
-fn take_parts(results: &mut HashMap<usize, CellOut>, idxs: &[usize]) -> Vec<Part> {
-    idxs.iter()
-        .map(|i| match results.remove(i) {
-            Some(CellOut::Part(p)) => p,
-            _ => unreachable!("cell produced a part"),
-        })
-        .collect()
-}
-
-fn take_pairs(results: &mut HashMap<usize, CellOut>, idxs: &[usize]) -> Vec<(Sample, Sample)> {
-    idxs.iter()
-        .map(|i| match results.remove(i) {
-            Some(CellOut::Pair(m, p)) => (m, p),
-            _ => unreachable!("cell produced a sample pair"),
-        })
-        .collect()
-}
-
-fn take_flats(results: &mut HashMap<usize, CellOut>, idxs: &[usize]) -> Vec<Vec<Sample>> {
-    idxs.iter()
-        .map(|i| match results.remove(i) {
-            Some(CellOut::Flat(v)) => v,
-            _ => unreachable!("cell produced a flat sample list"),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tiny_config() -> GridConfig {
-        GridConfig {
-            sizes: vec![1 << 12, 1 << 13],
-            sels: vec![0.25, 0.75],
-            e4_n: 1 << 12,
-            groups: vec![16, 64],
-            e6_n: 1 << 12,
-            join_sizes: vec![1 << 10],
-            e9_n: 1 << 12,
-            e9_preds: vec![1, 2],
-            validate_sf: 0.001,
-            sfs: vec![0.001],
-            e13_sf: 0.002,
-            e15_n: 1 << 12,
-            e17_sf: 0.001,
-            e17_rates: vec![0, 50],
-            e19_sf: 0.001,
-            e19_rates: vec![0, 50],
-            e20_sizes: vec![1 << 12, 1 << 13],
-            e21_sizes: vec![1 << 12],
-            e21_join_sizes: vec![1 << 10],
-            a1_n: 1 << 12,
-            a2_ks: vec![1, 4],
-            a2_n: 1 << 12,
-            a3_n: 1 << 12,
-            a4_n: 1 << 12,
-            a4_sels: vec![0.25, 0.75],
-        }
-    }
+    use crate::experiments::{run_serial, Cells};
+    use crate::traced::lint_config;
 
     #[test]
     fn grid_output_is_jobs_invariant() {
-        let one = run(tiny_config(), 1);
-        let four = run(tiny_config(), 4);
+        let one = run(lint_config(), 1);
+        let four = run(lint_config(), 4);
         assert_eq!(one.stdout, four.stdout);
         assert_eq!(one.artifacts, four.artifacts);
         assert_eq!(one.jobs, 1);
@@ -674,7 +326,7 @@ mod tests {
 
     #[test]
     fn grid_emits_numeric_order_and_all_artifacts() {
-        let r = run(tiny_config(), 2);
+        let r = run(lint_config(), 2);
         let names: Vec<&str> = r.artifacts.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(
             names,
@@ -690,38 +342,232 @@ mod tests {
         let e14 = r.stdout.find("## E14 —").unwrap();
         let e15 = r.stdout.find("## E15 —").unwrap();
         assert!(e14 < e15, "numeric emission order");
-        // Accounting covers every cell and section.
-        assert_eq!(r.sections.len(), SECTIONS.len());
+        // Accounting covers every section, in table order, and every cell.
+        let sections: Vec<&str> = r.sections.iter().map(|(s, _)| s.as_str()).collect();
+        assert_eq!(sections, SECTIONS);
         assert!(r.cells.len() > 70, "lanes + independent cells");
     }
 
     #[test]
-    fn grid_matches_the_serial_experiment_functions() {
-        // The grid's assembled samples equal the public (serial)
-        // experiment functions — same parts, same merge, different
-        // scheduling. Compare cells whose device state is fresh in both
-        // paths: E3 (first lane operation) and the fresh-device A2/A3.
-        let cfg = tiny_config();
+    fn grid_matches_the_serial_runner() {
+        // The grid's assembled samples equal `run_serial`'s — same cells,
+        // same assemble, different scheduling — for every row whose device
+        // state is fresh in both paths: the first operation of the lanes
+        // and the rows that build their own devices.
+        let ids: Vec<&str> = execution_order()
+            .enumerate()
+            .filter(|(pos, (_, row))| *pos == 0 || matches!(row.cells, Cells::Fresh(_)))
+            .map(|(_, (_, row))| row.id)
+            .collect();
+        assert_eq!(ids, ["E3", "E17", "E19", "E21", "A2", "A3"]);
+        let cfg = lint_config();
         let r = run(cfg.clone(), 3);
-        let csv = |name: &str| {
-            r.artifacts
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, c)| c.clone())
-                .unwrap()
-        };
-        let fw = crate::paper_framework();
-        assert_eq!(
-            csv("E3.csv"),
-            operators::e3_selection_scaling(&fw, &cfg.sizes).to_csv()
-        );
-        assert_eq!(
-            csv("A2.csv"),
-            ablations::a2_fusion(&cfg.a2_ks, cfg.a2_n).to_csv()
-        );
-        assert_eq!(
-            csv("A3.csv"),
-            ablations::a3_jit_cache(&fw, cfg.a3_n).to_csv()
-        );
+        for id in ids {
+            for exp in run_serial(id, &crate::paper_framework(), &cfg) {
+                let name = format!("{}.csv", exp.id);
+                let (_, csv) = r.artifacts.iter().find(|(n, _)| *n == name).unwrap();
+                assert_eq!(*csv, exp.to_csv(), "{name}");
+            }
+        }
+    }
+
+    /// `label|lane|after` of every task the paper grid registers, in
+    /// registration order, as the hand-enumerated `build` of PR 14
+    /// produced them. Registration order is the scheduler's FIFO
+    /// ready-queue order and `GridRun::cells` order; labels key
+    /// `BENCH_host.json`.
+    const DEFAULT_PLAN: &str = "
+E3/ArrayFire|ArrayFire|-
+E4/ArrayFire|ArrayFire|0
+E5a/ArrayFire|ArrayFire|1
+E5b/ArrayFire|ArrayFire|2
+E6/ArrayFire|ArrayFire|3
+E7/ArrayFire|ArrayFire|4
+E8/ArrayFire|ArrayFire|5
+E9-and/ArrayFire|ArrayFire|6
+E9-or/ArrayFire|ArrayFire|7
+validate/ArrayFire|ArrayFire|8
+E10/ArrayFire|ArrayFire|9
+E11/ArrayFire|ArrayFire|10
+E12/ArrayFire|ArrayFire|11
+E13/ArrayFire|ArrayFire|12
+E15/ArrayFire|ArrayFire|13
+E14/ArrayFire|ArrayFire|14
+A1/ArrayFire|ArrayFire|15
+E20/ArrayFire|ArrayFire|16
+E3/Boost.Compute|Boost.Compute|-
+E4/Boost.Compute|Boost.Compute|18
+E5a/Boost.Compute|Boost.Compute|19
+E5b/Boost.Compute|Boost.Compute|20
+E6/Boost.Compute|Boost.Compute|21
+E7/Boost.Compute|Boost.Compute|22
+E8/Boost.Compute|Boost.Compute|23
+E9-and/Boost.Compute|Boost.Compute|24
+E9-or/Boost.Compute|Boost.Compute|25
+validate/Boost.Compute|Boost.Compute|26
+E10/Boost.Compute|Boost.Compute|27
+E11/Boost.Compute|Boost.Compute|28
+E12/Boost.Compute|Boost.Compute|29
+E13/Boost.Compute|Boost.Compute|30
+E15/Boost.Compute|Boost.Compute|31
+E14/Boost.Compute|Boost.Compute|32
+A1/Boost.Compute|Boost.Compute|33
+E20/Boost.Compute|Boost.Compute|34
+E3/Thrust|Thrust|-
+E4/Thrust|Thrust|36
+E5a/Thrust|Thrust|37
+E5b/Thrust|Thrust|38
+E6/Thrust|Thrust|39
+E7/Thrust|Thrust|40
+E8/Thrust|Thrust|41
+E9-and/Thrust|Thrust|42
+E9-or/Thrust|Thrust|43
+validate/Thrust|Thrust|44
+E10/Thrust|Thrust|45
+E11/Thrust|Thrust|46
+E12/Thrust|Thrust|47
+E13/Thrust|Thrust|48
+E15/Thrust|Thrust|49
+E14/Thrust|Thrust|50
+A1/Thrust|Thrust|51
+A4/Thrust|Thrust|52
+E20/Thrust|Thrust|53
+E3/Handwritten|Handwritten|-
+E4/Handwritten|Handwritten|55
+E5a/Handwritten|Handwritten|56
+E5b/Handwritten|Handwritten|57
+E6/Handwritten|Handwritten|58
+E7/Handwritten|Handwritten|59
+E8/Handwritten|Handwritten|60
+E9-and/Handwritten|Handwritten|61
+E9-or/Handwritten|Handwritten|62
+validate/Handwritten|Handwritten|63
+E10/Handwritten|Handwritten|64
+E11/Handwritten|Handwritten|65
+E12/Handwritten|Handwritten|66
+E13/Handwritten|Handwritten|67
+E15/Handwritten|Handwritten|68
+E14/Handwritten|Handwritten|69
+A1/Handwritten|Handwritten|70
+E20/Handwritten|Handwritten|71
+E17/r0/ArrayFire|-|-
+E17/r0/Boost.Compute|-|-
+E17/r0/Thrust|-|-
+E17/r0/Handwritten|-|-
+E17/r10/ArrayFire|-|-
+E17/r10/Boost.Compute|-|-
+E17/r10/Thrust|-|-
+E17/r10/Handwritten|-|-
+E17/r50/ArrayFire|-|-
+E17/r50/Boost.Compute|-|-
+E17/r50/Thrust|-|-
+E17/r50/Handwritten|-|-
+E17/r100/ArrayFire|-|-
+E17/r100/Boost.Compute|-|-
+E17/r100/Thrust|-|-
+E17/r100/Handwritten|-|-
+E19/r0/retry/ArrayFire|-|-
+E19/r0/retry/Boost.Compute|-|-
+E19/r0/retry/Thrust|-|-
+E19/r0/retry/Handwritten|-|-
+E19/r0/partition/ArrayFire|-|-
+E19/r0/partition/Boost.Compute|-|-
+E19/r0/partition/Thrust|-|-
+E19/r0/partition/Handwritten|-|-
+E19/r0/fallback/ArrayFire|-|-
+E19/r0/fallback/Boost.Compute|-|-
+E19/r0/fallback/Thrust|-|-
+E19/r0/fallback/Handwritten|-|-
+E19/r50/retry/ArrayFire|-|-
+E19/r50/retry/Boost.Compute|-|-
+E19/r50/retry/Thrust|-|-
+E19/r50/retry/Handwritten|-|-
+E19/r50/partition/ArrayFire|-|-
+E19/r50/partition/Boost.Compute|-|-
+E19/r50/partition/Thrust|-|-
+E19/r50/partition/Handwritten|-|-
+E19/r50/fallback/ArrayFire|-|-
+E19/r50/fallback/Boost.Compute|-|-
+E19/r50/fallback/Thrust|-|-
+E19/r50/fallback/Handwritten|-|-
+E21/n4096/ArrayFire/composed|-|-
+E21/n4096/ArrayFire/fused|-|-
+E21/n4096/Boost.Compute/composed|-|-
+E21/n4096/Boost.Compute/fused|-|-
+E21/n4096/Thrust/composed|-|-
+E21/n4096/Thrust/fused|-|-
+E21/n4096/Handwritten/composed|-|-
+E21/n4096/Handwritten/fused|-|-
+E21/n16384/ArrayFire/composed|-|-
+E21/n16384/ArrayFire/fused|-|-
+E21/n16384/Boost.Compute/composed|-|-
+E21/n16384/Boost.Compute/fused|-|-
+E21/n16384/Thrust/composed|-|-
+E21/n16384/Thrust/fused|-|-
+E21/n16384/Handwritten/composed|-|-
+E21/n16384/Handwritten/fused|-|-
+E21/n65536/ArrayFire/composed|-|-
+E21/n65536/ArrayFire/fused|-|-
+E21/n65536/Boost.Compute/composed|-|-
+E21/n65536/Boost.Compute/fused|-|-
+E21/n65536/Thrust/composed|-|-
+E21/n65536/Thrust/fused|-|-
+E21/n65536/Handwritten/composed|-|-
+E21/n65536/Handwritten/fused|-|-
+E21/n262144/ArrayFire/composed|-|-
+E21/n262144/ArrayFire/fused|-|-
+E21/n262144/Boost.Compute/composed|-|-
+E21/n262144/Boost.Compute/fused|-|-
+E21/n262144/Thrust/composed|-|-
+E21/n262144/Thrust/fused|-|-
+E21/n262144/Handwritten/composed|-|-
+E21/n262144/Handwritten/fused|-|-
+E21/j1024/Hash|-|-
+E21/j1024/Merge|-|-
+E21/j1024/NestedLoops|-|-
+E21/j4096/Hash|-|-
+E21/j4096/Merge|-|-
+E21/j4096/NestedLoops|-|-
+E21/j16384/Hash|-|-
+E21/j16384/Merge|-|-
+E21/j16384/NestedLoops|-|-
+A2/k1/ArrayFire|-|-
+A2/k1/Thrust|-|-
+A2/k2/ArrayFire|-|-
+A2/k2/Thrust|-|-
+A2/k4/ArrayFire|-|-
+A2/k4/Thrust|-|-
+A2/k8/ArrayFire|-|-
+A2/k8/Thrust|-|-
+A3/ArrayFire|-|-
+A3/Boost.Compute|-|-
+A3/Thrust|-|-
+A3/Handwritten|-|-
+";
+
+    #[test]
+    fn the_paper_grids_plan_is_the_committed_one() {
+        let b = build(&Arc::new(GridConfig::default()));
+        let tasks = plan_spec(GridConfig::default()).tasks;
+        assert_eq!(tasks.len(), 166);
+        assert_eq!(b.slots.len(), 166);
+        let got: Vec<String> = b
+            .slots
+            .iter()
+            .zip(&tasks)
+            .map(|(slot, task)| {
+                assert!(task.after.len() <= 1, "chains are linear");
+                format!(
+                    "{}|{}|{}",
+                    slot.label,
+                    task.lane.as_deref().unwrap_or("-"),
+                    task.after
+                        .first()
+                        .map_or("-".to_string(), |a| a.to_string()),
+                )
+            })
+            .collect();
+        let want: Vec<&str> = DEFAULT_PLAN.split_whitespace().collect();
+        assert_eq!(got, want);
     }
 }

@@ -1,14 +1,18 @@
 //! # bench — the experiment harness
 //!
-//! One function per experiment of DESIGN.md's index (E1–E12, A1–A3);
-//! each `src/bin/` binary is a thin wrapper that runs one experiment and
-//! prints its table (and writes CSV next to it when `--csv DIR` is given).
+//! One row per experiment of DESIGN.md's index in
+//! [`experiments::TABLE`]; the full regeneration ([`grid`]), the lint
+//! replay ([`traced`]) and the `src/bin/` figure binaries
+//! ([`experiments::run_serial`]) all read it. Each figure binary prints
+//! its experiment's table (and writes CSV next to it when `--csv DIR` is
+//! given).
 //! All measurements are **simulated nanoseconds** from the deterministic
 //! device clock — rerunning an experiment reproduces it bit-for-bit.
 
 #![warn(missing_docs)]
 
 pub mod ablations;
+pub mod experiments;
 pub mod extensions;
 pub mod grid;
 pub mod operators;

@@ -1,22 +1,24 @@
 //! Operator micro-benchmarks (experiments E3–E9, E15).
 //!
-//! Every experiment is built from a **per-backend part function**
-//! (`*_part`): the sample sequence one backend contributes, in the same
-//! per-device order the original serial sweep executed. The public
-//! experiment functions run the parts over a framework's backends and
-//! merge them back into the serial emission order, so their output is
-//! byte-identical to the historical nested loops — and the parallel grid
-//! scheduler (`crate::grid`) can run each part as an independent job on
-//! its own device. Synthetic input columns come from
-//! [`workload::cache`], so concurrent parts
-//! share one generation per column.
+//! Every experiment is a **per-backend part function** (`*_part`): the
+//! sample sequence one backend contributes, in the same per-device order
+//! the original serial sweep executed. Nothing here runs them: a row of
+//! [`crate::experiments::TABLE`] pairs each part with the experiment's
+//! title, axis and merge order (or, for the five-table E7 panel, with
+//! [`e7_assemble`]), which puts the parts back into the serial emission
+//! order — the output is byte-identical to the historical nested loops —
+//! and the parallel grid (`crate::grid`, each part an independent job on
+//! its backend's lane), the lint replay (`crate::traced`) and
+//! [`crate::experiments::run_serial`] all read that row. Synthetic input
+//! columns come from [`workload::cache`], so concurrent parts share one
+//! generation per column.
 
 use proto_core::backend::{GpuBackend, Pred};
 use proto_core::ops::{CmpOp, Connective, JoinAlgo, Support};
 use proto_core::runner::{measure, Experiment};
 use proto_core::workload;
 
-use crate::sched::{merge_backend_major, merge_x_major, Part};
+use crate::sched::{merge_x_major, Part};
 
 /// E3 part — one backend's selection-scaling samples, one per size.
 pub fn e3_part(b: &dyn GpuBackend, sizes: &[usize]) -> Part {
@@ -35,24 +37,8 @@ pub fn e3_part(b: &dyn GpuBackend, sizes: &[usize]) -> Part {
     part
 }
 
-/// Assemble E3 from per-backend parts.
-pub fn e3_assemble(parts: Vec<Part>) -> Experiment {
-    let mut exp = Experiment::new("E3", "Selection runtime vs. rows (50% selectivity)", "rows");
-    exp.samples = merge_x_major(parts);
-    exp
-}
-
-/// E3 — selection runtime vs. rows at a fixed 50% selectivity.
-pub fn e3_selection_scaling(fw: &proto_core::framework::Framework, sizes: &[usize]) -> Experiment {
-    e3_assemble(
-        fw.backends()
-            .iter()
-            .map(|b| e3_part(b.as_ref(), sizes))
-            .collect(),
-    )
-}
-
-/// E4 part — one backend's selectivity-sweep samples, one per selectivity.
+/// E4 part — one backend's selectivity-sweep samples, one per
+/// selectivity; `x` is the selectivity in permille (500 = 50%).
 pub fn e4_part(b: &dyn GpuBackend, n: usize, selectivities: &[f64]) -> Part {
     let mut part = Part::new();
     for &sel in selectivities {
@@ -68,32 +54,6 @@ pub fn e4_part(b: &dyn GpuBackend, n: usize, selectivities: &[f64]) -> Part {
         part.push(vec![s]);
     }
     part
-}
-
-/// Assemble E4 from per-backend parts.
-pub fn e4_assemble(parts: Vec<Part>) -> Experiment {
-    let mut exp = Experiment::new(
-        "E4",
-        "Selection runtime vs. selectivity (fixed rows)",
-        "sel_permille",
-    );
-    exp.samples = merge_x_major(parts);
-    exp
-}
-
-/// E4 — selection runtime vs. selectivity at a fixed row count.
-/// `x` is selectivity in tenths of a percent (so 500 = 50%).
-pub fn e4_selection_selectivity(
-    fw: &proto_core::framework::Framework,
-    n: usize,
-    selectivities: &[f64],
-) -> Experiment {
-    e4_assemble(
-        fw.backends()
-            .iter()
-            .map(|b| e4_part(b.as_ref(), n, selectivities))
-            .collect(),
-    )
 }
 
 /// E5 part — one backend's sort (or sort-by-key) samples, one per size.
@@ -126,33 +86,6 @@ pub fn e5_part(b: &dyn GpuBackend, sizes: &[usize], by_key: bool) -> Part {
     part
 }
 
-/// Assemble E5a/E5b from per-backend parts.
-pub fn e5_assemble(parts: Vec<Part>, by_key: bool) -> Experiment {
-    let (id, title) = if by_key {
-        ("E5b", "Sort-by-key runtime vs. rows")
-    } else {
-        ("E5a", "Sort runtime vs. rows")
-    };
-    let mut exp = Experiment::new(id, title, "rows");
-    exp.samples = merge_x_major(parts);
-    exp
-}
-
-/// E5 — sort (and sort-by-key when `by_key`) runtime vs. rows.
-pub fn e5_sort_scaling(
-    fw: &proto_core::framework::Framework,
-    sizes: &[usize],
-    by_key: bool,
-) -> Experiment {
-    e5_assemble(
-        fw.backends()
-            .iter()
-            .map(|b| e5_part(b.as_ref(), sizes, by_key))
-            .collect(),
-        by_key,
-    )
-}
-
 /// E6 part — one backend's grouped-aggregation samples, one per group count.
 pub fn e6_part(b: &dyn GpuBackend, n: usize, group_counts: &[usize]) -> Part {
     let vals = workload::cache::uniform_f64(n, workload::SEED ^ 2);
@@ -172,27 +105,6 @@ pub fn e6_part(b: &dyn GpuBackend, n: usize, group_counts: &[usize]) -> Part {
         part.push(vec![s]);
     }
     part
-}
-
-/// Assemble E6 from per-backend parts.
-pub fn e6_assemble(parts: Vec<Part>) -> Experiment {
-    let mut exp = Experiment::new("E6", "Grouped aggregation (SUM) vs. group count", "groups");
-    exp.samples = merge_x_major(parts);
-    exp
-}
-
-/// E6 — grouped aggregation (SUM) vs. group count at fixed rows.
-pub fn e6_group_aggregation(
-    fw: &proto_core::framework::Framework,
-    n: usize,
-    group_counts: &[usize],
-) -> Experiment {
-    e6_assemble(
-        fw.backends()
-            .iter()
-            .map(|b| e6_part(b.as_ref(), n, group_counts))
-            .collect(),
-    )
 }
 
 /// E7 part — one backend's primitive-panel samples: per size, one sample
@@ -238,17 +150,6 @@ pub fn e7_part(b: &dyn GpuBackend, sizes: &[usize]) -> Vec<[proto_core::runner::
         rows.push([reduction, prefix, gather, scatter, product]);
     }
     rows
-}
-
-/// E7 — the parallel-primitive panel: reduction, prefix sum, gather,
-/// scatter, product; one experiment per primitive, all vs. rows.
-pub fn e7_primitives(fw: &proto_core::framework::Framework, sizes: &[usize]) -> Vec<Experiment> {
-    let parts: Vec<_> = fw
-        .backends()
-        .iter()
-        .map(|b| e7_part(b.as_ref(), sizes))
-        .collect();
-    e7_assemble(parts)
 }
 
 /// Assemble the five E7 experiments from per-backend parts.
@@ -306,25 +207,6 @@ pub fn e8_part(b: &dyn GpuBackend, sizes: &[usize]) -> Part {
     part
 }
 
-/// Assemble E8 from per-backend parts.
-pub fn e8_assemble(parts: Vec<Part>) -> Experiment {
-    let mut exp = Experiment::new("E8", "Join runtime vs. |R|=|S| (FK→PK)", "rows");
-    exp.samples = merge_x_major(parts);
-    exp
-}
-
-/// E8 — joins: every backend's supported algorithms on an FK→PK workload,
-/// labelled `backend/algorithm`. The handwritten hash join is the
-/// primitive no library has.
-pub fn e8_joins(fw: &proto_core::framework::Framework, sizes: &[usize]) -> Experiment {
-    e8_assemble(
-        fw.backends()
-            .iter()
-            .map(|b| e8_part(b.as_ref(), sizes))
-            .collect(),
-    )
-}
-
 /// E9 part — one backend's multi-predicate samples, one per predicate
 /// count.
 pub fn e9_part(b: &dyn GpuBackend, n: usize, pred_counts: &[usize], conn: Connective) -> Part {
@@ -358,41 +240,16 @@ pub fn e9_part(b: &dyn GpuBackend, n: usize, pred_counts: &[usize], conn: Connec
     part
 }
 
-/// Assemble E9a/E9b from per-backend parts.
-pub fn e9_assemble(parts: Vec<Part>, conn: Connective) -> Experiment {
-    let id = match conn {
-        Connective::And => "E9a",
-        Connective::Or => "E9b",
-    };
-    let mut exp = Experiment::new(
-        id,
-        "Multi-predicate selection vs. predicate count",
-        "predicates",
-    );
-    exp.samples = merge_x_major(parts);
-    exp
-}
-
-/// E9 — conjunctive/disjunctive selection vs. predicate count.
-pub fn e9_conjunction(
-    fw: &proto_core::framework::Framework,
-    n: usize,
-    pred_counts: &[usize],
-    conn: Connective,
-) -> Experiment {
-    e9_assemble(
-        fw.backends()
-            .iter()
-            .map(|b| e9_part(b.as_ref(), n, pred_counts, conn))
-            .collect(),
-        conn,
-    )
-}
-
 /// One measurable operator invocation (boxed for the E15 table).
 type OpThunk<'a> = Box<dyn Fn() -> gpu_sim::Result<()> + 'a>;
 
-/// E15 part — one backend's launch-anatomy samples, one per operator.
+/// E15 part — one backend's launch-anatomy samples, one per Table-II
+/// operator: how many launches (and how much device traffic) the backend
+/// spends realising one call at `n` rows — the quantified version of
+/// Table II's full/partial-support distinction. `x` indexes the operator
+/// (0 = selection, 1 = conjunction·2, 2 = product, 3 = reduction,
+/// 4 = prefix sum, 5 = sort, 6 = sort-by-key, 7 = grouped sum,
+/// 8 = gather, 9 = scatter).
 pub fn e15_part(b: &dyn GpuBackend, n: usize) -> Vec<proto_core::runner::Sample> {
     let (col, thr) = workload::cache::selectivity_column(n, 0.5, workload::SEED);
     let keys = workload::cache::zipf_keys(n, 256, 0.5, workload::SEED);
@@ -466,33 +323,6 @@ pub fn e15_part(b: &dyn GpuBackend, n: usize) -> Vec<proto_core::runner::Sample>
     out
 }
 
-/// E15 — kernel-launch anatomy per Table-II operator: how many launches
-/// (and how much device traffic) each backend spends realising one call
-/// of each operator at `n` rows. The quantified version of Table II's
-/// full/partial-support distinction. `x` indexes the operator
-/// (0 = selection, 1 = conjunction·2, 2 = product, 3 = reduction,
-/// 4 = prefix sum, 5 = sort, 6 = sort-by-key, 7 = grouped sum,
-/// 8 = gather, 9 = scatter).
-pub fn e15_launch_anatomy(fw: &proto_core::framework::Framework, n: usize) -> Experiment {
-    e15_assemble(
-        fw.backends()
-            .iter()
-            .map(|b| e15_part(b.as_ref(), n))
-            .collect(),
-    )
-}
-
-/// Assemble E15 from per-backend parts.
-pub fn e15_assemble(parts: Vec<Vec<proto_core::runner::Sample>>) -> Experiment {
-    let mut exp = Experiment::new(
-        "E15",
-        "Kernel launches per operator call (x = operator index)",
-        "op_index",
-    );
-    exp.samples = merge_backend_major(parts);
-    exp
-}
-
 /// Crossover helper used by tests and EXPERIMENTS.md: at the smallest
 /// size, which backend wins?
 pub fn winner_at(exp: &Experiment, x: u64) -> Option<String> {
@@ -506,16 +336,20 @@ pub fn winner_at(exp: &Experiment, x: u64) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::paper_framework;
+    use crate::experiments::serial;
+    use crate::grid::GridConfig;
+    use crate::traced::lint_config;
 
-    fn small_sizes() -> Vec<usize> {
-        vec![1 << 12, 1 << 16]
+    fn small_sizes() -> GridConfig {
+        GridConfig {
+            sizes: vec![1 << 12, 1 << 16],
+            ..lint_config()
+        }
     }
 
     #[test]
     fn e3_shapes_hold() {
-        let fw = paper_framework();
-        let exp = e3_selection_scaling(&fw, &small_sizes());
+        let exp = serial("E3", small_sizes());
         assert_eq!(exp.backends().len(), 4);
         // Handwritten single-kernel selection wins at every size.
         for &x in &[1u64 << 12, 1 << 16] {
@@ -536,17 +370,16 @@ mod tests {
     fn e3_sample_order_is_x_major() {
         // The merged experiment preserves the serial emission order:
         // sizes outermost, backends in registration order within a size.
-        let fw = paper_framework();
-        let exp = e3_selection_scaling(&fw, &small_sizes());
+        let exp = serial("E3", small_sizes());
         let order: Vec<(u64, &str)> = exp
             .samples
             .iter()
             .map(|s| (s.x, s.backend.as_str()))
             .collect();
         let mut expect = Vec::new();
-        for &n in &small_sizes() {
-            for b in fw.backends() {
-                expect.push((n as u64, b.name()));
+        for &n in &small_sizes().sizes {
+            for name in proto_core::backends::PAPER_BACKENDS {
+                expect.push((n as u64, name));
             }
         }
         assert_eq!(order, expect);
@@ -554,9 +387,14 @@ mod tests {
 
     #[test]
     fn e8_hash_join_dominates_at_scale() {
-        let fw = paper_framework();
         let n = 1u64 << 16;
-        let exp = e8_joins(&fw, &[n as usize]);
+        let exp = serial(
+            "E8",
+            GridConfig {
+                join_sizes: vec![n as usize],
+                ..lint_config()
+            },
+        );
         let hash = exp.get("Handwritten/Hash", n).unwrap().nanos;
         let nlj_thrust = exp.get("Thrust/NestedLoops", n).unwrap().nanos;
         let nlj_hw = exp.get("Handwritten/NestedLoops", n).unwrap().nanos;
@@ -574,8 +412,14 @@ mod tests {
 
     #[test]
     fn e6_hash_agg_beats_sort_reduce_for_few_groups() {
-        let fw = paper_framework();
-        let exp = e6_group_aggregation(&fw, 1 << 18, &[64]);
+        let exp = serial(
+            "E6",
+            GridConfig {
+                e6_n: 1 << 18,
+                groups: vec![64],
+                ..lint_config()
+            },
+        );
         let hw = exp.get("Handwritten", 64).unwrap().nanos;
         let th = exp.get("Thrust", 64).unwrap().nanos;
         assert!(hw * 2 < th, "hash agg {hw} vs sort+reduce {th}");
@@ -583,8 +427,13 @@ mod tests {
 
     #[test]
     fn e15_quantifies_table_ii() {
-        let fw = paper_framework();
-        let exp = e15_launch_anatomy(&fw, 1 << 14);
+        let exp = serial(
+            "E15",
+            GridConfig {
+                e15_n: 1 << 14,
+                ..lint_config()
+            },
+        );
         // Selection (op 0): 1 fused kernel vs the library chains.
         assert_eq!(exp.get("Handwritten", 0).unwrap().launches, 1);
         assert_eq!(exp.get("Thrust", 0).unwrap().launches, 4);
@@ -603,8 +452,14 @@ mod tests {
 
     #[test]
     fn e9_library_kernels_grow_with_predicates_handwritten_stays_one() {
-        let fw = paper_framework();
-        let exp = e9_conjunction(&fw, 1 << 14, &[1, 4], Connective::And);
+        let exp = serial(
+            "E9a",
+            GridConfig {
+                e9_n: 1 << 14,
+                e9_preds: vec![1, 4],
+                ..lint_config()
+            },
+        );
         assert_eq!(exp.get("Handwritten", 1).unwrap().launches, 1);
         assert_eq!(exp.get("Handwritten", 4).unwrap().launches, 1);
         let t1 = exp.get("Thrust", 1).unwrap().launches;

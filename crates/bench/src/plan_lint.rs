@@ -5,7 +5,7 @@
 //! decoupling its scheduler-plan pass uses), so this module translates
 //! a compiled plan into [`gpu_lint::PlanStep`]s: one lint step per plan
 //! step, with each operand's required dtype taken from the
-//! [`GpuBackend`](proto_core::backend::GpuBackend) call it lowers to.
+//! [`GpuBackend`] call it lowers to.
 //! Bound base columns become pseudo-slots above the plan's own slot
 //! range — the lint exempts them from lifetime rules, mirroring the
 //! executor contract (the plan borrows its inputs, it never frees
@@ -38,8 +38,10 @@
 //! equivalent to the plan it replaced.
 
 use gpu_lint::{PlanColumn, PlanDtype, PlanStep, PlanUse, RecoveryTimeline, Report};
-use proto_core::backend::ColType;
+use proto_core::backend::{ColType, GpuBackend};
+use proto_core::costing::TableStats;
 use proto_core::ops::JoinAlgo;
+use proto_core::optimizer::{self, CostingOptions, FusionPolicy, PassTrace, PlannerOptions};
 use proto_core::physical::{ColRef, PhysicalPlan, SlotKind, Step};
 use proto_core::resilient_plan::RecoveryLog;
 
@@ -294,44 +296,25 @@ pub fn lint_plan(plan: &PhysicalPlan) -> Report {
     )
 }
 
-/// Compile all six TPC-H queries on every backend that can plan them —
-/// once with default options and once with the general fusion pass on,
-/// so the fused-step lint arms (including GL405) see real plans — and
-/// lint each physical plan. ArrayFire is skipped for the join-bearing
-/// queries — it has no join algorithm (Table II), so the planner
-/// refuses at compile time and there is no plan to lint.
-pub fn query_plan_reports() -> Vec<Report> {
-    use proto_core::optimizer::{self, FusionPolicy, PlannerOptions};
-    use tpch::queries::{q1, q14, q3, q4, q5, q6};
-    type Logical = fn() -> proto_core::logical::LogicalPlan;
-    let queries: [(&str, Logical); 6] = [
-        ("Q1", q1::logical_plan),
-        ("Q3", q3::logical_plan),
-        ("Q4", q4::logical_plan),
-        ("Q5", q5::logical_plan),
-        ("Q6", q6::logical_plan),
-        ("Q14", q14::logical_plan),
-    ];
+/// Compile all six TPC-H queries ([`tpch::queries::LOGICAL_PLANS`])
+/// under each of `modes` on every paper backend — as plan
+/// `plan_name(query, mode)` — and hand every plan that compiles to
+/// `lint` as `(query, mode, backend, plan, rewrite trace)`, queries
+/// outermost. ArrayFire is skipped for the join-bearing queries — it has
+/// no join algorithm (Table II), so the planner refuses at compile time
+/// and there is no plan to lint; any other refusal panics.
+fn lint_six_queries(
+    modes: &[(&str, PlannerOptions)],
+    plan_name: impl Fn(&str, &str) -> String,
+    mut lint: impl FnMut(&str, &str, &dyn GpuBackend, PhysicalPlan, Vec<PassTrace>),
+) {
     let fw = crate::paper_framework();
-    let mut reports = Vec::new();
-    for (q, logical) in &queries {
-        for fused in [false, true] {
-            let opts = if fused {
-                PlannerOptions {
-                    fusion: FusionPolicy::on(),
-                    ..PlannerOptions::default()
-                }
-            } else {
-                PlannerOptions::default()
-            };
-            let name = if fused {
-                format!("{q}+fused")
-            } else {
-                (*q).to_string()
-            };
+    for (q, logical) in tpch::queries::LOGICAL_PLANS {
+        for (mode, opts) in modes {
+            let name = plan_name(q, mode);
             for b in fw.backends() {
-                match optimizer::plan_with(&name, &logical(), b.as_ref(), &opts) {
-                    Ok(plan) => reports.push(lint_plan(&plan)),
+                match optimizer::plan_traced(&name, &logical(), b.as_ref(), opts) {
+                    Ok((plan, traces)) => lint(q, mode, b.as_ref(), plan, traces),
                     Err(_) => {
                         assert_eq!(b.name(), "ArrayFire", "only ArrayFire may fail to plan")
                     }
@@ -339,6 +322,39 @@ pub fn query_plan_reports() -> Vec<Report> {
             }
         }
     }
+}
+
+fn fusion_on() -> PlannerOptions {
+    PlannerOptions {
+        fusion: FusionPolicy::on(),
+        ..PlannerOptions::default()
+    }
+}
+
+/// Costing on, with default table stats for the paper device.
+fn costing_on() -> PlannerOptions {
+    PlannerOptions {
+        costing: Some(CostingOptions::new(
+            &crate::paper_device(),
+            TableStats::new(),
+        )),
+        ..PlannerOptions::default()
+    }
+}
+
+/// Compile all six TPC-H queries on every backend that can plan them —
+/// once with default options and once with the general fusion pass on,
+/// so the fused-step lint arms (including GL405) see real plans — and
+/// lint each physical plan (see `lint_six_queries` for the ArrayFire
+/// skip).
+pub fn query_plan_reports() -> Vec<Report> {
+    let modes = [("", PlannerOptions::default()), ("+fused", fusion_on())];
+    let mut reports = Vec::new();
+    lint_six_queries(
+        &modes,
+        |q, suffix| format!("{q}{suffix}"),
+        |_, _, _, plan, _| reports.push(lint_plan(&plan)),
+    );
     reports
 }
 
@@ -365,42 +381,21 @@ pub fn costed_plan_report(
 /// Compile all six TPC-H queries with costing on (default table stats)
 /// for every backend that can plan them and lint each plan's memory
 /// estimate, declaring the paper device's own capacity as the budget —
-/// the GL6xx CI gate. The ArrayFire skip mirrors
-/// [`query_plan_reports`].
+/// the GL6xx CI gate.
 pub fn costed_plan_reports() -> Vec<Report> {
-    use proto_core::costing::TableStats;
-    use proto_core::optimizer::{self, CostingOptions, PlannerOptions};
-    use tpch::queries::{q1, q14, q3, q4, q5, q6};
-    type Logical = fn() -> proto_core::logical::LogicalPlan;
-    let queries: [(&str, Logical); 6] = [
-        ("Q1", q1::logical_plan),
-        ("Q3", q3::logical_plan),
-        ("Q4", q4::logical_plan),
-        ("Q5", q5::logical_plan),
-        ("Q6", q6::logical_plan),
-        ("Q14", q14::logical_plan),
-    ];
     let spec = crate::paper_device();
-    let fw = crate::paper_framework();
     let mut reports = Vec::new();
-    for (q, logical) in &queries {
-        let opts = PlannerOptions {
-            costing: Some(CostingOptions::new(&spec, TableStats::new())),
-            ..PlannerOptions::default()
-        };
-        for b in fw.backends() {
-            match optimizer::plan_with(q, &logical(), b.as_ref(), &opts) {
-                Ok(plan) => reports.extend(costed_plan_report(
-                    &plan,
-                    Some(spec.global_mem_bytes),
-                    &spec,
-                )),
-                Err(_) => {
-                    assert_eq!(b.name(), "ArrayFire", "only ArrayFire may fail to plan")
-                }
-            }
-        }
-    }
+    lint_six_queries(
+        &[("costing", costing_on())],
+        |q, _| q.to_string(),
+        |_, _, _, plan, _| {
+            reports.extend(costed_plan_report(
+                &plan,
+                Some(spec.global_mem_bytes),
+                &spec,
+            ))
+        },
+    );
     reports
 }
 
@@ -408,64 +403,26 @@ pub fn costed_plan_reports() -> Vec<Report> {
 /// all three planner modes — heuristic (defaults), fusion
 /// ([`FusionPolicy::on`]), and costing (default table stats) — on every
 /// backend that can plan them, and validate each run's rewrite trace
-/// against the compiled plan (GL7xx). The ArrayFire skip mirrors
-/// [`query_plan_reports`].
-///
-/// [`optimizer::plan_traced`]: proto_core::optimizer::plan_traced
-/// [`FusionPolicy::on`]: proto_core::optimizer::FusionPolicy::on
+/// against the compiled plan (GL7xx).
 pub fn translation_reports() -> Vec<Report> {
-    use proto_core::costing::TableStats;
-    use proto_core::optimizer::{self, CostingOptions, FusionPolicy, PlannerOptions};
-    use tpch::queries::{q1, q14, q3, q4, q5, q6};
-    type Logical = fn() -> proto_core::logical::LogicalPlan;
-    let queries: [(&str, Logical); 6] = [
-        ("Q1", q1::logical_plan),
-        ("Q3", q3::logical_plan),
-        ("Q4", q4::logical_plan),
-        ("Q5", q5::logical_plan),
-        ("Q6", q6::logical_plan),
-        ("Q14", q14::logical_plan),
-    ];
-    let spec = crate::paper_device();
-    let fw = crate::paper_framework();
-    let modes: [(&str, PlannerOptions); 3] = [
+    let modes = [
         ("heuristic", PlannerOptions::default()),
-        (
-            "fusion",
-            PlannerOptions {
-                fusion: FusionPolicy::on(),
-                ..PlannerOptions::default()
-            },
-        ),
-        (
-            "costing",
-            PlannerOptions {
-                costing: Some(CostingOptions::new(&spec, TableStats::new())),
-                ..PlannerOptions::default()
-            },
-        ),
+        ("fusion", fusion_on()),
+        ("costing", costing_on()),
     ];
     let mut reports = Vec::new();
-    for (q, logical) in &queries {
-        for (mode, opts) in &modes {
-            for b in fw.backends() {
-                match optimizer::plan_traced(q, &logical(), b.as_ref(), opts) {
-                    Ok((plan, traces)) => {
-                        let view =
-                            gpu_lint::phys_view(&plan, optimizer::supported_joins(b.as_ref()));
-                        reports.push(gpu_lint::lint_translation(
-                            format!("translation({q}/{mode}/{})", b.name()),
-                            &traces,
-                            &view,
-                        ));
-                    }
-                    Err(_) => {
-                        assert_eq!(b.name(), "ArrayFire", "only ArrayFire may fail to plan")
-                    }
-                }
-            }
-        }
-    }
+    lint_six_queries(
+        &modes,
+        |q, _| q.to_string(),
+        |q, mode, b, plan, traces| {
+            let view = gpu_lint::phys_view(&plan, optimizer::supported_joins(b));
+            reports.push(gpu_lint::lint_translation(
+                format!("translation({q}/{mode}/{})", b.name()),
+                &traces,
+                &view,
+            ));
+        },
+    );
     reports
 }
 
@@ -507,7 +464,7 @@ pub fn convert_recovery(log: &RecoveryLog) -> RecoveryTimeline {
 pub fn recovery_reports() -> Vec<Report> {
     use proto_core::resilient::RetryPolicy;
     use proto_core::resilient_plan::{PlanRecovery, ResilientPlanExecutor};
-    use tpch::queries::{q1::Q1Data, q14::Q14Data, q3::Q3Data, q4::Q4Data, q5::Q5Data, q6::Q6Data};
+    use tpch::queries::WorkingSet;
 
     let db = tpch::cached(0.001);
     let b = proto_core::framework::Framework::single_backend(&crate::paper_device(), "Handwritten");
@@ -533,30 +490,15 @@ pub fn recovery_reports() -> Vec<Report> {
             &convert_recovery(&log),
         ));
     };
-    let d = Q1Data::upload(b, &db).expect("upload");
-    d.execute_with(b, &exec).expect("Q1");
-    lint("Q1", exec.take_log());
-    d.free(b).expect("free");
-    let d = Q3Data::upload(b, &db).expect("upload");
-    d.execute_with(b, &db, &exec).expect("Q3");
-    lint("Q3", exec.take_log());
-    d.free(b).expect("free");
-    let d = Q4Data::upload(b, &db).expect("upload");
-    d.execute_with(b, &exec).expect("Q4");
-    lint("Q4", exec.take_log());
-    d.free(b).expect("free");
-    let d = Q5Data::upload(b, &db).expect("upload");
-    d.execute_with(b, &exec).expect("Q5");
-    lint("Q5", exec.take_log());
-    d.free(b).expect("free");
-    let d = Q6Data::upload(b, &db).expect("upload");
-    d.execute_with(b, &exec).expect("Q6");
-    lint("Q6", exec.take_log());
-    d.free(b).expect("free");
-    let d = Q14Data::upload(b, &db).expect("upload");
-    d.execute_with(b, &exec).expect("Q14");
-    lint("Q14", exec.take_log());
-    d.free(b).expect("free");
+    for (q, logical) in tpch::queries::LOGICAL_PLANS {
+        let logical = logical();
+        let cols = WorkingSet::upload(b, &db, &logical.scan_columns()).expect("upload");
+        let plan = optimizer::plan(q, &logical, b).expect("plan");
+        exec.execute(b, &plan, &cols.bindings())
+            .unwrap_or_else(|e| panic!("{q}: {e}"));
+        lint(q, exec.take_log());
+        cols.free(b).expect("free");
+    }
     b.device().clear_fault_plan();
     reports
 }

@@ -1,8 +1,9 @@
 //! Whole-query experiments (E10–E12): TPC-H on every backend.
 //!
 //! Structured like `crate::operators`: per-backend part functions run one
-//! backend's cells in serial order, and the public experiment functions
-//! merge parts back into the serial emission order. TPC-H databases come
+//! backend's cells in serial order, and their rows in
+//! [`crate::experiments::TABLE`] merge the parts back into the serial
+//! emission order. TPC-H databases come
 //! from [`tpch::cached`], so one generation per scale factor serves
 //! E10/E11/E12, validation and the extension experiments — the serial
 //! path used to regenerate each scale factor three times.
@@ -36,27 +37,6 @@ pub fn e10_part(b: &dyn GpuBackend, sfs: &[f64]) -> Part {
     part
 }
 
-/// Assemble E10 from per-backend parts.
-pub fn e10_assemble(parts: Vec<Part>) -> Experiment {
-    let mut exp = Experiment::new(
-        "E10",
-        "TPC-H Q6 runtime vs. scale factor (x = SF·1000)",
-        "sf_x1000",
-    );
-    exp.samples = merge_x_major(parts);
-    exp
-}
-
-/// E10 — TPC-H Q6 runtime per backend across scale factors.
-pub fn e10_q6(fw: &proto_core::framework::Framework, sfs: &[f64]) -> Experiment {
-    e10_assemble(
-        fw.backends()
-            .iter()
-            .map(|b| e10_part(b.as_ref(), sfs))
-            .collect(),
-    )
-}
-
 /// E11 part — one backend's Q1 samples, one per scale factor.
 pub fn e11_part(b: &dyn GpuBackend, sfs: &[f64]) -> Part {
     let mut part = Part::new();
@@ -68,27 +48,6 @@ pub fn e11_part(b: &dyn GpuBackend, sfs: &[f64]) -> Part {
         part.push(vec![s]);
     }
     part
-}
-
-/// Assemble E11 from per-backend parts.
-pub fn e11_assemble(parts: Vec<Part>) -> Experiment {
-    let mut exp = Experiment::new(
-        "E11",
-        "TPC-H Q1 runtime vs. scale factor (x = SF·1000)",
-        "sf_x1000",
-    );
-    exp.samples = merge_x_major(parts);
-    exp
-}
-
-/// E11 — TPC-H Q1 runtime per backend across scale factors.
-pub fn e11_q1(fw: &proto_core::framework::Framework, sfs: &[f64]) -> Experiment {
-    e11_assemble(
-        fw.backends()
-            .iter()
-            .map(|b| e11_part(b.as_ref(), sfs))
-            .collect(),
-    )
 }
 
 /// E12 part — one backend's samples for the four join-bearing queries,
@@ -138,17 +97,6 @@ pub fn e12_assemble(parts: Vec<[Part; 4]>) -> Vec<Experiment> {
             exp
         })
         .collect()
-}
-
-/// E12 — the join-bearing queries Q3, Q4 and Q14; ArrayFire is absent
-/// (no join support, Table II).
-pub fn e12_join_queries(fw: &proto_core::framework::Framework, sfs: &[f64]) -> Vec<Experiment> {
-    e12_assemble(
-        fw.backends()
-            .iter()
-            .map(|b| e12_part(b.as_ref(), sfs))
-            .collect(),
-    )
 }
 
 /// Validate one backend's query answers against the host reference —
@@ -225,12 +173,13 @@ fn measure_query(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::run_serial;
     use crate::paper_framework;
+    use crate::traced::lint_config;
 
     #[test]
     fn e10_q6_shapes() {
-        let fw = paper_framework();
-        let exp = e10_q6(&fw, &[0.001]);
+        let exp = crate::experiments::serial("E10", lint_config());
         let x = 1;
         let hw = exp.get("Handwritten", x).unwrap().nanos;
         let th = exp.get("Thrust", x).unwrap().nanos;
@@ -244,8 +193,8 @@ mod tests {
 
     #[test]
     fn e12_excludes_arrayfire() {
-        let fw = paper_framework();
-        let exps = e12_join_queries(&fw, &[0.001]);
+        let exps = run_serial("E12", &paper_framework(), &lint_config());
+        assert_eq!(exps.len(), 4);
         for e in &exps {
             assert!(!e.backends().contains(&"ArrayFire"), "{}", e.id);
             assert!(e.backends().contains(&"Handwritten"));

@@ -7,6 +7,11 @@ use std::path::Path;
 /// write `<id>.csv` beside it.
 pub fn emit(exp: &Experiment, csv_dir: Option<&Path>) -> std::io::Result<()> {
     println!("{}", exp.render());
+    write_csv(exp, csv_dir)
+}
+
+/// Write `<id>.csv` into `csv_dir` (created on demand) when it is set.
+pub fn write_csv(exp: &Experiment, csv_dir: Option<&Path>) -> std::io::Result<()> {
     if let Some(dir) = csv_dir {
         std::fs::create_dir_all(dir)?;
         std::fs::write(dir.join(format!("{}.csv", exp.id)), exp.to_csv())?;

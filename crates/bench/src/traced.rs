@@ -1,21 +1,20 @@
-//! Trace capture for `gpu-lint`: replay experiment cells on fresh,
-//! tracing-enabled backends and hand back each cell's drained event
-//! stream.
+//! Trace capture for `gpu-lint`: replay the cells of an experiment-table
+//! row ([`crate::experiments::TABLE`]) on fresh, tracing-enabled devices
+//! and hand back each cell's drained event stream.
 //!
-//! Cells here are *observation* runs: every cell gets its own backend so
+//! Cells here are *observation* runs of the very cell descriptions the
+//! grid schedules: every cell gets its own devices — lane cells too — so
 //! its trace is a self-contained buffer-lifetime story (all allocations
 //! and frees inside one window), which is what the lint passes analyse.
 //! Simulated timings therefore differ from the grid's accumulated-state
 //! lanes — that is fine, no sample from this path is ever emitted; the
 //! measurement path ([`crate::grid::run`]) is untouched.
 
-use proto_core::backend::GpuBackend;
-use proto_core::framework::Framework;
-use proto_core::ops::Connective;
-use proto_core::resilient::RetryPolicy;
+use std::sync::Arc;
 
+use crate::experiments::emitting_row;
+pub use crate::experiments::EXPERIMENTS;
 use crate::grid::GridConfig;
-use crate::{ablations, extensions, operators, queries};
 
 /// One experiment cell's captured device trace.
 pub struct TracedCell {
@@ -30,12 +29,6 @@ impl std::fmt::Debug for TracedCell {
         write!(f, "TracedCell({}, {} events)", self.label, self.trace.len())
     }
 }
-
-/// Experiment ids the traced runner can replay, in emission order.
-pub const EXPERIMENTS: [&str; 23] = [
-    "E3", "E4", "E5a", "E5b", "E6", "E7", "E8", "E9a", "E9b", "E10", "E11", "E12", "E13", "E14",
-    "E15", "E17", "E19", "E20", "E21", "A1", "A2", "A3", "A4",
-];
 
 /// A complete-coverage configuration small enough for the lint gate:
 /// every sweep keeps its structure (multiple sizes, selectivities, fault
@@ -87,198 +80,25 @@ pub fn golden_waivers() -> Vec<gpu_lint::Waiver> {
     ]
 }
 
-fn traced_backend(name: &str) -> Box<dyn GpuBackend> {
-    let b = Framework::single_backend(&crate::paper_device(), name);
-    b.device().set_tracing(true);
-    b
-}
-
 /// Run one experiment's cells (see [`EXPERIMENTS`]) on fresh traced
-/// backends and return each cell's trace.
+/// devices and return each cell's trace, labelled `id/cell` — a cell
+/// that also builds a replica device yields a second `…/replica` trace.
 ///
 /// # Panics
 /// On an unknown experiment id.
 pub fn traced_experiment(cfg: &GridConfig, exp: &str) -> Vec<TracedCell> {
-    // Most experiments are one part function per paper backend.
-    let per_backend = |f: &dyn Fn(&dyn GpuBackend)| -> Vec<TracedCell> {
-        proto_core::backends::PAPER_BACKENDS
-            .iter()
-            .map(|name| {
-                let b = traced_backend(name);
-                f(b.as_ref());
-                TracedCell {
-                    label: format!("{exp}/{name}"),
-                    trace: b.device().take_trace(),
-                }
-            })
-            .collect()
-    };
-    match exp {
-        "E3" => per_backend(&|b| {
-            operators::e3_part(b, &cfg.sizes);
-        }),
-        "E4" => per_backend(&|b| {
-            operators::e4_part(b, cfg.e4_n, &cfg.sels);
-        }),
-        "E5a" => per_backend(&|b| {
-            operators::e5_part(b, &cfg.sizes, false);
-        }),
-        "E5b" => per_backend(&|b| {
-            operators::e5_part(b, &cfg.sizes, true);
-        }),
-        "E6" => per_backend(&|b| {
-            operators::e6_part(b, cfg.e6_n, &cfg.groups);
-        }),
-        "E7" => per_backend(&|b| {
-            operators::e7_part(b, &cfg.sizes);
-        }),
-        "E8" => per_backend(&|b| {
-            operators::e8_part(b, &cfg.join_sizes);
-        }),
-        "E9a" => per_backend(&|b| {
-            operators::e9_part(b, cfg.e9_n, &cfg.e9_preds, Connective::And);
-        }),
-        "E9b" => per_backend(&|b| {
-            operators::e9_part(b, cfg.e9_n, &cfg.e9_preds, Connective::Or);
-        }),
-        "E10" => per_backend(&|b| {
-            queries::e10_part(b, &cfg.sfs);
-        }),
-        "E11" => per_backend(&|b| {
-            queries::e11_part(b, &cfg.sfs);
-        }),
-        "E12" => per_backend(&|b| {
-            queries::e12_part(b, &cfg.sfs);
-        }),
-        "E13" => per_backend(&|b| {
-            extensions::e13_part(b, cfg.e13_sf);
-        }),
-        "E14" => per_backend(&|b| {
-            extensions::e14_part(b, &cfg.sizes);
-        }),
-        "E15" => per_backend(&|b| {
-            operators::e15_part(b, cfg.e15_n);
-        }),
-        "E20" => per_backend(&|b| {
-            extensions::e20_part(b, &cfg.e20_sizes);
-        }),
-        "E21" => {
-            let mut cells = Vec::new();
-            for &n in &cfg.e21_sizes {
-                for name in proto_core::backends::PAPER_BACKENDS {
-                    for fused in [false, true] {
-                        let b = traced_backend(name);
-                        extensions::e21_fusion_cell_on(b.as_ref(), n, fused);
-                        let tag = if fused { "fused" } else { "composed" };
-                        cells.push(TracedCell {
-                            label: format!("E21/n{n}/{name}/{tag}"),
-                            trace: b.device().take_trace(),
-                        });
-                    }
-                }
-            }
-            for &outer in &cfg.e21_join_sizes {
-                for algo in extensions::E21_JOIN_ALGOS {
-                    let b = traced_backend("Handwritten");
-                    extensions::e21_join_cell_on(b.as_ref(), outer, algo);
-                    cells.push(TracedCell {
-                        label: format!("E21/j{outer}/{algo:?}"),
-                        trace: b.device().take_trace(),
-                    });
-                }
-            }
-            cells
+    let (_, row) = emitting_row(exp);
+    let mut traced = Vec::new();
+    for cell in row.cells(&Arc::new(cfg.clone())) {
+        let label = format!("{exp}/{}", cell.label);
+        for (suffix, trace) in cell.run(None, true).1 {
+            traced.push(TracedCell {
+                label: format!("{label}{suffix}"),
+                trace,
+            });
         }
-        "A1" => per_backend(&|b| {
-            ablations::a1_part(b, cfg.a1_n);
-        }),
-        "E17" => {
-            let mut cells = Vec::new();
-            for &permille in &cfg.e17_rates {
-                for name in proto_core::backends::PAPER_BACKENDS {
-                    let policy = RetryPolicy {
-                        max_retries: 60,
-                        ..RetryPolicy::default()
-                    };
-                    let b =
-                        Framework::single_backend_resilient(&crate::paper_device(), name, policy);
-                    b.device().set_tracing(true);
-                    extensions::e17_cell_on(b.as_ref(), cfg.e17_sf, permille);
-                    cells.push(TracedCell {
-                        label: format!("E17/r{permille}/{name}"),
-                        trace: b.device().take_trace(),
-                    });
-                }
-            }
-            cells
-        }
-        "E19" => {
-            let mut cells = Vec::new();
-            for &permille in &cfg.e19_rates {
-                for mode in extensions::E19_MODES {
-                    for name in proto_core::backends::PAPER_BACKENDS {
-                        let b = traced_backend(name);
-                        let spare = (mode == "fallback").then(|| traced_backend(name));
-                        extensions::e19_cell_on(
-                            b.as_ref(),
-                            spare.as_deref(),
-                            cfg.e19_sf,
-                            mode,
-                            permille,
-                        );
-                        cells.push(TracedCell {
-                            label: format!("E19/r{permille}/{mode}/{name}"),
-                            trace: b.device().take_trace(),
-                        });
-                        if let Some(sb) = spare {
-                            // The replica device is its own buffer-id
-                            // namespace: lint its trace as its own cell.
-                            cells.push(TracedCell {
-                                label: format!("E19/r{permille}/{mode}/{name}/replica"),
-                                trace: sb.device().take_trace(),
-                            });
-                        }
-                    }
-                }
-            }
-            cells
-        }
-        "A2" => {
-            let mut cells = Vec::new();
-            for &k in &cfg.a2_ks {
-                for lib in ablations::A2_LIBS {
-                    let dev = gpu_sim::Device::new(crate::paper_device());
-                    dev.set_tracing(true);
-                    ablations::a2_cell_on(&dev, lib, k, cfg.a2_n);
-                    cells.push(TracedCell {
-                        label: format!("A2/k{k}/{lib}"),
-                        trace: dev.take_trace(),
-                    });
-                }
-            }
-            cells
-        }
-        "A3" => proto_core::backends::PAPER_BACKENDS
-            .iter()
-            .map(|name| {
-                let b = traced_backend(name);
-                ablations::a3_cell_on(b.as_ref(), cfg.a3_n);
-                TracedCell {
-                    label: format!("A3/{name}"),
-                    trace: b.device().take_trace(),
-                }
-            })
-            .collect(),
-        "A4" => {
-            let b = traced_backend("Thrust");
-            extensions::a4_part(b.as_ref(), cfg.a4_n, &cfg.a4_sels);
-            vec![TracedCell {
-                label: "A4/Thrust".to_string(),
-                trace: b.device().take_trace(),
-            }]
-        }
-        other => panic!("unknown experiment {other:?} (see traced::EXPERIMENTS)"),
     }
+    traced
 }
 
 #[cfg(test)]
@@ -311,14 +131,74 @@ mod tests {
         }
     }
 
+    /// Every lint target the replay produced at [`lint_config`] when the
+    /// cells were a hand-written `match` (PR 14), in `gpu_lint`'s order.
+    const LINT_LABELS: &str = "
+E3/ArrayFire E3/Boost.Compute E3/Thrust E3/Handwritten E4/ArrayFire E4/Boost.Compute
+E4/Thrust E4/Handwritten E5a/ArrayFire E5a/Boost.Compute E5a/Thrust E5a/Handwritten
+E5b/ArrayFire E5b/Boost.Compute E5b/Thrust E5b/Handwritten E6/ArrayFire E6/Boost.Compute
+E6/Thrust E6/Handwritten E7/ArrayFire E7/Boost.Compute E7/Thrust E7/Handwritten
+E8/ArrayFire E8/Boost.Compute E8/Thrust E8/Handwritten E9a/ArrayFire E9a/Boost.Compute
+E9a/Thrust E9a/Handwritten E9b/ArrayFire E9b/Boost.Compute E9b/Thrust E9b/Handwritten
+E10/ArrayFire E10/Boost.Compute E10/Thrust E10/Handwritten E11/ArrayFire
+E11/Boost.Compute E11/Thrust E11/Handwritten E12/ArrayFire E12/Boost.Compute E12/Thrust
+E12/Handwritten E13/ArrayFire E13/Boost.Compute E13/Thrust E13/Handwritten E14/ArrayFire
+E14/Boost.Compute E14/Thrust E14/Handwritten E15/ArrayFire E15/Boost.Compute E15/Thrust
+E15/Handwritten E17/r0/ArrayFire E17/r0/Boost.Compute E17/r0/Thrust E17/r0/Handwritten
+E17/r50/ArrayFire E17/r50/Boost.Compute E17/r50/Thrust E17/r50/Handwritten
+E19/r0/retry/ArrayFire E19/r0/retry/Boost.Compute E19/r0/retry/Thrust
+E19/r0/retry/Handwritten E19/r0/partition/ArrayFire E19/r0/partition/Boost.Compute
+E19/r0/partition/Thrust E19/r0/partition/Handwritten E19/r0/fallback/ArrayFire
+E19/r0/fallback/ArrayFire/replica E19/r0/fallback/Boost.Compute
+E19/r0/fallback/Boost.Compute/replica E19/r0/fallback/Thrust
+E19/r0/fallback/Thrust/replica E19/r0/fallback/Handwritten
+E19/r0/fallback/Handwritten/replica E19/r50/retry/ArrayFire E19/r50/retry/Boost.Compute
+E19/r50/retry/Thrust E19/r50/retry/Handwritten E19/r50/partition/ArrayFire
+E19/r50/partition/Boost.Compute E19/r50/partition/Thrust E19/r50/partition/Handwritten
+E19/r50/fallback/ArrayFire E19/r50/fallback/ArrayFire/replica
+E19/r50/fallback/Boost.Compute E19/r50/fallback/Boost.Compute/replica
+E19/r50/fallback/Thrust E19/r50/fallback/Thrust/replica E19/r50/fallback/Handwritten
+E19/r50/fallback/Handwritten/replica E20/ArrayFire E20/Boost.Compute E20/Thrust
+E20/Handwritten E21/n4096/ArrayFire/composed E21/n4096/ArrayFire/fused
+E21/n4096/Boost.Compute/composed E21/n4096/Boost.Compute/fused E21/n4096/Thrust/composed
+E21/n4096/Thrust/fused E21/n4096/Handwritten/composed E21/n4096/Handwritten/fused
+E21/j1024/Hash E21/j1024/Merge E21/j1024/NestedLoops A1/ArrayFire A1/Boost.Compute
+A1/Thrust A1/Handwritten A2/k1/ArrayFire A2/k1/Thrust A2/k4/ArrayFire A2/k4/Thrust
+A3/ArrayFire A3/Boost.Compute A3/Thrust A3/Handwritten A4/Thrust
+";
+
+    #[test]
+    fn the_replay_yields_the_committed_lint_targets() {
+        let cfg = lint_config();
+        let got: Vec<String> = EXPERIMENTS
+            .iter()
+            .flat_map(|exp| traced_experiment(&cfg, exp))
+            .map(|cell| cell.label)
+            .collect();
+        let want: Vec<&str> = LINT_LABELS.split_whitespace().collect();
+        assert_eq!(want.len(), 128);
+        assert_eq!(got, want);
+    }
+
     #[test]
     fn tracing_never_perturbs_measurements() {
-        // The same cell, traced and untraced, must produce identical
-        // samples: analysis is observation-only.
-        let untraced = ablations::a3_cell("Thrust", 1 << 12);
-        let b = traced_backend("Thrust");
-        let traced = ablations::a3_cell_on(b.as_ref(), 1 << 12);
-        assert!(!b.device().take_trace().is_empty());
-        assert_eq!(untraced, traced);
+        // The same cells, traced and untraced, must produce identical
+        // samples: analysis is observation-only. A3 runs on fresh
+        // backends, A2 on bare devices.
+        let cfg = Arc::new(lint_config());
+        for id in ["A2", "A3"] {
+            let (_, row) = emitting_row(id);
+            let csv = |traced: bool| {
+                let (outs, traces): (Vec<_>, Vec<_>) = row
+                    .cells(&cfg)
+                    .into_iter()
+                    .map(|cell| cell.run(None, traced))
+                    .unzip();
+                let recorded = traces.iter().flatten().all(|(_, t)| !t.is_empty());
+                assert_eq!(recorded, traced, "{id}: traces recorded iff asked for");
+                row.assemble(&cfg, outs)[0].to_csv()
+            };
+            assert_eq!(csv(false), csv(true), "{id}");
+        }
     }
 }

@@ -959,20 +959,10 @@ fn golden_translation(
     opts: &PlannerOptions,
     backend: &str,
 ) -> (Vec<PassTrace>, gpu_lint::PhysView) {
-    type Logical = fn() -> LogicalPlan;
-    let queries: [(&str, Logical); 6] = [
-        ("Q1", tpch::queries::q1::logical_plan),
-        ("Q3", tpch::queries::q3::logical_plan),
-        ("Q4", tpch::queries::q4::logical_plan),
-        ("Q5", tpch::queries::q5::logical_plan),
-        ("Q6", tpch::queries::q6::logical_plan),
-        ("Q14", tpch::queries::q14::logical_plan),
-    ];
-    let logical = queries
+    let (_, logical) = tpch::queries::LOGICAL_PLANS
         .iter()
         .find(|(q, _)| *q == query)
-        .expect("known query")
-        .1;
+        .expect("known query");
     let fw = bench::paper_framework();
     let b = fw.backend(backend).expect("known backend");
     let (plan, traces) =
@@ -1057,7 +1047,7 @@ fn tamper_after(
         panic!("trace #{idx} carries no tree rewrite certificate");
     };
     traces[idx].cert = Some(RewriteCert::Rewrite {
-        rule: *rule,
+        rule,
         before: before.clone(),
         after: f(after),
     });

@@ -18,6 +18,7 @@
 
 use std::sync::Mutex;
 
+use bench::grid::GridConfig;
 use proto_core::backend::Pred;
 use proto_core::ops::{CmpOp, Connective};
 
@@ -28,14 +29,17 @@ static GLOBAL_KNOBS: Mutex<()> = Mutex::new(());
 /// the validated query answers, all of which must be invariant.
 fn run_pipeline() -> (Vec<String>, String) {
     let fw = bench::paper_framework();
-    let sizes = [1 << 12, 1 << 14];
-    let csvs = vec![
-        bench::operators::e3_selection_scaling(&fw, &sizes).to_csv(),
-        bench::operators::e5_sort_scaling(&fw, &sizes, false).to_csv(),
-        bench::operators::e5_sort_scaling(&fw, &sizes, true).to_csv(),
-        bench::operators::e6_group_aggregation(&fw, 1 << 14, &[16, 256]).to_csv(),
-        bench::operators::e9_conjunction(&fw, 1 << 14, &[1, 2, 3], Connective::And).to_csv(),
-    ];
+    let cfg = GridConfig {
+        e6_n: 1 << 14,
+        e9_n: 1 << 14,
+        e9_preds: vec![1, 2, 3],
+        ..bench::traced::lint_config()
+    };
+    let csvs = ["E3", "E5a", "E5b", "E6", "E9a"]
+        .iter()
+        .flat_map(|id| bench::experiments::run_serial(id, &fw, &cfg))
+        .map(|exp| exp.to_csv())
+        .collect();
     let tables = tpch::generate(0.001);
     bench::queries::validate_all(&fw, &tables).expect("query validation");
     let q6: Vec<String> = fw
@@ -170,32 +174,11 @@ fn large_sorts_groupings_and_joins_are_thread_count_invariant() {
 #[test]
 fn grid_artifacts_and_stdout_are_jobs_invariant() {
     let _guard = GLOBAL_KNOBS.lock().unwrap();
-    let cfg = || bench::grid::GridConfig {
-        sizes: vec![1 << 12, 1 << 14],
-        sels: vec![0.1, 0.9],
-        e4_n: 1 << 12,
-        groups: vec![16, 256],
-        e6_n: 1 << 12,
-        join_sizes: vec![1 << 10],
-        e9_n: 1 << 12,
-        e9_preds: vec![1, 3],
-        validate_sf: 0.001,
-        sfs: vec![0.001],
-        e13_sf: 0.002,
-        e15_n: 1 << 12,
-        e17_sf: 0.001,
+    // Fault rates high enough that retries and fallbacks really happen.
+    let cfg = || GridConfig {
         e17_rates: vec![0, 100],
-        e19_sf: 0.001,
         e19_rates: vec![0, 100],
-        e20_sizes: vec![1 << 12, 1 << 13],
-        e21_sizes: vec![1 << 12],
-        e21_join_sizes: vec![1 << 10],
-        a1_n: 1 << 12,
-        a2_ks: vec![1, 2],
-        a2_n: 1 << 12,
-        a3_n: 1 << 12,
-        a4_n: 1 << 12,
-        a4_sels: vec![0.1, 0.9],
+        ..bench::traced::lint_config()
     };
     let digest = |s: &str| {
         use std::hash::{Hash, Hasher};

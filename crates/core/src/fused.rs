@@ -425,7 +425,12 @@ mod tests {
                 add: 1.0,
             }),
         );
-        assert_eq!(disc_price.eval_row(&at), 100.0 * (0.06 * -1.0 + 1.0));
+        // Spelled `x * mul + add`, the affine node's own evaluation order
+        // (bit-equality is the claim; `1.0 - 0.06` rounds the same here
+        // but says less).
+        #[allow(clippy::neg_multiply)]
+        let want = 100.0 * (0.06 * -1.0 + 1.0);
+        assert_eq!(disc_price.eval_row(&at), want);
         let masked = FusedExpr::Mul(
             Box::new(FusedExpr::Mask {
                 input: Box::new(col(2)),

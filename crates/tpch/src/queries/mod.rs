@@ -33,8 +33,25 @@ pub mod q5;
 pub mod q6;
 mod working_set;
 
+pub use working_set::WorkingSet;
+
 use proto_core::backend::GpuBackend;
+use proto_core::logical::LogicalPlan;
 use proto_core::ops::JoinAlgo;
+
+/// A query module's `logical_plan` builder.
+pub type LogicalPlanFn = fn() -> LogicalPlan;
+
+/// The six studied queries: the name [`proto_core::optimizer::plan`]
+/// compiles each under, and its `logical_plan` builder.
+pub const LOGICAL_PLANS: [(&str, LogicalPlanFn); 6] = [
+    ("Q1", q1::logical_plan),
+    ("Q3", q3::logical_plan),
+    ("Q4", q4::logical_plan),
+    ("Q5", q5::logical_plan),
+    ("Q6", q6::logical_plan),
+    ("Q14", q14::logical_plan),
+];
 
 /// Pick the best join algorithm the backend supports: hash beats merge
 /// beats nested loops (what a query planner would do). `None` when the

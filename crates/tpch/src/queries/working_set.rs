@@ -69,9 +69,10 @@ impl Database {
 }
 
 /// The device-resident base columns of one query on one backend: what
-/// every `QnData` holds.
+/// every `QnData` holds, and what a caller that treats the six queries
+/// alike ([`crate::queries::LOGICAL_PLANS`]) uploads directly.
 #[derive(Debug)]
-pub(crate) struct WorkingSet {
+pub struct WorkingSet {
     /// `(qualified name, column)` in upload order.
     cols: Vec<(String, Col)>,
 }
@@ -80,7 +81,7 @@ impl WorkingSet {
     /// Upload `columns` (a plan's [`LogicalPlan::scan_columns`]) in
     /// order. Like the hand-written uploads it replaces, a failing
     /// upload propagates without releasing the columns before it.
-    pub(crate) fn upload(
+    pub fn upload(
         backend: &dyn GpuBackend,
         db: &Database,
         columns: &[(String, ColType)],
@@ -102,7 +103,7 @@ impl WorkingSet {
     }
 
     /// Every uploaded column bound under its qualified name.
-    pub(crate) fn bindings(&self) -> PlanBindings<'_> {
+    pub fn bindings(&self) -> PlanBindings<'_> {
         let mut binds = PlanBindings::new();
         for (name, col) in &self.cols {
             binds.bind(name, col);
@@ -137,7 +138,7 @@ impl WorkingSet {
     }
 
     /// Free the columns, in upload order.
-    pub(crate) fn free(self, backend: &dyn GpuBackend) -> Result<()> {
+    pub fn free(self, backend: &dyn GpuBackend) -> Result<()> {
         for (_, col) in self.cols {
             backend.free(col)?;
         }

@@ -5,19 +5,12 @@
 use proto_core::backend::ColType;
 use proto_core::logical::LogicalPlan;
 use proto_core::resilient_plan::HostCol;
-use tpch::queries::{q1, q14, q3, q4, q5, q6};
+use tpch::queries::{q1, q14, LOGICAL_PLANS};
 
 #[test]
 fn the_schema_lookup_covers_every_plan_column_with_the_declared_dtype() {
     let db = tpch::generate(0.001);
-    let plans = [
-        q1::logical_plan(),
-        q3::logical_plan(),
-        q4::logical_plan(),
-        q5::logical_plan(),
-        q6::logical_plan(),
-        q14::logical_plan(),
-    ];
+    let plans = LOGICAL_PLANS.map(|(_, logical)| logical());
     for (name, dtype) in plans.iter().flat_map(LogicalPlan::scan_columns) {
         let (host, rows) = match db.column(&name) {
             Some(HostCol::U32(v)) => (ColType::U32, v.len()),

@@ -42,12 +42,7 @@ fn main() {
         }
         "query" => run_query(&args[1..]),
         "export" => {
-            let sf: f64 = flag_value(&args[1..], "--sf").map_or(0.01, |v| {
-                v.parse().unwrap_or_else(|_| {
-                    eprintln!("export: bad --sf value `{v}`");
-                    std::process::exit(2);
-                })
-            });
+            let sf = scale_factor("export", &args[1..]);
             let dir = flag_value(&args[1..], "--out").unwrap_or("tpch-data");
             println!("generating TPC-H SF {sf} → {dir}/…");
             let db = gpu_proto_db::tpch::generate(sf);
@@ -84,17 +79,35 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
+/// The `--sf` scale factor (default 0.01). Exits 2 on anything but a
+/// finite number above zero: the generator sizes every table from it, so
+/// `inf` asks for an unbounded allocation and `nan` / negatives silently
+/// clamp to one-row tables.
+fn scale_factor(cmd: &str, args: &[String]) -> f64 {
+    let Some(v) = flag_value(args, "--sf") else {
+        return 0.01;
+    };
+    match v.parse::<f64>() {
+        Ok(sf) if sf.is_finite() && sf > 0.0 => sf,
+        _ => {
+            eprintln!("{cmd}: bad --sf value `{v}` (expected a finite number > 0)");
+            std::process::exit(2);
+        }
+    }
+}
+
+const QUERIES: [&str; 6] = ["q1", "q3", "q4", "q5", "q6", "q14"];
+
 fn run_query(args: &[String]) {
-    let Some(query) = args.first() else {
-        eprintln!("query: expected one of q1, q3, q4, q5, q6, q14");
+    let Some(query) = args.first().filter(|q| QUERIES.contains(&q.as_str())) else {
+        eprintln!(
+            "query: unknown query `{}` (expected {})",
+            args.first().map_or("", String::as_str),
+            QUERIES.join(", ")
+        );
         std::process::exit(2);
     };
-    let sf: f64 = flag_value(args, "--sf").map_or(0.01, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("query: bad --sf value `{v}`");
-            std::process::exit(2);
-        })
-    });
+    let sf = scale_factor("query", args);
     let only = flag_value(args, "--backend");
 
     println!("generating TPC-H SF {sf}…");
@@ -180,10 +193,7 @@ fn run_query(args: &[String]) {
                     );
                 })
             }
-            other => {
-                eprintln!("query: unknown query `{other}` (expected q1, q3, q4, q5, q6, q14)");
-                std::process::exit(2);
-            }
+            other => unreachable!("`{other}` passed the QUERIES check"),
         };
         if outcome.is_err() {
             debug_assert!(!can_join(b), "only join-less backends may fail");
