@@ -9,7 +9,7 @@
 //! is lazy JIT fusion: chained element-wise math (Product, predicates)
 //! compiles into a single kernel.
 
-use super::{row_preds, same_len};
+use super::{check_keyed, check_sum_product, row_preds, same_len};
 use crate::backend::{check_col, Col, ColType, GpuBackend, Pred, Slab};
 use crate::ops::{CmpOp, Connective, DbOperator, JoinAlgo, Support};
 use arrayfire_sim as af;
@@ -41,11 +41,6 @@ impl ArrayFireBackend {
             runtime: af::Backend::new(device),
             slab: Slab::default(),
         }
-    }
-
-    /// The ArrayFire runtime handle (exposed for fusion ablations).
-    pub fn runtime(&self) -> &Arc<af::Backend> {
-        &self.runtime
     }
 
     fn mint(&self, arr: Array) -> Col {
@@ -294,14 +289,7 @@ impl GpuBackend for ArrayFireBackend {
     }
 
     fn grouped_sum(&self, keys: &Col, vals: &Col) -> Result<(Col, Col)> {
-        check_col(keys, NAME, ColType::U32)?;
-        check_col(vals, NAME, ColType::F64)?;
-        if keys.len != vals.len {
-            return Err(SimError::SizeMismatch {
-                left: keys.len,
-                right: vals.len,
-            });
-        }
+        check_keyed(NAME, keys, vals)?;
         let (kcol, vcol) = (self.arr(keys)?.eval()?, self.arr(vals)?.eval()?);
         // sort(keys, values) then sumByKey(), charged: the sorted columns
         // are never read. The sums come from one row-order pass, seeded so
@@ -371,10 +359,8 @@ impl GpuBackend for ArrayFireBackend {
         // only the final reduction is a second launch.
         check_col(a, NAME, ColType::F64)?;
         check_col(b, NAME, ColType::F64)?;
-        let Some(first) = preds.first() else {
-            return Err(SimError::Unsupported("empty predicate list".into()));
-        };
-        let mut mask = self.mask(first)?;
+        check_sum_product(a, b, preds)?;
+        let mut mask = self.mask(&preds[0])?;
         for p in &preds[1..] {
             mask = mask.and(&self.mask(p)?)?;
         }
@@ -428,154 +414,51 @@ impl GpuBackend for ArrayFireBackend {
     }
 }
 
+/// ArrayFire's cost profile; answers are `conformance`'s business.
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::Pred;
+    use crate::backends::conformance::{revenue, stats_of};
 
-    fn backend() -> ArrayFireBackend {
-        ArrayFireBackend::new(&Device::with_defaults())
+    #[test]
+    fn conjunction_and_disjunction_are_set_operations() {
+        let b = ArrayFireBackend::new(&Device::with_defaults());
+        let ([price, _, qty], ..) = revenue(&b);
+        let over = |col| Pred {
+            col,
+            cmp: CmpOp::Gt,
+            lit: 15.0,
+        };
+        let preds = [over(&qty), over(&price)];
+        let s = stats_of(&b, || b.selection_multi(&preds, Connective::And).unwrap());
+        assert_eq!(s.launches_of("af::setIntersect"), 1);
+        assert_eq!(s.launches_of("af::setUnion"), 0);
+        let s = stats_of(&b, || b.selection_multi(&preds, Connective::Or).unwrap());
+        assert_eq!(s.launches_of("af::setIntersect"), 0);
+        assert_eq!(s.launches_of("af::setUnion"), 1);
     }
 
     #[test]
-    fn selection_via_where() {
-        let b = backend();
-        let col = b.upload_u32(&[5, 2, 9, 1, 7]).unwrap();
-        let ids = b.selection(&col, CmpOp::Gt, 4.0).unwrap();
-        assert_eq!(b.download_u32(&ids).unwrap(), vec![0, 2, 4]);
-        assert_eq!(b.support(DbOperator::Selection), Support::Partial);
-    }
-
-    #[test]
-    fn conjunction_via_set_intersect() {
-        let b = backend();
-        let x = b.upload_u32(&[1, 5, 3, 8]).unwrap();
-        let preds = [
-            Pred {
-                col: &x,
-                cmp: CmpOp::Gt,
-                lit: 2.0,
-            },
-            Pred {
-                col: &x,
-                cmp: CmpOp::Lt,
-                lit: 8.0,
-            },
-        ];
-        let and = b.selection_multi(&preds, Connective::And).unwrap();
-        assert_eq!(b.download_u32(&and).unwrap(), vec![1, 2]);
-        let or = b.selection_multi(&preds, Connective::Or).unwrap();
-        assert_eq!(b.download_u32(&or).unwrap(), vec![0, 1, 2, 3]);
-        let dev = b.device();
-        let s = dev.stats();
-        assert!(s.launches_of("af::setIntersect") == 1);
-        assert!(s.launches_of("af::setUnion") == 1);
-    }
-
-    #[test]
-    fn joins_are_unsupported() {
-        let b = backend();
-        let o = b.upload_u32(&[1]).unwrap();
-        let i = b.upload_u32(&[1]).unwrap();
-        for algo in [JoinAlgo::NestedLoops, JoinAlgo::Merge, JoinAlgo::Hash] {
-            assert!(b.join(&o, &i, algo).is_err());
-            assert_eq!(b.support(algo.operator()), Support::None);
-        }
-    }
-
-    #[test]
-    fn grouped_sum_via_sum_by_key() {
-        let b = backend();
-        let k = b.upload_u32(&[2, 1, 2]).unwrap();
-        let v = b.upload_f64(&[5.0, 1.0, 7.0]).unwrap();
-        let (gk, gv) = b.grouped_sum(&k, &v).unwrap();
-        assert_eq!(b.download_u32(&gk).unwrap(), vec![1, 2]);
-        assert_eq!(b.download_f64(&gv).unwrap(), vec![1.0, 12.0]);
-    }
-
-    #[test]
-    fn product_fuses_into_one_kernel() {
-        let b = backend();
-        let x = b.upload_f64(&[2.0, 3.0]).unwrap();
-        let y = b.upload_f64(&[4.0, 5.0]).unwrap();
-        b.device().reset_stats();
-        let p = b.product(&x, &y).unwrap();
-        assert_eq!(b.download_f64(&p).unwrap(), vec![8.0, 15.0]);
-        assert_eq!(b.device().stats().launches_of("af::jit_fused"), 1);
-    }
-
-    #[test]
-    fn filter_sum_product_uses_two_kernels_total() {
-        let b = backend();
-        let a = b.upload_f64(&[1.0, 2.0, 3.0]).unwrap();
-        let c = b.upload_f64(&[2.0, 2.0, 2.0]).unwrap();
-        let k = b.upload_f64(&[10.0, 20.0, 30.0]).unwrap();
-        b.device().reset_stats();
+    fn elementwise_chains_are_one_generated_kernel() {
+        let b = ArrayFireBackend::new(&Device::with_defaults());
+        let ([price, disc, qty], expr, few) = revenue(&b);
+        let s = stats_of(&b, || b.product(&price, &disc).unwrap());
+        assert_eq!(s.launches_of("af::jit_fused"), 1);
+        let s = stats_of(&b, || b.fused_map(&[&price, &disc], &expr).unwrap());
+        assert_eq!(s.launches_of("af::jit_fused"), 1, "whole chain fused");
+        // Mask, value expression and mask multiply fuse; the sum is the
+        // only other launch.
         let preds = [Pred {
-            col: &k,
+            col: &qty,
             cmp: CmpOp::Lt,
             lit: 25.0,
         }];
-        let r = b.filter_sum_product(&a, &c, &preds).unwrap();
-        assert_eq!(r, 2.0 + 4.0);
-        let s = b.device().stats();
+        let s = stats_of(&b, || b.filter_sum_product(&price, &disc, &preds).unwrap());
         assert_eq!(s.launches_of("af::jit_fused"), 1, "mask+product fused");
         assert_eq!(s.launches_of("af::sum"), 1);
-    }
-
-    #[test]
-    fn fused_chain_is_one_generated_kernel_plus_sum() {
-        use crate::fused::{FusedExpr, FusedPred};
-        let b = backend();
-        let price = b.upload_f64(&[100.0, 50.0, 20.0, 80.0]).unwrap();
-        let disc = b.upload_f64(&[0.05, 0.1, 0.0, 0.2]).unwrap();
-        let qty = b.upload_u32(&[10, 30, 5, 20]).unwrap();
-        // price * (1 - disc)
-        let expr = FusedExpr::Mul(
-            Box::new(FusedExpr::Col(0)),
-            Box::new(FusedExpr::Affine {
-                input: Box::new(FusedExpr::Col(1)),
-                mul: -1.0,
-                add: 1.0,
-            }),
-        );
-        b.device().reset_stats();
-        let m = b.fused_map(&[&price, &disc], &expr).unwrap();
-        assert_eq!(
-            b.device().stats().launches_of("af::jit_fused"),
-            1,
-            "whole chain collapses into one generated kernel"
-        );
-        assert_eq!(b.download_f64(&m).unwrap(), vec![95.0, 45.0, 20.0, 64.0]);
-        let preds = [FusedPred {
-            input: 2,
-            cmp: CmpOp::Lt,
-            lit: 25.0,
-        }];
-        b.device().reset_stats();
-        let total = b
-            .fused_filter_agg(&[&price, &disc, &qty], &preds, &expr)
-            .unwrap();
-        let s = b.device().stats();
+        let inputs = [&price, &disc, &qty];
+        let s = stats_of(&b, || b.fused_filter_agg(&inputs, &few, &expr).unwrap());
         assert_eq!(s.launches_of("af::jit_fused"), 1, "mask+expr fused");
         assert_eq!(s.launches_of("af::sum"), 1);
-        assert_eq!(total, 95.0 + 20.0 + 64.0);
-    }
-
-    #[test]
-    fn primitives() {
-        let b = backend();
-        let u = b.upload_u32(&[1, 0, 2]).unwrap();
-        let ps = b.prefix_sum(&u).unwrap();
-        assert_eq!(b.download_u32(&ps).unwrap(), vec![0, 1, 1]);
-        let s = b.sort(&u).unwrap();
-        assert_eq!(b.download_u32(&s).unwrap(), vec![0, 1, 2]);
-        let idx = b.upload_u32(&[2, 0]).unwrap();
-        let g = b.gather(&u, &idx).unwrap();
-        assert_eq!(b.download_u32(&g).unwrap(), vec![2, 1]);
-        let sc = b.scatter(&g, &idx, 3).unwrap();
-        assert_eq!(b.download_u32(&sc).unwrap(), vec![1, 0, 2]);
-        let f = b.upload_f64(&[1.0, 2.5]).unwrap();
-        assert_eq!(b.reduction(&f).unwrap(), 3.5);
     }
 }

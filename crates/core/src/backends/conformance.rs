@@ -1,0 +1,465 @@
+//! What makes a backend correct — one list, held against every paper
+//! backend (an in-tree backend adds itself by being in [`PAPER_BACKENDS`]).
+//!
+//! [`calls`] is every `GpuBackend` operator applied to three fixed columns,
+//! with the hand-computed answer; the same list is then fed empty columns,
+//! another instance's columns and freed columns. [`bad_operands_are_refused`]
+//! is every way operands can be of the wrong dtype, of unequal lengths or
+//! out of range. Where there is an answer it must be the right one, where
+//! there is none the call must return `Err` — never panic — and either way
+//! every device buffer it took is back once the returned columns are freed.
+//! A call whose Table II cell the backend declares `Support::None` must
+//! refuse before charging the device anything. What a call *costs* is not
+//! checked here: that is each library's profile, pinned beside its adapter.
+
+use super::{make_backend, PAPER_BACKENDS};
+use crate::backend::{Col, ColType, GpuBackend, Pred};
+use crate::fused::{composed_filter_agg, composed_map, FusedExpr, FusedPred};
+use crate::ops::{CmpOp, Connective, DbOperator, JoinAlgo, Support};
+use gpu_sim::{Device, DeviceStats, Result, SimError};
+
+type Backend<'a> = &'a dyn GpuBackend;
+
+/// One operator call and what it must produce on the reference columns.
+struct Call<'a> {
+    name: String,
+    /// The Table II operator the call realises; `None` for the part of the
+    /// interface every backend has.
+    op: Option<DbOperator>,
+    /// Every output value in order, `u32`s widened.
+    want: Vec<f64>,
+    run: Box<dyn Fn() -> Result<Vec<f64>> + 'a>,
+}
+
+fn call<'a>(
+    name: impl Into<String>,
+    op: impl Into<Option<DbOperator>>,
+    want: &[impl Into<f64> + Copy],
+    run: impl Fn() -> Result<Vec<f64>> + 'a,
+) -> Call<'a> {
+    Call {
+        name: name.into(),
+        op: op.into(),
+        want: want.iter().map(|&x| x.into()).collect(),
+        run: Box::new(run),
+    }
+}
+
+/// The reference columns: `u32` keys, a `u32` permutation of the row ids
+/// and `f64` values.
+const U: [u32; 4] = [2, 1, 2, 0];
+const K: [u32; 4] = [1, 3, 2, 0];
+const F: [f64; 4] = [20.0, 10.0, 21.0, 5.0];
+
+/// The values of `c`, which is freed.
+fn take(b: Backend<'_>, c: Col) -> Result<Vec<f64>> {
+    let v = match c.dtype() {
+        ColType::U32 => b.download_u32(&c)?.into_iter().map(f64::from).collect(),
+        ColType::F64 => b.download_f64(&c)?,
+    };
+    b.free(c)?;
+    Ok(v)
+}
+
+/// Every operator that reads a column, over `u`, `k` (`u32`) and `f`
+/// (`f64`), equally long. The downloads come last: no call may have touched
+/// its inputs.
+fn calls<'a>(b: Backend<'a>, u: &'a Col, k: &'a Col, f: &'a Col) -> Vec<Call<'a>> {
+    use DbOperator::*;
+    let vals = move |c| take(b, c);
+    let cols = move |cs: Vec<Col>| -> Result<Vec<f64>> {
+        let each: Result<Vec<_>> = cs.into_iter().map(vals).collect();
+        Ok(each?.concat())
+    };
+    let one = |x: f64| vec![x];
+    let pred = |col, cmp, lit| Pred { col, cmp, lit };
+    // `f * (u >= 2)` and `2 f + 1 where u > 0`, over the inputs `[f, u]`.
+    let mask = FusedExpr::Mask {
+        input: Box::new(FusedExpr::Col(1)),
+        cmp: CmpOp::Ge,
+        lit: 2.0,
+    };
+    let masked = FusedExpr::Mul(Box::new(FusedExpr::Col(0)), Box::new(mask));
+    let scaled = FusedExpr::Affine {
+        input: Box::new(FusedExpr::Col(0)),
+        mul: 2.0,
+        add: 1.0,
+    };
+    let positive = [FusedPred {
+        input: 1,
+        cmp: CmpOp::Gt,
+        lit: 0.0,
+    }];
+    let mut list = vec![
+        call("selection", Selection, &[0, 2], move || {
+            b.selection(u, CmpOp::Gt, 1.0).and_then(vals)
+        }),
+        call("conjunction", ConjunctionDisjunction, &[0, 1], move || {
+            let preds = [pred(u, CmpOp::Gt, 0.0), pred(f, CmpOp::Lt, 21.0)];
+            b.selection_multi(&preds, Connective::And).and_then(vals)
+        }),
+        call("disjunction", ConjunctionDisjunction, &[2, 3], move || {
+            let preds = [pred(u, CmpOp::Eq, 0.0), pred(f, CmpOp::Gt, 20.0)];
+            b.selection_multi(&preds, Connective::Or).and_then(vals)
+        }),
+        call("selection_cmp_cols", Selection, &[0, 2, 3], move || {
+            b.selection_cmp_cols(u, k, CmpOp::Ge).and_then(vals)
+        }),
+        call("dense_mask", Product, &[1, 0, 1, 0], move || {
+            b.dense_mask(u, CmpOp::Ge, 2.0).and_then(vals)
+        }),
+        call("product", Product, &[400, 100, 441, 25], move || {
+            b.product(f, f).and_then(vals)
+        }),
+        call("affine", Product, &[11.0, 6.0, 11.5, 3.5], move || {
+            b.affine(f, 0.5, 1.0).and_then(vals)
+        }),
+        call("reduction", Reduction, &[56], move || {
+            b.reduction(f).map(one)
+        }),
+        call("prefix_sum", PrefixSum, &[0, 2, 3, 5], move || {
+            b.prefix_sum(u).and_then(vals)
+        }),
+        call("sort", Sort, &[0, 1, 2, 2], move || {
+            b.sort(u).and_then(vals)
+        }),
+        call(
+            "sort_by_key",
+            SortByKey,
+            &[0, 1, 2, 2, 5, 10, 20, 21],
+            move || b.sort_by_key(u, f).and_then(|(k, v)| cols(vec![k, v])),
+        ),
+        call(
+            "grouped_sum",
+            GroupedAggregation,
+            &[0, 1, 2, 5, 10, 41],
+            move || b.grouped_sum(u, f).and_then(|(k, s)| cols(vec![k, s])),
+        ),
+        call(
+            "grouped_sum_count",
+            GroupedAggregation,
+            &[0, 1, 2, 5, 10, 41, 1, 1, 2],
+            move || {
+                let (k, s, n) = b.grouped_sum_count(u, f)?;
+                cols(vec![k, s, n])
+            },
+        ),
+        call("gather f64", ScatterGather, &[10, 5, 21, 20], move || {
+            b.gather(f, k).and_then(vals)
+        }),
+        call("gather u32", ScatterGather, &[1, 0, 2, 2], move || {
+            b.gather(u, k).and_then(vals)
+        }),
+        call("scatter", ScatterGather, &[0, 2, 2, 1], move || {
+            b.scatter(u, k, u.len()).and_then(vals)
+        }),
+        call("filter_sum_product", None, &[500], move || {
+            let preds = [pred(u, CmpOp::Gt, 0.0), pred(f, CmpOp::Lt, 21.0)];
+            b.filter_sum_product(f, f, &preds).map(one)
+        }),
+        call("fused_map", None, &[20, 0, 21, 0], move || {
+            let fused = b.fused_map(&[f, u], &masked).and_then(vals);
+            same_bits(fused, composed_map(b, &[f, u], &masked).and_then(vals))
+        }),
+        call("fused_filter_agg", None, &[105], move || {
+            let fused = b.fused_filter_agg(&[f, u], &positive, &scaled).map(one);
+            let composed = composed_filter_agg(b, &[f, u], &positive, &scaled).map(one);
+            same_bits(fused, composed)
+        }),
+        call("download_u32", None, &U, move || {
+            Ok(b.download_u32(u)?.into_iter().map(f64::from).collect())
+        }),
+        call("download_f64", None, &F, move || b.download_f64(f)),
+    ];
+    for algo in [JoinAlgo::NestedLoops, JoinAlgo::Merge, JoinAlgo::Hash] {
+        let (name, pairs) = (format!("{algo:?} join"), [0, 1, 2, 3, 2, 0, 2, 3]);
+        list.push(call(name, algo.operator(), &pairs, move || {
+            b.join(u, k, algo).and_then(|(l, r)| cols(vec![l, r]))
+        }));
+    }
+    list
+}
+
+/// A fused kernel's result, held to the composed chain's: both refuse, or
+/// both produce the same bits.
+fn same_bits(fused: Result<Vec<f64>>, composed: Result<Vec<f64>>) -> Result<Vec<f64>> {
+    match (&fused, &composed) {
+        (Ok(x), Ok(y)) => {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(x), bits(y), "fused and composed results differ");
+        }
+        (Err(_), Err(_)) => {}
+        _ => panic!("fused gave {fused:?} where composed gave {composed:?}"),
+    }
+    fused
+}
+
+/// What the operands given to [`calls`] let a call produce.
+#[derive(Debug, Clone, Copy)]
+enum Operands {
+    /// The reference columns: the hand-computed answer.
+    Reference,
+    /// Empty columns: empty columns and zero sums.
+    Empty,
+    /// Columns the backend does not hold: nothing.
+    NotHeld,
+}
+
+/// Run `calls` and hold each to `given` — and, whatever it returned, to
+/// leaving no buffer behind and to refusing for free what the backend
+/// declares unsupported.
+fn hold(b: Backend<'_>, calls: Vec<Call<'_>>, given: Operands) {
+    let dev = b.device();
+    for call in calls {
+        let at = format!("{}: {} ({given:?})", b.name(), call.name);
+        let before = (dev.now(), dev.stats().total_launches(), dev.live_buffers());
+        let got = (call.run)();
+        let after = (dev.now(), dev.stats().total_launches(), dev.live_buffers());
+        assert_eq!(after.2, before.2, "{at}: buffers left behind");
+        if call.op.is_some_and(|op| b.support(op) == Support::None) {
+            assert!(
+                matches!(got, Err(SimError::Unsupported(_))),
+                "{at}: {got:?}"
+            );
+            assert_eq!(after, before, "{at}: charged before refusing");
+            continue;
+        }
+        match given {
+            Operands::Reference => assert_eq!(got.expect(&at), call.want, "{at}"),
+            Operands::Empty => assert!(is_nothing(&got.expect(&at)), "{at}"),
+            Operands::NotHeld => assert!(got.is_err(), "{at}: {got:?}"),
+        }
+    }
+}
+
+/// No rows, or the sum of none.
+fn is_nothing(out: &[f64]) -> bool {
+    out.is_empty() || out == [0.0]
+}
+
+/// Run `case` on a fresh instance of every paper backend, which must leave
+/// no buffer live.
+fn on_every_backend(case: impl Fn(Backend<'_>)) {
+    for name in PAPER_BACKENDS {
+        let dev = Device::with_defaults();
+        let b = make_backend(name, &dev);
+        case(b.as_ref());
+        assert_eq!(dev.live_buffers(), 0, "{name}: buffers left behind");
+    }
+}
+
+fn upload(b: Backend<'_>, u: &[u32], k: &[u32], f: &[f64]) -> [Col; 3] {
+    [
+        b.upload_u32(u).unwrap(),
+        b.upload_u32(k).unwrap(),
+        b.upload_f64(f).unwrap(),
+    ]
+}
+
+fn free(b: Backend<'_>, cols: impl IntoIterator<Item = Col>) {
+    for c in cols {
+        b.free(c).unwrap();
+    }
+}
+
+/// A second handle to `c`'s slot, as a caller holding on to a freed
+/// column has.
+fn alias(c: &Col) -> Col {
+    Col::from_raw(c.raw_id(), c.dtype(), c.len(), c.backend())
+}
+
+/// The fixture of the per-library cost-profile tests: `[price, discount,
+/// quantity]` columns on `b`, the chain `price * (1 - discount)` over the
+/// first two and the predicate `quantity < 25` on the third.
+pub(super) fn revenue(b: Backend<'_>) -> ([Col; 3], FusedExpr, [FusedPred; 1]) {
+    let cols = [
+        b.upload_f64(&[100.0, 50.0, 20.0, 80.0]).unwrap(),
+        b.upload_f64(&[0.05, 0.1, 0.0, 0.2]).unwrap(),
+        b.upload_u32(&[10, 30, 5, 20]).unwrap(),
+    ];
+    let net = FusedExpr::Affine {
+        input: Box::new(FusedExpr::Col(1)),
+        mul: -1.0,
+        add: 1.0,
+    };
+    let few = FusedPred {
+        input: 2,
+        cmp: CmpOp::Lt,
+        lit: 25.0,
+    };
+    let expr = FusedExpr::Mul(Box::new(FusedExpr::Col(0)), Box::new(net));
+    (cols, expr, [few])
+}
+
+/// The device statistics of `run` alone.
+pub(super) fn stats_of<R>(b: Backend<'_>, run: impl FnOnce() -> R) -> DeviceStats {
+    b.device().reset_stats();
+    run();
+    b.device().stats()
+}
+
+/// The paper's Table II per backend: `+` full, `~` partial, `–` none, in
+/// [`DbOperator::ALL`] order. [`hold`] checks each cell by execution.
+#[test]
+fn declared_support_is_table_ii() {
+    let table = [
+        "~–––++++++~+",
+        "++––++++++++",
+        "++––++++++++",
+        "++++++++++++",
+    ];
+    on_every_backend(|b| {
+        let declared: String = DbOperator::ALL.map(|op| b.support(op).glyph()).concat();
+        let row = PAPER_BACKENDS.iter().position(|n| *n == b.name()).unwrap();
+        assert_eq!(declared, table[row], "{}", b.name());
+    });
+}
+
+#[test]
+fn every_operator_gives_the_hand_computed_answer() {
+    on_every_backend(|b| {
+        let [u, k, f] = upload(b, &U, &K, &F);
+        hold(b, calls(b, &u, &k, &f), Operands::Reference);
+        free(b, [u, k, f]);
+        let sevens = b.constant_f64(3, 7.5).unwrap();
+        assert_eq!(take(b, sevens).unwrap(), [7.5; 3], "{}", b.name());
+    });
+}
+
+#[test]
+fn empty_columns_flow_through_every_operator() {
+    on_every_backend(|b| {
+        let [u, k, f] = upload(b, &[], &[], &[]);
+        hold(b, calls(b, &u, &k, &f), Operands::Empty);
+        free(b, [u, k, f]);
+        let none = b.constant_f64(0, 7.5).unwrap();
+        assert!(take(b, none).unwrap().is_empty(), "{}", b.name());
+    });
+}
+
+#[test]
+fn columns_the_backend_does_not_hold_are_refused() {
+    on_every_backend(|b| {
+        // Another instance of the same library, and a different one.
+        let different = PAPER_BACKENDS.into_iter().find(|n| *n != b.name()).unwrap();
+        for other in [b.name(), different] {
+            let o = make_backend(other, &b.device());
+            let [u, k, f] = upload(o.as_ref(), &U, &K, &F);
+            hold(b, calls(b, &u, &k, &f), Operands::NotHeld);
+            assert!(
+                b.free(alias(&u)).is_err(),
+                "{}: freed a foreign column",
+                b.name()
+            );
+            free(o.as_ref(), [u, k, f]);
+        }
+        // Use after free, and the second free itself.
+        let [u, k, f] = upload(b, &U, &K, &F);
+        let [su, sk, sf] = [alias(&u), alias(&k), alias(&f)];
+        free(b, [u, k, f]);
+        hold(b, calls(b, &su, &sk, &sf), Operands::NotHeld);
+        for c in [su, sk, sf] {
+            assert!(b.free(c).is_err(), "{}: double free", b.name());
+        }
+    });
+}
+
+#[test]
+fn bad_operands_are_refused() {
+    fn pred(col: &Col) -> Pred<'_> {
+        let (cmp, lit) = (CmpOp::Ge, 0.0);
+        Pred { col, cmp, lit }
+    }
+    on_every_backend(|b| {
+        let [u, k, f] = upload(b, &U, &K, &F);
+        let [u3, far, f3] = upload(b, &[2, 1, 2], &[0, 9, 1, 2], &[20.0, 10.0, 21.0]);
+        let [u5, e, f5] = upload(b, &[2, 1, 2, 0, 1], &[], &[20.0, 10.0, 21.0, 5.0, 1.0]);
+        let times = FusedExpr::Mul(Box::new(FusedExpr::Col(0)), Box::new(FusedExpr::Col(1)));
+        let (and, nlj) = (Connective::And, JoinAlgo::NestedLoops);
+        let sum_product = |a, b_, by: &[&Col]| {
+            let preds: Vec<Pred<'_>> = by.iter().map(|c| pred(c)).collect();
+            b.filter_sum_product(a, b_, &preds).is_err()
+        };
+        let live = b.device().live_buffers();
+        let refused = [
+            // The wrong dtype.
+            ("download u32 as f64", b.download_f64(&u).is_err()),
+            ("download f64 as u32", b.download_u32(&f).is_err()),
+            ("product of u32", b.product(&f, &u).is_err()),
+            ("affine of u32", b.affine(&u, 2.0, 1.0).is_err()),
+            ("reduction of u32", b.reduction(&u).is_err()),
+            ("prefix_sum of f64", b.prefix_sum(&f).is_err()),
+            ("sort of f64", b.sort(&f).is_err()),
+            ("sort_by_key f64 keys", b.sort_by_key(&f, &f).is_err()),
+            ("sort_by_key u32 values", b.sort_by_key(&u, &k).is_err()),
+            ("grouped_sum f64 keys", b.grouped_sum(&f, &f).is_err()),
+            ("grouped_sum u32 values", b.grouped_sum(&u, &k).is_err()),
+            (
+                "grouped_sum_count f64 keys",
+                b.grouped_sum_count(&f, &f).is_err(),
+            ),
+            ("gather by f64", b.gather(&u, &f).is_err()),
+            ("scatter of f64", b.scatter(&f, &k, 4).is_err()),
+            ("scatter by f64", b.scatter(&u, &f, 4).is_err()),
+            ("join of f64", b.join(&f, &k, nlj).is_err()),
+            ("sum_product of u32", sum_product(&u, &f, &[&k])),
+            (
+                "fused arithmetic on u32",
+                b.fused_map(&[&f, &u], &times).is_err(),
+            ),
+            (
+                "composed arithmetic on u32",
+                composed_map(b, &[&f, &u], &times).is_err(),
+            ),
+            (
+                "fused sum on u32",
+                b.fused_filter_agg(&[&u, &f], &[], &times).is_err(),
+            ),
+            // An index out of range.
+            ("gather past the end", b.gather(&f, &far).is_err()),
+            ("scatter past the end", b.scatter(&u, &far, 4).is_err()),
+            // Unequal lengths.
+            ("scatter data/index", b.scatter(&u3, &k, 4).is_err()),
+            ("product", b.product(&f, &f3).is_err()),
+            ("sort_by_key longer values", b.sort_by_key(&u3, &f).is_err()),
+            (
+                "sort_by_key shorter values",
+                b.sort_by_key(&u, &f3).is_err(),
+            ),
+            ("grouped_sum", b.grouped_sum(&u, &f3).is_err()),
+            ("grouped_sum_count", b.grouped_sum_count(&u, &f3).is_err()),
+            (
+                "selection_cmp_cols",
+                b.selection_cmp_cols(&u, &u3, CmpOp::Lt).is_err(),
+            ),
+            (
+                "selection_multi",
+                b.selection_multi(&[pred(&u), pred(&f3)], and).is_err(),
+            ),
+            (
+                "selection_multi of nothing",
+                b.selection_multi(&[], and).is_err(),
+            ),
+            ("fused_map", b.fused_map(&[&f, &f3], &times).is_err()),
+            (
+                "fused_filter_agg",
+                b.fused_filter_agg(&[&f, &f3], &[], &times).is_err(),
+            ),
+            ("sum_product shorter predicate", sum_product(&f, &f, &[&u3])),
+            ("sum_product longer predicate", sum_product(&f, &f, &[&u5])),
+            (
+                "sum_product unequal predicates",
+                sum_product(&f, &f, &[&u, &u3]),
+            ),
+            ("sum_product shorter a", sum_product(&f3, &f, &[&u])),
+            ("sum_product shorter b", sum_product(&f, &f3, &[&u])),
+            ("sum_product longer a and b", sum_product(&f5, &f5, &[&u])),
+            ("sum_product of everything", sum_product(&f, &f, &[])),
+        ];
+        for (what, refused) in refused {
+            assert!(refused, "{}: {what} accepted", b.name());
+        }
+        assert_eq!(b.device().live_buffers(), live, "{}: leaked", b.name());
+        free(b, [u, k, f, u3, far, f3, u5, e, f5]);
+    });
+}

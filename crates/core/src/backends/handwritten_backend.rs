@@ -5,7 +5,10 @@
 //! three joins exist — including the hash join Table II shows no library
 //! offers.
 
-use super::{same_len, select, select_cmp_cols, StoredColumn};
+use super::{
+    check_keyed, check_sum_product, row_width, same_len, select, select_cmp_cols, with_lanes,
+    StoredColumn,
+};
 use crate::backend::{check_col, Col, ColType, GpuBackend, Pred, Slab};
 use crate::ops::{CmpOp, Connective, DbOperator, JoinAlgo, Support};
 use gpu_sim::hostexec::{self, Lane};
@@ -70,33 +73,12 @@ impl HandwrittenBackend {
         }
     }
 
-    /// Run `f` over the stored columns behind `cols`, read in place (the
-    /// host-side view of what a fused kernel reads; its charge is declared
-    /// by the kernel itself), and their device buffers.
-    fn with_lanes<R>(
-        &self,
-        cols: &[&Col],
-        f: impl FnOnce(&[Lane<'_>], &[gpu_sim::BufferId]) -> R,
-    ) -> Result<R> {
-        let ids: Vec<u64> = cols.iter().map(|c| c.id).collect();
-        self.slab.with_many(&ids, |stored| {
-            let lanes: Vec<Lane<'_>> = stored.iter().map(|s| s.lane()).collect();
-            let bufs: Vec<gpu_sim::BufferId> = stored.iter().map(|s| s.buffer_id()).collect();
-            f(&lanes, &bufs)
-        })
-    }
-
     /// One fused predicate + compact kernel over `n` rows of `width` bytes,
     /// charged; `ids` — the surviving rows — become its output.
     fn select_fused(&self, n: usize, width: usize, ids: Vec<u32>) -> Result<Col> {
         let out = hw::charge_select_fused(&self.device, n, width, ids.len())?;
         Ok(self.mint(Stored::U32(out.into_buffer(ids))))
     }
-}
-
-/// Bytes one row of `cols` occupies.
-fn row_width<'a>(cols: impl IntoIterator<Item = &'a Col>) -> usize {
-    cols.into_iter().map(|c| c.dtype().width()).sum()
 }
 
 impl GpuBackend for HandwrittenBackend {
@@ -248,8 +230,7 @@ impl GpuBackend for HandwrittenBackend {
     }
 
     fn sort_by_key(&self, keys: &Col, vals: &Col) -> Result<(Col, Col)> {
-        check_col(keys, NAME, ColType::U32)?;
-        check_col(vals, NAME, ColType::F64)?;
+        check_keyed(NAME, keys, vals)?;
         // Sort (key, row-id) pairs, then gather the payload — the tuned
         // pattern for wide payloads.
         let ids: Vec<u32> = (0..keys.len as u32).collect();
@@ -269,14 +250,7 @@ impl GpuBackend for HandwrittenBackend {
     }
 
     fn grouped_sum(&self, keys: &Col, vals: &Col) -> Result<(Col, Col)> {
-        check_col(keys, NAME, ColType::U32)?;
-        check_col(vals, NAME, ColType::F64)?;
-        if keys.len != vals.len {
-            return Err(SimError::SizeMismatch {
-                left: keys.len,
-                right: vals.len,
-            });
-        }
+        check_keyed(NAME, keys, vals)?;
         // The hash-aggregation kernel pair, charged; of its five output
         // columns only keys and sums are read, so only they get contents —
         // from one row-order pass seeded like the kernel's zeroed
@@ -398,6 +372,7 @@ impl GpuBackend for HandwrittenBackend {
     fn filter_sum_product(&self, a: &Col, b: &Col, preds: &[Pred<'_>]) -> Result<f64> {
         check_col(a, NAME, ColType::F64)?;
         check_col(b, NAME, ColType::F64)?;
+        check_sum_product(a, b, preds)?;
         let width = row_width(preds.iter().map(|p| p.col));
         let ids: Vec<u64> = [a.id, b.id]
             .into_iter()
@@ -422,7 +397,7 @@ impl GpuBackend for HandwrittenBackend {
     fn fused_map(&self, inputs: &[&Col], expr: &crate::fused::FusedExpr) -> Result<Col> {
         let len = crate::fused::check_fused_inputs(NAME, inputs, &[], expr)?;
         // The whole element-wise chain as one purpose-built kernel.
-        let out = self.with_lanes(inputs, |vals, ids| {
+        let out = with_lanes(&self.slab, inputs, |vals, ids| {
             hw::fused_map_expr(
                 &self.device,
                 len,
@@ -444,7 +419,7 @@ impl GpuBackend for HandwrittenBackend {
         // Predicate, value expression and reduction share one pass;
         // failing rows are skipped, not zero-padded, so the fold order
         // is the composed chain's exactly.
-        self.with_lanes(inputs, |vals, ids| {
+        with_lanes(&self.slab, inputs, |vals, ids| {
             hw::fused_filter_sum(
                 &self.device,
                 len,
@@ -480,168 +455,56 @@ impl ColType {
     }
 }
 
+/// The handwritten kernels' cost profile; answers are `conformance`'s
+/// business.
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn backend() -> HandwrittenBackend {
-        HandwrittenBackend::new(&Device::with_defaults())
-    }
+    use crate::backends::conformance::{revenue, stats_of};
 
     #[test]
-    fn everything_is_fully_supported() {
-        let b = backend();
-        for op in DbOperator::ALL {
-            assert_eq!(b.support(op), Support::Full, "{op}");
-        }
-    }
-
-    #[test]
-    fn selection_is_one_kernel() {
-        let b = backend();
-        let col = b.upload_u32(&[5, 2, 9, 1, 7]).unwrap();
-        b.device().reset_stats();
-        let ids = b.selection(&col, CmpOp::Gt, 4.0).unwrap();
-        assert_eq!(b.download_u32(&ids).unwrap(), vec![0, 2, 4]);
-        assert_eq!(b.device().stats().total_launches(), 1);
-    }
-
-    #[test]
-    fn multi_predicate_selection_is_still_one_kernel() {
-        let b = backend();
-        let x = b.upload_u32(&[1, 5, 3, 8]).unwrap();
-        let y = b.upload_f64(&[0.1, 0.9, 0.5, 0.2]).unwrap();
-        b.device().reset_stats();
-        let preds = [
-            Pred {
-                col: &x,
-                cmp: CmpOp::Gt,
-                lit: 2.0,
-            },
-            Pred {
-                col: &y,
-                cmp: CmpOp::Lt,
-                lit: 0.8,
-            },
-        ];
-        let ids = b.selection_multi(&preds, Connective::And).unwrap();
-        assert_eq!(b.download_u32(&ids).unwrap(), vec![2, 3]);
-        assert_eq!(b.device().stats().total_launches(), 1);
-        let or = b.selection_multi(&preds, Connective::Or).unwrap();
-        assert_eq!(b.download_u32(&or).unwrap(), vec![0, 1, 2, 3]);
+    fn selections_and_fused_kernels_are_one_launch_each() {
+        let b = HandwrittenBackend::new(&Device::with_defaults());
+        let ([price, disc, qty], expr, few) = revenue(&b);
+        let over = |col| Pred {
+            col,
+            cmp: CmpOp::Gt,
+            lit: 15.0,
+        };
+        let preds = [over(&qty), over(&price)];
+        let inputs = [&price, &disc, &qty];
+        let s = stats_of(&b, || b.selection(&qty, CmpOp::Gt, 15.0).unwrap());
+        assert_eq!(s.total_launches(), 1, "selection");
+        let s = stats_of(&b, || b.selection_multi(&preds, Connective::And).unwrap());
+        assert_eq!(s.total_launches(), 1, "conjunction");
+        let s = stats_of(&b, || b.selection_multi(&preds, Connective::Or).unwrap());
+        assert_eq!(s.total_launches(), 1, "disjunction");
+        let s = stats_of(&b, || b.filter_sum_product(&price, &disc, &preds).unwrap());
+        assert_eq!(s.total_launches(), 1, "filter_sum_product");
+        let s = stats_of(&b, || b.fused_map(&[&price, &disc], &expr).unwrap());
+        assert_eq!(s.total_launches(), 1, "fused_map");
+        let s = stats_of(&b, || b.fused_filter_agg(&inputs, &few, &expr).unwrap());
+        assert_eq!(s.total_launches(), 1, "fused_filter_agg");
     }
 
     #[test]
     fn all_three_joins_work_and_agree() {
-        let b = backend();
+        let b = HandwrittenBackend::new(&Device::with_defaults());
         let o = b.upload_u32(&[4, 1, 2, 2]).unwrap();
         let i = b.upload_u32(&[2, 4, 9]).unwrap();
-        let mut results = Vec::new();
         for algo in [JoinAlgo::Hash, JoinAlgo::Merge, JoinAlgo::NestedLoops] {
             let (l, r) = b.join(&o, &i, algo).unwrap();
-            results.push((b.download_u32(&l).unwrap(), b.download_u32(&r).unwrap()));
+            assert_eq!(b.download_u32(&l).unwrap(), [0, 2, 3], "{algo:?}");
+            assert_eq!(b.download_u32(&r).unwrap(), [1, 0, 0], "{algo:?}");
         }
-        assert_eq!(results[0], results[1]);
-        assert_eq!(results[1], results[2]);
-        assert_eq!(results[0].0, vec![0, 2, 3]);
-        assert_eq!(results[0].1, vec![1, 0, 0]);
     }
 
     #[test]
-    fn grouped_sum_via_hash_aggregation() {
-        let b = backend();
-        let k = b.upload_u32(&[7, 7, 3]).unwrap();
-        let v = b.upload_f64(&[1.0, 2.0, 10.0]).unwrap();
-        b.device().reset_stats();
-        let (gk, gv) = b.grouped_sum(&k, &v).unwrap();
-        assert_eq!(b.download_u32(&gk).unwrap(), vec![3, 7]);
-        assert_eq!(b.download_f64(&gv).unwrap(), vec![10.0, 3.0]);
-        let s = b.device().stats();
+    fn grouped_sum_is_hash_aggregation_not_a_sort() {
+        let b = HandwrittenBackend::new(&Device::with_defaults());
+        let ([price, _, qty], ..) = revenue(&b);
+        let s = stats_of(&b, || b.grouped_sum(&qty, &price).unwrap());
         assert_eq!(s.launches_of("hw::hash_agg/accumulate"), 1);
         assert_eq!(s.launches_of("hw::radix_sort/scatter"), 0, "no sort needed");
-    }
-
-    #[test]
-    fn sort_by_key_gathers_payload() {
-        let b = backend();
-        let k = b.upload_u32(&[2, 1]).unwrap();
-        let v = b.upload_f64(&[20.0, 10.0]).unwrap();
-        let (sk, sv) = b.sort_by_key(&k, &v).unwrap();
-        assert_eq!(b.download_u32(&sk).unwrap(), vec![1, 2]);
-        assert_eq!(b.download_f64(&sv).unwrap(), vec![10.0, 20.0]);
-    }
-
-    #[test]
-    fn fused_filter_dot_is_one_kernel() {
-        let b = backend();
-        let a = b.upload_f64(&[1.0, 2.0, 3.0]).unwrap();
-        let c = b.upload_f64(&[2.0, 2.0, 2.0]).unwrap();
-        let k = b.upload_u32(&[10, 20, 30]).unwrap();
-        b.device().reset_stats();
-        let preds = [Pred {
-            col: &k,
-            cmp: CmpOp::Lt,
-            lit: 25.0,
-        }];
-        let r = b.filter_sum_product(&a, &c, &preds).unwrap();
-        assert_eq!(r, 6.0);
-        assert_eq!(b.device().stats().total_launches(), 1);
-    }
-
-    #[test]
-    fn general_fused_kernels_are_one_launch() {
-        use crate::fused::{composed_filter_agg, composed_map, FusedExpr, FusedPred};
-        let b = backend();
-        let price = b.upload_f64(&[100.0, 50.0, 20.0, 80.0]).unwrap();
-        let disc = b.upload_f64(&[0.05, 0.1, 0.0, 0.2]).unwrap();
-        let qty = b.upload_u32(&[10, 30, 5, 20]).unwrap();
-        // price * (1 - disc)
-        let expr = FusedExpr::Mul(
-            Box::new(FusedExpr::Col(0)),
-            Box::new(FusedExpr::Affine {
-                input: Box::new(FusedExpr::Col(1)),
-                mul: -1.0,
-                add: 1.0,
-            }),
-        );
-        let map_ref = composed_map(&b, &[&price, &disc], &expr).unwrap();
-        b.device().reset_stats();
-        let fused = b.fused_map(&[&price, &disc], &expr).unwrap();
-        assert_eq!(b.device().stats().total_launches(), 1);
-        assert_eq!(
-            b.download_f64(&fused).unwrap(),
-            b.download_f64(&map_ref).unwrap()
-        );
-        let preds = [FusedPred {
-            input: 2,
-            cmp: CmpOp::Lt,
-            lit: 25.0,
-        }];
-        let inputs = [&price, &disc, &qty];
-        let agg_ref = composed_filter_agg(&b, &inputs, &preds, &expr).unwrap();
-        b.device().reset_stats();
-        let total = b.fused_filter_agg(&inputs, &preds, &expr).unwrap();
-        assert_eq!(b.device().stats().total_launches(), 1);
-        assert_eq!(total.to_bits(), agg_ref.to_bits());
-    }
-
-    #[test]
-    fn primitives_roundtrip() {
-        let b = backend();
-        let u = b.upload_u32(&[1, 0, 2]).unwrap();
-        assert_eq!(
-            b.download_u32(&b.prefix_sum(&u).unwrap()).unwrap(),
-            vec![0, 1, 1]
-        );
-        assert_eq!(b.download_u32(&b.sort(&u).unwrap()).unwrap(), vec![0, 1, 2]);
-        let f = b.upload_f64(&[2.0, 3.0]).unwrap();
-        assert_eq!(b.reduction(&f).unwrap(), 5.0);
-        let p = b.product(&f, &f).unwrap();
-        assert_eq!(b.download_f64(&p).unwrap(), vec![4.0, 9.0]);
-        let idx = b.upload_u32(&[1, 0]).unwrap();
-        let g = b.gather(&f, &idx).unwrap();
-        assert_eq!(b.download_f64(&g).unwrap(), vec![3.0, 2.0]);
-        let sc = b.scatter(&idx, &idx, 2).unwrap();
-        assert_eq!(b.download_u32(&sc).unwrap(), vec![0, 1]);
     }
 }

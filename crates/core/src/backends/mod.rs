@@ -1,18 +1,30 @@
-//! Concrete backend adapters, one per library plus the handwritten
-//! baseline. Each realises the Table-II operator set with the calls the
-//! paper identifies for that library.
+//! Concrete backend adapters. Each realises the Table-II operator set with
+//! the calls the paper identifies for its library.
+//!
+//! Thrust and Boost.Compute expose the same eager algorithm surface, so
+//! their operator chains are written once, in `eager` (`EagerBackend<L>`);
+//! [`thrust`] and [`boost`] only say what each of those calls is in their
+//! library and what it charges. [`arrayfire`] (lazy, JIT-fused) and the
+//! [`handwritten_backend`] baseline implement
+//! [`GpuBackend`](crate::backend::GpuBackend) directly. What makes any of
+//! them *correct* is one list: the `conformance` suite, run over all of
+//! [`PAPER_BACKENDS`].
 
 pub mod arrayfire;
 pub mod boost;
+#[cfg(test)]
+mod conformance;
+mod eager;
 pub mod handwritten_backend;
 pub mod thrust;
 
 pub use arrayfire::ArrayFireBackend;
 pub use boost::BoostBackend;
+pub use eager::EagerBackend;
 pub use handwritten_backend::HandwrittenBackend;
 pub use thrust::ThrustBackend;
 
-use crate::backend::{Col, Pred, Slab};
+use crate::backend::{check_col, Col, ColType, Pred, Slab};
 use crate::ops::{CmpOp, Connective};
 use gpu_sim::hostexec::{self, Lane, Rhs, RowPred, Selected};
 use gpu_sim::{BufferId, Result, SimError};
@@ -30,6 +42,15 @@ trait StoredColumn {
     fn buffer_id(&self) -> BufferId;
 }
 
+/// `SizeMismatch` unless two operands are equally long.
+fn equal_len(left: usize, right: usize) -> Result<()> {
+    if left == right {
+        Ok(())
+    } else {
+        Err(SimError::SizeMismatch { left, right })
+    }
+}
+
 /// The common row count of a selection's predicate columns; an empty list
 /// and columns of different lengths are the caller's error.
 fn same_len(preds: &[Pred<'_>]) -> Result<usize> {
@@ -37,13 +58,25 @@ fn same_len(preds: &[Pred<'_>]) -> Result<usize> {
         return Err(SimError::Unsupported("empty predicate list".into()));
     };
     let n = first.col.len();
-    match preds.iter().find(|p| p.col.len() != n) {
-        Some(p) => Err(SimError::SizeMismatch {
-            left: n,
-            right: p.col.len(),
-        }),
-        None => Ok(n),
-    }
+    preds.iter().try_for_each(|p| equal_len(n, p.col.len()))?;
+    Ok(n)
+}
+
+/// The operands of `filter_sum_product`, checked before anything touches
+/// the device: at least one predicate, and its columns, `a` and `b` all of
+/// one length.
+fn check_sum_product(a: &Col, b: &Col, preds: &[Pred<'_>]) -> Result<()> {
+    let n = same_len(preds)?;
+    equal_len(n, a.len())?;
+    equal_len(n, b.len())
+}
+
+/// The operands of a keyed operator, checked likewise: `u32` keys and
+/// `f64` values, both `backend`'s and equally long.
+fn check_keyed(backend: &'static str, keys: &Col, vals: &Col) -> Result<()> {
+    check_col(keys, backend, ColType::U32)?;
+    check_col(vals, backend, ColType::F64)?;
+    equal_len(keys.len(), vals.len())
 }
 
 /// `preds` as host row predicates, `lanes[i]` being the stored column of
@@ -58,6 +91,27 @@ fn row_preds<'a>(lanes: &[Lane<'a>], preds: &[Pred<'_>]) -> Vec<RowPred<'a>> {
             rhs: Rhs::Lit(p.lit),
         })
         .collect()
+}
+
+/// Run `f` over the stored columns behind `cols`, each read in place (the
+/// host-side view of what a kernel zipping them reads; its charge is the
+/// caller's to declare), and their device buffers.
+fn with_lanes<S: StoredColumn, R>(
+    slab: &Slab<S>,
+    cols: &[&Col],
+    f: impl FnOnce(&[Lane<'_>], &[BufferId]) -> R,
+) -> Result<R> {
+    let ids: Vec<u64> = cols.iter().map(|c| c.id).collect();
+    slab.with_many(&ids, |stored| {
+        let lanes: Vec<Lane<'_>> = stored.iter().map(|s| s.lane()).collect();
+        let bufs: Vec<BufferId> = stored.iter().map(|s| s.buffer_id()).collect();
+        f(&lanes, &bufs)
+    })
+}
+
+/// Bytes one row of `cols` occupies.
+fn row_width<'a>(cols: impl IntoIterator<Item = &'a Col>) -> usize {
+    cols.into_iter().map(|c| c.dtype().width()).sum()
 }
 
 /// The rows `preds` keep under `conn` (with the per-predicate counts a
@@ -86,12 +140,7 @@ fn select_cmp_cols<S: StoredColumn>(
     b: &Col,
     cmp: CmpOp,
 ) -> Result<(Vec<u32>, [BufferId; 2])> {
-    if a.len != b.len {
-        return Err(SimError::SizeMismatch {
-            left: a.len,
-            right: b.len,
-        });
-    }
+    equal_len(a.len(), b.len())?;
     slab.with2(a.id, b.id, |sa, sb| {
         let pred = RowPred {
             col: sa.lane(),

@@ -254,7 +254,8 @@ impl Val<'_> {
 
 /// Evaluate `expr` over `inputs` by composing the ordinary library
 /// operators, post-order — the exact call sequence the unfused plan
-/// would make for this chain.
+/// would make for this chain. A node's operands are released whether or
+/// not its operator succeeds, so a refused chain leaves nothing behind.
 fn composed_expr<'a, B: GpuBackend + ?Sized>(
     b: &B,
     inputs: &[&'a Col],
@@ -264,23 +265,29 @@ fn composed_expr<'a, B: GpuBackend + ?Sized>(
         FusedExpr::Col(i) => Ok(Val::Borrowed(input(inputs, *i)?)),
         FusedExpr::Affine { input: e, mul, add } => {
             let v = composed_expr(b, inputs, e)?;
-            let out = b.affine(v.col(), *mul, *add)?;
+            let out = b.affine(v.col(), *mul, *add);
             v.release(b)?;
-            Ok(Val::Owned(out))
+            Ok(Val::Owned(out?))
         }
         FusedExpr::Mul(x, y) => {
             let vx = composed_expr(b, inputs, x)?;
-            let vy = composed_expr(b, inputs, y)?;
-            let out = b.product(vx.col(), vy.col())?;
+            let vy = match composed_expr(b, inputs, y) {
+                Ok(v) => v,
+                Err(e) => {
+                    vx.release(b)?;
+                    return Err(e);
+                }
+            };
+            let out = b.product(vx.col(), vy.col());
             vx.release(b)?;
             vy.release(b)?;
-            Ok(Val::Owned(out))
+            Ok(Val::Owned(out?))
         }
         FusedExpr::Mask { input: e, cmp, lit } => {
             let v = composed_expr(b, inputs, e)?;
-            let out = b.dense_mask(v.col(), *cmp, *lit)?;
+            let out = b.dense_mask(v.col(), *cmp, *lit);
             v.release(b)?;
-            Ok(Val::Owned(out))
+            Ok(Val::Owned(out?))
         }
     }
 }
