@@ -79,11 +79,12 @@ pub fn a2_cell_on(dev: &std::sync::Arc<gpu_sim::Device>, lib: &str, k: usize, n:
         }
         // Thrust: k eager transform calls.
         "Thrust" => {
-            let v = thrust_sim::DeviceVector::from_host(dev, &data).expect("upload");
-            run_thrust_chain(&v, k); // warm pools
+            let lib = thrust_sim::Thrust::new(dev);
+            let v = thrust_sim::DeviceVector::from_host(&lib, &data).expect("upload");
+            run_thrust_chain(&lib, &v, k); // warm pools
             dev.reset_stats();
             let t0 = dev.now();
-            run_thrust_chain(&v, k);
+            run_thrust_chain(&lib, &v, k);
             let stats = dev.stats();
             Sample {
                 backend: "Thrust".into(),
@@ -112,10 +113,10 @@ fn run_af_chain(arr: &arrayfire_sim::Array, k: usize) {
     e.eval().expect("eval");
 }
 
-fn run_thrust_chain(v: &thrust_sim::DeviceVector<f64>, k: usize) {
-    let mut cur = thrust_sim::transform(v, |x| x + 1.0).expect("transform");
+fn run_thrust_chain(lib: &thrust_sim::Thrust, v: &thrust_sim::DeviceVector<f64>, k: usize) {
+    let mut cur = thrust_sim::transform(lib, v, |x| x + 1.0).expect("transform");
     for _ in 1..k {
-        cur = thrust_sim::transform(&cur, |x| x * 1.000001).expect("transform");
+        cur = thrust_sim::transform(lib, &cur, |x| x * 1.000001).expect("transform");
     }
 }
 

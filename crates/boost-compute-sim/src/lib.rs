@@ -1,11 +1,13 @@
-//! # boost-compute-sim — a Boost.Compute-style OpenCL library
+//! # boost-compute-sim — Boost.Compute's runtime profile
 //!
-//! Reimplementation of the **Boost.Compute** programming model on the
-//! [`gpu_sim`] substrate. Boost.Compute translates high-level C++ calls
-//! into OpenCL kernel *source*, which the driver JIT-compiles at first use;
-//! compiled programs are cached per context. That gives it a sharply
-//! different cost profile from Thrust, which the paper's experiments
-//! surface:
+//! Boost.Compute's algorithm suite is [`gpu_sim::eager`] — the same free
+//! algorithms over device [`Vector`]s as Thrust's — which this crate
+//! re-exports. What is Boost.Compute's own is *how* a call runs: the
+//! library translates high-level C++ calls into OpenCL kernel *source*,
+//! which the driver JIT-compiles at first use; compiled programs are cached
+//! per context. That gives it a sharply different cost profile from
+//! Thrust, which the paper's experiments surface — [`CommandQueue`], an
+//! [`eager::Launch`](Launch) on a [`Context`]:
 //!
 //! * **first-call JIT penalty** — every distinct kernel instantiation pays
 //!   [`DeviceSpec::opencl_jit_compile_ns`](gpu_sim::DeviceSpec) once per
@@ -17,8 +19,8 @@
 //! * **raw buffer allocation** — `compute::vector` allocates through the
 //!   driver on every construction (no caching allocator by default).
 //!
-//! API style follows Boost.Compute: algorithms are free functions taking a
-//! [`CommandQueue`] last, operating on [`Vector`]s.
+//! Kernels are recorded as `boost::<algorithm>`; the one algorithm the two
+//! libraries name differently, `sequence`, launches here as `boost::iota`.
 //!
 //! ```
 //! use gpu_sim::Device;
@@ -27,34 +29,21 @@
 //! let dev = Device::with_defaults();
 //! let ctx = compute::Context::new(&dev);
 //! let queue = compute::CommandQueue::new(&ctx);
-//! let v = compute::Vector::from_host(&[1u32, 2, 3], &queue).unwrap();
-//! let out = compute::transform(&v, |x| x + 1, &queue).unwrap();
-//! assert_eq!(out.to_host(&queue).unwrap(), vec![2, 3, 4]);
+//! let v = compute::Vector::from_host(&queue, &[1u32, 2, 3]).unwrap();
+//! let out = compute::transform(&queue, &v, |x| x + 1).unwrap();
+//! assert_eq!(out.to_host().unwrap(), vec![2, 3, 4]);
 //! // A second call with the same kernel shape hits the program cache:
 //! let cold_jits = dev.stats().jit_compiles;
-//! let _ = compute::transform(&v, |x| x + 1, &queue).unwrap();
+//! let _ = compute::transform(&queue, &v, |x| x + 1).unwrap();
 //! assert_eq!(dev.stats().jit_compiles, cold_jits);
 //! ```
 
 #![warn(missing_docs)]
 
-pub mod algorithm;
-pub mod algorithm_ext;
 pub mod context;
-pub mod vector;
 
-pub use algorithm::{
-    charge_exclusive_scan, charge_iota, charge_reduce_by_key, charge_scatter_if,
-    charge_sort_by_key, charge_transform, charge_transform_binary, copy_if, count_if,
-    exclusive_scan, fill, for_each_n, gather, inclusive_scan, inner_product, iota, reduce,
-    reduce_by_key, scatter, scatter_if, sort, sort_by_key, transform, transform_binary,
-};
-pub use algorithm_ext::{
-    accumulate, adjacent_difference, count, find, max_element, merge, min_element,
-    transform_reduce, transform_reduce_zip, transform_zip, unique,
-};
 pub use context::{CommandQueue, Context};
-pub use vector::Vector;
+pub use gpu_sim::eager::*;
 
 /// Kernel-name prefix for device statistics.
 pub const KERNEL_PREFIX: &str = "boost";

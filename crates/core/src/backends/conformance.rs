@@ -1,5 +1,7 @@
 //! What makes a backend correct — one list, held against every paper
-//! backend (an in-tree backend adds itself by being in [`PAPER_BACKENDS`]).
+//! backend (an in-tree backend adds itself by being in [`PAPER_BACKENDS`])
+//! and against [`JitThrust`], a fifth library that exists to show what one
+//! costs to add.
 //!
 //! [`calls`] is every `GpuBackend` operator applied to three fixed columns,
 //! with the hand-computed answer; the same list is then fed empty columns,
@@ -12,13 +14,63 @@
 //! refuse before charging the device anything. What a call *costs* is not
 //! checked here: that is each library's profile, pinned beside its adapter.
 
+use super::eager::{EagerBackend, EagerLib};
 use super::{make_backend, PAPER_BACKENDS};
 use crate::backend::{Col, ColType, GpuBackend, Pred};
 use crate::fused::{composed_filter_agg, composed_map, FusedExpr, FusedPred};
 use crate::ops::{CmpOp, Connective, DbOperator, JoinAlgo, Support};
-use gpu_sim::{Device, DeviceStats, Result, SimError};
+use boost_compute_sim::Context;
+use gpu_sim::eager::{charge_launch, Launch};
+use gpu_sim::{AllocPolicy, BufferId, Device, DeviceStats, KernelCost, Result, SimError};
+use std::fmt::Display;
+use std::sync::Arc;
 
 type Backend<'a> = &'a dyn GpuBackend;
+
+/// A fifth eager library: Thrust's launches and allocator, but every
+/// program JIT-compiled on first use into an OpenCL-style context. Its
+/// runtime profile and its name are all there is to write; the operators
+/// are [`EagerBackend`]'s and the algorithms [`gpu_sim::eager`]'s.
+struct JitThrust(Arc<Context>);
+
+impl Launch for JitThrust {
+    const ALLOC: AllocPolicy = AllocPolicy::Pooled;
+    const SEQUENCE: &'static str = "sequence";
+
+    fn device(&self) -> &Arc<Device> {
+        self.0.device()
+    }
+
+    fn launch<K: Display>(
+        &self,
+        name: &str,
+        key: impl FnOnce() -> K,
+        cost: KernelCost,
+        reads: &[BufferId],
+        writes: &[BufferId],
+    ) -> Result<()> {
+        let kernel = format!("jit::{name}");
+        self.0.ensure_program(&format!("{kernel}<{}>", key()));
+        let cost = cost.with_launch_overhead(self.device().spec().cuda_launch_latency_ns);
+        charge_launch(self.device(), &kernel, cost, reads, writes)
+    }
+}
+
+impl EagerLib for JitThrust {
+    const NAME: &'static str = "JitThrust";
+
+    fn cold(device: &Arc<Device>) -> Self {
+        JitThrust(Context::new(device))
+    }
+}
+
+/// One backend by name: a paper backend, or the fifth.
+fn make(name: &str, device: &Arc<Device>) -> Box<dyn GpuBackend> {
+    match name {
+        JitThrust::NAME => Box::new(EagerBackend::<JitThrust>::new(device)),
+        paper => make_backend(paper, device),
+    }
+}
 
 /// One operator call and what it must produce on the reference columns.
 struct Call<'a> {
@@ -237,12 +289,12 @@ fn is_nothing(out: &[f64]) -> bool {
     out.is_empty() || out == [0.0]
 }
 
-/// Run `case` on a fresh instance of every paper backend, which must leave
-/// no buffer live.
+/// Run `case` on a fresh instance of every paper backend and of the fifth,
+/// which must leave no buffer live.
 fn on_every_backend(case: impl Fn(Backend<'_>)) {
-    for name in PAPER_BACKENDS {
+    for name in PAPER_BACKENDS.into_iter().chain([JitThrust::NAME]) {
         let dev = Device::with_defaults();
-        let b = make_backend(name, &dev);
+        let b = make(name, &dev);
         case(b.as_ref());
         assert_eq!(dev.live_buffers(), 0, "{name}: buffers left behind");
     }
@@ -308,11 +360,24 @@ fn declared_support_is_table_ii() {
         "++––++++++++",
         "++++++++++++",
     ];
-    on_every_backend(|b| {
+    for (name, row) in PAPER_BACKENDS.into_iter().zip(table) {
+        let b = make_backend(name, &Device::with_defaults());
         let declared: String = DbOperator::ALL.map(|op| b.support(op).glyph()).concat();
-        let row = PAPER_BACKENDS.iter().position(|n| *n == b.name()).unwrap();
-        assert_eq!(declared, table[row], "{}", b.name());
-    });
+        assert_eq!(declared, row, "{name}");
+    }
+}
+
+/// The fifth library's profile is in effect: one compilation per program,
+/// Thrust's launch count.
+#[test]
+fn the_fifth_library_pays_for_its_own_launches() {
+    let b = make(JitThrust::NAME, &Device::with_defaults());
+    let ([.., qty], ..) = revenue(b.as_ref());
+    let select = || b.selection(&qty, CmpOp::Gt, 4.0).unwrap();
+    let cold = stats_of(b.as_ref(), select);
+    assert_eq!((cold.jit_compiles, cold.total_launches()), (4, 4));
+    assert_eq!(cold.launches_of("jit::scatter_if"), 1);
+    assert_eq!(stats_of(b.as_ref(), select).jit_compiles, 0);
 }
 
 #[test]
@@ -343,7 +408,7 @@ fn columns_the_backend_does_not_hold_are_refused() {
         // Another instance of the same library, and a different one.
         let different = PAPER_BACKENDS.into_iter().find(|n| *n != b.name()).unwrap();
         for other in [b.name(), different] {
-            let o = make_backend(other, &b.device());
+            let o = make(other, &b.device());
             let [u, k, f] = upload(o.as_ref(), &U, &K, &F);
             hold(b, calls(b, &u, &k, &f), Operands::NotHeld);
             assert!(

@@ -1,19 +1,20 @@
 //! The eager algorithm-library adapter — Table II's Thrust and
 //! Boost.Compute columns, written once.
 //!
-//! Both libraries expose the same surface: free algorithms over device
-//! vectors, every call launching at once and materialising its result. How
-//! that surface realises the operator set is therefore one decision, made
-//! here. Selection is the paper's canonical example of library chaining:
-//! `transform()` (predicate flags) → `exclusive_scan()` (output offsets) →
-//! `scatter_if()` (compaction), three kernels with two materialised
-//! intermediates. Grouped aggregation is `sort_by_key()` +
-//! `reduce_by_key()`. The only join the surface can express is nested loops
-//! via `for_each_n()`; merge and hash joins are unsupported (Table II "–").
+//! Both libraries expose the same surface ([`gpu_sim::eager`]): free
+//! algorithms over device vectors, every call launching at once and
+//! materialising its result. How that surface realises the operator set is
+//! therefore one decision, made here. Selection is the paper's canonical
+//! example of library chaining: `transform()` (predicate flags) →
+//! `exclusive_scan()` (output offsets) → `scatter_if()` (compaction), three
+//! kernels with two materialised intermediates. Grouped aggregation is
+//! `sort_by_key()` + `reduce_by_key()`. The only join the surface can
+//! express is nested loops via `for_each_n()`; merge and hash joins are
+//! unsupported (Table II "–").
 //!
-//! What a call *charges* is the library's own business and sits behind
-//! [`EagerLib`]: [`thrust`](super::thrust) launches pre-compiled kernels
-//! out of a pooled allocator, [`boost`](super::boost) enqueues on an OpenCL
+//! What a call *charges* is the library's runtime profile, its
+//! [`Launch`]: [`thrust`](super::thrust) launches pre-compiled kernels out
+//! of a pooled allocator, [`boost`](super::boost) enqueues on an OpenCL
 //! queue that JIT-compiles each kernel on first use and allocates raw.
 
 use super::{
@@ -23,143 +24,38 @@ use super::{
 use crate::backend::{check_col, Col, ColType, GpuBackend, Pred, Slab};
 use crate::fused::{check_fused_inputs, FusedExpr, FusedPred};
 use crate::ops::{CmpOp, Connective, DbOperator, JoinAlgo, Support};
+use gpu_sim::eager::{self, Launch, Vector};
 use gpu_sim::hostexec::{self, Lane};
 use gpu_sim::{
-    presets, AllocPolicy, BufferId, Device, DeviceBuffer, DeviceCopy, KernelCost, Reservation,
-    Result, SimDuration, SimError,
+    presets, BufferId, Device, DeviceBuffer, Reservation, Result, SimDuration, SimError,
 };
 use std::sync::Arc;
 
-/// A library's device vector: a typed wrapper around one device buffer.
-pub trait EagerVector<T: DeviceCopy>: Send {
-    /// Adopt `buf` as a vector.
-    fn from_buffer(buf: DeviceBuffer<T>) -> Self;
-    /// The buffer behind the vector.
-    fn buffer(&self) -> &DeviceBuffer<T>;
-}
-
-/// An operand of a charge half: `(length, buffer)`.
-pub type Operand = (usize, BufferId);
-
-/// One eager algorithm library, as [`EagerBackend`] drives it: a value
-/// holding the library's execution context, the algorithm calls the adapter
-/// makes (element types fixed to the two a [`Col`] can have) and the
-/// data-free charge halves behind its two chains (DESIGN.md §5).
-pub trait EagerLib: Send + Sync + Sized {
+/// One eager algorithm library plugged into [`EagerBackend`]: its runtime
+/// profile, and the two things the framework adds to it.
+pub trait EagerLib: Launch + Send + Sync + Sized {
     /// Backend name — the Table II column header.
     const NAME: &'static str;
-    /// How the library allocates its vectors, operator outputs included.
-    const ALLOC: AllocPolicy;
-    /// The library's device vector.
-    type Vector<T: DeviceCopy>: EagerVector<T>;
 
     /// The library's context on `device`, cold.
-    fn new(device: &Arc<Device>) -> Self;
-
-    /// `transform()` — unary map into `f64`.
-    fn transform<T: DeviceCopy>(
-        &self,
-        src: &Self::Vector<T>,
-        op: impl Fn(T) -> f64 + Sync,
-    ) -> Result<Self::Vector<f64>>;
-    /// `transform()` over two ranges.
-    fn transform_binary(
-        &self,
-        a: &Self::Vector<f64>,
-        b: &Self::Vector<f64>,
-        op: impl Fn(f64, f64) -> f64 + Sync,
-    ) -> Result<Self::Vector<f64>>;
-    /// `fill()`.
-    fn fill(&self, v: &mut Self::Vector<f64>, value: f64) -> Result<()>;
-    /// `reduce()` with `plus`.
-    fn reduce(&self, src: &Self::Vector<f64>) -> Result<f64>;
-    /// `inner_product()` with `plus` / `multiplies`.
-    fn inner_product(&self, a: &Self::Vector<f64>, b: &Self::Vector<f64>) -> Result<f64>;
-    /// `exclusive_scan()` from zero.
-    fn exclusive_scan(&self, src: &Self::Vector<u32>) -> Result<Self::Vector<u32>>;
-    /// `sort()`, in place.
-    fn sort(&self, v: &mut Self::Vector<u32>) -> Result<()>;
-    /// `sort_by_key()`, in place.
-    fn sort_by_key(&self, k: &mut Self::Vector<u32>, v: &mut Self::Vector<f64>) -> Result<()>;
-    /// `gather()` — `src[map[i]]`.
-    fn gather<T: DeviceCopy + Default>(
-        &self,
-        map: &Self::Vector<u32>,
-        src: &Self::Vector<T>,
-    ) -> Result<Self::Vector<T>>;
-    /// `scatter()` — `dst[map[i]] = src[i]`.
-    fn scatter(
-        &self,
-        src: &Self::Vector<u32>,
-        map: &Self::Vector<u32>,
-        dst: &mut Self::Vector<u32>,
-    ) -> Result<()>;
-    /// `for_each_n()` with a caller-declared cost.
-    fn for_each_n(&self, n: usize, cost: KernelCost) -> Result<()>;
-    /// `transform()` over a zip of `reads` as a row functor. `key` names
-    /// the program and is only built by a library that caches JIT output.
-    fn transform_zip(
-        &self,
-        len: usize,
-        key: impl FnOnce() -> String,
-        read_bytes: u64,
-        reads: &[BufferId],
-        op: impl Fn(usize) -> f64 + Sync,
-    ) -> Result<Self::Vector<f64>>;
-    /// `transform_reduce()` with `plus` over a zip; rows mapping to `None`
-    /// contribute nothing. `key` as for [`Self::transform_zip`].
-    fn transform_reduce_zip(
-        &self,
-        len: usize,
-        key: impl FnOnce() -> String,
-        read_bytes: u64,
-        reads: &[BufferId],
-        op: impl Fn(usize) -> Option<f64>,
-    ) -> Result<f64>;
-
-    /// What a `transform()` of `n` `T`s in `src` into `u32` flags costs.
-    fn charge_transform<T: DeviceCopy>(&self, n: usize, src: BufferId) -> Result<Reservation>;
-    /// What a binary `transform()` of two `T` ranges into flags costs.
-    fn charge_transform_binary<T: DeviceCopy>(&self, a: Operand, b: Operand)
-        -> Result<Reservation>;
-    /// What an `exclusive_scan()` over `n` flags in `src` costs.
-    fn charge_exclusive_scan(&self, n: usize, src: BufferId) -> Result<Reservation>;
-    /// What materialising the row ids `0..n` costs.
-    fn charge_sequence(&self, n: usize) -> Result<Reservation>;
-    /// What a `scatter_if()` of `kept` of `n` row ids into `dst` costs.
-    fn charge_scatter_if(
-        &self,
-        n: usize,
-        kept: usize,
-        reads: [BufferId; 3],
-        dst: BufferId,
-    ) -> Result<()>;
-    /// What an in-place `sort_by_key()` of `u32` keys / `f64` values costs.
-    fn charge_sort_by_key(&self, keys: Operand, vals: Operand) -> Result<()>;
-    /// What a `reduce_by_key()` of `n` sorted rows into `groups` costs.
-    fn charge_reduce_by_key(
-        &self,
-        n: usize,
-        groups: usize,
-        reads: [BufferId; 2],
-    ) -> Result<(Reservation, Reservation)>;
+    fn cold(device: &Arc<Device>) -> Self;
 }
 
 /// Device column as stored by the adapter.
-enum Stored<L: EagerLib> {
-    U32(L::Vector<u32>),
-    F64(L::Vector<f64>),
+enum Stored {
+    U32(Vector<u32>),
+    F64(Vector<f64>),
 }
 
-impl<L: EagerLib> Stored<L> {
-    fn u32s(&self) -> &L::Vector<u32> {
+impl Stored {
+    fn u32s(&self) -> &Vector<u32> {
         match self {
             Stored::U32(v) => v,
             Stored::F64(_) => unreachable!("dtype checked"),
         }
     }
 
-    fn f64s(&self) -> &L::Vector<f64> {
+    fn f64s(&self) -> &Vector<f64> {
         match self {
             Stored::F64(v) => v,
             Stored::U32(_) => unreachable!("dtype checked"),
@@ -167,18 +63,18 @@ impl<L: EagerLib> Stored<L> {
     }
 }
 
-impl<L: EagerLib> StoredColumn for Stored<L> {
+impl StoredColumn for Stored {
     fn lane(&self) -> Lane<'_> {
         match self {
-            Stored::U32(v) => Lane::U32(v.buffer().host()),
-            Stored::F64(v) => Lane::F64(v.buffer().host()),
+            Stored::U32(v) => Lane::U32(v.as_slice()),
+            Stored::F64(v) => Lane::F64(v.as_slice()),
         }
     }
 
     fn buffer_id(&self) -> BufferId {
         match self {
-            Stored::U32(v) => v.buffer().id(),
-            Stored::F64(v) => v.buffer().id(),
+            Stored::U32(v) => v.id(),
+            Stored::F64(v) => v.id(),
         }
     }
 }
@@ -200,9 +96,8 @@ fn fused_key(preds: &[FusedPred], expr: &FusedExpr) -> String {
 
 /// An eager algorithm library plugged into the framework.
 pub struct EagerBackend<L: EagerLib> {
-    device: Arc<Device>,
     lib: L,
-    slab: Slab<Stored<L>>,
+    slab: Slab<Stored>,
 }
 
 impl<L: EagerLib> std::fmt::Debug for EagerBackend<L> {
@@ -217,16 +112,15 @@ impl<L: EagerLib> EagerBackend<L> {
     /// Create the backend on `device`, the library's context cold.
     pub fn new(device: &Arc<Device>) -> Self {
         EagerBackend {
-            device: Arc::clone(device),
-            lib: L::new(device),
+            lib: L::cold(device),
             slab: Slab::default(),
         }
     }
 
-    fn mint(&self, stored: Stored<L>) -> Col {
+    fn mint(&self, stored: Stored) -> Col {
         let (dtype, len) = match &stored {
-            Stored::U32(v) => (ColType::U32, v.buffer().len()),
-            Stored::F64(v) => (ColType::F64, v.buffer().len()),
+            Stored::U32(v) => (ColType::U32, v.len()),
+            Stored::F64(v) => (ColType::F64, v.len()),
         };
         Col {
             id: self.slab.insert(stored),
@@ -237,47 +131,45 @@ impl<L: EagerLib> EagerBackend<L> {
     }
 
     fn mint_u32(&self, buf: DeviceBuffer<u32>) -> Col {
-        self.mint(Stored::U32(EagerVector::from_buffer(buf)))
+        self.mint(Stored::U32(Vector::from_buffer(buf)))
     }
 
     fn mint_f64(&self, buf: DeviceBuffer<f64>) -> Col {
-        self.mint(Stored::F64(EagerVector::from_buffer(buf)))
+        self.mint(Stored::F64(Vector::from_buffer(buf)))
     }
 
     /// The `transform()` stage of a selection over `col` (stored in buffer
     /// `src`), charged: its predicate-flag vector is never read.
     fn charge_flags(&self, col: &Col, src: BufferId) -> Result<Reservation> {
         match col.dtype {
-            ColType::U32 => self.lib.charge_transform::<u32>(col.len, src),
-            ColType::F64 => self.lib.charge_transform::<f64>(col.len, src),
+            ColType::U32 => eager::charge_transform::<u32, u32>(&self.lib, col.len, src),
+            ColType::F64 => eager::charge_transform::<f64, u32>(&self.lib, col.len, src),
         }
     }
 
     /// `exclusive_scan()` + `scatter_if()` over `n` flags, charged; `ids`
     /// — the rows the flags stand for — become the compacted output.
     fn compact(&self, flags: &Reservation, n: usize, ids: Vec<u32>) -> Result<Col> {
-        let offs = self.lib.charge_exclusive_scan(n, flags.id())?;
+        let offs = eager::charge_exclusive_scan::<u32>(&self.lib, n, flags.id())?;
         // Reading the total back is a tiny device→host copy in real code.
-        self.device
-            .advance(SimDuration::from_nanos(self.device.spec().pcie_latency_ns));
-        let seq = self.lib.charge_sequence(n)?;
-        let out = self
-            .device
-            .reserve((ids.len() * 4) as u64, L::ALLOC, false)?;
-        self.lib
-            .charge_scatter_if(n, ids.len(), [seq.id(), offs.id(), flags.id()], out.id())?;
+        let device = self.lib.device();
+        device.advance(SimDuration::from_nanos(device.spec().pcie_latency_ns));
+        let seq = eager::charge_sequence(&self.lib, n)?;
+        let out = device.reserve((ids.len() * 4) as u64, L::ALLOC, false)?;
+        let reads = [seq.id(), offs.id(), flags.id()];
+        eager::charge_scatter_if::<u32>(&self.lib, n, ids.len(), reads, out.id())?;
         Ok(self.mint_u32(out.into_buffer(ids)))
     }
 
     /// Run `f` on the `u32` vector behind `col`, once `col` is known to be
     /// this backend's and of that type.
-    fn u32s<R>(&self, col: &Col, f: impl FnOnce(&L::Vector<u32>) -> Result<R>) -> Result<R> {
+    fn u32s<R>(&self, col: &Col, f: impl FnOnce(&Vector<u32>) -> Result<R>) -> Result<R> {
         check_col(col, L::NAME, ColType::U32)?;
         self.slab.with(col.id, |s| f(s.u32s()))?
     }
 
     /// [`Self::u32s`] for an `f64` column.
-    fn f64s<R>(&self, col: &Col, f: impl FnOnce(&L::Vector<f64>) -> Result<R>) -> Result<R> {
+    fn f64s<R>(&self, col: &Col, f: impl FnOnce(&Vector<f64>) -> Result<R>) -> Result<R> {
         check_col(col, L::NAME, ColType::F64)?;
         self.slab.with(col.id, |s| f(s.f64s()))?
     }
@@ -289,7 +181,7 @@ impl<L: EagerLib> GpuBackend for EagerBackend<L> {
     }
 
     fn device(&self) -> Arc<Device> {
-        Arc::clone(&self.device)
+        Arc::clone(self.lib.device())
     }
 
     fn support(&self, op: DbOperator) -> Support {
@@ -316,19 +208,19 @@ impl<L: EagerLib> GpuBackend for EagerBackend<L> {
     }
 
     fn upload_u32(&self, data: &[u32]) -> Result<Col> {
-        Ok(self.mint_u32(self.device.htod_with(data, L::ALLOC)?))
+        Ok(self.mint(Stored::U32(Vector::from_host(&self.lib, data)?)))
     }
 
     fn upload_f64(&self, data: &[f64]) -> Result<Col> {
-        Ok(self.mint_f64(self.device.htod_with(data, L::ALLOC)?))
+        Ok(self.mint(Stored::F64(Vector::from_host(&self.lib, data)?)))
     }
 
     fn download_u32(&self, col: &Col) -> Result<Vec<u32>> {
-        self.u32s(col, |v| self.device.dtoh(v.buffer()))
+        self.u32s(col, Vector::to_host)
     }
 
     fn download_f64(&self, col: &Col) -> Result<Vec<f64>> {
-        self.f64s(col, |v| self.device.dtoh(v.buffer()))
+        self.f64s(col, Vector::to_host)
     }
 
     fn free(&self, col: Col) -> Result<()> {
@@ -350,9 +242,8 @@ impl<L: EagerLib> GpuBackend for EagerBackend<L> {
         let mut combined = self.charge_flags(preds[0].col, srcs[0])?;
         for (p, &src) in preds.iter().zip(&srcs).skip(1) {
             let f = self.charge_flags(p.col, src)?;
-            combined = self
-                .lib
-                .charge_transform_binary::<u32>((n, combined.id()), (n, f.id()))?;
+            let (x, y) = ((n, combined.id()), (n, f.id()));
+            combined = eager::charge_transform_binary::<u32, u32, u32>(&self.lib, x, y)?;
         }
         self.compact(&combined, n, picked.ids)
     }
@@ -366,8 +257,8 @@ impl<L: EagerLib> GpuBackend for EagerBackend<L> {
         let (ids, [ia, ib]) = select_cmp_cols(&self.slab, a, b, cmp)?;
         let (xa, xb) = ((a.len, ia), (b.len, ib));
         let flags = match a.dtype {
-            ColType::U32 => self.lib.charge_transform_binary::<u32>(xa, xb),
-            ColType::F64 => self.lib.charge_transform_binary::<f64>(xa, xb),
+            ColType::U32 => eager::charge_transform_binary::<u32, u32, u32>(&self.lib, xa, xb),
+            ColType::F64 => eager::charge_transform_binary::<f64, f64, u32>(&self.lib, xa, xb),
         }?;
         self.compact(&flags, a.len, ids)
     }
@@ -375,8 +266,8 @@ impl<L: EagerLib> GpuBackend for EagerBackend<L> {
     fn dense_mask(&self, col: &Col, cmp: CmpOp, lit: f64) -> Result<Col> {
         let mask = move |x: f64| f64::from(u8::from(cmp.eval(x, lit)));
         let out = self.slab.with(col.id, |s| match s {
-            Stored::U32(v) => self.lib.transform(v, move |x| mask(f64::from(x))),
-            Stored::F64(v) => self.lib.transform(v, mask),
+            Stored::U32(v) => eager::transform(&self.lib, v, move |x| mask(f64::from(x))),
+            Stored::F64(v) => eager::transform(&self.lib, v, mask),
         })??;
         Ok(self.mint(Stored::F64(out)))
     }
@@ -385,44 +276,44 @@ impl<L: EagerLib> GpuBackend for EagerBackend<L> {
         check_col(a, L::NAME, ColType::F64)?;
         check_col(b, L::NAME, ColType::F64)?;
         let out = self.slab.with2(a.id, b.id, |x, y| {
-            self.lib.transform_binary(x.f64s(), y.f64s(), |p, q| p * q)
+            eager::transform_binary(&self.lib, x.f64s(), y.f64s(), |p, q| p * q)
         })??;
         Ok(self.mint(Stored::F64(out)))
     }
 
     fn affine(&self, col: &Col, mul: f64, add: f64) -> Result<Col> {
-        let out = self.f64s(col, |v| self.lib.transform(v, move |x| x * mul + add))?;
+        let out = self.f64s(col, |v| {
+            eager::transform(&self.lib, v, move |x| x * mul + add)
+        })?;
         Ok(self.mint(Stored::F64(out)))
     }
 
     fn constant_f64(&self, len: usize, value: f64) -> Result<Col> {
-        let mut v = EagerVector::from_buffer(self.device.alloc_with(len, L::ALLOC)?);
-        self.lib.fill(&mut v, value)?;
+        let mut v = Vector::zeroed(&self.lib, len)?;
+        eager::fill(&self.lib, &mut v, value)?;
         Ok(self.mint(Stored::F64(v)))
     }
 
     fn reduction(&self, col: &Col) -> Result<f64> {
-        self.f64s(col, |v| self.lib.reduce(v))
+        self.f64s(col, |v| eager::reduce(&self.lib, v, 0.0f64, |a, x| a + x))
     }
 
     fn prefix_sum(&self, col: &Col) -> Result<Col> {
-        let out = self.u32s(col, |v| self.lib.exclusive_scan(v))?;
+        let out = self.u32s(col, |v| eager::exclusive_scan(&self.lib, v, 0u32))?;
         Ok(self.mint(Stored::U32(out)))
     }
 
     fn sort(&self, col: &Col) -> Result<Col> {
-        let copy = self.u32s(col, |v| self.device.dtod(v.buffer()))?;
-        let mut copy = EagerVector::from_buffer(copy);
-        self.lib.sort(&mut copy)?;
+        let mut copy = self.u32s(col, Vector::dclone)?;
+        eager::sort(&self.lib, &mut copy)?;
         Ok(self.mint(Stored::U32(copy)))
     }
 
     fn sort_by_key(&self, keys: &Col, vals: &Col) -> Result<(Col, Col)> {
         check_col(vals, L::NAME, ColType::F64)?;
-        let k = self.u32s(keys, |k| self.device.dtod(k.buffer()))?;
-        let v = self.f64s(vals, |v| self.device.dtod(v.buffer()))?;
-        let (mut k, mut v) = (EagerVector::from_buffer(k), EagerVector::from_buffer(v));
-        self.lib.sort_by_key(&mut k, &mut v)?;
+        let mut k = self.u32s(keys, Vector::dclone)?;
+        let mut v = self.f64s(vals, Vector::dclone)?;
+        eager::sort_by_key(&self.lib, &mut k, &mut v)?;
         Ok((self.mint(Stored::U32(k)), self.mint(Stored::F64(v))))
     }
 
@@ -434,14 +325,13 @@ impl<L: EagerLib> GpuBackend for EagerBackend<L> {
         // reduce_by_key does.
         let (k, v, (gk, gv)) = self.slab.with2(keys.id, vals.id, |a, b| {
             let (keys, vals) = (a.u32s().buffer(), b.f64s().buffer());
-            let k = self.device.reserve_dtod(keys)?;
-            let v = self.device.reserve_dtod(vals)?;
+            let k = self.lib.device().reserve_dtod(keys)?;
+            let v = self.lib.device().reserve_dtod(vals)?;
             Ok((k, v, hostexec::grouped_sum(keys.host(), vals.host(), -0.0)))
         })??;
-        let reads = [k.id(), v.id()];
-        self.lib
-            .charge_sort_by_key((keys.len, reads[0]), (vals.len, reads[1]))?;
-        let reduced = self.lib.charge_reduce_by_key(keys.len, gk.len(), reads);
+        let (n, reads) = (keys.len, [k.id(), v.id()]);
+        eager::charge_sort_by_key::<u32, f64>(&self.lib, (n, reads[0]), (vals.len, reads[1]))?;
+        let reduced = eager::charge_reduce_by_key::<u32, f64>(&self.lib, n, gk.len(), reads);
         // Release the sorted scratch on the fault path too: a caller
         // retrying the op must not inherit leaked intermediates.
         drop(k);
@@ -459,8 +349,8 @@ impl<L: EagerLib> GpuBackend for EagerBackend<L> {
             return Err(SimError::Unsupported("foreign column handle".into()));
         }
         let stored = self.slab.with2(data.id, idx.id, |d, i| match d {
-            Stored::U32(v) => self.lib.gather(i.u32s(), v).map(Stored::U32),
-            Stored::F64(v) => self.lib.gather(i.u32s(), v).map(Stored::F64),
+            Stored::U32(v) => eager::gather(&self.lib, i.u32s(), v).map(Stored::U32),
+            Stored::F64(v) => eager::gather(&self.lib, i.u32s(), v).map(Stored::F64),
         })??;
         Ok(self.mint(stored))
     }
@@ -468,9 +358,9 @@ impl<L: EagerLib> GpuBackend for EagerBackend<L> {
     fn scatter(&self, data: &Col, idx: &Col, dst_len: usize) -> Result<Col> {
         check_col(data, L::NAME, ColType::U32)?;
         check_col(idx, L::NAME, ColType::U32)?;
-        let mut dst = EagerVector::from_buffer(self.device.alloc_with(dst_len, L::ALLOC)?);
+        let mut dst = Vector::zeroed(&self.lib, dst_len)?;
         self.slab.with2(data.id, idx.id, |d, i| {
-            self.lib.scatter(d.u32s(), i.u32s(), &mut dst)
+            eager::scatter(&self.lib, d.u32s(), i.u32s(), &mut dst)
         })??;
         Ok(self.mint(Stored::U32(dst)))
     }
@@ -486,16 +376,15 @@ impl<L: EagerLib> GpuBackend for EagerBackend<L> {
             )));
         }
         let (left, right) = self.slab.with2(outer.id, inner.id, |o, i| {
-            hostexec::equi_join(o.u32s().buffer().host(), i.u32s().buffer().host())
+            hostexec::equi_join(o.u32s().as_slice(), i.u32s().as_slice())
         })?;
         // The library expression of NLJ: one for_each_n launch over the
         // outer side whose functor scans the inner relation.
-        self.lib.for_each_n(
-            outer.len,
-            presets::nested_loops::<u32>(outer.len, inner.len).with_write((left.len() * 8) as u64),
-        )?;
-        let lb = self.device.buffer_from_vec(left, L::ALLOC)?;
-        let rb = self.device.buffer_from_vec(right, L::ALLOC)?;
+        let cost =
+            presets::nested_loops::<u32>(outer.len, inner.len).with_write((left.len() * 8) as u64);
+        eager::for_each_n(&self.lib, outer.len, cost, |_| {})?;
+        let lb = self.lib.device().buffer_from_vec(left, L::ALLOC)?;
+        let rb = self.lib.device().buffer_from_vec(right, L::ALLOC)?;
         Ok((self.mint_u32(lb), self.mint_u32(rb)))
     }
 
@@ -512,7 +401,8 @@ impl<L: EagerLib> GpuBackend for EagerBackend<L> {
             held.push(self.gather(a, &held[0])?);
             held.push(self.gather(b, &held[0])?);
             self.slab.with2(held[1].id, held[2].id, |x, y| {
-                self.lib.inner_product(x.f64s(), y.f64s())
+                let (plus, times) = (|p, q| p + q, |p, q| p * q);
+                eager::inner_product(&self.lib, x.f64s(), y.f64s(), 0.0f64, plus, times)
             })?
         })();
         for c in held {
@@ -528,13 +418,10 @@ impl<L: EagerLib> GpuBackend for EagerBackend<L> {
         // materialised intermediates.
         let read_bytes = (len * row_width(inputs.iter().copied())) as u64;
         let out = with_lanes(&self.slab, inputs, |views, reads| {
-            self.lib.transform_zip(
-                len,
-                || fused_key(&[], expr),
-                read_bytes,
-                reads,
-                |i| expr.eval_row(&|k| views[k].get(i)),
-            )
+            let key = || fused_key(&[], expr);
+            eager::transform_zip(&self.lib, len, key, read_bytes, reads, |i| {
+                expr.eval_row(&|k| views[k].get(i))
+            })
         })??;
         Ok(self.mint(Stored::F64(out)))
     }
@@ -552,18 +439,14 @@ impl<L: EagerLib> GpuBackend for EagerBackend<L> {
         // bit-equal including signed zeros.
         let read_bytes = (len * row_width(inputs.iter().copied())) as u64;
         with_lanes(&self.slab, inputs, |views, reads| {
-            self.lib.transform_reduce_zip(
-                len,
-                || fused_key(preds, expr),
-                read_bytes,
-                reads,
-                |i| {
-                    preds
-                        .iter()
-                        .all(|p| p.cmp.eval(views[p.input].get(i), p.lit))
-                        .then(|| expr.eval_row(&|k| views[k].get(i)))
-                },
-            )
+            let (key, plus) = (|| fused_key(preds, expr), |a, b| a + b);
+            let row = |i| {
+                preds
+                    .iter()
+                    .all(|p| p.cmp.eval(views[p.input].get(i), p.lit))
+                    .then(|| expr.eval_row(&|k| views[k].get(i)))
+            };
+            eager::transform_reduce_zip(&self.lib, len, key, read_bytes, reads, 0.0f64, plus, row)
         })?
     }
 }

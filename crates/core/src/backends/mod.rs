@@ -1,11 +1,11 @@
 //! Concrete backend adapters. Each realises the Table-II operator set with
 //! the calls the paper identifies for its library.
 //!
-//! Thrust and Boost.Compute expose the same eager algorithm surface, so
-//! their operator chains are written once, in `eager` (`EagerBackend<L>`);
-//! [`thrust`] and [`boost`] only say what each of those calls is in their
-//! library and what it charges. [`arrayfire`] (lazy, JIT-fused) and the
-//! [`handwritten_backend`] baseline implement
+//! Thrust and Boost.Compute expose the same eager algorithm surface
+//! ([`gpu_sim::eager`]), so their operator chains are written once, in
+//! `eager` (`EagerBackend<L>`); [`thrust`] and [`boost`] only name the
+//! library's launch profile and say how to make it cold. [`arrayfire`]
+//! (lazy, JIT-fused) and the [`handwritten_backend`] baseline implement
 //! [`GpuBackend`](crate::backend::GpuBackend) directly. What makes any of
 //! them *correct* is one list: the `conformance` suite, run over all of
 //! [`PAPER_BACKENDS`].

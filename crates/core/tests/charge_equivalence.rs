@@ -150,154 +150,22 @@ fn run_new(backend: &str, op: &Op<'_>, plan: &Option<FaultPlan>) -> Outcome {
 /// The library chain with real intermediates.
 fn run_old(backend: &str, op: &Op<'_>, plan: &Option<FaultPlan>) -> Outcome {
     match backend {
-        "Thrust" => old_thrust::run(op, plan),
-        "Boost.Compute" => old_boost::run(op, plan),
+        "Thrust" => old_eager::run(thrust_sim::Thrust::new, op, plan),
+        "Boost.Compute" => {
+            use boost_compute_sim::{CommandQueue, Context};
+            old_eager::run(|dev| CommandQueue::new(&Context::new(dev)), op, plan)
+        }
         "ArrayFire" => old_arrayfire::run(op, plan),
         "Handwritten" => old_handwritten::run(op, plan),
         other => panic!("unknown backend {other}"),
     }
 }
 
-mod old_thrust {
+/// The Thrust / Boost.Compute chain: one suite (`gpu_sim::eager`), so one
+/// reference, run under each library's launcher.
+mod old_eager {
     use super::*;
-    use gpu_sim::SimDuration;
-    use thrust_sim as thrust;
-    use thrust_sim::DeviceVector;
-
-    enum Stored {
-        U32(DeviceVector<u32>),
-        F64(DeviceVector<f64>),
-    }
-
-    fn flags(s: &Stored, cmp: CmpOp, lit: f64) -> Result<DeviceVector<u32>> {
-        match s {
-            Stored::U32(v) => thrust::transform(v, move |x| u32::from(cmp.eval(x as f64, lit))),
-            Stored::F64(v) => thrust::transform(v, move |x| u32::from(cmp.eval(x, lit))),
-        }
-    }
-
-    fn compact(device: &Arc<Device>, flags: &DeviceVector<u32>) -> Result<DeviceVector<u32>> {
-        let offs = thrust::exclusive_scan(flags, 0u32)?;
-        let n = flags.len();
-        let count = match n {
-            0 => 0,
-            _ => (offs.as_slice()[n - 1] + flags.as_slice()[n - 1]) as usize,
-        };
-        device.advance(SimDuration::from_nanos(device.spec().pcie_latency_ns));
-        let ids = thrust::sequence(device, n)?;
-        let mut out: DeviceVector<u32> = DeviceVector::zeroed(device, count)?;
-        thrust::scatter_if(&ids, &offs, flags, &mut out)?;
-        Ok(out)
-    }
-
-    fn selection_multi(
-        device: &Arc<Device>,
-        cols: &[Stored],
-        preds: &[(usize, CmpOp, f64)],
-        conn: Connective,
-    ) -> Result<DeviceVector<u32>> {
-        let (c, cmp, lit) = preds[0];
-        let mut combined = flags(&cols[c], cmp, lit)?;
-        for &(c, cmp, lit) in &preds[1..] {
-            let f = flags(&cols[c], cmp, lit)?;
-            combined = match conn {
-                Connective::And => {
-                    thrust::transform_binary(&combined, &f, thrust::functional::bit_and())?
-                }
-                Connective::Or => {
-                    thrust::transform_binary(&combined, &f, thrust::functional::bit_or())?
-                }
-            };
-        }
-        compact(device, &combined)
-    }
-
-    fn cmp_cols(
-        device: &Arc<Device>,
-        a: &Stored,
-        b: &Stored,
-        cmp: CmpOp,
-    ) -> Result<DeviceVector<u32>> {
-        let flags = match (a, b) {
-            (Stored::U32(va), Stored::U32(vb)) => thrust::transform_binary(va, vb, move |x, y| {
-                u32::from(cmp.eval(x as f64, y as f64))
-            }),
-            (Stored::F64(va), Stored::F64(vb)) => {
-                thrust::transform_binary(va, vb, move |x, y| u32::from(cmp.eval(x, y)))
-            }
-            _ => {
-                return Err(SimError::Unsupported(
-                    "mixed-dtype column comparison".into(),
-                ))
-            }
-        }?;
-        compact(device, &flags)
-    }
-
-    fn grouped_sum(
-        keys: &DeviceVector<u32>,
-        vals: &DeviceVector<f64>,
-    ) -> Result<(DeviceVector<u32>, DeviceVector<f64>)> {
-        let (sk, sv) = {
-            let mut k = keys.dclone()?;
-            let mut v = vals.dclone()?;
-            thrust::sort_by_key(&mut k, &mut v)?;
-            (k, v)
-        };
-        let reduced = thrust::reduce_by_key(&sk, &sv, |x, y| x + y);
-        drop(sk);
-        drop(sv);
-        reduced
-    }
-
-    pub fn run(op: &Op<'_>, plan: &Option<FaultPlan>) -> Outcome {
-        type Ctx = (Arc<Device>, Vec<Stored>);
-        let upload = |dev: &Arc<Device>| -> Ctx {
-            let up = |c: &HostCol<'_>| match c {
-                HostCol::U32(v) => Stored::U32(DeviceVector::from_host(dev, v).unwrap()),
-                HostCol::F64(v) => Stored::F64(DeviceVector::from_host(dev, v).unwrap()),
-            };
-            let cols = match op {
-                Op::GroupedSum { keys, vals } => {
-                    vec![up(&HostCol::U32(keys)), up(&HostCol::F64(vals))]
-                }
-                Op::Select { cols, .. } => cols.iter().map(up).collect(),
-                Op::CmpCols { a, b, .. } => vec![up(a), up(b)],
-            };
-            (Arc::clone(dev), cols)
-        };
-        let run = |(dev, cols): &Ctx| -> Result<Vec<Stored>> {
-            match op {
-                Op::GroupedSum { .. } => match (&cols[0], &cols[1]) {
-                    (Stored::U32(k), Stored::F64(v)) => {
-                        grouped_sum(k, v).map(|(k, v)| vec![Stored::U32(k), Stored::F64(v)])
-                    }
-                    _ => unreachable!(),
-                },
-                Op::Select { preds, conn, .. } => {
-                    selection_multi(dev, cols, preds, *conn).map(|ids| vec![Stored::U32(ids)])
-                }
-                Op::CmpCols { cmp, .. } => {
-                    cmp_cols(dev, &cols[0], &cols[1], *cmp).map(|ids| vec![Stored::U32(ids)])
-                }
-            }
-        };
-        let download = |_: &Ctx, out: Vec<Stored>| -> Bits {
-            out.into_iter()
-                .map(|s| match s {
-                    Stored::U32(v) => bits32(&v.to_host().unwrap()),
-                    Stored::F64(v) => bits64(&v.to_host().unwrap()),
-                })
-                .collect()
-        };
-        observe(plan, upload, run, download)
-    }
-}
-
-mod old_boost {
-    use super::*;
-    use boost_compute_sim as compute;
-    use boost_compute_sim::{CommandQueue, Context, Vector};
+    use gpu_sim::eager::{self, Launch, Vector};
     use gpu_sim::SimDuration;
 
     enum Stored {
@@ -305,56 +173,55 @@ mod old_boost {
         F64(Vector<f64>),
     }
 
-    fn flags(s: &Stored, cmp: CmpOp, lit: f64, q: &CommandQueue) -> Result<Vector<u32>> {
+    fn flags<L: Launch>(lib: &L, s: &Stored, cmp: CmpOp, lit: f64) -> Result<Vector<u32>> {
         match s {
-            Stored::U32(v) => compute::transform(v, move |x| u32::from(cmp.eval(x as f64, lit)), q),
-            Stored::F64(v) => compute::transform(v, move |x| u32::from(cmp.eval(x, lit)), q),
+            Stored::U32(v) => eager::transform(lib, v, move |x| u32::from(cmp.eval(x as f64, lit))),
+            Stored::F64(v) => eager::transform(lib, v, move |x| u32::from(cmp.eval(x, lit))),
         }
     }
 
-    fn compact(flags: &Vector<u32>, q: &CommandQueue) -> Result<Vector<u32>> {
-        let offs = compute::exclusive_scan(flags, 0u32, q)?;
+    fn compact<L: Launch>(lib: &L, flags: &Vector<u32>) -> Result<Vector<u32>> {
+        let offs = eager::exclusive_scan(lib, flags, 0u32)?;
         let n = flags.len();
         let count = match n {
             0 => 0,
             _ => (offs.as_slice()[n - 1] + flags.as_slice()[n - 1]) as usize,
         };
-        let device = q.device();
+        let device = lib.device();
         device.advance(SimDuration::from_nanos(device.spec().pcie_latency_ns));
-        let ids = compute::iota(n, q)?;
-        let mut out: Vector<u32> = Vector::zeroed(count, q)?;
-        compute::scatter_if(&ids, &offs, flags, &mut out, q)?;
+        let ids = eager::sequence(lib, n)?;
+        let mut out: Vector<u32> = Vector::zeroed(lib, count)?;
+        eager::scatter_if(lib, &ids, &offs, flags, &mut out)?;
         Ok(out)
     }
 
-    fn selection_multi(
+    fn selection_multi<L: Launch>(
+        lib: &L,
         cols: &[Stored],
         preds: &[(usize, CmpOp, f64)],
         conn: Connective,
-        q: &CommandQueue,
     ) -> Result<Vector<u32>> {
         let (c, cmp, lit) = preds[0];
-        let mut combined = flags(&cols[c], cmp, lit, q)?;
+        let mut combined = flags(lib, &cols[c], cmp, lit)?;
         for &(c, cmp, lit) in &preds[1..] {
-            let f = flags(&cols[c], cmp, lit, q)?;
+            let f = flags(lib, &cols[c], cmp, lit)?;
             combined = match conn {
-                Connective::And => compute::transform_binary(&combined, &f, |a, b| a & b, q)?,
-                Connective::Or => compute::transform_binary(&combined, &f, |a, b| a | b, q)?,
+                Connective::And => eager::transform_binary(lib, &combined, &f, |a, b| a & b)?,
+                Connective::Or => eager::transform_binary(lib, &combined, &f, |a, b| a | b)?,
             };
         }
-        compact(&combined, q)
+        compact(lib, &combined)
     }
 
-    fn cmp_cols(a: &Stored, b: &Stored, cmp: CmpOp, q: &CommandQueue) -> Result<Vector<u32>> {
+    fn cmp_cols<L: Launch>(lib: &L, a: &Stored, b: &Stored, cmp: CmpOp) -> Result<Vector<u32>> {
         let flags = match (a, b) {
-            (Stored::U32(va), Stored::U32(vb)) => compute::transform_binary(
-                va,
-                vb,
-                move |x, y| u32::from(cmp.eval(x as f64, y as f64)),
-                q,
-            ),
+            (Stored::U32(va), Stored::U32(vb)) => {
+                eager::transform_binary(lib, va, vb, move |x, y| {
+                    u32::from(cmp.eval(x as f64, y as f64))
+                })
+            }
             (Stored::F64(va), Stored::F64(vb)) => {
-                compute::transform_binary(va, vb, move |x, y| u32::from(cmp.eval(x, y)), q)
+                eager::transform_binary(lib, va, vb, move |x, y| u32::from(cmp.eval(x, y)))
             }
             _ => {
                 return Err(SimError::Unsupported(
@@ -362,33 +229,37 @@ mod old_boost {
                 ))
             }
         }?;
-        compact(&flags, q)
+        compact(lib, &flags)
     }
 
-    fn grouped_sum(
+    fn grouped_sum<L: Launch>(
+        lib: &L,
         keys: &Vector<u32>,
         vals: &Vector<f64>,
-        q: &CommandQueue,
     ) -> Result<(Vector<u32>, Vector<f64>)> {
         let (sk, sv) = {
-            let mut k = keys.dclone(q)?;
-            let mut v = vals.dclone(q)?;
-            compute::sort_by_key(&mut k, &mut v, q)?;
+            let mut k = keys.dclone()?;
+            let mut v = vals.dclone()?;
+            eager::sort_by_key(lib, &mut k, &mut v)?;
             (k, v)
         };
-        let reduced = compute::reduce_by_key(&sk, &sv, |x, y| x + y, q);
+        let reduced = eager::reduce_by_key(lib, &sk, &sv, |x, y| x + y);
         drop(sk);
         drop(sv);
         reduced
     }
 
-    pub fn run(op: &Op<'_>, plan: &Option<FaultPlan>) -> Outcome {
-        type Ctx = (CommandQueue, Vec<Stored>);
-        let upload = |dev: &Arc<Device>| -> Ctx {
-            let q = CommandQueue::new(&Context::new(dev));
+    /// `op` through the chain, on the library `cold` makes on a device.
+    pub fn run<L: Launch>(
+        cold: impl Fn(&Arc<Device>) -> L,
+        op: &Op<'_>,
+        plan: &Option<FaultPlan>,
+    ) -> Outcome {
+        let upload = |dev: &Arc<Device>| -> (L, Vec<Stored>) {
+            let lib = cold(dev);
             let up = |c: &HostCol<'_>| match c {
-                HostCol::U32(v) => Stored::U32(Vector::from_host(v, &q).unwrap()),
-                HostCol::F64(v) => Stored::F64(Vector::from_host(v, &q).unwrap()),
+                HostCol::U32(v) => Stored::U32(Vector::from_host(&lib, v).unwrap()),
+                HostCol::F64(v) => Stored::F64(Vector::from_host(&lib, v).unwrap()),
             };
             let cols = match op {
                 Op::GroupedSum { keys, vals } => {
@@ -397,29 +268,29 @@ mod old_boost {
                 Op::Select { cols, .. } => cols.iter().map(up).collect(),
                 Op::CmpCols { a, b, .. } => vec![up(a), up(b)],
             };
-            (q, cols)
+            (lib, cols)
         };
-        let run = |(q, cols): &Ctx| -> Result<Vec<Stored>> {
+        let run = |(lib, cols): &(L, Vec<Stored>)| -> Result<Vec<Stored>> {
             match op {
                 Op::GroupedSum { .. } => match (&cols[0], &cols[1]) {
                     (Stored::U32(k), Stored::F64(v)) => {
-                        grouped_sum(k, v, q).map(|(k, v)| vec![Stored::U32(k), Stored::F64(v)])
+                        grouped_sum(lib, k, v).map(|(k, v)| vec![Stored::U32(k), Stored::F64(v)])
                     }
                     _ => unreachable!(),
                 },
                 Op::Select { preds, conn, .. } => {
-                    selection_multi(cols, preds, *conn, q).map(|ids| vec![Stored::U32(ids)])
+                    selection_multi(lib, cols, preds, *conn).map(|ids| vec![Stored::U32(ids)])
                 }
                 Op::CmpCols { cmp, .. } => {
-                    cmp_cols(&cols[0], &cols[1], *cmp, q).map(|ids| vec![Stored::U32(ids)])
+                    cmp_cols(lib, &cols[0], &cols[1], *cmp).map(|ids| vec![Stored::U32(ids)])
                 }
             }
         };
-        let download = |(q, _): &Ctx, out: Vec<Stored>| -> Bits {
+        let download = |_: &(L, Vec<Stored>), out: Vec<Stored>| -> Bits {
             out.into_iter()
                 .map(|s| match s {
-                    Stored::U32(v) => bits32(&v.to_host(q).unwrap()),
-                    Stored::F64(v) => bits64(&v.to_host(q).unwrap()),
+                    Stored::U32(v) => bits32(&v.to_host().unwrap()),
+                    Stored::F64(v) => bits64(&v.to_host().unwrap()),
                 })
                 .collect()
         };

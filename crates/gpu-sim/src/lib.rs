@@ -43,8 +43,10 @@
 //! assert_eq!(dev.stats().launches_of("double"), 1);
 //! ```
 //!
-//! Higher-level crates (`thrust-sim`, `boost-compute-sim`, `arrayfire-sim`,
-//! `handwritten`) build their programming models on these primitives.
+//! Higher-level crates (`arrayfire-sim`, `handwritten`) build their
+//! programming models on these primitives. The eager algorithm suite that
+//! Thrust and Boost.Compute share is [`eager`]; `thrust-sim` and
+//! `boost-compute-sim` are its two runtime profiles.
 
 #![warn(missing_docs)]
 
@@ -52,6 +54,7 @@ pub mod buffer;
 pub mod clock;
 pub mod cost;
 pub mod device;
+pub mod eager;
 pub mod error;
 pub mod fault;
 pub mod hostalloc;

@@ -188,11 +188,12 @@ mod tests {
 
         let dev_lib = Device::with_defaults();
         use thrust_sim as thrust;
-        let mut k = thrust::DeviceVector::from_host(&dev_lib, &keys).unwrap();
-        let mut v = thrust::DeviceVector::from_host(&dev_lib, &vals).unwrap();
+        let lib = thrust::Thrust::new(&dev_lib);
+        let mut k = thrust::DeviceVector::from_host(&lib, &keys).unwrap();
+        let mut v = thrust::DeviceVector::from_host(&lib, &vals).unwrap();
         let (_, t_lib) = dev_lib.time(|| {
-            thrust::sort_by_key(&mut k, &mut v).unwrap();
-            thrust::reduce_by_key(&k, &v, |a, b| a + b).unwrap()
+            thrust::sort_by_key(&lib, &mut k, &mut v).unwrap();
+            thrust::reduce_by_key(&lib, &k, &v, |a, b| a + b).unwrap()
         });
         assert!(
             t_hw.as_nanos() * 2 < t_lib.as_nanos(),

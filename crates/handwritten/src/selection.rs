@@ -95,17 +95,20 @@ mod tests {
         let col: Vec<u32> = (0..1024).collect();
         let (_, t_hw) = dev_hw
             .time(|| select_fused(&dev_hw, col.len(), 4, |i| col[i].is_multiple_of(2)).unwrap());
-        // Library chain on an identical device:
+        // Library chain on an identical device: predicate flags, their
+        // scan, and the row ids compacted to the scanned offsets.
         let dev_lib = Device::with_defaults();
         let t_lib = {
             use thrust_sim as thrust;
-            let v = thrust::DeviceVector::from_host(&dev_lib, &col).unwrap();
+            let lib = thrust::Thrust::new(&dev_lib);
+            let v = thrust::DeviceVector::from_host(&lib, &col).unwrap();
             dev_lib.reset_stats();
             let t0 = dev_lib.now();
-            let flags = thrust::transform(&v, |x| u32::from(x % 2 == 0)).unwrap();
-            let offs = thrust::exclusive_scan(&flags, 0).unwrap();
-            let _ = offs;
-            let _idx = thrust::copy_if(&v, |x| x % 2 == 0).unwrap();
+            let flags = thrust::transform(&lib, &v, |x| u32::from(x % 2 == 0)).unwrap();
+            let offs = thrust::exclusive_scan(&lib, &flags, 0).unwrap();
+            let ids = thrust::sequence(&lib, col.len()).unwrap();
+            let mut idx = thrust::DeviceVector::zeroed(&lib, col.len() / 2).unwrap();
+            thrust::scatter_if(&lib, &ids, &offs, &flags, &mut idx).unwrap();
             dev_lib.now() - t0
         };
         assert!(t_hw < t_lib, "hw {t_hw} vs lib {t_lib}");

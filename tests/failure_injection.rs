@@ -95,9 +95,9 @@ fn merge_join_precondition_is_enforced_end_to_end() {
 
 #[test]
 fn zero_cost_for_each_n_is_rejected() {
-    let dev = Device::with_defaults();
-    let r =
-        gpu_proto_db::thrust::for_each_n(&dev, 5, gpu_proto_db::sim::KernelCost::empty(), |_| {});
+    use gpu_proto_db::{sim::KernelCost, thrust};
+    let lib = thrust::Thrust::new(&Device::with_defaults());
+    let r = thrust::for_each_n(&lib, 5, KernelCost::empty(), |_| {});
     assert!(matches!(r, Err(SimError::InvalidLaunch(_))));
 }
 
