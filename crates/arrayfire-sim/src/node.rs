@@ -11,117 +11,35 @@ use crate::dtype::{ColumnData, DType, Scalar};
 use std::collections::HashSet;
 use std::sync::Arc;
 
-/// Fusable element-wise unary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UnaryOp {
-    /// Logical negation (b8).
-    Not,
-    /// Arithmetic negation.
-    Neg,
-    /// Absolute value.
-    Abs,
-}
+pub use gpu_sim::hostexec::expr::{BinaryOp, UnaryOp};
 
-/// Fusable element-wise binary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BinaryOp {
-    /// Addition.
-    Add,
-    /// Subtraction.
-    Sub,
-    /// Multiplication (the paper's *Product* operator: `operator*()`).
-    Mul,
-    /// Division.
-    Div,
-    /// Minimum.
-    Min,
-    /// Maximum.
-    Max,
-    /// Bitwise/logical AND (conjunction of predicates).
-    And,
-    /// Bitwise/logical OR (disjunction of predicates).
-    Or,
-    /// Comparison `<` (produces b8).
-    Lt,
-    /// Comparison `<=` (produces b8).
-    Le,
-    /// Comparison `>` (produces b8).
-    Gt,
-    /// Comparison `>=` (produces b8).
-    Ge,
-    /// Comparison `==` (produces b8).
-    Eq,
-    /// Comparison `!=` (produces b8).
-    Ne,
-}
-
-impl BinaryOp {
-    /// Whether this operator yields a boolean column.
-    pub fn is_comparison(self) -> bool {
-        matches!(
-            self,
-            BinaryOp::Lt | BinaryOp::Le | BinaryOp::Gt | BinaryOp::Ge | BinaryOp::Eq | BinaryOp::Ne
-        )
-    }
-
-    /// Mnemonic used in shape signatures.
-    pub fn name(self) -> &'static str {
-        match self {
-            BinaryOp::Add => "add",
-            BinaryOp::Sub => "sub",
-            BinaryOp::Mul => "mul",
-            BinaryOp::Div => "div",
-            BinaryOp::Min => "min",
-            BinaryOp::Max => "max",
-            BinaryOp::And => "and",
-            BinaryOp::Or => "or",
-            BinaryOp::Lt => "lt",
-            BinaryOp::Le => "le",
-            BinaryOp::Gt => "gt",
-            BinaryOp::Ge => "ge",
-            BinaryOp::Eq => "eq",
-            BinaryOp::Ne => "ne",
-        }
-    }
-
-    /// Apply on the `f64` interpreter lane.
-    pub fn apply(self, a: f64, b: f64) -> f64 {
-        match self {
-            BinaryOp::Add => a + b,
-            BinaryOp::Sub => a - b,
-            BinaryOp::Mul => a * b,
-            BinaryOp::Div => a / b,
-            BinaryOp::Min => a.min(b),
-            BinaryOp::Max => a.max(b),
-            BinaryOp::And => f64::from(a != 0.0 && b != 0.0),
-            BinaryOp::Or => f64::from(a != 0.0 || b != 0.0),
-            BinaryOp::Lt => f64::from(a < b),
-            BinaryOp::Le => f64::from(a <= b),
-            BinaryOp::Gt => f64::from(a > b),
-            BinaryOp::Ge => f64::from(a >= b),
-            BinaryOp::Eq => f64::from(a == b),
-            BinaryOp::Ne => f64::from(a != b),
-        }
+/// Mnemonic of a binary operator in shape signatures.
+fn binary_name(op: BinaryOp) -> &'static str {
+    match op {
+        BinaryOp::Add => "add",
+        BinaryOp::Sub => "sub",
+        BinaryOp::Mul => "mul",
+        BinaryOp::Div => "div",
+        BinaryOp::Min => "min",
+        BinaryOp::Max => "max",
+        BinaryOp::And => "and",
+        BinaryOp::Or => "or",
+        BinaryOp::Lt => "lt",
+        BinaryOp::Le => "le",
+        BinaryOp::Gt => "gt",
+        BinaryOp::Ge => "ge",
+        BinaryOp::Eq => "eq",
+        BinaryOp::Ne => "ne",
+        BinaryOp::Select => "select",
     }
 }
 
-impl UnaryOp {
-    /// Mnemonic used in shape signatures.
-    pub fn name(self) -> &'static str {
-        match self {
-            UnaryOp::Not => "not",
-            UnaryOp::Neg => "neg",
-            UnaryOp::Abs => "abs",
-        }
-    }
-
-    /// Apply on the `f64` interpreter lane.
-    pub fn apply(self, a: f64) -> f64 {
-        match self {
-            UnaryOp::Not => f64::from(a == 0.0),
-            UnaryOp::Neg => -a,
-            UnaryOp::Abs => a.abs(),
-        }
+/// Mnemonic of a unary operator in shape signatures.
+fn unary_name(op: UnaryOp) -> &'static str {
+    match op {
+        UnaryOp::Not => "not",
+        UnaryOp::Neg => "neg",
+        UnaryOp::Abs => "abs",
     }
 }
 
@@ -159,13 +77,13 @@ impl Node {
                 s.push_str(col.dtype().name());
             }
             Node::Unary(op, c) => {
-                s.push_str(op.name());
+                s.push_str(unary_name(*op));
                 s.push('(');
                 c.sig_into(s);
                 s.push(')');
             }
             Node::Binary(op, l, r) => {
-                s.push_str(op.name());
+                s.push_str(binary_name(*op));
                 s.push('(');
                 l.sig_into(s);
                 s.push(',');
@@ -173,7 +91,7 @@ impl Node {
                 s.push(')');
             }
             Node::ScalarRhs(op, c, sc) => {
-                s.push_str(op.name());
+                s.push_str(binary_name(*op));
                 s.push('(');
                 c.sig_into(s);
                 s.push_str(",lit:");
@@ -181,7 +99,7 @@ impl Node {
                 s.push(')');
             }
             Node::ScalarLhs(op, sc, c) => {
-                s.push_str(op.name());
+                s.push_str(binary_name(*op));
                 s.push_str("(lit:");
                 s.push_str(sc.dtype().name());
                 s.push(',');

@@ -1,42 +1,28 @@
 //! Compiled evaluation of the lazy expression DAG.
 //!
-//! [`Array::eval`](crate::Array::eval) used to interpret its tree with a
-//! per-element recursive walk ([`Node::eval_at`]) — one tree traversal and
-//! one leaf-lane lookup *per element per leaf*. This module compiles the
-//! tree once per evaluation into a flat post-order [`Program`] (a stack
-//! machine over **typed** lane buffers) and executes it op-at-a-time over
-//! fixed-size chunks: every instruction streams through a cache-resident
-//! lane and leaf ids are resolved to dense slot indices at compile time.
+//! [`Array::eval`](crate::Array::eval) does not interpret its tree per
+//! element ([`Node::eval_at`] does, and stays as the test oracle): it
+//! compiles the tree once per evaluation into a flat post-order
+//! [`Program`] — leaf ids resolved to dense slots — and hands it to the
+//! host expression engine ([`gpu_sim::hostexec::expr`]), which runs it
+//! op-at-a-time over `f64` register windows with the leaf columns read in
+//! place. The engine's arithmetic is [`BinaryOp::apply`] /
+//! [`UnaryOp::apply`] on the interpreter's `f64` working value, in the same
+//! post-order, so every element sees the identical sequence of `f64`
+//! operations and results are bit-for-bit those of `eval_at`;
+//! [`Program::eval_into`] converts to the output dtype at the store, by
+//! [`column_from_f64`](crate::dtype::column_from_f64)'s rules.
 //!
-//! Lanes carry their native width end to end: integer leaf columns load
-//! without an up-front whole-column `f64` materialisation, comparisons
-//! and `And`/`Or`/`Not` produce one-byte `b8` masks, and a trailing
-//! `Cast` stores its native type — so an integer-keyed pipeline never
-//! round-trips through an `f64` buffer ([`Program::eval_into`] hands the
-//! result to [`ColumnData`] in the output dtype directly). *Arithmetic*
-//! is still `f64` exactly as the recursive interpreter's: a lane's
-//! observable value (`Lane::get`) widens precisely the way
-//! [`Node::lanes`] widened the leaf, and the instruction order is the
-//! same post-order, so every element sees the identical sequence of
-//! `f64` operations and results are bit-for-bit those of `eval_at`.
-//!
-//! Execution splits across host threads at fixed chunk granularity
-//! ([`gpu_sim::hostexec::par_map_chunks`]) — chunk boundaries don't
-//! depend on thread count, so results are deterministic at any
-//! parallelism. Simulated time is charged by the caller exactly as
-//! before — compilation here is pure host-side mechanics, not the
-//! modelled JIT (which `crate::array::Backend::ensure_jit` accounts
-//! separately).
+//! Simulated time is charged by the caller exactly as before — compilation
+//! here is pure host-side mechanics, not the modelled JIT (which
+//! `crate::array::Backend::ensure_jit` accounts separately).
 
 use crate::dtype::{ColumnData, DType};
 use crate::node::{BinaryOp, Node, UnaryOp};
+use gpu_sim::hostexec::expr::{self, Cast, Instr, Leaf};
 use gpu_sim::Reservation;
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Elements processed per inner lane: small enough that a handful of lane
-/// buffers stay cache-resident, large enough to amortise dispatch.
-const LANE: usize = 2048;
 
 /// Analysis-friendly mirror of one [`Program`] instruction, exposed for
 /// static verification (`gpu-lint`'s Program pass). Carries the operator
@@ -97,7 +83,7 @@ impl InstrSpec {
 }
 
 /// Public description of a compiled [`Program`]: the instruction list plus
-/// the leaf table's dtypes and the stack depth the executor will reserve.
+/// the leaf table's dtypes and the stack depth the engine will reserve.
 /// Produced by [`Program::spec`]; checkers (and hazard-injection tests)
 /// can also build one directly since all fields are public.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,9 +101,9 @@ impl ProgramSpec {
     /// every `Load` slot is bound, no instruction underflows the stack,
     /// exactly one value remains at the end, and the declared stack depth
     /// covers the true maximum. Returns a description of the first
-    /// violation. This is the cheap self-check behind the `debug_assert!`
-    /// in [`Program::compile`]; `gpu-lint` layers rule ids, spans and
-    /// dtype analysis on top.
+    /// violation. The engine asserts the same of every program it is
+    /// handed; this is the reporting form, for specs built by hand —
+    /// `gpu-lint` layers rule ids, spans and dtype analysis on top.
     pub fn well_formed(&self) -> std::result::Result<(), String> {
         let mut depth = 0usize;
         let mut max_depth = 0usize;
@@ -154,39 +140,22 @@ impl ProgramSpec {
     }
 }
 
-/// One stack-machine instruction of a compiled tree.
-enum Instr {
-    /// Push leaf slot `n`'s lane.
-    Load(usize),
-    /// Apply a unary op to the top of stack.
-    Unary(UnaryOp),
-    /// Pop the right operand, apply to the left in place.
-    Binary(BinaryOp),
-    /// Top-of-stack `op` scalar.
-    ScalarRhs(BinaryOp, f64),
-    /// Scalar `op` top-of-stack.
-    ScalarLhs(BinaryOp, f64),
-    /// Dtype-cast the top of stack.
-    Cast(DType),
-}
-
 /// A lazy tree compiled to a flat post-order program.
 ///
 /// `Debug` summarizes shape only (instruction/leaf counts); use
 /// [`Program::spec`] for a structural view.
 pub struct Program {
-    instrs: Vec<Instr>,
+    code: expr::Program,
     /// Distinct leaf columns in slot order (`Instr::Load` indexes this).
     leaves: Vec<Arc<ColumnData>>,
-    stack_depth: usize,
 }
 
 impl std::fmt::Debug for Program {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Program")
-            .field("instrs", &self.instrs.len())
+            .field("instrs", &self.code.instrs().len())
             .field("leaves", &self.leaves.len())
-            .field("stack_depth", &self.stack_depth)
+            .field("stack_depth", &self.code.depth())
             .finish()
     }
 }
@@ -195,365 +164,126 @@ impl Program {
     /// Compile `root` into a post-order instruction list, resolving each
     /// distinct leaf id to a dense slot.
     pub fn compile(root: &Node) -> Program {
-        let mut prog = Program {
-            instrs: Vec::new(),
-            leaves: Vec::new(),
-            stack_depth: 0,
-        };
-        let mut slots: HashMap<u64, usize> = HashMap::new();
-        let mut cur = 0usize;
-        prog.emit(root, &mut slots, &mut cur);
-        debug_assert!(
-            matches!(prog.spec().well_formed(), Ok(())),
-            "Program::compile produced an ill-formed program: {}",
-            prog.spec().well_formed().unwrap_err()
-        );
-        prog
+        let (mut instrs, mut leaves) = (Vec::new(), Vec::new());
+        emit(root, &mut instrs, &mut leaves, &mut HashMap::new());
+        Program {
+            code: expr::Program::new(instrs),
+            leaves,
+        }
     }
 
     /// Analysis view of this program (see [`ProgramSpec`]).
     pub fn spec(&self) -> ProgramSpec {
         ProgramSpec {
             instrs: self
-                .instrs
+                .code
+                .instrs()
                 .iter()
-                .map(|i| match i {
-                    Instr::Load(slot) => InstrSpec::Load { slot: *slot },
-                    Instr::Unary(op) => InstrSpec::Unary { op: *op },
-                    Instr::Binary(op) => InstrSpec::Binary { op: *op },
-                    Instr::ScalarRhs(op, _) => InstrSpec::ScalarRhs { op: *op },
-                    Instr::ScalarLhs(op, _) => InstrSpec::ScalarLhs { op: *op },
-                    Instr::Cast(dt) => InstrSpec::Cast { dtype: *dt },
+                .map(|i| match *i {
+                    Instr::Load(slot) => InstrSpec::Load { slot },
+                    Instr::Unary(op) => InstrSpec::Unary { op },
+                    Instr::Binary(op) => InstrSpec::Binary { op },
+                    Instr::ScalarRhs(op, _) => InstrSpec::ScalarRhs { op },
+                    Instr::ScalarLhs(op, _) => InstrSpec::ScalarLhs { op },
+                    Instr::Cast(to) => InstrSpec::Cast {
+                        dtype: match to {
+                            Cast::F64 => DType::F64,
+                            Cast::U64 => DType::U64,
+                            Cast::U32 => DType::U32,
+                            Cast::I64 => DType::I64,
+                            Cast::B8 => DType::B8,
+                        },
+                    },
                 })
                 .collect(),
             leaf_dtypes: self.leaves.iter().map(|c| c.dtype()).collect(),
-            declared_stack_depth: self.stack_depth,
+            declared_stack_depth: self.code.depth(),
         }
     }
 
-    fn emit(&mut self, node: &Node, slots: &mut HashMap<u64, usize>, cur: &mut usize) {
-        match node {
-            Node::Leaf(id, col) => {
-                let slot = *slots.entry(*id).or_insert_with(|| {
-                    self.leaves.push(Arc::clone(col));
-                    self.leaves.len() - 1
-                });
-                self.instrs.push(Instr::Load(slot));
-                *cur += 1;
-                self.stack_depth = self.stack_depth.max(*cur);
-            }
-            Node::Unary(op, c) => {
-                self.emit(c, slots, cur);
-                self.instrs.push(Instr::Unary(*op));
-            }
-            Node::Binary(op, l, r) => {
-                self.emit(l, slots, cur);
-                self.emit(r, slots, cur);
-                self.instrs.push(Instr::Binary(*op));
-                *cur -= 1;
-            }
-            Node::ScalarRhs(op, c, s) => {
-                self.emit(c, slots, cur);
-                self.instrs.push(Instr::ScalarRhs(*op, s.as_f64()));
-            }
-            Node::ScalarLhs(op, s, c) => {
-                self.emit(c, slots, cur);
-                self.instrs.push(Instr::ScalarLhs(*op, s.as_f64()));
-            }
-            Node::Cast(dt, c) => {
-                self.emit(c, slots, cur);
-                self.instrs.push(Instr::Cast(*dt));
-            }
-        }
+    /// The leaf columns as the engine reads them: in place.
+    fn leaf_views(&self) -> Vec<Leaf<'_>> {
+        self.leaves
+            .iter()
+            .map(|col| match col.as_ref() {
+                ColumnData::F64(b) => Leaf::F64(b.host()),
+                ColumnData::U64(b) => Leaf::U64(b.host()),
+                ColumnData::U32(b) => Leaf::U32(b.host()),
+                ColumnData::I64(b) => Leaf::I64(b.host()),
+                ColumnData::B8(b) => Leaf::B8(b.host()),
+            })
+            .collect()
     }
 
-    /// Execute the program over `len` elements, widening the final lane
-    /// to the interpreter's observable `f64` values. Kept for callers and
-    /// tests that want the working representation; [`Program::eval_into`]
-    /// materialises a typed column without this widening step.
-    pub fn eval(&self, len: usize) -> Vec<f64> {
-        let views: Vec<LeafView<'_>> = self.leaves.iter().map(LeafView::of).collect();
-        let chunks =
-            gpu_sim::par_map_chunks(len, 1 << 12, |r| self.eval_range(&views, r, DType::F64));
-        let mut out = Vec::with_capacity(len);
-        for lane in chunks {
-            match lane {
-                Lane::F64(v) => out.extend_from_slice(&v),
-                _ => unreachable!("eval_range honours the requested f64 accumulator"),
-            }
-        }
-        out
+    /// Execute the program over `len` elements as the interpreter's
+    /// observable `f64` values.
+    #[cfg(test)]
+    fn eval(&self, len: usize) -> Vec<f64> {
+        expr::map(&self.code, &self.leaf_views(), len)
     }
 
     /// Execute the program and materialise the result directly as a
     /// `dtype` column in `out` (a reservation for `len` elements of
-    /// `dtype`) — the native-width path `Array::eval` uses. Each
-    /// `LANE` window's typed lane appends straight into a native
-    /// accumulator, so an integer result never detours through a
-    /// whole-column `f64` buffer. Values are bit-identical to
-    /// `fill_from_f64(out, dtype, self.eval(len))`.
+    /// `dtype`) — the path `Array::eval` uses. Values are those of
+    /// `fill_from_f64(out, dtype, <the f64 results>)`.
     pub fn eval_into(&self, out: Reservation, dtype: DType, len: usize) -> ColumnData {
-        let views: Vec<LeafView<'_>> = self.leaves.iter().map(LeafView::of).collect();
-        let chunks = gpu_sim::par_map_chunks(len, 1 << 12, |r| self.eval_range(&views, r, dtype));
-        macro_rules! assemble {
-            ($variant:ident) => {{
-                let mut v = Vec::with_capacity(len);
-                for lane in chunks {
-                    match lane {
-                        Lane::$variant(c) => v.extend_from_slice(&c),
-                        _ => unreachable!("eval_range honours the requested accumulator dtype"),
-                    }
-                }
-                ColumnData::$variant(out.into_buffer(v))
-            }};
+        let leaves = self.leaf_views();
+        macro_rules! column {
+            ($variant:ident) => {
+                ColumnData::$variant(out.into_buffer(expr::map(&self.code, &leaves, len)))
+            };
         }
         match dtype {
-            DType::F64 => assemble!(F64),
-            DType::U64 => assemble!(U64),
-            DType::U32 => assemble!(U32),
-            DType::I64 => assemble!(I64),
-            DType::B8 => assemble!(B8),
-        }
-    }
-
-    /// Evaluate one parallel chunk, accumulating the output in `dtype`'s
-    /// native representation. Runs the instruction list `LANE` elements
-    /// at a time over a typed lane stack.
-    fn eval_range(&self, views: &[LeafView<'_>], r: std::ops::Range<usize>, dtype: DType) -> Lane {
-        let mut acc = Lane::with_capacity(dtype, r.len());
-        let mut start = r.start;
-        while start < r.end {
-            let w = LANE.min(r.end - start);
-            let mut stack: Vec<Lane> = Vec::with_capacity(self.stack_depth);
-            for instr in &self.instrs {
-                match instr {
-                    Instr::Load(slot) => stack.push(views[*slot].load(start, w)),
-                    Instr::Unary(op) => {
-                        let a = stack.pop().expect("well-formed program");
-                        stack.push(unary_lane(*op, a, w));
-                    }
-                    Instr::Binary(op) => {
-                        let rhs = stack.pop().expect("well-formed program");
-                        let lhs = stack.pop().expect("well-formed program");
-                        stack.push(binary_lane(*op, lhs, &rhs, w));
-                    }
-                    Instr::ScalarRhs(op, s) => {
-                        let a = stack.pop().expect("well-formed program");
-                        stack.push(scalar_lane(*op, a, *s, false, w));
-                    }
-                    Instr::ScalarLhs(op, s) => {
-                        let a = stack.pop().expect("well-formed program");
-                        stack.push(scalar_lane(*op, a, *s, true, w));
-                    }
-                    Instr::Cast(dt) => {
-                        let a = stack.pop().expect("well-formed program");
-                        stack.push(cast_lane(*dt, a, w));
-                    }
-                }
-            }
-            acc.append_from(&stack.pop().expect("program yields one lane"), w);
-            start += w;
-        }
-        acc
-    }
-}
-
-/// One typed working buffer of the stack machine — a `LANE`-wide window
-/// of values in their native representation. Arithmetic observes lanes
-/// through [`Lane::get`] (the interpreter's `f64` working value), but
-/// storage stays native: integer leaves load without conversion,
-/// comparisons hold one-byte masks, and a trailing cast keeps its target
-/// width all the way into the output column.
-enum Lane {
-    F64(Vec<f64>),
-    U64(Vec<u64>),
-    U32(Vec<u32>),
-    I64(Vec<i64>),
-    B8(Vec<u8>),
-}
-
-impl Lane {
-    fn with_capacity(dt: DType, cap: usize) -> Lane {
-        match dt {
-            DType::F64 => Lane::F64(Vec::with_capacity(cap)),
-            DType::U64 => Lane::U64(Vec::with_capacity(cap)),
-            DType::U32 => Lane::U32(Vec::with_capacity(cap)),
-            DType::I64 => Lane::I64(Vec::with_capacity(cap)),
-            DType::B8 => Lane::B8(Vec::with_capacity(cap)),
-        }
-    }
-
-    /// Observable value of element `i` — exactly the `f64` the recursive
-    /// interpreter holds at this point (native lanes widen the way
-    /// [`ColumnData::to_f64_vec`] widens leaves).
-    #[inline]
-    fn get(&self, i: usize) -> f64 {
-        match self {
-            Lane::F64(v) => v[i],
-            Lane::U64(v) => v[i] as f64,
-            Lane::U32(v) => f64::from(v[i]),
-            Lane::I64(v) => v[i] as f64,
-            Lane::B8(v) => f64::from(v[i]),
-        }
-    }
-
-    /// Append `w` elements of `lane`, cast to `self`'s representation
-    /// with [`column_from_f64`](crate::dtype::column_from_f64)'s rules
-    /// applied to the observable values. Same-width fast paths exist only
-    /// where they are provably bit-identical to the `f64` detour:
-    /// `f64`/`u32` round-trip exactly, `b8` after normalising to 0/1;
-    /// 64-bit integers always re-cast because `(x as f64) as u64` is
-    /// lossy above 2^53.
-    fn append_from(&mut self, lane: &Lane, w: usize) {
-        match (self, lane) {
-            (Lane::F64(a), Lane::F64(v)) => a.extend_from_slice(&v[..w]),
-            (Lane::U32(a), Lane::U32(v)) => a.extend_from_slice(&v[..w]),
-            (Lane::B8(a), Lane::B8(v)) => a.extend(v[..w].iter().map(|&x| u8::from(x != 0))),
-            (Lane::F64(a), l) => a.extend((0..w).map(|i| l.get(i))),
-            (Lane::U64(a), l) => a.extend((0..w).map(|i| l.get(i) as u64)),
-            (Lane::U32(a), l) => a.extend((0..w).map(|i| l.get(i) as u32)),
-            (Lane::I64(a), l) => a.extend((0..w).map(|i| l.get(i) as i64)),
-            (Lane::B8(a), l) => a.extend((0..w).map(|i| u8::from(l.get(i) != 0.0))),
+            DType::F64 => column!(F64),
+            DType::U64 => column!(U64),
+            DType::U32 => column!(U32),
+            DType::I64 => column!(I64),
+            DType::B8 => column!(B8),
         }
     }
 }
 
-/// Borrowed native view of one leaf column; `Load` copies a window of it
-/// into a typed lane with no dtype conversion (the old engine converted
-/// every leaf to a whole-column `f64` lane up front).
-enum LeafView<'a> {
-    F64(&'a [f64]),
-    U64(&'a [u64]),
-    U32(&'a [u32]),
-    I64(&'a [i64]),
-    B8(&'a [u8]),
-}
-
-impl<'a> LeafView<'a> {
-    fn of(col: &Arc<ColumnData>) -> LeafView<'_> {
-        match col.as_ref() {
-            ColumnData::F64(b) => LeafView::F64(b.host()),
-            ColumnData::U64(b) => LeafView::U64(b.host()),
-            ColumnData::U32(b) => LeafView::U32(b.host()),
-            ColumnData::I64(b) => LeafView::I64(b.host()),
-            ColumnData::B8(b) => LeafView::B8(b.host()),
+fn emit(
+    node: &Node,
+    instrs: &mut Vec<Instr>,
+    leaves: &mut Vec<Arc<ColumnData>>,
+    slots: &mut HashMap<u64, usize>,
+) {
+    match node {
+        Node::Leaf(id, col) => {
+            let slot = *slots.entry(*id).or_insert_with(|| {
+                leaves.push(Arc::clone(col));
+                leaves.len() - 1
+            });
+            instrs.push(Instr::Load(slot));
         }
-    }
-
-    fn load(&self, start: usize, w: usize) -> Lane {
-        match self {
-            LeafView::F64(s) => Lane::F64(s[start..start + w].to_vec()),
-            LeafView::U64(s) => Lane::U64(s[start..start + w].to_vec()),
-            LeafView::U32(s) => Lane::U32(s[start..start + w].to_vec()),
-            LeafView::I64(s) => Lane::I64(s[start..start + w].to_vec()),
-            LeafView::B8(s) => Lane::B8(s[start..start + w].to_vec()),
+        Node::Unary(op, c) => {
+            emit(c, instrs, leaves, slots);
+            instrs.push(Instr::Unary(*op));
         }
-    }
-}
-
-/// Whether `op` produces a boolean mask (stored as a `b8` lane).
-fn mask_out(op: BinaryOp) -> bool {
-    op.is_comparison() || matches!(op, BinaryOp::And | BinaryOp::Or)
-}
-
-fn binary_lane(op: BinaryOp, lhs: Lane, rhs: &Lane, w: usize) -> Lane {
-    if mask_out(op) {
-        // Comparisons/And/Or yield exactly 0.0 or 1.0, so the byte mask
-        // is an exact encoding of the interpreter's working value.
-        Lane::B8(
-            (0..w)
-                .map(|i| u8::from(op.apply(lhs.get(i), rhs.get(i)) != 0.0))
-                .collect(),
-        )
-    } else if let Lane::F64(mut v) = lhs {
-        for (i, x) in v[..w].iter_mut().enumerate() {
-            *x = op.apply(*x, rhs.get(i));
+        Node::Binary(op, l, r) => {
+            emit(l, instrs, leaves, slots);
+            emit(r, instrs, leaves, slots);
+            instrs.push(Instr::Binary(*op));
         }
-        Lane::F64(v)
-    } else {
-        Lane::F64((0..w).map(|i| op.apply(lhs.get(i), rhs.get(i))).collect())
-    }
-}
-
-fn scalar_lane(op: BinaryOp, lane: Lane, s: f64, scalar_is_lhs: bool, w: usize) -> Lane {
-    let ap = |x: f64| {
-        if scalar_is_lhs {
-            op.apply(s, x)
-        } else {
-            op.apply(x, s)
+        Node::ScalarRhs(op, c, s) => {
+            emit(c, instrs, leaves, slots);
+            instrs.push(Instr::ScalarRhs(*op, s.as_f64()));
         }
-    };
-    if mask_out(op) {
-        Lane::B8((0..w).map(|i| u8::from(ap(lane.get(i)) != 0.0)).collect())
-    } else if let Lane::F64(mut v) = lane {
-        for x in &mut v[..w] {
-            *x = ap(*x);
+        Node::ScalarLhs(op, s, c) => {
+            emit(c, instrs, leaves, slots);
+            instrs.push(Instr::ScalarLhs(*op, s.as_f64()));
         }
-        Lane::F64(v)
-    } else {
-        Lane::F64((0..w).map(|i| ap(lane.get(i))).collect())
-    }
-}
-
-fn unary_lane(op: UnaryOp, lane: Lane, w: usize) -> Lane {
-    match op {
-        UnaryOp::Not => match lane {
-            // `Not` is x == 0.0 on the observable value; for a byte lane
-            // that is exactly x == 0.
-            Lane::B8(mut v) => {
-                for x in &mut v[..w] {
-                    *x = u8::from(*x == 0);
-                }
-                Lane::B8(v)
-            }
-            l => Lane::B8(
-                (0..w)
-                    .map(|i| u8::from(op.apply(l.get(i)) != 0.0))
-                    .collect(),
-            ),
-        },
-        UnaryOp::Neg | UnaryOp::Abs => {
-            if let Lane::F64(mut v) = lane {
-                for x in &mut v[..w] {
-                    *x = op.apply(*x);
-                }
-                Lane::F64(v)
-            } else {
-                Lane::F64((0..w).map(|i| op.apply(lane.get(i))).collect())
-            }
+        Node::Cast(dt, c) => {
+            emit(c, instrs, leaves, slots);
+            instrs.push(Instr::Cast(match dt {
+                DType::F64 => Cast::F64,
+                DType::U64 => Cast::U64,
+                DType::U32 => Cast::U32,
+                DType::I64 => Cast::I64,
+                DType::B8 => Cast::B8,
+            }));
         }
-    }
-}
-
-/// Apply [`Node::eval_at`]'s cast semantics to a lane. `F64`/`U32`/`B8`
-/// keep (or adopt) a native representation — at those widths the native
-/// value and the interpreter's post-cast `f64` working value are in
-/// exact bijection (`b8` after normalising to 0/1). `U64`/`I64` always
-/// recompute from the observable `f64`: the interpreter's cast is
-/// `(x as u64) as f64`, lossy above 2^53, so a native passthrough (e.g.
-/// of a large `u64` leaf) would be *more* precise than `eval_at` and
-/// break bit-identity.
-fn cast_lane(dt: DType, lane: Lane, w: usize) -> Lane {
-    match dt {
-        DType::F64 => match lane {
-            Lane::F64(v) => Lane::F64(v),
-            l => Lane::F64((0..w).map(|i| l.get(i)).collect()),
-        },
-        DType::U32 => match lane {
-            Lane::U32(v) => Lane::U32(v),
-            l => Lane::U32((0..w).map(|i| l.get(i) as u32).collect()),
-        },
-        DType::B8 => match lane {
-            Lane::B8(mut v) => {
-                for x in &mut v[..w] {
-                    *x = u8::from(*x != 0);
-                }
-                Lane::B8(v)
-            }
-            l => Lane::B8((0..w).map(|i| u8::from(l.get(i) != 0.0)).collect()),
-        },
-        DType::U64 => Lane::U64((0..w).map(|i| lane.get(i) as u64).collect()),
-        DType::I64 => Lane::I64((0..w).map(|i| lane.get(i) as i64).collect()),
     }
 }
 

@@ -122,6 +122,13 @@ fn fuse_node(inputs: &[Array], expr: &crate::fused::FusedExpr) -> Result<Array> 
     })
 }
 
+/// `af::select(mask, value, 0.0)`: `value` where the rows pass, `+0.0`
+/// where they do not — whatever a dropped row holds. (`value * mask` would
+/// turn a dropped `inf` or `NaN` into a `NaN` that poisons the sum.)
+fn masked_by(value: &Array, mask: &Array) -> Result<Array> {
+    value.try_binary(af::BinaryOp::Select, &mask.cast(DType::F64))
+}
+
 impl GpuBackend for ArrayFireBackend {
     fn name(&self) -> &'static str {
         NAME
@@ -355,7 +362,7 @@ impl GpuBackend for ArrayFireBackend {
 
     fn filter_sum_product(&self, a: &Col, b: &Col, preds: &[Pred<'_>]) -> Result<f64> {
         // ArrayFire's native pipeline: the predicate masks, the product
-        // and the mask application all fuse into ONE generated kernel;
+        // and the mask select all fuse into ONE generated kernel;
         // only the final reduction is a second launch.
         check_col(a, NAME, ColType::F64)?;
         check_col(b, NAME, ColType::F64)?;
@@ -365,8 +372,7 @@ impl GpuBackend for ArrayFireBackend {
             mask = mask.and(&self.mask(p)?)?;
         }
         let (xa, xb) = (self.arr(a)?, self.arr(b)?);
-        let masked = &(&xa * &xb) * &mask.cast(DType::F64);
-        af::sum(&masked)
+        af::sum(&masked_by(&(&xa * &xb), &mask)?)
     }
 
     fn fused_map(&self, inputs: &[&Col], expr: &crate::fused::FusedExpr) -> Result<Col> {
@@ -394,7 +400,7 @@ impl GpuBackend for ArrayFireBackend {
             .map(|c| self.arr(c))
             .collect::<Result<Vec<_>>>()?;
         // ArrayFire's native shape, generalising filter_sum_product: the
-        // predicate masks, the value expression and the mask multiply all
+        // predicate masks, the value expression and the mask select all
         // fuse into ONE generated kernel; only the reduction is a second
         // launch.
         let mut mask: Option<Array> = None;
@@ -407,7 +413,7 @@ impl GpuBackend for ArrayFireBackend {
         }
         let node = fuse_node(&arrs, expr)?;
         let masked = match mask {
-            Some(m) => node.try_binary(af::BinaryOp::Mul, &m.cast(DType::F64))?,
+            Some(m) => masked_by(&node, &m)?,
             None => node,
         };
         af::sum(&masked)
@@ -446,7 +452,7 @@ mod tests {
         assert_eq!(s.launches_of("af::jit_fused"), 1);
         let s = stats_of(&b, || b.fused_map(&[&price, &disc], &expr).unwrap());
         assert_eq!(s.launches_of("af::jit_fused"), 1, "whole chain fused");
-        // Mask, value expression and mask multiply fuse; the sum is the
+        // Mask, value expression and mask select fuse; the sum is the
         // only other launch.
         let preds = [Pred {
             col: &qty,

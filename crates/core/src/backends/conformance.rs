@@ -233,12 +233,14 @@ fn calls<'a>(b: Backend<'a>, u: &'a Col, k: &'a Col, f: &'a Col) -> Vec<Call<'a>
 }
 
 /// A fused kernel's result, held to the composed chain's: both refuse, or
-/// both produce the same bits.
+/// both produce the same bits (any NaN for a NaN: which one an addition
+/// returns is the compiler's choice).
 fn same_bits(fused: Result<Vec<f64>>, composed: Result<Vec<f64>>) -> Result<Vec<f64>> {
     match (&fused, &composed) {
         (Ok(x), Ok(y)) => {
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(x), bits(y), "fused and composed results differ");
+            let canonical = |x: &f64| if x.is_nan() { f64::NAN } else { *x }.to_bits();
+            let bits = |v: &[f64]| v.iter().map(canonical).collect::<Vec<_>>();
+            assert_eq!(bits(x), bits(y), "fused {x:?} and composed {y:?} differ");
         }
         (Err(_), Err(_)) => {}
         _ => panic!("fused gave {fused:?} where composed gave {composed:?}"),
@@ -399,6 +401,114 @@ fn empty_columns_flow_through_every_operator() {
         free(b, [u, k, f]);
         let none = b.constant_f64(0, 7.5).unwrap();
         assert!(take(b, none).unwrap().is_empty(), "{}", b.name());
+    });
+}
+
+/// The fused kernels against the composed chains where a shortcut shows:
+/// `±inf`, `NaN` and `-0.0` in rows the predicate drops and in rows it
+/// keeps, predicates that drop or keep every row, and no rows at all. A
+/// dropped row must contribute nothing — a kernel that multiplies by the
+/// mask instead turns a dropped `inf` into a `NaN` sum.
+#[test]
+fn fused_kernels_equal_the_composed_chains_on_adversarial_values() {
+    const SPECIALS: [f64; 6] = [
+        f64::INFINITY,
+        f64::NAN,
+        -0.0,
+        f64::NEG_INFINITY,
+        0.0,
+        f64::MAX,
+    ];
+    let pred = |cmp, lit| FusedPred { input: 1, cmp, lit };
+    let twice = FusedExpr::Affine {
+        input: Box::new(FusedExpr::Col(0)),
+        mul: 2.0,
+        add: 0.0,
+    };
+    // `v * (k < 5)`: the mask-multiply itself, where both realisations
+    // must agree that `inf * 0` is a NaN.
+    let masked = FusedExpr::Mul(
+        Box::new(FusedExpr::Col(0)),
+        Box::new(FusedExpr::Mask {
+            input: Box::new(FusedExpr::Col(1)),
+            cmp: CmpOp::Lt,
+            lit: 5.0,
+        }),
+    );
+    // Specials only in dropped rows (keys of 9), only in kept rows, in
+    // both, nowhere but signed zeros, and long enough for several windows.
+    let n = 3000;
+    let tables: Vec<(Vec<f64>, Vec<u32>)> = vec![
+        (vec![1.5, f64::INFINITY, 2.5, f64::NAN], vec![1, 9, 2, 9]),
+        (vec![f64::INFINITY, 1.5, -0.0, 2.5], vec![1, 9, 2, 9]),
+        (vec![-0.0; 5], vec![1, 9, 2, 9, 3]),
+        (
+            (0..n)
+                .map(|i| match i % 7 {
+                    0 => SPECIALS[i / 7 % SPECIALS.len()],
+                    r => i as f64 * 0.37 - r as f64,
+                })
+                .collect(),
+            (0..n as u32).map(|i| i * 13 % 10).collect(),
+        ),
+        (vec![], vec![]),
+    ];
+    let filters = [
+        vec![pred(CmpOp::Lt, 5.0)],
+        vec![pred(CmpOp::Lt, 0.0)],
+        vec![pred(CmpOp::Ge, 0.0)],
+        vec![pred(CmpOp::Ne, 9.0), pred(CmpOp::Gt, 0.0)],
+        vec![],
+    ];
+    on_every_backend(|b| {
+        for (vals, keys) in &tables {
+            let (v, k) = (b.upload_f64(vals).unwrap(), b.upload_u32(keys).unwrap());
+            let inputs = [&v, &k];
+            let live = b.device().live_buffers();
+            for expr in [&twice, &masked] {
+                let fused = b.fused_map(&inputs, expr).and_then(|c| take(b, c));
+                let composed = composed_map(b, &inputs, expr).and_then(|c| take(b, c));
+                same_bits(fused, composed).unwrap();
+                for preds in &filters {
+                    let fused = b.fused_filter_agg(&inputs, preds, expr).map(|x| vec![x]);
+                    let composed = composed_filter_agg(b, &inputs, preds, expr).map(|x| vec![x]);
+                    same_bits(fused, composed).unwrap();
+                }
+                assert_eq!(b.device().live_buffers(), live, "{}", b.name());
+            }
+            free(b, [v, k]);
+        }
+    });
+}
+
+/// The case above that tells a masked multiply from a select, by its
+/// number: `2 v` over the rows with `k < 5`.
+#[test]
+fn a_dropped_row_contributes_nothing_whatever_it_holds() {
+    on_every_backend(|b| {
+        let v = b.upload_f64(&[1.5, f64::INFINITY, 2.5, f64::NAN]).unwrap();
+        let k = b.upload_u32(&[1, 9, 2, 9]).unwrap();
+        let twice = FusedExpr::Affine {
+            input: Box::new(FusedExpr::Col(0)),
+            mul: 2.0,
+            add: 0.0,
+        };
+        let under_5 = FusedPred {
+            input: 1,
+            cmp: CmpOp::Lt,
+            lit: 5.0,
+        };
+        let got = b.fused_filter_agg(&[&v, &k], &[under_5], &twice);
+        assert_eq!(got.unwrap(), 8.0, "{}", b.name());
+        let ones = b.upload_f64(&[1.0; 4]).unwrap();
+        let preds = [Pred {
+            col: &k,
+            cmp: CmpOp::Lt,
+            lit: 5.0,
+        }];
+        let got = b.filter_sum_product(&v, &ones, &preds);
+        assert_eq!(got.unwrap(), 4.0, "{}", b.name());
+        free(b, [v, k, ones]);
     });
 }
 

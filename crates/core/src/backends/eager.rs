@@ -18,8 +18,8 @@
 //! queue that JIT-compiles each kernel on first use and allocates raw.
 
 use super::{
-    check_keyed, check_sum_product, row_width, same_len, select, select_cmp_cols, with_lanes,
-    StoredColumn,
+    check_keyed, check_sum_product, leaves, row_width, same_len, select, select_cmp_cols,
+    with_lanes, StoredColumn,
 };
 use crate::backend::{check_col, Col, ColType, GpuBackend, Pred, Slab};
 use crate::fused::{check_fused_inputs, FusedExpr, FusedPred};
@@ -417,11 +417,18 @@ impl<L: EagerLib> GpuBackend for EagerBackend<L> {
         // element-wise chain runs as a single launch with no
         // materialised intermediates.
         let read_bytes = (len * row_width(inputs.iter().copied())) as u64;
-        let out = with_lanes(&self.slab, inputs, |views, reads| {
+        let prog = expr.compile();
+        let out = with_lanes(&self.slab, inputs, |lanes, reads| {
             let key = || fused_key(&[], expr);
-            eager::transform_zip(&self.lib, len, key, read_bytes, reads, |i| {
-                expr.eval_row(&|k| views[k].get(i))
-            })
+            eager::transform_zip(
+                &self.lib,
+                len,
+                key,
+                read_bytes,
+                reads,
+                &prog,
+                &leaves(lanes),
+            )
         })??;
         Ok(self.mint(Stored::F64(out)))
     }
@@ -438,15 +445,14 @@ impl<L: EagerLib> GpuBackend for EagerBackend<L> {
         // the composed selection→gather→reduce sequence exactly —
         // bit-equal including signed zeros.
         let read_bytes = (len * row_width(inputs.iter().copied())) as u64;
-        with_lanes(&self.slab, inputs, |views, reads| {
-            let (key, plus) = (|| fused_key(preds, expr), |a, b| a + b);
-            let row = |i| {
-                preds
-                    .iter()
-                    .all(|p| p.cmp.eval(views[p.input].get(i), p.lit))
-                    .then(|| expr.eval_row(&|k| views[k].get(i)))
-            };
-            eager::transform_reduce_zip(&self.lib, len, key, read_bytes, reads, 0.0f64, plus, row)
+        let prog = expr.compile();
+        with_lanes(&self.slab, inputs, |lanes, reads| {
+            let key = || fused_key(preds, expr);
+            let row_preds: Vec<_> = preds.iter().map(|p| p.row_pred(lanes)).collect();
+            let cols = leaves(lanes);
+            eager::transform_reduce_zip(
+                &self.lib, len, key, read_bytes, reads, 0.0, &prog, &cols, &row_preds,
+            )
         })?
     }
 }

@@ -6,8 +6,8 @@
 //! offers.
 
 use super::{
-    check_keyed, check_sum_product, row_width, same_len, select, select_cmp_cols, with_lanes,
-    StoredColumn,
+    check_keyed, check_sum_product, leaves, row_preds, row_width, same_len, select,
+    select_cmp_cols, with_lanes, StoredColumn,
 };
 use crate::backend::{check_col, Col, ColType, GpuBackend, Pred, Slab};
 use crate::ops::{CmpOp, Connective, DbOperator, JoinAlgo, Support};
@@ -385,26 +385,17 @@ impl GpuBackend for HandwrittenBackend {
             let lanes: Vec<Lane<'_>> = stored[2..].iter().map(|s| s.lane()).collect();
             let pred_ids: Vec<gpu_sim::BufferId> =
                 stored[2..].iter().map(|s| s.buffer_id()).collect();
-            hw::fused_filter_dot(&self.device, va, vb, width, &pred_ids, |i| {
-                lanes
-                    .iter()
-                    .zip(preds)
-                    .all(|(v, p)| p.cmp.eval(v.get(i), p.lit))
-            })
+            let row_preds = row_preds(&lanes, preds);
+            hw::fused_filter_dot(&self.device, va, vb, width, &pred_ids, &row_preds)
         })?
     }
 
     fn fused_map(&self, inputs: &[&Col], expr: &crate::fused::FusedExpr) -> Result<Col> {
         let len = crate::fused::check_fused_inputs(NAME, inputs, &[], expr)?;
         // The whole element-wise chain as one purpose-built kernel.
-        let out = with_lanes(&self.slab, inputs, |vals, ids| {
-            hw::fused_map_expr(
-                &self.device,
-                len,
-                row_width(inputs.iter().copied()),
-                ids,
-                |i| expr.eval_row(&|k| vals[k].get(i)),
-            )
+        let (width, prog) = (row_width(inputs.iter().copied()), expr.compile());
+        let out = with_lanes(&self.slab, inputs, |lanes, ids| {
+            hw::fused_map_expr(&self.device, len, width, ids, &prog, &leaves(lanes))
         })??;
         Ok(self.mint(Stored::F64(out)))
     }
@@ -419,19 +410,11 @@ impl GpuBackend for HandwrittenBackend {
         // Predicate, value expression and reduction share one pass;
         // failing rows are skipped, not zero-padded, so the fold order
         // is the composed chain's exactly.
-        with_lanes(&self.slab, inputs, |vals, ids| {
-            hw::fused_filter_sum(
-                &self.device,
-                len,
-                row_width(inputs.iter().copied()),
-                ids,
-                |i| {
-                    preds
-                        .iter()
-                        .all(|p| p.cmp.eval(vals[p.input].get(i), p.lit))
-                        .then(|| expr.eval_row(&|k| vals[k].get(i)))
-                },
-            )
+        let (width, prog) = (row_width(inputs.iter().copied()), expr.compile());
+        with_lanes(&self.slab, inputs, |lanes, ids| {
+            let row_preds: Vec<_> = preds.iter().map(|p| p.row_pred(lanes)).collect();
+            let cols = leaves(lanes);
+            hw::fused_filter_sum(&self.device, len, width, ids, &prog, &cols, &row_preds)
         })?
     }
 }

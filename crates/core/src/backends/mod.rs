@@ -26,6 +26,7 @@ pub use thrust::ThrustBackend;
 
 use crate::backend::{check_col, Col, ColType, Pred, Slab};
 use crate::ops::{CmpOp, Connective};
+use gpu_sim::hostexec::expr::Leaf;
 use gpu_sim::hostexec::{self, Lane, Rhs, RowPred, Selected};
 use gpu_sim::{BufferId, Result, SimError};
 
@@ -107,6 +108,11 @@ fn with_lanes<S: StoredColumn, R>(
         let bufs: Vec<BufferId> = stored.iter().map(|s| s.buffer_id()).collect();
         f(&lanes, &bufs)
     })
+}
+
+/// `lanes` as the leaves of an expression program.
+fn leaves<'a>(lanes: &[Lane<'a>]) -> Vec<Leaf<'a>> {
+    lanes.iter().map(|&lane| lane.into()).collect()
 }
 
 /// Bytes one row of `cols` occupies.

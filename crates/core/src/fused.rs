@@ -32,6 +32,8 @@
 
 use crate::backend::{Col, GpuBackend, Pred};
 use crate::ops::{CmpOp, Connective};
+use gpu_sim::hostexec::expr::{BinaryOp, Instr, Program};
+use gpu_sim::hostexec::{Lane, Rhs, RowPred};
 use gpu_sim::{Result, SimError};
 
 /// Per-row value expression over a fused step's input columns.
@@ -123,6 +125,45 @@ impl FusedExpr {
         }
     }
 
+    /// Compile to the host expression engine's post-order program, input
+    /// `i` read from leaf slot `i`: `Affine` is a scalar multiply then a
+    /// scalar add (two roundings, as [`FusedExpr::eval_row`] computes it),
+    /// `Mask` a scalar comparison, `Mul` the binary product. Every fused
+    /// kernel body runs this program; `eval_row` is the reference it is
+    /// tested against.
+    pub fn compile(&self) -> Program {
+        fn emit(e: &FusedExpr, out: &mut Vec<Instr>) {
+            match e {
+                FusedExpr::Col(i) => out.push(Instr::Load(*i)),
+                FusedExpr::Affine { input, mul, add } => {
+                    emit(input, out);
+                    out.push(Instr::ScalarRhs(BinaryOp::Mul, *mul));
+                    out.push(Instr::ScalarRhs(BinaryOp::Add, *add));
+                }
+                FusedExpr::Mul(a, b) => {
+                    emit(a, out);
+                    emit(b, out);
+                    out.push(Instr::Binary(BinaryOp::Mul));
+                }
+                FusedExpr::Mask { input, cmp, lit } => {
+                    emit(input, out);
+                    let op = match cmp {
+                        CmpOp::Lt => BinaryOp::Lt,
+                        CmpOp::Le => BinaryOp::Le,
+                        CmpOp::Gt => BinaryOp::Gt,
+                        CmpOp::Ge => BinaryOp::Ge,
+                        CmpOp::Eq => BinaryOp::Eq,
+                        CmpOp::Ne => BinaryOp::Ne,
+                    };
+                    out.push(Instr::ScalarRhs(op, *lit));
+                }
+            }
+        }
+        let mut instrs = Vec::new();
+        emit(self, &mut instrs);
+        Program::new(instrs)
+    }
+
     /// Inputs read *arithmetically* — anywhere except as the bare column
     /// under a `Mask` comparison. The composed realisation runs
     /// `affine`/`product` on these, which require `f64` columns, so
@@ -180,6 +221,18 @@ pub struct FusedPred {
     pub cmp: CmpOp,
     /// Literal to compare against.
     pub lit: f64,
+}
+
+impl FusedPred {
+    /// The predicate over `lanes`, a fused step's input columns read in
+    /// place.
+    pub fn row_pred<'a>(&self, lanes: &[Lane<'a>]) -> RowPred<'a> {
+        RowPred {
+            col: lanes[self.input],
+            cmp: self.cmp.into(),
+            rhs: Rhs::Lit(self.lit),
+        }
+    }
 }
 
 fn input<'a>(inputs: &[&'a Col], i: usize) -> Result<&'a Col> {
@@ -447,6 +500,96 @@ mod tests {
             Box::new(col(0)),
         );
         assert_eq!(masked.eval_row(&at), 100.0);
+    }
+
+    /// A random expression of at most `depth` operator levels over three
+    /// inputs, literals drawn from the values that break arithmetic.
+    fn random_expr(rng: &mut impl rand::Rng, depth: u32) -> FusedExpr {
+        const LITS: [f64; 7] = [
+            2.5,
+            -1.0,
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        const CMPS: [CmpOp; 6] = [
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+            CmpOp::Eq,
+            CmpOp::Ne,
+        ];
+        let mut lit = || LITS[rng.gen::<usize>() % LITS.len()];
+        let (mul, add, cmp_lit) = (lit(), lit(), lit());
+        let shape = if depth == 0 { 0 } else { rng.gen::<u32>() % 4 };
+        let mut sub = || Box::new(random_expr(rng, depth - 1));
+        match shape {
+            0 => col(rng.gen::<usize>() % 3),
+            1 => FusedExpr::Affine {
+                input: sub(),
+                mul,
+                add,
+            },
+            2 => FusedExpr::Mul(sub(), sub()),
+            _ => FusedExpr::Mask {
+                input: sub(),
+                cmp: CMPS[rng.gen::<usize>() % 6],
+                lit: cmp_lit,
+            },
+        }
+    }
+
+    /// Every shape `eval_row` accepts compiles, and the engine's column is
+    /// `eval_row`'s row by row — the contract every fused kernel body rests
+    /// on.
+    #[test]
+    fn compiled_programs_agree_with_eval_row() {
+        use gpu_sim::hostexec::expr::{self, Leaf};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(21);
+        let specials = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300];
+        let n = 3000;
+        let mut column = |scale: f64| -> Vec<f64> {
+            (0..n)
+                .map(|i| match i % 5 {
+                    0 => specials[rng.gen::<usize>() % specials.len()],
+                    _ => (rng.gen::<f64>() - 0.5) * scale,
+                })
+                .collect()
+        };
+        let (a, b) = (column(1e3), column(2.0));
+        let keys: Vec<u32> = (0..n as u32)
+            .map(|i| [0, u32::MAX, 7][i as usize % 3] ^ (i % 4))
+            .collect();
+        let leaves = [Leaf::F64(&a), Leaf::F64(&b), Leaf::U32(&keys)];
+        let mut shapes = vec![col(2), random_expr(&mut rng, 1)];
+        shapes.extend((0..200).map(|i| random_expr(&mut rng, 1 + i % 5)));
+        for e in &shapes {
+            let got: Vec<f64> = expr::map(&e.compile(), &leaves, n);
+            for (row, got) in got.into_iter().enumerate() {
+                let want = e.eval_row(&|i| [a[row], b[row], f64::from(keys[row])][i]);
+                assert!(
+                    got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                    "row {row} of {e:?}: {got} != {want}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn row_preds_read_the_named_input() {
+        let (a, keys) = ([1.0, 2.0], [5u32, 6]);
+        let lanes = [Lane::F64(&a), Lane::U32(&keys)];
+        let p = FusedPred {
+            input: 1,
+            cmp: CmpOp::Ge,
+            lit: 6.0,
+        };
+        let got = gpu_sim::hostexec::select_rows(&[p.row_pred(&lanes)], true);
+        assert_eq!(got.ids, [1]);
     }
 
     #[test]

@@ -10,21 +10,19 @@
 //! dead subexpressions whose host conversion is wasted work (GL204) —
 //! and a true maximum depth above what the executor reserves (GL205).
 //!
-//! The abstract dtype mirrors the typed-lane executor exactly: loads
-//! push the leaf's declared [`DType`], arithmetic widens to `f64`
-//! lanes, comparisons and `And`/`Or`/`Not` produce `b8` masks, and a
-//! cast adopts its target — so a stack entry's abstract dtype is the
-//! native representation the executor's `Lane` will hold at that
-//! instruction. The only mismatch that changes semantics is feeding a
-//! non-mask into `And`/`Or`/`Not`, which on real ArrayFire silently
-//! reinterprets nonzero-ness; that check can now name the concrete
-//! offending dtype.
+//! The abstract dtype is the type the value has in the generated kernel:
+//! loads push the leaf's declared [`DType`], arithmetic (and `Select`)
+//! widens to `f64`, comparisons and `And`/`Or`/`Not` produce `b8` masks,
+//! and a cast adopts its target. (The host engine holds every one of them
+//! in an `f64` register — masks as exactly 0 / 1.) The only mismatch that
+//! changes semantics is feeding a non-mask into `And`/`Or`/`Not`, which on
+//! real ArrayFire silently reinterprets nonzero-ness; the check names the
+//! concrete offending dtype.
 
 use crate::diag::{Diagnostic, Rule};
 use arrayfire_sim::{BinaryOp, DType, InstrSpec, ProgramSpec, UnaryOp};
 
-/// Abstract stack dtype — the native lane representation the typed
-/// executor will hold at this point.
+/// Abstract stack dtype — the type of the value in the generated kernel.
 type AbstractTy = DType;
 
 fn binary_is_logical(op: BinaryOp) -> bool {
@@ -41,7 +39,13 @@ fn binary_result(op: BinaryOp) -> AbstractTy {
         | BinaryOp::Ge
         | BinaryOp::Eq
         | BinaryOp::Ne => DType::B8,
-        _ => DType::F64,
+        BinaryOp::Add
+        | BinaryOp::Sub
+        | BinaryOp::Mul
+        | BinaryOp::Div
+        | BinaryOp::Min
+        | BinaryOp::Max
+        | BinaryOp::Select => DType::F64,
     }
 }
 

@@ -20,6 +20,7 @@
 //! checks its operands and charges before it runs its body, so a call that
 //! returns `Err` leaves them as it found them.
 
+use crate::hostexec::{expr, RowPred};
 use crate::{
     hostexec, presets, AccessPattern, AllocPolicy, BufferId, Device, DeviceBuffer, DeviceCopy,
     KernelCost, RadixKey, Reservation, Result, SimDuration, SimError,
@@ -258,25 +259,26 @@ where
 }
 
 /// `transform(zip_iterator(...), result, op)` — N-ary map over a zip of
-/// device ranges, expressed as a row functor `op(i)`. The caller supplies
-/// the aggregate read footprint and the zip's constituent buffer ids, since
-/// the arity is only known at run time, and the program `key`: to a library
-/// that compiles at run time each distinct expression is its own kernel.
-/// One launch regardless of arity — the single-pass form fused
-/// element-wise chains lower to.
+/// device ranges, the functor given as an expression `prog` over the zipped
+/// `leaves`. The caller supplies the aggregate read footprint and the zip's
+/// constituent buffer ids, since the arity is only known at run time, and
+/// the program `key`: to a library that compiles at run time each distinct
+/// expression is its own kernel. One launch regardless of arity — the
+/// single-pass form fused element-wise chains lower to.
 pub fn transform_zip<U, K: Display, L: Launch>(
     lib: &L,
     len: usize,
     key: impl FnOnce() -> K,
     read_bytes: u64,
     reads: &[BufferId],
-    op: impl Fn(usize) -> U + Sync,
+    prog: &expr::Program,
+    leaves: &[expr::Leaf<'_>],
 ) -> Result<Vector<U>>
 where
-    U: DeviceCopy + Default,
+    U: DeviceCopy + expr::Store,
 {
-    let buf = lib.device().alloc_map_with(len, L::ALLOC, op)?;
-    let out = Vector::from_buffer(buf);
+    let data = expr::map(prog, leaves, len);
+    let out = Vector::from_buffer(lib.device().buffer_from_vec(data, L::ALLOC)?);
     let cost = KernelCost::map::<(), U>(len).with_read(read_bytes);
     lib.launch("transform_zip", key, cost, reads, &[out.id()])?;
     Ok(out)
@@ -334,34 +336,28 @@ where
     Ok(acc)
 }
 
-/// `transform_reduce(zip_iterator(...), op, init, combine)` — fused
-/// map-reduce over a zip of device ranges, expressed as a row functor.
-/// `op(i)` returns `None` for rows the fused predicate drops; those
-/// contribute nothing to the fold (rather than a padded identity), so the
-/// accumulation sequence is exactly the composed `selection → gather →
-/// reduce` chain's — bit-equal, including signed zeros. One launch
-/// regardless of arity; footprint and `key` as for [`transform_zip`].
+/// `transform_reduce(zip_iterator(...), op, init, plus)` — fused
+/// map-reduce over a zip of device ranges: `init` plus the expression `prog`
+/// over the zipped `leaves`, summed over the rows that pass every one of
+/// `preds`. Rows the predicates drop contribute nothing to the fold (rather
+/// than a padded identity), so the accumulation sequence is exactly the
+/// composed `selection → gather → reduce` chain's — bit-equal, including
+/// signed zeros. One launch regardless of arity; footprint and `key` as for
+/// [`transform_zip`].
 #[allow(clippy::too_many_arguments)]
-pub fn transform_reduce_zip<R, K: Display>(
+pub fn transform_reduce_zip<K: Display>(
     lib: &impl Launch,
     len: usize,
     key: impl FnOnce() -> K,
     read_bytes: u64,
     reads: &[BufferId],
-    init: R,
-    combine: impl Fn(R, R) -> R,
-    op: impl Fn(usize) -> Option<R>,
-) -> Result<R>
-where
-    R: DeviceCopy,
-{
-    let mut acc = init;
-    for i in 0..len {
-        if let Some(v) = op(i) {
-            acc = combine(acc, v);
-        }
-    }
-    let cost = KernelCost::reduce::<R>(len).with_read(read_bytes);
+    init: f64,
+    prog: &expr::Program,
+    leaves: &[expr::Leaf<'_>],
+    preds: &[RowPred<'_>],
+) -> Result<f64> {
+    let acc = expr::filter_sum(prog, leaves, preds, len, init);
+    let cost = KernelCost::reduce::<f64>(len).with_read(read_bytes);
     lib.launch("transform_reduce_zip", key, cost, reads, &[])?;
     read_back(lib.device());
     Ok(acc)

@@ -7,6 +7,8 @@
 //! are driven across their thresholds by its own tests.
 
 use super::*;
+use crate::hostexec::expr::{BinaryOp, Instr, Leaf, Program};
+use crate::hostexec::{Cmp, Lane, Rhs};
 use crate::{FaultPlan, FaultSite, TraceKind};
 use proptest::prelude::*;
 use rand::prelude::*;
@@ -121,15 +123,16 @@ fn element_wise_algorithms_map_each_row() {
     let b = lib.upload(&[4.0f64, 5.0, 6.0]);
     let product = transform_binary(&lib, &a, &b, |x, y| x * y).unwrap();
     assert_eq!(product.to_host().unwrap(), [4.0, 10.0, 18.0]);
-    let zipped = transform_zip(
-        &lib,
-        3,
-        || "a + b",
-        48,
-        &[a.id(), b.id()],
-        |i| a.as_slice()[i] + b.as_slice()[i],
-    );
-    assert_eq!(zipped.unwrap().to_host().unwrap(), [5.0, 7.0, 9.0]);
+    let sum = Program::new(vec![
+        Instr::Load(0),
+        Instr::Load(1),
+        Instr::Binary(BinaryOp::Add),
+    ]);
+    let leaves = [Leaf::F64(a.as_slice()), Leaf::F64(b.as_slice())];
+    let reads = [a.id(), b.id()];
+    let zipped: Vector<f64> =
+        transform_zip(&lib, 3, || "a + b", 48, &reads, &sum, &leaves).unwrap();
+    assert_eq!(zipped.to_host().unwrap(), [5.0, 7.0, 9.0]);
     let mut sevens: Vector<u16> = Vector::zeroed(&lib, 4).unwrap();
     fill(&lib, &mut sevens, 7).unwrap();
     assert_eq!(sevens.to_host().unwrap(), [7; 4]);
@@ -148,10 +151,27 @@ fn reductions_fold_in_row_order() {
     let b = lib.upload(&[2.0f64, 3.0, 4.0]);
     let dot = inner_product(&lib, &a, &b, 0.0, |x, y| x + y, |x, y| x * y).unwrap();
     assert_eq!(dot, 2.0 + 6.0 + 12.0);
-    // Rows the functor drops contribute nothing — not even a `+ 0.0`, which
-    // would turn a `-0.0` sum into `0.0`.
-    let kept = |i| (i != 1).then_some(-0.0f64);
-    let sum = transform_reduce_zip(&lib, 3, || "c0", 24, &[a.id()], -0.0, |x, y| x + y, kept);
+    // Rows the predicate drops contribute nothing — not even a `+ 0.0`,
+    // which would turn a `-0.0` sum into `0.0`.
+    let zeros = Program::new(vec![Instr::Load(0), Instr::ScalarRhs(BinaryOp::Mul, -0.0)]);
+    let lane = Lane::F64(a.as_slice());
+    let not_2 = RowPred {
+        col: lane,
+        cmp: Cmp::Ne,
+        rhs: Rhs::Lit(2.0),
+    };
+    let (reads, leaves) = ([a.id()], [lane.into()]);
+    let sum = transform_reduce_zip(
+        &lib,
+        3,
+        || "c0",
+        24,
+        &reads,
+        -0.0,
+        &zeros,
+        &leaves,
+        &[not_2],
+    );
     assert_eq!(sum.unwrap().to_bits(), (-0.0f64).to_bits());
     assert_eq!(lib.device.stats().total_launches(), 3);
 }
@@ -363,19 +383,42 @@ fn a_call_is_one_launch_of_the_program_for_its_types() {
     let plus = |a, b| a + b;
     transform(&lib, &u, f64::from).unwrap();
     transform_binary(&lib, &u, &f, |x, y| f64::from(x) * y).unwrap();
-    transform_zip(&lib, 3, || "c0 * c1", 36, &[u.id(), f.id()], |_| 0.0f64).unwrap();
+    let product = Program::new(vec![
+        Instr::Load(0),
+        Instr::Load(1),
+        Instr::Binary(BinaryOp::Mul),
+    ]);
+    let lanes = [Lane::U32(u.as_slice()), Lane::F64(f.as_slice())];
+    let leaves = lanes.map(Leaf::from);
+    let _: Vector<f64> = transform_zip(
+        &lib,
+        3,
+        || "c0 * c1",
+        36,
+        &[u.id(), f.id()],
+        &product,
+        &leaves,
+    )
+    .unwrap();
     fill(&lib, &mut d, 1.0).unwrap();
     sequence(&lib, 3).unwrap();
     reduce(&lib, &f, 0.0f64, |a, x| a + x).unwrap();
+    let under_2 = RowPred {
+        col: lanes[1],
+        cmp: Cmp::Lt,
+        rhs: Rhs::Lit(2.0),
+    };
+    let key = || "c0 where c1 Lt 2";
     transform_reduce_zip(
         &lib,
         3,
-        || "c0 where c1 Lt 2",
+        key,
         36,
         &[f.id()],
-        0.0f64,
-        plus,
-        |_| None,
+        0.0,
+        &product,
+        &leaves,
+        &[under_2],
     )
     .unwrap();
     inner_product(&lib, &f, &f, 0.0f64, plus, |a, b| a * b).unwrap();

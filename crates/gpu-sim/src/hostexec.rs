@@ -8,7 +8,7 @@
 //! wall-clock optimisation: the backends route their data movement through
 //! these primitives while their charge sequences stay byte-identical.
 //!
-//! Five layers, each built on the ones before:
+//! Six layers, each built on the ones before:
 //!
 //! * **A persistent worker pool** (`pool`) behind one primitive, `region`:
 //!   the calling thread and up to `workers - 1` parked helpers run one
@@ -39,11 +39,15 @@
 //!   predicates read in place, [`grouped_sum`] folds each key in row order
 //!   from a caller-chosen seed. A backend charges the chain and takes the
 //!   answer from here (DESIGN.md §5, "bodies vs. charges").
+//! * **The expression engine** ([`expr`]): a flat post-order program run
+//!   op-at-a-time over `f64` register windows — the body of every fused and
+//!   element-wise kernel ([`expr::map`], [`expr::filter_sum`]).
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
+pub mod expr;
 mod index;
 mod pool;
 mod radix;

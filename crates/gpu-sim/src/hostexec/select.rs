@@ -58,9 +58,9 @@ impl Lane<'_> {
         self.len() == 0
     }
 
-    /// Row `i`, widened.
-    #[inline]
-    pub fn get(&self, i: usize) -> f64 {
+    /// Row `i`, widened: what the references in `tests` compare.
+    #[cfg(test)]
+    pub(super) fn get(&self, i: usize) -> f64 {
         match self {
             Lane::U32(v) => f64::from(v[i]),
             Lane::F64(v) => v[i],
@@ -167,7 +167,7 @@ pub fn select_where(n: usize, pred: impl Fn(usize) -> bool + Sync) -> Vec<u32> {
     .0
 }
 
-fn count(flags: &[u8]) -> usize {
+pub(super) fn count(flags: &[u8]) -> usize {
     flags.iter().map(|&f| usize::from(f)).sum()
 }
 
@@ -226,7 +226,7 @@ fn compact<C: Send>(
 
 /// `flags[j] = pred(rows.start + j)` through the loop for this predicate's
 /// column types and operator.
-fn fill_flags(pred: &RowPred<'_>, rows: Range<usize>, flags: &mut [u8]) {
+pub(super) fn fill_flags(pred: &RowPred<'_>, rows: Range<usize>, flags: &mut [u8]) {
     match pred.col {
         Lane::U32(xs) => fill_rhs(&xs[rows.clone()], pred, rows, flags),
         Lane::F64(xs) => fill_rhs(&xs[rows.clone()], pred, rows, flags),

@@ -1,9 +1,11 @@
-//! The sort, the key index and the chunk helpers against naive references,
+//! The sort, the key index, the chunk helpers and the expression engine
+//! against naive references,
 //! on adversarial inputs, at 1, 2, 3 and 8 host threads. (The pool's own
 //! tests live in `pool`.) Sizes are written in terms of the module's
 //! thresholds, which shrink under Miri, so the interpreted run reaches the
 //! same parallel paths on far fewer rows.
 
+use super::expr::{self, BinaryOp, Cast, Instr, Leaf, Program, UnaryOp, WINDOW};
 use super::index::HASH_GROUPS_MAX;
 use super::radix::{MIN_BLOCK, RADIX_CUTOFF};
 use super::*;
@@ -518,7 +520,6 @@ fn reference_cmp(cmp: Cmp, x: f64, y: f64) -> bool {
 
 #[test]
 fn select_rows_matches_a_row_at_a_time_filter_for_every_operand_type() {
-    const CMPS: [Cmp; 6] = [Cmp::Lt, Cmp::Le, Cmp::Gt, Cmp::Ge, Cmp::Eq, Cmp::Ne];
     for n in [0, 1, PAR_CHUNK - 1, 2 * PAR_CHUNK + 17] {
         let mut rng = StdRng::seed_from_u64(n as u64);
         let ints: Vec<u32> = (0..n)
@@ -577,6 +578,360 @@ fn select_rows_matches_a_row_at_a_time_filter_for_every_operand_type() {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// The expression engine
+// ---------------------------------------------------------------------------
+
+const UNARY_OPS: [UnaryOp; 3] = [UnaryOp::Not, UnaryOp::Neg, UnaryOp::Abs];
+const BINARY_OPS: [BinaryOp; 15] = [
+    BinaryOp::Add,
+    BinaryOp::Sub,
+    BinaryOp::Mul,
+    BinaryOp::Div,
+    BinaryOp::Min,
+    BinaryOp::Max,
+    BinaryOp::And,
+    BinaryOp::Or,
+    BinaryOp::Lt,
+    BinaryOp::Le,
+    BinaryOp::Gt,
+    BinaryOp::Ge,
+    BinaryOp::Eq,
+    BinaryOp::Ne,
+    BinaryOp::Select,
+];
+const CASTS: [Cast; 5] = [Cast::F64, Cast::U64, Cast::U32, Cast::I64, Cast::B8];
+const CMPS: [Cmp; 6] = [Cmp::Lt, Cmp::Le, Cmp::Gt, Cmp::Ge, Cmp::Eq, Cmp::Ne];
+const LITERALS: [f64; 6] = [3.0, 0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+
+/// One leaf column of every type, `n` rows each: IEEE specials, `u32`
+/// extremes, `u64` above 2^53 (where widening to `f64` is lossy), `i64`
+/// extremes and negatives, and flag bytes.
+struct Columns {
+    floats: Vec<f64>,
+    ints: Vec<u32>,
+    wide: Vec<u64>,
+    signed: Vec<i64>,
+    flags: Vec<u8>,
+}
+
+impl Columns {
+    fn new(n: usize, seed: u64) -> Columns {
+        let mut rng = StdRng::seed_from_u64(seed);
+        Columns {
+            floats: special_values(n, seed),
+            ints: (0..n)
+                .map(|i| [0, u32::MAX, 7, 1 << 31][i % 4] ^ (rng.gen::<u32>() % 4))
+                .collect(),
+            wide: (0..n as u64)
+                .map(|i| [(1 << 53) + 7 * i + 3, u64::MAX - i, i][(i % 3) as usize])
+                .collect(),
+            signed: (0..n as i64)
+                .map(|i| [i64::MIN + i, i64::MAX - i, -i, -(1 << 53) - 2 * i - 1][(i % 4) as usize])
+                .collect(),
+            flags: (0..n).map(|_| rng.gen::<u8>() % 2).collect(),
+        }
+    }
+
+    /// Slots 0..5: `f64`, `u32`, `u64`, `i64`, `b8`.
+    fn leaves(&self) -> [Leaf<'_>; 5] {
+        [
+            Leaf::F64(&self.floats),
+            Leaf::U32(&self.ints),
+            Leaf::U64(&self.wide),
+            Leaf::I64(&self.signed),
+            Leaf::B8(&self.flags),
+        ]
+    }
+}
+
+/// Bit patterns of computed values. Which NaN an operation returns is not
+/// specified (the compiler may commute an addition), so every NaN counts as
+/// the same value; everything else, signed zeros included, is exact.
+fn value_bits(v: &[f64]) -> Vec<u64> {
+    let canonical = |x: &f64| if x.is_nan() { f64::NAN } else { *x }.to_bits();
+    v.iter().map(canonical).collect()
+}
+
+/// The engine's semantics one row at a time, spelled out independently of
+/// `BinaryOp::apply` / `UnaryOp::apply`.
+fn reference_row(instrs: &[Instr], leaves: &[Leaf<'_>], row: usize) -> f64 {
+    fn binary(op: BinaryOp, a: f64, b: f64) -> f64 {
+        let flag = |holds: bool| if holds { 1.0 } else { 0.0 };
+        match op {
+            BinaryOp::Add => a + b,
+            BinaryOp::Sub => a - b,
+            BinaryOp::Mul => a * b,
+            BinaryOp::Div => a / b,
+            BinaryOp::Min => a.min(b),
+            BinaryOp::Max => a.max(b),
+            BinaryOp::And => flag(a != 0.0 && b != 0.0),
+            BinaryOp::Or => flag(a != 0.0 || b != 0.0),
+            BinaryOp::Lt => flag(a < b),
+            BinaryOp::Le => flag(a <= b),
+            BinaryOp::Gt => flag(a > b),
+            BinaryOp::Ge => flag(a >= b),
+            BinaryOp::Eq => flag(a == b),
+            BinaryOp::Ne => flag(a != b),
+            BinaryOp::Select if b != 0.0 => a,
+            BinaryOp::Select => 0.0,
+        }
+    }
+    let mut stack = Vec::new();
+    for instr in instrs {
+        let value = match *instr {
+            Instr::Load(slot) => match leaves[slot] {
+                Leaf::F64(v) => v[row],
+                Leaf::U64(v) => v[row] as f64,
+                Leaf::U32(v) => f64::from(v[row]),
+                Leaf::I64(v) => v[row] as f64,
+                Leaf::B8(v) => f64::from(v[row]),
+            },
+            Instr::Binary(op) => {
+                let b = stack.pop().unwrap();
+                binary(op, stack.pop().unwrap(), b)
+            }
+            Instr::ScalarRhs(op, s) => binary(op, stack.pop().unwrap(), s),
+            Instr::ScalarLhs(op, s) => binary(op, s, stack.pop().unwrap()),
+            Instr::Unary(UnaryOp::Not) => f64::from(u8::from(stack.pop().unwrap() == 0.0)),
+            Instr::Unary(UnaryOp::Neg) => -stack.pop().unwrap(),
+            Instr::Unary(UnaryOp::Abs) => stack.pop().unwrap().abs(),
+            Instr::Cast(Cast::F64) => stack.pop().unwrap(),
+            Instr::Cast(Cast::U64) => stack.pop().unwrap() as u64 as f64,
+            Instr::Cast(Cast::U32) => stack.pop().unwrap() as u32 as f64,
+            Instr::Cast(Cast::I64) => stack.pop().unwrap() as i64 as f64,
+            Instr::Cast(Cast::B8) => f64::from(u8::from(stack.pop().unwrap() != 0.0)),
+        };
+        stack.push(value);
+    }
+    assert_eq!(stack.len(), 1);
+    stack[0]
+}
+
+/// Every instruction, one short program each: every binary operator between
+/// columns and against every literal on either side, every unary operator,
+/// and every cast of every leaf type.
+fn one_instruction_programs() -> Vec<Vec<Instr>> {
+    let mut programs = Vec::new();
+    for op in BINARY_OPS {
+        programs.push(vec![Instr::Load(0), Instr::Load(1), Instr::Binary(op)]);
+        programs.push(vec![Instr::Load(4), Instr::Load(0), Instr::Binary(op)]);
+        for lit in LITERALS {
+            programs.push(vec![Instr::Load(0), Instr::ScalarRhs(op, lit)]);
+            programs.push(vec![Instr::Load(0), Instr::ScalarLhs(op, lit)]);
+        }
+    }
+    for op in UNARY_OPS {
+        programs.push(vec![Instr::Load(0), Instr::Unary(op)]);
+    }
+    for slot in 0..5 {
+        for to in CASTS {
+            programs.push(vec![Instr::Load(slot), Instr::Cast(to)]);
+        }
+    }
+    programs
+}
+
+/// Longer programs: a stack three deep, a leaf loaded twice, and the
+/// mask-and-select shape a fused filter compiles to.
+fn deep_programs() -> Vec<Vec<Instr>> {
+    vec![
+        vec![
+            Instr::Load(0),
+            Instr::ScalarRhs(BinaryOp::Mul, -1.0),
+            Instr::ScalarRhs(BinaryOp::Add, 1.0),
+            Instr::Load(1),
+            Instr::Load(3),
+            Instr::Cast(Cast::U32),
+            Instr::Binary(BinaryOp::Max),
+            Instr::Binary(BinaryOp::Mul),
+            Instr::Load(0),
+            Instr::Binary(BinaryOp::Sub),
+        ],
+        vec![
+            Instr::Load(0),
+            Instr::Load(1),
+            Instr::ScalarRhs(BinaryOp::Lt, 8.0),
+            Instr::Load(4),
+            Instr::Unary(UnaryOp::Not),
+            Instr::Binary(BinaryOp::And),
+            Instr::Cast(Cast::F64),
+            Instr::Binary(BinaryOp::Select),
+        ],
+        vec![
+            Instr::Load(2),
+            Instr::Cast(Cast::I64),
+            Instr::Unary(UnaryOp::Neg),
+        ],
+    ]
+}
+
+/// `map` into every storable type against the reference, bit for bit, at
+/// every thread count.
+fn assert_map_matches(instrs: &[Instr], cols: &Columns, n: usize) {
+    let leaves = cols.leaves();
+    let want: Vec<f64> = (0..n)
+        .map(|row| reference_row(instrs, &leaves, row))
+        .collect();
+    let prog = Program::new(instrs.to_vec());
+    at_each_thread_count(|threads| {
+        let what = format!("n={n} threads={threads} {instrs:?}");
+        let got = expr::map::<f64>(&prog, &leaves, n);
+        assert!(value_bits(&got) == value_bits(&want), "f64 {what}");
+        let as_u64: Vec<u64> = want.iter().map(|&x| x as u64).collect();
+        assert!(expr::map::<u64>(&prog, &leaves, n) == as_u64, "u64 {what}");
+        let as_u32: Vec<u32> = want.iter().map(|&x| x as u32).collect();
+        assert!(expr::map::<u32>(&prog, &leaves, n) == as_u32, "u32 {what}");
+        let as_i64: Vec<i64> = want.iter().map(|&x| x as i64).collect();
+        assert!(expr::map::<i64>(&prog, &leaves, n) == as_i64, "i64 {what}");
+        let as_b8: Vec<u8> = want.iter().map(|&x| u8::from(x != 0.0)).collect();
+        assert!(expr::map::<u8>(&prog, &leaves, n) == as_b8, "b8 {what}");
+    });
+}
+
+#[test]
+fn expr_map_matches_the_reference_for_every_instruction() {
+    for n in [0, 1, WINDOW - 1, WINDOW + 1] {
+        let cols = Columns::new(n, n as u64);
+        for instrs in one_instruction_programs() {
+            assert_map_matches(&instrs, &cols, n);
+        }
+    }
+}
+
+#[test]
+fn expr_map_matches_the_reference_across_window_and_chunk_boundaries() {
+    for n in [2 * WINDOW, PAR_CHUNK - 1, PAR_CHUNK + 1, 2 * PAR_CHUNK + 17] {
+        let cols = Columns::new(n, n as u64);
+        for instrs in deep_programs() {
+            assert_map_matches(&instrs, &cols, n);
+        }
+    }
+}
+
+/// `seed + Σ` over the passing rows, one addition per passing row.
+fn reference_filter_sum(
+    instrs: &[Instr],
+    leaves: &[Leaf<'_>],
+    preds: &[RowPred<'_>],
+    n: usize,
+    seed: f64,
+) -> f64 {
+    let holds = |p: &RowPred<'_>, row: usize| {
+        let y = match p.rhs {
+            Rhs::Lit(y) => y,
+            Rhs::Col(c) => c.get(row),
+        };
+        reference_cmp(p.cmp, p.col.get(row), y)
+    };
+    let mut acc = seed;
+    for row in 0..n {
+        if preds.iter().all(|p| holds(p, row)) {
+            acc += reference_row(instrs, leaves, row);
+        }
+    }
+    acc
+}
+
+#[test]
+fn expr_filter_sum_folds_exactly_the_passing_rows_in_row_order() {
+    for n in [
+        0,
+        1,
+        WINDOW - 1,
+        WINDOW + 1,
+        PAR_CHUNK - 1,
+        PAR_CHUNK + 1,
+        2 * PAR_CHUNK + 17,
+    ] {
+        let cols = Columns::new(n, n as u64 + 1);
+        let leaves = cols.leaves();
+        // A second value column without specials, so some sums stay finite
+        // and the fold order shows in the low bits.
+        let mut rng = StdRng::seed_from_u64(n as u64);
+        let plain: Vec<f64> = (0..n).map(|_| rng.gen::<f64>() * 1e3 - 300.0).collect();
+        let small: Vec<u32> = (0..n).map(|_| rng.gen::<u32>() % 8).collect();
+        let (ints, floats) = (Lane::U32(&cols.ints), Lane::F64(&cols.floats));
+        let pred = |col, cmp, rhs| RowPred { col, cmp, rhs };
+        let mut filters: Vec<Vec<RowPred<'_>>> = vec![
+            vec![],
+            // Nothing passes; everything passes; an empty window amid full ones.
+            vec![pred(ints, Cmp::Lt, Rhs::Lit(-1.0))],
+            vec![pred(ints, Cmp::Ge, Rhs::Lit(0.0))],
+            vec![pred(floats, Cmp::Eq, Rhs::Lit(f64::NAN))],
+            vec![
+                pred(Lane::U32(&small), Cmp::Lt, Rhs::Lit(6.0)),
+                pred(floats, Cmp::Le, Rhs::Lit(f64::INFINITY)),
+                pred(Lane::U32(&small), Cmp::Ne, Rhs::Col(ints)),
+            ],
+        ];
+        // Every comparison, on the lengths that fit in a chunk.
+        for cmp in CMPS.into_iter().filter(|_| n < PAR_CHUNK) {
+            filters.push(vec![pred(Lane::U32(&small), cmp, Rhs::Lit(3.0))]);
+            filters.push(vec![pred(floats, cmp, Rhs::Lit(-0.0))]);
+        }
+        let value_leaves = [leaves[0], Leaf::F64(&plain), leaves[1]];
+        let programs = [
+            vec![Instr::Load(1)],
+            vec![Instr::Load(0), Instr::ScalarRhs(BinaryOp::Mul, 2.0)],
+            vec![
+                Instr::Load(1),
+                Instr::Load(2),
+                Instr::ScalarRhs(BinaryOp::Lt, 9.0),
+                Instr::Binary(BinaryOp::Mul),
+            ],
+        ];
+        for instrs in &programs {
+            let prog = Program::new(instrs.clone());
+            for preds in &filters {
+                for seed in [0.0, -0.0] {
+                    let want = reference_filter_sum(instrs, &value_leaves, preds, n, seed);
+                    at_each_thread_count(|threads| {
+                        let got = expr::filter_sum(&prog, &value_leaves, preds, n, seed);
+                        assert!(
+                            value_bits(&[got]) == value_bits(&[want]),
+                            "n={n} threads={threads} seed={seed} {instrs:?} {preds:?}: {got} != {want}"
+                        );
+                    });
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn expr_filter_sum_ignores_what_dropped_rows_hold() {
+    let keys = [1u32, 9, 2, 9];
+    let vals = [1.5, f64::INFINITY, 2.5, f64::NAN];
+    let twice = Program::new(vec![Instr::Load(0), Instr::ScalarRhs(BinaryOp::Mul, 2.0)]);
+    let under_5 = RowPred {
+        col: Lane::U32(&keys),
+        cmp: Cmp::Lt,
+        rhs: Rhs::Lit(5.0),
+    };
+    let got = expr::filter_sum(&twice, &[Leaf::F64(&vals)], &[under_5], 4, 0.0);
+    assert_eq!(got, 8.0);
+    // An all-negative-zero selection keeps its sign only from a -0.0 seed.
+    let zeros = [-0.0; 3];
+    let load = Program::new(vec![Instr::Load(0)]);
+    for (seed, want) in [(0.0f64, 0.0f64), (-0.0, -0.0)] {
+        let got = expr::filter_sum(&load, &[Leaf::F64(&zeros)], &[], 3, seed);
+        assert_eq!(got.to_bits(), want.to_bits());
+    }
+}
+
+#[test]
+#[should_panic(expected = "on a stack of 1")]
+fn expr_program_rejects_a_stack_underflow() {
+    Program::new(vec![Instr::Load(0), Instr::Binary(BinaryOp::Add)]);
+}
+
+#[test]
+#[should_panic(expected = "leaves 2 values")]
+fn expr_program_rejects_leftover_values() {
+    Program::new(vec![Instr::Load(0), Instr::Load(0)]);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 //! Handwritten parallel primitives and fused pipelines.
 
 use crate::charge_io;
+use gpu_sim::hostexec::expr::{self, BinaryOp, Instr, Leaf, Program};
+use gpu_sim::hostexec::RowPred;
 use gpu_sim::{hostexec, presets, AllocPolicy, Device, DeviceBuffer, KernelCost, Result, SimError};
 use std::sync::Arc;
 
@@ -259,18 +261,18 @@ pub fn top_k_f64(
     device.buffer_from_vec(idx, AllocPolicy::Pooled)
 }
 
-/// The fused TPC-H Q6 shape: `SUM(a[i] * b[i])` over rows passing `pred`,
-/// in **one** kernel — predicate, product and reduction share the pass.
-/// `bytes_per_row` covers the predicate's extra column reads, and
-/// `pred_cols` names the device buffers those reads come from so the
-/// launch's declared footprint is complete.
+/// The fused TPC-H Q6 shape: `SUM(a[i] * b[i])` over rows passing every
+/// one of `preds`, in **one** kernel — predicate, product and reduction
+/// share the pass. `bytes_per_row` covers the predicates' extra column
+/// reads, and `pred_cols` names the device buffers those reads come from so
+/// the launch's declared footprint is complete.
 pub fn fused_filter_dot(
     device: &Arc<Device>,
     a: &DeviceBuffer<f64>,
     b: &DeviceBuffer<f64>,
     bytes_per_row: usize,
     pred_cols: &[gpu_sim::BufferId],
-    pred: impl Fn(usize) -> bool,
+    preds: &[RowPred<'_>],
 ) -> Result<f64> {
     if a.len() != b.len() {
         return Err(SimError::SizeMismatch {
@@ -278,14 +280,19 @@ pub fn fused_filter_dot(
             right: b.len(),
         });
     }
-    let (xa, xb) = (a.host(), b.host());
-    let mut acc = 0.0;
-    for i in 0..xa.len() {
-        if pred(i) {
-            acc += xa[i] * xb[i];
-        }
-    }
-    let n = xa.len();
+    let n = a.len();
+    let dot = Program::new(vec![
+        Instr::Load(0),
+        Instr::Load(1),
+        Instr::Binary(BinaryOp::Mul),
+    ]);
+    let acc = expr::filter_sum(
+        &dot,
+        &[Leaf::F64(a.host()), Leaf::F64(b.host())],
+        preds,
+        n,
+        0.0,
+    );
     let mut reads = vec![a.id(), b.id()];
     reads.extend_from_slice(pred_cols);
     charge_io(
@@ -298,25 +305,24 @@ pub fn fused_filter_dot(
         &reads,
         &[],
     )?;
-    device.advance(gpu_sim::SimDuration::from_nanos(
-        device.spec().pcie_latency_ns,
-    ));
+    read_back(device);
     Ok(acc)
 }
 
-/// A fully fused element-wise chain: evaluate `expr(i)` once per row
-/// into a fresh `f64` buffer — **one** kernel however long the chain.
-/// `bytes_per_row` is the per-row read footprint over every operand
-/// column and `in_cols` names their device buffers, so the launch
+/// A fully fused element-wise chain: evaluate the expression `prog` over
+/// `leaves` once per row into a fresh `f64` buffer — **one** kernel however
+/// long the chain. `bytes_per_row` is the per-row read footprint over every
+/// operand column and `in_cols` names their device buffers, so the launch
 /// declares its complete data flow.
 pub fn fused_map_expr(
     device: &Arc<Device>,
     len: usize,
     bytes_per_row: usize,
     in_cols: &[gpu_sim::BufferId],
-    expr: impl Fn(usize) -> f64 + Sync,
+    prog: &Program,
+    leaves: &[Leaf<'_>],
 ) -> Result<DeviceBuffer<f64>> {
-    let out = device.alloc_map_with(len, AllocPolicy::Pooled, &expr)?;
+    let out = device.buffer_from_vec(expr::map(prog, leaves, len), AllocPolicy::Pooled)?;
     charge_io(
         device,
         "fused_map",
@@ -327,24 +333,20 @@ pub fn fused_map_expr(
     Ok(out)
 }
 
-/// The general form of [`fused_filter_dot`]: `SUM(row(i))` where `row`
-/// returns `None` for rows the fused predicate drops — predicate, value
-/// expression and reduction share one pass. Skipped rows contribute
-/// nothing to the fold, so the accumulation order matches a
-/// select-then-reduce pipeline bit-for-bit.
+/// The general form of [`fused_filter_dot`]: `SUM(prog(row))` over the rows
+/// passing every one of `preds` — predicate, value expression and reduction
+/// share one pass. Dropped rows contribute nothing to the fold, so the
+/// accumulation order matches a select-then-reduce pipeline bit-for-bit.
 pub fn fused_filter_sum(
     device: &Arc<Device>,
     len: usize,
     bytes_per_row: usize,
     in_cols: &[gpu_sim::BufferId],
-    row: impl Fn(usize) -> Option<f64>,
+    prog: &Program,
+    leaves: &[Leaf<'_>],
+    preds: &[RowPred<'_>],
 ) -> Result<f64> {
-    let mut acc = 0.0;
-    for i in 0..len {
-        if let Some(v) = row(i) {
-            acc += v;
-        }
-    }
+    let acc = expr::filter_sum(prog, leaves, preds, len, 0.0);
     charge_io(
         device,
         "fused_filter_sum",
@@ -355,15 +357,21 @@ pub fn fused_filter_sum(
         in_cols,
         &[],
     )?;
+    read_back(device);
+    Ok(acc)
+}
+
+/// The small device→host copy that returns a reduction's scalar.
+fn read_back(device: &Device) {
     device.advance(gpu_sim::SimDuration::from_nanos(
         device.spec().pcie_latency_ns,
     ));
-    Ok(acc)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::hostexec::{Cmp, Lane, Rhs};
 
     #[test]
     fn reduce_and_scan() {
@@ -405,8 +413,12 @@ mod tests {
         let dev = Device::with_defaults();
         let price = dev.htod(&[10.0f64, 20.0, 30.0]).unwrap();
         let disc = dev.htod(&[0.1f64, 0.2, 0.3]).unwrap();
-        let keep = [true, false, true];
-        let r = fused_filter_dot(&dev, &price, &disc, 8, &[], |i| keep[i]).unwrap();
+        let keep = RowPred {
+            col: Lane::F64(price.host()),
+            cmp: Cmp::Ne,
+            rhs: Rhs::Lit(20.0),
+        };
+        let r = fused_filter_dot(&dev, &price, &disc, 8, &[], &[keep]).unwrap();
         assert_eq!(r, 1.0 + 9.0);
         assert_eq!(dev.stats().launches_of("hw::fused_filter_dot"), 1);
     }

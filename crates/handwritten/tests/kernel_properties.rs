@@ -2,6 +2,7 @@
 //! each other and with the relational definition; aggregation conserves
 //! mass; fused pipelines equal their unfused counterparts.
 
+use gpu_sim::hostexec::{Cmp, Lane, Rhs, RowPred};
 use gpu_sim::Device;
 use handwritten as hw;
 use proptest::prelude::*;
@@ -99,7 +100,12 @@ proptest! {
         let keys: Vec<u32> = rows.iter().map(|r| r.2).collect();
         let ab = dev.htod(&a).unwrap();
         let bb = dev.htod(&b).unwrap();
-        let fused = hw::fused_filter_dot(&dev, &ab, &bb, 4, &[], |i| keys[i] < threshold).unwrap();
+        let under = RowPred {
+            col: Lane::U32(&keys),
+            cmp: Cmp::Lt,
+            rhs: Rhs::Lit(f64::from(threshold)),
+        };
+        let fused = hw::fused_filter_dot(&dev, &ab, &bb, 4, &[], &[under]).unwrap();
         let expect: f64 = rows
             .iter()
             .filter(|r| r.2 < threshold)

@@ -90,6 +90,7 @@ impl Launch for Thrust {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::hostexec::expr::{Instr, Leaf, Program};
     use gpu_sim::{FaultPlan, FaultSite, SimError};
 
     fn never() -> &'static str {
@@ -108,7 +109,9 @@ mod tests {
         );
         let xs = DeviceVector::from_host(&lib, &[1u32, 2, 3]).unwrap();
         let ids = sequence(&lib, 3).unwrap();
-        transform_zip(&lib, 3, never, 12, &[xs.id()], |i| i as u32).unwrap();
+        let copy = Program::new(vec![Instr::Load(0)]);
+        let leaves = [Leaf::U32(xs.as_slice())];
+        transform_zip::<u32, _, _>(&lib, 3, never, 12, &[xs.id()], &copy, &leaves).unwrap();
         let s = dev.stats();
         assert_eq!(s.launches_of("thrust::transform"), 1);
         assert_eq!(s.launches_of("thrust::sequence"), 1);
