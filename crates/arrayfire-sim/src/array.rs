@@ -55,11 +55,6 @@ impl Backend {
         true
     }
 
-    /// Number of fused-kernel shapes compiled so far.
-    pub fn compiled_kernels(&self) -> usize {
-        self.jit_cache.lock().len()
-    }
-
     /// Upload an `f64` column (charges the transfer).
     pub fn array_f64(self: &Arc<Self>, data: &[f64]) -> Result<Array> {
         let buf = self.device.htod(data)?;
@@ -70,24 +65,6 @@ impl Backend {
     pub fn array_u32(self: &Arc<Self>, data: &[u32]) -> Result<Array> {
         let buf = self.device.htod(data)?;
         self.wrap(ColumnData::U32(buf))
-    }
-
-    /// Upload a `u64` column.
-    pub fn array_u64(self: &Arc<Self>, data: &[u64]) -> Result<Array> {
-        let buf = self.device.htod(data)?;
-        self.wrap(ColumnData::U64(buf))
-    }
-
-    /// Upload an `i64` column.
-    pub fn array_i64(self: &Arc<Self>, data: &[i64]) -> Result<Array> {
-        let buf = self.device.htod(data)?;
-        self.wrap(ColumnData::I64(buf))
-    }
-
-    /// Upload a boolean column (0/1 bytes).
-    pub fn array_b8(self: &Arc<Self>, data: &[u8]) -> Result<Array> {
-        let buf = self.device.htod(data)?;
-        self.wrap(ColumnData::B8(buf))
     }
 
     /// Back a `u32` reservation a non-fused operation's charge half made
@@ -151,11 +128,6 @@ impl Array {
         &self.backend
     }
 
-    /// Whether `eval` has already materialised this array.
-    pub fn is_evaluated(&self) -> bool {
-        self.cache.lock().is_some()
-    }
-
     /// The node downstream expressions should reference: the materialised
     /// leaf when available (so an `eval`'d subtree is not recomputed),
     /// otherwise the lazy tree.
@@ -185,10 +157,6 @@ impl Array {
         use DType::*;
         if a == F64 || b == F64 {
             F64
-        } else if a == I64 || b == I64 {
-            I64
-        } else if a == U64 || b == U64 {
-            U64
         } else if a == U32 || b == U32 {
             U32
         } else {
@@ -218,7 +186,7 @@ impl Array {
     }
 
     /// Element-wise binary op against a scalar (`x op s`).
-    pub fn binary_scalar(&self, op: BinaryOp, s: impl Into<Scalar>) -> Array {
+    pub(crate) fn binary_scalar(&self, op: BinaryOp, s: impl Into<Scalar>) -> Array {
         let s = s.into();
         let dtype = if op.is_comparison() || matches!(op, BinaryOp::And | BinaryOp::Or) {
             DType::B8
@@ -228,19 +196,8 @@ impl Array {
         self.lazy(Node::ScalarRhs(op, self.current_node(), s), dtype, self.len)
     }
 
-    /// Element-wise binary op with the scalar on the left (`s op x`).
-    pub fn scalar_binary(&self, s: impl Into<Scalar>, op: BinaryOp) -> Array {
-        let s = s.into();
-        let dtype = if op.is_comparison() || matches!(op, BinaryOp::And | BinaryOp::Or) {
-            DType::B8
-        } else {
-            Self::promote(self.dtype, s.dtype())
-        };
-        self.lazy(Node::ScalarLhs(op, s, self.current_node()), dtype, self.len)
-    }
-
     /// Element-wise unary op.
-    pub fn unary(&self, op: UnaryOp) -> Array {
+    fn unary(&self, op: UnaryOp) -> Array {
         let dtype = match op {
             UnaryOp::Not => DType::B8,
             _ => self.dtype,
@@ -379,27 +336,6 @@ impl Array {
         Ok(col.as_u32()?.to_vec())
     }
 
-    /// Evaluate and download as `u64`; errors if the dtype differs.
-    pub fn host_u64(&self) -> Result<Vec<u64>> {
-        let col = self.eval()?;
-        self.charge_dtoh(&col)?;
-        Ok(col.as_u64()?.to_vec())
-    }
-
-    /// Evaluate and download as `i64`; errors if the dtype differs.
-    pub fn host_i64(&self) -> Result<Vec<i64>> {
-        let col = self.eval()?;
-        self.charge_dtoh(&col)?;
-        Ok(col.as_i64()?.to_vec())
-    }
-
-    /// Evaluate and download as boolean bytes; errors if the dtype differs.
-    pub fn host_b8(&self) -> Result<Vec<u8>> {
-        let col = self.eval()?;
-        self.charge_dtoh(&col)?;
-        Ok(col.as_b8()?.to_vec())
-    }
-
     fn charge_dtoh(&self, col: &ColumnData) -> Result<()> {
         let device = self.backend.device();
         let t = gpu_sim::transfer::transfer_time(
@@ -505,7 +441,6 @@ mod tests {
         assert_eq!(dev.stats().jit_compiles, jits, "shape cache hit");
         (&b * 2.0).eval().unwrap(); // new shape
         assert_eq!(dev.stats().jit_compiles, jits + 1);
-        assert_eq!(af.compiled_kernels(), 2);
     }
 
     #[test]
@@ -517,7 +452,6 @@ mod tests {
         let launches = dev.stats().total_launches();
         e.eval().unwrap();
         assert_eq!(dev.stats().total_launches(), launches);
-        assert!(e.is_evaluated());
     }
 
     #[test]
@@ -542,7 +476,7 @@ mod tests {
         let a = af.array_u32(&[1, 5, 3]).unwrap();
         let m = a.gt_scalar(2u32);
         assert_eq!(m.dtype(), DType::B8);
-        assert_eq!(m.host_b8().unwrap(), vec![0, 1, 1]);
+        assert_eq!(m.eval().unwrap().as_b8().unwrap(), &[0, 1, 1]);
     }
 
     #[test]
@@ -553,10 +487,10 @@ mod tests {
         let hi = x.lt_scalar(8u32);
         dev.reset_stats();
         let both = lo.and(&hi).unwrap();
-        assert_eq!(both.host_b8().unwrap(), vec![0, 1, 1, 0]);
+        assert_eq!(both.eval().unwrap().as_b8().unwrap(), &[0, 1, 1, 0]);
         assert_eq!(dev.stats().launches_of("af::jit_fused"), 1);
         let either = lo.or(&hi).unwrap();
-        assert_eq!(either.host_b8().unwrap(), vec![1, 1, 1, 1]);
+        assert_eq!(either.eval().unwrap().as_b8().unwrap(), &[1, 1, 1, 1]);
     }
 
     #[test]
@@ -582,12 +516,9 @@ mod tests {
     #[test]
     fn typed_host_accessors_enforce_dtype() {
         let (_dev, af) = backend();
-        let a = af.array_u64(&[1, 2]).unwrap();
-        assert_eq!(a.host_u64().unwrap(), vec![1, 2]);
+        let a = af.array_f64(&[-1.0, 2.0]).unwrap();
         assert!(a.host_u32().is_err());
-        let b = af.array_i64(&[-1]).unwrap();
-        assert_eq!(b.host_i64().unwrap(), vec![-1]);
-        assert_eq!(b.abs().host_i64().unwrap(), vec![1]);
-        assert_eq!(b.not().dtype(), DType::B8);
+        assert_eq!(a.abs().host_f64().unwrap(), vec![1.0, 2.0]);
+        assert_eq!(a.not().dtype(), DType::B8);
     }
 }

@@ -8,12 +8,8 @@ use std::sync::Arc;
 pub enum DType {
     /// 64-bit float (`f64` / AF `f64`).
     F64,
-    /// 64-bit unsigned (`u64` / AF `u64`).
-    U64,
     /// 32-bit unsigned (`u32` / AF `u32`).
     U32,
-    /// 64-bit signed (`i64` / AF `s64`).
-    I64,
     /// 8-bit boolean (`b8`).
     B8,
 }
@@ -22,7 +18,7 @@ impl DType {
     /// Size of one element in bytes.
     pub fn size(self) -> usize {
         match self {
-            DType::F64 | DType::U64 | DType::I64 => 8,
+            DType::F64 => 8,
             DType::U32 => 4,
             DType::B8 => 1,
         }
@@ -32,9 +28,7 @@ impl DType {
     pub fn name(self) -> &'static str {
         match self {
             DType::F64 => "f64",
-            DType::U64 => "u64",
             DType::U32 => "u32",
-            DType::I64 => "s64",
             DType::B8 => "b8",
         }
     }
@@ -45,12 +39,8 @@ impl DType {
 pub enum Scalar {
     /// 64-bit float constant.
     F64(f64),
-    /// 64-bit unsigned constant.
-    U64(u64),
     /// 32-bit unsigned constant.
     U32(u32),
-    /// 64-bit signed constant.
-    I64(i64),
     /// Boolean constant.
     B8(bool),
 }
@@ -60,9 +50,7 @@ impl Scalar {
     pub fn dtype(self) -> DType {
         match self {
             Scalar::F64(_) => DType::F64,
-            Scalar::U64(_) => DType::U64,
             Scalar::U32(_) => DType::U32,
-            Scalar::I64(_) => DType::I64,
             Scalar::B8(_) => DType::B8,
         }
     }
@@ -71,9 +59,7 @@ impl Scalar {
     pub fn as_f64(self) -> f64 {
         match self {
             Scalar::F64(x) => x,
-            Scalar::U64(x) => x as f64,
             Scalar::U32(x) => x as f64,
-            Scalar::I64(x) => x as f64,
             Scalar::B8(x) => x as u8 as f64,
         }
     }
@@ -86,19 +72,15 @@ macro_rules! impl_from_scalar {
         }
     )*};
 }
-impl_from_scalar!(f64 => F64, u64 => U64, u32 => U32, i64 => I64, bool => B8);
+impl_from_scalar!(f64 => F64, u32 => U32, bool => B8);
 
 /// Materialised column data, one device buffer per dtype.
 #[derive(Debug)]
 pub enum ColumnData {
     /// 64-bit float column.
     F64(DeviceBuffer<f64>),
-    /// 64-bit unsigned column.
-    U64(DeviceBuffer<u64>),
     /// 32-bit unsigned column.
     U32(DeviceBuffer<u32>),
-    /// 64-bit signed column.
-    I64(DeviceBuffer<i64>),
     /// Boolean column (stored as 0/1 bytes).
     B8(DeviceBuffer<u8>),
 }
@@ -108,9 +90,7 @@ impl ColumnData {
     pub fn dtype(&self) -> DType {
         match self {
             ColumnData::F64(_) => DType::F64,
-            ColumnData::U64(_) => DType::U64,
             ColumnData::U32(_) => DType::U32,
-            ColumnData::I64(_) => DType::I64,
             ColumnData::B8(_) => DType::B8,
         }
     }
@@ -119,9 +99,7 @@ impl ColumnData {
     pub fn len(&self) -> usize {
         match self {
             ColumnData::F64(b) => b.len(),
-            ColumnData::U64(b) => b.len(),
             ColumnData::U32(b) => b.len(),
-            ColumnData::I64(b) => b.len(),
             ColumnData::B8(b) => b.len(),
         }
     }
@@ -132,7 +110,7 @@ impl ColumnData {
     }
 
     /// Payload bytes.
-    pub fn size_bytes(&self) -> u64 {
+    pub(crate) fn size_bytes(&self) -> u64 {
         (self.len() * self.dtype().size()) as u64
     }
 
@@ -145,49 +123,20 @@ impl ColumnData {
     }
 
     /// See [`ColumnData::from_f64`].
-    pub fn from_u64(device: &Arc<Device>, v: Vec<u64>) -> Result<Self> {
-        Ok(ColumnData::U64(
-            device.buffer_from_vec(v, AllocPolicy::Pooled)?,
-        ))
-    }
-
-    /// See [`ColumnData::from_f64`].
     pub fn from_u32(device: &Arc<Device>, v: Vec<u32>) -> Result<Self> {
         Ok(ColumnData::U32(
             device.buffer_from_vec(v, AllocPolicy::Pooled)?,
         ))
     }
 
-    /// See [`ColumnData::from_f64`].
-    pub fn from_i64(device: &Arc<Device>, v: Vec<i64>) -> Result<Self> {
-        Ok(ColumnData::I64(
-            device.buffer_from_vec(v, AllocPolicy::Pooled)?,
-        ))
-    }
-
-    /// See [`ColumnData::from_f64`].
-    pub fn from_b8(device: &Arc<Device>, v: Vec<u8>) -> Result<Self> {
-        Ok(ColumnData::B8(
-            device.buffer_from_vec(v, AllocPolicy::Pooled)?,
-        ))
-    }
-
     /// View as `f64` values, converting on the fly (functional helper used
     /// by the interpreter; no cost implications).
-    pub fn to_f64_vec(&self) -> Vec<f64> {
+    pub(crate) fn to_f64_vec(&self) -> Vec<f64> {
         match self {
             ColumnData::F64(b) => gpu_sim::hostmem::take_from_slice(b.host()),
-            ColumnData::U64(b) => {
-                let s = b.host();
-                gpu_sim::par_map_vec(s.len(), |i| s[i] as f64)
-            }
             ColumnData::U32(b) => {
                 let s = b.host();
                 gpu_sim::par_map_vec(s.len(), |i| f64::from(s[i]))
-            }
-            ColumnData::I64(b) => {
-                let s = b.host();
-                gpu_sim::par_map_vec(s.len(), |i| s[i] as f64)
             }
             ColumnData::B8(b) => {
                 let s = b.host();
@@ -206,14 +155,6 @@ impl ColumnData {
     }
 
     /// See [`ColumnData::as_f64`].
-    pub fn as_u64(&self) -> Result<&[u64]> {
-        match self {
-            ColumnData::U64(b) => Ok(b.host()),
-            other => Err(type_err("u64", other.dtype())),
-        }
-    }
-
-    /// See [`ColumnData::as_f64`].
     pub fn as_u32(&self) -> Result<&[u32]> {
         match self {
             ColumnData::U32(b) => Ok(b.host()),
@@ -222,15 +163,8 @@ impl ColumnData {
     }
 
     /// See [`ColumnData::as_f64`].
-    pub fn as_i64(&self) -> Result<&[i64]> {
-        match self {
-            ColumnData::I64(b) => Ok(b.host()),
-            other => Err(type_err("s64", other.dtype())),
-        }
-    }
-
-    /// See [`ColumnData::as_f64`].
-    pub fn as_b8(&self) -> Result<&[u8]> {
+    #[cfg(test)]
+    pub(crate) fn as_b8(&self) -> Result<&[u8]> {
         match self {
             ColumnData::B8(b) => Ok(b.host()),
             other => Err(type_err("b8", other.dtype())),
@@ -247,30 +181,32 @@ fn type_err(wanted: &str, got: DType) -> SimError {
 
 /// Build a [`ColumnData`] of `dtype` from an `f64` working vector
 /// (interpreter output), truncating/rounding like a GPU cast.
-pub fn column_from_f64(device: &Arc<Device>, dtype: DType, v: Vec<f64>) -> Result<ColumnData> {
+pub(crate) fn column_from_f64(
+    device: &Arc<Device>,
+    dtype: DType,
+    v: Vec<f64>,
+) -> Result<ColumnData> {
     let out = reserve_column(device, dtype, v.len())?;
     Ok(fill_from_f64(out, dtype, v))
 }
 
 /// A pooled allocation for `len` elements of `dtype`, not backed yet: what
 /// a non-fused operation's charge half returns for each output column.
-pub fn reserve_column(device: &Arc<Device>, dtype: DType, len: usize) -> Result<Reservation> {
+pub(crate) fn reserve_column(
+    device: &Arc<Device>,
+    dtype: DType,
+    len: usize,
+) -> Result<Reservation> {
     device.reserve((len * dtype.size()) as u64, AllocPolicy::Pooled, true)
 }
 
 /// Back `out` (from [`reserve_column`]) with `v` cast to `dtype`,
 /// truncating/rounding like a GPU cast.
-pub fn fill_from_f64(out: Reservation, dtype: DType, v: Vec<f64>) -> ColumnData {
+pub(crate) fn fill_from_f64(out: Reservation, dtype: DType, v: Vec<f64>) -> ColumnData {
     let col = match dtype {
         DType::F64 => return ColumnData::F64(out.into_buffer(v)),
-        DType::U64 => {
-            ColumnData::U64(out.into_buffer(gpu_sim::par_map_vec(v.len(), |i| v[i] as u64)))
-        }
         DType::U32 => {
             ColumnData::U32(out.into_buffer(gpu_sim::par_map_vec(v.len(), |i| v[i] as u32)))
-        }
-        DType::I64 => {
-            ColumnData::I64(out.into_buffer(gpu_sim::par_map_vec(v.len(), |i| v[i] as i64)))
         }
         DType::B8 => ColumnData::B8(
             out.into_buffer(gpu_sim::par_map_vec(v.len(), |i| u8::from(v[i] != 0.0))),
@@ -289,7 +225,7 @@ mod tests {
         assert_eq!(DType::F64.size(), 8);
         assert_eq!(DType::U32.size(), 4);
         assert_eq!(DType::B8.size(), 1);
-        assert_eq!(DType::I64.name(), "s64");
+        assert_eq!(DType::U32.name(), "u32");
     }
 
     #[test]

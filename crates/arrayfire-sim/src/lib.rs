@@ -15,7 +15,7 @@
 //!   codegen (cached by shape thereafter);
 //! * small host-side graph-management overhead per lazy node.
 //!
-//! Non-fusable operations ([`where_`], [`sort`], [`accum`], [`sum_by_key`],
+//! Non-fusable operations ([`where_`], [`sort`], [`scan`], [`sum_by_key`],
 //! [`set_intersect`], …) break the graph and run as discrete kernels.
 //! ArrayFire pools device memory (its memory manager), so allocations are
 //! pool-served after warm-up.
@@ -40,18 +40,15 @@ pub mod array;
 pub mod dtype;
 pub mod node;
 pub mod ops;
-pub mod ops_ext;
 pub mod program;
 
 pub use array::{Array, Backend};
 pub use dtype::{ColumnData, DType, Scalar};
 pub use node::{BinaryOp, UnaryOp};
 pub use ops::{
-    accum, charge_set_op, charge_sort_by_key, charge_sum_by_key, charge_where, constant, count,
-    count_by_key, lookup, scan, set_intersect, set_union, sort, sort_by_key, sum, sum_by_key,
-    where_,
+    charge_set_op, charge_sort_by_key, charge_sum_by_key, charge_where, constant, lookup, scan,
+    set_intersect, set_union, sort, sort_by_key, sum, sum_by_key, where_,
 };
-pub use ops_ext::{diff1, histogram, max_all, mean, min_all, set_unique, shift};
 pub use program::{InstrSpec, Program, ProgramSpec};
 
 /// Kernel-name prefix for device statistics.

@@ -64,7 +64,7 @@ pub enum Node {
 impl Node {
     /// Structural signature of the tree — operators and dtypes only, so
     /// two evaluations over different data share one JIT kernel.
-    pub fn signature(&self) -> String {
+    pub(crate) fn signature(&self) -> String {
         let mut s = String::new();
         self.sig_into(&mut s);
         s
@@ -118,7 +118,7 @@ impl Node {
 
     /// Distinct leaf columns referenced (each is read once by the fused
     /// kernel), returned as total bytes.
-    pub fn leaf_bytes(&self) -> u64 {
+    pub(crate) fn leaf_bytes(&self) -> u64 {
         let mut seen = HashSet::new();
         let mut bytes = 0;
         self.collect_leaves(&mut seen, &mut bytes);
@@ -154,9 +154,14 @@ impl Node {
             Node::Binary(_, l, r) => 1 + l.op_count() + r.op_count(),
         }
     }
+}
 
+/// The recursive interpreter — the oracle the compiled
+/// [`Program`](crate::Program) is tested against.
+#[cfg(test)]
+impl Node {
     /// Evaluate one element through the tree on the `f64` interpreter lane.
-    pub fn eval_at(&self, i: usize, lanes: &LeafLanes) -> f64 {
+    pub(crate) fn eval_at(&self, i: usize, lanes: &LeafLanes) -> f64 {
         match self {
             Node::Leaf(id, _) => lanes.get(*id)[i],
             Node::Unary(op, c) => op.apply(c.eval_at(i, lanes)),
@@ -167,9 +172,7 @@ impl Node {
                 let x = c.eval_at(i, lanes);
                 match dt {
                     DType::F64 => x,
-                    DType::U64 => x as u64 as f64,
                     DType::U32 => x as u32 as f64,
-                    DType::I64 => x as i64 as f64,
                     DType::B8 => f64::from(x != 0.0),
                 }
             }
@@ -177,7 +180,7 @@ impl Node {
     }
 
     /// Collect `f64` views of every distinct leaf for interpretation.
-    pub fn lanes(&self) -> LeafLanes {
+    pub(crate) fn lanes(&self) -> LeafLanes {
         let mut lanes = LeafLanes::default();
         self.collect_lanes(&mut lanes);
         lanes
@@ -200,11 +203,13 @@ impl Node {
 
 /// `f64` working copies of the distinct leaves of a tree, keyed by leaf
 /// id (hashed — insert and lookup are O(1), not a linear scan per call).
+#[cfg(test)]
 #[derive(Debug, Default)]
-pub struct LeafLanes {
+pub(crate) struct LeafLanes {
     lanes: std::collections::HashMap<u64, Vec<f64>>,
 }
 
+#[cfg(test)]
 impl LeafLanes {
     fn insert(&mut self, id: u64, col: &ColumnData) {
         self.lanes.entry(id).or_insert_with(|| col.to_f64_vec());

@@ -1,6 +1,6 @@
 //! Non-fusable ArrayFire operations.
 //!
-//! `where`, `sort`, `scan`, reductions, `sumByKey`/`countByKey`,
+//! `where`, `sort`, `scan`, reductions, `sumByKey`,
 //! `setIntersect`/`setUnion` and `lookup` break the JIT graph: they
 //! force-evaluate their inputs, then run as discrete kernels with their own
 //! footprints (Table II's partial-support pathways).
@@ -125,41 +125,6 @@ pub fn sum(a: &Array) -> Result<f64> {
     Ok(total)
 }
 
-/// `af::count` — number of non-zero elements.
-pub fn count(a: &Array) -> Result<usize> {
-    let af = backend_of(a);
-    let device = af.device();
-    let col = a.eval()?;
-    let n = col.to_f64_vec().iter().filter(|&&x| x != 0.0).count();
-    device.try_charge_kernel(
-        "af::count",
-        KernelCost::reduce::<u8>(a.len())
-            .with_launch_overhead(device.spec().cuda_launch_latency_ns),
-    )?;
-    device.advance(gpu_sim::SimDuration::from_nanos(
-        device.spec().pcie_latency_ns,
-    ));
-    Ok(n)
-}
-
-/// `af::accum` — inclusive prefix sum.
-pub fn accum(a: &Array) -> Result<Array> {
-    let af = backend_of(a);
-    let device = af.device();
-    let col = a.eval()?;
-    let mut out = col.to_f64_vec();
-    let mut acc = 0.0;
-    for x in out.iter_mut() {
-        acc += *x;
-        *x = acc;
-    }
-    device.try_charge_kernel(
-        "af::accum",
-        presets::scan::<u64>(a.len()).with_launch_overhead(device.spec().cuda_launch_latency_ns),
-    )?;
-    af.wrap(crate::dtype::column_from_f64(device, a.dtype(), out)?)
-}
-
 /// `af::constant` — a device array filled with `value` (one fill kernel,
 /// no transfer).
 pub fn constant(af: &Arc<Backend>, value: f64, len: usize) -> Result<Array> {
@@ -211,16 +176,6 @@ pub fn sort(a: &Array) -> Result<Array> {
             let mut v = gpu_sim::hostmem::take_from_slice(b.host());
             gpu_sim::hostexec::sort_keys(&mut v);
             crate::dtype::ColumnData::from_u32(device, v)?
-        }
-        crate::dtype::ColumnData::U64(b) => {
-            let mut v = gpu_sim::hostmem::take_from_slice(b.host());
-            gpu_sim::hostexec::sort_keys(&mut v);
-            crate::dtype::ColumnData::from_u64(device, v)?
-        }
-        crate::dtype::ColumnData::I64(b) => {
-            let mut v = gpu_sim::hostmem::take_from_slice(b.host());
-            gpu_sim::hostexec::sort_keys(&mut v);
-            crate::dtype::ColumnData::from_i64(device, v)?
         }
         _ => {
             let mut v = col.to_f64_vec();
@@ -317,24 +272,6 @@ fn charge_radix(
 /// `af::sumByKey` — segmented sum over runs of consecutive equal keys.
 /// Returns `(unique_keys, sums)`.
 pub fn sum_by_key(keys: &Array, vals: &Array) -> Result<(Array, Array)> {
-    by_key(keys, vals, "af::sumByKey", |acc, x| acc + x)
-}
-
-/// `af::countByKey` — segmented count over runs of consecutive equal keys.
-pub fn count_by_key(keys: &Array) -> Result<(Array, Array)> {
-    let af = backend_of(keys);
-    let device = af.device();
-    let ones = af.wrap(ColumnData::from_u64(device, vec![1; keys.len()])?)?;
-    let (k, c) = by_key(keys, &ones, "af::countByKey", |acc, x| acc + x)?;
-    Ok((k, c))
-}
-
-fn by_key(
-    keys: &Array,
-    vals: &Array,
-    label: &str,
-    fold: impl Fn(f64, f64) -> f64,
-) -> Result<(Array, Array)> {
     if keys.len() != vals.len() {
         return Err(SimError::SizeMismatch {
             left: keys.len(),
@@ -345,7 +282,7 @@ fn by_key(
     let kcol = keys.eval()?;
     let vcol = vals.eval()?;
     let charge =
-        |groups: usize| charge_by_key(&af, label, keys.len(), groups, keys.dtype(), vals.dtype());
+        |groups: usize| charge_sum_by_key(&af, keys.len(), groups, keys.dtype(), vals.dtype());
     // Native fast path for the dominant pairing (u32 group keys, f64
     // measures): keys compare and flow into the output column in their
     // own width instead of round-tripping through an f64 working lane.
@@ -362,7 +299,7 @@ fn by_key(
             let mut acc = vs[i];
             let mut j = i + 1;
             while j < ks.len() && ks[j] == k {
-                acc = fold(acc, vs[j]);
+                acc += vs[j];
                 j += 1;
             }
             out_k.push(k);
@@ -382,7 +319,7 @@ fn by_key(
         let mut acc = vv[i];
         let mut j = i + 1;
         while j < kv.len() && kv[j] == k {
-            acc = fold(acc, vv[j]);
+            acc += vv[j];
             j += 1;
         }
         out_k.push(k);
@@ -406,20 +343,9 @@ pub fn charge_sum_by_key(
     keys: DType,
     vals: DType,
 ) -> Result<(Reservation, Reservation)> {
-    charge_by_key(af, "af::sumByKey", n, groups, keys, vals)
-}
-
-fn charge_by_key(
-    af: &Arc<Backend>,
-    label: &str,
-    n: usize,
-    groups: usize,
-    keys: DType,
-    vals: DType,
-) -> Result<(Reservation, Reservation)> {
     let device = af.device();
     device.try_charge_kernel(
-        label,
+        "af::sumByKey",
         presets::reduce_by_key::<u64, u64>(n, groups)
             .with_launch_overhead(device.spec().cuda_launch_latency_ns),
     )?;
@@ -567,14 +493,14 @@ mod tests {
     }
 
     #[test]
-    fn sum_count_accum() {
+    fn sum_and_scan() {
         let (_dev, af) = af();
         let x = af.array_f64(&[1.0, 2.0, 3.0]).unwrap();
         assert_eq!(sum(&x).unwrap(), 6.0);
-        let mask = x.gt_scalar(1.5f64);
-        assert_eq!(count(&mask).unwrap(), 2);
-        let a = accum(&x).unwrap();
-        assert_eq!(a.host_f64().unwrap(), vec![1.0, 3.0, 6.0]);
+        let inclusive = scan(&x, false).unwrap();
+        assert_eq!(inclusive.host_f64().unwrap(), vec![1.0, 3.0, 6.0]);
+        let exclusive = scan(&x, true).unwrap();
+        assert_eq!(exclusive.host_f64().unwrap(), vec![0.0, 1.0, 3.0]);
     }
 
     #[test]
@@ -594,13 +520,10 @@ mod tests {
     fn grouped_aggregation_sum_by_key() {
         let (_dev, af) = af();
         let k = af.array_u32(&[1, 1, 2, 2, 2]).unwrap();
-        let v = af.array_u64(&[1, 2, 3, 4, 5]).unwrap();
+        let v = af.array_u32(&[1, 2, 3, 4, 5]).unwrap();
         let (gk, gv) = sum_by_key(&k, &v).unwrap();
         assert_eq!(gk.host_u32().unwrap(), vec![1, 2]);
-        assert_eq!(gv.host_u64().unwrap(), vec![3, 12]);
-        let (ck, cv) = count_by_key(&k).unwrap();
-        assert_eq!(ck.host_u32().unwrap(), vec![1, 2]);
-        assert_eq!(cv.host_u64().unwrap(), vec![2, 3]);
+        assert_eq!(gv.host_u32().unwrap(), vec![3, 12]);
     }
 
     /// The u32-key/f64-value fast path must group, fold and charge

@@ -1,7 +1,7 @@
 //! Compiled evaluation of the lazy expression DAG.
 //!
 //! [`Array::eval`](crate::Array::eval) does not interpret its tree per
-//! element ([`Node::eval_at`] does, and stays as the test oracle): it
+//! element (`Node::eval_at` does, and stays as the test oracle): it
 //! compiles the tree once per evaluation into a flat post-order
 //! [`Program`] — leaf ids resolved to dense slots — and hands it to the
 //! host expression engine ([`gpu_sim::hostexec::expr`]), which runs it
@@ -10,8 +10,8 @@
 //! [`UnaryOp::apply`] on the interpreter's `f64` working value, in the same
 //! post-order, so every element sees the identical sequence of `f64`
 //! operations and results are bit-for-bit those of `eval_at`;
-//! [`Program::eval_into`] converts to the output dtype at the store, by
-//! [`column_from_f64`](crate::dtype::column_from_f64)'s rules.
+//! `Program::eval_into` converts to the output dtype at the store, by
+//! `column_from_f64`'s rules.
 //!
 //! Simulated time is charged by the caller exactly as before — compilation
 //! here is pure host-side mechanics, not the modelled JIT (which
@@ -63,15 +63,6 @@ pub enum InstrSpec {
 }
 
 impl InstrSpec {
-    /// Net stack effect: pushes minus pops.
-    pub fn stack_effect(&self) -> isize {
-        match self {
-            InstrSpec::Load { .. } => 1,
-            InstrSpec::Binary { .. } => -1,
-            _ => 0,
-        }
-    }
-
     /// Operands consumed from the stack before any push.
     pub fn pops(&self) -> usize {
         match self {
@@ -94,50 +85,6 @@ pub struct ProgramSpec {
     pub leaf_dtypes: Vec<DType>,
     /// Stack depth the executor allocates; must cover the true maximum.
     pub declared_stack_depth: usize,
-}
-
-impl ProgramSpec {
-    /// Check the structural invariants `Program::compile` guarantees:
-    /// every `Load` slot is bound, no instruction underflows the stack,
-    /// exactly one value remains at the end, and the declared stack depth
-    /// covers the true maximum. Returns a description of the first
-    /// violation. The engine asserts the same of every program it is
-    /// handed; this is the reporting form, for specs built by hand —
-    /// `gpu-lint` layers rule ids, spans and dtype analysis on top.
-    pub fn well_formed(&self) -> std::result::Result<(), String> {
-        let mut depth = 0usize;
-        let mut max_depth = 0usize;
-        for (i, instr) in self.instrs.iter().enumerate() {
-            if let InstrSpec::Load { slot } = instr {
-                if *slot >= self.leaf_dtypes.len() {
-                    return Err(format!(
-                        "instr {i}: load of unbound leaf slot {slot} ({} bound)",
-                        self.leaf_dtypes.len()
-                    ));
-                }
-            }
-            if depth < instr.pops() {
-                return Err(format!(
-                    "instr {i}: {instr:?} pops {} with stack depth {depth}",
-                    instr.pops()
-                ));
-            }
-            depth = (depth as isize + instr.stack_effect()) as usize;
-            max_depth = max_depth.max(depth);
-        }
-        if depth != 1 {
-            return Err(format!(
-                "program leaves {depth} values on the stack (want exactly 1)"
-            ));
-        }
-        if max_depth > self.declared_stack_depth {
-            return Err(format!(
-                "true stack depth {max_depth} exceeds declared {}",
-                self.declared_stack_depth
-            ));
-        }
-        Ok(())
-    }
 }
 
 /// A lazy tree compiled to a flat post-order program.
@@ -188,9 +135,7 @@ impl Program {
                     Instr::Cast(to) => InstrSpec::Cast {
                         dtype: match to {
                             Cast::F64 => DType::F64,
-                            Cast::U64 => DType::U64,
                             Cast::U32 => DType::U32,
-                            Cast::I64 => DType::I64,
                             Cast::B8 => DType::B8,
                         },
                     },
@@ -207,9 +152,7 @@ impl Program {
             .iter()
             .map(|col| match col.as_ref() {
                 ColumnData::F64(b) => Leaf::F64(b.host()),
-                ColumnData::U64(b) => Leaf::U64(b.host()),
                 ColumnData::U32(b) => Leaf::U32(b.host()),
-                ColumnData::I64(b) => Leaf::I64(b.host()),
                 ColumnData::B8(b) => Leaf::B8(b.host()),
             })
             .collect()
@@ -226,7 +169,7 @@ impl Program {
     /// `dtype` column in `out` (a reservation for `len` elements of
     /// `dtype`) — the path `Array::eval` uses. Values are those of
     /// `fill_from_f64(out, dtype, <the f64 results>)`.
-    pub fn eval_into(&self, out: Reservation, dtype: DType, len: usize) -> ColumnData {
+    pub(crate) fn eval_into(&self, out: Reservation, dtype: DType, len: usize) -> ColumnData {
         let leaves = self.leaf_views();
         macro_rules! column {
             ($variant:ident) => {
@@ -235,9 +178,7 @@ impl Program {
         }
         match dtype {
             DType::F64 => column!(F64),
-            DType::U64 => column!(U64),
             DType::U32 => column!(U32),
-            DType::I64 => column!(I64),
             DType::B8 => column!(B8),
         }
     }
@@ -278,9 +219,7 @@ fn emit(
             emit(c, instrs, leaves, slots);
             instrs.push(Instr::Cast(match dt {
                 DType::F64 => Cast::F64,
-                DType::U64 => Cast::U64,
                 DType::U32 => Cast::U32,
-                DType::I64 => Cast::I64,
                 DType::B8 => Cast::B8,
             }));
         }
@@ -336,7 +275,7 @@ mod tests {
     }
 
     #[test]
-    fn spec_mirrors_instructions_and_passes_self_check() {
+    fn spec_mirrors_instructions() {
         let a = leaf(1, vec![1.0, 2.0]);
         let b = leaf(2, vec![3.0, 4.0]);
         let tree = Node::Cast(
@@ -361,52 +300,10 @@ mod tests {
         );
         assert_eq!(spec.leaf_dtypes, vec![DType::F64, DType::F64]);
         assert_eq!(spec.declared_stack_depth, 2);
-        assert!(spec.well_formed().is_ok());
     }
 
-    #[test]
-    fn well_formed_rejects_broken_specs() {
-        let ok = ProgramSpec {
-            instrs: vec![InstrSpec::Load { slot: 0 }],
-            leaf_dtypes: vec![DType::F64],
-            declared_stack_depth: 1,
-        };
-        assert!(ok.well_formed().is_ok());
-
-        let unbound = ProgramSpec {
-            instrs: vec![InstrSpec::Load { slot: 3 }],
-            ..ok.clone()
-        };
-        assert!(unbound.well_formed().unwrap_err().contains("unbound"));
-
-        let underflow = ProgramSpec {
-            instrs: vec![InstrSpec::Binary { op: BinaryOp::Add }],
-            ..ok.clone()
-        };
-        assert!(underflow.well_formed().unwrap_err().contains("pops"));
-
-        let unbalanced = ProgramSpec {
-            instrs: vec![InstrSpec::Load { slot: 0 }, InstrSpec::Load { slot: 0 }],
-            ..ok.clone()
-        };
-        assert!(unbalanced.well_formed().unwrap_err().contains("stack"));
-
-        let shallow = ProgramSpec {
-            instrs: vec![
-                InstrSpec::Load { slot: 0 },
-                InstrSpec::Load { slot: 0 },
-                InstrSpec::Binary { op: BinaryOp::Add },
-            ],
-            declared_stack_depth: 1,
-            ..ok
-        };
-        assert!(shallow.well_formed().unwrap_err().contains("exceeds"));
-    }
-
-    /// Integer and boolean leaves run on native lanes; every observable
-    /// value must still match the `f64` recursive interpreter bit for
-    /// bit — including `u64` keys above 2^53, where the interpreter's
-    /// widening is lossy and the typed engine must reproduce the loss.
+    /// Integer and boolean leaves are read in place; every observable
+    /// value must still match the `f64` recursive interpreter bit for bit.
     #[test]
     fn typed_lanes_match_interpreter_on_integer_leaves() {
         let dev = Device::with_defaults();
@@ -418,23 +315,15 @@ mod tests {
                     .unwrap(),
             ),
         ));
-        let big = Arc::new(Node::Leaf(
-            11,
-            Arc::new(
-                ColumnData::from_u64(
-                    &dev,
-                    (0..n).map(|i| (1u64 << 53) + 7 * i as u64 + 3).collect(),
-                )
-                .unwrap(),
-            ),
-        ));
+        let flags: Vec<u8> = (0..n).map(|i| (i % 3 == 0) as u8).collect();
         let flags = Arc::new(Node::Leaf(
             12,
-            Arc::new(
-                ColumnData::from_b8(&dev, (0..n).map(|i| (i % 3 == 0) as u8).collect()).unwrap(),
-            ),
+            Arc::new(ColumnData::B8(
+                dev.buffer_from_vec(flags, gpu_sim::AllocPolicy::Pooled)
+                    .unwrap(),
+            )),
         ));
-        // (keys < 500 && !flags) widened, times (big cast to i64), plus keys.
+        // (keys < 500 && !flags) widened, times (keys cast to b8), plus keys.
         let tree = Node::Binary(
             BinaryOp::Add,
             Arc::new(Node::Binary(
@@ -451,7 +340,7 @@ mod tests {
                         Arc::new(Node::Unary(UnaryOp::Not, flags)),
                     )),
                 )),
-                Arc::new(Node::Cast(DType::I64, big)),
+                Arc::new(Node::Cast(DType::B8, keys.clone())),
             )),
             keys,
         );
@@ -476,7 +365,7 @@ mod tests {
             Arc::new(Node::ScalarRhs(BinaryOp::Mul, a.clone(), Scalar::F64(3.0))),
         );
         let prog = Program::compile(&tree);
-        for dt in [DType::F64, DType::U64, DType::U32, DType::I64, DType::B8] {
+        for dt in [DType::F64, DType::U32, DType::B8] {
             let out = crate::dtype::reserve_column(&dev, dt, n).unwrap();
             let got = prog.eval_into(out, dt, n);
             assert_eq!(got.dtype(), dt);
@@ -484,9 +373,7 @@ mod tests {
             let via_f64 = crate::dtype::column_from_f64(&dev, dt, prog.eval(n)).unwrap();
             match dt {
                 DType::F64 => assert_eq!(got.as_f64().unwrap(), via_f64.as_f64().unwrap()),
-                DType::U64 => assert_eq!(got.as_u64().unwrap(), via_f64.as_u64().unwrap()),
                 DType::U32 => assert_eq!(got.as_u32().unwrap(), via_f64.as_u32().unwrap()),
-                DType::I64 => assert_eq!(got.as_i64().unwrap(), via_f64.as_i64().unwrap()),
                 DType::B8 => assert_eq!(got.as_b8().unwrap(), via_f64.as_b8().unwrap()),
             }
         }

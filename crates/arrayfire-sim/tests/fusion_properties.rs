@@ -162,7 +162,7 @@ proptest! {
         prop_assert_eq!(union, expect_u);
     }
 
-    /// sum/count reductions match host sums on evaluated or lazy inputs.
+    /// The sum reduction matches the host sum on a lazy input.
     #[test]
     fn reductions_match_host(data in prop::collection::vec(-100.0..100.0f64, 1..200)) {
         let dev = Device::with_defaults();
@@ -172,7 +172,5 @@ proptest! {
         let got = af::sum(&lazy).unwrap();
         let expect: f64 = data.iter().map(|x| x * 2.0).sum();
         prop_assert!((got - expect).abs() <= 1e-9 * expect.abs().max(1.0));
-        let positive = af::count(&a.gt_scalar(0.0f64)).unwrap();
-        prop_assert_eq!(positive, data.iter().filter(|&&x| x > 0.0).count());
     }
 }

@@ -13,7 +13,7 @@ use proto_core::workload;
 use std::fmt::Write as _;
 
 /// A1 part — one backend's selection-anatomy sample.
-pub fn a1_part(b: &dyn GpuBackend, n: usize) -> Vec<Sample> {
+pub(crate) fn a1_part(b: &dyn GpuBackend, n: usize) -> Vec<Sample> {
     let (col, thr) = workload::cache::selectivity_column(n, 0.5, workload::SEED);
     let c = b.upload_u32(&col).expect("upload");
     let s = proto_core::runner::measure(b, n as u64, || {
@@ -26,7 +26,7 @@ pub fn a1_part(b: &dyn GpuBackend, n: usize) -> Vec<Sample> {
 }
 
 /// Render A1 as the anatomy table (launches, bytes, time).
-pub fn render_a1(exp: &Experiment) -> String {
+pub(crate) fn render_a1(exp: &Experiment) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "## A1 — selection anatomy ({} rows)", exp.xs()[0]);
     let _ = writeln!(
@@ -55,7 +55,12 @@ pub const A2_LIBS: [&str; 2] = ["ArrayFire", "Thrust"];
 /// rows on `lib` (an [`A2_LIBS`] name) — one fused kernel on ArrayFire,
 /// `k` kernels on Thrust. `dev` must be fresh (A2 measures cold fusion
 /// behaviour).
-pub fn a2_cell_on(dev: &std::sync::Arc<gpu_sim::Device>, lib: &str, k: usize, n: usize) -> Sample {
+pub(crate) fn a2_cell_on(
+    dev: &std::sync::Arc<gpu_sim::Device>,
+    lib: &str,
+    k: usize,
+    n: usize,
+) -> Sample {
     let data = workload::cache::uniform_f64(n, workload::SEED ^ 21);
     match lib {
         // ArrayFire: lazy chain, one fused kernel at eval.
@@ -123,7 +128,7 @@ fn run_thrust_chain(lib: &thrust_sim::Thrust, v: &thrust_sim::DeviceVector<f64>,
 /// One A3 measurement cell: `b`'s cold (x=0) and warm (x=1) selection
 /// rows. The backend must be fresh (A3 measures the cold run's JIT
 /// cost), whatever ran before.
-pub fn a3_cell_on(b: &dyn GpuBackend, n: usize) -> Vec<Sample> {
+pub(crate) fn a3_cell_on(b: &dyn GpuBackend, n: usize) -> Vec<Sample> {
     let (col, thr) = workload::cache::selectivity_column(n, 0.5, workload::SEED);
     let c = b.upload_u32(&col).expect("upload");
     let s = proto_core::runner::measure(b, 1, || {

@@ -8,7 +8,8 @@
 //!
 //! For each backend the queries run twice on fresh devices: once
 //! fault-free and once with `FaultPlan::uniform` at the configured rate
-//! (default 0.2 — every fifth site call faults) installed after the
+//! (default 0.2 — every fifth site call faults; a value that is not a
+//! number in `[0, 1]` exits 2 with a message) installed after the
 //! working set is staged. The faulted run must (a) produce answers
 //! bit-identical to the clean run and (b) actually observe injected
 //! faults and recoveries, so a silently disabled fault plan cannot pass.
@@ -61,10 +62,16 @@ fn run_pair(name: &str, rate: f64) -> (Vec<Q1Row>, f64, u64) {
 }
 
 fn main() -> ExitCode {
-    let rate: f64 = std::env::var("GPU_SIM_FAULT_RATE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.2);
+    let rate = match std::env::var("GPU_SIM_FAULT_RATE") {
+        Err(_) => 0.2,
+        Ok(v) => match v.trim().parse::<f64>() {
+            Ok(rate) if (0.0..=1.0).contains(&rate) => rate,
+            _ => {
+                eprintln!("bad GPU_SIM_FAULT_RATE value `{v}` (expected a number in [0, 1])");
+                return ExitCode::from(2);
+            }
+        },
+    };
     let mut failures = 0u32;
     for name in proto_core::backends::PAPER_BACKENDS {
         let (clean_rows, clean_rev, _) = run_pair(name, 0.0);

@@ -1,7 +1,6 @@
 //! `gpu_lint` — replay experiments on tracing backends and statically
-//! analyze every artifact: device traces (buffer lifetimes, stream
-//! ordering), the grid's scheduler plan, and representative compiled
-//! Programs.
+//! analyze every artifact: device traces (buffer lifetimes), the grid's
+//! scheduler plan, and representative compiled Programs.
 //!
 //! ```text
 //! gpu_lint [EXPERIMENT ...] [--deny-warnings] [--timeline]
@@ -132,7 +131,7 @@ fn main() {
             }
             if dump && !report.is_clean() {
                 for (i, e) in cell.trace.iter().enumerate() {
-                    println!("#{i}: s{} {}", e.stream, e.kind.label());
+                    println!("#{i}: {}", e.kind.label());
                 }
             }
             reports.push(report);

@@ -44,7 +44,7 @@ use crate::sched::Part;
 
 /// E13 part — one backend's resident (x=0) and transfer-inclusive (x=1)
 /// Q6 samples.
-pub fn e13_part(b: &dyn GpuBackend, sf: f64) -> Vec<Sample> {
+pub(crate) fn e13_part(b: &dyn GpuBackend, sf: f64) -> Vec<Sample> {
     use tpch::queries::q6::Q6Data;
     let db = tpch::cached(sf);
     let mut out = Vec::new();
@@ -89,7 +89,7 @@ pub fn e13_part(b: &dyn GpuBackend, sf: f64) -> Vec<Sample> {
 }
 
 /// E14 part — one backend's grouped SUM+COUNT samples across `sizes`.
-pub fn e14_part(b: &dyn GpuBackend, sizes: &[usize]) -> Part {
+pub(crate) fn e14_part(b: &dyn GpuBackend, sizes: &[usize]) -> Part {
     let mut part = Part::new();
     for &n in sizes {
         let keys = workload::cache::zipf_keys(n, 64, 0.5, workload::SEED);
@@ -116,7 +116,7 @@ pub fn e14_part(b: &dyn GpuBackend, sizes: &[usize]) -> Part {
 /// selectivity: (early) select → gather both columns → product → reduce,
 /// then (late) product over the full columns → gather the products →
 /// reduce. x = selectivity in permille.
-pub fn a4_part(b: &dyn GpuBackend, n: usize, selectivities: &[f64]) -> Vec<Sample> {
+pub(crate) fn a4_part(b: &dyn GpuBackend, n: usize, selectivities: &[f64]) -> Vec<Sample> {
     let mut out = Vec::new();
     let a_vals = workload::cache::uniform_f64(n, workload::SEED ^ 40);
     let b_vals = workload::cache::uniform_f64(n, workload::SEED ^ 41);
@@ -177,7 +177,7 @@ pub fn a4_part(b: &dyn GpuBackend, n: usize, selectivities: &[f64]) -> Vec<Sampl
 /// backoff, all charged to the simulated clock.
 ///
 /// [`ResilientBackend`]: proto_core::resilient::ResilientBackend
-pub fn e17_cell_on(b: &dyn GpuBackend, sf: f64, permille: u64) -> (Sample, f64, u64) {
+pub(crate) fn e17_cell_on(b: &dyn GpuBackend, sf: f64, permille: u64) -> (Sample, f64, u64) {
     use tpch::queries::q6::Q6Data;
     let db = tpch::cached(sf);
     let dev = b.device();
@@ -208,7 +208,7 @@ pub fn e17_cell_on(b: &dyn GpuBackend, sf: f64, permille: u64) -> (Sample, f64, 
 /// fault rates per backend (retried operators re-execute identically —
 /// backends differ from each other only by float summation order), and a
 /// sweep over nonzero rates must actually observe faults.
-pub fn e17_assemble(rates_permille: &[u64], cells: Vec<(Sample, f64, u64)>) -> Experiment {
+pub(crate) fn e17_assemble(rates_permille: &[u64], cells: Vec<(Sample, f64, u64)>) -> Experiment {
     let mut exp = Experiment::new(
         "E17",
         "Q6 under injected transient faults (resilient execution)",
@@ -233,7 +233,7 @@ pub fn e17_assemble(rates_permille: &[u64], cells: Vec<(Sample, f64, u64)>) -> E
 /// Default row-count sweep for E20 — spans the fused-kernel break-even
 /// (the planner's `DEFAULT_FUSION_THRESHOLD` of 25K rows sits between
 /// 2^14 and 2^15).
-pub fn e20_default_sizes() -> Vec<usize> {
+pub(crate) fn e20_default_sizes() -> Vec<usize> {
     vec![1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20]
 }
 
@@ -245,7 +245,7 @@ pub fn e20_default_sizes() -> Vec<usize> {
 /// [`proto_core::physical::Step::FusedFilterAgg`] kernel. The `key`
 /// column is `u32` and read mask-only, so the fused kernels consume it
 /// natively (no f64 round-trip).
-pub fn e20_logical_plan(threshold: f64) -> proto_core::logical::LogicalPlan {
+pub(crate) fn e20_logical_plan(threshold: f64) -> proto_core::logical::LogicalPlan {
     use proto_core::logical::{AggExpr, ColumnDecl, LogicalPlan};
     use proto_core::plan::{Expr, Predicate};
     LogicalPlan::scan(
@@ -279,7 +279,7 @@ pub fn e20_logical_plan(threshold: f64) -> proto_core::logical::LogicalPlan {
 /// threshold 0, so the single-pass kernel dispatches at every size.
 /// Both compilations execute against the same device columns and their
 /// answers are asserted bit-identical — fusion is a pure cost knob.
-pub fn e20_part(b: &dyn GpuBackend, sizes: &[usize]) -> Part {
+pub(crate) fn e20_part(b: &dyn GpuBackend, sizes: &[usize]) -> Part {
     use proto_core::optimizer::{plan_with, FusionPolicy, PlannerOptions};
     use proto_core::physical::{PlanBindings, Step};
     let mut part = Part::new();
@@ -333,18 +333,18 @@ pub fn e20_part(b: &dyn GpuBackend, sizes: &[usize]) -> Part {
 }
 
 /// Default row-count sweep for E21's fused-vs-composed accuracy cells.
-pub fn e21_default_sizes() -> Vec<usize> {
+pub(crate) fn e21_default_sizes() -> Vec<usize> {
     vec![1 << 12, 1 << 14, 1 << 16, 1 << 18]
 }
 
 /// Default probe-side row counts for E21's join-algorithm cells.
-pub fn e21_default_join_sizes() -> Vec<usize> {
+pub(crate) fn e21_default_join_sizes() -> Vec<usize> {
     vec![1 << 10, 1 << 12, 1 << 14]
 }
 
 /// Stated relative error band of the cost model: every E21 cell's
 /// predicted cold and warm totals must land within this fraction of the
-/// simulated measurement (asserted by [`e21_assemble`], tabulated in
+/// simulated measurement (asserted by `e21_assemble`, tabulated in
 /// EXPERIMENTS.md). The symbolic walk reproduces the simulator's charge
 /// sequences exactly, so the only residual is cardinality estimation —
 /// observed worst-case ≈0.5% across the default grid; 5% leaves margin
@@ -383,7 +383,7 @@ fn e21_predicted(label: String, x: u64, report: &proto_core::costing::CostReport
 /// rows under one dispatch (`fused` pins the threshold to always-fused;
 /// otherwise the composed chain), returning the measured sample
 /// (`"{name}/{tag}"`) and its prediction (`"{name}/{tag}/pred"`).
-pub fn e21_fusion_cell_on(b: &dyn GpuBackend, n: usize, fused: bool) -> (Sample, Sample) {
+pub(crate) fn e21_fusion_cell_on(b: &dyn GpuBackend, n: usize, fused: bool) -> (Sample, Sample) {
     use proto_core::costing::{CostModel, TableStats};
     use proto_core::optimizer::{plan_with, FusionPolicy, PlannerOptions};
     use proto_core::physical::PlanBindings;
@@ -429,7 +429,7 @@ pub fn e21_fusion_cell_on(b: &dyn GpuBackend, n: usize, fused: bool) -> (Sample,
 /// The E21 join query: a foreign-key fact→dim join carrying one
 /// probe-side payload into a scalar sum — the smallest plan whose cost
 /// varies across all three Table-II join algorithms.
-pub fn e21_join_plan() -> proto_core::logical::LogicalPlan {
+pub(crate) fn e21_join_plan() -> proto_core::logical::LogicalPlan {
     use proto_core::logical::{AggExpr, ColumnDecl, JoinCol, LogicalPlan};
     use proto_core::plan::Expr;
     LogicalPlan::join(
@@ -445,7 +445,11 @@ pub fn e21_join_plan() -> proto_core::logical::LogicalPlan {
 /// One E21 join cell on the fresh backend `b` (the grid uses
 /// Handwritten, the one backend implementing every algorithm): the FK
 /// join at `outer` probe rows (dim = outer/4) forced through `algo`.
-pub fn e21_join_cell_on(b: &dyn GpuBackend, outer: usize, algo: JoinAlgo) -> (Sample, Sample) {
+pub(crate) fn e21_join_cell_on(
+    b: &dyn GpuBackend,
+    outer: usize,
+    algo: JoinAlgo,
+) -> (Sample, Sample) {
     use proto_core::costing::{CostModel, TableStats};
     use proto_core::optimizer::{plan_with_algo, PlannerOptions};
     use proto_core::physical::PlanBindings;
@@ -500,7 +504,10 @@ pub fn e21_join_cell_on(b: &dyn GpuBackend, outer: usize, algo: JoinAlgo) -> (Sa
 /// `fusion` arrives as `[composed, fused]` pairs per (size, backend);
 /// `join` in [`E21_JOIN_ALGOS`] order per probe size — the orders the
 /// costed planner enumerates candidates in, so ties break identically.
-pub fn e21_assemble(fusion: Vec<(Sample, Sample)>, join: Vec<(Sample, Sample)>) -> Experiment {
+pub(crate) fn e21_assemble(
+    fusion: Vec<(Sample, Sample)>,
+    join: Vec<(Sample, Sample)>,
+) -> Experiment {
     let mut exp = Experiment::new(
         "E21",
         "Cost-model calibration: predicted vs. simulated, and the costed planner's picks",
@@ -573,7 +580,7 @@ pub const E19_MODES: [&str; 3] = ["retry", "partition", "fallback"];
 /// granularity: completed steps are checkpointed and never recomputed,
 /// OOM escalates to partitioned re-execution, and a dead lane hands its
 /// checkpoints to a replica.
-pub fn e19_cell_on(
+pub(crate) fn e19_cell_on(
     b: &dyn GpuBackend,
     spare: Option<&dyn GpuBackend>,
     sf: f64,
@@ -665,7 +672,10 @@ fn recovery_count(b: &dyn GpuBackend, spare: Option<&dyn GpuBackend>) -> u64 {
 /// its chunking — and thus its float summation order — does not depend
 /// on the fault rate), and a sweep over nonzero rates must observe at
 /// least one recovery action.
-pub fn e19_assemble(rates_permille: &[u64], cells: Vec<(Sample, Vec<Q1Row>, u64)>) -> Experiment {
+pub(crate) fn e19_assemble(
+    rates_permille: &[u64],
+    cells: Vec<(Sample, Vec<Q1Row>, u64)>,
+) -> Experiment {
     let mut exp = Experiment::new(
         "E19",
         "Q1 plan-level recovery (retry / partition / fallback) under injected faults",

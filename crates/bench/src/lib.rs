@@ -36,7 +36,7 @@ pub fn paper_framework() -> Framework {
 }
 
 /// Default row-count sweep for scaling figures: 2^16 … 2^22.
-pub fn default_sizes() -> Vec<usize> {
+pub(crate) fn default_sizes() -> Vec<usize> {
     vec![1 << 16, 1 << 18, 1 << 20, 1 << 22]
 }
 

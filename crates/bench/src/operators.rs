@@ -5,7 +5,7 @@
 //! the original serial sweep executed. Nothing here runs them: a row of
 //! [`crate::experiments::TABLE`] pairs each part with the experiment's
 //! title, axis and merge order (or, for the five-table E7 panel, with
-//! [`e7_assemble`]), which puts the parts back into the serial emission
+//! `e7_assemble`), which puts the parts back into the serial emission
 //! order — the output is byte-identical to the historical nested loops —
 //! and the parallel grid (`crate::grid`, each part an independent job on
 //! its backend's lane), the lint replay (`crate::traced`) and
@@ -21,7 +21,7 @@ use proto_core::workload;
 use crate::sched::{merge_x_major, Part};
 
 /// E3 part — one backend's selection-scaling samples, one per size.
-pub fn e3_part(b: &dyn GpuBackend, sizes: &[usize]) -> Part {
+pub(crate) fn e3_part(b: &dyn GpuBackend, sizes: &[usize]) -> Part {
     let mut part = Part::new();
     for &n in sizes {
         let (col, thr) = workload::cache::selectivity_column(n, 0.5, workload::SEED);
@@ -39,7 +39,7 @@ pub fn e3_part(b: &dyn GpuBackend, sizes: &[usize]) -> Part {
 
 /// E4 part — one backend's selectivity-sweep samples, one per
 /// selectivity; `x` is the selectivity in permille (500 = 50%).
-pub fn e4_part(b: &dyn GpuBackend, n: usize, selectivities: &[f64]) -> Part {
+pub(crate) fn e4_part(b: &dyn GpuBackend, n: usize, selectivities: &[f64]) -> Part {
     let mut part = Part::new();
     for &sel in selectivities {
         let (col, thr) = workload::cache::selectivity_column(n, sel, workload::SEED);
@@ -57,7 +57,7 @@ pub fn e4_part(b: &dyn GpuBackend, n: usize, selectivities: &[f64]) -> Part {
 }
 
 /// E5 part — one backend's sort (or sort-by-key) samples, one per size.
-pub fn e5_part(b: &dyn GpuBackend, sizes: &[usize], by_key: bool) -> Part {
+pub(crate) fn e5_part(b: &dyn GpuBackend, sizes: &[usize], by_key: bool) -> Part {
     let mut part = Part::new();
     for &n in sizes {
         let keys = workload::cache::uniform_u32(n, u32::MAX, workload::SEED);
@@ -87,7 +87,7 @@ pub fn e5_part(b: &dyn GpuBackend, sizes: &[usize], by_key: bool) -> Part {
 }
 
 /// E6 part — one backend's grouped-aggregation samples, one per group count.
-pub fn e6_part(b: &dyn GpuBackend, n: usize, group_counts: &[usize]) -> Part {
+pub(crate) fn e6_part(b: &dyn GpuBackend, n: usize, group_counts: &[usize]) -> Part {
     let vals = workload::cache::uniform_f64(n, workload::SEED ^ 2);
     let mut part = Part::new();
     for &g in group_counts {
@@ -109,7 +109,7 @@ pub fn e6_part(b: &dyn GpuBackend, n: usize, group_counts: &[usize]) -> Part {
 
 /// E7 part — one backend's primitive-panel samples: per size, one sample
 /// for each of [reduction, prefix sum, gather, scatter, product].
-pub fn e7_part(b: &dyn GpuBackend, sizes: &[usize]) -> Vec<[proto_core::runner::Sample; 5]> {
+pub(crate) fn e7_part(b: &dyn GpuBackend, sizes: &[usize]) -> Vec<[proto_core::runner::Sample; 5]> {
     let mut rows = Vec::new();
     for &n in sizes {
         let f = workload::cache::uniform_f64(n, workload::SEED ^ 3);
@@ -153,7 +153,7 @@ pub fn e7_part(b: &dyn GpuBackend, sizes: &[usize]) -> Vec<[proto_core::runner::
 }
 
 /// Assemble the five E7 experiments from per-backend parts.
-pub fn e7_assemble(parts: Vec<Vec<[proto_core::runner::Sample; 5]>>) -> Vec<Experiment> {
+pub(crate) fn e7_assemble(parts: Vec<Vec<[proto_core::runner::Sample; 5]>>) -> Vec<Experiment> {
     let titles = [
         ("E7a", "Reduction (SUM) vs. rows"),
         ("E7b", "Prefix sum vs. rows"),
@@ -179,7 +179,7 @@ pub fn e7_assemble(parts: Vec<Vec<[proto_core::runner::Sample; 5]>>) -> Vec<Expe
 
 /// E8 part — one backend's join samples: per size, one sample per
 /// supported algorithm (labelled `backend/algorithm`).
-pub fn e8_part(b: &dyn GpuBackend, sizes: &[usize]) -> Part {
+pub(crate) fn e8_part(b: &dyn GpuBackend, sizes: &[usize]) -> Part {
     let mut part = Part::new();
     for &n in sizes {
         let join = workload::cache::fk_join(n, n, workload::SEED);
@@ -209,7 +209,12 @@ pub fn e8_part(b: &dyn GpuBackend, sizes: &[usize]) -> Part {
 
 /// E9 part — one backend's multi-predicate samples, one per predicate
 /// count.
-pub fn e9_part(b: &dyn GpuBackend, n: usize, pred_counts: &[usize], conn: Connective) -> Part {
+pub(crate) fn e9_part(
+    b: &dyn GpuBackend,
+    n: usize,
+    pred_counts: &[usize],
+    conn: Connective,
+) -> Part {
     let cols: Vec<_> = (0..*pred_counts.iter().max().unwrap_or(&1))
         .map(|i| workload::cache::uniform_u32(n, 1 << 20, workload::SEED ^ (10 + i as u64)))
         .collect();
@@ -250,7 +255,7 @@ type OpThunk<'a> = Box<dyn Fn() -> gpu_sim::Result<()> + 'a>;
 /// (0 = selection, 1 = conjunction·2, 2 = product, 3 = reduction,
 /// 4 = prefix sum, 5 = sort, 6 = sort-by-key, 7 = grouped sum,
 /// 8 = gather, 9 = scatter).
-pub fn e15_part(b: &dyn GpuBackend, n: usize) -> Vec<proto_core::runner::Sample> {
+pub(crate) fn e15_part(b: &dyn GpuBackend, n: usize) -> Vec<proto_core::runner::Sample> {
     let (col, thr) = workload::cache::selectivity_column(n, 0.5, workload::SEED);
     let keys = workload::cache::zipf_keys(n, 256, 0.5, workload::SEED);
     let vals = workload::cache::uniform_f64(n, workload::SEED ^ 50);
@@ -323,19 +328,8 @@ pub fn e15_part(b: &dyn GpuBackend, n: usize) -> Vec<proto_core::runner::Sample>
     out
 }
 
-/// Crossover helper used by tests and EXPERIMENTS.md: at the smallest
-/// size, which backend wins?
-pub fn winner_at(exp: &Experiment, x: u64) -> Option<String> {
-    exp.samples
-        .iter()
-        .filter(|s| s.x == x)
-        .min_by_key(|s| s.nanos)
-        .map(|s| s.backend.clone())
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::experiments::serial;
     use crate::grid::GridConfig;
     use crate::traced::lint_config;
@@ -353,7 +347,12 @@ mod tests {
         assert_eq!(exp.backends().len(), 4);
         // Handwritten single-kernel selection wins at every size.
         for &x in &[1u64 << 12, 1 << 16] {
-            assert_eq!(winner_at(&exp, x).as_deref(), Some("Handwritten"));
+            let winner = exp
+                .samples
+                .iter()
+                .filter(|s| s.x == x)
+                .min_by_key(|s| s.nanos);
+            assert_eq!(winner.unwrap().backend, "Handwritten");
         }
         // Everybody gets slower with more rows.
         for b in exp.backends() {

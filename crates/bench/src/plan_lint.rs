@@ -22,7 +22,7 @@
 //! queries through the resilient plan executor under injected faults
 //! and lints each run's recovery history.
 //!
-//! And the GL6xx resource checker: [`costed_plan_report`] summarizes a
+//! And the GL6xx resource checker: `costed_plan_report` summarizes a
 //! costed plan's estimated peak device bytes into the lint's
 //! [`gpu_lint::CostedPlan`] shape, and [`costed_plan_reports`] prices
 //! all six queries on every backend (the device's own capacity as the
@@ -362,7 +362,7 @@ pub fn query_plan_reports() -> Vec<Report> {
 /// experiment declared and the device it targets. Returns `None` for a
 /// plan compiled without [`proto_core::optimizer::CostingOptions`] —
 /// there is no estimate to check.
-pub fn costed_plan_report(
+pub(crate) fn costed_plan_report(
     plan: &PhysicalPlan,
     mem_budget_bytes: Option<u64>,
     spec: &gpu_sim::DeviceSpec,

@@ -54,7 +54,7 @@ impl Rng {
 }
 
 /// A random comparison operator (all six).
-pub fn random_cmp(rng: &mut Rng) -> CmpOp {
+pub(crate) fn random_cmp(rng: &mut Rng) -> CmpOp {
     [
         CmpOp::Lt,
         CmpOp::Le,
@@ -69,7 +69,7 @@ pub fn random_cmp(rng: &mut Rng) -> CmpOp {
 /// comparison mask — the shapes `fuse_expr_rel` and `lower_arith` both
 /// accept (column±column sums are unsupported unfused, so the grammar
 /// never emits them).
-pub fn random_factor(rng: &mut Rng) -> Expr {
+pub(crate) fn random_factor(rng: &mut Rng) -> Expr {
     let col = F64_COLS[rng.pick(F64_COLS.len())];
     match rng.pick(4) {
         0 => Expr::col(col),
@@ -89,7 +89,7 @@ pub fn random_expr(rng: &mut Rng) -> Expr {
 }
 
 /// 1–3 conjunctive literal predicates over the key and value columns.
-pub fn random_predicate(rng: &mut Rng, key_domain: u32) -> Predicate {
+pub(crate) fn random_predicate(rng: &mut Rng, key_domain: u32) -> Predicate {
     let mut conjs = vec![Predicate::cmp(
         "t.key",
         [CmpOp::Lt, CmpOp::Ge][rng.pick(2)],

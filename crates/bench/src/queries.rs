@@ -16,7 +16,7 @@ use tpch::Database;
 use crate::sched::{merge_x_major, Part};
 
 /// Scale factors (×1000, for integer x-axes) the query experiments sweep.
-pub fn default_scale_factors() -> Vec<f64> {
+pub(crate) fn default_scale_factors() -> Vec<f64> {
     vec![0.001, 0.005, 0.01]
 }
 
@@ -25,7 +25,7 @@ fn sf_x(sf: f64) -> u64 {
 }
 
 /// E10 part — one backend's Q6 samples, one per scale factor.
-pub fn e10_part(b: &dyn GpuBackend, sfs: &[f64]) -> Part {
+pub(crate) fn e10_part(b: &dyn GpuBackend, sfs: &[f64]) -> Part {
     let mut part = Part::new();
     for &sf in sfs {
         let db = tpch::cached(sf);
@@ -38,7 +38,7 @@ pub fn e10_part(b: &dyn GpuBackend, sfs: &[f64]) -> Part {
 }
 
 /// E11 part — one backend's Q1 samples, one per scale factor.
-pub fn e11_part(b: &dyn GpuBackend, sfs: &[f64]) -> Part {
+pub(crate) fn e11_part(b: &dyn GpuBackend, sfs: &[f64]) -> Part {
     let mut part = Part::new();
     for &sf in sfs {
         let db = tpch::cached(sf);
@@ -53,7 +53,7 @@ pub fn e11_part(b: &dyn GpuBackend, sfs: &[f64]) -> Part {
 /// E12 part — one backend's samples for the four join-bearing queries,
 /// as `[Q3, Q4, Q14, Q5]` parts. Join-incapable backends contribute
 /// empty parts (they are skipped entirely, as in the serial sweep).
-pub fn e12_part(b: &dyn GpuBackend, sfs: &[f64]) -> [Part; 4] {
+pub(crate) fn e12_part(b: &dyn GpuBackend, sfs: &[f64]) -> [Part; 4] {
     let mut parts: [Part; 4] = Default::default();
     if !tpch::queries::can_join(b) {
         return parts;
@@ -81,7 +81,7 @@ pub fn e12_part(b: &dyn GpuBackend, sfs: &[f64]) -> [Part; 4] {
 }
 
 /// Assemble the four E12 experiments from per-backend parts.
-pub fn e12_assemble(parts: Vec<[Part; 4]>) -> Vec<Experiment> {
+pub(crate) fn e12_assemble(parts: Vec<[Part; 4]>) -> Vec<Experiment> {
     let titles = [
         ("E12a", "TPC-H Q3 runtime vs. scale factor (x = SF·1000)"),
         ("E12b", "TPC-H Q4 runtime vs. scale factor (x = SF·1000)"),
@@ -101,7 +101,7 @@ pub fn e12_assemble(parts: Vec<[Part; 4]>) -> Vec<Experiment> {
 
 /// Validate one backend's query answers against the host reference —
 /// the per-backend body of [`validate_all`].
-pub fn validate_backend(b: &dyn GpuBackend, db: &Database) -> Result<(), String> {
+pub(crate) fn validate_backend(b: &dyn GpuBackend, db: &Database) -> Result<(), String> {
     let r6 = q6::reference(db);
     let r1 = q1::reference(db);
     let r3 = q3::reference(db);

@@ -32,7 +32,7 @@ pub type Part = Vec<Vec<Sample>>;
 /// sweep step outermost, backends (part order) within a step. Parts may
 /// have fewer steps than the widest part (a backend that skips an
 /// experiment contributes an empty part).
-pub fn merge_x_major(parts: Vec<Part>) -> Vec<Sample> {
+pub(crate) fn merge_x_major(parts: Vec<Part>) -> Vec<Sample> {
     let steps = parts.iter().map(Vec::len).max().unwrap_or(0);
     let mut out = Vec::new();
     for step in 0..steps {
@@ -47,26 +47,42 @@ pub fn merge_x_major(parts: Vec<Part>) -> Vec<Sample> {
 
 /// Concatenate per-backend sample lists in backend order (experiments
 /// whose serial loop is backend-outermost: E13, E15, A1, A3).
-pub fn merge_backend_major(parts: Vec<Vec<Sample>>) -> Vec<Sample> {
+pub(crate) fn merge_backend_major(parts: Vec<Vec<Sample>>) -> Vec<Sample> {
     parts.into_iter().flatten().collect()
 }
 
-/// The worker count for the grid: `--jobs N` from `args`, else the
-/// `GPU_SIM_HOST_JOBS` environment variable, else every available core.
+/// The worker count for the grid: `--jobs N` / `-j N` on the command
+/// line, else the `GPU_SIM_HOST_JOBS` environment variable, else every
+/// available core. A value that is not a positive integer is one line on
+/// stderr and exit code 2 — never a silent run on every core.
 pub fn jobs_from_args() -> usize {
     let args: Vec<String> = std::env::args().collect();
-    let from_flag = args
-        .iter()
-        .position(|a| a == "--jobs" || a == "-j")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok());
-    let from_env = std::env::var("GPU_SIM_HOST_JOBS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok());
-    from_flag
-        .or(from_env)
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    let env = std::env::var("GPU_SIM_HOST_JOBS").ok();
+    match parse_jobs(&args, env.as_deref()) {
+        Ok(Some(jobs)) => jobs,
+        Ok(None) => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        Err(msg) => {
+            eprintln!("{msg}");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// The requested worker count, `None` when neither the flag nor the
+/// variable is given; the flag wins over the variable.
+fn parse_jobs(args: &[String], env: Option<&str>) -> Result<Option<usize>, String> {
+    let flag = args.iter().position(|a| a == "--jobs" || a == "-j");
+    let (what, value) = match (flag, env) {
+        (Some(i), _) => (args[i].as_str(), args.get(i + 1).map_or("", String::as_str)),
+        (None, Some(value)) => ("GPU_SIM_HOST_JOBS", value),
+        (None, None) => return Ok(None),
+    };
+    match value.trim().parse::<usize>() {
+        Ok(jobs) if jobs > 0 => Ok(Some(jobs)),
+        _ => Err(format!(
+            "bad {what} value `{value}` (expected a positive integer)"
+        )),
+    }
 }
 
 type TaskFn = Box<dyn FnOnce() + Send>;
@@ -141,7 +157,7 @@ impl Plan {
     /// device, so each one must chain on the lane's previous task. The tag
     /// only feeds [`Plan::spec`] (where `gpu-lint` checks that invariant);
     /// scheduling behaviour is identical to [`Plan::add`].
-    pub fn add_on(
+    pub(crate) fn add_on(
         &mut self,
         lane: &str,
         after: Option<usize>,

@@ -50,7 +50,8 @@ impl Context {
     }
 
     /// Number of programs currently cached.
-    pub fn cached_programs(&self) -> usize {
+    #[cfg(test)]
+    fn cached_programs(&self) -> usize {
         self.program_cache.lock().len()
     }
 }

@@ -269,7 +269,7 @@ impl<S> Slab<S> {
     }
 
     /// Run `f` with two stored values.
-    pub fn with2<R>(&self, a: u64, b: u64, f: impl FnOnce(&S, &S) -> R) -> Result<R> {
+    pub(crate) fn with2<R>(&self, a: u64, b: u64, f: impl FnOnce(&S, &S) -> R) -> Result<R> {
         if a == b {
             return self.with(a, |v| f(v, v));
         }
@@ -286,7 +286,7 @@ impl<S> Slab<S> {
     /// Run `f` with shared views of many stored values at once (fused
     /// kernels zip several input columns into one launch). Duplicate
     /// ids are allowed and resolve to the same view.
-    pub fn with_many<R>(&self, ids: &[u64], f: impl FnOnce(&[&S]) -> R) -> Result<R> {
+    pub(crate) fn with_many<R>(&self, ids: &[u64], f: impl FnOnce(&[&S]) -> R) -> Result<R> {
         let map = self.map.lock();
         let mut views = Vec::with_capacity(ids.len());
         for id in ids {

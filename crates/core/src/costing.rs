@@ -37,7 +37,7 @@
 //! Cardinality flows forward through the step list: base columns take
 //! their row counts from [`TableStats`], selections multiply in
 //! per-column selectivity overrides (falling back to
-//! [`cmp_selectivity`]'s System-R estimates), joins assume one match
+//! `cmp_selectivity`'s System-R estimates), joins assume one match
 //! per probe row (the foreign-key shape every TPC-H join here has), and
 //! aggregations collapse to a bounded group-count estimate.
 
@@ -47,7 +47,6 @@ use std::fmt::Write as _;
 use crate::fused::{FusedExpr, FusedPred};
 use crate::ops::{CmpOp, Connective, JoinAlgo};
 use crate::physical::{ColRef, PhysicalPlan, PlanPred, SlotKind, Step};
-use crate::plan::Predicate;
 use gpu_sim::presets;
 use gpu_sim::transfer::{transfer_time, Direction};
 use gpu_sim::{AccessPattern, DeviceSpec, KernelCost, LaunchApi, POOL_HIT_NS};
@@ -96,11 +95,6 @@ impl TableStats {
         self
     }
 
-    /// Declare `table` as holding `rows` rows.
-    pub fn set_rows(&mut self, table: &str, rows: usize) {
-        self.rows.insert(table.to_string(), rows);
-    }
-
     /// Declared row count of `table`, if any.
     pub fn rows(&self, table: &str) -> Option<usize> {
         self.rows.get(table).copied()
@@ -108,12 +102,12 @@ impl TableStats {
 
     /// Declared selectivity override for the qualified `table.column`,
     /// if any.
-    pub fn selectivity_of(&self, qualified: &str) -> Option<f64> {
+    pub(crate) fn selectivity_of(&self, qualified: &str) -> Option<f64> {
         self.selectivities.get(qualified).copied()
     }
 
     /// Row count behind a qualified `table.column` operand name.
-    pub fn rows_of_column(&self, qualified: &str) -> usize {
+    pub(crate) fn rows_of_column(&self, qualified: &str) -> usize {
         let table = qualified.split('.').next().unwrap_or(qualified);
         self.rows(table).unwrap_or(DEFAULT_TABLE_ROWS)
     }
@@ -122,39 +116,12 @@ impl TableStats {
 /// Textbook selectivity estimate of `column CMP literal` (System R's
 /// magic numbers): range predicates keep a third, equality is
 /// selective, inequality is not.
-pub fn cmp_selectivity(cmp: CmpOp) -> f64 {
+pub(crate) fn cmp_selectivity(cmp: CmpOp) -> f64 {
     match cmp {
         CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge => 1.0 / 3.0,
         CmpOp::Eq => 0.05,
         CmpOp::Ne => 0.95,
     }
-}
-
-/// Selectivity estimate of a logical predicate tree: independence for
-/// AND, inclusion-exclusion for OR. Leaf predicates over columns with a
-/// [`TableStats::with_selectivity`] override use the declared fraction.
-pub fn predicate_selectivity_with(stats: &TableStats, pred: &Predicate) -> f64 {
-    match pred {
-        Predicate::Cmp(col, cmp, _) => stats
-            .selectivity_of(col)
-            .unwrap_or_else(|| cmp_selectivity(*cmp)),
-        Predicate::ColCmp(_, cmp, _) => cmp_selectivity(*cmp),
-        Predicate::And(ps) => ps
-            .iter()
-            .map(|p| predicate_selectivity_with(stats, p))
-            .product(),
-        Predicate::Or(ps) => {
-            1.0 - ps
-                .iter()
-                .map(|p| 1.0 - predicate_selectivity_with(stats, p))
-                .product::<f64>()
-        }
-    }
-}
-
-/// [`predicate_selectivity_with`] under empty stats (pure System-R).
-pub fn predicate_selectivity(pred: &Predicate) -> f64 {
-    predicate_selectivity_with(&TableStats::new(), pred)
 }
 
 /// Which JIT/allocator caches the coster assumes populated — the knob
@@ -1546,26 +1513,6 @@ mod tests {
     #[test]
     fn selectivities_are_sane() {
         assert!(cmp_selectivity(CmpOp::Lt) < cmp_selectivity(CmpOp::Ne));
-        let p = Predicate::And(vec![
-            Predicate::cmp("x", CmpOp::Lt, 1.0),
-            Predicate::cmp("y", CmpOp::Lt, 1.0),
-        ]);
-        let s = predicate_selectivity(&p);
-        assert!(s > 0.0 && s < cmp_selectivity(CmpOp::Lt));
-        let o = predicate_selectivity(&Predicate::Or(vec![
-            Predicate::cmp("x", CmpOp::Lt, 1.0),
-            Predicate::cmp("y", CmpOp::Lt, 1.0),
-        ]));
-        assert!(o > cmp_selectivity(CmpOp::Lt) && o < 1.0);
-    }
-
-    #[test]
-    fn selectivity_overrides_replace_the_magic_numbers() {
-        let stats = TableStats::new().with_selectivity("t.key", 0.5);
-        let p = Predicate::cmp("t.key", CmpOp::Lt, 100.0);
-        assert_eq!(predicate_selectivity_with(&stats, &p), 0.5);
-        let q = Predicate::cmp("t.other", CmpOp::Lt, 100.0);
-        assert_eq!(predicate_selectivity_with(&stats, &q), 1.0 / 3.0);
         // Overrides clamp to a valid probability.
         let wild = TableStats::new().with_selectivity("t.key", 7.0);
         assert_eq!(wild.selectivity_of("t.key"), Some(1.0));

@@ -24,7 +24,7 @@
 //! iterator (Thrust / Boost.Compute), or the lazy JIT DAG (ArrayFire).
 //!
 //! The composed forms are also exposed as free functions
-//! ([`composed_map`] / [`composed_filter_agg`]) — the physical executor
+//! (`composed_map` / `composed_filter_agg`) — the physical executor
 //! routes *small* inputs through them (the size-adaptive threshold
 //! dispatch; see `DESIGN.md` §8 and the E20 calibration bench), since
 //! below the break-even the fused single pass loses to the pipelined
@@ -84,7 +84,7 @@ impl FusedExpr {
     /// Largest input index referenced, or `None` for a constant-free
     /// leafless expression (impossible today — every variant bottoms out
     /// in `Col`).
-    pub fn max_input(&self) -> Option<usize> {
+    fn max_input(&self) -> Option<usize> {
         match self {
             FusedExpr::Col(i) => Some(*i),
             FusedExpr::Affine { input, .. } | FusedExpr::Mask { input, .. } => input.max_input(),
@@ -96,7 +96,7 @@ impl FusedExpr {
     }
 
     /// Collect every input index read, in first-use order.
-    pub fn collect_inputs(&self, out: &mut Vec<usize>) {
+    pub(crate) fn collect_inputs(&self, out: &mut Vec<usize>) {
         match self {
             FusedExpr::Col(i) => {
                 if !out.contains(i) {
@@ -226,7 +226,7 @@ pub struct FusedPred {
 impl FusedPred {
     /// The predicate over `lanes`, a fused step's input columns read in
     /// place.
-    pub fn row_pred<'a>(&self, lanes: &[Lane<'a>]) -> RowPred<'a> {
+    pub(crate) fn row_pred<'a>(&self, lanes: &[Lane<'a>]) -> RowPred<'a> {
         RowPred {
             col: lanes[self.input],
             cmp: self.cmp.into(),
@@ -250,7 +250,7 @@ fn input<'a>(inputs: &[&'a Col], i: usize) -> Result<&'a Col> {
 /// `affine`/`product` dtype rule — gpu-lint GL405). Returns the row
 /// count. Backend overrides call this before touching device storage so
 /// fused and composed dispatch reject exactly the same plans.
-pub fn check_fused_inputs(
+pub(crate) fn check_fused_inputs(
     backend: &'static str,
     inputs: &[&Col],
     preds: &[FusedPred],
@@ -432,13 +432,13 @@ pub(crate) fn composed_filter_agg_impl<B: GpuBackend + ?Sized>(
 
 /// The composed (unfused) map realisation over a trait object — the
 /// physical executor's below-threshold dispatch target.
-pub fn composed_map(b: &dyn GpuBackend, inputs: &[&Col], expr: &FusedExpr) -> Result<Col> {
+pub(crate) fn composed_map(b: &dyn GpuBackend, inputs: &[&Col], expr: &FusedExpr) -> Result<Col> {
     composed_map_impl(b, inputs, expr)
 }
 
 /// The composed (unfused) filter+aggregate realisation over a trait
 /// object — the physical executor's below-threshold dispatch target.
-pub fn composed_filter_agg(
+pub(crate) fn composed_filter_agg(
     b: &dyn GpuBackend,
     inputs: &[&Col],
     preds: &[FusedPred],

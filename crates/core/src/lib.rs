@@ -75,9 +75,9 @@ pub mod prelude {
     pub use crate::optimizer::{
         CostingOptions, FusionPolicy, PassTrace, PlannerOptions, RewriteCert,
     };
-    pub use crate::physical::{PhysicalPlan, PlanBindings, PlanOutput, PlanValue, Step};
+    pub use crate::physical::{PhysicalPlan, PlanBindings, PlanOutput, Step};
     pub use crate::plan::{Agg, AggQuery, Bindings, Expr, Predicate, QueryResult};
-    pub use crate::resilient::{ResilientBackend, ResilientExecutor, RetryPolicy};
+    pub use crate::resilient::{ResilientBackend, RetryPolicy};
     pub use crate::resilient_plan::{
         PartitionSource, PlanLane, PlanRecovery, RecoveryEvent, RecoveryEventKind, RecoveryLog,
         ResilientPlanExecutor,

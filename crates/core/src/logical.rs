@@ -305,7 +305,7 @@ impl LogicalPlan {
     /// Every column name resolvable somewhere in this subtree: the
     /// scans' qualified names plus every join/aggregate output name.
     /// Predicate pushdown routes conjuncts by membership in this set.
-    pub fn deep_columns(&self) -> BTreeSet<String> {
+    pub(crate) fn deep_columns(&self) -> BTreeSet<String> {
         let mut out = BTreeSet::new();
         self.collect_deep_columns(&mut out);
         out

@@ -91,7 +91,7 @@ pub enum Support {
 
 impl Support {
     /// Table II glyph.
-    pub fn glyph(self) -> &'static str {
+    pub(crate) fn glyph(self) -> &'static str {
         match self {
             Support::Full => "+",
             Support::Partial => "~",

@@ -4,10 +4,10 @@
 //! Compilation runs in two stages:
 //!
 //! 1. **Optimize** ([`optimize`] / [`optimize_traced`]) — backend-free,
-//!    rule-based rewrites: [`predicate_pushdown`] sinks filter conjuncts
+//!    rule-based rewrites: `predicate_pushdown` sinks filter conjuncts
 //!    towards their scans (through projects, and into exactly one side
 //!    of a join when every referenced column resolves there), and
-//!    [`projection_pruning`] drops scan columns nothing downstream
+//!    `projection_pruning` drops scan columns nothing downstream
 //!    reads.
 //! 2. **Lower** ([`plan`] / [`plan_with`]) — pick the best supported
 //!    [`JoinAlgo`] (hash > merge > nested loops, erroring with the
@@ -103,12 +103,6 @@ pub struct CostingOptions {
     pub spec: gpu_sim::DeviceSpec,
     /// Base-table row counts for cardinality estimation.
     pub stats: TableStats,
-    /// Cache state the decision metric is evaluated under.
-    /// [`CacheState::Cold`] (the default) optimises the first run on a
-    /// fresh device; [`CacheState::Steady`] reproduces the trade the
-    /// fixed [`DEFAULT_FUSION_THRESHOLD`] encoded; [`CacheState::Warm`]
-    /// optimises a repeated query.
-    pub cache_state: CacheState,
 }
 
 impl CostingOptions {
@@ -118,14 +112,7 @@ impl CostingOptions {
         CostingOptions {
             spec: spec.clone(),
             stats,
-            cache_state: CacheState::Cold,
         }
-    }
-
-    /// Builder: decide under `state` instead of [`CacheState::Cold`].
-    pub fn with_cache_state(mut self, state: CacheState) -> Self {
-        self.cache_state = state;
-        self
     }
 }
 
@@ -345,7 +332,7 @@ pub fn optimize_traced(plan: &LogicalPlan) -> (LogicalPlan, Vec<PassTrace>) {
 /// single join side whose scope covers them; conjuncts naming a join's
 /// own output columns (or spanning both sides) re-materialise as a
 /// `Filter` right above the node that produces those names.
-pub fn predicate_pushdown(plan: &LogicalPlan) -> LogicalPlan {
+pub(crate) fn predicate_pushdown(plan: &LogicalPlan) -> LogicalPlan {
     push(plan, Vec::new())
 }
 
@@ -464,7 +451,7 @@ fn push(plan: &LogicalPlan, pending: Vec<Predicate>) -> LogicalPlan {
 
 /// Drop scan columns nothing in the plan references (predicates,
 /// expressions, projections, join keys and sources, group keys).
-pub fn projection_pruning(plan: &LogicalPlan) -> LogicalPlan {
+pub(crate) fn projection_pruning(plan: &LogicalPlan) -> LogicalPlan {
     let mut used = BTreeSet::new();
     collect_used(plan, &mut used);
     prune(plan, &used)
@@ -808,7 +795,7 @@ fn plan_costed(
                 Some(a) => format!("join={a:?}, dispatch={tag}"),
                 None => format!("dispatch={tag}"),
             };
-            let total = report.total_ns(costing.cache_state);
+            let total = report.cold_ns();
             alternatives.push(Alternative {
                 name,
                 cold_ns: report.cold_ns(),

@@ -312,7 +312,7 @@ impl<'a> PlanBindings<'a> {
 
 /// One named result of an executed plan.
 #[derive(Debug, Clone, PartialEq)]
-pub enum PlanValue {
+pub(crate) enum PlanValue {
     /// Scalar aggregate.
     Scalar(f64),
     /// Downloaded `u32` vector (group keys).

@@ -281,13 +281,6 @@ impl<'a> Bindings<'a> {
         Ok(())
     }
 
-    /// Bind an existing device column (takes ownership).
-    pub fn bind_col(&mut self, name: &str, col: Col) -> Result<()> {
-        self.check_len(col.len())?;
-        self.cols.insert(name.to_string(), col);
-        Ok(())
-    }
-
     fn check_len(&mut self, len: usize) -> Result<()> {
         match self.len {
             None => {

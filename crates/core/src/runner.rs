@@ -154,13 +154,6 @@ impl Experiment {
         }
         out
     }
-
-    /// Speedup of `fast` over `slow` at `x` (>1 means `fast` wins).
-    pub fn speedup(&self, fast: &str, slow: &str, x: u64) -> Option<f64> {
-        let f = self.get(fast, x)?;
-        let s = self.get(slow, x)?;
-        Some(s.nanos as f64 / f.nanos as f64)
-    }
 }
 
 /// Pretty-print a simulated duration (re-export convenience).
@@ -215,8 +208,6 @@ mod tests {
         });
         assert_eq!(e.backends(), vec!["A", "B"]);
         assert_eq!(e.xs(), vec![10]);
-        assert_eq!(e.speedup("A", "B", 10), Some(2.0));
-        assert_eq!(e.speedup("A", "missing", 10), None);
         let table = e.render();
         assert!(table.contains("E0"));
         assert!(table.contains("2.000ms"));

@@ -151,7 +151,7 @@ pub const SURVEY: [LibraryEntry; 43] = [
 ];
 
 /// Count surveyed libraries per use case.
-pub fn count_by_use_case() -> Vec<(UseCase, usize)> {
+pub(crate) fn count_by_use_case() -> Vec<(UseCase, usize)> {
     let cases = [
         UseCase::Math,
         UseCase::ImageAndVideo,

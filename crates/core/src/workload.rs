@@ -155,21 +155,23 @@ pub mod cache {
     /// alive through their own `Arc`s, the cache merely forgets them.
     /// Unbounded retention shows up as host page-fault overhead late in
     /// a long run, so the default keeps roughly one experiment's working
-    /// set resident. Override with `GPU_SIM_CACHE_BUDGET_MB` (0 = keep
-    /// everything).
+    /// set resident. Override with `GPU_SIM_CACHE_BUDGET_MB`: whole
+    /// mebibytes, surrounding whitespace ignored, 0 = keep everything; a
+    /// value that is not a non-negative integer falls back to the default
+    /// 128, like an unset variable.
     fn budget_bytes() -> usize {
         static BUDGET: OnceLock<usize> = OnceLock::new();
-        *BUDGET.get_or_init(|| {
-            let mb = std::env::var("GPU_SIM_CACHE_BUDGET_MB")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or(128);
-            if mb == 0 {
-                usize::MAX
-            } else {
-                mb << 20
-            }
-        })
+        *BUDGET
+            .get_or_init(|| parse_budget(std::env::var("GPU_SIM_CACHE_BUDGET_MB").ok().as_deref()))
+    }
+
+    /// [`budget_bytes`] of the variable's raw value.
+    pub(super) fn parse_budget(raw: Option<&str>) -> usize {
+        match raw.and_then(|v| v.trim().parse::<usize>().ok()) {
+            Some(0) => usize::MAX,
+            Some(mb) => mb << 20,
+            None => 128 << 20,
+        }
     }
 
     fn slot(key: Key) -> Slot {
@@ -366,6 +368,16 @@ mod tests {
         assert!(t1 < t2);
         let (plain, thr) = selectivity_column(500, 0.1, SEED);
         assert_eq!((&*c1, t1), (&plain, thr));
+    }
+
+    #[test]
+    fn cache_budget_override_ignores_whitespace_and_falls_back_on_garbage() {
+        assert_eq!(cache::parse_budget(Some("64")), 64 << 20);
+        assert_eq!(cache::parse_budget(Some(" 64\n")), 64 << 20);
+        assert_eq!(cache::parse_budget(Some("0")), usize::MAX);
+        for fallback in [None, Some(""), Some("lots"), Some("-1")] {
+            assert_eq!(cache::parse_budget(fallback), 128 << 20);
+        }
     }
 
     use std::sync::Arc;

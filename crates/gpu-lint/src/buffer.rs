@@ -62,7 +62,7 @@ impl BufState {
 /// Run the lifetime pass over `events` (one `take_trace` window; the
 /// window must contain each analyzed buffer's whole life for the leak
 /// and unknown-free rules to be meaningful).
-pub fn lint_buffers(events: &[TraceEvent]) -> Vec<Diagnostic> {
+pub(crate) fn lint_buffers(events: &[TraceEvent]) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let mut bufs: HashMap<BufferId, BufState> = HashMap::new();
     let has_faults = events.iter().any(|e| matches!(e.kind, TraceKind::Fault(_)));
@@ -173,11 +173,7 @@ pub fn lint_buffers(events: &[TraceEvent]) -> Vec<Diagnostic> {
                     }
                 }
             },
-            TraceKind::Jit(_)
-            | TraceKind::EventRecord { .. }
-            | TraceKind::EventWait { .. }
-            | TraceKind::Fault(_)
-            | TraceKind::Resilience(_) => {}
+            TraceKind::Jit(_) | TraceKind::Fault(_) | TraceKind::Resilience(_) => {}
         }
     }
 

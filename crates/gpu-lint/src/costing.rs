@@ -27,7 +27,7 @@ pub struct CostedPlan {
 
 /// Check a costed plan's estimated peak against its declared budget
 /// (GL601) and the device's physical memory (GL602).
-pub fn lint_costed_plan(plan: &CostedPlan) -> Vec<Diagnostic> {
+pub(crate) fn lint_costed_plan(plan: &CostedPlan) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     if let Some(budget) = plan.mem_budget_bytes {
         if plan.peak_device_bytes > budget {

@@ -5,11 +5,10 @@
 //! `GLxxx` id — ids never change meaning, so CI gates, suppressions and
 //! the hazard-injection tests can match on them across versions. Rule
 //! numbering is grouped by pass family: `GL0xx` buffer lifetimes,
-//! `GL1xx` stream ordering, `GL2xx` compiled Programs, `GL3xx`
-//! scheduler plans, `GL4xx` compiled physical query plans, `GL5xx`
-//! recovery timelines, `GL6xx` costed-plan resource estimates, `GL7xx`
-//! planner translation validation (logical→physical semantic
-//! equivalence).
+//! `GL2xx` compiled Programs, `GL3xx` scheduler plans, `GL4xx` compiled
+//! physical query plans, `GL5xx` recovery timelines, `GL6xx` costed-plan
+//! resource estimates, `GL7xx` planner translation validation
+//! (logical→physical semantic equivalence).
 
 use std::fmt;
 
@@ -33,159 +32,126 @@ impl fmt::Display for Severity {
     }
 }
 
-/// Every rule the analyzer knows, with a stable `GLxxx` id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Rule {
+/// Declares [`Rule`] once: each line is a variant, its stable id and its
+/// fixed severity, so the enum, [`Rule::id`] and [`Rule::severity`]
+/// cannot disagree (and the tests get the full variant list).
+macro_rules! rules {
+    ($($(#[$doc:meta])* $name:ident = $id:literal $sev:ident,)*) => {
+        /// Every rule the analyzer knows, with a stable `GLxxx` id.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum Rule {
+            $($(#[$doc])* $name,)*
+        }
+
+        impl Rule {
+            #[cfg(test)]
+            const ALL: &'static [Rule] = &[$(Rule::$name,)*];
+
+            /// The stable diagnostic id, e.g. `"GL001"`.
+            pub fn id(self) -> &'static str {
+                match self {
+                    $(Rule::$name => $id,)*
+                }
+            }
+
+            /// The rule's fixed severity.
+            pub(crate) fn severity(self) -> Severity {
+                match self {
+                    $(Rule::$name => Severity::$sev,)*
+                }
+            }
+        }
+    };
+}
+
+rules! {
     /// GL001 — access to a buffer after its free.
-    UseAfterFree,
+    UseAfterFree = "GL001" Error,
     /// GL002 — second free of an already-freed buffer.
-    DoubleFree,
+    DoubleFree = "GL002" Error,
     /// GL003 — kernel reads a buffer that was never written.
-    ReadBeforeWrite,
+    ReadBeforeWrite = "GL003" Warning,
     /// GL004 — buffer never freed by the end of the trace.
-    LeakedBuffer,
+    LeakedBuffer = "GL004" Warning,
     /// GL005 — device→host copy of a buffer nothing ever wrote.
-    DeadDeviceToHost,
+    DeadDeviceToHost = "GL005" Warning,
     /// GL006 — host→device upload of a buffer nothing ever read.
-    DeadHostToDevice,
+    DeadHostToDevice = "GL006" Warning,
     /// GL007 — free of a buffer the trace never saw allocated.
-    UnknownFree,
-    /// GL101 — conflicting accesses on concurrent streams without an
-    /// ordering event between them.
-    StreamRace,
-    /// GL102 — wait on an event that was never recorded.
-    WaitUnrecorded,
+    UnknownFree = "GL007" Error,
     /// GL201 — program stack underflows or does not end with exactly
     /// one value.
-    StackImbalance,
+    StackImbalance = "GL201" Error,
     /// GL202 — load of a leaf slot outside the program's leaf table.
-    UnboundLeaf,
+    UnboundLeaf = "GL202" Error,
     /// GL203 — logical operator applied to a non-boolean operand.
-    DtypeMismatch,
+    DtypeMismatch = "GL203" Warning,
     /// GL204 — leaf bound in the table but never loaded (dead
     /// subexpression: its host→f64 conversion is pure waste).
-    DeadLeaf,
+    DeadLeaf = "GL204" Warning,
     /// GL205 — true stack depth exceeds what the executor reserves.
-    StackDepthExceeded,
+    StackDepthExceeded = "GL205" Error,
     /// GL301 — dependency cycle in the plan graph.
-    PlanCycle,
+    PlanCycle = "GL301" Error,
     /// GL302 — tasks sharing a lane without a chain edge ordering them.
-    LaneOrderViolation,
+    LaneOrderViolation = "GL302" Error,
     /// GL303 — dependency on a task id the plan does not contain.
-    OrphanDependency,
+    OrphanDependency = "GL303" Error,
     /// GL401 — device column a physical plan creates but never frees.
-    UnfreedPlanColumn,
+    UnfreedPlanColumn = "GL401" Warning,
     /// GL402 — step operand whose dtype does not match what the call
     /// requires (e.g. `f64` gather indices, `u32` arithmetic input).
-    PlanDtypeMismatch,
+    PlanDtypeMismatch = "GL402" Error,
     /// GL403 — merge join over a key column not known to be sorted.
-    MergeJoinUnsorted,
+    MergeJoinUnsorted = "GL403" Error,
     /// GL404 — step reads or frees a slot that is undefined or already
     /// freed at that point in the plan.
-    PlanUseAfterFree,
+    PlanUseAfterFree = "GL404" Error,
     /// GL405 — a fused step's expression reads a column arithmetically
     /// that does not hold `f64` (the fused-kernel contract
     /// `check_fused_inputs` enforces at run time; mask-only comparisons
     /// may stay native).
-    FusedArithNotF64,
+    FusedArithNotF64 = "GL405" Error,
     /// GL501 — recovery checkpoint of a slot freed earlier in the same
     /// execution attempt: a resume would replay recycled memory.
-    CheckpointAfterFree,
+    CheckpointAfterFree = "GL501" Error,
     /// GL502 — retry policy allows retries but budgets zero backoff
     /// (an immediate retry storm under persistent transients).
-    RetryWithoutBackoff,
+    RetryWithoutBackoff = "GL502" Warning,
     /// GL601 — a costed plan's estimated peak device bytes exceed the
     /// declared memory budget: partitioned execution will engage.
-    CostExceedsMemBudget,
+    CostExceedsMemBudget = "GL601" Warning,
     /// GL602 — a costed plan's estimated peak device bytes exceed the
     /// device's physical memory: it cannot run un-partitioned.
-    CostExceedsDeviceMemory,
+    CostExceedsDeviceMemory = "GL602" Error,
     /// GL701 — a rewrite pass changed the plan's root facts: output
     /// column set, sortedness or nullability no longer match the tree
     /// it replaced (or a certificate needed for checking is missing).
-    TranslationSchemaMismatch,
+    TranslationSchemaMismatch = "GL701" Error,
     /// GL702 — a rewrite pass changed the dtype of a surviving output
     /// column.
-    TranslationDtypeChange,
+    TranslationDtypeChange = "GL702" Error,
     /// GL703 — a rewrite pass moved the plan's root cardinality
     /// interval to one disjoint from the original — row counts the two
     /// trees can produce no longer overlap.
-    TranslationCardinalityViolation,
+    TranslationCardinalityViolation = "GL703" Warning,
     /// GL704 — the rewritten tree's predicate set is not equivalent to
     /// the original's: a pushed/pruned conjunct was dropped, widened or
     /// invented, per the literal-conjunct decision procedure.
-    PredicateNotImplied,
+    PredicateNotImplied = "GL704" Error,
     /// GL705 — a fused kernel (`FusedMap` / `FusedFilterAgg` /
     /// `FilterSumProduct`) does not implement the logical expression
     /// chain its certificate says it replaced, per lifting the fused
     /// program back to `Expr` and seeded sampling.
-    FusedLoweringMismatch,
+    FusedLoweringMismatch = "GL705" Error,
     /// GL706 — the physical plan does not conform to the final logical
     /// tree: output shape (names, order, slot kinds) diverges from the
     /// root aggregate, or the join algorithm is absent/illegal for the
     /// backend per Table II.
-    PlanShapeNonconforming,
+    PlanShapeNonconforming = "GL706" Error,
     /// GL707 — a `Free` kills a device slot that a logical output
     /// column still needs (its download step runs later).
-    FreedLiveOutput,
-}
-
-impl Rule {
-    /// The stable diagnostic id, e.g. `"GL001"`.
-    pub fn id(self) -> &'static str {
-        match self {
-            Rule::UseAfterFree => "GL001",
-            Rule::DoubleFree => "GL002",
-            Rule::ReadBeforeWrite => "GL003",
-            Rule::LeakedBuffer => "GL004",
-            Rule::DeadDeviceToHost => "GL005",
-            Rule::DeadHostToDevice => "GL006",
-            Rule::UnknownFree => "GL007",
-            Rule::StreamRace => "GL101",
-            Rule::WaitUnrecorded => "GL102",
-            Rule::StackImbalance => "GL201",
-            Rule::UnboundLeaf => "GL202",
-            Rule::DtypeMismatch => "GL203",
-            Rule::DeadLeaf => "GL204",
-            Rule::StackDepthExceeded => "GL205",
-            Rule::PlanCycle => "GL301",
-            Rule::LaneOrderViolation => "GL302",
-            Rule::OrphanDependency => "GL303",
-            Rule::UnfreedPlanColumn => "GL401",
-            Rule::PlanDtypeMismatch => "GL402",
-            Rule::MergeJoinUnsorted => "GL403",
-            Rule::PlanUseAfterFree => "GL404",
-            Rule::FusedArithNotF64 => "GL405",
-            Rule::CheckpointAfterFree => "GL501",
-            Rule::RetryWithoutBackoff => "GL502",
-            Rule::CostExceedsMemBudget => "GL601",
-            Rule::CostExceedsDeviceMemory => "GL602",
-            Rule::TranslationSchemaMismatch => "GL701",
-            Rule::TranslationDtypeChange => "GL702",
-            Rule::TranslationCardinalityViolation => "GL703",
-            Rule::PredicateNotImplied => "GL704",
-            Rule::FusedLoweringMismatch => "GL705",
-            Rule::PlanShapeNonconforming => "GL706",
-            Rule::FreedLiveOutput => "GL707",
-        }
-    }
-
-    /// The rule's fixed severity.
-    pub fn severity(self) -> Severity {
-        match self {
-            Rule::ReadBeforeWrite
-            | Rule::LeakedBuffer
-            | Rule::DeadDeviceToHost
-            | Rule::DeadHostToDevice
-            | Rule::DtypeMismatch
-            | Rule::DeadLeaf
-            | Rule::UnfreedPlanColumn
-            | Rule::RetryWithoutBackoff
-            | Rule::CostExceedsMemBudget
-            | Rule::TranslationCardinalityViolation => Severity::Warning,
-            _ => Severity::Error,
-        }
-    }
+    FreedLiveOutput = "GL707" Error,
 }
 
 /// One finding: a rule, where in the analyzed artifact it anchors, and a
@@ -198,7 +164,7 @@ pub struct Diagnostic {
     /// passes, instruction indices for Program passes, task ids for plan
     /// passes. Ordered; the first index is the anchor.
     pub events: Vec<usize>,
-    /// What went wrong, with buffer/stream/slot identities inline.
+    /// What went wrong, with buffer/slot identities inline.
     pub message: String,
 }
 
@@ -213,7 +179,7 @@ impl Diagnostic {
     }
 
     /// The rule's severity.
-    pub fn severity(&self) -> Severity {
+    pub(crate) fn severity(&self) -> Severity {
         self.rule.severity()
     }
 }
@@ -336,79 +302,45 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rule_ids_are_stable_and_unique() {
-        let all = [
-            Rule::UseAfterFree,
-            Rule::DoubleFree,
-            Rule::ReadBeforeWrite,
-            Rule::LeakedBuffer,
-            Rule::DeadDeviceToHost,
-            Rule::DeadHostToDevice,
-            Rule::UnknownFree,
-            Rule::StreamRace,
-            Rule::WaitUnrecorded,
-            Rule::StackImbalance,
-            Rule::UnboundLeaf,
-            Rule::DtypeMismatch,
-            Rule::DeadLeaf,
-            Rule::StackDepthExceeded,
-            Rule::PlanCycle,
-            Rule::LaneOrderViolation,
-            Rule::OrphanDependency,
-            Rule::UnfreedPlanColumn,
-            Rule::PlanDtypeMismatch,
-            Rule::MergeJoinUnsorted,
-            Rule::PlanUseAfterFree,
-            Rule::FusedArithNotF64,
-            Rule::CheckpointAfterFree,
-            Rule::RetryWithoutBackoff,
-            Rule::CostExceedsMemBudget,
-            Rule::CostExceedsDeviceMemory,
-            Rule::TranslationSchemaMismatch,
-            Rule::TranslationDtypeChange,
-            Rule::TranslationCardinalityViolation,
-            Rule::PredicateNotImplied,
-            Rule::FusedLoweringMismatch,
-            Rule::PlanShapeNonconforming,
-            Rule::FreedLiveOutput,
-        ];
-        let ids: std::collections::HashSet<&str> = all.iter().map(|r| r.id()).collect();
-        assert_eq!(ids.len(), all.len(), "ids collide");
-        assert_eq!(Rule::UseAfterFree.id(), "GL001");
-        assert_eq!(Rule::StreamRace.id(), "GL101");
-        assert_eq!(Rule::StackImbalance.id(), "GL201");
-        assert_eq!(Rule::PlanCycle.id(), "GL301");
-        assert_eq!(Rule::UnfreedPlanColumn.id(), "GL401");
-        assert_eq!(Rule::PlanUseAfterFree.id(), "GL404");
-        assert_eq!(Rule::FusedArithNotF64.id(), "GL405");
-        assert_eq!(Rule::FusedArithNotF64.severity(), Severity::Error);
-        assert_eq!(Rule::CheckpointAfterFree.id(), "GL501");
-        assert_eq!(Rule::RetryWithoutBackoff.id(), "GL502");
-        assert_eq!(Rule::UnfreedPlanColumn.severity(), Severity::Warning);
-        assert_eq!(Rule::PlanDtypeMismatch.severity(), Severity::Error);
-        assert_eq!(Rule::CheckpointAfterFree.severity(), Severity::Error);
-        assert_eq!(Rule::RetryWithoutBackoff.severity(), Severity::Warning);
-        assert_eq!(Rule::CostExceedsMemBudget.id(), "GL601");
-        assert_eq!(Rule::CostExceedsMemBudget.severity(), Severity::Warning);
-        assert_eq!(Rule::CostExceedsDeviceMemory.id(), "GL602");
-        assert_eq!(Rule::CostExceedsDeviceMemory.severity(), Severity::Error);
-        assert_eq!(Rule::TranslationSchemaMismatch.id(), "GL701");
-        assert_eq!(Rule::TranslationSchemaMismatch.severity(), Severity::Error);
-        assert_eq!(Rule::TranslationDtypeChange.id(), "GL702");
-        assert_eq!(Rule::TranslationDtypeChange.severity(), Severity::Error);
-        assert_eq!(Rule::TranslationCardinalityViolation.id(), "GL703");
-        assert_eq!(
-            Rule::TranslationCardinalityViolation.severity(),
-            Severity::Warning
+    fn rule_ids_are_unique() {
+        let ids: std::collections::HashSet<&str> = Rule::ALL.iter().map(|r| r.id()).collect();
+        assert_eq!(ids.len(), Rule::ALL.len(), "ids collide");
+    }
+
+    /// DESIGN.md §7's catalogue table and the `rules!` table list the
+    /// same (id, severity) pairs — a rule added, removed or re-graded on
+    /// one side only fails here.
+    #[test]
+    fn design_catalogue_lists_exactly_the_rules() {
+        let design = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../DESIGN.md"));
+        let catalogue = design
+            .split_once("### Rule catalogue")
+            .and_then(|(_, rest)| rest.split_once("\n### "))
+            .map(|(section, _)| section)
+            .expect("DESIGN.md has a `### Rule catalogue` section");
+        let documented: std::collections::BTreeSet<(&str, &str)> = catalogue
+            .lines()
+            .filter_map(|line| {
+                let mut cells = line.split('|').map(str::trim);
+                let (_, id, sev) = (cells.next()?, cells.next()?, cells.next()?);
+                id.starts_with("GL").then_some((id, sev))
+            })
+            .collect();
+        let declared: std::collections::BTreeSet<(&str, &str)> = Rule::ALL
+            .iter()
+            .map(|r| {
+                let sev = match r.severity() {
+                    Severity::Error => "E",
+                    Severity::Warning => "W",
+                };
+                (r.id(), sev)
+            })
+            .collect();
+        let drift: Vec<_> = documented.symmetric_difference(&declared).collect();
+        assert!(
+            drift.is_empty(),
+            "in only one of DESIGN.md §7 and diag.rs: {drift:?}"
         );
-        assert_eq!(Rule::PredicateNotImplied.id(), "GL704");
-        assert_eq!(Rule::PredicateNotImplied.severity(), Severity::Error);
-        assert_eq!(Rule::FusedLoweringMismatch.id(), "GL705");
-        assert_eq!(Rule::FusedLoweringMismatch.severity(), Severity::Error);
-        assert_eq!(Rule::PlanShapeNonconforming.id(), "GL706");
-        assert_eq!(Rule::PlanShapeNonconforming.severity(), Severity::Error);
-        assert_eq!(Rule::FreedLiveOutput.id(), "GL707");
-        assert_eq!(Rule::FreedLiveOutput.severity(), Severity::Error);
     }
 
     #[test]

@@ -1,52 +1,50 @@
 //! # gpu-lint — static hazard analysis for the simulated GPU stack
 //!
-//! A multi-pass analyzer over three artifact families the workspace
+//! A multi-pass analyzer over the artifact families the workspace
 //! produces:
 //!
-//! * **Device traces** ([`gpu_sim::TraceEvent`] streams) — the
-//!   buffer-lifetime pass ([`buffer::lint_buffers`], rules `GL0xx`) and
-//!   the stream-ordering pass ([`stream::lint_streams`], `GL1xx`).
+//! * **Device traces** ([`gpu_sim::TraceEvent`] lists) — the
+//!   buffer-lifetime pass (`buffer::lint_buffers`, rules `GL0xx`).
 //! * **Compiled Programs** ([`arrayfire_sim::ProgramSpec`]) — the
-//!   stack-machine verifier ([`program::lint_program`], `GL2xx`).
-//! * **Scheduler plans** ([`plan::PlanTask`] graphs) — the plan checker
-//!   ([`plan::lint_plan`], `GL3xx`).
-//! * **Compiled physical query plans** ([`physplan::PlanStep`] lists) —
+//!   stack-machine verifier (`program::lint_program`, `GL2xx`).
+//! * **Scheduler plans** ([`PlanTask`] graphs) — the plan checker
+//!   (`plan::lint_plan`, `GL3xx`).
+//! * **Compiled physical query plans** ([`PlanStep`] lists) —
 //!   the slot-lifetime/operand-shape checker
-//!   ([`physplan::lint_physical_plan`], `GL4xx`).
-//! * **Recovery timelines** ([`resilience::RecoveryTimeline`] from the
+//!   (`physplan::lint_physical_plan`, `GL4xx`).
+//! * **Recovery timelines** ([`RecoveryTimeline`] from the
 //!   resilient plan executor) — the recovery-lifecycle checker
-//!   ([`resilience::lint_recovery`], `GL5xx`).
-//! * **Costed-plan estimates** ([`costing::CostedPlan`] summaries of
+//!   (`resilience::lint_recovery`, `GL5xx`).
+//! * **Costed-plan estimates** ([`CostedPlan`] summaries of
 //!   the planner's cost reports) — the resource-budget checker
-//!   ([`costing::lint_costed_plan`], `GL6xx`).
+//!   (`costing::lint_costed_plan`, `GL6xx`).
 //! * **Planner rewrite traces** ([`proto_core::optimizer::PassTrace`]
 //!   with rewrite certificates, plus the compiled plan) — the
-//!   translation validator ([`translate::validate_translation`],
+//!   translation validator (`translate::validate_translation`,
 //!   `GL7xx`), proving each logical→physical rewrite semantically
 //!   equivalent.
 //!
 //! Every pass is a pure function from artifact to [`Diagnostic`]s; the
 //! analyzer never mutates what it observes, so linting a trace can
-//! never change an experiment's measurements. [`lint_trace`] bundles
-//! both trace passes into a [`Report`]; [`annotated_timeline`] renders a
-//! trace with rule-id annotations on the implicated events.
+//! never change an experiment's measurements. [`lint_trace`] bundles the
+//! trace pass into a [`Report`]; [`annotated_timeline`] renders a trace
+//! with rule-id annotations on the implicated events.
 //!
-//! Severities are fixed per rule (see [`Rule::severity`]): errors are
+//! Severities are fixed per rule: errors are
 //! hazards that mean corruption or deadlock on real hardware;
 //! warnings are defined-but-wasteful (dead transfers, leaks at
 //! teardown, dead subexpressions). The CI gate fails on errors only.
 
 #![warn(missing_docs)]
 
-pub mod buffer;
-pub mod costing;
-pub mod diag;
-pub mod physplan;
-pub mod plan;
-pub mod program;
-pub mod resilience;
-pub mod stream;
-pub mod translate;
+mod buffer;
+mod costing;
+mod diag;
+mod physplan;
+mod plan;
+mod program;
+mod resilience;
+mod translate;
 
 pub use costing::CostedPlan;
 pub use diag::{Diagnostic, Report, Rule, Severity, Waiver};
@@ -57,12 +55,10 @@ pub use translate::{phys_view, PhysView};
 
 use std::collections::BTreeMap;
 
-/// Run both trace passes (buffer lifetimes, stream ordering) over one
-/// trace window and bundle the findings for `target`.
+/// Run the trace pass (buffer lifetimes) over one trace window and
+/// bundle the findings for `target`.
 pub fn lint_trace(target: impl Into<String>, events: &[gpu_sim::TraceEvent]) -> Report {
-    let mut diags = buffer::lint_buffers(events);
-    diags.extend(stream::lint_streams(events));
-    Report::new(target, diags)
+    Report::new(target, buffer::lint_buffers(events))
 }
 
 /// Verify a compiled program spec and bundle the findings.
@@ -126,29 +122,6 @@ pub fn annotated_timeline(events: &[gpu_sim::TraceEvent], diagnostics: &[Diagnos
 mod tests {
     use super::*;
     use gpu_sim::{BufferId, TraceEvent, TraceKind};
-
-    #[test]
-    fn lint_trace_merges_both_pass_families() {
-        let t = vec![
-            TraceEvent::new(
-                0,
-                0,
-                TraceKind::Free { buf: BufferId(1) }, // GL007
-            ),
-            TraceEvent::new(
-                0,
-                0,
-                TraceKind::EventWait {
-                    stream: 0,
-                    event: 5,
-                }, // GL102
-            ),
-        ];
-        let r = lint_trace("t", &t);
-        let ids: Vec<_> = r.diagnostics.iter().map(|d| d.rule.id()).collect();
-        assert_eq!(ids, vec!["GL007", "GL102"]);
-        assert_eq!(r.errors(), 2);
-    }
 
     #[test]
     fn annotated_timeline_tags_implicated_events() {

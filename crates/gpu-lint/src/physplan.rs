@@ -135,7 +135,7 @@ pub struct PlanStep {
 
 /// Run every physical-plan check over `steps`, with `inputs` naming the
 /// borrowed base columns (pseudo-slots, exempt from lifetime rules).
-pub fn lint_physical_plan(inputs: &[PlanColumn], steps: &[PlanStep]) -> Vec<Diagnostic> {
+pub(crate) fn lint_physical_plan(inputs: &[PlanColumn], steps: &[PlanStep]) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     // slot → (column, live?, defining step). Inputs live forever.
     let mut cols: HashMap<usize, (PlanColumn, bool, Option<usize>)> = inputs

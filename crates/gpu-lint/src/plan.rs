@@ -29,7 +29,7 @@ pub struct PlanTask {
 }
 
 /// Run every plan-graph check over `tasks`.
-pub fn lint_plan(tasks: &[PlanTask]) -> Vec<Diagnostic> {
+pub(crate) fn lint_plan(tasks: &[PlanTask]) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let by_id: HashMap<usize, &PlanTask> = tasks.iter().map(|t| (t.id, t)).collect();
 

@@ -50,7 +50,7 @@ fn binary_result(op: BinaryOp) -> AbstractTy {
 }
 
 /// Verify one compiled program spec.
-pub fn lint_program(spec: &ProgramSpec) -> Vec<Diagnostic> {
+pub(crate) fn lint_program(spec: &ProgramSpec) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     // (type, producing instruction index)
     let mut stack: Vec<(AbstractTy, usize)> = Vec::new();
@@ -316,13 +316,13 @@ mod tests {
                 InstrSpec::Load { slot: 0 },
                 InstrSpec::Unary { op: UnaryOp::Not },
             ],
-            vec![DType::U64],
+            vec![DType::U32],
             4,
         );
         let d = lint_program(&dirty);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].rule.id(), "GL203");
-        assert!(d[0].message.contains("u64 lane"), "{}", d[0].message);
+        assert!(d[0].message.contains("u32 lane"), "{}", d[0].message);
 
         let clean = spec(
             vec![
@@ -341,7 +341,7 @@ mod tests {
     fn dead_leaf_slot_warns() {
         let p = spec(
             vec![InstrSpec::Load { slot: 0 }],
-            vec![DType::F64, DType::U64],
+            vec![DType::F64, DType::U32],
             4,
         );
         let d = lint_program(&p);

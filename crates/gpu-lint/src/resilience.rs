@@ -86,7 +86,7 @@ pub struct RecoveryTimeline {
 
 /// Run the recovery-timeline checks. Diagnostic spans are indices into
 /// `timeline.events`.
-pub fn lint_recovery(timeline: &RecoveryTimeline) -> Vec<Diagnostic> {
+pub(crate) fn lint_recovery(timeline: &RecoveryTimeline) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
 
     if timeline.max_retries > 0 && timeline.backoff_budget_ns == 0 {

@@ -673,7 +673,7 @@ fn check_fused_site(site: &FusedSite<'_>, cert: &RewriteCert) -> Vec<Diagnostic>
 /// [`PhysView`]. Diagnostics come back in check order: tree rewrites
 /// (GL701–704), fused lowerings (GL705), physical conformance
 /// (GL706–707).
-pub fn validate_translation(traces: &[PassTrace], view: &PhysView) -> Vec<Diagnostic> {
+pub(crate) fn validate_translation(traces: &[PassTrace], view: &PhysView) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let mut final_plan: Option<&LogicalPlan> = None;
 

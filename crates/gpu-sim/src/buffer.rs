@@ -141,11 +141,6 @@ impl<T: DeviceCopy> DeviceBuffer<T> {
         (self.data.len() * std::mem::size_of::<T>()) as u64
     }
 
-    /// Bytes actually reserved on the device for this buffer.
-    pub fn reserved_bytes(&self) -> u64 {
-        self.res.alloc_bytes
-    }
-
     /// The device this buffer lives on.
     pub fn device(&self) -> &Arc<Device> {
         &self.res.device
@@ -173,13 +168,6 @@ impl<T: DeviceCopy> DeviceBuffer<T> {
     pub fn truncate(&mut self, len: usize) {
         self.data.truncate(len);
     }
-
-    /// Consume the buffer and return its host storage without charging a
-    /// transfer (test/debug escape hatch; measured paths use
-    /// [`Device::dtoh`]).
-    pub fn into_host_vec(mut self) -> Vec<T> {
-        std::mem::take(&mut self.data)
-    }
 }
 
 impl<T: DeviceCopy> Drop for DeviceBuffer<T> {
@@ -203,7 +191,6 @@ mod tests {
         assert_eq!(buf.len(), 10);
         assert!(!buf.is_empty());
         assert_eq!(buf.size_bytes(), 40);
-        assert!(buf.reserved_bytes() >= 40);
         buf.host_mut()[3] = 42;
         assert_eq!(buf.host()[3], 42);
         buf.truncate(4);
@@ -259,12 +246,5 @@ mod tests {
             .reserve(8, AllocPolicy::Pooled, true)
             .unwrap()
             .into_buffer(vec![1u32]);
-    }
-
-    #[test]
-    fn into_host_vec_moves_data() {
-        let dev = Device::new(DeviceSpec::gtx1080());
-        let buf = dev.htod(&[1u8, 2, 3]).unwrap();
-        assert_eq!(buf.into_host_vec(), vec![1, 2, 3]);
     }
 }

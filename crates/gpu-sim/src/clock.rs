@@ -28,12 +28,6 @@ impl SimTime {
     pub fn as_nanos(self) -> u64 {
         self.0
     }
-
-    /// Elapsed time since `earlier`. Saturates at zero if `earlier` is in
-    /// the future (mirrors `Instant::duration_since` leniency).
-    pub fn duration_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl SimDuration {
@@ -45,11 +39,6 @@ impl SimDuration {
         SimDuration(ns)
     }
 
-    /// Construct from microseconds.
-    pub fn from_micros(us: u64) -> Self {
-        SimDuration(us * 1_000)
-    }
-
     /// Construct from milliseconds.
     pub fn from_millis(ms: u64) -> Self {
         SimDuration(ms * 1_000_000)
@@ -58,16 +47,6 @@ impl SimDuration {
     /// The span in nanoseconds.
     pub fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// The span in fractional microseconds.
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
-    /// The span in fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1_000_000.0
     }
 
     /// The span in fractional seconds.
@@ -88,10 +67,12 @@ impl Add<SimDuration> for SimTime {
     }
 }
 
+/// Elapsed time since `rhs`. Saturates at zero if `rhs` is in the future
+/// (mirrors `Instant::duration_since` leniency).
 impl Sub for SimTime {
     type Output = SimDuration;
     fn sub(self, rhs: SimTime) -> SimDuration {
-        self.duration_since(rhs)
+        SimDuration(self.0.saturating_sub(rhs.0))
     }
 }
 
@@ -149,7 +130,7 @@ impl fmt::Display for SimTime {
 /// timeline (the simulator serialises device work, like a single in-order
 /// CUDA stream — the model the paper's benchmarks use).
 #[derive(Debug, Default)]
-pub struct VirtualClock {
+pub(crate) struct VirtualClock {
     ns: AtomicU64,
 }
 
@@ -179,18 +160,18 @@ mod tests {
         let c = VirtualClock::new();
         assert_eq!(c.now(), SimTime::ZERO);
         let t1 = c.advance(SimDuration::from_nanos(5));
-        let t2 = c.advance(SimDuration::from_micros(1));
+        let t2 = c.advance(SimDuration::from_nanos(1_000));
         assert_eq!(t1.as_nanos(), 5);
         assert_eq!(t2.as_nanos(), 1_005);
         assert_eq!(t2 - t1, SimDuration::from_nanos(1_000));
     }
 
     #[test]
-    fn duration_since_saturates() {
+    fn time_difference_saturates() {
         let a = SimTime(10);
         let b = SimTime(20);
-        assert_eq!(a.duration_since(b), SimDuration::ZERO);
-        assert_eq!(b.duration_since(a).as_nanos(), 10);
+        assert_eq!(a - b, SimDuration::ZERO);
+        assert_eq!((b - a).as_nanos(), 10);
     }
 
     #[test]
@@ -203,8 +184,8 @@ mod tests {
 
     #[test]
     fn duration_arithmetic() {
-        let a = SimDuration::from_micros(3);
-        let b = SimDuration::from_micros(1);
+        let a = SimDuration::from_nanos(3_000);
+        let b = SimDuration::from_nanos(1_000);
         assert_eq!((a + b).as_nanos(), 4_000);
         assert_eq!((a - b).as_nanos(), 2_000);
         assert_eq!((b - a).as_nanos(), 0, "subtraction saturates");
@@ -215,8 +196,6 @@ mod tests {
     #[test]
     fn conversions() {
         let d = SimDuration::from_millis(1);
-        assert_eq!(d.as_micros_f64(), 1_000.0);
-        assert_eq!(d.as_millis_f64(), 1.0);
         assert_eq!(d.as_secs_f64(), 0.001);
     }
 }

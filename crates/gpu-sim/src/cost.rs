@@ -138,7 +138,7 @@ impl KernelCost {
     }
 
     /// Total bytes moved through global memory.
-    pub fn total_bytes(&self) -> u64 {
+    fn total_bytes(&self) -> u64 {
         self.bytes_read + self.bytes_written
     }
 

@@ -4,7 +4,8 @@
 //! It owns the virtual clock, the statistics counters and the caching
 //! memory pool. All methods are thread-safe; device work is serialised on a
 //! single in-order timeline, which matches how the paper benchmarks each
-//! library (one stream, synchronous timing around each operator).
+//! library (synchronous timing around each operator); the model has no
+//! stream concept.
 
 use crate::buffer::{BufferId, DeviceBuffer, DeviceCopy, Reservation};
 use crate::clock::{SimDuration, SimTime, VirtualClock};
@@ -20,9 +21,6 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// The id of the default stream all device-level operations issue on.
-pub const DEFAULT_STREAM: u64 = 0;
-
 /// Latency of serving a [`AllocPolicy::Pooled`] allocation from the
 /// sub-allocator cache (a free-list pop — no driver round trip).
 /// Exposed so plan costing prices warm allocations the same way
@@ -37,11 +35,6 @@ pub struct Device {
     tracing: AtomicBool,
     /// Next [`BufferId`]; ids start at 1 and are never reused.
     next_buffer: AtomicU64,
-    /// Next `Stream` id; 0 is the default stream, explicit streams
-    /// start at 1.
-    next_stream: AtomicU64,
-    /// Next `Event` id.
-    next_event: AtomicU64,
     inner: Mutex<Inner>,
 }
 
@@ -64,8 +57,6 @@ impl Device {
             clock: VirtualClock::new(),
             tracing: AtomicBool::new(false),
             next_buffer: AtomicU64::new(1),
-            next_stream: AtomicU64::new(1),
-            next_event: AtomicU64::new(1),
             inner: Mutex::new(Inner::default()),
         })
     }
@@ -115,11 +106,6 @@ impl Device {
     /// Remove the installed fault plan (if any), returning it.
     pub fn clear_fault_plan(&self) -> Option<FaultPlan> {
         self.inner.lock().faults.take().map(|s| s.plan)
-    }
-
-    /// The currently installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<FaultPlan> {
-        self.inner.lock().faults.as_ref().map(|s| s.plan.clone())
     }
 
     /// Draw the next fault decision at `site`; on a fire, count it,
@@ -218,7 +204,7 @@ impl Device {
 
     /// Allocate with an explicit policy ([`AllocPolicy::Raw`] charges a
     /// driver round-trip on every call — Boost.Compute's default path).
-    pub fn alloc_with<T: DeviceCopy + Default>(
+    pub(crate) fn alloc_with<T: DeviceCopy + Default>(
         self: &Arc<Self>,
         len: usize,
         policy: AllocPolicy,
@@ -268,21 +254,13 @@ impl Device {
         BufferId(self.next_buffer.fetch_add(1, Ordering::Relaxed))
     }
 
-    pub(crate) fn mint_stream_id(&self) -> u64 {
-        self.next_stream.fetch_add(1, Ordering::Relaxed)
-    }
-
-    pub(crate) fn mint_event_id(&self) -> u64 {
-        self.next_event.fetch_add(1, Ordering::Relaxed)
-    }
-
     /// Allocate a buffer whose element `i` is `f(i)` — the write-only
     /// sibling of [`Device::alloc_with`]. Identical cost accounting (one
     /// allocation of the same rounded size), but the zero-fill of
     /// `alloc_with` is skipped and the generator runs across host threads
     /// at fixed chunk granularity, so results are bit-identical at any
     /// host parallelism.
-    pub fn alloc_map_with<T: DeviceCopy + Default>(
+    pub(crate) fn alloc_map_with<T: DeviceCopy + Default>(
         self: &Arc<Self>,
         len: usize,
         policy: AllocPolicy,
@@ -405,7 +383,7 @@ impl Device {
 
     /// [`Device::htod`] with an explicit allocation policy (OpenCL-style
     /// libraries allocate raw buffers for every upload).
-    pub fn htod_with<T: DeviceCopy>(
+    pub(crate) fn htod_with<T: DeviceCopy>(
         self: &Arc<Self>,
         host: &[T],
         policy: AllocPolicy,
@@ -499,29 +477,10 @@ impl Device {
     ///
     /// Returns the simulated duration of the launch.
     pub fn charge_kernel(&self, name: &str, cost: KernelCost) -> SimDuration {
-        self.charge_kernel_traced(DEFAULT_STREAM, name, cost, KernelIo::Unknown)
+        self.charge_kernel_traced(name, cost, KernelIo::Unknown)
     }
 
-    /// [`Device::charge_kernel`] with a declared read/write buffer set, so
-    /// the trace carries data-flow information the lint passes can use.
-    /// Identical cost accounting; the io sets are observation-only.
-    pub fn charge_kernel_io(
-        &self,
-        name: &str,
-        cost: KernelCost,
-        reads: &[BufferId],
-        writes: &[BufferId],
-    ) -> SimDuration {
-        self.charge_kernel_traced(DEFAULT_STREAM, name, cost, KernelIo::known(reads, writes))
-    }
-
-    pub(crate) fn charge_kernel_traced(
-        &self,
-        stream: u64,
-        name: &str,
-        cost: KernelCost,
-        io: KernelIo,
-    ) -> SimDuration {
+    fn charge_kernel_traced(&self, name: &str, cost: KernelCost, io: KernelIo) -> SimDuration {
         let d = cost.duration(&self.spec);
         {
             let mut inner = self.inner.lock();
@@ -533,8 +492,7 @@ impl Device {
         }
         let start = self.now();
         self.clock.advance(d);
-        self.record_on(
-            stream,
+        self.record(
             start,
             TraceKind::Kernel {
                 name: name.to_string(),
@@ -555,13 +513,9 @@ impl Device {
         Ok(self.charge_kernel(name, cost))
     }
 
-    /// Draw a kernel-site fault decision for `name` without charging a
-    /// launch — the stream-level fallible launch path uses this.
-    pub(crate) fn try_kernel_fault(&self, name: &str) -> Result<()> {
-        self.maybe_inject(FaultSite::Kernel, name, 0)
-    }
-
-    /// Fallible variant of [`Device::charge_kernel_io`].
+    /// [`Device::try_charge_kernel`] with a declared read/write buffer set,
+    /// so the trace carries data-flow information the lint passes can use.
+    /// Identical cost accounting; the io sets are observation-only.
     pub fn try_charge_kernel_io(
         &self,
         name: &str,
@@ -570,7 +524,7 @@ impl Device {
         writes: &[BufferId],
     ) -> Result<SimDuration> {
         self.maybe_inject(FaultSite::Kernel, name, 0)?;
-        Ok(self.charge_kernel_io(name, cost, reads, writes))
+        Ok(self.charge_kernel_traced(name, cost, KernelIo::known(reads, writes)))
     }
 
     /// Account a JIT compilation taking `ns` nanoseconds (OpenCL program
@@ -620,18 +574,12 @@ impl Device {
     }
 
     fn record(&self, start: crate::clock::SimTime, kind: TraceKind) {
-        self.record_on(DEFAULT_STREAM, start, kind);
-    }
-
-    pub(crate) fn record_on(&self, stream: u64, start: crate::clock::SimTime, kind: TraceKind) {
         if self.tracing.load(Ordering::SeqCst) {
             let end = self.now();
-            self.inner.lock().trace.push(TraceEvent::on_stream(
-                start.as_nanos(),
-                end.as_nanos(),
-                kind,
-                stream,
-            ));
+            self.inner
+                .lock()
+                .trace
+                .push(TraceEvent::new(start.as_nanos(), end.as_nanos(), kind));
         }
     }
 

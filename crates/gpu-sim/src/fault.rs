@@ -127,7 +127,11 @@ impl FaultPlan {
 
     /// A plan with the same fault probability at every site.
     pub fn uniform(seed: u64, rate: f64) -> FaultPlan {
-        FaultPlan::new(seed).with_rate_everywhere(rate)
+        FaultSite::ALL
+            .into_iter()
+            .fold(FaultPlan::new(seed), |plan, site| {
+                plan.with_rate(site, rate)
+            })
     }
 
     /// Set the probability for one site (builder style).
@@ -140,43 +144,14 @@ impl FaultPlan {
         self
     }
 
-    /// Set the same probability at every site (builder style).
-    pub fn with_rate_everywhere(mut self, rate: f64) -> FaultPlan {
-        for site in FaultSite::ALL {
-            self = self.with_rate(site, rate);
-        }
-        self
-    }
-
-    /// Set the memory-pressure shrink factor (builder style).
-    pub fn with_mem_pressure_shrink(mut self, shrink: f64) -> FaultPlan {
-        assert!(
-            (0.0..=1.0).contains(&shrink),
-            "mem_pressure_shrink out of [0,1]: {shrink}"
-        );
-        self.mem_pressure_shrink = shrink;
-        self
-    }
-
-    /// Set the fault detection latency (builder style).
-    pub fn with_fault_latency_ns(mut self, ns: u64) -> FaultPlan {
-        self.fault_latency_ns = ns;
-        self
-    }
-
     /// Probability configured for `site`.
     pub fn rate(&self, site: FaultSite) -> f64 {
         self.rates[site.index()]
     }
 
-    /// Whether any site has a nonzero probability.
-    pub fn is_active(&self) -> bool {
-        self.rates.iter().any(|&r| r > 0.0)
-    }
-
     /// The `k`-th injection decision at `site`: `true` means the fault
     /// fires. Pure — independent of clock, retries, or other sites.
-    pub fn decide(&self, site: FaultSite, k: u64) -> bool {
+    pub(crate) fn decide(&self, site: FaultSite, k: u64) -> bool {
         let rate = self.rate(site);
         if rate <= 0.0 {
             return false;
@@ -274,7 +249,6 @@ mod tests {
     #[test]
     fn zero_rate_never_fires_and_full_rate_always_fires() {
         let plan = FaultPlan::new(1);
-        assert!(!plan.is_active());
         assert!(plan.schedule(FaultSite::Kernel, 1000).iter().all(|&b| !b));
         let plan = FaultPlan::uniform(1, 1.0);
         assert!(plan.schedule(FaultSite::HtoD, 1000).iter().all(|&b| b));
@@ -318,7 +292,10 @@ mod tests {
 
     #[test]
     fn alloc_faults_respect_pressure_shrink() {
-        let plan = FaultPlan::uniform(1, 1.0).with_mem_pressure_shrink(0.5);
+        let plan = FaultPlan {
+            mem_pressure_shrink: 0.5,
+            ..FaultPlan::uniform(1, 1.0)
+        };
         // Request fits in the un-hidden half: fault absorbed.
         assert_eq!(fault_error(&plan, FaultSite::Alloc, "", 100, 1000), None);
         // Request exceeds it: pressure OOM reporting the shrunken view.
@@ -358,7 +335,6 @@ mod tests {
         );
         // Targeted plans can strike only plan steps.
         let only = FaultPlan::new(11).with_rate(FaultSite::PlanStep, 1.0);
-        assert!(only.is_active());
         assert!(only.schedule(FaultSite::Kernel, 64).iter().all(|&b| !b));
         assert!(only.schedule(FaultSite::PlanStep, 64).iter().all(|&b| b));
     }

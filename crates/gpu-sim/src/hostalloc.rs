@@ -5,7 +5,7 @@
 //! clones). The system allocator hands such blocks straight back to the
 //! kernel on free, so every reallocation pays the full cost of faulting
 //! the pages in again — on virtualised hosts that dwarfs the actual
-//! compute. [`RecyclingAlloc`] keeps freed large blocks in per-size free
+//! compute. `RecyclingAlloc` keeps freed large blocks in per-size free
 //! lists and reuses them, so pages are faulted once per high-water mark
 //! instead of once per allocation.
 //!
@@ -177,7 +177,7 @@ fn push_block(idx: usize, block: *mut u8) -> bool {
 /// lists. Installed by the `gpu-sim` crate for every binary that links
 /// it; see the module docs for the rationale.
 #[derive(Debug)]
-pub struct RecyclingAlloc;
+pub(crate) struct RecyclingAlloc;
 
 // SAFETY: delegates to `System` for everything it does not cache; cached
 // blocks are only ever handed out to layouts whose rounded size and

@@ -15,7 +15,7 @@
 //!   closure that shares the work out by claiming indices. Nothing else in
 //!   the crate spawns threads.
 //! * **Deterministic parallel chunking** ([`par_chunks`],
-//!   [`par_chunks_mut`], [`par_map_into`], [`par_map_chunks`]) — loops
+//!   `par_chunks_mut`, `par_map_into`, `par_map_chunks`) — loops
 //!   split at a **fixed chunk granularity** ([`PAR_CHUNK`]) that does not
 //!   depend on the worker count, so the set of chunk boundaries — and
 //!   therefore any per-chunk computation, including f64 partial-reduction
@@ -85,11 +85,6 @@ static WORKER_BUDGET: AtomicUsize = AtomicUsize::new(0);
 /// cap). See [`host_threads`].
 pub fn set_worker_budget(threads_per_region: usize) {
     WORKER_BUDGET.store(threads_per_region, Ordering::Relaxed);
-}
-
-/// The current per-region budget set by [`set_worker_budget`] (0 = none).
-pub fn worker_budget() -> usize {
-    WORKER_BUDGET.load(Ordering::Relaxed)
 }
 
 /// Number of threads one parallel region may use, the caller included:
@@ -202,7 +197,11 @@ pub fn par_chunks(len: usize, min_seq: usize, f: impl Fn(Range<usize>) + Sync) {
 /// chunk)` on host threads. The mutable-slice sibling of [`par_chunks`]:
 /// each chunk is a disjoint window of `out`, so writes cannot race and the
 /// result is identical at any thread count.
-pub fn par_chunks_mut<T: Send>(out: &mut [T], min_seq: usize, f: impl Fn(usize, &mut [T]) + Sync) {
+pub(crate) fn par_chunks_mut<T: Send>(
+    out: &mut [T],
+    min_seq: usize,
+    f: impl Fn(usize, &mut [T]) + Sync,
+) {
     let n_chunks = out.len().div_ceil(PAR_CHUNK);
     let workers = region_workers(out.len(), min_seq, n_chunks);
     if workers < 2 {
@@ -217,7 +216,7 @@ pub fn par_chunks_mut<T: Send>(out: &mut [T], min_seq: usize, f: impl Fn(usize, 
 /// (`transform`, `sequence`, predicate maps): each output element depends
 /// only on its own index, so the result is bit-identical at any thread
 /// count.
-pub fn par_map_into<T: Send>(out: &mut [T], min_seq: usize, f: impl Fn(usize) -> T + Sync) {
+pub(crate) fn par_map_into<T: Send>(out: &mut [T], min_seq: usize, f: impl Fn(usize) -> T + Sync) {
     par_chunks_mut(out, min_seq, |base, chunk| {
         for (j, o) in chunk.iter_mut().enumerate() {
             *o = f(base + j);
@@ -226,7 +225,7 @@ pub fn par_map_into<T: Send>(out: &mut [T], min_seq: usize, f: impl Fn(usize) ->
 }
 
 /// Build a `Vec` of `len` elements with `out[i] = f(i)`, parallel at fixed
-/// chunk granularity. Convenience over [`par_map_into`] for the common
+/// chunk granularity. Convenience over `par_map_into` for the common
 /// "compute a fresh output column" shape. The output storage comes from
 /// the host-memory recycler ([`crate::hostmem`]) and every element is
 /// written exactly once — no zero-then-overwrite, no fresh page faults —
@@ -246,7 +245,7 @@ pub fn par_map_vec<T: Copy + Send + Default + 'static>(
 /// count, so order-sensitive combines — concatenating per-chunk compaction
 /// outputs, folding f64 partials left-to-right — are bit-identical at any
 /// parallelism.
-pub fn par_map_chunks<R: Send>(
+pub(crate) fn par_map_chunks<R: Send>(
     len: usize,
     min_seq: usize,
     f: impl Fn(Range<usize>) -> R + Sync,

@@ -14,7 +14,7 @@
 //! arithmetic: ArrayFire's interpreter lane, and the `affine` / `product` /
 //! `dense_mask` operators a fused plan step replaces. Comparisons and
 //! logical ops hold exactly `0.0` / `1.0`, integer casts round-trip through
-//! the integer type (`x as u64 as f64`), and `x * mul + add` stays two
+//! the integer type (`x as u32 as f64`), and `x * mul + add` stays two
 //! instructions and two roundings — per row the engine performs the same
 //! sequence of `f64` operations as a row-at-a-time evaluator, so results are
 //! bit-identical to one.
@@ -140,12 +140,8 @@ impl BinaryOp {
 pub enum Cast {
     /// No change.
     F64,
-    /// `x as u64 as f64` (lossy above 2^53).
-    U64,
     /// `x as u32 as f64`.
     U32,
-    /// `x as i64 as f64`.
-    I64,
     /// `x != 0` as 0 / 1.
     B8,
 }
@@ -167,18 +163,13 @@ pub enum Instr {
     Cast(Cast),
 }
 
-/// A leaf column read in place, each element widened to `f64` on load
-/// (`u64` / `i64` lossily above 2^53, as `x as f64` is).
+/// A leaf column read in place, each element widened to `f64` on load.
 #[derive(Debug, Clone, Copy)]
 pub enum Leaf<'a> {
     /// An `f64` column.
     F64(&'a [f64]),
-    /// A `u64` column.
-    U64(&'a [u64]),
     /// A `u32` column.
     U32(&'a [u32]),
-    /// An `i64` column.
-    I64(&'a [i64]),
     /// A boolean column of 0 / 1 bytes.
     B8(&'a [u8]),
 }
@@ -196,9 +187,7 @@ impl Leaf<'_> {
     fn len(&self) -> usize {
         match self {
             Leaf::F64(v) => v.len(),
-            Leaf::U64(v) => v.len(),
             Leaf::U32(v) => v.len(),
-            Leaf::I64(v) => v.len(),
             Leaf::B8(v) => v.len(),
         }
     }
@@ -212,9 +201,7 @@ impl Leaf<'_> {
         }
         match self {
             Leaf::F64(v) => reg.copy_from_slice(&v[rows]),
-            Leaf::U64(v) => widen(&v[rows], reg, |x| x as f64),
             Leaf::U32(v) => widen(&v[rows], reg, f64::from),
-            Leaf::I64(v) => widen(&v[rows], reg, |x| x as f64),
             Leaf::B8(v) => widen(&v[rows], reg, f64::from),
         }
     }
@@ -240,9 +227,7 @@ macro_rules! impl_store {
 }
 impl_store!(
     f64 => |x| x,
-    u64 => |x| x as u64,
     u32 => |x| x as u32,
-    i64 => |x| x as i64,
     u8 => |x| u8::from(x != 0.0)
 );
 
@@ -408,9 +393,7 @@ fn unary(op: UnaryOp, reg: &mut [f64]) {
 fn cast(to: Cast, reg: &mut [f64]) {
     match to {
         Cast::F64 => {}
-        Cast::U64 => in_place(reg, |x| x as u64 as f64),
         Cast::U32 => in_place(reg, |x| f64::from(x as u32)),
-        Cast::I64 => in_place(reg, |x| x as i64 as f64),
         Cast::B8 => in_place(reg, |x| f64::from(x != 0.0)),
     }
 }

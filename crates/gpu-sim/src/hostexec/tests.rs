@@ -602,18 +602,15 @@ const BINARY_OPS: [BinaryOp; 15] = [
     BinaryOp::Ne,
     BinaryOp::Select,
 ];
-const CASTS: [Cast; 5] = [Cast::F64, Cast::U64, Cast::U32, Cast::I64, Cast::B8];
+const CASTS: [Cast; 3] = [Cast::F64, Cast::U32, Cast::B8];
 const CMPS: [Cmp; 6] = [Cmp::Lt, Cmp::Le, Cmp::Gt, Cmp::Ge, Cmp::Eq, Cmp::Ne];
 const LITERALS: [f64; 6] = [3.0, 0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
 
 /// One leaf column of every type, `n` rows each: IEEE specials, `u32`
-/// extremes, `u64` above 2^53 (where widening to `f64` is lossy), `i64`
-/// extremes and negatives, and flag bytes.
+/// extremes and flag bytes.
 struct Columns {
     floats: Vec<f64>,
     ints: Vec<u32>,
-    wide: Vec<u64>,
-    signed: Vec<i64>,
     flags: Vec<u8>,
 }
 
@@ -625,23 +622,15 @@ impl Columns {
             ints: (0..n)
                 .map(|i| [0, u32::MAX, 7, 1 << 31][i % 4] ^ (rng.gen::<u32>() % 4))
                 .collect(),
-            wide: (0..n as u64)
-                .map(|i| [(1 << 53) + 7 * i + 3, u64::MAX - i, i][(i % 3) as usize])
-                .collect(),
-            signed: (0..n as i64)
-                .map(|i| [i64::MIN + i, i64::MAX - i, -i, -(1 << 53) - 2 * i - 1][(i % 4) as usize])
-                .collect(),
             flags: (0..n).map(|_| rng.gen::<u8>() % 2).collect(),
         }
     }
 
-    /// Slots 0..5: `f64`, `u32`, `u64`, `i64`, `b8`.
-    fn leaves(&self) -> [Leaf<'_>; 5] {
+    /// Slots 0..3: `f64`, `u32`, `b8`.
+    fn leaves(&self) -> [Leaf<'_>; 3] {
         [
             Leaf::F64(&self.floats),
             Leaf::U32(&self.ints),
-            Leaf::U64(&self.wide),
-            Leaf::I64(&self.signed),
             Leaf::B8(&self.flags),
         ]
     }
@@ -684,9 +673,7 @@ fn reference_row(instrs: &[Instr], leaves: &[Leaf<'_>], row: usize) -> f64 {
         let value = match *instr {
             Instr::Load(slot) => match leaves[slot] {
                 Leaf::F64(v) => v[row],
-                Leaf::U64(v) => v[row] as f64,
                 Leaf::U32(v) => f64::from(v[row]),
-                Leaf::I64(v) => v[row] as f64,
                 Leaf::B8(v) => f64::from(v[row]),
             },
             Instr::Binary(op) => {
@@ -699,9 +686,7 @@ fn reference_row(instrs: &[Instr], leaves: &[Leaf<'_>], row: usize) -> f64 {
             Instr::Unary(UnaryOp::Neg) => -stack.pop().unwrap(),
             Instr::Unary(UnaryOp::Abs) => stack.pop().unwrap().abs(),
             Instr::Cast(Cast::F64) => stack.pop().unwrap(),
-            Instr::Cast(Cast::U64) => stack.pop().unwrap() as u64 as f64,
             Instr::Cast(Cast::U32) => stack.pop().unwrap() as u32 as f64,
-            Instr::Cast(Cast::I64) => stack.pop().unwrap() as i64 as f64,
             Instr::Cast(Cast::B8) => f64::from(u8::from(stack.pop().unwrap() != 0.0)),
         };
         stack.push(value);
@@ -717,7 +702,7 @@ fn one_instruction_programs() -> Vec<Vec<Instr>> {
     let mut programs = Vec::new();
     for op in BINARY_OPS {
         programs.push(vec![Instr::Load(0), Instr::Load(1), Instr::Binary(op)]);
-        programs.push(vec![Instr::Load(4), Instr::Load(0), Instr::Binary(op)]);
+        programs.push(vec![Instr::Load(2), Instr::Load(0), Instr::Binary(op)]);
         for lit in LITERALS {
             programs.push(vec![Instr::Load(0), Instr::ScalarRhs(op, lit)]);
             programs.push(vec![Instr::Load(0), Instr::ScalarLhs(op, lit)]);
@@ -726,7 +711,7 @@ fn one_instruction_programs() -> Vec<Vec<Instr>> {
     for op in UNARY_OPS {
         programs.push(vec![Instr::Load(0), Instr::Unary(op)]);
     }
-    for slot in 0..5 {
+    for slot in 0..3 {
         for to in CASTS {
             programs.push(vec![Instr::Load(slot), Instr::Cast(to)]);
         }
@@ -743,7 +728,7 @@ fn deep_programs() -> Vec<Vec<Instr>> {
             Instr::ScalarRhs(BinaryOp::Mul, -1.0),
             Instr::ScalarRhs(BinaryOp::Add, 1.0),
             Instr::Load(1),
-            Instr::Load(3),
+            Instr::Load(0),
             Instr::Cast(Cast::U32),
             Instr::Binary(BinaryOp::Max),
             Instr::Binary(BinaryOp::Mul),
@@ -754,16 +739,11 @@ fn deep_programs() -> Vec<Vec<Instr>> {
             Instr::Load(0),
             Instr::Load(1),
             Instr::ScalarRhs(BinaryOp::Lt, 8.0),
-            Instr::Load(4),
+            Instr::Load(2),
             Instr::Unary(UnaryOp::Not),
             Instr::Binary(BinaryOp::And),
             Instr::Cast(Cast::F64),
             Instr::Binary(BinaryOp::Select),
-        ],
-        vec![
-            Instr::Load(2),
-            Instr::Cast(Cast::I64),
-            Instr::Unary(UnaryOp::Neg),
         ],
     ]
 }
@@ -780,12 +760,8 @@ fn assert_map_matches(instrs: &[Instr], cols: &Columns, n: usize) {
         let what = format!("n={n} threads={threads} {instrs:?}");
         let got = expr::map::<f64>(&prog, &leaves, n);
         assert!(value_bits(&got) == value_bits(&want), "f64 {what}");
-        let as_u64: Vec<u64> = want.iter().map(|&x| x as u64).collect();
-        assert!(expr::map::<u64>(&prog, &leaves, n) == as_u64, "u64 {what}");
         let as_u32: Vec<u32> = want.iter().map(|&x| x as u32).collect();
         assert!(expr::map::<u32>(&prog, &leaves, n) == as_u32, "u32 {what}");
-        let as_i64: Vec<i64> = want.iter().map(|&x| x as i64).collect();
-        assert!(expr::map::<i64>(&prog, &leaves, n) == as_i64, "i64 {what}");
         let as_b8: Vec<u8> = want.iter().map(|&x| u8::from(x != 0.0)).collect();
         assert!(expr::map::<u8>(&prog, &leaves, n) == as_b8, "b8 {what}");
     });

@@ -27,7 +27,7 @@ pub fn put_vec<T: 'static>(v: Vec<T>) {
 
 /// A `vec![T::default(); len]` equivalent: every element is
 /// `T::default()`.
-pub fn take_zeroed<T: Clone + Default + 'static>(len: usize) -> Vec<T> {
+pub(crate) fn take_zeroed<T: Clone + Default + 'static>(len: usize) -> Vec<T> {
     vec![T::default(); len]
 }
 

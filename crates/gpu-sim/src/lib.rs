@@ -70,24 +70,18 @@ pub mod pool;
 pub mod presets;
 pub mod spec;
 pub mod stats;
-pub mod stream;
 pub mod trace;
 pub mod transfer;
 
 pub use buffer::{BufferId, DeviceBuffer, DeviceCopy, Reservation};
-pub use clock::{SimDuration, SimTime, VirtualClock};
+pub use clock::{SimDuration, SimTime};
 pub use cost::{AccessPattern, KernelCost};
-pub use device::{Device, DEFAULT_STREAM, POOL_HIT_NS};
+pub use device::{Device, POOL_HIT_NS};
 pub use error::{Result, SimError};
 pub use fault::{FaultPlan, FaultSite};
-pub use hostexec::{
-    par_chunks, par_chunks_mut, par_map_chunks, par_map_into, par_map_vec, RadixKey,
-};
+pub use hostexec::{par_chunks, par_map_vec, RadixKey};
 pub use pool::AllocPolicy;
 pub use pool::PoolStats;
 pub use spec::{DeviceSpec, LaunchApi};
 pub use stats::{DeviceStats, KernelStat};
-pub use stream::{Event, Stream};
-pub use trace::{
-    busy_time, render_timeline, render_timeline_annotated, KernelIo, TraceEvent, TraceKind,
-};
+pub use trace::{render_timeline, render_timeline_annotated, KernelIo, TraceEvent, TraceKind};

@@ -53,7 +53,7 @@ fn size_class(bytes: u64) -> u32 {
 }
 
 /// Bytes actually reserved for a request (its size class capacity).
-pub fn rounded_size(bytes: u64) -> u64 {
+pub(crate) fn rounded_size(bytes: u64) -> u64 {
     1u64 << size_class(bytes)
 }
 
@@ -64,7 +64,7 @@ impl MemoryPool {
     }
 
     /// Try to serve `bytes` from the cache. Returns `true` on a hit.
-    pub fn try_acquire(&mut self, bytes: u64) -> bool {
+    pub(crate) fn try_acquire(&mut self, bytes: u64) -> bool {
         let class = size_class(bytes);
         match self.free.get_mut(&class) {
             Some(n) if *n > 0 => {

@@ -13,7 +13,7 @@ use crate::cost::{AccessPattern, KernelCost};
 
 /// Number of digit passes an LSD radix sort needs for a `bytes`-wide key
 /// with 8-bit digits.
-pub fn radix_passes(key_bytes: usize) -> u32 {
+fn radix_passes(key_bytes: usize) -> u32 {
     (key_bytes as u32).max(1)
 }
 

@@ -158,7 +158,7 @@ impl DeviceSpec {
     }
 
     /// Peak ALU throughput in simple operations per nanosecond.
-    pub fn flops_per_ns(&self) -> f64 {
+    pub(crate) fn flops_per_ns(&self) -> f64 {
         self.sm_count as f64 * self.lanes_per_sm as f64 * self.clock_ghz * self.ipc
     }
 
@@ -182,11 +182,6 @@ impl DeviceSpec {
             LaunchApi::Cuda => 0,
             LaunchApi::OpenCl => self.opencl_jit_compile_ns,
         }
-    }
-
-    /// Total SIMD lanes on the device.
-    pub fn total_lanes(&self) -> u32 {
-        self.sm_count * self.lanes_per_sm
     }
 }
 
@@ -226,7 +221,6 @@ mod tests {
         let a = DeviceSpec::gtx1080();
         let b = DeviceSpec::server();
         assert!(b.flops_per_ns() > a.flops_per_ns());
-        assert_eq!(a.total_lanes(), 20 * 128);
     }
 
     #[test]

@@ -35,7 +35,7 @@ impl From<SimDuration> for SimDurationNs {
 
 impl SimDurationNs {
     /// Back to a [`SimDuration`].
-    pub fn as_duration(self) -> SimDuration {
+    pub(crate) fn as_duration(self) -> SimDuration {
         SimDuration::from_nanos(self.0)
     }
 }
@@ -206,7 +206,7 @@ mod tests {
 
     #[test]
     fn duration_ns_roundtrip() {
-        let d = SimDuration::from_micros(7);
+        let d = SimDuration::from_nanos(7_000);
         let ns: SimDurationNs = d.into();
         assert_eq!(ns.as_duration(), d);
     }

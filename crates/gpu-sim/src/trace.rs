@@ -10,13 +10,10 @@
 //!
 //! The trace doubles as the input IR of the `gpu-lint` static analyzer:
 //! events carry the identities of the buffers they touch
-//! ([`crate::buffer::BufferId`]), kernels declare their read/write sets
-//! ([`KernelIo`]) where the launching library knows them, and
-//! stream/event bookkeeping ([`TraceKind::EventRecord`],
-//! [`TraceKind::EventWait`]) lets a checker reconstruct the
-//! happens-before order between streams. All of that is observation-only
-//! metadata: recording it never advances the simulated clock, so enabling
-//! tracing cannot change any measured number.
+//! ([`crate::buffer::BufferId`]) and kernels declare their read/write sets
+//! ([`KernelIo`]) where the launching library knows them. All of that is
+//! observation-only metadata: recording it never advances the simulated
+//! clock, so enabling tracing cannot change any measured number.
 
 use crate::buffer::BufferId;
 use crate::clock::{SimDuration, SimTime};
@@ -29,9 +26,9 @@ use std::collections::BTreeMap;
 /// The legacy launch paths ([`crate::Device::charge_kernel`]) record
 /// [`KernelIo::Unknown`]; analysis passes must treat such launches
 /// conservatively (they may read and write every live buffer). The
-/// io-aware paths ([`crate::Device::charge_kernel_io`]) record the exact
-/// sets, which is what makes read-before-write, dead-transfer and
-/// stream-race analysis possible.
+/// io-aware paths ([`crate::Device::try_charge_kernel_io`]) record the exact
+/// sets, which is what makes read-before-write and dead-transfer
+/// analysis possible.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum KernelIo {
     /// The launch site did not declare its footprint.
@@ -121,22 +118,6 @@ pub enum TraceKind {
         /// The buffer released.
         buf: BufferId,
     },
-    /// `Stream::record` captured event `event` on stream `stream`
-    /// (zero-duration bookkeeping event).
-    EventRecord {
-        /// Recording stream.
-        stream: u64,
-        /// Event id.
-        event: u64,
-    },
-    /// Stream `stream` waited on event `event` (zero-duration
-    /// bookkeeping event; establishes a happens-before edge).
-    EventWait {
-        /// Waiting stream.
-        stream: u64,
-        /// Event id.
-        event: u64,
-    },
     /// An injected fault firing (site and error description).
     Fault(String),
     /// A resilience action above the device: retry, fallback or batch
@@ -156,27 +137,17 @@ impl TraceKind {
             TraceKind::Alloc { bytes, .. } => format!("alloc {bytes}B"),
             TraceKind::PoolAlloc { bytes, .. } => format!("pool-alloc {bytes}B"),
             TraceKind::Free { buf } => format!("free b{}", buf.0),
-            TraceKind::EventRecord { stream, event } => {
-                format!("record s{stream}/e{event}")
-            }
-            TraceKind::EventWait { stream, event } => format!("wait s{stream}/e{event}"),
             TraceKind::Fault(what) => format!("fault {what}"),
             TraceKind::Resilience(what) => format!("resilience {what}"),
         }
     }
 
-    /// Whether this is a zero-cost bookkeeping event (buffer frees,
-    /// stream/event records) rather than timed device work. Meta events
+    /// Whether this is a zero-cost bookkeeping event (pool hits, buffer
+    /// frees) rather than timed device work. Meta events
     /// exist for analysis; [`render_timeline`] hides them so timelines
     /// show exactly the costed work they always showed.
-    pub fn is_meta(&self) -> bool {
-        matches!(
-            self,
-            TraceKind::PoolAlloc { .. }
-                | TraceKind::Free { .. }
-                | TraceKind::EventRecord { .. }
-                | TraceKind::EventWait { .. }
-        )
+    pub(crate) fn is_meta(&self) -> bool {
+        matches!(self, TraceKind::PoolAlloc { .. } | TraceKind::Free { .. })
     }
 }
 
@@ -189,9 +160,6 @@ pub struct TraceEvent {
     pub end: SimTimeNs,
     /// What happened.
     pub kind: TraceKind,
-    /// The stream the event was issued on (0 = the default stream all
-    /// device-level operations use).
-    pub stream: u64,
 }
 
 /// Serializable nanosecond instant.
@@ -205,23 +173,12 @@ impl From<SimTime> for SimTimeNs {
 }
 
 impl TraceEvent {
-    /// An event on the default stream.
+    /// An event spanning `start..end` simulated nanoseconds.
     pub fn new(start: u64, end: u64, kind: TraceKind) -> TraceEvent {
         TraceEvent {
             start: SimTimeNs(start),
             end: SimTimeNs(end),
             kind,
-            stream: 0,
-        }
-    }
-
-    /// An event on an explicit stream.
-    pub fn on_stream(start: u64, end: u64, kind: TraceKind, stream: u64) -> TraceEvent {
-        TraceEvent {
-            start: SimTimeNs(start),
-            end: SimTimeNs(end),
-            kind,
-            stream,
         }
     }
 
@@ -233,7 +190,7 @@ impl TraceEvent {
 
 /// Render a trace as an ASCII timeline, one row per costed event, bar
 /// widths proportional to simulated duration. Zero-cost bookkeeping
-/// events ([`TraceKind::is_meta`]) are hidden.
+/// events (`TraceKind::is_meta`) are hidden.
 pub fn render_timeline(events: &[TraceEvent]) -> String {
     render_timeline_annotated(events, &BTreeMap::new())
 }
@@ -302,16 +259,6 @@ pub fn render_timeline_annotated(
     out
 }
 
-/// Total busy time (sum of costed event durations; events never overlap
-/// on the in-order timeline).
-pub fn busy_time(events: &[TraceEvent]) -> SimDuration {
-    events
-        .iter()
-        .filter(|e| !e.kind.is_meta())
-        .map(TraceEvent::duration)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,12 +290,10 @@ mod tests {
         assert!(matches!(&kinds[2], TraceKind::Kernel { name, io }
             if name == "work" && *io == KernelIo::Unknown));
         assert!(matches!(kinds[3], TraceKind::DtoH { bytes: 12, buf } if *buf == buf_id));
-        // Events are ordered and non-overlapping, all on the default
-        // stream.
+        // Events are ordered and non-overlapping.
         for w in trace.windows(2) {
             assert!(w[0].end <= w[1].start);
         }
-        assert!(trace.iter().all(|e| e.stream == 0));
         // take_trace drains.
         assert!(dev.take_trace().is_empty());
     }
@@ -373,7 +318,8 @@ mod tests {
         dev.set_tracing(true);
         let a = dev.htod(&[1u32, 2]).unwrap();
         let b = dev.htod(&[0u32, 0]).unwrap();
-        dev.charge_kernel_io("copy", KernelCost::map::<u32, u32>(2), &[a.id()], &[b.id()]);
+        dev.try_charge_kernel_io("copy", KernelCost::map::<u32, u32>(2), &[a.id()], &[b.id()])
+            .unwrap();
         let trace = dev.take_trace();
         let kernel = trace
             .iter()
@@ -424,7 +370,6 @@ mod tests {
         let short_bar = r.lines().nth(1).unwrap().matches('█').count();
         let long_bar = r.lines().nth(2).unwrap().matches('█').count();
         assert!(long_bar > 3 * short_bar, "{r}");
-        assert_eq!(busy_time(&events).as_nanos(), 1_000);
         assert_eq!(render_timeline(&[]), "(empty trace)\n");
     }
 

@@ -37,17 +37,6 @@ impl GroupAggregate {
     pub fn is_empty(&self) -> bool {
         self.keys.is_empty()
     }
-
-    /// Per-group average (`sum / count`), computed host-side from the
-    /// downloaded aggregates.
-    pub fn avgs(&self) -> Vec<f64> {
-        self.sums
-            .host()
-            .iter()
-            .zip(self.counts.host())
-            .map(|(&s, &c)| if c == 0 { 0.0 } else { s / c as f64 })
-            .collect()
-    }
 }
 
 /// One-pass hash aggregation: SUM, COUNT, MIN, MAX per distinct key.
@@ -153,7 +142,6 @@ mod tests {
         assert_eq!(g.counts.host(), &[2, 3]);
         assert_eq!(g.mins.host(), &[1.0, 10.0]);
         assert_eq!(g.maxs.host(), &[3.0, 30.0]);
-        assert_eq!(g.avgs(), vec![2.0, 20.0]);
         assert_eq!(g.len(), 2);
     }
 

@@ -32,9 +32,9 @@ pub use aggregate::{
 pub use join::{hash_join, merge_join, nested_loops_join, JoinResult};
 pub use primitives::{
     exclusive_scan_u32, fused_filter_dot, fused_filter_sum, fused_map_expr, gather_f64, gather_u32,
-    product_f64, radix_sort_pairs, reduce_f64, scatter_u32, sort_u32, top_k_f64,
+    product_f64, radix_sort_pairs, reduce_f64, scatter_u32, sort_u32,
 };
-pub use selection::{charge_select_fused, select_fused, select_gather_f64};
+pub use selection::{charge_select_fused, select_fused};
 
 /// Kernel-name prefix for device statistics.
 pub const KERNEL_PREFIX: &str = "hw";

@@ -212,55 +212,6 @@ pub fn scatter_u32(
     device.buffer_from_vec(out, AllocPolicy::Pooled)
 }
 
-/// Device-side top-k: indices of the `k` largest values, descending — the
-/// ORDER BY … LIMIT tail of Q3 without a full sort. A tuned kernel keeps
-/// per-block heaps in shared memory and merges them; cost is one streaming
-/// read plus a k·log k merge.
-pub fn top_k_f64(
-    device: &Arc<Device>,
-    vals: &DeviceBuffer<f64>,
-    k: usize,
-) -> Result<DeviceBuffer<u32>> {
-    let v = vals.host();
-    let k = k.min(v.len());
-    if k == 0 {
-        charge_io(
-            device,
-            "top_k",
-            KernelCost::reduce::<f64>(v.len()),
-            &[vals.id()],
-            &[],
-        )?;
-        return device.buffer_from_vec(Vec::new(), AllocPolicy::Pooled);
-    }
-    let mut idx: Vec<u32> = (0..v.len() as u32).collect();
-    idx.select_nth_unstable_by(k - 1, |&a, &b| {
-        v[b as usize]
-            .partial_cmp(&v[a as usize])
-            .expect("NaN in top_k")
-            .then(a.cmp(&b))
-    });
-    idx.truncate(k);
-    idx.sort_by(|&a, &b| {
-        v[b as usize]
-            .partial_cmp(&v[a as usize])
-            .expect("NaN in top_k")
-            .then(a.cmp(&b))
-    });
-    let n = vals.len();
-    charge_io(
-        device,
-        "top_k",
-        KernelCost::reduce::<f64>(n)
-            .with_write((k * 4) as u64)
-            .with_flops(n as u64 + (k as u64) * 16)
-            .with_divergence(0.1),
-        &[vals.id()],
-        &[],
-    )?;
-    device.buffer_from_vec(idx, AllocPolicy::Pooled)
-}
-
 /// The fused TPC-H Q6 shape: `SUM(a[i] * b[i])` over rows passing every
 /// one of `preds`, in **one** kernel — predicate, product and reduction
 /// share the pass. `bytes_per_row` covers the predicates' extra column
@@ -421,42 +372,6 @@ mod tests {
         let r = fused_filter_dot(&dev, &price, &disc, 8, &[], &[keep]).unwrap();
         assert_eq!(r, 1.0 + 9.0);
         assert_eq!(dev.stats().launches_of("hw::fused_filter_dot"), 1);
-    }
-
-    #[test]
-    fn top_k_returns_largest_descending() {
-        let dev = Device::with_defaults();
-        let v = dev.htod(&[3.0f64, 9.0, 1.0, 9.0, 7.0]).unwrap();
-        let top = top_k_f64(&dev, &v, 3).unwrap();
-        // Ties break by index: both 9.0s, then 7.0.
-        assert_eq!(top.host(), &[1, 3, 4]);
-        let all = top_k_f64(&dev, &v, 99).unwrap();
-        assert_eq!(all.len(), 5, "k clamps to len");
-        assert_eq!(all.host(), &[1, 3, 4, 0, 2]);
-        let none = top_k_f64(&dev, &v, 0).unwrap();
-        assert!(none.is_empty());
-        let empty: gpu_sim::DeviceBuffer<f64> = dev.alloc(0).unwrap();
-        assert!(top_k_f64(&dev, &empty, 5).unwrap().is_empty());
-        assert_eq!(dev.stats().launches_of("hw::top_k"), 4);
-    }
-
-    #[test]
-    fn top_k_is_cheaper_than_sorting_everything() {
-        let n = 1 << 20;
-        let vals: Vec<f64> = (0..n)
-            .map(|i| ((i * 2_654_435_761usize) % 1_000_003) as f64)
-            .collect();
-        let dev_k = Device::with_defaults();
-        let vb = dev_k.htod(&vals).unwrap();
-        let (_, t_topk) = dev_k.time(|| top_k_f64(&dev_k, &vb, 10).unwrap());
-        let dev_s = Device::with_defaults();
-        let kb = dev_s.htod(&vec![0u32; n]).unwrap();
-        let mut keys = dev_s.dtod(&kb).unwrap();
-        let mut ids = dev_s
-            .buffer_from_vec((0..n as u32).collect(), gpu_sim::AllocPolicy::Pooled)
-            .unwrap();
-        let (_, t_sort) = dev_s.time(|| radix_sort_pairs(&dev_s, &mut keys, &mut ids).unwrap());
-        assert!(t_topk < t_sort, "top-k {t_topk} vs full sort {t_sort}");
     }
 
     #[test]

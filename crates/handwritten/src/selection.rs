@@ -6,7 +6,7 @@
 //! (`transform`, `exclusive_scan`, `gather`), reading and writing the
 //! column multiple times. The ablation experiment A1 quantifies the gap.
 
-use crate::{charge, charge_io};
+use crate::charge;
 use gpu_sim::{hostexec, AllocPolicy, Device, DeviceBuffer, KernelCost, Reservation, Result};
 use std::sync::Arc;
 
@@ -49,32 +49,6 @@ pub fn charge_select_fused(
     device.reserve(out_bytes, AllocPolicy::Pooled, true)
 }
 
-/// Fused selection + materialisation of one `f64` payload column in the
-/// same kernel (predicate and gather share the single pass).
-pub fn select_gather_f64(
-    device: &Arc<Device>,
-    payload: &DeviceBuffer<f64>,
-    bytes_per_row: usize,
-    pred: impl Fn(usize) -> bool + Sync,
-) -> Result<DeviceBuffer<f64>> {
-    let src = payload.host();
-    let idx = hostexec::select_where(src.len(), pred);
-    let out = gpu_sim::par_map_vec(idx.len(), |i| src[idx[i] as usize]);
-    let out_bytes = (out.len() * 8) as u64;
-    charge_io(
-        device,
-        "select_gather",
-        KernelCost::map::<(), ()>(src.len())
-            .with_read((src.len() * (bytes_per_row + 8)) as u64)
-            .with_write(out_bytes)
-            .with_flops(2 * src.len() as u64)
-            .with_divergence(0.25),
-        &[payload.id()],
-        &[],
-    )?;
-    device.buffer_from_vec(out, AllocPolicy::Pooled)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,15 +86,6 @@ mod tests {
             dev_lib.now() - t0
         };
         assert!(t_hw < t_lib, "hw {t_hw} vs lib {t_lib}");
-    }
-
-    #[test]
-    fn select_gather_materialises_values() {
-        let dev = Device::with_defaults();
-        let payload = dev.htod(&[1.5f64, 2.5, 3.5]).unwrap();
-        let keep = [true, false, true];
-        let out = select_gather_f64(&dev, &payload, 1, |i| keep[i]).unwrap();
-        assert_eq!(out.host(), &[1.5, 3.5]);
     }
 
     #[test]

@@ -14,7 +14,7 @@ fn is_leap(year: i32) -> bool {
 }
 
 /// Days in `year`.
-pub fn days_in_year(year: i32) -> u32 {
+fn days_in_year(year: i32) -> u32 {
     if is_leap(year) {
         366
     } else {
@@ -48,7 +48,7 @@ pub fn date(year: i32, month: u32, day: u32) -> u32 {
 }
 
 /// Decode a day number back to `(year, month, day)`.
-pub fn decode(mut days: u32) -> (i32, u32, u32) {
+pub(crate) fn decode(mut days: u32) -> (i32, u32, u32) {
     let mut year = EPOCH_YEAR;
     while days >= days_in_year(year) {
         days -= days_in_year(year);

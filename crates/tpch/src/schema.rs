@@ -223,7 +223,7 @@ impl Customer {
 }
 
 /// Dictionary index of a segment name.
-pub fn segment_code(name: &str) -> Option<u32> {
+pub(crate) fn segment_code(name: &str) -> Option<u32> {
     SEGMENTS.iter().position(|&s| s == name).map(|i| i as u32)
 }
 

@@ -118,49 +118,6 @@ fn resilient_wrapper_is_free_without_faults() {
     );
 }
 
-#[test]
-fn executor_degrades_to_handwritten_for_joins_under_faults() {
-    // Hash join: unsupported by every library backend (the paper's
-    // headline gap), so the chain must fall back to the handwritten
-    // baseline — even while faults are firing on both devices.
-    let spec = DeviceSpec::gtx1080();
-    let outer: Vec<u32> = (0..3000).map(|i| i % 257).collect();
-    let inner: Vec<u32> = (0..500).map(|i| i * 3 % 257).collect();
-    let mut expect = Vec::new();
-    for (i, a) in outer.iter().enumerate() {
-        for (j, b) in inner.iter().enumerate() {
-            if a == b {
-                expect.push((i as u32, j as u32));
-            }
-        }
-    }
-    for primary in ["Thrust", "Boost.Compute", "ArrayFire"] {
-        let fw = Framework::with_all_backends_resilient(&spec, deep_policy());
-        let lib = fw.backend(primary).unwrap();
-        let hw = fw.backend("Handwritten").unwrap();
-        let lib_dev = lib.device();
-        let hw_dev = hw.device();
-        lib_dev.install_fault_plan(FaultPlan::uniform(9, 0.05));
-        hw_dev.install_fault_plan(FaultPlan::uniform(10, 0.05));
-        let ex = ResilientExecutor::with_policy(
-            vec![
-                Box::new(gpu_proto_db::core::backends::ThrustBackend::new(&lib_dev)),
-                Box::new(gpu_proto_db::core::backends::HandwrittenBackend::new(
-                    &hw_dev,
-                )),
-            ],
-            deep_policy(),
-        );
-        let (o, i) = ex.hash_join(&outer, &inner).unwrap();
-        let got: Vec<(u32, u32)> = o.into_iter().zip(i).collect();
-        assert_eq!(got, expect, "fallback join must still be exact");
-        assert!(
-            lib_dev.stats().fallbacks > 0,
-            "{primary}: join must fall back to Handwritten"
-        );
-    }
-}
-
 /// Run all six planner-routed TPC-H queries through one resilient plan
 /// executor, returning each answer as a debug rendering (`None` where
 /// the backend cannot plan the query — ArrayFire lacks the join algos
@@ -306,15 +263,18 @@ fn plan_fallback_chain_replays_on_the_spare_backend() {
     // A library lane with no in-place retries dies on its first
     // transient; the handwritten spare must complete the plan and the
     // answer must be the spare's own bit-exact result (the lowerings
-    // differ, so no checkpoint transfers between these lanes).
+    // differ, so no checkpoint transfers between these lanes) — for the
+    // scalar aggregate (Q6) and the grouped one (Q1) alike.
     let db = tpch::generate(0.002);
     let spec = DeviceSpec::gtx1080();
     let fw = Framework::with_all_backends(&spec);
     let hw = fw.backend("Handwritten").unwrap();
     let hw_clean = {
-        let data = Q6Data::upload(hw, &db).unwrap();
-        let v = data.execute(hw).unwrap();
-        data.free(hw).unwrap();
+        let q6 = Q6Data::upload(hw, &db).unwrap();
+        let q1 = Q1Data::upload(hw, &db).unwrap();
+        let v = (q6.execute(hw).unwrap(), q1.execute(hw).unwrap());
+        q1.free(hw).unwrap();
+        q6.free(hw).unwrap();
         v
     };
     for primary in ["Thrust", "Boost.Compute", "ArrayFire"] {
@@ -325,23 +285,34 @@ fn plan_fallback_chain_replays_on_the_spare_backend() {
             retry: RetryPolicy::no_retry(),
             ..PlanRecovery::default()
         });
-        let data = Q6Data::upload(lib, &db).unwrap();
-        let spare_data = Q6Data::upload(spare, &db).unwrap();
+        let q6 = Q6Data::upload(lib, &db).unwrap();
+        let q1 = Q1Data::upload(lib, &db).unwrap();
+        let spare_q6 = Q6Data::upload(spare, &db).unwrap();
+        let spare_q1 = Q1Data::upload(spare, &db).unwrap();
         lib.device().install_fault_plan(FaultPlan::uniform(3, 0.2));
-        let got = data
-            .execute_with_fallback(lib, (&spare_data, spare), &exec)
-            .unwrap();
-        spare_data.free(spare).unwrap();
-        data.free(lib).unwrap();
+        let got = (
+            q6.execute_with_fallback(lib, (&spare_q6, spare), &exec)
+                .unwrap(),
+            q1.execute_with_fallback(lib, (&spare_q1, spare), &exec)
+                .unwrap(),
+        );
+        spare_q1.free(spare).unwrap();
+        spare_q6.free(spare).unwrap();
+        q1.free(lib).unwrap();
+        q6.free(lib).unwrap();
         assert_eq!(
-            got.to_bits(),
-            hw_clean.to_bits(),
-            "{primary}: fallback answer must be the handwritten result"
+            got.0.to_bits(),
+            hw_clean.0.to_bits(),
+            "{primary}: fallback Q6 must be the handwritten result"
+        );
+        assert_eq!(
+            got.1, hw_clean.1,
+            "{primary}: fallback Q1 must be the handwritten rows"
         );
         assert_eq!(
             spare.device().stats().fallbacks,
-            1,
-            "{primary}: exactly one fallback to the spare"
+            2,
+            "{primary}: exactly one fallback to the spare per query"
         );
     }
 }
@@ -351,7 +322,10 @@ proptest! {
 
     /// Identical seeds replay byte-identical fault schedules at every
     /// site, and two identically-seeded runs of the same faulty workload
-    /// land on identical simulated clocks.
+    /// land on identical simulated clocks — through the operator-level
+    /// wrapper and through a plan-level library → handwritten fallback
+    /// chain, whose answer is bit-equal to the fault-free answer of
+    /// whichever lane completed it.
     #[test]
     fn fault_schedules_replay_bit_for_bit(
         seed in any::<u64>(),
@@ -380,84 +354,39 @@ proptest! {
             (host, stats.retries, stats.faults_injected, dev.now().as_nanos())
         };
         prop_assert_eq!(run(), run());
-    }
 
-    /// The resilient executor returns results identical to the fault-free
-    /// run — selection, grouped sum and hash join, on every backend chain,
-    /// under an arbitrary fault plan. (Values are integer-valued floats,
-    /// so chunk-merged sums are exact.)
-    #[test]
-    fn executor_results_match_fault_free_under_any_plan(
-        seed in any::<u64>(),
-        rate_permille in 1u64..120,
-        keys in prop::collection::vec(0u32..64, 1..400),
-    ) {
-        let vals: Vec<f64> = keys.iter().map(|&k| f64::from(k * 7 % 101)).collect();
-        let inner: Vec<u32> = (0..40).collect();
-        let spec = DeviceSpec::gtx1080();
-        for faulty in [false, true] {
-            let mut per_backend = Vec::new();
-            for name in ["ArrayFire", "Boost.Compute", "Thrust", "Handwritten"] {
-                let fw = Framework::with_all_backends(&spec);
-                let primary = fw.backend(name).unwrap().device();
-                let fallback = fw.backend("Handwritten").unwrap().device();
-                if faulty {
-                    let rate = rate_permille as f64 / 1000.0;
-                    primary.install_fault_plan(FaultPlan::uniform(seed, rate));
-                    fallback.install_fault_plan(FaultPlan::uniform(seed ^ 1, rate));
-                }
-                let chain: Vec<Box<dyn GpuBackend>> = vec![
-                    match name {
-                        "ArrayFire" => Box::new(
-                            gpu_proto_db::core::backends::ArrayFireBackend::new(&primary),
-                        ) as Box<dyn GpuBackend>,
-                        "Boost.Compute" => {
-                            Box::new(gpu_proto_db::core::backends::BoostBackend::new(&primary))
-                        }
-                        "Thrust" => {
-                            Box::new(gpu_proto_db::core::backends::ThrustBackend::new(&primary))
-                        }
-                        _ => Box::new(
-                            gpu_proto_db::core::backends::HandwrittenBackend::new(&primary),
-                        ),
-                    },
-                    Box::new(gpu_proto_db::core::backends::HandwrittenBackend::new(&fallback)),
-                ];
-                let ex = ResilientExecutor::with_policy(chain, deep_policy());
-                let sel = ex.selection(&keys, CmpOp::Lt, 32.0).unwrap();
-                let (gk, gs) = ex.grouped_sum(&keys, &vals).unwrap();
-                let (jo, ji) = ex.hash_join(&keys, &inner).unwrap();
-                per_backend.push((name, sel, gk, gs, jo, ji));
+        // A library lane that may not retry in place, under the seeded
+        // plan, with a healthy handwritten spare behind it.
+        let db = tpch::generate(0.001);
+        let primary = ["Thrust", "Boost.Compute", "ArrayFire"][(seed % 3) as usize];
+        let q6_on = |name: &str, fault: Option<FaultPlan>| {
+            let fw = Framework::with_all_backends(&DeviceSpec::gtx1080());
+            let lib = fw.backend(name).unwrap();
+            let spare = fw.backend("Handwritten").unwrap();
+            let exec = ResilientPlanExecutor::new(PlanRecovery {
+                retry: RetryPolicy::no_retry(),
+                ..PlanRecovery::default()
+            });
+            let data = Q6Data::upload(lib, &db).unwrap();
+            let spare_data = Q6Data::upload(spare, &db).unwrap();
+            if let Some(fp) = fault {
+                lib.device().install_fault_plan(fp);
             }
-            // All four chains agree with the host reference.
-            let expect_sel: Vec<u32> = keys
-                .iter()
-                .enumerate()
-                .filter(|(_, &k)| k < 32)
-                .map(|(i, _)| i as u32)
-                .collect();
-            let mut expect_gs: std::collections::BTreeMap<u32, f64> = Default::default();
-            for (k, v) in keys.iter().zip(&vals) {
-                *expect_gs.entry(*k).or_insert(0.0) += v;
-            }
-            for (name, sel, gk, gs, jo, ji) in &per_backend {
-                prop_assert_eq!(sel, &expect_sel, "{} faulty={}", name, faulty);
-                prop_assert_eq!(
-                    gk,
-                    &expect_gs.keys().copied().collect::<Vec<_>>(),
-                    "{} faulty={}", name, faulty
-                );
-                prop_assert_eq!(
-                    gs,
-                    &expect_gs.values().copied().collect::<Vec<_>>(),
-                    "{} faulty={}", name, faulty
-                );
-                for (o, i) in jo.iter().zip(ji) {
-                    prop_assert_eq!(keys[*o as usize], inner[*i as usize]);
-                }
-                let n_matches: usize = keys.iter().filter(|k| **k < 40).count();
-                prop_assert_eq!(jo.len(), n_matches, "{} faulty={}", name, faulty);
-            }
-        }
+            let got = data
+                .execute_with_fallback(lib, (&spare_data, spare), &exec)
+                .unwrap();
+            spare_data.free(spare).unwrap();
+            data.free(lib).unwrap();
+            (
+                got.to_bits(),
+                spare.device().stats().fallbacks,
+                lib.device().now().as_nanos(),
+                spare.device().now().as_nanos(),
+            )
+        };
+        let faulted = q6_on(primary, Some(FaultPlan::uniform(seed, rate)));
+        prop_assert_eq!(faulted, q6_on(primary, Some(FaultPlan::uniform(seed, rate))));
+        let finisher = if faulted.1 == 0 { primary } else { "Handwritten" };
+        prop_assert_eq!(faulted.0, q6_on(finisher, None).0, "{} → {}", primary, finisher);
     }
 }
