@@ -2,7 +2,7 @@
 # Alternating parent / new runs of one benchmark workload, and the table a
 # host-time claim needs (CONTRIBUTING.md, "Claiming host time").
 #
-#   ci/bench_pairs.sh <parent-checkout> <workload> <pairs> [--trace 1]
+#   ci/bench_pairs.sh <parent-checkout> <workload> <pairs> [--trace 1] [--only <regex>]
 #
 # <parent-checkout> is a clone of the parent commit (`git clone`, not a
 # worktree); the new side is the checkout this script sits in. Each side's
@@ -13,12 +13,23 @@
 # medians, both quartile spreads (q3 - q1 over the median), the pairs the new
 # side won (ties count for neither), and whether the row is *resolved* by
 # benchmark/SPREAD.md's rule: the parent's own spread under a third of the
-# bound in BENCHMARK.json. Every run made is kept in the directory the first
-# output line names. Not run by CI.
+# bound in BENCHMARK.json. A metric that read zero in every run of both sides
+# (most per-layer rows of a traced run belong to layers the workload never
+# enters) gets no row, and `--only` keeps the rows whose name the regex
+# matches (e.g. 'sort|grouped_sum_distinct|wall_s'). Every run made is kept in
+# the directory the first output line names. Not run by CI.
 set -euo pipefail
 [ $# -ge 3 ] || { sed -n '2,6p' "$0" >&2; exit 2; }
 parent=$(cd "$1" && pwd); workload=$2; pairs=$3; shift 3
-trace=0; [ "${1:-}" = --trace ] && trace=${2:?--trace needs 0 or 1}
+trace=0; only=
+while [ $# -gt 0 ]; do
+  case $1 in
+    --trace) trace=${2:?--trace needs 0 or 1} ;;
+    --only) only=${2:?--only needs a regex} ;;
+    *) echo "unknown argument: $1" >&2; exit 2 ;;
+  esac
+  shift 2
+done
 new=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
 seconds=$(python3 -c "import json; print(json.load(open('$new/BENCHMARK.json'))['run_seconds'])")
 runs=$(mktemp -d "${TMPDIR:-/tmp}/bench_pairs.XXXXXX")
@@ -35,9 +46,9 @@ for i in $(seq 1 "$pairs"); do
     echo "pair $i: $side done" >&2
   done
 done
-python3 - "$runs" "$new/BENCHMARK.json" "$workload" <<'PY'
-import json, statistics, sys
-runs, spec, workload = sys.argv[1:]
+python3 - "$runs" "$new/BENCHMARK.json" "$workload" "$only" <<'PY'
+import json, re, statistics, sys
+runs, spec, workload, only = sys.argv[1:]
 spec = json.load(open(spec))
 sides = {s: [json.loads(l) for l in open(f"{runs}/{s}.jsonl")] for s in ("parent", "new")}
 for i, (p, n) in enumerate(zip(sides["parent"], sides["new"]), 1):
@@ -56,6 +67,8 @@ print(f"{'metric':42} {'parent':>12} {'new':>12} {'change':>8} {'IQR p':>6} {'IQ
 for name in sides["parent"][0]["metrics"]:
     p = [r["metrics"][name]["value"] for r in sides["parent"]]
     n = [r["metrics"][name]["value"] for r in sides["new"]]
+    if not any(p + n) or not re.search(only, name):
+        continue
     lower = known.get(name, {}).get("better", "lower") == "lower"
     won = sum((b < a) if lower else (b > a) for a, b in zip(p, n))
     (pm, ps), (nm, ns) = stats(p), stats(n)

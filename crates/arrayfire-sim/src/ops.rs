@@ -79,28 +79,33 @@ pub fn lookup(data: &Array, indices: &Array) -> Result<Array> {
     let col = data.eval()?;
     let idx_col = indices.eval()?;
     let idx = idx_col.as_u32()?;
-    let src = col.to_f64_vec();
-    let mut out = Vec::with_capacity(idx.len());
-    for &i in idx {
-        let i = i as usize;
-        if i >= src.len() {
-            return Err(SimError::IndexOutOfBounds {
-                index: i,
-                len: src.len(),
-            });
-        }
-        out.push(src[i]);
+    // The kernel, then the output column: what a gather that found every
+    // index in bounds goes on to pay.
+    let charge = || {
+        let launch = device.spec().cuda_launch_latency_ns;
+        let bytes_per = data.dtype().size();
+        device.try_charge_kernel(
+            "af::lookup",
+            presets::gather::<u64>(idx.len())
+                .with_read((idx.len() * (4 + bytes_per)) as u64)
+                .with_write((idx.len() * bytes_per) as u64)
+                .with_launch_overhead(launch),
+        )?;
+        reserve_column(device, data.dtype(), idx.len())
+    };
+    // Gathered in the column's own dtype: no widened copy of the source.
+    macro_rules! gathered {
+        ($variant:ident, $src:expr) => {{
+            let rows = gpu_sim::hostexec::gather($src.host(), idx)?;
+            ColumnData::$variant(charge()?.into_buffer(rows))
+        }};
     }
-    let launch = device.spec().cuda_launch_latency_ns;
-    let bytes_per = data.dtype().size();
-    device.try_charge_kernel(
-        "af::lookup",
-        presets::gather::<u64>(idx.len())
-            .with_read((idx.len() * (4 + bytes_per)) as u64)
-            .with_write((idx.len() * bytes_per) as u64)
-            .with_launch_overhead(launch),
-    )?;
-    af.wrap(crate::dtype::column_from_f64(device, data.dtype(), out)?)
+    let out = match &*col {
+        ColumnData::F64(b) => gathered!(F64, b),
+        ColumnData::U32(b) => gathered!(U32, b),
+        ColumnData::B8(b) => gathered!(B8, b),
+    };
+    af.wrap(out)
 }
 
 /// `af::sum` — total of all elements, returned as `f64`.

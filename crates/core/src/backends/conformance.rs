@@ -393,6 +393,22 @@ fn every_operator_gives_the_hand_computed_answer() {
     });
 }
 
+/// A gather hands back the source's dtype and its exact values — also
+/// where a library (ArrayFire) runs its other kernels in `f64` lanes.
+#[test]
+fn gather_returns_the_source_dtype_bit_for_bit() {
+    const SRC: [u32; 4] = [u32::MAX, 0, 0x8000_0001, (1 << 24) + 1];
+    on_every_backend(|b| {
+        let src = b.upload_u32(&SRC).unwrap();
+        let idx = b.upload_u32(&[2, 0, 3, 3, 1]).unwrap();
+        let out = b.gather(&src, &idx).unwrap();
+        assert_eq!(out.dtype(), ColType::U32, "{}", b.name());
+        let want = [SRC[2], SRC[0], SRC[3], SRC[3], SRC[1]];
+        assert_eq!(b.download_u32(&out).unwrap(), want, "{}", b.name());
+        free(b, [src, idx, out]);
+    });
+}
+
 #[test]
 fn empty_columns_flow_through_every_operator() {
     on_every_backend(|b| {

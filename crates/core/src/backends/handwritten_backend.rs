@@ -243,7 +243,7 @@ impl GpuBackend for HandwrittenBackend {
             .buffer_from_vec(ids, gpu_sim::AllocPolicy::Pooled)?;
         hw::radix_sort_pairs(&self.device, &mut kbuf, &mut ibuf)?;
         let vout = self.slab.with(vals.id, |s| match s {
-            Stored::F64(v) => hw::gather_f64(&self.device, v, &ibuf),
+            Stored::F64(v) => hw::gather(&self.device, v, &ibuf),
             _ => unreachable!("dtype checked"),
         })??;
         Ok((self.mint(Stored::U32(kbuf)), self.mint(Stored::F64(vout))))
@@ -299,8 +299,8 @@ impl GpuBackend for HandwrittenBackend {
                 unreachable!("dtype checked")
             };
             match d {
-                Stored::U32(v) => hw::gather_u32(&self.device, v, map).map(Stored::U32),
-                Stored::F64(v) => hw::gather_f64(&self.device, v, map).map(Stored::F64),
+                Stored::U32(v) => hw::gather(&self.device, v, map).map(Stored::U32),
+                Stored::F64(v) => hw::gather(&self.device, v, map).map(Stored::F64),
             }
         })??;
         Ok(self.mint(stored))
@@ -345,8 +345,8 @@ impl GpuBackend for HandwrittenBackend {
                     )?;
                     hw::radix_sort_pairs(&self.device, &mut ik, &mut ii)?;
                     let merged = hw::merge_join(&self.device, &ok, &ik)?;
-                    let left = hw::gather_u32(&self.device, &oi, &merged.left)?;
-                    let right = hw::gather_u32(&self.device, &ii, &merged.right)?;
+                    let left = hw::gather(&self.device, &oi, &merged.left)?;
+                    let right = hw::gather(&self.device, &ii, &merged.right)?;
                     Ok(hw::JoinResult { left, right })
                 }
             }

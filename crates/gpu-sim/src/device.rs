@@ -254,22 +254,6 @@ impl Device {
         BufferId(self.next_buffer.fetch_add(1, Ordering::Relaxed))
     }
 
-    /// Allocate a buffer whose element `i` is `f(i)` — the write-only
-    /// sibling of [`Device::alloc_with`]. Identical cost accounting (one
-    /// allocation of the same rounded size), but the zero-fill of
-    /// `alloc_with` is skipped and the generator runs across host threads
-    /// at fixed chunk granularity, so results are bit-identical at any
-    /// host parallelism.
-    pub(crate) fn alloc_map_with<T: DeviceCopy + Default>(
-        self: &Arc<Self>,
-        len: usize,
-        policy: AllocPolicy,
-        f: impl Fn(usize) -> T + Sync,
-    ) -> Result<DeviceBuffer<T>> {
-        let data = crate::hostexec::par_map_vec(len, f);
-        self.buffer_from_vec(data, policy)
-    }
-
     fn account_alloc(
         &self,
         bytes: u64,

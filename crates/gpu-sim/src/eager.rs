@@ -551,13 +551,9 @@ pub fn gather<T, L: Launch>(lib: &L, map: &Vector<u32>, src: &Vector<T>) -> Resu
 where
     T: DeviceCopy + Default,
 {
-    let (m, s) = (map.as_slice(), src.as_slice());
-    in_bounds(m.iter().copied(), s.len())?;
-    let buf = lib
-        .device()
-        .alloc_map_with(m.len(), L::ALLOC, |i| s[m[i] as usize])?;
-    let out = Vector::from_buffer(buf);
-    let (cost, reads) = (presets::gather::<T>(m.len()), [map.id(), src.id()]);
+    let data = hostexec::gather(src.as_slice(), map.as_slice())?;
+    let out = Vector::from_buffer(lib.device().buffer_from_vec(data, L::ALLOC)?);
+    let (cost, reads) = (presets::gather::<T>(map.len()), [map.id(), src.id()]);
     lib.launch("gather", type_name::<T>, cost, &reads, &[out.id()])?;
     Ok(out)
 }

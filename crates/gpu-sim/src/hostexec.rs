@@ -15,19 +15,23 @@
 //!   closure that shares the work out by claiming indices. Nothing else in
 //!   the crate spawns threads.
 //! * **Deterministic parallel chunking** ([`par_chunks`],
-//!   `par_chunks_mut`, `par_map_into`, `par_map_chunks`) — loops
+//!   `par_chunks_mut`, `par_map_into`, `par_map_chunks`, [`gather`]) — loops
 //!   split at a **fixed chunk granularity** ([`PAR_CHUNK`]) that does not
 //!   depend on the worker count, so the set of chunk boundaries — and
 //!   therefore any per-chunk computation, including f64 partial-reduction
 //!   order — is identical whether the work runs on 1 thread or 64. The
 //!   worker count is [`host_threads`].
-//! * **A block-parallel stable LSD radix sort** ([`sort_keys`],
-//!   [`sort_pairs`]) over 8-bit digits. A stable sort's output is the one
-//!   permutation that orders the keys and keeps equal keys in input order,
-//!   so it is the same at any block or thread count. Passes whose digit is
-//!   constant across the input are skipped (they would be identity
-//!   permutations), which makes small-domain keys (group ids, flags)
-//!   nearly free; an input that is already in order returns at once.
+//! * **A cache-partitioned stable radix sort** ([`sort_keys`],
+//!   [`sort_pairs`]) over 8-bit digits. An order check returns an input
+//!   that is sorted already as it is; a second read finds the key bits that
+//!   vary, and constant bits cost no pass, which makes small-domain keys
+//!   (group ids, flags) nearly free. Rows that fit the cache are sorted by
+//!   block-parallel passes from the least significant digit up; larger
+//!   inputs are first partitioned on their top eight varying bits into
+//!   buckets that are then sorted in cache, one per thread. A stable sort's
+//!   output is the one permutation that orders the keys and keeps equal
+//!   keys in input order, so it is the same on either route and at any
+//!   block or thread count.
 //! * **A key index** (`index`: open addressing, `u32` key → dense group id
 //!   in first-seen order, plus per-key row lists) with the two kernels no
 //!   surveyed library offers (paper Table II): [`equi_join`] and
@@ -43,6 +47,7 @@
 //!   op-at-a-time over `f64` register windows — the body of every fused and
 //!   element-wise kernel ([`expr::map`], [`expr::filter_sum`]).
 
+use crate::error::{Result, SimError};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -237,6 +242,42 @@ pub fn par_map_vec<T: Copy + Send + Default + 'static>(
     let mut out = crate::hostmem::take_scratch(len);
     par_map_into(&mut out, DEFAULT_MIN_SEQ, f);
     out
+}
+
+/// `out[i] = src[idx[i]]` in recycled storage, the work split across host
+/// threads at fixed chunk granularity — the one gather body of the four
+/// backends. Purely host-side: a backend gathers before it charges
+/// anything, so a refused gather costs no simulated time.
+///
+/// # Errors
+/// [`SimError::IndexOutOfBounds`] for the first element of `idx`, in `idx`
+/// order at any thread count, that does not address `src`.
+pub fn gather<T>(src: &[T], idx: &[u32]) -> Result<Vec<T>>
+where
+    T: Copy + Default + Send + Sync + 'static,
+{
+    let mut out: Vec<T> = crate::hostmem::take_scratch(idx.len());
+    // Relaxed: read after the region has ended, which publishes it.
+    let first_bad = AtomicUsize::new(usize::MAX);
+    par_chunks_mut(&mut out, DEFAULT_MIN_SEQ, |base, chunk| {
+        for (j, (o, &i)) in chunk.iter_mut().zip(&idx[base..]).enumerate() {
+            match src.get(i as usize) {
+                Some(&x) => *o = x,
+                None => {
+                    // Later rows of this chunk cannot be the first bad one.
+                    first_bad.fetch_min(base + j, Ordering::Relaxed);
+                    return;
+                }
+            }
+        }
+    });
+    match first_bad.into_inner() {
+        usize::MAX => Ok(out),
+        at => Err(SimError::IndexOutOfBounds {
+            index: idx[at] as usize,
+            len: src.len(),
+        }),
+    }
 }
 
 /// Map `f` over the fixed-granularity chunks of `0..len`, returning the

@@ -1,18 +1,32 @@
-//! Block-parallel stable LSD radix sort over 8-bit digits.
+//! Cache-partitioned stable radix sort over 8-bit digits.
 //!
-//! One pass orders the rows by one digit: the input is cut into contiguous
+//! One *pass* orders rows by one digit: the input is cut into contiguous
 //! *blocks*, every block counts its rows per digit value, an exclusive scan
 //! over the counts in (digit, block) order gives each block the place where
 //! its rows of each digit go, and every block then copies its rows there in
 //! input order. Rows with equal digits therefore land in block order and,
 //! within a block, in input order — the pass is stable however many blocks
-//! there are. A sequence of stable passes from the least significant digit
-//! up yields the one permutation that sorts the keys and keeps equal keys
-//! in input order, so the output does not depend on the block count, and
-//! with it not on the thread count. With one block the same code is the
-//! classic serial LSD sort.
+//! there are.
+//!
+//! A sequence of such passes from the least significant digit up (LSD)
+//! sorts the rows, but each pass scatters over the whole array, which is
+//! slow once the array has outgrown the cache. So the sort first checks,
+//! block by block and only up to a block's first descent, whether the keys
+//! are in order (then it returns), reads them again for the bits that
+//! differ between any two of them, and, when the rows do not fit
+//! [`CACHE_BYTES`], makes its first pass on the *top* eight varying bits:
+//! that partitions the rows into at most 256 contiguous buckets, each of
+//! which holds one range of keys and is then LSD-sorted on the bits below,
+//! in cache, one bucket per thread. A bucket that is still too large — the
+//! keys are skewed — is first read for its own varying bits and sorted the
+//! same way with every thread, before the small buckets are shared out.
+//!
+//! A stable partition followed by stable sorts of the buckets is, like the
+//! LSD sequence, the one permutation that orders the keys and keeps equal
+//! keys in input order, so the output depends on neither the block count
+//! nor the thread count, nor on which of the two routes the sizes select.
 
-use super::{for_each_index, host_threads, par_map_blocks, piece_range};
+use super::{for_each_index, for_each_owned, host_threads, par_map_blocks, piece_range};
 
 mod sealed {
     pub trait Sealed {}
@@ -65,16 +79,24 @@ radix_key! {
 
 /// Inputs at or below this length use a stable comparison sort instead:
 /// the histogram set-up of the radix sort costs more than it saves there.
+/// So does a bucket of a partitioned input.
 pub(super) const RADIX_CUTOFF: usize = 256;
 
-/// Fewest rows worth a block of their own: below two of these the sort
+/// Fewest rows worth a block of their own: below two of these a pass
 /// runs as a single block on the calling thread.
 pub(super) const MIN_BLOCK: usize = if cfg!(miri) { 1 << 6 } else { 1 << 15 };
+
+/// Most bytes of rows (keys and payloads) the LSD passes sort as one piece.
+/// A piece this size and the scratch copy the passes alternate with sit in
+/// a core's private cache together; anything larger is partitioned first.
+/// Chosen from `examples/sort_sweep.rs` (DESIGN.md §8 has the cells that
+/// decided it and the benchmark rows on either side of it).
+pub(super) const CACHE_BYTES: usize = if cfg!(miri) { 1 << 12 } else { 1 << 20 };
 
 type Histogram = [usize; 256];
 
 #[inline]
-fn digit<K: RadixKey>(key: K, shift: usize) -> usize {
+fn digit<K: RadixKey>(key: K, shift: u32) -> usize {
     ((key.radix_bits() >> shift) & 0xff) as usize
 }
 
@@ -98,18 +120,274 @@ pub fn sort_keys<K: RadixKey>(keys: &mut [K]) {
 /// If `keys` and `vals` differ in length (callers validate first).
 pub fn sort_pairs<K: RadixKey, V: Copy + Send + Sync + 'static>(keys: &mut [K], vals: &mut [V]) {
     assert_eq!(keys.len(), vals.len(), "sort_pairs length mismatch");
-    let n = keys.len();
-    if n <= RADIX_CUTOFF {
-        let mut perm: Vec<u32> = (0..n as u32).collect();
-        perm.sort_by_key(|&i| keys[i as usize].radix_bits());
-        let (old_k, old_v) = (keys.to_vec(), vals.to_vec());
-        for (dst, &src) in perm.iter().enumerate() {
-            keys[dst] = old_k[src as usize];
-            vals[dst] = old_v[src as usize];
-        }
-        return;
+    if keys.len() <= RADIX_CUTOFF {
+        let (mut tmp_k, mut tmp_v) = (keys.to_vec(), vals.to_vec());
+        let (tmp_k, tmp_v) = (&mut tmp_k[..], &mut tmp_v[..]);
+        return comparison_sort(Window {
+            keys,
+            vals,
+            tmp_k,
+            tmp_v,
+        });
     }
     radix_sort(keys, vals);
+}
+
+/// One contiguous run of rows in both of the sort's arrays: the caller's
+/// (`keys`, `vals`), where the sorted rows must end up, and the scratch
+/// copy's. The four slices have one length.
+struct Window<'a, K, V> {
+    keys: &'a mut [K],
+    vals: &'a mut [V],
+    tmp_k: &'a mut [K],
+    tmp_v: &'a mut [V],
+}
+
+impl<'a, K, V> Window<'a, K, V> {
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// The first `mid` rows and the rest.
+    fn split_at(self, mid: usize) -> (Self, Self) {
+        let (keys, keys_rest) = self.keys.split_at_mut(mid);
+        let (vals, vals_rest) = self.vals.split_at_mut(mid);
+        let (tmp_k, tmp_k_rest) = self.tmp_k.split_at_mut(mid);
+        let (tmp_v, tmp_v_rest) = self.tmp_v.split_at_mut(mid);
+        let first = Window {
+            keys,
+            vals,
+            tmp_k,
+            tmp_v,
+        };
+        let rest = Window {
+            keys: keys_rest,
+            vals: vals_rest,
+            tmp_k: tmp_k_rest,
+            tmp_v: tmp_v_rest,
+        };
+        (first, rest)
+    }
+
+    /// `(src_k, src_v, dst_k, dst_v)` for a pass over rows that the scratch
+    /// side holds (`in_tmp`) or the caller's.
+    #[allow(clippy::type_complexity)]
+    fn sides(&mut self, in_tmp: bool) -> (&mut [K], &mut [V], &mut [K], &mut [V]) {
+        let Window {
+            keys,
+            vals,
+            tmp_k,
+            tmp_v,
+        } = self;
+        if in_tmp {
+            (tmp_k, tmp_v, keys, vals)
+        } else {
+            (keys, vals, tmp_k, tmp_v)
+        }
+    }
+}
+
+/// The radix sort proper, for `n > RADIX_CUTOFF` rows.
+fn radix_sort<K: RadixKey, V: Copy + Send + Sync + 'static>(keys: &mut [K], vals: &mut [V]) {
+    let workers = host_threads();
+    let Some(mask) = varying_bits(keys, workers) else {
+        return; // in order already: the stable permutation is the identity
+    };
+    let mut scratch_k = crate::hostmem::take_from_slice(keys);
+    let mut scratch_v = crate::hostmem::take_from_slice(vals);
+    let window = Window {
+        keys,
+        vals,
+        tmp_k: &mut scratch_k[..],
+        tmp_v: &mut scratch_v[..],
+    };
+    sort_window(window, false, mask, workers);
+    crate::hostmem::put_vec(scratch_k);
+    crate::hostmem::put_vec(scratch_v);
+}
+
+/// Blocks a pass over `n` rows is cut into on `workers` threads.
+fn block_count(n: usize, workers: usize) -> usize {
+    if workers < 2 || n < 2 * MIN_BLOCK {
+        1
+    } else {
+        (2 * workers).min(n / MIN_BLOCK)
+    }
+}
+
+/// The key bits in which some two of `keys` differ, or `None` if the keys
+/// are in order already. `keys` must not be empty. Two reads: the order
+/// check, which ends in each block at its first descent, then the bits.
+fn varying_bits<K: RadixKey>(keys: &[K], workers: usize) -> Option<u64> {
+    let n = keys.len();
+    let blocks = block_count(n, workers);
+    let (workers, block_len) = (workers.min(blocks), n.div_ceil(blocks));
+    let sorted = par_map_blocks(blocks, workers, |b| {
+        let rows = piece_range(b, block_len, n);
+        // Starting one row early makes the check span the block seams.
+        keys[rows.start.saturating_sub(1)..rows.end]
+            .windows(2)
+            .all(|w| w[0].radix_bits() <= w[1].radix_bits())
+    });
+    if sorted.into_iter().all(|in_order| in_order) {
+        return None;
+    }
+    let base = keys[0].radix_bits();
+    let varying = par_map_blocks(blocks, workers, |b| {
+        keys[piece_range(b, block_len, n)]
+            .iter()
+            .fold(0, |varying, k| varying | (k.radix_bits() ^ base))
+    });
+    Some(varying.into_iter().fold(0, |all, v| all | v))
+}
+
+/// The 8-bit digits that cover the set bits of `mask`, lowest first, each
+/// as its shift. A digit starts at a set bit, so runs of constant bits
+/// between the varying ones cost no pass.
+fn digit_shifts(mut mask: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let shift = mask.trailing_zeros();
+            mask &= !(0xff << shift);
+            shift
+        })
+    })
+}
+
+/// The shift of the digit to partition `n` rows on, when they are to be
+/// partitioned: they do not fit the cache, and the varying bits (`mask`,
+/// not zero) span more than one digit — the top one is the partition's.
+fn partition_shift<K, V>(n: usize, mask: u64) -> Option<u32> {
+    let (low, high) = (mask.trailing_zeros(), 63 - mask.leading_zeros());
+    (!fits_cache::<K, V>(n) && high - low >= 8).then(|| high - 7)
+}
+
+/// Whether `n` rows are few enough for the LSD passes to take as they are.
+fn fits_cache<K, V>(n: usize) -> bool {
+    n * (std::mem::size_of::<K>() + std::mem::size_of::<V>()) <= CACHE_BYTES
+}
+
+/// Sort the rows of `w` — which its scratch side holds if `in_tmp`, else
+/// the caller's — into the caller's side. `mask` has the key bits that
+/// differ between rows of `w` (and maybe more); it is not zero.
+fn sort_window<K: RadixKey, V: Copy + Send + Sync>(
+    mut w: Window<'_, K, V>,
+    in_tmp: bool,
+    mask: u64,
+    workers: usize,
+) {
+    let n = w.len();
+    let Some(shift) = partition_shift::<K, V>(n, mask) else {
+        return lsd_sort(w, in_tmp, mask, workers);
+    };
+    let (src_k, src_v, dst_k, dst_v) = w.sides(in_tmp);
+    let mut offsets = count_digit(src_k, shift, workers);
+    counts_to_offsets(&mut offsets);
+    radix_pass(src_k, src_v, dst_k, dst_v, &offsets, shift, workers);
+    // The rows have changed sides, and bucket `d` starts where block 0 put
+    // its first row of digit `d`.
+    let in_tmp = !in_tmp;
+    let low_bits = mask & ((1 << shift) - 1);
+    let mut small = Vec::new();
+    let (mut rest, mut taken) = (w, 0);
+    for d in 0..256 {
+        let end = if d == 255 { n } else { offsets[0][d + 1] };
+        let (mut bucket, tail) = rest.split_at(end - taken);
+        (rest, taken) = (tail, end);
+        if fits_cache::<K, V>(bucket.len()) {
+            small.push(bucket);
+            continue;
+        }
+        // Skew: many rows share this digit. The bucket gets every thread,
+        // and a fresh look at which of its bits vary.
+        match varying_bits(bucket.sides(in_tmp).0, workers) {
+            Some(own) => sort_window(bucket, in_tmp, own, workers),
+            None if in_tmp => {
+                bucket.keys.copy_from_slice(bucket.tmp_k);
+                bucket.vals.copy_from_slice(bucket.tmp_v);
+            }
+            None => {}
+        }
+    }
+    for_each_owned(small, workers, |_, bucket| {
+        lsd_sort(bucket, in_tmp, low_bits, 1)
+    });
+}
+
+/// Sort the rows of `w` (see [`sort_window`]) by LSD passes over the digits
+/// of `mask`, on `workers` threads.
+fn lsd_sort<K: RadixKey, V: Copy + Send + Sync>(
+    mut w: Window<'_, K, V>,
+    mut in_tmp: bool,
+    mask: u64,
+    workers: usize,
+) {
+    let n = w.len();
+    if n <= RADIX_CUTOFF {
+        if !in_tmp {
+            w.tmp_k.copy_from_slice(w.keys);
+            w.tmp_v.copy_from_slice(w.vals);
+        }
+        return comparison_sort(w);
+    }
+    let (mut src_k, mut src_v, mut dst_k, mut dst_v) = w.sides(in_tmp);
+    for shift in digit_shifts(mask) {
+        let mut offsets = count_digit(src_k, shift, workers);
+        // A digit that is constant across the rows (`mask` may name more
+        // bits than vary here) makes its pass an identity permutation.
+        if (0..256).any(|d| offsets.iter().map(|block| block[d]).sum::<usize>() == n) {
+            continue;
+        }
+        counts_to_offsets(&mut offsets);
+        radix_pass(src_k, src_v, dst_k, dst_v, &offsets, shift, workers);
+        std::mem::swap(&mut src_k, &mut dst_k);
+        std::mem::swap(&mut src_v, &mut dst_v);
+        in_tmp = !in_tmp;
+    }
+    if in_tmp {
+        // The sorted rows sit in the scratch side, which `src` now names.
+        dst_k.copy_from_slice(src_k);
+        dst_v.copy_from_slice(src_v);
+    }
+}
+
+/// Stable comparison sort of the rows in the scratch side of `w` into the
+/// caller's side, for at most [`RADIX_CUTOFF`] rows.
+fn comparison_sort<K: RadixKey, V: Copy>(w: Window<'_, K, V>) {
+    let mut perm = [0usize; RADIX_CUTOFF];
+    let perm = &mut perm[..w.len()];
+    perm.iter_mut().enumerate().for_each(|(i, p)| *p = i);
+    perm.sort_by_key(|&i| w.tmp_k[i].radix_bits());
+    for (dst, &src) in perm.iter().enumerate() {
+        w.keys[dst] = w.tmp_k[src];
+        w.vals[dst] = w.tmp_v[src];
+    }
+}
+
+/// Per block of `keys` (as [`block_count`] cuts them), how many keys have
+/// each value of the digit at `shift`.
+fn count_digit<K: RadixKey>(keys: &[K], shift: u32, workers: usize) -> Vec<Histogram> {
+    let n = keys.len();
+    let blocks = block_count(n, workers);
+    let block_len = n.div_ceil(blocks);
+    par_map_blocks(blocks, workers.min(blocks), |b| {
+        let mut hist = [0usize; 256];
+        for &k in &keys[piece_range(b, block_len, n)] {
+            hist[digit(k, shift)] += 1;
+        }
+        hist
+    })
+}
+
+/// Exclusive scan in (digit, block) order: each block's count of a digit
+/// becomes the place where its first row of that digit goes.
+fn counts_to_offsets(counts: &mut [Histogram]) {
+    let mut next = 0usize;
+    for d in 0..256 {
+        for block in counts.iter_mut() {
+            next += std::mem::replace(&mut block[d], next);
+        }
+    }
 }
 
 /// A destination array several blocks scatter into at once.
@@ -131,80 +409,6 @@ impl<T> Scatter<T> {
     }
 }
 
-/// The radix sort proper, for `n > RADIX_CUTOFF` rows.
-fn radix_sort<K: RadixKey, V: Copy + Send + Sync + 'static>(keys: &mut [K], vals: &mut [V]) {
-    let n = keys.len();
-    if keys
-        .windows(2)
-        .all(|w| w[0].radix_bits() <= w[1].radix_bits())
-    {
-        return; // in order already: the stable permutation is the identity
-    }
-    let workers = if n < 2 * MIN_BLOCK { 1 } else { host_threads() };
-    let blocks = if workers < 2 {
-        1
-    } else {
-        (2 * workers).min(n / MIN_BLOCK)
-    };
-    let block_len = n.div_ceil(blocks);
-
-    // Every pass's digit counts per block, from one read of the keys. The
-    // sums over blocks tell which passes have anything to do; the per-block
-    // counts themselves are those of the first such pass (later passes see
-    // the rows in a different order and count again).
-    let first: Vec<Vec<Histogram>> = par_map_blocks(blocks, workers, |b| {
-        let mut hist = vec![[0usize; 256]; K::PASSES];
-        for k in &keys[piece_range(b, block_len, n)] {
-            let bits = k.radix_bits();
-            for (p, h) in hist.iter_mut().enumerate() {
-                h[((bits >> (8 * p)) & 0xff) as usize] += 1;
-            }
-        }
-        hist
-    });
-    // A digit that is constant across the input makes its pass an identity
-    // permutation.
-    let active: Vec<usize> = (0..K::PASSES)
-        .filter(|&p| !(0..256).any(|d| first.iter().map(|h| h[p][d]).sum::<usize>() == n))
-        .collect();
-
-    let mut scratch_k = crate::hostmem::take_from_slice(keys);
-    let mut scratch_v = crate::hostmem::take_from_slice(vals);
-    let (mut src_k, mut dst_k) = (&mut *keys, &mut scratch_k[..]);
-    let (mut src_v, mut dst_v) = (&mut *vals, &mut scratch_v[..]);
-    for (nth, &p) in active.iter().enumerate() {
-        let shift = 8 * p;
-        let mut counts: Vec<Histogram> = if nth == 0 {
-            first.iter().map(|h| h[p]).collect()
-        } else {
-            par_map_blocks(blocks, workers, |b| {
-                let mut hist = [0usize; 256];
-                for &k in &src_k[piece_range(b, block_len, n)] {
-                    hist[digit(k, shift)] += 1;
-                }
-                hist
-            })
-        };
-        // Exclusive scan in (digit, block) order: counts become offsets.
-        let mut next = 0usize;
-        for d in 0..256 {
-            for block in counts.iter_mut() {
-                next += std::mem::replace(&mut block[d], next);
-            }
-        }
-        radix_pass(src_k, src_v, dst_k, dst_v, &counts, shift, workers);
-        std::mem::swap(&mut src_k, &mut dst_k);
-        std::mem::swap(&mut src_v, &mut dst_v);
-    }
-    if active.len() % 2 == 1 {
-        // The sorted rows sit in the scratch arrays, which `src` now names.
-        dst_k.copy_from_slice(src_k);
-        dst_v.copy_from_slice(src_v);
-    }
-    crate::hostmem::put_vec(scratch_k);
-    crate::hostmem::put_vec(scratch_v);
-}
-
 /// One stable scatter pass: block `b` copies its rows of `src` to `dst`
 /// starting, for each digit value, at `offsets[b][digit]`.
 fn radix_pass<K: RadixKey, V: Copy + Send + Sync>(
@@ -213,7 +417,7 @@ fn radix_pass<K: RadixKey, V: Copy + Send + Sync>(
     dst_k: &mut [K],
     dst_v: &mut [V],
     offsets: &[Histogram],
-    shift: usize,
+    shift: u32,
     workers: usize,
 ) {
     let n = src_k.len();

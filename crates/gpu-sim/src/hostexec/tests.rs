@@ -7,8 +7,9 @@
 
 use super::expr::{self, BinaryOp, Cast, Instr, Leaf, Program, UnaryOp, WINDOW};
 use super::index::HASH_GROUPS_MAX;
-use super::radix::{MIN_BLOCK, RADIX_CUTOFF};
+use super::radix::{CACHE_BYTES, MIN_BLOCK, RADIX_CUTOFF};
 use super::*;
+use crate::SimError;
 use proptest::prelude::*;
 use rand::prelude::*;
 use std::collections::BTreeMap;
@@ -27,6 +28,10 @@ fn at_each_thread_count(mut f: impl FnMut(usize)) {
     std::env::remove_var("GPU_SIM_HOST_THREADS");
 }
 
+/// Most rows of a `u32` key and a `u32` payload the sort takes without
+/// partitioning them first; twice as many when there is no payload.
+const CACHE_PAIRS: usize = CACHE_BYTES / 8;
+
 /// Lengths on both sides of every threshold a kernel switches path at:
 /// comparison sort → radix sort, one chunk → several, one sort block →
 /// several, and block counts that do not divide the length.
@@ -41,12 +46,34 @@ fn boundary_lengths() -> Vec<usize> {
     lens
 }
 
+/// Keys whose top byte `b` occurs `SIZES[b]` times, and the bytes above
+/// `SIZES` as chance has it, in random order over random low bits: a
+/// partition on the top byte meets buckets of exactly these sizes.
+fn sized_buckets(n: usize, rng: &mut StdRng) -> Vec<u32> {
+    const SIZES: [usize; 5] = [0, 1, RADIX_CUTOFF - 1, RADIX_CUTOFF, RADIX_CUTOFF + 1];
+    let mut keys: Vec<u32> = SIZES
+        .iter()
+        .enumerate()
+        .flat_map(|(top, &size)| std::iter::repeat_n(top as u32, size))
+        .chain(std::iter::repeat_with(|| SIZES.len() as u32 + rng.gen::<u32>() % 251).take(n))
+        .take(n)
+        .collect();
+    keys.iter_mut()
+        .for_each(|k| *k = *k << 24 | rng.gen::<u32>() >> 8);
+    keys.shuffle(rng);
+    keys
+}
+
+/// The one shape of [`key_shapes`] that has, once it is long enough, both
+/// many rows to a key and more keys than [`HASH_GROUPS_MAX`].
+const ZIPF: &str = "zipf";
+
 /// Key columns of length `n` that stress one property each.
 fn key_shapes(n: usize, seed: u64) -> Vec<(&'static str, Vec<u32>)> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut distinct: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(0x9E37_79B1)).collect();
     distinct.shuffle(&mut rng);
-    vec![
+    let mut shapes = vec![
         ("all equal", vec![7; n]),
         ("all distinct", distinct),
         ("extremes", (0..n).map(|i| [0, u32::MAX][i % 2]).collect()),
@@ -58,7 +85,51 @@ fn key_shapes(n: usize, seed: u64) -> Vec<(&'static str, Vec<u32>)> {
             (0..n).map(|_| (rng.gen::<u32>() % 256) << 16).collect(),
         ),
         ("uniform", (0..n).map(|_| rng.gen()).collect()),
-    ]
+    ];
+    let mut dense: Vec<u32> = (0..n as u32).collect();
+    dense.shuffle(&mut rng);
+    shapes.extend([
+        // Skew: a bucket of the first partition that has to be partitioned
+        // again, beside three one-row buckets.
+        (
+            "all but three rows under one top byte",
+            (0..n)
+                .map(|i| match i {
+                    0 => 0,
+                    1 => 0xAA00_0000 | rng.gen::<u32>() >> 8,
+                    2 => u32::MAX,
+                    _ => 0x5500_0000 | rng.gen::<u32>() >> 8,
+                })
+                .collect(),
+        ),
+        // Rank `r` about `n / r` times, the ranks spread over all the bits.
+        (
+            ZIPF,
+            (0..n)
+                .map(|_| ((n as f64).powf(rng.gen()) as u32).wrapping_mul(0x9E37_79B1))
+                .collect(),
+        ),
+        ("sized buckets", sized_buckets(n, &mut rng)),
+        (
+            "top byte varies",
+            (0..n)
+                .map(|_| rng.gen::<u32>() << 24 | 0x00C0_FFEE)
+                .collect(),
+        ),
+        (
+            "low byte varies",
+            (0..n)
+                .map(|_| rng.gen::<u32>() >> 24 | 0xC0FF_EE00)
+                .collect(),
+        ),
+        (
+            "two values 2^31 apart",
+            (0..n).map(|_| 5 + (rng.gen::<u32>() >> 31 << 31)).collect(),
+        ),
+        // Varying bits that do not end on a digit boundary.
+        ("shuffled 0..n", dense),
+    ]);
+    shapes
 }
 
 /// Values with every IEEE special mixed in.
@@ -158,6 +229,43 @@ fn par_map_chunks_returns_results_in_chunk_order() {
     });
 }
 
+#[test]
+fn gather_indexes_the_source_and_names_the_first_bad_index() {
+    let src: Vec<u64> = (0..1000).map(|i| i * 7).collect();
+    let bad_index = |index| SimError::IndexOutOfBounds { index, len: 1000 };
+    for n in [
+        1,
+        PAR_CHUNK - 1,
+        PAR_CHUNK,
+        PAR_CHUNK + 1,
+        3 * PAR_CHUNK + 5,
+    ] {
+        let idx: Vec<u32> = (0..n).map(|i| (i * 31 % src.len()) as u32).collect();
+        let want: Vec<u64> = idx.iter().map(|&i| src[i as usize]).collect();
+        // Two indices out of range, chunks apart when there are several:
+        // the earlier is the error, whichever a thread reaches first.
+        let mut bad = idx.clone();
+        bad[n - 1] = 3000;
+        bad[n / 3] = 2000;
+        at_each_thread_count(|threads| {
+            assert!(
+                gather(&src, &idx) == Ok(want.clone()),
+                "n={n} threads={threads}"
+            );
+            assert_eq!(
+                gather(&src, &bad),
+                Err(bad_index(2000)),
+                "n={n} threads={threads}"
+            );
+        });
+    }
+    // No index is out of no range; any index is out of an empty one.
+    assert_eq!(gather(&src, &[]), Ok(vec![]));
+    assert_eq!(gather::<u64>(&[], &[]), Ok(vec![]));
+    let nothing = SimError::IndexOutOfBounds { index: 4, len: 0 };
+    assert_eq!(gather::<u64>(&[], &[4, 0]), Err(nothing));
+}
+
 // ---------------------------------------------------------------------------
 // Radix sort
 // ---------------------------------------------------------------------------
@@ -174,8 +282,13 @@ fn reference_sort_pairs<K: RadixKey, V: Copy>(keys: &[K], vals: &[V]) -> (Vec<K>
 
 #[test]
 fn sorts_match_the_stable_reference_on_every_shape_and_boundary() {
-    // The last length gives every thread count its full set of blocks.
-    for n in boundary_lengths().into_iter().chain([16 * MIN_BLOCK + 1]) {
+    // The sort's own thresholds: the most rows it takes without partitioning
+    // them first, with a payload and without, and past both a length that
+    // gives every thread count its full set of blocks.
+    let mut lens = boundary_lengths();
+    lens.extend([CACHE_PAIRS, CACHE_PAIRS + 1]);
+    lens.extend([2 * CACHE_PAIRS, 2 * CACHE_PAIRS + 1, 16 * MIN_BLOCK + 1]);
+    for n in lens {
         for (shape, keys) in key_shapes(n, n as u64) {
             // The payload is the input position, so it witnesses stability.
             let vals: Vec<u32> = (0..n as u32).collect();
@@ -195,11 +308,17 @@ fn sorts_match_the_stable_reference_on_every_shape_and_boundary() {
 
 #[test]
 fn sorts_handle_every_key_type() {
-    let n = 4 * MIN_BLOCK + 3;
+    // Long enough for an 8-byte key and its payload to be partitioned, and
+    // — magnitudes are log-uniform, so seven rows in eight share the top
+    // byte, and six in seven of those the next — for the fullest bucket to
+    // be partitioned again, twice.
+    let n = CACHE_PAIRS + 3;
     let mut rng = StdRng::seed_from_u64(7);
-    let raw: Vec<u64> = (0..n)
+    let mut raw: Vec<u64> = (0..n)
         .map(|_| rng.gen::<u64>() >> (rng.gen::<u32>() % 64))
         .collect();
+    // As `u64` and, below, as `i64`: both ends of either type, and zero.
+    raw[..4].copy_from_slice(&[0, u64::MAX, 1 << 63, (1 << 63) - 1]);
     let idx: Vec<u32> = (0..n as u32).collect();
     fn check<K: RadixKey + PartialEq + std::fmt::Debug>(keys: Vec<K>, idx: &[u32]) {
         let (want_k, want_v) = reference_sort_pairs(&keys, idx);
@@ -217,8 +336,13 @@ fn sorts_handle_every_key_type() {
         raw.iter().map(|&x| (x as i64).wrapping_neg()).collect(),
         &idx,
     );
+    check::<i64>(raw.iter().map(|&x| x as i64).collect(), &idx);
     // f64 keys: the order is IEEE total order, so compare bit patterns
-    // (NaN != NaN would fail a value comparison of equal outputs).
+    // (NaN != NaN would fail a value comparison of equal outputs). Three
+    // rows in eight are finite and at least 2.0: one top byte, and at this
+    // length one bucket to partition again.
+    let n = 3 * CACHE_PAIRS + 3;
+    let idx: Vec<u32> = (0..n as u32).collect();
     let floats = special_values(n, 11);
     let (want_k, want_v) = reference_sort_pairs(&floats, &idx);
     at_each_thread_count(|threads| {
@@ -238,9 +362,11 @@ fn sorts_handle_every_key_type() {
 
 #[test]
 fn sort_pairs_carries_wide_payloads() {
-    let n = 2 * MIN_BLOCK + 9;
+    // 24-byte rows: partitioned on the top of 40 varying bits, then sorted
+    // bucket by bucket; a hundred rows share each key.
+    let n = CACHE_PAIRS / 2 + 9;
     let keys: Vec<u64> = (0..n as u64)
-        .map(|i| i.wrapping_mul(0x9E37_79B9) % 100)
+        .map(|i| (i / 100).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 24)
         .collect();
     let vals: Vec<(f64, u8)> = (0..n).map(|i| (i as f64, i as u8)).collect();
     let (want_k, want_v) = reference_sort_pairs(&keys, &vals);
@@ -438,11 +564,21 @@ fn grouped_sum_matches_the_seeded_reference_on_every_shape_and_boundary() {
     ]);
     for n in lens {
         let vals = special_values(n, n as u64 + 1);
+        // `inf - inf` is a NaN of other bits than `f64::NAN`, and which of
+        // two NaNs a sum keeps is the code generator's choice of operand
+        // order, not row order: the sort path's differs from the
+        // reference's. Only `ZIPF` takes many-row groups there, so it sums
+        // the same values with 1.0 for each `f64::NAN`.
+        let one_nan: Vec<f64> = vals
+            .iter()
+            .map(|&v| if v.is_nan() { 1.0 } else { v })
+            .collect();
         for (shape, keys) in key_shapes(n, n as u64) {
+            let vals = if shape == ZIPF { &one_nan } else { &vals };
             for seed in [-0.0, 0.0] {
-                let want = reference_sums(&keys, &vals, seed);
+                let want = reference_sums(&keys, vals, seed);
                 at_each_thread_count(|threads| {
-                    let (k, s) = grouped_sum(&keys, &vals, seed);
+                    let (k, s) = grouped_sum(&keys, vals, seed);
                     assert!(
                         (k, bits(&s)) == want,
                         "{shape} n={n} seed={seed:?} threads={threads}"
@@ -917,17 +1053,26 @@ fn expr_program_rejects_leftover_values() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 2 } else { 12 }))]
 
-    /// Random length, key domain and content: sort, join, aggregates and
-    /// compaction all agree with their references at every thread count.
+    /// Random length, key domain, skew and content: sort, join, aggregates
+    /// and compaction all agree with their references at every thread
+    /// count. The lengths reach past where the sort partitions twelve-byte
+    /// rows, and — when two rows in three are `hot`, sharing the top byte of
+    /// the domain — where it partitions a bucket again.
     #[test]
     fn kernels_agree_with_references_on_random_columns(
-        n in 0usize..4 * MIN_BLOCK,
+        n in 0usize..2 * CACHE_PAIRS,
         domain_bits in 0u32..=32,
+        hot in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mask = ((1u64 << domain_bits) - 1) as u32;
-        let keys: Vec<u32> = (0..n).map(|_| rng.gen::<u32>() & mask).collect();
+        let keys: Vec<u32> = (0..n)
+            .map(|_| match (rng.gen::<u32>() & mask, hot && rng.gen::<u32>() % 3 != 0) {
+                (key, true) => key & (mask >> 8),
+                (key, false) => key,
+            })
+            .collect();
         // Any bit pattern at all is a legal f64 value.
         let vals: Vec<f64> = (0..n).map(|_| f64::from_bits(rng.gen())).collect();
         // At most about two build rows per key value, so the output stays

@@ -31,8 +31,8 @@ pub use aggregate::{
 };
 pub use join::{hash_join, merge_join, nested_loops_join, JoinResult};
 pub use primitives::{
-    exclusive_scan_u32, fused_filter_dot, fused_filter_sum, fused_map_expr, gather_f64, gather_u32,
-    product_f64, radix_sort_pairs, reduce_f64, scatter_u32, sort_u32,
+    exclusive_scan_u32, fused_filter_dot, fused_filter_sum, fused_map_expr, gather, product_f64,
+    radix_sort_pairs, reduce_f64, scatter_u32, sort_u32,
 };
 pub use selection::{charge_select_fused, select_fused};
 

@@ -3,7 +3,9 @@
 use crate::charge_io;
 use gpu_sim::hostexec::expr::{self, BinaryOp, Instr, Leaf, Program};
 use gpu_sim::hostexec::RowPred;
-use gpu_sim::{hostexec, presets, AllocPolicy, Device, DeviceBuffer, KernelCost, Result, SimError};
+use gpu_sim::{
+    hostexec, presets, AllocPolicy, Device, DeviceBuffer, DeviceCopy, KernelCost, Result, SimError,
+};
 use std::sync::Arc;
 
 /// Tree reduction (sum) of an `f64` column — one kernel.
@@ -48,56 +50,17 @@ pub fn exclusive_scan_u32(
     device.buffer_from_vec(out, AllocPolicy::Pooled)
 }
 
-/// Gather of `u32` data through a row-id vector.
-pub fn gather_u32(
+/// Gather through a row-id vector: `out[i] = src[idx[i]]`.
+pub fn gather<T: DeviceCopy + Default>(
     device: &Arc<Device>,
-    src: &DeviceBuffer<u32>,
+    src: &DeviceBuffer<T>,
     idx: &DeviceBuffer<u32>,
-) -> Result<DeviceBuffer<u32>> {
-    let s = src.host();
-    let mut out = Vec::with_capacity(idx.len());
-    for &i in idx.host() {
-        let i = i as usize;
-        if i >= s.len() {
-            return Err(SimError::IndexOutOfBounds {
-                index: i,
-                len: s.len(),
-            });
-        }
-        out.push(s[i]);
-    }
+) -> Result<DeviceBuffer<T>> {
+    let out = hostexec::gather(src.host(), idx.host())?;
     charge_io(
         device,
         "gather",
-        presets::gather::<u32>(idx.len()),
-        &[src.id(), idx.id()],
-        &[],
-    )?;
-    device.buffer_from_vec(out, AllocPolicy::Pooled)
-}
-
-/// Gather of `f64` data through a row-id vector.
-pub fn gather_f64(
-    device: &Arc<Device>,
-    src: &DeviceBuffer<f64>,
-    idx: &DeviceBuffer<u32>,
-) -> Result<DeviceBuffer<f64>> {
-    let s = src.host();
-    let mut out = Vec::with_capacity(idx.len());
-    for &i in idx.host() {
-        let i = i as usize;
-        if i >= s.len() {
-            return Err(SimError::IndexOutOfBounds {
-                index: i,
-                len: s.len(),
-            });
-        }
-        out.push(s[i]);
-    }
-    charge_io(
-        device,
-        "gather",
-        presets::gather::<f64>(idx.len()),
+        presets::gather::<T>(idx.len()),
         &[src.id(), idx.id()],
         &[],
     )?;
@@ -339,12 +302,12 @@ mod tests {
         let dev = Device::with_defaults();
         let src = dev.htod(&[10u32, 20]).unwrap();
         let good = dev.htod(&[1u32, 0]).unwrap();
-        assert_eq!(gather_u32(&dev, &src, &good).unwrap().host(), &[20, 10]);
+        assert_eq!(gather(&dev, &src, &good).unwrap().host(), &[20, 10]);
         let bad = dev.htod(&[5u32]).unwrap();
-        assert!(gather_u32(&dev, &src, &bad).is_err());
+        assert!(gather(&dev, &src, &bad).is_err());
         let fsrc = dev.htod(&[1.0f64, 2.0]).unwrap();
-        assert_eq!(gather_f64(&dev, &fsrc, &good).unwrap().host(), &[2.0, 1.0]);
-        assert!(gather_f64(&dev, &fsrc, &bad).is_err());
+        assert_eq!(gather(&dev, &fsrc, &good).unwrap().host(), &[2.0, 1.0]);
+        assert!(gather(&dev, &fsrc, &bad).is_err());
     }
 
     #[test]
