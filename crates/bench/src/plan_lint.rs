@@ -4,12 +4,12 @@
 //! `gpu-lint` deliberately does not depend on the planner (the same
 //! decoupling its scheduler-plan pass uses), so this module translates
 //! a compiled plan into [`gpu_lint::PlanStep`]s: one lint step per plan
-//! step, with each operand's required dtype taken from the
-//! [`GpuBackend`] call it lowers to.
-//! Bound base columns become pseudo-slots above the plan's own slot
-//! range — the lint exempts them from lifetime rules, mirroring the
-//! executor contract (the plan borrows its inputs, it never frees
-//! them).
+//! step, its reads (with their dtype / sortedness / fused-arithmetic
+//! requirements) taken from [`Step::reads`] and its device defs from
+//! [`Step::writes`]. Bound base columns become pseudo-slots above the
+//! plan's own slot range — the lint exempts them from lifetime rules,
+//! mirroring the executor contract (the plan borrows its inputs, it
+//! never frees them).
 //!
 //! [`query_plan_reports`] compiles all six TPC-H queries for every
 //! backend that can plan them and lints each result — the CI gate that
@@ -40,9 +40,8 @@
 use gpu_lint::{PlanColumn, PlanDtype, PlanStep, PlanUse, RecoveryTimeline, Report};
 use proto_core::backend::{ColType, GpuBackend};
 use proto_core::costing::TableStats;
-use proto_core::ops::JoinAlgo;
 use proto_core::optimizer::{self, CostingOptions, FusionPolicy, PassTrace, PlannerOptions};
-use proto_core::physical::{ColRef, PhysicalPlan, SlotKind, Step};
+use proto_core::physical::{ColRef, PhysicalPlan, SlotKind, Step, StepRead};
 use proto_core::resilient_plan::RecoveryLog;
 
 fn dtype(ct: ColType) -> PlanDtype {
@@ -67,20 +66,19 @@ pub fn convert(plan: &PhysicalPlan) -> (Vec<PlanColumn>, Vec<PlanStep>) {
             sorted: false,
         })
         .collect();
-    let base_slot = |name: &str| {
-        inputs
-            .iter()
-            .find(|c| c.name == name)
-            .map(|c| c.slot)
-            .expect("bound base column")
-    };
     let slot_of = |r: &ColRef| match r {
-        ColRef::Base(name) => base_slot(name),
-        ColRef::Slot(i) => *i,
+        ColRef::Base(name) => inputs.iter().find(|c| c.name == *name).map(|c| c.slot),
+        ColRef::Slot(i) => Some(*i),
+    };
+    let use_of = |r: &StepRead<'_>| PlanUse {
+        slot: slot_of(r.col).expect("bound base column"),
+        want: r.dtype.map(dtype),
+        want_sorted: r.sorted,
+        fused_arith: r.fused_arith,
     };
     // A def only exists for device slots; scalar and downloaded host
     // slots have no device lifetime.
-    let def_of = |slot: usize| -> Option<PlanColumn> {
+    let def_of = |slot: usize| {
         let meta = &plan.slots()[slot];
         match meta.kind {
             SlotKind::Device { dtype: ct, sorted } => Some(PlanColumn {
@@ -96,190 +94,13 @@ pub fn convert(plan: &PhysicalPlan) -> (Vec<PlanColumn>, Vec<PlanStep>) {
     let steps = plan
         .steps()
         .iter()
-        .map(|step| match step {
-            Step::Selection { input, out, .. } => PlanStep {
-                label: "selection".into(),
-                reads: vec![PlanUse::any(slot_of(input))],
-                defs: def_of(*out).into_iter().collect(),
-                frees: vec![],
-            },
-            Step::SelectionMulti { preds, out, .. } => PlanStep {
-                label: "selection_multi".into(),
-                reads: preds
-                    .iter()
-                    .map(|p| PlanUse::any(slot_of(&p.col)))
-                    .collect(),
-                defs: def_of(*out).into_iter().collect(),
-                frees: vec![],
-            },
-            Step::SelectionCmpCols { a, b, out, .. } => PlanStep {
-                label: "selection_cmp_cols".into(),
-                reads: vec![PlanUse::any(slot_of(a)), PlanUse::any(slot_of(b))],
-                defs: def_of(*out).into_iter().collect(),
-                frees: vec![],
-            },
-            Step::Gather { data, ids, out } => PlanStep {
-                label: "gather".into(),
-                reads: vec![
-                    PlanUse::any(slot_of(data)),
-                    PlanUse::typed(slot_of(ids), PlanDtype::U32),
-                ],
-                defs: def_of(*out).into_iter().collect(),
-                frees: vec![],
-            },
-            Step::Affine { input, out, .. } => PlanStep {
-                label: "affine".into(),
-                reads: vec![PlanUse::typed(slot_of(input), PlanDtype::F64)],
-                defs: def_of(*out).into_iter().collect(),
-                frees: vec![],
-            },
-            Step::Product { a, b, out } => PlanStep {
-                label: "product".into(),
-                reads: vec![
-                    PlanUse::typed(slot_of(a), PlanDtype::F64),
-                    PlanUse::typed(slot_of(b), PlanDtype::F64),
-                ],
-                defs: def_of(*out).into_iter().collect(),
-                frees: vec![],
-            },
-            Step::DenseMask { input, out, .. } => PlanStep {
-                label: "dense_mask".into(),
-                reads: vec![PlanUse::any(slot_of(input))],
-                defs: def_of(*out).into_iter().collect(),
-                frees: vec![],
-            },
-            Step::ConstantOnes { like, out } => PlanStep {
-                label: "constant_ones".into(),
-                reads: vec![PlanUse::any(slot_of(like))],
-                defs: def_of(*out).into_iter().collect(),
-                frees: vec![],
-            },
-            Step::Join {
-                outer,
-                inner,
-                algo,
-                out_left,
-                out_right,
-            } => {
-                let key = |r: &ColRef| PlanUse {
-                    want_sorted: *algo == JoinAlgo::Merge,
-                    ..PlanUse::typed(slot_of(r), PlanDtype::U32)
-                };
-                PlanStep {
-                    label: format!("join[{algo:?}]"),
-                    reads: vec![key(outer), key(inner)],
-                    defs: def_of(*out_left)
-                        .into_iter()
-                        .chain(def_of(*out_right))
-                        .collect(),
-                    frees: vec![],
-                }
-            }
-            Step::GroupedSum {
-                keys,
-                vals,
-                out_keys,
-                out_vals,
-            } => PlanStep {
-                label: "grouped_sum".into(),
-                reads: vec![
-                    PlanUse::typed(slot_of(keys), PlanDtype::U32),
-                    PlanUse::typed(slot_of(vals), PlanDtype::F64),
-                ],
-                defs: def_of(*out_keys)
-                    .into_iter()
-                    .chain(def_of(*out_vals))
-                    .collect(),
-                frees: vec![],
-            },
-            Step::Reduce { input, .. } => PlanStep {
-                label: "reduction".into(),
-                reads: vec![PlanUse::typed(slot_of(input), PlanDtype::F64)],
-                defs: vec![],
-                frees: vec![],
-            },
-            Step::FilterSumProduct { a, b, preds, .. } => PlanStep {
-                label: "filter_sum_product".into(),
-                reads: vec![
-                    PlanUse::typed(slot_of(a), PlanDtype::F64),
-                    PlanUse::typed(slot_of(b), PlanDtype::F64),
-                ]
-                .into_iter()
-                .chain(preds.iter().map(|p| PlanUse::any(slot_of(&p.col))))
-                .collect(),
-                defs: vec![],
-                frees: vec![],
-            },
-            // Fused steps read every input column; the ones the
-            // expression touches arithmetically must be f64 (the same
-            // contract `check_fused_inputs` enforces at run time and
-            // GL405 checks statically), while predicate/mask-only
-            // columns compare in their native dtype.
-            Step::FusedMap {
-                inputs, expr, out, ..
-            } => {
-                let arith = expr.arith_inputs();
-                PlanStep {
-                    label: "fused_map".into(),
-                    reads: inputs
-                        .iter()
-                        .enumerate()
-                        .map(|(i, r)| {
-                            if arith.contains(&i) {
-                                PlanUse::fused_f64(slot_of(r))
-                            } else {
-                                PlanUse::any(slot_of(r))
-                            }
-                        })
-                        .collect(),
-                    defs: def_of(*out).into_iter().collect(),
-                    frees: vec![],
-                }
-            }
-            Step::FusedFilterAgg {
-                inputs, expr, out, ..
-            } => {
-                let arith = expr.arith_inputs();
-                PlanStep {
-                    label: "fused_filter_agg".into(),
-                    reads: inputs
-                        .iter()
-                        .enumerate()
-                        .map(|(i, r)| {
-                            if arith.contains(&i) {
-                                PlanUse::fused_f64(slot_of(r))
-                            } else {
-                                PlanUse::any(slot_of(r))
-                            }
-                        })
-                        .collect(),
-                    defs: def_of(*out).into_iter().collect(),
-                    frees: vec![],
-                }
-            }
-            Step::DownloadU32 { input, .. } => PlanStep {
-                label: "download_u32".into(),
-                reads: vec![PlanUse::typed(slot_of(input), PlanDtype::U32)],
-                defs: vec![],
-                frees: vec![],
-            },
-            Step::DownloadF64 { input, .. } => PlanStep {
-                label: "download_f64".into(),
-                reads: vec![PlanUse::typed(slot_of(input), PlanDtype::F64)],
-                defs: vec![],
-                frees: vec![],
-            },
-            // Host-side reorder of already-downloaded vectors: no
-            // device reads, defs, or frees.
-            Step::HostSort { .. } => PlanStep {
-                label: "host_sort".into(),
-                ..PlanStep::default()
-            },
-            Step::Free { slot } => PlanStep {
-                label: "free".into(),
-                reads: vec![],
-                defs: vec![],
-                frees: vec![*slot],
+        .map(|step| PlanStep {
+            label: step.label().into(),
+            reads: step.reads().iter().map(use_of).collect(),
+            defs: step.writes().filter_map(def_of).collect(),
+            frees: match step {
+                Step::Free { slot } => vec![*slot],
+                _ => vec![],
             },
         })
         .collect();

@@ -581,12 +581,12 @@ impl Walk<'_> {
         cmp_selectivity(cmp)
     }
 
-    /// Record slot `i` as materialised with `rows` rows of `width`-byte
-    /// elements, updating the live/peak device-byte accounting.
-    fn produce(&mut self, i: usize, rows: f64, width: u64) {
+    /// Record slot `i` as materialised with `rows` rows, updating the
+    /// live/peak device-byte accounting for a device slot.
+    fn produce(&mut self, i: usize, rows: f64) {
         self.rows[i] = rows;
-        if matches!(self.plan.slots()[i].kind, SlotKind::Device { .. }) {
-            let bytes = (rows * width as f64) as u64;
+        if let SlotKind::Device { dtype, .. } = self.plan.slots()[i].kind {
+            let bytes = (rows * dtype.width() as f64) as u64;
             self.live_bytes = self.live_bytes - self.slot_bytes[i] + bytes;
             self.slot_bytes[i] = bytes;
             self.peak_bytes = self.peak_bytes.max(self.live_bytes);
@@ -641,10 +641,11 @@ impl Walk<'_> {
             },
         };
         let profile = self.profile;
-        let (op, rows_in, outs): (String, f64, Vec<(usize, f64, u64)>) = match step {
-            Step::Selection {
-                input, cmp, out, ..
-            } => {
+        // How a fused step dispatched (`None` for every other step).
+        let mut dispatch = None;
+        // (input rows, rows of every slot the step writes).
+        let (rows_in, rows_out): (f64, f64) = match step {
+            Step::Selection { input, cmp, .. } => {
                 let n = self.rows_of(input);
                 let ests = [PredEst {
                     width: self.width_of(input),
@@ -653,16 +654,16 @@ impl Walk<'_> {
                 }];
                 let m = n * ests[0].sel;
                 selection_recipe(&mut acc, profile, n, &ests, Connective::And, m);
-                ("selection".into(), n, vec![(*out, m, 4)])
+                (n, m)
             }
-            Step::SelectionMulti { preds, conn, out } => {
+            Step::SelectionMulti { preds, conn, .. } => {
                 let n = preds.first().map_or(0.0, |p| self.rows_of(&p.col));
                 let ests = self.plan_pred_ests(preds);
                 let m = n * Self::combined_selectivity(&ests, *conn);
                 selection_recipe(&mut acc, profile, n, &ests, *conn, m);
-                ("selection_multi".into(), n, vec![(*out, m, 4)])
+                (n, m)
             }
-            Step::SelectionCmpCols { a, b, cmp, out } => {
+            Step::SelectionCmpCols { a, b, cmp, .. } => {
                 let n = self.rows_of(a);
                 let ests = [PredEst {
                     width: self.width_of(a) + self.width_of(b),
@@ -671,86 +672,66 @@ impl Walk<'_> {
                 }];
                 let m = n * ests[0].sel;
                 selection_recipe(&mut acc, profile, n, &ests, Connective::And, m);
-                ("selection_cmp_cols".into(), n, vec![(*out, m, 4)])
+                (n, m)
             }
-            Step::Gather { data, ids, out } => {
+            Step::Gather { data, ids, .. } => {
                 let g = self.rows_of(ids);
-                let w = self.width_of(data);
-                gather_recipe(&mut acc, profile, g, w);
-                ("gather".into(), g, vec![(*out, g, w)])
+                gather_recipe(&mut acc, profile, g, self.width_of(data));
+                (g, g)
             }
-            Step::Affine { input, out, .. } => {
+            Step::Affine { input, .. } => {
                 let n = self.rows_of(input);
                 affine_recipe(&mut acc, profile, n);
-                ("affine".into(), n, vec![(*out, n, 8)])
+                (n, n)
             }
-            Step::Product { a, b, out } => {
+            Step::Product { a, b, .. } => {
                 let n = self.rows_of(a).max(self.rows_of(b));
                 product_recipe(&mut acc, profile, n);
-                ("product".into(), n, vec![(*out, n, 8)])
+                (n, n)
             }
-            Step::DenseMask {
-                input, cmp, out, ..
-            } => {
+            Step::DenseMask { input, cmp, .. } => {
                 let n = self.rows_of(input);
                 let w = self.width_of(input);
                 dense_mask_recipe(&mut acc, profile, n, w, *cmp);
-                ("dense_mask".into(), n, vec![(*out, n, 8)])
+                (n, n)
             }
-            Step::ConstantOnes { like, out } => {
+            Step::ConstantOnes { like, .. } => {
                 let n = self.rows_of(like);
                 constant_recipe(&mut acc, profile, n);
-                ("constant_ones".into(), n, vec![(*out, n, 8)])
+                (n, n)
             }
             Step::Join {
-                outer,
-                inner,
-                algo,
-                out_left,
-                out_right,
+                outer, inner, algo, ..
             } => {
                 let no = self.rows_of(outer);
                 let ni = self.rows_of(inner);
                 let m = no; // FK join: every probe row matches once.
                 join_recipe(&mut acc, profile, *algo, no, ni, m);
-                (
-                    format!("join[{algo:?}]"),
-                    no,
-                    vec![(*out_left, m, 4), (*out_right, m, 4)],
-                )
+                (no, m)
             }
-            Step::GroupedSum {
-                keys,
-                out_keys,
-                out_vals,
-                ..
-            } => {
+            Step::GroupedSum { keys, .. } => {
                 let n = self.rows_of(keys);
                 let g = n.min(MAX_GROUPS_ESTIMATE);
                 grouped_recipe(&mut acc, profile, n, g);
-                (
-                    "grouped_sum".into(),
-                    n,
-                    vec![(*out_keys, g, 4), (*out_vals, g, 8)],
-                )
+                (n, g)
             }
-            Step::Reduce { input, out } => {
+            Step::Reduce { input, .. } => {
                 let n = self.rows_of(input);
                 reduce_recipe(&mut acc, profile, n);
-                ("reduce".into(), n, vec![(*out, 1.0, 0)])
+                (n, 1.0)
             }
-            Step::FilterSumProduct { a, b, preds, out } => {
+            Step::FilterSumProduct { a, b, preds, .. } => {
                 let n = self.rows_of(a).max(self.rows_of(b));
                 let ests = self.plan_pred_ests(preds);
                 let m = n * Self::combined_selectivity(&ests, Connective::And);
                 filter_sum_product_recipe(&mut acc, profile, n, m, &ests);
-                ("filter_sum_product".into(), n, vec![(*out, 1.0, 0)])
+                (n, 1.0)
             }
             Step::FusedMap {
                 inputs,
                 expr,
                 threshold,
-                out,
+                ..
             } => {
                 let n = inputs.first().map_or(0.0, |r| self.rows_of(r));
                 let widths: Vec<u64> = inputs.iter().map(|r| self.width_of(r)).collect();
@@ -760,18 +741,15 @@ impl Walk<'_> {
                 } else {
                     composed_map_recipe(&mut acc, profile, n, expr);
                 }
-                (
-                    format!("fused_map[{}]", if fused { "fused" } else { "composed" }),
-                    n,
-                    vec![(*out, n, 8)],
-                )
+                dispatch = Some(if fused { "fused" } else { "composed" });
+                (n, n)
             }
             Step::FusedFilterAgg {
                 inputs,
                 preds,
                 expr,
                 threshold,
-                out,
+                ..
             } => {
                 let n = inputs.first().map_or(0.0, |r| self.rows_of(r));
                 let widths: Vec<u64> = inputs.iter().map(|r| self.width_of(r)).collect();
@@ -783,30 +761,17 @@ impl Walk<'_> {
                     let m = n * Self::combined_selectivity(&ests, Connective::And);
                     composed_filter_agg_recipe(&mut acc, profile, n, m, &widths, &ests, expr);
                 }
-                (
-                    format!(
-                        "fused_filter_agg[{}]",
-                        if fused { "fused" } else { "composed" }
-                    ),
-                    n,
-                    vec![(*out, 1.0, 0)],
-                )
+                dispatch = Some(if fused { "fused" } else { "composed" });
+                (n, 1.0)
             }
-            Step::DownloadU32 { input, out } => {
+            Step::DownloadU32 { input, .. } | Step::DownloadF64 { input, .. } => {
                 let n = self.rows_of(input);
-                acc.transfer(Direction::DeviceToHost, 4 * n as u64);
-                ("download_u32".into(), n, vec![(*out, n, 0)])
+                acc.transfer(Direction::DeviceToHost, self.width_of(input) * n as u64);
+                (n, n)
             }
-            Step::DownloadF64 { input, out } => {
-                let n = self.rows_of(input);
-                acc.transfer(Direction::DeviceToHost, 8 * n as u64);
-                ("download_f64".into(), n, vec![(*out, n, 0)])
-            }
-            Step::HostSort { keys, .. } => {
-                // Host-side reorder of already-downloaded vectors: free
-                // in device time.
-                ("host_sort".into(), self.rows[*keys], vec![])
-            }
+            // Host-side reorder of already-downloaded vectors: free in
+            // device time.
+            Step::HostSort { keys, .. } => (self.rows[*keys], self.rows[*keys]),
             Step::Free { slot } => {
                 let bytes = self.slot_bytes[*slot];
                 if bytes > 0 {
@@ -816,22 +781,21 @@ impl Walk<'_> {
                 }
                 self.live_bytes = self.live_bytes.saturating_sub(bytes);
                 self.slot_bytes[*slot] = 0;
-                ("free".into(), self.rows[*slot], vec![])
+                (self.rows[*slot], self.rows[*slot])
             }
         };
         let mut cost = acc.c;
         self.jit_seen = jit;
         self.pool = pool;
-        cost.rows_out = outs
-            .iter()
-            .map(|&(_, rows, _)| rows as u64)
-            .max()
-            .unwrap_or(rows_in as u64);
-        for (slot, rows, width) in outs {
-            self.produce(slot, rows, width);
-        }
-        cost.op = op;
+        cost.op = match dispatch {
+            Some(how) => format!("{}[{how}]", step.label()),
+            None => step.label().to_string(),
+        };
         cost.rows_in = rows_in as u64;
+        cost.rows_out = rows_out as u64;
+        for slot in step.writes() {
+            self.produce(slot, rows_out);
+        }
         cost
     }
 }

@@ -169,7 +169,7 @@ impl FusedExpr {
     /// `affine`/`product` on these, which require `f64` columns, so
     /// fused kernels enforce the same rule and both dispatch paths
     /// accept exactly the same plans (gpu-lint rule GL405).
-    pub fn arith_inputs(&self) -> Vec<usize> {
+    pub(crate) fn arith_inputs(&self) -> Vec<usize> {
         fn walk(e: &FusedExpr, out: &mut Vec<usize>) {
             match e {
                 FusedExpr::Col(i) => {

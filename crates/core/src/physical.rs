@@ -7,7 +7,9 @@
 //! call (or a host-side sort). Steps read base columns (bound by name at
 //! execution time through [`PlanBindings`]) and numbered *slots* —
 //! device columns, scalars, or downloaded host vectors produced by
-//! earlier steps.
+//! earlier steps. What each step reads and writes, what it is called and
+//! how its rows relate is declared once, next to [`Step`]
+//! ([`Step::reads`], [`Step::writes`], [`Step::label`]).
 //!
 //! The executor contract:
 //!
@@ -275,6 +277,187 @@ pub enum Step {
         /// Slot to free.
         slot: usize,
     },
+}
+
+/// One column operand of a [`Step`] ([`Step::reads`]), with what the
+/// step's backend call requires of it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StepRead<'a> {
+    /// The operand.
+    pub col: &'a ColRef,
+    /// Device dtype the call requires, if it requires one.
+    pub dtype: Option<ColType>,
+    /// Whether the call requires ascending values (merge-join keys).
+    pub sorted: bool,
+    /// Whether a fused expression reads the column arithmetically (the
+    /// `check_fused_inputs` contract: it must hold `f64`).
+    pub fused_arith: bool,
+    /// Whether only the operand's length matters ([`Step::ConstantOnes`]
+    /// sizes its output by it, so it may be a row-id column).
+    pub len_only: bool,
+}
+
+impl<'a> StepRead<'a> {
+    fn new(col: &'a ColRef, dtype: Option<ColType>) -> Self {
+        StepRead {
+            col,
+            dtype,
+            sorted: false,
+            fused_arith: false,
+            len_only: false,
+        }
+    }
+}
+
+/// How a [`Step`]'s output rows relate to its input rows: the class the
+/// partition-safety analysis reasons in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RowShape {
+    /// Row ids of the input rows a predicate keeps.
+    Select,
+    /// One output row per input row.
+    Map,
+    /// One scalar over all input rows.
+    Reduce,
+    /// One row of `data` per row id.
+    Gather,
+    /// Matching (outer, inner) row-id pairs.
+    Join,
+    /// Distinct keys and per-key sums.
+    Group,
+    /// A device column copied to the host, row for row.
+    Download,
+    /// A host-side reorder; `top_k` when value-ordered or row-limited (not
+    /// the key-wise union of the sorts of any split of the rows).
+    HostSort { top_k: bool },
+    /// A release; no rows.
+    Free,
+}
+
+impl Step {
+    /// The column operands the step reads, in its call's argument order.
+    /// (A [`Step::HostSort`] reads no column: it reorders the host
+    /// vectors it [`Step::writes`] in place.)
+    pub fn reads(&self) -> Vec<StepRead<'_>> {
+        use ColType::{F64, U32};
+        let any = |c| StepRead::new(c, None);
+        let f64s = |c| StepRead::new(c, Some(F64));
+        let u32s = |c| StepRead::new(c, Some(U32));
+        match self {
+            Step::Selection { input, .. } | Step::DenseMask { input, .. } => vec![any(input)],
+            Step::SelectionMulti { preds, .. } => preds.iter().map(|p| any(&p.col)).collect(),
+            Step::SelectionCmpCols { a, b, .. } => vec![any(a), any(b)],
+            Step::Gather { data, ids, .. } => vec![any(data), u32s(ids)],
+            Step::Affine { input, .. } | Step::Reduce { input, .. } => vec![f64s(input)],
+            Step::Product { a, b, .. } => vec![f64s(a), f64s(b)],
+            Step::ConstantOnes { like, .. } => vec![StepRead {
+                len_only: true,
+                ..any(like)
+            }],
+            Step::Join {
+                outer, inner, algo, ..
+            } => [outer, inner]
+                .map(|c| StepRead {
+                    sorted: *algo == JoinAlgo::Merge,
+                    ..u32s(c)
+                })
+                .to_vec(),
+            Step::GroupedSum { keys, vals, .. } => vec![u32s(keys), f64s(vals)],
+            Step::FilterSumProduct { a, b, preds, .. } => [f64s(a), f64s(b)]
+                .into_iter()
+                .chain(preds.iter().map(|p| any(&p.col)))
+                .collect(),
+            // Inputs the expression reads arithmetically must hold f64;
+            // predicate- and mask-only ones compare in their own dtype.
+            Step::FusedMap { inputs, expr, .. } | Step::FusedFilterAgg { inputs, expr, .. } => {
+                let arith = expr.arith_inputs();
+                let read = |(i, c)| {
+                    if arith.contains(&i) {
+                        StepRead {
+                            fused_arith: true,
+                            ..f64s(c)
+                        }
+                    } else {
+                        any(c)
+                    }
+                };
+                inputs.iter().enumerate().map(read).collect()
+            }
+            Step::DownloadU32 { input, .. } => vec![u32s(input)],
+            Step::DownloadF64 { input, .. } => vec![f64s(input)],
+            Step::HostSort { .. } | Step::Free { .. } => Vec::new(),
+        }
+    }
+
+    /// The slots the step writes, in output order: none for a
+    /// [`Step::Free`]; a [`Step::HostSort`] rewrites its key and value
+    /// slots in place.
+    pub fn writes(&self) -> impl Iterator<Item = usize> + '_ {
+        let cosorted: &[usize] = match self {
+            Step::HostSort { vals, .. } => vals,
+            _ => &[],
+        };
+        let (_, _, outs) = self.decl();
+        outs.into_iter().flatten().chain(cosorted.iter().copied())
+    }
+
+    /// Short operator tag (`"selection"`, `"join[Hash]"`, …): what cost
+    /// reports and lint diagnostics call the step.
+    pub fn label(&self) -> &'static str {
+        self.decl().0
+    }
+
+    /// How the step's output rows relate to its input rows.
+    pub(crate) fn shape(&self) -> RowShape {
+        self.decl().1
+    }
+
+    /// The step's row of the declaration table: its label, its row shape
+    /// and its (up to two) output slots.
+    fn decl(&self) -> (&'static str, RowShape, [Option<usize>; 2]) {
+        use RowShape::*;
+        let one = |out: &usize| [Some(*out), None];
+        match self {
+            Step::Selection { out, .. } => ("selection", Select, one(out)),
+            Step::SelectionMulti { out, .. } => ("selection_multi", Select, one(out)),
+            Step::SelectionCmpCols { out, .. } => ("selection_cmp_cols", Select, one(out)),
+            Step::Gather { out, .. } => ("gather", Gather, one(out)),
+            Step::Affine { out, .. } => ("affine", Map, one(out)),
+            Step::Product { out, .. } => ("product", Map, one(out)),
+            Step::DenseMask { out, .. } => ("dense_mask", Map, one(out)),
+            Step::ConstantOnes { out, .. } => ("constant_ones", Map, one(out)),
+            Step::Join {
+                algo,
+                out_left,
+                out_right,
+                ..
+            } => {
+                let label = match algo {
+                    JoinAlgo::Hash => "join[Hash]",
+                    JoinAlgo::Merge => "join[Merge]",
+                    JoinAlgo::NestedLoops => "join[NestedLoops]",
+                };
+                (label, Join, [Some(*out_left), Some(*out_right)])
+            }
+            Step::GroupedSum {
+                out_keys, out_vals, ..
+            } => ("grouped_sum", Group, [Some(*out_keys), Some(*out_vals)]),
+            Step::Reduce { out, .. } => ("reduce", Reduce, one(out)),
+            Step::FilterSumProduct { out, .. } => ("filter_sum_product", Reduce, one(out)),
+            Step::FusedMap { out, .. } => ("fused_map", Map, one(out)),
+            Step::FusedFilterAgg { out, .. } => ("fused_filter_agg", Reduce, one(out)),
+            Step::DownloadU32 { out, .. } => ("download_u32", Download, one(out)),
+            Step::DownloadF64 { out, .. } => ("download_f64", Download, one(out)),
+            Step::HostSort {
+                keys, order, limit, ..
+            } => {
+                let by_value = *order == crate::logical::ResultOrder::ValueDescKeyAsc;
+                let top_k = by_value || limit.is_some();
+                ("host_sort", HostSort { top_k }, one(keys))
+            }
+            Step::Free { .. } => ("free", Free, [None, None]),
+        }
+    }
 }
 
 /// Named base columns a [`PhysicalPlan`] executes against (borrowed,
@@ -904,10 +1087,13 @@ impl PhysicalPlan {
                                     "host sort: aggregate value column is NaN at row {row}"
                                 )));
                             }
+                            // `partial_cmp`, not `total_cmp`: -0.0 and
+                            // +0.0 tie, and the key breaks the tie. With
+                            // NaN refused above it is never `None`.
                             order_ix.sort_by(|&i, &j| {
                                 primary[j]
                                     .partial_cmp(&primary[i])
-                                    .expect("NaN-free values are comparable")
+                                    .unwrap_or(std::cmp::Ordering::Equal)
                                     .then(key_vec[i].cmp(&key_vec[j]))
                             });
                         }
@@ -962,6 +1148,9 @@ impl PhysicalPlan {
         Ok(out)
     }
 }
+
+#[cfg(test)]
+mod contract_tests;
 
 #[cfg(test)]
 mod tests {
@@ -1035,19 +1224,32 @@ mod tests {
 
     #[test]
     fn value_ordered_host_sort_still_sorts_nan_free_data() {
-        let dev = Device::with_defaults();
-        let b = HandwrittenBackend::new(&dev);
-        let k = b.upload_u32(&[3, 1, 2]).unwrap();
-        let v = b.upload_f64(&[5.0, 9.0, 5.0]).unwrap();
-        let mut binds = PlanBindings::new();
-        binds.bind("t.k", &k).bind("t.v", &v);
-        let plan = sort_plan(crate::logical::ResultOrder::ValueDescKeyAsc);
-        let out = plan.execute(&b, &binds).unwrap();
-        // Value descending, ties broken by ascending key.
-        assert_eq!(out.u32s("keys").unwrap(), &[1, 2, 3]);
-        assert_eq!(out.f64s("vals").unwrap(), &[9.0, 5.0, 5.0]);
-        for c in [k, v] {
-            b.free(c).unwrap();
+        // Value descending, ties broken by ascending key; -0.0 and +0.0
+        // tie, so only the key orders them.
+        let cases: [(&[u32], &[f64], &[u32]); 2] = [
+            (&[3, 1, 2], &[5.0, 9.0, 5.0], &[1, 2, 3]),
+            (&[4, 3, 2, 1], &[0.0, -0.0, 0.0, -0.0], &[1, 2, 3, 4]),
+        ];
+        for (keys, vals, want) in cases {
+            let dev = Device::with_defaults();
+            let b = HandwrittenBackend::new(&dev);
+            let k = b.upload_u32(keys).unwrap();
+            let v = b.upload_f64(vals).unwrap();
+            let mut binds = PlanBindings::new();
+            binds.bind("t.k", &k).bind("t.v", &v);
+            let plan = sort_plan(crate::logical::ResultOrder::ValueDescKeyAsc);
+            let out = plan.execute(&b, &binds).unwrap();
+            assert_eq!(out.u32s("keys").unwrap(), want);
+            // Each value travels with its key, sign of zero included.
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let want_vals: Vec<f64> = want
+                .iter()
+                .map(|w| vals[keys.iter().position(|k| k == w).unwrap()])
+                .collect();
+            assert_eq!(bits(out.f64s("vals").unwrap()), bits(&want_vals));
+            for c in [k, v] {
+                b.free(c).unwrap();
+            }
         }
     }
 }

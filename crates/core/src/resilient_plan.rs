@@ -71,7 +71,8 @@
 
 use crate::backend::{Col, GpuBackend};
 use crate::physical::{
-    ColRef, PhysicalPlan, PlanBindings, PlanOutput, PlanValue, SlotKind, SlotVal, Step,
+    ColRef, PhysicalPlan, PlanBindings, PlanOutput, PlanValue, RowShape, SlotKind, SlotVal, Step,
+    StepRead,
 };
 use crate::resilient::{retry_with_policy, RetryPolicy};
 use gpu_sim::{Result, SimError};
@@ -443,41 +444,6 @@ impl<'p> Merger<'p> {
     }
 }
 
-/// The slots a step writes (empty for [`Step::Free`]; a
-/// [`Step::HostSort`] rewrites its key and value slots in place).
-fn step_output_slots(step: &Step) -> Vec<usize> {
-    match step {
-        Step::Selection { out, .. }
-        | Step::SelectionMulti { out, .. }
-        | Step::SelectionCmpCols { out, .. }
-        | Step::Gather { out, .. }
-        | Step::Affine { out, .. }
-        | Step::Product { out, .. }
-        | Step::DenseMask { out, .. }
-        | Step::ConstantOnes { out, .. }
-        | Step::Reduce { out, .. }
-        | Step::FilterSumProduct { out, .. }
-        | Step::FusedMap { out, .. }
-        | Step::FusedFilterAgg { out, .. }
-        | Step::DownloadU32 { out, .. }
-        | Step::DownloadF64 { out, .. } => vec![*out],
-        Step::Join {
-            out_left,
-            out_right,
-            ..
-        } => vec![*out_left, *out_right],
-        Step::GroupedSum {
-            out_keys, out_vals, ..
-        } => vec![*out_keys, *out_vals],
-        Step::HostSort { keys, vals, .. } => {
-            let mut outs = vec![*keys];
-            outs.extend_from_slice(vals);
-            outs
-        }
-        Step::Free { .. } => Vec::new(),
-    }
-}
-
 /// Which row universe a column's values/length are aligned to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Universe {
@@ -517,6 +483,12 @@ impl Class {
             | Class::Scalar { tainted } => tainted,
         }
     }
+}
+
+/// The operands of a fixed-arity step, in [`Step::reads`] order.
+fn operands<'r, const N: usize>(reads: &'r [StepRead<'_>]) -> Option<[&'r ColRef; N]> {
+    let reads: &[StepRead<'_>; N] = reads.try_into().ok()?;
+    Some(reads.each_ref().map(|r| r.col))
 }
 
 /// Prove `plan` partition-safe for `source` and derive the merge
@@ -564,114 +536,79 @@ fn partition_merge_plan(plan: &PhysicalPlan, source: &PartitionSource<'_>) -> Re
         }
     };
     let same_align = |cs: &[Class]| -> Result<Universe> {
-        let align = data_align(&cs[0]);
+        let align = cs.first().map_or(Universe::Whole, data_align);
         if cs.iter().any(|c| data_align(c) != align) {
             return Err(reject("operator mixes columns of different row universes"));
         }
         Ok(align)
     };
+    let arity = || reject("step arity mismatch");
 
     for (ix, step) in plan.steps().iter().enumerate() {
-        match step {
-            Step::Selection { input, out, .. } => {
-                let c = data_of(&classes, input)?;
-                classes[*out] = Some(Class::Ids {
-                    align: Universe::Derived(ix),
-                    target: data_align(&c),
-                    tainted: c.tainted(),
-                });
-            }
-            Step::SelectionMulti { preds, out, .. } => {
-                let cs: Vec<Class> = preds
+        let reads = step.reads();
+        let derived = Universe::Derived(ix);
+        // The class of each slot the step writes, in `Step::writes` order.
+        let outs: [Option<Class>; 2] = match step.shape() {
+            shape @ (RowShape::Select | RowShape::Map | RowShape::Reduce) => {
+                // Element-wise operands are plain data of one row
+                // universe; a length-only one (the ones column's size)
+                // may be row ids.
+                let cs = reads
                     .iter()
-                    .map(|p| data_of(&classes, &p.col))
-                    .collect::<Result<_>>()?;
-                let align = same_align(&cs)?;
-                classes[*out] = Some(Class::Ids {
-                    align: Universe::Derived(ix),
-                    target: align,
-                    tainted: cs.iter().any(Class::tainted),
-                });
+                    .map(|r| match (r.len_only, class_of(&classes, r.col)?) {
+                        (false, _) => data_of(&classes, r.col),
+                        (
+                            true,
+                            Class::Data { align, tainted } | Class::Ids { align, tainted, .. },
+                        ) => Ok(Class::Data { align, tainted }),
+                        (true, _) => Err(reject("ones sized by a non-column slot")),
+                    })
+                    .collect::<Result<Vec<_>>>()?;
+                let (align, tainted) = (same_align(&cs)?, cs.iter().any(Class::tainted));
+                let out = match shape {
+                    RowShape::Select => Class::Ids {
+                        align: derived,
+                        target: align,
+                        tainted,
+                    },
+                    RowShape::Map => Class::Data { align, tainted },
+                    _ => Class::Scalar { tainted },
+                };
+                [Some(out), None]
             }
-            Step::SelectionCmpCols { a, b, out, .. } => {
-                let cs = [data_of(&classes, a)?, data_of(&classes, b)?];
-                let align = same_align(&cs)?;
-                classes[*out] = Some(Class::Ids {
-                    align: Universe::Derived(ix),
-                    target: align,
-                    tainted: cs.iter().any(Class::tainted),
-                });
-            }
-            Step::Gather { data, ids, out } => {
+            RowShape::Gather => {
+                let [data, ids] = operands(&reads).ok_or_else(arity)?;
                 let cd = data_of(&classes, data)?;
-                let ci = class_of(&classes, ids)?;
                 let Class::Ids {
                     align,
                     target,
                     tainted,
-                } = ci
+                } = class_of(&classes, ids)?
                 else {
                     return Err(reject("gather over a non-row-id column"));
                 };
                 if data_align(&cd) != target {
                     return Err(reject("gather crosses row universes"));
                 }
-                classes[*out] = Some(Class::Data {
-                    align,
-                    tainted: cd.tainted() || tainted,
-                });
+                let tainted = cd.tainted() || tainted;
+                [Some(Class::Data { align, tainted }), None]
             }
-            Step::Affine { input, out, .. } | Step::DenseMask { input, out, .. } => {
-                let c = data_of(&classes, input)?;
-                classes[*out] = Some(c);
-            }
-            Step::Product { a, b, out } => {
-                let cs = [data_of(&classes, a)?, data_of(&classes, b)?];
-                let align = same_align(&cs)?;
-                classes[*out] = Some(Class::Data {
-                    align,
-                    tainted: cs.iter().any(Class::tainted),
-                });
-            }
-            Step::ConstantOnes { like, out } => {
-                let c = class_of(&classes, like)?;
-                match c {
-                    Class::Data { align, tainted } | Class::Ids { align, tainted, .. } => {
-                        classes[*out] = Some(Class::Data { align, tainted });
-                    }
-                    _ => return Err(reject("ones sized by a non-column slot")),
-                }
-            }
-            Step::Join {
-                outer,
-                inner,
-                out_left,
-                out_right,
-                ..
-            } => {
+            RowShape::Join => {
+                let [outer, inner] = operands(&reads).ok_or_else(arity)?;
                 let co = data_of(&classes, outer)?;
                 let ci = data_of(&classes, inner)?;
                 if ci.tainted() {
                     return Err(reject("join build side depends on the partitioned table"));
                 }
-                let tainted = co.tainted();
-                classes[*out_left] = Some(Class::Ids {
-                    align: Universe::Derived(ix),
-                    target: data_align(&co),
-                    tainted,
-                });
-                classes[*out_right] = Some(Class::Ids {
-                    align: Universe::Derived(ix),
-                    target: data_align(&ci),
-                    tainted,
-                });
+                let ids = |side: &Class| Class::Ids {
+                    align: derived,
+                    target: data_align(side),
+                    tainted: co.tainted(),
+                };
+                [Some(ids(&co)), Some(ids(&ci))]
             }
-            Step::GroupedSum {
-                keys,
-                vals,
-                out_keys,
-                out_vals,
-            } => {
+            RowShape::Group => {
+                let [keys, vals] = operands(&reads).ok_or_else(arity)?;
                 let ck = class_of(&classes, keys)?;
                 if matches!(ck, Class::Grouped { .. } | Class::Scalar { .. }) {
                     return Err(reject("grouped output reused inside the plan"));
@@ -681,72 +618,32 @@ fn partition_merge_plan(plan: &PhysicalPlan, source: &PartitionSource<'_>) -> Re
                     return Err(reject("grouped sum mixes row universes"));
                 }
                 let tainted = ck.tainted() || cv.tainted();
-                classes[*out_keys] = Some(Class::Grouped { tainted });
-                classes[*out_vals] = Some(Class::Grouped { tainted });
+                [Some(Class::Grouped { tainted }); 2]
             }
-            Step::Reduce { input, out } => {
-                let c = data_of(&classes, input)?;
-                classes[*out] = Some(Class::Scalar {
-                    tainted: c.tainted(),
-                });
-            }
-            Step::FilterSumProduct { a, b, preds, out } => {
-                let mut cs = vec![data_of(&classes, a)?, data_of(&classes, b)?];
-                for p in preds {
-                    cs.push(data_of(&classes, &p.col)?);
-                }
-                same_align(&cs)?;
-                classes[*out] = Some(Class::Scalar {
-                    tainted: cs.iter().any(Class::tainted),
-                });
-            }
-            Step::FusedMap { inputs, out, .. } => {
-                let cs: Vec<Class> = inputs
-                    .iter()
-                    .map(|r| data_of(&classes, r))
-                    .collect::<Result<_>>()?;
-                let align = same_align(&cs)?;
-                classes[*out] = Some(Class::Data {
-                    align,
-                    tainted: cs.iter().any(Class::tainted),
-                });
-            }
-            Step::FusedFilterAgg { inputs, out, .. } => {
-                let cs: Vec<Class> = inputs
-                    .iter()
-                    .map(|r| data_of(&classes, r))
-                    .collect::<Result<_>>()?;
-                same_align(&cs)?;
-                classes[*out] = Some(Class::Scalar {
-                    tainted: cs.iter().any(Class::tainted),
-                });
-            }
-            Step::DownloadU32 { input, out } | Step::DownloadF64 { input, out } => {
+            RowShape::Download => {
                 // Downloads mirror the device slot host-side, class and
                 // all (downloading a grouped result is its normal exit).
-                classes[*out] = Some(class_of(&classes, input)?);
+                let [input] = operands(&reads).ok_or_else(arity)?;
+                [Some(class_of(&classes, input)?), None]
             }
-            Step::HostSort {
-                keys, vals, order, ..
-            } => {
-                let mut involved = vec![*keys];
-                involved.extend_from_slice(vals);
-                let tainted = involved.iter().any(|&s| {
-                    classes
-                        .get(s)
-                        .copied()
-                        .flatten()
-                        .is_some_and(|c| c.tainted())
-                });
-                let limited = matches!(step, Step::HostSort { limit: Some(_), .. });
-                let by_value = matches!(order, crate::logical::ResultOrder::ValueDescKeyAsc);
-                if tainted && (limited || by_value) {
+            RowShape::HostSort { top_k } => {
+                // It sorts the slots it writes, in place.
+                let tainted = step
+                    .writes()
+                    .any(|s| classes[s].is_some_and(|c| c.tainted()));
+                if tainted && top_k {
                     return Err(reject(
                         "value-ordered or row-limited sort over partition-dependent data",
                     ));
                 }
+                [None, None]
             }
-            Step::Free { .. } => {}
+            RowShape::Free => [None, None],
+        };
+        for (slot, class) in step.writes().zip(outs) {
+            if class.is_some() {
+                classes[slot] = class;
+            }
         }
     }
 
@@ -991,21 +888,20 @@ impl ResilientPlanExecutor {
             // scratch. Only host-resident values cross backends.
             if c.steps == plan.steps() && c.host.len() == store.len() {
                 for (ix, step) in plan.steps().iter().enumerate().take(c.failed_step) {
-                    let outs = step_output_slots(step);
-                    if outs.is_empty() {
-                        continue; // Frees replay against the new lane's columns.
-                    }
-                    let all_host = outs.iter().all(|&s| {
-                        matches!(
-                            c.host.get(s),
-                            Some(Some(
-                                SlotVal::Scalar(_) | SlotVal::U32s(_) | SlotVal::F64s(_)
-                            ))
-                        )
-                    });
+                    // Frees write nothing and replay against the new
+                    // lane's columns.
+                    let all_host = step.writes().next().is_some()
+                        && step.writes().all(|s| {
+                            matches!(
+                                c.host.get(s),
+                                Some(Some(
+                                    SlotVal::Scalar(_) | SlotVal::U32s(_) | SlotVal::F64s(_)
+                                ))
+                            )
+                        });
                     if all_host {
                         skip[ix] = true;
-                        for &s in &outs {
+                        for s in step.writes() {
                             if store[s].is_none() {
                                 store[s] = c.host[s].take();
                             }
@@ -1039,7 +935,7 @@ impl ResilientPlanExecutor {
                                 kind: RecoveryEventKind::Freed { slot: *slot },
                             }),
                             step => {
-                                for s in step_output_slots(step) {
+                                for s in step.writes() {
                                     events.push(RecoveryEvent {
                                         step: ix,
                                         kind: RecoveryEventKind::Checkpoint { slot: s },

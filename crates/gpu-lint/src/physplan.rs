@@ -4,9 +4,11 @@
 //! The input is the crate's own [`PlanStep`]/[`PlanColumn`] shape (the
 //! same decoupling [`crate::plan`] uses for scheduler graphs), so the
 //! analyzer does not depend on the planner; `bench`'s `plan_lint`
-//! converts `proto_core::physical::PhysicalPlan` losslessly. Only
-//! *device columns* are modelled — scalars and downloaded host vectors
-//! have no device lifetime and no dtype hazards.
+//! converts `proto_core::physical::PhysicalPlan` losslessly, one lint
+//! step per plan step, its reads and defs taken from each step's own
+//! declaration (`Step::reads()` / `Step::writes()`). Only *device
+//! columns* are modelled — scalars and downloaded host vectors have no
+//! device lifetime and no dtype hazards.
 //!
 //! Checks, in one forward walk over the steps:
 //!
@@ -95,27 +97,6 @@ impl PlanUse {
             want: None,
             want_sorted: false,
             fused_arith: false,
-        }
-    }
-
-    /// An operand that must hold `want`.
-    pub fn typed(slot: usize, want: PlanDtype) -> PlanUse {
-        PlanUse {
-            slot,
-            want: Some(want),
-            want_sorted: false,
-            fused_arith: false,
-        }
-    }
-
-    /// An operand a fused expression reads arithmetically — must hold
-    /// `f64` (the `check_fused_inputs` contract).
-    pub fn fused_f64(slot: usize) -> PlanUse {
-        PlanUse {
-            slot,
-            want: Some(PlanDtype::F64),
-            want_sorted: false,
-            fused_arith: true,
         }
     }
 }
@@ -275,6 +256,21 @@ mod tests {
         }
     }
 
+    fn typed(slot: usize, want: PlanDtype) -> PlanUse {
+        PlanUse {
+            want: Some(want),
+            ..PlanUse::any(slot)
+        }
+    }
+
+    /// An operand a fused expression reads arithmetically.
+    fn fused_f64(slot: usize) -> PlanUse {
+        PlanUse {
+            fused_arith: true,
+            ..typed(slot, PlanDtype::F64)
+        }
+    }
+
     fn rules(inputs: &[PlanColumn], steps: &[PlanStep]) -> Vec<&'static str> {
         lint_physical_plan(inputs, steps)
             .iter()
@@ -294,10 +290,7 @@ mod tests {
             ),
             step(
                 "gather",
-                vec![
-                    PlanUse::typed(10, PlanDtype::F64),
-                    PlanUse::typed(0, PlanDtype::U32),
-                ],
+                vec![typed(10, PlanDtype::F64), typed(0, PlanDtype::U32)],
                 vec![col(1, "discount", PlanDtype::F64, false)],
                 vec![],
             ),
@@ -332,7 +325,7 @@ mod tests {
         let inputs = [col(10, "keys", PlanDtype::F64, false)];
         let steps = [step(
             "grouped_sum",
-            vec![PlanUse::typed(10, PlanDtype::U32)],
+            vec![typed(10, PlanDtype::U32)],
             vec![],
             vec![],
         )];
@@ -347,7 +340,7 @@ mod tests {
         ];
         let steps = [step(
             "fused_filter_agg",
-            vec![PlanUse::fused_f64(10), PlanUse::fused_f64(11)],
+            vec![fused_f64(10), fused_f64(11)],
             vec![],
             vec![],
         )];
@@ -358,7 +351,7 @@ mod tests {
         // The same mismatch without the fused provenance is plain GL402.
         let steps = [step(
             "affine",
-            vec![PlanUse::typed(10, PlanDtype::F64)],
+            vec![typed(10, PlanDtype::F64)],
             vec![],
             vec![],
         )];
@@ -373,7 +366,7 @@ mod tests {
         ];
         let want_sorted = |slot| PlanUse {
             want_sorted: true,
-            ..PlanUse::typed(slot, PlanDtype::U32)
+            ..typed(slot, PlanDtype::U32)
         };
         let steps = [step(
             "join[Merge]",

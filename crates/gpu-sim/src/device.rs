@@ -11,7 +11,7 @@ use crate::buffer::{BufferId, DeviceBuffer, DeviceCopy, Reservation};
 use crate::clock::{SimDuration, SimTime, VirtualClock};
 use crate::cost::KernelCost;
 use crate::error::{Result, SimError};
-use crate::fault::{fault_error, FaultPlan, FaultSite, FaultState};
+use crate::fault::{fault_error, FaultPlan, FaultSite, FaultState, FAULT_LATENCY_NS};
 use crate::pool::{rounded_size, AllocPolicy, MemoryPool, PoolStats};
 use crate::spec::DeviceSpec;
 use crate::stats::DeviceStats;
@@ -120,19 +120,18 @@ impl Device {
         if !state.draw(site) {
             return Ok(());
         }
-        let plan = state.plan.clone();
         let available = self
             .spec
             .global_mem_bytes
             .saturating_sub(inner.stats.mem_in_use);
-        let Some(err) = fault_error(&plan, site, label, requested, available) else {
-            return Ok(()); // absorbed alloc fault: pressure too mild
+        let Some(err) = fault_error(site, label, requested, available) else {
+            return Ok(()); // absorbed alloc fault: the request still fits
         };
         inner.stats.faults_injected += 1;
         drop(inner);
         let start = self.now();
         self.clock
-            .advance(SimDuration::from_nanos(plan.fault_latency_ns));
+            .advance(SimDuration::from_nanos(FAULT_LATENCY_NS));
         self.record(start, TraceKind::Fault(format!("{site}: {err}")));
         Err(err)
     }

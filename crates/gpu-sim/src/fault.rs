@@ -103,16 +103,17 @@ pub struct FaultPlan {
     /// Per-site fault probability in `[0, 1]`, indexed by
     /// [`FaultSite::index`].
     pub rates: [f64; 6],
-    /// Fraction of currently-available device memory hidden by an
-    /// injected memory-pressure event, in `[0, 1]`. At the default 1.0
-    /// every alloc-site fault fails the allocation outright; at lower
-    /// values small allocations ride out the pressure and only large
-    /// ones fail.
-    pub mem_pressure_shrink: f64,
-    /// Simulated time charged when a fault fires (the detection
-    /// latency: a timed-out transfer or failed launch is not free).
-    pub fault_latency_ns: u64,
 }
+
+/// Fraction of currently-available device memory hidden by an injected
+/// memory-pressure event. At 1.0 nothing is left: every alloc-site fault
+/// fails its allocation outright, except a zero-byte request, which still
+/// fits.
+pub(crate) const MEM_PRESSURE_SHRINK: f64 = 1.0;
+
+/// Simulated time charged when a fault fires (the detection latency: a
+/// timed-out transfer or failed launch is not free).
+pub(crate) const FAULT_LATENCY_NS: u64 = 20_000;
 
 impl FaultPlan {
     /// A plan with all rates zero (injects nothing).
@@ -120,8 +121,6 @@ impl FaultPlan {
         FaultPlan {
             seed,
             rates: [0.0; 6],
-            mem_pressure_shrink: 1.0,
-            fault_latency_ns: 20_000,
         }
     }
 
@@ -215,10 +214,8 @@ impl FaultState {
 /// kernels); `available` is the device memory currently free (used only
 /// by the alloc site); `label` names the kernel for `DeviceLost`.
 /// Returns `None` when a fired alloc fault is absorbed because the
-/// request still fits under the shrunken memory (pressure too mild to
-/// matter).
+/// request still fits under the shrunken memory ([`MEM_PRESSURE_SHRINK`]).
 pub(crate) fn fault_error(
-    plan: &FaultPlan,
     site: FaultSite,
     label: &str,
     requested: u64,
@@ -226,7 +223,7 @@ pub(crate) fn fault_error(
 ) -> Option<SimError> {
     match site {
         FaultSite::Alloc => {
-            let effective = (available as f64 * (1.0 - plan.mem_pressure_shrink)) as u64;
+            let effective = (available as f64 * (1.0 - MEM_PRESSURE_SHRINK)) as u64;
             if requested <= effective {
                 return None;
             }
@@ -292,35 +289,33 @@ mod tests {
 
     #[test]
     fn alloc_faults_respect_pressure_shrink() {
-        let plan = FaultPlan {
-            mem_pressure_shrink: 0.5,
-            ..FaultPlan::uniform(1, 1.0)
-        };
-        // Request fits in the un-hidden half: fault absorbed.
-        assert_eq!(fault_error(&plan, FaultSite::Alloc, "", 100, 1000), None);
-        // Request exceeds it: pressure OOM reporting the shrunken view.
-        assert_eq!(
-            fault_error(&plan, FaultSite::Alloc, "", 600, 1000),
-            Some(SimError::OutOfMemory {
-                requested: 600,
-                available: 500
-            })
-        );
+        // The pressure hides all free memory: only a zero-byte request
+        // still fits, so that fault is absorbed.
+        assert_eq!(fault_error(FaultSite::Alloc, "", 0, 1000), None);
+        // Any other request fails, reporting the shrunken (empty) view.
+        for requested in [1, 100, 1000, 5000] {
+            assert_eq!(
+                fault_error(FaultSite::Alloc, "", requested, 1000),
+                Some(SimError::OutOfMemory {
+                    requested,
+                    available: 0
+                })
+            );
+        }
     }
 
     #[test]
     fn error_shapes_per_site() {
-        let plan = FaultPlan::uniform(1, 1.0);
         assert!(matches!(
-            fault_error(&plan, FaultSite::HtoD, "", 64, 0),
+            fault_error(FaultSite::HtoD, "", 64, 0),
             Some(SimError::TransferTimeout { bytes: 64 })
         ));
         assert!(matches!(
-            fault_error(&plan, FaultSite::Kernel, "scan", 0, 0),
+            fault_error(FaultSite::Kernel, "scan", 0, 0),
             Some(SimError::DeviceLost(k)) if k == "scan"
         ));
         assert!(matches!(
-            fault_error(&plan, FaultSite::PlanStep, "Q1 step 3", 0, 0),
+            fault_error(FaultSite::PlanStep, "Q1 step 3", 0, 0),
             Some(SimError::DeviceLost(k)) if k == "Q1 step 3"
         ));
     }

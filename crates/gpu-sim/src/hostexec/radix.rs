@@ -41,17 +41,14 @@ mod sealed {
 /// pure function of the key — which holds for the ones below and could not
 /// be demanded of a foreign one.
 pub trait RadixKey: Copy + Send + Sync + 'static + sealed::Sealed {
-    /// Number of 8-bit digit passes covering the key width.
-    const PASSES: usize;
-    /// Order-preserving mapping into unsigned bits (low `8 * PASSES` bits).
+    /// Order-preserving mapping into unsigned bits.
     fn radix_bits(self) -> u64;
 }
 
 macro_rules! radix_key {
-    ($($t:ty, $passes:expr, |$k:ident| $bits:expr;)*) => {$(
+    ($($t:ty, |$k:ident| $bits:expr;)*) => {$(
         impl sealed::Sealed for $t {}
         impl RadixKey for $t {
-            const PASSES: usize = $passes;
             #[inline]
             fn radix_bits(self) -> u64 {
                 let $k = self;
@@ -62,16 +59,16 @@ macro_rules! radix_key {
 }
 
 radix_key! {
-    u8, 1, |k| u64::from(k);
-    u16, 2, |k| u64::from(k);
-    u32, 4, |k| u64::from(k);
-    u64, 8, |k| k;
-    i32, 4, |k| u64::from((k as u32) ^ 0x8000_0000);
-    i64, 8, |k| (k as u64) ^ (1 << 63);
+    u8, |k| u64::from(k);
+    u16, |k| u64::from(k);
+    u32, |k| u64::from(k);
+    u64, |k| k;
+    i32, |k| u64::from((k as u32) ^ 0x8000_0000);
+    i64, |k| (k as u64) ^ (1 << 63);
     // IEEE-754 total order: flip the sign bit of non-negatives, all bits of
     // negatives. Matches `partial_cmp` on every non-NaN input (NaNs order
     // last).
-    f64, 8, |k| {
+    f64, |k| {
         let b = k.to_bits();
         if b >> 63 == 0 { b ^ (1 << 63) } else { !b }
     };
