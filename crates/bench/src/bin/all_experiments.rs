@@ -10,6 +10,10 @@
 fn main() {
     let csv = bench::report::csv_dir_from_args();
     let jobs = bench::sched::jobs_from_args();
+    if let Err(e) = proto_core::optimizer::env_fusion_threshold() {
+        eprintln!("{e}");
+        std::process::exit(2);
+    }
     let mut host = bench::report::HostTimer::new();
 
     let run = bench::grid::run(bench::grid::GridConfig::default(), jobs);

@@ -1,5 +1,5 @@
-//! The `bench` binaries reject a malformed worker count or fault rate up
-//! front — exit code 2 and one line on stderr, before anything runs —
+//! The `bench` binaries reject a malformed worker count, fault rate or
+//! fusion threshold up front — exit code 2 and one line on stderr, before anything runs —
 //! instead of silently running with a value nobody asked for.
 
 use std::process::Command;
@@ -38,5 +38,15 @@ fn a_fault_rate_outside_the_unit_interval_is_rejected() {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_fault_smoke"));
         cmd.env("GPU_SIM_FAULT_RATE", value);
         assert_rejected(cmd, "bad GPU_SIM_FAULT_RATE value");
+    }
+}
+
+#[test]
+fn a_malformed_fusion_threshold_is_rejected() {
+    for value in ["abc", "-1", ""] {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_all_experiments"));
+        cmd.env_remove("GPU_SIM_HOST_JOBS");
+        cmd.env("PROTO_FUSION_THRESHOLD", value);
+        assert_rejected(cmd, &format!("bad PROTO_FUSION_THRESHOLD value `{value}`"));
     }
 }

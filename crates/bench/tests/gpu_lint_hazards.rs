@@ -65,6 +65,8 @@ fn known_kernel(reads: &[BufferId], writes: &[BufferId]) -> TraceKind {
     TraceKind::Kernel {
         name: "injected".into(),
         io: KernelIo::known(reads, writes),
+        bytes_read: 0,
+        bytes_written: 0,
     }
 }
 

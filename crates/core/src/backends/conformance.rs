@@ -292,13 +292,22 @@ fn is_nothing(out: &[f64]) -> bool {
 }
 
 /// Run `case` on a fresh instance of every paper backend and of the fifth,
-/// which must leave no buffer live.
+/// which must leave no buffer live — and whose device counters must be the
+/// fold of the events it traced from creation.
 fn on_every_backend(case: impl Fn(Backend<'_>)) {
     for name in PAPER_BACKENDS.into_iter().chain([JitThrust::NAME]) {
         let dev = Device::with_defaults();
+        dev.set_tracing(true);
         let b = make(name, &dev);
         case(b.as_ref());
         assert_eq!(dev.live_buffers(), 0, "{name}: buffers left behind");
+        let counters = DeviceStats {
+            mem_in_use: 0,
+            mem_peak: 0,
+            ..dev.stats()
+        };
+        let folded = DeviceStats::from_trace(&dev.take_trace());
+        assert_eq!(folded, counters, "{name}: stats are not the trace's fold");
     }
 }
 

@@ -580,10 +580,10 @@ pub fn plan(query: &str, logical: &LogicalPlan, backend: &dyn GpuBackend) -> Res
 /// [`plan`] with explicit [`PlannerOptions`].
 ///
 /// Honours the [`FUSION_THRESHOLD_ENV`] override for the fused-dispatch
-/// threshold, then follows the heuristic path ([`best_join`], the
-/// options' fusion threshold) or — when [`PlannerOptions::costing`] is
-/// set — prices every supported join algorithm × fused/composed
-/// dispatch and keeps the cheapest candidate.
+/// threshold (a malformed value is an error), then follows the heuristic
+/// path ([`best_join`], the options' fusion threshold) or — when
+/// [`PlannerOptions::costing`] is set — prices every supported join
+/// algorithm × fused/composed dispatch and keeps the cheapest candidate.
 pub fn plan_with(
     query: &str,
     logical: &LogicalPlan,
@@ -622,7 +622,10 @@ fn plan_impl(
     mut trace: Option<&mut Vec<PassTrace>>,
 ) -> Result<PhysicalPlan> {
     let mut opts = opts.clone();
-    let env_pinned = apply_env_threshold(&mut opts);
+    let env_threshold = env_fusion_threshold()?;
+    if let Some(threshold) = env_threshold {
+        opts.fusion.threshold = threshold;
+    }
     let optimized = match trace.as_deref_mut() {
         Some(traces) => {
             let (optimized, passes) = optimize_traced(logical);
@@ -632,6 +635,7 @@ fn plan_impl(
         None => optimize(logical),
     };
     if let Some(costing) = opts.costing.clone() {
+        let env_pinned = env_threshold.is_some();
         return plan_costed(
             query, &optimized, backend, &opts, &costing, env_pinned, trace,
         );
@@ -654,20 +658,20 @@ fn plan_impl(
     Ok(plan)
 }
 
-/// Apply the [`FUSION_THRESHOLD_ENV`] override to `opts`, returning
-/// whether the threshold was pinned (which suppresses the costed
-/// planner's fused/composed enumeration).
-fn apply_env_threshold(opts: &mut PlannerOptions) -> bool {
-    match std::env::var(FUSION_THRESHOLD_ENV) {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(t) => {
-                opts.fusion.threshold = t;
-                true
-            }
-            Err(_) => false,
-        },
-        Err(_) => false,
-    }
+/// The [`FUSION_THRESHOLD_ENV`] override: `None` when the variable is
+/// unset, an error naming the variable and its value when that value is
+/// not a row count. A pinned threshold also suppresses the costed
+/// planner's fused/composed enumeration.
+pub fn env_fusion_threshold() -> Result<Option<usize>> {
+    let Some(raw) = std::env::var_os(FUSION_THRESHOLD_ENV) else {
+        return Ok(None);
+    };
+    let value = raw.to_string_lossy();
+    value.trim().parse().map(Some).map_err(|_| {
+        SimError::Unsupported(format!(
+            "bad {FUSION_THRESHOLD_ENV} value `{value}` (expected a non-negative integer)"
+        ))
+    })
 }
 
 /// The trace entry recording a Table-II join-algorithm selection.

@@ -5,7 +5,7 @@
 //! operator-level recovery side: [`ResilientBackend`] wraps any
 //! [`GpuBackend`] and re-issues each failed operator with exponential
 //! backoff ([`RetryPolicy`]). Backoff is charged to the *simulated* clock
-//! via [`Device::note_retry`](gpu_sim::Device::note_retry), so resilience
+//! via [`Device::note`](gpu_sim::Device::note), so resilience
 //! overhead shows up in measured timings exactly like it would on real
 //! hardware. Batch splitting and fallback along a backend chain are
 //! plan-level mechanisms ([`crate::resilient_plan`]).
@@ -19,7 +19,7 @@
 
 use crate::backend::{Col, GpuBackend, Pred};
 use crate::ops::{CmpOp, Connective, DbOperator, JoinAlgo, Support};
-use gpu_sim::{Device, Result, SimDuration, SimError};
+use gpu_sim::{Device, Recovery, Result, SimDuration, SimError};
 use std::sync::Arc;
 
 /// Bounded-retry policy with exponential backoff.
@@ -137,8 +137,7 @@ impl ResilientBackend {
 }
 
 /// Run `f` in a bounded retry loop under `policy`, charging each backoff
-/// to `device`'s simulated clock (via
-/// [`Device::note_retry`](gpu_sim::Device::note_retry)).
+/// to `device`'s simulated clock (via [`Device::note`](gpu_sim::Device::note)).
 ///
 /// This is the single retry primitive the whole crate shares:
 /// [`ResilientBackend`] routes every operator call through it, and
@@ -155,7 +154,10 @@ pub(crate) fn retry_with_policy<T>(
         match f() {
             Ok(v) => return Ok(v),
             Err(e) if attempt < policy.max_retries && policy.wants_retry(&e) => {
-                device.note_retry(what, policy.backoff(attempt));
+                let retry = Recovery::Retry {
+                    what: what.to_string(),
+                };
+                device.note(retry, policy.backoff(attempt));
                 attempt += 1;
             }
             Err(e) => return Err(e),

@@ -9,7 +9,7 @@
 //! 1. **Step-granular retry** — a transient fault
 //!    ([`SimError::is_transient`]) replays only the failed [`Step`],
 //!    with [`RetryPolicy`] backoff charged to the simulated clock
-//!    ([`gpu_sim::Device::note_retry`]). Completed slots are the
+//!    ([`gpu_sim::Device::note`]). Completed slots are the
 //!    checkpoint: they are never recomputed.
 //! 2. **Slot checkpointing** — every completed step's output slots
 //!    survive a retry or fallback. Explicit [`Step::Free`]s are
@@ -25,7 +25,7 @@
 //!    library first, handwritten last) replays a failed plan on the next
 //!    backend, carrying every host-resident checkpoint forward when the
 //!    lowered step lists agree (device columns cannot cross backends).
-//!    Counted via [`gpu_sim::Device::note_fallback`].
+//!    Counted via [`gpu_sim::Device::note`].
 //! 5. **Deadlines** — [`PlanRecovery::deadline_ns`] bounds the simulated
 //!    time one plan may consume across all recovery attempts; exceeding
 //!    it aborts cleanly with [`SimError::PlanAborted`].
@@ -75,7 +75,7 @@ use crate::physical::{
     StepRead,
 };
 use crate::resilient::{retry_with_policy, RetryPolicy};
-use gpu_sim::{Result, SimError};
+use gpu_sim::{Recovery, Result, SimDuration, SimError};
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
@@ -779,9 +779,11 @@ impl ResilientPlanExecutor {
         for (li, lane) in lanes.iter().enumerate() {
             if li > 0 {
                 let prev = &lanes[li - 1];
-                lane.backend
-                    .device()
-                    .note_fallback(prev.backend.name(), lane.backend.name());
+                let fallback = Recovery::Fallback {
+                    from: prev.backend.name().to_string(),
+                    to: lane.backend.name().to_string(),
+                };
+                lane.backend.device().note(fallback, SimDuration::ZERO);
                 events.push(RecoveryEvent {
                     step: carry.as_ref().map_or(0, |c| c.failed_step),
                     kind: RecoveryEventKind::Fallback {
@@ -950,7 +952,10 @@ impl ResilientPlanExecutor {
                             && self.recovery.retry.wants_retry(&e) =>
                     {
                         let backoff = self.recovery.retry.backoff(attempt);
-                        device.note_retry(&label, backoff);
+                        let retry = Recovery::Retry {
+                            what: label.clone(),
+                        };
+                        device.note(retry, backoff);
                         events.push(RecoveryEvent {
                             step: ix,
                             kind: RecoveryEventKind::Retry {
@@ -1017,7 +1022,11 @@ impl ResilientPlanExecutor {
         };
         'sized: loop {
             let parts = rows.div_ceil(chunk).max(1);
-            device.note_plan_partition(plan.query(), parts);
+            let partition = Recovery::Partition {
+                what: plan.query().to_string(),
+                parts,
+            };
+            device.note(partition, SimDuration::ZERO);
             events.push(RecoveryEvent {
                 step: 0,
                 kind: RecoveryEventKind::Partition { parts },
@@ -1036,7 +1045,11 @@ impl ResilientPlanExecutor {
                         // deterministic, and partial merges are cheap
                         // host state.
                         chunk = (chunk / 2).max(min_chunk);
-                        device.note_batch_split(plan.query(), 2);
+                        let split = Recovery::Split {
+                            what: plan.query().to_string(),
+                            parts: 2,
+                        };
+                        device.note(split, SimDuration::ZERO);
                         continue 'sized;
                     }
                     Err(e) => return Err(e),

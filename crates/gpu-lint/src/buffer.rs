@@ -139,7 +139,7 @@ pub(crate) fn lint_buffers(events: &[TraceEvent]) -> Vec<Diagnostic> {
                     st.written = true;
                 }
             }
-            TraceKind::Kernel { name, io } => match io {
+            TraceKind::Kernel { name, io, .. } => match io {
                 KernelIo::Unknown => {
                     for st in bufs.values_mut() {
                         if st.freed.is_none() {
@@ -173,7 +173,7 @@ pub(crate) fn lint_buffers(events: &[TraceEvent]) -> Vec<Diagnostic> {
                     }
                 }
             },
-            TraceKind::Jit(_) | TraceKind::Fault(_) | TraceKind::Resilience(_) => {}
+            TraceKind::Jit(_) | TraceKind::Fault(_) | TraceKind::Recovery(_) => {}
         }
     }
 
@@ -261,6 +261,8 @@ mod tests {
         ev(TraceKind::Kernel {
             name: "k".into(),
             io: KernelIo::known(&r, &w),
+            bytes_read: 0,
+            bytes_written: 0,
         })
     }
 
@@ -369,6 +371,8 @@ mod tests {
         let unknown = ev(TraceKind::Kernel {
             name: "k".into(),
             io: KernelIo::Unknown,
+            bytes_read: 0,
+            bytes_written: 0,
         });
         // Upload never explicitly read, but an Unknown launch overlapped:
         // no dead-upload warning.

@@ -9,7 +9,6 @@
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A point on the device's virtual timeline, in nanoseconds since device
 /// creation.
@@ -124,43 +123,15 @@ impl fmt::Display for SimTime {
     }
 }
 
-/// The device's monotonically advancing clock.
-///
-/// Thread-safe: kernels executed from multiple host threads advance the same
-/// timeline (the simulator serialises device work, like a single in-order
-/// CUDA stream — the model the paper's benchmarks use).
-#[derive(Debug, Default)]
-pub(crate) struct VirtualClock {
-    ns: AtomicU64,
-}
-
-impl VirtualClock {
-    /// A fresh clock at `t = 0`.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The current virtual instant.
-    pub fn now(&self) -> SimTime {
-        SimTime(self.ns.load(Ordering::SeqCst))
-    }
-
-    /// Advance the timeline by `d` and return the *new* instant.
-    pub fn advance(&self, d: SimDuration) -> SimTime {
-        SimTime(self.ns.fetch_add(d.0, Ordering::SeqCst) + d.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn clock_advances_monotonically() {
-        let c = VirtualClock::new();
-        assert_eq!(c.now(), SimTime::ZERO);
-        let t1 = c.advance(SimDuration::from_nanos(5));
-        let t2 = c.advance(SimDuration::from_nanos(1_000));
+    fn instants_advance_by_durations() {
+        assert_eq!(SimTime::default(), SimTime::ZERO);
+        let t1 = SimTime::ZERO + SimDuration::from_nanos(5);
+        let t2 = t1 + SimDuration::from_nanos(1_000);
         assert_eq!(t1.as_nanos(), 5);
         assert_eq!(t2.as_nanos(), 1_005);
         assert_eq!(t2 - t1, SimDuration::from_nanos(1_000));

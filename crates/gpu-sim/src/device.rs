@@ -6,19 +6,23 @@
 //! single in-order timeline, which matches how the paper benchmarks each
 //! library (synchronous timing around each operator); the model has no
 //! stream concept.
+//!
+//! Every cost is one event ([`TraceKind`]) through one private `emit`,
+//! which — in one critical section — advances the clock, folds the event
+//! into [`DeviceStats`] and, with tracing on, records it. So the clock,
+//! the counters and the trace describe the same run by construction.
 
 use crate::buffer::{BufferId, DeviceBuffer, DeviceCopy, Reservation};
-use crate::clock::{SimDuration, SimTime, VirtualClock};
+use crate::clock::{SimDuration, SimTime};
 use crate::cost::KernelCost;
 use crate::error::{Result, SimError};
 use crate::fault::{fault_error, FaultPlan, FaultSite, FaultState, FAULT_LATENCY_NS};
 use crate::pool::{rounded_size, AllocPolicy, MemoryPool, PoolStats};
 use crate::spec::DeviceSpec;
 use crate::stats::DeviceStats;
-use crate::trace::{KernelIo, TraceEvent, TraceKind};
+use crate::trace::{KernelIo, Recovery, TraceEvent, TraceKind};
 use crate::transfer::{transfer_time, Direction};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Latency of serving a [`AllocPolicy::Pooled`] allocation from the
@@ -31,15 +35,17 @@ pub const POOL_HIT_NS: u64 = 500;
 #[derive(Debug)]
 pub struct Device {
     spec: DeviceSpec,
-    clock: VirtualClock,
-    tracing: AtomicBool,
-    /// Next [`BufferId`]; ids start at 1 and are never reused.
-    next_buffer: AtomicU64,
     inner: Mutex<Inner>,
 }
 
 #[derive(Debug, Default)]
 struct Inner {
+    /// The virtual clock.
+    now: SimTime,
+    tracing: bool,
+    /// The last [`BufferId`] handed out; ids start at 1 and are never
+    /// reused, not even by a failed allocation.
+    last_buffer: u64,
     stats: DeviceStats,
     pool: MemoryPool,
     trace: Vec<TraceEvent>,
@@ -49,16 +55,71 @@ struct Inner {
     live_buffers: u64,
 }
 
+impl Inner {
+    /// The one charge path: advance the clock by `dur`, fold the event
+    /// into the counters, and record it when tracing.
+    fn emit(&mut self, dur: SimDuration, kind: TraceKind) {
+        let start = self.now;
+        self.now = start + dur;
+        self.stats.apply(dur, &kind);
+        if self.tracing {
+            let (start, end) = (start.as_nanos(), self.now.as_nanos());
+            self.trace.push(TraceEvent::new(start, end, kind));
+        }
+    }
+
+    /// Advance the clock without an event: costs no event is attributed
+    /// to yet ([`Device::advance`], the `Raw` free latency).
+    fn advance(&mut self, dur: SimDuration) {
+        self.now = self.now + dur;
+    }
+
+    /// Device memory not reserved by live buffers or the pool cache.
+    fn available(&self, spec: &DeviceSpec) -> u64 {
+        spec.global_mem_bytes.saturating_sub(self.stats.mem_in_use)
+    }
+
+    /// Draw the next fault decision at `site`; on a fire, emit the fault
+    /// (charging its detection latency) and return the injected error.
+    /// `requested` is the byte size for alloc/transfer sites, `label` the
+    /// kernel or plan step for the others.
+    fn inject(
+        &mut self,
+        spec: &DeviceSpec,
+        site: FaultSite,
+        label: &str,
+        requested: u64,
+    ) -> Result<()> {
+        let Some(state) = self.faults.as_mut() else {
+            return Ok(());
+        };
+        if !state.draw(site) {
+            return Ok(());
+        }
+        let Some(err) = fault_error(site, label, requested, self.available(spec)) else {
+            return Ok(()); // absorbed alloc fault: the request still fits
+        };
+        let latency = SimDuration::from_nanos(FAULT_LATENCY_NS);
+        self.emit(latency, TraceKind::Fault(format!("{site}: {err}")));
+        Err(err)
+    }
+}
+
+/// The event of one launch of `name` costing `cost`.
+fn launch(name: &str, cost: &KernelCost, io: KernelIo) -> TraceKind {
+    TraceKind::Kernel {
+        name: name.to_string(),
+        io,
+        bytes_read: cost.bytes_read,
+        bytes_written: cost.bytes_written,
+    }
+}
+
 impl Device {
     /// Create a device with the given specification.
     pub fn new(spec: DeviceSpec) -> Arc<Device> {
-        Arc::new(Device {
-            spec,
-            clock: VirtualClock::new(),
-            tracing: AtomicBool::new(false),
-            next_buffer: AtomicU64::new(1),
-            inner: Mutex::new(Inner::default()),
-        })
+        let inner = Mutex::default();
+        Arc::new(Device { spec, inner })
     }
 
     /// Create the default paper device (GTX 1080-class).
@@ -73,14 +134,14 @@ impl Device {
 
     /// Current virtual instant.
     pub fn now(&self) -> SimTime {
-        self.clock.now()
+        self.inner.lock().now
     }
 
     /// Advance the virtual clock directly (library crates use this for
     /// costs outside the kernel/transfer models, e.g. host-side graph
-    /// bookkeeping).
+    /// bookkeeping). No event is recorded and no counter moves.
     pub fn advance(&self, d: SimDuration) {
-        self.clock.advance(d);
+        self.inner.lock().advance(d);
     }
 
     /// Run `f` and return its result together with the simulated time it
@@ -92,7 +153,7 @@ impl Device {
     }
 
     // ----------------------------------------------------------------
-    // Fault injection
+    // Fault injection and recovery accounting
     // ----------------------------------------------------------------
 
     /// Install a fault plan; subsequent device operations draw injection
@@ -108,34 +169,6 @@ impl Device {
         self.inner.lock().faults.take().map(|s| s.plan)
     }
 
-    /// Draw the next fault decision at `site`; on a fire, count it,
-    /// charge the detection latency, trace it, and return the injected
-    /// error. `requested` is the byte size for alloc/transfer sites,
-    /// `label` the kernel name for the kernel site.
-    fn maybe_inject(&self, site: FaultSite, label: &str, requested: u64) -> Result<()> {
-        let mut inner = self.inner.lock();
-        let Some(state) = inner.faults.as_mut() else {
-            return Ok(());
-        };
-        if !state.draw(site) {
-            return Ok(());
-        }
-        let available = self
-            .spec
-            .global_mem_bytes
-            .saturating_sub(inner.stats.mem_in_use);
-        let Some(err) = fault_error(site, label, requested, available) else {
-            return Ok(()); // absorbed alloc fault: the request still fits
-        };
-        inner.stats.faults_injected += 1;
-        drop(inner);
-        let start = self.now();
-        self.clock
-            .advance(SimDuration::from_nanos(FAULT_LATENCY_NS));
-        self.record(start, TraceKind::Fault(format!("{site}: {err}")));
-        Err(err)
-    }
-
     /// Draw the next plan-step fault decision — the hook the resilient
     /// plan executor calls once per step attempt, *before* interpreting
     /// the step. With no plan installed (or a zero `plan-step` rate) this
@@ -144,51 +177,15 @@ impl Device {
     /// fire it counts the fault, charges the detection latency, traces
     /// it, and returns the injected [`SimError::DeviceLost`].
     pub fn inject_plan_step_fault(&self, label: &str) -> Result<()> {
-        self.maybe_inject(FaultSite::PlanStep, label, 0)
+        let mut inner = self.inner.lock();
+        inner.inject(&self.spec, FaultSite::PlanStep, label, 0)
     }
 
-    // ----------------------------------------------------------------
-    // Resilience accounting (called by recovery layers above the
-    // simulator so retries/fallbacks/splits appear in stats and traces)
-    // ----------------------------------------------------------------
-
-    /// Record one retry of `what`, charging `backoff` to simulated time.
-    pub fn note_retry(&self, what: &str, backoff: SimDuration) {
-        self.inner.lock().stats.retries += 1;
-        let start = self.now();
-        self.clock.advance(backoff);
-        self.record(start, TraceKind::Resilience(format!("retry {what}")));
-    }
-
-    /// Record a fallback from one implementation to another.
-    pub fn note_fallback(&self, from: &str, to: &str) {
-        self.inner.lock().stats.fallbacks += 1;
-        let start = self.now();
-        self.record(
-            start,
-            TraceKind::Resilience(format!("fallback {from} -> {to}")),
-        );
-    }
-
-    /// Record one batch split of `what` into `parts` chunks.
-    pub fn note_batch_split(&self, what: &str, parts: usize) {
-        self.inner.lock().stats.batch_splits += 1;
-        let start = self.now();
-        self.record(
-            start,
-            TraceKind::Resilience(format!("split {what} into {parts}")),
-        );
-    }
-
-    /// Record one partitioned re-execution of plan `what` over `parts`
-    /// horizontal row partitions.
-    pub fn note_plan_partition(&self, what: &str, parts: usize) {
-        self.inner.lock().stats.plan_partitions += 1;
-        let start = self.now();
-        self.record(
-            start,
-            TraceKind::Resilience(format!("partition {what} into {parts}")),
-        );
+    /// Note a recovery action a layer above the simulator took, so it
+    /// shows in the stats and the trace. `cost` is the simulated time it
+    /// charges: a retry's backoff, [`SimDuration::ZERO`] for the others.
+    pub fn note(&self, recovery: Recovery, cost: SimDuration) {
+        self.inner.lock().emit(cost, TraceKind::Recovery(recovery));
     }
 
     // ----------------------------------------------------------------
@@ -238,115 +235,66 @@ impl Device {
         policy: AllocPolicy,
         init: bool,
     ) -> Result<Reservation> {
-        let id = self.mint_buffer_id();
-        self.account_alloc(bytes, policy, id, init)?;
-        Ok(Reservation::from_parts(
-            Arc::clone(self),
-            policy,
-            bytes,
-            rounded_size(bytes),
-            id,
-        ))
-    }
-
-    fn mint_buffer_id(&self) -> BufferId {
-        BufferId(self.next_buffer.fetch_add(1, Ordering::Relaxed))
-    }
-
-    fn account_alloc(
-        &self,
-        bytes: u64,
-        policy: AllocPolicy,
-        id: BufferId,
-        init: bool,
-    ) -> Result<()> {
         let rounded = rounded_size(bytes);
+        let id = self.account_alloc(rounded, policy, init)?;
+        let device = Arc::clone(self);
+        Ok(Reservation::from_parts(device, policy, bytes, rounded, id))
+    }
+
+    /// Mint the next buffer id and charge allocating `bytes` (size-class
+    /// rounded) for it.
+    fn account_alloc(&self, bytes: u64, policy: AllocPolicy, init: bool) -> Result<BufferId> {
         let mut inner = self.inner.lock();
-        // Pool hits reuse already-reserved memory; misses must fit.
-        let hit = policy == AllocPolicy::Pooled && inner.pool.try_acquire(rounded);
-        if hit {
-            inner.stats.pool_hits += 1;
+        inner.last_buffer += 1;
+        let buf = BufferId(inner.last_buffer);
+        // Pool hits reuse memory already counted in mem_in_use, and never
+        // reach the driver's fault site.
+        if policy == AllocPolicy::Pooled && inner.pool.try_acquire(bytes) {
             inner.live_buffers += 1;
-            // Cached bytes were already counted in mem_in_use.
-            drop(inner);
-            let start = self.now();
-            self.clock.advance(SimDuration::from_nanos(POOL_HIT_NS));
-            // Meta event: hidden from timelines, but gives the lint passes
-            // a birth record for pool-served buffers.
-            self.record(
-                start,
-                TraceKind::PoolAlloc {
-                    bytes: rounded,
-                    buf: id,
-                    init,
-                },
-            );
-            return Ok(());
+            // Hidden from timelines, but gives the lint passes a birth
+            // record for pool-served buffers.
+            let kind = TraceKind::PoolAlloc { bytes, buf, init };
+            inner.emit(SimDuration::from_nanos(POOL_HIT_NS), kind);
+            return Ok(buf);
         }
         // Pool misses go to the driver, which is where injected memory
-        // pressure strikes (pool hits above never leave the process).
-        drop(inner);
-        self.maybe_inject(FaultSite::Alloc, "", rounded)?;
-        let mut inner = self.inner.lock();
-        let available = self
-            .spec
-            .global_mem_bytes
-            .saturating_sub(inner.stats.mem_in_use);
-        if rounded > available {
+        // pressure strikes.
+        inner.inject(&self.spec, FaultSite::Alloc, "", bytes)?;
+        if bytes > inner.available(&self.spec) {
             // Last resort: trim the pool and retry, like real pools do
             // under memory pressure.
             let released = inner.pool.trim();
             inner.stats.mem_in_use -= released;
-            let available = self
-                .spec
-                .global_mem_bytes
-                .saturating_sub(inner.stats.mem_in_use);
-            if rounded > available {
+            let available = inner.available(&self.spec);
+            if bytes > available {
                 return Err(SimError::OutOfMemory {
-                    requested: rounded,
+                    requested: bytes,
                     available,
                 });
             }
         }
-        inner.stats.allocs += 1;
-        inner.stats.mem_in_use += rounded;
+        inner.stats.mem_in_use += bytes;
         inner.stats.mem_peak = inner.stats.mem_peak.max(inner.stats.mem_in_use);
         inner.live_buffers += 1;
-        drop(inner);
-        let start = self.now();
-        self.clock
-            .advance(SimDuration::from_nanos(self.spec.malloc_latency_ns));
-        self.record(
-            start,
-            TraceKind::Alloc {
-                bytes: rounded,
-                buf: id,
-                init,
-            },
-        );
-        Ok(())
+        let kind = TraceKind::Alloc { bytes, buf, init };
+        inner.emit(SimDuration::from_nanos(self.spec.malloc_latency_ns), kind);
+        Ok(buf)
     }
 
-    pub(crate) fn on_buffer_free(&self, id: BufferId, alloc_bytes: u64, policy: AllocPolicy) {
+    pub(crate) fn on_buffer_free(&self, buf: BufferId, alloc_bytes: u64, policy: AllocPolicy) {
         let mut inner = self.inner.lock();
         inner.live_buffers = inner.live_buffers.saturating_sub(1);
         match policy {
-            AllocPolicy::Pooled => {
-                // Memory stays reserved in the cache: mem_in_use unchanged.
-                inner.pool.release(alloc_bytes);
-            }
+            // Memory stays reserved in the cache: mem_in_use unchanged.
+            AllocPolicy::Pooled => inner.pool.release(alloc_bytes),
             AllocPolicy::Raw => {
                 inner.stats.mem_in_use = inner.stats.mem_in_use.saturating_sub(alloc_bytes);
-                self.clock
-                    .advance(SimDuration::from_nanos(self.spec.free_latency_ns));
+                inner.advance(SimDuration::from_nanos(self.spec.free_latency_ns));
             }
         }
-        drop(inner);
-        // Meta event: the end of the buffer's lifetime for the lifetime
-        // pass. Zero-width (frees charge no device time beyond the Raw
-        // latency above, which predates the event).
-        let start = self.now();
-        self.record(start, TraceKind::Free { buf: id });
+        // The end of the buffer's lifetime for the lifetime pass:
+        // zero-width, after the Raw latency above.
+        inner.emit(SimDuration::ZERO, TraceKind::Free { buf });
     }
 
     /// Number of currently live [`DeviceBuffer`]s and [`Reservation`]s on
@@ -372,45 +320,17 @@ impl Device {
         policy: AllocPolicy,
     ) -> Result<DeviceBuffer<T>> {
         let buf = self.buffer_from_vec(crate::hostmem::take_from_slice(host), policy)?;
-        let bytes = buf.size_bytes();
-        self.maybe_inject(FaultSite::HtoD, "", bytes)?;
-        let t = transfer_time(&self.spec, Direction::HostToDevice, bytes);
-        {
-            let mut inner = self.inner.lock();
-            inner.stats.htod_bytes += bytes;
-            inner.stats.htod_count += 1;
-        }
-        let start = self.now();
-        self.clock.advance(t);
-        self.record(
-            start,
-            TraceKind::HtoD {
-                bytes,
-                buf: buf.id(),
-            },
-        );
+        let (bytes, id) = (buf.size_bytes(), buf.id());
+        let kind = TraceKind::HtoD { bytes, buf: id };
+        self.transfer(FaultSite::HtoD, Direction::HostToDevice, bytes, kind)?;
         Ok(buf)
     }
 
     /// Copy a device buffer back to the host, charging PCIe time.
     pub fn dtoh<T: DeviceCopy>(&self, buf: &DeviceBuffer<T>) -> Result<Vec<T>> {
-        let bytes = buf.size_bytes();
-        self.maybe_inject(FaultSite::DtoH, "", bytes)?;
-        let t = transfer_time(&self.spec, Direction::DeviceToHost, bytes);
-        {
-            let mut inner = self.inner.lock();
-            inner.stats.dtoh_bytes += bytes;
-            inner.stats.dtoh_count += 1;
-        }
-        let start = self.now();
-        self.clock.advance(t);
-        self.record(
-            start,
-            TraceKind::DtoH {
-                bytes,
-                buf: buf.id(),
-            },
-        );
+        let (bytes, id) = (buf.size_bytes(), buf.id());
+        let kind = TraceKind::DtoH { bytes, buf: id };
+        self.transfer(FaultSite::DtoH, Direction::DeviceToHost, bytes, kind)?;
         Ok(buf.host().to_vec())
     }
 
@@ -430,23 +350,18 @@ impl Device {
     ) -> Result<Reservation> {
         let bytes = src.size_bytes();
         let res = self.reserve(bytes, src.policy(), true)?;
-        self.maybe_inject(FaultSite::DtoD, "", bytes)?;
-        let t = transfer_time(&self.spec, Direction::DeviceToDevice, bytes);
-        {
-            let mut inner = self.inner.lock();
-            inner.stats.dtod_bytes += bytes;
-        }
-        let start = self.now();
-        self.clock.advance(t);
-        self.record(
-            start,
-            TraceKind::DtoD {
-                bytes,
-                src: src.id(),
-                dst: res.id(),
-            },
-        );
+        let (src, dst) = (src.id(), res.id());
+        let kind = TraceKind::DtoD { bytes, src, dst };
+        self.transfer(FaultSite::DtoD, Direction::DeviceToDevice, bytes, kind)?;
         Ok(res)
+    }
+
+    /// Draw the copy's fault site, then charge moving `bytes` in `dir`.
+    fn transfer(&self, site: FaultSite, dir: Direction, bytes: u64, kind: TraceKind) -> Result<()> {
+        let mut inner = self.inner.lock();
+        inner.inject(&self.spec, site, "", bytes)?;
+        inner.emit(transfer_time(&self.spec, dir, bytes), kind);
+        Ok(())
     }
 
     // ----------------------------------------------------------------
@@ -460,28 +375,9 @@ impl Device {
     ///
     /// Returns the simulated duration of the launch.
     pub fn charge_kernel(&self, name: &str, cost: KernelCost) -> SimDuration {
-        self.charge_kernel_traced(name, cost, KernelIo::Unknown)
-    }
-
-    fn charge_kernel_traced(&self, name: &str, cost: KernelCost, io: KernelIo) -> SimDuration {
         let d = cost.duration(&self.spec);
-        {
-            let mut inner = self.inner.lock();
-            let stat = inner.stats.kernels.entry(name.to_string()).or_default();
-            stat.launches += 1;
-            stat.total_time.0 += d.as_nanos();
-            stat.bytes_read += cost.bytes_read;
-            stat.bytes_written += cost.bytes_written;
-        }
-        let start = self.now();
-        self.clock.advance(d);
-        self.record(
-            start,
-            TraceKind::Kernel {
-                name: name.to_string(),
-                io,
-            },
-        );
+        let kind = launch(name, &cost, KernelIo::Unknown);
+        self.inner.lock().emit(d, kind);
         d
     }
 
@@ -492,8 +388,7 @@ impl Device {
     /// remains for infallible contexts (no plan installed ⇒ identical
     /// behaviour and cost).
     pub fn try_charge_kernel(&self, name: &str, cost: KernelCost) -> Result<SimDuration> {
-        self.maybe_inject(FaultSite::Kernel, name, 0)?;
-        Ok(self.charge_kernel(name, cost))
+        self.try_launch(name, cost, KernelIo::Unknown)
     }
 
     /// [`Device::try_charge_kernel`] with a declared read/write buffer set,
@@ -506,22 +401,23 @@ impl Device {
         reads: &[BufferId],
         writes: &[BufferId],
     ) -> Result<SimDuration> {
-        self.maybe_inject(FaultSite::Kernel, name, 0)?;
-        Ok(self.charge_kernel_traced(name, cost, KernelIo::known(reads, writes)))
+        self.try_launch(name, cost, KernelIo::known(reads, writes))
+    }
+
+    fn try_launch(&self, name: &str, cost: KernelCost, io: KernelIo) -> Result<SimDuration> {
+        let d = cost.duration(&self.spec);
+        let kind = launch(name, &cost, io);
+        let mut inner = self.inner.lock();
+        inner.inject(&self.spec, FaultSite::Kernel, name, 0)?;
+        inner.emit(d, kind);
+        Ok(d)
     }
 
     /// Account a JIT compilation taking `ns` nanoseconds (OpenCL program
     /// build, ArrayFire fused-kernel codegen).
     pub fn charge_jit(&self, what: &str, ns: u64) -> SimDuration {
         let d = SimDuration::from_nanos(ns);
-        {
-            let mut inner = self.inner.lock();
-            inner.stats.jit_compiles += 1;
-            inner.stats.jit_time.0 += ns;
-        }
-        let start = self.now();
-        self.clock.advance(d);
-        self.record(start, TraceKind::Jit(what.to_string()));
+        self.inner.lock().emit(d, TraceKind::Jit(what.to_string()));
         d
     }
 
@@ -536,34 +432,20 @@ impl Device {
 
     /// Zero the statistics (memory accounting is preserved).
     pub fn reset_stats(&self) {
-        let mut inner = self.inner.lock();
-        let mem_in_use = inner.stats.mem_in_use;
-        let mem_peak = inner.stats.mem_peak;
-        inner.stats = DeviceStats {
-            mem_in_use,
-            mem_peak,
-            ..DeviceStats::default()
-        };
+        let stats = &mut self.inner.lock().stats;
+        let (mem_in_use, mem_peak) = (stats.mem_in_use, stats.mem_peak);
+        *stats = DeviceStats::default();
+        (stats.mem_in_use, stats.mem_peak) = (mem_in_use, mem_peak);
     }
 
     /// Enable or disable execution tracing (see [`crate::trace`]).
     pub fn set_tracing(&self, on: bool) {
-        self.tracing.store(on, Ordering::SeqCst);
+        self.inner.lock().tracing = on;
     }
 
     /// Drain and return the recorded trace events.
     pub fn take_trace(&self) -> Vec<TraceEvent> {
         std::mem::take(&mut self.inner.lock().trace)
-    }
-
-    fn record(&self, start: crate::clock::SimTime, kind: TraceKind) {
-        if self.tracing.load(Ordering::SeqCst) {
-            let end = self.now();
-            self.inner
-                .lock()
-                .trace
-                .push(TraceEvent::new(start.as_nanos(), end.as_nanos(), kind));
-        }
     }
 
     /// Memory-pool statistics.
@@ -591,12 +473,11 @@ impl Drop for Device {
     }
 }
 
-pub use crate::hostexec::par_chunks;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cost::AccessPattern;
+    use crate::hostexec::par_chunks;
 
     #[test]
     fn kernel_charging_advances_clock_and_records_stats() {
@@ -809,30 +690,110 @@ mod tests {
         assert!(dev.alloc::<u32>(4096).is_err(), "pool miss hits the fault");
     }
 
+    fn note_all(dev: &Device) {
+        let s = |x: &str| x.to_string();
+        dev.note(
+            Recovery::Retry {
+                what: s("selection"),
+            },
+            SimDuration::from_nanos(5_000),
+        );
+        let fallback = Recovery::Fallback {
+            from: s("Thrust"),
+            to: s("Handwritten"),
+        };
+        dev.note(fallback, SimDuration::ZERO);
+        let split = Recovery::Split {
+            what: s("join"),
+            parts: 4,
+        };
+        dev.note(split, SimDuration::ZERO);
+        let partition = Recovery::Partition {
+            what: s("Q1"),
+            parts: 8,
+        };
+        dev.note(partition, SimDuration::ZERO);
+    }
+
     #[test]
-    fn note_methods_count_and_charge() {
+    fn notes_count_and_only_a_backoff_charges() {
         let dev = Device::with_defaults();
         dev.set_tracing(true);
-        let t0 = dev.now();
-        dev.note_retry("selection", SimDuration::from_nanos(5_000));
-        dev.note_fallback("Thrust", "Handwritten");
-        dev.note_batch_split("join", 4);
-        dev.note_plan_partition("Q1", 8);
+        note_all(&dev);
         let s = dev.stats();
         assert_eq!(
             (s.retries, s.fallbacks, s.batch_splits, s.plan_partitions),
             (1, 1, 1, 1)
         );
+        assert_eq!(dev.now().as_nanos(), 5_000, "only backoff costs time");
+        let labels: Vec<String> = dev.take_trace().iter().map(|e| e.kind.label()).collect();
         assert_eq!(
-            (dev.now() - t0).as_nanos(),
-            5_000,
-            "only backoff costs time"
+            labels,
+            [
+                "resilience retry selection",
+                "resilience fallback Thrust -> Handwritten",
+                "resilience split join into 4",
+                "resilience partition Q1 into 8",
+            ]
         );
-        let trace = dev.take_trace();
-        assert_eq!(trace.len(), 4);
-        assert!(trace
-            .iter()
-            .all(|e| matches!(e.kind, TraceKind::Resilience(_))));
+    }
+
+    /// Folding a trace recorded from device creation gives back every
+    /// counter, over every kind of event the device emits.
+    #[test]
+    fn stats_are_the_fold_of_the_trace() {
+        let dev = Device::with_defaults();
+        dev.set_tracing(true);
+        drop(dev.alloc::<u32>(256).unwrap()); // driver alloc, pooled free
+        let hit = dev.alloc::<u32>(256).unwrap();
+        drop(dev.alloc_with::<u32>(64, AllocPolicy::Raw).unwrap());
+        let up = dev.htod(&[1u32, 2, 3]).unwrap();
+        let _ = dev.dtoh(&up).unwrap();
+        let copy = dev.dtod(&up).unwrap();
+        dev.charge_kernel("unknown", KernelCost::map::<u32, u32>(3));
+        let cost = KernelCost::map::<u32, u32>(3);
+        dev.try_charge_kernel_io("known", cost, &[up.id()], &[copy.id()])
+            .unwrap();
+        dev.charge_jit("program", 1_000);
+        for site in FaultSite::ALL {
+            dev.install_fault_plan(FaultPlan::new(1).with_rate(site, 1.0));
+            let failed = match site {
+                FaultSite::Alloc => dev.alloc::<u8>(1 << 20).is_err(),
+                FaultSite::HtoD => dev.htod(&[0u8]).is_err(),
+                FaultSite::DtoH => dev.dtoh(&up).is_err(),
+                FaultSite::DtoD => dev.dtod(&up).is_err(),
+                FaultSite::Kernel => dev.try_charge_kernel("k", KernelCost::empty()).is_err(),
+                FaultSite::PlanStep => dev.inject_plan_step_fault("Q6 step 0").is_err(),
+            };
+            assert!(failed, "{site}");
+        }
+        dev.clear_fault_plan();
+        note_all(&dev);
+        drop((hit, up, copy));
+        let s = dev.stats();
+        let counters = [
+            s.allocs,
+            s.pool_hits,
+            s.htod_count,
+            s.dtoh_count,
+            s.dtod_bytes,
+            s.launches_of("unknown"),
+            s.launches_of("known"),
+            s.jit_compiles,
+            s.retries,
+            s.fallbacks,
+            s.batch_splits,
+            s.plan_partitions,
+        ];
+        assert!(counters.iter().all(|&c| c > 0), "{s:?}");
+        assert_eq!(s.faults_injected, 6);
+        let folded = DeviceStats::from_trace(&dev.take_trace());
+        let s = DeviceStats {
+            mem_in_use: 0,
+            mem_peak: 0,
+            ..s
+        };
+        assert_eq!(folded, s);
     }
 
     #[test]

@@ -159,6 +159,9 @@ fn for_each_owned<I: Send>(items: Vec<I>, workers: usize, f: impl Fn(usize, I) +
     }
     let cells: Vec<Mutex<Option<I>>> = items.into_iter().map(|i| Mutex::new(Some(i))).collect();
     for_each_index(cells.len(), workers, |i| {
+        // INVARIANT: each index is handed out once, and a cell's lock is
+        // held only to take its item.
+        #[allow(clippy::expect_used)]
         let item = cells[i]
             .lock()
             .expect("an item cell is locked only to take the item")
@@ -170,6 +173,8 @@ fn for_each_owned<I: Send>(items: Vec<I>, workers: usize, f: impl Fn(usize, I) +
 
 /// `f(b)` for every `b` in `0..blocks` on up to `workers` threads, results in
 /// index order.
+// INVARIANT: `for_each_owned` runs the closure once for every slot.
+#[allow(clippy::expect_used)]
 fn par_map_blocks<R: Send>(blocks: usize, workers: usize, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
     if workers < 2 {
         return (0..blocks).map(f).collect();

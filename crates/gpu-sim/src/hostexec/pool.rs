@@ -65,6 +65,9 @@ static DONE: Condvar = Condvar::new();
 /// Why neither the lock nor a wait on it can report poisoning.
 const NEVER_POISONED: &str = "hostexec pool lock is never held across a region body";
 
+// INVARIANT: no region body runs under the pool lock, so no panic can
+// poison it.
+#[allow(clippy::expect_used)]
 fn lock() -> MutexGuard<'static, Pool> {
     POOL.lock().expect(NEVER_POISONED)
 }
@@ -148,6 +151,9 @@ fn open(body: BodyPtr, seats: usize) -> u64 {
 
 /// Stop admitting helpers to region `id`, wait for those inside to leave,
 /// and retire it. Returns the first helper panic, if any.
+// INVARIANT: only this call removes region `id` from the list, and the
+// lock a wait re-takes is never poisoned (see `lock`).
+#[allow(clippy::expect_used)]
 fn close(id: u64) -> Option<Panic> {
     let mut pool = lock();
     loop {
@@ -166,6 +172,9 @@ fn close(id: u64) -> Option<Panic> {
 
 /// A helper thread: take a seat in any open region, run its body, leave,
 /// repeat; park when no region has a seat.
+// INVARIANT: `close` keeps a region listed while a helper is inside it,
+// and the lock a wait re-takes is never poisoned (see `lock`).
+#[allow(clippy::expect_used)]
 fn helper_main() {
     let mut pool = lock();
     loop {

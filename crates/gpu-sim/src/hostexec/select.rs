@@ -108,6 +108,8 @@ pub struct Selected {
 /// If `preds` is empty or its columns differ in length (callers validate
 /// first), or on more rows than `u32` row ids.
 pub fn select_rows(preds: &[RowPred<'_>], all: bool) -> Selected {
+    // INVARIANT: every caller refuses an empty predicate list first.
+    #[allow(clippy::expect_used)]
     let n = preds.first().expect("at least one predicate").col.len();
     for p in preds {
         let rhs_len = match p.rhs {
@@ -194,6 +196,8 @@ fn compact<C: Send>(
             *found = Some((count(flags), extra));
         },
     );
+    // INVARIANT: `for_each_owned` runs the closure once for every chunk.
+    #[allow(clippy::expect_used)]
     let (kept, extras): (Vec<usize>, Vec<C>) = found
         .into_iter()
         .map(|f| f.expect("every chunk was flagged"))

@@ -49,6 +49,16 @@
 //! `boost-compute-sim` are its two runtime profiles.
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo
+    )
+)]
 
 pub mod buffer;
 pub mod clock;
@@ -84,4 +94,6 @@ pub use pool::AllocPolicy;
 pub use pool::PoolStats;
 pub use spec::{DeviceSpec, LaunchApi};
 pub use stats::{DeviceStats, KernelStat};
-pub use trace::{render_timeline, render_timeline_annotated, KernelIo, TraceEvent, TraceKind};
+pub use trace::{
+    render_timeline, render_timeline_annotated, KernelIo, Recovery, TraceEvent, TraceKind,
+};

@@ -5,8 +5,12 @@
 //! make that claim measurable by counting, per kernel name: launches,
 //! simulated busy time, and bytes moved. Transfers, JIT compiles and
 //! allocations are tallied device-wide.
+//!
+//! The counters are a fold over the device's events: the device applies
+//! every event it charges, and [`DeviceStats::from_trace`] replays a trace.
 
 use crate::clock::SimDuration;
+use crate::trace::{Recovery, TraceEvent, TraceKind};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -63,27 +67,88 @@ pub struct DeviceStats {
     pub allocs: u64,
     /// Allocations served from the memory pool without driver round-trip.
     pub pool_hits: u64,
-    /// Current device memory in use, bytes.
+    /// Current device memory in use, bytes (allocator state, not folded).
     pub mem_in_use: u64,
-    /// High-water mark of device memory, bytes.
+    /// High-water mark of device memory, bytes (not folded either).
     pub mem_peak: u64,
     /// Faults injected by the installed [`crate::fault::FaultPlan`].
     pub faults_injected: u64,
     /// Operation retries performed by resilience layers
-    /// ([`crate::Device::note_retry`]).
+    /// ([`Recovery::Retry`]).
     pub retries: u64,
     /// Fallbacks to an alternative implementation
-    /// ([`crate::Device::note_fallback`]).
+    /// ([`Recovery::Fallback`]).
     pub fallbacks: u64,
     /// Batch splits performed to ride out memory pressure
-    /// ([`crate::Device::note_batch_split`]).
+    /// ([`Recovery::Split`]).
     pub batch_splits: u64,
     /// Partitioned plan re-executions performed by the resilient plan
-    /// executor ([`crate::Device::note_plan_partition`]).
+    /// executor ([`Recovery::Partition`]).
     pub plan_partitions: u64,
 }
 
 impl DeviceStats {
+    /// Fold one event lasting `dur` into the counters: the one place a
+    /// counter is defined.
+    pub(crate) fn apply(&mut self, dur: SimDuration, kind: &TraceKind) {
+        match kind {
+            TraceKind::Kernel {
+                name,
+                bytes_read,
+                bytes_written,
+                ..
+            } => {
+                let add = |stat: &mut KernelStat| {
+                    stat.launches += 1;
+                    stat.total_time.0 += dur.as_nanos();
+                    stat.bytes_read += bytes_read;
+                    stat.bytes_written += bytes_written;
+                };
+                // Only a kernel's first launch allocates its key.
+                match self.kernels.get_mut(name) {
+                    Some(stat) => add(stat),
+                    None => add(self.kernels.entry(name.clone()).or_default()),
+                }
+            }
+            TraceKind::HtoD { bytes, .. } => {
+                self.htod_bytes += bytes;
+                self.htod_count += 1;
+            }
+            TraceKind::DtoH { bytes, .. } => {
+                self.dtoh_bytes += bytes;
+                self.dtoh_count += 1;
+            }
+            TraceKind::DtoD { bytes, .. } => self.dtod_bytes += bytes,
+            TraceKind::Jit(_) => {
+                self.jit_compiles += 1;
+                self.jit_time.0 += dur.as_nanos();
+            }
+            TraceKind::Alloc { .. } => self.allocs += 1,
+            TraceKind::PoolAlloc { .. } => self.pool_hits += 1,
+            TraceKind::Free { .. } => {}
+            TraceKind::Fault(_) => self.faults_injected += 1,
+            TraceKind::Recovery(r) => {
+                *match r {
+                    Recovery::Retry { .. } => &mut self.retries,
+                    Recovery::Fallback { .. } => &mut self.fallbacks,
+                    Recovery::Split { .. } => &mut self.batch_splits,
+                    Recovery::Partition { .. } => &mut self.plan_partitions,
+                } += 1
+            }
+        }
+    }
+
+    /// The counters `events` fold to. For a trace recorded from device
+    /// creation this equals [`crate::Device::stats`] in every field but
+    /// `mem_in_use` / `mem_peak`, which it leaves at zero.
+    pub fn from_trace(events: &[TraceEvent]) -> DeviceStats {
+        let mut stats = DeviceStats::default();
+        for e in events {
+            stats.apply(e.duration(), &e.kind);
+        }
+        stats
+    }
+
     /// Total kernel launches across all kernel names.
     pub fn total_launches(&self) -> u64 {
         self.kernels.values().map(|k| k.launches).sum()

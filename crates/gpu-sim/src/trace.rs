@@ -1,12 +1,13 @@
 //! Execution tracing — an ordered event log of everything the device did.
 //!
-//! Statistics (`stats.rs`) aggregate; traces *sequence*. With tracing
-//! enabled, every kernel, transfer, JIT compilation, allocation and free
-//! is recorded with its virtual start/end instants, so an operator or
-//! query can be rendered as a timeline — which makes the difference
-//! between a 1-kernel fused plan and a 4-kernel library chain *visible*,
-//! not just countable. Disabled by default (zero overhead beyond a
-//! branch).
+//! Every cost the device charges is one event; [`crate::DeviceStats`]
+//! folds the events, the trace keeps them *in sequence*. With tracing
+//! enabled, every kernel, transfer, JIT compilation, allocation, free,
+//! fault and recovery note is recorded with its virtual start/end
+//! instants, so an operator or query can be rendered as a timeline — which
+//! makes the difference between a 1-kernel fused plan and a 4-kernel
+//! library chain *visible*, not just countable. Disabled by default: the
+//! device then folds each event into its counters and drops it.
 //!
 //! The trace doubles as the input IR of the `gpu-lint` static analyzer:
 //! events carry the identities of the buffers they touch
@@ -23,12 +24,12 @@ use std::collections::BTreeMap;
 /// The buffers a kernel launch touches, as declared by the launching
 /// library.
 ///
-/// The legacy launch paths ([`crate::Device::charge_kernel`]) record
-/// [`KernelIo::Unknown`]; analysis passes must treat such launches
-/// conservatively (they may read and write every live buffer). The
-/// io-aware paths ([`crate::Device::try_charge_kernel_io`]) record the exact
-/// sets, which is what makes read-before-write and dead-transfer
-/// analysis possible.
+/// Launches that do not name their buffers
+/// ([`crate::Device::charge_kernel`], [`crate::Device::try_charge_kernel`])
+/// record [`KernelIo::Unknown`]; analysis passes must treat such launches
+/// conservatively (they may read and write every live buffer).
+/// [`crate::Device::try_charge_kernel_io`] records the exact sets, which is
+/// what makes read-before-write and dead-transfer analysis possible.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum KernelIo {
     /// The launch site did not declare its footprint.
@@ -56,12 +57,16 @@ impl KernelIo {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TraceKind {
     /// A kernel launch (name as recorded in statistics) with its declared
-    /// buffer footprint.
+    /// buffer footprint and its global-memory traffic.
     Kernel {
         /// Kernel name as recorded in statistics.
         name: String,
         /// Declared read/write buffer sets.
         io: KernelIo,
+        /// Bytes the launch reads from global memory.
+        bytes_read: u64,
+        /// Bytes the launch writes to global memory.
+        bytes_written: u64,
     },
     /// A host→device transfer of `bytes` into buffer `buf`.
     HtoD {
@@ -120,9 +125,41 @@ pub enum TraceKind {
     },
     /// An injected fault firing (site and error description).
     Fault(String),
-    /// A resilience action above the device: retry, fallback or batch
-    /// split (see `Device::note_retry` and friends).
-    Resilience(String),
+    /// A recovery action a layer above the device took
+    /// ([`crate::Device::note`]).
+    Recovery(Recovery),
+}
+
+/// A recovery action, as noted on the device by the resilience layers.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Recovery {
+    /// One re-issue of the operation or plan step `what`.
+    Retry {
+        /// What was re-issued.
+        what: String,
+    },
+    /// A failed plan moving from one backend to the next.
+    Fallback {
+        /// The backend that failed.
+        from: String,
+        /// The backend taking over.
+        to: String,
+    },
+    /// Plan `what` split into `parts` smaller batches under memory
+    /// pressure.
+    Split {
+        /// The plan split.
+        what: String,
+        /// Batches it was split into.
+        parts: usize,
+    },
+    /// Plan `what` re-run over `parts` horizontal row partitions.
+    Partition {
+        /// The plan partitioned.
+        what: String,
+        /// Partitions it runs over.
+        parts: usize,
+    },
 }
 
 impl TraceKind {
@@ -138,7 +175,16 @@ impl TraceKind {
             TraceKind::PoolAlloc { bytes, .. } => format!("pool-alloc {bytes}B"),
             TraceKind::Free { buf } => format!("free b{}", buf.0),
             TraceKind::Fault(what) => format!("fault {what}"),
-            TraceKind::Resilience(what) => format!("resilience {what}"),
+            TraceKind::Recovery(Recovery::Retry { what }) => format!("resilience retry {what}"),
+            TraceKind::Recovery(Recovery::Fallback { from, to }) => {
+                format!("resilience fallback {from} -> {to}")
+            }
+            TraceKind::Recovery(Recovery::Split { what, parts }) => {
+                format!("resilience split {what} into {parts}")
+            }
+            TraceKind::Recovery(Recovery::Partition { what, parts }) => {
+                format!("resilience partition {what} into {parts}")
+            }
         }
     }
 
@@ -236,25 +282,12 @@ pub fn render_timeline_annotated(
         for i in 0..WIDTH {
             bar.push(if (from..to).contains(&i) { '█' } else { '·' });
         }
-        match notes.get(&idx) {
-            None => {
-                let _ = writeln!(
-                    out,
-                    "{bar} {:>10}  {}",
-                    e.duration().to_string(),
-                    e.kind.label()
-                );
-            }
-            Some(tags) => {
-                let _ = writeln!(
-                    out,
-                    "{bar} {:>10}  {}  [{}]",
-                    e.duration().to_string(),
-                    e.kind.label(),
-                    tags.join(",")
-                );
-            }
-        }
+        let (dur, label) = (e.duration().to_string(), e.kind.label());
+        let _ = write!(out, "{bar} {dur:>10}  {label}");
+        let _ = match notes.get(&idx) {
+            None => writeln!(out),
+            Some(tags) => writeln!(out, "  [{}]", tags.join(",")),
+        };
     }
     out
 }
@@ -287,8 +320,10 @@ mod tests {
             matches!(kinds[1], TraceKind::HtoD { bytes: 12, buf } if *buf == buf_id),
             "{kinds:?}"
         );
-        assert!(matches!(&kinds[2], TraceKind::Kernel { name, io }
-            if name == "work" && *io == KernelIo::Unknown));
+        assert!(
+            matches!(&kinds[2], TraceKind::Kernel { name, io, bytes_read: 12, bytes_written: 12 }
+            if name == "work" && *io == KernelIo::Unknown)
+        );
         assert!(matches!(kinds[3], TraceKind::DtoH { bytes: 12, buf } if *buf == buf_id));
         // Events are ordered and non-overlapping.
         for w in trace.windows(2) {
@@ -330,6 +365,8 @@ mod tests {
             TraceKind::Kernel {
                 name: "copy".into(),
                 io: KernelIo::known(&[a.id()], &[b.id()]),
+                bytes_read: 8,
+                bytes_written: 8,
             }
         );
     }
@@ -345,25 +382,20 @@ mod tests {
         assert_eq!(trace[0].duration().as_nanos(), 1_000_000);
     }
 
+    fn unknown_kernel(name: &str) -> TraceKind {
+        TraceKind::Kernel {
+            name: name.into(),
+            io: KernelIo::Unknown,
+            bytes_read: 0,
+            bytes_written: 0,
+        }
+    }
+
     #[test]
     fn timeline_renders_proportional_bars() {
         let events = vec![
-            TraceEvent::new(
-                0,
-                100,
-                TraceKind::Kernel {
-                    name: "short".into(),
-                    io: KernelIo::Unknown,
-                },
-            ),
-            TraceEvent::new(
-                100,
-                1_000,
-                TraceKind::Kernel {
-                    name: "long".into(),
-                    io: KernelIo::Unknown,
-                },
-            ),
+            TraceEvent::new(0, 100, unknown_kernel("short")),
+            TraceEvent::new(100, 1_000, unknown_kernel("long")),
         ];
         let r = render_timeline(&events);
         assert!(r.contains("short") && r.contains("long"));
@@ -376,14 +408,7 @@ mod tests {
     #[test]
     fn timeline_hides_meta_events_unless_annotated() {
         let events = vec![
-            TraceEvent::new(
-                0,
-                100,
-                TraceKind::Kernel {
-                    name: "k".into(),
-                    io: KernelIo::Unknown,
-                },
-            ),
+            TraceEvent::new(0, 100, unknown_kernel("k")),
             TraceEvent::new(100, 100, TraceKind::Free { buf: BufferId(7) }),
         ];
         let plain = render_timeline(&events);

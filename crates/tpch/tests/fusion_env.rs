@@ -68,4 +68,20 @@ fn env_override_pins_both_planner_paths() {
     // Back off: enumeration returns.
     let costed = optimizer::plan_with("Q6", &logical, b, &costed_opts).unwrap();
     assert_eq!(costed.cost_report().unwrap().alternatives.len(), 2);
+
+    // A value that is not a row count is an error naming the variable and
+    // the value, on both entry points — never a silently unpinned plan.
+    for bad in ["abc", "-1", "2.5", ""] {
+        std::env::set_var(FUSION_THRESHOLD_ENV, bad);
+        let heuristic = optimizer::plan_with("Q6", &logical, b, &base).unwrap_err();
+        let traced = optimizer::plan_traced("Q6", &logical, b, &costed_opts).unwrap_err();
+        for err in [heuristic, traced] {
+            let msg = err.to_string();
+            assert!(
+                msg.contains(&format!("{FUSION_THRESHOLD_ENV} value `{bad}`")),
+                "{msg}"
+            );
+        }
+    }
+    std::env::remove_var(FUSION_THRESHOLD_ENV);
 }

@@ -109,6 +109,10 @@ fn run_query(args: &[String]) {
     };
     let sf = scale_factor("query", args);
     let only = flag_value(args, "--backend");
+    if let Err(e) = gpu_proto_db::core::optimizer::env_fusion_threshold() {
+        eprintln!("query: {e}");
+        std::process::exit(2);
+    }
 
     println!("generating TPC-H SF {sf}…");
     let db = gpu_proto_db::tpch::generate(sf);

@@ -38,6 +38,23 @@ fn an_unknown_query_is_rejected_before_the_database_is_generated() {
 }
 
 #[test]
+fn a_malformed_fusion_threshold_is_rejected() {
+    let out = Command::new(env!("CARGO_BIN_EXE_gpu-proto-db"))
+        .args(["query", "q6", "--sf", "0.001"])
+        .env("PROTO_FUSION_THRESHOLD", "abc")
+        .output()
+        .expect("spawn gpu-proto-db");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(
+        stderr.contains("bad PROTO_FUSION_THRESHOLD value `abc`"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "rejected before generating anything");
+}
+
+#[test]
 fn a_good_query_runs_on_every_backend() {
     let out = cli(&["query", "q6", "--sf", "0.001"]);
     assert!(out.status.success(), "{out:?}");

@@ -6,7 +6,7 @@
 use gpu_proto_db::core::backend::GpuBackend;
 use gpu_proto_db::core::framework::Framework;
 use gpu_proto_db::core::prelude::*;
-use gpu_proto_db::sim::{DeviceSpec, FaultPlan, FaultSite, SimError};
+use gpu_proto_db::sim::{DeviceSpec, DeviceStats, FaultPlan, FaultSite, SimError};
 use gpu_proto_db::tpch::{
     self, queries::q1::Q1Data, queries::q14::Q14Data, queries::q3::Q3Data, queries::q4::Q4Data,
     queries::q5::Q5Data, queries::q6::Q6Data, Database,
@@ -26,6 +26,26 @@ fn deep_policy() -> RetryPolicy {
 
 fn resilient_setup() -> Framework {
     Framework::with_all_backends_resilient(&DeviceSpec::gtx1080(), deep_policy())
+}
+
+/// Trace every backend's device from here on (call on a fresh framework).
+fn trace_all(fw: &Framework) {
+    for b in fw.backends() {
+        b.device().set_tracing(true);
+    }
+}
+
+/// The device's counters are the fold of the events it traced since its
+/// creation — faults and recovery notes included.
+fn assert_stats_are_the_fold(b: &dyn GpuBackend) {
+    let dev = b.device();
+    let counters = DeviceStats {
+        mem_in_use: 0,
+        mem_peak: 0,
+        ..dev.stats()
+    };
+    let folded = DeviceStats::from_trace(&dev.take_trace());
+    assert_eq!(folded, counters, "{}", b.name());
 }
 
 #[test]
@@ -171,6 +191,7 @@ fn all_six_planner_queries_survive_plan_level_faults_on_every_backend() {
     // devices; fault plans install after the working sets are staged.
     let answers = |rate: f64| -> Vec<(String, [Option<String>; 6], u64)> {
         let fw = gpu_proto_db::paper_setup();
+        trace_all(&fw);
         fw.backends()
             .iter()
             .map(|b| {
@@ -180,6 +201,7 @@ fn all_six_planner_queries_survive_plan_level_faults_on_every_backend() {
                 });
                 let fp = (rate > 0.0).then(|| FaultPlan::uniform(0x6E19, rate));
                 let six = plan_all_six(b.as_ref(), &db, &exec, fp);
+                assert_stats_are_the_fold(b.as_ref());
                 let st = b.device().stats();
                 (b.name().to_string(), six, st.faults_injected + st.retries)
             })
@@ -203,7 +225,9 @@ fn partitioned_execution_matches_whole_plan_answers() {
     let db = tpch::generate(0.002);
     let rows = db.lineitem.len() as u64;
     let approx = |a: f64, b: f64| (a - b).abs() <= 1e-9 * b.abs().max(1.0);
-    for b in gpu_proto_db::paper_setup().backends() {
+    let fw = gpu_proto_db::paper_setup();
+    trace_all(&fw);
+    for b in fw.backends() {
         let b = b.as_ref();
         let whole = ResilientPlanExecutor::default();
         // ~4-way split of Q1's 40 B/row partition source (the executor
@@ -255,6 +279,7 @@ fn partitioned_execution_matches_whole_plan_answers() {
             "{}: every partition-safe query must actually partition",
             b.name()
         );
+        assert_stats_are_the_fold(b);
     }
 }
 
@@ -279,6 +304,7 @@ fn plan_fallback_chain_replays_on_the_spare_backend() {
     };
     for primary in ["Thrust", "Boost.Compute", "ArrayFire"] {
         let fw = Framework::with_all_backends(&spec);
+        trace_all(&fw);
         let lib = fw.backend(primary).unwrap();
         let spare = fw.backend("Handwritten").unwrap();
         let exec = ResilientPlanExecutor::new(PlanRecovery {
@@ -314,6 +340,8 @@ fn plan_fallback_chain_replays_on_the_spare_backend() {
             2,
             "{primary}: exactly one fallback to the spare per query"
         );
+        assert_stats_are_the_fold(lib);
+        assert_stats_are_the_fold(spare);
     }
 }
 
