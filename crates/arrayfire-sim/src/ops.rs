@@ -115,8 +115,13 @@ pub fn sum(a: &Array) -> Result<f64> {
     let col = a.eval()?;
     // Fold from +0.0 explicitly: std's `Sum for f64` seeds with -0.0,
     // which leaks into empty-selection totals and breaks bit-equality
-    // with the fused kernels' 0.0-seeded accumulators.
-    let total = col.to_f64_vec().iter().fold(0.0, |acc, &x| acc + x);
+    // with the fused kernels' 0.0-seeded accumulators. In place, widening
+    // integer elements as they are read.
+    let total = match &*col {
+        ColumnData::F64(b) => b.host().iter().fold(0.0, |acc, &x| acc + x),
+        ColumnData::U32(b) => b.host().iter().fold(0.0, |acc, &x| acc + f64::from(x)),
+        ColumnData::B8(b) => b.host().iter().fold(0.0, |acc, &x| acc + f64::from(x)),
+    };
     device.try_charge_kernel(
         "af::sum",
         KernelCost::reduce::<u64>(0)
@@ -142,28 +147,45 @@ pub fn constant(af: &Arc<Backend>, value: f64, len: usize) -> Result<Array> {
 }
 
 /// `af::scan` — prefix sum with selectable semantics (`exclusive = true`
-/// gives the database-style offsets scan).
+/// gives the database-style offsets scan). A `u32` column sums in `u32`,
+/// wrapping past 2^32 as CUDA's unsigned arithmetic does; the other dtypes
+/// sum in the `f64` working lanes.
 pub fn scan(a: &Array, exclusive: bool) -> Result<Array> {
     let af = backend_of(a);
     let device = af.device();
     let col = a.eval()?;
-    let vals = col.to_f64_vec();
-    let mut out = Vec::with_capacity(vals.len());
-    let mut acc = 0.0;
-    for &x in &vals {
-        if exclusive {
-            out.push(acc);
-            acc += x;
-        } else {
-            acc += x;
-            out.push(acc);
-        }
+    let charge = || {
+        let launch = device.spec().cuda_launch_latency_ns;
+        device.try_charge_kernel(
+            "af::scan",
+            presets::scan::<u64>(a.len()).with_launch_overhead(launch),
+        )
+    };
+    if let ColumnData::U32(b) = &*col {
+        let sums = running_sums(b.host().iter().copied(), exclusive, u32::wrapping_add);
+        charge()?;
+        return af.fill_u32(reserve_column(device, DType::U32, sums.len())?, sums);
     }
-    device.try_charge_kernel(
-        "af::scan",
-        presets::scan::<u64>(a.len()).with_launch_overhead(device.spec().cuda_launch_latency_ns),
-    )?;
-    af.wrap(crate::dtype::column_from_f64(device, a.dtype(), out)?)
+    let sums = running_sums(col.to_f64_vec().into_iter(), exclusive, |acc, x| acc + x);
+    charge()?;
+    af.wrap(crate::dtype::column_from_f64(device, a.dtype(), sums)?)
+}
+
+/// The running sums of `vals` from zero: through each element, or with
+/// `exclusive` up to the one before it.
+fn running_sums<T: Copy + Default>(
+    vals: impl ExactSizeIterator<Item = T>,
+    exclusive: bool,
+    add: impl Fn(T, T) -> T,
+) -> Vec<T> {
+    let mut out = Vec::with_capacity(vals.len());
+    let mut acc = T::default();
+    for x in vals {
+        let next = add(acc, x);
+        out.push(if exclusive { acc } else { next });
+        acc = next;
+    }
+    out
 }
 
 /// `af::sort` — ascending values.
@@ -506,6 +528,12 @@ mod tests {
         assert_eq!(inclusive.host_f64().unwrap(), vec![1.0, 3.0, 6.0]);
         let exclusive = scan(&x, true).unwrap();
         assert_eq!(exclusive.host_f64().unwrap(), vec![0.0, 1.0, 3.0]);
+        // u32 sums wrap past 2^32 instead of saturating in the f64 lanes.
+        let u = af.array_u32(&[u32::MAX, 2, 3]).unwrap();
+        assert_eq!(sum(&u).unwrap(), f64::from(u32::MAX) + 5.0);
+        let wrapped = scan(&u, false).unwrap();
+        assert_eq!(wrapped.dtype(), DType::U32);
+        assert_eq!(wrapped.host_u32().unwrap(), vec![u32::MAX, 1, 4]);
     }
 
     #[test]

@@ -114,8 +114,6 @@ pub(crate) fn e7_part(b: &dyn GpuBackend, sizes: &[usize]) -> Vec<[proto_core::r
     for &n in sizes {
         let f = workload::cache::uniform_f64(n, workload::SEED ^ 3);
         let g = workload::cache::uniform_f64(n, workload::SEED ^ 4);
-        // Scan inputs stay small so Σ fits u32 (wrap semantics differ across
-        // the f64-lane and integer-lane backends).
         let u = workload::cache::uniform_u32(n, 256, workload::SEED ^ 5);
         // Deterministic shuffle for a random-access index vector.
         let perm = workload::cache::shuffled_indices(n);

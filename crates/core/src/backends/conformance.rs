@@ -418,6 +418,20 @@ fn gather_returns_the_source_dtype_bit_for_bit() {
     });
 }
 
+/// A prefix sum past 2^32 wraps, as CUDA's unsigned arithmetic does — also
+/// where a library (ArrayFire) sums its other dtypes in `f64` lanes.
+#[test]
+fn prefix_sums_wrap_past_2_pow_32() {
+    on_every_backend(|b| {
+        let src = b.upload_u32(&[u32::MAX, 2, 3, 4]).unwrap();
+        let out = b.prefix_sum(&src).unwrap();
+        assert_eq!(out.dtype(), ColType::U32, "{}", b.name());
+        let want = [0, u32::MAX, 1, 4];
+        assert_eq!(b.download_u32(&out).unwrap(), want, "{}", b.name());
+        free(b, [src, out]);
+    });
+}
+
 #[test]
 fn empty_columns_flow_through_every_operator() {
     on_every_backend(|b| {

@@ -3,7 +3,6 @@
 //! All generators are seeded so every benchmark invocation measures the
 //! same data — the simulated timings are then reproducible end to end.
 
-use rand::distributions::Distribution;
 use rand::prelude::*;
 
 /// Default seed for experiment workloads.
@@ -35,17 +34,139 @@ pub fn selectivity_column(n: usize, selectivity: f64, seed: u64) -> (Vec<u32>, u
 pub(crate) const SELECTIVITY_DOMAIN: u32 = 1 << 20;
 
 /// Zipf-distributed group keys over `groups` distinct values with skew
-/// `theta` (0 = uniform). Implemented with a cumulative table — fine for
-/// the group counts the experiments use.
+/// `theta` (0 = uniform). Each key is the index `rand`'s `WeightedIndex`
+/// would draw from the same stream, found through a guide table in O(1)
+/// expected time instead of a binary search.
 pub fn zipf_keys(n: usize, groups: usize, theta: f64, seed: u64) -> Vec<u32> {
     assert!(groups > 0, "need at least one group");
     let mut rng = StdRng::seed_from_u64(seed);
     if theta <= f64::EPSILON {
         return (0..n).map(|_| rng.gen_range(0..groups as u32)).collect();
     }
-    let weights: Vec<f64> = (1..=groups).map(|k| 1.0 / (k as f64).powf(theta)).collect();
-    let dist = rand::distributions::WeightedIndex::new(&weights).expect("valid weights");
-    (0..n).map(|_| dist.sample(&mut rng) as u32).collect()
+    let table = GuideTable::new(groups, |k| 1.0 / ((k + 1) as f64).powf(theta));
+    table.draws(&mut rng, n)
+}
+
+/// Inverse-CDF sampling over fixed weights with a guide table (Chen &
+/// Asau): `[0, total)` is cut into two equal-width buckets per weight, and
+/// each bucket remembers the first index a draw landing in it can map to.
+/// A draw is one bucket lookup and a look at the few cumulative weights
+/// inside that bucket. Indices must fit a `u32`.
+///
+/// It picks exactly the index `WeightedIndex::sample` picks: the same
+/// left-to-right cumulative sums, the same `x = u · total`, the first
+/// cumulative weight `> x` clamped to the last index. Only a draw equal to
+/// a cumulative weight can make `binary_search_by`'s answer depend on which
+/// of several equal entries it lands on (weights under half an ULP of the
+/// running total leave equal neighbours). Today's `std` lands on the last,
+/// which is the same rule, but its documentation leaves the choice open, so
+/// those draws are answered by the same binary search.
+struct GuideTable {
+    /// The cumulative weights, then [`Self::PROBES`] `+inf` so a draw can
+    /// look past the last one without a bounds test.
+    cumulative: Vec<f64>,
+    /// Index of the last weight.
+    last: usize,
+    total: f64,
+    /// `guide[b]` counts the cumulative weights in buckets before `b`; all
+    /// of them lie below any `x` in bucket `b`, so its answer is no lower.
+    guide: Vec<u32>,
+    /// Buckets per unit of `x`.
+    scale: f64,
+}
+
+impl GuideTable {
+    /// Cumulative weights a draw compares without branching on them. Which
+    /// way a data-dependent branch goes is unpredictable, and every
+    /// misprediction also throws away the table loads of the draws behind
+    /// it; two entries cover almost every bucket of a Zipf table.
+    const PROBES: usize = 2;
+
+    /// The table over the `len` weights `weight(0..len)`, which are
+    /// computed on host threads (each on its own, so in any order).
+    fn new(len: usize, weight: impl Fn(usize) -> f64 + Sync) -> Self {
+        let padded = |i| if i < len { weight(i) } else { f64::INFINITY };
+        let mut cumulative = gpu_sim::par_map_vec(len + Self::PROBES, padded);
+        let mut total = 0.0f64;
+        for c in &mut cumulative[..len] {
+            assert!(c.is_finite() && *c >= 0.0, "invalid weight {c}");
+            total += *c;
+            *c = total;
+        }
+        assert!(total > 0.0, "weights sum to zero");
+        let (last, buckets) = (len - 1, 2 * len);
+        let mut table = GuideTable {
+            cumulative,
+            last,
+            total,
+            guide: Vec::with_capacity(buckets),
+            scale: buckets as f64 / total,
+        };
+        for i in 0..=last {
+            let b = table.bucket(table.cumulative[i]);
+            if b >= table.guide.len() {
+                table.guide.resize(b + 1, i as u32);
+            }
+        }
+        table.guide.resize(buckets, last as u32 + 1);
+        table
+    }
+
+    /// The bucket of `x`: monotone in `x`, which is all the guide relies on.
+    fn bucket(&self, x: f64) -> usize {
+        ((x * self.scale) as usize).min(2 * self.last + 1)
+    }
+
+    /// The indices of `n` draws from `rng`. A batch of draws goes through
+    /// each table in turn — all its bucket lookups, then all its cumulative
+    /// weights — so their cache misses overlap instead of queueing.
+    fn draws(&self, rng: &mut impl RngCore, n: usize) -> Vec<u32> {
+        const BATCH: usize = 256;
+        let mut out = Vec::with_capacity(n);
+        let (mut xs, mut firsts) = ([0.0; BATCH], [0u32; BATCH]);
+        while out.len() < n {
+            let batch = (n - out.len()).min(BATCH);
+            let (xs, firsts) = (&mut xs[..batch], &mut firsts[..batch]);
+            for x in xs.iter_mut() {
+                *x = rng.gen::<f64>() * self.total;
+            }
+            for (first, &x) in firsts.iter_mut().zip(xs.iter()) {
+                *first = self.guide[self.bucket(x)];
+            }
+            let picks = xs.iter().zip(firsts.iter());
+            out.extend(picks.map(|(&x, &first)| self.resolve(first as usize, x) as u32));
+        }
+        out
+    }
+
+    /// The index a draw of `x` in `[0, total]` maps to, given the first
+    /// candidate of its bucket.
+    fn resolve(&self, first: usize, x: f64) -> usize {
+        let probed = &self.cumulative[first..first + Self::PROBES];
+        let below = probed.iter().filter(|&&c| c <= x).count();
+        if below < Self::PROBES && !probed.contains(&x) {
+            return (first + below).min(self.last);
+        }
+        self.scan(first, x)
+    }
+
+    /// [`Self::resolve`] of a draw whose bucket holds more than
+    /// [`Self::PROBES`] weights at or below it, or equals one.
+    #[cold]
+    fn scan(&self, mut i: usize, x: f64) -> usize {
+        let weights = &self.cumulative[..=self.last];
+        while i <= self.last && weights[i] <= x {
+            i += 1;
+        }
+        if i > 0 && weights[i - 1] == x {
+            // Finite and never -0.0 here, so `total_cmp` is `partial_cmp`.
+            return match weights.binary_search_by(|c| c.total_cmp(&x)) {
+                Ok(hit) => (hit + 1).min(self.last),
+                Err(at) => at.min(self.last),
+            };
+        }
+        i.min(self.last)
+    }
 }
 
 /// Foreign-key join inputs: `inner` is the primary-key side
@@ -65,7 +186,7 @@ pub fn fk_join(outer_n: usize, inner_n: usize, seed: u64) -> (Vec<u32>, Vec<u32>
 /// Ascending sorted `u32` keys with duplicates (merge-join inputs).
 pub fn sorted_keys(n: usize, bound: u32, seed: u64) -> Vec<u32> {
     let mut v = uniform_u32(n, bound, seed);
-    v.sort_unstable();
+    gpu_sim::hostexec::sort_keys(&mut v);
     v
 }
 
@@ -321,6 +442,117 @@ mod tests {
         assert!(uniform.iter().all(|&k| k < 10));
     }
 
+    fn zipf_weights(groups: usize, theta: f64) -> Vec<f64> {
+        (1..=groups).map(|k| 1.0 / (k as f64).powf(theta)).collect()
+    }
+
+    /// The keys `rand`'s `WeightedIndex` draws over the same weights and
+    /// stream: what `zipf_keys` returned before the guide table.
+    fn zipf_reference(n: usize, groups: usize, theta: f64, seed: u64) -> Vec<u32> {
+        let dist = WeightedIndex::new(zipf_weights(groups, theta)).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n).map(|_| dist.sample(&mut rng) as u32).collect()
+    }
+
+    #[test]
+    fn zipf_keys_draw_what_weighted_index_draws() {
+        for groups in [1, 2, 3, 16, 64, 4_096, 65_536, 1 << 20] {
+            // Not a whole number of batches.
+            let n = (16 * groups).clamp(1 << 10, 1 << 16) - 1;
+            for theta in [0.5, 0.9, 1.2, 3.0] {
+                for seed in [SEED, 1, 2] {
+                    let got = zipf_keys(n, groups, theta, seed);
+                    let want = zipf_reference(n, groups, theta, seed);
+                    assert!(got == want, "{groups} groups, theta {theta}, seed {seed}");
+                }
+            }
+        }
+        let n = 1 << 20;
+        assert!(zipf_keys(n, n, 0.5, SEED) == zipf_reference(n, n, 0.5, SEED));
+        assert!(zipf_keys(0, 16, 0.9, SEED).is_empty());
+    }
+
+    /// Weights under half an ULP of the running total add nothing, leaving
+    /// a tail of equal cumulative sums.
+    #[test]
+    fn stalled_tables_draw_what_weighted_index_draws() {
+        for (groups, theta) in [(100_000, 4.0), (1 << 20, 3.0)] {
+            let weights = zipf_weights(groups, theta);
+            let table = GuideTable::new(groups, |k| weights[k]);
+            let cumulative = &table.cumulative[..=table.last];
+            assert!(cumulative.windows(2).any(|w| w[0] == w[1]));
+            let got = zipf_keys(1 << 16, groups, theta, SEED);
+            assert!(
+                got == zipf_reference(1 << 16, groups, theta, SEED),
+                "{groups}, {theta}"
+            );
+        }
+    }
+
+    /// Every cumulative weight of a Zipf table and its two neighbouring
+    /// doubles maps to the first cumulative weight above it — where that
+    /// answer is unique, i.e. the draw does not equal two entries.
+    #[test]
+    fn draws_at_and_beside_every_cumulative_weight_map_to_the_first_above() {
+        for (groups, theta) in [(3, 1.2), (64, 0.5), (4_096, 0.9), (100_000, 4.0)] {
+            let weights = zipf_weights(groups, theta);
+            let table = GuideTable::new(groups, |k| weights[k]);
+            let c = &table.cumulative[..=table.last];
+            let mut distinct = c.to_vec();
+            distinct.dedup();
+            for at in distinct {
+                for x in [at.next_down(), at, at.next_up()] {
+                    let above = c.partition_point(|&v| v <= x);
+                    if above - c.partition_point(|&v| v < x) > 1 {
+                        continue;
+                    }
+                    let got = table.resolve(table.guide[table.bucket(x)] as usize, x);
+                    assert_eq!(got, above.min(groups - 1), "{groups}, {theta}, x {x}");
+                }
+            }
+        }
+    }
+
+    /// Replays fixed raw words, so a draw can be steered onto a cumulative
+    /// weight exactly.
+    struct Replay(u64);
+
+    impl RngCore for Replay {
+        fn next_u32(&mut self) -> u32 {
+            self.0 as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    /// Dyadic weights summing to 8 make every multiple of 1/64 a draw
+    /// (`word >> 11` is the draw's 53-bit mantissa), and zero weights leave
+    /// runs of equal cumulative sums for those draws to hit — the ties where
+    /// `binary_search_by` may land on any of the run.
+    #[test]
+    fn exact_ties_pick_what_weighted_index_picks() {
+        let tables: [&[f64]; 4] = [
+            &[1.0, 1.0, 0.0, 0.0, 2.0, 0.0, 4.0, 0.0, 0.0],
+            &[0.0, 0.0, 4.0, 0.0, 4.0],
+            &[2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 6.0],
+            &[8.0],
+        ];
+        for weights in tables {
+            let reference = WeightedIndex::new(weights).unwrap();
+            let table = GuideTable::new(weights.len(), |k| weights[k]);
+            for step in 0..64u64 {
+                let word = step << 58;
+                let want = reference.sample(&mut Replay(word)) as u32;
+                assert_eq!(
+                    table.draws(&mut Replay(word), 1),
+                    [want],
+                    "{weights:?} at {step}/64"
+                );
+            }
+        }
+    }
+
     #[test]
     fn fk_join_every_probe_matches_once() {
         let (outer, inner) = fk_join(1_000, 500, SEED);
@@ -380,5 +612,6 @@ mod tests {
         }
     }
 
+    use rand::distributions::WeightedIndex;
     use std::sync::Arc;
 }

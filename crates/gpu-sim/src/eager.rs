@@ -27,7 +27,6 @@ use crate::{
 };
 use std::any::type_name;
 use std::fmt::Display;
-use std::ops::Add;
 use std::sync::Arc;
 
 /// An eager library's runtime profile: everything that differs between two
@@ -438,20 +437,16 @@ pub fn charge_reduce_by_key<K: DeviceCopy, V: DeviceCopy>(
     Ok((reserve::<K, _>(lib, groups)?, reserve::<V, _>(lib, groups)?))
 }
 
-/// `exclusive_scan` — `out[i] = init + Σ src[0..i]`: the middle stage of
-/// library-based selection (predicate flags → output offsets) and the
-/// *Prefix Sum* operator itself. The carry chain stays sequential
-/// (parallelising it would reorder the f64 additions).
-pub fn exclusive_scan<T>(lib: &impl Launch, src: &Vector<T>, init: T) -> Result<Vector<T>>
-where
-    T: DeviceCopy + Add<Output = T> + Default,
-{
-    let out = charge_exclusive_scan::<T>(lib, src.len(), src.id())?;
-    let mut data: Vec<T> = crate::hostmem::take_scratch(src.len());
+/// `exclusive_scan` — `out[i] = init + Σ src[0..i]` modulo 2^32, as CUDA's
+/// unsigned arithmetic wraps: the middle stage of library-based selection
+/// (predicate flags → output offsets) and the *Prefix Sum* operator itself.
+pub fn exclusive_scan(lib: &impl Launch, src: &Vector<u32>, init: u32) -> Result<Vector<u32>> {
+    let out = charge_exclusive_scan::<u32>(lib, src.len(), src.id())?;
+    let mut data: Vec<u32> = crate::hostmem::take_scratch(src.len());
     let mut acc = init;
     for (o, &x) in data.iter_mut().zip(src.as_slice()) {
         *o = acc;
-        acc = acc + x;
+        acc = acc.wrapping_add(x);
     }
     Ok(Vector::filled(out, data))
 }

@@ -195,6 +195,9 @@ fn exclusive_scan_gives_offsets_from_init() {
     assert_eq!(offsets.to_host().unwrap(), [0, 1, 1, 2, 3]);
     let from = exclusive_scan(&lib, &lib.upload(&[2u32, 3]), 100).unwrap();
     assert_eq!(from.to_host().unwrap(), [100, 102]);
+    // Past 2^32 the sum wraps, as CUDA's unsigned arithmetic does.
+    let past = exclusive_scan(&lib, &lib.upload(&[2u32, 3, 4]), u32::MAX).unwrap();
+    assert_eq!(past.to_host().unwrap(), [u32::MAX, 1, 4]);
 }
 
 #[test]
@@ -560,12 +563,11 @@ proptest! {
         prop_assert_eq!(mapped.to_host().unwrap(), data.iter().map(|&x| f(x)).collect::<Vec<_>>());
         let total: u64 = data.iter().map(|&x| u64::from(x)).sum();
         prop_assert_eq!(reduce(&lib, &v, 0u64, |a, x| a + u64::from(x)).unwrap(), total);
-        let small: Vec<u32> = data.iter().map(|x| x % 100).collect();
-        let scanned = exclusive_scan(&lib, &lib.upload(&small), 0).unwrap();
-        let mut acc = 0;
-        for (&got, &x) in scanned.as_slice().iter().zip(&small) {
+        let scanned = exclusive_scan(&lib, &v, 0).unwrap();
+        let mut acc = 0u32;
+        for (&got, &x) in scanned.as_slice().iter().zip(&data) {
             prop_assert_eq!(got, acc);
-            acc += x;
+            acc = acc.wrapping_add(x);
         }
     }
 
