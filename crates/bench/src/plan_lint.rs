@@ -1,119 +1,24 @@
-//! Adapter from [`proto_core::physical::PhysicalPlan`] to the
-//! `gpu-lint` GL4xx physical-plan checker.
-//!
-//! `gpu-lint` deliberately does not depend on the planner (the same
-//! decoupling its scheduler-plan pass uses), so this module translates
-//! a compiled plan into [`gpu_lint::PlanStep`]s: one lint step per plan
-//! step, its reads (with their dtype / sortedness / fused-arithmetic
-//! requirements) taken from [`Step::reads`] and its device defs from
-//! [`Step::writes`]. Bound base columns become pseudo-slots above the
-//! plan's own slot range — the lint exempts them from lifetime rules,
-//! mirroring the executor contract (the plan borrows its inputs, it
-//! never frees them).
-//!
-//! [`query_plan_reports`] compiles all six TPC-H queries for every
-//! backend that can plan them and lints each result — the CI gate that
-//! keeps the planner's slot lifetimes and operand shapes honest.
-//!
-//! The same decoupling covers the GL5xx recovery checker:
-//! [`convert_recovery`] translates a
-//! [`proto_core::resilient_plan::RecoveryLog`] into the lint's
-//! [`RecoveryTimeline`], and [`recovery_reports`] executes all six
-//! queries through the resilient plan executor under injected faults
-//! and lints each run's recovery history.
-//!
-//! And the GL6xx resource checker: `costed_plan_report` summarizes a
-//! costed plan's estimated peak device bytes into the lint's
-//! [`gpu_lint::CostedPlan`] shape, and [`costed_plan_reports`] prices
-//! all six queries on every backend (the device's own capacity as the
-//! declared budget) — the CI gate that a costed plan's memory estimate
-//! stays inside what it will run on.
-//!
-//! And the GL7xx translation validator: [`translation_reports`] runs
-//! every query through [`proto_core::optimizer::plan_traced`] under all
-//! three planner modes (heuristic, fusion, costing) on every backend,
-//! then replays the certificate-bearing rewrite trace through
-//! [`gpu_lint::lint_translation`] — the CI gate that each
-//! logical→physical rewrite the planner performs is semantically
-//! equivalent to the plan it replaced.
+//! The `gpu-lint` plan drivers, the CI gates over the six TPC-H queries:
+//! each compiles, prices or executes them and hands the real artifact to
+//! the pass that checks it — every compiled plan's [`gpu_lint::PhysView`]
+//! (GL4xx, [`query_plan_reports`]), every resilient run's
+//! [`proto_core::resilient_plan::RecoveryLog`] (GL5xx,
+//! [`recovery_reports`]), every costed plan's
+//! [`proto_core::costing::CostReport`] (GL6xx, [`costed_plan_reports`])
+//! and every planner mode's certified rewrite trace (GL7xx,
+//! [`translation_reports`]).
 
-use gpu_lint::{PlanColumn, PlanDtype, PlanStep, PlanUse, RecoveryTimeline, Report};
-use proto_core::backend::{ColType, GpuBackend};
+use gpu_lint::Report;
+use proto_core::backend::GpuBackend;
 use proto_core::costing::TableStats;
 use proto_core::optimizer::{self, CostingOptions, FusionPolicy, PassTrace, PlannerOptions};
-use proto_core::physical::{ColRef, PhysicalPlan, SlotKind, Step, StepRead};
-use proto_core::resilient_plan::RecoveryLog;
+use proto_core::physical::PhysicalPlan;
 
-fn dtype(ct: ColType) -> PlanDtype {
-    match ct {
-        ColType::U32 => PlanDtype::U32,
-        ColType::F64 => PlanDtype::F64,
-    }
-}
-
-/// Translate one compiled plan into the lint's shape: the borrowed
-/// input columns and one [`PlanStep`] per plan step.
-pub fn convert(plan: &PhysicalPlan) -> (Vec<PlanColumn>, Vec<PlanStep>) {
-    let n_slots = plan.slots().len();
-    let inputs: Vec<PlanColumn> = plan
-        .base_columns()
-        .iter()
-        .enumerate()
-        .map(|(i, (name, &ct))| PlanColumn {
-            slot: n_slots + i,
-            name: name.clone(),
-            dtype: dtype(ct),
-            sorted: false,
-        })
-        .collect();
-    let slot_of = |r: &ColRef| match r {
-        ColRef::Base(name) => inputs.iter().find(|c| c.name == *name).map(|c| c.slot),
-        ColRef::Slot(i) => Some(*i),
-    };
-    let use_of = |r: &StepRead<'_>| PlanUse {
-        slot: slot_of(r.col).expect("bound base column"),
-        want: r.dtype.map(dtype),
-        want_sorted: r.sorted,
-        fused_arith: r.fused_arith,
-    };
-    // A def only exists for device slots; scalar and downloaded host
-    // slots have no device lifetime.
-    let def_of = |slot: usize| {
-        let meta = &plan.slots()[slot];
-        match meta.kind {
-            SlotKind::Device { dtype: ct, sorted } => Some(PlanColumn {
-                slot,
-                name: meta.name.clone(),
-                dtype: dtype(ct),
-                sorted,
-            }),
-            _ => None,
-        }
-    };
-
-    let steps = plan
-        .steps()
-        .iter()
-        .map(|step| PlanStep {
-            label: step.label().into(),
-            reads: step.reads().iter().map(use_of).collect(),
-            defs: step.writes().filter_map(def_of).collect(),
-            frees: match step {
-                Step::Free { slot } => vec![*slot],
-                _ => vec![],
-            },
-        })
-        .collect();
-    (inputs, steps)
-}
-
-/// Lint one compiled plan.
+/// Lint one compiled plan (GL4xx).
 pub fn lint_plan(plan: &PhysicalPlan) -> Report {
-    let (inputs, steps) = convert(plan);
     gpu_lint::lint_physical_plan(
         format!("query-plan({}/{})", plan.query(), plan.backend_name()),
-        &inputs,
-        &steps,
+        &gpu_lint::phys_view(plan, Vec::new()),
     )
 }
 
@@ -188,14 +93,11 @@ pub(crate) fn costed_plan_report(
     mem_budget_bytes: Option<u64>,
     spec: &gpu_sim::DeviceSpec,
 ) -> Option<Report> {
-    let report = plan.cost_report()?;
     Some(gpu_lint::lint_costed_plan(
         format!("costed-plan({}/{})", plan.query(), plan.backend_name()),
-        &gpu_lint::CostedPlan {
-            peak_device_bytes: report.peak_device_bytes,
-            mem_budget_bytes,
-            device_mem_bytes: spec.global_mem_bytes,
-        },
+        plan.cost_report()?,
+        mem_budget_bytes,
+        spec,
     ))
 }
 
@@ -247,39 +149,8 @@ pub fn translation_reports() -> Vec<Report> {
     reports
 }
 
-/// Translate a resilient-plan-executor recovery log into the lint's
-/// [`RecoveryTimeline`] shape, losslessly.
-pub fn convert_recovery(log: &RecoveryLog) -> RecoveryTimeline {
-    use gpu_lint::RecoveryEventKind as L;
-    use proto_core::resilient_plan::RecoveryEventKind as K;
-    RecoveryTimeline {
-        max_retries: log.max_retries,
-        backoff_budget_ns: log.backoff_budget_ns,
-        events: log
-            .events
-            .iter()
-            .map(|e| gpu_lint::RecoveryEvent {
-                step: e.step,
-                kind: match &e.kind {
-                    K::AttemptStart => L::AttemptStart,
-                    K::Checkpoint { slot } => L::Checkpoint { slot: *slot },
-                    K::Freed { slot } => L::Freed { slot: *slot },
-                    K::Retry { backoff_ns } => L::Retry {
-                        backoff_ns: *backoff_ns,
-                    },
-                    K::Fallback { from, to } => L::Fallback {
-                        from: from.clone(),
-                        to: to.clone(),
-                    },
-                    K::Partition { parts } => L::Partition { parts: *parts },
-                },
-            })
-            .collect(),
-    }
-}
-
 /// Execute all six TPC-H queries through the resilient plan executor
-/// under a 5% uniform fault plan and lint each run's recovery timeline
+/// under a 5% uniform fault plan and lint each run's recovery log
 /// (GL5xx) — the CI gate that keeps the executor's checkpoint/free
 /// ordering and retry budgeting honest.
 pub fn recovery_reports() -> Vec<Report> {
@@ -304,20 +175,19 @@ pub fn recovery_reports() -> Vec<Report> {
         ..PlanRecovery::default()
     });
     let mut reports = Vec::new();
-    let mut lint = |query: &str, log: Option<RecoveryLog>| {
-        let log = log.unwrap_or_else(|| panic!("{query}: no recovery log"));
-        reports.push(gpu_lint::lint_recovery(
-            format!("recovery({query}/Handwritten)"),
-            &convert_recovery(&log),
-        ));
-    };
     for (q, logical) in tpch::queries::LOGICAL_PLANS {
         let logical = logical();
         let cols = WorkingSet::upload(b, &db, &logical.scan_columns()).expect("upload");
         let plan = optimizer::plan(q, &logical, b).expect("plan");
         exec.execute(b, &plan, &cols.bindings())
             .unwrap_or_else(|e| panic!("{q}: {e}"));
-        lint(q, exec.take_log());
+        let log = exec
+            .take_log()
+            .unwrap_or_else(|| panic!("{q}: no recovery log"));
+        reports.push(gpu_lint::lint_recovery(
+            format!("recovery({q}/Handwritten)"),
+            &log,
+        ));
         cols.free(b).expect("free");
     }
     b.device().clear_fault_plan();
@@ -424,18 +294,5 @@ mod tests {
         let b = fw.backend("Thrust").unwrap();
         let plan = tpch::queries::q6::physical_plan(b).unwrap();
         assert!(costed_plan_report(&plan, Some(1), &crate::paper_device()).is_none());
-    }
-
-    #[test]
-    fn base_columns_become_exempt_pseudo_slots() {
-        let fw = crate::paper_framework();
-        let b = fw.backend("Thrust").unwrap();
-        let plan = tpch::queries::q6::physical_plan(b).unwrap();
-        let (inputs, steps) = convert(&plan);
-        assert_eq!(inputs.len(), plan.base_columns().len());
-        for c in &inputs {
-            assert!(c.slot >= plan.slots().len(), "pseudo-slot above plan range");
-        }
-        assert_eq!(steps.len(), plan.steps().len());
     }
 }

@@ -519,249 +519,254 @@ fn injected_orphan_dependency_is_flagged() {
 
 // ---- Physical-query-plan mutations -------------------------------------
 
-/// A real compiled TPC-H plan in the analyzer's shape: Q5 on the
-/// handwritten backend — the largest plan (four joins, 37 slots), so
-/// seeded injection sites spread widely.
-fn golden_physical_plan() -> (Vec<gpu_lint::PlanColumn>, Vec<gpu_lint::PlanStep>) {
+use gpu_lint::PhysView;
+use proto_core::backend::ColType;
+use proto_core::physical::SlotKind;
+use proto_core::resilient_plan::{RecoveryEvent, RecoveryEventKind, RecoveryLog};
+
+/// A real compiled TPC-H plan's view: Q5 on the handwritten backend —
+/// the largest plan (four joins, 37 slots), so seeded injection sites
+/// spread widely.
+fn golden_physical_plan() -> PhysView {
     let fw = bench::paper_framework();
     let b = fw.backend("Handwritten").expect("handwritten backend");
     let plan = tpch::queries::q5::physical_plan(b).expect("Q5 plans on Handwritten");
-    let (inputs, steps) = bench::plan_lint::convert(&plan);
+    let view = gpu_lint::phys_view(&plan, optimizer::supported_joins(b));
     assert!(
-        gpu_lint::lint_physical_plan("golden", &inputs, &steps).is_clean(),
+        gpu_lint::lint_physical_plan("golden", &view).is_clean(),
         "baseline physical plan must be clean before mutation"
     );
-    (inputs, steps)
+    view
+}
+
+/// Indices of the plan's `Free` steps, with the freed slot.
+fn plan_frees(view: &PhysView) -> Vec<(usize, usize)> {
+    view.steps
+        .iter()
+        .enumerate()
+        .filter_map(|(i, s)| match s {
+            Step::Free { slot } => Some((i, *slot)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Assert `view` produces a diagnostic of `rule` anchored at step `site`.
+fn assert_plan_flags(view: &PhysView, rule: Rule, site: usize) -> gpu_lint::Report {
+    let report = gpu_lint::lint_physical_plan("mutated", view);
+    assert!(
+        report
+            .diagnostics
+            .iter()
+            .any(|d| d.rule == rule && d.events == [site]),
+        "{} anchored at #{site} expected: {:?}",
+        rule.id(),
+        report.diagnostics
+    );
+    report
 }
 
 #[test]
 fn injected_unfreed_column_is_flagged() {
-    let (inputs, base) = golden_physical_plan();
+    let base = golden_physical_plan();
     for seed in SEEDS {
         let mut rng = Rng::new(seed);
-        let mut steps = base.clone();
+        let mut view = base.clone();
         // Drop one free: the column it released now leaks.
-        let frees: Vec<usize> = steps
+        let frees = plan_frees(&view);
+        let (victim, slot) = frees[rng.pick(frees.len())];
+        view.steps.remove(victim);
+        let def_site = view
+            .steps
             .iter()
-            .enumerate()
-            .filter_map(|(i, s)| (!s.frees.is_empty()).then_some(i))
-            .collect();
-        let victim = frees[rng.pick(frees.len())];
-        let slot = steps[victim].frees[0];
-        steps[victim].frees.clear();
-        let def_site = steps
-            .iter()
-            .position(|s| s.defs.iter().any(|d| d.slot == slot))
+            .position(|s| s.writes().any(|w| w == slot))
             .expect("freed slots are defined");
-        let report = gpu_lint::lint_physical_plan("mutated", &inputs, &steps);
-        assert!(
-            report
-                .diagnostics
-                .iter()
-                .any(|d| d.rule == Rule::UnfreedPlanColumn && d.events == [def_site]),
-            "GL401 anchored at #{def_site} expected: {:?}",
-            report.diagnostics
-        );
+        let report = assert_plan_flags(&view, Rule::UnfreedPlanColumn, def_site);
         assert_eq!(report.errors(), 0, "a leak is a warning, not an error");
     }
 }
 
 #[test]
 fn injected_dtype_mismatch_in_plan_is_flagged() {
-    let (inputs, base) = golden_physical_plan();
+    let base = golden_physical_plan();
     for seed in SEEDS {
         let mut rng = Rng::new(seed);
-        let mut steps = base.clone();
-        // Flip one typed operand's requirement: the call now demands
-        // the dtype the column does not hold (a u32 key column fed to
+        let mut view = base.clone();
+        // Retype the column behind one typed operand: the call now reads
+        // a dtype it does not accept (a u32 key column fed to
         // arithmetic, or measures used as gather indices).
-        let typed: Vec<(usize, usize)> = steps
+        let typed: Vec<(usize, ColRef, ColType)> = view
+            .steps
             .iter()
             .enumerate()
             .flat_map(|(i, s)| {
-                s.reads
-                    .iter()
-                    .enumerate()
-                    .filter_map(move |(j, r)| r.want.is_some().then_some((i, j)))
+                s.reads()
+                    .into_iter()
+                    .filter_map(move |r| r.dtype.map(|t| (i, r.col.clone(), t)))
             })
             .collect();
-        let (i, j) = typed[rng.pick(typed.len())];
-        steps[i].reads[j].want = Some(match steps[i].reads[j].want.unwrap() {
-            gpu_lint::PlanDtype::U32 => gpu_lint::PlanDtype::F64,
-            gpu_lint::PlanDtype::F64 => gpu_lint::PlanDtype::U32,
-        });
-        let report = gpu_lint::lint_physical_plan("mutated", &inputs, &steps);
-        assert!(
-            report
-                .diagnostics
-                .iter()
-                .any(|d| d.rule == Rule::PlanDtypeMismatch && d.events == [i]),
-            "GL402 anchored at #{i} expected: {:?}",
-            report.diagnostics
-        );
+        let (i, col, want) = typed[rng.pick(typed.len())].clone();
+        let other = match want {
+            ColType::U32 => ColType::F64,
+            ColType::F64 => ColType::U32,
+        };
+        match col {
+            ColRef::Base(name) => {
+                view.base.insert(name, other);
+            }
+            ColRef::Slot(s) => match &mut view.slots[s].kind {
+                SlotKind::Device { dtype, .. } => *dtype = other,
+                kind => panic!("typed operand %{s} is a {kind:?}, not a device column"),
+            },
+        }
+        assert_plan_flags(&view, Rule::PlanDtypeMismatch, i);
     }
 }
 
 /// A fused TPC-H plan: Q6 compiled with the general fusion pass on, so
 /// the plan carries a `fused_filter_agg` step whose arithmetic reads
 /// are marked `fused_arith` — the GL405 injection surface.
-fn golden_fused_physical_plan() -> (Vec<gpu_lint::PlanColumn>, Vec<gpu_lint::PlanStep>) {
-    use proto_core::optimizer::{plan_with, FusionPolicy, PlannerOptions};
+fn golden_fused_physical_plan() -> PhysView {
     let fw = bench::paper_framework();
     let b = fw.backend("Handwritten").expect("handwritten backend");
     let opts = PlannerOptions {
         fusion: FusionPolicy::on(),
         ..PlannerOptions::default()
     };
-    let plan =
-        plan_with("Q6+fused", &tpch::queries::q6::logical_plan(), b, &opts).expect("Q6 plans");
-    let (inputs, steps) = bench::plan_lint::convert(&plan);
+    let plan = optimizer::plan_with("Q6+fused", &tpch::queries::q6::logical_plan(), b, &opts)
+        .expect("Q6 plans");
+    let view = gpu_lint::phys_view(&plan, optimizer::supported_joins(b));
     assert!(
-        steps.iter().any(|s| s.label.starts_with("fused_")),
+        view.steps.iter().any(|s| s.label().starts_with("fused_")),
         "fusion-enabled Q6 must contain a fused step"
     );
     assert!(
-        gpu_lint::lint_physical_plan("golden", &inputs, &steps).is_clean(),
+        gpu_lint::lint_physical_plan("golden", &view).is_clean(),
         "baseline fused plan must be clean before mutation"
     );
-    (inputs, steps)
+    view
 }
 
 #[test]
 fn injected_fused_arith_dtype_mismatch_is_flagged() {
-    let (base_inputs, base) = golden_fused_physical_plan();
+    let base = golden_fused_physical_plan();
     for seed in SEEDS {
         let mut rng = Rng::new(seed);
-        let mut inputs = base_inputs.clone();
-        let steps = base.clone();
-        // Retype the column behind one fused arithmetic read to u32:
-        // the generated kernel would now read integer keys as f64 —
-        // the mismatch `check_fused_inputs` rejects at run time.
-        let arith: Vec<(usize, usize)> = steps
+        let mut view = base.clone();
+        // Retype the base column behind one fused arithmetic read to u32:
+        // the generated kernel would now read integer keys as f64 — the
+        // mismatch `check_fused_inputs` rejects at run time.
+        let arith: Vec<(usize, ColRef)> = view
+            .steps
             .iter()
             .enumerate()
             .flat_map(|(i, s)| {
-                s.reads
-                    .iter()
-                    .enumerate()
-                    .filter_map(move |(j, r)| r.fused_arith.then_some((i, j)))
+                s.reads()
+                    .into_iter()
+                    .filter(|r| r.fused_arith)
+                    .map(move |r| (i, r.col.clone()))
             })
             .collect();
         assert!(!arith.is_empty(), "fused plan must have arithmetic reads");
-        let (i, j) = arith[rng.pick(arith.len())];
-        let slot = steps[i].reads[j].slot;
-        let col = inputs
-            .iter_mut()
-            .find(|c| c.slot == slot)
-            .unwrap_or_else(|| panic!("fused read slot {slot} must be a base input in Q6"));
-        col.dtype = gpu_lint::PlanDtype::U32;
-        let report = gpu_lint::lint_physical_plan("mutated", &inputs, &steps);
-        assert!(
-            report
-                .diagnostics
-                .iter()
-                .any(|d| d.rule == Rule::FusedArithNotF64 && d.events == [i]),
-            "GL405 anchored at #{i} expected: {:?}",
-            report.diagnostics
-        );
+        let (i, col) = arith[rng.pick(arith.len())].clone();
+        let ColRef::Base(name) = col else {
+            panic!("fused read {col:?} must be a base column in Q6");
+        };
+        view.base.insert(name, ColType::U32);
+        let report = assert_plan_flags(&view, Rule::FusedArithNotF64, i);
         assert!(report.errors() > 0, "GL405 is an error");
     }
 }
 
 #[test]
 fn injected_merge_join_on_unsorted_keys_is_flagged() {
-    let (inputs, base) = golden_physical_plan();
+    let base = golden_physical_plan();
     for seed in SEEDS {
         let mut rng = Rng::new(seed);
-        let mut steps = base.clone();
-        // Retarget one hash join to a sort-requiring merge variant
-        // without sorting its inputs (scan-order base keys stay
-        // unsorted), modelling a lowering that picks the wrong
-        // algorithm for its operands.
-        let joins: Vec<usize> = steps
+        let mut view = base.clone();
+        // Retarget one join to the sort-requiring merge variant without
+        // sorting its inputs (scan-order base keys stay unsorted),
+        // modelling a lowering that picks the wrong algorithm for its
+        // operands.
+        let joins: Vec<usize> = view
+            .steps
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| s.label.starts_with("join").then_some(i))
+            .filter_map(|(i, s)| matches!(s, Step::Join { .. }).then_some(i))
             .collect();
         let site = joins[rng.pick(joins.len())];
-        steps[site].label = "join[Merge]".into();
-        for r in &mut steps[site].reads {
-            r.want_sorted = true;
+        if let Step::Join { algo, .. } = &mut view.steps[site] {
+            *algo = JoinAlgo::Merge;
         }
-        let report = gpu_lint::lint_physical_plan("mutated", &inputs, &steps);
-        assert!(
-            report
-                .diagnostics
-                .iter()
-                .any(|d| d.rule == Rule::MergeJoinUnsorted && d.events == [site]),
-            "GL403 anchored at #{site} expected: {:?}",
-            report.diagnostics
-        );
+        assert_plan_flags(&view, Rule::MergeJoinUnsorted, site);
     }
 }
 
 #[test]
 fn injected_plan_use_after_free_is_flagged() {
-    let (inputs, base) = golden_physical_plan();
+    let base = golden_physical_plan();
+    let bound = base.base.keys().next().expect("Q5 reads base columns");
     for seed in SEEDS {
         let mut rng = Rng::new(seed);
         // Double free: repeat one free step at the plan's end.
-        let mut steps = base.clone();
-        let frees: Vec<usize> = steps
+        let mut view = base.clone();
+        let frees = plan_frees(&view);
+        let (victim, _) = frees[rng.pick(frees.len())];
+        view.steps.push(view.steps[victim].clone());
+        assert_plan_flags(&view, Rule::PlanUseAfterFree, view.steps.len() - 1);
+
+        // Read of a slot no step defines (past the slot table, too),
+        // downloaded into one of the plan's own host slots.
+        let mut view = base.clone();
+        let ghost = view.slots.len() + seed as usize;
+        let host = view
+            .slots
+            .iter()
+            .position(|m| m.kind == SlotKind::HostF64)
+            .expect("Q5 downloads f64 results");
+        let site = rng.pick(view.steps.len() + 1);
+        let read = Step::DownloadF64 {
+            input: ColRef::Slot(ghost),
+            out: host,
+        };
+        view.steps.insert(site, read);
+        assert_plan_flags(&view, Rule::PlanUseAfterFree, site);
+
+        // A malformed view is a finding at its step, not a panic: a write
+        // past the slot table ...
+        let mut view = base.clone();
+        let site = rng.pick(view.steps.len() + 1);
+        let write = Step::ConstantOnes {
+            like: ColRef::Base(bound.clone()),
+            out: ghost,
+        };
+        view.steps.insert(site, write);
+        assert_plan_flags(&view, Rule::PlanUseAfterFree, site);
+
+        // ... and a read of a base column the view does not bind.
+        let mut view = base.clone();
+        let base_reads: Vec<(usize, String)> = view
+            .steps
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| (!s.frees.is_empty()).then_some(i))
+            .flat_map(|(i, s)| {
+                s.reads().into_iter().filter_map(move |r| match r.col {
+                    ColRef::Base(name) => Some((i, name.clone())),
+                    ColRef::Slot(_) => None,
+                })
+            })
             .collect();
-        let victim = frees[rng.pick(frees.len())];
-        steps.push(steps[victim].clone());
-        let site = steps.len() - 1;
-        let report = gpu_lint::lint_physical_plan("mutated", &inputs, &steps);
-        assert!(
-            report
-                .diagnostics
-                .iter()
-                .any(|d| d.rule == Rule::PlanUseAfterFree && d.events == [site]),
-            "GL404 (double free) at #{site} expected: {:?}",
-            report.diagnostics
-        );
-
-        // Read of a slot no step defines.
-        let mut steps = base.clone();
-        let ghost = steps
-            .iter()
-            .flat_map(|s| &s.defs)
-            .map(|d| d.slot)
-            .max()
-            .unwrap_or(0)
-            + 1000
-            + seed as usize;
-        let site = rng.pick(steps.len() + 1);
-        steps.insert(
-            site,
-            gpu_lint::PlanStep {
-                label: "gather".into(),
-                reads: vec![gpu_lint::PlanUse::any(ghost)],
-                ..gpu_lint::PlanStep::default()
-            },
-        );
-        let report = gpu_lint::lint_physical_plan("mutated", &inputs, &steps);
-        assert!(
-            report
-                .diagnostics
-                .iter()
-                .any(|d| d.rule == Rule::PlanUseAfterFree && d.events == [site]),
-            "GL404 (undefined read) at #{site} expected: {:?}",
-            report.diagnostics
-        );
+        let (site, name) = base_reads[rng.pick(base_reads.len())].clone();
+        view.base.remove(&name);
+        assert_plan_flags(&view, Rule::PlanUseAfterFree, site);
     }
 }
 
-// ---- Recovery-timeline hazards (GL5xx) ---------------------------------
+// ---- Recovery-log hazards (GL5xx) --------------------------------------
 
-/// A real, clean recovery timeline to mutate: Q1 on the handwritten
-/// backend through the resilient plan executor under plan-step faults,
-/// captured via the executor's recovery log.
-fn golden_timeline() -> gpu_lint::RecoveryTimeline {
+/// A real, clean recovery log to mutate: Q1 on the handwritten backend
+/// through the resilient plan executor under plan-step faults.
+fn golden_log() -> RecoveryLog {
     use proto_core::resilient::RetryPolicy;
     use proto_core::resilient_plan::{PlanRecovery, ResilientPlanExecutor};
     use tpch::queries::q1::Q1Data;
@@ -781,24 +786,23 @@ fn golden_timeline() -> gpu_lint::RecoveryTimeline {
     let data = Q1Data::upload(b, &db).expect("upload");
     data.execute_with(b, &exec).expect("Q1 under faults");
     data.free(b).expect("free");
-    let timeline = bench::plan_lint::convert_recovery(&exec.take_log().expect("recovery log"));
+    let log = exec.take_log().expect("recovery log");
     assert!(
-        gpu_lint::lint_recovery("golden", &timeline).is_clean(),
-        "baseline timeline must be clean before mutation"
+        gpu_lint::lint_recovery("golden", &log).is_clean(),
+        "baseline log must be clean before mutation"
     );
     assert!(
-        timeline
-            .events
+        log.events
             .iter()
-            .any(|e| matches!(e.kind, gpu_lint::RecoveryEventKind::Freed { .. })),
+            .any(|e| matches!(e.kind, RecoveryEventKind::Freed { .. })),
         "Q1's plan must free intermediates for the mutator to target"
     );
-    timeline
+    log
 }
 
 #[test]
 fn injected_checkpoint_after_free_is_flagged() {
-    let base = golden_timeline();
+    let base = golden_log();
     for seed in SEEDS {
         let mut rng = Rng::new(seed);
         let mut t = base.clone();
@@ -809,22 +813,22 @@ fn injected_checkpoint_after_free_is_flagged() {
             .iter()
             .enumerate()
             .filter_map(|(i, e)| match e.kind {
-                gpu_lint::RecoveryEventKind::Freed { slot } => Some((i, slot)),
+                RecoveryEventKind::Freed { slot } => Some((i, slot)),
                 _ => None,
             })
             .collect();
         let (free_ix, slot) = frees[rng.pick(frees.len())];
         let attempt_end = t.events[free_ix + 1..]
             .iter()
-            .position(|e| matches!(e.kind, gpu_lint::RecoveryEventKind::AttemptStart))
+            .position(|e| e.kind == RecoveryEventKind::AttemptStart)
             .map(|off| free_ix + 1 + off)
             .unwrap_or(t.events.len());
         let site = free_ix + 1 + rng.pick(attempt_end - free_ix);
         t.events.insert(
             site,
-            gpu_lint::RecoveryEvent {
+            RecoveryEvent {
                 step: t.events[free_ix].step,
-                kind: gpu_lint::RecoveryEventKind::Checkpoint { slot },
+                kind: RecoveryEventKind::Checkpoint { slot },
             },
         );
         let report = gpu_lint::lint_recovery("mutated", &t);
@@ -841,7 +845,7 @@ fn injected_checkpoint_after_free_is_flagged() {
 
 #[test]
 fn zeroed_backoff_budget_is_flagged() {
-    let mut t = golden_timeline();
+    let mut t = golden_log();
     assert!(t.max_retries > 0 && t.backoff_budget_ns > 0);
     t.backoff_budget_ns = 0;
     let report = gpu_lint::lint_recovery("mutated", &t);

@@ -132,22 +132,25 @@ impl ResilientBackend {
     /// The fast path is a single straight-through call: with no failure
     /// there is no bookkeeping and no simulated-time cost.
     fn run<T>(&self, what: &str, f: impl Fn() -> Result<T>) -> Result<T> {
-        retry_with_policy(&self.inner.device(), &self.policy, what, f)
+        retry_with_policy(&self.inner.device(), &self.policy, what, f, |_| {})
     }
 }
 
 /// Run `f` in a bounded retry loop under `policy`, charging each backoff
-/// to `device`'s simulated clock (via [`Device::note`](gpu_sim::Device::note)).
+/// to `device`'s simulated clock (via [`Device::note`](gpu_sim::Device::note))
+/// and then handing it to `on_retry`.
 ///
 /// This is the single retry primitive the whole crate shares:
 /// [`ResilientBackend`] routes every operator call through it, and
 /// [`ResilientPlanExecutor`](crate::resilient_plan::ResilientPlanExecutor)
-/// stages partition windows under it.
+/// runs every plan step (logging each retry from `on_retry`) and stages
+/// partition windows under it.
 pub(crate) fn retry_with_policy<T>(
     device: &Device,
     policy: &RetryPolicy,
     what: &str,
-    f: impl Fn() -> Result<T>,
+    mut f: impl FnMut() -> Result<T>,
+    mut on_retry: impl FnMut(SimDuration),
 ) -> Result<T> {
     let mut attempt = 0;
     loop {
@@ -157,7 +160,9 @@ pub(crate) fn retry_with_policy<T>(
                 let retry = Recovery::Retry {
                     what: what.to_string(),
                 };
-                device.note(retry, policy.backoff(attempt));
+                let backoff = policy.backoff(attempt);
+                device.note(retry, backoff);
+                on_retry(backoff);
                 attempt += 1;
             }
             Err(e) => return Err(e),

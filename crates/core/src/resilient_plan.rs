@@ -921,50 +921,39 @@ impl ResilientPlanExecutor {
                 continue;
             }
             let label = format!("{} step {ix}", plan.query());
-            let mut attempt = 0u32;
-            loop {
-                if let Err(e) = deadline.check() {
-                    return Err(self.abandon(lane, store, ix, e));
-                }
-                let r = device
-                    .inject_plan_step_fault(&label)
-                    .and_then(|()| plan.exec_step(lane.backend, lane.binds, &mut store, ix));
-                match r {
-                    Ok(()) => {
-                        match &plan.steps()[ix] {
-                            Step::Free { slot } => events.push(RecoveryEvent {
-                                step: ix,
-                                kind: RecoveryEventKind::Freed { slot: *slot },
-                            }),
-                            step => {
-                                for s in step.writes() {
-                                    events.push(RecoveryEvent {
-                                        step: ix,
-                                        kind: RecoveryEventKind::Checkpoint { slot: s },
-                                    });
-                                }
-                            }
-                        }
-                        break;
-                    }
-                    Err(e)
-                        if attempt < self.recovery.retry.max_retries
-                            && self.recovery.retry.wants_retry(&e) =>
-                    {
-                        let backoff = self.recovery.retry.backoff(attempt);
-                        let retry = Recovery::Retry {
-                            what: label.clone(),
-                        };
-                        device.note(retry, backoff);
+            let r = retry_with_policy(
+                &device,
+                &self.recovery.retry,
+                &label,
+                || {
+                    deadline.check()?;
+                    device.inject_plan_step_fault(&label)?;
+                    plan.exec_step(lane.backend, lane.binds, &mut store, ix)
+                },
+                |backoff| {
+                    events.push(RecoveryEvent {
+                        step: ix,
+                        kind: RecoveryEventKind::Retry {
+                            backoff_ns: backoff.as_nanos(),
+                        },
+                    })
+                },
+            );
+            if let Err(e) = r {
+                return Err(self.abandon(lane, store, ix, e));
+            }
+            match &plan.steps()[ix] {
+                Step::Free { slot } => events.push(RecoveryEvent {
+                    step: ix,
+                    kind: RecoveryEventKind::Freed { slot: *slot },
+                }),
+                step => {
+                    for s in step.writes() {
                         events.push(RecoveryEvent {
                             step: ix,
-                            kind: RecoveryEventKind::Retry {
-                                backoff_ns: backoff.as_nanos(),
-                            },
+                            kind: RecoveryEventKind::Checkpoint { slot: s },
                         });
-                        attempt += 1;
                     }
-                    Err(e) => return Err(self.abandon(lane, store, ix, e)),
                 }
             }
         }
@@ -1075,16 +1064,16 @@ impl ResilientPlanExecutor {
         let device = backend.device();
         let mut uploads: Vec<(String, Col)> = Vec::new();
         for (name, col) in &source.cols {
-            let up =
-                retry_with_policy(
-                    &device,
-                    &self.recovery.retry,
-                    "partition upload",
-                    || match col {
-                        HostCol::U32(v) => backend.upload_u32(&v[start..end]),
-                        HostCol::F64(v) => backend.upload_f64(&v[start..end]),
-                    },
-                );
+            let up = retry_with_policy(
+                &device,
+                &self.recovery.retry,
+                "partition upload",
+                || match col {
+                    HostCol::U32(v) => backend.upload_u32(&v[start..end]),
+                    HostCol::F64(v) => backend.upload_f64(&v[start..end]),
+                },
+                |_| {},
+            );
             match up {
                 Ok(c) => uploads.push((name.clone(), c)),
                 Err(e) => {

@@ -19,18 +19,17 @@
 //! loop legitimately abandons uploads mid-operator.
 
 use crate::diag::{Diagnostic, Rule};
+use crate::liveness::{Access, Liveness};
 use gpu_sim::{BufferId, KernelIo, TraceEvent, TraceKind};
-use std::collections::HashMap;
 
-#[derive(Debug)]
+/// What the suspicion rules track per buffer life.
+#[derive(Debug, Default)]
 struct BufState {
-    born: usize,
     /// Received data at some point: born with meaningful data (`init`
     /// on the alloc event), kernel write, HtoD, or DtoD dst.
     written: bool,
     /// Was read at some point: kernel read, DtoH, or DtoD src.
     read: bool,
-    freed: Option<usize>,
     /// A `KernelIo::Unknown` launch happened while this buffer was live
     /// (it may have been read or written — suppress suspicion rules).
     unknown_overlap: bool,
@@ -43,19 +42,28 @@ struct BufState {
     dtoh_events: Vec<usize>,
 }
 
-impl BufState {
-    fn new(born: usize, init: bool) -> BufState {
-        BufState {
-            born,
-            written: init,
-            read: false,
-            freed: None,
-            unknown_overlap: false,
-            kernel_overlap: false,
-            first_unwritten_read: None,
-            htod_events: Vec::new(),
-            dtoh_events: Vec::new(),
+type Buffers = Liveness<BufferId, BufState>;
+
+/// A buffer access at event `i`: GL001 while freed; ids the window never
+/// saw allocated are ignored (pre-window buffers, not hazards).
+fn access<'a>(
+    bufs: &'a mut Buffers,
+    diags: &mut Vec<Diagnostic>,
+    i: usize,
+    id: BufferId,
+    verb: impl std::fmt::Display,
+) -> Option<&'a mut BufState> {
+    match bufs.access(id) {
+        Access::Live(st) => Some(st),
+        Access::Freed(freed) => {
+            diags.push(Diagnostic::new(
+                Rule::UseAfterFree,
+                vec![freed, i],
+                format!("{verb} of {id} after its free"),
+            ));
+            None
         }
+        Access::Undefined => None,
     }
 }
 
@@ -64,100 +72,71 @@ impl BufState {
 /// and unknown-free rules to be meaningful).
 pub(crate) fn lint_buffers(events: &[TraceEvent]) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    let mut bufs: HashMap<BufferId, BufState> = HashMap::new();
+    let mut bufs = Buffers::new();
     let has_faults = events.iter().any(|e| matches!(e.kind, TraceKind::Fault(_)));
-
-    // A buffer access while freed is GL001; accesses to ids the window
-    // never saw allocated are ignored (pre-window buffers, not hazards).
-    macro_rules! access {
-        ($bufs:expr, $diags:expr, $i:expr, $id:expr, $verb:expr) => {
-            match $bufs.get_mut(&$id) {
-                Some(st) => {
-                    if let Some(freed) = st.freed {
-                        $diags.push(Diagnostic::new(
-                            Rule::UseAfterFree,
-                            vec![freed, $i],
-                            format!("{} of {} after its free", $verb, $id),
-                        ));
-                        None
-                    } else {
-                        Some(st)
-                    }
-                }
-                None => None,
-            }
-        };
-    }
 
     for (i, e) in events.iter().enumerate() {
         match &e.kind {
             TraceKind::Alloc { buf, init, .. } | TraceKind::PoolAlloc { buf, init, .. } => {
+                let st = BufState {
+                    written: *init,
+                    ..BufState::default()
+                };
                 // Ids are never reused, so a collision means the producer
                 // is broken — surface it as a leak of the first life.
-                if let Some(old) = bufs.insert(*buf, BufState::new(i, *init)) {
-                    if old.freed.is_none() {
-                        diags.push(Diagnostic::new(
-                            Rule::LeakedBuffer,
-                            vec![old.born, i],
-                            format!("{buf} reallocated while still live"),
-                        ));
-                    }
+                if let Some(born) = bufs.define(*buf, i, st) {
+                    diags.push(Diagnostic::new(
+                        Rule::LeakedBuffer,
+                        vec![born, i],
+                        format!("{buf} reallocated while still live"),
+                    ));
                 }
             }
-            TraceKind::Free { buf } => match bufs.get_mut(buf) {
-                None => diags.push(Diagnostic::new(
+            TraceKind::Free { buf } => match bufs.free(*buf, i) {
+                Access::Live(_) => {}
+                Access::Freed(first) => diags.push(Diagnostic::new(
+                    Rule::DoubleFree,
+                    vec![first, i],
+                    format!("{buf} freed twice"),
+                )),
+                Access::Undefined => diags.push(Diagnostic::new(
                     Rule::UnknownFree,
                     vec![i],
                     format!("free of {buf}, which this trace never allocated"),
                 )),
-                Some(st) => match st.freed {
-                    Some(first) => diags.push(Diagnostic::new(
-                        Rule::DoubleFree,
-                        vec![first, i],
-                        format!("{buf} freed twice"),
-                    )),
-                    None => st.freed = Some(i),
-                },
             },
             TraceKind::HtoD { buf, .. } => {
-                if let Some(st) = access!(bufs, diags, i, *buf, "host\u{2192}device write") {
+                if let Some(st) = access(&mut bufs, &mut diags, i, *buf, "host\u{2192}device write")
+                {
                     st.written = true;
                     st.htod_events.push(i);
                 }
             }
             TraceKind::DtoH { buf, .. } => {
-                if let Some(st) = access!(bufs, diags, i, *buf, "device\u{2192}host read") {
+                if let Some(st) = access(&mut bufs, &mut diags, i, *buf, "device\u{2192}host read")
+                {
                     st.read = true;
                     st.dtoh_events.push(i);
                 }
             }
             TraceKind::DtoD { src, dst, .. } => {
-                if let Some(st) = access!(bufs, diags, i, *src, "copy read") {
+                if let Some(st) = access(&mut bufs, &mut diags, i, *src, "copy read") {
                     st.read = true;
                 }
-                if let Some(st) = access!(bufs, diags, i, *dst, "copy write") {
+                if let Some(st) = access(&mut bufs, &mut diags, i, *dst, "copy write") {
                     st.written = true;
                 }
             }
-            TraceKind::Kernel { name, io, .. } => match io {
-                KernelIo::Unknown => {
-                    for st in bufs.values_mut() {
-                        if st.freed.is_none() {
-                            st.unknown_overlap = true;
-                            st.kernel_overlap = true;
-                        }
-                    }
+            TraceKind::Kernel { name, io, .. } => {
+                let unknown = matches!(io, KernelIo::Unknown);
+                for st in bufs.live_mut() {
+                    st.unknown_overlap |= unknown;
+                    st.kernel_overlap = true;
                 }
-                KernelIo::Known { reads, writes } => {
-                    for st in bufs.values_mut() {
-                        if st.freed.is_none() {
-                            st.kernel_overlap = true;
-                        }
-                    }
+                if let KernelIo::Known { reads, writes } = io {
                     for r in reads {
-                        if let Some(st) =
-                            access!(bufs, diags, i, *r, format!("kernel {name:?} read"))
-                        {
+                        let verb = format_args!("kernel {name:?} read");
+                        if let Some(st) = access(&mut bufs, &mut diags, i, *r, verb) {
                             st.read = true;
                             if !st.written && st.first_unwritten_read.is_none() {
                                 st.first_unwritten_read = Some(i);
@@ -165,26 +144,26 @@ pub(crate) fn lint_buffers(events: &[TraceEvent]) -> Vec<Diagnostic> {
                         }
                     }
                     for w in writes {
-                        if let Some(st) =
-                            access!(bufs, diags, i, *w, format!("kernel {name:?} write"))
-                        {
+                        let verb = format_args!("kernel {name:?} write");
+                        if let Some(st) = access(&mut bufs, &mut diags, i, *w, verb) {
                             st.written = true;
                         }
                     }
                 }
-            },
+            }
             TraceKind::Jit(_) | TraceKind::Fault(_) | TraceKind::Recovery(_) => {}
         }
     }
 
     // End-of-trace rules, in buffer-creation order for stable output.
-    let mut ordered: Vec<(&BufferId, &BufState)> = bufs.iter().collect();
-    ordered.sort_by_key(|(_, st)| st.born);
-    for (id, st) in ordered {
-        if st.freed.is_none() {
+    let mut ordered: Vec<_> = bufs.lives().collect();
+    ordered.sort_by_key(|(_, life)| life.def);
+    for (id, life) in ordered {
+        let st = &life.data;
+        if life.freed.is_none() {
             diags.push(Diagnostic::new(
                 Rule::LeakedBuffer,
-                vec![st.born],
+                vec![life.def],
                 format!("{id} is still live at the end of the trace"),
             ));
         }

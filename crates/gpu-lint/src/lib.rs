@@ -1,7 +1,7 @@
 //! # gpu-lint — static hazard analysis for the simulated GPU stack
 //!
 //! A multi-pass analyzer over the artifact families the workspace
-//! produces:
+//! produces, each read in its producer's own type:
 //!
 //! * **Device traces** ([`gpu_sim::TraceEvent`] lists) — the
 //!   buffer-lifetime pass (`buffer::lint_buffers`, rules `GL0xx`).
@@ -9,26 +9,28 @@
 //!   stack-machine verifier (`program::lint_program`, `GL2xx`).
 //! * **Scheduler plans** ([`PlanTask`] graphs) — the plan checker
 //!   (`plan::lint_plan`, `GL3xx`).
-//! * **Compiled physical query plans** ([`PlanStep`] lists) —
-//!   the slot-lifetime/operand-shape checker
-//!   (`physplan::lint_physical_plan`, `GL4xx`).
-//! * **Recovery timelines** ([`RecoveryTimeline`] from the
-//!   resilient plan executor) — the recovery-lifecycle checker
+//! * **Compiled physical query plans** (a [`PhysView`] of a
+//!   [`proto_core::physical::PhysicalPlan`]) — the slot-lifetime /
+//!   operand-shape checker (`physplan::lint_physical_plan`, `GL4xx`).
+//! * **Recovery logs** ([`proto_core::resilient_plan::RecoveryLog`] from
+//!   the resilient plan executor) — the recovery-lifecycle checker
 //!   (`resilience::lint_recovery`, `GL5xx`).
-//! * **Costed-plan estimates** ([`CostedPlan`] summaries of
-//!   the planner's cost reports) — the resource-budget checker
-//!   (`costing::lint_costed_plan`, `GL6xx`).
+//! * **Cost reports** ([`proto_core::costing::CostReport`] against a
+//!   declared budget and a [`gpu_sim::DeviceSpec`]) — the
+//!   resource-budget checker (`costing::lint_costed_plan`, `GL6xx`).
 //! * **Planner rewrite traces** ([`proto_core::optimizer::PassTrace`]
-//!   with rewrite certificates, plus the compiled plan) — the
-//!   translation validator (`translate::validate_translation`,
+//!   with rewrite certificates, plus the compiled plan's [`PhysView`]) —
+//!   the translation validator (`translate::validate_translation`,
 //!   `GL7xx`), proving each logical→physical rewrite semantically
 //!   equivalent.
 //!
-//! Every pass is a pure function from artifact to [`Diagnostic`]s; the
-//! analyzer never mutates what it observes, so linting a trace can
-//! never change an experiment's measurements. [`lint_trace`] bundles the
-//! trace pass into a [`Report`]; [`annotated_timeline`] renders a trace
-//! with rule-id annotations on the implicated events.
+//! Every lifetime rule — trace buffers, plan slots, recovery checkpoints,
+//! output downloads — feeds one def / use / free walk
+//! (`liveness::Liveness`). Every pass is a pure function from artifact
+//! to [`Diagnostic`]s that never mutates what it observes.
+//! [`lint_trace`] bundles the trace pass into a [`Report`];
+//! [`annotated_timeline`] renders a trace with rule-id annotations on the
+//! implicated events.
 //!
 //! Severities are fixed per rule: errors are
 //! hazards that mean corruption or deadlock on real hardware;
@@ -36,23 +38,32 @@
 //! teardown, dead subexpressions). The CI gate fails on errors only.
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo
+    )
+)]
 
 mod buffer;
 mod costing;
 mod diag;
+mod liveness;
 mod physplan;
 mod plan;
 mod program;
 mod resilience;
 mod translate;
 
-pub use costing::CostedPlan;
 pub use diag::{Diagnostic, Report, Rule, Severity, Waiver};
-pub use physplan::{PlanColumn, PlanDtype, PlanStep, PlanUse};
+pub use physplan::{phys_view, PhysView};
 pub use plan::PlanTask;
-pub use resilience::{RecoveryEvent, RecoveryEventKind, RecoveryTimeline};
-pub use translate::{phys_view, PhysView};
 
+use proto_core::{costing::CostReport, resilient_plan::RecoveryLog};
 use std::collections::BTreeMap;
 
 /// Run the trace pass (buffer lifetimes) over one trace window and
@@ -72,22 +83,25 @@ pub fn lint_plan(target: impl Into<String>, tasks: &[PlanTask]) -> Report {
 }
 
 /// Check a compiled physical query plan and bundle the findings.
-pub fn lint_physical_plan(
+pub fn lint_physical_plan(target: impl Into<String>, view: &PhysView) -> Report {
+    Report::new(target, physplan::lint_physical_plan(view))
+}
+
+/// Check a resilient execution's recovery log and bundle the findings.
+pub fn lint_recovery(target: impl Into<String>, log: &RecoveryLog) -> Report {
+    Report::new(target, resilience::lint_recovery(log))
+}
+
+/// Check a cost report's peak-memory estimate against the declared
+/// memory budget in bytes (if any) and the device, and bundle the
+/// findings.
+pub fn lint_costed_plan(
     target: impl Into<String>,
-    inputs: &[PlanColumn],
-    steps: &[PlanStep],
+    report: &CostReport,
+    budget: Option<u64>,
+    spec: &gpu_sim::DeviceSpec,
 ) -> Report {
-    Report::new(target, physplan::lint_physical_plan(inputs, steps))
-}
-
-/// Check a recovery timeline and bundle the findings.
-pub fn lint_recovery(target: impl Into<String>, timeline: &RecoveryTimeline) -> Report {
-    Report::new(target, resilience::lint_recovery(timeline))
-}
-
-/// Check a costed plan's resource estimates and bundle the findings.
-pub fn lint_costed_plan(target: impl Into<String>, plan: &CostedPlan) -> Report {
-    Report::new(target, costing::lint_costed_plan(plan))
+    Report::new(target, costing::lint_costed_plan(report, budget, spec))
 }
 
 /// Validate a planner rewrite trace against the compiled plan and

@@ -1,229 +1,187 @@
-//! Physical-query-plan pass: slot-lifetime and operand-shape
+//! Physical-query-plan pass (GL4xx): slot-lifetime and operand-shape
 //! invariants of a compiled query plan before it runs.
 //!
-//! The input is the crate's own [`PlanStep`]/[`PlanColumn`] shape (the
-//! same decoupling [`crate::plan`] uses for scheduler graphs), so the
-//! analyzer does not depend on the planner; `bench`'s `plan_lint`
-//! converts `proto_core::physical::PhysicalPlan` losslessly, one lint
-//! step per plan step, its reads and defs taken from each step's own
-//! declaration (`Step::reads()` / `Step::writes()`). Only *device
-//! columns* are modelled — scalars and downloaded host vectors have no
-//! device lifetime and no dtype hazards.
-//!
-//! Checks, in one forward walk over the steps:
+//! The pass reads the planner's own types through [`PhysView`], as the
+//! GL7xx validator does: operands from [`Step::reads`], definitions from
+//! [`Step::writes`] (device slots only — scalars and host vectors have no
+//! device lifetime), names from [`Step::label`]. Base columns are
+//! borrowed, never freed, so they stay outside the slot [`Liveness`]
+//! map. Checks, in one forward walk over the steps:
 //!
 //! * **GL404** — a step reads or frees a slot that is undefined at that
-//!   point, or was already freed. On real hardware that is a read of
-//!   recycled memory (or a double free); the executor would corrupt or
-//!   crash.
+//!   point or already freed (a read of recycled memory, a double free),
+//!   or names a slot past the slot table or an unbound base column.
 //! * **GL402** — an operand's dtype does not match what the call
 //!   requires: `f64` gather/join indices, `u32` fed into arithmetic.
-//!   The simulator's typed columns catch this at runtime; the lint
-//!   catches it before anything executes.
-//! * **GL405** — a fused step's expression reads a column
-//!   arithmetically that does not hold `f64`. Same mechanics as GL402
-//!   but its own rule: the mismatch is inside a generated single-pass
-//!   kernel, so the runtime error surfaces from the fusion pass rather
-//!   than the operator the user wrote, and the fix is different
-//!   (exclude the column from fusion, not retype the operand).
+//! * **GL405** — the same mismatch in a fused step's expression, which
+//!   reads the column arithmetically: the fix is to exclude the column
+//!   from fusion, not to retype the operand.
 //! * **GL403** — a merge join over a key column not known to be sorted.
-//!   Backends whose merge join sorts internally never set the
-//!   requirement; the rule exists for lowering bugs where a
-//!   sort-requiring variant is fed raw scan order.
 //! * **GL401** — a device column the plan creates but never frees
-//!   (warning): the executor contract is alloc/free balance, so an
-//!   unfreed slot leaks until teardown on every query execution.
+//!   (warning): it leaks until teardown on every query execution.
 //!
-//! Diagnostic spans hold *step indices*; input pseudo-slots are exempt
-//! from lifetime rules (the plan borrows base columns, it does not own
-//! them).
+//! Diagnostic spans hold *step indices*.
 
 use crate::diag::{Diagnostic, Rule};
-use std::collections::HashMap;
+use crate::liveness::{Access, Liveness};
+use proto_core::backend::ColType;
+use proto_core::ops::JoinAlgo;
+use proto_core::physical::{ColRef, PhysicalPlan, SlotKind, SlotMeta, Step};
+use std::collections::BTreeMap;
 
-/// Element dtype of a device column, as the plan checker sees it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanDtype {
-    /// 32-bit unsigned integers (keys, row ids, dictionary codes).
-    U32,
-    /// 64-bit floats (measures).
-    F64,
+/// The linter's view of a compiled [`PhysicalPlan`]: the fields the
+/// GL4xx and GL7xx passes read, owned and mutable so hazard-injection
+/// tests can tamper with a plan without touching the planner.
+#[derive(Debug, Clone)]
+pub struct PhysView {
+    /// Backend the plan was compiled for.
+    pub backend: String,
+    /// Join algorithm the planner selected (if the plan joins).
+    pub join_algo: Option<JoinAlgo>,
+    /// Join algorithms Table II allows on this backend.
+    pub supported: Vec<JoinAlgo>,
+    /// The straight-line step program.
+    pub steps: Vec<Step>,
+    /// Slot metadata, parallel to the plan's slot table.
+    pub slots: Vec<SlotMeta>,
+    /// Named output columns: `(logical name, slot)`.
+    pub outputs: Vec<(String, usize)>,
+    /// The bound base columns the plan reads, with their dtypes.
+    pub base: BTreeMap<String, ColType>,
 }
 
-impl std::fmt::Display for PlanDtype {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PlanDtype::U32 => write!(f, "u32"),
-            PlanDtype::F64 => write!(f, "f64"),
-        }
+/// Build a [`PhysView`] from a compiled plan plus the backend's
+/// Table-II supported join set (from
+/// [`proto_core::optimizer::supported_joins`]).
+pub fn phys_view(plan: &PhysicalPlan, supported: Vec<JoinAlgo>) -> PhysView {
+    PhysView {
+        backend: plan.backend_name().to_string(),
+        join_algo: plan.join_algo(),
+        supported,
+        steps: plan.steps().to_vec(),
+        slots: plan.slots().to_vec(),
+        outputs: plan.outputs().to_vec(),
+        base: plan.base_columns().clone(),
     }
 }
 
-/// One device column a plan defines (or borrows, for inputs).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlanColumn {
-    /// The column's slot number (unique within the plan; inputs use
-    /// pseudo-slots above the plan's own range).
-    pub slot: usize,
-    /// Debug name, e.g. `"lineitem.discount"` or `"revenue"`.
-    pub name: String,
-    /// Element dtype.
-    pub dtype: PlanDtype,
-    /// Whether the values are known to ascend (selection row ids,
-    /// grouped keys).
-    pub sorted: bool,
-}
-
-/// One operand read of a step.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlanUse {
-    /// Slot being read.
-    pub slot: usize,
-    /// Dtype the call requires, if it requires one.
-    pub want: Option<PlanDtype>,
-    /// Whether the call requires sorted input (merge-join keys).
-    pub want_sorted: bool,
-    /// Whether the requirement comes from a fused expression reading
-    /// the column arithmetically — a mismatch then fires GL405 instead
-    /// of GL402.
-    pub fused_arith: bool,
-}
-
-impl PlanUse {
-    /// An operand with no dtype requirement.
-    pub fn any(slot: usize) -> PlanUse {
-        PlanUse {
-            slot,
-            want: None,
-            want_sorted: false,
-            fused_arith: false,
-        }
+/// The slot a [`Step::Free`] releases. A free reads and writes nothing,
+/// so the lifetime walks name it here and nowhere else.
+pub(crate) fn freed_slot(step: &Step) -> Option<usize> {
+    match step {
+        Step::Free { slot } => Some(*slot),
+        _ => None,
     }
 }
 
-/// One step of a physical plan, as the plan checker sees it.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PlanStep {
-    /// What the step is, e.g. `"gather"` or `"join[Merge]"`.
-    pub label: String,
-    /// Device columns the step reads.
-    pub reads: Vec<PlanUse>,
-    /// Device columns the step defines.
-    pub defs: Vec<PlanColumn>,
-    /// Slots the step releases.
-    pub frees: Vec<usize>,
+fn dtype_name(t: ColType) -> &'static str {
+    match t {
+        ColType::U32 => "u32",
+        ColType::F64 => "f64",
+    }
 }
 
-/// Run every physical-plan check over `steps`, with `inputs` naming the
-/// borrowed base columns (pseudo-slots, exempt from lifetime rules).
-pub(crate) fn lint_physical_plan(inputs: &[PlanColumn], steps: &[PlanStep]) -> Vec<Diagnostic> {
+/// Run every physical-plan check over `view`.
+pub(crate) fn lint_physical_plan(view: &PhysView) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    // slot → (column, live?, defining step). Inputs live forever.
-    let mut cols: HashMap<usize, (PlanColumn, bool, Option<usize>)> = inputs
-        .iter()
-        .map(|c| (c.slot, (c.clone(), true, None)))
-        .collect();
-
-    for (i, step) in steps.iter().enumerate() {
-        for read in &step.reads {
-            let Some((col, live, _)) = cols.get(&read.slot) else {
-                diags.push(Diagnostic::new(
-                    Rule::PlanUseAfterFree,
-                    vec![i],
-                    format!(
-                        "{} reads slot %{}, which no earlier step defines",
-                        step.label, read.slot
-                    ),
-                ));
-                continue;
-            };
-            if !live {
-                diags.push(Diagnostic::new(
-                    Rule::PlanUseAfterFree,
-                    vec![i],
-                    format!(
-                        "{} reads {} (%{}) after its free",
-                        step.label, col.name, read.slot
-                    ),
-                ));
-            }
-            if let Some(want) = read.want {
-                if col.dtype != want {
-                    if read.fused_arith {
-                        diags.push(Diagnostic::new(
-                            Rule::FusedArithNotF64,
-                            vec![i],
-                            format!(
-                                "{} expression reads {} (%{}) arithmetically but it holds {}",
-                                step.label, col.name, read.slot, col.dtype
-                            ),
-                        ));
-                    } else {
-                        diags.push(Diagnostic::new(
-                            Rule::PlanDtypeMismatch,
-                            vec![i],
-                            format!(
-                                "{} requires {want} but {} (%{}) holds {}",
-                                step.label, col.name, read.slot, col.dtype
-                            ),
-                        ));
-                    }
-                }
-            }
-            if read.want_sorted && !col.sorted {
-                diags.push(Diagnostic::new(
-                    Rule::MergeJoinUnsorted,
-                    vec![i],
-                    format!(
-                        "{} requires sorted keys but {} (%{}) is not known sorted",
-                        step.label, col.name, read.slot
-                    ),
-                ));
-            }
-        }
-        for def in &step.defs {
-            cols.insert(def.slot, (def.clone(), true, Some(i)));
-        }
-        for &slot in &step.frees {
-            match cols.get_mut(&slot) {
-                Some((_, live, Some(_))) if *live => *live = false,
-                Some((col, _, def)) => {
-                    let why = if def.is_none() {
-                        "a borrowed input"
-                    } else {
-                        "already freed"
+    let slot_name = |slot: usize| view.slots.get(slot).map_or("?", |m| m.name.as_str());
+    let mut live: Liveness<usize> = Liveness::new();
+    for (i, step) in view.steps.iter().enumerate() {
+        let label = step.label();
+        let at = |rule, message: String| Diagnostic::new(rule, vec![i], message);
+        for read in step.reads() {
+            // The operand as messages name it, its dtype and sortedness.
+            let (operand, dtype, sorted) = match read.col {
+                ColRef::Base(name) => {
+                    let Some(&dtype) = view.base.get(name) else {
+                        let why = format!("{label} reads {name}, which the plan does not bind");
+                        diags.push(at(Rule::PlanUseAfterFree, why));
+                        continue;
                     };
-                    diags.push(Diagnostic::new(
-                        Rule::PlanUseAfterFree,
-                        vec![i],
-                        format!(
-                            "{} frees {} (%{slot}), which is {why}",
-                            step.label, col.name
-                        ),
-                    ));
+                    (name.clone(), dtype, false)
                 }
-                None => {
-                    diags.push(Diagnostic::new(
-                        Rule::PlanUseAfterFree,
-                        vec![i],
-                        format!("{} frees slot %{slot}, which no step defines", step.label),
-                    ));
+                ColRef::Slot(slot) => {
+                    let operand = format!("{} (%{slot})", slot_name(*slot));
+                    match live.access(*slot) {
+                        Access::Live(()) => {}
+                        Access::Freed(_) => diags.push(at(
+                            Rule::PlanUseAfterFree,
+                            format!("{label} reads {operand} after its free"),
+                        )),
+                        Access::Undefined => {
+                            let why = format!(
+                                "{label} reads slot %{slot}, which no earlier step defines"
+                            );
+                            diags.push(at(Rule::PlanUseAfterFree, why));
+                            continue;
+                        }
+                    }
+                    // Only device slots are ever defined.
+                    let Some(SlotKind::Device { dtype, sorted }) =
+                        view.slots.get(*slot).map(|m| m.kind)
+                    else {
+                        continue;
+                    };
+                    (operand, dtype, sorted)
                 }
+            };
+            let held = dtype_name(dtype);
+            match read.dtype.filter(|&want| want != dtype) {
+                Some(_) if read.fused_arith => diags.push(at(
+                    Rule::FusedArithNotF64,
+                    format!(
+                        "{label} expression reads {operand} arithmetically but it holds {held}"
+                    ),
+                )),
+                Some(want) => diags.push(at(
+                    Rule::PlanDtypeMismatch,
+                    format!(
+                        "{label} requires {} but {operand} holds {held}",
+                        dtype_name(want)
+                    ),
+                )),
+                None => {}
             }
+            if read.sorted && !sorted {
+                diags.push(at(
+                    Rule::MergeJoinUnsorted,
+                    format!("{label} requires sorted keys but {operand} is not known sorted"),
+                ));
+            }
+        }
+        for slot in step.writes() {
+            match view.slots.get(slot).map(|m| m.kind) {
+                Some(SlotKind::Device { .. }) => {
+                    live.define(slot, i, ());
+                }
+                Some(_) => {}
+                None => diags.push(at(
+                    Rule::PlanUseAfterFree,
+                    format!(
+                        "{label} writes slot %{slot}, past the plan's {} slots",
+                        view.slots.len()
+                    ),
+                )),
+            }
+        }
+        if let Some(slot) = freed_slot(step) {
+            let why = match live.free(slot, i) {
+                Access::Live(()) => continue,
+                Access::Freed(_) => format!(
+                    "{label} frees {} (%{slot}), which is already freed",
+                    slot_name(slot)
+                ),
+                Access::Undefined => format!("{label} frees slot %{slot}, which no step defines"),
+            };
+            diags.push(at(Rule::PlanUseAfterFree, why));
         }
     }
-
     // GL401: plan-owned device columns still live at plan end.
-    let mut leaked: Vec<(usize, &PlanColumn, usize)> = cols
-        .values()
-        .filter_map(|(col, live, def)| def.map(|d| (col.slot, col, d)).filter(|_| *live))
-        .collect();
-    leaked.sort_by_key(|&(slot, _, _)| slot);
-    for (slot, col, def_step) in leaked {
+    for (slot, life) in live.lives().filter(|(_, l)| l.freed.is_none()) {
         diags.push(Diagnostic::new(
             Rule::UnfreedPlanColumn,
-            vec![def_step],
-            format!("device column {} (%{slot}) is never freed", col.name),
+            vec![life.def],
+            format!("device column {} (%{slot}) is never freed", slot_name(slot)),
         ));
     }
     diags
@@ -232,47 +190,47 @@ pub(crate) fn lint_physical_plan(inputs: &[PlanColumn], steps: &[PlanStep]) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proto_core::fused::FusedExpr;
+    use proto_core::ops::CmpOp;
+    use ColType::{F64, U32};
 
-    fn col(slot: usize, name: &str, dtype: PlanDtype, sorted: bool) -> PlanColumn {
-        PlanColumn {
-            slot,
-            name: name.to_string(),
-            dtype,
-            sorted,
+    fn dev(dtype: ColType, sorted: bool) -> SlotKind {
+        SlotKind::Device { dtype, sorted }
+    }
+
+    fn view(base: &[(&str, ColType)], slots: &[(&str, SlotKind)], steps: Vec<Step>) -> PhysView {
+        PhysView {
+            backend: "test".into(),
+            join_algo: None,
+            supported: vec![],
+            steps,
+            slots: slots
+                .iter()
+                .map(|&(name, kind)| SlotMeta {
+                    name: name.into(),
+                    kind,
+                })
+                .collect(),
+            outputs: vec![],
+            base: base.iter().map(|&(n, t)| (n.to_string(), t)).collect(),
         }
     }
 
-    fn step(
-        label: &str,
-        reads: Vec<PlanUse>,
-        defs: Vec<PlanColumn>,
-        frees: Vec<usize>,
-    ) -> PlanStep {
-        PlanStep {
-            label: label.to_string(),
-            reads,
-            defs,
-            frees,
+    fn base(name: &str) -> ColRef {
+        ColRef::Base(name.into())
+    }
+
+    fn select(input: ColRef, out: usize) -> Step {
+        Step::Selection {
+            input,
+            cmp: CmpOp::Gt,
+            lit: 0.0,
+            out,
         }
     }
 
-    fn typed(slot: usize, want: PlanDtype) -> PlanUse {
-        PlanUse {
-            want: Some(want),
-            ..PlanUse::any(slot)
-        }
-    }
-
-    /// An operand a fused expression reads arithmetically.
-    fn fused_f64(slot: usize) -> PlanUse {
-        PlanUse {
-            fused_arith: true,
-            ..typed(slot, PlanDtype::F64)
-        }
-    }
-
-    fn rules(inputs: &[PlanColumn], steps: &[PlanStep]) -> Vec<&'static str> {
-        lint_physical_plan(inputs, steps)
+    fn rules(view: &PhysView) -> Vec<&'static str> {
+        lint_physical_plan(view)
             .iter()
             .map(|d| d.rule.id())
             .collect()
@@ -280,128 +238,149 @@ mod tests {
 
     #[test]
     fn a_balanced_typed_plan_is_clean() {
-        let inputs = [col(10, "lineitem.discount", PlanDtype::F64, false)];
-        let steps = [
-            step(
-                "selection",
-                vec![PlanUse::any(10)],
-                vec![col(0, "ids", PlanDtype::U32, true)],
-                vec![],
-            ),
-            step(
-                "gather",
-                vec![typed(10, PlanDtype::F64), typed(0, PlanDtype::U32)],
-                vec![col(1, "discount", PlanDtype::F64, false)],
-                vec![],
-            ),
-            step("free", vec![], vec![], vec![0]),
-            step("free", vec![], vec![], vec![1]),
-        ];
-        assert!(rules(&inputs, &steps).is_empty());
+        let v = view(
+            &[("lineitem.discount", F64)],
+            &[("ids", dev(U32, true)), ("discount", dev(F64, false))],
+            vec![
+                select(base("lineitem.discount"), 0),
+                Step::Gather {
+                    data: base("lineitem.discount"),
+                    ids: ColRef::Slot(0),
+                    out: 1,
+                },
+                Step::Free { slot: 0 },
+                Step::Free { slot: 1 },
+            ],
+        );
+        assert!(rules(&v).is_empty(), "{:?}", lint_physical_plan(&v));
     }
 
     #[test]
     fn an_unfreed_column_warns_gl401_anchored_at_its_definition() {
-        let steps = [step(
-            "selection",
-            vec![],
-            vec![col(0, "ids", PlanDtype::U32, true)],
-            vec![],
-        )];
-        let d = lint_physical_plan(&[], &steps);
+        let v = view(
+            &[("t.a", F64)],
+            &[("ids", dev(U32, true))],
+            vec![select(base("t.a"), 0)],
+        );
+        let d = lint_physical_plan(&v);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].rule.id(), "GL401");
         assert_eq!(d[0].events, vec![0]);
     }
 
     #[test]
-    fn borrowed_inputs_are_exempt_from_lifetime_rules() {
-        let inputs = [col(10, "base", PlanDtype::U32, false)];
-        assert!(rules(&inputs, &[]).is_empty());
+    fn borrowed_base_columns_are_exempt_from_lifetime_rules() {
+        let v = view(&[("t.a", U32)], &[], vec![]);
+        assert!(rules(&v).is_empty());
     }
 
     #[test]
     fn dtype_mismatch_is_gl402() {
-        let inputs = [col(10, "keys", PlanDtype::F64, false)];
-        let steps = [step(
-            "grouped_sum",
-            vec![typed(10, PlanDtype::U32)],
-            vec![],
-            vec![],
-        )];
-        assert_eq!(rules(&inputs, &steps), vec!["GL402"]);
+        let v = view(
+            &[("t.k", F64), ("t.v", F64)],
+            &[("keys", dev(U32, true)), ("sums", dev(F64, false))],
+            vec![
+                Step::GroupedSum {
+                    keys: base("t.k"),
+                    vals: base("t.v"),
+                    out_keys: 0,
+                    out_vals: 1,
+                },
+                Step::Free { slot: 0 },
+                Step::Free { slot: 1 },
+            ],
+        );
+        assert_eq!(rules(&v), vec!["GL402"]);
     }
 
     #[test]
     fn fused_arith_over_u32_is_gl405_plain_mismatch_stays_gl402() {
-        let inputs = [
-            col(10, "l_quantity", PlanDtype::U32, false),
-            col(11, "l_price", PlanDtype::F64, false),
-        ];
-        let steps = [step(
-            "fused_filter_agg",
-            vec![fused_f64(10), fused_f64(11)],
-            vec![],
-            vec![],
-        )];
-        let d = lint_physical_plan(&inputs, &steps);
+        let cols = [("l_quantity", U32), ("l_price", F64)];
+        let product = FusedExpr::Mul(Box::new(FusedExpr::Col(0)), Box::new(FusedExpr::Col(1)));
+        let v = view(
+            &cols,
+            &[("revenue", SlotKind::Scalar)],
+            vec![Step::FusedFilterAgg {
+                inputs: vec![base("l_quantity"), base("l_price")],
+                preds: vec![],
+                expr: product,
+                threshold: 0,
+                out: 0,
+            }],
+        );
+        let d = lint_physical_plan(&v);
         assert_eq!(d.len(), 1, "{d:?}");
         assert_eq!(d[0].rule.id(), "GL405");
         assert!(d[0].message.contains("arithmetically"), "{}", d[0].message);
         // The same mismatch without the fused provenance is plain GL402.
-        let steps = [step(
-            "affine",
-            vec![typed(10, PlanDtype::F64)],
-            vec![],
-            vec![],
-        )];
-        assert_eq!(rules(&inputs, &steps), vec!["GL402"]);
+        let v = view(
+            &cols,
+            &[("scaled", dev(F64, false))],
+            vec![
+                Step::Affine {
+                    input: base("l_quantity"),
+                    mul: 2.0,
+                    add: 0.0,
+                    out: 0,
+                },
+                Step::Free { slot: 0 },
+            ],
+        );
+        assert_eq!(rules(&v), vec!["GL402"]);
     }
 
     #[test]
     fn merge_join_on_unsorted_keys_is_gl403() {
-        let inputs = [
-            col(10, "a", PlanDtype::U32, false),
-            col(11, "b", PlanDtype::U32, true),
-        ];
-        let want_sorted = |slot| PlanUse {
-            want_sorted: true,
-            ..typed(slot, PlanDtype::U32)
-        };
-        let steps = [step(
-            "join[Merge]",
-            vec![want_sorted(10), want_sorted(11)],
-            vec![],
-            vec![],
-        )];
+        let v = view(
+            &[("t.a", U32), ("t.b", U32)],
+            &[
+                ("b_ids", dev(U32, true)),
+                ("left", dev(U32, true)),
+                ("right", dev(U32, false)),
+            ],
+            vec![
+                select(base("t.b"), 0),
+                Step::Join {
+                    outer: base("t.a"),
+                    inner: ColRef::Slot(0),
+                    algo: JoinAlgo::Merge,
+                    out_left: 1,
+                    out_right: 2,
+                },
+                Step::Free { slot: 0 },
+                Step::Free { slot: 1 },
+                Step::Free { slot: 2 },
+            ],
+        );
         // Only the unsorted side fires.
-        assert_eq!(rules(&inputs, &steps), vec!["GL403"]);
+        assert_eq!(rules(&v), vec!["GL403"]);
     }
 
     #[test]
-    fn use_after_free_double_free_and_undefined_reads_are_gl404() {
-        let steps = [
-            step(
-                "selection",
-                vec![],
-                vec![col(0, "ids", PlanDtype::U32, true)],
-                vec![],
-            ),
-            step("free", vec![], vec![], vec![0]),
-            step("gather", vec![PlanUse::any(0)], vec![], vec![]), // after free
-            step("free", vec![], vec![], vec![0]),                 // double free
-            step("gather", vec![PlanUse::any(9)], vec![], vec![]), // never defined
-        ];
-        assert_eq!(rules(&[], &steps), vec!["GL404", "GL404", "GL404"]);
-    }
-
-    #[test]
-    fn freeing_a_borrowed_input_is_gl404() {
-        let inputs = [col(10, "base", PlanDtype::U32, false)];
-        let steps = [step("free", vec![], vec![], vec![10])];
-        let d = lint_physical_plan(&inputs, &steps);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule.id(), "GL404");
-        assert!(d[0].message.contains("borrowed input"), "{}", d[0].message);
+    fn use_after_free_double_free_undefined_and_malformed_operands_are_gl404() {
+        let download = |slot| Step::DownloadU32 {
+            input: ColRef::Slot(slot),
+            out: 1,
+        };
+        let v = view(
+            &[("t.a", F64)],
+            &[("ids", dev(U32, true)), ("host", SlotKind::HostU32)],
+            vec![
+                select(base("t.a"), 0),
+                Step::Free { slot: 0 },
+                download(0),            // after free
+                Step::Free { slot: 0 }, // double free
+                download(9),            // never defined, past the slot table
+                // An unbound base column, written past the slot table: a
+                // malformed view is a finding at its step, not a panic.
+                select(base("t.gone"), 3),
+            ],
+        );
+        let found: Vec<_> = lint_physical_plan(&v)
+            .iter()
+            .map(|d| (d.rule.id(), d.events.clone()))
+            .collect();
+        let at = |i| ("GL404", vec![i]);
+        assert_eq!(found, vec![at(2), at(3), at(4), at(5), at(5)]);
     }
 }

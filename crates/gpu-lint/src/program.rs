@@ -73,7 +73,7 @@ pub(crate) fn lint_program(spec: &ProgramSpec) -> Vec<Diagnostic> {
 
     for (i, instr) in spec.instrs.iter().enumerate() {
         let pops = instr.pops();
-        if stack.len() < pops {
+        let Some(base) = stack.len().checked_sub(pops) else {
             diags.push(Diagnostic::new(
                 Rule::StackImbalance,
                 vec![i],
@@ -83,7 +83,9 @@ pub(crate) fn lint_program(spec: &ProgramSpec) -> Vec<Diagnostic> {
                 ),
             ));
             return diags; // everything after an underflow is garbage
-        }
+        };
+        // The instruction's operands, bottom (left-hand) first.
+        let operands = stack.split_off(base);
         match instr {
             InstrSpec::Load { slot } => {
                 let ty = match spec.leaf_dtypes.get(*slot) {
@@ -105,37 +107,26 @@ pub(crate) fn lint_program(spec: &ProgramSpec) -> Vec<Diagnostic> {
                 };
                 stack.push((ty, i));
             }
-            InstrSpec::Unary { op } => {
-                let operand = stack.pop().expect("pops checked");
-                let ty = match op {
-                    UnaryOp::Not => {
-                        check_logical(&mut diags, i, operand);
-                        DType::B8
-                    }
-                    UnaryOp::Neg | UnaryOp::Abs => DType::F64,
-                };
-                stack.push((ty, i));
-            }
-            InstrSpec::Binary { op } => {
-                let rhs = stack.pop().expect("pops checked");
-                let lhs = stack.pop().expect("pops checked");
-                if binary_is_logical(*op) {
-                    check_logical(&mut diags, i, lhs);
-                    check_logical(&mut diags, i, rhs);
-                }
-                stack.push((binary_result(*op), i));
-            }
-            InstrSpec::ScalarRhs { op } | InstrSpec::ScalarLhs { op } => {
-                let operand = stack.pop().expect("pops checked");
-                if binary_is_logical(*op) {
+            InstrSpec::Unary { op: UnaryOp::Not } => {
+                for &operand in &operands {
                     check_logical(&mut diags, i, operand);
                 }
+                stack.push((DType::B8, i));
+            }
+            InstrSpec::Unary {
+                op: UnaryOp::Neg | UnaryOp::Abs,
+            } => stack.push((DType::F64, i)),
+            InstrSpec::Binary { op }
+            | InstrSpec::ScalarRhs { op }
+            | InstrSpec::ScalarLhs { op } => {
+                if binary_is_logical(*op) {
+                    for &operand in &operands {
+                        check_logical(&mut diags, i, operand);
+                    }
+                }
                 stack.push((binary_result(*op), i));
             }
-            InstrSpec::Cast { dtype } => {
-                let _ = stack.pop().expect("pops checked");
-                stack.push((*dtype, i));
-            }
+            InstrSpec::Cast { dtype } => stack.push((*dtype, i)),
         }
         max_depth = max_depth.max(stack.len());
     }

@@ -1,126 +1,51 @@
-//! Recovery-timeline pass: lifecycle invariants of plan-level fault
-//! recovery, checked after a resilient plan execution.
-//!
-//! The input is the crate's own [`RecoveryTimeline`] shape (the same
-//! decoupling [`crate::physplan`] uses for compiled plans), so the
-//! analyzer does not depend on the executor; `bench`'s lint driver
-//! converts `proto_core::resilient_plan::RecoveryLog` losslessly.
-//!
-//! Checks, in one forward walk over the recovery events:
+//! Recovery-log pass (GL5xx): lifecycle invariants of plan-level fault
+//! recovery, checked over the resilient plan executor's own
+//! [`RecoveryLog`] after an execution.
 //!
 //! * **GL501** — a slot is checkpointed *after* it was freed within the
-//!   same execution attempt. A checkpoint of a freed slot would resume
-//!   a retry or fallback from recycled device memory — on real hardware
-//!   that replays garbage into the rest of the plan. [`RecoveryEventKind::
-//!   AttemptStart`] resets the freed-set: a replay attempt (and each
-//!   partition chunk) legitimately re-checkpoints slots the previous
-//!   attempt freed.
+//!   same execution attempt: a resume would replay recycled device
+//!   memory into the rest of the plan. On the [`Liveness`] walk a
+//!   checkpoint defines the slot, `Freed` frees it, and a checkpoint of a
+//!   freed slot is a use after free; `AttemptStart` resets the walk (a
+//!   replay or partition chunk re-checkpoints what the last one freed).
 //! * **GL502** — a retry policy with `max_retries > 0` but a zero
 //!   backoff budget (warning): every retry fires immediately, so a
 //!   persistent transient (a flapping link, a thrashing allocator)
 //!   becomes a retry storm that burns the whole fault window without
 //!   ever giving the device time to recover.
 //!
-//! Diagnostic spans hold *event indices* into the timeline.
+//! Diagnostic spans hold *event indices* into the log.
 
 use crate::diag::{Diagnostic, Rule};
-use std::collections::BTreeSet;
+use crate::liveness::{Access, Liveness};
+use proto_core::resilient_plan::{RecoveryEventKind, RecoveryLog};
 
-/// One recovery action, as the lint sees it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RecoveryEventKind {
-    /// A fresh execution attempt began (first run, retry replay,
-    /// fallback replay, or a partition chunk). Resets slot lifetimes.
-    AttemptStart,
-    /// A step's output slot completed and became part of the
-    /// checkpoint.
-    Checkpoint {
-        /// The checkpointed slot.
-        slot: usize,
-    },
-    /// An explicit plan `Free` released a slot.
-    Freed {
-        /// The freed slot.
-        slot: usize,
-    },
-    /// A transient fault was retried after a backoff.
-    Retry {
-        /// Simulated backoff charged before the replay.
-        backoff_ns: u64,
-    },
-    /// Execution fell back to the next backend lane.
-    Fallback {
-        /// Backend abandoned.
-        from: String,
-        /// Backend taking over.
-        to: String,
-    },
-    /// The plan was re-executed over horizontal partitions.
-    Partition {
-        /// Number of partitions.
-        parts: usize,
-    },
-}
-
-/// One timestamped recovery action.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveryEvent {
-    /// Step index the action anchors to.
-    pub step: usize,
-    /// What happened.
-    pub kind: RecoveryEventKind,
-}
-
-/// The recovery history of one resilient plan execution, plus the
-/// retry-policy facts the GL502 check needs.
-#[derive(Debug, Clone, Default)]
-pub struct RecoveryTimeline {
-    /// `RetryPolicy::max_retries` in force during the execution.
-    pub max_retries: u32,
-    /// Total simulated backoff the policy would charge across a full
-    /// retry ladder (`Σ backoff(attempt)` for `attempt < max_retries`).
-    pub backoff_budget_ns: u64,
-    /// The recovery events, in execution order.
-    pub events: Vec<RecoveryEvent>,
-}
-
-/// Run the recovery-timeline checks. Diagnostic spans are indices into
-/// `timeline.events`.
-pub(crate) fn lint_recovery(timeline: &RecoveryTimeline) -> Vec<Diagnostic> {
+/// Run the recovery-log checks. Diagnostic spans are indices into
+/// `log.events`.
+pub(crate) fn lint_recovery(log: &RecoveryLog) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
 
-    if timeline.max_retries > 0 && timeline.backoff_budget_ns == 0 {
+    if log.max_retries > 0 && log.backoff_budget_ns == 0 {
         diags.push(Diagnostic::new(
             Rule::RetryWithoutBackoff,
             vec![],
             format!(
                 "retry policy allows {} retries with a zero backoff budget: \
                  a persistent transient becomes an immediate retry storm",
-                timeline.max_retries
+                log.max_retries
             ),
         ));
     }
 
-    let mut freed: BTreeSet<usize> = BTreeSet::new();
-    let mut freed_at: Vec<(usize, usize)> = Vec::new(); // (slot, event index)
-    for (i, ev) in timeline.events.iter().enumerate() {
-        match &ev.kind {
-            RecoveryEventKind::AttemptStart => {
-                freed.clear();
-                freed_at.clear();
-            }
+    let mut slots: Liveness<usize> = Liveness::new();
+    for (i, ev) in log.events.iter().enumerate() {
+        match ev.kind {
+            RecoveryEventKind::AttemptStart => slots.reset(),
             RecoveryEventKind::Freed { slot } => {
-                freed.insert(*slot);
-                freed_at.push((*slot, i));
+                slots.free(slot, i);
             }
             RecoveryEventKind::Checkpoint { slot } => {
-                if freed.contains(slot) {
-                    let at = freed_at
-                        .iter()
-                        .rev()
-                        .find(|(s, _)| s == slot)
-                        .map(|&(_, ix)| ix)
-                        .unwrap_or(i);
+                if let Access::Freed(at) = slots.access(slot) {
                     diags.push(Diagnostic::new(
                         Rule::CheckpointAfterFree,
                         vec![at, i],
@@ -131,6 +56,7 @@ pub(crate) fn lint_recovery(timeline: &RecoveryTimeline) -> Vec<Diagnostic> {
                         ),
                     ));
                 }
+                slots.define(slot, i, ());
             }
             RecoveryEventKind::Retry { .. }
             | RecoveryEventKind::Fallback { .. }
@@ -145,36 +71,46 @@ pub(crate) fn lint_recovery(timeline: &RecoveryTimeline) -> Vec<Diagnostic> {
 mod tests {
     use super::*;
     use crate::diag::Severity;
+    use proto_core::resilient_plan::RecoveryEvent;
+    use RecoveryEventKind::{AttemptStart, Checkpoint, Freed};
 
     fn ev(step: usize, kind: RecoveryEventKind) -> RecoveryEvent {
         RecoveryEvent { step, kind }
     }
 
-    fn healthy() -> RecoveryTimeline {
-        RecoveryTimeline {
-            max_retries: 8,
-            backoff_budget_ns: 50_000,
-            events: vec![
-                ev(0, RecoveryEventKind::AttemptStart),
-                ev(0, RecoveryEventKind::Checkpoint { slot: 0 }),
-                ev(1, RecoveryEventKind::Retry { backoff_ns: 50 }),
-                ev(1, RecoveryEventKind::Checkpoint { slot: 1 }),
-                ev(2, RecoveryEventKind::Freed { slot: 0 }),
-                ev(3, RecoveryEventKind::Checkpoint { slot: 2 }),
-            ],
+    fn log(max_retries: u32, backoff_budget_ns: u64, events: Vec<RecoveryEvent>) -> RecoveryLog {
+        RecoveryLog {
+            query: "Q".into(),
+            max_retries,
+            backoff_budget_ns,
+            events,
         }
     }
 
+    fn healthy() -> RecoveryLog {
+        log(
+            8,
+            50_000,
+            vec![
+                ev(0, AttemptStart),
+                ev(0, Checkpoint { slot: 0 }),
+                ev(1, RecoveryEventKind::Retry { backoff_ns: 50 }),
+                ev(1, Checkpoint { slot: 1 }),
+                ev(2, Freed { slot: 0 }),
+                ev(3, Checkpoint { slot: 2 }),
+            ],
+        )
+    }
+
     #[test]
-    fn a_healthy_timeline_is_clean() {
+    fn a_healthy_log_is_clean() {
         assert!(lint_recovery(&healthy()).is_empty());
     }
 
     #[test]
     fn checkpoint_after_free_is_an_error() {
         let mut t = healthy();
-        t.events
-            .push(ev(4, RecoveryEventKind::Checkpoint { slot: 0 }));
+        t.events.push(ev(4, Checkpoint { slot: 0 }));
         let diags = lint_recovery(&t);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule, Rule::CheckpointAfterFree);
@@ -194,42 +130,35 @@ mod tests {
                 to: "Handwritten".into(),
             },
         ));
-        t.events.push(ev(0, RecoveryEventKind::AttemptStart));
-        t.events
-            .push(ev(0, RecoveryEventKind::Checkpoint { slot: 0 }));
+        t.events.push(ev(0, AttemptStart));
+        t.events.push(ev(0, Checkpoint { slot: 0 }));
         assert!(lint_recovery(&t).is_empty());
     }
 
     #[test]
     fn partition_chunks_reuse_slots_without_firing() {
-        let t = RecoveryTimeline {
-            max_retries: 0,
-            backoff_budget_ns: 0,
-            events: vec![
+        let t = log(
+            0,
+            0,
+            vec![
                 ev(0, RecoveryEventKind::Partition { parts: 4 }),
-                ev(0, RecoveryEventKind::AttemptStart),
-                ev(0, RecoveryEventKind::Checkpoint { slot: 0 }),
-                ev(1, RecoveryEventKind::Freed { slot: 0 }),
-                ev(0, RecoveryEventKind::AttemptStart),
-                ev(0, RecoveryEventKind::Checkpoint { slot: 0 }),
+                ev(0, AttemptStart),
+                ev(0, Checkpoint { slot: 0 }),
+                ev(1, Freed { slot: 0 }),
+                ev(0, AttemptStart),
+                ev(0, Checkpoint { slot: 0 }),
             ],
-        };
+        );
         assert!(lint_recovery(&t).is_empty());
     }
 
     #[test]
     fn retries_without_backoff_budget_warn() {
-        let t = RecoveryTimeline {
-            max_retries: 8,
-            backoff_budget_ns: 0,
-            events: vec![],
-        };
-        let diags = lint_recovery(&t);
+        let diags = lint_recovery(&log(8, 0, vec![]));
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule, Rule::RetryWithoutBackoff);
         assert_eq!(diags[0].severity(), Severity::Warning);
         // No retries at all is fine without a budget.
-        let none = RecoveryTimeline::default();
-        assert!(lint_recovery(&none).is_empty());
+        assert!(lint_recovery(&log(0, 0, vec![])).is_empty());
     }
 }

@@ -25,20 +25,24 @@
 //!    must implement the final logical root (aggregate shape, host-sort
 //!    order/limit, join-algorithm legality per Table II — GL706,
 //!    error), and no `Free` may kill a device slot a logical output
-//!    still needs (GL707, error).
+//!    still needs (GL707, error; a use after free on the slot
+//!    [`Liveness`] walk).
 //!
 //! Entry point: [`validate_translation`] over a [`PassTrace`] slice and
-//! a [`PhysView`] of the compiled plan (build one with [`phys_view`]).
+//! a [`PhysView`] of the compiled plan (build one with
+//! [`crate::phys_view`]).
 
 use std::collections::BTreeMap;
 
 use crate::diag::{Diagnostic, Rule};
+use crate::liveness::{Access, Liveness};
+use crate::physplan::{freed_slot, PhysView};
 use proto_core::backend::ColType;
 use proto_core::fused::{FusedExpr, FusedPred};
 use proto_core::logical::{AggExpr, JoinSide, LogicalPlan, ResultOrder};
-use proto_core::ops::{CmpOp, JoinAlgo};
+use proto_core::ops::CmpOp;
 use proto_core::optimizer::{PassTrace, RewriteCert};
-use proto_core::physical::{ColRef, PhysicalPlan, SlotKind, SlotMeta, Step};
+use proto_core::physical::{ColRef, SlotKind, Step};
 use proto_core::plan::{Expr, Predicate};
 
 /// Nominal per-table row count for the cardinality interval lattice.
@@ -48,39 +52,6 @@ const NOMINAL_ROWS: u64 = 1000;
 
 /// Sampling rounds for the GL705 fused-lowering equivalence check.
 const SAMPLE_ROUNDS: u64 = 16;
-
-/// The validator's view of a compiled [`PhysicalPlan`]: the fields the
-/// GL7xx conformance passes read, owned and mutable so hazard-injection
-/// tests can tamper with a plan without touching the planner.
-#[derive(Debug, Clone)]
-pub struct PhysView {
-    /// Backend the plan was compiled for.
-    pub backend: String,
-    /// Join algorithm the planner selected (if the plan joins).
-    pub join_algo: Option<JoinAlgo>,
-    /// Join algorithms Table II allows on this backend.
-    pub supported: Vec<JoinAlgo>,
-    /// The straight-line step program.
-    pub steps: Vec<Step>,
-    /// Slot metadata, parallel to the plan's slot table.
-    pub slots: Vec<SlotMeta>,
-    /// Named output columns: `(logical name, slot)`.
-    pub outputs: Vec<(String, usize)>,
-}
-
-/// Build a [`PhysView`] from a compiled plan plus the backend's
-/// Table-II supported join set (from
-/// [`proto_core::optimizer::supported_joins`]).
-pub fn phys_view(plan: &PhysicalPlan, supported: Vec<JoinAlgo>) -> PhysView {
-    PhysView {
-        backend: plan.backend_name().to_string(),
-        join_algo: plan.join_algo(),
-        supported,
-        steps: plan.steps().to_vec(),
-        slots: plan.slots().to_vec(),
-        outputs: plan.outputs().to_vec(),
-    }
-}
 
 // ---------------------------------------------------------------------
 // Abstract interpretation over LogicalPlan
@@ -1075,35 +1046,37 @@ fn check_conformance(
     }
 }
 
-/// GL707: no `Free` may run before the download that materialises an
-/// output column from the freed slot.
+/// GL707: no step that materialises an output column (its download, a
+/// reduction's scalar) may read a slot an earlier `Free` released.
 fn check_frees(view: &PhysView, diags: &mut Vec<Diagnostic>) {
-    for (name, out_slot) in &view.outputs {
-        let download = view.steps.iter().enumerate().find_map(|(i, s)| match s {
-            Step::DownloadU32 { input, out } | Step::DownloadF64 { input, out }
-                if out == out_slot =>
-            {
-                match input {
-                    ColRef::Slot(src) => Some((i, *src)),
-                    ColRef::Base(_) => None,
+    let mut live: Liveness<usize> = Liveness::new();
+    for (i, step) in view.steps.iter().enumerate() {
+        let output = view
+            .outputs
+            .iter()
+            .find(|(_, o)| step.writes().any(|w| w == *o));
+        if let Some((name, _)) = output {
+            for read in step.reads() {
+                let ColRef::Slot(src) = read.col else {
+                    continue;
+                };
+                if let Access::Freed(at) = live.access(*src) {
+                    diags.push(Diagnostic::new(
+                        Rule::FreedLiveOutput,
+                        vec![at, i],
+                        format!(
+                            "slot %{src} feeding output `{name}` is freed at step #{at}, \
+                             before its download at step #{i}"
+                        ),
+                    ));
                 }
             }
-            _ => None,
-        });
-        let Some((dl_idx, src)) = download else {
-            continue;
-        };
-        for (i, s) in view.steps[..dl_idx].iter().enumerate() {
-            if matches!(s, Step::Free { slot } if *slot == src) {
-                diags.push(Diagnostic::new(
-                    Rule::FreedLiveOutput,
-                    vec![i, dl_idx],
-                    format!(
-                        "slot %{src} feeding output `{name}` is freed at step #{i}, \
-                         before its download at step #{dl_idx}"
-                    ),
-                ));
-            }
+        }
+        for slot in step.writes() {
+            live.define(slot, i, ());
+        }
+        if let Some(slot) = freed_slot(step) {
+            live.free(slot, i);
         }
     }
 }
