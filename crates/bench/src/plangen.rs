@@ -66,9 +66,9 @@ pub(crate) fn random_cmp(rng: &mut Rng) -> CmpOp {
 }
 
 /// One multiplicative factor: a column, an affine map of a column, or a
-/// comparison mask — the shapes `fuse_expr_rel` and `lower_arith` both
-/// accept (column±column sums are unsupported unfused, so the grammar
-/// never emits them).
+/// comparison mask — the shapes both the fused builder and the composed
+/// lowering accept (column±column sums are unsupported unfused, so the
+/// grammar never emits them).
 pub(crate) fn random_factor(rng: &mut Rng) -> Expr {
     let col = F64_COLS[rng.pick(F64_COLS.len())];
     match rng.pick(4) {
@@ -105,13 +105,8 @@ pub(crate) fn random_predicate(rng: &mut Rng, key_domain: u32) -> Predicate {
     Predicate::And(conjs)
 }
 
-/// A full random chain: scan → filter → 1–2 scalar `SUM` aggregates
-/// named `acc0`, `acc1`.
-pub fn random_chain(rng: &mut Rng, key_domain: u32) -> LogicalPlan {
-    let n_aggs = 1 + rng.pick(2);
-    let aggs = (0..n_aggs)
-        .map(|i| (format!("acc{i}"), AggExpr::Sum(random_expr(rng))))
-        .collect::<Vec<_>>();
+/// The generated table: a `u32` key and the three [`F64_COLS`].
+fn table() -> LogicalPlan {
     LogicalPlan::scan(
         "t",
         vec![
@@ -121,10 +116,30 @@ pub fn random_chain(rng: &mut Rng, key_domain: u32) -> LogicalPlan {
             ColumnDecl::f64("c"),
         ],
     )
-    .filter(random_predicate(rng, key_domain))
-    .aggregate(
+}
+
+/// A full random chain: scan → filter → 1–2 scalar `SUM` aggregates
+/// named `acc0`, `acc1`.
+pub fn random_chain(rng: &mut Rng, key_domain: u32) -> LogicalPlan {
+    let n_aggs = 1 + rng.pick(2);
+    let aggs = (0..n_aggs)
+        .map(|i| (format!("acc{i}"), AggExpr::Sum(random_expr(rng))))
+        .collect::<Vec<_>>();
+    table().filter(random_predicate(rng, key_domain)).aggregate(
         None,
         aggs.iter().map(|(n, a)| (n.as_str(), a.clone())).collect(),
+    )
+}
+
+/// A Q6-shaped chain: scan → 1–3 literal conjuncts → exactly one
+/// `SUM(x · y)` named `acc0` over two random value columns (possibly the
+/// same one) — the shape the `FilterSumProduct` fast path takes.
+pub fn q6_shaped_chain(rng: &mut Rng, key_domain: u32) -> LogicalPlan {
+    let x = F64_COLS[rng.pick(F64_COLS.len())];
+    let y = F64_COLS[rng.pick(F64_COLS.len())];
+    table().filter(random_predicate(rng, key_domain)).aggregate(
+        None,
+        vec![("acc0", AggExpr::Sum(Expr::col(x) * Expr::col(y)))],
     )
 }
 

@@ -79,20 +79,27 @@ impl Expr {
     /// *adjacent* repeats, so `price*qty + price` used to report
     /// `price` twice).
     pub fn columns(&self) -> Vec<&str> {
-        let mut out = Vec::new();
-        self.collect_columns(&mut out);
         let mut seen = std::collections::BTreeSet::new();
-        out.retain(|name| seen.insert(*name));
+        let mut out = Vec::new();
+        self.walk(&mut |e| {
+            if let Expr::Col(name) | Expr::Mask(name, _, _) = e {
+                if seen.insert(name.as_str()) {
+                    out.push(name.as_str());
+                }
+            }
+            true
+        });
         out
     }
 
-    fn collect_columns<'a>(&'a self, out: &mut Vec<&'a str>) {
-        match self {
-            Expr::Col(name) | Expr::Mask(name, _, _) => out.push(name),
-            Expr::Lit(_) => {}
-            Expr::Add(a, b) | Expr::Sub(a, b) | Expr::Mul(a, b) => {
-                a.collect_columns(out);
-                b.collect_columns(out);
+    /// Visit the expression tree in pre-order: a node before its
+    /// operands, left operand first. `visit` returns whether to descend
+    /// into the visited node's operands.
+    pub(crate) fn walk<'a>(&'a self, visit: &mut impl FnMut(&'a Expr) -> bool) {
+        if visit(self) {
+            if let Expr::Add(a, b) | Expr::Sub(a, b) | Expr::Mul(a, b) = self {
+                a.walk(visit);
+                b.walk(visit);
             }
         }
     }
