@@ -133,7 +133,7 @@ impl ColumnData {
     /// by the interpreter; no cost implications).
     pub(crate) fn to_f64_vec(&self) -> Vec<f64> {
         match self {
-            ColumnData::F64(b) => gpu_sim::hostmem::take_from_slice(b.host()),
+            ColumnData::F64(b) => b.host().to_vec(),
             ColumnData::U32(b) => {
                 let s = b.host();
                 gpu_sim::par_map_vec(s.len(), |i| f64::from(s[i]))
@@ -212,7 +212,7 @@ pub(crate) fn fill_from_f64(out: Reservation, dtype: DType, v: Vec<f64>) -> Colu
             out.into_buffer(gpu_sim::par_map_vec(v.len(), |i| u8::from(v[i] != 0.0))),
         ),
     };
-    gpu_sim::hostmem::put_vec(v);
+    drop(v);
     col
 }
 

@@ -49,7 +49,7 @@ pub use ops::{
     charge_set_op, charge_sort_by_key, charge_sum_by_key, charge_where, constant, lookup, scan,
     set_intersect, set_union, sort, sort_by_key, sum, sum_by_key, where_,
 };
-pub use program::{InstrSpec, Program, ProgramSpec};
+pub use program::{Program, ProgramSpec};
 
 /// Kernel-name prefix for device statistics.
 pub const KERNEL_PREFIX: &str = "af";

@@ -56,7 +56,7 @@ pub fn charge_where(af: &Arc<Backend>, n: usize, kept: usize) -> Result<Reservat
 /// index is stored and the store kept only if the element qualifies, so a
 /// 50 % selectivity costs no mispredictions.
 fn indices_where<T>(vals: &[T], keep: impl Fn(&T) -> bool) -> Vec<u32> {
-    let mut out: Vec<u32> = gpu_sim::hostmem::take_scratch(vals.len());
+    let mut out: Vec<u32> = vec![0; vals.len()];
     let mut len = 0;
     for (i, v) in vals.iter().enumerate() {
         out[len] = i as u32;
@@ -200,7 +200,7 @@ pub fn sort(a: &Array) -> Result<Array> {
     // column as sorting the f64 lanes (at half the passes for u32).
     let sorted = match &*col {
         crate::dtype::ColumnData::U32(b) => {
-            let mut v = gpu_sim::hostmem::take_from_slice(b.host());
+            let mut v = b.host().to_vec();
             gpu_sim::hostexec::sort_keys(&mut v);
             crate::dtype::ColumnData::from_u32(device, v)?
         }
@@ -233,8 +233,8 @@ pub fn sort_by_key(keys: &Array, vals: &Array) -> Result<(Array, Array)> {
     // order matches the native one exactly.
     if let (crate::dtype::ColumnData::U32(kb), crate::dtype::ColumnData::F64(vb)) = (&*kcol, &*vcol)
     {
-        let mut ks = gpu_sim::hostmem::take_from_slice(kb.host());
-        let mut vs = gpu_sim::hostmem::take_from_slice(vb.host());
+        let mut ks = kb.host().to_vec();
+        let mut vs = vb.host().to_vec();
         gpu_sim::hostexec::sort_pairs(&mut ks, &mut vs);
         return Ok((af.fill_u32(kout, ks)?, af.fill_f64(vout, vs)?));
     }
@@ -427,7 +427,7 @@ fn set_op(a: &Array, b: &Array, intersect: bool) -> Result<Array> {
     } else {
         xs.len() + ys.len()
     };
-    let mut out: Vec<u32> = gpu_sim::hostmem::take_scratch(bound);
+    let mut out: Vec<u32> = vec![0; bound];
     let (mut i, mut j, mut len) = (0, 0, 0);
     while i < xs.len() && j < ys.len() {
         let (x, y) = (xs[i], ys[j]);

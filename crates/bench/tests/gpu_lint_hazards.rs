@@ -12,8 +12,9 @@
 //! and requires zero diagnostics (modulo the documented waiver table) —
 //! the no-false-positive half of the contract.
 
-use arrayfire_sim::{BinaryOp, DType, InstrSpec, ProgramSpec};
+use arrayfire_sim::{BinaryOp, DType, ProgramSpec};
 use gpu_lint::{PlanTask, Rule};
+use gpu_sim::hostexec::expr::Instr;
 use gpu_sim::{BufferId, KernelIo, TraceEvent, TraceKind};
 
 const SEEDS: [u64; 6] = [1, 2, 3, 5, 8, 13];
@@ -281,7 +282,7 @@ fn injected_stack_imbalance_is_flagged() {
         // Extra operand: the stack ends with two values.
         let mut p = base.clone();
         let pos = rng.pick(p.instrs.len() + 1);
-        p.instrs.insert(pos, InstrSpec::Load { slot: 0 });
+        p.instrs.insert(pos, Instr::Load(0));
         p.declared_stack_depth += 1; // isolate GL201 from GL205
         let d = gpu_lint::lint_program("mutated", &p);
         let hit = d
@@ -298,7 +299,7 @@ fn injected_stack_imbalance_is_flagged() {
             .instrs
             .iter()
             .enumerate()
-            .filter_map(|(i, ins)| matches!(ins, InstrSpec::Load { .. }).then_some(i))
+            .filter_map(|(i, ins)| matches!(ins, Instr::Load(_)).then_some(i))
             .collect();
         p.instrs.remove(loads[rng.pick(loads.len())]);
         let d = gpu_lint::lint_program("mutated", &p);
@@ -320,12 +321,10 @@ fn injected_unbound_leaf_is_flagged() {
             .instrs
             .iter()
             .enumerate()
-            .filter_map(|(i, ins)| matches!(ins, InstrSpec::Load { .. }).then_some(i))
+            .filter_map(|(i, ins)| matches!(ins, Instr::Load(_)).then_some(i))
             .collect();
         let site = loads[rng.pick(loads.len())];
-        p.instrs[site] = InstrSpec::Load {
-            slot: p.leaf_dtypes.len() + rng.pick(3),
-        };
+        p.instrs[site] = Instr::Load(p.leaf_dtypes.len() + rng.pick(3));
         let d = gpu_lint::lint_program("mutated", &p);
         assert!(
             d.diagnostics
@@ -352,14 +351,14 @@ fn injected_dtype_mismatch_is_flagged() {
             .iter()
             .enumerate()
             .filter_map(|(i, ins)| {
-                (matches!(ins, InstrSpec::Binary { op: BinaryOp::And })
+                (matches!(ins, Instr::Binary(BinaryOp::And))
                     && i > 0
-                    && matches!(p.instrs[i - 1], InstrSpec::ScalarRhs { .. }))
+                    && matches!(p.instrs[i - 1], Instr::ScalarRhs(..)))
                 .then_some(i)
             })
             .collect();
         let and = ands[rng.pick(ands.len())];
-        p.instrs[and - 1] = InstrSpec::ScalarRhs { op: BinaryOp::Add };
+        p.instrs[and - 1] = Instr::ScalarRhs(BinaryOp::Add, 0.0);
         let d = gpu_lint::lint_program("mutated", &p);
         assert!(
             d.diagnostics

@@ -271,29 +271,13 @@ pub mod cache {
         })
     }
 
-    /// Retention budget in bytes. Entries are dropped oldest-first once
-    /// the total exceeds it; columns still referenced by callers stay
-    /// alive through their own `Arc`s, the cache merely forgets them.
-    /// Unbounded retention shows up as host page-fault overhead late in
-    /// a long run, so the default keeps roughly one experiment's working
-    /// set resident. Override with `GPU_SIM_CACHE_BUDGET_MB`: whole
-    /// mebibytes, surrounding whitespace ignored, 0 = keep everything; a
-    /// value that is not a non-negative integer falls back to the default
-    /// 128, like an unset variable.
-    fn budget_bytes() -> usize {
-        static BUDGET: OnceLock<usize> = OnceLock::new();
-        *BUDGET
-            .get_or_init(|| parse_budget(std::env::var("GPU_SIM_CACHE_BUDGET_MB").ok().as_deref()))
-    }
-
-    /// [`budget_bytes`] of the variable's raw value.
-    pub(super) fn parse_budget(raw: Option<&str>) -> usize {
-        match raw.and_then(|v| v.trim().parse::<usize>().ok()) {
-            Some(0) => usize::MAX,
-            Some(mb) => mb << 20,
-            None => 128 << 20,
-        }
-    }
+    /// Retention budget in bytes (128 MiB). Entries are dropped
+    /// oldest-first once the total exceeds it; columns still referenced
+    /// by callers stay alive through their own `Arc`s, the cache merely
+    /// forgets them. Unbounded retention shows up as host page-fault
+    /// overhead late in a long run, so the budget keeps roughly one
+    /// experiment's working set resident.
+    const BUDGET_BYTES: usize = 128 << 20;
 
     fn slot(key: Key) -> Slot {
         let mut st = store().lock().unwrap();
@@ -306,7 +290,7 @@ pub mod cache {
         let mut st = store().lock().unwrap();
         st.bytes += bytes;
         st.order.push_back((key, bytes));
-        while st.bytes > budget_bytes() && st.order.len() > 1 {
+        while st.bytes > BUDGET_BYTES && st.order.len() > 1 {
             let (old, sz) = st.order.pop_front().unwrap();
             st.slots.remove(&old);
             st.bytes -= sz;
@@ -600,16 +584,6 @@ mod tests {
         assert!(t1 < t2);
         let (plain, thr) = selectivity_column(500, 0.1, SEED);
         assert_eq!((&*c1, t1), (&plain, thr));
-    }
-
-    #[test]
-    fn cache_budget_override_ignores_whitespace_and_falls_back_on_garbage() {
-        assert_eq!(cache::parse_budget(Some("64")), 64 << 20);
-        assert_eq!(cache::parse_budget(Some(" 64\n")), 64 << 20);
-        assert_eq!(cache::parse_budget(Some("0")), usize::MAX);
-        for fallback in [None, Some(""), Some("lots"), Some("-1")] {
-            assert_eq!(cache::parse_budget(fallback), 128 << 20);
-        }
     }
 
     use rand::distributions::WeightedIndex;

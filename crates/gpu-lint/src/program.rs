@@ -20,7 +20,8 @@
 //! concrete offending dtype.
 
 use crate::diag::{Diagnostic, Rule};
-use arrayfire_sim::{BinaryOp, DType, InstrSpec, ProgramSpec, UnaryOp};
+use arrayfire_sim::{BinaryOp, DType, ProgramSpec, UnaryOp};
+use gpu_sim::hostexec::expr::{Cast, Instr};
 
 /// Abstract stack dtype — the type of the value in the generated kernel.
 type AbstractTy = DType;
@@ -72,7 +73,11 @@ pub(crate) fn lint_program(spec: &ProgramSpec) -> Vec<Diagnostic> {
     };
 
     for (i, instr) in spec.instrs.iter().enumerate() {
-        let pops = instr.pops();
+        let pops = match instr {
+            Instr::Load(_) => 0,
+            Instr::Binary(_) => 2,
+            _ => 1,
+        };
         let Some(base) = stack.len().checked_sub(pops) else {
             diags.push(Diagnostic::new(
                 Rule::StackImbalance,
@@ -87,7 +92,7 @@ pub(crate) fn lint_program(spec: &ProgramSpec) -> Vec<Diagnostic> {
         // The instruction's operands, bottom (left-hand) first.
         let operands = stack.split_off(base);
         match instr {
-            InstrSpec::Load { slot } => {
+            Instr::Load(slot) => {
                 let ty = match spec.leaf_dtypes.get(*slot) {
                     Some(&dt) => {
                         loaded[*slot] = true;
@@ -107,18 +112,14 @@ pub(crate) fn lint_program(spec: &ProgramSpec) -> Vec<Diagnostic> {
                 };
                 stack.push((ty, i));
             }
-            InstrSpec::Unary { op: UnaryOp::Not } => {
+            Instr::Unary(UnaryOp::Not) => {
                 for &operand in &operands {
                     check_logical(&mut diags, i, operand);
                 }
                 stack.push((DType::B8, i));
             }
-            InstrSpec::Unary {
-                op: UnaryOp::Neg | UnaryOp::Abs,
-            } => stack.push((DType::F64, i)),
-            InstrSpec::Binary { op }
-            | InstrSpec::ScalarRhs { op }
-            | InstrSpec::ScalarLhs { op } => {
+            Instr::Unary(UnaryOp::Neg | UnaryOp::Abs) => stack.push((DType::F64, i)),
+            Instr::Binary(op) | Instr::ScalarRhs(op, _) | Instr::ScalarLhs(op, _) => {
                 if binary_is_logical(*op) {
                     for &operand in &operands {
                         check_logical(&mut diags, i, operand);
@@ -126,7 +127,14 @@ pub(crate) fn lint_program(spec: &ProgramSpec) -> Vec<Diagnostic> {
                 }
                 stack.push((binary_result(*op), i));
             }
-            InstrSpec::Cast { dtype } => stack.push((*dtype, i)),
+            Instr::Cast(to) => stack.push((
+                match to {
+                    Cast::F64 => DType::F64,
+                    Cast::U32 => DType::U32,
+                    Cast::B8 => DType::B8,
+                },
+                i,
+            )),
         }
         max_depth = max_depth.max(stack.len());
     }
@@ -168,7 +176,7 @@ pub(crate) fn lint_program(spec: &ProgramSpec) -> Vec<Diagnostic> {
 mod tests {
     use super::*;
 
-    fn spec(instrs: Vec<InstrSpec>, leaves: Vec<DType>, depth: usize) -> ProgramSpec {
+    fn spec(instrs: Vec<Instr>, leaves: Vec<DType>, depth: usize) -> ProgramSpec {
         ProgramSpec {
             instrs,
             leaf_dtypes: leaves,
@@ -185,11 +193,11 @@ mod tests {
         // (a < s) && (b >= s): the shape Q6 predicates compile to.
         let p = spec(
             vec![
-                InstrSpec::Load { slot: 0 },
-                InstrSpec::ScalarRhs { op: BinaryOp::Lt },
-                InstrSpec::Load { slot: 1 },
-                InstrSpec::ScalarRhs { op: BinaryOp::Ge },
-                InstrSpec::Binary { op: BinaryOp::And },
+                Instr::Load(0),
+                Instr::ScalarRhs(BinaryOp::Lt, 0.0),
+                Instr::Load(1),
+                Instr::ScalarRhs(BinaryOp::Ge, 0.0),
+                Instr::Binary(BinaryOp::And),
             ],
             vec![DType::F64, DType::F64],
             2,
@@ -229,21 +237,13 @@ mod tests {
 
     #[test]
     fn underflow_is_caught_and_analysis_stops() {
-        let p = spec(
-            vec![InstrSpec::Binary { op: BinaryOp::Add }],
-            vec![DType::F64],
-            4,
-        );
+        let p = spec(vec![Instr::Binary(BinaryOp::Add)], vec![DType::F64], 4);
         assert_eq!(rules(&p), vec!["GL201"]);
     }
 
     #[test]
     fn leftover_stack_values_are_an_imbalance() {
-        let p = spec(
-            vec![InstrSpec::Load { slot: 0 }, InstrSpec::Load { slot: 0 }],
-            vec![DType::F64],
-            4,
-        );
+        let p = spec(vec![Instr::Load(0), Instr::Load(0)], vec![DType::F64], 4);
         let d = lint_program(&p);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].rule.id(), "GL201");
@@ -252,18 +252,14 @@ mod tests {
 
     #[test]
     fn unbound_leaf_slot_errors() {
-        let p = spec(vec![InstrSpec::Load { slot: 3 }], vec![DType::F64], 4);
+        let p = spec(vec![Instr::Load(3)], vec![DType::F64], 4);
         assert_eq!(rules(&p), vec!["GL202", "GL204"]);
     }
 
     #[test]
     fn logical_over_numeric_warns_with_producer_span() {
         let p = spec(
-            vec![
-                InstrSpec::Load { slot: 0 },
-                InstrSpec::Load { slot: 1 },
-                InstrSpec::Binary { op: BinaryOp::And },
-            ],
+            vec![Instr::Load(0), Instr::Load(1), Instr::Binary(BinaryOp::And)],
             vec![DType::B8, DType::F64],
             4,
         );
@@ -277,19 +273,16 @@ mod tests {
     fn not_over_numeric_warns_but_comparisons_launder() {
         let clean = spec(
             vec![
-                InstrSpec::Load { slot: 0 },
-                InstrSpec::ScalarRhs { op: BinaryOp::Gt },
-                InstrSpec::Unary { op: UnaryOp::Not },
+                Instr::Load(0),
+                Instr::ScalarRhs(BinaryOp::Gt, 0.0),
+                Instr::Unary(UnaryOp::Not),
             ],
             vec![DType::F64],
             4,
         );
         assert!(rules(&clean).is_empty());
         let dirty = spec(
-            vec![
-                InstrSpec::Load { slot: 0 },
-                InstrSpec::Unary { op: UnaryOp::Not },
-            ],
+            vec![Instr::Load(0), Instr::Unary(UnaryOp::Not)],
             vec![DType::F64],
             4,
         );
@@ -303,10 +296,7 @@ mod tests {
     #[test]
     fn typed_lanes_name_concrete_dtypes_and_casts_launder() {
         let dirty = spec(
-            vec![
-                InstrSpec::Load { slot: 0 },
-                InstrSpec::Unary { op: UnaryOp::Not },
-            ],
+            vec![Instr::Load(0), Instr::Unary(UnaryOp::Not)],
             vec![DType::U32],
             4,
         );
@@ -317,10 +307,10 @@ mod tests {
 
         let clean = spec(
             vec![
-                InstrSpec::Load { slot: 0 },
-                InstrSpec::Cast { dtype: DType::B8 },
-                InstrSpec::Load { slot: 1 },
-                InstrSpec::Binary { op: BinaryOp::And },
+                Instr::Load(0),
+                Instr::Cast(Cast::B8),
+                Instr::Load(1),
+                Instr::Binary(BinaryOp::And),
             ],
             vec![DType::U32, DType::B8],
             4,
@@ -330,11 +320,7 @@ mod tests {
 
     #[test]
     fn dead_leaf_slot_warns() {
-        let p = spec(
-            vec![InstrSpec::Load { slot: 0 }],
-            vec![DType::F64, DType::U32],
-            4,
-        );
+        let p = spec(vec![Instr::Load(0)], vec![DType::F64, DType::U32], 4);
         let d = lint_program(&p);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].rule.id(), "GL204");
@@ -344,11 +330,7 @@ mod tests {
     #[test]
     fn depth_above_declared_reserve_errors() {
         let p = spec(
-            vec![
-                InstrSpec::Load { slot: 0 },
-                InstrSpec::Load { slot: 0 },
-                InstrSpec::Binary { op: BinaryOp::Add },
-            ],
+            vec![Instr::Load(0), Instr::Load(0), Instr::Binary(BinaryOp::Add)],
             vec![DType::F64],
             1,
         );

@@ -175,7 +175,7 @@ impl<T: DeviceCopy> Drop for DeviceBuffer<T> {
         // Recycle the host storage: faulting fresh pages for the next
         // buffer is far more expensive than reusing these warm ones. The
         // reservation frees the device memory when it drops right after.
-        crate::hostmem::put_vec(std::mem::take(&mut self.data));
+        drop(std::mem::take(&mut self.data));
     }
 }
 

@@ -207,7 +207,7 @@ impl Device {
     ) -> Result<DeviceBuffer<T>> {
         let bytes = (len * std::mem::size_of::<T>()) as u64;
         let res = self.reserve(bytes, policy, false)?;
-        Ok(res.into_buffer(crate::hostmem::take_zeroed(len)))
+        Ok(res.into_buffer(vec![T::default(); len]))
     }
 
     /// Allocate a buffer initialised from host data **without** charging a
@@ -319,7 +319,7 @@ impl Device {
         host: &[T],
         policy: AllocPolicy,
     ) -> Result<DeviceBuffer<T>> {
-        let buf = self.buffer_from_vec(crate::hostmem::take_from_slice(host), policy)?;
+        let buf = self.buffer_from_vec(host.to_vec(), policy)?;
         let (bytes, id) = (buf.size_bytes(), buf.id());
         let kind = TraceKind::HtoD { bytes, buf: id };
         self.transfer(FaultSite::HtoD, Direction::HostToDevice, bytes, kind)?;
@@ -338,7 +338,7 @@ impl Device {
     /// calls do to materialise intermediates).
     pub fn dtod<T: DeviceCopy>(self: &Arc<Self>, src: &DeviceBuffer<T>) -> Result<DeviceBuffer<T>> {
         let res = self.reserve_dtod(src)?;
-        Ok(res.into_buffer(crate::hostmem::take_from_slice(src.host())))
+        Ok(res.into_buffer(src.host().to_vec()))
     }
 
     /// Everything [`Device::dtod`] does on the device — allocation, the

@@ -442,7 +442,7 @@ pub fn charge_reduce_by_key<K: DeviceCopy, V: DeviceCopy>(
 /// (predicate flags → output offsets) and the *Prefix Sum* operator itself.
 pub fn exclusive_scan(lib: &impl Launch, src: &Vector<u32>, init: u32) -> Result<Vector<u32>> {
     let out = charge_exclusive_scan::<u32>(lib, src.len(), src.id())?;
-    let mut data: Vec<u32> = crate::hostmem::take_scratch(src.len());
+    let mut data: Vec<u32> = vec![0; src.len()];
     let mut acc = init;
     for (o, &x) in data.iter_mut().zip(src.as_slice()) {
         *o = acc;

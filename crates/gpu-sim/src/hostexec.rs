@@ -236,15 +236,14 @@ pub(crate) fn par_map_into<T: Send>(out: &mut [T], min_seq: usize, f: impl Fn(us
 
 /// Build a `Vec` of `len` elements with `out[i] = f(i)`, parallel at fixed
 /// chunk granularity. Convenience over `par_map_into` for the common
-/// "compute a fresh output column" shape. The output storage comes from
-/// the host-memory recycler ([`crate::hostmem`]) and every element is
-/// written exactly once — no zero-then-overwrite, no fresh page faults —
-/// and is `f(i)` regardless of the thread count.
+/// "compute a fresh output column" shape. The output storage is recycled
+/// by [`crate::hostalloc`]'s free lists (no fresh page faults) and every
+/// element is `f(i)` regardless of the thread count.
 pub fn par_map_vec<T: Copy + Send + Default + 'static>(
     len: usize,
     f: impl Fn(usize) -> T + Sync,
 ) -> Vec<T> {
-    let mut out = crate::hostmem::take_scratch(len);
+    let mut out = vec![T::default(); len];
     par_map_into(&mut out, DEFAULT_MIN_SEQ, f);
     out
 }
@@ -261,7 +260,7 @@ pub fn gather<T>(src: &[T], idx: &[u32]) -> Result<Vec<T>>
 where
     T: Copy + Default + Send + Sync + 'static,
 {
-    let mut out: Vec<T> = crate::hostmem::take_scratch(idx.len());
+    let mut out: Vec<T> = vec![T::default(); idx.len()];
     // Relaxed: read after the region has ended, which publishes it.
     let first_bad = AtomicUsize::new(usize::MAX);
     par_chunks_mut(&mut out, DEFAULT_MIN_SEQ, |base, chunk| {

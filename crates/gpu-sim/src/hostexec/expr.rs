@@ -30,7 +30,6 @@
 
 use super::select::{count, fill_flags, RowPred};
 use super::{par_chunks_mut, par_map_chunks, Lane, DEFAULT_MIN_SEQ};
-use crate::hostmem;
 use std::ops::Range;
 
 /// Rows per register window: a handful of registers stay in L1.
@@ -281,7 +280,7 @@ impl Program {
 
     /// The register file of one worker.
     fn registers(&self) -> Vec<f64> {
-        hostmem::take_scratch(self.depth * WINDOW)
+        vec![0.0; self.depth * WINDOW]
     }
 
     /// Every leaf the program loads is bound and covers `len` rows.
@@ -407,7 +406,7 @@ fn cast(to: Cast, reg: &mut [f64]) {
 /// rows (callers validate operands first).
 pub fn map<T: Store>(prog: &Program, leaves: &[Leaf<'_>], len: usize) -> Vec<T> {
     prog.check(leaves, len);
-    let mut out: Vec<T> = hostmem::take_scratch(len);
+    let mut out: Vec<T> = vec![T::default(); len];
     par_chunks_mut(&mut out, DEFAULT_MIN_SEQ, |base, chunk| {
         let mut regs = prog.registers();
         for (k, window) in chunk.chunks_mut(WINDOW).enumerate() {
@@ -417,7 +416,7 @@ pub fn map<T: Store>(prog: &Program, leaves: &[Leaf<'_>], len: usize) -> Vec<T> 
                 *o = T::from_f64(x);
             }
         }
-        hostmem::put_vec(regs);
+        drop(regs);
     });
     out
 }
@@ -439,7 +438,7 @@ pub fn filter_sum(
     if preds.is_empty() {
         let all: Vec<f64> = map(prog, leaves, len);
         let total = all.iter().fold(seed, add);
-        hostmem::put_vec(all);
+        drop(all);
         return total;
     }
     prog.check(leaves, len);
@@ -457,19 +456,19 @@ fn survivors(
     preds: &[RowPred<'_>],
     rows: Range<usize>,
 ) -> Vec<f64> {
-    let mut flags: Vec<u8> = hostmem::take_scratch(rows.len());
+    let mut flags: Vec<u8> = vec![0; rows.len()];
     fill_flags(&preds[0], rows.clone(), &mut flags);
     if preds.len() > 1 {
-        let mut next: Vec<u8> = hostmem::take_scratch(rows.len());
+        let mut next: Vec<u8> = vec![0; rows.len()];
         for p in &preds[1..] {
             fill_flags(p, rows.clone(), &mut next);
             for (f, &g) in flags.iter_mut().zip(&next) {
                 *f &= g;
             }
         }
-        hostmem::put_vec(next);
+        drop(next);
     }
-    let mut out: Vec<f64> = hostmem::take_scratch(count(&flags));
+    let mut out: Vec<f64> = vec![0.0; count(&flags)];
     let mut regs = prog.registers();
     let (mut at, mut start) = (0, rows.start);
     for window in flags.chunks(WINDOW) {
@@ -491,7 +490,7 @@ fn survivors(
         }
         start += window.len();
     }
-    hostmem::put_vec(regs);
-    hostmem::put_vec(flags);
+    drop(regs);
+    drop(flags);
     out
 }

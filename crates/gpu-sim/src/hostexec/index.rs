@@ -16,7 +16,6 @@
 //! their `f64` sums are the same bits whichever internal path ran.
 
 use super::{for_each_owned, piece_range, region_workers, sort_pairs, DEFAULT_MIN_SEQ, PAR_CHUNK};
-use crate::hostmem;
 
 /// `2^64 / φ`: multiplying by it spreads consecutive keys evenly over the
 /// top bits (Knuth's multiplicative hashing).
@@ -134,7 +133,7 @@ impl RowLists {
     fn build(keys: &[u32]) -> (KeyIndex, RowLists) {
         assert!(keys.len() < NONE as usize, "more rows than u32 row ids");
         let mut index = KeyIndex::with_capacity(keys.len());
-        let mut group_of_row: Vec<u32> = hostmem::take_scratch(keys.len());
+        let mut group_of_row: Vec<u32> = vec![0; keys.len()];
         let mut starts: Vec<u32> = vec![0];
         for (g, &k) in group_of_row.iter_mut().zip(keys) {
             *g = index.insert(k);
@@ -151,7 +150,7 @@ impl RowLists {
         // The fill uses slot `g` as group `g`'s cursor and leaves it at the
         // group's end — the next group's start; one rotation puts every
         // offset back in its own slot.
-        let mut rows: Vec<u32> = hostmem::take_scratch(keys.len());
+        let mut rows: Vec<u32> = vec![0; keys.len()];
         for (row, &g) in group_of_row.iter().enumerate() {
             let at = &mut starts[g as usize];
             rows[*at as usize] = row as u32;
@@ -159,7 +158,7 @@ impl RowLists {
         }
         starts.rotate_right(1);
         starts[0] = 0;
-        hostmem::put_vec(group_of_row);
+        drop(group_of_row);
         (index, RowLists { starts, rows })
     }
 
@@ -193,7 +192,7 @@ pub fn equi_join(outer: &[u32], inner: &[u32]) -> (Vec<u32>, Vec<u32>) {
     let workers = region_workers(outer.len(), DEFAULT_MIN_SEQ, n_chunks);
 
     // Probe: each outer row's group, and each chunk's number of matches.
-    let mut groups: Vec<u32> = hostmem::take_scratch(outer.len());
+    let mut groups: Vec<u32> = vec![0; outer.len()];
     let mut matches = vec![0usize; n_chunks];
     let probes = groups.chunks_mut(PAR_CHUNK).zip(&mut matches).collect();
     for_each_owned(
@@ -210,8 +209,8 @@ pub fn equi_join(outer: &[u32], inner: &[u32]) -> (Vec<u32>, Vec<u32>) {
 
     // Fill: one exactly-sized output window per chunk, in chunk order.
     let total = matches.iter().sum();
-    let mut left: Vec<u32> = hostmem::take_scratch(total);
-    let mut right: Vec<u32> = hostmem::take_scratch(total);
+    let mut left: Vec<u32> = vec![0; total];
+    let mut right: Vec<u32> = vec![0; total];
     let mut windows = Vec::with_capacity(n_chunks);
     let (mut rest_l, mut rest_r) = (&mut left[..], &mut right[..]);
     for &m in &matches {
@@ -231,7 +230,7 @@ pub fn equi_join(outer: &[u32], inner: &[u32]) -> (Vec<u32>, Vec<u32>) {
             }
         }
     });
-    hostmem::put_vec(groups);
+    drop(groups);
     (left, right)
 }
 
@@ -379,7 +378,7 @@ fn direct_fold<A: Fold>(
     empty: A,
 ) -> (Vec<u32>, Vec<A>) {
     let mut table = vec![empty; range];
-    let mut seen: Vec<u8> = hostmem::take_zeroed(range);
+    let mut seen: Vec<u8> = vec![0; range];
     for (&k, &v) in keys.iter().zip(vals) {
         let at = (k - min) as usize;
         table[at].add(v);
@@ -392,7 +391,7 @@ fn direct_fold<A: Fold>(
         out_keys.push(min + at as u32);
         out.push(table[at]);
     }
-    hostmem::put_vec(seen);
+    drop(seen);
     (out_keys, out)
 }
 
@@ -423,8 +422,8 @@ fn hash_fold<A: Fold>(keys: &[u32], vals: &[f64], empty: A) -> Option<(Vec<u32>,
 /// Stable sort by key — equal keys stay in row order — then one fold per
 /// run of equal keys.
 fn sort_fold<A: Fold>(keys: &[u32], vals: &[f64], empty: A) -> (Vec<u32>, Vec<A>) {
-    let mut keys = hostmem::take_from_slice(keys);
-    let mut vals = hostmem::take_from_slice(vals);
+    let mut keys = keys.to_vec();
+    let mut vals = vals.to_vec();
     sort_pairs(&mut keys, &mut vals);
     let groups = keys.windows(2).filter(|w| w[0] != w[1]).count() + usize::from(!keys.is_empty());
     let mut out_keys = Vec::with_capacity(groups);
@@ -444,7 +443,7 @@ fn sort_fold<A: Fold>(keys: &[u32], vals: &[f64], empty: A) -> (Vec<u32>, Vec<A>
         out_keys.push(key);
         out.push(acc);
     }
-    hostmem::put_vec(keys);
-    hostmem::put_vec(vals);
+    drop(keys);
+    drop(vals);
     (out_keys, out)
 }

@@ -190,8 +190,8 @@ fn radix_sort<K: RadixKey, V: Copy + Send + Sync + 'static>(keys: &mut [K], vals
     let Some(mask) = varying_bits(keys, workers) else {
         return; // in order already: the stable permutation is the identity
     };
-    let mut scratch_k = crate::hostmem::take_from_slice(keys);
-    let mut scratch_v = crate::hostmem::take_from_slice(vals);
+    let mut scratch_k = keys.to_vec();
+    let mut scratch_v = vals.to_vec();
     let window = Window {
         keys,
         vals,
@@ -199,8 +199,8 @@ fn radix_sort<K: RadixKey, V: Copy + Send + Sync + 'static>(keys: &mut [K], vals
         tmp_v: &mut scratch_v[..],
     };
     sort_window(window, false, mask, workers);
-    crate::hostmem::put_vec(scratch_k);
-    crate::hostmem::put_vec(scratch_v);
+    drop(scratch_k);
+    drop(scratch_v);
 }
 
 /// Blocks a pass over `n` rows is cut into on `workers` threads.

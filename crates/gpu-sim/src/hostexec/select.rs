@@ -14,7 +14,6 @@
 //! predicate as a closure.
 
 use super::{for_each_owned, piece_range, region_workers, DEFAULT_MIN_SEQ, PAR_CHUNK};
-use crate::hostmem;
 use std::ops::Range;
 
 /// A comparison between two `f64`-widened operands.
@@ -128,7 +127,7 @@ pub fn select_rows(preds: &[RowPred<'_>], all: bool) -> Selected {
         each[0] = count(flags);
         prefix[0] = each[0];
         if preds.len() > 1 {
-            let mut next: Vec<u8> = hostmem::take_scratch(flags.len());
+            let mut next: Vec<u8> = vec![0; flags.len()];
             for (j, p) in preds.iter().enumerate().skip(1) {
                 fill_flags(p, rows.clone(), &mut next);
                 each[j] = count(&next);
@@ -137,7 +136,7 @@ pub fn select_rows(preds: &[RowPred<'_>], all: bool) -> Selected {
                 }
                 prefix[j] = count(flags);
             }
-            hostmem::put_vec(next);
+            drop(next);
         }
         counts
     });
@@ -185,7 +184,7 @@ fn compact<C: Send>(
     let workers = region_workers(n, DEFAULT_MIN_SEQ, n_chunks);
 
     // Flag: one byte per row, and each chunk's number of survivors.
-    let mut flags: Vec<u8> = hostmem::take_scratch(n);
+    let mut flags: Vec<u8> = vec![0; n];
     let mut found: Vec<Option<(usize, C)>> = (0..n_chunks).map(|_| None).collect();
     let chunks = flags.chunks_mut(PAR_CHUNK).zip(&mut found).collect();
     for_each_owned(
@@ -204,7 +203,7 @@ fn compact<C: Send>(
         .unzip();
 
     // Fill: one exactly-sized output window per chunk, in chunk order.
-    let mut ids: Vec<u32> = hostmem::take_scratch(kept.iter().sum());
+    let mut ids: Vec<u32> = vec![0; kept.iter().sum()];
     let mut windows = Vec::with_capacity(n_chunks);
     let mut rest = &mut ids[..];
     for &k in &kept {
@@ -224,7 +223,7 @@ fn compact<C: Send>(
             at += usize::from(flag);
         }
     });
-    hostmem::put_vec(flags);
+    drop(flags);
     (ids, extras)
 }
 

@@ -69,7 +69,6 @@ pub mod error;
 pub mod fault;
 pub mod hostalloc;
 pub mod hostexec;
-pub mod hostmem;
 
 /// Recycle large host blocks process-wide — every binary in the
 /// workspace links `gpu-sim`, so the whole simulator benefits. See
