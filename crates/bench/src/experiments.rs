@@ -37,6 +37,7 @@ use proto_core::framework::Framework;
 use proto_core::ops::Connective;
 use proto_core::resilient::RetryPolicy;
 use proto_core::runner::Experiment;
+use tpch::queries::{q1::Q1, q6::Q6};
 
 use crate::grid::GridConfig;
 use crate::sched::{merge_backend_major, merge_x_major};
@@ -342,7 +343,7 @@ pub static TABLE: [Row; 24] = [
     ),
     Row::new(
         "E10",
-        every_lane(|b, c| out(queries::e10_part(b, &c.sfs))),
+        every_lane(|b, c| out(queries::part::<Q6>(b, &c.sfs))),
         Emit::XMajor(
             "TPC-H Q6 runtime vs. scale factor (x = SF·1000)",
             "sf_x1000",
@@ -350,7 +351,7 @@ pub static TABLE: [Row; 24] = [
     ),
     Row::new(
         "E11",
-        every_lane(|b, c| out(queries::e11_part(b, &c.sfs))),
+        every_lane(|b, c| out(queries::part::<Q1>(b, &c.sfs))),
         Emit::XMajor(
             "TPC-H Q1 runtime vs. scale factor (x = SF·1000)",
             "sf_x1000",

@@ -156,9 +156,22 @@ pub fn translation_reports() -> Vec<Report> {
 pub fn recovery_reports() -> Vec<Report> {
     use proto_core::resilient::RetryPolicy;
     use proto_core::resilient_plan::{PlanRecovery, ResilientPlanExecutor};
-    use tpch::queries::WorkingSet;
+    use tpch::queries::{q1::Q1, q14::Q14, q3::Q3, q4::Q4, q5::Q5, q6::Q6, Query, QueryData};
 
-    let db = tpch::cached(0.001);
+    /// One query's run and its recovery log's report.
+    fn report<Q: Query>(b: &dyn GpuBackend, exec: &ResilientPlanExecutor) -> Report {
+        let q = Q::NAME;
+        let data = QueryData::<Q>::upload(b, &tpch::cached(0.001)).expect("upload");
+        if let Err(e) = data.execute_with(b, exec) {
+            panic!("{q}: {e}");
+        }
+        let log = exec
+            .take_log()
+            .unwrap_or_else(|| panic!("{q}: no recovery log"));
+        data.free(b).expect("free");
+        gpu_lint::lint_recovery(format!("recovery({q}/Handwritten)"), &log)
+    }
+
     let b = proto_core::framework::Framework::single_backend(&crate::paper_device(), "Handwritten");
     let b = b.as_ref();
     // Fault the plan-step site only: uploads/frees happen outside the
@@ -174,24 +187,17 @@ pub fn recovery_reports() -> Vec<Report> {
         },
         ..PlanRecovery::default()
     });
-    let mut reports = Vec::new();
-    for (q, logical) in tpch::queries::LOGICAL_PLANS {
-        let logical = logical();
-        let cols = WorkingSet::upload(b, &db, &logical.scan_columns()).expect("upload");
-        let plan = optimizer::plan(q, &logical, b).expect("plan");
-        exec.execute(b, &plan, &cols.bindings())
-            .unwrap_or_else(|e| panic!("{q}: {e}"));
-        let log = exec
-            .take_log()
-            .unwrap_or_else(|| panic!("{q}: no recovery log"));
-        reports.push(gpu_lint::lint_recovery(
-            format!("recovery({q}/Handwritten)"),
-            &log,
-        ));
-        cols.free(b).expect("free");
-    }
+    let reports = [
+        report::<Q1>,
+        report::<Q3>,
+        report::<Q4>,
+        report::<Q5>,
+        report::<Q6>,
+        report::<Q14>,
+    ]
+    .map(|report| report(b, &exec));
     b.device().clear_fault_plan();
-    reports
+    reports.into()
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 
 use proto_core::backend::GpuBackend;
 use proto_core::runner::{Experiment, Sample};
-use tpch::queries::{q1, q14, q3, q4, q5, q6};
+use tpch::queries::{q1::Q1, q14::Q14, q3::Q3, q4::Q4, q5::Q5, q6::Q6, Query, QueryData};
 use tpch::Database;
 
 use crate::sched::{merge_x_major, Part};
@@ -24,30 +24,21 @@ fn sf_x(sf: f64) -> u64 {
     (sf * 1000.0).round() as u64
 }
 
-/// E10 part — one backend's Q6 samples, one per scale factor.
-pub(crate) fn e10_part(b: &dyn GpuBackend, sfs: &[f64]) -> Part {
-    let mut part = Part::new();
-    for &sf in sfs {
-        let db = tpch::cached(sf);
-        let data = q6::Q6Data::upload(b, &db).expect("upload");
-        let s = measure_query(b, sf_x(sf), || data.execute(b).map(drop));
-        data.free(b).expect("free");
-        part.push(vec![s]);
-    }
-    part
+/// One backend's sample of query `Q` at `sf`: upload, measure, free.
+/// Only backends that can run `Q` measure it (E12 skips join-less ones).
+fn sample<Q: Query>(b: &dyn GpuBackend, sf: f64) -> Sample {
+    let db = tpch::cached(sf);
+    let data = QueryData::<Q>::upload(b, &db).expect("upload");
+    let s = proto_core::runner::measure(b, sf_x(sf), || data.execute(b).map(drop))
+        .unwrap_or_else(|e| panic!("{} measurement failed: {e}", Q::NAME));
+    data.free(b).expect("free");
+    s
 }
 
-/// E11 part — one backend's Q1 samples, one per scale factor.
-pub(crate) fn e11_part(b: &dyn GpuBackend, sfs: &[f64]) -> Part {
-    let mut part = Part::new();
-    for &sf in sfs {
-        let db = tpch::cached(sf);
-        let data = q1::Q1Data::upload(b, &db).expect("upload");
-        let s = measure_query(b, sf_x(sf), || data.execute(b).map(drop));
-        data.free(b).expect("free");
-        part.push(vec![s]);
-    }
-    part
+/// E10 (Q6) / E11 (Q1) part — one backend's samples of `Q`, one per
+/// scale factor.
+pub(crate) fn part<Q: Query>(b: &dyn GpuBackend, sfs: &[f64]) -> Part {
+    sfs.iter().map(|&sf| vec![sample::<Q>(b, sf)]).collect()
 }
 
 /// E12 part — one backend's samples for the four join-bearing queries,
@@ -59,23 +50,10 @@ pub(crate) fn e12_part(b: &dyn GpuBackend, sfs: &[f64]) -> [Part; 4] {
         return parts;
     }
     for &sf in sfs {
-        let db = tpch::cached(sf);
-        let d3 = q3::Q3Data::upload(b, &db).expect("upload");
-        parts[0].push(vec![measure_query(b, sf_x(sf), || {
-            d3.execute(b, &db).map(drop)
-        })]);
-        d3.free(b).expect("free");
-        let d4 = q4::Q4Data::upload(b, &db).expect("upload");
-        parts[1].push(vec![measure_query(b, sf_x(sf), || d4.execute(b).map(drop))]);
-        d4.free(b).expect("free");
-        let d14 = q14::Q14Data::upload(b, &db).expect("upload");
-        parts[2].push(vec![measure_query(b, sf_x(sf), || {
-            d14.execute(b).map(drop)
-        })]);
-        d14.free(b).expect("free");
-        let d5 = q5::Q5Data::upload(b, &db).expect("upload");
-        parts[3].push(vec![measure_query(b, sf_x(sf), || d5.execute(b).map(drop))]);
-        d5.free(b).expect("free");
+        parts[0].push(vec![sample::<Q3>(b, sf)]);
+        parts[1].push(vec![sample::<Q4>(b, sf)]);
+        parts[2].push(vec![sample::<Q14>(b, sf)]);
+        parts[3].push(vec![sample::<Q5>(b, sf)]);
     }
     parts
 }
@@ -102,43 +80,33 @@ pub(crate) fn e12_assemble(parts: Vec<[Part; 4]>) -> Vec<Experiment> {
 /// Validate one backend's query answers against the host reference —
 /// the per-backend body of [`validate_all`].
 pub(crate) fn validate_backend(b: &dyn GpuBackend, db: &Database) -> Result<(), String> {
-    let r6 = q6::reference(db);
-    let r1 = q1::reference(db);
-    let r3 = q3::reference(db);
-    let r4 = q4::reference(db);
-    let d6 = q6::Q6Data::upload(b, db).map_err(|e| e.to_string())?;
-    let got = d6.execute(b).map_err(|e| e.to_string())?;
-    if !tpch::queries::close(got, r6) {
-        return Err(format!("{} Q6 mismatch: {got} vs {r6}", b.name()));
-    }
-    let d1 = q1::Q1Data::upload(b, db).map_err(|e| e.to_string())?;
-    let rows = d1.execute(b).map_err(|e| e.to_string())?;
-    if rows.len() != r1.len() {
-        return Err(format!("{} Q1 row-count mismatch", b.name()));
-    }
+    validate::<Q6>(b, db)?;
+    validate::<Q1>(b, db)?;
     if tpch::queries::can_join(b) {
-        let d3 = q3::Q3Data::upload(b, db).map_err(|e| e.to_string())?;
-        let rows = d3.execute(b, db).map_err(|e| e.to_string())?;
-        if rows.len() != r3.len() {
-            return Err(format!("{} Q3 row-count mismatch", b.name()));
-        }
-        let d4 = q4::Q4Data::upload(b, db).map_err(|e| e.to_string())?;
-        let rows = d4.execute(b).map_err(|e| e.to_string())?;
-        if rows != r4 {
-            return Err(format!("{} Q4 mismatch", b.name()));
-        }
-        let d14 = q14::Q14Data::upload(b, db).map_err(|e| e.to_string())?;
-        let pct = d14.execute(b).map_err(|e| e.to_string())?;
-        if !tpch::queries::close(pct, q14::reference(db)) {
-            return Err(format!("{} Q14 mismatch", b.name()));
-        }
-        let d5 = q5::Q5Data::upload(b, db).map_err(|e| e.to_string())?;
-        let rows = d5.execute(b).map_err(|e| e.to_string())?;
-        if rows.len() != q5::reference(db).len() {
-            return Err(format!("{} Q5 row-count mismatch", b.name()));
-        }
+        validate::<Q3>(b, db)?;
+        validate::<Q4>(b, db)?;
+        validate::<Q14>(b, db)?;
+        validate::<Q5>(b, db)?;
     }
     Ok(())
+}
+
+/// Run `Q` on `b` and compare its whole answer with the host reference.
+/// The working set stays resident: the lane's later experiments run on
+/// this device, and their simulated times include its pool state.
+fn validate<Q: Query>(b: &dyn GpuBackend, db: &Database) -> Result<(), String> {
+    let data = QueryData::<Q>::upload(b, db).map_err(|e| e.to_string())?;
+    let got = data.execute(b).map_err(|e| e.to_string())?;
+    check::<Q>(b, &got, &(Q::REFERENCE)(db))
+}
+
+/// `Ok` when `got` is the reference answer `want` ([`Query::matches`]).
+fn check<Q: Query>(b: &dyn GpuBackend, got: &Q::Answer, want: &Q::Answer) -> Result<(), String> {
+    if Q::matches(got, want) {
+        Ok(())
+    } else {
+        Err(format!("{} {} mismatch", b.name(), Q::NAME))
+    }
 }
 
 /// Validate every backend's query answers against the host reference on a
@@ -149,25 +117,6 @@ pub fn validate_all(fw: &proto_core::framework::Framework, db: &Database) -> Res
         validate_backend(b.as_ref(), db)?;
     }
     Ok(())
-}
-
-fn measure_query(
-    backend: &dyn proto_core::backend::GpuBackend,
-    x: u64,
-    mut work: impl FnMut() -> gpu_sim::Result<()>,
-) -> Sample {
-    match proto_core::runner::measure(backend, x, &mut work) {
-        Ok(s) => s,
-        Err(gpu_sim::SimError::Unsupported(_)) => Sample {
-            backend: backend.name().to_string(),
-            x,
-            nanos: 0,
-            cold_nanos: 0,
-            launches: 0,
-            kernel_bytes: 0,
-        },
-        Err(e) => panic!("query measurement failed: {e}"),
-    }
 }
 
 #[cfg(test)]
@@ -206,6 +155,24 @@ mod tests {
         let fw = paper_framework();
         let db = tpch::cached(0.001);
         validate_all(&fw, &db).expect("all backends validate");
+    }
+
+    /// A Q1 answer with the right groups but one wrong sum — what the
+    /// former row-count check let through — is refused.
+    #[test]
+    fn a_corrupted_q1_sum_is_refused() {
+        let fw = paper_framework();
+        let b = fw.backend("Thrust").unwrap();
+        let db = tpch::cached(0.001);
+        let want = tpch::queries::q1::reference(&db);
+        let mut got = want.clone();
+        assert_eq!(check::<Q1>(b, &got, &want), Ok(()));
+        got[0].sum_charge *= 1.0 + 1e-6;
+        assert_eq!(got.len(), want.len());
+        assert_eq!(
+            check::<Q1>(b, &got, &want),
+            Err("Thrust Q1 mismatch".to_string())
+        );
     }
 
     #[test]

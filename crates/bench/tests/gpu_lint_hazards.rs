@@ -529,7 +529,8 @@ use proto_core::resilient_plan::{RecoveryEvent, RecoveryEventKind, RecoveryLog};
 fn golden_physical_plan() -> PhysView {
     let fw = bench::paper_framework();
     let b = fw.backend("Handwritten").expect("handwritten backend");
-    let plan = tpch::queries::q5::physical_plan(b).expect("Q5 plans on Handwritten");
+    let plan = <tpch::queries::q5::Q5 as tpch::queries::Query>::physical_plan(b)
+        .expect("Q5 plans on Handwritten");
     let view = gpu_lint::phys_view(&plan, optimizer::supported_joins(b));
     assert!(
         gpu_lint::lint_physical_plan("golden", &view).is_clean(),

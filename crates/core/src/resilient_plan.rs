@@ -737,26 +737,6 @@ impl ResilientPlanExecutor {
         )
     }
 
-    /// Execute `plan` on a single backend with `source` available for
-    /// partitioned re-execution (on OOM, or up front when
-    /// [`PlanRecovery::mem_budget_bytes`] is set).
-    pub fn execute_partitionable(
-        &self,
-        backend: &dyn GpuBackend,
-        plan: &PhysicalPlan,
-        binds: &PlanBindings<'_>,
-        source: &PartitionSource<'_>,
-    ) -> Result<PlanOutput> {
-        self.execute_lanes(
-            &[PlanLane {
-                backend,
-                plan,
-                binds,
-            }],
-            Some(source),
-        )
-    }
-
     /// Execute along a fallback chain of lanes (by convention library
     /// first, handwritten last), optionally with a partition source.
     /// Host-resident checkpoints carry across lanes when the lowered
@@ -1154,6 +1134,22 @@ mod tests {
         (ks, totals, counts)
     }
 
+    /// Execute `plan` on one lane with `src` to partition over.
+    fn partitionable(
+        exec: &ResilientPlanExecutor,
+        backend: &dyn GpuBackend,
+        plan: &PhysicalPlan,
+        binds: &PlanBindings<'_>,
+        src: &PartitionSource<'_>,
+    ) -> Result<PlanOutput> {
+        let lane = PlanLane {
+            backend,
+            plan,
+            binds,
+        };
+        exec.execute_lanes(&[lane], Some(src))
+    }
+
     fn close(a: f64, b: f64) -> bool {
         (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0)
     }
@@ -1264,9 +1260,7 @@ mod tests {
         src.bind_u32("t.key", keys.as_slice())
             .bind_f64("t.val", vals.as_slice());
         let exec = ResilientPlanExecutor::default();
-        let out = exec
-            .execute_partitionable(&rig.backend, &rig.plan, &rig.binds(), &src)
-            .unwrap();
+        let out = partitionable(&exec, &rig.backend, &rig.plan, &rig.binds(), &src).unwrap();
         let stats = rig.dev.stats();
         assert!(stats.plan_partitions >= 1, "OOM must trigger partitioning");
         let (ks, totals, counts) = reference(&keys, &vals);
@@ -1297,9 +1291,7 @@ mod tests {
             min_chunk: 256,
             ..PlanRecovery::default()
         });
-        let out = exec
-            .execute_partitionable(&rig.backend, &rig.plan, &rig.binds(), &src)
-            .unwrap();
+        let out = partitionable(&exec, &rig.backend, &rig.plan, &rig.binds(), &src).unwrap();
         let stats = rig.dev.stats();
         assert_eq!(stats.plan_partitions, 1, "exactly one partitioned run");
         assert_eq!(stats.batch_splits, 0, "the budget avoids OOM halving");
@@ -1354,9 +1346,7 @@ mod tests {
         probe_src
             .bind_u32("f.fk", fk.as_slice())
             .bind_f64("f.x", x.as_slice());
-        let out = exec
-            .execute_partitionable(&b, &plan, &binds, &probe_src)
-            .unwrap();
+        let out = partitionable(&exec, &b, &plan, &binds, &probe_src).unwrap();
         let expect: f64 = x.iter().sum();
         assert!(close(out.scalar("s").unwrap(), expect));
         // Partitioning the build (dimension) side cannot.
@@ -1364,9 +1354,7 @@ mod tests {
         build_src
             .bind_u32("d.pk", pk.as_slice())
             .bind_u32("d.size", size.as_slice());
-        let err = exec
-            .execute_partitionable(&b, &plan, &binds, &build_src)
-            .unwrap_err();
+        let err = partitionable(&exec, &b, &plan, &binds, &build_src).unwrap_err();
         assert!(
             matches!(&err, SimError::Unsupported(m) if m.contains("not partition-safe")),
             "{err}"
@@ -1395,9 +1383,7 @@ mod tests {
             mem_budget_bytes: Some(64 * 1024),
             ..PlanRecovery::default()
         });
-        let err = exec
-            .execute_partitionable(&b, &plan, &binds, &src)
-            .unwrap_err();
+        let err = partitionable(&exec, &b, &plan, &binds, &src).unwrap_err();
         assert!(
             matches!(&err, SimError::Unsupported(m) if m.contains("not partition-safe")),
             "{err}"

@@ -51,9 +51,11 @@ pub fn cached(scale_factor: f64) -> std::sync::Arc<Database> {
     type Slot = Arc<OnceLock<Arc<Database>>>;
     static CACHE: OnceLock<Mutex<HashMap<u64, Slot>>> = OnceLock::new();
     let map = CACHE.get_or_init(Default::default);
+    // A panic under the lock cannot leave the map half-updated (it only
+    // inserts empty slots), so a poisoned lock is still usable.
     let slot = map
         .lock()
-        .unwrap()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
         .entry(scale_factor.to_bits())
         .or_default()
         .clone();

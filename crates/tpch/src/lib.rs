@@ -10,7 +10,9 @@
 //! * [`queries::q1`] — pricing summary (grouped aggregation stress),
 //! * [`queries::q3`] — shipping priority (two joins + aggregation),
 //! * [`queries::q4`] — order priority (semi join, column-vs-column filter),
-//! * [`queries::q6`] — revenue forecast (selection + product + reduction).
+//! * [`queries::q5`] — local supplier volume (four joins),
+//! * [`queries::q6`] — revenue forecast (selection + product + reduction),
+//! * [`queries::q14`] — promotion effect (dimension join, CASE aggregate).
 //!
 //! ```
 //! use tpch::{gen, queries::q6};
@@ -24,6 +26,16 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo
+    )
+)]
 
 pub mod dates;
 pub mod gen;

@@ -23,16 +23,14 @@
 //! feeds it to both the `sum_disc_price` and `sum_charge` reductions.
 
 use crate::dates::date;
-use crate::queries::working_set::{lineitem_partition_source, WorkingSet};
-use crate::schema::{Database, LINESTATUSES, RETURNFLAGS};
+use crate::queries::{close, rows_match, LogicalPlanFn, Query, QueryData};
+use crate::schema::{group_key, Database};
 use gpu_sim::Result;
 use proto_core::backend::GpuBackend;
 use proto_core::logical::{AggExpr, ColumnDecl, LogicalPlan, ResultOrder};
 use proto_core::ops::CmpOp;
-use proto_core::optimizer;
-use proto_core::physical::{PhysicalPlan, PlanBindings, PlanOutput};
+use proto_core::physical::{PhysicalPlan, PlanOutput};
 use proto_core::plan::{Expr, Predicate};
-use proto_core::resilient_plan::{PartitionSource, ResilientPlanExecutor};
 
 /// One Q1 result row.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,19 +57,33 @@ pub struct Q1Row {
     pub count: u64,
 }
 
-impl Q1Row {
-    /// Render the dictionary-decoded flag/status pair.
-    pub fn flags(&self) -> (&'static str, &'static str) {
-        (
-            RETURNFLAGS[self.returnflag as usize],
-            LINESTATUSES[self.linestatus as usize],
-        )
-    }
-}
+/// The plan's aggregate columns, in [`Q1Row::from_sums`] order.
+const SUMS: [&str; 6] = [
+    "sum_qty",
+    "sum_base_price",
+    "sum_disc_price",
+    "sum_charge",
+    "sum_disc",
+    "count",
+];
 
-/// Group key encoding: `returnflag · 2 + linestatus` (6 live groups).
-pub(crate) fn group_key(rf: u32, ls: u32) -> u32 {
-    rf * 2 + ls
+impl Q1Row {
+    /// The row of group `key` from its sums of quantity, extended price,
+    /// discounted price, charge and discount, and its row count.
+    fn from_sums(key: u32, [qty, base, disc_price, charge, disc, n]: [f64; 6]) -> Q1Row {
+        Q1Row {
+            returnflag: key / 2,
+            linestatus: key % 2,
+            sum_qty: qty,
+            sum_base_price: base,
+            sum_disc_price: disc_price,
+            sum_charge: charge,
+            avg_qty: qty / n,
+            avg_price: base / n,
+            avg_disc: disc / n,
+            count: n as u64,
+        }
+    }
 }
 
 /// The Q1 query tree: filter, six aggregates over the encoded group
@@ -116,132 +128,49 @@ pub fn logical_plan() -> LogicalPlan {
 
 /// Compile Q1 for `backend`.
 pub fn physical_plan(backend: &dyn GpuBackend) -> Result<PhysicalPlan> {
-    optimizer::plan("Q1", &logical_plan(), backend)
+    Q1::physical_plan(backend)
 }
 
-/// Device-resident Q1 working set: the `lineitem` columns
-/// [`logical_plan`] scans.
+/// Q1 for [`QueryData`]: rows ordered by (returnflag, linestatus).
 #[derive(Debug)]
-pub struct Q1Data {
-    pub(crate) cols: WorkingSet,
-}
+pub struct Q1;
 
-impl Q1Data {
-    /// Upload the touched columns. The composite group key is encoded at
-    /// load time (a dictionary/encoding decision, made once per table —
-    /// see [`Database::column`]).
-    pub fn upload(backend: &dyn GpuBackend, db: &Database) -> Result<Self> {
-        let cols = WorkingSet::upload(backend, db, &logical_plan().scan_columns())?;
-        Ok(Q1Data { cols })
-    }
+/// Device-resident Q1 working set.
+pub type Q1Data = QueryData<Q1>;
 
-    /// Execute Q1 through the planner, returning rows ordered by
-    /// (returnflag, linestatus).
-    pub fn execute(&self, backend: &dyn GpuBackend) -> Result<Vec<Q1Row>> {
-        self.execute_with(backend, &ResilientPlanExecutor::default())
-    }
+impl Query for Q1 {
+    const NAME: &'static str = "Q1";
+    const LOGICAL_PLAN: LogicalPlanFn = logical_plan;
+    const REFERENCE: fn(&Database) -> Vec<Q1Row> = reference;
+    type Answer = Vec<Q1Row>;
+    type Host = ();
 
-    /// Execute Q1 through `exec`, recovering from transient faults at
-    /// plan granularity (see [`proto_core::resilient_plan`]).
-    pub fn execute_with(
-        &self,
-        backend: &dyn GpuBackend,
-        exec: &ResilientPlanExecutor,
-    ) -> Result<Vec<Q1Row>> {
-        let plan = physical_plan(backend)?;
-        let out = exec.execute(backend, &plan, &self.cols.bindings())?;
-        Self::rows(&out)
-    }
-
-    /// Execute Q1 through a backend fallback chain: if `backend`
-    /// cannot complete the plan, `spare` (a second backend with its own
-    /// uploaded working set) replays it, carrying forward every
-    /// host-resident checkpoint when the lowered step lists agree.
-    pub fn execute_with_fallback(
-        &self,
-        backend: &dyn GpuBackend,
-        spare: (&Q1Data, &dyn GpuBackend),
-        exec: &ResilientPlanExecutor,
-    ) -> Result<Vec<Q1Row>> {
-        let lanes = [(&self.cols, backend), (&spare.0.cols, spare.1)];
-        let out = WorkingSet::execute_with_fallback(lanes, physical_plan, exec)?;
-        Self::rows(&out)
-    }
-
-    /// Execute Q1 over horizontal partitions of `lineitem`: `exec`
-    /// partitions up front when a memory budget is configured, or as
-    /// the OOM escalation path otherwise.
-    pub fn execute_partitioned(
-        &self,
-        backend: &dyn GpuBackend,
-        exec: &ResilientPlanExecutor,
-        db: &Database,
-    ) -> Result<Vec<Q1Row>> {
-        let plan = physical_plan(backend)?;
-        let src = Self::partition_source(db);
-        let out = exec.execute_partitionable(backend, &plan, &self.cols.bindings(), &src)?;
-        Self::rows(&out)
-    }
-
-    /// Execute Q1 entirely from the host partition source: no
-    /// full-table upload; every chunk stages its own window. Requires
-    /// `exec` to carry a memory budget — without one the executor's
-    /// first attempt runs unpartitioned from the (empty) device
-    /// bindings and fails.
-    pub fn execute_budgeted(
-        backend: &dyn GpuBackend,
-        exec: &ResilientPlanExecutor,
-        db: &Database,
-    ) -> Result<Vec<Q1Row>> {
-        debug_assert!(
-            exec.recovery().mem_budget_bytes.is_some(),
-            "execute_budgeted needs a memory budget"
-        );
-        let plan = physical_plan(backend)?;
-        let src = Self::partition_source(db);
-        let out = exec.execute_partitionable(backend, &plan, &PlanBindings::new(), &src)?;
-        Self::rows(&out)
-    }
-
-    /// The host-side `lineitem` columns Q1 can be horizontally
-    /// partitioned over. The composite group key is re-encoded here,
-    /// matching [`Q1Data::upload`].
-    pub fn partition_source(db: &Database) -> PartitionSource<'_> {
-        lineitem_partition_source(db, &logical_plan())
-    }
-
-    fn rows(out: &PlanOutput) -> Result<Vec<Q1Row>> {
-        let codes = out.u32s("keys")?;
-        let v_qty = out.f64s("sum_qty")?;
-        let v_base = out.f64s("sum_base_price")?;
-        let v_disc_price = out.f64s("sum_disc_price")?;
-        let v_charge = out.f64s("sum_charge")?;
-        let v_disc = out.f64s("sum_disc")?;
-        let v_count = out.f64s("count")?;
-        Ok(codes
+    fn decode(out: &PlanOutput, _: &()) -> Result<Vec<Q1Row>> {
+        let keys = out.u32s("keys")?;
+        let sums: Vec<&[f64]> = SUMS.iter().map(|c| out.f64s(c)).collect::<Result<_>>()?;
+        let row = |i: usize| std::array::from_fn(|s| sums[s][i]);
+        Ok(keys
             .iter()
             .enumerate()
-            .map(|(i, &code)| {
-                let n = v_count[i];
-                Q1Row {
-                    returnflag: code / 2,
-                    linestatus: code % 2,
-                    sum_qty: v_qty[i],
-                    sum_base_price: v_base[i],
-                    sum_disc_price: v_disc_price[i],
-                    sum_charge: v_charge[i],
-                    avg_qty: v_qty[i] / n,
-                    avg_price: v_base[i] / n,
-                    avg_disc: v_disc[i] / n,
-                    count: n as u64,
-                }
-            })
+            .map(|(i, &key)| Q1Row::from_sums(key, row(i)))
             .collect())
     }
 
-    /// Free the working set.
-    pub fn free(self, backend: &dyn GpuBackend) -> Result<()> {
-        self.cols.free(backend)
+    fn matches(got: &Vec<Q1Row>, want: &Vec<Q1Row>) -> bool {
+        rows_match(got, want, |g, w| {
+            (g.returnflag, g.linestatus, g.count) == (w.returnflag, w.linestatus, w.count)
+                && [
+                    (g.sum_qty, w.sum_qty),
+                    (g.sum_base_price, w.sum_base_price),
+                    (g.sum_disc_price, w.sum_disc_price),
+                    (g.sum_charge, w.sum_charge),
+                    (g.avg_qty, w.avg_qty),
+                    (g.avg_price, w.avg_price),
+                    (g.avg_disc, w.avg_disc),
+                ]
+                .into_iter()
+                .all(|(g, w)| close(g, w))
+        })
     }
 }
 
@@ -249,189 +178,37 @@ impl Q1Data {
 pub fn reference(db: &Database) -> Vec<Q1Row> {
     let li = &db.lineitem;
     let cutoff = date(1998, 12, 1) - 90;
-    let mut acc: std::collections::BTreeMap<u32, (f64, f64, f64, f64, f64, u64)> =
-        std::collections::BTreeMap::new();
+    let mut acc = std::collections::BTreeMap::<u32, [f64; 6]>::new();
     for i in 0..li.len() {
         if li.shipdate[i] <= cutoff {
             let key = group_key(li.returnflag[i], li.linestatus[i]);
-            let e = acc.entry(key).or_default();
             let disc_price = li.extendedprice[i] * (1.0 - li.discount[i]);
-            e.0 += li.quantity[i];
-            e.1 += li.extendedprice[i];
-            e.2 += disc_price;
-            e.3 += disc_price * (1.0 + li.tax[i]);
-            e.4 += li.discount[i];
-            e.5 += 1;
+            let charge = disc_price * (1.0 + li.tax[i]);
+            let line = [
+                li.quantity[i],
+                li.extendedprice[i],
+                disc_price,
+                charge,
+                li.discount[i],
+                1.0,
+            ];
+            for (sum, v) in acc.entry(key).or_default().iter_mut().zip(line) {
+                *sum += v;
+            }
         }
     }
     acc.into_iter()
-        .map(|(key, (q, b, d, c, disc, n))| Q1Row {
-            returnflag: key / 2,
-            linestatus: key % 2,
-            sum_qty: q,
-            sum_base_price: b,
-            sum_disc_price: d,
-            sum_charge: c,
-            avg_qty: q / n as f64,
-            avg_price: b / n as f64,
-            avg_disc: disc / n as f64,
-            count: n,
-        })
+        .map(|(key, sums)| Q1Row::from_sums(key, sums))
         .collect()
-}
-
-#[cfg(test)]
-mod oracle {
-    //! The pre-planner hand-rolled lowering, kept verbatim as the
-    //! equivalence oracle for the planned execution.
-
-    use super::*;
-
-    pub fn execute(data: &Q1Data, backend: &dyn GpuBackend) -> Result<Vec<Q1Row>> {
-        let col = |name: &str| data.cols.col(name);
-        let cutoff = (date(1998, 12, 1) - 90) as f64;
-        // Selection + materialisation of the surviving rows.
-        let ids = backend.selection(col("lineitem.shipdate"), CmpOp::Le, cutoff)?;
-        let keys = backend.gather(col("lineitem.groupkey"), &ids)?;
-        let qty = backend.gather(col("lineitem.quantity"), &ids)?;
-        let ext = backend.gather(col("lineitem.extendedprice"), &ids)?;
-        let disc = backend.gather(col("lineitem.discount"), &ids)?;
-        let tax = backend.gather(col("lineitem.tax"), &ids)?;
-        // Projections.
-        let one_minus_disc = backend.affine(&disc, -1.0, 1.0)?;
-        let disc_price = backend.product(&ext, &one_minus_disc)?;
-        let one_plus_tax = backend.affine(&tax, 1.0, 1.0)?;
-        let charge = backend.product(&disc_price, &one_plus_tax)?;
-        let ones = backend.affine(&qty, 0.0, 1.0)?;
-        // Aggregates — one grouped reduction per measure.
-        let (gk, sum_qty) = backend.grouped_sum(&keys, &qty)?;
-        let (k2, sum_base) = backend.grouped_sum(&keys, &ext)?;
-        let (k3, sum_disc_price) = backend.grouped_sum(&keys, &disc_price)?;
-        let (k4, sum_charge) = backend.grouped_sum(&keys, &charge)?;
-        let (k5, sum_disc) = backend.grouped_sum(&keys, &disc)?;
-        let (k6, counts) = backend.grouped_sum(&keys, &ones)?;
-        // Materialise the (small) result.
-        let group_codes = backend.download_u32(&gk)?;
-        let v_qty = backend.download_f64(&sum_qty)?;
-        let v_base = backend.download_f64(&sum_base)?;
-        let v_disc_price = backend.download_f64(&sum_disc_price)?;
-        let v_charge = backend.download_f64(&sum_charge)?;
-        let v_disc = backend.download_f64(&sum_disc)?;
-        let v_count = backend.download_f64(&counts)?;
-        for c in [
-            ids,
-            keys,
-            qty,
-            ext,
-            disc,
-            tax,
-            one_minus_disc,
-            disc_price,
-            one_plus_tax,
-            charge,
-            ones,
-            gk,
-            sum_qty,
-            k2,
-            sum_base,
-            k3,
-            sum_disc_price,
-            k4,
-            sum_charge,
-            k5,
-            sum_disc,
-            k6,
-            counts,
-        ] {
-            backend.free(c)?;
-        }
-        let mut rows: Vec<Q1Row> = group_codes
-            .iter()
-            .enumerate()
-            .map(|(i, &code)| {
-                let n = v_count[i];
-                Q1Row {
-                    returnflag: code / 2,
-                    linestatus: code % 2,
-                    sum_qty: v_qty[i],
-                    sum_base_price: v_base[i],
-                    sum_disc_price: v_disc_price[i],
-                    sum_charge: v_charge[i],
-                    avg_qty: v_qty[i] / n,
-                    avg_price: v_base[i] / n,
-                    avg_disc: v_disc[i] / n,
-                    count: n as u64,
-                }
-            })
-            .collect();
-        rows.sort_by_key(|r| (r.returnflag, r.linestatus));
-        Ok(rows)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen::generate;
-    use crate::queries::close;
+    use crate::schema::{LINESTATUSES, RETURNFLAGS};
     use gpu_sim::DeviceSpec;
     use proto_core::prelude::*;
-
-    #[test]
-    fn all_backends_match_the_reference() {
-        let db = generate(0.001);
-        let expect = reference(&db);
-        assert!(!expect.is_empty());
-        let fw = Framework::with_all_backends(&DeviceSpec::gtx1080());
-        for b in fw.backends() {
-            let data = Q1Data::upload(b.as_ref(), &db).unwrap();
-            let rows = data.execute(b.as_ref()).unwrap();
-            assert_eq!(rows.len(), expect.len(), "{}", b.name());
-            for (got, want) in rows.iter().zip(&expect) {
-                assert_eq!(
-                    (got.returnflag, got.linestatus),
-                    (want.returnflag, want.linestatus)
-                );
-                assert_eq!(got.count, want.count, "{}", b.name());
-                for (g, w) in [
-                    (got.sum_qty, want.sum_qty),
-                    (got.sum_base_price, want.sum_base_price),
-                    (got.sum_disc_price, want.sum_disc_price),
-                    (got.sum_charge, want.sum_charge),
-                    (got.avg_qty, want.avg_qty),
-                    (got.avg_price, want.avg_price),
-                    (got.avg_disc, want.avg_disc),
-                ] {
-                    assert!(close(g, w), "{}: {g} vs {w}", b.name());
-                }
-            }
-            data.free(b.as_ref()).unwrap();
-        }
-    }
-
-    #[test]
-    fn planned_execution_matches_the_handwritten_lowering_exactly() {
-        for sf in [0.001, 0.01] {
-            let db = generate(sf);
-            for name in ["Thrust", "Boost.Compute", "ArrayFire", "Handwritten"] {
-                let spec = DeviceSpec::gtx1080();
-                let b_old = Framework::single_backend(&spec, name);
-                let b_new = Framework::single_backend(&spec, name);
-                let d_old = Q1Data::upload(b_old.as_ref(), &db).unwrap();
-                let d_new = Q1Data::upload(b_new.as_ref(), &db).unwrap();
-                b_old.device().set_tracing(true);
-                b_new.device().set_tracing(true);
-                let expect = oracle::execute(&d_old, b_old.as_ref()).unwrap();
-                let got = d_new.execute(b_new.as_ref()).unwrap();
-                assert_eq!(got, expect, "{name} @ sf {sf}");
-                assert_eq!(
-                    b_new.device().take_trace(),
-                    b_old.device().take_trace(),
-                    "{name} @ sf {sf}: planned trace deviates from the hand-rolled one"
-                );
-            }
-        }
-    }
 
     #[test]
     fn the_planner_materialises_disc_price_once() {
@@ -455,7 +232,10 @@ mod tests {
         // at this size, A/O and R/O cannot exist.
         assert!(rows.len() >= 4, "{rows:?}");
         for r in &rows {
-            let (rf, ls) = r.flags();
+            let (rf, ls) = (
+                RETURNFLAGS[r.returnflag as usize],
+                LINESTATUSES[r.linestatus as usize],
+            );
             assert!(!(rf != "N" && ls == "O"), "impossible group {rf}/{ls}");
         }
     }

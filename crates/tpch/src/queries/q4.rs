@@ -18,16 +18,13 @@
 //! join → distinct-by-grouping → regroup by priority.
 
 use crate::dates::date;
-use crate::queries::working_set::WorkingSet;
-use crate::schema::{Database, PRIORITIES};
+use crate::queries::{LogicalPlanFn, Query, QueryData};
+use crate::schema::Database;
 use gpu_sim::Result;
-use proto_core::backend::GpuBackend;
 use proto_core::logical::{AggExpr, ColumnDecl, JoinCol, LogicalPlan};
 use proto_core::ops::CmpOp;
-use proto_core::optimizer;
-use proto_core::physical::PhysicalPlan;
+use proto_core::physical::PlanOutput;
 use proto_core::plan::Predicate;
-use proto_core::resilient_plan::ResilientPlanExecutor;
 
 /// One Q4 result row.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,13 +33,6 @@ pub struct Q4Row {
     pub priority: u32,
     /// Number of qualifying orders.
     pub order_count: u64,
-}
-
-impl Q4Row {
-    /// Dictionary-decoded priority label.
-    pub fn label(&self) -> &'static str {
-        PRIORITIES[self.priority as usize]
-    }
 }
 
 /// The Q4 query tree: a semi-distinct join of late lineitems against
@@ -85,40 +75,21 @@ pub fn logical_plan() -> LogicalPlan {
     .aggregate(Some("prio"), vec![("order_count", AggExpr::Count)])
 }
 
-/// Compile Q4 for `backend`.
-pub fn physical_plan(backend: &dyn GpuBackend) -> Result<PhysicalPlan> {
-    optimizer::plan("Q4", &logical_plan(), backend)
-}
-
-/// Device-resident Q4 working set: the `orders` and `lineitem` columns
-/// [`logical_plan`] scans.
+/// Q4 for [`QueryData`]: order counts by ascending priority code.
 #[derive(Debug)]
-pub struct Q4Data {
-    pub(crate) cols: WorkingSet,
-}
+pub struct Q4;
 
-impl Q4Data {
-    /// Upload the touched columns.
-    pub fn upload(backend: &dyn GpuBackend, db: &Database) -> Result<Self> {
-        let cols = WorkingSet::upload(backend, db, &logical_plan().scan_columns())?;
-        Ok(Q4Data { cols })
-    }
+/// Device-resident Q4 working set.
+pub type Q4Data = QueryData<Q4>;
 
-    /// Execute Q4 through the planner, returning counts per priority
-    /// (ascending code).
-    pub fn execute(&self, backend: &dyn GpuBackend) -> Result<Vec<Q4Row>> {
-        self.execute_with(backend, &ResilientPlanExecutor::default())
-    }
+impl Query for Q4 {
+    const NAME: &'static str = "Q4";
+    const LOGICAL_PLAN: LogicalPlanFn = logical_plan;
+    const REFERENCE: fn(&Database) -> Vec<Q4Row> = reference;
+    type Answer = Vec<Q4Row>;
+    type Host = ();
 
-    /// Execute Q4 through `exec`, recovering from transient faults at
-    /// plan granularity (see [`proto_core::resilient_plan`]).
-    pub fn execute_with(
-        &self,
-        backend: &dyn GpuBackend,
-        exec: &ResilientPlanExecutor,
-    ) -> Result<Vec<Q4Row>> {
-        let plan = physical_plan(backend)?;
-        let out = exec.execute(backend, &plan, &self.cols.bindings())?;
+    fn decode(out: &PlanOutput, _: &()) -> Result<Vec<Q4Row>> {
         let codes = out.u32s("keys")?;
         let counts = out.f64s("order_count")?;
         Ok(codes
@@ -131,9 +102,8 @@ impl Q4Data {
             .collect())
     }
 
-    /// Free the working set.
-    pub fn free(self, backend: &dyn GpuBackend) -> Result<()> {
-        self.cols.free(backend)
+    fn matches(got: &Vec<Q4Row>, want: &Vec<Q4Row>) -> bool {
+        got == want
     }
 }
 
@@ -162,142 +132,10 @@ pub fn reference(db: &Database) -> Vec<Q4Row> {
 }
 
 #[cfg(test)]
-mod oracle {
-    //! The pre-planner hand-rolled lowering, kept verbatim as the
-    //! equivalence oracle for the planned execution.
-
-    use super::*;
-    use gpu_sim::SimError;
-    use proto_core::backend::Pred;
-    use proto_core::ops::Connective;
-
-    pub fn execute(data: &Q4Data, backend: &dyn GpuBackend) -> Result<Vec<Q4Row>> {
-        let col = |name: &str| data.cols.col(name);
-        let Some(join_algo) = crate::queries::best_join(backend) else {
-            return Err(SimError::Unsupported(format!(
-                "{} supports no join algorithm (Table II)",
-                backend.name()
-            )));
-        };
-        // σ(orders): the Q3/1993 window.
-        let preds = [
-            Pred {
-                col: col("orders.orderdate"),
-                cmp: CmpOp::Ge,
-                lit: date(1993, 7, 1) as f64,
-            },
-            Pred {
-                col: col("orders.orderdate"),
-                cmp: CmpOp::Lt,
-                lit: date(1993, 10, 1) as f64,
-            },
-        ];
-        let o_ids = backend.selection_multi(&preds, Connective::And)?;
-        let o_keys = backend.gather(col("orders.orderkey"), &o_ids)?;
-        let o_prio = backend.gather(col("orders.orderpriority"), &o_ids)?;
-
-        // σ(lineitem): late lines (column-vs-column predicate).
-        let l_ids = backend.selection_cmp_cols(
-            col("lineitem.commitdate"),
-            col("lineitem.receiptdate"),
-            CmpOp::Lt,
-        )?;
-        let l_keys = backend.gather(col("lineitem.orderkey"), &l_ids)?;
-
-        // Semi join: lines ⋈ orders, then collapse to distinct orders.
-        let (_jl, jr) = backend.join(&l_keys, &o_keys, join_algo)?;
-        let ones_src = backend.constant_f64(jr.len(), 1.0)?;
-        let (distinct_orders, _cnt) = backend.grouped_sum(&jr, &ones_src)?;
-
-        // Regroup the distinct orders by priority.
-        let prio_of_match = backend.gather(&o_prio, &distinct_orders)?;
-        let ones2 = backend.constant_f64(prio_of_match.len(), 1.0)?;
-        let (prio_keys, prio_counts) = backend.grouped_sum(&prio_of_match, &ones2)?;
-
-        let codes = backend.download_u32(&prio_keys)?;
-        let counts = backend.download_f64(&prio_counts)?;
-        for c in [
-            o_ids,
-            o_keys,
-            o_prio,
-            l_ids,
-            l_keys,
-            _jl,
-            jr,
-            ones_src,
-            distinct_orders,
-            _cnt,
-            prio_of_match,
-            ones2,
-            prio_keys,
-            prio_counts,
-        ] {
-            backend.free(c)?;
-        }
-        Ok(codes
-            .into_iter()
-            .zip(counts)
-            .map(|(priority, n)| Q4Row {
-                priority,
-                order_count: n as u64,
-            })
-            .collect())
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen::generate;
-    use gpu_sim::DeviceSpec;
-    use proto_core::prelude::*;
-
-    #[test]
-    fn joinable_backends_match_the_reference() {
-        let db = generate(0.002);
-        let expect = reference(&db);
-        assert!(!expect.is_empty());
-        let fw = Framework::with_all_backends(&DeviceSpec::gtx1080());
-        for b in fw.backends() {
-            let data = Q4Data::upload(b.as_ref(), &db).unwrap();
-            match data.execute(b.as_ref()) {
-                Ok(rows) => assert_eq!(rows, expect, "{}", b.name()),
-                Err(_) => assert_eq!(b.name(), "ArrayFire"),
-            }
-            data.free(b.as_ref()).unwrap();
-        }
-    }
-
-    #[test]
-    fn planned_execution_matches_the_handwritten_lowering_exactly() {
-        for sf in [0.001, 0.01] {
-            let db = generate(sf);
-            for name in ["Thrust", "Boost.Compute", "ArrayFire", "Handwritten"] {
-                let spec = DeviceSpec::gtx1080();
-                let b_old = Framework::single_backend(&spec, name);
-                let b_new = Framework::single_backend(&spec, name);
-                let d_old = Q4Data::upload(b_old.as_ref(), &db).unwrap();
-                let d_new = Q4Data::upload(b_new.as_ref(), &db).unwrap();
-                b_old.device().set_tracing(true);
-                b_new.device().set_tracing(true);
-                match (
-                    oracle::execute(&d_old, b_old.as_ref()),
-                    d_new.execute(b_new.as_ref()),
-                ) {
-                    (Ok(expect), Ok(got)) => assert_eq!(got, expect, "{name} @ sf {sf}"),
-                    (Err(e_old), Err(e_new)) => {
-                        assert_eq!(e_new.to_string(), e_old.to_string(), "{name} @ sf {sf}")
-                    }
-                    (old, new) => panic!("{name} @ sf {sf}: diverged: {old:?} vs {new:?}"),
-                }
-                assert_eq!(
-                    b_new.device().take_trace(),
-                    b_old.device().take_trace(),
-                    "{name} @ sf {sf}: planned trace deviates from the hand-rolled one"
-                );
-            }
-        }
-    }
+    use crate::schema::PRIORITIES;
 
     #[test]
     fn priorities_cover_the_dictionary() {
@@ -305,7 +143,7 @@ mod tests {
         let rows = reference(&db);
         assert_eq!(rows.len(), PRIORITIES.len(), "all five priorities occur");
         for r in &rows {
-            assert!(!r.label().is_empty());
+            assert!(!PRIORITIES[r.priority as usize].is_empty());
             assert!(r.order_count > 0);
         }
     }

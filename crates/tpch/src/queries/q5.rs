@@ -24,16 +24,13 @@
 //! customer join; the planner's structural dedup lowers it once.
 
 use crate::dates::date;
-use crate::queries::working_set::WorkingSet;
+use crate::queries::{close, rows_match, LogicalPlanFn, Query, QueryData};
 use crate::schema::{Database, NATIONS, REGIONS};
 use gpu_sim::Result;
-use proto_core::backend::GpuBackend;
 use proto_core::logical::{AggExpr, ColumnDecl, JoinCol, LogicalPlan, ResultOrder};
 use proto_core::ops::CmpOp;
-use proto_core::optimizer;
-use proto_core::physical::PhysicalPlan;
+use proto_core::physical::PlanOutput;
 use proto_core::plan::{Expr, Predicate};
-use proto_core::resilient_plan::ResilientPlanExecutor;
 
 /// One Q5 result row.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,6 +51,8 @@ impl Q5Row {
 /// The region the benchmark query restricts to.
 pub const TARGET_REGION: &str = "ASIA";
 
+// INVARIANT: `TARGET_REGION` is one of `schema::REGIONS`.
+#[allow(clippy::expect_used)]
 fn region_code() -> u32 {
     REGIONS
         .iter()
@@ -174,40 +173,21 @@ pub fn logical_plan() -> LogicalPlan {
     .sort_limit(ResultOrder::ValueDescKeyAsc, None)
 }
 
-/// Compile Q5 for `backend`.
-pub fn physical_plan(backend: &dyn GpuBackend) -> Result<PhysicalPlan> {
-    optimizer::plan("Q5", &logical_plan(), backend)
-}
-
-/// Device-resident Q5 working set: the columns of all five tables
-/// [`logical_plan`] scans (`region` is folded into the nation filter).
+/// Q5 for [`QueryData`]: revenue per nation, descending.
 #[derive(Debug)]
-pub struct Q5Data {
-    pub(crate) cols: WorkingSet,
-}
+pub struct Q5;
 
-impl Q5Data {
-    /// Upload the touched columns of all five tables.
-    pub fn upload(backend: &dyn GpuBackend, db: &Database) -> Result<Self> {
-        let cols = WorkingSet::upload(backend, db, &logical_plan().scan_columns())?;
-        Ok(Q5Data { cols })
-    }
+/// Device-resident Q5 working set.
+pub type Q5Data = QueryData<Q5>;
 
-    /// Execute Q5 through the planner, returning rows ordered by
-    /// revenue descending.
-    pub fn execute(&self, backend: &dyn GpuBackend) -> Result<Vec<Q5Row>> {
-        self.execute_with(backend, &ResilientPlanExecutor::default())
-    }
+impl Query for Q5 {
+    const NAME: &'static str = "Q5";
+    const LOGICAL_PLAN: LogicalPlanFn = logical_plan;
+    const REFERENCE: fn(&Database) -> Vec<Q5Row> = reference;
+    type Answer = Vec<Q5Row>;
+    type Host = ();
 
-    /// Execute Q5 through `exec`, recovering from transient faults at
-    /// plan granularity (see [`proto_core::resilient_plan`]).
-    pub fn execute_with(
-        &self,
-        backend: &dyn GpuBackend,
-        exec: &ResilientPlanExecutor,
-    ) -> Result<Vec<Q5Row>> {
-        let plan = physical_plan(backend)?;
-        let out = exec.execute(backend, &plan, &self.cols.bindings())?;
+    fn decode(out: &PlanOutput, _: &()) -> Result<Vec<Q5Row>> {
         let keys = out.u32s("keys")?;
         let revs = out.f64s("revenue")?;
         Ok(keys
@@ -217,9 +197,10 @@ impl Q5Data {
             .collect())
     }
 
-    /// Free the working set.
-    pub fn free(self, backend: &dyn GpuBackend) -> Result<()> {
-        self.cols.free(backend)
+    fn matches(got: &Vec<Q5Row>, want: &Vec<Q5Row>) -> bool {
+        rows_match(got, want, |g, w| {
+            g.nationkey == w.nationkey && close(g.revenue, w.revenue)
+        })
     }
 }
 
@@ -269,234 +250,27 @@ pub fn reference(db: &Database) -> Vec<Q5Row> {
         .into_iter()
         .map(|(nationkey, revenue)| Q5Row { nationkey, revenue })
         .collect();
+    // `total_cmp`: a `.tbl` import can carry a NaN price.
     rows.sort_by(|a, b| {
         b.revenue
-            .partial_cmp(&a.revenue)
-            .expect("finite revenue")
+            .total_cmp(&a.revenue)
             .then(a.nationkey.cmp(&b.nationkey))
     });
     rows
 }
 
 #[cfg(test)]
-mod oracle {
-    //! The pre-planner hand-rolled lowering, kept verbatim as the
-    //! equivalence oracle for the planned execution.
-
-    use super::*;
-    use gpu_sim::SimError;
-    use proto_core::backend::Pred;
-    use proto_core::ops::Connective;
-
-    pub fn execute(data: &Q5Data, backend: &dyn GpuBackend) -> Result<Vec<Q5Row>> {
-        let col = |name: &str| data.cols.col(name);
-        let Some(join_algo) = crate::queries::best_join(backend) else {
-            return Err(SimError::Unsupported(format!(
-                "{} supports no join algorithm (Table II)",
-                backend.name()
-            )));
-        };
-        // σ(nation): nations of the target region.
-        let n_ids = backend.selection(col("nation.regionkey"), CmpOp::Eq, region_code() as f64)?;
-        let asia_nations = backend.gather(col("nation.nationkey"), &n_ids)?;
-
-        // σ(supplier) by region: supplier ⋈ asia_nations on nationkey.
-        let (s_rows, _n1) = backend.join(col("supplier.nationkey"), &asia_nations, join_algo)?;
-        let asia_suppkeys = backend.gather(col("supplier.suppkey"), &s_rows)?;
-        let asia_supp_nation = backend.gather(col("supplier.nationkey"), &s_rows)?;
-
-        // σ(customer) by region: customer ⋈ asia_nations on nationkey.
-        let (c_rows, _n2) = backend.join(col("customer.nationkey"), &asia_nations, join_algo)?;
-        let asia_custkeys = backend.gather(col("customer.custkey"), &c_rows)?;
-        let asia_cust_nation = backend.gather(col("customer.nationkey"), &c_rows)?;
-
-        // σ(orders): the 1994 window.
-        let date_preds = [
-            Pred {
-                col: col("orders.orderdate"),
-                cmp: CmpOp::Ge,
-                lit: date(1994, 1, 1) as f64,
-            },
-            Pred {
-                col: col("orders.orderdate"),
-                cmp: CmpOp::Lt,
-                lit: date(1995, 1, 1) as f64,
-            },
-        ];
-        let o_ids = backend.selection_multi(&date_preds, Connective::And)?;
-        let o_cust = backend.gather(col("orders.custkey"), &o_ids)?;
-        let o_key = backend.gather(col("orders.orderkey"), &o_ids)?;
-
-        // orders ⋈ customer (region-filtered) on custkey.
-        let (oc_l, oc_r) = backend.join(&o_cust, &asia_custkeys, join_algo)?;
-        let sel_order_keys = backend.gather(&o_key, &oc_l)?;
-        let order_cust_nation = backend.gather(&asia_cust_nation, &oc_r)?;
-
-        // lineitem ⋈ orders on orderkey.
-        let (ll, lr) = backend.join(col("lineitem.orderkey"), &sel_order_keys, join_algo)?;
-        let line_supp = backend.gather(col("lineitem.suppkey"), &ll)?;
-        let line_cust_nation = backend.gather(&order_cust_nation, &lr)?;
-        let line_ext = backend.gather(col("lineitem.extendedprice"), &ll)?;
-        let line_disc = backend.gather(col("lineitem.discount"), &ll)?;
-
-        // lineitem ⋈ supplier (region-filtered) on suppkey.
-        let (sl, sr) = backend.join(&line_supp, &asia_suppkeys, join_algo)?;
-        let m_supp_nation = backend.gather(&asia_supp_nation, &sr)?;
-        let m_cust_nation = backend.gather(&line_cust_nation, &sl)?;
-        let m_ext = backend.gather(&line_ext, &sl)?;
-        let m_disc = backend.gather(&line_disc, &sl)?;
-
-        // "local" condition: customer and supplier share the nation.
-        let local_ids = backend.selection_cmp_cols(&m_cust_nation, &m_supp_nation, CmpOp::Eq)?;
-        let f_nation = backend.gather(&m_supp_nation, &local_ids)?;
-        let f_ext = backend.gather(&m_ext, &local_ids)?;
-        let f_disc = backend.gather(&m_disc, &local_ids)?;
-
-        // revenue = ext · (1 − disc), grouped by nation.
-        let one_minus = backend.affine(&f_disc, -1.0, 1.0)?;
-        let revenue = backend.product(&f_ext, &one_minus)?;
-        let (g_keys, g_rev) = backend.grouped_sum(&f_nation, &revenue)?;
-        let keys = backend.download_u32(&g_keys)?;
-        let revs = backend.download_f64(&g_rev)?;
-
-        for c in [
-            n_ids,
-            asia_nations,
-            s_rows,
-            _n1,
-            asia_suppkeys,
-            asia_supp_nation,
-            c_rows,
-            _n2,
-            asia_custkeys,
-            asia_cust_nation,
-            o_ids,
-            o_cust,
-            o_key,
-            oc_l,
-            oc_r,
-            sel_order_keys,
-            order_cust_nation,
-            ll,
-            lr,
-            line_supp,
-            line_cust_nation,
-            line_ext,
-            line_disc,
-            sl,
-            sr,
-            m_supp_nation,
-            m_cust_nation,
-            m_ext,
-            m_disc,
-            local_ids,
-            f_nation,
-            f_ext,
-            f_disc,
-            one_minus,
-            revenue,
-            g_keys,
-            g_rev,
-        ] {
-            backend.free(c)?;
-        }
-
-        let mut rows: Vec<Q5Row> = keys
-            .into_iter()
-            .zip(revs)
-            .map(|(nationkey, revenue)| Q5Row { nationkey, revenue })
-            .collect();
-        rows.sort_by(|a, b| {
-            b.revenue
-                .partial_cmp(&a.revenue)
-                .expect("finite revenue")
-                .then(a.nationkey.cmp(&b.nationkey))
-        });
-        Ok(rows)
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen::generate;
-    use crate::queries::close;
-    use gpu_sim::DeviceSpec;
+    use gpu_sim::{DeviceSpec, SimError};
     use proto_core::prelude::*;
-
-    #[test]
-    fn joinable_backends_match_the_reference() {
-        let db = generate(0.002);
-        let expect = reference(&db);
-        assert!(!expect.is_empty(), "ASIA revenue must exist");
-        // Exactly the region's nations can appear.
-        for r in &expect {
-            assert_eq!(
-                db.nation.regionkey[r.nationkey as usize],
-                2,
-                "{}",
-                r.nation()
-            );
-        }
-        let fw = Framework::with_all_backends(&DeviceSpec::gtx1080());
-        for b in fw.backends() {
-            let data = Q5Data::upload(b.as_ref(), &db).unwrap();
-            match data.execute(b.as_ref()) {
-                Ok(rows) => {
-                    assert_eq!(rows.len(), expect.len(), "{}", b.name());
-                    for (got, want) in rows.iter().zip(&expect) {
-                        assert_eq!(got.nationkey, want.nationkey, "{}", b.name());
-                        assert!(
-                            close(got.revenue, want.revenue),
-                            "{}: {} vs {}",
-                            b.name(),
-                            got.revenue,
-                            want.revenue
-                        );
-                    }
-                }
-                Err(_) => assert_eq!(b.name(), "ArrayFire"),
-            }
-            data.free(b.as_ref()).unwrap();
-        }
-    }
-
-    #[test]
-    fn planned_execution_matches_the_handwritten_lowering_exactly() {
-        for sf in [0.001, 0.01] {
-            let db = generate(sf);
-            for name in ["Thrust", "Boost.Compute", "ArrayFire", "Handwritten"] {
-                let spec = DeviceSpec::gtx1080();
-                let b_old = Framework::single_backend(&spec, name);
-                let b_new = Framework::single_backend(&spec, name);
-                let d_old = Q5Data::upload(b_old.as_ref(), &db).unwrap();
-                let d_new = Q5Data::upload(b_new.as_ref(), &db).unwrap();
-                b_old.device().set_tracing(true);
-                b_new.device().set_tracing(true);
-                match (
-                    oracle::execute(&d_old, b_old.as_ref()),
-                    d_new.execute(b_new.as_ref()),
-                ) {
-                    (Ok(expect), Ok(got)) => assert_eq!(got, expect, "{name} @ sf {sf}"),
-                    (Err(e_old), Err(e_new)) => {
-                        assert_eq!(e_new.to_string(), e_old.to_string(), "{name} @ sf {sf}")
-                    }
-                    (old, new) => panic!("{name} @ sf {sf}: diverged: {old:?} vs {new:?}"),
-                }
-                assert_eq!(
-                    b_new.device().take_trace(),
-                    b_old.device().take_trace(),
-                    "{name} @ sf {sf}: planned trace deviates from the hand-rolled one"
-                );
-            }
-        }
-    }
 
     #[test]
     fn the_shared_nation_subplan_lowers_once() {
         let fw = Framework::with_all_backends(&DeviceSpec::gtx1080());
         let b = fw.backend("Handwritten").unwrap();
-        let plan = physical_plan(b).unwrap();
+        let plan = Q5::physical_plan(b).unwrap();
         let selections = plan
             .steps()
             .iter()
@@ -507,12 +281,47 @@ mod tests {
     }
 
     #[test]
-    fn result_is_revenue_descending() {
+    fn result_is_revenue_descending_over_the_region_nations() {
         let db = generate(0.003);
         let rows = reference(&db);
+        assert!(!rows.is_empty(), "ASIA revenue must exist");
         assert!(rows.windows(2).all(|w| w[0].revenue >= w[1].revenue));
         for r in &rows {
             assert!(!r.nation().is_empty());
+            assert_eq!(db.nation.regionkey[r.nationkey as usize], region_code());
         }
+    }
+
+    #[test]
+    fn a_nan_price_orders_first_instead_of_panicking() {
+        let mut db = generate(0.002);
+        // Poison one line of the reference's last nation (what a `.tbl`
+        // `extendedprice` of "NaN" parses to).
+        let last = reference(&db).last().unwrap().nationkey;
+        let (lo, hi) = (date(1994, 1, 1), date(1995, 1, 1));
+        let li = &db.lineitem;
+        let line = (0..li.len())
+            .find(|&i| {
+                let order = (li.orderkey[i] - 1) as usize;
+                let customer = (db.orders.custkey[order] - 1) as usize;
+                let supplier = (li.suppkey[i] - 1) as usize;
+                (lo..hi).contains(&db.orders.orderdate[order])
+                    && db.customer.nationkey[customer] == last
+                    && db.supplier.nationkey[supplier] == last
+            })
+            .expect("the last nation has a qualifying line");
+        db.lineitem.extendedprice[line] = "NaN".parse().unwrap();
+        let rows = reference(&db);
+        assert_eq!(rows[0].nationkey, last);
+        assert!(rows[0].revenue.is_nan());
+        // The plan's host sort refuses a NaN with a typed error.
+        let b = Framework::single_backend(&DeviceSpec::gtx1080(), "Handwritten");
+        let data = Q5Data::upload(b.as_ref(), &db).unwrap();
+        let err = data.execute(b.as_ref()).unwrap_err();
+        assert!(
+            matches!(&err, SimError::Unsupported(m) if m.contains("NaN")),
+            "{err}"
+        );
+        data.free(b.as_ref()).unwrap();
     }
 }

@@ -1,94 +1,42 @@
-//! From a query's [`LogicalPlan`] to its device-resident working set.
+//! From a query's logical plan to its device-resident working set, and
+//! the one driver that executes every query over it.
 //!
 //! A plan's scans already declare every base column the query touches
-//! ([`LogicalPlan::scan_columns`]); [`Database::column`] maps each
-//! qualified name to its host data. [`WorkingSet`] joins the two: it
-//! uploads, binds and frees exactly the declared columns, so a query
-//! module spells its column list once — in `logical_plan()`.
+//! ([`proto_core::logical::LogicalPlan::scan_columns`]); the schema's
+//! [`Database::column`] maps each qualified name to its host data.
+//! [`QueryData`] joins the two — it uploads, binds and frees exactly the
+//! declared columns, so a query module spells its column list once, in
+//! `logical_plan()` — and adds the planning, execution modes and
+//! decoding every query shares.
 
-use crate::queries::q1;
+use crate::queries::Query;
 use crate::schema::Database;
 use gpu_sim::{Result, SimError};
-use proto_core::backend::{Col, ColType, GpuBackend};
-use proto_core::logical::LogicalPlan;
-use proto_core::physical::{PhysicalPlan, PlanBindings, PlanOutput};
+use proto_core::backend::{Col, GpuBackend};
+use proto_core::physical::PlanBindings;
 use proto_core::resilient_plan::{HostCol, PartitionSource, PlanLane, ResilientPlanExecutor};
-use std::borrow::Cow;
 
-impl Database {
-    /// The host column behind a plan's qualified base-column name
-    /// (`table.column`), for every column the studied queries scan;
-    /// `None` for any other name.
-    ///
-    /// Besides stored columns this answers `lineitem.groupkey`, Q1's
-    /// composite `(returnflag, linestatus)` group key — an encoding
-    /// decision made once per table, so it is derived here for uploads
-    /// and partition sources alike.
-    pub fn column(&self, name: &str) -> Option<HostCol<'_>> {
-        fn u(v: &[u32]) -> HostCol<'_> {
-            HostCol::U32(Cow::Borrowed(v))
-        }
-        fn f(v: &[f64]) -> HostCol<'_> {
-            HostCol::F64(Cow::Borrowed(v))
-        }
-        let (li, o, c) = (&self.lineitem, &self.orders, &self.customer);
-        Some(match name {
-            "lineitem.orderkey" => u(&li.orderkey),
-            "lineitem.partkey" => u(&li.partkey),
-            "lineitem.suppkey" => u(&li.suppkey),
-            "lineitem.quantity" => f(&li.quantity),
-            "lineitem.extendedprice" => f(&li.extendedprice),
-            "lineitem.discount" => f(&li.discount),
-            "lineitem.tax" => f(&li.tax),
-            "lineitem.shipdate" => u(&li.shipdate),
-            "lineitem.commitdate" => u(&li.commitdate),
-            "lineitem.receiptdate" => u(&li.receiptdate),
-            "lineitem.groupkey" => HostCol::U32(Cow::Owned(
-                li.returnflag
-                    .iter()
-                    .zip(&li.linestatus)
-                    .map(|(&rf, &ls)| q1::group_key(rf, ls))
-                    .collect(),
-            )),
-            "orders.orderkey" => u(&o.orderkey),
-            "orders.custkey" => u(&o.custkey),
-            "orders.orderdate" => u(&o.orderdate),
-            "orders.orderpriority" => u(&o.orderpriority),
-            "customer.custkey" => u(&c.custkey),
-            "customer.nationkey" => u(&c.nationkey),
-            "customer.mktsegment" => u(&c.mktsegment),
-            "part.partkey" => u(&self.part.partkey),
-            "part.size" => u(&self.part.size),
-            "supplier.suppkey" => u(&self.supplier.suppkey),
-            "supplier.nationkey" => u(&self.supplier.nationkey),
-            "nation.nationkey" => u(&self.nation.nationkey),
-            "nation.regionkey" => u(&self.nation.regionkey),
-            _ => return None,
-        })
-    }
-}
+/// A backend and the uploaded `(name, column)` pairs a plan runs on.
+type Lane<'a> = (&'a dyn GpuBackend, &'a [(String, Col)]);
 
-/// The device-resident base columns of one query on one backend: what
-/// every `QnData` holds, and what a caller that treats the six queries
-/// alike ([`crate::queries::LOGICAL_PLANS`]) uploads directly.
+/// One query's working set on one backend — the base columns its plan
+/// scans, uploaded, plus the host data its decoding reads — and every
+/// way to execute the query over it. `qN::QnData` is `QueryData<qN::Qn>`.
 #[derive(Debug)]
-pub struct WorkingSet {
+pub struct QueryData<Q: Query> {
     /// `(qualified name, column)` in upload order.
     cols: Vec<(String, Col)>,
+    host: Q::Host,
 }
 
-impl WorkingSet {
-    /// Upload `columns` (a plan's [`LogicalPlan::scan_columns`]) in
-    /// order. Like the hand-written uploads it replaces, a failing
-    /// upload propagates without releasing the columns before it.
-    pub fn upload(
-        backend: &dyn GpuBackend,
-        db: &Database,
-        columns: &[(String, ColType)],
-    ) -> Result<Self> {
-        let mut cols = Vec::with_capacity(columns.len());
-        for (name, _) in columns {
-            let col = match db.column(name) {
+impl<Q: Query> QueryData<Q> {
+    /// Upload [`Query::upload_columns`] in order and capture
+    /// [`Query::host`]. Like the hand-written uploads it replaces, a
+    /// failing upload propagates without releasing the columns before it.
+    pub fn upload(backend: &dyn GpuBackend, db: &Database) -> Result<Self> {
+        let mut cols = Vec::new();
+        for (name, _) in Q::upload_columns() {
+            let col = match db.column(&name) {
                 Some(HostCol::U32(v)) => backend.upload_u32(&v)?,
                 Some(HostCol::F64(v)) => backend.upload_f64(&v)?,
                 None => {
@@ -97,47 +45,122 @@ impl WorkingSet {
                     )))
                 }
             };
-            cols.push((name.clone(), col));
+            cols.push((name, col));
         }
-        Ok(WorkingSet { cols })
+        Ok(QueryData {
+            cols,
+            host: Q::host(db),
+        })
     }
 
-    /// Every uploaded column bound under its qualified name.
-    pub fn bindings(&self) -> PlanBindings<'_> {
-        let mut binds = PlanBindings::new();
-        for (name, col) in &self.cols {
-            binds.bind(name, col);
-        }
-        binds
+    /// Execute the query through the planner.
+    pub fn execute(&self, backend: &dyn GpuBackend) -> Result<Q::Answer> {
+        self.execute_with(backend, &ResilientPlanExecutor::default())
     }
 
-    /// Run the query `plan` compiles through a two-backend fallback
-    /// chain: each lane is a backend with its own uploaded working set,
-    /// and the second replays what the first cannot complete.
-    pub(crate) fn execute_with_fallback(
-        lanes: [(&WorkingSet, &dyn GpuBackend); 2],
-        plan: fn(&dyn GpuBackend) -> Result<PhysicalPlan>,
+    /// Execute through `exec`, recovering from transient faults at plan
+    /// granularity (see [`proto_core::resilient_plan`]).
+    pub fn execute_with(
+        &self,
+        backend: &dyn GpuBackend,
         exec: &ResilientPlanExecutor,
-    ) -> Result<PlanOutput> {
-        let plans = [plan(lanes[0].1)?, plan(lanes[1].1)?];
-        let binds = [lanes[0].0.bindings(), lanes[1].0.bindings()];
-        let lanes = [0, 1].map(|i| PlanLane {
-            backend: lanes[i].1,
-            plan: &plans[i],
-            binds: &binds[i],
-        });
-        exec.execute_lanes(&lanes, None)
+    ) -> Result<Q::Answer> {
+        Self::run(&[(backend, &self.cols[..])], exec, None, &self.host)
     }
 
-    /// The uploaded column `name` (the oracles' by-name access).
-    #[cfg(test)]
-    pub(crate) fn col(&self, name: &str) -> &Col {
-        let hit = self.cols.iter().find(|(n, _)| n == name);
-        &hit.unwrap_or_else(|| panic!("`{name}` is not in the working set"))
-            .1
+    /// Execute through a backend fallback chain: if `backend` cannot
+    /// complete the plan, `spare` (a second backend with its own uploaded
+    /// working set) replays it, carrying forward every host-resident
+    /// checkpoint when the lowered step lists agree.
+    pub fn execute_with_fallback(
+        &self,
+        backend: &dyn GpuBackend,
+        spare: (&Self, &dyn GpuBackend),
+        exec: &ResilientPlanExecutor,
+    ) -> Result<Q::Answer> {
+        let lanes = [(backend, &self.cols[..]), (spare.1, &spare.0.cols[..])];
+        Self::run(&lanes, exec, None, &self.host)
     }
 
-    /// Free the columns, in upload order.
+    /// Execute over horizontal partitions of `lineitem`: `exec`
+    /// partitions up front when a memory budget is configured, or as the
+    /// OOM escalation path otherwise. A plan the executor cannot prove
+    /// partition-safe (the join queries Q3, Q4 and Q5) then fails with
+    /// [`SimError::Unsupported`].
+    pub fn execute_partitioned(
+        &self,
+        backend: &dyn GpuBackend,
+        exec: &ResilientPlanExecutor,
+        db: &Database,
+    ) -> Result<Q::Answer> {
+        let src = Self::partition_source(db);
+        Self::run(&[(backend, &self.cols[..])], exec, Some(&src), &self.host)
+    }
+
+    /// Execute entirely from the host partition source: no full-table
+    /// upload; every chunk stages its own window. Requires `exec` to
+    /// carry a memory budget — without one the executor's first attempt
+    /// runs unpartitioned from the (empty) device bindings and fails.
+    pub fn execute_budgeted(
+        backend: &dyn GpuBackend,
+        exec: &ResilientPlanExecutor,
+        db: &Database,
+    ) -> Result<Q::Answer> {
+        debug_assert!(
+            exec.recovery().mem_budget_bytes.is_some(),
+            "execute_budgeted needs a memory budget"
+        );
+        let src = Self::partition_source(db);
+        Self::run(&[(backend, &[])], exec, Some(&src), &Q::host(db))
+    }
+
+    /// The host-side `lineitem` columns the plan scans — the source a
+    /// query is horizontally partitioned over (the fact table, and the
+    /// probe side of Q14's join; every other table stays whole). A column
+    /// the schema lacks stays unbound, for the executor to report.
+    pub fn partition_source(db: &Database) -> PartitionSource<'_> {
+        let mut src = PartitionSource::new();
+        let columns = (Q::LOGICAL_PLAN)().scan_columns();
+        let lineitem = columns.iter().filter(|(n, _)| n.starts_with("lineitem."));
+        for (name, col) in lineitem.filter_map(|(n, _)| Some((n, db.column(n)?))) {
+            match col {
+                HostCol::U32(v) => src.bind_u32(name, v),
+                HostCol::F64(v) => src.bind_f64(name, v),
+            };
+        }
+        src
+    }
+
+    /// Plan the query on each lane's backend and run the lanes through
+    /// `exec` — a fallback chain when there are two — with `source` to
+    /// partition over.
+    fn run(
+        lanes: &[Lane<'_>],
+        exec: &ResilientPlanExecutor,
+        source: Option<&PartitionSource<'_>>,
+        host: &Q::Host,
+    ) -> Result<Q::Answer> {
+        let mut planned = Vec::with_capacity(lanes.len());
+        for &(backend, cols) in lanes {
+            let mut binds = PlanBindings::new();
+            for (name, col) in cols {
+                binds.bind(name, col);
+            }
+            planned.push((Q::physical_plan(backend)?, binds));
+        }
+        let lanes: Vec<_> = lanes
+            .iter()
+            .zip(&planned)
+            .map(|(&(backend, _), (plan, binds))| PlanLane {
+                backend,
+                plan,
+                binds,
+            })
+            .collect();
+        Q::decode(&exec.execute_lanes(&lanes, source)?, host)
+    }
+
+    /// Free the working set, in upload order.
     pub fn free(self, backend: &dyn GpuBackend) -> Result<()> {
         for (_, col) in self.cols {
             backend.free(col)?;
@@ -146,50 +169,43 @@ impl WorkingSet {
     }
 }
 
-/// The host-side `lineitem` columns `plan` scans — the source Q1, Q6 and
-/// Q14 are horizontally partitioned over (the fact table; every other
-/// table stays whole).
-pub(crate) fn lineitem_partition_source<'a>(
-    db: &'a Database,
-    plan: &LogicalPlan,
-) -> PartitionSource<'a> {
-    let mut src = PartitionSource::new();
-    for (name, _) in plan.scan_columns() {
-        if name.starts_with("lineitem.") {
-            // The plans scan schema columns only (`tests/working_set.rs`
-            // holds them to it), so a miss is a bug in the plan.
-            match db.column(&name).expect("plan scans a schema column") {
-                HostCol::U32(v) => src.bind_u32(&name, v),
-                HostCol::F64(v) => src.bind_f64(&name, v),
-            };
-        }
-    }
-    src
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen::generate;
-    use crate::queries::{q1, q14, q3, q4, q5, q6};
+    use crate::queries::{can_join, q1, q14, q3, q4, q5, q6};
+    use gpu_sim::DeviceSpec;
     use proto_core::backends::HandwrittenBackend;
+    use proto_core::framework::Framework;
+    use proto_core::resilient_plan::PlanRecovery;
+    use std::fmt::Debug;
 
-    fn uploaded(ws: WorkingSet, backend: &dyn GpuBackend) -> Vec<String> {
+    /// `check::<Q>` for each of the six queries.
+    fn every_query(check: [fn(&Database); 6]) {
+        let db = generate(0.002);
+        for check in check {
+            check(&db);
+        }
+    }
+
+    const BACKENDS: [&str; 4] = ["Thrust", "Boost.Compute", "ArrayFire", "Handwritten"];
+
+    fn uploaded<Q: Query>(data: QueryData<Q>, backend: &dyn GpuBackend) -> Vec<String> {
         let dtyped = |(name, col): &(String, Col)| format!("{name}:{:?}", col.dtype());
-        let names = ws.cols.iter().map(dtyped).collect();
-        ws.free(backend).unwrap();
+        let names = data.cols.iter().map(dtyped).collect();
+        data.free(backend).unwrap();
         names
     }
 
     /// Allocation order is observable (buffer ids in traces, pool state),
-    /// so what each `QnData::upload` sends, and in which order, is part of
-    /// the simulated artifacts.
+    /// so what each `QueryData::upload` sends, and in which order, is part
+    /// of the simulated artifacts.
     #[test]
     fn each_query_uploads_its_scanned_columns_in_the_pinned_order() {
         let db = generate(0.001);
         let b = HandwrittenBackend::new(&gpu_sim::Device::with_defaults());
         assert_eq!(
-            uploaded(q1::Q1Data::upload(&b, &db).unwrap().cols, &b),
+            uploaded(q1::Q1Data::upload(&b, &db).unwrap(), &b),
             [
                 "lineitem.shipdate:U32",
                 "lineitem.groupkey:U32",
@@ -200,7 +216,7 @@ mod tests {
             ]
         );
         assert_eq!(
-            uploaded(q3::Q3Data::upload(&b, &db).unwrap().cols, &b),
+            uploaded(q3::Q3Data::upload(&b, &db).unwrap(), &b),
             [
                 "customer.mktsegment:U32",
                 "customer.custkey:U32",
@@ -214,7 +230,7 @@ mod tests {
             ]
         );
         assert_eq!(
-            uploaded(q4::Q4Data::upload(&b, &db).unwrap().cols, &b),
+            uploaded(q4::Q4Data::upload(&b, &db).unwrap(), &b),
             [
                 "orders.orderdate:U32",
                 "orders.orderkey:U32",
@@ -225,7 +241,7 @@ mod tests {
             ]
         );
         assert_eq!(
-            uploaded(q5::Q5Data::upload(&b, &db).unwrap().cols, &b),
+            uploaded(q5::Q5Data::upload(&b, &db).unwrap(), &b),
             [
                 "nation.nationkey:U32",
                 "nation.regionkey:U32",
@@ -243,7 +259,7 @@ mod tests {
             ]
         );
         assert_eq!(
-            uploaded(q6::Q6Data::upload(&b, &db).unwrap().cols, &b),
+            uploaded(q6::Q6Data::upload(&b, &db).unwrap(), &b),
             [
                 "lineitem.shipdate:U32",
                 "lineitem.discount:F64",
@@ -252,7 +268,7 @@ mod tests {
             ]
         );
         assert_eq!(
-            uploaded(q14::Q14Data::upload(&b, &db).unwrap().cols, &b),
+            uploaded(q14::Q14Data::upload(&b, &db).unwrap(), &b),
             [
                 "lineitem.shipdate:U32",
                 "lineitem.partkey:U32",
@@ -263,5 +279,111 @@ mod tests {
             ]
         );
         assert_eq!(b.device().live_buffers(), 0);
+    }
+
+    /// Every backend either answers a query as its host reference does
+    /// or — lacking any join algorithm, per Table II — refuses it with a
+    /// typed `Unsupported`; either way its working set frees cleanly.
+    #[test]
+    fn every_backend_answers_each_query_as_the_reference_or_refuses_it() {
+        fn check<Q: Query>(db: &Database)
+        where
+            Q::Answer: Debug,
+        {
+            let want = (Q::REFERENCE)(db);
+            for name in BACKENDS {
+                let b = Framework::single_backend(&DeviceSpec::gtx1080(), name);
+                let b = b.as_ref();
+                let data = QueryData::<Q>::upload(b, db).unwrap();
+                match data.execute(b) {
+                    Ok(got) => assert!(
+                        Q::matches(&got, &want),
+                        "{} on {name}: {got:?} vs reference {want:?}",
+                        Q::NAME
+                    ),
+                    Err(e) => assert!(
+                        !can_join(b)
+                            && matches!(&e, SimError::Unsupported(m) if m.contains("(Table II)")),
+                        "{} on {name}: {e}",
+                        Q::NAME
+                    ),
+                }
+                data.free(b).unwrap();
+                assert_eq!(b.device().live_buffers(), 0, "{} on {name}", Q::NAME);
+            }
+        }
+        every_query([
+            check::<q1::Q1>,
+            check::<q3::Q3>,
+            check::<q4::Q4>,
+            check::<q5::Q5>,
+            check::<q6::Q6>,
+            check::<q14::Q14>,
+        ]);
+    }
+
+    /// The shared fallback and partition paths: a fault-free two-lane
+    /// chain returns plain execution's answer bit for bit; a budgeted
+    /// partitioned run matches it (the sums reassociate) where the plan
+    /// is partition-safe, and is refused with the executor's typed
+    /// `Unsupported` where it is not (the join queries Q3, Q4 and Q5).
+    /// No run leaves a buffer behind.
+    #[test]
+    fn fallback_chains_and_partitions_run_every_query() {
+        fn check<Q: Query>(db: &Database)
+        where
+            Q::Answer: Debug,
+        {
+            let spec = DeviceSpec::gtx1080();
+            let parts = ResilientPlanExecutor::new(PlanRecovery {
+                mem_budget_bytes: Some(db.lineitem.len() as u64 * 80),
+                ..PlanRecovery::default()
+            });
+            for name in BACKENDS {
+                let b = Framework::single_backend(&spec, name);
+                let spare = Framework::single_backend(&spec, "Handwritten");
+                let (b, spare) = (b.as_ref(), spare.as_ref());
+                let data = QueryData::<Q>::upload(b, db).unwrap();
+                let spare_data = QueryData::<Q>::upload(spare, db).unwrap();
+                let plain = data.execute(b);
+                let exec = ResilientPlanExecutor::default();
+                let chained = data.execute_with_fallback(b, (&spare_data, spare), &exec);
+                assert_eq!(
+                    format!("{chained:?}"),
+                    format!("{plain:?}"),
+                    "{} on {name}",
+                    Q::NAME
+                );
+                match (plain, data.execute_partitioned(b, &parts, db)) {
+                    (Ok(plain), Ok(split)) => {
+                        assert!(Q::matches(&split, &plain), "{} on {name}", Q::NAME);
+                        assert!(b.device().stats().plan_partitions > 0);
+                    }
+                    (Ok(_), Err(e)) => assert!(
+                        ["Q3", "Q4", "Q5"].contains(&Q::NAME)
+                            && matches!(&e, SimError::Unsupported(m) if m.contains("not partition-safe")),
+                        "{} on {name}: {e}",
+                        Q::NAME
+                    ),
+                    (Err(_), split) => assert!(
+                        matches!(split, Err(SimError::Unsupported(_))),
+                        "{} on {name}",
+                        Q::NAME
+                    ),
+                }
+                spare_data.free(spare).unwrap();
+                data.free(b).unwrap();
+                let live = (b.device().live_buffers(), spare.device().live_buffers());
+                assert_eq!(live, (0, 0), "{} on {name}", Q::NAME);
+            }
+        }
+        every_query([
+            check::<q1::Q1>,
+            check::<q3::Q3>,
+            check::<q4::Q4>,
+            check::<q5::Q5>,
+            check::<q6::Q6>,
+            check::<q14::Q14>,
+        ]);
     }
 }

@@ -6,6 +6,9 @@
 //! Text columns the benchmark queries never touch are omitted; categorical
 //! text (flags, status, priority, segment) is dictionary-encoded.
 
+use proto_core::resilient_plan::HostCol;
+use std::borrow::Cow;
+
 /// `LINEITEM` — the fact table.
 #[derive(Debug, Default, Clone)]
 pub struct Lineitem {
@@ -220,6 +223,65 @@ impl Customer {
     pub fn is_empty(&self) -> bool {
         self.custkey.is_empty()
     }
+}
+
+impl Database {
+    /// The host column behind a plan's qualified base-column name
+    /// (`table.column`), for every column the studied queries scan;
+    /// `None` for any other name.
+    ///
+    /// Besides stored columns this answers `lineitem.groupkey`, Q1's
+    /// composite `(returnflag, linestatus)` group key — an encoding
+    /// decision made once per table, so it is derived here for uploads
+    /// and partition sources alike.
+    pub fn column(&self, name: &str) -> Option<HostCol<'_>> {
+        fn u(v: &[u32]) -> HostCol<'_> {
+            HostCol::U32(Cow::Borrowed(v))
+        }
+        fn f(v: &[f64]) -> HostCol<'_> {
+            HostCol::F64(Cow::Borrowed(v))
+        }
+        let (li, o, c) = (&self.lineitem, &self.orders, &self.customer);
+        Some(match name {
+            "lineitem.orderkey" => u(&li.orderkey),
+            "lineitem.partkey" => u(&li.partkey),
+            "lineitem.suppkey" => u(&li.suppkey),
+            "lineitem.quantity" => f(&li.quantity),
+            "lineitem.extendedprice" => f(&li.extendedprice),
+            "lineitem.discount" => f(&li.discount),
+            "lineitem.tax" => f(&li.tax),
+            "lineitem.shipdate" => u(&li.shipdate),
+            "lineitem.commitdate" => u(&li.commitdate),
+            "lineitem.receiptdate" => u(&li.receiptdate),
+            "lineitem.groupkey" => HostCol::U32(Cow::Owned(
+                li.returnflag
+                    .iter()
+                    .zip(&li.linestatus)
+                    .map(|(&rf, &ls)| group_key(rf, ls))
+                    .collect(),
+            )),
+            "orders.orderkey" => u(&o.orderkey),
+            "orders.custkey" => u(&o.custkey),
+            "orders.orderdate" => u(&o.orderdate),
+            "orders.orderpriority" => u(&o.orderpriority),
+            "customer.custkey" => u(&c.custkey),
+            "customer.nationkey" => u(&c.nationkey),
+            "customer.mktsegment" => u(&c.mktsegment),
+            "part.partkey" => u(&self.part.partkey),
+            "part.size" => u(&self.part.size),
+            "supplier.suppkey" => u(&self.supplier.suppkey),
+            "supplier.nationkey" => u(&self.supplier.nationkey),
+            "nation.nationkey" => u(&self.nation.nationkey),
+            "nation.regionkey" => u(&self.nation.regionkey),
+            _ => return None,
+        })
+    }
+}
+
+/// Q1's group key encoding: `returnflag · 2 + linestatus` (6 live
+/// groups).
+pub(crate) fn group_key(rf: u32, ls: u32) -> u32 {
+    rf * 2 + ls
 }
 
 /// Dictionary index of a segment name.

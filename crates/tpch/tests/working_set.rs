@@ -1,5 +1,5 @@
 //! `Database::column` must answer every base column the six logical
-//! plans scan, with the dtype the scan declares: `QnData::upload` and
+//! plans scan, with the dtype the scan declares: `QueryData::upload` and
 //! the partition sources are built from nothing else.
 
 use proto_core::backend::ColType;

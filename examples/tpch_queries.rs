@@ -52,8 +52,8 @@ fn main() {
         // Q3 / Q4 / Q14 — may be unsupported.
         let (t3, t4, t14) = if can_join(b) {
             let d3 = q3::Q3Data::upload(b, &db).expect("upload");
-            d3.execute(b, &db).expect("q3 warm-up");
-            let (_, t3) = b.device().time(|| d3.execute(b, &db).expect("q3"));
+            d3.execute(b).expect("q3 warm-up");
+            let (_, t3) = b.device().time(|| d3.execute(b).expect("q3"));
             let d4 = q4::Q4Data::upload(b, &db).expect("upload");
             d4.execute(b).expect("q4 warm-up");
             let (_, t4) = b.device().time(|| d4.execute(b).expect("q4"));

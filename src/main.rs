@@ -8,8 +8,12 @@
 //! gpu-proto-db devices                     # the device presets
 //! ```
 
+use gpu_proto_db::core::backend::GpuBackend;
 use gpu_proto_db::core::runner::fmt_duration;
-use gpu_proto_db::tpch::queries::{can_join, q1, q14, q3, q4, q5, q6};
+use gpu_proto_db::sim::SimError;
+use gpu_proto_db::tpch::queries::{can_join, q1::Q1, q14::Q14, q3::Q3, q4::Q4, q5::Q5, q6::Q6};
+use gpu_proto_db::tpch::queries::{Query, QueryData};
+use gpu_proto_db::tpch::Database;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -99,14 +103,32 @@ fn scale_factor(cmd: &str, args: &[String]) -> f64 {
 const QUERIES: [&str; 6] = ["q1", "q3", "q4", "q5", "q6", "q14"];
 
 fn run_query(args: &[String]) {
-    let Some(query) = args.first().filter(|q| QUERIES.contains(&q.as_str())) else {
-        eprintln!(
-            "query: unknown query `{}` (expected {})",
-            args.first().map_or("", String::as_str),
-            QUERIES.join(", ")
-        );
-        std::process::exit(2);
-    };
+    let query: fn(&dyn GpuBackend, &Database) -> Result<(), SimError> =
+        match args.first().map(String::as_str) {
+            Some("q1") => |b, db| run::<Q1>(b, db, |rows| format!("{} groups", rows.len())),
+            Some("q3") => |b, db| {
+                run::<Q3>(b, db, |rows| {
+                    format!("top order #{}", rows.first().map_or(0, |r| r.orderkey))
+                })
+            },
+            Some("q4") => |b, db| run::<Q4>(b, db, |rows| format!("{} priorities", rows.len())),
+            Some("q5") => |b, db| {
+                run::<Q5>(b, db, |rows| {
+                    let top = rows.first().map_or("(none)", |r| r.nation());
+                    format!("top nation: {top}")
+                })
+            },
+            Some("q6") => |b, db| run::<Q6>(b, db, |v| format!("revenue = {v:.2}")),
+            Some("q14") => |b, db| run::<Q14>(b, db, |pct| format!("promo share = {pct:.2}%")),
+            other => {
+                eprintln!(
+                    "query: unknown query `{}` (expected {})",
+                    other.unwrap_or(""),
+                    QUERIES.join(", ")
+                );
+                std::process::exit(2);
+            }
+        };
     let sf = scale_factor("query", args);
     let only = flag_value(args, "--backend");
     if let Err(e) = gpu_proto_db::core::optimizer::env_fusion_threshold() {
@@ -126,80 +148,7 @@ fn run_query(args: &[String]) {
             }
         }
         ran_any = true;
-        let outcome = match query.as_str() {
-            "q6" => {
-                let d = q6::Q6Data::upload(b, &db).expect("upload");
-                d.execute(b).map(|_| {
-                    let (v, t) = b.device().time(|| d.execute(b).expect("q6"));
-                    println!(
-                        "{:<16} {}   revenue = {v:.2}",
-                        b.name(),
-                        fmt_duration(t.as_nanos())
-                    );
-                })
-            }
-            "q1" => {
-                let d = q1::Q1Data::upload(b, &db).expect("upload");
-                d.execute(b).map(|_| {
-                    let (rows, t) = b.device().time(|| d.execute(b).expect("q1"));
-                    println!(
-                        "{:<16} {}   {} groups",
-                        b.name(),
-                        fmt_duration(t.as_nanos()),
-                        rows.len()
-                    );
-                })
-            }
-            "q3" => {
-                let d = q3::Q3Data::upload(b, &db).expect("upload");
-                d.execute(b, &db).map(|_| {
-                    let (rows, t) = b.device().time(|| d.execute(b, &db).expect("q3"));
-                    println!(
-                        "{:<16} {}   top order #{}",
-                        b.name(),
-                        fmt_duration(t.as_nanos()),
-                        rows.first().map_or(0, |r| r.orderkey)
-                    );
-                })
-            }
-            "q4" => {
-                let d = q4::Q4Data::upload(b, &db).expect("upload");
-                d.execute(b).map(|_| {
-                    let (rows, t) = b.device().time(|| d.execute(b).expect("q4"));
-                    println!(
-                        "{:<16} {}   {} priorities",
-                        b.name(),
-                        fmt_duration(t.as_nanos()),
-                        rows.len()
-                    );
-                })
-            }
-            "q5" => {
-                let d = q5::Q5Data::upload(b, &db).expect("upload");
-                d.execute(b).map(|_| {
-                    let (rows, t) = b.device().time(|| d.execute(b).expect("q5"));
-                    println!(
-                        "{:<16} {}   top nation: {}",
-                        b.name(),
-                        fmt_duration(t.as_nanos()),
-                        rows.first().map_or("(none)", |r| r.nation())
-                    );
-                })
-            }
-            "q14" => {
-                let d = q14::Q14Data::upload(b, &db).expect("upload");
-                d.execute(b).map(|_| {
-                    let (pct, t) = b.device().time(|| d.execute(b).expect("q14"));
-                    println!(
-                        "{:<16} {}   promo share = {pct:.2}%",
-                        b.name(),
-                        fmt_duration(t.as_nanos())
-                    );
-                })
-            }
-            other => unreachable!("`{other}` passed the QUERIES check"),
-        };
-        if outcome.is_err() {
+        if query(b, &db).is_err() {
             debug_assert!(!can_join(b), "only join-less backends may fail");
             println!(
                 "{:<16} unsupported (no join algorithm — Table II)",
@@ -214,4 +163,23 @@ fn run_query(args: &[String]) {
         );
         std::process::exit(2);
     }
+}
+
+/// Run query `Q` on `b` once to warm up, then time a second run and
+/// print it with `show`'s rendering of the answer.
+fn run<Q: Query>(
+    b: &dyn GpuBackend,
+    db: &Database,
+    show: impl Fn(&Q::Answer) -> String,
+) -> Result<(), SimError> {
+    let d = QueryData::<Q>::upload(b, db).expect("upload");
+    d.execute(b).map(|_| {
+        let (answer, t) = b.device().time(|| d.execute(b).expect(Q::NAME));
+        println!(
+            "{:<16} {}   {}",
+            b.name(),
+            fmt_duration(t.as_nanos()),
+            show(&answer)
+        );
+    })
 }

@@ -165,7 +165,7 @@ fn join_agreement_among_joinable_backends() {
     let (outer, inner) = workload::fk_join(5_000, 2_000, 6);
     let mut reference: Option<(Vec<u32>, Vec<u32>)> = None;
     for b in fw.backends() {
-        let Some(algo) = gpu_proto_db::tpch::queries::best_join(b.as_ref()) else {
+        let Some(algo) = gpu_proto_db::core::optimizer::best_join(b.as_ref()) else {
             continue;
         };
         let o = b.upload_u32(&outer).unwrap();

@@ -169,7 +169,7 @@ fn plan_all_six(
     }
     let out = [
         wrap("Q1", q1.execute_with(b, exec)),
-        wrap("Q3", q3.execute_with(b, db, exec)),
+        wrap("Q3", q3.execute_with(b, exec)),
         wrap("Q4", q4.execute_with(b, exec)),
         wrap("Q5", q5.execute_with(b, exec)),
         wrap("Q6", q6.execute_with(b, exec)),
