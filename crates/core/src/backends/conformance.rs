@@ -443,6 +443,27 @@ fn empty_columns_flow_through_every_operator() {
     });
 }
 
+/// A join against an empty side — Q5's supplier side on a database with
+/// no supplier in the region — has no pairs on every backend that joins.
+#[test]
+fn a_join_with_one_empty_side_has_no_pairs() {
+    on_every_backend(|b| {
+        let [u, none] = [&U[..], &[]].map(|c| b.upload_u32(c).unwrap());
+        let mut joins = Vec::new();
+        for (outer, inner, which) in [(&u, &none, "inner"), (&none, &u, "outer")] {
+            for algo in [JoinAlgo::NestedLoops, JoinAlgo::Merge, JoinAlgo::Hash] {
+                let name = format!("{algo:?} join, empty {which}");
+                joins.push(call(name, algo.operator(), &[0u32; 0], move || {
+                    let (l, r) = b.join(outer, inner, algo)?;
+                    Ok([take(b, l)?, take(b, r)?].concat())
+                }));
+            }
+        }
+        hold(b, joins, Operands::Reference);
+        free(b, [u, none]);
+    });
+}
+
 /// The fused kernels against the composed chains where a shortcut shows:
 /// `±inf`, `NaN` and `-0.0` in rows the predicate drops and in rows it
 /// keeps, predicates that drop or keep every row, and no rows at all. A

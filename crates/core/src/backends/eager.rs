@@ -379,9 +379,13 @@ impl<L: EagerLib> GpuBackend for EagerBackend<L> {
             hostexec::equi_join(o.u32s().as_slice(), i.u32s().as_slice())
         })?;
         // The library expression of NLJ: one for_each_n launch over the
-        // outer side whose functor scans the inner relation.
-        let cost =
+        // outer side whose functor scans the inner relation. Against an
+        // empty inner side each functor call still runs its loop test once,
+        // so the declaration counts at least one operation per outer row;
+        // any non-empty inner side makes the all-pairs count the larger.
+        let mut cost =
             presets::nested_loops::<u32>(outer.len, inner.len).with_write((left.len() * 8) as u64);
+        cost.flops = cost.flops.max(outer.len as u64);
         eager::for_each_n(&self.lib, outer.len, cost, |_| {})?;
         let lb = self.lib.device().buffer_from_vec(left, L::ALLOC)?;
         let rb = self.lib.device().buffer_from_vec(right, L::ALLOC)?;

@@ -32,10 +32,13 @@
 //!   output is the one permutation that orders the keys and keeps equal
 //!   keys in input order, so it is the same on either route and at any
 //!   block or thread count.
-//! * **A key index** (`index`: open addressing, `u32` key → dense group id
-//!   in first-seen order, plus per-key row lists) with the two kernels no
-//!   surveyed library offers (paper Table II): [`equi_join`] and
-//!   [`group_aggregate`].
+//! * **A key index** (`index`) with the two kernels no surveyed library
+//!   offers (paper Table II): [`equi_join`] and [`group_aggregate`]. One
+//!   density rule picks its layout from the data: a table indexed by
+//!   `key - min` where the key range is small next to the rows read, open
+//!   addressing (`u32` key → dense group id in first-seen order) elsewhere.
+//!   The join lists each inner key's rows in either layout and probes each
+//!   [`PAR_CHUNK`] window of the outer side once.
 //! * **Answers for whole library chains** (`select`, and [`grouped_sum`] in
 //!   `index`): what `transform → exclusive_scan → scatter_if` and
 //!   `sort_by_key → reduce_by_key` compute, bit for bit, in one fused pass

@@ -1,13 +1,17 @@
 //! Key index and the kernels built on it: equi-join and grouped
 //! aggregation (all statistics, or the sum alone).
 //!
-//! [`KeyIndex`] maps `u32` keys to dense group ids handed out in first-seen
-//! order. It is an open-addressing table of `(key, group)` slots — one
-//! cache line answers a probe — with Fibonacci hashing (the top bits of
-//! `key · 2^64/φ`), linear probing and a load factor of at most one half,
-//! and it keeps the keys in group order beside the table. [`RowLists`] adds,
-//! per group, the rows that carry its key, in compressed-sparse-row form:
-//! `rows[starts[g]..starts[g + 1]]`, filled by one forward walk over the
+//! One density rule, [`dense_range`], picks the layout of both kernels'
+//! tables from the data. A key range that is small next to the rows read
+//! gets a table indexed by `key - min`, so a lookup is one array read.
+//! Any other range goes through [`KeyIndex`], which maps `u32` keys to
+//! dense group ids handed out in first-seen order. It is an open-addressing
+//! table of `(key, group)` slots — one cache line answers a probe — with
+//! Fibonacci hashing (the top bits of `key · 2^64/φ`), linear probing and a
+//! load factor of at most one half, and it keeps the keys in group order
+//! beside the table. [`RowLists`] adds, per slot of either layout, the rows
+//! that carry its key, in compressed-sparse-row form:
+//! `rows[starts[s]..starts[s + 1]]`, filled by one forward walk over the
 //! input, so every list is ascending.
 //!
 //! The kernels promise more than a correct answer: an *order*. The join
@@ -15,7 +19,8 @@
 //! each group's values strictly in input row order from a stated seed, so
 //! their `f64` sums are the same bits whichever internal path ran.
 
-use super::{for_each_owned, piece_range, region_workers, sort_pairs, DEFAULT_MIN_SEQ, PAR_CHUNK};
+use super::{par_map_chunks, region_workers, sort_pairs, DEFAULT_MIN_SEQ, PAR_CHUNK};
+use std::ops::Range;
 
 /// `2^64 / φ`: multiplying by it spreads consecutive keys evenly over the
 /// top bits (Knuth's multiplicative hashing).
@@ -121,55 +126,60 @@ impl KeyIndex {
     }
 }
 
-/// Per group, the rows carrying its key, ascending (CSR layout).
+/// Per slot, the rows carrying its key, ascending (CSR layout): a slot is
+/// `key - min` in the direct layout and the key's group in the hashed one.
 struct RowLists {
-    /// `groups + 1` offsets into `rows`.
+    /// `slots + 1` offsets into `rows`.
     starts: Vec<u32>,
     rows: Vec<u32>,
 }
 
 impl RowLists {
-    /// Index `keys` and list each group's rows.
-    fn build(keys: &[u32]) -> (KeyIndex, RowLists) {
-        assert!(keys.len() < NONE as usize, "more rows than u32 row ids");
-        let mut index = KeyIndex::with_capacity(keys.len());
-        let mut group_of_row: Vec<u32> = vec![0; keys.len()];
-        let mut starts: Vec<u32> = vec![0];
-        for (g, &k) in group_of_row.iter_mut().zip(keys) {
-            *g = index.insert(k);
-            if *g as usize + 1 == starts.len() {
-                starts.push(0);
-            }
-            starts[*g as usize + 1] += 1;
+    /// List each of `slots` slots' rows, row `r` going to the `r`-th slot
+    /// `slot_of_row` yields (every one below `slots`).
+    fn build(slots: usize, slot_of_row: impl Iterator<Item = usize> + Clone) -> RowLists {
+        let mut starts: Vec<u32> = vec![0; slots + 1];
+        let mut n = 0;
+        for s in slot_of_row.clone() {
+            starts[s + 1] += 1;
+            n += 1;
         }
-        // The counts sit one slot up, so a running sum turns slot `g` into
-        // group `g`'s start offset.
-        for g in 1..starts.len() {
-            starts[g] += starts[g - 1];
+        // The counts sit one slot up, so a running sum turns slot `s` into
+        // its start offset.
+        for s in 1..starts.len() {
+            starts[s] += starts[s - 1];
         }
-        // The fill uses slot `g` as group `g`'s cursor and leaves it at the
-        // group's end — the next group's start; one rotation puts every
+        // The fill uses slot `s` as its own cursor and leaves it at the
+        // slot's end — the next slot's start; one rotation puts every
         // offset back in its own slot.
-        let mut rows: Vec<u32> = vec![0; keys.len()];
-        for (row, &g) in group_of_row.iter().enumerate() {
-            let at = &mut starts[g as usize];
+        let mut rows: Vec<u32> = vec![0; n];
+        for (row, s) in slot_of_row.enumerate() {
+            let at = &mut starts[s];
             rows[*at as usize] = row as u32;
             *at += 1;
         }
         starts.rotate_right(1);
         starts[0] = 0;
-        drop(group_of_row);
-        (index, RowLists { starts, rows })
+        RowLists { starts, rows }
     }
 
-    /// The rows of `group`; none for [`NONE`].
+    /// Hash `keys` into groups and list each group's rows.
+    fn hashed(keys: &[u32]) -> (KeyIndex, RowLists) {
+        let mut index = KeyIndex::with_capacity(keys.len());
+        let group_of_row: Vec<u32> = keys.iter().map(|&k| index.insert(k)).collect();
+        let lists = RowLists::build(index.keys.len(), group_of_row.iter().map(|&g| g as usize));
+        (index, lists)
+    }
+
+    /// The rows of `slot`; none past the last slot (a key outside the
+    /// direct range, or the [`NONE`] group).
     #[inline]
-    fn rows_of(&self, group: u32) -> &[u32] {
-        if group == NONE {
-            return &[];
+    fn rows_of(&self, slot: usize) -> &[u32] {
+        if slot < self.starts.len() - 1 {
+            &self.rows[self.starts[slot] as usize..self.starts[slot + 1] as usize]
+        } else {
+            &[]
         }
-        let g = group as usize;
-        &self.rows[self.starts[g] as usize..self.starts[g + 1] as usize]
     }
 }
 
@@ -177,60 +187,63 @@ impl RowLists {
 /// keys, ascending by outer row and, for one outer row, by inner row — the
 /// order a nested-loops join emits.
 ///
-/// The inner side is indexed once; the outer side is probed in
-/// [`PAR_CHUNK`] chunks across host threads, first counting each chunk's
-/// matches so the outputs can be sized exactly and cut into one window per
-/// chunk, then filling the windows. Chunk boundaries and window order
-/// depend only on the input, so the result is the same at any thread count.
+/// The inner side is indexed once, in the layout the aggregates' density
+/// rule picks over both sides' rows: by `key - min` when its key range is
+/// dense, so a probe reads an array, and through the hash index otherwise.
+/// The outer side is then probed once, in [`PAR_CHUNK`] windows across
+/// host threads, each window's pairs into its own lists, and the lists are
+/// concatenated in window order. Window boundaries depend only on the
+/// input, so the result is the same at any thread count.
 pub fn equi_join(outer: &[u32], inner: &[u32]) -> (Vec<u32>, Vec<u32>) {
     if outer.is_empty() || inner.is_empty() {
         return (Vec::new(), Vec::new());
     }
-    assert!(outer.len() < NONE as usize, "more rows than u32 row ids");
-    let (index, lists) = RowLists::build(inner);
-    let n_chunks = outer.len().div_ceil(PAR_CHUNK);
-    let workers = region_workers(outer.len(), DEFAULT_MIN_SEQ, n_chunks);
-
-    // Probe: each outer row's group, and each chunk's number of matches.
-    let mut groups: Vec<u32> = vec![0; outer.len()];
-    let mut matches = vec![0usize; n_chunks];
-    let probes = groups.chunks_mut(PAR_CHUNK).zip(&mut matches).collect();
-    for_each_owned(
-        probes,
-        workers,
-        |ci, (groups, matches): (&mut [u32], &mut usize)| {
-            let keys = &outer[piece_range(ci, PAR_CHUNK, outer.len())];
-            for (g, &k) in groups.iter_mut().zip(keys) {
-                *g = index.group_of(k);
-                *matches += lists.rows_of(*g).len();
-            }
-        },
+    assert!(
+        outer.len().max(inner.len()) < NONE as usize,
+        "more rows than u32 row ids"
     );
-
-    // Fill: one exactly-sized output window per chunk, in chunk order.
-    let total = matches.iter().sum();
-    let mut left: Vec<u32> = vec![0; total];
-    let mut right: Vec<u32> = vec![0; total];
-    let mut windows = Vec::with_capacity(n_chunks);
-    let (mut rest_l, mut rest_r) = (&mut left[..], &mut right[..]);
-    for &m in &matches {
-        let (l, tail_l) = rest_l.split_at_mut(m);
-        let (r, tail_r) = rest_r.split_at_mut(m);
-        windows.push((l, r));
-        (rest_l, rest_r) = (tail_l, tail_r);
+    let input_rows = outer.len() + inner.len();
+    match dense_range(inner, input_rows, std::mem::size_of::<u32>()) {
+        Some((min, range)) => {
+            let lists = RowLists::build(range, inner.iter().map(|&k| (k - min) as usize));
+            probe(outer, |k| lists.rows_of(k.wrapping_sub(min) as usize))
+        }
+        None => {
+            let (index, lists) = RowLists::hashed(inner);
+            probe(outer, |k| lists.rows_of(index.group_of(k) as usize))
+        }
     }
-    for_each_owned(windows, workers, |ci, (l, r)| {
-        let rows = piece_range(ci, PAR_CHUNK, outer.len());
-        let mut at = 0;
-        for (row, &g) in rows.clone().zip(&groups[rows]) {
-            for &inner_row in lists.rows_of(g) {
-                l[at] = row as u32;
-                r[at] = inner_row;
-                at += 1;
+}
+
+/// The join's pairs, `rows_of(key)` giving the inner rows of a key in
+/// ascending order: one pass over each [`PAR_CHUNK`] window of `outer`, the
+/// windows' pair lists joined in window order. A region of one thread
+/// probes the whole side into one pair of lists — the same concatenation,
+/// without the copy.
+fn probe<'a>(outer: &[u32], rows_of: impl Fn(u32) -> &'a [u32] + Sync) -> (Vec<u32>, Vec<u32>) {
+    let window = |rows: Range<usize>| {
+        let mut left = Vec::with_capacity(rows.len());
+        let mut right = Vec::with_capacity(rows.len());
+        for (row, &k) in rows.clone().zip(&outer[rows]) {
+            for &inner_row in rows_of(k) {
+                left.push(row as u32);
+                right.push(inner_row);
             }
         }
-    });
-    drop(groups);
+        (left, right)
+    };
+    let n_chunks = outer.len().div_ceil(PAR_CHUNK);
+    if region_workers(outer.len(), DEFAULT_MIN_SEQ, n_chunks) < 2 {
+        return window(0..outer.len());
+    }
+    let windows = par_map_chunks(outer.len(), DEFAULT_MIN_SEQ, window);
+    let total = windows.iter().map(|(l, _)| l.len()).sum();
+    let mut left = Vec::with_capacity(total);
+    let mut right = Vec::with_capacity(total);
+    for (l, r) in windows {
+        left.extend_from_slice(&l);
+        right.extend_from_slice(&r);
+    }
     (left, right)
 }
 
@@ -291,16 +304,17 @@ impl Fold for f64 {
 /// sequential passes, and parallel — is cheaper.
 pub(super) const HASH_GROUPS_MAX: usize = if cfg!(miri) { 1 << 6 } else { 1 << 15 };
 
-/// Accumulator bytes the direct-index path of [`fold_groups`] may spend
-/// per input row (with a floor of [`DIRECT_MIN_ROWS`] rows): the table is
-/// indexed by `key - min`, so a key range this dense costs less memory
-/// than the sorted copies of the sort path, while a sparse one (row ids of
-/// a filtered join, `0` next to `u32::MAX`) is declined.
-const DIRECT_BYTES_PER_ROW: usize = 16;
+/// Table bytes a direct index — the join's row lists, [`fold_groups`]'
+/// accumulators — may spend per input row (with a floor of
+/// [`DIRECT_MIN_ROWS`] rows): the table is indexed by `key - min`, so a key
+/// range this dense costs less memory than the hash table or the sorted
+/// copies of the other paths, while a sparse one (row ids of a filtered
+/// join, `0` next to `u32::MAX`) is declined.
+pub(super) const DIRECT_BYTES_PER_ROW: usize = 16;
 
 /// Row count below which the direct-index budget stops shrinking, so a
 /// handful of rows over a handful of keys still index directly.
-const DIRECT_MIN_ROWS: usize = if cfg!(miri) { 1 << 4 } else { 1 << 10 };
+pub(super) const DIRECT_MIN_ROWS: usize = if cfg!(miri) { 1 << 4 } else { 1 << 10 };
 
 /// Grouped SUM / COUNT / MIN / MAX of `vals` by `keys`, each group folded
 /// strictly in input row order — sums from `0.0` — so every result is
@@ -358,18 +372,33 @@ fn fold_groups<A: Fold>(keys: &[u32], vals: &[f64], empty: A) -> (Vec<u32>, Vec<
     if keys.is_empty() {
         return (Vec::new(), Vec::new());
     }
-    let (min, max) = keys
-        .iter()
-        .fold((u32::MAX, 0), |(lo, hi), &k| (lo.min(k), hi.max(k)));
-    let range = u64::from(max - min) + 1;
-    let budget = keys.len().max(DIRECT_MIN_ROWS) * DIRECT_BYTES_PER_ROW;
-    if range <= (budget / std::mem::size_of::<A>()) as u64 {
-        return direct_fold(keys, vals, min, range as usize, empty);
+    if let Some((min, range)) = dense_range(keys, keys.len(), std::mem::size_of::<A>()) {
+        return direct_fold(keys, vals, min, range, empty);
     }
     hash_fold(keys, vals, empty).unwrap_or_else(|| sort_fold(keys, vals, empty))
 }
 
-/// One pass over the rows into a table indexed by `key - min`.
+/// `(min, max - min + 1)` of the non-empty `keys` when a table of
+/// `slot_bytes` per key of that range, indexed by `key - min`, fits in
+/// [`DIRECT_BYTES_PER_ROW`] per row the kernel reads (`input_rows`, at
+/// least [`DIRECT_MIN_ROWS`]); `None` for a range too sparse. The one
+/// density rule of the join's index and the aggregates' accumulators.
+pub(super) fn dense_range(
+    keys: &[u32],
+    input_rows: usize,
+    slot_bytes: usize,
+) -> Option<(u32, usize)> {
+    let (min, max) = keys
+        .iter()
+        .fold((u32::MAX, 0), |(lo, hi), &k| (lo.min(k), hi.max(k)));
+    let range = u64::from(max - min) + 1;
+    let budget = input_rows.max(DIRECT_MIN_ROWS) * DIRECT_BYTES_PER_ROW;
+    (range <= (budget / slot_bytes) as u64).then_some((min, range as usize))
+}
+
+/// One pass over the rows into a table indexed by `key - min`. A range
+/// whose every key was seen is the answer as it stands; otherwise a walk
+/// over the seen map keeps the keys that were.
 fn direct_fold<A: Fold>(
     keys: &[u32],
     vals: &[f64],
@@ -385,6 +414,9 @@ fn direct_fold<A: Fold>(
         seen[at] = 1;
     }
     let groups = seen.iter().map(|&s| usize::from(s)).sum();
+    if groups == range {
+        return ((0..range as u32).map(|at| min + at).collect(), table);
+    }
     let mut out_keys = Vec::with_capacity(groups);
     let mut out = Vec::with_capacity(groups);
     for (at, _) in seen.iter().enumerate().filter(|(_, &s)| s != 0) {

@@ -6,7 +6,7 @@
 //! same parallel paths on far fewer rows.
 
 use super::expr::{self, BinaryOp, Cast, Instr, Leaf, Program, UnaryOp, WINDOW};
-use super::index::HASH_GROUPS_MAX;
+use super::index::{dense_range, DIRECT_BYTES_PER_ROW, DIRECT_MIN_ROWS, HASH_GROUPS_MAX};
 use super::radix::{CACHE_BYTES, MIN_BLOCK, RADIX_CUTOFF};
 use super::*;
 use crate::SimError;
@@ -456,6 +456,56 @@ fn join_is_identical_at_any_thread_count_across_chunk_boundaries() {
     }
 }
 
+/// Each layout of the join's index at its edges, held to the nested loops
+/// at every thread count: an inner key range exactly as wide as the direct
+/// layout may index for the join's rows and one key wider (probes below
+/// the range's `min` and above its `max` in both), the whole `u32` range
+/// (2^32 keys), one inner key on every row, and an empty side.
+#[test]
+fn join_layouts_match_the_nested_loops_at_their_edges() {
+    let mut rng = StdRng::seed_from_u64(35);
+    let (outer_n, inner_n) = (2 * PAR_CHUNK + 1, 64);
+    let rows = outer_n + inner_n;
+    let slots = rows.max(DIRECT_MIN_ROWS) * DIRECT_BYTES_PER_ROW / std::mem::size_of::<u32>();
+    let mut cases: Vec<(String, Vec<u32>, Vec<u32>)> = Vec::new();
+    for (range, direct) in [(slots, true), (slots + 1, false)] {
+        let (min, max) = (1000, 1000 + range as u32 - 1);
+        let mut inner: Vec<u32> = (0..inner_n).map(|_| rng.gen_range(min..=max)).collect();
+        (inner[0], inner[1], inner[2]) = (max, min, inner[3]);
+        let dense = dense_range(&inner, rows, std::mem::size_of::<u32>());
+        assert_eq!(dense.is_some(), direct, "range {range} for {rows} rows");
+        let outer = (0..outer_n)
+            .map(|_| match rng.gen::<u32>() % 4 {
+                0 => inner[rng.gen::<usize>() % inner_n],
+                1 => [0, min - 1][rng.gen::<usize>() % 2],
+                2 => [max + 1, u32::MAX][rng.gen::<usize>() % 2],
+                _ => rng.gen_range(min..=max),
+            })
+            .collect();
+        cases.push((format!("key range {range}, direct {direct}"), outer, inner));
+    }
+    let inner = vec![u32::MAX, 0, 7, u32::MAX, 0];
+    let dense = dense_range(&inner, outer_n + inner.len(), std::mem::size_of::<u32>());
+    assert_eq!(dense, None);
+    let outer = (0..outer_n)
+        .map(|_| [0, 1, 7, u32::MAX - 1, u32::MAX][rng.gen::<usize>() % 5])
+        .collect();
+    cases.push(("keys 0 and u32::MAX".into(), outer, inner));
+    let outer = (0..outer_n as u32)
+        .map(|i| if i % 3 == 0 { 42 } else { i })
+        .collect();
+    cases.push(("one inner key".into(), outer, vec![42; 50]));
+    let some: Vec<u32> = (0..outer_n as u32).collect();
+    cases.push(("empty inner".into(), some.clone(), vec![]));
+    cases.push(("empty outer".into(), vec![], some));
+    for (what, outer, inner) in &cases {
+        let want = reference_join(outer, inner);
+        at_each_thread_count(|threads| {
+            assert!(equi_join(outer, inner) == want, "{what}, {threads} threads");
+        });
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Grouped aggregation
 // ---------------------------------------------------------------------------
@@ -592,8 +642,9 @@ fn grouped_sum_matches_the_seeded_reference_on_every_shape_and_boundary() {
 #[test]
 fn grouped_sum_seed_decides_the_sign_of_an_all_negative_zero_group() {
     // Key 1 holds only -0.0; keys 0 and u32::MAX together make the range
-    // too wide to index directly, the second column is dense.
-    for keys in [[0, 1, u32::MAX, 1], [3, 1, 2, 1]] {
+    // too wide to index directly, the second column is dense with every
+    // key of its range seen, the third dense with one key missing.
+    for keys in [[0, 1, u32::MAX, 1], [3, 1, 2, 1], [4, 1, 2, 1]] {
         let vals = [2.5, -0.0, f64::NAN, -0.0];
         let (k, first_value) = grouped_sum(&keys, &vals, -0.0);
         let (_, zeroed) = grouped_sum(&keys, &vals, 0.0);
