@@ -290,9 +290,12 @@ impl Array {
         // typed chunked lanes instead of a tree walk per element. The
         // result materialises in the array's dtype directly: integer
         // outputs never round-trip through a whole-column f64 buffer.
-        let col = Arc::new(
-            crate::program::Program::compile(&self.node).eval_into(out, self.dtype, self.len),
-        );
+        let col = Arc::new(crate::program::Program::compile(&self.node).eval_into(
+            self.backend.device(),
+            out,
+            self.dtype,
+            self.len,
+        ));
         *self.cache.lock() = Some(Arc::clone(&col));
         Ok(col)
     }
@@ -324,16 +327,20 @@ impl Array {
 
     /// Evaluate and download as `f64` (charges the transfer).
     pub fn host_f64(&self) -> Result<Vec<f64>> {
-        let col = self.eval()?;
-        self.charge_dtoh(&col)?;
-        Ok(col.to_f64_vec())
+        Ok(self.download()?.to_f64_vec())
     }
 
     /// Evaluate and download as `u32`; errors if the dtype differs.
     pub fn host_u32(&self) -> Result<Vec<u32>> {
+        Ok(self.download()?.as_u32()?.to_vec())
+    }
+
+    /// Evaluate and charge the download, handing back the evaluated
+    /// column itself rather than a copy of it.
+    pub fn download(&self) -> Result<Arc<ColumnData>> {
         let col = self.eval()?;
         self.charge_dtoh(&col)?;
-        Ok(col.as_u32()?.to_vec())
+        Ok(col)
     }
 
     fn charge_dtoh(&self, col: &ColumnData) -> Result<()> {
@@ -356,7 +363,11 @@ macro_rules! impl_array_op {
             ///
             /// # Panics
             /// Panics on length mismatch (ArrayFire throws `af::exception`).
+            #[allow(clippy::expect_used)]
             fn $method(self, rhs: &Array) -> Array {
+                // INVARIANT: `std::ops` cannot return `Result`, so the
+                // overloads panic where ArrayFire throws; library code
+                // checks lengths first or calls `try_binary`.
                 self.try_binary($op, rhs).expect("array length mismatch")
             }
         }

@@ -4,6 +4,10 @@
 //! `setIntersect`/`setUnion` and `lookup` break the JIT graph: they
 //! force-evaluate their inputs, then run as discrete kernels with their own
 //! footprints (Table II's partial-support pathways).
+//!
+//! `lookup`, `sum`, `scan`, `sort` and `sort_by_key` run their bodies
+//! through [`gpu_sim::Device::body`], so a dry scope skips the bodies and
+//! nothing else.
 
 use crate::array::{Array, Backend};
 use crate::dtype::{fill_from_f64, reserve_column, ColumnData, DType};
@@ -96,7 +100,10 @@ pub fn lookup(data: &Array, indices: &Array) -> Result<Array> {
     // Gathered in the column's own dtype: no widened copy of the source.
     macro_rules! gathered {
         ($variant:ident, $src:expr) => {{
-            let rows = gpu_sim::hostexec::gather($src.host(), idx)?;
+            let src = $src.host();
+            let check = || gpu_sim::hostexec::check_indices(idx.iter().copied(), src.len());
+            let gather = || gpu_sim::hostexec::gather(src, idx);
+            let rows = device.checked_outputs(idx.len(), check, gather)?;
             ColumnData::$variant(charge()?.into_buffer(rows))
         }};
     }
@@ -117,11 +124,12 @@ pub fn sum(a: &Array) -> Result<f64> {
     // which leaks into empty-selection totals and breaks bit-equality
     // with the fused kernels' 0.0-seeded accumulators. In place, widening
     // integer elements as they are read.
-    let total = match &*col {
+    let fold = || match &*col {
         ColumnData::F64(b) => b.host().iter().fold(0.0, |acc, &x| acc + x),
         ColumnData::U32(b) => b.host().iter().fold(0.0, |acc, &x| acc + f64::from(x)),
         ColumnData::B8(b) => b.host().iter().fold(0.0, |acc, &x| acc + f64::from(x)),
     };
+    let total = device.body(fold, || 0.0);
     device.try_charge_kernel(
         "af::sum",
         KernelCost::reduce::<u64>(0)
@@ -161,12 +169,17 @@ pub fn scan(a: &Array, exclusive: bool) -> Result<Array> {
             presets::scan::<u64>(a.len()).with_launch_overhead(launch),
         )
     };
+    let n = a.len();
     if let ColumnData::U32(b) = &*col {
-        let sums = running_sums(b.host().iter().copied(), exclusive, u32::wrapping_add);
+        let sums = device.outputs(n, || {
+            running_sums(b.host().iter().copied(), exclusive, u32::wrapping_add)
+        });
         charge()?;
         return af.fill_u32(reserve_column(device, DType::U32, sums.len())?, sums);
     }
-    let sums = running_sums(col.to_f64_vec().into_iter(), exclusive, |acc, x| acc + x);
+    let sums = device.outputs(n, || {
+        running_sums(col.to_f64_vec().into_iter(), exclusive, |acc, x| acc + x)
+    });
     charge()?;
     af.wrap(crate::dtype::column_from_f64(device, a.dtype(), sums)?)
 }
@@ -200,17 +213,21 @@ pub fn sort(a: &Array) -> Result<Array> {
     // column as sorting the f64 lanes (at half the passes for u32).
     let sorted = match &*col {
         crate::dtype::ColumnData::U32(b) => {
-            let mut v = b.host().to_vec();
-            gpu_sim::hostexec::sort_keys(&mut v);
+            let v = device.outputs(a.len(), || sorted(b.host().to_vec()));
             crate::dtype::ColumnData::from_u32(device, v)?
         }
         _ => {
-            let mut v = col.to_f64_vec();
-            gpu_sim::hostexec::sort_keys(&mut v);
+            let v = device.outputs(a.len(), || sorted(col.to_f64_vec()));
             crate::dtype::column_from_f64(device, a.dtype(), v)?
         }
     };
     af.wrap(sorted)
+}
+
+/// `keys` in ascending order.
+fn sorted<K: gpu_sim::RadixKey>(mut keys: Vec<K>) -> Vec<K> {
+    gpu_sim::hostexec::sort_keys(&mut keys);
+    keys
 }
 
 /// `af::sort` with `(keys, values)` — returns both permuted, keys
@@ -225,26 +242,35 @@ pub fn sort_by_key(keys: &Array, vals: &Array) -> Result<(Array, Array)> {
     let af = backend_of(keys);
     let kcol = keys.eval()?;
     let vcol = vals.eval()?;
-    let (kout, vout) = charge_sort_by_key(&af, keys.len(), keys.dtype(), vals.dtype())?;
+    let n = keys.len();
+    let (kout, vout) = charge_sort_by_key(&af, n, keys.dtype(), vals.dtype())?;
     // Stable radix sort == the old index-tiebroken comparison sort. The
     // dominant dtype pairing sorts in its native key domain (u32 keys
     // take half the digit passes of the f64 working lanes and skip both
     // conversions); everything else goes through the f64 lanes, whose
     // order matches the native one exactly.
+    let device = af.device();
     if let (crate::dtype::ColumnData::U32(kb), crate::dtype::ColumnData::F64(vb)) = (&*kcol, &*vcol)
     {
-        let mut ks = kb.host().to_vec();
-        let mut vs = vb.host().to_vec();
-        gpu_sim::hostexec::sort_pairs(&mut ks, &mut vs);
+        let body = || sorted_pairs(kb.host().to_vec(), vb.host().to_vec());
+        let (ks, vs) = device.body(body, || (vec![0; n], vec![0.0; n]));
         return Ok((af.fill_u32(kout, ks)?, af.fill_f64(vout, vs)?));
     }
-    let mut ks = kcol.to_f64_vec();
-    let mut vs = vcol.to_f64_vec();
-    gpu_sim::hostexec::sort_pairs(&mut ks, &mut vs);
+    let body = || sorted_pairs(kcol.to_f64_vec(), vcol.to_f64_vec());
+    let (ks, vs) = device.body(body, || (vec![0.0; n], vec![0.0; n]));
     Ok((
         af.wrap(fill_from_f64(kout, keys.dtype(), ks))?,
         af.wrap(fill_from_f64(vout, vals.dtype(), vs))?,
     ))
+}
+
+/// `(keys, vals)` stably sorted by key.
+fn sorted_pairs<K: gpu_sim::RadixKey, V: gpu_sim::DeviceCopy>(
+    mut keys: Vec<K>,
+    mut vals: Vec<V>,
+) -> (Vec<K>, Vec<V>) {
+    gpu_sim::hostexec::sort_pairs(&mut keys, &mut vals);
+    (keys, vals)
 }
 
 /// What [`sort_by_key`] costs on the device once its inputs are

@@ -22,7 +22,7 @@
 use crate::dtype::{ColumnData, DType};
 use crate::node::Node;
 use gpu_sim::hostexec::expr::{self, Cast, Instr, Leaf};
-use gpu_sim::Reservation;
+use gpu_sim::{Device, Reservation};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -103,13 +103,21 @@ impl Program {
     /// Execute the program and materialise the result directly as a
     /// `dtype` column in `out` (a reservation for `len` elements of
     /// `dtype`) — the path `Array::eval` uses. Values are those of
-    /// `fill_from_f64(out, dtype, <the f64 results>)`.
-    pub(crate) fn eval_into(&self, out: Reservation, dtype: DType, len: usize) -> ColumnData {
+    /// `fill_from_f64(out, dtype, <the f64 results>)`, or placeholders in a
+    /// dry scope on `device` ([`Device::outputs`]).
+    pub(crate) fn eval_into(
+        &self,
+        device: &Device,
+        out: Reservation,
+        dtype: DType,
+        len: usize,
+    ) -> ColumnData {
         let leaves = self.leaf_views();
         macro_rules! column {
-            ($variant:ident) => {
-                ColumnData::$variant(out.into_buffer(expr::map(&self.code, &leaves, len)))
-            };
+            ($variant:ident) => {{
+                let data = device.outputs(len, || expr::map(&self.code, &leaves, len));
+                ColumnData::$variant(out.into_buffer(data))
+            }};
         }
         match dtype {
             DType::F64 => column!(F64),
@@ -303,7 +311,7 @@ mod tests {
         let prog = Program::compile(&tree);
         for dt in [DType::F64, DType::U32, DType::B8] {
             let out = crate::dtype::reserve_column(&dev, dt, n).unwrap();
-            let got = prog.eval_into(out, dt, n);
+            let got = prog.eval_into(&dev, out, dt, n);
             assert_eq!(got.dtype(), dt);
             assert_eq!(got.len(), n);
             let via_f64 = crate::dtype::column_from_f64(&dev, dt, prog.eval(n)).unwrap();

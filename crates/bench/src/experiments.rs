@@ -19,6 +19,11 @@
 //! * [`run_serial`] runs one row on a caller's [`Framework`]; the
 //!   `fig_*` / `ablation_*` binaries print what it returns.
 //!
+//! A row declared *shape-priced* (`Row::shape_priced`) runs each lane
+//! cell inside its device's dry scope ([`Device::dry_scope`]): every charge
+//! as with bodies, no kernel body. All three runners go through
+//! `Cell::run`, so all three see it.
+//!
 //! ## The three orders
 //!
 //! The table is written in the order the serial runner executed its
@@ -68,8 +73,13 @@ pub(crate) type Traces = Vec<(&'static str, Vec<TraceEvent>)>;
 /// What a cell runs on, and the closure to run there.
 pub(crate) enum Run {
     /// The named backend's serial lane: its device accumulates JIT and
-    /// pool state across the lane's cells.
-    Lane(&'static str, OnBackend),
+    /// pool state across the lane's cells. With `dry` the cell runs inside
+    /// the device's dry scope.
+    Lane {
+        name: &'static str,
+        dry: bool,
+        f: OnBackend,
+    },
     /// A fresh backend of this name.
     Fresh(&'static str, OnBackend),
     /// A fresh backend behind the deep-retry `ResilientBackend` (E17).
@@ -94,7 +104,7 @@ impl Cell {
     /// The lane this cell is chained on, if it runs on one.
     pub(crate) fn lane(&self) -> Option<&'static str> {
         match self.run {
-            Run::Lane(name, _) => Some(name),
+            Run::Lane { name, .. } => Some(name),
             _ => None,
         }
     }
@@ -103,9 +113,10 @@ impl Cell {
     /// the drained trace of every device built here. A lane cell runs on `lane` when given
     /// (the grid's shared backend, the serial runner's framework member)
     /// and on a fresh backend otherwise (the lint replay, so each trace
-    /// is a self-contained buffer-lifetime story). `traced` switches
-    /// recording on for the devices built here; it never changes a
-    /// sample.
+    /// is a self-contained buffer-lifetime story), inside its device's dry
+    /// scope when the row is shape-priced. `traced` switches recording on
+    /// for the devices built here; neither it nor the dry scope changes a
+    /// sample or an event.
     pub(crate) fn run(self, lane: Option<&dyn GpuBackend>, traced: bool) -> (CellOut, Traces) {
         let tracing = |b: Box<dyn GpuBackend>| {
             b.device().set_tracing(traced);
@@ -113,10 +124,17 @@ impl Cell {
         };
         let fresh = |name| tracing(Framework::single_backend(&crate::paper_device(), name));
         match self.run {
-            Run::Lane(name, f) => match lane {
-                Some(b) => (f(b), Vec::new()),
-                None => Cell::run_on(fresh(name), f),
-            },
+            Run::Lane { name, dry, f } => {
+                let f: OnBackend = Box::new(move |b| {
+                    let device = b.device();
+                    let _scope = dry.then(|| device.dry_scope());
+                    f(b)
+                });
+                match lane {
+                    Some(b) => (f(b), Vec::new()),
+                    None => Cell::run_on(fresh(name), f),
+                }
+            }
             Run::Fresh(name, f) => Cell::run_on(fresh(name), f),
             Run::Resilient(name, f) => {
                 // A deep retry budget: backends run fused multi-kernel
@@ -203,6 +221,11 @@ pub struct Row {
     /// (`"E9-and/Thrust"`).
     pub section: &'static str,
     pub(crate) cells: Cells,
+    /// No charge of the row's lane cells reads what a kernel body computed
+    /// (sort and scan costs are functions of `n` and the types, for
+    /// example), so the lanes run them on a dry device. DESIGN.md §5
+    /// classifies every row.
+    pub(crate) shape_priced: bool,
     pub(crate) emit: Emit,
     /// How an emitted experiment prints.
     pub(crate) render: fn(&Experiment) -> String,
@@ -226,6 +249,7 @@ impl Row {
             id,
             section: id,
             cells,
+            shape_priced: false,
             emit,
             render: Experiment::render,
         }
@@ -256,7 +280,11 @@ impl Row {
                     let c = cfg.clone();
                     Cell {
                         label: name.to_string(),
-                        run: Run::Lane(name, Box::new(move |b| run(b, &c))),
+                        run: Run::Lane {
+                            name,
+                            dry: self.shape_priced,
+                            f: Box::new(move |b| run(b, &c)),
+                        },
                     }
                 })
                 .collect()
@@ -284,26 +312,35 @@ pub static TABLE: [Row; 24] = [
             "sel_permille",
         ),
     ),
-    Row::new(
-        "E5a",
-        every_lane(|b, c| out(operators::e5_part(b, &c.sizes, false))),
-        Emit::XMajor("Sort runtime vs. rows", "rows"),
-    ),
-    Row::new(
-        "E5b",
-        every_lane(|b, c| out(operators::e5_part(b, &c.sizes, true))),
-        Emit::XMajor("Sort-by-key runtime vs. rows", "rows"),
-    ),
+    Row {
+        shape_priced: true,
+        ..Row::new(
+            "E5a",
+            every_lane(|b, c| out(operators::e5_part(b, &c.sizes, false))),
+            Emit::XMajor("Sort runtime vs. rows", "rows"),
+        )
+    },
+    Row {
+        shape_priced: true,
+        ..Row::new(
+            "E5b",
+            every_lane(|b, c| out(operators::e5_part(b, &c.sizes, true))),
+            Emit::XMajor("Sort-by-key runtime vs. rows", "rows"),
+        )
+    },
     Row::new(
         "E6",
         every_lane(|b, c| out(operators::e6_part(b, c.e6_n, &c.groups))),
         Emit::XMajor("Grouped aggregation (SUM) vs. group count", "groups"),
     ),
-    Row::new(
-        "E7",
-        every_lane(|b, c| out(operators::e7_part(b, &c.sizes))),
-        Emit::With(|_, o| operators::e7_assemble(take(o))),
-    ),
+    Row {
+        shape_priced: true,
+        ..Row::new(
+            "E7",
+            every_lane(|b, c| out(operators::e7_part(b, &c.sizes))),
+            Emit::With(|_, o| operators::e7_assemble(take(o))),
+        )
+    },
     Row::new(
         "E8",
         every_lane(|b, c| out(operators::e8_part(b, &c.join_sizes))),
@@ -741,5 +778,102 @@ mod tests {
     #[should_panic(expected = "unknown experiment")]
     fn a_row_that_emits_nothing_is_not_an_experiment() {
         emitting_row("validate");
+    }
+
+    /// A fresh tracing backend of `name`.
+    fn fresh(name: &str) -> Box<dyn GpuBackend> {
+        let b = Framework::single_backend(&crate::paper_device(), name);
+        b.device().set_tracing(true);
+        b
+    }
+
+    /// Every shape-priced row at `gpu_lint`'s sizes, each lane cell on a
+    /// fresh backend, once as declared and once with bodies: after each
+    /// cell the two devices agree on every event, counter, live buffer and
+    /// the clock, and the row emits the same samples.
+    #[test]
+    fn dry_cells_charge_what_cells_with_bodies_charge() {
+        let cfg = Arc::new(crate::traced::lint_config());
+        let rows: Vec<&Row> = TABLE.iter().filter(|row| row.shape_priced).collect();
+        let ids: Vec<&str> = rows.iter().map(|row| row.id).collect();
+        assert_eq!(ids, ["E5a", "E5b", "E7"]);
+        for row in rows {
+            let run = |bodies: bool| {
+                let (mut outs, mut devices) = (Vec::new(), Vec::new());
+                for cell in row.cells(&cfg) {
+                    let Run::Lane { name, dry, f } = cell.run else {
+                        panic!("{}: a shape-priced row runs on the lanes", row.id)
+                    };
+                    assert!(dry, "{}/{name} is not declared dry", row.id);
+                    let b = fresh(name);
+                    let dry = !bodies;
+                    let cell = Cell {
+                        label: cell.label,
+                        run: Run::Lane { name, dry, f },
+                    };
+                    outs.push(cell.run(Some(b.as_ref()), false).0);
+                    let dev = b.device();
+                    assert!(!dev.is_dry(), "{}/{name} left its lane dry", row.id);
+                    let trace = dev.take_trace();
+                    devices.push((trace, dev.stats(), dev.live_buffers(), dev.now()));
+                }
+                let samples: Vec<_> = row
+                    .assemble(&cfg, outs)
+                    .into_iter()
+                    .map(|exp| (exp.id, exp.samples))
+                    .collect();
+                (samples, devices)
+            };
+            let (dry, with_bodies) = (run(false), run(true));
+            for (i, (a, b)) in dry.1.iter().zip(&with_bodies.1).enumerate() {
+                assert_eq!(a, b, "{} cell {i}: the device saw different work", row.id);
+            }
+            assert_eq!(dry.0, with_bodies.0, "{}: samples differ", row.id);
+        }
+    }
+
+    /// A dry lane cell runs inside its device's dry scope — its outputs
+    /// are placeholders — and leaves the lane as it found it, also when
+    /// the cell panics; a cell that is not dry computes answers.
+    #[test]
+    fn a_dry_lane_cell_fills_placeholders_and_leaves_the_lane_wet() {
+        let sorted = |dry: bool| {
+            let b = fresh("Thrust");
+            let f: OnBackend = Box::new(|b| {
+                let keys = b.upload_u32(&[3, 1, 2]).expect("upload");
+                let sorted = b.sort(&keys).expect("sort");
+                out(b.download_u32(&sorted).expect("download"))
+            });
+            let cell = Cell {
+                label: "probe".into(),
+                run: Run::Lane {
+                    name: "Thrust",
+                    dry,
+                    f,
+                },
+            };
+            let got = take::<Vec<u32>>(vec![cell.run(Some(b.as_ref()), false).0]);
+            assert!(!b.device().is_dry());
+            got.concat()
+        };
+        assert_eq!(sorted(false), [1, 2, 3]);
+        assert_eq!(sorted(true), [0, 0, 0]);
+        let b = fresh("Thrust");
+        let cell = Cell {
+            label: "probe".into(),
+            run: Run::Lane {
+                name: "Thrust",
+                dry: true,
+                f: Box::new(|b| {
+                    assert!(b.device().is_dry());
+                    panic!("the cell failed")
+                }),
+            },
+        };
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cell.run(Some(b.as_ref()), false)
+        }));
+        assert!(failed.is_err());
+        assert!(!b.device().is_dry(), "a failed dry cell left its lane dry");
     }
 }

@@ -76,9 +76,9 @@ fn results_and_simulated_time_are_thread_count_invariant() {
     }
 }
 
-/// Sort-by-key, grouped sum (few groups, all-distinct and widely spread
-/// keys), the three selections and join on 2^18 rows, on every backend:
-/// the sizes at which the block-parallel radix sort, the chunk-parallel
+/// Sort, sort-by-key, grouped sum (few groups, all-distinct and widely
+/// spread keys), the three selections and join on 2^18 rows, on every
+/// backend: the sizes at which the block-parallel radix sort, the chunk-parallel
 /// join probe, the aggregate's sort path and the row-id compaction's
 /// windows really open parallel regions (the pipeline above stays below
 /// them).
@@ -112,6 +112,8 @@ fn run_large_operators() -> Vec<String> {
             };
             let v = b.upload_f64(&vals).expect("upload");
             let up = |col: &[u32]| b.upload_u32(col).expect("upload");
+            let sort = |col: &[u32]| b.sort(&up(col)).expect("sort");
+            absorb((sort(&keys), sort(&spread)));
             absorb(b.sort_by_key(&up(&keys), &v).expect("sort_by_key"));
             absorb(b.grouped_sum(&up(&few_groups), &v).expect("grouped_sum"));
             absorb(b.grouped_sum(&up(&distinct), &v).expect("grouped_sum"));

@@ -326,25 +326,17 @@ impl GpuBackend for ArrayFireBackend {
         // ArrayFire expresses scatter as indexed assignment
         // (`out(idx) = data`); partial support — costed like a random
         // write kernel over the data.
-        let d = self.arr(data)?.host_u32()?;
-        let i = self.arr(idx)?.host_u32()?;
+        let (d, i) = (self.arr(data)?.download()?, self.arr(idx)?.download()?);
+        let (d, i) = (d.as_u32()?, i.as_u32()?);
         if d.len() != i.len() {
             return Err(SimError::SizeMismatch {
                 left: d.len(),
                 right: i.len(),
             });
         }
-        let mut out = vec![0u32; dst_len];
-        for (&v, &pos) in d.iter().zip(&i) {
-            let pos = pos as usize;
-            if pos >= dst_len {
-                return Err(SimError::IndexOutOfBounds {
-                    index: pos,
-                    len: dst_len,
-                });
-            }
-            out[pos] = v;
-        }
+        let check = || hostexec::check_indices(i.iter().copied(), dst_len);
+        let body = || hostexec::scatter(d, i, dst_len);
+        let out = self.device.checked_outputs(dst_len, check, body)?;
         self.device.charge_kernel(
             "af::assign",
             gpu_sim::presets::scatter::<u32>(d.len())

@@ -698,3 +698,71 @@ fn bad_operands_are_refused() {
         free(b, [u, k, f, u3, far, f3, u5, e, f5]);
     });
 }
+
+/// The operators a dry scope covers, on the reference columns and on the
+/// refusals that can reach them: `[u, k, f]`, then a shorter `u`, an index
+/// past the end and a shorter `f`. Without bodies every call must charge
+/// exactly what it charges with them — same events, counters, clock and
+/// `Err` — and every output must be its placeholder, zeros of the same
+/// length.
+#[test]
+fn a_dry_scope_charges_what_bodies_charge_and_fills_placeholders() {
+    type Case = fn(Backend<'_>, &[Col; 6]) -> Result<Vec<f64>>;
+    let cases: [(&str, Case); 11] = [
+        ("sort", |b, c| take(b, b.sort(&c[0])?)),
+        ("sort_by_key", |b, c| {
+            let (k, v) = b.sort_by_key(&c[0], &c[2])?;
+            Ok([take(b, k)?, take(b, v)?].concat())
+        }),
+        ("reduction", |b, c| Ok(vec![b.reduction(&c[2])?])),
+        ("prefix_sum", |b, c| take(b, b.prefix_sum(&c[0])?)),
+        ("gather", |b, c| take(b, b.gather(&c[2], &c[1])?)),
+        ("scatter", |b, c| take(b, b.scatter(&c[0], &c[1], 4)?)),
+        ("product", |b, c| take(b, b.product(&c[2], &c[2])?)),
+        ("gather past the end", |b, c| {
+            take(b, b.gather(&c[2], &c[4])?)
+        }),
+        ("scatter past the end", |b, c| {
+            take(b, b.scatter(&c[0], &c[4], 4)?)
+        }),
+        ("scatter data/index", |b, c| {
+            take(b, b.scatter(&c[3], &c[1], 4)?)
+        }),
+        ("product of unequal lengths", |b, c| {
+            take(b, b.product(&c[2], &c[5])?)
+        }),
+    ];
+    for name in PAPER_BACKENDS.into_iter().chain([JitThrust::NAME]) {
+        for (what, case) in cases {
+            let run = |dry: bool| {
+                let dev = Device::with_defaults();
+                dev.set_tracing(true);
+                let b = make(name, &dev);
+                let [u, k, f] = upload(b.as_ref(), &U, &K, &F);
+                let [u3, far, f3] = upload(b.as_ref(), &[2, 1, 2], &[0, 9, 1, 2], &[20.0, 10.0]);
+                let cols = [u, k, f, u3, far, f3];
+                let live = dev.live_buffers();
+                let out = {
+                    let _scope = dry.then(|| dev.dry_scope());
+                    case(b.as_ref(), &cols)
+                };
+                assert!(
+                    !dev.is_dry(),
+                    "{name}: {what}: the scope outlived its guard"
+                );
+                assert_eq!(dev.live_buffers(), live, "{name}: {what}: leaked");
+                let device_side = (dev.take_trace(), dev.stats(), dev.now());
+                free(b.as_ref(), cols);
+                (out, device_side)
+            };
+            let ((wet, with_bodies), (dry, without)) = (run(false), run(true));
+            assert_eq!(without, with_bodies, "{name}: {what}: charges differ");
+            let placeholders = wet.clone().map(|v| vec![0.0; v.len()]);
+            assert_eq!(dry, placeholders, "{name}: {what}");
+            assert!(
+                wet.map_or(true, |v| v.iter().any(|&x| x != 0.0)),
+                "{name}: {what}: the answer cannot be told from its placeholder"
+            );
+        }
+    }
+}

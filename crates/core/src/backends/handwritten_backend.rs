@@ -233,7 +233,9 @@ impl GpuBackend for HandwrittenBackend {
         check_keyed(NAME, keys, vals)?;
         // Sort (key, row-id) pairs, then gather the payload — the tuned
         // pattern for wide payloads.
-        let ids: Vec<u32> = (0..keys.len as u32).collect();
+        let ids = self
+            .device
+            .outputs(keys.len, || (0..keys.len as u32).collect());
         let mut kbuf = self.slab.with(keys.id, |s| match s {
             Stored::U32(v) => self.device.dtod(v),
             _ => unreachable!("dtype checked"),

@@ -11,6 +11,10 @@
 //! which — in one critical section — advances the clock, folds the event
 //! into [`DeviceStats`] and, with tracing on, records it. So the clock,
 //! the counters and the trace describe the same run by construction.
+//!
+//! A [`DryScope`] ([`Device::dry_scope`]) switches the device to charges
+//! without bodies: every kernel body asks [`Device::body`] whether to run,
+//! and inside the scope gets its placeholder instead (DESIGN.md §5).
 
 use crate::buffer::{BufferId, DeviceBuffer, DeviceCopy, Reservation};
 use crate::clock::{SimDuration, SimTime};
@@ -23,6 +27,7 @@ use crate::stats::DeviceStats;
 use crate::trace::{KernelIo, Recovery, TraceEvent, TraceKind};
 use crate::transfer::{transfer_time, Direction};
 use parking_lot::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Latency of serving a [`AllocPolicy::Pooled`] allocation from the
@@ -36,6 +41,26 @@ pub const POOL_HIT_NS: u64 = 500;
 pub struct Device {
     spec: DeviceSpec,
     inner: Mutex<Inner>,
+    /// Set while a [`DryScope`] lives: kernel bodies make placeholders.
+    dry: AtomicBool,
+}
+
+/// A dry scope on a [`Device`], from [`Device::dry_scope`]. While it
+/// lives, every kernel body routed through [`Device::body`] is replaced by
+/// its placeholder; everything the device sees stays as it was. Dropping
+/// it — on return, on an early `?`, or while a panic unwinds — restores
+/// the flag it found, so scopes nest.
+#[derive(Debug)]
+#[must_use = "the scope ends when the guard is dropped"]
+pub struct DryScope<'d> {
+    device: &'d Device,
+    outer: bool,
+}
+
+impl Drop for DryScope<'_> {
+    fn drop(&mut self) {
+        self.device.dry.store(self.outer, Ordering::Relaxed);
+    }
 }
 
 #[derive(Debug, Default)]
@@ -118,8 +143,8 @@ fn launch(name: &str, cost: &KernelCost, io: KernelIo) -> TraceKind {
 impl Device {
     /// Create a device with the given specification.
     pub fn new(spec: DeviceSpec) -> Arc<Device> {
-        let inner = Mutex::default();
-        Arc::new(Device { spec, inner })
+        let (inner, dry) = (Mutex::default(), AtomicBool::new(false));
+        Arc::new(Device { spec, inner, dry })
     }
 
     /// Create the default paper device (GTX 1080-class).
@@ -150,6 +175,57 @@ impl Device {
         let start = self.now();
         let r = f();
         (r, self.now() - start)
+    }
+
+    // ----------------------------------------------------------------
+    // Bodies
+    // ----------------------------------------------------------------
+
+    /// Run kernel bodies dry until the returned guard drops: for work whose
+    /// simulated cost depends only on shapes, and whose outputs nobody
+    /// reads. Inside the scope output *contents* are unspecified (today:
+    /// `T::default()`, and `0.0` for a reduction); every input check,
+    /// fault draw, reservation, launch, JIT lookup, free, output length and
+    /// the clock stay exactly what they are with bodies.
+    pub fn dry_scope(&self) -> DryScope<'_> {
+        let outer = self.dry.swap(true, Ordering::Relaxed);
+        DryScope {
+            device: self,
+            outer,
+        }
+    }
+
+    /// Whether a [`DryScope`] is live on this device.
+    pub fn is_dry(&self) -> bool {
+        self.dry.load(Ordering::Relaxed)
+    }
+
+    /// The one place a kernel body is skipped: `body()`, or inside a
+    /// [`DryScope`] `placeholder()`. A placeholder must perform every
+    /// input check the body performs, and nothing else.
+    pub fn body<R>(&self, body: impl FnOnce() -> R, placeholder: impl FnOnce() -> R) -> R {
+        if self.is_dry() {
+            placeholder()
+        } else {
+            body()
+        }
+    }
+
+    /// [`Device::body`] for a body that computes `len` output elements:
+    /// inside a [`DryScope`], `len` default values.
+    pub fn outputs<T: Clone + Default>(&self, len: usize, body: impl FnOnce() -> Vec<T>) -> Vec<T> {
+        self.body(body, || vec![T::default(); len])
+    }
+
+    /// [`Device::outputs`] for a body that can refuse its input: inside a
+    /// [`DryScope`], `check` — the refusal alone — runs in its place.
+    pub fn checked_outputs<T: Clone + Default>(
+        &self,
+        len: usize,
+        check: impl FnOnce() -> Result<()>,
+        body: impl FnOnce() -> Result<Vec<T>>,
+    ) -> Result<Vec<T>> {
+        self.body(body, || check().map(|()| vec![T::default(); len]))
     }
 
     // ----------------------------------------------------------------
@@ -336,9 +412,12 @@ impl Device {
 
     /// Device-to-device copy into a fresh buffer (what chained library
     /// calls do to materialise intermediates).
-    pub fn dtod<T: DeviceCopy>(self: &Arc<Self>, src: &DeviceBuffer<T>) -> Result<DeviceBuffer<T>> {
+    pub fn dtod<T: DeviceCopy + Default>(
+        self: &Arc<Self>,
+        src: &DeviceBuffer<T>,
+    ) -> Result<DeviceBuffer<T>> {
         let res = self.reserve_dtod(src)?;
-        Ok(res.into_buffer(src.host().to_vec()))
+        Ok(res.into_buffer(self.outputs(src.len(), || src.host().to_vec())))
     }
 
     /// Everything [`Device::dtod`] does on the device — allocation, the
@@ -820,6 +899,43 @@ mod tests {
         assert!(matches!(trace[0].kind, TraceKind::Fault(_)));
         // Other sites never consult the plan-step schedule.
         assert!(dev.try_charge_kernel("k", KernelCost::empty()).is_ok());
+    }
+
+    #[test]
+    fn a_dry_scope_skips_bodies_until_its_guard_drops() {
+        let dev = Device::with_defaults();
+        let src = dev.htod(&[3u32, 1, 2]).unwrap();
+        let body = || dev.outputs(3, || vec![7u32; 3]);
+        assert_eq!(body(), [7, 7, 7]);
+        {
+            let _outer = dev.dry_scope();
+            assert_eq!(body(), [0, 0, 0]);
+            assert_eq!(dev.dtod(&src).unwrap().host(), [0, 0, 0]);
+            let check = || Err(SimError::IndexOutOfBounds { index: 9, len: 3 });
+            let refused = dev.checked_outputs::<u32>(3, check, || Ok(vec![1; 3]));
+            assert_eq!(
+                refused,
+                Err(SimError::IndexOutOfBounds { index: 9, len: 3 })
+            );
+            drop(dev.dry_scope());
+            assert!(dev.is_dry(), "an inner scope restores the outer one");
+        }
+        assert!(!dev.is_dry());
+        assert_eq!(dev.dtod(&src).unwrap().host(), [3, 1, 2]);
+        // An error that leaves the scope early, and a panic inside it.
+        let failing = || -> Result<()> {
+            let _scope = dev.dry_scope();
+            dev.dtoh(&src).map(drop)?;
+            Err(SimError::DeviceLost("k".into()))
+        };
+        assert!(failing().is_err());
+        assert!(!dev.is_dry(), "an early `?` ends the scope");
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _scope = dev.dry_scope();
+            panic!("a cell failed");
+        }));
+        assert!(panicked.is_err());
+        assert!(!dev.is_dry(), "unwinding ends the scope");
     }
 
     #[test]

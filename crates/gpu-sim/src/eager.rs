@@ -18,7 +18,10 @@
 //! Within an algorithm the order of allocation, launch and clock advance is
 //! fixed: fault sites are drawn in that order. An in-place algorithm
 //! checks its operands and charges before it runs its body, so a call that
-//! returns `Err` leaves them as it found them.
+//! returns `Err` leaves them as it found them. The bodies of `sort`,
+//! `sort_by_key`, `reduce`, `exclusive_scan`, `gather`, `scatter` and
+//! `transform_binary` go through [`Device::body`], so a
+//! [dry scope](Device::dry_scope) skips them and nothing else.
 
 use crate::hostexec::{expr, RowPred};
 use crate::{
@@ -118,7 +121,10 @@ impl<T: DeviceCopy> Vector<T> {
     }
 
     /// Device-to-device copy, allocated as the original was.
-    pub fn dclone(&self) -> Result<Self> {
+    pub fn dclone(&self) -> Result<Self>
+    where
+        T: Default,
+    {
         self.buf.device().dtod(&self.buf).map(Self::from_buffer)
     }
 
@@ -229,10 +235,10 @@ where
 {
     let out = charge_transform_binary::<A, B, U>(lib, (a.len(), a.id()), (b.len(), b.id()))?;
     let (xa, xb) = (a.as_slice(), b.as_slice());
-    Ok(Vector::filled(
-        out,
-        hostexec::par_map_vec(a.len(), |i| op(xa[i], xb[i])),
-    ))
+    let data = lib.device().outputs(a.len(), || {
+        hostexec::par_map_vec(a.len(), |i| op(xa[i], xb[i]))
+    });
+    Ok(Vector::filled(out, data))
 }
 
 /// What [`transform_binary`] costs on the device: the length check, the
@@ -314,7 +320,8 @@ pub fn charge_sequence<L: Launch>(lib: &L, len: usize) -> Result<Reservation> {
 // ---------------------------------------------------------------------------
 
 /// `reduce` — fold the vector with `op` starting from `init`, whose type
-/// drives the reduction (it may differ from the element type).
+/// drives the reduction (it may differ from the element type). In a dry
+/// scope the fold is skipped and `init` returned.
 pub fn reduce<T, A>(
     lib: &impl Launch,
     src: &Vector<T>,
@@ -325,10 +332,8 @@ where
     T: DeviceCopy,
     A: DeviceCopy,
 {
-    let mut acc = init;
-    for &x in src.as_slice() {
-        acc = op(acc, x);
-    }
+    let fold = || src.as_slice().iter().fold(init, |acc, &x| op(acc, x));
+    let acc = lib.device().body(fold, || init);
     let cost = KernelCost::reduce::<T>(src.len());
     lib.launch("reduce", type_name::<(T, A)>, cost, &[src.id()], &[])?;
     read_back(lib.device());
@@ -442,12 +447,15 @@ pub fn charge_reduce_by_key<K: DeviceCopy, V: DeviceCopy>(
 /// (predicate flags → output offsets) and the *Prefix Sum* operator itself.
 pub fn exclusive_scan(lib: &impl Launch, src: &Vector<u32>, init: u32) -> Result<Vector<u32>> {
     let out = charge_exclusive_scan::<u32>(lib, src.len(), src.id())?;
-    let mut data: Vec<u32> = vec![0; src.len()];
-    let mut acc = init;
-    for (o, &x) in data.iter_mut().zip(src.as_slice()) {
-        *o = acc;
-        acc = acc.wrapping_add(x);
-    }
+    let data = lib.device().outputs(src.len(), || {
+        let mut data: Vec<u32> = vec![0; src.len()];
+        let mut acc = init;
+        for (o, &x) in data.iter_mut().zip(src.as_slice()) {
+            *o = acc;
+            acc = acc.wrapping_add(x);
+        }
+        data
+    });
     Ok(Vector::filled(out, data))
 }
 
@@ -498,7 +506,8 @@ where
     T: DeviceCopy + RadixKey,
 {
     charge_radix::<T, T>(lib, vec.len(), 0, "sort", &[vec.id()])?;
-    hostexec::sort_keys(vec.as_mut_slice());
+    lib.device()
+        .body(|| hostexec::sort_keys(vec.as_mut_slice()), || ());
     Ok(())
 }
 
@@ -514,7 +523,8 @@ where
     V: DeviceCopy,
 {
     charge_sort_by_key::<K, V>(lib, (keys.len(), keys.id()), (vals.len(), vals.id()))?;
-    hostexec::sort_pairs(keys.as_mut_slice(), vals.as_mut_slice());
+    let body = || hostexec::sort_pairs(keys.as_mut_slice(), vals.as_mut_slice());
+    lib.device().body(body, || ());
     Ok(())
 }
 
@@ -530,23 +540,16 @@ pub fn charge_sort_by_key<K, V>(lib: &impl Launch, keys: Operand, vals: Operand)
 // Index-directed permutation
 // ---------------------------------------------------------------------------
 
-/// `IndexOutOfBounds` if any of `indices` does not address `len` elements.
-fn in_bounds(indices: impl IntoIterator<Item = u32>, len: usize) -> Result<()> {
-    match indices.into_iter().find(|&i| i as usize >= len) {
-        Some(bad) => Err(SimError::IndexOutOfBounds {
-            index: bad as usize,
-            len,
-        }),
-        None => Ok(()),
-    }
-}
-
 /// `gather(map, src)` — `out[i] = src[map[i]]`.
 pub fn gather<T, L: Launch>(lib: &L, map: &Vector<u32>, src: &Vector<T>) -> Result<Vector<T>>
 where
     T: DeviceCopy + Default,
 {
-    let data = hostexec::gather(src.as_slice(), map.as_slice())?;
+    let (xs, at) = (src.as_slice(), map.as_slice());
+    let check = || hostexec::check_indices(at.iter().copied(), xs.len());
+    let data = lib
+        .device()
+        .checked_outputs(at.len(), check, || hostexec::gather(xs, at))?;
     let out = Vector::from_buffer(lib.device().buffer_from_vec(data, L::ALLOC)?);
     let (cost, reads) = (presets::gather::<T>(map.len()), [map.id(), src.id()]);
     lib.launch("gather", type_name::<T>, cost, &reads, &[out.id()])?;
@@ -564,13 +567,16 @@ where
     T: DeviceCopy,
 {
     same_len(src.len(), map.len())?;
-    in_bounds(map.as_slice().iter().copied(), dst.len())?;
+    hostexec::check_indices(map.as_slice().iter().copied(), dst.len())?;
     let (cost, reads) = (presets::scatter::<T>(src.len()), [src.id(), map.id()]);
     lib.launch("scatter", type_name::<T>, cost, &reads, &[dst.id()])?;
-    let d = dst.as_mut_slice();
-    for (&x, &at) in src.as_slice().iter().zip(map.as_slice()) {
-        d[at as usize] = x;
-    }
+    let body = || {
+        let d = dst.as_mut_slice();
+        for (&x, &at) in src.as_slice().iter().zip(map.as_slice()) {
+            d[at as usize] = x;
+        }
+    };
+    lib.device().body(body, || ());
     Ok(())
 }
 
@@ -596,7 +602,7 @@ where
     }
     let (s, m, st) = (src.as_slice(), map.as_slice(), stencil.as_slice());
     let selected = || (0..n).filter(|&i| st[i] != 0);
-    in_bounds(selected().map(|i| m[i]), dst.len())?;
+    hostexec::check_indices(selected().map(|i| m[i]), dst.len())?;
     let reads = [src.id(), map.id(), stencil.id()];
     charge_scatter_if::<T>(lib, n, selected().count(), reads, dst.id())?;
     let d = dst.as_mut_slice();

@@ -287,6 +287,39 @@ where
     }
 }
 
+/// The refusal of [`gather`] and [`scatter`] alone: the first of
+/// `indices`, in order, that does not address `len` elements.
+///
+/// # Errors
+/// [`SimError::IndexOutOfBounds`] for that index.
+pub fn check_indices(indices: impl IntoIterator<Item = u32>, len: usize) -> Result<()> {
+    match indices.into_iter().find(|&i| i as usize >= len) {
+        Some(bad) => Err(SimError::IndexOutOfBounds {
+            index: bad as usize,
+            len,
+        }),
+        None => Ok(()),
+    }
+}
+
+/// `out[idx[i]] = src[i]` into `dst_len` default elements, in row order
+/// (a later duplicate index wins).
+///
+/// # Errors
+/// [`SimError::IndexOutOfBounds`] for the first element of `idx` that does
+/// not address `dst_len` elements ([`check_indices`]).
+pub fn scatter<T: Copy + Default>(src: &[T], idx: &[u32], dst_len: usize) -> Result<Vec<T>> {
+    let mut out = vec![T::default(); dst_len];
+    for (&x, &at) in src.iter().zip(idx) {
+        let slot = out.get_mut(at as usize).ok_or(SimError::IndexOutOfBounds {
+            index: at as usize,
+            len: dst_len,
+        })?;
+        *slot = x;
+    }
+    Ok(out)
+}
+
 /// Map `f` over the fixed-granularity chunks of `0..len`, returning the
 /// per-chunk results **in chunk order**. The chunk boundaries (multiples
 /// of [`PAR_CHUNK`]) and the result order are independent of the thread

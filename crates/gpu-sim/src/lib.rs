@@ -85,7 +85,7 @@ pub mod transfer;
 pub use buffer::{BufferId, DeviceBuffer, DeviceCopy, Reservation};
 pub use clock::{SimDuration, SimTime};
 pub use cost::{AccessPattern, KernelCost};
-pub use device::{Device, POOL_HIT_NS};
+pub use device::{Device, DryScope, POOL_HIT_NS};
 pub use error::{Result, SimError};
 pub use fault::{FaultPlan, FaultSite};
 pub use hostexec::{par_chunks, par_map_vec, RadixKey};

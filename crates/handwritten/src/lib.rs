@@ -20,6 +20,16 @@
 //! temporaries — exactly like a tuned CUDA code base.
 
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo
+    )
+)]
 
 pub mod aggregate;
 pub mod join;

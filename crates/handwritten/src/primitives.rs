@@ -1,4 +1,8 @@
 //! Handwritten parallel primitives and fused pipelines.
+//!
+//! The reduction, scan, gather, scatter, product and both sorts run their
+//! bodies through [`Device::body`], so a
+//! [dry scope](Device::dry_scope) skips the bodies and nothing else.
 
 use crate::charge_io;
 use gpu_sim::hostexec::expr::{self, BinaryOp, Instr, Leaf, Program};
@@ -13,7 +17,8 @@ pub fn reduce_f64(device: &Arc<Device>, src: &DeviceBuffer<f64>) -> Result<f64> 
     // Fold from +0.0 explicitly: std's `Sum for f64` seeds with -0.0,
     // which leaks into empty-selection totals and breaks bit-equality
     // with the fused kernels' 0.0-seeded accumulators.
-    let total = src.host().iter().fold(0.0, |acc, &x| acc + x);
+    let fold = || src.host().iter().fold(0.0, |acc, &x| acc + x);
+    let total = device.body(fold, || 0.0);
     charge_io(
         device,
         "reduce",
@@ -31,12 +36,15 @@ pub fn exclusive_scan_u32(
     device: &Arc<Device>,
     src: &DeviceBuffer<u32>,
 ) -> Result<DeviceBuffer<u32>> {
-    let mut out = Vec::with_capacity(src.len());
-    let mut acc = 0u32;
-    for &x in src.host() {
-        out.push(acc);
-        acc = acc.wrapping_add(x);
-    }
+    let out = device.outputs(src.len(), || {
+        let mut out = Vec::with_capacity(src.len());
+        let mut acc = 0u32;
+        for &x in src.host() {
+            out.push(acc);
+            acc = acc.wrapping_add(x);
+        }
+        out
+    });
     let b = src.size_bytes();
     charge_io(
         device,
@@ -56,7 +64,9 @@ pub fn gather<T: DeviceCopy + Default>(
     src: &DeviceBuffer<T>,
     idx: &DeviceBuffer<u32>,
 ) -> Result<DeviceBuffer<T>> {
-    let out = hostexec::gather(src.host(), idx.host())?;
+    let (xs, at) = (src.host(), idx.host());
+    let check = || hostexec::check_indices(at.iter().copied(), xs.len());
+    let out = device.checked_outputs(at.len(), check, || hostexec::gather(xs, at))?;
     charge_io(
         device,
         "gather",
@@ -81,12 +91,29 @@ pub fn radix_sort_pairs(
         });
     }
     let n = keys.len();
-    hostexec::sort_pairs(keys.host_mut(), vals.host_mut());
+    device.body(
+        || hostexec::sort_pairs(keys.host_mut(), vals.host_mut()),
+        || (),
+    );
     let kv = [keys.id(), vals.id()];
-    for (i, cost) in presets::radix_sort::<u32>(n, 4).into_iter().enumerate() {
+    charge_radix_sort(device, n, 4, &kv, &kv)
+}
+
+/// The radix kernel triples of a sort of `n` `u32` keys carrying
+/// `payload_bytes` per row over the buffers `reads`, the scatter phases
+/// writing `writes`.
+fn charge_radix_sort(
+    device: &Device,
+    n: usize,
+    payload_bytes: usize,
+    reads: &[gpu_sim::BufferId],
+    writes: &[gpu_sim::BufferId],
+) -> Result<()> {
+    let passes = presets::radix_sort::<u32>(n, payload_bytes);
+    for (i, cost) in passes.into_iter().enumerate() {
         let phase = ["histogram", "digit_scan", "scatter"][i % 3];
-        let writes: &[gpu_sim::BufferId] = if i % 3 == 2 { &kv } else { &[] };
-        charge_io(device, &format!("radix_sort/{phase}"), cost, &kv, writes)?;
+        let writes = if i % 3 == 2 { writes } else { &[] };
+        charge_io(device, &format!("radix_sort/{phase}"), cost, reads, writes)?;
     }
     Ok(())
 }
@@ -103,13 +130,11 @@ pub fn product_f64(
             right: b.len(),
         });
     }
-    let out: Vec<f64> = a
-        .host()
-        .iter()
-        .zip(b.host())
-        .map(|(&x, &y)| x * y)
-        .collect();
     let n = a.len();
+    let out = device.outputs(n, || {
+        let (xa, xb) = (a.host(), b.host());
+        xa.iter().zip(xb).map(|(&x, &y)| x * y).collect()
+    });
     charge_io(
         device,
         "product",
@@ -122,21 +147,12 @@ pub fn product_f64(
 
 /// Ascending radix sort of a `u32` column, returning a sorted copy.
 pub fn sort_u32(device: &Arc<Device>, src: &DeviceBuffer<u32>) -> Result<DeviceBuffer<u32>> {
-    let mut v = src.host().to_vec();
-    hostexec::sort_keys(&mut v);
-    for (i, cost) in presets::radix_sort::<u32>(src.len(), 0)
-        .into_iter()
-        .enumerate()
-    {
-        let phase = ["histogram", "digit_scan", "scatter"][i % 3];
-        charge_io(
-            device,
-            &format!("radix_sort/{phase}"),
-            cost,
-            &[src.id()],
-            &[],
-        )?;
-    }
+    let v = device.outputs(src.len(), || {
+        let mut v = src.host().to_vec();
+        hostexec::sort_keys(&mut v);
+        v
+    });
+    charge_radix_sort(device, src.len(), 0, &[src.id()], &[])?;
     device.buffer_from_vec(v, AllocPolicy::Pooled)
 }
 
@@ -154,17 +170,10 @@ pub fn scatter_u32(
             right: idx.len(),
         });
     }
-    let mut out = vec![0u32; dst_len];
-    for (&v, &i) in src.host().iter().zip(idx.host()) {
-        let i = i as usize;
-        if i >= dst_len {
-            return Err(SimError::IndexOutOfBounds {
-                index: i,
-                len: dst_len,
-            });
-        }
-        out[i] = v;
-    }
+    let at = idx.host();
+    let check = || hostexec::check_indices(at.iter().copied(), dst_len);
+    let body = || hostexec::scatter(src.host(), at, dst_len);
+    let out = device.checked_outputs(dst_len, check, body)?;
     charge_io(
         device,
         "scatter",
