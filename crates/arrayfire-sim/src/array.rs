@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 /// Host-side bookkeeping cost of creating one lazy node (ArrayFire's
 /// runtime maintains the JIT graph on the host).
-const NODE_OVERHEAD_NS: u64 = 300;
+pub const NODE_OVERHEAD_NS: u64 = 300;
 
 /// The ArrayFire runtime handle: owns the JIT kernel cache and mints leaf
 /// ids. (Real ArrayFire keeps this in process-global state; a handle keeps

@@ -8,8 +8,8 @@
 //! selectivities, not ground-truth cardinalities — it exists to catch
 //! structural breakage (double-charged JIT, dropped launch overhead,
 //! miscounted transfer bytes), not to re-verify calibration. The tight
-//! error band lives in E21 (`fig_cost_model`), which feeds ground-truth
-//! stats.
+//! error band lives in E21 (a section of `all_experiments`), which feeds
+//! ground-truth stats.
 //!
 //! Exits nonzero on any out-of-band ratio.
 

@@ -6,7 +6,7 @@
 use bench::experiments::run_serial;
 use bench::grid::GridConfig;
 use proto_core::framework::Framework;
-use proto_core::runner::fmt_duration;
+use proto_core::runner::{fmt_duration, Experiment};
 
 fn main() {
     let presets = [
@@ -25,37 +25,34 @@ fn main() {
         let sel = run_serial("E3", &fw, &point).remove(0);
         let agg = run_serial("E6", &fw, &point).remove(0);
         println!("{}:", spec.name);
-        let mut sel_rank: Vec<(&str, u64)> = sel
-            .backends()
-            .into_iter()
-            .map(|b| (b, sel.get(b, 1 << 20).unwrap().nanos))
-            .collect();
-        sel_rank.sort_by_key(|(_, t)| *t);
-        print!("  selection ranking:   ");
-        for (i, (b, t)) in sel_rank.iter().enumerate() {
-            if i > 0 {
-                print!("  <  ");
-            }
-            print!("{b} ({})", fmt_duration(*t));
-        }
+        print_ranking("selection ranking:   ", &sel, 1 << 20);
+        print_ranking("grouped-sum ranking: ", &agg, 64);
         println!();
-        let mut agg_rank: Vec<(&str, u64)> = agg
-            .backends()
-            .into_iter()
-            .map(|b| (b, agg.get(b, 64).unwrap().nanos))
-            .collect();
-        agg_rank.sort_by_key(|(_, t)| *t);
-        print!("  grouped-sum ranking: ");
-        for (i, (b, t)) in agg_rank.iter().enumerate() {
-            if i > 0 {
-                print!("  <  ");
-            }
-            print!("{b} ({})", fmt_duration(*t));
-        }
-        println!("\n");
     }
     println!(
         "The handwritten backend leads and Boost.Compute trails on every\n\
          preset: the paper's conclusions are not an artefact of one card."
     );
+}
+
+/// One line: `exp`'s backends at `x`, fastest first. Panics unless
+/// Handwritten leads and Boost.Compute trails, the claim printed last.
+fn print_ranking(label: &str, exp: &Experiment, x: u64) {
+    let mut rank: Vec<(&str, u64)> = exp
+        .backends()
+        .into_iter()
+        .map(|b| (b, exp.get(b, x).unwrap().nanos))
+        .collect();
+    rank.sort_by_key(|(_, t)| *t);
+    let ends = (rank.first().map(|r| r.0), rank.last().map(|r| r.0));
+    assert_eq!(
+        ends,
+        (Some("Handwritten"), Some("Boost.Compute")),
+        "{label}{rank:?}"
+    );
+    let rank: Vec<String> = rank
+        .iter()
+        .map(|(b, t)| format!("{b} ({})", fmt_duration(*t)))
+        .collect();
+    println!("  {label}{}", rank.join("  <  "));
 }

@@ -13,7 +13,8 @@ fn main() {
         for mut exp in bench::experiments::run_serial("E17", &fw, &cfg) {
             exp.id = format!("E17{suffix}");
             exp.title = format!("{} (SF {sf})", exp.title);
-            bench::report::emit(&exp, csv.as_deref()).unwrap();
+            println!("{}", exp.render());
+            bench::report::write_csv(&exp, csv.as_deref()).unwrap();
         }
     }
 }

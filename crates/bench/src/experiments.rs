@@ -16,8 +16,12 @@
 //!   everything else on devices built per cell.
 //! * [`crate::traced`] runs one row's cells with every device built
 //!   fresh and tracing, and hands the traces to `gpu-lint`.
-//! * [`run_serial`] runs one row on a caller's [`Framework`]; the
-//!   `fig_*` / `ablation_*` binaries print what it returns.
+//! * [`run_serial`] runs one row on a caller's [`Framework`]: the
+//!   binaries that rerun a row on other devices or settings (E16, E17b)
+//!   or print other columns of it (E15's launches), and the shape tests.
+//!
+//! `all_experiments` is the only runner that prints the table's rows as
+//! they are and writes their CSVs.
 //!
 //! A row declared *shape-priced* (`Row::shape_priced`) runs each lane
 //! cell inside its device's dry scope ([`Device::dry_scope`]): every charge
@@ -703,21 +707,6 @@ pub fn run_serial(id: &str, fw: &Framework, cfg: &GridConfig) -> Vec<Experiment>
         })
         .collect();
     row.assemble(&cfg, outs)
-}
-
-/// [`run_serial`] each of `ids` on `fw` at `cfg`, print every emitted
-/// experiment as the full regeneration would, and write `<id>.csv` files
-/// when the process was given `--csv DIR`: the body of a `fig_*` /
-/// `ablation_*` binary.
-pub fn emit_serial(ids: &[&str], fw: &Framework, cfg: &GridConfig) {
-    let csv = crate::report::csv_dir_from_args();
-    for id in ids {
-        let render = emitting_row(id).1.render;
-        for exp in run_serial(id, fw, cfg) {
-            println!("{}", render(&exp));
-            crate::report::write_csv(&exp, csv.as_deref()).expect("write csv");
-        }
-    }
 }
 
 /// [`run_serial`] on a fresh paper framework, for the one-experiment

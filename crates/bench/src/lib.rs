@@ -1,11 +1,13 @@
 //! # bench — the experiment harness
 //!
 //! One row per experiment of DESIGN.md's index in
-//! [`experiments::TABLE`]; the full regeneration ([`grid`]), the lint
-//! replay ([`traced`]) and the `src/bin/` figure binaries
-//! ([`experiments::run_serial`]) all read it. Each figure binary prints
-//! its experiment's table (and writes CSV next to it when `--csv DIR` is
-//! given).
+//! [`experiments::TABLE`]; the full regeneration ([`grid`], the
+//! `all_experiments` binary), the lint replay ([`traced`]) and
+//! [`experiments::run_serial`] all read it. `all_experiments` prints
+//! every experiment's table (and writes `<id>.csv` files when given
+//! `--csv DIR`). Four `fig_*` binaries do what it does not: rerun a
+//! row on other devices or settings (E16, E17b), print another column
+//! of one (E15's launches), or draw Q6's device timeline.
 //! All measurements are **simulated nanoseconds** from the deterministic
 //! device clock — rerunning an experiment reproduces it bit-for-bit.
 

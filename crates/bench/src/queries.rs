@@ -110,8 +110,8 @@ fn check<Q: Query>(b: &dyn GpuBackend, got: &Q::Answer, want: &Q::Answer) -> Res
 }
 
 /// Validate every backend's query answers against the host reference on a
-/// given database — run by the query binaries before timing, so a table
-/// is never printed from wrong results.
+/// given database: `validate_backend` on each of `fw`'s backends (the
+/// grid's `validate` section runs it per lane, before E10–E12 time them).
 pub fn validate_all(fw: &proto_core::framework::Framework, db: &Database) -> Result<(), String> {
     for b in fw.backends() {
         validate_backend(b.as_ref(), db)?;

@@ -3,13 +3,6 @@
 use proto_core::runner::Experiment;
 use std::path::Path;
 
-/// Print an experiment's table to stdout and, when `csv_dir` is set,
-/// write `<id>.csv` beside it.
-pub fn emit(exp: &Experiment, csv_dir: Option<&Path>) -> std::io::Result<()> {
-    println!("{}", exp.render());
-    write_csv(exp, csv_dir)
-}
-
 /// Write `<id>.csv` into `csv_dir` (created on demand) when it is set.
 pub fn write_csv(exp: &Experiment, csv_dir: Option<&Path>) -> std::io::Result<()> {
     if let Some(dir) = csv_dir {
@@ -144,7 +137,7 @@ mod tests {
     use proto_core::runner::Sample;
 
     #[test]
-    fn emit_writes_csv() {
+    fn write_csv_writes_the_id_csv() {
         let mut exp = Experiment::new("T0", "test", "x");
         exp.push(Sample {
             backend: "A".into(),
@@ -155,7 +148,7 @@ mod tests {
             kernel_bytes: 2,
         });
         let dir = std::env::temp_dir().join("bench_report_test");
-        emit(&exp, Some(&dir)).unwrap();
+        write_csv(&exp, Some(&dir)).unwrap();
         let csv = std::fs::read_to_string(dir.join("T0.csv")).unwrap();
         assert!(csv.contains("1,A,10"));
         std::fs::remove_dir_all(&dir).ok();

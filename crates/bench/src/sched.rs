@@ -51,40 +51,6 @@ pub(crate) fn merge_backend_major(parts: Vec<Vec<Sample>>) -> Vec<Sample> {
     parts.into_iter().flatten().collect()
 }
 
-/// The worker count for the grid: `--jobs N` / `-j N` on the command
-/// line, else the `GPU_SIM_HOST_JOBS` environment variable, else every
-/// available core. A value that is not a positive integer is one line on
-/// stderr and exit code 2 — never a silent run on every core.
-pub fn jobs_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    let env = std::env::var("GPU_SIM_HOST_JOBS").ok();
-    match parse_jobs(&args, env.as_deref()) {
-        Ok(Some(jobs)) => jobs,
-        Ok(None) => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// The requested worker count, `None` when neither the flag nor the
-/// variable is given; the flag wins over the variable.
-fn parse_jobs(args: &[String], env: Option<&str>) -> Result<Option<usize>, String> {
-    let flag = args.iter().position(|a| a == "--jobs" || a == "-j");
-    let (what, value) = match (flag, env) {
-        (Some(i), _) => (args[i].as_str(), args.get(i + 1).map_or("", String::as_str)),
-        (None, Some(value)) => ("GPU_SIM_HOST_JOBS", value),
-        (None, None) => return Ok(None),
-    };
-    match value.trim().parse::<usize>() {
-        Ok(jobs) if jobs > 0 => Ok(Some(jobs)),
-        _ => Err(format!(
-            "bad {what} value `{value}` (expected a positive integer)"
-        )),
-    }
-}
-
 type TaskFn = Box<dyn FnOnce() + Send>;
 
 struct TaskState {

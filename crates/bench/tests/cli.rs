@@ -1,6 +1,7 @@
 //! The `bench` binaries reject a malformed worker count, fault rate or
-//! fusion threshold up front — exit code 2 and one line on stderr, before anything runs —
-//! instead of silently running with a value nobody asked for.
+//! an argument they do not take up front — exit code 2 and one line on
+//! stderr, before anything runs — instead of silently running with a
+//! value nobody asked for.
 
 use std::process::Command;
 
@@ -15,21 +16,39 @@ fn assert_rejected(mut cmd: Command, needle: &str) {
 
 #[test]
 fn a_malformed_job_count_is_rejected() {
-    let all_experiments = || {
+    for args in [
+        &["--jobs", "abc"][..],
+        &["-j", "0"],
+        &["--jobs"],
+        &["-j", "-1"],
+    ] {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_all_experiments"));
-        cmd.env_remove("GPU_SIM_HOST_JOBS");
-        cmd
-    };
-    for args in [&["--jobs", "abc"][..], &["-j", "0"], &["--jobs"]] {
-        let mut cmd = all_experiments();
         cmd.args(args);
         assert_rejected(cmd, &format!("bad {} value", args[0]));
     }
-    for value in ["x", "-1", "1.5", ""] {
-        let mut cmd = all_experiments();
-        cmd.env("GPU_SIM_HOST_JOBS", value);
-        assert_rejected(cmd, "bad GPU_SIM_HOST_JOBS value");
+}
+
+#[test]
+fn an_argument_all_experiments_does_not_take_is_rejected() {
+    // Run where a wrongly started grid would leave `BENCH_host.json`.
+    let dir = std::env::temp_dir().join(format!("all_experiments_cli_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cases: [(&[&str], &str); 6] = [
+        (&["--help"], "unknown argument `--help`"),
+        (&["-h"], "unknown argument `-h`"),
+        (&["--only", "E10"], "unknown argument `--only`"),
+        (&["--jobs", "2", "extra"], "unknown argument `extra`"),
+        (&["--csv"], "--csv needs a directory"),
+        (&["--csv", ""], "--csv needs a directory"),
+    ];
+    for (args, needle) in cases {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_all_experiments"));
+        cmd.args(args).current_dir(&dir);
+        assert_rejected(cmd, needle);
     }
+    let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert!(left.is_empty(), "a rejected run wrote {left:?}");
+    std::fs::remove_dir(&dir).unwrap();
 }
 
 #[test]
@@ -38,15 +57,5 @@ fn a_fault_rate_outside_the_unit_interval_is_rejected() {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_fault_smoke"));
         cmd.env("GPU_SIM_FAULT_RATE", value);
         assert_rejected(cmd, "bad GPU_SIM_FAULT_RATE value");
-    }
-}
-
-#[test]
-fn a_malformed_fusion_threshold_is_rejected() {
-    for value in ["abc", "-1", ""] {
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_all_experiments"));
-        cmd.env_remove("GPU_SIM_HOST_JOBS");
-        cmd.env("PROTO_FUSION_THRESHOLD", value);
-        assert_rejected(cmd, &format!("bad PROTO_FUSION_THRESHOLD value `{value}`"));
     }
 }

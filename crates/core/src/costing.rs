@@ -14,9 +14,9 @@
 //! Three cache states are priced from one walk (see [`CacheState`]):
 //!
 //! * **Cold** — a fresh device: every JIT key compiles, and the
-//!   allocator pool starts empty. The walk *simulates* the size-class
-//!   pool, so temporaries freed early in the plan serve later
-//!   allocations even on the first run — exactly as
+//!   allocator pool starts empty. The walk runs the device's own
+//!   size-class pool ([`MemoryPool`]), so temporaries freed early in the
+//!   plan serve later allocations even on the first run — exactly as
 //!   [`gpu_sim`]'s pooled allocator behaves. This is what
 //!   `runner::measure`'s first run observes, and the default decision
 //!   metric.
@@ -47,6 +47,8 @@ use std::fmt::Write as _;
 use crate::fused::{FusedExpr, FusedPred};
 use crate::ops::{CmpOp, Connective, JoinAlgo};
 use crate::physical::{ColRef, PhysicalPlan, PlanPred, SlotKind, Step};
+use arrayfire_sim::array::NODE_OVERHEAD_NS;
+use gpu_sim::pool::MemoryPool;
 use gpu_sim::presets;
 use gpu_sim::transfer::{transfer_time, Direction};
 use gpu_sim::{AccessPattern, DeviceSpec, KernelCost, LaunchApi, POOL_HIT_NS};
@@ -57,11 +59,6 @@ pub const DEFAULT_TABLE_ROWS: usize = 65_536;
 /// Upper bound on the distinct-group estimate for aggregations (the
 /// paper's grouped workloads are low-cardinality: Q1 has 4 groups).
 const MAX_GROUPS_ESTIMATE: f64 = 256.0;
-
-/// Host-side cost of building one ArrayFire lazy-tree node (mirrors the
-/// simulator's per-node bookkeeping charge). Lazy backends rebuild the
-/// expression tree on every execution, so this is state-independent.
-const AF_NODE_OVERHEAD_NS: u64 = 300;
 
 /// Base-table row counts (and optional per-column selectivities) the
 /// coster resolves `table.column` operands against.
@@ -338,16 +335,6 @@ impl Profile {
     }
 }
 
-/// The simulated size-class pool: class exponent → cached block count.
-/// Mirrors `gpu_sim::pool::MemoryPool` (power-of-two classes, 256-byte
-/// minimum).
-type Pool = BTreeMap<u32, u64>;
-
-fn size_class(bytes: u64) -> u32 {
-    let bits = 64 - bytes.max(1).saturating_sub(1).leading_zeros();
-    bits.max(8) // 256 B minimum class, as the device pool rounds.
-}
-
 /// Accumulates one step's price; the recipe functions below call into
 /// it. Borrows the device spec plus the plan-wide JIT-dedup set and
 /// simulated allocator pool, so the cardinality walk stays free for
@@ -356,7 +343,7 @@ struct Acc<'a> {
     spec: &'a DeviceSpec,
     profile: Profile,
     jit_seen: &'a mut BTreeSet<String>,
-    pool: &'a mut Pool,
+    pool: &'a mut MemoryPool,
     c: StepCost,
 }
 
@@ -415,9 +402,11 @@ impl Acc<'_> {
     }
 
     /// Host-side lazy-tree construction: `nodes` ArrayFire graph nodes
-    /// built before the evaluation launches (paid every run).
+    /// built before the evaluation launches, each at the simulator's
+    /// per-node bookkeeping charge. Lazy backends rebuild the tree on
+    /// every execution, so this is paid every run.
     fn af_nodes(&mut self, nodes: u64) {
-        self.c.launch_ns += nodes * AF_NODE_OVERHEAD_NS;
+        self.c.launch_ns += nodes * NODE_OVERHEAD_NS;
     }
 
     /// A bulk transfer (downloads, device clones, match-list uploads).
@@ -431,15 +420,7 @@ impl Acc<'_> {
     /// malloc in every state.
     fn alloc(&mut self, bytes: f64) {
         if self.profile.pooled() {
-            let class = size_class(bytes as u64);
-            let hit = match self.pool.get_mut(&class) {
-                Some(n) if *n > 0 => {
-                    *n -= 1;
-                    true
-                }
-                _ => false,
-            };
-            self.c.alloc_cold_ns += if hit {
+            self.c.alloc_cold_ns += if self.pool.try_acquire(bytes as u64) {
                 POOL_HIT_NS
             } else {
                 self.spec.malloc_latency_ns
@@ -456,7 +437,7 @@ impl Acc<'_> {
     /// driver free in every state.
     fn free(&mut self, bytes: f64) {
         if self.profile.pooled() {
-            *self.pool.entry(size_class(bytes as u64)).or_insert(0) += 1;
+            self.pool.release(bytes as u64);
         } else {
             self.c.alloc_cold_ns += self.spec.free_latency_ns;
             self.c.alloc_warm_ns += self.spec.free_latency_ns;
@@ -502,7 +483,7 @@ impl CostModel {
             rows: vec![0.0; plan.slots().len()],
             slot_bytes: vec![0; plan.slots().len()],
             jit_seen: BTreeSet::new(),
-            pool: Pool::new(),
+            pool: MemoryPool::new(),
             live_bytes: 0,
             peak_bytes: 0,
         };
@@ -534,7 +515,7 @@ struct Walk<'a> {
     slot_bytes: Vec<u64>,
     jit_seen: BTreeSet<String>,
     /// Simulated allocator free lists, persistent across steps.
-    pool: Pool,
+    pool: MemoryPool,
     live_bytes: u64,
     peak_bytes: u64,
 }

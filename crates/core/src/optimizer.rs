@@ -121,13 +121,8 @@ impl CostingOptions {
     }
 }
 
-/// Environment variable overriding [`FusionPolicy::threshold`] for both
-/// the heuristic and the costed planner (the costed planner then skips
-/// its fused-vs-composed pricing and honours the pinned dispatch).
-pub const FUSION_THRESHOLD_ENV: &str = "PROTO_FUSION_THRESHOLD";
-
 /// Default row-count break-even for the size-adaptive fused dispatch,
-/// calibrated by the `fig_fusion_scaling` experiment (E20). In steady
+/// calibrated by experiment E20 (fusion scaling). In steady
 /// state the fused kernel wins at every swept size (even 4K rows it
 /// saves 3–80× warm, launching 1 kernel instead of 7–13), so the
 /// threshold guards *cold-start* cost instead: the fused kernel is
@@ -136,7 +131,8 @@ pub const FUSION_THRESHOLD_ENV: &str = "PROTO_FUSION_THRESHOLD";
 /// chain reuses the generic operator kernels every query shares.
 /// Below ~25K rows a one-shot query amortises nothing, so the
 /// composed realisation is the safer default; above it even a single
-/// execution recoups the compile.
+/// execution recoups the compile. A caller sets another threshold through
+/// [`PlannerOptions::fusion`]; nothing else overrides it.
 pub const DEFAULT_FUSION_THRESHOLD: usize = 25_000;
 
 /// Knobs of the general cross-operator fusion pass.
@@ -584,11 +580,10 @@ pub fn plan(query: &str, logical: &LogicalPlan, backend: &dyn GpuBackend) -> Res
 
 /// [`plan`] with explicit [`PlannerOptions`].
 ///
-/// Honours the [`FUSION_THRESHOLD_ENV`] override for the fused-dispatch
-/// threshold (a malformed value is an error), then follows the heuristic
-/// path ([`best_join`], the options' fusion threshold) or — when
-/// [`PlannerOptions::costing`] is set — prices every supported join
-/// algorithm × fused/composed dispatch and keeps the cheapest candidate.
+/// Follows the heuristic path ([`best_join`], the options'
+/// [`FusionPolicy`]) or — when [`PlannerOptions::costing`] is set —
+/// prices every supported join algorithm × fused/composed dispatch and
+/// keeps the cheapest candidate.
 pub fn plan_with(
     query: &str,
     logical: &LogicalPlan,
@@ -621,9 +616,8 @@ pub fn plan_traced(
 /// Heuristic planning has one unpriced candidate — [`best_join`] × the
 /// options' [`FusionPolicy`] — so it neither prices nor names anything.
 /// Costed planning enumerates every supported join algorithm × {fused,
-/// composed} (a pinned [`FUSION_THRESHOLD_ENV`] keeps the options'
-/// policy instead), prices each against the [`CostModel`] and attaches
-/// the winner's report. Without a `trace` the rewrite passes run through
+/// composed}, prices each against the [`CostModel`] and attaches the
+/// winner's report. Without a `trace` the rewrite passes run through
 /// [`optimize`], which renders no trees — planning an overhead-bound
 /// query must not pay for snapshots nobody reads.
 fn plan_impl(
@@ -633,11 +627,6 @@ fn plan_impl(
     opts: &PlannerOptions,
     mut trace: Option<&mut Vec<PassTrace>>,
 ) -> Result<PhysicalPlan> {
-    let mut fusion = opts.fusion;
-    let env_threshold = env_fusion_threshold()?;
-    if let Some(threshold) = env_threshold {
-        fusion.threshold = threshold;
-    }
     let optimized = match trace.as_deref_mut() {
         Some(traces) => {
             let (optimized, passes) = optimize_traced(logical);
@@ -669,7 +658,7 @@ fn plan_impl(
     // bit-equal), so the costed planner owns the decision outright: one
     // candidate runs the fusion pass with the threshold pinned to
     // always-fused, the other disables the pass entirely.
-    let dispatches = if model.is_some() && env_threshold.is_none() {
+    let dispatches = if model.is_some() {
         vec![
             (
                 "fused",
@@ -687,7 +676,7 @@ fn plan_impl(
             ),
         ]
     } else {
-        vec![("default", fusion)]
+        vec![("default", opts.fusion)]
     };
     struct Best {
         plan: PhysicalPlan,
@@ -781,22 +770,6 @@ fn plan_impl(
         plan.cost = Some(report);
     }
     Ok(plan)
-}
-
-/// The [`FUSION_THRESHOLD_ENV`] override: `None` when the variable is
-/// unset, an error naming the variable and its value when that value is
-/// not a row count. A pinned threshold also suppresses the costed
-/// planner's fused/composed enumeration.
-pub fn env_fusion_threshold() -> Result<Option<usize>> {
-    let Some(raw) = std::env::var_os(FUSION_THRESHOLD_ENV) else {
-        return Ok(None);
-    };
-    let value = raw.to_string_lossy();
-    value.trim().parse().map(Some).map_err(|_| {
-        SimError::Unsupported(format!(
-            "bad {FUSION_THRESHOLD_ENV} value `{value}` (expected a non-negative integer)"
-        ))
-    })
 }
 
 /// [`plan_with`] forcing `algo` as the join algorithm (the knob E21's

@@ -64,7 +64,7 @@ impl MemoryPool {
     }
 
     /// Try to serve `bytes` from the cache. Returns `true` on a hit.
-    pub(crate) fn try_acquire(&mut self, bytes: u64) -> bool {
+    pub fn try_acquire(&mut self, bytes: u64) -> bool {
         let class = size_class(bytes);
         match self.free.get_mut(&class) {
             Some(n) if *n > 0 => {

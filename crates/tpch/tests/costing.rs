@@ -11,7 +11,7 @@
 //!   Regenerate with `UPDATE_GOLDEN=1 cargo test -p tpch --test costing`.
 
 use gpu_sim::DeviceSpec;
-use proto_core::optimizer::{self, PlannerOptions};
+use proto_core::optimizer::{self, FusionPolicy, PlannerOptions};
 use proto_core::prelude::*;
 use tpch::queries::{q1, q6};
 use tpch::Database;
@@ -145,6 +145,53 @@ fn cost_report_names_every_candidate_alternative() {
     // aggregation must report a real device footprint.
     let q1_plan = optimizer::plan_with("Q1", &q1::logical_plan(), b, &costed_opts(rows)).unwrap();
     assert!(q1_plan.cost_report().unwrap().peak_device_bytes > 0);
+}
+
+/// The fused step's dispatch threshold, if the plan has one.
+fn fused_threshold(plan: &PhysicalPlan) -> Option<usize> {
+    plan.steps().iter().find_map(|s| match s {
+        Step::FusedFilterAgg { threshold, .. } | Step::FusedMap { threshold, .. } => {
+            Some(*threshold)
+        }
+        _ => None,
+    })
+}
+
+/// The options' `FusionPolicy::threshold` is the threshold of the fused
+/// step the heuristic planner emits; the costed planner owns the dispatch
+/// and lists exactly the fused and the composed alternative whatever the
+/// options' policy says.
+#[test]
+fn the_options_fusion_threshold_is_the_fused_steps_threshold() {
+    let fw = Framework::single_backend(&DeviceSpec::gtx1080(), "Thrust");
+    let b = fw.as_ref();
+    let logical = q6::logical_plan();
+    for threshold in [0, 7, 12_345] {
+        let opts = PlannerOptions {
+            fuse_fast_paths: false,
+            fusion: FusionPolicy {
+                enabled: true,
+                threshold,
+            },
+            ..PlannerOptions::default()
+        };
+        let plan = optimizer::plan_with("Q6", &logical, b, &opts).unwrap();
+        assert_eq!(fused_threshold(&plan), Some(threshold));
+
+        let costed = PlannerOptions {
+            costing: costed_opts(60_000).costing,
+            ..opts
+        };
+        let plan = optimizer::plan_with("Q6", &logical, b, &costed).unwrap();
+        let names: Vec<&str> = plan
+            .cost_report()
+            .unwrap()
+            .alternatives
+            .iter()
+            .map(|a| a.name.as_str())
+            .collect();
+        assert_eq!(names, ["dispatch=fused", "dispatch=composed"]);
+    }
 }
 
 /// Snapshot document: cost-annotated explains for Q6 (Thrust — no JIT,

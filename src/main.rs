@@ -1,7 +1,7 @@
 //! `gpu-proto-db` — command-line front end for the reproduction.
 //!
 //! ```text
-//! gpu-proto-db survey                      # Table I + Figure 1
+//! gpu-proto-db survey                      # Figure 1 + Table I + the study's libraries
 //! gpu-proto-db support                     # Table II (generated)
 //! gpu-proto-db query q6 --sf 0.01          # run a TPC-H query everywhere
 //! gpu-proto-db query q3 --backend Thrust   # …or on one backend
@@ -20,8 +20,13 @@ fn main() {
     let cmd = args.first().map(String::as_str).unwrap_or("help");
     match cmd {
         "survey" => {
-            println!("{}", gpu_proto_db::core::survey::render_hierarchy());
-            println!("{}", gpu_proto_db::core::survey::render_table());
+            use gpu_proto_db::core::survey;
+            println!("{}", survey::render_hierarchy());
+            println!("{}", survey::render_table());
+            println!("Selected for the study (DB-operator libraries with pre-written functions):");
+            for l in survey::selected_for_study() {
+                println!("  - {} ({})", l.name, l.substrate.label());
+            }
         }
         "support" => {
             let fw = gpu_proto_db::paper_setup();
@@ -131,10 +136,6 @@ fn run_query(args: &[String]) {
         };
     let sf = scale_factor("query", args);
     let only = flag_value(args, "--backend");
-    if let Err(e) = gpu_proto_db::core::optimizer::env_fusion_threshold() {
-        eprintln!("query: {e}");
-        std::process::exit(2);
-    }
 
     println!("generating TPC-H SF {sf}…");
     let db = gpu_proto_db::tpch::generate(sf);

@@ -1,6 +1,6 @@
 //! The `gpu-proto-db` binary rejects bad `query` / `export` arguments up
 //! front — exit code 2 and one line on stderr, before any table is
-//! generated — and still runs a good query.
+//! generated — still runs a good query, and prints the survey.
 
 use std::process::{Command, Output};
 
@@ -38,20 +38,31 @@ fn an_unknown_query_is_rejected_before_the_database_is_generated() {
 }
 
 #[test]
-fn a_malformed_fusion_threshold_is_rejected() {
-    let out = Command::new(env!("CARGO_BIN_EXE_gpu-proto-db"))
-        .args(["query", "q6", "--sf", "0.001"])
-        .env("PROTO_FUSION_THRESHOLD", "abc")
-        .output()
-        .expect("spawn gpu-proto-db");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert_eq!(stderr.lines().count(), 1, "{stderr}");
-    assert!(
-        stderr.contains("bad PROTO_FUSION_THRESHOLD value `abc`"),
-        "{stderr}"
+fn survey_prints_the_hierarchy_table_i_and_the_libraries_selected_for_study() {
+    let out = cli(&["survey"]);
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let at = |needle: &str| {
+        stdout
+            .find(needle)
+            .unwrap_or_else(|| panic!("no {needle:?} in:\n{stdout}"))
+    };
+    let fig = at("Fig. 1: Hierarchy");
+    let table = at("TABLE I:");
+    let total = at("\nTotal ");
+    let selected = at("Selected for the study");
+    assert!(fig < table && table < total && total < selected, "{stdout}");
+    let total_line = stdout[total..].trim_start().lines().next().unwrap_or("");
+    assert!(total_line.ends_with(" 43"), "{total_line}");
+    let picked: Vec<&str> = stdout[selected..].lines().skip(1).collect();
+    assert_eq!(
+        picked,
+        [
+            "  - ArrayFire (CUDA & OpenCL)",
+            "  - Boost.Compute (OpenCL)",
+            "  - Thrust (CUDA)"
+        ]
     );
-    assert!(out.stdout.is_empty(), "rejected before generating anything");
 }
 
 #[test]
