@@ -137,9 +137,7 @@ pub fn sum(a: &Array) -> Result<f64> {
             .with_flops(a.len() as u64)
             .with_launch_overhead(device.spec().cuda_launch_latency_ns),
     )?;
-    device.advance(gpu_sim::SimDuration::from_nanos(
-        device.spec().pcie_latency_ns,
-    ));
+    device.read_back_scalar();
     Ok(total)
 }
 

@@ -40,7 +40,6 @@ fn run_pair(name: &str, rate: f64) -> (Vec<Q1Row>, f64, u64) {
     let exec = ResilientPlanExecutor::new(PlanRecovery {
         retry: RetryPolicy {
             max_retries: 10_000,
-            ..RetryPolicy::default()
         },
         ..PlanRecovery::default()
     });

@@ -3,7 +3,7 @@
 //! scheduler plan, and representative compiled Programs.
 //!
 //! ```text
-//! gpu_lint [EXPERIMENT ...] [--deny-warnings] [--timeline]
+//! gpu_lint [EXPERIMENT ...] [--deny-warnings] [--timeline] [--dump]
 //! ```
 //!
 //! With no experiment ids, lints the full grid (see
@@ -14,9 +14,19 @@
 //! Exits nonzero if any `Severity::Error` diagnostic fires — or any
 //! warning, under `--deny-warnings`. `--timeline` prints an annotated
 //! timeline for every unclean trace; `--dump` prints every event of
-//! every unclean trace with its index (for diagnosing findings).
+//! every unclean trace with its index (for diagnosing findings). An
+//! unknown flag or experiment id is one line on stderr and exit code 2
+//! before anything runs.
 
 use gpu_lint::{PlanTask, Report};
+
+const USAGE: &str = "usage: gpu_lint [EXPERIMENT ...] [--deny-warnings] [--timeline] [--dump]";
+
+/// Report a bad command line on one stderr line and exit with code 2.
+fn reject(msg: &str) -> ! {
+    eprintln!("gpu_lint: {msg}");
+    std::process::exit(2);
+}
 
 fn plan_report() -> Report {
     let spec = bench::grid::plan_spec(bench::traced::lint_config());
@@ -94,9 +104,12 @@ fn main() {
             "--timeline" => timeline = true,
             "--dump" => dump = true,
             "--help" | "-h" => {
-                println!("usage: gpu_lint [EXPERIMENT ...] [--deny-warnings] [--timeline]");
+                println!("{USAGE}");
                 println!("experiments: {}", bench::traced::EXPERIMENTS.join(", "));
                 return;
+            }
+            flag if flag.starts_with('-') => {
+                reject(&format!("unknown argument `{flag}` ({USAGE})"))
             }
             other => wanted.push(other.to_string()),
         }
@@ -110,9 +123,10 @@ fn main() {
         .iter()
         .find(|e| !bench::traced::EXPERIMENTS.contains(e))
     {
-        eprintln!("gpu_lint: unknown experiment {bad:?}");
-        eprintln!("experiments: {}", bench::traced::EXPERIMENTS.join(", "));
-        std::process::exit(2);
+        reject(&format!(
+            "unknown experiment `{bad}` (experiments: {})",
+            bench::traced::EXPERIMENTS.join(", ")
+        ));
     }
 
     let cfg = bench::traced::lint_config();

@@ -145,10 +145,7 @@ impl Cell {
                 // pipelines as one retry scope, and at a 10% per-site
                 // rate a ~17-site pipeline attempt fails ~5 times out of
                 // 6 — backoff is simulated time, so patience is cheap.
-                let policy = RetryPolicy {
-                    max_retries: 60,
-                    ..RetryPolicy::default()
-                };
+                let policy = RetryPolicy { max_retries: 60 };
                 let spec = crate::paper_device();
                 Cell::run_on(
                     tracing(Framework::single_backend_resilient(&spec, name, policy)),

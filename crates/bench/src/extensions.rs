@@ -591,10 +591,7 @@ pub(crate) fn e19_cell_on(
     let db = tpch::cached(sf);
     let dev = b.device();
     // Same depth rationale as E17: backoff is simulated time.
-    let deep = RetryPolicy {
-        max_retries: 60,
-        ..RetryPolicy::default()
-    };
+    let deep = RetryPolicy { max_retries: 60 };
     let exec = match mode {
         "retry" => ResilientPlanExecutor::new(PlanRecovery {
             retry: deep,
@@ -606,7 +603,6 @@ pub(crate) fn e19_cell_on(
         "partition" => ResilientPlanExecutor::new(PlanRecovery {
             retry: deep,
             mem_budget_bytes: Some(db.lineitem.len() as u64 * 80),
-            ..PlanRecovery::default()
         }),
         // No in-place retries: the first transient kills the lane and
         // the replica takes over from the last checkpoint.

@@ -181,10 +181,7 @@ pub fn recovery_reports() -> Vec<Report> {
     fp.rates[gpu_sim::FaultSite::PlanStep.index()] = 0.1;
     b.device().install_fault_plan(fp);
     let exec = ResilientPlanExecutor::new(PlanRecovery {
-        retry: RetryPolicy {
-            max_retries: 60,
-            ..RetryPolicy::default()
-        },
+        retry: RetryPolicy { max_retries: 60 },
         ..PlanRecovery::default()
     });
     let reports = [

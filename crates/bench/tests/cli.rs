@@ -1,7 +1,7 @@
 //! The `bench` binaries reject a malformed worker count, fault rate or
 //! an argument they do not take up front — exit code 2 and one line on
 //! stderr, before anything runs — instead of silently running with a
-//! value nobody asked for.
+//! value nobody asked for. `--help` names every flag a binary takes.
 
 use std::process::Command;
 
@@ -57,5 +57,33 @@ fn a_fault_rate_outside_the_unit_interval_is_rejected() {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_fault_smoke"));
         cmd.env("GPU_SIM_FAULT_RATE", value);
         assert_rejected(cmd, "bad GPU_SIM_FAULT_RATE value");
+    }
+}
+
+#[test]
+fn an_argument_gpu_lint_does_not_take_is_rejected() {
+    let cases: [(&[&str], &str); 3] = [
+        (&["--bogus"], "unknown argument `--bogus`"),
+        (&["E99"], "unknown experiment `E99`"),
+        (&["--deny-warnings", "nope"], "unknown experiment `nope`"),
+    ];
+    for (args, needle) in cases {
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_gpu_lint"));
+        cmd.args(args);
+        assert_rejected(cmd, needle);
+    }
+}
+
+#[test]
+fn gpu_lint_help_names_every_flag() {
+    let out = Command::new(env!("CARGO_BIN_EXE_gpu_lint"))
+        .arg("--help")
+        .output()
+        .expect("spawn");
+    assert_eq!(out.status.code(), Some(0));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let usage = stdout.lines().next().unwrap_or_default();
+    for flag in ["--deny-warnings", "--timeline", "--dump"] {
+        assert!(usage.contains(flag), "{flag} missing from {usage:?}");
     }
 }

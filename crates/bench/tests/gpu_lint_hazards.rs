@@ -777,10 +777,7 @@ fn golden_log() -> RecoveryLog {
     fp.rates[gpu_sim::FaultSite::PlanStep.index()] = 0.1;
     b.device().install_fault_plan(fp);
     let exec = ResilientPlanExecutor::new(PlanRecovery {
-        retry: RetryPolicy {
-            max_retries: 60,
-            ..RetryPolicy::default()
-        },
+        retry: RetryPolicy { max_retries: 60 },
         ..PlanRecovery::default()
     });
     let data = Q1Data::upload(b, &db).expect("upload");

@@ -26,9 +26,7 @@ use crate::fused::{check_fused_inputs, FusedExpr, FusedPred};
 use crate::ops::{CmpOp, Connective, DbOperator, JoinAlgo, Support};
 use gpu_sim::eager::{self, Launch, Vector};
 use gpu_sim::hostexec::{self, Lane};
-use gpu_sim::{
-    presets, BufferId, Device, DeviceBuffer, Reservation, Result, SimDuration, SimError,
-};
+use gpu_sim::{presets, BufferId, Device, DeviceBuffer, Reservation, Result, SimError};
 use std::sync::Arc;
 
 /// One eager algorithm library plugged into [`EagerBackend`]: its runtime
@@ -153,7 +151,7 @@ impl<L: EagerLib> EagerBackend<L> {
         let offs = eager::charge_exclusive_scan::<u32>(&self.lib, n, flags.id())?;
         // Reading the total back is a tiny device→host copy in real code.
         let device = self.lib.device();
-        device.advance(SimDuration::from_nanos(device.spec().pcie_latency_ns));
+        device.read_back_scalar();
         let seq = eager::charge_sequence(&self.lib, n)?;
         let out = device.reserve((ids.len() * 4) as u64, L::ALLOC, false)?;
         let reads = [seq.id(), offs.id(), flags.id()];

@@ -57,29 +57,11 @@ impl Framework {
         crate::backends::make_backend(name, &Device::new(spec.clone()))
     }
 
-    /// The paper configuration with every backend wrapped in a
-    /// [`ResilientBackend`](crate::resilient::ResilientBackend): each
-    /// operator call retries transient faults under `policy`. With no
-    /// fault plan installed this behaves (and times) identically to
-    /// [`Framework::with_all_backends`].
-    pub fn with_all_backends_resilient(
-        spec: &DeviceSpec,
-        policy: crate::resilient::RetryPolicy,
-    ) -> Self {
-        let mut fw = Framework::new();
-        for inner in Framework::with_all_backends(spec).backends {
-            fw.register(Box::new(crate::resilient::ResilientBackend::with_policy(
-                inner, policy,
-            )));
-        }
-        fw
-    }
-
     /// [`Framework::single_backend`] wrapped in a
-    /// [`ResilientBackend`](crate::resilient::ResilientBackend) under
-    /// `policy` — the per-cell constructor for fault-injection jobs.
-    /// Equivalent in state to the same-named backend of
-    /// [`Framework::with_all_backends_resilient`].
+    /// [`ResilientBackend`](crate::resilient::ResilientBackend): each
+    /// operator call retries transient faults under `policy` — the
+    /// per-cell constructor for fault-injection jobs. With no fault plan
+    /// installed it behaves (and times) identically to the bare backend.
     pub fn single_backend_resilient(
         spec: &DeviceSpec,
         name: &str,

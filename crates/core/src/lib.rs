@@ -27,7 +27,7 @@
 //!   inspectable step lists with an interpreter;
 //! * [`resilient`] / [`resilient_plan`] — fault recovery at operator and
 //!   plan granularity (retry, checkpointing, partitioned re-execution,
-//!   fallback chains, deadlines).
+//!   fallback chains).
 //!
 //! ```
 //! use proto_core::prelude::*;

@@ -22,73 +22,59 @@ use crate::ops::{CmpOp, Connective, DbOperator, JoinAlgo, Support};
 use gpu_sim::{Device, Recovery, Result, SimDuration, SimError};
 use std::sync::Arc;
 
-/// Bounded-retry policy with exponential backoff.
-///
-/// `attempt` 0 is the first *re*-issue; its backoff is
-/// `base_backoff_ns`, doubling (by `multiplier`) per further attempt and
-/// saturating at `max_backoff_ns`.
+/// Backoff before the first re-issue, in simulated nanoseconds.
+const BASE_BACKOFF_NS: u64 = 50_000;
+/// Backoff growth factor between consecutive re-issues.
+const BACKOFF_MULTIPLIER: u64 = 2;
+/// Ceiling on a single backoff, in simulated nanoseconds.
+const MAX_BACKOFF_NS: u64 = 10_000_000;
+
+/// Bounded-retry policy. The backoff schedule is fixed (50 µs before the
+/// first re-issue, doubling per re-issue, capped at 10 ms), and
+/// `OutOfMemory` is always retried: transient memory pressure (another
+/// tenant's allocation spike) looks identical to a genuine capacity miss,
+/// so the retry loop re-issues it although [`SimError::is_transient`]
+/// does not count it.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Maximum number of re-issues per operator call (0 disables retry).
     pub max_retries: u32,
-    /// Backoff before the first retry, in simulated nanoseconds.
-    pub base_backoff_ns: u64,
-    /// Backoff growth factor between consecutive retries.
-    pub multiplier: u64,
-    /// Ceiling on a single backoff, in simulated nanoseconds.
-    pub max_backoff_ns: u64,
-    /// Whether `OutOfMemory` is retried. Transient memory pressure
-    /// (another tenant's allocation spike) looks identical to a genuine
-    /// capacity miss, so the *policy* decides; see
-    /// [`SimError::is_transient`] for why the error itself cannot.
-    pub retry_oom: bool,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_retries: 8,
-            base_backoff_ns: 50_000,
-            multiplier: 2,
-            max_backoff_ns: 10_000_000,
-            retry_oom: true,
-        }
+        RetryPolicy { max_retries: 8 }
     }
 }
 
 impl RetryPolicy {
     /// A policy that never retries (errors propagate on first failure).
     pub fn no_retry() -> Self {
-        RetryPolicy {
-            max_retries: 0,
-            ..RetryPolicy::default()
-        }
+        RetryPolicy { max_retries: 0 }
     }
+}
 
-    /// Backoff charged before re-issue number `attempt` (0-based).
-    pub fn backoff(&self, attempt: u32) -> SimDuration {
-        let mut ns = self.base_backoff_ns;
-        for _ in 0..attempt {
-            ns = ns.saturating_mul(self.multiplier);
-            if ns >= self.max_backoff_ns {
-                ns = self.max_backoff_ns;
-                break;
-            }
-        }
-        SimDuration::from_nanos(ns.min(self.max_backoff_ns))
-    }
+/// Backoff charged before re-issue number `attempt` (0-based):
+/// [`BASE_BACKOFF_NS`] times [`BACKOFF_MULTIPLIER`]`^attempt`, saturating
+/// at [`MAX_BACKOFF_NS`].
+pub(crate) fn backoff(attempt: u32) -> SimDuration {
+    let ns = BACKOFF_MULTIPLIER
+        .checked_pow(attempt)
+        .and_then(|m| BASE_BACKOFF_NS.checked_mul(m))
+        .map_or(MAX_BACKOFF_NS, |ns| ns.min(MAX_BACKOFF_NS));
+    SimDuration::from_nanos(ns)
+}
 
-    /// Whether `err` is worth re-issuing under this policy.
-    pub(crate) fn wants_retry(&self, err: &SimError) -> bool {
-        err.is_transient() || (self.retry_oom && matches!(err, SimError::OutOfMemory { .. }))
-    }
+/// Whether `err` is worth re-issuing: transient faults and out-of-memory.
+fn wants_retry(err: &SimError) -> bool {
+    err.is_transient() || matches!(err, SimError::OutOfMemory { .. })
 }
 
 /// A [`GpuBackend`] decorator that retries transient failures.
 ///
-/// Every operator call runs in a bounded retry loop: transient errors
-/// (and, by default, out-of-memory) are re-issued after an exponential
-/// backoff charged to the simulated clock. The wrapper reports the inner
+/// Every operator call runs in a bounded retry loop: transient errors and
+/// out-of-memory are re-issued after an exponential backoff charged to
+/// the simulated clock. The wrapper reports the inner
 /// backend's [`name`](GpuBackend::name), so column handles pass through
 /// untouched and the wrapper can stand in anywhere a backend is expected
 /// (including [`Framework`](crate::framework::Framework) registration).
@@ -107,24 +93,9 @@ impl std::fmt::Debug for ResilientBackend {
 }
 
 impl ResilientBackend {
-    /// Wrap `inner` with the default [`RetryPolicy`].
-    pub fn new(inner: Box<dyn GpuBackend>) -> Self {
-        Self::with_policy(inner, RetryPolicy::default())
-    }
-
-    /// Wrap `inner` with an explicit policy.
+    /// Wrap `inner` under `policy`.
     pub fn with_policy(inner: Box<dyn GpuBackend>, policy: RetryPolicy) -> Self {
         ResilientBackend { inner, policy }
-    }
-
-    /// The active retry policy.
-    pub fn policy(&self) -> RetryPolicy {
-        self.policy
-    }
-
-    /// The wrapped backend.
-    pub fn inner(&self) -> &dyn GpuBackend {
-        self.inner.as_ref()
     }
 
     /// Bounded retry loop around one operator call.
@@ -156,13 +127,13 @@ pub(crate) fn retry_with_policy<T>(
     loop {
         match f() {
             Ok(v) => return Ok(v),
-            Err(e) if attempt < policy.max_retries && policy.wants_retry(&e) => {
+            Err(e) if attempt < policy.max_retries && wants_retry(&e) => {
                 let retry = Recovery::Retry {
                     what: what.to_string(),
                 };
-                let backoff = policy.backoff(attempt);
-                device.note(retry, backoff);
-                on_retry(backoff);
+                let wait = backoff(attempt);
+                device.note(retry, wait);
+                on_retry(wait);
                 attempt += 1;
             }
             Err(e) => return Err(e),
@@ -322,38 +293,32 @@ mod tests {
 
     #[test]
     fn backoff_grows_exponentially_and_saturates() {
-        let p = RetryPolicy::default();
-        assert_eq!(p.backoff(0).as_nanos(), 50_000);
-        assert_eq!(p.backoff(1).as_nanos(), 100_000);
-        assert_eq!(p.backoff(2).as_nanos(), 200_000);
-        assert_eq!(p.backoff(30).as_nanos(), p.max_backoff_ns);
+        assert_eq!(backoff(0).as_nanos(), 50_000);
+        assert_eq!(backoff(1).as_nanos(), 100_000);
+        assert_eq!(backoff(2).as_nanos(), 200_000);
+        assert_eq!(backoff(30).as_nanos(), MAX_BACKOFF_NS);
+        assert_eq!(backoff(u32::MAX).as_nanos(), MAX_BACKOFF_NS);
     }
 
     #[test]
     fn retry_policy_classification() {
-        let p = RetryPolicy::default();
-        assert!(p.wants_retry(&SimError::DeviceLost("k".into())));
-        assert!(p.wants_retry(&SimError::TransferTimeout { bytes: 8 }));
-        assert!(p.wants_retry(&SimError::OutOfMemory {
+        assert!(wants_retry(&SimError::DeviceLost("k".into())));
+        assert!(wants_retry(&SimError::TransferTimeout { bytes: 8 }));
+        assert!(wants_retry(&SimError::OutOfMemory {
             requested: 1,
             available: 0,
         }));
-        assert!(!p.wants_retry(&SimError::Unsupported("x".into())));
-        let no_oom = RetryPolicy {
-            retry_oom: false,
-            ..p
-        };
-        assert!(!no_oom.wants_retry(&SimError::OutOfMemory {
-            requested: 1,
-            available: 0,
-        }));
+        assert!(!wants_retry(&SimError::Unsupported("x".into())));
     }
 
     #[test]
     fn resilient_backend_retries_through_faults() {
         let dev = Device::with_defaults();
         dev.install_fault_plan(FaultPlan::uniform(42, 0.10));
-        let b = ResilientBackend::new(Box::new(ThrustBackend::new(&dev)));
+        let b = ResilientBackend::with_policy(
+            Box::new(ThrustBackend::new(&dev)),
+            RetryPolicy::default(),
+        );
         let data: Vec<u32> = (0..4096).map(|i| i * 7 % 1000).collect();
         let col = b.upload_u32(&data).unwrap();
         let ids = b.selection(&col, CmpOp::Gt, 500.0).unwrap();
@@ -369,7 +334,7 @@ mod tests {
             let dev = Device::with_defaults();
             let b: Box<dyn GpuBackend> = Box::new(ThrustBackend::new(&dev));
             let b: Box<dyn GpuBackend> = if resilient {
-                Box::new(ResilientBackend::new(b))
+                Box::new(ResilientBackend::with_policy(b, RetryPolicy::default()))
             } else {
                 b
             };

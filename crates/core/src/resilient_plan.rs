@@ -3,7 +3,7 @@
 //!
 //! [`crate::resilient`] recovers individual *operator calls*; this module
 //! recovers whole *plans*. [`ResilientPlanExecutor`] drives
-//! `PhysicalPlan`'s per-step interpreter and layers five mechanisms on
+//! `PhysicalPlan`'s per-step interpreter and layers four mechanisms on
 //! top, escalating in order:
 //!
 //! 1. **Step-granular retry** — a transient fault
@@ -26,9 +26,6 @@
 //!    backend, carrying every host-resident checkpoint forward when the
 //!    lowered step lists agree (device columns cannot cross backends).
 //!    Counted via [`gpu_sim::Device::note`].
-//! 5. **Deadlines** — [`PlanRecovery::deadline_ns`] bounds the simulated
-//!    time one plan may consume across all recovery attempts; exceeding
-//!    it aborts cleanly with [`SimError::PlanAborted`].
 //!
 //! Fault injection at plan granularity goes through
 //! [`gpu_sim::Device::inject_plan_step_fault`]
@@ -74,37 +71,24 @@ use crate::physical::{
     ColRef, PhysicalPlan, PlanBindings, PlanOutput, PlanValue, RowShape, SlotKind, SlotVal, Step,
     StepRead,
 };
-use crate::resilient::{retry_with_policy, RetryPolicy};
+use crate::resilient::{backoff, retry_with_policy, RetryPolicy};
 use gpu_sim::{Recovery, Result, SimDuration, SimError};
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 
+/// Smallest partition, in rows, that partitioned execution will try.
+const MIN_CHUNK: usize = 1024;
+
 /// Recovery configuration for one plan execution.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct PlanRecovery {
-    /// Per-step retry policy (transient faults and, by policy, OOM).
+    /// Per-step retry policy (transient faults and OOM).
     pub retry: RetryPolicy,
-    /// Simulated-time budget across all recovery attempts; `None` means
-    /// unbounded. Exceeding it raises [`SimError::PlanAborted`].
-    pub deadline_ns: Option<u64>,
-    /// Smallest partition the OOM escalation will try before giving up.
-    pub min_chunk: usize,
     /// Device-memory budget for partitioned execution. When set (and a
     /// [`PartitionSource`] is supplied), the executor partitions up
     /// front, sizing chunks to the budget, instead of waiting for OOM.
     pub mem_budget_bytes: Option<u64>,
-}
-
-impl Default for PlanRecovery {
-    fn default() -> Self {
-        PlanRecovery {
-            retry: RetryPolicy::default(),
-            deadline_ns: None,
-            min_chunk: 1024,
-            mem_budget_bytes: None,
-        }
-    }
 }
 
 /// One host-resident column a plan may be partitioned over.
@@ -283,35 +267,6 @@ struct Carry {
     steps: Vec<Step>,
     failed_step: usize,
     host: Vec<Option<SlotVal>>,
-}
-
-/// Simulated-time budget tracker for one execution, spanning lanes.
-struct Deadline {
-    budget: Option<u64>,
-    spent_prev: u64,
-    t0: u64,
-    device: std::sync::Arc<gpu_sim::Device>,
-    query: String,
-}
-
-impl Deadline {
-    fn elapsed(&self) -> u64 {
-        self.spent_prev + (self.device.now().as_nanos() - self.t0)
-    }
-
-    fn check(&self) -> Result<()> {
-        if let Some(budget) = self.budget {
-            let elapsed = self.elapsed();
-            if elapsed > budget {
-                return Err(SimError::PlanAborted {
-                    query: self.query.clone(),
-                    elapsed_ns: elapsed,
-                    budget_ns: budget,
-                });
-            }
-        }
-        Ok(())
-    }
 }
 
 /// How one named output is reassembled from per-partition runs.
@@ -691,7 +646,7 @@ fn partition_merge_plan(plan: &PhysicalPlan, source: &PartitionSource<'_>) -> Re
 
 /// Executes [`PhysicalPlan`]s with step-granular retry, slot
 /// checkpointing, OOM-driven (or budget-driven) partitioned
-/// re-execution, backend fallback and deadlines. See the module docs
+/// re-execution and backend fallback. See the module docs
 /// for the escalation order and the partition-safety contract.
 #[derive(Debug, Default)]
 pub struct ResilientPlanExecutor {
@@ -718,9 +673,9 @@ impl ResilientPlanExecutor {
         self.last_log.borrow_mut().take()
     }
 
-    /// Execute `plan` on a single backend with retry, checkpointing and
-    /// deadline handling (no partition source, no fallback chain). The
-    /// default routing path for planner-executed queries.
+    /// Execute `plan` on a single backend with retry and checkpointing
+    /// (no partition source, no fallback chain). The default routing
+    /// path for planner-executed queries.
     pub fn execute(
         &self,
         backend: &dyn GpuBackend,
@@ -753,7 +708,6 @@ impl ResilientPlanExecutor {
         };
         let query = first.plan.query().to_string();
         let mut events: Vec<RecoveryEvent> = Vec::new();
-        let mut spent_prev = 0u64;
         let mut carry: Option<Carry> = None;
         let mut last_err = SimError::Unsupported(format!("{query}: no lane completed"));
         for (li, lane) in lanes.iter().enumerate() {
@@ -772,26 +726,19 @@ impl ResilientPlanExecutor {
                     },
                 });
             }
-            let deadline = Deadline {
-                budget: self.recovery.deadline_ns,
-                spent_prev,
-                t0: lane.backend.device().now().as_nanos(),
-                device: lane.backend.device(),
-                query: query.clone(),
-            };
             let budgeted = source.filter(|_| self.recovery.mem_budget_bytes.is_some());
             let attempt: Result<PlanOutput> = if let Some(src) = budgeted {
                 // Budget-aware: partition up front, sized to the
                 // memory budget, without waiting for an OOM.
-                self.run_partitioned(lane, src, &deadline, &mut events)
+                self.run_partitioned(lane, src, &mut events)
             } else {
-                match self.run_lane(lane, carry.take(), &deadline, &mut events) {
+                match self.run_lane(lane, carry.take(), &mut events) {
                     Ok(out) => Ok(out),
                     Err(fail) => {
                         let escalate = matches!(fail.err, SimError::OutOfMemory { .. })
                             .then_some(source)
                             .flatten()
-                            .map(|src| self.run_partitioned(lane, src, &deadline, &mut events));
+                            .map(|src| self.run_partitioned(lane, src, &mut events));
                         let failed_step = fail.failed_step;
                         let host = fail.host;
                         let err = match escalate {
@@ -816,16 +763,7 @@ impl ResilientPlanExecutor {
                     self.record(&query, events);
                     return Ok(out);
                 }
-                Err(e @ SimError::PlanAborted { .. }) => {
-                    // The deadline is global: later lanes share the same
-                    // exhausted budget, so stop here.
-                    self.record(&query, events);
-                    return Err(e);
-                }
-                Err(e) => {
-                    spent_prev = deadline.elapsed();
-                    last_err = e;
-                }
+                Err(e) => last_err = e,
             }
         }
         self.record(&query, events);
@@ -833,14 +771,13 @@ impl ResilientPlanExecutor {
     }
 
     fn record(&self, query: &str, events: Vec<RecoveryEvent>) {
-        let p = &self.recovery.retry;
-        let mut budget = 0u64;
-        for attempt in 0..p.max_retries {
-            budget = budget.saturating_add(p.backoff(attempt).as_nanos());
-        }
+        let max_retries = self.recovery.retry.max_retries;
+        let budget = (0..max_retries).fold(0u64, |sum, attempt| {
+            sum.saturating_add(backoff(attempt).as_nanos())
+        });
         *self.last_log.borrow_mut() = Some(RecoveryLog {
             query: query.to_string(),
-            max_retries: p.max_retries,
+            max_retries,
             backoff_budget_ns: budget,
             events,
         });
@@ -853,7 +790,6 @@ impl ResilientPlanExecutor {
         &self,
         lane: &PlanLane<'_>,
         carry: Option<Carry>,
-        deadline: &Deadline,
         events: &mut Vec<RecoveryEvent>,
     ) -> std::result::Result<PlanOutput, LaneFail> {
         let plan = lane.plan;
@@ -906,7 +842,6 @@ impl ResilientPlanExecutor {
                 &self.recovery.retry,
                 &label,
                 || {
-                    deadline.check()?;
                     device.inject_plan_step_fault(&label)?;
                     plan.exec_step(lane.backend, lane.binds, &mut store, ix)
                 },
@@ -967,27 +902,25 @@ impl ResilientPlanExecutor {
 
     /// Partitioned re-execution: prove the plan partition-safe, then
     /// run it chunk by chunk (halving the chunk on OOM, down to
-    /// [`PlanRecovery::min_chunk`]) and merge the per-chunk outputs.
+    /// [`MIN_CHUNK`] rows) and merge the per-chunk outputs.
     fn run_partitioned(
         &self,
         lane: &PlanLane<'_>,
         source: &PartitionSource<'_>,
-        deadline: &Deadline,
         events: &mut Vec<RecoveryEvent>,
     ) -> Result<PlanOutput> {
         let plan = lane.plan;
         let device = lane.backend.device();
         let merge = partition_merge_plan(plan, source)?;
         let rows = source.rows()?;
-        let min_chunk = self.recovery.min_chunk.max(1);
         let mut chunk = match self.recovery.mem_budget_bytes {
             Some(budget) => {
                 // Budget-sized chunks, with slack for the intermediates
                 // a chunk materialises (~8x the base row footprint).
                 let per_row = source.bytes_per_row().saturating_mul(8).max(1);
-                ((budget / per_row) as usize).clamp(min_chunk, rows.max(min_chunk))
+                ((budget / per_row) as usize).clamp(MIN_CHUNK, rows.max(MIN_CHUNK))
             }
-            None => (rows.div_ceil(2)).max(min_chunk),
+            None => (rows.div_ceil(2)).max(MIN_CHUNK),
         };
         'sized: loop {
             let parts = rows.div_ceil(chunk).max(1);
@@ -1004,16 +937,16 @@ impl ResilientPlanExecutor {
             let mut start = 0usize;
             while start < rows {
                 let end = (start + chunk).min(rows);
-                match self.run_chunk(lane, source, start, end, deadline, events) {
+                match self.run_chunk(lane, source, start, end, events) {
                     Ok(out) => {
                         merger.add(out)?;
                         start = end;
                     }
-                    Err(SimError::OutOfMemory { .. }) if chunk > min_chunk => {
+                    Err(SimError::OutOfMemory { .. }) if chunk > MIN_CHUNK => {
                         // Halve and restart the whole partitioned run —
                         // deterministic, and partial merges are cheap
                         // host state.
-                        chunk = (chunk / 2).max(min_chunk);
+                        chunk = (chunk / 2).max(MIN_CHUNK);
                         let split = Recovery::Split {
                             what: plan.query().to_string(),
                             parts: 2,
@@ -1037,7 +970,6 @@ impl ResilientPlanExecutor {
         source: &PartitionSource<'_>,
         start: usize,
         end: usize,
-        deadline: &Deadline,
         events: &mut Vec<RecoveryEvent>,
     ) -> Result<PlanOutput> {
         let backend = lane.backend;
@@ -1079,7 +1011,7 @@ impl ResilientPlanExecutor {
             binds: &binds,
         };
         let r = self
-            .run_lane(&chunk_lane, None, deadline, events)
+            .run_lane(&chunk_lane, None, events)
             .map_err(|fail| fail.err);
         for (_, c) in uploads {
             let _ = backend.free(c);
@@ -1099,7 +1031,7 @@ mod tests {
     use gpu_sim::{Device, DeviceSpec, FaultPlan, FaultSite};
 
     /// filter + two grouped aggregates + key-ordered output: enough
-    /// steps to checkpoint, partition and abort mid-plan.
+    /// steps to checkpoint, partition and fall back mid-plan.
     fn agg_logical(order: ResultOrder, limit: Option<usize>) -> LogicalPlan {
         LogicalPlan::scan("t", vec![ColumnDecl::u32("key"), ColumnDecl::f64("val")])
             .filter(Predicate::cmp("t.val", CmpOp::Lt, 0.75))
@@ -1222,10 +1154,7 @@ mod tests {
             rig.dev.set_tracing(true);
             rig.dev.install_fault_plan(FaultPlan::uniform(seed, 0.2));
             let exec = ResilientPlanExecutor::new(PlanRecovery {
-                retry: RetryPolicy {
-                    max_retries: 60,
-                    ..RetryPolicy::default()
-                },
+                retry: RetryPolicy { max_retries: 60 },
                 ..PlanRecovery::default()
             });
             let out = exec.execute(&rig.backend, &rig.plan, &rig.binds()).unwrap();
@@ -1280,15 +1209,14 @@ mod tests {
 
     #[test]
     fn memory_budget_partitions_up_front_without_an_oom() {
-        let (keys, vals) = data(4096);
+        let (keys, vals) = data(8192);
         let rig = Rig::new(Device::with_defaults(), &keys, &vals);
         let mut src = PartitionSource::new();
         src.bind_u32("t.key", keys.as_slice())
             .bind_f64("t.val", vals.as_slice());
-        // 12 B/row base, 8x slack -> 96 B/row; 512-row chunks.
+        // 12 B/row base, 8x slack -> 96 B/row; 1024-row chunks.
         let exec = ResilientPlanExecutor::new(PlanRecovery {
-            mem_budget_bytes: Some(96 * 512),
-            min_chunk: 256,
+            mem_budget_bytes: Some(96 * 1024),
             ..PlanRecovery::default()
         });
         let out = partitionable(&exec, &rig.backend, &rig.plan, &rig.binds(), &src).unwrap();
@@ -1388,31 +1316,6 @@ mod tests {
             matches!(&err, SimError::Unsupported(m) if m.contains("not partition-safe")),
             "{err}"
         );
-    }
-
-    #[test]
-    fn deadlines_abort_with_a_typed_error() {
-        let (keys, vals) = data(512);
-        let rig = Rig::new(Device::with_defaults(), &keys, &vals);
-        let exec = ResilientPlanExecutor::new(PlanRecovery {
-            deadline_ns: Some(1_000),
-            ..PlanRecovery::default()
-        });
-        let err = exec
-            .execute(&rig.backend, &rig.plan, &rig.binds())
-            .unwrap_err();
-        match err {
-            SimError::PlanAborted {
-                query,
-                elapsed_ns,
-                budget_ns,
-            } => {
-                assert_eq!(query, "T1");
-                assert_eq!(budget_ns, 1_000);
-                assert!(elapsed_ns > budget_ns);
-            }
-            other => panic!("expected PlanAborted, got {other}"),
-        }
     }
 
     #[test]

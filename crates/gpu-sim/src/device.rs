@@ -169,6 +169,14 @@ impl Device {
         self.inner.lock().advance(d);
     }
 
+    /// Charge the small device→host copy that returns one scalar (a
+    /// reduction's total, a compaction's count): one PCIe latency. Like
+    /// [`advance`](Self::advance), it records no event and moves no
+    /// counter.
+    pub fn read_back_scalar(&self) {
+        self.advance(SimDuration::from_nanos(self.spec.pcie_latency_ns));
+    }
+
     /// Run `f` and return its result together with the simulated time it
     /// consumed. This is the measurement primitive every benchmark uses.
     pub fn time<R>(&self, f: impl FnOnce() -> R) -> (R, SimDuration) {

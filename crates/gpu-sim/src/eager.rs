@@ -26,7 +26,7 @@
 use crate::hostexec::{expr, RowPred};
 use crate::{
     hostexec, presets, AccessPattern, AllocPolicy, BufferId, Device, DeviceBuffer, DeviceCopy,
-    KernelCost, RadixKey, Reservation, Result, SimDuration, SimError,
+    KernelCost, RadixKey, Reservation, Result, SimError,
 };
 use std::any::type_name;
 use std::fmt::Display;
@@ -175,11 +175,6 @@ fn same_len(left: usize, right: usize) -> Result<()> {
 fn reserve<T, L: Launch>(lib: &L, n: usize) -> Result<Reservation> {
     let bytes = (n * std::mem::size_of::<T>()) as u64;
     lib.device().reserve(bytes, L::ALLOC, true)
-}
-
-/// The small device→host copy that returns a reduction's scalar.
-fn read_back(device: &Device) {
-    device.advance(SimDuration::from_nanos(device.spec().pcie_latency_ns));
 }
 
 // ---------------------------------------------------------------------------
@@ -336,7 +331,7 @@ where
     let acc = lib.device().body(fold, || init);
     let cost = KernelCost::reduce::<T>(src.len());
     lib.launch("reduce", type_name::<(T, A)>, cost, &[src.id()], &[])?;
-    read_back(lib.device());
+    lib.device().read_back_scalar();
     Ok(acc)
 }
 
@@ -363,7 +358,7 @@ pub fn transform_reduce_zip<K: Display>(
     let acc = expr::filter_sum(prog, leaves, preds, len, init);
     let cost = KernelCost::reduce::<f64>(len).with_read(read_bytes);
     lib.launch("transform_reduce_zip", key, cost, reads, &[])?;
-    read_back(lib.device());
+    lib.device().read_back_scalar();
     Ok(acc)
 }
 

@@ -62,18 +62,6 @@ pub enum SimError {
         /// Size of the transfer that timed out.
         bytes: u64,
     },
-    /// A plan-level execution exceeded its simulated-time budget and was
-    /// aborted by the resilient plan executor. Not transient: the budget
-    /// is already spent, so retrying under the same deadline cannot
-    /// succeed.
-    PlanAborted {
-        /// Name of the aborted query plan.
-        query: String,
-        /// Simulated nanoseconds consumed when the deadline tripped.
-        elapsed_ns: u64,
-        /// The plan's simulated-time budget in nanoseconds.
-        budget_ns: u64,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -100,14 +88,6 @@ impl fmt::Display for SimError {
             SimError::TransferTimeout { bytes } => {
                 write!(f, "transfer of {bytes} bytes timed out")
             }
-            SimError::PlanAborted {
-                query,
-                elapsed_ns,
-                budget_ns,
-            } => write!(
-                f,
-                "plan {query} aborted: {elapsed_ns} ns elapsed exceeds budget of {budget_ns} ns"
-            ),
         }
     }
 }
@@ -167,12 +147,6 @@ mod tests {
         assert!(!SimError::SizeMismatch { left: 1, right: 2 }.is_transient());
         assert!(!SimError::IndexOutOfBounds { index: 1, len: 1 }.is_transient());
         assert!(!SimError::Unsupported("x".into()).is_transient());
-        assert!(!SimError::PlanAborted {
-            query: "Q6".into(),
-            elapsed_ns: 2,
-            budget_ns: 1
-        }
-        .is_transient());
     }
 
     #[test]
@@ -181,16 +155,9 @@ mod tests {
         assert!(e.to_string().contains("thrust::scan"));
         let e = SimError::TransferTimeout { bytes: 4096 };
         assert!(e.to_string().contains("4096"));
-        let e = SimError::PlanAborted {
-            query: "Q5".into(),
-            elapsed_ns: 900,
-            budget_ns: 800,
-        };
-        let s = e.to_string();
-        assert!(s.contains("Q5") && s.contains("900") && s.contains("800"));
         // The std::error::Error impl is usable through a trait object.
         let boxed: Box<dyn std::error::Error> = Box::new(e);
-        assert!(boxed.to_string().contains("aborted"));
+        assert!(boxed.to_string().contains("timed out"));
     }
 
     #[test]

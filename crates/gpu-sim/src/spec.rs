@@ -32,8 +32,6 @@ pub struct DeviceSpec {
     pub sm_count: u32,
     /// SIMD lanes (CUDA cores) per SM.
     pub lanes_per_sm: u32,
-    /// Threads per warp (SIMT width).
-    pub warp_size: u32,
     /// Core clock in GHz.
     pub clock_ghz: f64,
     /// Sustained instructions per clock per lane for simple ALU work.
@@ -81,7 +79,6 @@ impl DeviceSpec {
             name: "SimGPU GTX-1080-class".into(),
             sm_count: 20,
             lanes_per_sm: 128,
-            warp_size: 32,
             clock_ghz: 1.60,
             ipc: 0.9,
             mem_bandwidth_gbps: 320.0,
@@ -109,7 +106,6 @@ impl DeviceSpec {
             name: "SimGPU integrated".into(),
             sm_count: 6,
             lanes_per_sm: 64,
-            warp_size: 32,
             clock_ghz: 1.1,
             ipc: 0.8,
             mem_bandwidth_gbps: 34.0,
@@ -136,7 +132,6 @@ impl DeviceSpec {
             name: "SimGPU server-class".into(),
             sm_count: 80,
             lanes_per_sm: 64,
-            warp_size: 32,
             clock_ghz: 1.53,
             ipc: 0.95,
             mem_bandwidth_gbps: 900.0,

@@ -228,7 +228,7 @@ pub fn fused_filter_dot(
         &reads,
         &[],
     )?;
-    read_back(device);
+    device.read_back_scalar();
     Ok(acc)
 }
 
@@ -280,15 +280,8 @@ pub fn fused_filter_sum(
         in_cols,
         &[],
     )?;
-    read_back(device);
+    device.read_back_scalar();
     Ok(acc)
-}
-
-/// The small device→host copy that returns a reduction's scalar.
-fn read_back(device: &Device) {
-    device.advance(gpu_sim::SimDuration::from_nanos(
-        device.spec().pcie_latency_ns,
-    ));
 }
 
 #[cfg(test)]

@@ -98,18 +98,21 @@ impl<Q: Query> QueryData<Q> {
     }
 
     /// Execute entirely from the host partition source: no full-table
-    /// upload; every chunk stages its own window. Requires `exec` to
-    /// carry a memory budget — without one the executor's first attempt
-    /// runs unpartitioned from the (empty) device bindings and fails.
+    /// upload; every chunk stages its own window. `exec` must carry a
+    /// memory budget: without one there is nothing to size the chunks
+    /// by, and the call fails with [`SimError::Unsupported`] before any
+    /// device work.
     pub fn execute_budgeted(
         backend: &dyn GpuBackend,
         exec: &ResilientPlanExecutor,
         db: &Database,
     ) -> Result<Q::Answer> {
-        debug_assert!(
-            exec.recovery().mem_budget_bytes.is_some(),
-            "execute_budgeted needs a memory budget"
-        );
+        if exec.recovery().mem_budget_bytes.is_none() {
+            return Err(SimError::Unsupported(format!(
+                "{}: budgeted execution needs `mem_budget_bytes`",
+                Q::NAME
+            )));
+        }
         let src = Self::partition_source(db);
         Self::run(&[(backend, &[])], exec, Some(&src), &Q::host(db))
     }

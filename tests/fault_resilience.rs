@@ -4,6 +4,7 @@
 //! fault-free run — and must cost exactly nothing when no faults fire.
 
 use gpu_proto_db::core::backend::GpuBackend;
+use gpu_proto_db::core::backends::PAPER_BACKENDS;
 use gpu_proto_db::core::framework::Framework;
 use gpu_proto_db::core::prelude::*;
 use gpu_proto_db::sim::{DeviceSpec, DeviceStats, FaultPlan, FaultSite, SimError};
@@ -18,14 +19,21 @@ use proptest::prelude::*;
 /// per-site rate most attempts fail and recovery needs patience. Backoff
 /// is charged to the simulated clock, so patience costs no wall time.
 fn deep_policy() -> RetryPolicy {
-    RetryPolicy {
-        max_retries: 60,
-        ..RetryPolicy::default()
-    }
+    RetryPolicy { max_retries: 60 }
 }
 
+/// The paper configuration with every backend retrying under
+/// [`deep_policy`], each on its own fresh device.
 fn resilient_setup() -> Framework {
-    Framework::with_all_backends_resilient(&DeviceSpec::gtx1080(), deep_policy())
+    let mut fw = Framework::new();
+    for name in PAPER_BACKENDS {
+        fw.register(Framework::single_backend_resilient(
+            &DeviceSpec::gtx1080(),
+            name,
+            deep_policy(),
+        ));
+    }
+    fw
 }
 
 /// Trace every backend's device from here on (call on a fresh framework).
