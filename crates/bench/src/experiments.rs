@@ -23,10 +23,11 @@
 //! `all_experiments` is the only runner that prints the table's rows as
 //! they are and writes their CSVs.
 //!
-//! A row declared *shape-priced* (`Row::shape_priced`) runs each lane
-//! cell inside its device's dry scope ([`Device::dry_scope`]): every charge
-//! as with bodies, no kernel body. All three runners go through
-//! `Cell::run`, so all three see it.
+//! A row declared *dry* (`Row::dry`) runs each lane cell inside its
+//! device's dry scope ([`Device::dry_scope`]): every charge as with
+//! bodies, no kernel body — only the counts a charge reads (rows a
+//! selection keeps, distinct groups) are computed, from the uploads. All
+//! three runners go through `Cell::run`, so all three see it.
 //!
 //! ## The three orders
 //!
@@ -118,7 +119,7 @@ impl Cell {
     /// (the grid's shared backend, the serial runner's framework member)
     /// and on a fresh backend otherwise (the lint replay, so each trace
     /// is a self-contained buffer-lifetime story), inside its device's dry
-    /// scope when the row is shape-priced. `traced` switches recording on
+    /// scope when the row is dry. `traced` switches recording on
     /// for the devices built here; neither it nor the dry scope changes a
     /// sample or an event.
     pub(crate) fn run(self, lane: Option<&dyn GpuBackend>, traced: bool) -> (CellOut, Traces) {
@@ -223,10 +224,12 @@ pub struct Row {
     pub section: &'static str,
     pub(crate) cells: Cells,
     /// No charge of the row's lane cells reads what a kernel body computed
-    /// (sort and scan costs are functions of `n` and the types, for
-    /// example), so the lanes run them on a dry device. DESIGN.md §5
-    /// classifies every row.
-    pub(crate) shape_priced: bool,
+    /// beyond the counts the counted placeholders compute from uploads
+    /// (sort and scan costs are functions of `n` and the types, a
+    /// selection's of the rows it keeps), and no cell checks an answer, so
+    /// the lanes run them on a dry device. DESIGN.md §5 classifies every
+    /// row.
+    pub(crate) dry: bool,
     pub(crate) emit: Emit,
     /// How an emitted experiment prints.
     pub(crate) render: fn(&Experiment) -> String,
@@ -250,7 +253,7 @@ impl Row {
             id,
             section: id,
             cells,
-            shape_priced: false,
+            dry: false,
             emit,
             render: Experiment::render,
         }
@@ -283,7 +286,7 @@ impl Row {
                         label: name.to_string(),
                         run: Run::Lane {
                             name,
-                            dry: self.shape_priced,
+                            dry: self.dry,
                             f: Box::new(move |b| run(b, &c)),
                         },
                     }
@@ -300,21 +303,27 @@ impl Row {
 
 /// Every experiment section, in the serial runner's execution order.
 pub static TABLE: [Row; 24] = [
-    Row::new(
-        "E3",
-        every_lane(|b, c| out(operators::e3_part(b, &c.sizes))),
-        Emit::XMajor("Selection runtime vs. rows (50% selectivity)", "rows"),
-    ),
-    Row::new(
-        "E4",
-        every_lane(|b, c| out(operators::e4_part(b, c.e4_n, &c.sels))),
-        Emit::XMajor(
-            "Selection runtime vs. selectivity (fixed rows)",
-            "sel_permille",
-        ),
-    ),
     Row {
-        shape_priced: true,
+        dry: true,
+        ..Row::new(
+            "E3",
+            every_lane(|b, c| out(operators::e3_part(b, &c.sizes))),
+            Emit::XMajor("Selection runtime vs. rows (50% selectivity)", "rows"),
+        )
+    },
+    Row {
+        dry: true,
+        ..Row::new(
+            "E4",
+            every_lane(|b, c| out(operators::e4_part(b, c.e4_n, &c.sels))),
+            Emit::XMajor(
+                "Selection runtime vs. selectivity (fixed rows)",
+                "sel_permille",
+            ),
+        )
+    },
+    Row {
+        dry: true,
         ..Row::new(
             "E5a",
             every_lane(|b, c| out(operators::e5_part(b, &c.sizes, false))),
@@ -322,26 +331,30 @@ pub static TABLE: [Row; 24] = [
         )
     },
     Row {
-        shape_priced: true,
+        dry: true,
         ..Row::new(
             "E5b",
             every_lane(|b, c| out(operators::e5_part(b, &c.sizes, true))),
             Emit::XMajor("Sort-by-key runtime vs. rows", "rows"),
         )
     },
-    Row::new(
-        "E6",
-        every_lane(|b, c| out(operators::e6_part(b, c.e6_n, &c.groups))),
-        Emit::XMajor("Grouped aggregation (SUM) vs. group count", "groups"),
-    ),
     Row {
-        shape_priced: true,
+        dry: true,
+        ..Row::new(
+            "E6",
+            every_lane(|b, c| out(operators::e6_part(b, c.e6_n, &c.groups))),
+            Emit::XMajor("Grouped aggregation (SUM) vs. group count", "groups"),
+        )
+    },
+    Row {
+        dry: true,
         ..Row::new(
             "E7",
             every_lane(|b, c| out(operators::e7_part(b, &c.sizes))),
             Emit::With(|_, o| operators::e7_assemble(take(o))),
         )
     },
+    // Wet: a join's pair count needs the whole probe.
     Row::new(
         "E8",
         every_lane(|b, c| out(operators::e8_part(b, &c.join_sizes))),
@@ -349,6 +362,7 @@ pub static TABLE: [Row; 24] = [
     ),
     Row {
         section: "E9-and",
+        dry: true,
         ..Row::new(
             "E9a",
             every_lane(|b, c| out(operators::e9_part(b, c.e9_n, &c.e9_preds, Connective::And))),
@@ -360,6 +374,7 @@ pub static TABLE: [Row; 24] = [
     },
     Row {
         section: "E9-or",
+        dry: true,
         ..Row::new(
             "E9b",
             every_lane(|b, c| out(operators::e9_part(b, c.e9_n, &c.e9_preds, Connective::Or))),
@@ -410,19 +425,25 @@ pub static TABLE: [Row; 24] = [
     ),
     // The serial runner executed E15 before E14; the lanes keep that
     // per-device order even though emission is numeric.
-    Row::new(
-        "E15",
-        every_lane(|b, c| out(operators::e15_part(b, c.e15_n))),
-        Emit::CellMajor(
-            "Kernel launches per operator call (x = operator index)",
-            "op_index",
-        ),
-    ),
-    Row::new(
-        "E14",
-        every_lane(|b, c| out(extensions::e14_part(b, &c.sizes))),
-        Emit::XMajor("Grouped SUM+COUNT (multi-aggregate) vs. rows", "rows"),
-    ),
+    Row {
+        dry: true,
+        ..Row::new(
+            "E15",
+            every_lane(|b, c| out(operators::e15_part(b, c.e15_n))),
+            Emit::CellMajor(
+                "Kernel launches per operator call (x = operator index)",
+                "op_index",
+            ),
+        )
+    },
+    Row {
+        dry: true,
+        ..Row::new(
+            "E14",
+            every_lane(|b, c| out(extensions::e14_part(b, &c.sizes))),
+            Emit::XMajor("Grouped SUM+COUNT (multi-aggregate) vs. rows", "rows"),
+        )
+    },
     Row::new(
         "E17",
         Cells::Fresh(e17_cells),
@@ -454,6 +475,7 @@ pub static TABLE: [Row; 24] = [
     // own anatomy table.
     Row {
         render: ablations::render_a1,
+        dry: true,
         ..Row::new(
             "A1",
             every_lane(|b, c| out(ablations::a1_part(b, c.a1_n))),
@@ -476,7 +498,8 @@ pub static TABLE: [Row; 24] = [
         Cells::Fresh(a3_cells),
         Emit::CellMajor("Cold (x=0) vs. warm (x=1) selection latency", "run"),
     ),
-    // A study of one library's materialisation strategies.
+    // A study of one library's materialisation strategies. Wet: its
+    // gathers would check placeholder ids.
     Row::new(
         "A4",
         Cells::Lanes(&["Thrust"], |b, c| {
@@ -773,22 +796,27 @@ mod tests {
         b
     }
 
-    /// Every shape-priced row at `gpu_lint`'s sizes, each lane cell on a
-    /// fresh backend, once as declared and once with bodies: after each
-    /// cell the two devices agree on every event, counter, live buffer and
-    /// the clock, and the row emits the same samples.
+    /// Every dry row at `gpu_lint`'s sizes, each lane cell on a fresh
+    /// backend, once as declared and once with bodies: after each cell the
+    /// two devices agree on every event, counter, live buffer and the
+    /// clock, and the row emits the same samples. A counted placeholder
+    /// that read another op's placeholder instead of an upload would count
+    /// zeros and charge differently here.
     #[test]
     fn dry_cells_charge_what_cells_with_bodies_charge() {
         let cfg = Arc::new(crate::traced::lint_config());
-        let rows: Vec<&Row> = TABLE.iter().filter(|row| row.shape_priced).collect();
+        let rows: Vec<&Row> = TABLE.iter().filter(|row| row.dry).collect();
         let ids: Vec<&str> = rows.iter().map(|row| row.id).collect();
-        assert_eq!(ids, ["E5a", "E5b", "E7"]);
+        let dry = [
+            "E3", "E4", "E5a", "E5b", "E6", "E7", "E9a", "E9b", "E15", "E14", "A1",
+        ];
+        assert_eq!(ids, dry);
         for row in rows {
             let run = |bodies: bool| {
                 let (mut outs, mut devices) = (Vec::new(), Vec::new());
                 for cell in row.cells(&cfg) {
                     let Run::Lane { name, dry, f } = cell.run else {
-                        panic!("{}: a shape-priced row runs on the lanes", row.id)
+                        panic!("{}: a dry row runs on the lanes", row.id)
                     };
                     assert!(dry, "{}/{name} is not declared dry", row.id);
                     let b = fresh(name);

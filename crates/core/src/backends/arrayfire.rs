@@ -9,7 +9,7 @@
 //! is lazy JIT fusion: chained element-wise math (Product, predicates)
 //! compiles into a single kernel.
 
-use super::{check_keyed, check_sum_product, row_preds, same_len};
+use super::{check_keyed, check_sum_product, group_sums, kept, row_preds, same_len};
 use crate::backend::{check_col, Col, ColType, GpuBackend, Pred, Slab};
 use crate::ops::{CmpOp, Connective, DbOperator, JoinAlgo, Support};
 use arrayfire_sim as af;
@@ -201,7 +201,7 @@ impl GpuBackend for ArrayFireBackend {
             .map(|p| self.arr(p.col)?.eval())
             .collect::<Result<Vec<_>>>()?;
         let lanes = cols.iter().map(|c| lane(c)).collect::<Result<Vec<_>>>()?;
-        let picked = hostexec::select_rows(&row_preds(&lanes, preds), all);
+        let picked = kept(&self.device, &row_preds(&lanes, preds), all);
         // Table II realisation, charged: one where() per predicate,
         // combined with set operations on the index arrays. Only the last
         // index array is ever read, so only it gets contents.
@@ -231,14 +231,12 @@ impl GpuBackend for ArrayFireBackend {
             CmpOp::Ne => xa.ne_elem(&xb)?,
         };
         let (ca, cb) = (xa.eval()?, xb.eval()?);
-        let picked = hostexec::select_rows(
-            &[RowPred {
-                col: lane(&ca)?,
-                cmp: cmp.into(),
-                rhs: Rhs::Col(lane(&cb)?),
-            }],
-            true,
-        );
+        let pred = RowPred {
+            col: lane(&ca)?,
+            cmp: cmp.into(),
+            rhs: Rhs::Col(lane(&cb)?),
+        };
+        let picked = kept(&self.device, &[pred], true);
         let ids = self.charge_where(&mask, picked.ids.len())?;
         Ok(self.mint(self.runtime.fill_u32(ids, picked.ids)?))
     }
@@ -303,7 +301,7 @@ impl GpuBackend for ArrayFireBackend {
         // that each group starts from its first value as sumByKey does.
         let (kd, vd) = (kcol.dtype(), vcol.dtype());
         let (_sorted_keys, _sorted_vals) = af::charge_sort_by_key(&self.runtime, keys.len, kd, vd)?;
-        let (gk, gv) = hostexec::grouped_sum(kcol.as_u32()?, vcol.as_f64()?, -0.0);
+        let (gk, gv) = group_sums(&self.device, kcol.as_u32()?, vcol.as_f64()?, -0.0);
         let (rk, rv) = af::charge_sum_by_key(&self.runtime, keys.len, gk.len(), kd, vd)?;
         Ok((
             self.mint(self.runtime.fill_u32(rk, gk)?),

@@ -699,16 +699,88 @@ fn bad_operands_are_refused() {
     });
 }
 
+/// `preds` over `cols`, each `(column, comparison, literal)`.
+fn preds<'a>(cols: &'a [Col; 6], preds: [(usize, CmpOp, f64); 3]) -> [Pred<'a>; 3] {
+    preds.map(|(at, cmp, lit)| Pred {
+        col: &cols[at],
+        cmp,
+        lit,
+    })
+}
+
 /// The operators a dry scope covers, on the reference columns and on the
 /// refusals that can reach them: `[u, k, f]`, then a shorter `u`, an index
 /// past the end and a shorter `f`. Without bodies every call must charge
 /// exactly what it charges with them — same events, counters, clock and
 /// `Err` — and every output must be its placeholder, zeros of the same
-/// length.
+/// length. The selections and grouped sums are priced by how many rows
+/// they keep and groups they find, so their placeholders must count those
+/// right for the charges to agree.
 #[test]
 fn a_dry_scope_charges_what_bodies_charge_and_fills_placeholders() {
     type Case = fn(Backend<'_>, &[Col; 6]) -> Result<Vec<f64>>;
-    let cases: [(&str, Case); 11] = [
+    let cases: [(&str, Case); 22] = [
+        ("selection", |b, c| {
+            take(b, b.selection(&c[0], CmpOp::Lt, 2.0)?)
+        }),
+        ("selection_multi And", |b, c| {
+            let p = preds(
+                c,
+                [
+                    (0, CmpOp::Lt, 2.5),
+                    (1, CmpOp::Gt, 0.0),
+                    (2, CmpOp::Gt, 6.0),
+                ],
+            );
+            take(b, b.selection_multi(&p, Connective::And)?)
+        }),
+        ("selection_multi Or", |b, c| {
+            let p = preds(
+                c,
+                [
+                    (0, CmpOp::Lt, 1.0),
+                    (1, CmpOp::Gt, 2.0),
+                    (2, CmpOp::Ge, 21.0),
+                ],
+            );
+            take(b, b.selection_multi(&p, Connective::Or)?)
+        }),
+        ("selection_cmp_cols u32", |b, c| {
+            take(b, b.selection_cmp_cols(&c[0], &c[1], CmpOp::Lt)?)
+        }),
+        ("selection_cmp_cols f64", |b, c| {
+            take(b, b.selection_cmp_cols(&c[2], &c[2], CmpOp::Le)?)
+        }),
+        ("grouped_sum", |b, c| {
+            let (k, v) = b.grouped_sum(&c[0], &c[2])?;
+            Ok([take(b, k)?, take(b, v)?].concat())
+        }),
+        ("grouped_sum_count", |b, c| {
+            let (k, v, n) = b.grouped_sum_count(&c[0], &c[2])?;
+            Ok([take(b, k)?, take(b, v)?, take(b, n)?].concat())
+        }),
+        ("selection_multi of unequal lengths", |b, c| {
+            let p = preds(
+                c,
+                [
+                    (0, CmpOp::Lt, 2.5),
+                    (3, CmpOp::Gt, 0.0),
+                    (2, CmpOp::Gt, 6.0),
+                ],
+            );
+            take(b, b.selection_multi(&p, Connective::Or)?)
+        }),
+        ("selection_cmp_cols of unequal lengths", |b, c| {
+            take(b, b.selection_cmp_cols(&c[0], &c[3], CmpOp::Lt)?)
+        }),
+        ("grouped_sum of unequal lengths", |b, c| {
+            let (k, v) = b.grouped_sum(&c[3], &c[2])?;
+            Ok([take(b, k)?, take(b, v)?].concat())
+        }),
+        ("grouped_sum_count of unequal lengths", |b, c| {
+            let (k, v, n) = b.grouped_sum_count(&c[0], &c[5])?;
+            Ok([take(b, k)?, take(b, v)?, take(b, n)?].concat())
+        }),
         ("sort", |b, c| take(b, b.sort(&c[0])?)),
         ("sort_by_key", |b, c| {
             let (k, v) = b.sort_by_key(&c[0], &c[2])?;

@@ -18,8 +18,8 @@
 //! queue that JIT-compiles each kernel on first use and allocates raw.
 
 use super::{
-    check_keyed, check_sum_product, leaves, row_width, same_len, select, select_cmp_cols,
-    with_lanes, StoredColumn,
+    check_keyed, check_sum_product, group_sums, leaves, row_width, same_len, select,
+    select_cmp_cols, with_lanes, StoredColumn,
 };
 use crate::backend::{check_col, Col, ColType, GpuBackend, Pred, Slab};
 use crate::fused::{check_fused_inputs, FusedExpr, FusedPred};
@@ -234,7 +234,7 @@ impl<L: EagerLib> GpuBackend for EagerBackend<L> {
 
     fn selection_multi(&self, preds: &[Pred<'_>], conn: Connective) -> Result<Col> {
         let n = same_len(preds)?;
-        let (picked, srcs) = select(&self.slab, preds, conn)?;
+        let (picked, srcs) = select(self.lib.device(), &self.slab, preds, conn)?;
         // The chain Table II names, charged: one transform() per predicate,
         // folded with bit_and / bit_or, then the scan + scatter compaction.
         let mut combined = self.charge_flags(preds[0].col, srcs[0])?;
@@ -252,7 +252,7 @@ impl<L: EagerLib> GpuBackend for EagerBackend<L> {
                 "mixed-dtype column comparison".into(),
             ));
         }
-        let (ids, [ia, ib]) = select_cmp_cols(&self.slab, a, b, cmp)?;
+        let (ids, [ia, ib]) = select_cmp_cols(self.lib.device(), &self.slab, a, b, cmp)?;
         let (xa, xb) = ((a.len, ia), (b.len, ib));
         let flags = match a.dtype {
             ColType::U32 => eager::charge_transform_binary::<u32, u32, u32>(&self.lib, xa, xb),
@@ -323,9 +323,10 @@ impl<L: EagerLib> GpuBackend for EagerBackend<L> {
         // reduce_by_key does.
         let (k, v, (gk, gv)) = self.slab.with2(keys.id, vals.id, |a, b| {
             let (keys, vals) = (a.u32s().buffer(), b.f64s().buffer());
-            let k = self.lib.device().reserve_dtod(keys)?;
-            let v = self.lib.device().reserve_dtod(vals)?;
-            Ok((k, v, hostexec::grouped_sum(keys.host(), vals.host(), -0.0)))
+            let device = self.lib.device();
+            let k = device.reserve_dtod(keys)?;
+            let v = device.reserve_dtod(vals)?;
+            Ok((k, v, group_sums(device, keys.host(), vals.host(), -0.0)))
         })??;
         let (n, reads) = (keys.len, [k.id(), v.id()]);
         eager::charge_sort_by_key::<u32, f64>(&self.lib, (n, reads[0]), (vals.len, reads[1]))?;

@@ -6,12 +6,12 @@
 //! offers.
 
 use super::{
-    check_keyed, check_sum_product, leaves, row_preds, row_width, same_len, select,
+    check_keyed, check_sum_product, group_sums, leaves, row_preds, row_width, same_len, select,
     select_cmp_cols, with_lanes, StoredColumn,
 };
 use crate::backend::{check_col, Col, ColType, GpuBackend, Pred, Slab};
 use crate::ops::{CmpOp, Connective, DbOperator, JoinAlgo, Support};
-use gpu_sim::hostexec::{self, Lane};
+use gpu_sim::hostexec::Lane;
 use gpu_sim::{Device, DeviceBuffer, Result, SimError};
 use handwritten as hw;
 use std::sync::Arc;
@@ -149,12 +149,12 @@ impl GpuBackend for HandwrittenBackend {
     fn selection_multi(&self, preds: &[Pred<'_>], conn: Connective) -> Result<Col> {
         let n = same_len(preds)?;
         // One fused kernel evaluates the whole connective per row.
-        let (picked, _) = select(&self.slab, preds, conn)?;
+        let (picked, _) = select(&self.device, &self.slab, preds, conn)?;
         self.select_fused(n, row_width(preds.iter().map(|p| p.col)), picked.ids)
     }
 
     fn selection_cmp_cols(&self, a: &Col, b: &Col, cmp: CmpOp) -> Result<Col> {
-        let (ids, _) = select_cmp_cols(&self.slab, a, b, cmp)?;
+        let (ids, _) = select_cmp_cols(&self.device, &self.slab, a, b, cmp)?;
         self.select_fused(a.len(), row_width([a, b]), ids)
     }
 
@@ -259,7 +259,7 @@ impl GpuBackend for HandwrittenBackend {
         // accumulators.
         let ((gk, gv), reads) = self.slab.with2(keys.id, vals.id, |k, v| match (k, v) {
             (Stored::U32(kb), Stored::F64(vb)) => (
-                hostexec::grouped_sum(kb.host(), vb.host(), 0.0),
+                group_sums(&self.device, kb.host(), vb.host(), 0.0),
                 [kb.id(), vb.id()],
             ),
             _ => unreachable!("dtype checked"),

@@ -28,7 +28,7 @@ use crate::backend::{check_col, Col, ColType, Pred, Slab};
 use crate::ops::{CmpOp, Connective};
 use gpu_sim::hostexec::expr::Leaf;
 use gpu_sim::hostexec::{self, Lane, Rhs, RowPred, Selected};
-use gpu_sim::{BufferId, Result, SimError};
+use gpu_sim::{BufferId, Device, Result, SimError};
 
 /// A backend's stored column, as the shared host kernels and the charge
 /// replays need it.
@@ -120,10 +120,35 @@ fn row_width<'a>(cols: impl IntoIterator<Item = &'a Col>) -> usize {
     cols.into_iter().map(|c| c.dtype().width()).sum()
 }
 
-/// The rows `preds` keep under `conn` (with the per-predicate counts a
-/// chain of materialised intermediates is charged by), and the buffer
-/// behind each predicate's column.
+/// The rows `preds` keep — all of them (`all`) or any — with the
+/// per-predicate counts a chain of materialised intermediates is charged
+/// by. Inside `device`'s dry scope only the counts are real: the ids are
+/// zeros of the kept length ([`hostexec::count_rows`]).
+fn kept(device: &Device, preds: &[RowPred<'_>], all: bool) -> Selected {
+    device.body(
+        || hostexec::select_rows(preds, all),
+        || hostexec::count_rows(preds, all),
+    )
+}
+
+/// The distinct keys of `keys`, ascending, and per key the sum of its
+/// `vals` folded in row order from `seed` ([`hostexec::grouped_sum`]).
+/// Inside `device`'s dry scope both are zeros of the group count
+/// ([`hostexec::distinct_keys`]).
+fn group_sums(device: &Device, keys: &[u32], vals: &[f64], seed: f64) -> (Vec<u32>, Vec<f64>) {
+    device.body(
+        || hostexec::grouped_sum(keys, vals, seed),
+        || {
+            let groups = hostexec::distinct_keys(keys);
+            (vec![0; groups], vec![0.0; groups])
+        },
+    )
+}
+
+/// The rows `preds` keep under `conn` ([`kept`] on `device`), and the
+/// buffer behind each predicate's column.
 fn select<S: StoredColumn>(
+    device: &Device,
     slab: &Slab<S>,
     preds: &[Pred<'_>],
     conn: Connective,
@@ -132,15 +157,16 @@ fn select<S: StoredColumn>(
     slab.with_many(&ids, |stored| {
         let lanes: Vec<Lane<'_>> = stored.iter().map(|s| s.lane()).collect();
         (
-            hostexec::select_rows(&row_preds(&lanes, preds), conn == Connective::And),
+            kept(device, &row_preds(&lanes, preds), conn == Connective::And),
             stored.iter().map(|s| s.buffer_id()).collect(),
         )
     })
 }
 
-/// The rows where `a cmp b` holds between two equally long columns, and
-/// the buffers behind them.
+/// The rows where `a cmp b` holds between two equally long columns
+/// ([`kept`] on `device`), and the buffers behind them.
 fn select_cmp_cols<S: StoredColumn>(
+    device: &Device,
     slab: &Slab<S>,
     a: &Col,
     b: &Col,
@@ -154,7 +180,7 @@ fn select_cmp_cols<S: StoredColumn>(
             rhs: Rhs::Col(sb.lane()),
         };
         (
-            hostexec::select_rows(&[pred], true).ids,
+            kept(device, &[pred], true).ids,
             [sa.buffer_id(), sb.buffer_id()],
         )
     })

@@ -190,11 +190,12 @@ impl Device {
     // ----------------------------------------------------------------
 
     /// Run kernel bodies dry until the returned guard drops: for work whose
-    /// simulated cost depends only on shapes, and whose outputs nobody
-    /// reads. Inside the scope output *contents* are unspecified (today:
-    /// `T::default()`, and `0.0` for a reduction); every input check,
-    /// fault draw, reservation, launch, JIT lookup, free, output length and
-    /// the clock stay exactly what they are with bodies.
+    /// simulated cost depends only on shapes and on counts a placeholder
+    /// can take from the inputs, and whose outputs nobody reads. Inside the
+    /// scope output *contents* are unspecified (today: `T::default()`, and
+    /// `0.0` for a reduction); every input check, fault draw, reservation,
+    /// launch, JIT lookup, free, output length and the clock stay exactly
+    /// what they are with bodies.
     pub fn dry_scope(&self) -> DryScope<'_> {
         let outer = self.dry.swap(true, Ordering::Relaxed);
         DryScope {
@@ -209,8 +210,14 @@ impl Device {
     }
 
     /// The one place a kernel body is skipped: `body()`, or inside a
-    /// [`DryScope`] `placeholder()`. A placeholder must perform every
-    /// input check the body performs, and nothing else.
+    /// [`DryScope`] `placeholder()`. A placeholder performs every input
+    /// check the body performs and returns outputs of the body's lengths.
+    /// Where a charge reads a count of the answer — rows a selection keeps,
+    /// distinct groups — the placeholder is *counted*: it computes that
+    /// count from the inputs (`hostexec::count_rows`,
+    /// `hostexec::distinct_keys`) and nothing else. A counted placeholder
+    /// may read only uploaded data, never another operator's dry output,
+    /// whose contents are placeholders too.
     pub fn body<R>(&self, body: impl FnOnce() -> R, placeholder: impl FnOnce() -> R) -> R {
         if self.is_dry() {
             placeholder()

@@ -45,7 +45,10 @@
 //!   each — [`select_rows`] / [`select_where`] compact row ids from typed
 //!   predicates read in place, [`grouped_sum`] folds each key in row order
 //!   from a caller-chosen seed. A backend charges the chain and takes the
-//!   answer from here (DESIGN.md §5, "bodies vs. charges").
+//!   answer from here (DESIGN.md §5, "bodies vs. charges"). Inside a dry
+//!   scope it takes only the counts the charges read: [`count_rows`] (the
+//!   same flag pass, no compaction) and [`distinct_keys`] (the group
+//!   count, no fold).
 //! * **The expression engine** ([`expr`]): a flat post-order program run
 //!   op-at-a-time over `f64` register windows — the body of every fused and
 //!   element-wise kernel ([`expr::map`], [`expr::filter_sum`]).
@@ -61,9 +64,9 @@ mod pool;
 mod radix;
 mod select;
 
-pub use index::{equi_join, group_aggregate, grouped_sum, GroupStats};
+pub use index::{distinct_keys, equi_join, group_aggregate, grouped_sum, GroupStats};
 pub use radix::{sort_keys, sort_pairs, RadixKey};
-pub use select::{select_rows, select_where, Cmp, Lane, Rhs, RowPred, Selected};
+pub use select::{count_rows, select_rows, select_where, Cmp, Lane, Rhs, RowPred, Selected};
 
 /// Fixed chunk granularity (in elements) for the parallel helpers.
 ///

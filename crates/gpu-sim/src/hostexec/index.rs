@@ -19,7 +19,11 @@
 //! each group's values strictly in input row order from a stated seed, so
 //! their `f64` sums are the same bits whichever internal path ran.
 
-use super::{par_map_chunks, region_workers, sort_pairs, DEFAULT_MIN_SEQ, PAR_CHUNK};
+use super::select::count;
+use super::{
+    par_map_blocks, par_map_chunks, piece_range, region_workers, sort_keys, sort_pairs,
+    DEFAULT_MIN_SEQ, PAR_CHUNK,
+};
 use std::ops::Range;
 
 /// `2^64 / φ`: multiplying by it spreads consecutive keys evenly over the
@@ -356,6 +360,63 @@ pub fn grouped_sum(keys: &[u32], vals: &[f64], seed: f64) -> (Vec<u32>, Vec<f64>
     fold_groups(keys, vals, seed)
 }
 
+/// How many distinct keys `keys` holds: the group count of
+/// [`grouped_sum`] and [`group_aggregate`], without their folds.
+///
+/// A key range dense enough for [`grouped_sum`]'s direct table is counted
+/// on a seen map indexed by `key - min`: each host thread marks the
+/// keys of one piece of the rows in a map of its own, and the maps are
+/// OR-merged. Any other range is sorted and its runs counted.
+pub fn distinct_keys(keys: &[u32]) -> usize {
+    if keys.is_empty() {
+        return 0;
+    }
+    let slot_bytes = std::mem::size_of::<f64>();
+    match dense(key_range(keys), keys.len(), slot_bytes) {
+        Some((min, range)) => seen_keys(keys, min, range),
+        None => {
+            let mut sorted = keys.to_vec();
+            sort_keys(&mut sorted);
+            1 + sorted.windows(2).filter(|w| w[0] != w[1]).count()
+        }
+    }
+}
+
+/// Rows a piece of [`seen_keys`] marks between two looks at whether its
+/// map is full.
+const SEEN_BLOCK: usize = 1 << 12;
+
+/// The keys of `min..min + range` that `keys` holds, counted on per-piece
+/// seen maps. A map has a byte per key, so marking a row is a store that
+/// waits on no earlier one. A range of few keys is usually all seen long
+/// before the rows end: while the range is small next to [`SEEN_BLOCK`],
+/// a piece counts its map after each block and stops once it is full.
+fn seen_keys(keys: &[u32], min: u32, range: usize) -> usize {
+    let n = keys.len();
+    let workers = region_workers(n, DEFAULT_MIN_SEQ, n.div_ceil(PAR_CHUNK));
+    let piece = n.div_ceil(workers);
+    let maps = par_map_blocks(workers, workers, |w| {
+        let mut seen: Vec<u8> = vec![0; range];
+        for block in keys[piece_range(w, piece, n)].chunks(SEEN_BLOCK) {
+            for &k in block {
+                seen[(k - min) as usize] = 1;
+            }
+            if range <= SEEN_BLOCK / 8 && count(&seen) == range {
+                break;
+            }
+        }
+        seen
+    });
+    let mut maps = maps.into_iter();
+    let mut seen = maps.next().unwrap_or_default();
+    for other in maps {
+        for (s, o) in seen.iter_mut().zip(other) {
+            *s |= o;
+        }
+    }
+    count(&seen)
+}
+
 /// Fold `vals` into one accumulator per distinct key, starting each from
 /// `empty`; keys come back ascending with their accumulators beside them.
 ///
@@ -388,12 +449,27 @@ pub(super) fn dense_range(
     input_rows: usize,
     slot_bytes: usize,
 ) -> Option<(u32, usize)> {
-    let (min, max) = keys
-        .iter()
-        .fold((u32::MAX, 0), |(lo, hi), &k| (lo.min(k), hi.max(k)));
+    dense(bounds(keys), input_rows, slot_bytes)
+}
+
+/// `(min, max)` of the non-empty `keys`.
+fn bounds(keys: &[u32]) -> (u32, u32) {
+    keys.iter()
+        .fold((u32::MAX, 0), |(lo, hi), &k| (lo.min(k), hi.max(k)))
+}
+
+/// [`dense_range`]'s rule on a key range already found.
+fn dense((min, max): (u32, u32), input_rows: usize, slot_bytes: usize) -> Option<(u32, usize)> {
     let range = u64::from(max - min) + 1;
     let budget = input_rows.max(DIRECT_MIN_ROWS) * DIRECT_BYTES_PER_ROW;
     (range <= (budget / slot_bytes) as u64).then_some((min, range as usize))
+}
+
+/// [`bounds`] of each [`PAR_CHUNK`] window across host threads, folded.
+fn key_range(keys: &[u32]) -> (u32, u32) {
+    par_map_chunks(keys.len(), DEFAULT_MIN_SEQ, |rows| bounds(&keys[rows]))
+        .into_iter()
+        .fold((u32::MAX, 0), |(lo, hi), (l, h)| (lo.min(l), hi.max(h)))
 }
 
 /// One pass over the rows into a table indexed by `key - min`. A range

@@ -10,10 +10,14 @@
 //!
 //! [`select_rows`] evaluates typed predicates — `u32` or `f64` columns read
 //! in place, compared as `f64` against a literal or another column — one
-//! monomorphic loop per predicate and chunk. [`select_where`] takes the
-//! predicate as a closure.
+//! monomorphic loop per predicate and chunk. [`count_rows`] runs the same
+//! flag pass and keeps only the counts, for a caller that needs how many
+//! rows survive and not which. [`select_where`] takes the predicate as a
+//! closure.
 
-use super::{for_each_owned, piece_range, region_workers, DEFAULT_MIN_SEQ, PAR_CHUNK};
+use super::{
+    for_each_owned, par_map_chunks, piece_range, region_workers, DEFAULT_MIN_SEQ, PAR_CHUNK,
+};
 use std::ops::Range;
 
 /// A comparison between two `f64`-widened operands.
@@ -107,6 +111,36 @@ pub struct Selected {
 /// If `preds` is empty or its columns differ in length (callers validate
 /// first), or on more rows than `u32` row ids.
 pub fn select_rows(preds: &[RowPred<'_>], all: bool) -> Selected {
+    let n = rows_of(preds);
+    let (ids, per_chunk) = compact(n, |rows, flags| chunk_counts(preds, all, rows, flags));
+    let (each, prefix) = totals(preds.len(), per_chunk);
+    Selected { ids, each, prefix }
+}
+
+/// [`select_rows`]' counts without its rows: `each` and `prefix` as there,
+/// and `ids` zeros of the kept length. Each [`PAR_CHUNK`] window flags its
+/// rows into a buffer of its own and counts them; nothing is compacted.
+///
+/// # Panics
+/// As [`select_rows`].
+pub fn count_rows(preds: &[RowPred<'_>], all: bool) -> Selected {
+    let n = rows_of(preds);
+    let per_chunk = par_map_chunks(n, DEFAULT_MIN_SEQ, |rows| {
+        let mut flags: Vec<u8> = vec![0; rows.len()];
+        chunk_counts(preds, all, rows, &mut flags)
+    });
+    let (each, prefix) = totals(preds.len(), per_chunk);
+    let kept = prefix.last().copied().unwrap_or(0);
+    Selected {
+        ids: vec![0; kept],
+        each,
+        prefix,
+    }
+}
+
+/// The rows every predicate of `preds` reads, after the checks both
+/// selections make.
+fn rows_of(preds: &[RowPred<'_>]) -> usize {
     // INVARIANT: every caller refuses an empty predicate list first.
     #[allow(clippy::expect_used)]
     let n = preds.first().expect("at least one predicate").col.len();
@@ -120,38 +154,48 @@ pub fn select_rows(preds: &[RowPred<'_>], all: bool) -> Selected {
             "predicate column length mismatch"
         );
     }
-    let (ids, per_chunk) = compact(n, |rows, flags| {
-        let mut counts = vec![0usize; 2 * preds.len()];
-        let (each, prefix) = counts.split_at_mut(preds.len());
-        fill_flags(&preds[0], rows.clone(), flags);
-        each[0] = count(flags);
-        prefix[0] = each[0];
-        if preds.len() > 1 {
-            let mut next: Vec<u8> = vec![0; flags.len()];
-            for (j, p) in preds.iter().enumerate().skip(1) {
-                fill_flags(p, rows.clone(), &mut next);
-                each[j] = count(&next);
-                for (f, &g) in flags.iter_mut().zip(&next) {
-                    *f = if all { *f & g } else { *f | g };
-                }
-                prefix[j] = count(flags);
+    assert!(n < u32::MAX as usize, "more rows than u32 row ids");
+    n
+}
+
+/// One window's counts, `each` then `prefix` (see [`Selected`]), with
+/// `flags` — one byte per row of `rows` — left holding the connective.
+fn chunk_counts(
+    preds: &[RowPred<'_>],
+    all: bool,
+    rows: Range<usize>,
+    flags: &mut [u8],
+) -> Vec<usize> {
+    let mut counts = vec![0usize; 2 * preds.len()];
+    let (each, prefix) = counts.split_at_mut(preds.len());
+    each[0] = fill_flags(&preds[0], rows.clone(), flags);
+    prefix[0] = each[0];
+    if preds.len() > 1 {
+        let mut next: Vec<u8> = vec![0; flags.len()];
+        for (j, p) in preds.iter().enumerate().skip(1) {
+            each[j] = fill_flags(p, rows.clone(), &mut next);
+            let mut kept = 0;
+            for (f, &g) in flags.iter_mut().zip(&next) {
+                *f = if all { *f & g } else { *f | g };
+                kept += usize::from(*f);
             }
-            drop(next);
+            prefix[j] = kept;
         }
-        counts
-    });
-    let mut totals = vec![0usize; 2 * preds.len()];
+        drop(next);
+    }
+    counts
+}
+
+/// The windows' counts summed: `(each, prefix)` over `preds` predicates.
+fn totals(preds: usize, per_chunk: Vec<Vec<usize>>) -> (Vec<usize>, Vec<usize>) {
+    let mut totals = vec![0usize; 2 * preds];
     for counts in per_chunk {
         for (t, c) in totals.iter_mut().zip(counts) {
             *t += c;
         }
     }
-    let prefix = totals.split_off(preds.len());
-    Selected {
-        ids,
-        each: totals,
-        prefix,
-    }
+    let prefix = totals.split_off(preds);
+    (totals, prefix)
 }
 
 /// Rows of `0..n` for which `pred` holds, ascending. `pred` runs once per
@@ -168,6 +212,7 @@ pub fn select_where(n: usize, pred: impl Fn(usize) -> bool + Sync) -> Vec<u32> {
     .0
 }
 
+/// How many of `flags` (each 0 or 1) are set.
 pub(super) fn count(flags: &[u8]) -> usize {
     flags.iter().map(|&f| usize::from(f)).sum()
 }
@@ -228,8 +273,9 @@ fn compact<C: Send>(
 }
 
 /// `flags[j] = pred(rows.start + j)` through the loop for this predicate's
-/// column types and operator.
-pub(super) fn fill_flags(pred: &RowPred<'_>, rows: Range<usize>, flags: &mut [u8]) {
+/// column types and operator; returns how many flags it set, counted in
+/// the same loop.
+pub(super) fn fill_flags(pred: &RowPred<'_>, rows: Range<usize>, flags: &mut [u8]) -> usize {
     match pred.col {
         Lane::U32(xs) => fill_rhs(&xs[rows.clone()], pred, rows, flags),
         Lane::F64(xs) => fill_rhs(&xs[rows.clone()], pred, rows, flags),
@@ -241,7 +287,7 @@ fn fill_rhs<X: Copy + Into<f64>>(
     pred: &RowPred<'_>,
     rows: Range<usize>,
     flags: &mut [u8],
-) {
+) -> usize {
     match pred.rhs {
         Rhs::Lit(y) => fill_cmp(xs, std::iter::repeat(y), pred.cmp, flags),
         Rhs::Col(Lane::U32(ys)) => {
@@ -256,13 +302,16 @@ fn fill_cmp<X: Copy + Into<f64>>(
     ys: impl Iterator<Item = f64>,
     cmp: Cmp,
     flags: &mut [u8],
-) {
+) -> usize {
     macro_rules! fill {
-        ($op:tt) => {
+        ($op:tt) => {{
+            let mut set = 0;
             for ((f, &x), y) in flags.iter_mut().zip(xs).zip(ys) {
                 *f = u8::from(x.into() $op y);
+                set += usize::from(*f);
             }
-        };
+            set
+        }};
     }
     match cmp {
         Cmp::Lt => fill!(<),

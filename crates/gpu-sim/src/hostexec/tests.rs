@@ -663,6 +663,48 @@ fn grouped_sum_seed_decides_the_sign_of_an_all_negative_zero_group() {
     assert_eq!(grouped_sum(&[], &[], -0.0), (vec![], vec![]));
 }
 
+/// `distinct_keys` counts the groups `grouped_sum` returns, at every thread
+/// count: on every key shape (one key on every row, keys 0 and `u32::MAX`,
+/// more sparse keys than `HASH_GROUPS_MAX`, few keys one of which only the
+/// last row holds) at lengths across the chunk
+/// and hand-over boundaries, and on key ranges one key narrower than the
+/// direct table may index for the rows, exactly as wide, and one wider.
+#[test]
+fn distinct_keys_counts_the_groups_grouped_sum_returns() {
+    let mut cases: Vec<(String, Vec<u32>)> = vec![
+        ("empty".into(), vec![]),
+        ("0 and u32::MAX".into(), vec![u32::MAX, 0, u32::MAX]),
+    ];
+    for n in [1, PAR_CHUNK + 1, 2 * PAR_CHUNK + 17, HASH_GROUPS_MAX + 1] {
+        for (shape, keys) in key_shapes(n, n as u64 + 39) {
+            cases.push((format!("{shape} n={n}"), keys));
+        }
+    }
+    let n = 2 * PAR_CHUNK + 1;
+    // Few keys, all seen within the first rows but one, seen last.
+    let mut late: Vec<u32> = (0..n as u32)
+        .map(|i| if i % 64 == 31 { 30 } else { i % 64 })
+        .collect();
+    late[n - 1] = 31;
+    cases.push(("one of 64 keys on the last row only".into(), late));
+    let mut rng = StdRng::seed_from_u64(39);
+    let slot_bytes = std::mem::size_of::<f64>();
+    let slots = n.max(DIRECT_MIN_ROWS) * DIRECT_BYTES_PER_ROW / slot_bytes;
+    for (range, direct) in [(slots - 1, true), (slots, true), (slots + 1, false)] {
+        let (min, max) = (1000, 1000 + range as u32 - 1);
+        let mut keys: Vec<u32> = (0..n).map(|_| rng.gen_range(min..=max)).collect();
+        (keys[0], keys[n - 1]) = (max, min);
+        assert_eq!(dense_range(&keys, n, slot_bytes).is_some(), direct);
+        cases.push((format!("key range {range}, direct {direct}"), keys));
+    }
+    for (what, keys) in &cases {
+        let groups = grouped_sum(keys, &vec![0.0; keys.len()], 0.0).0.len();
+        at_each_thread_count(|threads| {
+            assert_eq!(distinct_keys(keys), groups, "{what}, {threads} threads");
+        });
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Row-id compaction
 // ---------------------------------------------------------------------------
@@ -761,6 +803,70 @@ fn select_rows_matches_a_row_at_a_time_filter_for_every_operand_type() {
                 at_each_thread_count(|threads| {
                     let got = select_rows(group, all);
                     assert!(got == want, "n={n} all={all} threads={threads} {group:?}");
+                });
+            }
+        }
+    }
+}
+
+/// `count_rows` counts what `select_rows` selects — the same `each` and
+/// `prefix`, and as many (zero) ids — at every thread count, on one and
+/// three predicates under both connectives: empty columns, no row and
+/// every row kept, NaN and `-0.0` on either side of an `f64` comparison,
+/// and `u32` and `f64` column against column.
+#[test]
+fn count_rows_counts_what_select_rows_selects() {
+    for n in [0, 1, PAR_CHUNK - 1, PAR_CHUNK, 2 * PAR_CHUNK + 17] {
+        let mut rng = StdRng::seed_from_u64(n as u64 + 39);
+        let ints: Vec<u32> = (0..n).map(|_| rng.gen::<u32>() % 8).collect();
+        let more: Vec<u32> = (0..n).map(|_| rng.gen::<u32>() % 8).collect();
+        let floats = special_values(n, n as u64 + 39);
+        let zeros: Vec<f64> = (0..n).map(|i| [0.0, -0.0, f64::NAN][i % 3]).collect();
+        let (ints, more) = (Lane::U32(&ints), Lane::U32(&more));
+        let (floats, zeros) = (Lane::F64(&floats), Lane::F64(&zeros));
+        let lit = |col, cmp, y| RowPred {
+            col,
+            cmp,
+            rhs: Rhs::Lit(y),
+        };
+        let cols = |col, cmp, other| RowPred {
+            col,
+            cmp,
+            rhs: Rhs::Col(other),
+        };
+        let cases = [
+            ("no row", vec![lit(ints, Cmp::Gt, 8.0)]),
+            ("every row", vec![lit(ints, Cmp::Lt, 8.0)]),
+            ("NaN literal", vec![lit(floats, Cmp::Ne, f64::NAN)]),
+            ("-0.0 literal", vec![lit(zeros, Cmp::Lt, -0.0)]),
+            ("u32 columns", vec![cols(ints, Cmp::Lt, more)]),
+            ("f64 columns", vec![cols(zeros, Cmp::Le, floats)]),
+            (
+                "three predicates",
+                vec![
+                    lit(ints, Cmp::Lt, 4.0),
+                    lit(zeros, Cmp::Eq, 0.0),
+                    cols(floats, Cmp::Ge, zeros),
+                ],
+            ),
+            (
+                "three against NaN and -0.0",
+                vec![
+                    lit(floats, Cmp::Le, -0.0),
+                    lit(zeros, Cmp::Ge, f64::NAN),
+                    cols(ints, Cmp::Ne, more),
+                ],
+            ),
+        ];
+        for (what, preds) in &cases {
+            for all in [true, false] {
+                let want = select_rows(preds, all);
+                at_each_thread_count(|threads| {
+                    let got = count_rows(preds, all);
+                    let why = format!("{what} n={n} all={all} threads={threads}");
+                    assert_eq!(got.each, want.each, "{why}");
+                    assert_eq!(got.prefix, want.prefix, "{why}");
+                    assert_eq!(got.ids, vec![0; want.ids.len()], "{why}");
                 });
             }
         }

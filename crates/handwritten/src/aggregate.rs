@@ -7,6 +7,7 @@
 //! is far below the row count — the common analytical case.
 
 use crate::charge_io;
+use gpu_sim::hostexec::{self, GroupStats};
 use gpu_sim::{
     presets, AllocPolicy, Device, DeviceBuffer, KernelCost, Reservation, Result, SimError,
 };
@@ -55,8 +56,21 @@ pub fn hash_group_aggregate(
         });
     }
     // Per-key accumulation in row order, groups ascending by key: the shared
-    // host kernel.
-    let agg = gpu_sim::hostexec::group_aggregate(keys.host(), values.host());
+    // host kernel. The charges read only the group count, so a dry scope
+    // counts the keys and leaves every column zero.
+    let agg = device.body(
+        || hostexec::group_aggregate(keys.host(), values.host()),
+        || {
+            let groups = hostexec::distinct_keys(keys.host());
+            GroupStats {
+                keys: vec![0; groups],
+                sums: vec![0.0; groups],
+                counts: vec![0; groups],
+                mins: vec![0.0; groups],
+                maxs: vec![0.0; groups],
+            }
+        },
+    );
     let out =
         charge_hash_group_aggregate(device, keys.len(), agg.keys.len(), [keys.id(), values.id()])?;
     Ok(GroupAggregate {
