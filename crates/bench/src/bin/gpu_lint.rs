@@ -1,13 +1,13 @@
 //! `gpu_lint` — replay experiments on tracing backends and statically
-//! analyze every artifact: device traces (buffer lifetimes), the grid's
-//! scheduler plan, and representative compiled Programs.
+//! analyze every artifact: device traces (buffer lifetimes) and
+//! representative compiled Programs.
 //!
 //! ```text
 //! gpu_lint [EXPERIMENT ...] [--deny-warnings] [--timeline] [--dump]
 //! ```
 //!
 //! With no experiment ids, lints the full grid (see
-//! `bench::traced::EXPERIMENTS`) plus the plan, Program, TPC-H
+//! `bench::traced::EXPERIMENTS`) plus the Program, TPC-H
 //! physical-query-plan (GL4xx), costed-plan memory-estimate (GL6xx),
 //! fault-recovery timeline (GL5xx), and planner translation-validation
 //! (GL7xx: every query × every planner mode × every backend) targets.
@@ -18,7 +18,7 @@
 //! unknown flag or experiment id is one line on stderr and exit code 2
 //! before anything runs.
 
-use gpu_lint::{PlanTask, Report};
+use gpu_lint::Report;
 
 const USAGE: &str = "usage: gpu_lint [EXPERIMENT ...] [--deny-warnings] [--timeline] [--dump]";
 
@@ -26,20 +26,6 @@ const USAGE: &str = "usage: gpu_lint [EXPERIMENT ...] [--deny-warnings] [--timel
 fn reject(msg: &str) -> ! {
     eprintln!("gpu_lint: {msg}");
     std::process::exit(2);
-}
-
-fn plan_report() -> Report {
-    let spec = bench::grid::plan_spec(bench::traced::lint_config());
-    let tasks: Vec<PlanTask> = spec
-        .tasks
-        .into_iter()
-        .map(|t| PlanTask {
-            id: t.id,
-            lane: t.lane,
-            after: t.after,
-        })
-        .collect();
-    gpu_lint::lint_plan(format!("plan({} tasks)", tasks.len()), &tasks)
 }
 
 /// Compile the predicate shapes the ArrayFire experiments JIT (Q6-style
@@ -152,7 +138,6 @@ fn main() {
         }
     }
     if wanted.is_empty() {
-        reports.push(plan_report());
         reports.extend(program_reports());
         reports.extend(bench::plan_lint::query_plan_reports());
         reports.extend(bench::plan_lint::costed_plan_reports());

@@ -11,9 +11,9 @@
 //! [`extensions`], [`ablations`]); this module is the only place that
 //! enumerates them.
 //!
-//! * [`crate::grid`] registers every row's cells into the scheduler and
-//!   assembles the outputs — lane cells on one shared backend per lane,
-//!   everything else on devices built per cell.
+//! * [`crate::grid`] queues every row's cells on lanes and assembles the
+//!   outputs — lane cells on one shared backend per lane, everything else
+//!   on devices built per cell.
 //! * [`crate::traced`] runs one row's cells with every device built
 //!   fresh and tracing, and hands the traces to `gpu-lint`.
 //! * [`run_serial`] runs one row on a caller's [`Framework`]: the
@@ -46,11 +46,10 @@ use proto_core::backends::PAPER_BACKENDS;
 use proto_core::framework::Framework;
 use proto_core::ops::Connective;
 use proto_core::resilient::RetryPolicy;
-use proto_core::runner::Experiment;
+use proto_core::runner::{Experiment, Sample};
 use tpch::queries::{q1::Q1, q6::Q6};
 
 use crate::grid::GridConfig;
-use crate::sched::{merge_backend_major, merge_x_major};
 use crate::{ablations, extensions, operators, queries};
 
 /// What one cell hands to its row's [`Emit`]; each row agrees on the
@@ -65,6 +64,33 @@ fn take<T: Any>(outs: Vec<CellOut>) -> Vec<T> {
     outs.into_iter()
         .map(|o| *o.downcast().expect("a row's cells and assemble agree"))
         .collect()
+}
+
+/// One backend's contribution to an experiment: the samples it produces
+/// at each sweep step, in per-device execution order.
+pub(crate) type Part = Vec<Vec<Sample>>;
+
+/// Interleave per-backend parts in the serial sweep's emission order:
+/// sweep step outermost, backends (part order) within a step. Parts may
+/// have fewer steps than the widest part (a backend that skips an
+/// experiment contributes an empty part).
+pub(crate) fn merge_x_major(parts: Vec<Part>) -> Vec<Sample> {
+    let steps = parts.iter().map(Vec::len).max().unwrap_or(0);
+    let mut out = Vec::new();
+    for step in 0..steps {
+        for part in &parts {
+            if let Some(row) = part.get(step) {
+                out.extend(row.iter().cloned());
+            }
+        }
+    }
+    out
+}
+
+/// Concatenate per-backend sample lists in backend order (experiments
+/// whose serial loop is backend-outermost: E13, E15, A1, A3).
+fn merge_backend_major(parts: Vec<Vec<Sample>>) -> Vec<Sample> {
+    parts.into_iter().flatten().collect()
 }
 
 type OnBackend = Box<dyn FnOnce(&dyn GpuBackend) -> CellOut + Send>;
@@ -186,7 +212,7 @@ pub(crate) enum Emit {
     /// Nothing: the row only acts on its lane (`validate`).
     Nothing,
     /// One experiment named after the row, with this title and x-axis
-    /// label; its samples are the cells' [`Part`](crate::sched::Part)s
+    /// label; its samples are the cells' [`Part`]s
     /// interleaved in the serial sweep's order, sweep step outermost.
     XMajor(&'static str, &'static str),
     /// The same, from cells that return `Vec<Sample>`, concatenated in
@@ -741,6 +767,35 @@ pub(crate) fn serial(id: &str, cfg: GridConfig) -> Experiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn merge_x_major_interleaves_and_skips_empty_parts() {
+        let s = |backend: &str, x: u64| Sample {
+            backend: backend.into(),
+            x,
+            nanos: 1,
+            cold_nanos: 1,
+            launches: 1,
+            kernel_bytes: 1,
+        };
+        let parts = vec![
+            vec![vec![s("A", 1)], vec![s("A", 2)]],
+            vec![], // backend that skips the experiment
+            vec![vec![s("B", 1), s("B2", 1)], vec![s("B", 2)]],
+        ];
+        let merged = merge_x_major(parts);
+        let order: Vec<(String, u64)> = merged.iter().map(|m| (m.backend.clone(), m.x)).collect();
+        assert_eq!(
+            order,
+            vec![
+                ("A".into(), 1),
+                ("B".into(), 1),
+                ("B2".into(), 1),
+                ("A".into(), 2),
+                ("B".into(), 2)
+            ]
+        );
+    }
 
     #[test]
     fn ids_are_unique_and_the_derived_lists_are_the_committed_ones() {

@@ -40,7 +40,7 @@ use proto_core::runner::{Experiment, Sample};
 use proto_core::workload;
 use tpch::queries::q1::Q1Row;
 
-use crate::sched::Part;
+use crate::experiments::Part;
 
 /// E13 part — one backend's resident (x=0) and transfer-inclusive (x=1)
 /// Q6 samples.

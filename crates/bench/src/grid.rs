@@ -1,23 +1,23 @@
 //! The benchmark grid: every cell of the experiment table
-//! ([`crate::experiments::TABLE`]), scheduled over the deterministic
-//! parallel [`Plan`] and emitted in canonical serial order.
+//! ([`crate::experiments::TABLE`]), run as round-robin lanes on `--jobs`
+//! workers and emitted in canonical serial order.
 //!
 //! ## Decomposition
 //!
 //! A backend's device accumulates state (JIT program cache, memory-pool
 //! free lists) that the `cold_nanos` column of later samples observes, so
-//! the cells of one backend form a serial **lane** executed in the exact
-//! order of the historical serial runner. The four lanes are mutually
-//! independent — devices are per-backend — and run concurrently. Cells
-//! that build fresh devices by design (the fault sweeps E17 / E19, the
-//! cost-model calibration E21, the fusion ablation A2, the JIT ablation
-//! A3) are fully independent jobs. Which is which, and in what order, is
-//! the table's to say; this module only walks it.
+//! the cells of one backend form a serial **lane**, which owns the backend
+//! and runs its cells in the exact order of the historical serial runner.
+//! The four lanes are mutually independent — devices are per-backend — and
+//! run concurrently. Cells that build fresh devices by design (the fault
+//! sweeps E17 / E19, the cost-model calibration E21, the fusion ablation
+//! A2, the JIT ablation A3) are one-cell lanes. Which is which, and in
+//! what order, is the table's to say; this module only walks it.
 //!
 //! ## Determinism
 //!
 //! Every cell computes simulated measurements from its own device clock;
-//! the scheduler only decides *when on the host* a cell runs, never what
+//! the lane queue only decides *when on the host* a cell runs, never what
 //! it computes. Results are stored per cell and assembled in the table's
 //! emission order, so stdout and every CSV artifact are byte-identical
 //! at any `--jobs` count — and identical to the serial runner's output
@@ -28,13 +28,15 @@
 use proto_core::backend::GpuBackend;
 use proto_core::backends::PAPER_BACKENDS;
 use proto_core::framework::Framework;
-use std::sync::{Arc, Mutex};
+use std::any::Any;
+use std::collections::VecDeque;
+use std::panic::AssertUnwindSafe;
+use std::sync::{Arc, Condvar, Mutex};
 
 pub use crate::experiments::SECTIONS;
-use crate::experiments::{emitting_row, execution_order, CellOut, EXPERIMENTS, TABLE};
+use crate::experiments::{emitting_row, execution_order, Cell, CellOut, EXPERIMENTS, TABLE};
 use crate::extensions;
 use crate::queries;
-use crate::sched::Plan;
 
 /// Parameters of the full regeneration grid. [`GridConfig::default`] is
 /// the paper grid (what `all_experiments` runs); tests shrink the fields
@@ -139,7 +141,7 @@ pub struct GridRun {
     pub sections: Vec<(String, u128)>,
     /// Per-cell host wall time, in canonical cell order.
     pub cells: Vec<(String, u128)>,
-    /// Host wall time of the scheduled portion (the `Plan::run` call).
+    /// Host wall time of the cells' run on the workers.
     pub wall_ms: u128,
     /// Summed cell time — what a serial execution of the same cells
     /// costs. `busy_ms / (wall_ms · jobs)` is pool efficiency.
@@ -158,52 +160,23 @@ struct Slot {
     index: usize,
 }
 
-/// Each registered cell's output and host milliseconds, by slot.
-type Done = Arc<Mutex<Vec<Option<(CellOut, u128)>>>>;
-
-struct Builder {
-    plan: Plan,
-    /// One per cell, in registration order: the canonical cell order.
-    slots: Vec<Slot>,
-    done: Done,
+/// Cells that run one at a time, in order: a paper backend's lane, whose
+/// cells share its backend, or a single fresh cell, which builds its own
+/// devices.
+struct Lane {
+    /// The lane's backend; `None` for a fresh cell.
+    backend: Option<Box<dyn GpuBackend>>,
+    /// The cells still to run, each with the index of its [`Slot`].
+    cells: VecDeque<(usize, Cell)>,
 }
 
-impl Builder {
-    /// Register a cell: `lane` tags the backend chain it belongs to (if
-    /// any), `after` chains it on a lane predecessor (a task id); returns
-    /// the task id.
-    fn add(
-        &mut self,
-        lane: Option<&str>,
-        after: Option<usize>,
-        slot: Slot,
-        f: impl FnOnce() -> CellOut + Send + 'static,
-    ) -> usize {
-        let idx = self.slots.len();
-        self.slots.push(slot);
-        let done = self.done.clone();
-        done.lock().expect("nothing runs yet").push(None);
-        let run = move || {
-            let t = std::time::Instant::now();
-            let out = f();
-            let ms = t.elapsed().as_millis();
-            done.lock().expect("no cell panics holding the lock")[idx] = Some((out, ms));
-        };
-        match lane {
-            Some(lane) => self.plan.add_on(lane, after, run),
-            None => self.plan.add(after, run),
-        }
-    }
-}
-
-/// Register every cell of the experiment [`TABLE`] into a fresh
-/// [`Builder`]: the four lanes in [`PAPER_BACKENDS`] order, each in the
-/// table's [`execution_order`], then the fresh-device cells in table
-/// order — the order the scheduler's FIFO ready queue hands them out in.
-/// Shared between [`run`] (which executes the plan) and [`plan_spec`]
-/// (which only inspects its dependency structure).
-fn build(cfg: &Arc<GridConfig>) -> Builder {
-    let mut lanes = PAPER_BACKENDS.map(|_| Vec::new());
+/// Every cell of the experiment [`TABLE`], as slots in canonical cell
+/// order and the lanes that run them: the four backend lanes in
+/// [`PAPER_BACKENDS`] order, each in the table's [`execution_order`], then
+/// one lane per fresh cell in table order. Slots are numbered in that
+/// order, which is also the order [`run_lanes`] starts the lanes in.
+fn build(cfg: &Arc<GridConfig>) -> (Vec<Slot>, Vec<Lane>) {
+    let mut queues = PAPER_BACKENDS.map(|_| Vec::new());
     let mut fresh = Vec::new();
     for (row, r) in execution_order() {
         for (index, cell) in r.cells(cfg).into_iter().enumerate() {
@@ -211,7 +184,7 @@ fn build(cfg: &Arc<GridConfig>) -> Builder {
             let queue = match cell.lane() {
                 Some(name) => {
                     let lane = PAPER_BACKENDS.iter().position(|b| *b == name);
-                    &mut lanes[lane.expect("lane cells name a paper backend")]
+                    &mut queues[lane.expect("lane cells name a paper backend")]
                 }
                 None => &mut fresh,
             };
@@ -219,35 +192,100 @@ fn build(cfg: &Arc<GridConfig>) -> Builder {
         }
     }
 
-    let mut b = Builder {
-        plan: Plan::new(),
-        slots: Vec::new(),
-        done: Done::default(),
+    let mut slots = Vec::new();
+    let mut lane = |backend, cells: Vec<(Slot, Cell)>| Lane {
+        backend,
+        cells: cells
+            .into_iter()
+            .map(|(slot, cell)| {
+                slots.push(slot);
+                (slots.len() - 1, cell)
+            })
+            .collect(),
     };
-    // A backend's device accumulates state, so its cells share one
-    // backend and chain in the serial per-device operation order.
-    for (name, queue) in PAPER_BACKENDS.into_iter().zip(lanes) {
-        let backend: Arc<dyn GpuBackend> =
-            Arc::from(Framework::single_backend(&crate::paper_device(), name));
-        let mut prev = None;
-        for (slot, cell) in queue {
-            let bk = backend.clone();
-            let run = move || cell.run(Some(bk.as_ref()), false).0;
-            prev = Some(b.add(Some(name), prev, slot, run));
-        }
-    }
-    for (slot, cell) in fresh {
-        b.add(None, None, slot, move || cell.run(None, false).0);
-    }
-    b
+    let mut lanes: Vec<Lane> = PAPER_BACKENDS
+        .into_iter()
+        .zip(queues)
+        .map(|(name, queue)| {
+            let backend = Framework::single_backend(&crate::paper_device(), name);
+            lane(Some(backend), queue)
+        })
+        .collect();
+    lanes.extend(fresh.into_iter().map(|cell| lane(None, vec![cell])));
+    (slots, lanes)
 }
 
-/// The dependency structure of the grid's plan, for static verification
-/// (`gpu-lint`'s plan checker): one tagged serial lane per backend plus
-/// untagged independent cells. Registers every cell exactly as [`run`]
-/// does but executes nothing.
-pub fn plan_spec(cfg: GridConfig) -> crate::sched::PlanSpec {
-    build(&Arc::new(cfg)).plan.spec()
+/// Run `lanes` on `jobs` workers. A worker takes the front lane, runs its
+/// next cell through `step`, which says whether the lane has cells left,
+/// and then pushes the lane to the back while it does. A lane is out of
+/// the queue while its cell runs, so its cells run one at a time and in
+/// order; across lanes cells run round-robin.
+///
+/// The push-back after every cell keeps the four backend lanes on the same
+/// rows at the same time. Running each lane to its end as one job measured
+/// slower at `--jobs 2` on a 2-core VM (median busy time +7 % and +27 % in
+/// two sets of runs, identical output): the lanes drift apart, most likely
+/// to stop sharing the generated columns `proto_core::workload::cache`
+/// holds, though that cause is unconfirmed.
+///
+/// A panicking cell stops the run: no worker takes another cell, every
+/// worker returns, and the panic is raised again here.
+fn run_lanes<L: Send>(lanes: Vec<L>, jobs: usize, step: impl Fn(&mut L) -> bool + Sync) {
+    struct Queue<L> {
+        lanes: VecDeque<L>,
+        /// Lanes out of the queue running a cell. While one is, an empty
+        /// queue is not the end of the run: the lane may come back.
+        running: usize,
+        /// The first panic a cell raised.
+        panic: Option<Box<dyn Any + Send>>,
+    }
+
+    let workers = jobs.max(1).min(lanes.len());
+    let queue = Mutex::new(Queue {
+        lanes: lanes.into(),
+        running: 0,
+        panic: None,
+    });
+    let wake = Condvar::new();
+    let worker = || loop {
+        let mut lane = {
+            let mut q = queue.lock().expect("no worker panics holding the queue");
+            loop {
+                if q.panic.is_some() {
+                    return;
+                }
+                if let Some(lane) = q.lanes.pop_front() {
+                    q.running += 1;
+                    break lane;
+                }
+                if q.running == 0 {
+                    return;
+                }
+                q = wake.wait(q).expect("no worker panics holding the queue");
+            }
+        };
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| step(&mut lane)));
+        let mut q = queue.lock().expect("no worker panics holding the queue");
+        q.running -= 1;
+        match outcome {
+            Ok(true) => q.lanes.push_back(lane),
+            Ok(false) => {}
+            Err(payload) => {
+                q.panic.get_or_insert(payload);
+            }
+        }
+        drop(q);
+        wake.notify_all();
+    };
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(worker);
+        }
+    });
+    let queue = queue.into_inner().expect("every worker returned");
+    if let Some(payload) = queue.panic {
+        std::panic::resume_unwind(payload);
+    }
 }
 
 /// Run the whole grid on `jobs` workers and return its assembled output.
@@ -261,19 +299,28 @@ pub fn run(cfg: GridConfig, jobs: usize) -> GridRun {
     gpu_sim::hostexec::set_worker_budget(std::cmp::max(1, cores / jobs));
 
     let cfg = Arc::new(cfg);
-    let Builder { plan, slots, done } = build(&cfg);
+    let (slots, lanes) = build(&cfg);
+    let done: Mutex<Vec<Option<(CellOut, u128)>>> =
+        Mutex::new(slots.iter().map(|_| None).collect());
     let t0 = std::time::Instant::now();
-    plan.run(jobs);
+    run_lanes(lanes, jobs, |lane| {
+        let (slot, cell) = lane.cells.pop_front().expect("a queued lane has a cell");
+        let t = std::time::Instant::now();
+        let out = cell.run(lane.backend.as_deref(), false).0;
+        let ms = t.elapsed().as_millis();
+        done.lock().expect("no cell panics holding the lock")[slot] = Some((out, ms));
+        !lane.cells.is_empty()
+    });
     let wall_ms = t0.elapsed().as_millis();
 
     // ---- Host-cost accounting, and each row's outputs in cell order. ----
-    let done = std::mem::take(&mut *done.lock().expect("every cell returned"));
+    let done = done.into_inner().expect("every cell returned");
     let mut outs: Vec<Vec<(usize, CellOut)>> = TABLE.iter().map(|_| Vec::new()).collect();
     let mut sections: Vec<(String, u128)> =
         SECTIONS.iter().map(|sec| (sec.to_string(), 0)).collect();
     let mut cells = Vec::new();
     for (slot, done) in slots.into_iter().zip(done) {
-        let (out, ms) = done.expect("the plan ran every cell");
+        let (out, ms) = done.expect("the lanes ran every cell");
         outs[slot.row].push((slot.index, out));
         sections[slot.row].1 += ms;
         cells.push((slot.label, ms));
@@ -371,203 +418,300 @@ mod tests {
         }
     }
 
-    /// `label|lane|after` of every task the paper grid registers, in
-    /// registration order, as the hand-enumerated `build` of PR 14
-    /// produced them. Registration order is the scheduler's FIFO
-    /// ready-queue order and `GridRun::cells` order; labels key
+    /// `label|lane` of every cell the paper grid registers, in canonical
+    /// cell order: the four lanes in `PAPER_BACKENDS` order, each in
+    /// execution order, then the fresh cells in table order. This is the
+    /// order the lanes start in and `GridRun::cells` order; labels key
     /// `BENCH_host.json`.
     const DEFAULT_PLAN: &str = "
-E3/ArrayFire|ArrayFire|-
-E4/ArrayFire|ArrayFire|0
-E5a/ArrayFire|ArrayFire|1
-E5b/ArrayFire|ArrayFire|2
-E6/ArrayFire|ArrayFire|3
-E7/ArrayFire|ArrayFire|4
-E8/ArrayFire|ArrayFire|5
-E9-and/ArrayFire|ArrayFire|6
-E9-or/ArrayFire|ArrayFire|7
-validate/ArrayFire|ArrayFire|8
-E10/ArrayFire|ArrayFire|9
-E11/ArrayFire|ArrayFire|10
-E12/ArrayFire|ArrayFire|11
-E13/ArrayFire|ArrayFire|12
-E15/ArrayFire|ArrayFire|13
-E14/ArrayFire|ArrayFire|14
-A1/ArrayFire|ArrayFire|15
-E20/ArrayFire|ArrayFire|16
-E3/Boost.Compute|Boost.Compute|-
-E4/Boost.Compute|Boost.Compute|18
-E5a/Boost.Compute|Boost.Compute|19
-E5b/Boost.Compute|Boost.Compute|20
-E6/Boost.Compute|Boost.Compute|21
-E7/Boost.Compute|Boost.Compute|22
-E8/Boost.Compute|Boost.Compute|23
-E9-and/Boost.Compute|Boost.Compute|24
-E9-or/Boost.Compute|Boost.Compute|25
-validate/Boost.Compute|Boost.Compute|26
-E10/Boost.Compute|Boost.Compute|27
-E11/Boost.Compute|Boost.Compute|28
-E12/Boost.Compute|Boost.Compute|29
-E13/Boost.Compute|Boost.Compute|30
-E15/Boost.Compute|Boost.Compute|31
-E14/Boost.Compute|Boost.Compute|32
-A1/Boost.Compute|Boost.Compute|33
-E20/Boost.Compute|Boost.Compute|34
-E3/Thrust|Thrust|-
-E4/Thrust|Thrust|36
-E5a/Thrust|Thrust|37
-E5b/Thrust|Thrust|38
-E6/Thrust|Thrust|39
-E7/Thrust|Thrust|40
-E8/Thrust|Thrust|41
-E9-and/Thrust|Thrust|42
-E9-or/Thrust|Thrust|43
-validate/Thrust|Thrust|44
-E10/Thrust|Thrust|45
-E11/Thrust|Thrust|46
-E12/Thrust|Thrust|47
-E13/Thrust|Thrust|48
-E15/Thrust|Thrust|49
-E14/Thrust|Thrust|50
-A1/Thrust|Thrust|51
-A4/Thrust|Thrust|52
-E20/Thrust|Thrust|53
-E3/Handwritten|Handwritten|-
-E4/Handwritten|Handwritten|55
-E5a/Handwritten|Handwritten|56
-E5b/Handwritten|Handwritten|57
-E6/Handwritten|Handwritten|58
-E7/Handwritten|Handwritten|59
-E8/Handwritten|Handwritten|60
-E9-and/Handwritten|Handwritten|61
-E9-or/Handwritten|Handwritten|62
-validate/Handwritten|Handwritten|63
-E10/Handwritten|Handwritten|64
-E11/Handwritten|Handwritten|65
-E12/Handwritten|Handwritten|66
-E13/Handwritten|Handwritten|67
-E15/Handwritten|Handwritten|68
-E14/Handwritten|Handwritten|69
-A1/Handwritten|Handwritten|70
-E20/Handwritten|Handwritten|71
-E17/r0/ArrayFire|-|-
-E17/r0/Boost.Compute|-|-
-E17/r0/Thrust|-|-
-E17/r0/Handwritten|-|-
-E17/r10/ArrayFire|-|-
-E17/r10/Boost.Compute|-|-
-E17/r10/Thrust|-|-
-E17/r10/Handwritten|-|-
-E17/r50/ArrayFire|-|-
-E17/r50/Boost.Compute|-|-
-E17/r50/Thrust|-|-
-E17/r50/Handwritten|-|-
-E17/r100/ArrayFire|-|-
-E17/r100/Boost.Compute|-|-
-E17/r100/Thrust|-|-
-E17/r100/Handwritten|-|-
-E19/r0/retry/ArrayFire|-|-
-E19/r0/retry/Boost.Compute|-|-
-E19/r0/retry/Thrust|-|-
-E19/r0/retry/Handwritten|-|-
-E19/r0/partition/ArrayFire|-|-
-E19/r0/partition/Boost.Compute|-|-
-E19/r0/partition/Thrust|-|-
-E19/r0/partition/Handwritten|-|-
-E19/r0/fallback/ArrayFire|-|-
-E19/r0/fallback/Boost.Compute|-|-
-E19/r0/fallback/Thrust|-|-
-E19/r0/fallback/Handwritten|-|-
-E19/r50/retry/ArrayFire|-|-
-E19/r50/retry/Boost.Compute|-|-
-E19/r50/retry/Thrust|-|-
-E19/r50/retry/Handwritten|-|-
-E19/r50/partition/ArrayFire|-|-
-E19/r50/partition/Boost.Compute|-|-
-E19/r50/partition/Thrust|-|-
-E19/r50/partition/Handwritten|-|-
-E19/r50/fallback/ArrayFire|-|-
-E19/r50/fallback/Boost.Compute|-|-
-E19/r50/fallback/Thrust|-|-
-E19/r50/fallback/Handwritten|-|-
-E21/n4096/ArrayFire/composed|-|-
-E21/n4096/ArrayFire/fused|-|-
-E21/n4096/Boost.Compute/composed|-|-
-E21/n4096/Boost.Compute/fused|-|-
-E21/n4096/Thrust/composed|-|-
-E21/n4096/Thrust/fused|-|-
-E21/n4096/Handwritten/composed|-|-
-E21/n4096/Handwritten/fused|-|-
-E21/n16384/ArrayFire/composed|-|-
-E21/n16384/ArrayFire/fused|-|-
-E21/n16384/Boost.Compute/composed|-|-
-E21/n16384/Boost.Compute/fused|-|-
-E21/n16384/Thrust/composed|-|-
-E21/n16384/Thrust/fused|-|-
-E21/n16384/Handwritten/composed|-|-
-E21/n16384/Handwritten/fused|-|-
-E21/n65536/ArrayFire/composed|-|-
-E21/n65536/ArrayFire/fused|-|-
-E21/n65536/Boost.Compute/composed|-|-
-E21/n65536/Boost.Compute/fused|-|-
-E21/n65536/Thrust/composed|-|-
-E21/n65536/Thrust/fused|-|-
-E21/n65536/Handwritten/composed|-|-
-E21/n65536/Handwritten/fused|-|-
-E21/n262144/ArrayFire/composed|-|-
-E21/n262144/ArrayFire/fused|-|-
-E21/n262144/Boost.Compute/composed|-|-
-E21/n262144/Boost.Compute/fused|-|-
-E21/n262144/Thrust/composed|-|-
-E21/n262144/Thrust/fused|-|-
-E21/n262144/Handwritten/composed|-|-
-E21/n262144/Handwritten/fused|-|-
-E21/j1024/Hash|-|-
-E21/j1024/Merge|-|-
-E21/j1024/NestedLoops|-|-
-E21/j4096/Hash|-|-
-E21/j4096/Merge|-|-
-E21/j4096/NestedLoops|-|-
-E21/j16384/Hash|-|-
-E21/j16384/Merge|-|-
-E21/j16384/NestedLoops|-|-
-A2/k1/ArrayFire|-|-
-A2/k1/Thrust|-|-
-A2/k2/ArrayFire|-|-
-A2/k2/Thrust|-|-
-A2/k4/ArrayFire|-|-
-A2/k4/Thrust|-|-
-A2/k8/ArrayFire|-|-
-A2/k8/Thrust|-|-
-A3/ArrayFire|-|-
-A3/Boost.Compute|-|-
-A3/Thrust|-|-
-A3/Handwritten|-|-
+E3/ArrayFire|ArrayFire
+E4/ArrayFire|ArrayFire
+E5a/ArrayFire|ArrayFire
+E5b/ArrayFire|ArrayFire
+E6/ArrayFire|ArrayFire
+E7/ArrayFire|ArrayFire
+E8/ArrayFire|ArrayFire
+E9-and/ArrayFire|ArrayFire
+E9-or/ArrayFire|ArrayFire
+validate/ArrayFire|ArrayFire
+E10/ArrayFire|ArrayFire
+E11/ArrayFire|ArrayFire
+E12/ArrayFire|ArrayFire
+E13/ArrayFire|ArrayFire
+E15/ArrayFire|ArrayFire
+E14/ArrayFire|ArrayFire
+A1/ArrayFire|ArrayFire
+E20/ArrayFire|ArrayFire
+E3/Boost.Compute|Boost.Compute
+E4/Boost.Compute|Boost.Compute
+E5a/Boost.Compute|Boost.Compute
+E5b/Boost.Compute|Boost.Compute
+E6/Boost.Compute|Boost.Compute
+E7/Boost.Compute|Boost.Compute
+E8/Boost.Compute|Boost.Compute
+E9-and/Boost.Compute|Boost.Compute
+E9-or/Boost.Compute|Boost.Compute
+validate/Boost.Compute|Boost.Compute
+E10/Boost.Compute|Boost.Compute
+E11/Boost.Compute|Boost.Compute
+E12/Boost.Compute|Boost.Compute
+E13/Boost.Compute|Boost.Compute
+E15/Boost.Compute|Boost.Compute
+E14/Boost.Compute|Boost.Compute
+A1/Boost.Compute|Boost.Compute
+E20/Boost.Compute|Boost.Compute
+E3/Thrust|Thrust
+E4/Thrust|Thrust
+E5a/Thrust|Thrust
+E5b/Thrust|Thrust
+E6/Thrust|Thrust
+E7/Thrust|Thrust
+E8/Thrust|Thrust
+E9-and/Thrust|Thrust
+E9-or/Thrust|Thrust
+validate/Thrust|Thrust
+E10/Thrust|Thrust
+E11/Thrust|Thrust
+E12/Thrust|Thrust
+E13/Thrust|Thrust
+E15/Thrust|Thrust
+E14/Thrust|Thrust
+A1/Thrust|Thrust
+A4/Thrust|Thrust
+E20/Thrust|Thrust
+E3/Handwritten|Handwritten
+E4/Handwritten|Handwritten
+E5a/Handwritten|Handwritten
+E5b/Handwritten|Handwritten
+E6/Handwritten|Handwritten
+E7/Handwritten|Handwritten
+E8/Handwritten|Handwritten
+E9-and/Handwritten|Handwritten
+E9-or/Handwritten|Handwritten
+validate/Handwritten|Handwritten
+E10/Handwritten|Handwritten
+E11/Handwritten|Handwritten
+E12/Handwritten|Handwritten
+E13/Handwritten|Handwritten
+E15/Handwritten|Handwritten
+E14/Handwritten|Handwritten
+A1/Handwritten|Handwritten
+E20/Handwritten|Handwritten
+E17/r0/ArrayFire|-
+E17/r0/Boost.Compute|-
+E17/r0/Thrust|-
+E17/r0/Handwritten|-
+E17/r10/ArrayFire|-
+E17/r10/Boost.Compute|-
+E17/r10/Thrust|-
+E17/r10/Handwritten|-
+E17/r50/ArrayFire|-
+E17/r50/Boost.Compute|-
+E17/r50/Thrust|-
+E17/r50/Handwritten|-
+E17/r100/ArrayFire|-
+E17/r100/Boost.Compute|-
+E17/r100/Thrust|-
+E17/r100/Handwritten|-
+E19/r0/retry/ArrayFire|-
+E19/r0/retry/Boost.Compute|-
+E19/r0/retry/Thrust|-
+E19/r0/retry/Handwritten|-
+E19/r0/partition/ArrayFire|-
+E19/r0/partition/Boost.Compute|-
+E19/r0/partition/Thrust|-
+E19/r0/partition/Handwritten|-
+E19/r0/fallback/ArrayFire|-
+E19/r0/fallback/Boost.Compute|-
+E19/r0/fallback/Thrust|-
+E19/r0/fallback/Handwritten|-
+E19/r50/retry/ArrayFire|-
+E19/r50/retry/Boost.Compute|-
+E19/r50/retry/Thrust|-
+E19/r50/retry/Handwritten|-
+E19/r50/partition/ArrayFire|-
+E19/r50/partition/Boost.Compute|-
+E19/r50/partition/Thrust|-
+E19/r50/partition/Handwritten|-
+E19/r50/fallback/ArrayFire|-
+E19/r50/fallback/Boost.Compute|-
+E19/r50/fallback/Thrust|-
+E19/r50/fallback/Handwritten|-
+E21/n4096/ArrayFire/composed|-
+E21/n4096/ArrayFire/fused|-
+E21/n4096/Boost.Compute/composed|-
+E21/n4096/Boost.Compute/fused|-
+E21/n4096/Thrust/composed|-
+E21/n4096/Thrust/fused|-
+E21/n4096/Handwritten/composed|-
+E21/n4096/Handwritten/fused|-
+E21/n16384/ArrayFire/composed|-
+E21/n16384/ArrayFire/fused|-
+E21/n16384/Boost.Compute/composed|-
+E21/n16384/Boost.Compute/fused|-
+E21/n16384/Thrust/composed|-
+E21/n16384/Thrust/fused|-
+E21/n16384/Handwritten/composed|-
+E21/n16384/Handwritten/fused|-
+E21/n65536/ArrayFire/composed|-
+E21/n65536/ArrayFire/fused|-
+E21/n65536/Boost.Compute/composed|-
+E21/n65536/Boost.Compute/fused|-
+E21/n65536/Thrust/composed|-
+E21/n65536/Thrust/fused|-
+E21/n65536/Handwritten/composed|-
+E21/n65536/Handwritten/fused|-
+E21/n262144/ArrayFire/composed|-
+E21/n262144/ArrayFire/fused|-
+E21/n262144/Boost.Compute/composed|-
+E21/n262144/Boost.Compute/fused|-
+E21/n262144/Thrust/composed|-
+E21/n262144/Thrust/fused|-
+E21/n262144/Handwritten/composed|-
+E21/n262144/Handwritten/fused|-
+E21/j1024/Hash|-
+E21/j1024/Merge|-
+E21/j1024/NestedLoops|-
+E21/j4096/Hash|-
+E21/j4096/Merge|-
+E21/j4096/NestedLoops|-
+E21/j16384/Hash|-
+E21/j16384/Merge|-
+E21/j16384/NestedLoops|-
+A2/k1/ArrayFire|-
+A2/k1/Thrust|-
+A2/k2/ArrayFire|-
+A2/k2/Thrust|-
+A2/k4/ArrayFire|-
+A2/k4/Thrust|-
+A2/k8/ArrayFire|-
+A2/k8/Thrust|-
+A3/ArrayFire|-
+A3/Boost.Compute|-
+A3/Thrust|-
+A3/Handwritten|-
 ";
 
     #[test]
     fn the_paper_grids_plan_is_the_committed_one() {
-        let b = build(&Arc::new(GridConfig::default()));
-        let tasks = plan_spec(GridConfig::default()).tasks;
-        assert_eq!(tasks.len(), 166);
-        assert_eq!(b.slots.len(), 166);
-        let got: Vec<String> = b
-            .slots
+        let (slots, lanes) = build(&Arc::new(GridConfig::default()));
+        assert_eq!(slots.len(), 166);
+        let order: Vec<usize> = lanes
             .iter()
-            .zip(&tasks)
-            .map(|(slot, task)| {
-                assert!(task.after.len() <= 1, "chains are linear");
-                format!(
-                    "{}|{}|{}",
-                    slot.label,
-                    task.lane.as_deref().unwrap_or("-"),
-                    task.after
-                        .first()
-                        .map_or("-".to_string(), |a| a.to_string()),
-                )
+            .flat_map(|lane| lane.cells.iter().map(|(slot, _)| *slot))
+            .collect();
+        assert_eq!(order, (0..166).collect::<Vec<_>>(), "slots in lane order");
+        let got: Vec<String> = lanes
+            .iter()
+            .flat_map(|lane| {
+                let name = lane.backend.as_ref().map_or("-", |b| b.name());
+                let slots = &slots;
+                lane.cells
+                    .iter()
+                    .map(move |(slot, _)| format!("{}|{name}", slots[*slot].label))
             })
             .collect();
         let want: Vec<&str> = DEFAULT_PLAN.split_whitespace().collect();
         assert_eq!(got, want);
+    }
+
+    /// `lanes` lanes of `cells` cells each, then `fresh` one-cell lanes
+    /// (lane ids from `lanes` on), each cell `(lane, index)`.
+    fn grid_shaped(lanes: usize, cells: usize, fresh: usize) -> Vec<VecDeque<(usize, usize)>> {
+        let mut all: Vec<VecDeque<(usize, usize)>> = (0..lanes)
+            .map(|lane| (0..cells).map(|cell| (lane, cell)).collect())
+            .collect();
+        all.extend((lanes..lanes + fresh).map(|lane| VecDeque::from([(lane, 0)])));
+        all
+    }
+
+    /// Run `lanes` on `jobs` workers, calling `f` on every cell; returns
+    /// the cells in the order they ran.
+    fn run_logged(
+        lanes: Vec<VecDeque<(usize, usize)>>,
+        jobs: usize,
+        f: impl Fn((usize, usize)) + Sync,
+    ) -> Vec<(usize, usize)> {
+        let log = Mutex::new(Vec::new());
+        run_lanes(lanes, jobs, |lane| {
+            let cell = lane.pop_front().expect("a queued lane has a cell");
+            f(cell);
+            log.lock().unwrap().push(cell);
+            !lane.is_empty()
+        });
+        log.into_inner().unwrap()
+    }
+
+    #[test]
+    fn one_worker_runs_the_lanes_round_robin() {
+        let log = run_logged(grid_shaped(4, 3, 2), 1, |_| {});
+        let mut want = vec![(0, 0), (1, 0), (2, 0), (3, 0), (4, 0), (5, 0)];
+        for cell in 1..3 {
+            want.extend((0..4).map(|lane| (lane, cell)));
+        }
+        assert_eq!(log, want);
+    }
+
+    #[test]
+    fn every_lane_runs_its_cells_in_order() {
+        for jobs in [1, 2, 8] {
+            let log = run_logged(grid_shaped(4, 5, 7), jobs, |_| {
+                std::thread::sleep(std::time::Duration::from_micros(200));
+            });
+            assert_eq!(log.len(), 4 * 5 + 7, "jobs={jobs}");
+            for lane in 0..4 + 7 {
+                let cells: Vec<usize> = log
+                    .iter()
+                    .filter(|(l, _)| *l == lane)
+                    .map(|(_, c)| *c)
+                    .collect();
+                let want: Vec<usize> = (0..if lane < 4 { 5 } else { 1 }).collect();
+                assert_eq!(cells, want, "lane {lane} at jobs={jobs}");
+            }
+        }
+    }
+
+    #[test]
+    fn at_most_jobs_cells_run_at_once() {
+        for jobs in [1, 2, 3] {
+            let active = std::sync::atomic::AtomicUsize::new(0);
+            let peak = std::sync::atomic::AtomicUsize::new(0);
+            run_logged(grid_shaped(4, 2, 8), jobs, |_| {
+                use std::sync::atomic::Ordering::SeqCst;
+                let now = active.fetch_add(1, SeqCst) + 1;
+                peak.fetch_max(now, SeqCst);
+                std::thread::sleep(std::time::Duration::from_millis(2));
+                active.fetch_sub(1, SeqCst);
+            });
+            let peak = peak.into_inner();
+            assert!(peak <= jobs, "{peak} cells at once on {jobs} worker(s)");
+        }
+    }
+
+    #[test]
+    fn a_panicking_cell_is_raised_again_without_hanging() {
+        // The panicking cell sits first, mid-lane and last in its lane,
+        // while other lanes still have cells queued or running.
+        for (lane, cell) in [(0, 0), (2, 1), (3, 2), (5, 0)] {
+            for jobs in [1, 2, 8] {
+                let (tx, rx) = std::sync::mpsc::channel();
+                std::thread::spawn(move || {
+                    let outcome = std::panic::catch_unwind(|| {
+                        run_logged(grid_shaped(4, 3, 2), jobs, |at| {
+                            std::thread::sleep(std::time::Duration::from_millis(1));
+                            assert_ne!(at, (lane, cell), "boom");
+                        })
+                    });
+                    tx.send(outcome.is_err()).unwrap();
+                });
+                let raised = rx
+                    .recv_timeout(std::time::Duration::from_secs(30))
+                    .unwrap_or_else(|_| panic!("cell ({lane}, {cell}) at jobs={jobs} hung"));
+                assert!(
+                    raised,
+                    "cell ({lane}, {cell}) at jobs={jobs} was not raised"
+                );
+            }
+        }
     }
 }

@@ -22,7 +22,6 @@ pub mod plan_lint;
 pub mod plangen;
 pub mod queries;
 pub mod report;
-pub mod sched;
 pub mod traced;
 
 use proto_core::framework::Framework;

@@ -18,7 +18,7 @@ use proto_core::ops::{CmpOp, Connective, JoinAlgo, Support};
 use proto_core::runner::{measure, Experiment};
 use proto_core::workload;
 
-use crate::sched::{merge_x_major, Part};
+use crate::experiments::{merge_x_major, Part};
 
 /// E3 part — one backend's selection-scaling samples, one per size.
 pub(crate) fn e3_part(b: &dyn GpuBackend, sizes: &[usize]) -> Part {

@@ -15,7 +15,7 @@ use proto_core::optimizer::{self, CostingOptions, FusionPolicy, PassTrace, Plann
 use proto_core::physical::PhysicalPlan;
 
 /// Lint one compiled plan (GL4xx).
-pub fn lint_plan(plan: &PhysicalPlan) -> Report {
+pub fn lint_query_plan(plan: &PhysicalPlan) -> Report {
     gpu_lint::lint_physical_plan(
         format!("query-plan({}/{})", plan.query(), plan.backend_name()),
         &gpu_lint::phys_view(plan, Vec::new()),
@@ -79,7 +79,7 @@ pub fn query_plan_reports() -> Vec<Report> {
     lint_six_queries(
         &modes,
         |q, suffix| format!("{q}{suffix}"),
-        |_, _, _, plan, _| reports.push(lint_plan(&plan)),
+        |_, _, _, plan, _| reports.push(lint_query_plan(&plan)),
     );
     reports
 }

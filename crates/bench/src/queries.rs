@@ -13,7 +13,7 @@ use proto_core::runner::{Experiment, Sample};
 use tpch::queries::{q1::Q1, q14::Q14, q3::Q3, q4::Q4, q5::Q5, q6::Q6, Query, QueryData};
 use tpch::Database;
 
-use crate::sched::{merge_x_major, Part};
+use crate::experiments::{merge_x_major, Part};
 
 /// Scale factors (×1000, for integer x-axes) the query experiments sweep.
 pub(crate) fn default_scale_factors() -> Vec<f64> {

@@ -57,17 +57,7 @@ impl HostTimer {
         }
     }
 
-    /// Run `f`, recording its wall time under `label`.
-    pub fn time<T>(&mut self, label: &str, f: impl FnOnce() -> T) -> T {
-        let t = std::time::Instant::now();
-        let out = f();
-        self.sections
-            .push((label.to_string(), t.elapsed().as_millis()));
-        out
-    }
-
-    /// Record an externally measured section (the parallel grid times its
-    /// cells itself).
+    /// Record a measured section (the grid times its cells itself).
     pub fn record(&mut self, label: &str, ms: u128) {
         self.sections.push((label.to_string(), ms));
     }
@@ -80,11 +70,6 @@ impl HostTimer {
     /// Attach the scheduler-efficiency summary.
     pub fn set_scheduler(&mut self, summary: SchedulerSummary) {
         self.scheduler = Some(summary);
-    }
-
-    /// The recorded `(label, milliseconds)` sections, in run order.
-    pub fn sections(&self) -> &[(String, u128)] {
-        &self.sections
     }
 
     /// Render the report as JSON: per-section milliseconds in run order,
@@ -157,13 +142,11 @@ mod tests {
     #[test]
     fn host_timer_records_sections_and_renders_json() {
         let mut t = HostTimer::new();
-        let x = t.time("E3", || 41 + 1);
-        assert_eq!(x, 42);
-        t.time("E5a", || ());
-        assert_eq!(t.sections().len(), 2);
+        t.record("E3", 42);
+        t.record("E5a", 7);
         let json = t.to_json();
-        assert!(json.contains("\"E3\": "));
-        assert!(json.contains("\"E5a\": "));
+        assert!(json.contains("\"E3\": 42,\n"));
+        assert!(json.contains("\"E5a\": 7\n"));
         assert!(json.contains("\"total_ms\": "));
         // Exactly one trailing-comma-free last entry: parses as flat JSON.
         assert_eq!(json.matches("},").count() + json.matches("}\n").count(), 2);

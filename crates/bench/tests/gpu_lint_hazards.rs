@@ -1,7 +1,8 @@
 //! Hazard-injection property tests for `gpu-lint`.
 //!
-//! Each test starts from a *real* captured experiment trace (or the real
-//! grid plan / a really-compiled Program), verifies it is clean, then
+//! Each test starts from a *real* captured experiment trace (or a
+//! really-compiled Program, query plan or recovery log), verifies it is
+//! clean, then
 //! uses a seeded mutator to inject one hazard of a known class and
 //! asserts the analyzer flags exactly that rule, anchored on the
 //! injected events. Running every class across several seeds moves the
@@ -13,7 +14,7 @@
 //! the no-false-positive half of the contract.
 
 use arrayfire_sim::{BinaryOp, DType, ProgramSpec};
-use gpu_lint::{PlanTask, Rule};
+use gpu_lint::Rule;
 use gpu_sim::hostexec::expr::Instr;
 use gpu_sim::{BufferId, KernelIo, TraceEvent, TraceKind};
 
@@ -398,122 +399,6 @@ fn injected_dead_leaf_and_depth_overflow_are_flagged() {
         "GL205 expected: {:?}",
         d.diagnostics
     );
-}
-
-// ---- Plan mutations ----------------------------------------------------
-
-/// The real experiment grid's plan, converted to the analyzer's shape.
-fn golden_plan() -> Vec<PlanTask> {
-    let spec = bench::grid::plan_spec(bench::traced::lint_config());
-    let tasks: Vec<PlanTask> = spec
-        .tasks
-        .into_iter()
-        .map(|t| PlanTask {
-            id: t.id,
-            lane: t.lane,
-            after: t.after,
-        })
-        .collect();
-    assert!(
-        gpu_lint::lint_plan("golden", &tasks).is_clean(),
-        "the real grid plan must be clean before mutation"
-    );
-    tasks
-}
-
-#[test]
-fn injected_plan_cycle_is_flagged() {
-    let base = golden_plan();
-    for seed in SEEDS {
-        let mut rng = Rng::new(seed);
-        let mut plan = base.clone();
-        // Reverse one real dependency edge: t runs after d, so adding
-        // d.after += [t] closes a cycle through both.
-        let edges: Vec<(usize, usize)> = plan
-            .iter()
-            .flat_map(|t| t.after.iter().map(move |&d| (t.id, d)))
-            .collect();
-        let (t, d) = edges[rng.pick(edges.len())];
-        plan.iter_mut()
-            .find(|task| task.id == d)
-            .expect("edge target exists")
-            .after
-            .push(t);
-        let report = gpu_lint::lint_plan("mutated", &plan);
-        let hit = report
-            .diagnostics
-            .iter()
-            .find(|x| x.rule == Rule::PlanCycle)
-            .unwrap_or_else(|| panic!("GL301 expected: {:?}", report.diagnostics));
-        assert!(
-            hit.events.contains(&t) && hit.events.contains(&d),
-            "cycle must pass through the injected edge {t}→{d}: {hit:?}"
-        );
-    }
-}
-
-#[test]
-fn injected_lane_order_violation_is_flagged() {
-    let base = golden_plan();
-    for seed in SEEDS {
-        let mut rng = Rng::new(seed);
-        let mut plan = base.clone();
-        // Pick a lane pair (a, b) adjacent in id order and cut every
-        // inbound edge of b: nothing orders b after a any more.
-        let mut lanes: std::collections::HashMap<&str, Vec<usize>> =
-            std::collections::HashMap::new();
-        for t in &plan {
-            if let Some(lane) = &t.lane {
-                lanes.entry(lane).or_default().push(t.id);
-            }
-        }
-        let mut pairs: Vec<(usize, usize)> = lanes
-            .values()
-            .flat_map(|ids| {
-                let mut ids = ids.clone();
-                ids.sort_unstable();
-                ids.windows(2).map(|w| (w[0], w[1])).collect::<Vec<_>>()
-            })
-            .collect();
-        pairs.sort_unstable();
-        let (a, b) = pairs[rng.pick(pairs.len())];
-        plan.iter_mut()
-            .find(|task| task.id == b)
-            .expect("lane member exists")
-            .after
-            .clear();
-        let report = gpu_lint::lint_plan("mutated", &plan);
-        assert!(
-            report
-                .diagnostics
-                .iter()
-                .any(|d| d.rule == Rule::LaneOrderViolation && d.events == [a, b]),
-            "GL302 on ({a}, {b}) expected: {:?}",
-            report.diagnostics
-        );
-    }
-}
-
-#[test]
-fn injected_orphan_dependency_is_flagged() {
-    let base = golden_plan();
-    for seed in SEEDS {
-        let mut rng = Rng::new(seed);
-        let mut plan = base.clone();
-        let ghost = plan.iter().map(|t| t.id).max().unwrap_or(0) + 1 + seed as usize;
-        let victim = rng.pick(plan.len());
-        let id = plan[victim].id;
-        plan[victim].after.push(ghost);
-        let report = gpu_lint::lint_plan("mutated", &plan);
-        assert!(
-            report
-                .diagnostics
-                .iter()
-                .any(|d| d.rule == Rule::OrphanDependency && d.events == [id, ghost]),
-            "GL303 on ({id}, {ghost}) expected: {:?}",
-            report.diagnostics
-        );
-    }
 }
 
 // ---- Physical-query-plan mutations -------------------------------------
@@ -1318,8 +1203,6 @@ fn golden_grid_traces_produce_zero_diagnostics() {
             );
         }
     }
-    let plan = golden_plan();
-    assert!(gpu_lint::lint_plan("plan", &plan).is_clean());
     for report in bench::plan_lint::query_plan_reports() {
         assert!(
             report.is_clean(),

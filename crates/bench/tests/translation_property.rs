@@ -126,7 +126,7 @@ fn random_chains_validate_and_agree_under_every_planner_mode() {
                 for filtered in [true, false] {
                     let tree = counted(&logical, filtered);
                     let plan = optimizer::plan_with("prop-count", &tree, b, opts).unwrap();
-                    let report = bench::plan_lint::lint_plan(&plan);
+                    let report = bench::plan_lint::lint_query_plan(&plan);
                     assert!(
                         report.is_clean(),
                         "seed {seed} {mode} on {}:\n{}\n{}",

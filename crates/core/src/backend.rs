@@ -60,7 +60,8 @@ impl Col {
     }
 
     /// Construct a handle from raw parts — the constructor external
-    /// (out-of-crate) backend implementations use together with [`Slab`].
+    /// (out-of-crate) backend implementations use with their own handle
+    /// table.
     pub fn from_raw(id: u64, dtype: ColType, len: usize, backend: &'static str) -> Col {
         Col {
             id,
@@ -237,7 +238,7 @@ pub trait GpuBackend: Send + Sync {
 /// Handle ids are process-globally unique so a handle from one backend
 /// instance can never silently alias a column of another instance.
 #[derive(Debug)]
-pub struct Slab<S> {
+pub(crate) struct Slab<S> {
     map: Mutex<HashMap<u64, S>>,
 }
 
@@ -305,16 +306,6 @@ impl<S> Slab<S> {
             .remove(&id)
             .ok_or_else(|| SimError::Unsupported(format!("dangling column handle {id}")))
     }
-
-    /// Number of live handles.
-    pub fn len(&self) -> usize {
-        self.map.lock().len()
-    }
-
-    /// Whether no handles are live.
-    pub fn is_empty(&self) -> bool {
-        self.map.lock().is_empty()
-    }
 }
 
 /// Helper for backends: verify a handle belongs to `backend` and has the
@@ -344,10 +335,10 @@ mod tests {
         let slab: Slab<String> = Slab::default();
         let id = slab.insert("hello".into());
         assert_eq!(slab.with(id, |s| s.len()).unwrap(), 5);
-        assert_eq!(slab.len(), 1);
+        assert_eq!(slab.map.lock().len(), 1);
         let v = slab.take(id).unwrap();
         assert_eq!(v, "hello");
-        assert!(slab.is_empty());
+        assert!(slab.map.lock().is_empty());
         assert!(slab.with(id, |_| ()).is_err());
         assert!(slab.take(id).is_err());
     }

@@ -3,8 +3,10 @@
 //!
 //! Thrust and Boost.Compute expose the same eager algorithm surface
 //! ([`gpu_sim::eager`]), so their operator chains are written once, in
-//! `eager` (`EagerBackend<L>`); [`thrust`] and [`boost`] only name the
-//! library's launch profile and say how to make it cold. [`arrayfire`]
+//! [`EagerBackend`]; [`thrust`] and [`boost`] only implement [`EagerLib`]
+//! for the library's launch profile: its name and how to make it cold.
+//! Any other eager library plugs in the same way, out of tree too
+//! (`examples/plug_in_library.rs`). [`arrayfire`]
 //! (lazy, JIT-fused) and the [`handwritten_backend`] baseline implement
 //! [`GpuBackend`](crate::backend::GpuBackend) directly. What makes any of
 //! them *correct* is one list: the `conformance` suite, run over all of
@@ -20,7 +22,7 @@ pub mod thrust;
 
 pub use arrayfire::ArrayFireBackend;
 pub use boost::BoostBackend;
-pub use eager::EagerBackend;
+pub use eager::{EagerBackend, EagerLib};
 pub use handwritten_backend::HandwrittenBackend;
 pub use thrust::ThrustBackend;
 

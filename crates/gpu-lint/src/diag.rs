@@ -5,10 +5,11 @@
 //! `GLxxx` id — ids never change meaning, so CI gates, suppressions and
 //! the hazard-injection tests can match on them across versions. Rule
 //! numbering is grouped by pass family: `GL0xx` buffer lifetimes,
-//! `GL2xx` compiled Programs, `GL3xx` scheduler plans, `GL4xx` compiled
-//! physical query plans, `GL5xx` recovery timelines, `GL6xx` costed-plan
-//! resource estimates, `GL7xx` planner translation validation
-//! (logical→physical semantic equivalence).
+//! `GL2xx` compiled Programs, `GL4xx` compiled physical query plans,
+//! `GL5xx` recovery timelines, `GL6xx` costed-plan resource estimates,
+//! `GL7xx` planner translation validation (logical→physical semantic
+//! equivalence). `GL3xx` belonged to a scheduler-plan pass that no longer
+//! exists; its ids are not reused.
 
 use std::fmt;
 
@@ -91,12 +92,6 @@ rules! {
     DeadLeaf = "GL204" Warning,
     /// GL205 — true stack depth exceeds what the executor reserves.
     StackDepthExceeded = "GL205" Error,
-    /// GL301 — dependency cycle in the plan graph.
-    PlanCycle = "GL301" Error,
-    /// GL302 — tasks sharing a lane without a chain edge ordering them.
-    LaneOrderViolation = "GL302" Error,
-    /// GL303 — dependency on a task id the plan does not contain.
-    OrphanDependency = "GL303" Error,
     /// GL401 — device column a physical plan creates but never frees.
     UnfreedPlanColumn = "GL401" Warning,
     /// GL402 — step operand whose dtype does not match what the call
@@ -161,8 +156,8 @@ pub struct Diagnostic {
     /// Which rule fired.
     pub rule: Rule,
     /// Indices of the implicated events — trace-event indices for trace
-    /// passes, instruction indices for Program passes, task ids for plan
-    /// passes. Ordered; the first index is the anchor.
+    /// passes, instruction indices for Program passes. Ordered; the first
+    /// index is the anchor.
     pub events: Vec<usize>,
     /// What went wrong, with buffer/slot identities inline.
     pub message: String,

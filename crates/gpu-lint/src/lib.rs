@@ -7,8 +7,6 @@
 //!   buffer-lifetime pass (`buffer::lint_buffers`, rules `GL0xx`).
 //! * **Compiled Programs** ([`arrayfire_sim::ProgramSpec`]) — the
 //!   stack-machine verifier (`program::lint_program`, `GL2xx`).
-//! * **Scheduler plans** ([`PlanTask`] graphs) — the plan checker
-//!   (`plan::lint_plan`, `GL3xx`).
 //! * **Compiled physical query plans** (a [`PhysView`] of a
 //!   [`proto_core::physical::PhysicalPlan`]) — the slot-lifetime /
 //!   operand-shape checker (`physplan::lint_physical_plan`, `GL4xx`).
@@ -54,14 +52,12 @@ mod costing;
 mod diag;
 mod liveness;
 mod physplan;
-mod plan;
 mod program;
 mod resilience;
 mod translate;
 
 pub use diag::{Diagnostic, Report, Rule, Severity, Waiver};
 pub use physplan::{phys_view, PhysView};
-pub use plan::PlanTask;
 
 use proto_core::{costing::CostReport, resilient_plan::RecoveryLog};
 use std::collections::BTreeMap;
@@ -75,11 +71,6 @@ pub fn lint_trace(target: impl Into<String>, events: &[gpu_sim::TraceEvent]) -> 
 /// Verify a compiled program spec and bundle the findings.
 pub fn lint_program(target: impl Into<String>, spec: &arrayfire_sim::ProgramSpec) -> Report {
     Report::new(target, program::lint_program(spec))
-}
-
-/// Check a plan graph and bundle the findings.
-pub fn lint_plan(target: impl Into<String>, tasks: &[PlanTask]) -> Report {
-    Report::new(target, plan::lint_plan(tasks))
 }
 
 /// Check a compiled physical query plan and bundle the findings.

@@ -2,179 +2,85 @@
 //! claim ("allows a user to plug-in new libraries and custom-written
 //! code"), demonstrated.
 //!
-//! We write a minimal `CubLike` backend directly against the simulator
-//! (modelled on CUB's device-wide primitives: a fused two-kernel
-//! `DeviceSelect`, no joins, no grouped aggregation), register it next to
-//! the paper's four backends, and watch it appear in the generated support
-//! matrix and the shoot-out.
+//! A library that offers the eager algorithm suite Thrust and
+//! Boost.Compute share (`gpu_proto_db::sim::eager`) is one `impl Launch`
+//! — how it allocates and what one kernel launch costs — and one
+//! `impl EagerLib` — its Table II name and its cold context.
+//! `EagerBackend` supplies every operator. `CubLike`, modelled on CUB's
+//! device-wide primitives, registers next to the paper's four backends,
+//! appears in the generated support matrix, answers TPC-H Q6 and competes
+//! in the selection shoot-out.
 //!
 //! ```sh
 //! cargo run --release --example plug_in_library
 //! ```
 
-use gpu_proto_db::core::backend::{Col, ColType, GpuBackend, Pred, Slab};
+use gpu_proto_db::core::backends::{EagerBackend, EagerLib};
 use gpu_proto_db::core::prelude::*;
 use gpu_proto_db::core::runner::fmt_duration;
-use gpu_proto_db::sim::{presets, AllocPolicy, Device, DeviceBuffer, KernelCost, Result, SimError};
+use gpu_proto_db::sim::eager::{charge_launch, Launch};
+use gpu_proto_db::sim::{AllocPolicy, BufferId, Device, DeviceSpec, KernelCost, Result};
+use gpu_proto_db::tpch::queries::q6;
+use std::fmt::Display;
 use std::sync::Arc;
 
-/// A CUB-style backend: device-wide primitives, selection in two fused
-/// kernels, everything else unsupported.
-struct CubLike {
-    device: Arc<Device>,
-    slab: Slab<DeviceBuffer<u32>>,
+/// A CUB-style library: pre-compiled CUDA kernels, and no allocator of its
+/// own — the caller `cudaMalloc`s every temporary, so nothing comes from a
+/// pool.
+struct CubLike(Arc<Device>);
+
+impl Launch for CubLike {
+    const ALLOC: AllocPolicy = AllocPolicy::Raw;
+    const SEQUENCE: &'static str = "sequence";
+
+    fn device(&self) -> &Arc<Device> {
+        &self.0
+    }
+
+    fn launch<K: Display>(
+        &self,
+        name: &str,
+        _key: impl FnOnce() -> K,
+        cost: KernelCost,
+        reads: &[BufferId],
+        writes: &[BufferId],
+    ) -> Result<()> {
+        let cost = cost.with_launch_overhead(self.0.spec().cuda_launch_latency_ns);
+        charge_launch(&self.0, &format!("cub::{name}"), cost, reads, writes)
+    }
 }
 
-const NAME: &str = "CUB-like";
+impl EagerLib for CubLike {
+    const NAME: &'static str = "CUB-like";
 
-impl CubLike {
-    fn new(device: &Arc<Device>) -> Self {
-        CubLike {
-            device: Arc::clone(device),
-            slab: Slab::default(),
-        }
-    }
-
-    fn mint(&self, buf: DeviceBuffer<u32>) -> Col {
-        let len = buf.len();
-        Col::from_raw(self.slab.insert(buf), ColType::U32, len, NAME)
-    }
-
-    fn unsupported<T>(&self, what: &str) -> Result<T> {
-        Err(SimError::Unsupported(format!("{NAME} has no {what}")))
-    }
-}
-
-impl GpuBackend for CubLike {
-    fn name(&self) -> &'static str {
-        NAME
-    }
-    fn device(&self) -> Arc<Device> {
-        Arc::clone(&self.device)
-    }
-    fn support(&self, op: DbOperator) -> Support {
-        match op {
-            DbOperator::Selection | DbOperator::Reduction | DbOperator::PrefixSum => Support::Full,
-            _ => Support::None,
-        }
-    }
-    fn realization(&self, op: DbOperator) -> &'static str {
-        match op {
-            DbOperator::Selection => "DeviceSelect::If()",
-            DbOperator::Reduction => "DeviceReduce::Sum()",
-            DbOperator::PrefixSum => "DeviceScan::ExclusiveSum()",
-            _ => "–",
-        }
-    }
-    fn upload_u32(&self, data: &[u32]) -> Result<Col> {
-        Ok(self.mint(self.device.htod(data)?))
-    }
-    fn upload_f64(&self, _data: &[f64]) -> Result<Col> {
-        self.unsupported("f64 columns in this demo")
-    }
-    fn download_u32(&self, col: &Col) -> Result<Vec<u32>> {
-        self.slab.with(col.raw_id(), |b| self.device.dtoh(b))?
-    }
-    fn download_f64(&self, _col: &Col) -> Result<Vec<f64>> {
-        self.unsupported("f64 columns in this demo")
-    }
-    fn free(&self, col: Col) -> Result<()> {
-        self.slab.take(col.raw_id()).map(drop)
-    }
-    fn selection(&self, col: &Col, cmp: CmpOp, lit: f64) -> Result<Col> {
-        // CUB's DeviceSelect: one pass computing block-level counts, one
-        // pass compacting — two kernels, no full-size intermediates.
-        let ids: Vec<u32> = self.slab.with(col.raw_id(), |b| {
-            b.host()
-                .iter()
-                .enumerate()
-                .filter(|(_, &x)| cmp.eval(x as f64, lit))
-                .map(|(i, _)| i as u32)
-                .collect()
-        })?;
-        let n = col.len();
-        let launch = self.device.spec().cuda_launch_latency_ns;
-        self.device.charge_kernel(
-            "cub::select/partials",
-            KernelCost::map::<u32, ()>(n)
-                .with_write(64 * 1024)
-                .with_launch_overhead(launch),
-        );
-        self.device.charge_kernel(
-            "cub::select/compact",
-            KernelCost::map::<u32, ()>(n)
-                .with_write((ids.len() * 4) as u64)
-                .with_divergence(0.25)
-                .with_launch_overhead(launch),
-        );
-        Ok(self.mint(self.device.buffer_from_vec(ids, AllocPolicy::Pooled)?))
-    }
-    fn selection_multi(&self, _p: &[Pred<'_>], _c: Connective) -> Result<Col> {
-        self.unsupported("multi-predicate selection")
-    }
-    fn selection_cmp_cols(&self, _a: &Col, _b: &Col, _c: CmpOp) -> Result<Col> {
-        self.unsupported("column comparison")
-    }
-    fn dense_mask(&self, _c: &Col, _op: CmpOp, _lit: f64) -> Result<Col> {
-        self.unsupported("dense masks")
-    }
-    fn product(&self, _a: &Col, _b: &Col) -> Result<Col> {
-        self.unsupported("product")
-    }
-    fn affine(&self, _c: &Col, _m: f64, _a: f64) -> Result<Col> {
-        self.unsupported("affine")
-    }
-    fn constant_f64(&self, _l: usize, _v: f64) -> Result<Col> {
-        self.unsupported("constant")
-    }
-    fn reduction(&self, _c: &Col) -> Result<f64> {
-        self.unsupported("f64 reduction in this demo")
-    }
-    fn prefix_sum(&self, col: &Col) -> Result<Col> {
-        let out: Vec<u32> = self.slab.with(col.raw_id(), |b| {
-            let mut acc = 0u32;
-            b.host()
-                .iter()
-                .map(|&x| {
-                    let r = acc;
-                    acc = acc.wrapping_add(x);
-                    r
-                })
-                .collect()
-        })?;
-        self.device.charge_kernel(
-            "cub::scan",
-            presets::scan::<u32>(col.len())
-                .with_launch_overhead(self.device.spec().cuda_launch_latency_ns),
-        );
-        Ok(self.mint(self.device.buffer_from_vec(out, AllocPolicy::Pooled)?))
-    }
-    fn sort(&self, _c: &Col) -> Result<Col> {
-        self.unsupported("sort in this demo")
-    }
-    fn sort_by_key(&self, _k: &Col, _v: &Col) -> Result<(Col, Col)> {
-        self.unsupported("sort_by_key")
-    }
-    fn grouped_sum(&self, _k: &Col, _v: &Col) -> Result<(Col, Col)> {
-        self.unsupported("grouped aggregation")
-    }
-    fn gather(&self, _d: &Col, _i: &Col) -> Result<Col> {
-        self.unsupported("gather")
-    }
-    fn scatter(&self, _d: &Col, _i: &Col, _l: usize) -> Result<Col> {
-        self.unsupported("scatter")
-    }
-    fn join(&self, _o: &Col, _i: &Col, _a: JoinAlgo) -> Result<(Col, Col)> {
-        self.unsupported("joins")
+    fn cold(device: &Arc<Device>) -> Self {
+        CubLike(Arc::clone(device))
     }
 }
 
 fn main() {
     let mut fw = gpu_proto_db::paper_setup();
-    fw.register(Box::new(CubLike::new(&Device::with_defaults())));
+    let device = Device::new(DeviceSpec::gtx1080());
+    fw.register(Box::new(EagerBackend::<CubLike>::new(&device)));
 
     // The new library shows up in the generated Table II automatically.
     println!("{}", fw.support_matrix());
+
+    // It answers TPC-H Q6 like any paper backend (first, cold run).
+    let db = gpu_proto_db::tpch::generate(0.01);
+    let want = q6::reference(&db);
+    println!("TPC-H Q6 (SF 0.01, revenue {want:.2}):");
+    for b in fw.backends() {
+        let b = b.as_ref();
+        let data = q6::Q6Data::upload(b, &db).expect("upload");
+        let (got, t) = b.device().time(|| data.execute(b).expect("q6"));
+        assert!(
+            (got - want).abs() < 1e-6,
+            "{} answers Q6 with {got}",
+            b.name()
+        );
+        println!("  {:<16} {:>10}", b.name(), fmt_duration(t.as_nanos()));
+    }
 
     // And competes in the selection shoot-out.
     let column: Vec<u32> = (0..500_000u32).map(|i| i.wrapping_mul(40_503)).collect();
