@@ -6,10 +6,8 @@
 //! defaulting to every available core; output is byte-identical at any
 //! job count. Pass `--csv DIR` to also write one `<id>.csv` per
 //! experiment. Any other argument, or a flag without a good value, is
-//! one line on stderr and exit code 2 before anything runs.
-//! Host wall time per experiment and per cell is collected into
-//! `BENCH_host.json` together with a scheduler-efficiency summary
-//! (simulated results are unaffected — this measures the runner itself).
+//! one line on stderr and exit code 2 before anything runs. It writes
+//! nothing but the `--csv` files.
 
 use std::path::PathBuf;
 
@@ -60,8 +58,6 @@ fn main() {
     let jobs = args
         .jobs
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-    let mut host = bench::report::HostTimer::new();
-
     let run = bench::grid::run(bench::grid::GridConfig::default(), jobs);
     print!("{}", run.stdout);
     if let Some(dir) = &args.csv {
@@ -70,16 +66,4 @@ fn main() {
             std::fs::write(dir.join(name), contents).expect("write csv");
         }
     }
-
-    for (label, ms) in &run.sections {
-        host.record(label, *ms);
-    }
-    host.set_cells(run.cells);
-    host.set_scheduler(bench::report::SchedulerSummary {
-        jobs: run.jobs,
-        busy_ms: run.busy_ms,
-        wall_ms: run.wall_ms,
-    });
-    host.write_json(std::path::Path::new("BENCH_host.json"))
-        .expect("write BENCH_host.json");
 }

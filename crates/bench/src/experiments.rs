@@ -804,8 +804,8 @@ mod tests {
         ids.dedup();
         assert_eq!(ids.len(), TABLE.len(), "duplicate experiment id");
         // What `bench::grid::SECTIONS` and `bench::traced::EXPERIMENTS`
-        // listed by hand before the table existed: BENCH_host.json keys
-        // and `gpu_lint`'s target order hang off them.
+        // listed by hand before the table existed: `GridRun::sections`
+        // labels and `gpu_lint`'s target order hang off them.
         assert_eq!(
             SECTIONS,
             [

@@ -274,8 +274,8 @@ pub(crate) fn e20_logical_plan(threshold: f64) -> proto_core::logical::LogicalPl
 /// `"{name}/fused"`).
 ///
 /// Per size the [`e20_logical_plan`] chain is compiled twice: once with
-/// every fusion knob off (the composed operator chain the library
-/// interface forces) and once with the general fusion pass on at
+/// fusion off (the composed operator chain the library interface
+/// forces) and once with the general fusion pass on at
 /// threshold 0, so the single-pass kernel dispatches at every size.
 /// Both compilations execute against the same device columns and their
 /// answers are asserted bit-identical — fusion is a pure cost knob.
@@ -297,10 +297,8 @@ pub(crate) fn e20_part(b: &dyn GpuBackend, sizes: &[usize]) -> Part {
         let mut row = Vec::new();
         for fused in [false, true] {
             let opts = PlannerOptions {
-                fuse_fast_paths: false,
                 fusion: FusionPolicy {
-                    enabled: fused,
-                    threshold: 0,
+                    threshold: fused.then_some(0),
                 },
                 costing: None,
             };
@@ -393,10 +391,8 @@ pub(crate) fn e21_fusion_cell_on(b: &dyn GpuBackend, n: usize, fused: bool) -> (
     let logical = e20_logical_plan(f64::from(thr));
     let tag = if fused { "fused" } else { "composed" };
     let opts = PlannerOptions {
-        fuse_fast_paths: false,
         fusion: FusionPolicy {
-            enabled: fused,
-            threshold: 0,
+            threshold: fused.then_some(0),
         },
         costing: None,
     };
@@ -459,11 +455,14 @@ pub(crate) fn e21_join_cell_on(
         .map(|i| (i as u32).wrapping_mul(2_654_435_761) % dim as u32)
         .collect();
     let vals = workload::cache::uniform_f64(outer, workload::SEED ^ 70);
-    let opts = PlannerOptions {
-        fuse_fast_paths: false,
-        ..PlannerOptions::default()
-    };
-    let plan = plan_with_algo("E21/join", &e21_join_plan(), b, &opts, algo).expect("plan");
+    let plan = plan_with_algo(
+        "E21/join",
+        &e21_join_plan(),
+        b,
+        &PlannerOptions::default(),
+        algo,
+    )
+    .expect("plan");
     let stats = TableStats::new()
         .with_rows("dim", dim)
         .with_rows("fact", outer);

@@ -128,7 +128,9 @@ impl Default for GridConfig {
     }
 }
 
-/// The outcome of one full grid run.
+/// The outcome of one full grid run. `all_experiments` prints `stdout`
+/// and writes `artifacts`; the host timings are for the benchmark
+/// harness's `grid_full` workload (`sched.*`, `grid.<section>_ms`).
 #[derive(Debug)]
 pub struct GridRun {
     /// Exactly what the serial runner prints (modulo the documented
@@ -421,8 +423,7 @@ mod tests {
     /// `label|lane` of every cell the paper grid registers, in canonical
     /// cell order: the four lanes in `PAPER_BACKENDS` order, each in
     /// execution order, then the fresh cells in table order. This is the
-    /// order the lanes start in and `GridRun::cells` order; labels key
-    /// `BENCH_host.json`.
+    /// order the lanes start in and `GridRun::cells` order.
     const DEFAULT_PLAN: &str = "
 E3/ArrayFire|ArrayFire
 E4/ArrayFire|ArrayFire

@@ -30,7 +30,7 @@ fn a_malformed_job_count_is_rejected() {
 
 #[test]
 fn an_argument_all_experiments_does_not_take_is_rejected() {
-    // Run where a wrongly started grid would leave `BENCH_host.json`.
+    // Run in an empty directory: a rejected run writes nothing.
     let dir = std::env::temp_dir().join(format!("all_experiments_cli_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let cases: [(&[&str], &str); 6] = [

@@ -1,16 +1,19 @@
 //! Property test for the scalar fusion site: randomized filter →
-//! aggregate chains, compiled as the composed Table-II operator chain,
-//! with fusion forced on (threshold 0), and with only the fast paths on,
-//! must produce bit-identical answers on every paper backend.
+//! aggregate chains, compiled with the default options, with fusion at
+//! threshold 0 (the single-pass kernel always dispatches) and with
+//! fusion at `usize::MAX` (the `FusedFilterAgg` step runs its composed
+//! realisation), must produce bit-identical answers on every paper
+//! backend.
 //!
 //! The expression grammar mirrors what both lowerings accept — products
 //! of columns, affine column maps and comparison masks (column±column
 //! sums are outside the Table-II operator set and excluded) — so every
 //! generated chain takes the real unfused path and the real
-//! single-pass `FusedFilterAgg` kernel. Q6-shaped chains (exactly one
-//! `SUM(col · col)`) also take the `FilterSumProduct` fast path, and
-//! nothing else does. The generator itself lives in [`bench::plangen`],
-//! shared with the translation property suite.
+//! single-pass `FusedFilterAgg` kernel. Under the default options
+//! Q6-shaped chains (exactly one `SUM(col · col)`) take the
+//! `FilterSumProduct` fast path, and nothing else does. The generator
+//! itself lives in [`bench::plangen`], shared with the translation
+//! property suite.
 
 use bench::plangen::{q6_shaped_chain, random_chain, Rng, SEEDS};
 use proto_core::logical::{AggExpr, LogicalPlan};
@@ -21,12 +24,13 @@ use proto_core::workload;
 
 const N: usize = 4096;
 
-/// The three planner configurations: composed, general fusion, and the
-/// fast paths alone.
-const CONFIGS: [(&str, bool, bool); 3] = [
-    ("composed", false, false),
-    ("fused", false, true),
-    ("fast paths", true, false),
+/// The three planner configurations, by fusion threshold: the default
+/// (fusion off), always fused, and fused steps that always run
+/// composed.
+const CONFIGS: [(&str, Option<usize>); 3] = [
+    ("default", None),
+    ("fused at 0", Some(0)),
+    ("fused at usize::MAX", Some(usize::MAX)),
 ];
 
 /// Exactly one `SUM(col · col)` aggregate — what the fast path accepts.
@@ -74,13 +78,9 @@ fn random_chains_are_bit_equal_across_planner_configurations_on_every_backend() 
                 .bind("t.b", &cb)
                 .bind("t.c", &cc);
             let mut answers: Vec<Vec<u64>> = Vec::new();
-            for (config, fuse_fast_paths, fused) in CONFIGS {
+            for (config, threshold) in CONFIGS {
                 let opts = PlannerOptions {
-                    fuse_fast_paths,
-                    fusion: FusionPolicy {
-                        enabled: fused,
-                        threshold: 0,
-                    },
+                    fusion: FusionPolicy { threshold },
                     costing: None,
                 };
                 let plan = plan_with("prop", &logical, b, &opts).unwrap_or_else(|e| {
@@ -96,7 +96,10 @@ fn random_chains_are_bit_equal_across_planner_configurations_on_every_backend() 
                 let fast_path_steps = count(|s| matches!(s, Step::FilterSumProduct { .. }));
                 assert_eq!(
                     (fused_steps > 0, fast_path_steps),
-                    (fused, usize::from(fuse_fast_paths && q6_shaped)),
+                    (
+                        threshold.is_some(),
+                        usize::from(threshold.is_none() && q6_shaped)
+                    ),
                     "seed {seed} {config} on {}:\n{}",
                     b.name(),
                     plan.explain()

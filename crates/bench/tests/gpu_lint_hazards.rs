@@ -725,23 +725,6 @@ fn injected_checkpoint_after_free_is_flagged() {
     }
 }
 
-#[test]
-fn zeroed_backoff_budget_is_flagged() {
-    let mut t = golden_log();
-    assert!(t.max_retries > 0 && t.backoff_budget_ns > 0);
-    t.backoff_budget_ns = 0;
-    let report = gpu_lint::lint_recovery("mutated", &t);
-    assert!(
-        report
-            .diagnostics
-            .iter()
-            .any(|d| d.rule == Rule::RetryWithoutBackoff),
-        "GL502 expected: {:?}",
-        report.diagnostics
-    );
-    assert_eq!(report.errors(), 0, "GL502 is a warning");
-}
-
 // ---- Planner-translation hazards (GL7xx) -------------------------------
 
 use proto_core::logical::{ColumnDecl, LogicalPlan, ResultOrder};

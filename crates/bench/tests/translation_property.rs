@@ -50,10 +50,7 @@ fn random_chains_validate_and_agree_under_every_planner_mode() {
         (
             "fusion",
             PlannerOptions {
-                fusion: FusionPolicy {
-                    enabled: true,
-                    threshold: 0,
-                },
+                fusion: FusionPolicy { threshold: Some(0) },
                 ..PlannerOptions::default()
             },
         ),

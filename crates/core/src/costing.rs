@@ -11,20 +11,15 @@
 //! *price* physical alternatives (join algorithm, fused vs. composed
 //! dispatch) instead of hard-coding the paper's Table-II crossovers.
 //!
-//! Three cache states are priced from one walk (see [`CacheState`]):
+//! One walk prices two cache states ([`StepCost::cold_ns`] and
+//! [`StepCost::warm_ns`]):
 //!
 //! * **Cold** — a fresh device: every JIT key compiles, and the
 //!   allocator pool starts empty. The walk runs the device's own
 //!   size-class pool ([`MemoryPool`]), so temporaries freed early in the
 //!   plan serve later allocations even on the first run — exactly as
 //!   [`gpu_sim`]'s pooled allocator behaves. This is what
-//!   `runner::measure`'s first run observes, and the default decision
-//!   metric.
-//! * **Steady** — the long-running-process state the old fixed
-//!   `DEFAULT_FUSION_THRESHOLD` encoded: generic library kernels
-//!   (shared by every query) are warm, but *query-specific* programs
-//!   (fused kernels, whose OpenCL/ArrayFire source is generated per
-//!   expression) still compile on first use. Pooled allocations hit.
+//!   `runner::measure`'s first run observes, and the decision metric.
 //! * **Warm** — everything cached; what `runner::measure` reports as
 //!   its warm (second-run) time.
 //!
@@ -121,32 +116,13 @@ pub(crate) fn cmp_selectivity(cmp: CmpOp) -> f64 {
     }
 }
 
-/// Which JIT/allocator caches the coster assumes populated — the knob
-/// that turns one symbolic walk into a first-run or steady-state price.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CacheState {
-    /// Fresh device: all JIT keys compile, the allocator pool starts
-    /// empty (but fills as the plan frees temporaries).
-    #[default]
-    Cold,
-    /// Generic library kernels warm, query-specific programs cold,
-    /// allocator pool warm — the state the fixed fusion threshold was
-    /// calibrated for.
-    Steady,
-    /// Everything cached (a repeated query).
-    Warm,
-}
-
-/// Priced components of one plan step, split so every [`CacheState`]
-/// total can be reconstructed from a single walk.
+/// Priced totals of one plan step.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StepCost {
     /// Step index in [`PhysicalPlan::steps`].
     pub index: usize,
     /// Short operator tag (`"selection"`, `"join[Hash]"`, …).
     pub op: String,
-    /// Estimated input rows.
-    pub rows_in: u64,
     /// Estimated output rows (of the widest slot produced).
     pub rows_out: u64,
     /// Kernel launches issued.
@@ -155,37 +131,12 @@ pub struct StepCost {
     pub bytes_read: u64,
     /// Global-memory bytes written by those kernels.
     pub bytes_written: u64,
-    /// Kernel execution time (bandwidth/ALU bound, after the
-    /// min-kernel floor), state-independent.
-    pub exec_ns: u64,
-    /// Launch/enqueue driver overhead, state-independent.
-    pub launch_ns: u64,
-    /// PCIe/DtoD transfer time (scalar readbacks, downloads, clones).
-    pub transfer_ns: u64,
-    /// JIT compiles charged on a fresh device (every distinct key).
-    pub jit_cold_ns: u64,
-    /// JIT compiles still charged in steady state (query-specific
-    /// programs only).
-    pub jit_steady_ns: u64,
-    /// Allocator cost on a fresh device: driver mallocs for pool misses
-    /// and raw allocations, driver frees on the raw path, pool hits
-    /// once the simulated free lists fill.
-    pub alloc_cold_ns: u64,
-    /// Allocator cost with warm free lists: pool hits on the pooled
-    /// path — but still full mallocs/frees on the raw (Boost) path.
-    pub alloc_warm_ns: u64,
-}
-
-impl StepCost {
-    /// Total time of this step under `state`.
-    pub fn total_ns(&self, state: CacheState) -> u64 {
-        let base = self.exec_ns + self.launch_ns + self.transfer_ns;
-        match state {
-            CacheState::Cold => base + self.jit_cold_ns + self.alloc_cold_ns,
-            CacheState::Steady => base + self.jit_steady_ns + self.alloc_warm_ns,
-            CacheState::Warm => base + self.alloc_warm_ns,
-        }
-    }
+    /// Time on a fresh device: every distinct JIT key compiles, and
+    /// pooled allocations miss until the simulated free lists fill.
+    pub cold_ns: u64,
+    /// Time with every cache warm: no JIT, pooled allocations hit (the
+    /// raw Boost.Compute path still pays its driver mallocs and frees).
+    pub warm_ns: u64,
 }
 
 /// One priced physical alternative the costed planner weighed.
@@ -195,8 +146,6 @@ pub struct Alternative {
     pub name: String,
     /// First-run total.
     pub cold_ns: u64,
-    /// Steady-state total.
-    pub steady_ns: u64,
     /// Fully-warm total.
     pub warm_ns: u64,
     /// Whether the planner selected this candidate.
@@ -223,30 +172,24 @@ pub struct CostReport {
 }
 
 impl CostReport {
-    /// Whole-plan total under `state`.
-    pub fn total_ns(&self, state: CacheState) -> u64 {
-        self.steps.iter().map(|s| s.total_ns(state)).sum()
-    }
-
     /// First-run (fresh device) total.
     pub fn cold_ns(&self) -> u64 {
-        self.total_ns(CacheState::Cold)
+        self.steps.iter().map(|s| s.cold_ns).sum()
     }
 
     /// Fully-warm (repeated query) total.
     pub fn warm_ns(&self) -> u64 {
-        self.total_ns(CacheState::Warm)
+        self.steps.iter().map(|s| s.warm_ns).sum()
     }
 
     /// Render the report as a fixed-width table — the golden-file
     /// format `tests/golden/cost_report.txt` snapshots.
     pub fn render(&self) -> String {
         let mut out = format!(
-            "CostReport {} on {} (cold {} ns, steady {} ns, warm {} ns, peak {} B)\n",
+            "CostReport {} on {} (cold {} ns, warm {} ns, peak {} B)\n",
             self.query,
             self.backend,
             self.cold_ns(),
-            self.total_ns(CacheState::Steady),
             self.warm_ns(),
             self.peak_device_bytes
         );
@@ -265,8 +208,8 @@ impl CostReport {
                 s.kernels,
                 s.bytes_read,
                 s.bytes_written,
-                s.total_ns(CacheState::Cold),
-                s.total_ns(CacheState::Warm)
+                s.cold_ns,
+                s.warm_ns
             );
         }
         if !self.alternatives.is_empty() {
@@ -274,10 +217,9 @@ impl CostReport {
             for a in &self.alternatives {
                 let _ = writeln!(
                     out,
-                    "    {:<40} cold {:>12} ns  steady {:>12} ns  warm {:>12} ns{}",
+                    "    {:<40} cold {:>12} ns  warm {:>12} ns{}",
                     a.name,
                     a.cold_ns,
-                    a.steady_ns,
                     a.warm_ns,
                     if a.chosen { "  [chosen]" } else { "" }
                 );
@@ -348,57 +290,50 @@ struct Acc<'a> {
 }
 
 impl Acc<'_> {
-    /// Charge one kernel launch of a *generic* library algorithm. On
-    /// Boost.Compute the program `key` JITs once per plan (warm again
-    /// in [`CacheState::Steady`]); the AOT backends pay no JIT.
+    /// Charge one launch of a library kernel. Boost.Compute builds even
+    /// its generic algorithms from OpenCL source, so there `key` compiles
+    /// once per plan; the other libraries ship their kernels compiled.
     fn kernel(&mut self, key: &str, cost: KernelCost) {
-        let engine = match self.profile {
+        let jit_ns = match self.profile {
             Profile::Boost => self.spec.jit_compile_ns(LaunchApi::OpenCl),
             _ => 0,
         };
-        self.charge_kernel(key, cost, engine, false);
+        self.launch(key, cost, jit_ns);
     }
 
-    /// Charge one kernel launch of a *query-specific* generated program
-    /// (fused kernels / whole-query expression trees): still pays its
-    /// JIT in [`CacheState::Steady`].
-    fn kernel_specific(&mut self, key: &str, cost: KernelCost) {
-        let engine = match self.profile {
+    /// Charge one launch of a program generated for this plan (an
+    /// ArrayFire lazy tree, a fused kernel): it compiles once per `key`
+    /// on the libraries that compile at run time.
+    fn program(&mut self, key: &str, cost: KernelCost) {
+        let jit_ns = match self.profile {
             Profile::Boost => self.spec.jit_compile_ns(LaunchApi::OpenCl),
             Profile::ArrayFire => self.spec.arrayfire_jit_compile_ns,
             _ => 0,
         };
-        self.charge_kernel(key, cost, engine, true);
+        self.launch(key, cost, jit_ns);
     }
 
-    /// An ArrayFire lazy-tree evaluation of a *generic* shape (per-op
-    /// masks, affine, products): one generated kernel, JIT-compiled
-    /// once per distinct tree signature — but shared across queries, so
-    /// warm in [`CacheState::Steady`].
-    fn af_eval(&mut self, key: &str, cost: KernelCost) {
-        self.charge_kernel(key, cost, self.spec.arrayfire_jit_compile_ns, false);
-    }
-
-    fn charge_kernel(&mut self, key: &str, cost: KernelCost, engine_ns: u64, specific: bool) {
-        if engine_ns > 0 && self.jit_seen.insert(key.to_string()) {
-            self.c.jit_cold_ns += engine_ns;
-            if specific {
-                self.c.jit_steady_ns += engine_ns;
-            }
+    fn launch(&mut self, key: &str, cost: KernelCost, jit_ns: u64) {
+        if jit_ns > 0 && self.jit_seen.insert(key.to_string()) {
+            self.c.cold_ns += jit_ns;
         }
-        let launch = self.spec.launch_overhead_ns(self.profile.api());
-        let cost = cost.with_launch_overhead(launch);
+        let cost = cost.with_launch_overhead(self.spec.launch_overhead_ns(self.profile.api()));
         self.c.kernels += 1;
         self.c.bytes_read += cost.bytes_read;
         self.c.bytes_written += cost.bytes_written;
-        self.c.launch_ns += launch;
-        self.c.exec_ns += cost.duration(self.spec).as_nanos() - launch;
+        self.every_run(cost.duration(self.spec).as_nanos());
+    }
+
+    /// Time paid cold and warm alike.
+    fn every_run(&mut self, ns: u64) {
+        self.c.cold_ns += ns;
+        self.c.warm_ns += ns;
     }
 
     /// A tiny scalar device→host readback (selection counts, reduction
     /// results): the fixed PCIe latency, exactly as the backends charge.
     fn readback(&mut self) {
-        self.c.transfer_ns += self.spec.pcie_latency_ns;
+        self.every_run(self.spec.pcie_latency_ns);
     }
 
     /// Host-side lazy-tree construction: `nodes` ArrayFire graph nodes
@@ -406,12 +341,12 @@ impl Acc<'_> {
     /// per-node bookkeeping charge. Lazy backends rebuild the tree on
     /// every execution, so this is paid every run.
     fn af_nodes(&mut self, nodes: u64) {
-        self.c.launch_ns += nodes * NODE_OVERHEAD_NS;
+        self.every_run(nodes * NODE_OVERHEAD_NS);
     }
 
     /// A bulk transfer (downloads, device clones, match-list uploads).
     fn transfer(&mut self, dir: Direction, bytes: u64) {
-        self.c.transfer_ns += transfer_time(self.spec, dir, bytes).as_nanos();
+        self.every_run(transfer_time(self.spec, dir, bytes).as_nanos());
     }
 
     /// One device allocation of `bytes`. Pooled backends pop the
@@ -420,15 +355,14 @@ impl Acc<'_> {
     /// malloc in every state.
     fn alloc(&mut self, bytes: f64) {
         if self.profile.pooled() {
-            self.c.alloc_cold_ns += if self.pool.try_acquire(bytes as u64) {
+            self.c.cold_ns += if self.pool.try_acquire(bytes as u64) {
                 POOL_HIT_NS
             } else {
                 self.spec.malloc_latency_ns
             };
-            self.c.alloc_warm_ns += POOL_HIT_NS;
+            self.c.warm_ns += POOL_HIT_NS;
         } else {
-            self.c.alloc_cold_ns += self.spec.malloc_latency_ns;
-            self.c.alloc_warm_ns += self.spec.malloc_latency_ns;
+            self.every_run(self.spec.malloc_latency_ns);
         }
     }
 
@@ -439,8 +373,7 @@ impl Acc<'_> {
         if self.profile.pooled() {
             self.pool.release(bytes as u64);
         } else {
-            self.c.alloc_cold_ns += self.spec.free_latency_ns;
-            self.c.alloc_warm_ns += self.spec.free_latency_ns;
+            self.every_run(self.spec.free_latency_ns);
         }
     }
 }
@@ -624,8 +557,8 @@ impl Walk<'_> {
         let profile = self.profile;
         // How a fused step dispatched (`None` for every other step).
         let mut dispatch = None;
-        // (input rows, rows of every slot the step writes).
-        let (rows_in, rows_out): (f64, f64) = match step {
+        // Rows of every slot the step writes.
+        let rows_out = match step {
             Step::Selection { input, cmp, .. } => {
                 let n = self.rows_of(input);
                 let ests = [PredEst {
@@ -635,14 +568,14 @@ impl Walk<'_> {
                 }];
                 let m = n * ests[0].sel;
                 selection_recipe(&mut acc, profile, n, &ests, Connective::And, m);
-                (n, m)
+                m
             }
             Step::SelectionMulti { preds, conn, .. } => {
                 let n = preds.first().map_or(0.0, |p| self.rows_of(&p.col));
                 let ests = self.plan_pred_ests(preds);
                 let m = n * Self::combined_selectivity(&ests, *conn);
                 selection_recipe(&mut acc, profile, n, &ests, *conn, m);
-                (n, m)
+                m
             }
             Step::SelectionCmpCols { a, b, cmp, .. } => {
                 let n = self.rows_of(a);
@@ -653,33 +586,33 @@ impl Walk<'_> {
                 }];
                 let m = n * ests[0].sel;
                 selection_recipe(&mut acc, profile, n, &ests, Connective::And, m);
-                (n, m)
+                m
             }
             Step::Gather { data, ids, .. } => {
                 let g = self.rows_of(ids);
                 gather_recipe(&mut acc, profile, g, self.width_of(data));
-                (g, g)
+                g
             }
             Step::Affine { input, .. } => {
                 let n = self.rows_of(input);
                 affine_recipe(&mut acc, profile, n);
-                (n, n)
+                n
             }
             Step::Product { a, b, .. } => {
                 let n = self.rows_of(a).max(self.rows_of(b));
                 product_recipe(&mut acc, profile, n);
-                (n, n)
+                n
             }
             Step::DenseMask { input, cmp, .. } => {
                 let n = self.rows_of(input);
                 let w = self.width_of(input);
                 dense_mask_recipe(&mut acc, profile, n, w, *cmp);
-                (n, n)
+                n
             }
             Step::ConstantOnes { like, .. } => {
                 let n = self.rows_of(like);
                 constant_recipe(&mut acc, profile, n);
-                (n, n)
+                n
             }
             Step::Join {
                 outer, inner, algo, ..
@@ -688,25 +621,25 @@ impl Walk<'_> {
                 let ni = self.rows_of(inner);
                 let m = no; // FK join: every probe row matches once.
                 join_recipe(&mut acc, profile, *algo, no, ni, m);
-                (no, m)
+                m
             }
             Step::GroupedSum { keys, .. } => {
                 let n = self.rows_of(keys);
                 let g = n.min(MAX_GROUPS_ESTIMATE);
                 grouped_recipe(&mut acc, profile, n, g);
-                (n, g)
+                g
             }
             Step::Reduce { input, .. } => {
                 let n = self.rows_of(input);
                 reduce_recipe(&mut acc, profile, n);
-                (n, 1.0)
+                1.0
             }
             Step::FilterSumProduct { a, b, preds, .. } => {
                 let n = self.rows_of(a).max(self.rows_of(b));
                 let ests = self.plan_pred_ests(preds);
                 let m = n * Self::combined_selectivity(&ests, Connective::And);
                 filter_sum_product_recipe(&mut acc, profile, n, m, &ests);
-                (n, 1.0)
+                1.0
             }
             Step::FusedMap {
                 inputs,
@@ -723,7 +656,7 @@ impl Walk<'_> {
                     composed_map_recipe(&mut acc, profile, n, expr);
                 }
                 dispatch = Some(if fused { "fused" } else { "composed" });
-                (n, n)
+                n
             }
             Step::FusedFilterAgg {
                 inputs,
@@ -743,16 +676,16 @@ impl Walk<'_> {
                     composed_filter_agg_recipe(&mut acc, profile, n, m, &widths, &ests, expr);
                 }
                 dispatch = Some(if fused { "fused" } else { "composed" });
-                (n, 1.0)
+                1.0
             }
             Step::DownloadU32 { input, .. } | Step::DownloadF64 { input, .. } => {
                 let n = self.rows_of(input);
                 acc.transfer(Direction::DeviceToHost, self.width_of(input) * n as u64);
-                (n, n)
+                n
             }
             // Host-side reorder of already-downloaded vectors: free in
             // device time.
-            Step::HostSort { keys, .. } => (self.rows[*keys], self.rows[*keys]),
+            Step::HostSort { keys, .. } => self.rows[*keys],
             Step::Free { slot } => {
                 let bytes = self.slot_bytes[*slot];
                 if bytes > 0 {
@@ -762,7 +695,7 @@ impl Walk<'_> {
                 }
                 self.live_bytes = self.live_bytes.saturating_sub(bytes);
                 self.slot_bytes[*slot] = 0;
-                (self.rows[*slot], self.rows[*slot])
+                self.rows[*slot]
             }
         };
         let mut cost = acc.c;
@@ -772,7 +705,6 @@ impl Walk<'_> {
             Some(how) => format!("{}[{how}]", step.label()),
             None => step.label().to_string(),
         };
-        cost.rows_in = rows_in as u64;
         cost.rows_out = rows_out as u64;
         for slot in step.writes() {
             self.produce(slot, rows_out);
@@ -884,7 +816,7 @@ fn selection_recipe(
             for e in ests {
                 let mi = n * e.sel;
                 acc.af_nodes(cmp_nodes(e.cmp));
-                acc.af_eval(
+                acc.program(
                     &format!("af::jit::{:?}<{}>", e.cmp, tname(e.width)),
                     KernelCost::map::<(), u8>(n_us)
                         .with_read((e.width as f64 * n) as u64)
@@ -965,7 +897,7 @@ fn affine_recipe(acc: &mut Acc<'_>, profile: Profile, n: f64) {
     match profile {
         Profile::ArrayFire => {
             acc.af_nodes(2); // scalar multiply + scalar add
-            acc.af_eval("af::jit::affine<f64>", cost.with_flops(2 * n as u64));
+            acc.program("af::jit::affine<f64>", cost.with_flops(2 * n as u64));
         }
         Profile::Handwritten => acc.kernel("hw::affine", cost),
         _ => acc.kernel("transform<f64,f64>", cost),
@@ -979,7 +911,7 @@ fn product_recipe(acc: &mut Acc<'_>, profile: Profile, n: f64) {
     match profile {
         Profile::ArrayFire => {
             acc.af_nodes(1);
-            acc.af_eval("af::jit::Mul<f64,f64>", cost);
+            acc.program("af::jit::Mul<f64,f64>", cost);
         }
         Profile::Handwritten => acc.kernel("hw::product", cost),
         _ => acc.kernel("transform_binary<f64,f64,f64>", cost),
@@ -993,7 +925,7 @@ fn dense_mask_recipe(acc: &mut Acc<'_>, profile: Profile, n: f64, width: u64, cm
     match profile {
         Profile::ArrayFire => {
             acc.af_nodes(cmp_nodes(cmp) + 1); // comparison + cast
-            acc.af_eval(
+            acc.program(
                 &format!("af::jit::cast:f64({:?}<{}>)", cmp, tname(width)),
                 cost.with_flops(2 * n as u64),
             );
@@ -1211,7 +1143,7 @@ fn filter_sum_product_recipe(
                 + ests.len().saturating_sub(1) as u64 // and-combines
                 + 3; // value product, mask cast, mask multiply
             acc.af_nodes(nodes);
-            acc.kernel_specific(
+            acc.program(
                 &format!(
                     "af::jit_fused::dot[{}]",
                     ests.len() // arity keys the generated tree shape
@@ -1247,13 +1179,13 @@ fn fused_map_recipe(acc: &mut Acc<'_>, profile: Profile, n: f64, widths: &[u64],
     match profile {
         Profile::Boost => {
             let key = format!("boost::zip_map<{}>", expr.render(&|i| format!("in{i}")));
-            acc.kernel_specific(&key, cost);
+            acc.program(&key, cost);
         }
         Profile::ArrayFire => {
             let used = used_input_bytes(widths, &[], expr);
             let key = format!("af::jit_fused::{}", expr.render(&|i| format!("in{i}")));
             acc.af_nodes(af_expr_nodes(expr));
-            acc.kernel_specific(
+            acc.program(
                 &key,
                 KernelCost::map::<(), f64>(n_us)
                     .with_read((used as f64 * n) as u64)
@@ -1294,7 +1226,7 @@ fn fused_filter_agg_recipe(
                 + af_expr_nodes(expr)
                 + if preds.is_empty() { 0 } else { 2 }; // mask cast + multiply
             acc.af_nodes(nodes);
-            acc.kernel_specific(
+            acc.program(
                 &format!("af::jit_fused::{key}"),
                 KernelCost::map::<(), f64>(n_us)
                     .with_read((used as f64 * n) as u64)
@@ -1316,7 +1248,7 @@ fn fused_filter_agg_recipe(
             acc.readback();
         }
         Profile::Boost => {
-            acc.kernel_specific(
+            acc.program(
                 &format!("boost::{key}"),
                 KernelCost::reduce::<f64>(n_us).with_read((total as f64 * n) as u64),
             );
@@ -1446,10 +1378,8 @@ mod tests {
 
     fn fusion_opts(threshold: usize) -> PlannerOptions {
         PlannerOptions {
-            fuse_fast_paths: false,
             fusion: FusionPolicy {
-                enabled: true,
-                threshold,
+                threshold: Some(threshold),
             },
             ..PlannerOptions::default()
         }
@@ -1490,58 +1420,74 @@ mod tests {
         }
     }
 
-    #[test]
-    fn steady_state_charges_fused_jit_but_not_generic_kernels() {
-        // On Boost.Compute the fused kernel is query-specific: steady
-        // state still pays its JIT, while the composed chain's generic
-        // kernels are warm — the exact trade the old fixed threshold
-        // encoded.
-        let spec = DeviceSpec::gtx1080();
-        let fw = Framework::single_backend(&spec, "Boost.Compute");
-        let stats = TableStats::new().with_rows("t", 4_096);
-        let model = CostModel::new(&spec, &stats);
-        let mk = |threshold: usize| {
-            optimizer::plan_with("t", &q6ish(), fw.as_ref(), &fusion_opts(threshold)).expect("plan")
+    /// What `steps` charges through an [`Acc`] for `profile` on `spec`,
+    /// starting from empty caches.
+    fn charge(spec: &DeviceSpec, profile: Profile, steps: impl FnOnce(&mut Acc<'_>)) -> StepCost {
+        let mut jit_seen = BTreeSet::new();
+        let mut pool = MemoryPool::new();
+        let mut acc = Acc {
+            spec,
+            profile,
+            jit_seen: &mut jit_seen,
+            pool: &mut pool,
+            c: StepCost::default(),
         };
-        let fused = model.cost_plan(&mk(0));
-        let composed = model.cost_plan(&mk(usize::MAX));
-        assert!(
-            fused.total_ns(CacheState::Steady) > composed.total_ns(CacheState::Steady),
-            "steady state: composed must win at 4K rows (fused {} vs composed {})",
-            fused.total_ns(CacheState::Steady),
-            composed.total_ns(CacheState::Steady)
-        );
-        assert!(
-            fused.cold_ns() < composed.cold_ns(),
-            "cold: one generated program must beat compiling the whole generic set"
-        );
+        steps(&mut acc);
+        acc.c
     }
 
     #[test]
     fn the_simulated_pool_discounts_later_allocations() {
-        // The composed Q6-ish chain on Thrust frees its flag buffers
-        // before the gathers allocate: the cold walk must price those
-        // later allocations as pool hits, not fresh mallocs. Whole-plan
-        // cold must therefore sit strictly below
-        // "every allocation is a malloc".
+        // A buffer freed early serves a later allocation of its size
+        // class even on the first run: the cold walk prices the second
+        // allocation as a pool hit, not a fresh malloc. Warm, every
+        // pooled allocation hits; the raw Boost.Compute path pays the
+        // driver malloc and free cold and warm alike.
         let spec = DeviceSpec::gtx1080();
-        let fw = Framework::single_backend(&spec, "Thrust");
-        let stats = TableStats::new().with_rows("t", 1 << 16);
-        let model = CostModel::new(&spec, &stats);
-        let plan = optimizer::plan_with("t", &q6ish(), fw.as_ref(), &fusion_opts(usize::MAX))
-            .expect("plan");
-        let report = model.cost_plan(&plan);
-        let cold_alloc: u64 = report.steps.iter().map(|s| s.alloc_cold_ns).sum();
-        let warm_alloc: u64 = report.steps.iter().map(|s| s.alloc_warm_ns).sum();
-        let allocs = warm_alloc / POOL_HIT_NS; // pooled warm = one hit per alloc
-        assert!(allocs > 3, "composed chain must allocate several buffers");
-        assert!(
-            cold_alloc < allocs * spec.malloc_latency_ns,
-            "cold allocation bill ({cold_alloc} ns) must be discounted by \
-             simulated pool refills (all-miss would be {} ns)",
-            allocs * spec.malloc_latency_ns
-        );
-        assert!(cold_alloc > warm_alloc, "but cold still exceeds warm");
+        let churn = |acc: &mut Acc<'_>| {
+            acc.alloc(65_536.0);
+            acc.free(65_536.0);
+            acc.alloc(65_536.0);
+        };
+        let pooled = charge(&spec, Profile::Thrust, churn);
+        assert_eq!(pooled.cold_ns, spec.malloc_latency_ns + POOL_HIT_NS);
+        assert_eq!(pooled.warm_ns, 2 * POOL_HIT_NS);
+        let raw = charge(&spec, Profile::Boost, churn);
+        let raw_ns = 2 * spec.malloc_latency_ns + spec.free_latency_ns;
+        assert_eq!((raw.cold_ns, raw.warm_ns), (raw_ns, raw_ns));
+    }
+
+    #[test]
+    fn a_program_compiles_once_per_key_and_only_cold() {
+        // Generated programs compile on ArrayFire and Boost.Compute,
+        // library kernels only on Boost.Compute; a repeated key compiles
+        // once.
+        let spec = DeviceSpec::gtx1080();
+        let opencl = spec.jit_compile_ns(LaunchApi::OpenCl);
+        for (profile, program, jit_ns) in [
+            (Profile::Boost, false, opencl),
+            (Profile::Boost, true, opencl),
+            (Profile::ArrayFire, false, 0),
+            (Profile::ArrayFire, true, spec.arrayfire_jit_compile_ns),
+            (Profile::Thrust, true, 0),
+        ] {
+            let c = charge(&spec, profile, |acc| {
+                for _ in 0..2 {
+                    let cost = KernelCost::map::<f64, f64>(1024);
+                    if program {
+                        acc.program("k", cost);
+                    } else {
+                        acc.kernel("k", cost);
+                    }
+                }
+            });
+            assert_eq!(c.kernels, 2);
+            assert_eq!(
+                c.cold_ns - c.warm_ns,
+                jit_ns,
+                "{profile:?}, program {program}"
+            );
+        }
     }
 
     #[test]

@@ -67,7 +67,7 @@ pub mod workload;
 pub mod prelude {
     pub use crate::backend::{Col, ColType, GpuBackend, Pred};
     pub use crate::backends::{ArrayFireBackend, BoostBackend, HandwrittenBackend, ThrustBackend};
-    pub use crate::costing::{CacheState, CostModel, CostReport, StepCost, TableStats};
+    pub use crate::costing::{CostModel, CostReport, StepCost, TableStats};
     pub use crate::framework::Framework;
     pub use crate::fused::{FusedExpr, FusedPred};
     pub use crate::logical::{AggExpr, ColumnDecl, JoinCol, JoinSide, LogicalPlan, ResultOrder};

@@ -21,10 +21,9 @@
 //!    that composed steps and fused kernels both realise. One fused
 //!    builder serves every fusion site: with [`PlannerOptions::fusion`]
 //!    on, filter → `SUM` chains become [`Step::FusedFilterAgg`]s and
-//!    element-wise chains [`Step::FusedMap`]s; with it off and
-//!    [`PlannerOptions::fuse_fast_paths`] on, Q6's `SUM(col · col)` is
-//!    read off the same candidate as the [`Step::FilterSumProduct`]
-//!    fast path.
+//!    element-wise chains [`Step::FusedMap`]s; with it off, Q6's
+//!    `SUM(col · col)` is read off the same candidate as the
+//!    [`Step::FilterSumProduct`] fast path.
 //!
 //! Every decision the pipeline takes is *certified*: [`plan_traced`]
 //! returns the compiled plan plus a [`PassTrace`] per step, each
@@ -36,13 +35,13 @@
 //! semantically equivalent to the logical input (DESIGN.md §7).
 //!
 //! Adding a pass: write a `fn my_pass(&LogicalPlan) -> LogicalPlan`
-//! rewriting the tree, append it to the chain in [`optimize`] and
-//! [`optimize_traced`] (so golden tests can snapshot its effect), push
-//! a certificate so the validator can re-check it, and
-//! cover it with a structural unit test here — plans are `PartialEq`.
+//! rewriting the tree, append it to `PASSES` (which [`optimize`] and
+//! [`optimize_traced`] both walk, so golden tests snapshot its effect
+//! and the validator re-checks its certificate), and cover it with a
+//! structural unit test here — plans are `PartialEq`.
 
 use crate::backend::{ColType, GpuBackend};
-use crate::costing::{Alternative, CacheState, CostModel, CostReport, TableStats};
+use crate::costing::{Alternative, CostModel, CostReport, TableStats};
 use crate::fused::{FusedExpr, FusedPred};
 use crate::logical::{AggExpr, JoinSide, LogicalPlan};
 use crate::ops::{CmpOp, Connective, DbOperator, JoinAlgo, Support};
@@ -70,16 +69,13 @@ pub fn supported_joins(backend: &dyn GpuBackend) -> Vec<JoinAlgo> {
 }
 
 /// Knobs of [`plan_with`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PlannerOptions {
-    /// Rewrite eligible scalar aggregates into the fused
-    /// `filter_sum_product` fast path (default on; turn off to inspect
-    /// the unfused operator chain).
-    pub fuse_fast_paths: bool,
     /// The general cross-operator fusion pass (filter→project→aggregate
     /// and elementwise-map chains into single-pass
     /// [`Step::FusedFilterAgg`] / [`Step::FusedMap`] kernels). Off by
-    /// default so existing plans stay byte-identical.
+    /// default, which leaves Q6's `SUM(col · col)` to the
+    /// [`Step::FilterSumProduct`] fast path.
     pub fusion: FusionPolicy,
     /// Cost-based planning: when set, [`plan_with`] prices every
     /// supported join algorithm and fused/composed dispatch against the
@@ -88,16 +84,6 @@ pub struct PlannerOptions {
     /// (the default) keeps the heuristic path and its byte-identical
     /// plans.
     pub costing: Option<CostingOptions>,
-}
-
-impl Default for PlannerOptions {
-    fn default() -> Self {
-        PlannerOptions {
-            fuse_fast_paths: true,
-            fusion: FusionPolicy::default(),
-            costing: None,
-        }
-    }
 }
 
 /// Knobs of the cost-based planner ([`PlannerOptions::costing`]).
@@ -136,33 +122,22 @@ impl CostingOptions {
 pub const DEFAULT_FUSION_THRESHOLD: usize = 25_000;
 
 /// Knobs of the general cross-operator fusion pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FusionPolicy {
-    /// Fuse eligible chains into `FusedMap` / `FusedFilterAgg` steps.
-    /// Defaults to off: default plans, traces and goldens are
-    /// unchanged until a caller opts in.
-    pub enabled: bool,
-    /// Row count above which the fused single-pass kernel dispatches;
-    /// at or below it the composed (unfused) realisation runs instead.
-    /// Both paths are bit-equal, so this is purely a performance knob.
-    pub threshold: usize,
-}
-
-impl Default for FusionPolicy {
-    fn default() -> Self {
-        FusionPolicy {
-            enabled: false,
-            threshold: DEFAULT_FUSION_THRESHOLD,
-        }
-    }
+    /// `None` (the default) leaves the pass off: default plans, traces
+    /// and goldens are unchanged until a caller opts in. `Some(t)` fuses
+    /// eligible chains into `FusedMap` / `FusedFilterAgg` steps whose
+    /// single-pass kernel dispatches above `t` rows; at or below it the
+    /// composed (unfused) realisation runs instead. Both paths are
+    /// bit-equal, so `t` is purely a performance knob.
+    pub threshold: Option<usize>,
 }
 
 impl FusionPolicy {
     /// Fusion on, with the calibrated default threshold.
     pub fn on() -> Self {
         FusionPolicy {
-            enabled: true,
-            ..FusionPolicy::default()
+            threshold: Some(DEFAULT_FUSION_THRESHOLD),
         }
     }
 }
@@ -289,10 +264,20 @@ impl RewriteCert {
     }
 }
 
-/// Run every rewrite pass in order: predicate pushdown, then projection
-/// pruning.
+/// A rewrite pass: the tree in, the rewritten tree out.
+type Pass = fn(&LogicalPlan) -> LogicalPlan;
+
+/// The rewrite passes, in the order [`optimize`] and [`optimize_traced`]
+/// run them; each name is also its certificate's rule id.
+const PASSES: [(&str, Pass); 2] = [
+    ("predicate_pushdown", predicate_pushdown),
+    ("projection_pruning", projection_pruning),
+];
+
+/// Run every rewrite pass in `PASSES` order.
 pub fn optimize(plan: &LogicalPlan) -> LogicalPlan {
-    projection_pruning(&predicate_pushdown(plan))
+    let [(_, first), rest @ ..] = &PASSES;
+    rest.iter().fold(first(plan), |tree, (_, pass)| pass(&tree))
 }
 
 /// [`optimize`], returning the rendered tree after each pass for
@@ -303,27 +288,21 @@ pub fn optimize_traced(plan: &LogicalPlan) -> (LogicalPlan, Vec<PassTrace>) {
         plan: plan.render(),
         cert: None,
     }];
-    let pushed = predicate_pushdown(plan);
-    traces.push(PassTrace {
-        pass: "predicate_pushdown",
-        plan: pushed.render(),
-        cert: Some(RewriteCert::Rewrite {
-            rule: "predicate_pushdown",
-            before: plan.clone(),
-            after: pushed.clone(),
-        }),
-    });
-    let pruned = projection_pruning(&pushed);
-    traces.push(PassTrace {
-        pass: "projection_pruning",
-        plan: pruned.render(),
-        cert: Some(RewriteCert::Rewrite {
-            rule: "projection_pruning",
-            before: pushed.clone(),
-            after: pruned.clone(),
-        }),
-    });
-    (pruned, traces)
+    let mut tree = plan.clone();
+    for (rule, pass) in PASSES {
+        let after = pass(&tree);
+        traces.push(PassTrace {
+            pass: rule,
+            plan: after.render(),
+            cert: Some(RewriteCert::Rewrite {
+                rule,
+                before: tree,
+                after: after.clone(),
+            }),
+        });
+        tree = after;
+    }
+    (tree, traces)
 }
 
 /// Sink filter conjuncts as close to their scans as possible.
@@ -657,23 +636,11 @@ fn plan_impl(
     // Fused-vs-composed is a pure dispatch knob (both realisations are
     // bit-equal), so the costed planner owns the decision outright: one
     // candidate runs the fusion pass with the threshold pinned to
-    // always-fused, the other disables the pass entirely.
+    // always-fused, the other leaves the pass off.
     let dispatches = if model.is_some() {
         vec![
-            (
-                "fused",
-                FusionPolicy {
-                    enabled: true,
-                    threshold: 0,
-                },
-            ),
-            (
-                "composed",
-                FusionPolicy {
-                    enabled: false,
-                    threshold: usize::MAX,
-                },
-            ),
+            ("fused", FusionPolicy { threshold: Some(0) }),
+            ("composed", FusionPolicy::default()),
         ]
     } else {
         vec![("default", opts.fusion)]
@@ -690,14 +657,7 @@ fn plan_impl(
     let mut alternatives = Vec::new();
     for &algo in &algos {
         for &(tag, dispatch) in &dispatches {
-            let (plan, certs) = lower_collect(
-                query,
-                &optimized,
-                backend,
-                opts.fuse_fast_paths,
-                dispatch,
-                algo,
-            )?;
+            let (plan, certs) = lower_collect(query, &optimized, backend, dispatch, algo)?;
             let report = model.as_ref().map(|m| m.cost_plan(&plan));
             let total = report.as_ref().map_or(0, CostReport::cold_ns);
             if let Some(r) = &report {
@@ -707,7 +667,6 @@ fn plan_impl(
                         None => format!("dispatch={tag}"),
                     },
                     cold_ns: total,
-                    steady_ns: r.total_ns(CacheState::Steady),
                     warm_ns: r.warm_ns(),
                     chosen: false,
                 });
@@ -790,26 +749,23 @@ pub fn plan_with_algo(
         )));
     }
     let optimized = optimize(logical);
-    let (fuse, fusion) = (opts.fuse_fast_paths, opts.fusion);
-    lower_collect(query, &optimized, backend, fuse, fusion, Some(algo)).map(|(plan, _)| plan)
+    lower_collect(query, &optimized, backend, opts.fusion, Some(algo)).map(|(plan, _)| plan)
 }
 
 /// Lower `optimized` for `backend` with `join_algo` already selected and
-/// the fast paths / fusion policy fixed — one planning candidate. Also
+/// the fusion policy fixed — one planning candidate. Also
 /// returns the [`RewriteCert`]s the lowering emitted (one per fused
 /// kernel, in emission order).
 fn lower_collect(
     query: &str,
     optimized: &LogicalPlan,
     backend: &dyn GpuBackend,
-    fuse: bool,
     fusion: FusionPolicy,
     join_algo: Option<JoinAlgo>,
 ) -> Result<(PhysicalPlan, Vec<RewriteCert>)> {
     let mut lw = Lowerer {
         backend,
-        fuse,
-        fusion,
+        fusion: fusion.threshold,
         join_algo,
         fused: false,
         steps: Vec::new(),
@@ -1010,8 +966,8 @@ impl ExprCtx {
 
 struct Lowerer<'a> {
     backend: &'a dyn GpuBackend,
-    fuse: bool,
-    fusion: FusionPolicy,
+    /// [`FusionPolicy::threshold`]: `None` leaves the fusion pass off.
+    fusion: Option<usize>,
     join_algo: Option<JoinAlgo>,
     fused: bool,
     steps: Vec<Step>,
@@ -1197,9 +1153,9 @@ impl Lowerer<'_> {
     /// [`Self::build_fused`] over the scan's columns. With the fusion
     /// pass on, each aggregate becomes one [`Step::FusedFilterAgg`] —
     /// any mask/affine/product expression, any number of aggregates.
-    /// With it off and the fast paths on, the Q6 shape — exactly one
-    /// `SUM(col · col)` — becomes the [`Step::FilterSumProduct`] fast
-    /// path, read off the same candidate.
+    /// With it off, the Q6 shape — exactly one `SUM(col · col)` —
+    /// becomes the [`Step::FilterSumProduct`] fast path, read off the
+    /// same candidate.
     ///
     /// Everything is validated before anything is emitted, so an
     /// ineligible shape falls back to the normal path untouched.
@@ -1216,14 +1172,16 @@ impl Lowerer<'_> {
             return Ok(None);
         };
         let fast_path_cols = match aggs {
-            [(_, AggExpr::Sum(Expr::Mul(a, b)))] if self.fuse => match (a.as_ref(), b.as_ref()) {
-                (Expr::Col(a), Expr::Col(b)) => Some([a, b]),
-                _ => None,
-            },
+            [(_, AggExpr::Sum(Expr::Mul(a, b)))] if self.fusion.is_none() => {
+                match (a.as_ref(), b.as_ref()) {
+                    (Expr::Col(a), Expr::Col(b)) => Some([a, b]),
+                    _ => None,
+                }
+            }
             _ => None,
         };
         if !matches!(scan.as_ref(), LogicalPlan::Scan { .. })
-            || !(self.fusion.enabled || fast_path_cols.is_some())
+            || !(self.fusion.is_some() || fast_path_cols.is_some())
         {
             return Ok(None);
         }
@@ -1283,7 +1241,7 @@ impl Lowerer<'_> {
             self.backend.realization(DbOperator::Selection),
             self.backend.realization(DbOperator::Reduction)
         );
-        if !self.fusion.enabled {
+        let Some(threshold) = self.fusion else {
             let [(name, fin, preds, FusedExpr::Mul(a, b), e)] = built.as_slice() else {
                 return Ok(None);
             };
@@ -1309,9 +1267,8 @@ impl Lowerer<'_> {
             let (a, b) = (fin.cols[*a].clone(), fin.cols[*b].clone());
             self.emit(Step::FilterSumProduct { a, b, preds, out }, how);
             return Ok(Some(vec![(name.to_string(), out)]));
-        }
+        };
         self.fused = true;
-        let threshold = self.fusion.threshold;
         let mut outs = Vec::new();
         for (name, fin, preds, expr, e) in built {
             let out = self.new_slot(name, SlotKind::Scalar);
@@ -1451,17 +1408,23 @@ impl Lowerer<'_> {
         scope: &Scope,
         ctx: &mut ExprCtx,
     ) -> Result<Val<ColRef>> {
-        if self.fusion.enabled {
+        if let Some(threshold) = self.fusion {
             if let Some(p) = self.fusable_ops(e, scope, ctx) {
                 if !p.konst && p.ops >= 2 {
-                    return self.emit_fused_map(e, scope, ctx).map(Val::Ref);
+                    return self.emit_fused_map(e, threshold, scope, ctx).map(Val::Ref);
                 }
             }
         }
         self.lower_expr(e, scope, ctx)
     }
 
-    fn emit_fused_map(&mut self, whole: &Expr, scope: &Scope, ctx: &mut ExprCtx) -> Result<ColRef> {
+    fn emit_fused_map(
+        &mut self,
+        whole: &Expr,
+        threshold: usize,
+        scope: &Scope,
+        ctx: &mut ExprCtx,
+    ) -> Result<ColRef> {
         let mut fin = FusedInputs::default();
         let Val::Ref(expr) = self.build_fused(whole, scope, ctx, &mut fin)? else {
             unreachable!("the fusion probe rejects constant expressions")
@@ -1472,7 +1435,6 @@ impl Lowerer<'_> {
             preds: Vec::new(),
             expr: whole.clone(),
         });
-        let threshold = self.fusion.threshold;
         let inputs = fin.cols;
         let r = self.emit_expr_slot(
             "fused",
@@ -2259,16 +2221,22 @@ mod tests {
         );
         assert!(matches!(p.steps()[0], Step::FilterSumProduct { .. }));
 
-        let unfused = plan_with(
-            "Unfused",
-            &q6ish(),
-            b,
-            &PlannerOptions {
-                fuse_fast_paths: false,
-                ..PlannerOptions::default()
-            },
-        )
-        .unwrap();
+        // A second aggregate leaves the Q6 shape: the composed chain.
+        let LogicalPlan::Aggregate {
+            input,
+            group_by,
+            mut aggs,
+        } = q6ish()
+        else {
+            unreachable!("q6ish ends in an Aggregate")
+        };
+        aggs.push(("price".into(), AggExpr::Sum(Expr::col("t.price"))));
+        let two_sums = LogicalPlan::Aggregate {
+            input,
+            group_by,
+            aggs,
+        };
+        let unfused = plan("Unfused", &two_sums, b).unwrap();
         assert!(
             unfused.explain().contains("fast paths: off"),
             "{}",
@@ -2293,13 +2261,11 @@ mod tests {
                 .bind("t.price", &cp)
                 .bind("t.disc", &cd)
                 .bind("t.qty", &cq);
-            for opts in [
-                PlannerOptions::default(),
-                PlannerOptions {
-                    fuse_fast_paths: false,
+            for threshold in [None, Some(0), Some(usize::MAX)] {
+                let opts = PlannerOptions {
+                    fusion: FusionPolicy { threshold },
                     ..PlannerOptions::default()
-                },
-            ] {
+                };
                 let p = plan_with("Q6ish", &q6ish(), b.as_ref(), &opts).unwrap();
                 let out = p.execute(b.as_ref(), &binds).unwrap();
                 let got = out.scalar("revenue").unwrap();
@@ -2377,8 +2343,7 @@ mod tests {
             for threshold in [0, usize::MAX] {
                 let opts = PlannerOptions {
                     fusion: FusionPolicy {
-                        enabled: true,
-                        threshold,
+                        threshold: Some(threshold),
                     },
                     ..PlannerOptions::default()
                 };
@@ -2442,8 +2407,7 @@ mod tests {
             for threshold in [0, usize::MAX] {
                 let opts = PlannerOptions {
                     fusion: FusionPolicy {
-                        enabled: true,
-                        threshold,
+                        threshold: Some(threshold),
                     },
                     ..PlannerOptions::default()
                 };
@@ -2483,8 +2447,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(with_default.explain(), explicit.explain());
-        assert!(!FusionPolicy::default().enabled);
-        assert_eq!(FusionPolicy::default().threshold, DEFAULT_FUSION_THRESHOLD);
+        assert_eq!(FusionPolicy::default().threshold, None);
+        assert_eq!(FusionPolicy::on().threshold, Some(DEFAULT_FUSION_THRESHOLD));
     }
 
     #[test]

@@ -803,11 +803,7 @@ impl PhysicalPlan {
                     let _ = writeln!(
                         out,
                         "{line:<75} ~{{rows={}, r={} B, w={} B, cold={} ns, warm={} ns}}",
-                        sc.rows_out,
-                        sc.bytes_read,
-                        sc.bytes_written,
-                        sc.total_ns(crate::costing::CacheState::Cold),
-                        sc.total_ns(crate::costing::CacheState::Warm)
+                        sc.rows_out, sc.bytes_read, sc.bytes_written, sc.cold_ns, sc.warm_ns
                     );
                 }
                 None => {

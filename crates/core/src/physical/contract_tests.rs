@@ -106,34 +106,27 @@ fn t_scan() -> LogicalPlan {
     )
 }
 
-/// `SUM(a * b) WHERE x < 60 AND a < 0.9`: the Q6 shape.
-fn q6_shape() -> LogicalPlan {
+/// `SUM(a * b), … WHERE x < 60 AND a < 0.9`: the Q6 shape when `aggs`
+/// is exactly `SUM(a * b)`.
+fn q6_shape(aggs: Vec<(&str, AggExpr)>) -> LogicalPlan {
     t_scan()
         .filter(Predicate::And(vec![
             Predicate::cmp("t.x", CmpOp::Lt, 60.0),
             Predicate::cmp("t.a", CmpOp::Lt, 0.9),
         ]))
-        .aggregate(
-            None,
-            vec![("s", AggExpr::Sum(Expr::col("t.a") * Expr::col("t.b")))],
-        )
+        .aggregate(None, aggs)
 }
 
 /// Join-free logical plans, each with the options it is compiled under.
 fn scan_plans() -> Vec<(&'static str, LogicalPlan, PlannerOptions)> {
     let heuristic = PlannerOptions::default;
-    let unfused = || PlannerOptions {
-        fuse_fast_paths: false,
-        ..PlannerOptions::default()
-    };
     let fusion = |threshold| PlannerOptions {
-        fuse_fast_paths: false,
         fusion: FusionPolicy {
-            enabled: true,
-            threshold,
+            threshold: Some(threshold),
         },
         costing: None,
     };
+    let dot = || AggExpr::Sum(Expr::col("t.a") * Expr::col("t.b"));
     let discounted = || Expr::col("t.a") * (Expr::lit(1.0) - Expr::lit(0.5) * Expr::col("t.b"));
     let grouped_fused = || {
         t_scan()
@@ -146,8 +139,12 @@ fn scan_plans() -> Vec<(&'static str, LogicalPlan, PlannerOptions)> {
             .aggregate(None, vec![("s", AggExpr::Sum(discounted()))])
     };
     vec![
-        ("fast path", q6_shape(), heuristic()),
-        ("composed", q6_shape(), unfused()),
+        ("fast path", q6_shape(vec![("s", dot())]), heuristic()),
+        (
+            "composed",
+            q6_shape(vec![("s", dot()), ("a", AggExpr::Sum(Expr::col("t.a")))]),
+            heuristic(),
+        ),
         ("fused filter-agg", fused_scalar(), fusion(0)),
         ("composed filter-agg", fused_scalar(), fusion(usize::MAX)),
         ("fused map", grouped_fused(), fusion(0)),
@@ -183,12 +180,12 @@ fn scan_plans() -> Vec<(&'static str, LogicalPlan, PlannerOptions)> {
         (
             "top-k",
             grouped_fused().sort_limit(ResultOrder::ValueDescKeyAsc, Some(2)),
-            unfused(),
+            heuristic(),
         ),
         (
             "key-ordered limit",
             grouped_fused().sort_limit(ResultOrder::KeyAsc, Some(3)),
-            unfused(),
+            heuristic(),
         ),
     ]
 }

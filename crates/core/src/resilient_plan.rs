@@ -71,7 +71,7 @@ use crate::physical::{
     ColRef, PhysicalPlan, PlanBindings, PlanOutput, PlanValue, RowShape, SlotKind, SlotVal, Step,
     StepRead,
 };
-use crate::resilient::{backoff, retry_with_policy, RetryPolicy};
+use crate::resilient::{retry_with_policy, RetryPolicy};
 use gpu_sim::{Recovery, Result, SimDuration, SimError};
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -239,16 +239,11 @@ pub struct RecoveryEvent {
 }
 
 /// Host-side journal of one recovered plan execution, consumed by the
-/// GL5xx gpu-lint rules (checkpoint-after-free, retry-without-backoff).
+/// GL5xx gpu-lint rule (checkpoint-after-free).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryLog {
     /// The executed query.
     pub query: String,
-    /// The retry ceiling the execution ran under.
-    pub max_retries: u32,
-    /// Total backoff the policy could charge across all retries of one
-    /// step, in simulated nanoseconds.
-    pub backoff_budget_ns: u64,
     /// The event journal, in order.
     pub events: Vec<RecoveryEvent>,
 }
@@ -771,14 +766,8 @@ impl ResilientPlanExecutor {
     }
 
     fn record(&self, query: &str, events: Vec<RecoveryEvent>) {
-        let max_retries = self.recovery.retry.max_retries;
-        let budget = (0..max_retries).fold(0u64, |sum, attempt| {
-            sum.saturating_add(backoff(attempt).as_nanos())
-        });
         *self.last_log.borrow_mut() = Some(RecoveryLog {
             query: query.to_string(),
-            max_retries,
-            backoff_budget_ns: budget,
             events,
         });
     }
@@ -1171,7 +1160,6 @@ mod tests {
             .filter(|e| matches!(e.kind, RecoveryEventKind::Retry { .. }))
             .count() as u64;
         assert_eq!(logged_retries, stats.retries);
-        assert!(log.backoff_budget_ns > 0);
         // Same seed, fresh device: the whole recovery replays bit for bit.
         let (out2, stats2, trace2, _) = run(0xBEEF);
         assert_eq!(out2, out);

@@ -110,9 +110,6 @@ rules! {
     /// GL501 — recovery checkpoint of a slot freed earlier in the same
     /// execution attempt: a resume would replay recycled memory.
     CheckpointAfterFree = "GL501" Error,
-    /// GL502 — retry policy allows retries but budgets zero backoff
-    /// (an immediate retry storm under persistent transients).
-    RetryWithoutBackoff = "GL502" Warning,
     /// GL601 — a costed plan's estimated peak device bytes exceed the
     /// declared memory budget: partitioned execution will engage.
     CostExceedsMemBudget = "GL601" Warning,

@@ -8,11 +8,6 @@
 //!   checkpoint defines the slot, `Freed` frees it, and a checkpoint of a
 //!   freed slot is a use after free; `AttemptStart` resets the walk (a
 //!   replay or partition chunk re-checkpoints what the last one freed).
-//! * **GL502** — a retry policy with `max_retries > 0` but a zero
-//!   backoff budget (warning): every retry fires immediately, so a
-//!   persistent transient (a flapping link, a thrashing allocator)
-//!   becomes a retry storm that burns the whole fault window without
-//!   ever giving the device time to recover.
 //!
 //! Diagnostic spans hold *event indices* into the log.
 
@@ -24,19 +19,6 @@ use proto_core::resilient_plan::{RecoveryEventKind, RecoveryLog};
 /// `log.events`.
 pub(crate) fn lint_recovery(log: &RecoveryLog) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-
-    if log.max_retries > 0 && log.backoff_budget_ns == 0 {
-        diags.push(Diagnostic::new(
-            Rule::RetryWithoutBackoff,
-            vec![],
-            format!(
-                "retry policy allows {} retries with a zero backoff budget: \
-                 a persistent transient becomes an immediate retry storm",
-                log.max_retries
-            ),
-        ));
-    }
-
     let mut slots: Liveness<usize> = Liveness::new();
     for (i, ev) in log.events.iter().enumerate() {
         match ev.kind {
@@ -78,28 +60,22 @@ mod tests {
         RecoveryEvent { step, kind }
     }
 
-    fn log(max_retries: u32, backoff_budget_ns: u64, events: Vec<RecoveryEvent>) -> RecoveryLog {
+    fn log(events: Vec<RecoveryEvent>) -> RecoveryLog {
         RecoveryLog {
             query: "Q".into(),
-            max_retries,
-            backoff_budget_ns,
             events,
         }
     }
 
     fn healthy() -> RecoveryLog {
-        log(
-            8,
-            50_000,
-            vec![
-                ev(0, AttemptStart),
-                ev(0, Checkpoint { slot: 0 }),
-                ev(1, RecoveryEventKind::Retry { backoff_ns: 50 }),
-                ev(1, Checkpoint { slot: 1 }),
-                ev(2, Freed { slot: 0 }),
-                ev(3, Checkpoint { slot: 2 }),
-            ],
-        )
+        log(vec![
+            ev(0, AttemptStart),
+            ev(0, Checkpoint { slot: 0 }),
+            ev(1, RecoveryEventKind::Retry { backoff_ns: 50 }),
+            ev(1, Checkpoint { slot: 1 }),
+            ev(2, Freed { slot: 0 }),
+            ev(3, Checkpoint { slot: 2 }),
+        ])
     }
 
     #[test]
@@ -137,28 +113,14 @@ mod tests {
 
     #[test]
     fn partition_chunks_reuse_slots_without_firing() {
-        let t = log(
-            0,
-            0,
-            vec![
-                ev(0, RecoveryEventKind::Partition { parts: 4 }),
-                ev(0, AttemptStart),
-                ev(0, Checkpoint { slot: 0 }),
-                ev(1, Freed { slot: 0 }),
-                ev(0, AttemptStart),
-                ev(0, Checkpoint { slot: 0 }),
-            ],
-        );
+        let t = log(vec![
+            ev(0, RecoveryEventKind::Partition { parts: 4 }),
+            ev(0, AttemptStart),
+            ev(0, Checkpoint { slot: 0 }),
+            ev(1, Freed { slot: 0 }),
+            ev(0, AttemptStart),
+            ev(0, Checkpoint { slot: 0 }),
+        ]);
         assert!(lint_recovery(&t).is_empty());
-    }
-
-    #[test]
-    fn retries_without_backoff_budget_warn() {
-        let diags = lint_recovery(&log(8, 0, vec![]));
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].rule, Rule::RetryWithoutBackoff);
-        assert_eq!(diags[0].severity(), Severity::Warning);
-        // No retries at all is fine without a budget.
-        assert!(lint_recovery(&log(0, 0, vec![])).is_empty());
     }
 }

@@ -168,10 +168,8 @@ fn the_options_fusion_threshold_is_the_fused_steps_threshold() {
     let logical = q6::logical_plan();
     for threshold in [0, 7, 12_345] {
         let opts = PlannerOptions {
-            fuse_fast_paths: false,
             fusion: FusionPolicy {
-                enabled: true,
-                threshold,
+                threshold: Some(threshold),
             },
             ..PlannerOptions::default()
         };

@@ -13,7 +13,8 @@ use proto_core::prelude::*;
 use tpch::queries::{q1, q3, q6};
 
 /// Build the full golden document: every pass trace for both queries,
-/// then the three physical listings.
+/// then the three physical listings (Q1, Q6 on the fast path, Q6 under
+/// general fusion).
 fn snapshot() -> String {
     let mut doc = String::new();
     for (q, plan) in [("Q1", q1::logical_plan()), ("Q6", q6::logical_plan())] {
@@ -32,13 +33,13 @@ fn snapshot() -> String {
         q6_fused.explain()
     ));
     let opts = PlannerOptions {
-        fuse_fast_paths: false,
+        fusion: FusionPolicy::on(),
         ..PlannerOptions::default()
     };
-    let q6_unfused = optimizer::plan_with("Q6", &q6::logical_plan(), b, &opts).unwrap();
+    let q6_general = optimizer::plan_with("Q6", &q6::logical_plan(), b, &opts).unwrap();
     doc.push_str(&format!(
-        "==== Q6 explain unfused ====\n{}",
-        q6_unfused.explain()
+        "==== Q6 explain general fusion ====\n{}",
+        q6_general.explain()
     ));
     doc
 }
@@ -151,17 +152,20 @@ fn q1_and_q6_are_fixpoints_of_the_rewrite_passes() {
 }
 
 #[test]
-fn the_fused_and_unfused_q6_listings_differ_only_in_strategy() {
+fn the_fast_path_and_general_fusion_q6_listings_differ_only_in_strategy() {
     let fw = Framework::single_backend(&DeviceSpec::gtx1080(), "Thrust");
     let b = fw.as_ref();
-    let fused = optimizer::plan("Q6", &q6::logical_plan(), b).unwrap();
+    let fast = optimizer::plan("Q6", &q6::logical_plan(), b).unwrap();
     let opts = PlannerOptions {
-        fuse_fast_paths: false,
+        fusion: FusionPolicy::on(),
         ..PlannerOptions::default()
     };
-    let unfused = optimizer::plan_with("Q6", &q6::logical_plan(), b, &opts).unwrap();
-    assert!(fused.explain().contains("fast paths: on"));
-    assert!(fused.explain().contains("filter_sum_product"));
-    assert!(unfused.explain().contains("fast paths: off"));
-    assert!(!unfused.explain().contains("filter_sum_product"));
+    let general = optimizer::plan_with("Q6", &q6::logical_plan(), b, &opts).unwrap();
+    for plan in [&fast, &general] {
+        assert!(plan.explain().contains("fast paths: on"));
+        assert_eq!(plan.steps().len(), 1, "{}", plan.explain());
+    }
+    assert!(fast.explain().contains("filter_sum_product"));
+    assert!(!general.explain().contains("filter_sum_product"));
+    assert!(general.explain().contains("fused_filter_agg"));
 }
