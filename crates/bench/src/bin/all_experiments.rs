@@ -9,52 +9,8 @@
 //! one line on stderr and exit code 2 before anything runs. It writes
 //! nothing but the `--csv` files.
 
-use std::path::PathBuf;
-
-/// What the command line asks for.
-struct Args {
-    jobs: Option<usize>,
-    csv: Option<PathBuf>,
-}
-
-/// `[--jobs N | -j N] [--csv DIR]`; the message names what is wrong.
-fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Args, String> {
-    let mut parsed = Args {
-        jobs: None,
-        csv: None,
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--jobs" | "-j" => {
-                let value = args.next().unwrap_or_default();
-                match value.trim().parse::<usize>() {
-                    Ok(jobs) if jobs > 0 => parsed.jobs = Some(jobs),
-                    _ => {
-                        return Err(format!(
-                            "bad {arg} value `{value}` (expected a positive integer)"
-                        ))
-                    }
-                }
-            }
-            "--csv" => match args.next() {
-                Some(dir) if !dir.is_empty() => parsed.csv = Some(PathBuf::from(dir)),
-                _ => return Err("--csv needs a directory".into()),
-            },
-            _ => {
-                return Err(format!(
-                    "unknown argument `{arg}` (usage: all_experiments [--jobs N] [--csv DIR])"
-                ))
-            }
-        }
-    }
-    Ok(parsed)
-}
-
 fn main() {
-    let args = parse_args(std::env::args().skip(1)).unwrap_or_else(|msg| {
-        eprintln!("{msg}");
-        std::process::exit(2);
-    });
+    let args = bench::report::parse_args("all_experiments", &["--jobs", "--csv"]);
     let jobs = args
         .jobs
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));

@@ -9,6 +9,7 @@ use proto_core::framework::Framework;
 use proto_core::runner::{fmt_duration, Experiment};
 
 fn main() {
+    bench::report::parse_args("fig_device_sensitivity", &[]);
     let presets = [
         gpu_sim::DeviceSpec::integrated(),
         gpu_sim::DeviceSpec::gtx1080(),

@@ -1,9 +1,10 @@
 //! E17 — Q6 throughput degradation vs. injected transient-fault rate,
 //! per backend and data size, with resilient (retry + backoff) execution.
+//! `--csv DIR` also writes `E17.csv` and `E17b.csv`.
 use bench::grid::GridConfig;
 
 fn main() {
-    let csv = bench::report::csv_dir_from_args();
+    let csv = bench::report::parse_args("fig_fault_resilience", &["--csv"]).csv;
     let fw = bench::paper_framework();
     for (suffix, sf) in [("", 0.01), ("b", 0.05)] {
         let cfg = GridConfig {

@@ -1,5 +1,7 @@
 //! E15 — kernel launches per operator call, the quantified Table II.
+//! `--csv DIR` also writes `E15.csv`.
 fn main() {
+    let csv = bench::report::parse_args("fig_launch_anatomy", &["--csv"]).csv;
     let fw = bench::paper_framework();
     let exp = bench::experiments::run_serial("E15", &fw, &Default::default()).remove(0);
     // The interesting columns here are launches, not time; print both.
@@ -31,5 +33,5 @@ fn main() {
         }
         println!();
     }
-    bench::report::write_csv(&exp, bench::report::csv_dir_from_args().as_deref()).unwrap();
+    bench::report::write_csv(&exp, csv.as_deref()).unwrap();
 }

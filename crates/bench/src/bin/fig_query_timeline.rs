@@ -3,6 +3,7 @@
 //! goes (kernels vs. JIT vs. allocations).
 
 fn main() {
+    bench::report::parse_args("fig_query_timeline", &[]);
     let db = tpch::generate(0.005);
     let fw = bench::paper_framework();
     for b in fw.backends() {

@@ -7,10 +7,11 @@
 //! ```
 //!
 //! With no experiment ids, lints the full grid (see
-//! `bench::traced::EXPERIMENTS`) plus the Program, TPC-H
-//! physical-query-plan (GL4xx), costed-plan memory-estimate (GL6xx),
-//! fault-recovery timeline (GL5xx), and planner translation-validation
-//! (GL7xx: every query × every planner mode × every backend) targets.
+//! `bench::traced::EXPERIMENTS`) plus the Program targets and one plan
+//! target per TPC-H query × planner mode × backend, each checked once
+//! against the plan families: slot lifetimes and operand shapes
+//! (GL4xx), the costed memory estimate (GL6xx) and translation
+//! validation (GL7xx).
 //! Exits nonzero if any `Severity::Error` diagnostic fires — or any
 //! warning, under `--deny-warnings`. `--timeline` prints an annotated
 //! timeline for every unclean trace; `--dump` prints every event of
@@ -139,9 +140,6 @@ fn main() {
     }
     if wanted.is_empty() {
         reports.extend(program_reports());
-        reports.extend(bench::plan_lint::query_plan_reports());
-        reports.extend(bench::plan_lint::costed_plan_reports());
-        reports.extend(bench::plan_lint::recovery_reports());
         reports.extend(bench::plan_lint::translation_reports());
     }
 

@@ -1,7 +1,68 @@
-//! Output plumbing for the experiment binaries.
+//! Command-line and output plumbing for the experiment binaries.
 
 use proto_core::runner::Experiment;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+
+/// What an experiment binary's command line asks for.
+#[derive(Debug)]
+pub struct Args {
+    /// `--jobs N` (`-j N`): how many grid workers to run.
+    pub jobs: Option<usize>,
+    /// `--csv DIR`: where to write one `<id>.csv` per experiment.
+    pub csv: Option<PathBuf>,
+}
+
+/// Report a bad command line on one stderr line and exit with code 2.
+fn reject(msg: String) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
+/// Parse `bin`'s command line, which takes the flags in `takes` —
+/// `"--jobs"` (also spelled `-j`) and `"--csv"` — and nothing else. Any
+/// other argument, or a flag without a good value, is one line on stderr
+/// and exit code 2 before anything runs.
+pub fn parse_args(bin: &str, takes: &[&str]) -> Args {
+    let mut parsed = Args {
+        jobs: None,
+        csv: None,
+    };
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let flag = if arg == "-j" { "--jobs" } else { arg.as_str() };
+        match flag {
+            "--jobs" if takes.contains(&flag) => {
+                let value = args.next().unwrap_or_default();
+                match value.trim().parse::<usize>() {
+                    Ok(jobs) if jobs > 0 => parsed.jobs = Some(jobs),
+                    _ => reject(format!(
+                        "bad {arg} value `{value}` (expected a positive integer)"
+                    )),
+                }
+            }
+            "--csv" if takes.contains(&flag) => match args.next() {
+                Some(dir) if !dir.is_empty() && !dir.starts_with('-') => {
+                    parsed.csv = Some(PathBuf::from(dir))
+                }
+                _ => reject("--csv needs a directory".into()),
+            },
+            _ => {
+                let usage: String = takes
+                    .iter()
+                    .map(|&f| {
+                        if f == "--jobs" {
+                            " [--jobs N]"
+                        } else {
+                            " [--csv DIR]"
+                        }
+                    })
+                    .collect();
+                reject(format!("unknown argument `{arg}` (usage: {bin}{usage})"))
+            }
+        }
+    }
+    parsed
+}
 
 /// Write `<id>.csv` into `csv_dir` (created on demand) when it is set.
 pub fn write_csv(exp: &Experiment, csv_dir: Option<&Path>) -> std::io::Result<()> {
@@ -10,15 +71,6 @@ pub fn write_csv(exp: &Experiment, csv_dir: Option<&Path>) -> std::io::Result<()
         std::fs::write(dir.join(format!("{}.csv", exp.id)), exp.to_csv())?;
     }
     Ok(())
-}
-
-/// Parse the common `--csv DIR` flag from binary arguments.
-pub fn csv_dir_from_args() -> Option<std::path::PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--csv")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from)
 }
 
 #[cfg(test)]

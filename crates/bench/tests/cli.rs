@@ -30,25 +30,56 @@ fn a_malformed_job_count_is_rejected() {
 
 #[test]
 fn an_argument_all_experiments_does_not_take_is_rejected() {
-    // Run in an empty directory: a rejected run writes nothing.
-    let dir = std::env::temp_dir().join(format!("all_experiments_cli_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let cases: [(&[&str], &str); 6] = [
+    let cases: [(&[&str], &str); 7] = [
         (&["--help"], "unknown argument `--help`"),
         (&["-h"], "unknown argument `-h`"),
         (&["--only", "E10"], "unknown argument `--only`"),
         (&["--jobs", "2", "extra"], "unknown argument `extra`"),
         (&["--csv"], "--csv needs a directory"),
         (&["--csv", ""], "--csv needs a directory"),
+        (&["--csv", "--jobs"], "--csv needs a directory"),
     ];
+    assert_all_rejected(env!("CARGO_BIN_EXE_all_experiments"), &cases);
+}
+
+/// Run `bin` with each case's arguments in an empty directory: each is
+/// rejected with its needle, and a rejected run writes nothing.
+fn assert_all_rejected(bin: &str, cases: &[(&[&str], &str)]) {
+    let name = std::path::Path::new(bin).file_stem().unwrap();
+    let dir = std::env::temp_dir().join(format!(
+        "{}_cli_{}",
+        name.to_string_lossy(),
+        std::process::id()
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
     for (args, needle) in cases {
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_all_experiments"));
-        cmd.args(args).current_dir(&dir);
+        let mut cmd = Command::new(bin);
+        cmd.args(*args).current_dir(&dir);
         assert_rejected(cmd, needle);
     }
     let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
     assert!(left.is_empty(), "a rejected run wrote {left:?}");
     std::fs::remove_dir(&dir).unwrap();
+}
+
+#[test]
+fn an_argument_a_fig_binary_does_not_take_is_rejected() {
+    let csv_cases: [(&[&str], &str); 5] = [
+        (&["--csv"], "--csv needs a directory"),
+        (&["--csv", "--foo"], "--csv needs a directory"),
+        (&["--foo"], "unknown argument `--foo`"),
+        (&["--jobs", "2"], "unknown argument `--jobs`"),
+        (&["--csv", "out", "extra"], "unknown argument `extra`"),
+    ];
+    assert_all_rejected(env!("CARGO_BIN_EXE_fig_fault_resilience"), &csv_cases);
+    assert_all_rejected(env!("CARGO_BIN_EXE_fig_launch_anatomy"), &csv_cases);
+    let bare_cases: [(&[&str], &str); 3] = [
+        (&["--csv", "out"], "unknown argument `--csv`"),
+        (&["-h"], "unknown argument `-h`"),
+        (&["extra"], "unknown argument `extra`"),
+    ];
+    assert_all_rejected(env!("CARGO_BIN_EXE_fig_device_sensitivity"), &bare_cases);
+    assert_all_rejected(env!("CARGO_BIN_EXE_fig_query_timeline"), &bare_cases);
 }
 
 #[test]

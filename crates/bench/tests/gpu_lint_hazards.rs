@@ -1,8 +1,7 @@
 //! Hazard-injection property tests for `gpu-lint`.
 //!
 //! Each test starts from a *real* captured experiment trace (or a
-//! really-compiled Program, query plan or recovery log), verifies it is
-//! clean, then
+//! really-compiled Program or query plan), verifies it is clean, then
 //! uses a seeded mutator to inject one hazard of a known class and
 //! asserts the analyzer flags exactly that rule, anchored on the
 //! injected events. Running every class across several seeds moves the
@@ -406,7 +405,6 @@ fn injected_dead_leaf_and_depth_overflow_are_flagged() {
 use gpu_lint::PhysView;
 use proto_core::backend::ColType;
 use proto_core::physical::SlotKind;
-use proto_core::resilient_plan::{RecoveryEvent, RecoveryEventKind, RecoveryLog};
 
 /// A real compiled TPC-H plan's view: Q5 on the handwritten backend —
 /// the largest plan (four joins, 37 slots), so seeded injection sites
@@ -600,6 +598,26 @@ fn injected_plan_use_after_free_is_flagged() {
         view.steps.push(view.steps[victim].clone());
         assert_plan_flags(&view, Rule::PlanUseAfterFree, view.steps.len() - 1);
 
+        // Premature free: release the device slot feeding a seed-picked
+        // output download immediately before the download runs.
+        let mut view = base.clone();
+        let out_slots: Vec<usize> = view.outputs.iter().map(|(_, s)| *s).collect();
+        let downloads: Vec<(usize, usize)> = view
+            .steps
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.writes().any(|w| out_slots.contains(&w)))
+            .flat_map(|(i, s)| {
+                s.reads().into_iter().filter_map(move |r| match r.col {
+                    ColRef::Slot(src) => Some((i, *src)),
+                    ColRef::Base(_) => None,
+                })
+            })
+            .collect();
+        let (dl, src) = downloads[rng.pick(downloads.len())];
+        view.steps.insert(dl, Step::Free { slot: src });
+        assert_plan_flags(&view, Rule::PlanUseAfterFree, dl + 1);
+
         // Read of a slot no step defines (past the slot table, too),
         // downloaded into one of the plan's own host slots.
         let mut view = base.clone();
@@ -647,81 +665,24 @@ fn injected_plan_use_after_free_is_flagged() {
     }
 }
 
-// ---- Recovery-log hazards (GL5xx) --------------------------------------
-
-/// A real, clean recovery log to mutate: Q1 on the handwritten backend
-/// through the resilient plan executor under plan-step faults.
-fn golden_log() -> RecoveryLog {
-    use proto_core::resilient::RetryPolicy;
-    use proto_core::resilient_plan::{PlanRecovery, ResilientPlanExecutor};
-    use tpch::queries::q1::Q1Data;
-    let db = tpch::cached(0.001);
-    let b = proto_core::framework::Framework::single_backend(&bench::paper_device(), "Handwritten");
-    let b = b.as_ref();
-    let mut fp = gpu_sim::FaultPlan::uniform(proto_core::workload::SEED, 0.0);
-    fp.rates[gpu_sim::FaultSite::PlanStep.index()] = 0.1;
-    b.device().install_fault_plan(fp);
-    let exec = ResilientPlanExecutor::new(PlanRecovery {
-        retry: RetryPolicy { max_retries: 60 },
-        ..PlanRecovery::default()
-    });
-    let data = Q1Data::upload(b, &db).expect("upload");
-    data.execute_with(b, &exec).expect("Q1 under faults");
-    data.free(b).expect("free");
-    let log = exec.take_log().expect("recovery log");
-    assert!(
-        gpu_lint::lint_recovery("golden", &log).is_clean(),
-        "baseline log must be clean before mutation"
-    );
-    assert!(
-        log.events
-            .iter()
-            .any(|e| matches!(e.kind, RecoveryEventKind::Freed { .. })),
-        "Q1's plan must free intermediates for the mutator to target"
-    );
-    log
-}
-
 #[test]
-fn injected_checkpoint_after_free_is_flagged() {
-    let base = golden_log();
+fn injected_write_after_free_is_flagged() {
+    let base = golden_physical_plan();
+    let bound = base.base.keys().next().expect("Q5 reads base columns");
     for seed in SEEDS {
         let mut rng = Rng::new(seed);
-        let mut t = base.clone();
-        // Pick a Freed event, then re-checkpoint its slot somewhere
-        // later inside the same attempt (before the next AttemptStart).
-        let frees: Vec<(usize, usize)> = t
-            .events
-            .iter()
-            .enumerate()
-            .filter_map(|(i, e)| match e.kind {
-                RecoveryEventKind::Freed { slot } => Some((i, slot)),
-                _ => None,
-            })
-            .collect();
-        let (free_ix, slot) = frees[rng.pick(frees.len())];
-        let attempt_end = t.events[free_ix + 1..]
-            .iter()
-            .position(|e| e.kind == RecoveryEventKind::AttemptStart)
-            .map(|off| free_ix + 1 + off)
-            .unwrap_or(t.events.len());
-        let site = free_ix + 1 + rng.pick(attempt_end - free_ix);
-        t.events.insert(
-            site,
-            RecoveryEvent {
-                step: t.events[free_ix].step,
-                kind: RecoveryEventKind::Checkpoint { slot },
-            },
-        );
-        let report = gpu_lint::lint_recovery("mutated", &t);
-        assert!(
-            report
-                .diagnostics
-                .iter()
-                .any(|d| d.rule == Rule::CheckpointAfterFree && d.events.contains(&site)),
-            "seed {seed}: GL501 at #{site} expected: {:?}",
-            report.diagnostics
-        );
+        let mut view = base.clone();
+        // Re-define a freed slot at a seed-picked step after its free.
+        let frees = plan_frees(&view);
+        let (free, slot) = frees[rng.pick(frees.len())];
+        let site = free + 1 + rng.pick(view.steps.len() - free);
+        let write = Step::ConstantOnes {
+            like: ColRef::Base(bound.clone()),
+            out: slot,
+        };
+        view.steps.insert(site, write);
+        let report = assert_plan_flags(&view, Rule::PlanWriteAfterFree, site);
+        assert!(report.errors() > 0, "GL406 is an error");
     }
 }
 
@@ -1128,47 +1089,6 @@ fn injected_wrong_join_algorithm_is_flagged_gl706() {
     }
 }
 
-#[test]
-fn injected_premature_free_is_flagged_gl707() {
-    let queries = ["Q1", "Q3", "Q5"];
-    for seed in SEEDS {
-        let mut rng = Rng::new(seed);
-        let q = queries[rng.pick(queries.len())];
-        let (traces, mut view) = golden_translation(q, &PlannerOptions::default(), "Handwritten");
-        // Free the device slot feeding a seed-picked output download,
-        // immediately before the download runs.
-        let out_slots: Vec<usize> = view.outputs.iter().map(|(_, s)| *s).collect();
-        let sites: Vec<(usize, usize)> = view
-            .steps
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| match s {
-                Step::DownloadU32 { input, out } | Step::DownloadF64 { input, out }
-                    if out_slots.contains(out) =>
-                {
-                    match input {
-                        ColRef::Slot(src) => Some((i, *src)),
-                        ColRef::Base(_) => None,
-                    }
-                }
-                _ => None,
-            })
-            .collect();
-        let (dl, src) = sites[rng.pick(sites.len())];
-        view.steps.insert(dl, Step::Free { slot: src });
-        let r = gpu_lint::lint_translation("mutated", &traces, &view);
-        assert!(
-            r.diagnostics
-                .iter()
-                .any(|d| d.rule == Rule::FreedLiveOutput && d.events == [dl, dl + 1]),
-            "seed {seed} ({q}): GL707 at [{dl}, {}] expected: {:?}",
-            dl + 1,
-            r.diagnostics
-        );
-        assert!(r.errors() > 0, "GL707 is an error");
-    }
-}
-
 // ---- Golden gate -------------------------------------------------------
 
 #[test]
@@ -1186,24 +1106,10 @@ fn golden_grid_traces_produce_zero_diagnostics() {
             );
         }
     }
-    for report in bench::plan_lint::query_plan_reports() {
-        assert!(
-            report.is_clean(),
-            "TPC-H physical plan is not clean:\n{}",
-            report.render()
-        );
-    }
-    for report in bench::plan_lint::recovery_reports() {
-        assert!(
-            report.is_clean(),
-            "recovery timeline is not clean:\n{}",
-            report.render()
-        );
-    }
     for report in bench::plan_lint::translation_reports() {
         assert!(
             report.is_clean(),
-            "planner translation does not validate:\n{}",
+            "TPC-H plan is not clean:\n{}",
             report.render()
         );
     }

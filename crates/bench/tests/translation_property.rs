@@ -123,7 +123,8 @@ fn random_chains_validate_and_agree_under_every_planner_mode() {
                 for filtered in [true, false] {
                     let tree = counted(&logical, filtered);
                     let plan = optimizer::plan_with("prop-count", &tree, b, opts).unwrap();
-                    let report = bench::plan_lint::lint_query_plan(&plan);
+                    let view = gpu_lint::phys_view(&plan, Vec::new());
+                    let report = gpu_lint::lint_physical_plan("prop-count", &view);
                     assert!(
                         report.is_clean(),
                         "seed {seed} {mode} on {}:\n{}\n{}",

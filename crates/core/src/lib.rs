@@ -79,8 +79,7 @@ pub mod prelude {
     pub use crate::plan::{Agg, AggQuery, Bindings, Expr, Predicate, QueryResult};
     pub use crate::resilient::{ResilientBackend, RetryPolicy};
     pub use crate::resilient_plan::{
-        PartitionSource, PlanLane, PlanRecovery, RecoveryEvent, RecoveryEventKind, RecoveryLog,
-        ResilientPlanExecutor,
+        PartitionSource, PlanLane, PlanRecovery, ResilientPlanExecutor,
     };
     pub use crate::runner::{measure, Experiment, Sample};
 }

@@ -103,25 +103,23 @@ impl ResilientBackend {
     /// The fast path is a single straight-through call: with no failure
     /// there is no bookkeeping and no simulated-time cost.
     fn run<T>(&self, what: &str, f: impl Fn() -> Result<T>) -> Result<T> {
-        retry_with_policy(&self.inner.device(), &self.policy, what, f, |_| {})
+        retry_with_policy(&self.inner.device(), &self.policy, what, f)
     }
 }
 
 /// Run `f` in a bounded retry loop under `policy`, charging each backoff
-/// to `device`'s simulated clock (via [`Device::note`](gpu_sim::Device::note))
-/// and then handing it to `on_retry`.
+/// to `device`'s simulated clock and journaling the retry as a
+/// `what`-named recovery note (via [`Device::note`](gpu_sim::Device::note)).
 ///
 /// This is the single retry primitive the whole crate shares:
 /// [`ResilientBackend`] routes every operator call through it, and
 /// [`ResilientPlanExecutor`](crate::resilient_plan::ResilientPlanExecutor)
-/// runs every plan step (logging each retry from `on_retry`) and stages
-/// partition windows under it.
+/// runs every plan step and stages partition windows under it.
 pub(crate) fn retry_with_policy<T>(
     device: &Device,
     policy: &RetryPolicy,
     what: &str,
     mut f: impl FnMut() -> Result<T>,
-    mut on_retry: impl FnMut(SimDuration),
 ) -> Result<T> {
     let mut attempt = 0;
     loop {
@@ -133,7 +131,6 @@ pub(crate) fn retry_with_policy<T>(
                 };
                 let wait = backoff(attempt);
                 device.note(retry, wait);
-                on_retry(wait);
                 attempt += 1;
             }
             Err(e) => return Err(e),

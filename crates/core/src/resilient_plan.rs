@@ -12,9 +12,9 @@
 //!    ([`gpu_sim::Device::note`]). Completed slots are the
 //!    checkpoint: they are never recomputed.
 //! 2. **Slot checkpointing** — every completed step's output slots
-//!    survive a retry or fallback. Explicit [`Step::Free`]s are
-//!    respected: a freed slot is never checkpointed (the recovery log
-//!    records both lifecycles for the GL5xx lint).
+//!    survive a retry or fallback. A plan's explicit frees are
+//!    respected: a freed slot is never checkpointed, because no plan
+//!    step writes a slot after its free (gpu-lint's GL406).
 //! 3. **Partitioned re-execution** — on out-of-memory, plans whose shape
 //!    is *partition-safe* (see [the contract](#partition-safety)) re-run
 //!    over horizontal row partitions of the columns named by a
@@ -74,7 +74,6 @@ use crate::physical::{
 use crate::resilient::{retry_with_policy, RetryPolicy};
 use gpu_sim::{Recovery, Result, SimDuration, SimError};
 use std::borrow::Cow;
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Smallest partition, in rows, that partitioned execution will try.
@@ -192,60 +191,6 @@ impl std::fmt::Debug for PlanLane<'_> {
             .field("plan", &self.plan.query())
             .finish()
     }
-}
-
-/// What happened at one point of a recovered execution.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RecoveryEventKind {
-    /// A fresh slot store was opened (lane start or partition chunk) —
-    /// slot lifecycles reset here.
-    AttemptStart,
-    /// A completed step's output slot became a checkpoint.
-    Checkpoint {
-        /// The checkpointed slot.
-        slot: usize,
-    },
-    /// A [`Step::Free`] released the slot; it is no longer a checkpoint.
-    Freed {
-        /// The freed slot.
-        slot: usize,
-    },
-    /// The step was replayed after a fault.
-    Retry {
-        /// Backoff charged before the replay, simulated nanoseconds.
-        backoff_ns: u64,
-    },
-    /// Execution moved to the next lane of the fallback chain.
-    Fallback {
-        /// Backend abandoned.
-        from: String,
-        /// Backend taking over.
-        to: String,
-    },
-    /// The plan was re-executed over row partitions.
-    Partition {
-        /// Number of partitions.
-        parts: usize,
-    },
-}
-
-/// One entry of a [`RecoveryLog`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoveryEvent {
-    /// Step index the event is anchored to (0 for lane-level events).
-    pub step: usize,
-    /// What happened.
-    pub kind: RecoveryEventKind,
-}
-
-/// Host-side journal of one recovered plan execution, consumed by the
-/// GL5xx gpu-lint rule (checkpoint-after-free).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoveryLog {
-    /// The executed query.
-    pub query: String,
-    /// The event journal, in order.
-    pub events: Vec<RecoveryEvent>,
 }
 
 /// Outcome of one lane attempt that did not complete.
@@ -646,26 +591,17 @@ fn partition_merge_plan(plan: &PhysicalPlan, source: &PartitionSource<'_>) -> Re
 #[derive(Debug, Default)]
 pub struct ResilientPlanExecutor {
     recovery: PlanRecovery,
-    last_log: RefCell<Option<RecoveryLog>>,
 }
 
 impl ResilientPlanExecutor {
     /// An executor with the given recovery configuration.
     pub fn new(recovery: PlanRecovery) -> Self {
-        ResilientPlanExecutor {
-            recovery,
-            last_log: RefCell::new(None),
-        }
+        ResilientPlanExecutor { recovery }
     }
 
     /// The active recovery configuration.
     pub fn recovery(&self) -> &PlanRecovery {
         &self.recovery
-    }
-
-    /// The [`RecoveryLog`] of the most recent execution, if any.
-    pub fn take_log(&self) -> Option<RecoveryLog> {
-        self.last_log.borrow_mut().take()
     }
 
     /// Execute `plan` on a single backend with retry and checkpointing
@@ -701,8 +637,7 @@ impl ResilientPlanExecutor {
                 "resilient plan executor needs at least one lane".into(),
             ));
         };
-        let query = first.plan.query().to_string();
-        let mut events: Vec<RecoveryEvent> = Vec::new();
+        let query = first.plan.query();
         let mut carry: Option<Carry> = None;
         let mut last_err = SimError::Unsupported(format!("{query}: no lane completed"));
         for (li, lane) in lanes.iter().enumerate() {
@@ -713,34 +648,24 @@ impl ResilientPlanExecutor {
                     to: lane.backend.name().to_string(),
                 };
                 lane.backend.device().note(fallback, SimDuration::ZERO);
-                events.push(RecoveryEvent {
-                    step: carry.as_ref().map_or(0, |c| c.failed_step),
-                    kind: RecoveryEventKind::Fallback {
-                        from: prev.backend.name().to_string(),
-                        to: lane.backend.name().to_string(),
-                    },
-                });
             }
             let budgeted = source.filter(|_| self.recovery.mem_budget_bytes.is_some());
             let attempt: Result<PlanOutput> = if let Some(src) = budgeted {
                 // Budget-aware: partition up front, sized to the
                 // memory budget, without waiting for an OOM.
-                self.run_partitioned(lane, src, &mut events)
+                self.run_partitioned(lane, src)
             } else {
-                match self.run_lane(lane, carry.take(), &mut events) {
+                match self.run_lane(lane, carry.take()) {
                     Ok(out) => Ok(out),
                     Err(fail) => {
                         let escalate = matches!(fail.err, SimError::OutOfMemory { .. })
                             .then_some(source)
                             .flatten()
-                            .map(|src| self.run_partitioned(lane, src, &mut events));
+                            .map(|src| self.run_partitioned(lane, src));
                         let failed_step = fail.failed_step;
                         let host = fail.host;
                         let err = match escalate {
-                            Some(Ok(out)) => {
-                                self.record(&query, events);
-                                return Ok(out);
-                            }
+                            Some(Ok(out)) => return Ok(out),
                             Some(Err(e)) => e,
                             None => fail.err,
                         };
@@ -754,22 +679,11 @@ impl ResilientPlanExecutor {
                 }
             };
             match attempt {
-                Ok(out) => {
-                    self.record(&query, events);
-                    return Ok(out);
-                }
+                Ok(out) => return Ok(out),
                 Err(e) => last_err = e,
             }
         }
-        self.record(&query, events);
         Err(last_err)
-    }
-
-    fn record(&self, query: &str, events: Vec<RecoveryEvent>) {
-        *self.last_log.borrow_mut() = Some(RecoveryLog {
-            query: query.to_string(),
-            events,
-        });
     }
 
     /// Run one lane from its (possibly carried) checkpoints. On failure
@@ -779,15 +693,10 @@ impl ResilientPlanExecutor {
         &self,
         lane: &PlanLane<'_>,
         carry: Option<Carry>,
-        events: &mut Vec<RecoveryEvent>,
     ) -> std::result::Result<PlanOutput, LaneFail> {
         let plan = lane.plan;
         let device = lane.backend.device();
         let mut store = plan.new_store();
-        events.push(RecoveryEvent {
-            step: 0,
-            kind: RecoveryEventKind::AttemptStart,
-        });
         let mut skip = vec![false; plan.steps().len()];
         if let Some(mut c) = carry {
             // Checkpoints only transfer when the two lowerings agree
@@ -812,10 +721,6 @@ impl ResilientPlanExecutor {
                             if store[s].is_none() {
                                 store[s] = c.host[s].take();
                             }
-                            events.push(RecoveryEvent {
-                                step: ix,
-                                kind: RecoveryEventKind::Checkpoint { slot: s },
-                            });
                         }
                     }
                 }
@@ -826,39 +731,12 @@ impl ResilientPlanExecutor {
                 continue;
             }
             let label = format!("{} step {ix}", plan.query());
-            let r = retry_with_policy(
-                &device,
-                &self.recovery.retry,
-                &label,
-                || {
-                    device.inject_plan_step_fault(&label)?;
-                    plan.exec_step(lane.backend, lane.binds, &mut store, ix)
-                },
-                |backoff| {
-                    events.push(RecoveryEvent {
-                        step: ix,
-                        kind: RecoveryEventKind::Retry {
-                            backoff_ns: backoff.as_nanos(),
-                        },
-                    })
-                },
-            );
+            let r = retry_with_policy(&device, &self.recovery.retry, &label, || {
+                device.inject_plan_step_fault(&label)?;
+                plan.exec_step(lane.backend, lane.binds, &mut store, ix)
+            });
             if let Err(e) = r {
                 return Err(self.abandon(lane, store, ix, e));
-            }
-            match &plan.steps()[ix] {
-                Step::Free { slot } => events.push(RecoveryEvent {
-                    step: ix,
-                    kind: RecoveryEventKind::Freed { slot: *slot },
-                }),
-                step => {
-                    for s in step.writes() {
-                        events.push(RecoveryEvent {
-                            step: ix,
-                            kind: RecoveryEventKind::Checkpoint { slot: s },
-                        });
-                    }
-                }
             }
         }
         plan.collect_outputs(&mut store)
@@ -896,7 +774,6 @@ impl ResilientPlanExecutor {
         &self,
         lane: &PlanLane<'_>,
         source: &PartitionSource<'_>,
-        events: &mut Vec<RecoveryEvent>,
     ) -> Result<PlanOutput> {
         let plan = lane.plan;
         let device = lane.backend.device();
@@ -918,15 +795,11 @@ impl ResilientPlanExecutor {
                 parts,
             };
             device.note(partition, SimDuration::ZERO);
-            events.push(RecoveryEvent {
-                step: 0,
-                kind: RecoveryEventKind::Partition { parts },
-            });
             let mut merger = Merger::new(&merge);
             let mut start = 0usize;
             while start < rows {
                 let end = (start + chunk).min(rows);
-                match self.run_chunk(lane, source, start, end, events) {
+                match self.run_chunk(lane, source, start, end) {
                     Ok(out) => {
                         merger.add(out)?;
                         start = end;
@@ -959,22 +832,21 @@ impl ResilientPlanExecutor {
         source: &PartitionSource<'_>,
         start: usize,
         end: usize,
-        events: &mut Vec<RecoveryEvent>,
     ) -> Result<PlanOutput> {
         let backend = lane.backend;
         let device = backend.device();
         let mut uploads: Vec<(String, Col)> = Vec::new();
         for (name, col) in &source.cols {
-            let up = retry_with_policy(
-                &device,
-                &self.recovery.retry,
-                "partition upload",
-                || match col {
-                    HostCol::U32(v) => backend.upload_u32(&v[start..end]),
-                    HostCol::F64(v) => backend.upload_f64(&v[start..end]),
-                },
-                |_| {},
-            );
+            let up =
+                retry_with_policy(
+                    &device,
+                    &self.recovery.retry,
+                    "partition upload",
+                    || match col {
+                        HostCol::U32(v) => backend.upload_u32(&v[start..end]),
+                        HostCol::F64(v) => backend.upload_f64(&v[start..end]),
+                    },
+                );
             match up {
                 Ok(c) => uploads.push((name.clone(), c)),
                 Err(e) => {
@@ -999,9 +871,7 @@ impl ResilientPlanExecutor {
             plan: lane.plan,
             binds: &binds,
         };
-        let r = self
-            .run_lane(&chunk_lane, None, events)
-            .map_err(|fail| fail.err);
+        let r = self.run_lane(&chunk_lane, None).map_err(|fail| fail.err);
         for (_, c) in uploads {
             let _ = backend.free(c);
         }
@@ -1017,7 +887,7 @@ mod tests {
     use crate::ops::CmpOp;
     use crate::optimizer;
     use crate::plan::{Expr, Predicate};
-    use gpu_sim::{Device, DeviceSpec, FaultPlan, FaultSite};
+    use gpu_sim::{Device, DeviceSpec, FaultPlan, FaultSite, TraceKind};
 
     /// filter + two grouped aggregates + key-ordered output: enough
     /// steps to checkpoint, partition and fall back mid-plan.
@@ -1121,16 +991,6 @@ mod tests {
         assert_eq!(got, expect);
         assert_eq!(wrapped.dev.take_trace(), plain.dev.take_trace());
         assert_eq!(wrapped.dev.now().as_nanos(), plain.dev.now().as_nanos());
-        let log = exec.take_log().unwrap();
-        assert!(
-            log.events.iter().all(|e| matches!(
-                e.kind,
-                RecoveryEventKind::AttemptStart
-                    | RecoveryEventKind::Checkpoint { .. }
-                    | RecoveryEventKind::Freed { .. }
-            )),
-            "clean run must not record recovery actions: {log:?}"
-        );
     }
 
     #[test]
@@ -1147,21 +1007,27 @@ mod tests {
                 ..PlanRecovery::default()
             });
             let out = exec.execute(&rig.backend, &rig.plan, &rig.binds()).unwrap();
-            let log = exec.take_log().unwrap();
-            (out, rig.dev.stats(), rig.dev.take_trace(), log)
+            (out, rig.dev.stats(), rig.dev.take_trace())
         };
-        let (out, stats, trace, log) = run(0xBEEF);
+        let (out, stats, trace) = run(0xBEEF);
         assert_eq!(out, expect, "recovery must not change the answer");
         assert!(stats.faults_injected > 0, "no faults fired at 20%");
         assert!(stats.retries > 0, "faults must surface as step retries");
-        let logged_retries = log
-            .events
+        // The trace journals every retry, and each names its step.
+        let retried: Vec<&str> = trace
             .iter()
-            .filter(|e| matches!(e.kind, RecoveryEventKind::Retry { .. }))
-            .count() as u64;
-        assert_eq!(logged_retries, stats.retries);
+            .filter_map(|e| match &e.kind {
+                TraceKind::Recovery(Recovery::Retry { what }) => Some(what.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(retried.len() as u64, stats.retries);
+        assert!(
+            retried.iter().all(|w| w.starts_with("T1 step ")),
+            "{retried:?}"
+        );
         // Same seed, fresh device: the whole recovery replays bit for bit.
-        let (out2, stats2, trace2, _) = run(0xBEEF);
+        let (out2, stats2, trace2) = run(0xBEEF);
         assert_eq!(out2, out);
         assert_eq!(stats2, stats);
         assert_eq!(trace2, trace);
@@ -1188,17 +1054,13 @@ mod tests {
         for (got, want) in out.f64s("count").unwrap().iter().zip(&counts) {
             assert!(close(*got, *want), "{got} vs {want}");
         }
-        let log = exec.take_log().unwrap();
-        assert!(log
-            .events
-            .iter()
-            .any(|e| matches!(e.kind, RecoveryEventKind::Partition { .. })));
     }
 
     #[test]
     fn memory_budget_partitions_up_front_without_an_oom() {
         let (keys, vals) = data(8192);
         let rig = Rig::new(Device::with_defaults(), &keys, &vals);
+        rig.dev.set_tracing(true);
         let mut src = PartitionSource::new();
         src.bind_u32("t.key", keys.as_slice())
             .bind_f64("t.val", vals.as_slice());
@@ -1211,11 +1073,10 @@ mod tests {
         let stats = rig.dev.stats();
         assert_eq!(stats.plan_partitions, 1, "exactly one partitioned run");
         assert_eq!(stats.batch_splits, 0, "the budget avoids OOM halving");
-        let log = exec.take_log().unwrap();
-        assert!(log
-            .events
-            .iter()
-            .any(|e| matches!(e.kind, RecoveryEventKind::Partition { parts: 8 })));
+        assert!(rig.dev.take_trace().iter().any(|e| matches!(
+            &e.kind,
+            TraceKind::Recovery(Recovery::Partition { parts: 8, .. })
+        )));
         let (ks, totals, _) = reference(&keys, &vals);
         assert_eq!(out.u32s("keys").unwrap(), ks.as_slice());
         for (got, want) in out.f64s("total").unwrap().iter().zip(&totals) {
@@ -1354,11 +1215,6 @@ mod tests {
                     full_downloads,
                     "seed {seed}: downloads must split across lanes, not repeat"
                 );
-                let log = exec.take_log().unwrap();
-                assert!(log
-                    .events
-                    .iter()
-                    .any(|e| matches!(e.kind, RecoveryEventKind::Fallback { .. })));
                 proven = true;
                 break;
             }

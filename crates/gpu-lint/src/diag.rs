@@ -6,10 +6,11 @@
 //! the hazard-injection tests can match on them across versions. Rule
 //! numbering is grouped by pass family: `GL0xx` buffer lifetimes,
 //! `GL2xx` compiled Programs, `GL4xx` compiled physical query plans,
-//! `GL5xx` recovery timelines, `GL6xx` costed-plan resource estimates,
-//! `GL7xx` planner translation validation (logical→physical semantic
-//! equivalence). `GL3xx` belonged to a scheduler-plan pass that no longer
-//! exists; its ids are not reused.
+//! `GL6xx` costed-plan resource estimates, `GL7xx` planner translation
+//! validation (logical→physical semantic equivalence). Retired ids are
+//! not reused: `GL3xx` belonged to a scheduler-plan pass, `GL5xx` to a
+//! recovery-log pass, and GL707 (a free before an output's download) is
+//! a case of GL404.
 
 use std::fmt;
 
@@ -107,9 +108,10 @@ rules! {
     /// `check_fused_inputs` enforces at run time; mask-only comparisons
     /// may stay native).
     FusedArithNotF64 = "GL405" Error,
-    /// GL501 — recovery checkpoint of a slot freed earlier in the same
-    /// execution attempt: a resume would replay recycled memory.
-    CheckpointAfterFree = "GL501" Error,
+    /// GL406 — step writes a slot that an earlier `Free` released. Plan
+    /// slots are written once: a second life escapes the plan's free,
+    /// and a resilient run would checkpoint or carry recycled memory.
+    PlanWriteAfterFree = "GL406" Error,
     /// GL601 — a costed plan's estimated peak device bytes exceed the
     /// declared memory budget: partitioned execution will engage.
     CostExceedsMemBudget = "GL601" Warning,
@@ -141,9 +143,6 @@ rules! {
     /// root aggregate, or the join algorithm is absent/illegal for the
     /// backend per Table II.
     PlanShapeNonconforming = "GL706" Error,
-    /// GL707 — a `Free` kills a device slot that a logical output
-    /// column still needs (its download step runs later).
-    FreedLiveOutput = "GL707" Error,
 }
 
 /// One finding: a rule, where in the analyzed artifact it anchors, and a

@@ -10,9 +10,6 @@
 //! * **Compiled physical query plans** (a [`PhysView`] of a
 //!   [`proto_core::physical::PhysicalPlan`]) — the slot-lifetime /
 //!   operand-shape checker (`physplan::lint_physical_plan`, `GL4xx`).
-//! * **Recovery logs** ([`proto_core::resilient_plan::RecoveryLog`] from
-//!   the resilient plan executor) — the recovery-lifecycle checker
-//!   (`resilience::lint_recovery`, `GL5xx`).
 //! * **Cost reports** ([`proto_core::costing::CostReport`] against a
 //!   declared budget and a [`gpu_sim::DeviceSpec`]) — the
 //!   resource-budget checker (`costing::lint_costed_plan`, `GL6xx`).
@@ -22,9 +19,10 @@
 //!   `GL7xx`), proving each logical→physical rewrite semantically
 //!   equivalent.
 //!
-//! Every lifetime rule — trace buffers, plan slots, recovery checkpoints,
-//! output downloads — feeds one def / use / free walk
-//! (`liveness::Liveness`). Every pass is a pure function from artifact
+//! Every lifetime rule — trace buffers and plan slots, output downloads
+//! included — feeds one def / use / free walk (`liveness::Liveness`).
+//! The three plan families read the same compiled plan, so a caller
+//! lints each plan once against all of them. Every pass is a pure function from artifact
 //! to [`Diagnostic`]s that never mutates what it observes.
 //! [`lint_trace`] bundles the trace pass into a [`Report`];
 //! [`annotated_timeline`] renders a trace with rule-id annotations on the
@@ -53,13 +51,12 @@ mod diag;
 mod liveness;
 mod physplan;
 mod program;
-mod resilience;
 mod translate;
 
 pub use diag::{Diagnostic, Report, Rule, Severity, Waiver};
 pub use physplan::{phys_view, PhysView};
 
-use proto_core::{costing::CostReport, resilient_plan::RecoveryLog};
+use proto_core::costing::CostReport;
 use std::collections::BTreeMap;
 
 /// Run the trace pass (buffer lifetimes) over one trace window and
@@ -76,11 +73,6 @@ pub fn lint_program(target: impl Into<String>, spec: &arrayfire_sim::ProgramSpec
 /// Check a compiled physical query plan and bundle the findings.
 pub fn lint_physical_plan(target: impl Into<String>, view: &PhysView) -> Report {
     Report::new(target, physplan::lint_physical_plan(view))
-}
-
-/// Check a resilient execution's recovery log and bundle the findings.
-pub fn lint_recovery(target: impl Into<String>, log: &RecoveryLog) -> Report {
-    Report::new(target, resilience::lint_recovery(log))
 }
 
 /// Check a cost report's peak-memory estimate against the declared

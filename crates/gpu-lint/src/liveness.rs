@@ -1,6 +1,5 @@
 //! The one def / use / free liveness walk every lifetime rule feeds:
-//! trace buffers (GL001/002/004/007), plan slots (GL401/404), recovery
-//! checkpoints (GL501) and output downloads (GL707).
+//! trace buffers (GL001/002/004/007) and plan slots (GL401/404/406).
 //!
 //! A [`Liveness`] map holds one [`Life`] per key. The caller walks its
 //! artifact in order and reports each answer under its own rule ids.
@@ -80,11 +79,6 @@ impl<K: Ord + Copy, V> Liveness<K, V> {
         }
     }
 
-    /// Forget every life (a fresh attempt re-materialises its keys).
-    pub(crate) fn reset(&mut self) {
-        self.lives.clear();
-    }
-
     /// The facts of every live key.
     pub(crate) fn live_mut(&mut self) -> impl Iterator<Item = &mut V> {
         let live = self.lives.values_mut().filter(|l| l.freed.is_none());
@@ -130,7 +124,7 @@ mod tests {
     }
 
     #[test]
-    fn reset_forgets_every_life() {
+    fn live_mut_skips_freed_lives() {
         let mut l: Liveness<u32, bool> = Liveness::new();
         l.define(1, 0, false);
         l.define(2, 1, false);
@@ -144,7 +138,5 @@ mod tests {
             Access::Freed(2),
             "a freed life stays untouched"
         );
-        l.reset();
-        assert_eq!(l.access(1), Access::Undefined);
     }
 }

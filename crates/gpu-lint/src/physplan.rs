@@ -11,6 +11,7 @@
 //! * **GL404** — a step reads or frees a slot that is undefined at that
 //!   point or already freed (a read of recycled memory, a double free),
 //!   or names a slot past the slot table or an unbound base column.
+//! * **GL406** — a step writes a slot that an earlier `Free` released.
 //! * **GL402** — an operand's dtype does not match what the call
 //!   requires: `f64` gather/join indices, `u32` fed into arithmetic.
 //! * **GL405** — the same mismatch in a fused step's expression, which
@@ -62,15 +63,6 @@ pub fn phys_view(plan: &PhysicalPlan, supported: Vec<JoinAlgo>) -> PhysView {
         slots: plan.slots().to_vec(),
         outputs: plan.outputs().to_vec(),
         base: plan.base_columns().clone(),
-    }
-}
-
-/// The slot a [`Step::Free`] releases. A free reads and writes nothing,
-/// so the lifetime walks name it here and nowhere else.
-pub(crate) fn freed_slot(step: &Step) -> Option<usize> {
-    match step {
-        Step::Free { slot } => Some(*slot),
-        _ => None,
     }
 }
 
@@ -152,6 +144,15 @@ pub(crate) fn lint_physical_plan(view: &PhysView) -> Vec<Diagnostic> {
         for slot in step.writes() {
             match view.slots.get(slot).map(|m| m.kind) {
                 Some(SlotKind::Device { .. }) => {
+                    if let Access::Freed(freed) = live.access(slot) {
+                        diags.push(at(
+                            Rule::PlanWriteAfterFree,
+                            format!(
+                                "{label} writes {} (%{slot}), which step #{freed} freed",
+                                slot_name(slot)
+                            ),
+                        ));
+                    }
                     live.define(slot, i, ());
                 }
                 Some(_) => {}
@@ -164,7 +165,8 @@ pub(crate) fn lint_physical_plan(view: &PhysView) -> Vec<Diagnostic> {
                 )),
             }
         }
-        if let Some(slot) = freed_slot(step) {
+        // A free reads and writes nothing: the walk names it here.
+        if let Step::Free { slot } = *step {
             let why = match live.free(slot, i) {
                 Access::Live(()) => continue,
                 Access::Freed(_) => format!(
@@ -382,5 +384,23 @@ mod tests {
             .collect();
         let at = |i| ("GL404", vec![i]);
         assert_eq!(found, vec![at(2), at(3), at(4), at(5), at(5)]);
+    }
+
+    #[test]
+    fn a_write_after_free_is_gl406() {
+        let v = view(
+            &[("t.a", F64)],
+            &[("ids", dev(U32, true))],
+            vec![
+                select(base("t.a"), 0),
+                Step::Free { slot: 0 },
+                select(base("t.a"), 0),
+                Step::Free { slot: 0 },
+            ],
+        );
+        let d = lint_physical_plan(&v);
+        assert_eq!(rules(&v), vec!["GL406"], "{d:?}");
+        assert_eq!(d[0].events, vec![2]);
+        assert!(d[0].message.contains("step #1 freed"), "{}", d[0].message);
     }
 }

@@ -24,9 +24,8 @@
 //! 3. **Logical↔physical conformance**: the [`PhysicalPlan`]'s outputs
 //!    must implement the final logical root (aggregate shape, host-sort
 //!    order/limit, join-algorithm legality per Table II — GL706,
-//!    error), and no `Free` may kill a device slot a logical output
-//!    still needs (GL707, error; a use after free on the slot
-//!    [`Liveness`] walk).
+//!    error). A `Free` before an output's download is GL404's read of a
+//!    freed slot, checked on the same plans.
 //!
 //! Entry point: [`validate_translation`] over a [`PassTrace`] slice and
 //! a [`PhysView`] of the compiled plan (build one with
@@ -35,8 +34,7 @@
 use std::collections::BTreeMap;
 
 use crate::diag::{Diagnostic, Rule};
-use crate::liveness::{Access, Liveness};
-use crate::physplan::{freed_slot, PhysView};
+use crate::physplan::PhysView;
 use proto_core::backend::ColType;
 use proto_core::fused::{FusedExpr, FusedPred};
 use proto_core::logical::{AggExpr, JoinSide, LogicalPlan, ResultOrder};
@@ -643,7 +641,7 @@ fn check_fused_site(site: &FusedSite<'_>, cert: &RewriteCert) -> Vec<Diagnostic>
 /// Run every GL7xx check over a planner trace and the compiled plan's
 /// [`PhysView`]. Diagnostics come back in check order: tree rewrites
 /// (GL701–704), fused lowerings (GL705), physical conformance
-/// (GL706–707).
+/// (GL706).
 pub(crate) fn validate_translation(traces: &[PassTrace], view: &PhysView) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let mut final_plan: Option<&LogicalPlan> = None;
@@ -688,7 +686,6 @@ pub(crate) fn validate_translation(traces: &[PassTrace], view: &PhysView) -> Vec
             "trace carries no rewrite certificates; the translation cannot be validated",
         )),
     }
-    check_frees(view, &mut diags);
     diags
 }
 
@@ -1042,41 +1039,6 @@ fn check_conformance(
                     "plan host-sorts results but the logical tree has no sort/limit",
                 ));
             }
-        }
-    }
-}
-
-/// GL707: no step that materialises an output column (its download, a
-/// reduction's scalar) may read a slot an earlier `Free` released.
-fn check_frees(view: &PhysView, diags: &mut Vec<Diagnostic>) {
-    let mut live: Liveness<usize> = Liveness::new();
-    for (i, step) in view.steps.iter().enumerate() {
-        let output = view
-            .outputs
-            .iter()
-            .find(|(_, o)| step.writes().any(|w| w == *o));
-        if let Some((name, _)) = output {
-            for read in step.reads() {
-                let ColRef::Slot(src) = read.col else {
-                    continue;
-                };
-                if let Access::Freed(at) = live.access(*src) {
-                    diags.push(Diagnostic::new(
-                        Rule::FreedLiveOutput,
-                        vec![at, i],
-                        format!(
-                            "slot %{src} feeding output `{name}` is freed at step #{at}, \
-                             before its download at step #{i}"
-                        ),
-                    ));
-                }
-            }
-        }
-        for slot in step.writes() {
-            live.define(slot, i, ());
-        }
-        if let Some(slot) = freed_slot(step) {
-            live.free(slot, i);
         }
     }
 }
