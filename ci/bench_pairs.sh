@@ -11,9 +11,11 @@
 # ones. A run that is not `"correct":true`, or a pair whose sides attempted
 # different amounts of work, aborts. Per metric of the result line: both
 # medians, both quartile spreads (q3 - q1 over the median), the pairs the new
-# side won (ties count for neither), and whether the row is *resolved* by
-# benchmark/SPREAD.md's rule: the parent's own spread under a third of the
-# bound in BENCHMARK.json. A metric that read zero in every run of both sides
+# side won (ties count for neither), whether the row is *resolved* by
+# benchmark/SPREAD.md's rule (the parent's own spread under a third of the
+# bound in BENCHMARK.json), and `gain` where CONTRIBUTING.md's claim rule
+# holds: the new side won at least nine pairs in ten and the medians differ,
+# its way, by more than the parent's quartile spread. A metric that read zero in every run of both sides
 # (most per-layer rows of a traced run belong to layers the workload never
 # enters) gets no row, and `--only` keeps the rows whose name the regex
 # matches (e.g. 'sort|grouped_sum_distinct|wall_s'). Every run made is kept in
@@ -61,7 +63,7 @@ known = {m["name"]: m for m in spec["end_to_end"] + spec["per_layer"]}
 def stats(v):
     med = statistics.median(v)
     q = statistics.quantiles(v, n=4) if len(v) > 1 else [med] * 3
-    return med, (q[2] - q[0]) / med if med else 0.0
+    return med, (q[2] - q[0]) / med if med else 0.0, q[2] - q[0]
 print(f"{workload}: {len(sides['new'])} pairs, seeds 1..{len(sides['new'])}; runs in {runs}")
 print(f"{'metric':42} {'parent':>12} {'new':>12} {'change':>8} {'IQR p':>6} {'IQR n':>6} {'won':>6}  status")
 for name in sides["parent"][0]["metrics"]:
@@ -71,11 +73,14 @@ for name in sides["parent"][0]["metrics"]:
         continue
     lower = known.get(name, {}).get("better", "lower") == "lower"
     won = sum((b < a) if lower else (b > a) for a, b in zip(p, n))
-    (pm, ps), (nm, ns) = stats(p), stats(n)
+    (pm, ps, p_iqr), (nm, ns, _) = stats(p), stats(n)
     bound = known.get(name, {}).get("bound")
-    status = "" if bound is None else ("resolved" if ps < bound / 3 else "unresolved")
+    status = [] if bound is None else ["resolved" if ps < bound / 3 else "unresolved"]
     if bound is not None and (nm - pm) * (1 if lower else -1) > bound * pm:
-        status += ", OVER THE BOUND"
+        status.append("OVER THE BOUND")
+    if 10 * won >= 9 * len(p) and (pm - nm) * (1 if lower else -1) > p_iqr:
+        status.append("gain")
+    status = ", ".join(status)
     change = f"{100 * (nm - pm) / pm:+.1f}%" if pm else "n/a"
     print(f"{name:42} {pm:12.5g} {nm:12.5g} {change:>8} {100*ps:5.1f}% {100*ns:5.1f}% {won:3}/{len(p):<2}  {status}")
 PY

@@ -2,7 +2,9 @@
 
 use crate::dtype::{ColumnData, DType, Scalar};
 use crate::node::{BinaryOp, Node, UnaryOp};
-use gpu_sim::{Device, KernelCost, Reservation, Result, SimError};
+use gpu_sim::{
+    Contents, Device, DeviceBuffer, DeviceCopy, KernelCost, Reservation, Result, SimError,
+};
 use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -67,15 +69,36 @@ impl Backend {
         self.wrap(ColumnData::U32(buf))
     }
 
+    /// Upload the `len` values `source` produces, which inside a dry scope
+    /// it never calls: the array is then shape-only ([`Device::upload`]).
+    pub fn upload<T, D>(self: &Arc<Self>, len: usize, source: impl FnOnce() -> D) -> Result<Array>
+    where
+        T: DeviceCopy,
+        D: std::ops::Deref,
+        D::Target: AsRef<[T]>,
+        ColumnData: From<DeviceBuffer<T>>,
+    {
+        let buf = self.device.upload(len, source)?;
+        self.wrap(buf.into())
+    }
+
     /// Back a `u32` reservation a non-fused operation's charge half made
     /// (`af::where`, the set operations) with its index data.
-    pub fn fill_u32(self: &Arc<Self>, out: Reservation, data: Vec<u32>) -> Result<Array> {
+    pub fn fill_u32(
+        self: &Arc<Self>,
+        out: Reservation,
+        data: impl Into<Contents<u32>>,
+    ) -> Result<Array> {
         self.wrap(ColumnData::U32(out.into_buffer(data)))
     }
 
     /// Back an `f64` reservation a non-fused operation's charge half made
     /// with its data.
-    pub fn fill_f64(self: &Arc<Self>, out: Reservation, data: Vec<f64>) -> Result<Array> {
+    pub fn fill_f64(
+        self: &Arc<Self>,
+        out: Reservation,
+        data: impl Into<Contents<f64>>,
+    ) -> Result<Array> {
         self.wrap(ColumnData::F64(out.into_buffer(data)))
     }
 
@@ -280,22 +303,21 @@ impl Array {
 
     /// Force evaluation: fuse the lazy tree into one generated kernel,
     /// JIT-compiling its shape on first sight, then execute it. Idempotent.
+    /// Outside a dry scope a shape-only leaf is [`SimError::ShapeOnly`],
+    /// before anything is charged; inside one the result is shape-only.
     pub fn eval(&self) -> Result<Arc<ColumnData>> {
         if let Some(col) = self.cache.lock().as_ref() {
             return Ok(Arc::clone(col));
         }
-        let out = self.charge_eval()?;
         // Execute functionally through the compiled post-order program —
         // bit-identical to the recursive interpreter, op-at-a-time over
         // typed chunked lanes instead of a tree walk per element. The
         // result materialises in the array's dtype directly: integer
         // outputs never round-trip through a whole-column f64 buffer.
-        let col = Arc::new(crate::program::Program::compile(&self.node).eval_into(
-            self.backend.device(),
-            out,
-            self.dtype,
-            self.len,
-        ));
+        let program = crate::program::Program::compile(&self.node);
+        self.backend.device().reads(&program.leaves())?;
+        let out = self.charge_eval()?;
+        let col = Arc::new(program.eval_into(self.backend.device(), out, self.dtype, self.len));
         *self.cache.lock() = Some(Arc::clone(&col));
         Ok(col)
     }
@@ -336,22 +358,27 @@ impl Array {
     }
 
     /// Evaluate and charge the download, handing back the evaluated
-    /// column itself rather than a copy of it.
+    /// column itself rather than a copy of it. A shape-only column has
+    /// nothing to download: [`SimError::ShapeOnly`], before the transfer is
+    /// charged.
     pub fn download(&self) -> Result<Arc<ColumnData>> {
         let col = self.eval()?;
-        self.charge_dtoh(&col)?;
+        gpu_sim::Readable::readable(&*col)?;
+        self.charge_download();
         Ok(col)
     }
 
-    fn charge_dtoh(&self, col: &ColumnData) -> Result<()> {
+    /// Charge moving this array's values to the host, priced by its length
+    /// alone: a host round trip that reads them only where a kernel body
+    /// runs (indexed assignment).
+    pub fn charge_download(&self) {
         let device = self.backend.device();
         let t = gpu_sim::transfer::transfer_time(
             device.spec(),
             gpu_sim::transfer::Direction::DeviceToHost,
-            col.size_bytes(),
+            (self.len * self.dtype.size()) as u64,
         );
         device.advance(t);
-        Ok(())
     }
 }
 

@@ -1,6 +1,8 @@
 //! Runtime-typed columns — ArrayFire arrays carry their dtype at runtime.
 
-use gpu_sim::{AllocPolicy, Device, DeviceBuffer, Reservation, Result, SimError};
+use gpu_sim::{
+    AllocPolicy, Contents, Device, DeviceBuffer, Readable, Reservation, Result, SimError,
+};
 use std::sync::Arc;
 
 /// Element type of an [`Array`](crate::Array).
@@ -114,23 +116,24 @@ impl ColumnData {
         (self.len() * self.dtype().size()) as u64
     }
 
-    /// Wrap a typed host vector into a pooled device column (ArrayFire's
-    /// memory manager pools allocations).
-    pub fn from_f64(device: &Arc<Device>, v: Vec<f64>) -> Result<Self> {
+    /// Wrap a typed host vector (or shape-only contents) into a pooled
+    /// device column (ArrayFire's memory manager pools allocations).
+    pub fn from_f64(device: &Arc<Device>, v: impl Into<Contents<f64>>) -> Result<Self> {
         Ok(ColumnData::F64(
             device.buffer_from_vec(v, AllocPolicy::Pooled)?,
         ))
     }
 
     /// See [`ColumnData::from_f64`].
-    pub fn from_u32(device: &Arc<Device>, v: Vec<u32>) -> Result<Self> {
+    pub fn from_u32(device: &Arc<Device>, v: impl Into<Contents<u32>>) -> Result<Self> {
         Ok(ColumnData::U32(
             device.buffer_from_vec(v, AllocPolicy::Pooled)?,
         ))
     }
 
     /// View as `f64` values, converting on the fly (functional helper used
-    /// by the interpreter; no cost implications).
+    /// by kernel bodies, after their call checked the column is readable;
+    /// no cost implications).
     pub(crate) fn to_f64_vec(&self) -> Vec<f64> {
         match self {
             ColumnData::F64(b) => b.host().to_vec(),
@@ -147,9 +150,10 @@ impl ColumnData {
 
     /// Typed accessors — error with [`SimError::Unsupported`] on dtype
     /// mismatch (mirrors `af::array::host<T>` type checking).
+    /// A shape-only column has no values: [`SimError::ShapeOnly`].
     pub fn as_f64(&self) -> Result<&[f64]> {
         match self {
-            ColumnData::F64(b) => Ok(b.host()),
+            ColumnData::F64(b) => b.data(),
             other => Err(type_err("f64", other.dtype())),
         }
     }
@@ -157,7 +161,7 @@ impl ColumnData {
     /// See [`ColumnData::as_f64`].
     pub fn as_u32(&self) -> Result<&[u32]> {
         match self {
-            ColumnData::U32(b) => Ok(b.host()),
+            ColumnData::U32(b) => b.data(),
             other => Err(type_err("u32", other.dtype())),
         }
     }
@@ -166,11 +170,32 @@ impl ColumnData {
     #[cfg(test)]
     pub(crate) fn as_b8(&self) -> Result<&[u8]> {
         match self {
-            ColumnData::B8(b) => Ok(b.host()),
+            ColumnData::B8(b) => b.data(),
             other => Err(type_err("b8", other.dtype())),
         }
     }
 }
+
+impl Readable for ColumnData {
+    fn readable(&self) -> Result<()> {
+        match self {
+            ColumnData::F64(b) => b.readable(),
+            ColumnData::U32(b) => b.readable(),
+            ColumnData::B8(b) => b.readable(),
+        }
+    }
+}
+
+macro_rules! column_from_buffer {
+    ($($t:ty => $variant:ident),*) => {$(
+        impl From<DeviceBuffer<$t>> for ColumnData {
+            fn from(buf: DeviceBuffer<$t>) -> ColumnData {
+                ColumnData::$variant(buf)
+            }
+        }
+    )*};
+}
+column_from_buffer!(f64 => F64, u32 => U32, u8 => B8);
 
 fn type_err(wanted: &str, got: DType) -> SimError {
     SimError::Unsupported(format!(
@@ -180,11 +205,12 @@ fn type_err(wanted: &str, got: DType) -> SimError {
 }
 
 /// Build a [`ColumnData`] of `dtype` from an `f64` working vector
-/// (interpreter output), truncating/rounding like a GPU cast.
+/// (interpreter output, or shape-only contents), truncating/rounding like
+/// a GPU cast.
 pub(crate) fn column_from_f64(
     device: &Arc<Device>,
     dtype: DType,
-    v: Vec<f64>,
+    v: Contents<f64>,
 ) -> Result<ColumnData> {
     let out = reserve_column(device, dtype, v.len())?;
     Ok(fill_from_f64(out, dtype, v))
@@ -202,18 +228,16 @@ pub(crate) fn reserve_column(
 
 /// Back `out` (from [`reserve_column`]) with `v` cast to `dtype`,
 /// truncating/rounding like a GPU cast.
-pub(crate) fn fill_from_f64(out: Reservation, dtype: DType, v: Vec<f64>) -> ColumnData {
-    let col = match dtype {
-        DType::F64 => return ColumnData::F64(out.into_buffer(v)),
-        DType::U32 => {
-            ColumnData::U32(out.into_buffer(gpu_sim::par_map_vec(v.len(), |i| v[i] as u32)))
-        }
-        DType::B8 => ColumnData::B8(
-            out.into_buffer(gpu_sim::par_map_vec(v.len(), |i| u8::from(v[i] != 0.0))),
+pub(crate) fn fill_from_f64(out: Reservation, dtype: DType, v: Contents<f64>) -> ColumnData {
+    match dtype {
+        DType::F64 => ColumnData::F64(out.into_buffer(v)),
+        DType::U32 => ColumnData::U32(
+            out.into_buffer(v.map(|v| gpu_sim::par_map_vec(v.len(), |i| v[i] as u32))),
         ),
-    };
-    drop(v);
-    col
+        DType::B8 => ColumnData::B8(
+            out.into_buffer(v.map(|v| gpu_sim::par_map_vec(v.len(), |i| u8::from(v[i] != 0.0)))),
+        ),
+    }
 }
 
 #[cfg(test)]
@@ -254,9 +278,9 @@ mod tests {
     #[test]
     fn column_from_f64_casts() {
         let dev = Device::with_defaults();
-        let c = column_from_f64(&dev, DType::B8, vec![0.0, 1.0, 2.0]).unwrap();
+        let c = column_from_f64(&dev, DType::B8, vec![0.0, 1.0, 2.0].into()).unwrap();
         assert_eq!(c.as_b8().unwrap(), &[0, 1, 1]);
-        let c = column_from_f64(&dev, DType::U32, vec![1.9, 3.0]).unwrap();
+        let c = column_from_f64(&dev, DType::U32, vec![1.9, 3.0].into()).unwrap();
         assert_eq!(c.as_u32().unwrap(), &[1, 3]);
     }
 }

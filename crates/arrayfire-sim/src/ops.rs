@@ -5,13 +5,16 @@
 //! force-evaluate their inputs, then run as discrete kernels with their own
 //! footprints (Table II's partial-support pathways).
 //!
-//! `lookup`, `sum`, `scan`, `sort` and `sort_by_key` run their bodies
-//! through [`gpu_sim::Device::body`], so a dry scope skips the bodies and
-//! nothing else.
+//! `lookup`, `sum`, `constant`, `scan`, `sort` and `sort_by_key` run their
+//! bodies through [`gpu_sim::Device::body`], so a dry scope skips the
+//! bodies and nothing else; their outputs there are shape-only. Each
+//! checks, before it charges anything, that the columns its body reads
+//! hold data ([`gpu_sim::Device::reads`]); the others read theirs through
+//! the fallible accessors.
 
 use crate::array::{Array, Backend};
 use crate::dtype::{fill_from_f64, reserve_column, ColumnData, DType};
-use gpu_sim::{presets, KernelCost, Reservation, Result, SimError};
+use gpu_sim::{presets, Contents, KernelCost, Readable, Reservation, Result, SimError};
 use std::sync::Arc;
 
 fn backend_of(a: &Array) -> Arc<Backend> {
@@ -26,6 +29,7 @@ fn backend_of(a: &Array) -> Arc<Backend> {
 pub fn where_(cond: &Array) -> Result<Array> {
     let af = backend_of(cond);
     let col = cond.eval()?;
+    col.readable()?;
     // Predicate masks arrive as b8 and are compacted as they are; any other
     // dtype goes through the f64 working lanes.
     let idx = match &*col {
@@ -73,16 +77,19 @@ fn indices_where<T>(vals: &[T], keep: impl Fn(&T) -> bool) -> Vec<u32> {
 /// `af::lookup` — gather `data[indices[i]]` (materialisation after
 /// `where`).
 pub fn lookup(data: &Array, indices: &Array) -> Result<Array> {
+    let not_u32 = || SimError::Unsupported("af::lookup expects u32 indices".into());
     if indices.dtype() != DType::U32 {
-        return Err(SimError::Unsupported(
-            "af::lookup expects u32 indices".into(),
-        ));
+        return Err(not_u32());
     }
     let af = backend_of(data);
     let device = af.device();
     let col = data.eval()?;
     let idx_col = indices.eval()?;
-    let idx = idx_col.as_u32()?;
+    let ColumnData::U32(idx) = &*idx_col else {
+        return Err(not_u32());
+    };
+    device.reads(&[&*col, idx])?;
+    let n = idx.len();
     // The kernel, then the output column: what a gather that found every
     // index in bounds goes on to pay.
     let charge = || {
@@ -90,20 +97,20 @@ pub fn lookup(data: &Array, indices: &Array) -> Result<Array> {
         let bytes_per = data.dtype().size();
         device.try_charge_kernel(
             "af::lookup",
-            presets::gather::<u64>(idx.len())
-                .with_read((idx.len() * (4 + bytes_per)) as u64)
-                .with_write((idx.len() * bytes_per) as u64)
+            presets::gather::<u64>(n)
+                .with_read((n * (4 + bytes_per)) as u64)
+                .with_write((n * bytes_per) as u64)
                 .with_launch_overhead(launch),
         )?;
-        reserve_column(device, data.dtype(), idx.len())
+        reserve_column(device, data.dtype(), n)
     };
     // Gathered in the column's own dtype: no widened copy of the source.
     macro_rules! gathered {
         ($variant:ident, $src:expr) => {{
-            let src = $src.host();
-            let check = || gpu_sim::hostexec::check_indices(idx.iter().copied(), src.len());
-            let gather = || gpu_sim::hostexec::gather(src, idx);
-            let rows = device.checked_outputs(idx.len(), check, gather)?;
+            let src = $src;
+            let check = || idx.check_indices(src.len());
+            let gather = || gpu_sim::hostexec::gather(src.host(), idx.host());
+            let rows = device.checked_outputs(n, check, gather)?;
             ColumnData::$variant(charge()?.into_buffer(rows))
         }};
     }
@@ -120,6 +127,7 @@ pub fn sum(a: &Array) -> Result<f64> {
     let af = backend_of(a);
     let device = af.device();
     let col = a.eval()?;
+    device.reads(&[&*col])?;
     // Fold from +0.0 explicitly: std's `Sum for f64` seeds with -0.0,
     // which leaks into empty-selection totals and breaks bit-equality
     // with the fused kernels' 0.0-seeded accumulators. In place, widening
@@ -149,7 +157,10 @@ pub fn constant(af: &Arc<Backend>, value: f64, len: usize) -> Result<Array> {
         "af::constant",
         KernelCost::map::<(), f64>(len).with_launch_overhead(device.spec().cuda_launch_latency_ns),
     )?;
-    af.wrap(ColumnData::from_f64(device, vec![value; len])?)
+    af.wrap(ColumnData::from_f64(
+        device,
+        device.outputs(len, || vec![value; len]),
+    )?)
 }
 
 /// `af::scan` — prefix sum with selectable semantics (`exclusive = true`
@@ -160,6 +171,7 @@ pub fn scan(a: &Array, exclusive: bool) -> Result<Array> {
     let af = backend_of(a);
     let device = af.device();
     let col = a.eval()?;
+    device.reads(&[&*col])?;
     let charge = || {
         let launch = device.spec().cuda_launch_latency_ns;
         device.try_charge_kernel(
@@ -204,6 +216,7 @@ pub fn sort(a: &Array) -> Result<Array> {
     let af = backend_of(a);
     let device = af.device();
     let col = a.eval()?;
+    device.reads(&[&*col])?;
     charge_radix(&af, a.len(), a.dtype().size(), 0, "af::sort")?;
     // Real LSD radix sort, run in the column's native key domain when it
     // has one — the f64 working-lane round-trip is order-preserving and
@@ -240,6 +253,7 @@ pub fn sort_by_key(keys: &Array, vals: &Array) -> Result<(Array, Array)> {
     let af = backend_of(keys);
     let kcol = keys.eval()?;
     let vcol = vals.eval()?;
+    af.device().reads(&[&*kcol, &*vcol])?;
     let n = keys.len();
     let (kout, vout) = charge_sort_by_key(&af, n, keys.dtype(), vals.dtype())?;
     // Stable radix sort == the old index-tiebroken comparison sort. The
@@ -251,11 +265,11 @@ pub fn sort_by_key(keys: &Array, vals: &Array) -> Result<(Array, Array)> {
     if let (crate::dtype::ColumnData::U32(kb), crate::dtype::ColumnData::F64(vb)) = (&*kcol, &*vcol)
     {
         let body = || sorted_pairs(kb.host().to_vec(), vb.host().to_vec());
-        let (ks, vs) = device.body(body, || (vec![0; n], vec![0.0; n]));
+        let (ks, vs) = device.body(body, shapes(n));
         return Ok((af.fill_u32(kout, ks)?, af.fill_f64(vout, vs)?));
     }
     let body = || sorted_pairs(kcol.to_f64_vec(), vcol.to_f64_vec());
-    let (ks, vs) = device.body(body, || (vec![0.0; n], vec![0.0; n]));
+    let (ks, vs) = device.body(body, shapes(n));
     Ok((
         af.wrap(fill_from_f64(kout, keys.dtype(), ks))?,
         af.wrap(fill_from_f64(vout, vals.dtype(), vs))?,
@@ -266,9 +280,14 @@ pub fn sort_by_key(keys: &Array, vals: &Array) -> Result<(Array, Array)> {
 fn sorted_pairs<K: gpu_sim::RadixKey, V: gpu_sim::DeviceCopy>(
     mut keys: Vec<K>,
     mut vals: Vec<V>,
-) -> (Vec<K>, Vec<V>) {
+) -> (Contents<K>, Contents<V>) {
     gpu_sim::hostexec::sort_pairs(&mut keys, &mut vals);
-    (keys, vals)
+    (keys.into(), vals.into())
+}
+
+/// The placeholder of a body producing two columns of `n` elements.
+fn shapes<K, V>(n: usize) -> impl FnOnce() -> (Contents<K>, Contents<V>) {
+    move || (Contents::Shape(n), Contents::Shape(n))
 }
 
 /// What [`sort_by_key`] costs on the device once its inputs are
@@ -332,6 +351,8 @@ pub fn sum_by_key(keys: &Array, vals: &Array) -> Result<(Array, Array)> {
     let af = backend_of(keys);
     let kcol = keys.eval()?;
     let vcol = vals.eval()?;
+    kcol.readable()?;
+    vcol.readable()?;
     let charge =
         |groups: usize| charge_sum_by_key(&af, keys.len(), groups, keys.dtype(), vals.dtype());
     // Native fast path for the dominant pairing (u32 group keys, f64
@@ -379,8 +400,8 @@ pub fn sum_by_key(keys: &Array, vals: &Array) -> Result<(Array, Array)> {
     }
     let (kout, vout) = charge(out_k.len())?;
     Ok((
-        af.wrap(fill_from_f64(kout, keys.dtype(), out_k))?,
-        af.wrap(fill_from_f64(vout, vals.dtype(), out_v))?,
+        af.wrap(fill_from_f64(kout, keys.dtype(), out_k.into()))?,
+        af.wrap(fill_from_f64(vout, vals.dtype(), out_v.into()))?,
     ))
 }
 

@@ -81,6 +81,12 @@ impl Program {
         }
     }
 
+    /// The leaf columns, in slot order: what a body running the program
+    /// reads.
+    pub(crate) fn leaves(&self) -> Vec<&dyn gpu_sim::Readable> {
+        self.leaves.iter().map(|c| c.as_ref() as _).collect()
+    }
+
     /// The leaf columns as the engine reads them: in place.
     fn leaf_views(&self) -> Vec<Leaf<'_>> {
         self.leaves
@@ -103,7 +109,7 @@ impl Program {
     /// Execute the program and materialise the result directly as a
     /// `dtype` column in `out` (a reservation for `len` elements of
     /// `dtype`) — the path `Array::eval` uses. Values are those of
-    /// `fill_from_f64(out, dtype, <the f64 results>)`, or placeholders in a
+    /// `fill_from_f64(out, dtype, <the f64 results>)`, or shape-only in a
     /// dry scope on `device` ([`Device::outputs`]).
     pub(crate) fn eval_into(
         &self,
@@ -112,10 +118,9 @@ impl Program {
         dtype: DType,
         len: usize,
     ) -> ColumnData {
-        let leaves = self.leaf_views();
         macro_rules! column {
             ($variant:ident) => {{
-                let data = device.outputs(len, || expr::map(&self.code, &leaves, len));
+                let data = device.outputs(len, || expr::map(&self.code, &self.leaf_views(), len));
                 ColumnData::$variant(out.into_buffer(data))
             }};
         }
@@ -255,8 +260,11 @@ mod tests {
         let keys = Arc::new(Node::Leaf(
             10,
             Arc::new(
-                ColumnData::from_u32(&dev, (0..n).map(|i| (i as u32 * 13) % 1009).collect())
-                    .unwrap(),
+                ColumnData::from_u32(
+                    &dev,
+                    (0..n).map(|i| (i as u32 * 13) % 1009).collect::<Vec<_>>(),
+                )
+                .unwrap(),
             ),
         ));
         let flags: Vec<u8> = (0..n).map(|i| (i % 3 == 0) as u8).collect();
@@ -314,7 +322,7 @@ mod tests {
             let got = prog.eval_into(&dev, out, dt, n);
             assert_eq!(got.dtype(), dt);
             assert_eq!(got.len(), n);
-            let via_f64 = crate::dtype::column_from_f64(&dev, dt, prog.eval(n)).unwrap();
+            let via_f64 = crate::dtype::column_from_f64(&dev, dt, prog.eval(n).into()).unwrap();
             match dt {
                 DType::F64 => assert_eq!(got.as_f64().unwrap(), via_f64.as_f64().unwrap()),
                 DType::U32 => assert_eq!(got.as_u32().unwrap(), via_f64.as_u32().unwrap()),

@@ -5,9 +5,10 @@
 //! (`bench::grid`): `--jobs N` (`-j N`) picks the worker count,
 //! defaulting to every available core; output is byte-identical at any
 //! job count. Pass `--csv DIR` to also write one `<id>.csv` per
-//! experiment. Any other argument, or a flag without a good value, is
-//! one line on stderr and exit code 2 before anything runs. It writes
-//! nothing but the `--csv` files.
+//! experiment. Any other argument, a flag without a good value, or a
+//! `--csv` directory that cannot be created is one line on stderr and exit
+//! code 2 before anything runs; a CSV that cannot be written is one line
+//! and exit code 1. It writes nothing but the `--csv` files.
 
 fn main() {
     let args = bench::report::parse_args("all_experiments", &["--jobs", "--csv"]);
@@ -17,9 +18,8 @@ fn main() {
     let run = bench::grid::run(bench::grid::GridConfig::default(), jobs);
     print!("{}", run.stdout);
     if let Some(dir) = &args.csv {
-        std::fs::create_dir_all(dir).expect("create csv dir");
         for (name, contents) in &run.artifacts {
-            std::fs::write(dir.join(name), contents).expect("write csv");
+            bench::report::write_artifact(dir, name, contents);
         }
     }
 }

@@ -15,7 +15,7 @@ fn main() {
             exp.id = format!("E17{suffix}");
             exp.title = format!("{} (SF {sf})", exp.title);
             println!("{}", exp.render());
-            bench::report::write_csv(&exp, csv.as_deref()).unwrap();
+            bench::report::write_csv(&exp, csv.as_deref());
         }
     }
 }

@@ -33,5 +33,5 @@ fn main() {
         }
         println!();
     }
-    bench::report::write_csv(&exp, csv.as_deref()).unwrap();
+    bench::report::write_csv(&exp, csv.as_deref());
 }

@@ -902,8 +902,9 @@ mod tests {
     }
 
     /// A dry lane cell runs inside its device's dry scope — its outputs
-    /// are placeholders — and leaves the lane as it found it, also when
-    /// the cell panics; a cell that is not dry computes answers.
+    /// are shape-only placeholders, which cannot be downloaded — and
+    /// leaves the lane as it found it, also when the cell panics; a cell
+    /// that is not dry computes answers.
     #[test]
     fn a_dry_lane_cell_fills_placeholders_and_leaves_the_lane_wet() {
         let sorted = |dry: bool| {
@@ -911,7 +912,10 @@ mod tests {
             let f: OnBackend = Box::new(|b| {
                 let keys = b.upload_u32(&[3, 1, 2]).expect("upload");
                 let sorted = b.sort(&keys).expect("sort");
-                out(b.download_u32(&sorted).expect("download"))
+                let got = (sorted.len(), b.download_u32(&sorted));
+                b.free(sorted).expect("free");
+                b.free(keys).expect("free");
+                out(got)
             });
             let cell = Cell {
                 label: "probe".into(),
@@ -921,12 +925,16 @@ mod tests {
                     f,
                 },
             };
-            let got = take::<Vec<u32>>(vec![cell.run(Some(b.as_ref()), false).0]);
+            type Got = (usize, gpu_sim::Result<Vec<u32>>);
+            let got = take::<Got>(vec![cell.run(Some(b.as_ref()), false).0]);
             assert!(!b.device().is_dry());
-            got.concat()
+            assert_eq!(b.device().live_buffers(), 0);
+            got.into_iter().next().expect("one cell")
         };
-        assert_eq!(sorted(false), [1, 2, 3]);
-        assert_eq!(sorted(true), [0, 0, 0]);
+        assert_eq!(sorted(false), (3, Ok(vec![1, 2, 3])));
+        let (len, download) = sorted(true);
+        assert_eq!(len, 3);
+        assert!(matches!(download, Err(gpu_sim::SimError::ShapeOnly { .. })));
         let b = fresh("Thrust");
         let cell = Cell {
             label: "probe".into(),

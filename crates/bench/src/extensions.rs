@@ -32,7 +32,7 @@
 //! what each runs on and how their outputs merge.
 
 use gpu_sim::FaultPlan;
-use proto_core::backend::{GpuBackend, Pred};
+use proto_core::backend::{GpuBackend, Pred, Source};
 use proto_core::ops::{CmpOp, Connective, JoinAlgo};
 use proto_core::resilient::RetryPolicy;
 use proto_core::resilient_plan::{PlanRecovery, ResilientPlanExecutor};
@@ -93,9 +93,9 @@ pub(crate) fn e14_part(b: &dyn GpuBackend, sizes: &[usize]) -> Part {
     let mut part = Part::new();
     for &n in sizes {
         let keys = workload::cache::zipf_keys(n, 64, 0.5, workload::SEED);
-        let vals = workload::cache::uniform_f64(n, workload::SEED ^ 30);
+        let vals = || workload::cache::uniform_f64(n, workload::SEED ^ 30);
         let k = b.upload_u32(&keys).expect("upload");
-        let v = b.upload_f64(&vals).expect("upload");
+        let v = b.upload(n, Source::F64(&vals)).expect("upload");
         let s = proto_core::runner::measure(b, n as u64, || {
             let (gk, sums, counts) = b.grouped_sum_count(&k, &v)?;
             for c in [gk, sums, counts] {

@@ -226,9 +226,14 @@ fn build(cfg: &Arc<GridConfig>) -> (Vec<Slot>, Vec<Lane>) {
 /// The push-back after every cell keeps the four backend lanes on the same
 /// rows at the same time. Running each lane to its end as one job measured
 /// slower at `--jobs 2` on a 2-core VM (median busy time +7 % and +27 % in
-/// two sets of runs, identical output): the lanes drift apart, most likely
-/// to stop sharing the generated columns `proto_core::workload::cache`
-/// holds, though that cause is unconfirmed.
+/// two sets of runs, identical output): the lanes drift apart. Lanes in
+/// step share each column `proto_core::workload::cache` generates — the
+/// first lane to ask generates it while the others wait on its slot. Per-
+/// cell timings on the same VM showed that wait: before dry rows stopped
+/// generating their body-only columns, E7's cells took 159 and 162 ms on
+/// the Thrust and Boost.Compute lanes, which arrived first, against 60 and
+/// 47 ms on ArrayFire and Handwritten. Lanes far apart can find a column
+/// already evicted from the cache's FIFO and generate it again.
 ///
 /// A panicking cell stops the run: no worker takes another cell, every
 /// worker returns, and the panic is raised again here.

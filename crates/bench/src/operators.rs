@@ -11,9 +11,13 @@
 //! its backend's lane), the lint replay (`crate::traced`) and
 //! [`crate::experiments::run_serial`] all read that row. Synthetic input
 //! columns come from [`workload::cache`], so concurrent parts share one
-//! generation per column.
+//! generation per column. A column only a kernel body reads goes up through
+//! [`GpuBackend::upload`] with its generator as the source: a dry lane never
+//! generates it and holds it shape-only. Columns a counted placeholder or
+//! an input check reads — selection and group keys, gather / scatter
+//! indices — are generated and uploaded as they are (DESIGN.md §5).
 
-use proto_core::backend::{GpuBackend, Pred};
+use proto_core::backend::{GpuBackend, Pred, Source};
 use proto_core::ops::{CmpOp, Connective, JoinAlgo, Support};
 use proto_core::runner::{measure, Experiment};
 use proto_core::workload;
@@ -60,14 +64,14 @@ pub(crate) fn e4_part(b: &dyn GpuBackend, n: usize, selectivities: &[f64]) -> Pa
 pub(crate) fn e5_part(b: &dyn GpuBackend, sizes: &[usize], by_key: bool) -> Part {
     let mut part = Part::new();
     for &n in sizes {
-        let keys = workload::cache::uniform_u32(n, u32::MAX, workload::SEED);
-        let vals = workload::cache::uniform_f64(n, workload::SEED ^ 1);
+        let keys = || workload::cache::uniform_u32(n, u32::MAX, workload::SEED);
+        let vals = || workload::cache::uniform_f64(n, workload::SEED ^ 1);
         // Both columns are staged even for the keys-only sort: the
         // transfer-inclusive metric prices moving the whole (key, value)
         // dataset, as the paper does. gpu-lint waives the resulting
-        // GL006 for E5a (see the golden waiver table in the gpu_lint bin).
-        let k = b.upload_u32(&keys).expect("upload");
-        let v = b.upload_f64(&vals).expect("upload");
+        // GL006 for E5a (`crate::traced::golden_waivers`).
+        let k = b.upload(n, Source::U32(&keys)).expect("upload");
+        let v = b.upload(n, Source::F64(&vals)).expect("upload");
         let s = measure(b, n as u64, || {
             if by_key {
                 let (sk, sv) = b.sort_by_key(&k, &v)?;
@@ -88,12 +92,12 @@ pub(crate) fn e5_part(b: &dyn GpuBackend, sizes: &[usize], by_key: bool) -> Part
 
 /// E6 part — one backend's grouped-aggregation samples, one per group count.
 pub(crate) fn e6_part(b: &dyn GpuBackend, n: usize, group_counts: &[usize]) -> Part {
-    let vals = workload::cache::uniform_f64(n, workload::SEED ^ 2);
+    let vals = || workload::cache::uniform_f64(n, workload::SEED ^ 2);
     let mut part = Part::new();
     for &g in group_counts {
         let keys = workload::cache::zipf_keys(n, g, 0.5, workload::SEED);
         let k = b.upload_u32(&keys).expect("upload");
-        let v = b.upload_f64(&vals).expect("upload");
+        let v = b.upload(n, Source::F64(&vals)).expect("upload");
         let s = measure(b, g as u64, || {
             let (gk, gv) = b.grouped_sum(&k, &v)?;
             b.free(gk)?;
@@ -112,14 +116,14 @@ pub(crate) fn e6_part(b: &dyn GpuBackend, n: usize, group_counts: &[usize]) -> P
 pub(crate) fn e7_part(b: &dyn GpuBackend, sizes: &[usize]) -> Vec<[proto_core::runner::Sample; 5]> {
     let mut rows = Vec::new();
     for &n in sizes {
-        let f = workload::cache::uniform_f64(n, workload::SEED ^ 3);
-        let g = workload::cache::uniform_f64(n, workload::SEED ^ 4);
-        let u = workload::cache::uniform_u32(n, 256, workload::SEED ^ 5);
+        let f = || workload::cache::uniform_f64(n, workload::SEED ^ 3);
+        let g = || workload::cache::uniform_f64(n, workload::SEED ^ 4);
+        let u = || workload::cache::uniform_u32(n, 256, workload::SEED ^ 5);
         // Deterministic shuffle for a random-access index vector.
         let perm = workload::cache::shuffled_indices(n);
-        let cf = b.upload_f64(&f).expect("upload");
-        let cg = b.upload_f64(&g).expect("upload");
-        let cu = b.upload_u32(&u).expect("upload");
+        let cf = b.upload(n, Source::F64(&f)).expect("upload");
+        let cg = b.upload(n, Source::F64(&g)).expect("upload");
+        let cu = b.upload(n, Source::U32(&u)).expect("upload");
         let cidx = b.upload_u32(&perm).expect("upload");
         let reduction = measure(b, n as u64, || b.reduction(&cf).map(drop)).expect("measure");
         let prefix = measure(b, n as u64, || {
@@ -256,12 +260,12 @@ type OpThunk<'a> = Box<dyn Fn() -> gpu_sim::Result<()> + 'a>;
 pub(crate) fn e15_part(b: &dyn GpuBackend, n: usize) -> Vec<proto_core::runner::Sample> {
     let (col, thr) = workload::cache::selectivity_column(n, 0.5, workload::SEED);
     let keys = workload::cache::zipf_keys(n, 256, 0.5, workload::SEED);
-    let vals = workload::cache::uniform_f64(n, workload::SEED ^ 50);
+    let vals = || workload::cache::uniform_f64(n, workload::SEED ^ 50);
     let idx: Vec<u32> = (0..n as u32).collect();
     let c = b.upload_u32(&col).expect("upload");
     let k = b.upload_u32(&keys).expect("upload");
-    let v = b.upload_f64(&vals).expect("upload");
-    let w = b.upload_f64(&vals).expect("upload");
+    let v = b.upload(n, Source::F64(&vals)).expect("upload");
+    let w = b.upload(n, Source::F64(&vals)).expect("upload");
     let ix = b.upload_u32(&idx).expect("upload");
     let lit = thr as f64;
     let ops: Vec<(u64, OpThunk<'_>)> = vec![

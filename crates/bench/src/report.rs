@@ -18,10 +18,18 @@ fn reject(msg: String) -> ! {
     std::process::exit(2);
 }
 
+/// Report a failure after the run (an artifact that cannot be written) on
+/// one stderr line and exit with code 1.
+fn fail(msg: String) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(1);
+}
+
 /// Parse `bin`'s command line, which takes the flags in `takes` —
 /// `"--jobs"` (also spelled `-j`) and `"--csv"` — and nothing else. Any
-/// other argument, or a flag without a good value, is one line on stderr
-/// and exit code 2 before anything runs.
+/// other argument, a flag without a good value, or a `--csv` directory
+/// that cannot be created is one line on stderr and exit code 2 before
+/// anything runs.
 pub fn parse_args(bin: &str, takes: &[&str]) -> Args {
     let mut parsed = Args {
         jobs: None,
@@ -61,16 +69,31 @@ pub fn parse_args(bin: &str, takes: &[&str]) -> Args {
             }
         }
     }
+    if let Some(dir) = &parsed.csv {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            reject(format!(
+                "cannot create --csv directory `{}`: {e}",
+                dir.display()
+            ));
+        }
+    }
     parsed
 }
 
-/// Write `<id>.csv` into `csv_dir` (created on demand) when it is set.
-pub fn write_csv(exp: &Experiment, csv_dir: Option<&Path>) -> std::io::Result<()> {
-    if let Some(dir) = csv_dir {
-        std::fs::create_dir_all(dir)?;
-        std::fs::write(dir.join(format!("{}.csv", exp.id)), exp.to_csv())?;
+/// Write `contents` to `dir/name`. A failure is one line on stderr and
+/// exit code 1.
+pub fn write_artifact(dir: &Path, name: &str, contents: &str) {
+    let path = dir.join(name);
+    if let Err(e) = std::fs::write(&path, contents) {
+        fail(format!("cannot write `{}`: {e}", path.display()));
     }
-    Ok(())
+}
+
+/// Write `<id>.csv` into `csv_dir` when it is set ([`write_artifact`]).
+pub fn write_csv(exp: &Experiment, csv_dir: Option<&Path>) {
+    if let Some(dir) = csv_dir {
+        write_artifact(dir, &format!("{}.csv", exp.id), &exp.to_csv());
+    }
 }
 
 #[cfg(test)]
@@ -90,7 +113,8 @@ mod tests {
             kernel_bytes: 2,
         });
         let dir = std::env::temp_dir().join("bench_report_test");
-        write_csv(&exp, Some(&dir)).unwrap();
+        std::fs::create_dir_all(&dir).unwrap();
+        write_csv(&exp, Some(&dir));
         let csv = std::fs::read_to_string(dir.join("T0.csv")).unwrap();
         assert!(csv.contains("1,A,10"));
         std::fs::remove_dir_all(&dir).ok();

@@ -1,7 +1,8 @@
-//! The `bench` binaries reject a malformed worker count, fault rate or
-//! an argument they do not take up front — exit code 2 and one line on
-//! stderr, before anything runs — instead of silently running with a
-//! value nobody asked for. `--help` names every flag a binary takes.
+//! The `bench` binaries reject a malformed worker count, fault rate, an
+//! argument they do not take or a `--csv` directory they cannot create up
+//! front — exit code 2 and one line on stderr, before anything runs —
+//! instead of silently running with a value nobody asked for. `--help`
+//! names every flag a binary takes.
 
 use std::process::Command;
 
@@ -80,6 +81,40 @@ fn an_argument_a_fig_binary_does_not_take_is_rejected() {
     ];
     assert_all_rejected(env!("CARGO_BIN_EXE_fig_device_sensitivity"), &bare_cases);
     assert_all_rejected(env!("CARGO_BIN_EXE_fig_query_timeline"), &bare_cases);
+}
+
+/// A `--csv` directory that cannot be created — here, one below a file — is
+/// refused before anything runs; a CSV that cannot be written once the run
+/// is over is one stderr line and exit code 1. Neither panics.
+#[test]
+fn an_unwritable_csv_directory_is_an_error_not_a_panic() {
+    let scratch = std::env::temp_dir().join(format!("bench_cli_csv_{}", std::process::id()));
+    std::fs::create_dir_all(&scratch).unwrap();
+    let file = scratch.join("a_file");
+    std::fs::write(&file, "").unwrap();
+    for bin in [
+        env!("CARGO_BIN_EXE_all_experiments"),
+        env!("CARGO_BIN_EXE_fig_fault_resilience"),
+        env!("CARGO_BIN_EXE_fig_launch_anatomy"),
+    ] {
+        let mut cmd = Command::new(bin);
+        cmd.arg("--csv").arg(file.join("csv"));
+        assert_rejected(cmd, "cannot create --csv directory");
+    }
+    // E15.csv is taken by a directory: the run succeeds, its write fails.
+    let csv = scratch.join("csv");
+    std::fs::create_dir_all(csv.join("E15.csv")).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_fig_launch_anatomy"))
+        .arg("--csv")
+        .arg(&csv)
+        .output()
+        .expect("spawn");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{stderr}");
+    assert!(stderr.contains("cannot write"), "{stderr}");
+    assert!(!out.stdout.is_empty(), "the run itself completed");
+    std::fs::remove_dir_all(&scratch).unwrap();
 }
 
 #[test]

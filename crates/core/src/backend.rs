@@ -28,7 +28,8 @@ pub enum ColType {
 /// Opaque handle to a device-resident column owned by one backend.
 ///
 /// Handles are minted by [`GpuBackend::upload_u32`] /
-/// [`GpuBackend::upload_f64`] and by operator outputs; they are only valid
+/// [`GpuBackend::upload_f64`] / [`GpuBackend::upload`] and by operator
+/// outputs; they are only valid
 /// on the backend that created them.
 #[derive(Debug)]
 pub struct Col {
@@ -77,6 +78,36 @@ impl Col {
     }
 }
 
+/// Where the values of a column [`GpuBackend::upload`] uploads come from:
+/// a generator (or a cache of one) that is called only when a kernel body
+/// will read them.
+#[derive(Clone, Copy)]
+pub enum Source<'a> {
+    /// `u32` values.
+    U32(&'a dyn Fn() -> Arc<Vec<u32>>),
+    /// `f64` values.
+    F64(&'a dyn Fn() -> Arc<Vec<f64>>),
+}
+
+impl std::fmt::Debug for Source<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Source::U32(_) => "Source::U32",
+            Source::F64(_) => "Source::F64",
+        })
+    }
+}
+
+/// `values`, when they are the `len` a lazy upload declared.
+pub(crate) fn sized<T>(len: usize, values: Arc<Vec<T>>) -> Result<Arc<Vec<T>>> {
+    if values.len() == len {
+        Ok(values)
+    } else {
+        let right = values.len();
+        Err(SimError::SizeMismatch { left: len, right })
+    }
+}
+
 /// One selection predicate: `column CMP literal` (literals are widened to
 /// `f64`; exact for integers below 2^53).
 #[derive(Debug, Clone, Copy)]
@@ -112,9 +143,22 @@ pub trait GpuBackend: Send + Sync {
     fn upload_u32(&self, data: &[u32]) -> Result<Col>;
     /// Upload an `f64` column (charges PCIe).
     fn upload_f64(&self, data: &[f64]) -> Result<Col>;
-    /// Download a `u32` column (charges PCIe).
+    /// Upload a column of `len` values from `source` (charges PCIe), asking
+    /// for the values only if a kernel body will read them: inside the
+    /// device's dry scope a backend that overrides this keeps the column
+    /// shape-only — same charges, no data — and never calls `source`
+    /// (DESIGN.md §5). The default uploads eagerly. `source` yielding
+    /// other than `len` values is `SizeMismatch`, before any charge.
+    fn upload(&self, len: usize, source: Source<'_>) -> Result<Col> {
+        match source {
+            Source::U32(values) => self.upload_u32(&sized(len, values())?),
+            Source::F64(values) => self.upload_f64(&sized(len, values())?),
+        }
+    }
+    /// Download a `u32` column (charges PCIe). A shape-only column has
+    /// nothing to download: [`SimError::ShapeOnly`], before any charge.
     fn download_u32(&self, col: &Col) -> Result<Vec<u32>>;
-    /// Download an `f64` column (charges PCIe).
+    /// Download an `f64` column (charges PCIe); as [`Self::download_u32`].
     fn download_f64(&self, col: &Col) -> Result<Vec<f64>>;
     /// Release a column handle.
     fn free(&self, col: Col) -> Result<()>;

@@ -10,12 +10,12 @@
 //! compiles into a single kernel.
 
 use super::{check_keyed, check_sum_product, group_sums, kept, row_preds, same_len};
-use crate::backend::{check_col, Col, ColType, GpuBackend, Pred, Slab};
+use crate::backend::{check_col, Col, ColType, GpuBackend, Pred, Slab, Source};
 use crate::ops::{CmpOp, Connective, DbOperator, JoinAlgo, Support};
 use arrayfire_sim as af;
 use arrayfire_sim::{Array, ColumnData, DType};
-use gpu_sim::hostexec::{self, Lane, Rhs, RowPred};
-use gpu_sim::{Device, Reservation, Result, SimError};
+use gpu_sim::hostexec::{Lane, Rhs, RowPred};
+use gpu_sim::{Device, Readable, Reservation, Result, SimError};
 use std::sync::Arc;
 
 /// The ArrayFire library plugged into the framework.
@@ -61,6 +61,18 @@ impl ArrayFireBackend {
         self.slab.with(col.id, |a| a.clone())
     }
 
+    /// [`Device::reads`] over `cols`, evaluated: what an operator building
+    /// lazy nodes over them checks first, since each node costs host
+    /// bookkeeping time (`af::NODE_OVERHEAD_NS`).
+    fn reads(&self, cols: &[&Col]) -> Result<()> {
+        let evaluated: Vec<_> = cols
+            .iter()
+            .map(|c| self.arr(c)?.eval())
+            .collect::<Result<_>>()?;
+        let inputs: Vec<&dyn Readable> = evaluated.iter().map(|c| c.as_ref() as _).collect();
+        self.device.reads(&inputs)
+    }
+
     fn mask(&self, p: &Pred<'_>) -> Result<Array> {
         Ok(cmp_node(&self.arr(p.col)?, p.cmp, p.lit))
     }
@@ -75,11 +87,12 @@ impl ArrayFireBackend {
 }
 
 /// The evaluated column behind a stored array, for a host kernel to read
-/// in place. The backend stores `u32` and `f64` columns only.
+/// in place. The backend stores `u32` and `f64` columns only; a shape-only
+/// one has no lane ([`SimError::ShapeOnly`]).
 fn lane(col: &ColumnData) -> Result<Lane<'_>> {
     match col {
-        ColumnData::U32(b) => Ok(Lane::U32(b.host())),
-        ColumnData::F64(b) => Ok(Lane::F64(b.host())),
+        ColumnData::U32(b) => Ok(Lane::U32(b.data()?)),
+        ColumnData::F64(b) => Ok(Lane::F64(b.data()?)),
         other => Err(SimError::Unsupported(format!(
             "{} column in a selection",
             other.dtype().name()
@@ -172,6 +185,13 @@ impl GpuBackend for ArrayFireBackend {
         Ok(self.mint(self.runtime.array_f64(data)?))
     }
 
+    fn upload(&self, len: usize, source: Source<'_>) -> Result<Col> {
+        Ok(self.mint(match source {
+            Source::U32(values) => self.runtime.upload(len, values)?,
+            Source::F64(values) => self.runtime.upload(len, values)?,
+        }))
+    }
+
     fn download_u32(&self, col: &Col) -> Result<Vec<u32>> {
         check_col(col, NAME, ColType::U32)?;
         self.arr(col)?.host_u32()
@@ -201,27 +221,33 @@ impl GpuBackend for ArrayFireBackend {
             .map(|p| self.arr(p.col)?.eval())
             .collect::<Result<Vec<_>>>()?;
         let lanes = cols.iter().map(|c| lane(c)).collect::<Result<Vec<_>>>()?;
-        let picked = kept(&self.device, &row_preds(&lanes, preds), all);
+        let (picked, counts) = kept(&self.device, &row_preds(&lanes, preds), all);
         // Table II realisation, charged: one where() per predicate,
         // combined with set operations on the index arrays. Only the last
         // index array is ever read, so only it gets contents.
-        let mut ids = self.charge_where(&self.mask(&preds[0])?, picked.each[0])?;
+        let mut ids = self.charge_where(&self.mask(&preds[0])?, counts.each[0])?;
         for (j, p) in preds.iter().enumerate().skip(1) {
-            let next = self.charge_where(&self.mask(p)?, picked.each[j])?;
+            let next = self.charge_where(&self.mask(p)?, counts.each[j])?;
             ids = af::charge_set_op(
                 &self.runtime,
                 all,
-                picked.prefix[j - 1],
-                picked.each[j],
-                picked.prefix[j],
+                counts.prefix[j - 1],
+                counts.each[j],
+                counts.prefix[j],
             )?;
             drop(next);
         }
-        Ok(self.mint(self.runtime.fill_u32(ids, picked.ids)?))
+        Ok(self.mint(self.runtime.fill_u32(ids, picked)?))
     }
 
     fn selection_cmp_cols(&self, a: &Col, b: &Col, cmp: CmpOp) -> Result<Col> {
         let (xa, xb) = (self.arr(a)?, self.arr(b)?);
+        let (ca, cb) = (xa.eval()?, xb.eval()?);
+        let pred = RowPred {
+            col: lane(&ca)?,
+            cmp: cmp.into(),
+            rhs: Rhs::Col(lane(&cb)?),
+        };
         let mask = match cmp {
             CmpOp::Lt => xa.lt(&xb)?,
             CmpOp::Le => xa.le(&xb)?,
@@ -230,20 +256,15 @@ impl GpuBackend for ArrayFireBackend {
             CmpOp::Eq => xa.eq_elem(&xb)?,
             CmpOp::Ne => xa.ne_elem(&xb)?,
         };
-        let (ca, cb) = (xa.eval()?, xb.eval()?);
-        let pred = RowPred {
-            col: lane(&ca)?,
-            cmp: cmp.into(),
-            rhs: Rhs::Col(lane(&cb)?),
-        };
-        let picked = kept(&self.device, &[pred], true);
-        let ids = self.charge_where(&mask, picked.ids.len())?;
-        Ok(self.mint(self.runtime.fill_u32(ids, picked.ids)?))
+        let (picked, _) = kept(&self.device, &[pred], true);
+        let ids = self.charge_where(&mask, picked.len())?;
+        Ok(self.mint(self.runtime.fill_u32(ids, picked)?))
     }
 
     fn dense_mask(&self, col: &Col, cmp: CmpOp, lit: f64) -> Result<Col> {
         // The comparison mask is lazy; cast to f64 so it multiplies into
         // downstream arithmetic (all of which fuses into one kernel).
+        self.reads(&[col])?;
         let mask = self.mask(&Pred { col, cmp, lit })?;
         let out = mask.cast(af::DType::F64);
         out.eval()?;
@@ -253,6 +274,7 @@ impl GpuBackend for ArrayFireBackend {
     fn product(&self, a: &Col, b: &Col) -> Result<Col> {
         check_col(a, NAME, ColType::F64)?;
         check_col(b, NAME, ColType::F64)?;
+        self.reads(&[a, b])?;
         let (xa, xb) = (self.arr(a)?, self.arr(b)?);
         let prod = xa.try_binary(af::BinaryOp::Mul, &xb)?;
         prod.eval()?;
@@ -261,6 +283,7 @@ impl GpuBackend for ArrayFireBackend {
 
     fn affine(&self, col: &Col, mul: f64, add: f64) -> Result<Col> {
         check_col(col, NAME, ColType::F64)?;
+        self.reads(&[col])?;
         let a = self.arr(col)?;
         let out = &(&a * mul) + add; // lazy — fuses with downstream use
         out.eval()?;
@@ -296,12 +319,15 @@ impl GpuBackend for ArrayFireBackend {
     fn grouped_sum(&self, keys: &Col, vals: &Col) -> Result<(Col, Col)> {
         check_keyed(NAME, keys, vals)?;
         let (kcol, vcol) = (self.arr(keys)?.eval()?, self.arr(vals)?.eval()?);
+        let (ColumnData::U32(kb), ColumnData::F64(vb)) = (&*kcol, &*vcol) else {
+            unreachable!("dtype checked")
+        };
         // sort(keys, values) then sumByKey(), charged: the sorted columns
         // are never read. The sums come from one row-order pass, seeded so
         // that each group starts from its first value as sumByKey does.
+        let (gk, gv) = group_sums(&self.device, kb, vb, -0.0)?;
         let (kd, vd) = (kcol.dtype(), vcol.dtype());
         let (_sorted_keys, _sorted_vals) = af::charge_sort_by_key(&self.runtime, keys.len, kd, vd)?;
-        let (gk, gv) = group_sums(&self.device, kcol.as_u32()?, vcol.as_f64()?, -0.0);
         let (rk, rv) = af::charge_sum_by_key(&self.runtime, keys.len, gk.len(), kd, vd)?;
         Ok((
             self.mint(self.runtime.fill_u32(rk, gk)?),
@@ -322,25 +348,37 @@ impl GpuBackend for ArrayFireBackend {
         check_col(data, NAME, ColType::U32)?;
         check_col(idx, NAME, ColType::U32)?;
         // ArrayFire expresses scatter as indexed assignment
-        // (`out(idx) = data`); partial support — costed like a random
-        // write kernel over the data.
-        let (d, i) = (self.arr(data)?.download()?, self.arr(idx)?.download()?);
-        let (d, i) = (d.as_u32()?, i.as_u32()?);
-        if d.len() != i.len() {
+        // (`out(idx) = data`); partial support — a host round trip, costed
+        // like a random write kernel over the data. The round trip is
+        // priced by lengths; only a body reads the data.
+        let (d, i) = (self.arr(data)?, self.arr(idx)?);
+        let (dcol, icol) = (d.eval()?, i.eval()?);
+        let (ColumnData::U32(db), ColumnData::U32(ib)) = (&*dcol, &*icol) else {
+            unreachable!("dtype checked")
+        };
+        self.device.reads(&[db, ib])?;
+        d.charge_download();
+        i.charge_download();
+        if db.len() != ib.len() {
             return Err(SimError::SizeMismatch {
-                left: d.len(),
-                right: i.len(),
+                left: db.len(),
+                right: ib.len(),
             });
         }
-        let check = || hostexec::check_indices(i.iter().copied(), dst_len);
-        let body = || hostexec::scatter(d, i, dst_len);
-        let out = self.device.checked_outputs(dst_len, check, body)?;
+        ib.check_indices(dst_len)?;
         self.device.charge_kernel(
             "af::assign",
-            gpu_sim::presets::scatter::<u32>(d.len())
+            gpu_sim::presets::scatter::<u32>(db.len())
                 .with_launch_overhead(self.device.spec().cuda_launch_latency_ns),
         );
-        Ok(self.mint(self.runtime.array_u32(&out)?))
+        let scattered = || {
+            let mut out = vec![0; dst_len];
+            for (&x, &at) in db.host().iter().zip(ib.host()) {
+                out[at as usize] = x;
+            }
+            out
+        };
+        Ok(self.mint(self.runtime.upload(dst_len, scattered)?))
     }
 
     fn join(&self, _outer: &Col, _inner: &Col, algo: JoinAlgo) -> Result<(Col, Col)> {
@@ -357,6 +395,11 @@ impl GpuBackend for ArrayFireBackend {
         check_col(a, NAME, ColType::F64)?;
         check_col(b, NAME, ColType::F64)?;
         check_sum_product(a, b, preds)?;
+        let cols: Vec<&Col> = [a, b]
+            .into_iter()
+            .chain(preds.iter().map(|p| p.col))
+            .collect();
+        self.reads(&cols)?;
         let mut mask = self.mask(&preds[0])?;
         for p in &preds[1..] {
             mask = mask.and(&self.mask(p)?)?;
@@ -367,6 +410,7 @@ impl GpuBackend for ArrayFireBackend {
 
     fn fused_map(&self, inputs: &[&Col], expr: &crate::fused::FusedExpr) -> Result<Col> {
         crate::fused::check_fused_inputs(NAME, inputs, &[], expr)?;
+        self.reads(inputs)?;
         let arrs: Vec<Array> = inputs
             .iter()
             .map(|c| self.arr(c))
@@ -385,6 +429,7 @@ impl GpuBackend for ArrayFireBackend {
         expr: &crate::fused::FusedExpr,
     ) -> Result<f64> {
         crate::fused::check_fused_inputs(NAME, inputs, preds, expr)?;
+        self.reads(inputs)?;
         let arrs: Vec<Array> = inputs
             .iter()
             .map(|c| self.arr(c))

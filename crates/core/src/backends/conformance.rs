@@ -10,13 +10,16 @@
 //! out of range. Where there is an answer it must be the right one, where
 //! there is none the call must return `Err` — never panic — and either way
 //! every device buffer it took is back once the returned columns are freed.
+//! The same list fed shape-only columns must refuse for free. Inside a dry
+//! scope every call must charge what it charges with bodies, on uploaded
+//! and on shape-only inputs alike.
 //! A call whose Table II cell the backend declares `Support::None` must
 //! refuse before charging the device anything. What a call *costs* is not
 //! checked here: that is each library's profile, pinned beside its adapter.
 
 use super::eager::{EagerBackend, EagerLib};
 use super::{make_backend, PAPER_BACKENDS};
-use crate::backend::{Col, ColType, GpuBackend, Pred};
+use crate::backend::{Col, ColType, GpuBackend, Pred, Source};
 use crate::fused::{composed_filter_agg, composed_map, FusedExpr, FusedPred};
 use crate::ops::{CmpOp, Connective, DbOperator, JoinAlgo, Support};
 use boost_compute_sim::Context;
@@ -257,6 +260,9 @@ enum Operands {
     Empty,
     /// Columns the backend does not hold: nothing.
     NotHeld,
+    /// Shape-only `u` and `f` outside a dry scope: the typed refusal,
+    /// before anything is charged.
+    ShapeOnly,
 }
 
 /// Run `calls` and hold each to `given` — and, whatever it returned, to
@@ -267,6 +273,7 @@ fn hold(b: Backend<'_>, calls: Vec<Call<'_>>, given: Operands) {
     for call in calls {
         let at = format!("{}: {} ({given:?})", b.name(), call.name);
         let before = (dev.now(), dev.stats().total_launches(), dev.live_buffers());
+        let stats = dev.stats();
         let got = (call.run)();
         let after = (dev.now(), dev.stats().total_launches(), dev.live_buffers());
         assert_eq!(after.2, before.2, "{at}: buffers left behind");
@@ -282,6 +289,11 @@ fn hold(b: Backend<'_>, calls: Vec<Call<'_>>, given: Operands) {
             Operands::Reference => assert_eq!(got.expect(&at), call.want, "{at}"),
             Operands::Empty => assert!(is_nothing(&got.expect(&at)), "{at}"),
             Operands::NotHeld => assert!(got.is_err(), "{at}: {got:?}"),
+            Operands::ShapeOnly => {
+                let refused = matches!(got, Err(SimError::ShapeOnly { .. }));
+                assert!(refused, "{at}: {got:?}");
+                assert_eq!((after, dev.stats()), (before, stats), "{at}: charged");
+            }
         }
     }
 }
@@ -309,6 +321,19 @@ fn on_every_backend(case: impl Fn(Backend<'_>)) {
         let folded = DeviceStats::from_trace(&dev.take_trace());
         assert_eq!(folded, counters, "{name}: stats are not the trace's fold");
     }
+}
+
+/// `u` and `f` uploaded inside a dry scope through [`GpuBackend::upload`]:
+/// shape-only, with the charges of their values.
+fn shape_only(b: Backend<'_>, u: &[u32], f: &[f64]) -> [Col; 2] {
+    let device = b.device();
+    let _scope = device.dry_scope();
+    let (u, f) = (|| Arc::new(u.to_vec()), || Arc::new(f.to_vec()));
+    let (nu, nf) = (u().len(), f().len());
+    [
+        b.upload(nu, Source::U32(&u)).unwrap(),
+        b.upload(nf, Source::F64(&f)).unwrap(),
+    ]
 }
 
 fn upload(b: Backend<'_>, u: &[u32], k: &[u32], f: &[f64]) -> [Col; 3] {
@@ -572,6 +597,120 @@ fn a_dropped_row_contributes_nothing_whatever_it_holds() {
     });
 }
 
+/// Outside a dry scope nothing reads a shape-only column: every operator
+/// given one — the index column being real — and every download of one is
+/// [`SimError::ShapeOnly`], charging nothing and leaving no buffer behind.
+/// Inside the scope a counted placeholder reads only real uploads, so
+/// handing it a shape-only column is the same refusal.
+#[test]
+fn nothing_reads_a_shape_only_column() {
+    on_every_backend(|b| {
+        let [u, f] = shape_only(b, &U, &F);
+        let k = b.upload_u32(&K).unwrap();
+        hold(b, calls(b, &u, &k, &f), Operands::ShapeOnly);
+        let dev = b.device();
+        let before = (dev.stats(), dev.now(), dev.live_buffers());
+        {
+            let _scope = dev.dry_scope();
+            let keys = [&u, &k].map(|c| b.grouped_sum(c, &f).map(|(g, s)| free(b, [g, s])));
+            let kept = [
+                b.selection(&u, CmpOp::Lt, 2.0).map(|c| free(b, [c])),
+                b.selection_cmp_cols(&k, &u, CmpOp::Lt)
+                    .map(|c| free(b, [c])),
+            ];
+            let refused = |r: &Result<()>| matches!(r, Err(SimError::ShapeOnly { .. }));
+            assert!(
+                refused(&keys[0]) && kept.iter().all(refused),
+                "{}",
+                b.name()
+            );
+            assert!(keys[1].is_ok(), "{}: {:?}", b.name(), keys[1]);
+        }
+        let charged_for = (dev.stats(), dev.now(), dev.live_buffers());
+        assert_ne!(
+            before,
+            charged_for,
+            "{}: the real keys were counted",
+            b.name()
+        );
+        free(b, [u, k, f]);
+    });
+}
+
+/// The shape-priced operators — and `dtod`, under the sorts — on inputs
+/// uploaded shape-only inside a dry scope, the index columns real: from
+/// the first upload on, the device sees what it sees when the same calls
+/// run with bodies on uploaded values — every event, counter and the clock,
+/// refusals included — and each output has the same length.
+#[test]
+fn shape_only_inputs_charge_what_their_values_charge() {
+    type Case = fn(Backend<'_>, &[Col; 6]) -> Result<Vec<Col>>;
+    let cases: [(&str, Case); 12] = [
+        ("sort", |b, c| Ok(vec![b.sort(&c[0])?])),
+        ("sort_by_key", |b, c| {
+            let (k, v) = b.sort_by_key(&c[0], &c[2])?;
+            Ok(vec![k, v])
+        }),
+        ("reduction", |b, c| b.reduction(&c[2]).map(|_| Vec::new())),
+        ("prefix_sum", |b, c| Ok(vec![b.prefix_sum(&c[0])?])),
+        ("gather", |b, c| Ok(vec![b.gather(&c[2], &c[1])?])),
+        ("scatter", |b, c| Ok(vec![b.scatter(&c[0], &c[1], 4)?])),
+        ("product", |b, c| Ok(vec![b.product(&c[2], &c[2])?])),
+        ("gather past the end", |b, c| {
+            Ok(vec![b.gather(&c[2], &c[4])?])
+        }),
+        ("scatter past the end", |b, c| {
+            Ok(vec![b.scatter(&c[0], &c[4], 4)?])
+        }),
+        ("scatter data/index", |b, c| {
+            Ok(vec![b.scatter(&c[3], &c[1], 4)?])
+        }),
+        ("product of unequal lengths", |b, c| {
+            Ok(vec![b.product(&c[2], &c[5])?])
+        }),
+        ("sort_by_key of unequal lengths", |b, c| {
+            let (k, v) = b.sort_by_key(&c[3], &c[2])?;
+            Ok(vec![k, v])
+        }),
+    ];
+    for name in PAPER_BACKENDS.into_iter().chain([JitThrust::NAME]) {
+        for (what, case) in cases {
+            let run = |shape: bool| {
+                let dev = Device::with_defaults();
+                dev.set_tracing(true);
+                let b = make(name, &dev);
+                let b = b.as_ref();
+                let ([u, f], [u3, f3]) = if shape {
+                    (
+                        shape_only(b, &U, &F),
+                        shape_only(b, &[2, 1, 2], &[20.0, 10.0]),
+                    )
+                } else {
+                    let up =
+                        |u: &[u32], f: &[f64]| [b.upload_u32(u).unwrap(), b.upload_f64(f).unwrap()];
+                    (up(&U, &F), up(&[2, 1, 2], &[20.0, 10.0]))
+                };
+                let [k, far] = [&K[..], &[0, 9, 1, 2]].map(|c| b.upload_u32(c).unwrap());
+                let cols = [u, k, f, u3, far, f3];
+                let live = dev.live_buffers();
+                let out = {
+                    let _scope = shape.then(|| dev.dry_scope());
+                    case(b, &cols)
+                };
+                let lens = out.map(|cs| {
+                    let lens: Vec<usize> = cs.iter().map(Col::len).collect();
+                    free(b, cs);
+                    lens
+                });
+                assert_eq!(dev.live_buffers(), live, "{name}: {what}: leaked");
+                free(b, cols);
+                (lens, dev.take_trace(), dev.stats(), dev.now())
+            };
+            assert_eq!(run(true), run(false), "{name}: {what}");
+        }
+    }
+}
+
 #[test]
 fn columns_the_backend_does_not_hold_are_refused() {
     on_every_backend(|b| {
@@ -712,16 +851,26 @@ fn preds<'a>(cols: &'a [Col; 6], preds: [(usize, CmpOp, f64); 3]) -> [Pred<'a>; 
 /// refusals that can reach them: `[u, k, f]`, then a shorter `u`, an index
 /// past the end and a shorter `f`. Without bodies every call must charge
 /// exactly what it charges with them — same events, counters, clock and
-/// `Err` — and every output must be its placeholder, zeros of the same
-/// length. The selections and grouped sums are priced by how many rows
-/// they keep and groups they find, so their placeholders must count those
-/// right for the charges to agree.
+/// `Err` — and every output must be its placeholder: a shape-only column
+/// of the same length, whose download is refused for free, or a
+/// reduction's seed. The selections and grouped sums are priced by how
+/// many rows they keep and groups they find, so their placeholders must
+/// count those right for the charges to agree.
 #[test]
 fn a_dry_scope_charges_what_bodies_charge_and_fills_placeholders() {
-    type Case = fn(Backend<'_>, &[Col; 6]) -> Result<Vec<f64>>;
+    /// What a case returns: its output columns, or a reduction's total.
+    enum Out {
+        Cols(Vec<Col>),
+        Total(f64),
+    }
+    use Out::{Cols, Total};
+    type Case = fn(Backend<'_>, &[Col; 6]) -> Result<Out>;
+    fn one(c: Col) -> Result<Out> {
+        Ok(Out::Cols(vec![c]))
+    }
     let cases: [(&str, Case); 22] = [
         ("selection", |b, c| {
-            take(b, b.selection(&c[0], CmpOp::Lt, 2.0)?)
+            one(b.selection(&c[0], CmpOp::Lt, 2.0)?)
         }),
         ("selection_multi And", |b, c| {
             let p = preds(
@@ -732,7 +881,7 @@ fn a_dry_scope_charges_what_bodies_charge_and_fills_placeholders() {
                     (2, CmpOp::Gt, 6.0),
                 ],
             );
-            take(b, b.selection_multi(&p, Connective::And)?)
+            one(b.selection_multi(&p, Connective::And)?)
         }),
         ("selection_multi Or", |b, c| {
             let p = preds(
@@ -743,21 +892,21 @@ fn a_dry_scope_charges_what_bodies_charge_and_fills_placeholders() {
                     (2, CmpOp::Ge, 21.0),
                 ],
             );
-            take(b, b.selection_multi(&p, Connective::Or)?)
+            one(b.selection_multi(&p, Connective::Or)?)
         }),
         ("selection_cmp_cols u32", |b, c| {
-            take(b, b.selection_cmp_cols(&c[0], &c[1], CmpOp::Lt)?)
+            one(b.selection_cmp_cols(&c[0], &c[1], CmpOp::Lt)?)
         }),
         ("selection_cmp_cols f64", |b, c| {
-            take(b, b.selection_cmp_cols(&c[2], &c[2], CmpOp::Le)?)
+            one(b.selection_cmp_cols(&c[2], &c[2], CmpOp::Le)?)
         }),
         ("grouped_sum", |b, c| {
             let (k, v) = b.grouped_sum(&c[0], &c[2])?;
-            Ok([take(b, k)?, take(b, v)?].concat())
+            Ok(Cols(vec![k, v]))
         }),
         ("grouped_sum_count", |b, c| {
             let (k, v, n) = b.grouped_sum_count(&c[0], &c[2])?;
-            Ok([take(b, k)?, take(b, v)?, take(b, n)?].concat())
+            Ok(Cols(vec![k, v, n]))
         }),
         ("selection_multi of unequal lengths", |b, c| {
             let p = preds(
@@ -768,40 +917,39 @@ fn a_dry_scope_charges_what_bodies_charge_and_fills_placeholders() {
                     (2, CmpOp::Gt, 6.0),
                 ],
             );
-            take(b, b.selection_multi(&p, Connective::Or)?)
+            one(b.selection_multi(&p, Connective::Or)?)
         }),
         ("selection_cmp_cols of unequal lengths", |b, c| {
-            take(b, b.selection_cmp_cols(&c[0], &c[3], CmpOp::Lt)?)
+            one(b.selection_cmp_cols(&c[0], &c[3], CmpOp::Lt)?)
         }),
         ("grouped_sum of unequal lengths", |b, c| {
             let (k, v) = b.grouped_sum(&c[3], &c[2])?;
-            Ok([take(b, k)?, take(b, v)?].concat())
+            Ok(Cols(vec![k, v]))
         }),
         ("grouped_sum_count of unequal lengths", |b, c| {
             let (k, v, n) = b.grouped_sum_count(&c[0], &c[5])?;
-            Ok([take(b, k)?, take(b, v)?, take(b, n)?].concat())
+            Ok(Cols(vec![k, v, n]))
         }),
-        ("sort", |b, c| take(b, b.sort(&c[0])?)),
+        ("sort", |b, c| one(b.sort(&c[0])?)),
         ("sort_by_key", |b, c| {
             let (k, v) = b.sort_by_key(&c[0], &c[2])?;
-            Ok([take(b, k)?, take(b, v)?].concat())
+            Ok(Cols(vec![k, v]))
         }),
-        ("reduction", |b, c| Ok(vec![b.reduction(&c[2])?])),
-        ("prefix_sum", |b, c| take(b, b.prefix_sum(&c[0])?)),
-        ("gather", |b, c| take(b, b.gather(&c[2], &c[1])?)),
-        ("scatter", |b, c| take(b, b.scatter(&c[0], &c[1], 4)?)),
-        ("product", |b, c| take(b, b.product(&c[2], &c[2])?)),
-        ("gather past the end", |b, c| {
-            take(b, b.gather(&c[2], &c[4])?)
-        }),
+        ("reduction", |b, c| Ok(Total(b.reduction(&c[2])?))),
+        ("prefix_sum", |b, c| one(b.prefix_sum(&c[0])?)),
+        ("gather", |b, c| one(b.gather(&c[2], &c[1])?)),
+        ("scatter", |b, c| one(b.scatter(&c[0], &c[1], 4)?)),
+        ("product", |b, c| one(b.product(&c[2], &c[2])?)),
+        ("gather past the end", |b, c| one(b.gather(&c[2], &c[4])?)),
         ("scatter past the end", |b, c| {
-            take(b, b.scatter(&c[0], &c[4], 4)?)
+            one(b.scatter(&c[0], &c[4], 4)?)
         }),
-        ("scatter data/index", |b, c| {
-            take(b, b.scatter(&c[3], &c[1], 4)?)
-        }),
+        (
+            "scatter data/index",
+            |b, c| one(b.scatter(&c[3], &c[1], 4)?),
+        ),
         ("product of unequal lengths", |b, c| {
-            take(b, b.product(&c[2], &c[5])?)
+            one(b.product(&c[2], &c[5])?)
         }),
     ];
     for name in PAPER_BACKENDS.into_iter().chain([JitThrust::NAME]) {
@@ -810,31 +958,48 @@ fn a_dry_scope_charges_what_bodies_charge_and_fills_placeholders() {
                 let dev = Device::with_defaults();
                 dev.set_tracing(true);
                 let b = make(name, &dev);
-                let [u, k, f] = upload(b.as_ref(), &U, &K, &F);
-                let [u3, far, f3] = upload(b.as_ref(), &[2, 1, 2], &[0, 9, 1, 2], &[20.0, 10.0]);
+                let b = b.as_ref();
+                let [u, k, f] = upload(b, &U, &K, &F);
+                let [u3, far, f3] = upload(b, &[2, 1, 2], &[0, 9, 1, 2], &[20.0, 10.0]);
                 let cols = [u, k, f, u3, far, f3];
                 let live = dev.live_buffers();
                 let out = {
                     let _scope = dry.then(|| dev.dry_scope());
-                    case(b.as_ref(), &cols)
+                    case(b, &cols)
                 };
                 assert!(
                     !dev.is_dry(),
                     "{name}: {what}: the scope outlived its guard"
                 );
-                assert_eq!(dev.live_buffers(), live, "{name}: {what}: leaked");
                 let device_side = (dev.take_trace(), dev.stats(), dev.now());
-                free(b.as_ref(), cols);
-                (out, device_side)
+                // Each output column's length — its download refused for
+                // free without bodies — or the reduction's total.
+                let shapes = out.map(|out| match out {
+                    Total(total) => vec![total],
+                    Cols(cs) => cs
+                        .into_iter()
+                        .map(|c| {
+                            let len = c.len() as f64;
+                            let before = (dev.stats(), dev.now());
+                            let got = take(b, alias(&c));
+                            if dry {
+                                let refused = matches!(got, Err(SimError::ShapeOnly { .. }));
+                                assert!(refused, "{name}: {what}: {got:?}");
+                                assert_eq!(before, (dev.stats(), dev.now()), "{name}: {what}");
+                                b.free(c).unwrap();
+                            }
+                            len
+                        })
+                        .collect(),
+                });
+                assert_eq!(dev.live_buffers(), live, "{name}: {what}: leaked");
+                free(b, cols);
+                (shapes, device_side)
             };
             let ((wet, with_bodies), (dry, without)) = (run(false), run(true));
             assert_eq!(without, with_bodies, "{name}: {what}: charges differ");
-            let placeholders = wet.clone().map(|v| vec![0.0; v.len()]);
-            assert_eq!(dry, placeholders, "{name}: {what}");
-            assert!(
-                wet.map_or(true, |v| v.iter().any(|&x| x != 0.0)),
-                "{name}: {what}: the answer cannot be told from its placeholder"
-            );
+            let seed = |out: Vec<f64>| if what == "reduction" { vec![0.0] } else { out };
+            assert_eq!(dry, wet.map(seed), "{name}: {what}");
         }
     }
 }

@@ -18,15 +18,15 @@
 //! queue that JIT-compiles each kernel on first use and allocates raw.
 
 use super::{
-    check_keyed, check_sum_product, group_sums, leaves, row_width, same_len, select,
+    check_keyed, check_reads, check_sum_product, group_sums, leaves, row_width, same_len, select,
     select_cmp_cols, with_lanes, StoredColumn,
 };
-use crate::backend::{check_col, Col, ColType, GpuBackend, Pred, Slab};
+use crate::backend::{check_col, Col, ColType, GpuBackend, Pred, Slab, Source};
 use crate::fused::{check_fused_inputs, FusedExpr, FusedPred};
 use crate::ops::{CmpOp, Connective, DbOperator, JoinAlgo, Support};
 use gpu_sim::eager::{self, Launch, Vector};
 use gpu_sim::hostexec::{self, Lane};
-use gpu_sim::{presets, BufferId, Device, DeviceBuffer, Reservation, Result, SimError};
+use gpu_sim::{presets, BufferId, Contents, Device, DeviceBuffer, Reservation, Result, SimError};
 use std::sync::Arc;
 
 /// One eager algorithm library plugged into [`EagerBackend`]: its runtime
@@ -61,12 +61,21 @@ impl Stored {
     }
 }
 
-impl StoredColumn for Stored {
-    fn lane(&self) -> Lane<'_> {
+impl gpu_sim::Readable for Stored {
+    fn readable(&self) -> Result<()> {
         match self {
-            Stored::U32(v) => Lane::U32(v.as_slice()),
-            Stored::F64(v) => Lane::F64(v.as_slice()),
+            Stored::U32(v) => v.readable(),
+            Stored::F64(v) => v.readable(),
         }
+    }
+}
+
+impl StoredColumn for Stored {
+    fn lane(&self) -> Result<Lane<'_>> {
+        Ok(match self {
+            Stored::U32(v) => Lane::U32(v.data()?),
+            Stored::F64(v) => Lane::F64(v.data()?),
+        })
     }
 
     fn buffer_id(&self) -> BufferId {
@@ -147,7 +156,7 @@ impl<L: EagerLib> EagerBackend<L> {
 
     /// `exclusive_scan()` + `scatter_if()` over `n` flags, charged; `ids`
     /// — the rows the flags stand for — become the compacted output.
-    fn compact(&self, flags: &Reservation, n: usize, ids: Vec<u32>) -> Result<Col> {
+    fn compact(&self, flags: &Reservation, n: usize, ids: Contents<u32>) -> Result<Col> {
         let offs = eager::charge_exclusive_scan::<u32>(&self.lib, n, flags.id())?;
         // Reading the total back is a tiny device→host copy in real code.
         let device = self.lib.device();
@@ -213,6 +222,14 @@ impl<L: EagerLib> GpuBackend for EagerBackend<L> {
         Ok(self.mint(Stored::F64(Vector::from_host(&self.lib, data)?)))
     }
 
+    fn upload(&self, len: usize, source: Source<'_>) -> Result<Col> {
+        let lib = &self.lib;
+        Ok(self.mint(match source {
+            Source::U32(values) => Stored::U32(Vector::upload(lib, len, values)?),
+            Source::F64(values) => Stored::F64(Vector::upload(lib, len, values)?),
+        }))
+    }
+
     fn download_u32(&self, col: &Col) -> Result<Vec<u32>> {
         self.u32s(col, Vector::to_host)
     }
@@ -234,7 +251,7 @@ impl<L: EagerLib> GpuBackend for EagerBackend<L> {
 
     fn selection_multi(&self, preds: &[Pred<'_>], conn: Connective) -> Result<Col> {
         let n = same_len(preds)?;
-        let (picked, srcs) = select(self.lib.device(), &self.slab, preds, conn)?;
+        let ((ids, _), srcs) = select(self.lib.device(), &self.slab, preds, conn)?;
         // The chain Table II names, charged: one transform() per predicate,
         // folded with bit_and / bit_or, then the scan + scatter compaction.
         let mut combined = self.charge_flags(preds[0].col, srcs[0])?;
@@ -243,7 +260,7 @@ impl<L: EagerLib> GpuBackend for EagerBackend<L> {
             let (x, y) = ((n, combined.id()), (n, f.id()));
             combined = eager::charge_transform_binary::<u32, u32, u32>(&self.lib, x, y)?;
         }
-        self.compact(&combined, n, picked.ids)
+        self.compact(&combined, n, ids)
     }
 
     fn selection_cmp_cols(&self, a: &Col, b: &Col, cmp: CmpOp) -> Result<Col> {
@@ -309,6 +326,8 @@ impl<L: EagerLib> GpuBackend for EagerBackend<L> {
 
     fn sort_by_key(&self, keys: &Col, vals: &Col) -> Result<(Col, Col)> {
         check_col(vals, L::NAME, ColType::F64)?;
+        check_col(keys, L::NAME, ColType::U32)?;
+        check_reads(self.lib.device(), &self.slab, &[keys, vals])?;
         let mut k = self.u32s(keys, Vector::dclone)?;
         let mut v = self.f64s(vals, Vector::dclone)?;
         eager::sort_by_key(&self.lib, &mut k, &mut v)?;
@@ -324,9 +343,10 @@ impl<L: EagerLib> GpuBackend for EagerBackend<L> {
         let (k, v, (gk, gv)) = self.slab.with2(keys.id, vals.id, |a, b| {
             let (keys, vals) = (a.u32s().buffer(), b.f64s().buffer());
             let device = self.lib.device();
+            let sums = group_sums(device, keys, vals, -0.0)?;
             let k = device.reserve_dtod(keys)?;
             let v = device.reserve_dtod(vals)?;
-            Ok((k, v, group_sums(device, keys.host(), vals.host(), -0.0)))
+            Ok((k, v, sums))
         })??;
         let (n, reads) = (keys.len, [k.id(), v.id()]);
         eager::charge_sort_by_key::<u32, f64>(&self.lib, (n, reads[0]), (vals.len, reads[1]))?;
@@ -357,6 +377,7 @@ impl<L: EagerLib> GpuBackend for EagerBackend<L> {
     fn scatter(&self, data: &Col, idx: &Col, dst_len: usize) -> Result<Col> {
         check_col(data, L::NAME, ColType::U32)?;
         check_col(idx, L::NAME, ColType::U32)?;
+        check_reads(self.lib.device(), &self.slab, &[data, idx])?;
         let mut dst = Vector::zeroed(&self.lib, dst_len)?;
         self.slab.with2(data.id, idx.id, |d, i| {
             eager::scatter(&self.lib, d.u32s(), i.u32s(), &mut dst)
@@ -375,8 +396,8 @@ impl<L: EagerLib> GpuBackend for EagerBackend<L> {
             )));
         }
         let (left, right) = self.slab.with2(outer.id, inner.id, |o, i| {
-            hostexec::equi_join(o.u32s().as_slice(), i.u32s().as_slice())
-        })?;
+            Ok(hostexec::equi_join(o.u32s().data()?, i.u32s().data()?))
+        })??;
         // The library expression of NLJ: one for_each_n launch over the
         // outer side whose functor scans the inner relation. Against an
         // empty inner side each functor call still runs its loop test once,
@@ -395,6 +416,7 @@ impl<L: EagerLib> GpuBackend for EagerBackend<L> {
         check_col(a, L::NAME, ColType::F64)?;
         check_col(b, L::NAME, ColType::F64)?;
         check_sum_product(a, b, preds)?;
+        check_reads(self.lib.device(), &self.slab, &[a, b])?;
         // The library's best pipeline fuses the final product+sum into one
         // inner_product call after materialising survivors. Each stage
         // frees every already-minted intermediate before propagating a

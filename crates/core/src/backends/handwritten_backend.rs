@@ -6,13 +6,13 @@
 //! offers.
 
 use super::{
-    check_keyed, check_sum_product, group_sums, leaves, row_preds, row_width, same_len, select,
-    select_cmp_cols, with_lanes, StoredColumn,
+    check_keyed, check_reads, check_sum_product, group_sums, leaves, row_preds, row_width,
+    same_len, select, select_cmp_cols, with_lanes, StoredColumn,
 };
-use crate::backend::{check_col, Col, ColType, GpuBackend, Pred, Slab};
+use crate::backend::{check_col, Col, ColType, GpuBackend, Pred, Slab, Source};
 use crate::ops::{CmpOp, Connective, DbOperator, JoinAlgo, Support};
 use gpu_sim::hostexec::Lane;
-use gpu_sim::{Device, DeviceBuffer, Result, SimError};
+use gpu_sim::{Contents, Device, DeviceBuffer, Result, SimError};
 use handwritten as hw;
 use std::sync::Arc;
 
@@ -21,12 +21,21 @@ enum Stored {
     F64(DeviceBuffer<f64>),
 }
 
-impl StoredColumn for Stored {
-    fn lane(&self) -> Lane<'_> {
+impl gpu_sim::Readable for Stored {
+    fn readable(&self) -> Result<()> {
         match self {
-            Stored::U32(v) => Lane::U32(v.host()),
-            Stored::F64(v) => Lane::F64(v.host()),
+            Stored::U32(v) => v.readable(),
+            Stored::F64(v) => v.readable(),
         }
+    }
+}
+
+impl StoredColumn for Stored {
+    fn lane(&self) -> Result<Lane<'_>> {
+        Ok(match self {
+            Stored::U32(v) => Lane::U32(v.data()?),
+            Stored::F64(v) => Lane::F64(v.data()?),
+        })
     }
 
     fn buffer_id(&self) -> gpu_sim::BufferId {
@@ -75,7 +84,7 @@ impl HandwrittenBackend {
 
     /// One fused predicate + compact kernel over `n` rows of `width` bytes,
     /// charged; `ids` — the surviving rows — become its output.
-    fn select_fused(&self, n: usize, width: usize, ids: Vec<u32>) -> Result<Col> {
+    fn select_fused(&self, n: usize, width: usize, ids: Contents<u32>) -> Result<Col> {
         let out = hw::charge_select_fused(&self.device, n, width, ids.len())?;
         Ok(self.mint(Stored::U32(out.into_buffer(ids))))
     }
@@ -119,6 +128,13 @@ impl GpuBackend for HandwrittenBackend {
         Ok(self.mint(Stored::F64(self.device.htod(data)?)))
     }
 
+    fn upload(&self, len: usize, source: Source<'_>) -> Result<Col> {
+        Ok(self.mint(match source {
+            Source::U32(values) => Stored::U32(self.device.upload(len, values)?),
+            Source::F64(values) => Stored::F64(self.device.upload(len, values)?),
+        }))
+    }
+
     fn download_u32(&self, col: &Col) -> Result<Vec<u32>> {
         check_col(col, NAME, ColType::U32)?;
         self.slab.with(col.id, |s| match s {
@@ -149,8 +165,8 @@ impl GpuBackend for HandwrittenBackend {
     fn selection_multi(&self, preds: &[Pred<'_>], conn: Connective) -> Result<Col> {
         let n = same_len(preds)?;
         // One fused kernel evaluates the whole connective per row.
-        let (picked, _) = select(&self.device, &self.slab, preds, conn)?;
-        self.select_fused(n, row_width(preds.iter().map(|p| p.col)), picked.ids)
+        let ((ids, _), _) = select(&self.device, &self.slab, preds, conn)?;
+        self.select_fused(n, row_width(preds.iter().map(|p| p.col)), ids)
     }
 
     fn selection_cmp_cols(&self, a: &Col, b: &Col, cmp: CmpOp) -> Result<Col> {
@@ -160,10 +176,12 @@ impl GpuBackend for HandwrittenBackend {
 
     fn dense_mask(&self, col: &Col, cmp: CmpOp, lit: f64) -> Result<Col> {
         let mask = |x: f64| f64::from(u8::from(cmp.eval(x, lit)));
-        let out: Vec<f64> = self.slab.with(col.id, |s| match s.lane() {
-            Lane::U32(v) => v.iter().map(|&x| mask(f64::from(x))).collect(),
-            Lane::F64(v) => v.iter().map(|&x| mask(x)).collect(),
-        })?;
+        let out: Vec<f64> = self.slab.with(col.id, |s| {
+            Ok(match s.lane()? {
+                Lane::U32(v) => v.iter().map(|&x| mask(f64::from(x))).collect(),
+                Lane::F64(v) => v.iter().map(|&x| mask(x)).collect(),
+            })
+        })??;
         charge_map(&self.device, out.len());
         let buf = self
             .device
@@ -185,7 +203,7 @@ impl GpuBackend for HandwrittenBackend {
         check_col(col, NAME, ColType::F64)?;
         let out = self.slab.with(col.id, |s| match s {
             Stored::F64(v) => {
-                let data: Vec<f64> = v.host().iter().map(|&x| x * mul + add).collect();
+                let data: Vec<f64> = v.data()?.iter().map(|&x| x * mul + add).collect();
                 crate::backends::handwritten_backend::charge_map(&self.device, v.len());
                 self.device
                     .buffer_from_vec(data, gpu_sim::AllocPolicy::Pooled)
@@ -197,9 +215,10 @@ impl GpuBackend for HandwrittenBackend {
 
     fn constant_f64(&self, len: usize, value: f64) -> Result<Col> {
         charge_map(&self.device, len);
+        let data = self.device.outputs(len, || vec![value; len]);
         let buf = self
             .device
-            .buffer_from_vec(vec![value; len], gpu_sim::AllocPolicy::Pooled)?;
+            .buffer_from_vec(data, gpu_sim::AllocPolicy::Pooled)?;
         Ok(self.mint(Stored::F64(buf)))
     }
 
@@ -231,6 +250,7 @@ impl GpuBackend for HandwrittenBackend {
 
     fn sort_by_key(&self, keys: &Col, vals: &Col) -> Result<(Col, Col)> {
         check_keyed(NAME, keys, vals)?;
+        check_reads(&self.device, &self.slab, &[keys, vals])?;
         // Sort (key, row-id) pairs, then gather the payload — the tuned
         // pattern for wide payloads.
         let ids = self
@@ -258,12 +278,11 @@ impl GpuBackend for HandwrittenBackend {
         // from one row-order pass seeded like the kernel's zeroed
         // accumulators.
         let ((gk, gv), reads) = self.slab.with2(keys.id, vals.id, |k, v| match (k, v) {
-            (Stored::U32(kb), Stored::F64(vb)) => (
-                group_sums(&self.device, kb.host(), vb.host(), 0.0),
-                [kb.id(), vb.id()],
-            ),
+            (Stored::U32(kb), Stored::F64(vb)) => {
+                Ok((group_sums(&self.device, kb, vb, 0.0)?, [kb.id(), vb.id()]))
+            }
             _ => unreachable!("dtype checked"),
-        })?;
+        })??;
         let out = hw::charge_hash_group_aggregate(&self.device, keys.len, gk.len(), reads)?;
         Ok((
             self.mint(Stored::U32(out.keys.into_buffer(gk))),
@@ -280,7 +299,9 @@ impl GpuBackend for HandwrittenBackend {
             (Stored::U32(kb), Stored::F64(vb)) => hw::hash_group_aggregate(&self.device, kb, vb),
             _ => unreachable!("dtype checked"),
         })??;
-        let counts_f64: Vec<f64> = agg.counts.host().iter().map(|&c| c as f64).collect();
+        let counts_f64 = self.device.outputs(agg.len(), || {
+            agg.counts.host().iter().map(|&c| c as f64).collect()
+        });
         let counts = self
             .device
             .buffer_from_vec(counts_f64, gpu_sim::AllocPolicy::Pooled)?;
@@ -323,6 +344,7 @@ impl GpuBackend for HandwrittenBackend {
     fn join(&self, outer: &Col, inner: &Col, algo: JoinAlgo) -> Result<(Col, Col)> {
         check_col(outer, NAME, ColType::U32)?;
         check_col(inner, NAME, ColType::U32)?;
+        check_reads(&self.device, &self.slab, &[outer, inner])?;
         let result = self.slab.with2(outer.id, inner.id, |o, i| {
             let (Stored::U32(ov), Stored::U32(iv)) = (o, i) else {
                 unreachable!("dtype checked")
@@ -336,13 +358,13 @@ impl GpuBackend for HandwrittenBackend {
                     // back through the sort permutations.
                     let mut ok = self.device.dtod(ov)?;
                     let mut oi = self.device.buffer_from_vec(
-                        (0..ov.len() as u32).collect(),
+                        (0..ov.len() as u32).collect::<Vec<_>>(),
                         gpu_sim::AllocPolicy::Pooled,
                     )?;
                     hw::radix_sort_pairs(&self.device, &mut ok, &mut oi)?;
                     let mut ik = self.device.dtod(iv)?;
                     let mut ii = self.device.buffer_from_vec(
-                        (0..iv.len() as u32).collect(),
+                        (0..iv.len() as u32).collect::<Vec<_>>(),
                         gpu_sim::AllocPolicy::Pooled,
                     )?;
                     hw::radix_sort_pairs(&self.device, &mut ik, &mut ii)?;
@@ -384,7 +406,10 @@ impl GpuBackend for HandwrittenBackend {
             let (Stored::F64(va), Stored::F64(vb)) = (stored[0], stored[1]) else {
                 unreachable!("dtype checked")
             };
-            let lanes: Vec<Lane<'_>> = stored[2..].iter().map(|s| s.lane()).collect();
+            let lanes = stored[2..]
+                .iter()
+                .map(|s| s.lane())
+                .collect::<Result<Vec<_>>>()?;
             let pred_ids: Vec<gpu_sim::BufferId> =
                 stored[2..].iter().map(|s| s.buffer_id()).collect();
             let row_preds = row_preds(&lanes, preds);

@@ -29,17 +29,18 @@ pub use thrust::ThrustBackend;
 use crate::backend::{check_col, Col, ColType, Pred, Slab};
 use crate::ops::{CmpOp, Connective};
 use gpu_sim::hostexec::expr::Leaf;
-use gpu_sim::hostexec::{self, Lane, Rhs, RowPred, Selected};
-use gpu_sim::{BufferId, Device, Result, SimError};
+use gpu_sim::hostexec::{self, Counts, Lane, Rhs, RowPred, Selected};
+use gpu_sim::{BufferId, Contents, Device, DeviceBuffer, Readable, Result, SimError};
 
 /// A backend's stored column, as the shared host kernels and the charge
 /// replays need it.
-trait StoredColumn {
+trait StoredColumn: Readable {
     /// The column read in place, each row widened to `f64` where it is
     /// used — the leaves of a fused kernel's zip iterator and of a
     /// selection predicate. `u32` widens exactly as `dense_mask` does, so
-    /// a comparison sees the same operand values on every path.
-    fn lane(&self) -> Lane<'_>;
+    /// a comparison sees the same operand values on every path. A
+    /// shape-only column has no lane: [`SimError::ShapeOnly`].
+    fn lane(&self) -> Result<Lane<'_>>;
 
     /// The device buffer behind the column, for kernel footprints.
     fn buffer_id(&self) -> BufferId;
@@ -106,10 +107,24 @@ fn with_lanes<S: StoredColumn, R>(
 ) -> Result<R> {
     let ids: Vec<u64> = cols.iter().map(|c| c.id).collect();
     slab.with_many(&ids, |stored| {
-        let lanes: Vec<Lane<'_>> = stored.iter().map(|s| s.lane()).collect();
+        let lanes = stored
+            .iter()
+            .map(|s| s.lane())
+            .collect::<Result<Vec<_>>>()?;
         let bufs: Vec<BufferId> = stored.iter().map(|s| s.buffer_id()).collect();
-        f(&lanes, &bufs)
-    })
+        Ok(f(&lanes, &bufs))
+    })?
+}
+
+/// [`Device::reads`] over the stored columns behind `cols`: what an
+/// operator whose steps read its inputs one after another checks before
+/// its first step charges anything.
+fn check_reads<S: StoredColumn>(device: &Device, slab: &Slab<S>, cols: &[&Col]) -> Result<()> {
+    let ids: Vec<u64> = cols.iter().map(|c| c.id).collect();
+    slab.with_many(&ids, |stored| {
+        let inputs: Vec<&dyn Readable> = stored.iter().map(|&s| s as &dyn Readable).collect();
+        device.reads(&inputs)
+    })?
 }
 
 /// `lanes` as the leaves of an expression program.
@@ -122,29 +137,50 @@ fn row_width<'a>(cols: impl IntoIterator<Item = &'a Col>) -> usize {
     cols.into_iter().map(|c| c.dtype().width()).sum()
 }
 
+/// The row ids a selection keeps — shape-only inside a dry scope — and
+/// the counts its charges read.
+type Kept = (Contents<u32>, Counts);
+
 /// The rows `preds` keep — all of them (`all`) or any — with the
 /// per-predicate counts a chain of materialised intermediates is charged
 /// by. Inside `device`'s dry scope only the counts are real: the ids are
-/// zeros of the kept length ([`hostexec::count_rows`]).
-fn kept(device: &Device, preds: &[RowPred<'_>], all: bool) -> Selected {
+/// shape-only of the kept length ([`hostexec::count_rows`]).
+fn kept(device: &Device, preds: &[RowPred<'_>], all: bool) -> Kept {
     device.body(
-        || hostexec::select_rows(preds, all),
-        || hostexec::count_rows(preds, all),
+        || {
+            let Selected { ids, each, prefix } = hostexec::select_rows(preds, all);
+            (ids.into(), Counts { each, prefix })
+        },
+        || {
+            let counts = hostexec::count_rows(preds, all);
+            (Contents::Shape(counts.kept()), counts)
+        },
     )
 }
 
 /// The distinct keys of `keys`, ascending, and per key the sum of its
 /// `vals` folded in row order from `seed` ([`hostexec::grouped_sum`]).
-/// Inside `device`'s dry scope both are zeros of the group count
-/// ([`hostexec::distinct_keys`]).
-fn group_sums(device: &Device, keys: &[u32], vals: &[f64], seed: f64) -> (Vec<u32>, Vec<f64>) {
-    device.body(
-        || hostexec::grouped_sum(keys, vals, seed),
+/// Inside `device`'s dry scope both are shape-only of the group count
+/// ([`hostexec::distinct_keys`]), which reads the keys alone: they must
+/// hold data there, and outside the scope so must the values.
+fn group_sums(
+    device: &Device,
+    keys: &DeviceBuffer<u32>,
+    vals: &DeviceBuffer<f64>,
+    seed: f64,
+) -> Result<(Contents<u32>, Contents<f64>)> {
+    let key_data = keys.data()?;
+    device.reads(&[vals])?;
+    Ok(device.body(
         || {
-            let groups = hostexec::distinct_keys(keys);
-            (vec![0; groups], vec![0.0; groups])
+            let (keys, sums) = hostexec::grouped_sum(key_data, vals.host(), seed);
+            (keys.into(), sums.into())
         },
-    )
+        || {
+            let groups = hostexec::distinct_keys(key_data);
+            (Contents::Shape(groups), Contents::Shape(groups))
+        },
+    ))
 }
 
 /// The rows `preds` keep under `conn` ([`kept`] on `device`), and the
@@ -154,15 +190,18 @@ fn select<S: StoredColumn>(
     slab: &Slab<S>,
     preds: &[Pred<'_>],
     conn: Connective,
-) -> Result<(Selected, Vec<BufferId>)> {
+) -> Result<(Kept, Vec<BufferId>)> {
     let ids: Vec<u64> = preds.iter().map(|p| p.col.id).collect();
     slab.with_many(&ids, |stored| {
-        let lanes: Vec<Lane<'_>> = stored.iter().map(|s| s.lane()).collect();
-        (
+        let lanes = stored
+            .iter()
+            .map(|s| s.lane())
+            .collect::<Result<Vec<_>>>()?;
+        Ok((
             kept(device, &row_preds(&lanes, preds), conn == Connective::And),
             stored.iter().map(|s| s.buffer_id()).collect(),
-        )
-    })
+        ))
+    })?
 }
 
 /// The rows where `a cmp b` holds between two equally long columns
@@ -173,19 +212,19 @@ fn select_cmp_cols<S: StoredColumn>(
     a: &Col,
     b: &Col,
     cmp: CmpOp,
-) -> Result<(Vec<u32>, [BufferId; 2])> {
+) -> Result<(Contents<u32>, [BufferId; 2])> {
     equal_len(a.len(), b.len())?;
     slab.with2(a.id, b.id, |sa, sb| {
         let pred = RowPred {
-            col: sa.lane(),
+            col: sa.lane()?,
             cmp: cmp.into(),
-            rhs: Rhs::Col(sb.lane()),
+            rhs: Rhs::Col(sb.lane()?),
         };
-        (
-            kept(device, &[pred], true).ids,
+        Ok((
+            kept(device, &[pred], true).0,
             [sa.buffer_id(), sb.buffer_id()],
-        )
-    })
+        ))
+    })?
 }
 
 /// The paper's backend line-up, in registration order (the order every

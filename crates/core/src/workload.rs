@@ -208,11 +208,13 @@ pub mod cache {
     //! The benchmark grid reuses the same synthetic columns across
     //! backends (and sometimes across experiments: E5a/E5b sort the same
     //! keys, E4 rethresholds one column per selectivity). The cache
-    //! generates each distinct `(generator, arguments)` input once per
-    //! process and hands out `Arc`s, so parallel experiment cells share
-    //! one copy instead of regenerating per backend. Values are exactly
-    //! what the underlying generator returns — callers observe no
-    //! difference beyond the saved work.
+    //! generates each distinct `(generator, arguments)` input once while
+    //! it stays within the retention budget and hands out `Arc`s, so
+    //! parallel experiment cells share one copy instead of regenerating
+    //! per backend; an input the FIFO has evicted is generated again, with
+    //! the same values, when it is next asked for. Values are exactly what
+    //! the underlying generator returns — callers observe no difference
+    //! beyond the saved work.
 
     use std::collections::HashMap;
     use std::sync::{Arc, Mutex, OnceLock};

@@ -6,8 +6,14 @@
 //! allocation latency, pooling, memory accounting, transfer charging —
 //! follows the device model. Library crates wrap this type in their own
 //! abstractions (`thrust::DeviceVector`, `boost::Vector`, `af::Array`).
+//!
+//! Inside a dry scope a buffer may be *shape-only* ([`Contents::Shape`]):
+//! a reservation and a length, with no host storage. The device cannot
+//! tell it from one with data; reading its contents is
+//! [`SimError::ShapeOnly`] (DESIGN.md §5, "Dry scope").
 
 use crate::device::Device;
+use crate::error::{Result, SimError};
 use crate::pool::AllocPolicy;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -87,20 +93,25 @@ impl Reservation {
         self.bytes
     }
 
-    /// Back the reservation with `data`: the buffer keeps this
-    /// reservation's id and accounting, and the device sees no event.
+    /// Back the reservation with `contents` (data, or a shape-only
+    /// length): the buffer keeps this reservation's id and accounting, and
+    /// the device sees no event.
     ///
     /// # Panics
-    /// If `data` is not exactly the reserved payload size — the caller
+    /// If `contents` is not exactly the reserved payload size — the caller
     /// sized the reservation for other data, which is a bug.
-    pub fn into_buffer<T: DeviceCopy>(self, data: Vec<T>) -> DeviceBuffer<T> {
+    pub fn into_buffer<T: DeviceCopy>(self, contents: impl Into<Contents<T>>) -> DeviceBuffer<T> {
+        let contents = contents.into();
         assert_eq!(
-            (data.len() * std::mem::size_of::<T>()) as u64,
+            (contents.len() * std::mem::size_of::<T>()) as u64,
             self.bytes,
             "reservation {} filled with data of another size",
             self.id
         );
-        DeviceBuffer { data, res: self }
+        DeviceBuffer {
+            contents,
+            res: self,
+        }
     }
 }
 
@@ -111,11 +122,63 @@ impl Drop for Reservation {
     }
 }
 
+/// What stands behind a buffer on the host: its elements, or — for a
+/// shape-only buffer — only how many there are.
+///
+/// Kernel bodies produce `Data`; their placeholders inside a dry scope
+/// produce `Shape` ([`Device::outputs`]), and so does an upload whose
+/// values no body will read ([`Device::upload`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum Contents<T> {
+    /// The elements.
+    Data(Vec<T>),
+    /// No storage: this many elements, which nothing may read.
+    Shape(usize),
+}
+
+impl<T> Contents<T> {
+    /// Number of elements.
+    pub fn len(&self) -> usize {
+        match self {
+            Contents::Data(v) => v.len(),
+            Contents::Shape(len) => *len,
+        }
+    }
+
+    /// Whether there are no elements.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The same length with `f` applied to the data: a conversion of the
+    /// elements, which shape-only contents have none of.
+    pub fn map<U>(self, f: impl FnOnce(Vec<T>) -> Vec<U>) -> Contents<U> {
+        match self {
+            Contents::Data(v) => Contents::Data(f(v)),
+            Contents::Shape(len) => Contents::Shape(len),
+        }
+    }
+}
+
+impl<T> From<Vec<T>> for Contents<T> {
+    fn from(data: Vec<T>) -> Self {
+        Contents::Data(data)
+    }
+}
+
+/// Device memory a kernel body may read, whatever its element type: what
+/// [`Device::reads`] checks before a call charges anything.
+pub trait Readable {
+    /// `Err(SimError::ShapeOnly)` when the allocation holds no data.
+    fn readable(&self) -> Result<()>;
+}
+
 /// A typed allocation in simulated device global memory: a
-/// [`Reservation`] plus the host storage that stands in for its contents.
+/// [`Reservation`] plus the host storage that stands in for its contents
+/// (none for a shape-only buffer).
 #[derive(Debug)]
 pub struct DeviceBuffer<T: DeviceCopy> {
-    data: Vec<T>,
+    contents: Contents<T>,
     res: Reservation,
 }
 
@@ -128,17 +191,17 @@ impl<T: DeviceCopy> DeviceBuffer<T> {
 
     /// Number of elements.
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.contents.len()
     }
 
     /// `true` when the buffer holds no elements.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.contents.is_empty()
     }
 
     /// Logical payload size in bytes (`len * size_of::<T>()`).
     pub fn size_bytes(&self) -> u64 {
-        (self.data.len() * std::mem::size_of::<T>()) as u64
+        (self.len() * std::mem::size_of::<T>()) as u64
     }
 
     /// The device this buffer lives on.
@@ -151,22 +214,78 @@ impl<T: DeviceCopy> DeviceBuffer<T> {
         self.res.policy
     }
 
+    /// The elements, or [`SimError::ShapeOnly`] for a shape-only buffer:
+    /// the accessor for anything that reads a buffer it has not checked
+    /// (downloads, counted placeholders, index checks).
+    pub fn data(&self) -> Result<&[T]> {
+        match &self.contents {
+            Contents::Data(v) => Ok(v),
+            Contents::Shape(_) => Err(SimError::ShapeOnly { buf: self.id() }),
+        }
+    }
+
     /// Read-only view of the backing storage. In a real system this would
-    /// be a device pointer; kernels in this simulator read through it.
+    /// be a device pointer; kernel bodies read through it, after their call
+    /// checked its inputs ([`Device::reads`]).
+    ///
+    /// # Panics
+    /// On a shape-only buffer — a body ran on an input nobody checked.
     pub fn host(&self) -> &[T] {
-        &self.data
+        match &self.contents {
+            Contents::Data(v) => v,
+            Contents::Shape(_) => unchecked_read(self.id()),
+        }
     }
 
     /// Mutable view of the backing storage, used by kernel bodies.
+    ///
+    /// # Panics
+    /// As [`DeviceBuffer::host`].
     pub fn host_mut(&mut self) -> &mut [T] {
-        &mut self.data
+        let id = self.id();
+        match &mut self.contents {
+            Contents::Data(v) => v,
+            Contents::Shape(_) => unchecked_read(id),
+        }
     }
 
     /// Shorten the buffer to `len` elements (used after stream compaction,
     /// where the output size is only known post-kernel). The device
     /// reservation is unchanged — exactly like `cudaMalloc`'d memory.
     pub fn truncate(&mut self, len: usize) {
-        self.data.truncate(len);
+        match &mut self.contents {
+            Contents::Data(v) => v.truncate(len),
+            Contents::Shape(n) => *n = len.min(*n),
+        }
+    }
+}
+
+/// A kernel body reached a shape-only buffer.
+// INVARIANT: every call checks the inputs its body reads before it charges
+// anything (`Device::reads`, `DeviceBuffer::data`), so a body only ever
+// runs on buffers that hold data; reaching this is a missing check.
+#[allow(clippy::panic)]
+#[cold]
+fn unchecked_read(buf: BufferId) -> ! {
+    panic!("buffer {buf} is shape-only: a body read an input its call did not check")
+}
+
+impl DeviceBuffer<u32> {
+    /// `IndexOutOfBounds` for the first index this buffer holds that does
+    /// not address `len` elements: a gather's or scatter's input check.
+    /// A shape-only index (only ever met inside a dry scope) has no values
+    /// to check; its length is all there is.
+    pub fn check_indices(&self, len: usize) -> Result<()> {
+        match &self.contents {
+            Contents::Data(at) => crate::hostexec::check_indices(at.iter().copied(), len),
+            Contents::Shape(_) => Ok(()),
+        }
+    }
+}
+
+impl<T: DeviceCopy> Readable for DeviceBuffer<T> {
+    fn readable(&self) -> Result<()> {
+        self.data().map(drop)
     }
 }
 
@@ -175,7 +294,7 @@ impl<T: DeviceCopy> Drop for DeviceBuffer<T> {
         // Recycle the host storage: faulting fresh pages for the next
         // buffer is far more expensive than reusing these warm ones. The
         // reservation frees the device memory when it drops right after.
-        drop(std::mem::take(&mut self.data));
+        drop(std::mem::replace(&mut self.contents, Contents::Shape(0)));
     }
 }
 

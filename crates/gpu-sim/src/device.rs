@@ -14,9 +14,10 @@
 //!
 //! A [`DryScope`] ([`Device::dry_scope`]) switches the device to charges
 //! without bodies: every kernel body asks [`Device::body`] whether to run,
-//! and inside the scope gets its placeholder instead (DESIGN.md §5).
+//! and inside the scope gets its placeholder instead, whose outputs are
+//! shape-only buffers (DESIGN.md §5).
 
-use crate::buffer::{BufferId, DeviceBuffer, DeviceCopy, Reservation};
+use crate::buffer::{BufferId, Contents, DeviceBuffer, DeviceCopy, Readable, Reservation};
 use crate::clock::{SimDuration, SimTime};
 use crate::cost::KernelCost;
 use crate::error::{Result, SimError};
@@ -192,10 +193,10 @@ impl Device {
     /// Run kernel bodies dry until the returned guard drops: for work whose
     /// simulated cost depends only on shapes and on counts a placeholder
     /// can take from the inputs, and whose outputs nobody reads. Inside the
-    /// scope output *contents* are unspecified (today: `T::default()`, and
-    /// `0.0` for a reduction); every input check, fault draw, reservation,
-    /// launch, JIT lookup, free, output length and the clock stay exactly
-    /// what they are with bodies.
+    /// scope outputs are shape-only (a reduction returns its seed) and so
+    /// are lazy uploads ([`Device::upload`]); every input check, fault
+    /// draw, reservation, transfer, launch, JIT lookup, free, output length
+    /// and the clock stay exactly what they are with bodies.
     pub fn dry_scope(&self) -> DryScope<'_> {
         let outer = self.dry.swap(true, Ordering::Relaxed);
         DryScope {
@@ -211,13 +212,14 @@ impl Device {
 
     /// The one place a kernel body is skipped: `body()`, or inside a
     /// [`DryScope`] `placeholder()`. A placeholder performs every input
-    /// check the body performs and returns outputs of the body's lengths.
-    /// Where a charge reads a count of the answer — rows a selection keeps,
-    /// distinct groups — the placeholder is *counted*: it computes that
-    /// count from the inputs (`hostexec::count_rows`,
+    /// check the body performs and returns shape-only outputs of the
+    /// body's lengths. Where a charge reads a count of the answer — rows a
+    /// selection keeps, distinct groups — the placeholder is *counted*: it
+    /// computes that count from the inputs (`hostexec::count_rows`,
     /// `hostexec::distinct_keys`) and nothing else. A counted placeholder
-    /// may read only uploaded data, never another operator's dry output,
-    /// whose contents are placeholders too.
+    /// reads only real uploads, never another operator's dry output or a
+    /// lazy upload, which are shape-only: it takes them through
+    /// [`DeviceBuffer::data`], so doing so is [`SimError::ShapeOnly`].
     pub fn body<R>(&self, body: impl FnOnce() -> R, placeholder: impl FnOnce() -> R) -> R {
         if self.is_dry() {
             placeholder()
@@ -227,20 +229,35 @@ impl Device {
     }
 
     /// [`Device::body`] for a body that computes `len` output elements:
-    /// inside a [`DryScope`], `len` default values.
-    pub fn outputs<T: Clone + Default>(&self, len: usize, body: impl FnOnce() -> Vec<T>) -> Vec<T> {
-        self.body(body, || vec![T::default(); len])
+    /// inside a [`DryScope`], shape-only contents of that length.
+    pub fn outputs<T>(&self, len: usize, body: impl FnOnce() -> Vec<T>) -> Contents<T> {
+        self.body(|| Contents::Data(body()), || Contents::Shape(len))
     }
 
     /// [`Device::outputs`] for a body that can refuse its input: inside a
     /// [`DryScope`], `check` — the refusal alone — runs in its place.
-    pub fn checked_outputs<T: Clone + Default>(
+    pub fn checked_outputs<T>(
         &self,
         len: usize,
         check: impl FnOnce() -> Result<()>,
         body: impl FnOnce() -> Result<Vec<T>>,
-    ) -> Result<Vec<T>> {
-        self.body(body, || check().map(|()| vec![T::default(); len]))
+    ) -> Result<Contents<T>> {
+        self.body(
+            || body().map(Contents::Data),
+            || check().map(|()| Contents::Shape(len)),
+        )
+    }
+
+    /// What a call whose kernel bodies read `inputs` checks before it
+    /// charges anything. Outside a [`DryScope`] the bodies run, so each
+    /// input must hold data: the first shape-only one is
+    /// [`SimError::ShapeOnly`], and the call costs nothing. Inside one only
+    /// placeholders run, and they read lengths.
+    pub fn reads(&self, inputs: &[&dyn Readable]) -> Result<()> {
+        if self.is_dry() {
+            return Ok(());
+        }
+        inputs.iter().try_for_each(|input| input.readable())
     }
 
     // ----------------------------------------------------------------
@@ -284,7 +301,7 @@ impl Device {
     // ----------------------------------------------------------------
 
     /// Allocate an uninitialised (zeroed) buffer of `len` elements using
-    /// the pooled policy.
+    /// the pooled policy; shape-only inside a [`DryScope`].
     pub fn alloc<T: DeviceCopy + Default>(self: &Arc<Self>, len: usize) -> Result<DeviceBuffer<T>> {
         self.alloc_with(len, AllocPolicy::Pooled)
     }
@@ -298,17 +315,18 @@ impl Device {
     ) -> Result<DeviceBuffer<T>> {
         let bytes = (len * std::mem::size_of::<T>()) as u64;
         let res = self.reserve(bytes, policy, false)?;
-        Ok(res.into_buffer(vec![T::default(); len]))
+        Ok(res.into_buffer(self.outputs(len, || vec![T::default(); len])))
     }
 
-    /// Allocate a buffer initialised from host data **without** charging a
-    /// transfer — used internally and by tests; measured code paths use
-    /// [`Device::htod`].
+    /// Allocate a buffer initialised from host data (or shape-only
+    /// contents) **without** charging a transfer — used internally and by
+    /// tests; measured code paths use [`Device::htod`].
     pub fn buffer_from_vec<T: DeviceCopy>(
         self: &Arc<Self>,
-        data: Vec<T>,
+        data: impl Into<Contents<T>>,
         policy: AllocPolicy,
     ) -> Result<DeviceBuffer<T>> {
+        let data = data.into();
         let bytes = (data.len() * std::mem::size_of::<T>()) as u64;
         // Born initialised: the buffer carries its host contents from the
         // start (uploads and materialised kernel outputs come this way).
@@ -410,27 +428,86 @@ impl Device {
         host: &[T],
         policy: AllocPolicy,
     ) -> Result<DeviceBuffer<T>> {
-        let buf = self.buffer_from_vec(host.to_vec(), policy)?;
+        self.htod_contents(Contents::Data(host.to_vec()), policy)
+    }
+
+    /// Upload `len` elements that `source` produces, charging PCIe time:
+    /// [`Device::htod`] for values only a kernel body reads. Inside a
+    /// [`DryScope`] no body will, so `source` is not called and the buffer
+    /// is shape-only — with the same reservation, alloc and HtoD fault
+    /// draws and `HtoD` event as the upload of the values. `source`
+    /// producing other than `len` elements is `SizeMismatch`, before
+    /// anything is charged.
+    pub fn upload<T, D>(
+        self: &Arc<Self>,
+        len: usize,
+        source: impl FnOnce() -> D,
+    ) -> Result<DeviceBuffer<T>>
+    where
+        T: DeviceCopy,
+        D: std::ops::Deref,
+        D::Target: AsRef<[T]>,
+    {
+        self.upload_with(len, AllocPolicy::Pooled, source)
+    }
+
+    /// [`Device::upload`] with an explicit allocation policy.
+    pub(crate) fn upload_with<T, D>(
+        self: &Arc<Self>,
+        len: usize,
+        policy: AllocPolicy,
+        source: impl FnOnce() -> D,
+    ) -> Result<DeviceBuffer<T>>
+    where
+        T: DeviceCopy,
+        D: std::ops::Deref,
+        D::Target: AsRef<[T]>,
+    {
+        if self.is_dry() {
+            return self.htod_contents(Contents::Shape(len), policy);
+        }
+        let data = source();
+        let host = (*data).as_ref();
+        if host.len() != len {
+            let (left, right) = (len, host.len());
+            return Err(SimError::SizeMismatch { left, right });
+        }
+        self.htod_with(host, policy)
+    }
+
+    /// The one upload path: a buffer born with `contents`, then the
+    /// transfer of its bytes.
+    fn htod_contents<T: DeviceCopy>(
+        self: &Arc<Self>,
+        contents: Contents<T>,
+        policy: AllocPolicy,
+    ) -> Result<DeviceBuffer<T>> {
+        let buf = self.buffer_from_vec(contents, policy)?;
         let (bytes, id) = (buf.size_bytes(), buf.id());
         let kind = TraceKind::HtoD { bytes, buf: id };
         self.transfer(FaultSite::HtoD, Direction::HostToDevice, bytes, kind)?;
         Ok(buf)
     }
 
-    /// Copy a device buffer back to the host, charging PCIe time.
+    /// Copy a device buffer back to the host, charging PCIe time. A
+    /// shape-only buffer has nothing to copy: [`SimError::ShapeOnly`],
+    /// before anything is charged.
     pub fn dtoh<T: DeviceCopy>(&self, buf: &DeviceBuffer<T>) -> Result<Vec<T>> {
+        let host = buf.data()?;
         let (bytes, id) = (buf.size_bytes(), buf.id());
         let kind = TraceKind::DtoH { bytes, buf: id };
         self.transfer(FaultSite::DtoH, Direction::DeviceToHost, bytes, kind)?;
-        Ok(buf.host().to_vec())
+        Ok(host.to_vec())
     }
 
     /// Device-to-device copy into a fresh buffer (what chained library
-    /// calls do to materialise intermediates).
+    /// calls do to materialise intermediates); shape-only inside a
+    /// [`DryScope`].
     pub fn dtod<T: DeviceCopy + Default>(
         self: &Arc<Self>,
         src: &DeviceBuffer<T>,
     ) -> Result<DeviceBuffer<T>> {
+        self.reads(&[src])?;
         let res = self.reserve_dtod(src)?;
         Ok(res.into_buffer(self.outputs(src.len(), || src.host().to_vec())))
     }
@@ -921,11 +998,12 @@ mod tests {
         let dev = Device::with_defaults();
         let src = dev.htod(&[3u32, 1, 2]).unwrap();
         let body = || dev.outputs(3, || vec![7u32; 3]);
-        assert_eq!(body(), [7, 7, 7]);
+        assert_eq!(body(), Contents::Data(vec![7, 7, 7]));
         {
             let _outer = dev.dry_scope();
-            assert_eq!(body(), [0, 0, 0]);
-            assert_eq!(dev.dtod(&src).unwrap().host(), [0, 0, 0]);
+            assert_eq!(body(), Contents::Shape(3));
+            let copy = dev.dtod(&src).unwrap();
+            assert_eq!((copy.len(), copy.data().is_err()), (3, true));
             let check = || Err(SimError::IndexOutOfBounds { index: 9, len: 3 });
             let refused = dev.checked_outputs::<u32>(3, check, || Ok(vec![1; 3]));
             assert_eq!(
@@ -951,6 +1029,59 @@ mod tests {
         }));
         assert!(panicked.is_err());
         assert!(!dev.is_dry(), "unwinding ends the scope");
+    }
+
+    /// A lazy upload inside a dry scope is shape-only and costs what the
+    /// upload of its values costs — event for event, fault draws included —
+    /// without asking for them; outside the scope it uploads them. Reading
+    /// a shape-only buffer back, or copying it outside the scope, is the
+    /// typed error and charges nothing.
+    #[test]
+    fn shape_only_uploads_charge_what_uploads_charge_and_cannot_be_read() {
+        let run = |dry: bool, faults: bool| {
+            let dev = Device::with_defaults();
+            dev.set_tracing(true);
+            if faults {
+                dev.install_fault_plan(FaultPlan::uniform(4, 0.5));
+            }
+            let values: Vec<u64> = (0..1000).collect();
+            let mut asked = 0;
+            let lens: Vec<Result<usize>> = (0..8)
+                .map(|_| {
+                    let _scope = dry.then(|| dev.dry_scope());
+                    let up = dev.upload(1000, || {
+                        asked += 1;
+                        &values
+                    })?;
+                    assert_eq!(up.data().is_err(), dry, "shape-only iff dry");
+                    Ok(up.len())
+                })
+                .collect();
+            ((lens, dev.take_trace(), dev.stats(), dev.now()), asked)
+        };
+        for faults in [false, true] {
+            let (wet, dry) = (run(false, faults), run(true, faults));
+            assert_eq!((wet.1, dry.1), (8, 0), "only a wet upload asks");
+            assert_eq!(wet.0, dry.0, "faults: {faults}");
+        }
+        let dev = Device::with_defaults();
+        let shape = {
+            let _scope = dev.dry_scope();
+            dev.upload(4, || vec![1u32; 4]).unwrap()
+        };
+        assert_eq!(
+            dev.upload(4, || vec![1u32; 3]).unwrap_err(),
+            SimError::SizeMismatch { left: 4, right: 3 }
+        );
+        let (before, live) = (dev.stats(), dev.live_buffers());
+        let refused = SimError::ShapeOnly { buf: shape.id() };
+        assert_eq!(dev.dtoh(&shape), Err(refused.clone()));
+        assert_eq!(dev.dtod(&shape).unwrap_err(), refused);
+        assert_eq!(
+            (dev.stats(), dev.live_buffers()),
+            (before, live),
+            "refusals charge nothing"
+        );
     }
 
     #[test]

@@ -19,14 +19,17 @@
 //! fixed: fault sites are drawn in that order. An in-place algorithm
 //! checks its operands and charges before it runs its body, so a call that
 //! returns `Err` leaves them as it found them. The bodies of `sort`,
-//! `sort_by_key`, `reduce`, `exclusive_scan`, `gather`, `scatter` and
-//! `transform_binary` go through [`Device::body`], so a
-//! [dry scope](Device::dry_scope) skips them and nothing else.
+//! `sort_by_key`, `reduce`, `exclusive_scan`, `gather`, `scatter`, `fill`
+//! and `transform_binary` go through [`Device::body`], so a
+//! [dry scope](Device::dry_scope) skips them and nothing else, and their
+//! outputs there are shape-only. Every algorithm checks, before it charges
+//! anything, that the inputs its body reads hold data
+//! ([`Device::reads`]); the others read theirs through [`Vector::data`].
 
 use crate::hostexec::{expr, RowPred};
 use crate::{
-    hostexec, presets, AccessPattern, AllocPolicy, BufferId, Device, DeviceBuffer, DeviceCopy,
-    KernelCost, RadixKey, Reservation, Result, SimError,
+    hostexec, presets, AccessPattern, AllocPolicy, BufferId, Contents, Device, DeviceBuffer,
+    DeviceCopy, KernelCost, RadixKey, Readable, Reservation, Result, SimError,
 };
 use std::any::type_name;
 use std::fmt::Display;
@@ -94,7 +97,21 @@ impl<T: DeviceCopy> Vector<T> {
             .map(Self::from_buffer)
     }
 
-    /// Allocate a zero-filled vector of `len` elements as `lib` does.
+    /// Allocate as `lib` does and upload the `len` values `source`
+    /// produces, which inside a dry scope it never calls: the vector is
+    /// then shape-only ([`Device::upload`]).
+    pub fn upload<L: Launch, D>(lib: &L, len: usize, source: impl FnOnce() -> D) -> Result<Self>
+    where
+        D: std::ops::Deref,
+        D::Target: AsRef<[T]>,
+    {
+        lib.device()
+            .upload_with(len, L::ALLOC, source)
+            .map(Self::from_buffer)
+    }
+
+    /// Allocate a zero-filled vector of `len` elements as `lib` does;
+    /// shape-only inside a dry scope.
     pub fn zeroed<L: Launch>(lib: &L, len: usize) -> Result<Self>
     where
         T: Default,
@@ -111,7 +128,7 @@ impl<T: DeviceCopy> Vector<T> {
 
     /// Back a [`Reservation`] a charge half made with the `data` the
     /// algorithm's body produced.
-    fn filled(reserved: Reservation, data: Vec<T>) -> Self {
+    fn filled(reserved: Reservation, data: impl Into<Contents<T>>) -> Self {
         Vector::from_buffer(reserved.into_buffer(data))
     }
 
@@ -138,9 +155,18 @@ impl<T: DeviceCopy> Vector<T> {
         self.buf.is_empty()
     }
 
-    /// Direct read view of device storage (kernel-side access).
+    /// Direct read view of device storage (kernel-side access, once the
+    /// call checked its inputs).
+    ///
+    /// # Panics
+    /// On a shape-only vector ([`DeviceBuffer::host`]).
     pub fn as_slice(&self) -> &[T] {
         self.buf.host()
+    }
+
+    /// The elements, or [`SimError::ShapeOnly`] for a shape-only vector.
+    pub fn data(&self) -> Result<&[T]> {
+        self.buf.data()
     }
 
     fn as_mut_slice(&mut self) -> &mut [T] {
@@ -155,6 +181,12 @@ impl<T: DeviceCopy> Vector<T> {
     /// The underlying buffer's trace identity (see [`BufferId`]).
     pub fn id(&self) -> BufferId {
         self.buf.id()
+    }
+}
+
+impl<T: DeviceCopy> Readable for Vector<T> {
+    fn readable(&self) -> Result<()> {
+        self.buf.readable()
     }
 }
 
@@ -193,8 +225,8 @@ where
     T: DeviceCopy,
     U: DeviceCopy + Default,
 {
+    let input = src.data()?;
     let out = charge_transform::<T, U>(lib, src.len(), src.id())?;
-    let input = src.as_slice();
     Ok(Vector::filled(
         out,
         hostexec::par_map_vec(src.len(), |i| op(input[i])),
@@ -228,9 +260,10 @@ where
     B: DeviceCopy,
     U: DeviceCopy + Default,
 {
+    lib.device().reads(&[a, b])?;
     let out = charge_transform_binary::<A, B, U>(lib, (a.len(), a.id()), (b.len(), b.id()))?;
-    let (xa, xb) = (a.as_slice(), b.as_slice());
     let data = lib.device().outputs(a.len(), || {
+        let (xa, xb) = (a.as_slice(), b.as_slice());
         hostexec::par_map_vec(a.len(), |i| op(xa[i], xb[i]))
     });
     Ok(Vector::filled(out, data))
@@ -286,9 +319,12 @@ where
 
 /// `fill` — set every element to `value`.
 pub fn fill<T: DeviceCopy>(lib: &impl Launch, vec: &mut Vector<T>, value: T) -> Result<()> {
+    lib.device().reads(&[&*vec])?;
     let cost = KernelCost::map::<(), T>(vec.len());
     lib.launch("fill", type_name::<T>, cost, &[], &[vec.id()])?;
-    hostexec::par_chunks_mut(vec.as_mut_slice(), 1 << 12, |_, chunk| chunk.fill(value));
+    let body =
+        || hostexec::par_chunks_mut(vec.as_mut_slice(), 1 << 12, |_, chunk| chunk.fill(value));
+    lib.device().body(body, || ());
     Ok(())
 }
 
@@ -327,6 +363,7 @@ where
     T: DeviceCopy,
     A: DeviceCopy,
 {
+    lib.device().reads(&[src])?;
     let fold = || src.as_slice().iter().fold(init, |acc, &x| op(acc, x));
     let acc = lib.device().body(fold, || init);
     let cost = KernelCost::reduce::<T>(src.len());
@@ -378,7 +415,7 @@ where
     R: DeviceCopy,
 {
     same_len(a.len(), b.len())?;
-    let (n, xa, xb) = (a.len(), a.as_slice(), b.as_slice());
+    let (n, xa, xb) = (a.len(), a.data()?, b.data()?);
     let mut acc = init;
     for i in 0..n {
         acc = combine(acc, multiply(xa[i], xb[i]));
@@ -406,7 +443,7 @@ where
 {
     same_len(keys.len(), vals.len())?;
     let (mut out_keys, mut out_vals) = (Vec::new(), Vec::<V>::new());
-    for (&k, &v) in keys.as_slice().iter().zip(vals.as_slice()) {
+    for (&k, &v) in keys.data()?.iter().zip(vals.data()?) {
         match out_vals.last_mut() {
             Some(acc) if out_keys.last() == Some(&k) => *acc = op(*acc, v),
             _ => {
@@ -441,6 +478,7 @@ pub fn charge_reduce_by_key<K: DeviceCopy, V: DeviceCopy>(
 /// unsigned arithmetic wraps: the middle stage of library-based selection
 /// (predicate flags → output offsets) and the *Prefix Sum* operator itself.
 pub fn exclusive_scan(lib: &impl Launch, src: &Vector<u32>, init: u32) -> Result<Vector<u32>> {
+    lib.device().reads(&[src])?;
     let out = charge_exclusive_scan::<u32>(lib, src.len(), src.id())?;
     let data = lib.device().outputs(src.len(), || {
         let mut data: Vec<u32> = vec![0; src.len()];
@@ -500,6 +538,7 @@ pub fn sort<T>(lib: &impl Launch, vec: &mut Vector<T>) -> Result<()>
 where
     T: DeviceCopy + RadixKey,
 {
+    lib.device().reads(&[&*vec])?;
     charge_radix::<T, T>(lib, vec.len(), 0, "sort", &[vec.id()])?;
     lib.device()
         .body(|| hostexec::sort_keys(vec.as_mut_slice()), || ());
@@ -517,6 +556,7 @@ where
     K: DeviceCopy + RadixKey,
     V: DeviceCopy,
 {
+    lib.device().reads(&[&*keys, &*vals])?;
     charge_sort_by_key::<K, V>(lib, (keys.len(), keys.id()), (vals.len(), vals.id()))?;
     let body = || hostexec::sort_pairs(keys.as_mut_slice(), vals.as_mut_slice());
     lib.device().body(body, || ());
@@ -540,11 +580,10 @@ pub fn gather<T, L: Launch>(lib: &L, map: &Vector<u32>, src: &Vector<T>) -> Resu
 where
     T: DeviceCopy + Default,
 {
-    let (xs, at) = (src.as_slice(), map.as_slice());
-    let check = || hostexec::check_indices(at.iter().copied(), xs.len());
-    let data = lib
-        .device()
-        .checked_outputs(at.len(), check, || hostexec::gather(xs, at))?;
+    lib.device().reads(&[map, src])?;
+    let check = || map.buffer().check_indices(src.len());
+    let body = || hostexec::gather(src.as_slice(), map.as_slice());
+    let data = lib.device().checked_outputs(map.len(), check, body)?;
     let out = Vector::from_buffer(lib.device().buffer_from_vec(data, L::ALLOC)?);
     let (cost, reads) = (presets::gather::<T>(map.len()), [map.id(), src.id()]);
     lib.launch("gather", type_name::<T>, cost, &reads, &[out.id()])?;
@@ -561,8 +600,9 @@ pub fn scatter<T>(
 where
     T: DeviceCopy,
 {
+    lib.device().reads(&[src, map, &*dst])?;
     same_len(src.len(), map.len())?;
-    hostexec::check_indices(map.as_slice().iter().copied(), dst.len())?;
+    map.buffer().check_indices(dst.len())?;
     let (cost, reads) = (presets::scatter::<T>(src.len()), [src.id(), map.id()]);
     lib.launch("scatter", type_name::<T>, cost, &reads, &[dst.id()])?;
     let body = || {
@@ -595,7 +635,7 @@ where
             right: map.len().min(stencil.len()),
         });
     }
-    let (s, m, st) = (src.as_slice(), map.as_slice(), stencil.as_slice());
+    let (s, m, st) = (src.data()?, map.data()?, stencil.data()?);
     let selected = || (0..n).filter(|&i| st[i] != 0);
     hostexec::check_indices(selected().map(|i| m[i]), dst.len())?;
     let reads = [src.id(), map.id(), stencil.id()];

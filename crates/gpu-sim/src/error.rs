@@ -10,6 +10,7 @@
 //! resilience layers: transient errors are worth retrying, everything else
 //! is a programming or capacity error that retrying cannot fix.
 
+use crate::buffer::BufferId;
 use std::fmt;
 
 /// Result alias used throughout the simulator and the library crates.
@@ -62,6 +63,12 @@ pub enum SimError {
         /// Size of the transfer that timed out.
         bytes: u64,
     },
+    /// A download, or a kernel body, would read a shape-only buffer: one a
+    /// dry scope made, which holds a length and no data.
+    ShapeOnly {
+        /// The buffer.
+        buf: BufferId,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -87,6 +94,9 @@ impl fmt::Display for SimError {
             }
             SimError::TransferTimeout { bytes } => {
                 write!(f, "transfer of {bytes} bytes timed out")
+            }
+            SimError::ShapeOnly { buf } => {
+                write!(f, "buffer {buf} is shape-only: it has a length and no data")
             }
         }
     }
@@ -147,6 +157,9 @@ mod tests {
         assert!(!SimError::SizeMismatch { left: 1, right: 2 }.is_transient());
         assert!(!SimError::IndexOutOfBounds { index: 1, len: 1 }.is_transient());
         assert!(!SimError::Unsupported("x".into()).is_transient());
+        let shape_only = SimError::ShapeOnly { buf: BufferId(7) };
+        assert!(!shape_only.is_transient());
+        assert!(shape_only.to_string().contains("b7 is shape-only"));
     }
 
     #[test]

@@ -66,7 +66,9 @@ mod select;
 
 pub use index::{distinct_keys, equi_join, group_aggregate, grouped_sum, GroupStats};
 pub use radix::{sort_keys, sort_pairs, RadixKey};
-pub use select::{count_rows, select_rows, select_where, Cmp, Lane, Rhs, RowPred, Selected};
+pub use select::{
+    count_rows, select_rows, select_where, Cmp, Counts, Lane, Rhs, RowPred, Selected,
+};
 
 /// Fixed chunk granularity (in elements) for the parallel helpers.
 ///

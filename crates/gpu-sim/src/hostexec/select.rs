@@ -117,25 +117,36 @@ pub fn select_rows(preds: &[RowPred<'_>], all: bool) -> Selected {
     Selected { ids, each, prefix }
 }
 
-/// [`select_rows`]' counts without its rows: `each` and `prefix` as there,
-/// and `ids` zeros of the kept length. Each [`PAR_CHUNK`] window flags its
-/// rows into a buffer of its own and counts them; nothing is compacted.
+/// What [`count_rows`] found: [`Selected`] without its rows.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Counts {
+    /// As [`Selected::each`].
+    pub each: Vec<usize>,
+    /// As [`Selected::prefix`].
+    pub prefix: Vec<usize>,
+}
+
+impl Counts {
+    /// Rows passing the whole connective.
+    pub fn kept(&self) -> usize {
+        self.prefix.last().copied().unwrap_or(0)
+    }
+}
+
+/// [`select_rows`]' counts without its rows. Each [`PAR_CHUNK`] window
+/// flags its rows into a buffer of its own and counts them; nothing is
+/// compacted.
 ///
 /// # Panics
 /// As [`select_rows`].
-pub fn count_rows(preds: &[RowPred<'_>], all: bool) -> Selected {
+pub fn count_rows(preds: &[RowPred<'_>], all: bool) -> Counts {
     let n = rows_of(preds);
     let per_chunk = par_map_chunks(n, DEFAULT_MIN_SEQ, |rows| {
         let mut flags: Vec<u8> = vec![0; rows.len()];
         chunk_counts(preds, all, rows, &mut flags)
     });
     let (each, prefix) = totals(preds.len(), per_chunk);
-    let kept = prefix.last().copied().unwrap_or(0);
-    Selected {
-        ids: vec![0; kept],
-        each,
-        prefix,
-    }
+    Counts { each, prefix }
 }
 
 /// The rows every predicate of `preds` reads, after the checks both

@@ -82,7 +82,7 @@ pub mod stats;
 pub mod trace;
 pub mod transfer;
 
-pub use buffer::{BufferId, DeviceBuffer, DeviceCopy, Reservation};
+pub use buffer::{BufferId, Contents, DeviceBuffer, DeviceCopy, Readable, Reservation};
 pub use clock::{SimDuration, SimTime};
 pub use cost::{AccessPattern, KernelCost};
 pub use device::{Device, DryScope, POOL_HIT_NS};

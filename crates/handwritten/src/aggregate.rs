@@ -9,7 +9,7 @@
 use crate::charge_io;
 use gpu_sim::hostexec::{self, GroupStats};
 use gpu_sim::{
-    presets, AllocPolicy, Device, DeviceBuffer, KernelCost, Reservation, Result, SimError,
+    presets, AllocPolicy, Contents, Device, DeviceBuffer, KernelCost, Reservation, Result, SimError,
 };
 use std::sync::Arc;
 
@@ -57,28 +57,42 @@ pub fn hash_group_aggregate(
     }
     // Per-key accumulation in row order, groups ascending by key: the shared
     // host kernel. The charges read only the group count, so a dry scope
-    // counts the keys and leaves every column zero.
-    let agg = device.body(
-        || hostexec::group_aggregate(keys.host(), values.host()),
+    // counts the keys — which must be a real upload — and leaves every
+    // column shape-only.
+    let key_data = keys.data()?;
+    device.reads(&[values])?;
+    let (gkeys, sums, counts, mins, maxs) = device.body(
         || {
-            let groups = hostexec::distinct_keys(keys.host());
-            GroupStats {
-                keys: vec![0; groups],
-                sums: vec![0.0; groups],
-                counts: vec![0; groups],
-                mins: vec![0.0; groups],
-                maxs: vec![0.0; groups],
-            }
+            let agg = hostexec::group_aggregate(key_data, values.host());
+            let GroupStats {
+                keys,
+                sums,
+                counts,
+                mins,
+                maxs,
+            } = agg;
+            (
+                keys.into(),
+                sums.into(),
+                counts.into(),
+                mins.into(),
+                maxs.into(),
+            )
+        },
+        || {
+            let g = hostexec::distinct_keys(key_data);
+            use Contents::Shape;
+            (Shape(g), Shape(g), Shape(g), Shape(g), Shape(g))
         },
     );
     let out =
-        charge_hash_group_aggregate(device, keys.len(), agg.keys.len(), [keys.id(), values.id()])?;
+        charge_hash_group_aggregate(device, keys.len(), gkeys.len(), [keys.id(), values.id()])?;
     Ok(GroupAggregate {
-        keys: out.keys.into_buffer(agg.keys),
-        sums: out.sums.into_buffer(agg.sums),
-        counts: out.counts.into_buffer(agg.counts),
-        mins: out.mins.into_buffer(agg.mins),
-        maxs: out.maxs.into_buffer(agg.maxs),
+        keys: out.keys.into_buffer(gkeys),
+        sums: out.sums.into_buffer(sums),
+        counts: out.counts.into_buffer(counts),
+        mins: out.mins.into_buffer(mins),
+        maxs: out.maxs.into_buffer(maxs),
     })
 }
 

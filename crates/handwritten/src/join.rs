@@ -49,7 +49,7 @@ pub fn hash_join(
     probe_keys: &DeviceBuffer<u32>,
     build_keys: &DeviceBuffer<u32>,
 ) -> Result<JoinResult> {
-    let pairs = hostexec::equi_join(probe_keys.host(), build_keys.host());
+    let pairs = hostexec::equi_join(probe_keys.data()?, build_keys.data()?);
     charge_io(
         device,
         "hash_join/build",
@@ -94,8 +94,8 @@ pub fn merge_join(
     left_keys: &DeviceBuffer<u32>,
     right_keys: &DeviceBuffer<u32>,
 ) -> Result<JoinResult> {
-    let ls = left_keys.host();
-    let rs = right_keys.host();
+    let ls = left_keys.data()?;
+    let rs = right_keys.data()?;
     for (name, s) in [("left", ls), ("right", rs)] {
         if s.windows(2).any(|w| w[0] > w[1]) {
             return Err(gpu_sim::SimError::Unsupported(format!(
@@ -140,7 +140,7 @@ pub fn nested_loops_join(
     outer_keys: &DeviceBuffer<u32>,
     inner_keys: &DeviceBuffer<u32>,
 ) -> Result<JoinResult> {
-    let pairs = hostexec::equi_join(outer_keys.host(), inner_keys.host());
+    let pairs = hostexec::equi_join(outer_keys.data()?, inner_keys.data()?);
     charge_io(
         device,
         "nested_loops_join",

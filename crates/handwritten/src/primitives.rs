@@ -2,7 +2,9 @@
 //!
 //! The reduction, scan, gather, scatter, product and both sorts run their
 //! bodies through [`Device::body`], so a
-//! [dry scope](Device::dry_scope) skips the bodies and nothing else.
+//! [dry scope](Device::dry_scope) skips the bodies and nothing else; their
+//! outputs there are shape-only. Each checks, before it charges anything,
+//! that the buffers its body reads hold data ([`Device::reads`]).
 
 use crate::charge_io;
 use gpu_sim::hostexec::expr::{self, BinaryOp, Instr, Leaf, Program};
@@ -17,6 +19,7 @@ pub fn reduce_f64(device: &Arc<Device>, src: &DeviceBuffer<f64>) -> Result<f64> 
     // Fold from +0.0 explicitly: std's `Sum for f64` seeds with -0.0,
     // which leaks into empty-selection totals and breaks bit-equality
     // with the fused kernels' 0.0-seeded accumulators.
+    device.reads(&[src])?;
     let fold = || src.host().iter().fold(0.0, |acc, &x| acc + x);
     let total = device.body(fold, || 0.0);
     charge_io(
@@ -36,6 +39,7 @@ pub fn exclusive_scan_u32(
     device: &Arc<Device>,
     src: &DeviceBuffer<u32>,
 ) -> Result<DeviceBuffer<u32>> {
+    device.reads(&[src])?;
     let out = device.outputs(src.len(), || {
         let mut out = Vec::with_capacity(src.len());
         let mut acc = 0u32;
@@ -64,9 +68,10 @@ pub fn gather<T: DeviceCopy + Default>(
     src: &DeviceBuffer<T>,
     idx: &DeviceBuffer<u32>,
 ) -> Result<DeviceBuffer<T>> {
-    let (xs, at) = (src.host(), idx.host());
-    let check = || hostexec::check_indices(at.iter().copied(), xs.len());
-    let out = device.checked_outputs(at.len(), check, || hostexec::gather(xs, at))?;
+    device.reads(&[src, idx])?;
+    let check = || idx.check_indices(src.len());
+    let body = || hostexec::gather(src.host(), idx.host());
+    let out = device.checked_outputs(idx.len(), check, body)?;
     charge_io(
         device,
         "gather",
@@ -84,6 +89,7 @@ pub fn radix_sort_pairs(
     keys: &mut DeviceBuffer<u32>,
     vals: &mut DeviceBuffer<u32>,
 ) -> Result<()> {
+    device.reads(&[&*keys, &*vals])?;
     if keys.len() != vals.len() {
         return Err(SimError::SizeMismatch {
             left: keys.len(),
@@ -124,6 +130,7 @@ pub fn product_f64(
     a: &DeviceBuffer<f64>,
     b: &DeviceBuffer<f64>,
 ) -> Result<DeviceBuffer<f64>> {
+    device.reads(&[a, b])?;
     if a.len() != b.len() {
         return Err(SimError::SizeMismatch {
             left: a.len(),
@@ -147,6 +154,7 @@ pub fn product_f64(
 
 /// Ascending radix sort of a `u32` column, returning a sorted copy.
 pub fn sort_u32(device: &Arc<Device>, src: &DeviceBuffer<u32>) -> Result<DeviceBuffer<u32>> {
+    device.reads(&[src])?;
     let v = device.outputs(src.len(), || {
         let mut v = src.host().to_vec();
         hostexec::sort_keys(&mut v);
@@ -164,15 +172,15 @@ pub fn scatter_u32(
     idx: &DeviceBuffer<u32>,
     dst_len: usize,
 ) -> Result<DeviceBuffer<u32>> {
+    device.reads(&[src, idx])?;
     if src.len() != idx.len() {
         return Err(SimError::SizeMismatch {
             left: src.len(),
             right: idx.len(),
         });
     }
-    let at = idx.host();
-    let check = || hostexec::check_indices(at.iter().copied(), dst_len);
-    let body = || hostexec::scatter(src.host(), at, dst_len);
+    let check = || idx.check_indices(dst_len);
+    let body = || hostexec::scatter(src.host(), idx.host(), dst_len);
     let out = device.checked_outputs(dst_len, check, body)?;
     charge_io(
         device,
@@ -211,7 +219,7 @@ pub fn fused_filter_dot(
     ]);
     let acc = expr::filter_sum(
         &dot,
-        &[Leaf::F64(a.host()), Leaf::F64(b.host())],
+        &[Leaf::F64(a.data()?), Leaf::F64(b.data()?)],
         preds,
         n,
         0.0,
