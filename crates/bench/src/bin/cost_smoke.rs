@@ -11,7 +11,8 @@
 //! error band lives in E21 (a section of `all_experiments`), which feeds
 //! ground-truth stats.
 //!
-//! Exits nonzero on any out-of-band ratio.
+//! Exits nonzero on any out-of-band ratio. It takes no arguments: any
+//! argument is one stderr line and exit code 2 before anything runs.
 
 use gpu_sim::DeviceSpec;
 use proto_core::optimizer::{self, CostingOptions, PlannerOptions};
@@ -79,6 +80,7 @@ fn run(plan: &PhysicalPlan, backend: &str, db: &Database) -> (u64, u64) {
 }
 
 fn main() {
+    bench::report::parse_args("cost_smoke", &[]);
     let db = tpch::cached(0.005);
     let rows = db.lineitem.shipdate.len();
     let spec = DeviceSpec::gtx1080();

@@ -13,7 +13,8 @@
 //! working set is staged. The faulted run must (a) produce answers
 //! bit-identical to the clean run and (b) actually observe injected
 //! faults and recoveries, so a silently disabled fault plan cannot pass.
-//! Any mismatch exits non-zero; this job gates.
+//! Any mismatch exits non-zero; this job gates. It takes no arguments:
+//! any argument is one stderr line and exit code 2 before anything runs.
 
 use proto_core::backend::GpuBackend;
 use proto_core::framework::Framework;
@@ -61,6 +62,7 @@ fn run_pair(name: &str, rate: f64) -> (Vec<Q1Row>, f64, u64) {
 }
 
 fn main() -> ExitCode {
+    bench::report::parse_args("fault_smoke", &[]);
     let rate = match std::env::var("GPU_SIM_FAULT_RATE") {
         Err(_) => 0.2,
         Ok(v) => match v.trim().parse::<f64>() {

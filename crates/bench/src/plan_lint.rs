@@ -98,21 +98,11 @@ pub fn translation_reports() -> Vec<Report> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn every_tpch_plan_is_clean_in_every_mode_on_every_backend() {
-        let reports = translation_reports();
-        // 3 planner modes × (6 queries × 4 backends, minus ArrayFire on
-        // the 4 join queries).
-        assert_eq!(reports.len(), 3 * (6 * 4 - 4));
-        for r in &reports {
-            assert!(r.is_clean(), "{}", r.render());
-        }
-    }
-
     /// Q1 (not Q6: Q6 fuses to a single pass with zero device
     /// intermediates, so its estimated peak is legitimately 0) on Thrust,
-    /// costed at `lineitem_rows`, linted against `mem_budget_bytes`.
-    fn costed_q1(lineitem_rows: usize, mem_budget_bytes: Option<u64>) -> Report {
+    /// costed at `lineitem_rows`, linted against `mem_budget_bytes`; and
+    /// the estimated peak.
+    fn costed_q1(lineitem_rows: usize, mem_budget_bytes: Option<u64>) -> (Report, u64) {
         let spec = crate::paper_device();
         let fw = crate::paper_framework();
         let b = fw.backend("Thrust").unwrap();
@@ -125,16 +115,24 @@ mod tests {
         };
         let (plan, traces) =
             optimizer::plan_traced("Q1", &tpch::queries::q1::logical_plan(), b, &opts).unwrap();
-        lint_plan("Q1".into(), b, &plan, &traces, mem_budget_bytes, &spec)
+        let peak = plan.cost_report().map_or(0, |c| c.peak_device_bytes);
+        let report = lint_plan("Q1".into(), b, &plan, &traces, mem_budget_bytes, &spec);
+        (report, peak)
     }
 
     #[test]
     fn injected_tiny_budget_is_flagged_gl601() {
         // A 4 KiB budget is far below Q1's working set at 65K rows.
-        let r = costed_q1(1 << 16, Some(4 << 10));
+        let (r, peak) = costed_q1(1 << 16, Some(4 << 10));
         let ids: Vec<_> = r.diagnostics.iter().map(|d| d.rule.id()).collect();
         assert_eq!(ids, vec!["GL601"], "{}", r.render());
         assert_eq!(r.errors(), 0, "budget overrun is a warning, not an error");
+        // One byte short of the estimated peak overruns; the peak fits.
+        let (r, _) = costed_q1(1 << 16, Some(peak - 1));
+        let ids: Vec<_> = r.diagnostics.iter().map(|d| d.rule.id()).collect();
+        assert_eq!(ids, vec!["GL601"], "{}", r.render());
+        assert!(r.render().contains("(1.0x)"), "{}", r.render());
+        assert!(costed_q1(1 << 16, Some(peak)).0.is_clean());
     }
 
     #[test]
@@ -142,10 +140,16 @@ mod tests {
         // Q1 at 2^29 rows holds ~11 GB of intermediates — past the
         // gtx1080's 8 GiB; the symbolic model prices it without
         // allocating anything.
-        let r = costed_q1(1 << 29, None);
-        let ids: Vec<_> = r.diagnostics.iter().map(|d| d.rule.id()).collect();
-        assert_eq!(ids, vec!["GL602"], "{}", r.render());
-        assert_eq!(r.errors(), 1);
+        // With no budget declared, only GL602 fires; with one, both do.
+        for (budget, want) in [
+            (None, vec!["GL602"]),
+            (Some(1 << 10), vec!["GL601", "GL602"]),
+        ] {
+            let (r, _) = costed_q1(1 << 29, budget);
+            let ids: Vec<_> = r.diagnostics.iter().map(|d| d.rule.id()).collect();
+            assert_eq!(ids, want, "{}", r.render());
+            assert_eq!(r.errors(), 1);
+        }
     }
 
     #[test]

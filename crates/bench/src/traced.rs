@@ -105,32 +105,6 @@ pub fn traced_experiment(cfg: &GridConfig, exp: &str) -> Vec<TracedCell> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn traced_cells_capture_balanced_buffer_stories() {
-        let cfg = lint_config();
-        let cells = traced_experiment(&cfg, "E3");
-        assert_eq!(cells.len(), 4, "one cell per backend");
-        for cell in &cells {
-            assert!(!cell.trace.is_empty(), "{}: empty trace", cell.label);
-            let allocs = cell
-                .trace
-                .iter()
-                .filter(|e| {
-                    matches!(
-                        e.kind,
-                        gpu_sim::TraceKind::Alloc { .. } | gpu_sim::TraceKind::PoolAlloc { .. }
-                    )
-                })
-                .count();
-            let frees = cell
-                .trace
-                .iter()
-                .filter(|e| matches!(e.kind, gpu_sim::TraceKind::Free { .. }))
-                .count();
-            assert_eq!(allocs, frees, "{}: unbalanced lifetimes", cell.label);
-        }
-    }
-
     /// Every lint target the replay produced at [`lint_config`] when the
     /// cells were a hand-written `match` (PR 14), in `gpu_lint`'s order.
     const LINT_LABELS: &str = "

@@ -81,6 +81,8 @@ fn an_argument_a_fig_binary_does_not_take_is_rejected() {
     ];
     assert_all_rejected(env!("CARGO_BIN_EXE_fig_device_sensitivity"), &bare_cases);
     assert_all_rejected(env!("CARGO_BIN_EXE_fig_query_timeline"), &bare_cases);
+    assert_all_rejected(env!("CARGO_BIN_EXE_cost_smoke"), &bare_cases);
+    assert_all_rejected(env!("CARGO_BIN_EXE_fault_smoke"), &bare_cases);
 }
 
 /// A `--csv` directory that cannot be created — here, one below a file — is

@@ -22,7 +22,8 @@ use bench::grid::GridConfig;
 use proto_core::backend::Pred;
 use proto_core::ops::{CmpOp, Connective};
 
-/// Serializes tests that touch process-wide execution knobs.
+/// Serializes tests that touch process-wide execution knobs. Each test
+/// takes it poisoned or not, so one test's failure is not the others'.
 static GLOBAL_KNOBS: Mutex<()> = Mutex::new(());
 
 /// One full mini-run of the pipeline: returns every CSV rendering plus
@@ -56,7 +57,7 @@ fn run_pipeline() -> (Vec<String>, String) {
 
 #[test]
 fn results_and_simulated_time_are_thread_count_invariant() {
-    let _guard = GLOBAL_KNOBS.lock().unwrap();
+    let _guard = GLOBAL_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
     let mut runs = Vec::new();
     for threads in ["1", "2", "8"] {
         std::env::set_var("GPU_SIM_HOST_THREADS", threads);
@@ -153,7 +154,7 @@ fn run_large_operators() -> Vec<String> {
 
 #[test]
 fn large_sorts_groupings_and_joins_are_thread_count_invariant() {
-    let _guard = GLOBAL_KNOBS.lock().unwrap();
+    let _guard = GLOBAL_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
     let mut runs = Vec::new();
     for threads in ["1", "2", "3", "8"] {
         std::env::set_var("GPU_SIM_HOST_THREADS", threads);
@@ -175,7 +176,7 @@ fn large_sorts_groupings_and_joins_are_thread_count_invariant() {
 /// canonical serial order no matter which worker ran which cell.
 #[test]
 fn grid_artifacts_and_stdout_are_jobs_invariant() {
-    let _guard = GLOBAL_KNOBS.lock().unwrap();
+    let _guard = GLOBAL_KNOBS.lock().unwrap_or_else(|e| e.into_inner());
     // Fault rates high enough that retries and fallbacks really happen.
     let cfg = || GridConfig {
         e17_rates: vec![0, 100],

@@ -107,6 +107,7 @@ impl Launch for CommandQueue {
 mod tests {
     use super::*;
     use gpu_sim::eager::{fill, sequence, sort, transform, Vector};
+    use gpu_sim::SimDuration;
 
     /// One launch of kernel `name` instantiated for `key`, costing nothing.
     fn enqueue(q: &CommandQueue, name: &str, key: &str) {
@@ -121,9 +122,18 @@ mod tests {
         let q = CommandQueue::new(&ctx);
         enqueue(&q, "transform", "u32");
         assert_eq!(dev.stats().jit_compiles, 1);
-        enqueue(&q, "transform", "u32");
+        let (_, warm) = dev.time(|| enqueue(&q, "transform", "u32"));
         assert_eq!(dev.stats().jit_compiles, 1, "cache hit");
         assert_eq!(ctx.cached_programs(), 1);
+        // A warm enqueue pays the OpenCL enqueue latency, which exceeds a
+        // CUDA launch's (thrust-sim pins that one).
+        let spec = dev.spec();
+        let idle = KernelCost::empty().duration(spec);
+        assert_eq!(
+            warm - idle,
+            SimDuration::from_nanos(spec.opencl_enqueue_latency_ns)
+        );
+        assert!(spec.opencl_enqueue_latency_ns > spec.cuda_launch_latency_ns);
     }
 
     #[test]

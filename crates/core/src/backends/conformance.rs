@@ -22,6 +22,7 @@ use super::{make_backend, PAPER_BACKENDS};
 use crate::backend::{Col, ColType, GpuBackend, Pred, Source};
 use crate::fused::{composed_filter_agg, composed_map, FusedExpr, FusedPred};
 use crate::ops::{CmpOp, Connective, DbOperator, JoinAlgo, Support};
+use crate::resilient::{ResilientBackend, RetryPolicy};
 use boost_compute_sim::Context;
 use gpu_sim::eager::{charge_launch, Launch};
 use gpu_sim::{AllocPolicy, BufferId, Device, DeviceStats, KernelCost, Result, SimError};
@@ -601,10 +602,11 @@ fn a_dropped_row_contributes_nothing_whatever_it_holds() {
 /// given one — the index column being real — and every download of one is
 /// [`SimError::ShapeOnly`], charging nothing and leaving no buffer behind.
 /// Inside the scope a counted placeholder reads only real uploads, so
-/// handing it a shape-only column is the same refusal.
+/// handing it a shape-only column is the same refusal. The same holds for
+/// each paper backend behind a [`ResilientBackend`].
 #[test]
 fn nothing_reads_a_shape_only_column() {
-    on_every_backend(|b| {
+    let case = |b: Backend<'_>| {
         let [u, f] = shape_only(b, &U, &F);
         let k = b.upload_u32(&K).unwrap();
         hold(b, calls(b, &u, &k, &f), Operands::ShapeOnly);
@@ -634,7 +636,18 @@ fn nothing_reads_a_shape_only_column() {
             b.name()
         );
         free(b, [u, k, f]);
-    });
+    };
+    on_every_backend(case);
+    // A retry wrapper forwards the lazy upload too: the wrapped column
+    // stays shape-only.
+    for name in PAPER_BACKENDS {
+        let dev = Device::with_defaults();
+        case(&ResilientBackend::with_policy(
+            make(name, &dev),
+            RetryPolicy::default(),
+        ));
+        assert_eq!(dev.live_buffers(), 0, "{name}: buffers left behind");
+    }
 }
 
 /// The shape-priced operators — and `dtod`, under the sorts — on inputs

@@ -2107,28 +2107,6 @@ mod tests {
         Framework::with_all_backends(&DeviceSpec::gtx1080())
     }
 
-    fn q6ish() -> LogicalPlan {
-        LogicalPlan::scan(
-            "t",
-            vec![
-                ColumnDecl::f64("price"),
-                ColumnDecl::f64("disc"),
-                ColumnDecl::f64("qty"),
-            ],
-        )
-        .filter(Predicate::And(vec![
-            Predicate::cmp("t.qty", CmpOp::Lt, 24.0),
-            Predicate::cmp("t.disc", CmpOp::Ge, 0.05),
-        ]))
-        .aggregate(
-            None,
-            vec![(
-                "revenue",
-                AggExpr::Sum(Expr::col("t.price") * Expr::col("t.disc")),
-            )],
-        )
-    }
-
     #[test]
     fn pushdown_routes_conjuncts_through_projects_and_joins() {
         let build = LogicalPlan::scan("d", vec![ColumnDecl::u32("k"), ColumnDecl::u32("size")]);
@@ -2165,28 +2143,6 @@ mod tests {
     }
 
     #[test]
-    fn pushdown_keeps_output_name_predicates_above_the_join() {
-        let build = LogicalPlan::scan("d", vec![ColumnDecl::u32("k")]);
-        let probe = LogicalPlan::scan("f", vec![ColumnDecl::u32("k"), ColumnDecl::f64("v")]);
-        let joined = LogicalPlan::join(
-            build,
-            probe,
-            "d.k",
-            "f.k",
-            vec![JoinCol::probe("val", "f.v")],
-        )
-        .filter(Predicate::cmp("val", CmpOp::Gt, 1.0));
-        let pushed = predicate_pushdown(&joined);
-        assert_eq!(pushed, joined, "{}", pushed.render());
-    }
-
-    #[test]
-    fn pushdown_is_identity_on_filters_already_at_their_scans() {
-        let plan = q6ish();
-        assert_eq!(predicate_pushdown(&plan), plan);
-    }
-
-    #[test]
     fn pruning_drops_unused_scan_columns() {
         let plan = LogicalPlan::scan(
             "t",
@@ -2205,172 +2161,6 @@ mod tests {
             panic!()
         };
         assert_eq!(columns, &vec![ColumnDecl::f64("used")]);
-    }
-
-    #[test]
-    fn fusion_emits_a_single_filter_sum_product_step() {
-        let fw = fw();
-        let b = fw.backend("Thrust").unwrap();
-        let p = plan("Fused", &q6ish(), b).unwrap();
-        assert!(p.explain().contains("fast paths: on"), "{}", p.explain());
-        assert_eq!(
-            p.steps().len(),
-            1,
-            "fused plans are one step: {}",
-            p.explain()
-        );
-        assert!(matches!(p.steps()[0], Step::FilterSumProduct { .. }));
-
-        // A second aggregate leaves the Q6 shape: the composed chain.
-        let LogicalPlan::Aggregate {
-            input,
-            group_by,
-            mut aggs,
-        } = q6ish()
-        else {
-            unreachable!("q6ish ends in an Aggregate")
-        };
-        aggs.push(("price".into(), AggExpr::Sum(Expr::col("t.price"))));
-        let two_sums = LogicalPlan::Aggregate {
-            input,
-            group_by,
-            aggs,
-        };
-        let unfused = plan("Unfused", &two_sums, b).unwrap();
-        assert!(
-            unfused.explain().contains("fast paths: off"),
-            "{}",
-            unfused.explain()
-        );
-        assert!(unfused.steps().len() > 3, "{}", unfused.explain());
-    }
-
-    #[test]
-    fn fused_and_unfused_plans_agree_on_every_backend() {
-        let fw = fw();
-        let price = [100.0, 200.0, 300.0, 400.0];
-        let disc = [0.10, 0.02, 0.06, 0.08];
-        let qty = [10.0, 5.0, 30.0, 20.0];
-        let expect = 100.0 * 0.10 + 400.0 * 0.08;
-        for b in fw.backends() {
-            let cp = b.upload_f64(&price).unwrap();
-            let cd = b.upload_f64(&disc).unwrap();
-            let cq = b.upload_f64(&qty).unwrap();
-            let mut binds = PlanBindings::new();
-            binds
-                .bind("t.price", &cp)
-                .bind("t.disc", &cd)
-                .bind("t.qty", &cq);
-            for threshold in [None, Some(0), Some(usize::MAX)] {
-                let opts = PlannerOptions {
-                    fusion: FusionPolicy { threshold },
-                    ..PlannerOptions::default()
-                };
-                let p = plan_with("Q6ish", &q6ish(), b.as_ref(), &opts).unwrap();
-                let out = p.execute(b.as_ref(), &binds).unwrap();
-                let got = out.scalar("revenue").unwrap();
-                assert!((got - expect).abs() < 1e-9, "{}: {got}", b.name());
-            }
-            for c in [cp, cd, cq] {
-                b.free(c).unwrap();
-            }
-        }
-    }
-
-    fn fusion_on() -> PlannerOptions {
-        PlannerOptions {
-            fusion: FusionPolicy::on(),
-            ..PlannerOptions::default()
-        }
-    }
-
-    #[test]
-    fn general_fusion_subsumes_the_q6_fast_path() {
-        let fw = fw();
-        let b = fw.backend("Thrust").unwrap();
-        let p = plan_with("FusedGeneral", &q6ish(), b, &fusion_on()).unwrap();
-        assert_eq!(p.steps().len(), 1, "{}", p.explain());
-        assert!(
-            matches!(p.steps()[0], Step::FusedFilterAgg { .. }),
-            "{}",
-            p.explain()
-        );
-        assert!(p.explain().contains("fused_filter_agg"), "{}", p.explain());
-    }
-
-    #[test]
-    fn general_fusion_handles_masks_and_multiple_aggregates() {
-        let fw = fw();
-        let tree = LogicalPlan::scan(
-            "t",
-            vec![
-                ColumnDecl::f64("price"),
-                ColumnDecl::f64("disc"),
-                ColumnDecl::f64("qty"),
-            ],
-        )
-        .filter(Predicate::cmp("t.qty", CmpOp::Lt, 24.0))
-        .aggregate(
-            None,
-            vec![
-                (
-                    "net",
-                    AggExpr::Sum(Expr::col("t.price") * (Expr::lit(1.0) - Expr::col("t.disc"))),
-                ),
-                (
-                    "promo",
-                    AggExpr::Sum(
-                        Expr::col("t.price") * Expr::Mask("t.disc".into(), CmpOp::Ge, 0.05),
-                    ),
-                ),
-            ],
-        );
-        for b in fw.backends() {
-            let price = b.upload_f64(&[100.0, 200.0, 300.0]).unwrap();
-            let disc = b.upload_f64(&[0.10, 0.02, 0.06]).unwrap();
-            let qty = b.upload_f64(&[10.0, 30.0, 20.0]).unwrap();
-            let mut binds = PlanBindings::new();
-            binds
-                .bind("t.price", &price)
-                .bind("t.disc", &disc)
-                .bind("t.qty", &qty);
-            let reference = plan("Ref", &tree, b.as_ref())
-                .unwrap()
-                .execute(b.as_ref(), &binds)
-                .unwrap();
-            // Both sides of the size-adaptive dispatch: always-fused
-            // (threshold 0) and always-composed (threshold usize::MAX).
-            for threshold in [0, usize::MAX] {
-                let opts = PlannerOptions {
-                    fusion: FusionPolicy {
-                        threshold: Some(threshold),
-                    },
-                    ..PlannerOptions::default()
-                };
-                let p = plan_with("Fused", &tree, b.as_ref(), &opts).unwrap();
-                assert!(
-                    p.steps()
-                        .iter()
-                        .all(|s| matches!(s, Step::FusedFilterAgg { .. })),
-                    "{}",
-                    p.explain()
-                );
-                let out = p.execute(b.as_ref(), &binds).unwrap();
-                for name in ["net", "promo"] {
-                    let got = out.scalar(name).unwrap();
-                    let want = reference.scalar(name).unwrap();
-                    assert_eq!(
-                        got.to_bits(),
-                        want.to_bits(),
-                        "{name} on {} (threshold {threshold}): {got} vs {want}",
-                        b.name()
-                    );
-                }
-            }
-            for c in [price, disc, qty] {
-                b.free(c).unwrap();
-            }
-        }
     }
 
     #[test]
@@ -2429,166 +2219,5 @@ mod tests {
                 b.free(c).unwrap();
             }
         }
-    }
-
-    #[test]
-    fn fusion_off_is_the_default_and_changes_nothing() {
-        let fw = fw();
-        let b = fw.backend("Boost.Compute").unwrap();
-        let with_default = plan("P", &q6ish(), b).unwrap();
-        let explicit = plan_with(
-            "P",
-            &q6ish(),
-            b,
-            &PlannerOptions {
-                fusion: FusionPolicy::default(),
-                ..PlannerOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(with_default.explain(), explicit.explain());
-        assert_eq!(FusionPolicy::default().threshold, None);
-        assert_eq!(FusionPolicy::on().threshold, Some(DEFAULT_FUSION_THRESHOLD));
-    }
-
-    #[test]
-    fn grouped_plan_executes_with_count_and_shared_subexpressions() {
-        let fw = fw();
-        let plan_tree = LogicalPlan::scan(
-            "t",
-            vec![
-                ColumnDecl::u32("dept"),
-                ColumnDecl::f64("salary"),
-                ColumnDecl::f64("bonus"),
-            ],
-        )
-        .filter(Predicate::cmp("t.salary", CmpOp::Gt, 0.0))
-        .aggregate(
-            Some("t.dept"),
-            vec![
-                (
-                    "total",
-                    AggExpr::Sum(Expr::col("t.salary") + Expr::lit(0.0)),
-                ),
-                (
-                    "scaled",
-                    AggExpr::Sum((Expr::col("t.salary") + Expr::lit(0.0)) * Expr::lit(2.0)),
-                ),
-                ("n", AggExpr::Count),
-            ],
-        );
-        for b in fw.backends() {
-            let dept = b.upload_u32(&[1, 2, 1, 2, 2]).unwrap();
-            let salary = b.upload_f64(&[10.0, 20.0, 30.0, 40.0, 60.0]).unwrap();
-            let bonus = b.upload_f64(&[1.0; 5]).unwrap();
-            let mut binds = PlanBindings::new();
-            binds
-                .bind("t.dept", &dept)
-                .bind("t.salary", &salary)
-                .bind("t.bonus", &bonus);
-            let p = plan("Grouped", &plan_tree, b.as_ref()).unwrap();
-            let out = p.execute(b.as_ref(), &binds).unwrap();
-            assert_eq!(out.u32s("keys").unwrap(), &[1, 2], "{}", b.name());
-            assert_eq!(out.f64s("total").unwrap(), &[40.0, 120.0], "{}", b.name());
-            assert_eq!(out.f64s("scaled").unwrap(), &[80.0, 240.0], "{}", b.name());
-            assert_eq!(out.f64s("n").unwrap(), &[2.0, 3.0], "{}", b.name());
-            for c in [dept, salary, bonus] {
-                b.free(c).unwrap();
-            }
-        }
-    }
-
-    #[test]
-    fn joinless_backends_get_the_table_ii_error() {
-        let fw = fw();
-        let af = fw.backend("ArrayFire").unwrap();
-        let joined = LogicalPlan::join(
-            LogicalPlan::scan("d", vec![ColumnDecl::u32("k")]),
-            LogicalPlan::scan("f", vec![ColumnDecl::u32("k"), ColumnDecl::f64("v")]),
-            "d.k",
-            "f.k",
-            vec![JoinCol::probe("val", "f.v")],
-        )
-        .aggregate(None, vec![("s", AggExpr::Sum(Expr::col("val")))]);
-        let err = plan("J", &joined, af).unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "unsupported operation: ArrayFire supports no join algorithm (Table II)"
-        );
-    }
-
-    #[test]
-    fn identical_subtrees_lower_once() {
-        let fw = fw();
-        let b = fw.backend("Handwritten").unwrap();
-        let dims = LogicalPlan::scan("n", vec![ColumnDecl::u32("k"), ColumnDecl::u32("r")])
-            .filter(Predicate::cmp("n.r", CmpOp::Eq, 2.0))
-            .project(&["n.k"]);
-        let j1 = LogicalPlan::join(
-            dims.clone(),
-            LogicalPlan::scan("s", vec![ColumnDecl::u32("nk"), ColumnDecl::u32("sk")]),
-            "n.k",
-            "s.nk",
-            vec![JoinCol::probe("sk", "s.sk")],
-        );
-        let j2 = LogicalPlan::join(
-            j1,
-            LogicalPlan::join(
-                dims,
-                LogicalPlan::scan("c", vec![ColumnDecl::u32("nk"), ColumnDecl::f64("v")]),
-                "n.k",
-                "c.nk",
-                vec![JoinCol::probe("ck", "c.nk"), JoinCol::probe("v", "c.v")],
-            ),
-            "sk",
-            "ck",
-            vec![JoinCol::probe("vv", "v")],
-        )
-        .aggregate(None, vec![("s", AggExpr::Sum(Expr::col("vv")))]);
-        let p = plan("CSE", &j2, b).unwrap();
-        let selections = p
-            .steps()
-            .iter()
-            .filter(|s| matches!(s, Step::Selection { .. }))
-            .count();
-        assert_eq!(
-            selections,
-            1,
-            "shared dim subplan lowers once: {}",
-            p.explain()
-        );
-    }
-
-    #[test]
-    fn plans_free_every_column_they_create() {
-        let fw = fw();
-        let b = fw.backend("Boost.Compute").unwrap();
-        let p = plan(
-            "Grouped",
-            &LogicalPlan::scan("t", vec![ColumnDecl::u32("k"), ColumnDecl::f64("v")])
-                .filter(Predicate::cmp("t.v", CmpOp::Gt, 0.0))
-                .aggregate(
-                    Some("t.k"),
-                    vec![("s", AggExpr::Sum(Expr::col("t.v") * Expr::lit(2.0)))],
-                ),
-            b,
-        )
-        .unwrap();
-        let device_slots: Vec<usize> = p
-            .slots()
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| matches!(m.kind, SlotKind::Device { .. }))
-            .map(|(i, _)| i)
-            .collect();
-        let freed: Vec<usize> = p
-            .steps()
-            .iter()
-            .filter_map(|s| match s {
-                Step::Free { slot } => Some(*slot),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(freed, device_slots, "{}", p.explain());
     }
 }

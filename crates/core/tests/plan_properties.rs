@@ -119,35 +119,6 @@ proptest! {
         }
     }
 
-    /// Grouped COUNT equals a host histogram, post-filter.
-    #[test]
-    fn grouped_count_matches_histogram(
-        keys in prop::collection::vec(0u32..8, 1..80),
-        vals in prop::collection::vec(-5.0..5.0f64, 80..81),
-        threshold in -5.0..5.0f64,
-    ) {
-        let n = keys.len();
-        let vals = &vals[..n];
-        let mut expect = std::collections::BTreeMap::new();
-        for i in 0..n {
-            if vals[i] > threshold {
-                *expect.entry(keys[i]).or_insert(0.0) += 1.0;
-            }
-        }
-        let expect: Vec<(u32, f64)> = expect.into_iter().collect();
-        let q = AggQuery::new(Agg::Count)
-            .filter(Predicate::cmp("v", CmpOp::Gt, threshold))
-            .group_by("k");
-        let fw = Framework::with_all_backends(&gpu_sim::DeviceSpec::gtx1080());
-        for backend in fw.backends() {
-            let mut binding = Bindings::new(backend.as_ref());
-            binding.bind_u32("k", &keys).unwrap();
-            binding.bind_f64("v", vals).unwrap();
-            let got = q.execute(&binding).unwrap();
-            prop_assert_eq!(got.grouped().unwrap(), &expect[..], "{}", backend.name());
-        }
-    }
-
     /// A query frees every device column it creates — `live_buffers` is
     /// back at its pre-call value after each shape of query and after each
     /// planning error, on every backend — so memory accounting returns to

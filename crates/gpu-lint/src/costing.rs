@@ -46,51 +46,3 @@ pub(crate) fn lint_costed_plan(
     }
     diags
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn lint(peak_device_bytes: u64, budget: Option<u64>, device_mem: u64) -> Vec<Diagnostic> {
-        let report = CostReport {
-            peak_device_bytes,
-            ..CostReport::default()
-        };
-        let spec = DeviceSpec {
-            global_mem_bytes: device_mem,
-            ..DeviceSpec::default()
-        };
-        lint_costed_plan(&report, budget, &spec)
-    }
-
-    fn rules(diags: &[Diagnostic]) -> Vec<&str> {
-        diags.iter().map(|d| d.rule.id()).collect()
-    }
-
-    #[test]
-    fn a_plan_inside_budget_and_device_is_clean() {
-        let diags = lint(1 << 20, Some(1 << 21), 1 << 30);
-        assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    #[test]
-    fn no_declared_budget_means_no_budget_finding() {
-        let diags = lint(1 << 29, None, 1 << 30);
-        assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    #[test]
-    fn peak_over_budget_warns_gl601() {
-        let diags = lint(3 << 20, Some(1 << 20), 1 << 30);
-        assert_eq!(rules(&diags), vec!["GL601"]);
-        assert_eq!(diags[0].severity(), crate::Severity::Warning);
-        assert!(diags[0].message.contains("3.0x"), "{}", diags[0].message);
-    }
-
-    #[test]
-    fn peak_over_device_memory_errors_gl602() {
-        let diags = lint((1 << 30) + 1, Some(1 << 10), 1 << 30);
-        assert_eq!(rules(&diags), vec!["GL601", "GL602"]);
-        assert_eq!(diags[1].severity(), crate::Severity::Error);
-    }
-}

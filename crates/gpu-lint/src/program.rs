@@ -189,84 +189,9 @@ mod tests {
     }
 
     #[test]
-    fn compiled_q6_style_program_is_clean() {
-        // (a < s) && (b >= s): the shape Q6 predicates compile to.
-        let p = spec(
-            vec![
-                Instr::Load(0),
-                Instr::ScalarRhs(BinaryOp::Lt, 0.0),
-                Instr::Load(1),
-                Instr::ScalarRhs(BinaryOp::Ge, 0.0),
-                Instr::Binary(BinaryOp::And),
-            ],
-            vec![DType::F64, DType::F64],
-            2,
-        );
-        assert!(rules(&p).is_empty(), "{:?}", lint_program(&p));
-    }
-
-    #[test]
-    fn real_compiled_programs_are_clean() {
-        use arrayfire_sim::node::Node;
-        use arrayfire_sim::{ColumnData, Program, Scalar};
-        use std::sync::Arc;
-        let dev = gpu_sim::Device::with_defaults();
-        let leaf = |id: u64, data: Vec<f64>| {
-            Arc::new(Node::Leaf(
-                id,
-                Arc::new(ColumnData::from_f64(&dev, data).unwrap()),
-            ))
-        };
-        // (a < 2.5) && (b >= 5.0), compiled by the real pipeline.
-        let tree = Node::Binary(
-            BinaryOp::And,
-            Arc::new(Node::ScalarRhs(
-                BinaryOp::Lt,
-                leaf(1, vec![1.0, 2.0, 3.0]),
-                Scalar::F64(2.5),
-            )),
-            Arc::new(Node::ScalarRhs(
-                BinaryOp::Ge,
-                leaf(2, vec![4.0, 5.0, 6.0]),
-                Scalar::F64(5.0),
-            )),
-        );
-        let prog = Program::compile(&tree);
-        assert!(lint_program(&prog.spec()).is_empty());
-    }
-
-    #[test]
     fn underflow_is_caught_and_analysis_stops() {
         let p = spec(vec![Instr::Binary(BinaryOp::Add)], vec![DType::F64], 4);
         assert_eq!(rules(&p), vec!["GL201"]);
-    }
-
-    #[test]
-    fn leftover_stack_values_are_an_imbalance() {
-        let p = spec(vec![Instr::Load(0), Instr::Load(0)], vec![DType::F64], 4);
-        let d = lint_program(&p);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule.id(), "GL201");
-        assert_eq!(d[0].events, vec![0, 1]);
-    }
-
-    #[test]
-    fn unbound_leaf_slot_errors() {
-        let p = spec(vec![Instr::Load(3)], vec![DType::F64], 4);
-        assert_eq!(rules(&p), vec!["GL202", "GL204"]);
-    }
-
-    #[test]
-    fn logical_over_numeric_warns_with_producer_span() {
-        let p = spec(
-            vec![Instr::Load(0), Instr::Load(1), Instr::Binary(BinaryOp::And)],
-            vec![DType::B8, DType::F64],
-            4,
-        );
-        let d = lint_program(&p);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule.id(), "GL203");
-        assert_eq!(d[0].events, vec![1, 2]);
     }
 
     #[test]
@@ -316,24 +241,5 @@ mod tests {
             4,
         );
         assert!(rules(&clean).is_empty(), "{:?}", lint_program(&clean));
-    }
-
-    #[test]
-    fn dead_leaf_slot_warns() {
-        let p = spec(vec![Instr::Load(0)], vec![DType::F64, DType::U32], 4);
-        let d = lint_program(&p);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule.id(), "GL204");
-        assert_eq!(d[0].events, vec![1]);
-    }
-
-    #[test]
-    fn depth_above_declared_reserve_errors() {
-        let p = spec(
-            vec![Instr::Load(0), Instr::Load(0), Instr::Binary(BinaryOp::Add)],
-            vec![DType::F64],
-            1,
-        );
-        assert_eq!(rules(&p), vec!["GL205"]);
     }
 }

@@ -211,20 +211,6 @@ mod tests {
     use proto_core::prelude::*;
 
     #[test]
-    fn the_planner_materialises_disc_price_once() {
-        let fw = Framework::with_all_backends(&DeviceSpec::gtx1080());
-        let b = fw.backend("Thrust").unwrap();
-        let plan = physical_plan(b).unwrap();
-        let products = plan
-            .steps()
-            .iter()
-            .filter(|s| matches!(s, Step::Product { .. }))
-            .count();
-        // disc_price and charge only — the shared subtree is cached.
-        assert_eq!(products, 2, "{}", plan.explain());
-    }
-
-    #[test]
     fn reference_covers_all_six_groups() {
         let db = generate(0.003);
         let rows = reference(&db);

@@ -143,29 +143,3 @@ fn promo_share(promo: f64, total: f64) -> f64 {
         100.0 * promo / total
     }
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use gpu_sim::DeviceSpec;
-    use proto_core::prelude::*;
-
-    #[test]
-    fn the_shared_revenue_subtree_is_reduced_twice_but_computed_once() {
-        let fw = Framework::with_all_backends(&DeviceSpec::gtx1080());
-        let b = fw.backend("Handwritten").unwrap();
-        let plan = Q14::physical_plan(b).unwrap();
-        let products = plan
-            .steps()
-            .iter()
-            .filter(|s| matches!(s, Step::Product { .. }))
-            .count();
-        let reduces = plan
-            .steps()
-            .iter()
-            .filter(|s| matches!(s, Step::Reduce { .. }))
-            .count();
-        // revenue and revenue·mask — not a third for the second sum.
-        assert_eq!((products, reduces), (2, 2), "{}", plan.explain());
-    }
-}

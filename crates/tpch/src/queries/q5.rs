@@ -267,20 +267,6 @@ mod tests {
     use proto_core::prelude::*;
 
     #[test]
-    fn the_shared_nation_subplan_lowers_once() {
-        let fw = Framework::with_all_backends(&DeviceSpec::gtx1080());
-        let b = fw.backend("Handwritten").unwrap();
-        let plan = Q5::physical_plan(b).unwrap();
-        let selections = plan
-            .steps()
-            .iter()
-            .filter(|s| matches!(s, Step::Selection { .. }))
-            .count();
-        // Only the region filter; the nations list feeds both joins.
-        assert_eq!(selections, 1, "{}", plan.explain());
-    }
-
-    #[test]
     fn result_is_revenue_descending_over_the_region_nations() {
         let db = generate(0.003);
         let rows = reference(&db);

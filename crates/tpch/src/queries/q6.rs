@@ -110,29 +110,8 @@ pub fn reference(db: &Database) -> f64 {
 mod tests {
     use super::*;
     use crate::gen::generate;
-    use gpu_sim::{Device, DeviceSpec};
+    use gpu_sim::DeviceSpec;
     use proto_core::prelude::*;
-
-    #[test]
-    fn the_planner_fuses_q6_on_every_backend() {
-        let fw = Framework::with_all_backends(&DeviceSpec::gtx1080());
-        for b in fw.backends() {
-            let plan = physical_plan(b.as_ref()).unwrap();
-            assert_eq!(plan.steps().len(), 1, "{}:\n{}", b.name(), plan.explain());
-            assert!(plan.explain().contains("fast paths: on"));
-        }
-    }
-
-    #[test]
-    fn handwritten_runs_q6_in_one_kernel() {
-        let db = generate(0.001);
-        let dev = Device::with_defaults();
-        let b = HandwrittenBackend::new(&dev);
-        let data = Q6Data::upload(&b, &db).unwrap();
-        dev.reset_stats();
-        data.execute(&b).unwrap();
-        assert_eq!(dev.stats().total_launches(), 1);
-    }
 
     #[test]
     fn handwritten_is_fastest_library_chain_slowest() {

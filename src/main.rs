@@ -18,6 +18,9 @@ use gpu_proto_db::tpch::Database;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str).unwrap_or("help");
+    if matches!(cmd, "survey" | "support" | "devices") {
+        parse_flags(cmd, &args[1..], &[]);
+    }
     match cmd {
         "survey" => {
             use gpu_proto_db::core::survey;
@@ -51,11 +54,21 @@ fn main() {
         }
         "query" => run_query(&args[1..]),
         "export" => {
-            let sf = scale_factor("export", &args[1..]);
-            let dir = flag_value(&args[1..], "--out").unwrap_or("tpch-data");
+            let flags = parse_flags("export", &args[1..], &["--sf", "--out"]);
+            let sf = scale_factor("export", &flags);
+            let dir = flag(&flags, "--out").unwrap_or("tpch-data");
+            if let Err(e) = std::fs::create_dir_all(dir) {
+                reject(
+                    "export",
+                    format!("cannot create --out directory `{dir}`: {e}"),
+                );
+            }
             println!("generating TPC-H SF {sf} → {dir}/…");
             let db = gpu_proto_db::tpch::generate(sf);
-            gpu_proto_db::tpch::tbl::export(&db, std::path::Path::new(dir)).expect("export");
+            if let Err(e) = gpu_proto_db::tpch::tbl::export(&db, std::path::Path::new(dir)) {
+                eprintln!("export: cannot write into `{dir}`: {e}");
+                std::process::exit(1);
+            }
             println!(
                 "wrote lineitem.tbl ({} rows), orders.tbl ({}), customer.tbl ({})",
                 db.lineitem.len(),
@@ -81,27 +94,49 @@ fn main() {
     }
 }
 
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+/// Report a bad command line on one stderr line and exit with code 2,
+/// before any table is generated.
+fn reject(cmd: &str, why: impl std::fmt::Display) -> ! {
+    eprintln!("{cmd}: {why}");
+    std::process::exit(2);
+}
+
+/// `args` as `(flag, value)` pairs, each flag one of `takes`. Anything
+/// else, or a flag without a value, is [`reject`]ed.
+fn parse_flags<'a>(cmd: &str, args: &'a [String], takes: &[&str]) -> Vec<(&'a str, &'a str)> {
+    let mut flags = Vec::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if !takes.contains(&arg.as_str()) {
+            reject(cmd, format!("unexpected argument `{arg}`"));
+        }
+        match args.next() {
+            Some(value) => flags.push((arg.as_str(), value.as_str())),
+            None => reject(cmd, format!("{arg} needs a value")),
+        }
+    }
+    flags
+}
+
+/// The value of the first `name` among `flags`.
+fn flag<'a>(flags: &[(&str, &'a str)], name: &str) -> Option<&'a str> {
+    flags.iter().find(|(f, _)| *f == name).map(|(_, v)| *v)
 }
 
 /// The `--sf` scale factor (default 0.01). Exits 2 on anything but a
 /// finite number above zero: the generator sizes every table from it, so
 /// `inf` asks for an unbounded allocation and `nan` / negatives silently
 /// clamp to one-row tables.
-fn scale_factor(cmd: &str, args: &[String]) -> f64 {
-    let Some(v) = flag_value(args, "--sf") else {
+fn scale_factor(cmd: &str, flags: &[(&str, &str)]) -> f64 {
+    let Some(v) = flag(flags, "--sf") else {
         return 0.01;
     };
     match v.parse::<f64>() {
         Ok(sf) if sf.is_finite() && sf > 0.0 => sf,
-        _ => {
-            eprintln!("{cmd}: bad --sf value `{v}` (expected a finite number > 0)");
-            std::process::exit(2);
-        }
+        _ => reject(
+            cmd,
+            format!("bad --sf value `{v}` (expected a finite number > 0)"),
+        ),
     }
 }
 
@@ -125,30 +160,39 @@ fn run_query(args: &[String]) {
             },
             Some("q6") => |b, db| run::<Q6>(b, db, |v| format!("revenue = {v:.2}")),
             Some("q14") => |b, db| run::<Q14>(b, db, |pct| format!("promo share = {pct:.2}%")),
-            other => {
-                eprintln!(
-                    "query: unknown query `{}` (expected {})",
+            other => reject(
+                "query",
+                format!(
+                    "unknown query `{}` (expected {})",
                     other.unwrap_or(""),
                     QUERIES.join(", ")
-                );
-                std::process::exit(2);
-            }
+                ),
+            ),
         };
-    let sf = scale_factor("query", args);
-    let only = flag_value(args, "--backend");
+    let flags = parse_flags("query", &args[1..], &["--sf", "--backend"]);
+    let sf = scale_factor("query", &flags);
+    let only = flag(&flags, "--backend");
+
+    let fw = gpu_proto_db::paper_setup();
+    let backends: Vec<&dyn GpuBackend> = fw
+        .backends()
+        .iter()
+        .map(|b| b.as_ref())
+        .filter(|b| only.is_none_or(|only| b.name().eq_ignore_ascii_case(only)))
+        .collect();
+    if backends.is_empty() {
+        reject(
+            "query",
+            format!(
+                "no backend matched `{}` (have: ArrayFire, Boost.Compute, Thrust, Handwritten)",
+                only.unwrap_or("?")
+            ),
+        );
+    }
 
     println!("generating TPC-H SF {sf}…");
     let db = gpu_proto_db::tpch::generate(sf);
-    let fw = gpu_proto_db::paper_setup();
-    let mut ran_any = false;
-    for backend in fw.backends() {
-        let b = backend.as_ref();
-        if let Some(only) = only {
-            if !b.name().eq_ignore_ascii_case(only) {
-                continue;
-            }
-        }
-        ran_any = true;
+    for b in backends {
         if query(b, &db).is_err() {
             debug_assert!(!can_join(b), "only join-less backends may fail");
             println!(
@@ -156,13 +200,6 @@ fn run_query(args: &[String]) {
                 b.name()
             );
         }
-    }
-    if !ran_any {
-        eprintln!(
-            "query: no backend matched `{}` (have: ArrayFire, Boost.Compute, Thrust, Handwritten)",
-            only.unwrap_or("?")
-        );
-        std::process::exit(2);
     }
 }
 
