@@ -69,13 +69,16 @@ impl Backend {
         self.wrap(ColumnData::U32(buf))
     }
 
-    /// Upload the `len` values `source` produces, which inside a dry scope
-    /// it never calls: the array is then shape-only ([`Device::upload`]).
-    pub fn upload<T, D>(self: &Arc<Self>, len: usize, source: impl FnOnce() -> D) -> Result<Array>
+    /// Upload the `len` values `source` produces, sharing them, which
+    /// inside a dry scope it never calls: the array is then shape-only
+    /// ([`Device::upload`]).
+    pub fn upload<T>(
+        self: &Arc<Self>,
+        len: usize,
+        source: impl FnOnce() -> Arc<Vec<T>>,
+    ) -> Result<Array>
     where
         T: DeviceCopy,
-        D: std::ops::Deref,
-        D::Target: AsRef<[T]>,
         ColumnData: From<DeviceBuffer<T>>,
     {
         let buf = self.device.upload(len, source)?;

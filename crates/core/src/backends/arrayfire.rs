@@ -376,7 +376,7 @@ impl GpuBackend for ArrayFireBackend {
             for (&x, &at) in db.host().iter().zip(ib.host()) {
                 out[at as usize] = x;
             }
-            out
+            Arc::new(out)
         };
         Ok(self.mint(self.runtime.upload(dst_len, scattered)?))
     }

@@ -7,6 +7,12 @@
 //! follows the device model. Library crates wrap this type in their own
 //! abstractions (`thrust::DeviceVector`, `boost::Vector`, `af::Array`).
 //!
+//! The host `Vec` is shared and copy-on-write: a device-to-device copy,
+//! and an upload of a column another buffer already holds, point at the
+//! same `Vec`, and the first write through [`DeviceBuffer::host_mut`]
+//! copies it (DESIGN.md §5, "Reservations"). Only host memory is shared:
+//! every buffer keeps its own reservation, id and charges.
+//!
 //! Inside a dry scope a buffer may be *shape-only* ([`Contents::Shape`]):
 //! a reservation and a length, with no host storage. The device cannot
 //! tell it from one with data; reading its contents is
@@ -14,16 +20,42 @@
 
 use crate::device::Device;
 use crate::error::{Result, SimError};
+use crate::hostalloc::MIN_RECYCLE_BYTES;
 use crate::pool::AllocPolicy;
+use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::any::{Any, TypeId};
+use std::collections::HashMap;
+use std::sync::{Arc, LazyLock, Weak};
 
-/// Marker for element types that may live in device memory.
+/// Element types that may live in device memory: the primitive numbers.
 ///
 /// Mirrors CUDA's requirement that device data be trivially copyable.
-/// Blanket-implemented for every `Copy` type that is thread-safe.
-pub trait DeviceCopy: Copy + Send + Sync + 'static {}
-impl<T: Copy + Send + Sync + 'static> DeviceCopy for T {}
+/// [`DeviceCopy::same_bits`] is what lets an upload share the host copy of
+/// a column another buffer holds ([`Device::htod`]).
+pub trait DeviceCopy: Copy + Send + Sync + 'static {
+    /// Whether `a` and `b` hold the same bits, element for element. Floats
+    /// compare by `to_bits`: `-0.0` is not `0.0`, and two NaN payloads
+    /// differ.
+    fn same_bits(a: &[Self], b: &[Self]) -> bool;
+}
+
+macro_rules! device_copy {
+    (eq: $($int:ty),*; bits: $($float:ty),*) => {
+        $(impl DeviceCopy for $int {
+            fn same_bits(a: &[Self], b: &[Self]) -> bool {
+                a == b
+            }
+        })*
+        $(impl DeviceCopy for $float {
+            fn same_bits(a: &[Self], b: &[Self]) -> bool {
+                a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+            }
+        })*
+    };
+}
+
+device_copy!(eq: bool, u8, u16, u32, u64, usize, i8, i16, i32, i64, isize; bits: f32, f64);
 
 /// Identity of a device buffer, unique per device for the device's
 /// lifetime (ids are never reused, so a trace can tell a use-after-free
@@ -101,17 +133,18 @@ impl Reservation {
     /// If `contents` is not exactly the reserved payload size — the caller
     /// sized the reservation for other data, which is a bug.
     pub fn into_buffer<T: DeviceCopy>(self, contents: impl Into<Contents<T>>) -> DeviceBuffer<T> {
-        let contents = contents.into();
+        self.fill(contents.into().into())
+    }
+
+    /// [`Reservation::into_buffer`] with storage that may be shared.
+    pub(crate) fn fill<T: DeviceCopy>(self, storage: Storage<T>) -> DeviceBuffer<T> {
         assert_eq!(
-            (contents.len() * std::mem::size_of::<T>()) as u64,
+            (storage.len() * std::mem::size_of::<T>()) as u64,
             self.bytes,
             "reservation {} filled with data of another size",
             self.id
         );
-        DeviceBuffer {
-            contents,
-            res: self,
-        }
+        DeviceBuffer { storage, res: self }
     }
 }
 
@@ -127,7 +160,8 @@ impl Drop for Reservation {
 ///
 /// Kernel bodies produce `Data`; their placeholders inside a dry scope
 /// produce `Shape` ([`Device::outputs`]), and so does an upload whose
-/// values no body will read ([`Device::upload`]).
+/// values no body will read ([`Device::upload`]). A buffer filled with
+/// `Data` owns that `Vec` until a copy or an upload shares it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Contents<T> {
     /// The elements.
@@ -173,12 +207,83 @@ pub trait Readable {
     fn readable(&self) -> Result<()>;
 }
 
+/// The host storage behind a buffer: elements that other buffers may
+/// share, copied at the first write, or — shape-only — a length.
+#[derive(Debug, Clone)]
+pub(crate) enum Storage<T> {
+    Data(Arc<Vec<T>>),
+    Shape(usize),
+}
+
+impl<T> Storage<T> {
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Storage::Data(v) => v.len(),
+            Storage::Shape(len) => *len,
+        }
+    }
+}
+
+impl<T> From<Contents<T>> for Storage<T> {
+    fn from(contents: Contents<T>) -> Self {
+        match contents {
+            Contents::Data(v) => Storage::Data(Arc::new(v)),
+            Contents::Shape(len) => Storage::Shape(len),
+        }
+    }
+}
+
+/// Host copies of the large columns uploaded from a slice, by the slice's
+/// address, length and element type, so the next upload of the same slice
+/// can share the copy while a buffer holds it. Dead entries are dropped
+/// when the table has doubled since the last sweep.
+struct Uploads {
+    copies: HashMap<(usize, usize, TypeId), Weak<dyn Any + Send + Sync>>,
+    sweep_at: usize,
+}
+
+static UPLOADS: LazyLock<Mutex<Uploads>> = LazyLock::new(|| {
+    Mutex::new(Uploads {
+        copies: HashMap::new(),
+        sweep_at: 64,
+    })
+});
+
+/// The host storage of an upload of `host`: the copy a live buffer holds
+/// of the same slice when its bits are still `host`'s, else a new copy.
+/// Slices under [`MIN_RECYCLE_BYTES`] are always copied.
+pub(crate) fn upload_copy<T: DeviceCopy>(host: &[T]) -> Arc<Vec<T>> {
+    if std::mem::size_of_val(host) < MIN_RECYCLE_BYTES {
+        return Arc::new(host.to_vec());
+    }
+    let key = (host.as_ptr() as usize, host.len(), TypeId::of::<T>());
+    let held = UPLOADS.lock().copies.get(&key).and_then(Weak::upgrade);
+    // Compared outside the lock: grid workers uploading other columns do
+    // not wait for this one.
+    if let Some(held) = held.and_then(|h| h.downcast::<Vec<T>>().ok()) {
+        if T::same_bits(&held, host) {
+            return held;
+        }
+    }
+    let copy = Arc::new(host.to_vec());
+    let weak = Arc::downgrade(&copy);
+    let mut table = UPLOADS.lock();
+    table.copies.insert(key, weak);
+    if table.copies.len() >= table.sweep_at {
+        table.copies.retain(|_, copy| copy.strong_count() > 0);
+        table.sweep_at = (2 * table.copies.len()).max(64);
+    }
+    copy
+}
+
 /// A typed allocation in simulated device global memory: a
 /// [`Reservation`] plus the host storage that stands in for its contents
-/// (none for a shape-only buffer).
+/// (none for a shape-only buffer). That storage may be shared with other
+/// buffers — a [`Device::dtod`] copy, an upload of the same column — and
+/// is copied on the first write, so no buffer ever sees another's writes.
 #[derive(Debug)]
 pub struct DeviceBuffer<T: DeviceCopy> {
-    contents: Contents<T>,
+    storage: Storage<T>,
     res: Reservation,
 }
 
@@ -191,12 +296,12 @@ impl<T: DeviceCopy> DeviceBuffer<T> {
 
     /// Number of elements.
     pub fn len(&self) -> usize {
-        self.contents.len()
+        self.storage.len()
     }
 
     /// `true` when the buffer holds no elements.
     pub fn is_empty(&self) -> bool {
-        self.contents.is_empty()
+        self.len() == 0
     }
 
     /// Logical payload size in bytes (`len * size_of::<T>()`).
@@ -218,10 +323,15 @@ impl<T: DeviceCopy> DeviceBuffer<T> {
     /// the accessor for anything that reads a buffer it has not checked
     /// (downloads, counted placeholders, index checks).
     pub fn data(&self) -> Result<&[T]> {
-        match &self.contents {
-            Contents::Data(v) => Ok(v),
-            Contents::Shape(_) => Err(SimError::ShapeOnly { buf: self.id() }),
+        match &self.storage {
+            Storage::Data(v) => Ok(v),
+            Storage::Shape(_) => Err(SimError::ShapeOnly { buf: self.id() }),
         }
+    }
+
+    /// Another handle on this buffer's host storage, for a copy of it.
+    pub(crate) fn share(&self) -> Storage<T> {
+        self.storage.clone()
     }
 
     /// Read-only view of the backing storage. In a real system this would
@@ -231,31 +341,34 @@ impl<T: DeviceCopy> DeviceBuffer<T> {
     /// # Panics
     /// On a shape-only buffer — a body ran on an input nobody checked.
     pub fn host(&self) -> &[T] {
-        match &self.contents {
-            Contents::Data(v) => v,
-            Contents::Shape(_) => unchecked_read(self.id()),
+        match &self.storage {
+            Storage::Data(v) => v,
+            Storage::Shape(_) => unchecked_read(self.id()),
         }
     }
 
-    /// Mutable view of the backing storage, used by kernel bodies.
+    /// Mutable view of the backing storage, used by kernel bodies. Storage
+    /// another buffer shares is copied first, so the write is this
+    /// buffer's alone.
     ///
     /// # Panics
     /// As [`DeviceBuffer::host`].
     pub fn host_mut(&mut self) -> &mut [T] {
         let id = self.id();
-        match &mut self.contents {
-            Contents::Data(v) => v,
-            Contents::Shape(_) => unchecked_read(id),
+        match &mut self.storage {
+            Storage::Data(v) => Arc::make_mut(v).as_mut_slice(),
+            Storage::Shape(_) => unchecked_read(id),
         }
     }
 
     /// Shorten the buffer to `len` elements (used after stream compaction,
-    /// where the output size is only known post-kernel). The device
+    /// where the output size is only known post-kernel); shared storage is
+    /// copied first, as by [`DeviceBuffer::host_mut`]. The device
     /// reservation is unchanged — exactly like `cudaMalloc`'d memory.
     pub fn truncate(&mut self, len: usize) {
-        match &mut self.contents {
-            Contents::Data(v) => v.truncate(len),
-            Contents::Shape(n) => *n = len.min(*n),
+        match &mut self.storage {
+            Storage::Data(v) => Arc::make_mut(v).truncate(len),
+            Storage::Shape(n) => *n = len.min(*n),
         }
     }
 }
@@ -276,9 +389,9 @@ impl DeviceBuffer<u32> {
     /// A shape-only index (only ever met inside a dry scope) has no values
     /// to check; its length is all there is.
     pub fn check_indices(&self, len: usize) -> Result<()> {
-        match &self.contents {
-            Contents::Data(at) => crate::hostexec::check_indices(at.iter().copied(), len),
-            Contents::Shape(_) => Ok(()),
+        match &self.storage {
+            Storage::Data(at) => crate::hostexec::check_indices(at.iter().copied(), len),
+            Storage::Shape(_) => Ok(()),
         }
     }
 }
@@ -291,10 +404,11 @@ impl<T: DeviceCopy> Readable for DeviceBuffer<T> {
 
 impl<T: DeviceCopy> Drop for DeviceBuffer<T> {
     fn drop(&mut self) {
-        // Recycle the host storage: faulting fresh pages for the next
-        // buffer is far more expensive than reusing these warm ones. The
-        // reservation frees the device memory when it drops right after.
-        drop(std::mem::replace(&mut self.contents, Contents::Shape(0)));
+        // Recycle the host storage (when this was its last sharer):
+        // faulting fresh pages for the next buffer is far more expensive
+        // than reusing these warm ones. The reservation frees the device
+        // memory when it drops right after.
+        drop(std::mem::replace(&mut self.storage, Storage::Shape(0)));
     }
 }
 
@@ -315,6 +429,36 @@ mod tests {
         buf.truncate(4);
         assert_eq!(buf.len(), 4);
         assert_eq!(buf.size_bytes(), 16);
+    }
+
+    #[test]
+    fn same_bits_tells_zeros_and_nan_payloads_apart() {
+        let nan = |payload: u64| f64::from_bits(0x7ff8_0000_0000_0000 | payload);
+        assert!(f64::same_bits(&[nan(1), -0.0], &[nan(1), -0.0]));
+        assert!(!f64::same_bits(&[-0.0], &[0.0]));
+        assert!(!f64::same_bits(&[nan(1)], &[nan(2)]));
+        assert!(!u32::same_bits(&[1, 2], &[1]));
+    }
+
+    #[test]
+    fn copies_and_uploads_share_storage_until_a_write() {
+        let dev = Device::new(DeviceSpec::gtx1080());
+        let mut host: Vec<u32> = (0..1 << 14).collect();
+        let a = dev.htod(&host).unwrap();
+        let b = dev.htod(&host).unwrap();
+        assert!(std::ptr::eq(a.host(), b.host()), "a held upload is shared");
+        let mut c = dev.dtod(&a).unwrap();
+        assert!(std::ptr::eq(a.host(), c.host()), "a copy is shared");
+        c.host_mut()[0] = 7;
+        c.truncate(3);
+        assert_eq!((a.host()[0], b.host()[0], c.host()), (0, 0, &[7, 1, 2][..]));
+        assert_eq!(a.len(), 1 << 14);
+        host[1] = 9;
+        let changed = dev.htod(&host).unwrap();
+        assert_eq!((a.host()[1], changed.host()[1]), (1, 9), "new bits");
+        let small = [1u32, 2];
+        let (d, e) = (dev.htod(&small).unwrap(), dev.htod(&small).unwrap());
+        assert!(!std::ptr::eq(d.host(), e.host()), "under 64 KiB: copied");
     }
 
     #[test]

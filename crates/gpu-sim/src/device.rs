@@ -17,7 +17,9 @@
 //! and inside the scope gets its placeholder instead, whose outputs are
 //! shape-only buffers (DESIGN.md §5).
 
-use crate::buffer::{BufferId, Contents, DeviceBuffer, DeviceCopy, Readable, Reservation};
+use crate::buffer::{
+    upload_copy, BufferId, Contents, DeviceBuffer, DeviceCopy, Readable, Reservation, Storage,
+};
 use crate::clock::{SimDuration, SimTime};
 use crate::cost::KernelCost;
 use crate::error::{Result, SimError};
@@ -329,7 +331,7 @@ impl Device {
         let data = data.into();
         let bytes = (data.len() * std::mem::size_of::<T>()) as u64;
         // Born initialised: the buffer carries its host contents from the
-        // start (uploads and materialised kernel outputs come this way).
+        // start (materialised kernel outputs come this way).
         Ok(self.reserve(bytes, policy, true)?.into_buffer(data))
     }
 
@@ -416,7 +418,11 @@ impl Device {
     // Transfers
     // ----------------------------------------------------------------
 
-    /// Copy host data to a new device buffer, charging PCIe time.
+    /// Copy host data to a new device buffer, charging PCIe time. While a
+    /// buffer holds an upload of the same slice (address, length, element
+    /// type) whose bits are still `host`'s, the new buffer shares its host
+    /// copy instead of making another; a slice under 64 KiB is always
+    /// copied. The device sees the same upload either way.
     pub fn htod<T: DeviceCopy>(self: &Arc<Self>, host: &[T]) -> Result<DeviceBuffer<T>> {
         self.htod_with(host, AllocPolicy::Pooled)
     }
@@ -428,62 +434,54 @@ impl Device {
         host: &[T],
         policy: AllocPolicy,
     ) -> Result<DeviceBuffer<T>> {
-        self.htod_contents(Contents::Data(host.to_vec()), policy)
+        self.htod_storage(Storage::Data(upload_copy(host)), policy)
     }
 
     /// Upload `len` elements that `source` produces, charging PCIe time:
-    /// [`Device::htod`] for values only a kernel body reads. Inside a
-    /// [`DryScope`] no body will, so `source` is not called and the buffer
-    /// is shape-only — with the same reservation, alloc and HtoD fault
-    /// draws and `HtoD` event as the upload of the values. `source`
+    /// [`Device::htod`] for values only a kernel body reads. The buffer
+    /// shares the `Vec` `source` returns (a column cache keeps its own
+    /// handle on it) and copies it at its first write. Inside a
+    /// [`DryScope`] no body will read it, so `source` is not called and the
+    /// buffer is shape-only — with the same reservation, alloc and HtoD
+    /// fault draws and `HtoD` event as the upload of the values. `source`
     /// producing other than `len` elements is `SizeMismatch`, before
     /// anything is charged.
-    pub fn upload<T, D>(
+    pub fn upload<T: DeviceCopy>(
         self: &Arc<Self>,
         len: usize,
-        source: impl FnOnce() -> D,
-    ) -> Result<DeviceBuffer<T>>
-    where
-        T: DeviceCopy,
-        D: std::ops::Deref,
-        D::Target: AsRef<[T]>,
-    {
+        source: impl FnOnce() -> Arc<Vec<T>>,
+    ) -> Result<DeviceBuffer<T>> {
         self.upload_with(len, AllocPolicy::Pooled, source)
     }
 
     /// [`Device::upload`] with an explicit allocation policy.
-    pub(crate) fn upload_with<T, D>(
+    pub(crate) fn upload_with<T: DeviceCopy>(
         self: &Arc<Self>,
         len: usize,
         policy: AllocPolicy,
-        source: impl FnOnce() -> D,
-    ) -> Result<DeviceBuffer<T>>
-    where
-        T: DeviceCopy,
-        D: std::ops::Deref,
-        D::Target: AsRef<[T]>,
-    {
+        source: impl FnOnce() -> Arc<Vec<T>>,
+    ) -> Result<DeviceBuffer<T>> {
         if self.is_dry() {
-            return self.htod_contents(Contents::Shape(len), policy);
+            return self.htod_storage(Storage::Shape(len), policy);
         }
         let data = source();
-        let host = (*data).as_ref();
-        if host.len() != len {
-            let (left, right) = (len, host.len());
+        if data.len() != len {
+            let (left, right) = (len, data.len());
             return Err(SimError::SizeMismatch { left, right });
         }
-        self.htod_with(host, policy)
+        self.htod_storage(Storage::Data(data), policy)
     }
 
-    /// The one upload path: a buffer born with `contents`, then the
+    /// The one upload path: a buffer born with `storage`, then the
     /// transfer of its bytes.
-    fn htod_contents<T: DeviceCopy>(
+    fn htod_storage<T: DeviceCopy>(
         self: &Arc<Self>,
-        contents: Contents<T>,
+        storage: Storage<T>,
         policy: AllocPolicy,
     ) -> Result<DeviceBuffer<T>> {
-        let buf = self.buffer_from_vec(contents, policy)?;
-        let (bytes, id) = (buf.size_bytes(), buf.id());
+        let bytes = (storage.len() * std::mem::size_of::<T>()) as u64;
+        let buf = self.reserve(bytes, policy, true)?.fill(storage);
+        let id = buf.id();
         let kind = TraceKind::HtoD { bytes, buf: id };
         self.transfer(FaultSite::HtoD, Direction::HostToDevice, bytes, kind)?;
         Ok(buf)
@@ -502,14 +500,16 @@ impl Device {
 
     /// Device-to-device copy into a fresh buffer (what chained library
     /// calls do to materialise intermediates); shape-only inside a
-    /// [`DryScope`].
+    /// [`DryScope`]. The copy shares `src`'s host storage: whichever of
+    /// the two a kernel writes first copies it then, so the host pays for
+    /// a copy only when one is written.
     pub fn dtod<T: DeviceCopy + Default>(
         self: &Arc<Self>,
         src: &DeviceBuffer<T>,
     ) -> Result<DeviceBuffer<T>> {
         self.reads(&[src])?;
         let res = self.reserve_dtod(src)?;
-        Ok(res.into_buffer(self.outputs(src.len(), || src.host().to_vec())))
+        Ok(res.fill(self.body(|| src.share(), || Storage::Shape(src.len()))))
     }
 
     /// Everything [`Device::dtod`] does on the device — allocation, the
@@ -1044,14 +1044,14 @@ mod tests {
             if faults {
                 dev.install_fault_plan(FaultPlan::uniform(4, 0.5));
             }
-            let values: Vec<u64> = (0..1000).collect();
+            let values: Arc<Vec<u64>> = Arc::new((0..1000).collect());
             let mut asked = 0;
             let lens: Vec<Result<usize>> = (0..8)
                 .map(|_| {
                     let _scope = dry.then(|| dev.dry_scope());
                     let up = dev.upload(1000, || {
                         asked += 1;
-                        &values
+                        Arc::clone(&values)
                     })?;
                     assert_eq!(up.data().is_err(), dry, "shape-only iff dry");
                     Ok(up.len())
@@ -1067,10 +1067,10 @@ mod tests {
         let dev = Device::with_defaults();
         let shape = {
             let _scope = dev.dry_scope();
-            dev.upload(4, || vec![1u32; 4]).unwrap()
+            dev.upload(4, || Arc::new(vec![1u32; 4])).unwrap()
         };
         assert_eq!(
-            dev.upload(4, || vec![1u32; 3]).unwrap_err(),
+            dev.upload(4, || Arc::new(vec![1u32; 3])).unwrap_err(),
             SimError::SizeMismatch { left: 4, right: 3 }
         );
         let (before, live) = (dev.stats(), dev.live_buffers());

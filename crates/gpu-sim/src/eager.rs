@@ -98,13 +98,13 @@ impl<T: DeviceCopy> Vector<T> {
     }
 
     /// Allocate as `lib` does and upload the `len` values `source`
-    /// produces, which inside a dry scope it never calls: the vector is
-    /// then shape-only ([`Device::upload`]).
-    pub fn upload<L: Launch, D>(lib: &L, len: usize, source: impl FnOnce() -> D) -> Result<Self>
-    where
-        D: std::ops::Deref,
-        D::Target: AsRef<[T]>,
-    {
+    /// produces, sharing them, which inside a dry scope it never calls: the
+    /// vector is then shape-only ([`Device::upload`]).
+    pub fn upload<L: Launch>(
+        lib: &L,
+        len: usize,
+        source: impl FnOnce() -> Arc<Vec<T>>,
+    ) -> Result<Self> {
         lib.device()
             .upload_with(len, L::ALLOC, source)
             .map(Self::from_buffer)
@@ -137,7 +137,10 @@ impl<T: DeviceCopy> Vector<T> {
         self.buf.device().dtoh(&self.buf)
     }
 
-    /// Device-to-device copy, allocated as the original was.
+    /// Device-to-device copy, allocated as the original was. The copy
+    /// shares the original's host storage until either is written, so a
+    /// `dclone` followed by an in-place sort copies the host data once, at
+    /// the sort ([`Device::dtod`]).
     pub fn dclone(&self) -> Result<Self>
     where
         T: Default,

@@ -1,11 +1,12 @@
 //! Process-wide recycling allocator for large host blocks.
 //!
 //! The simulator's host execution continuously allocates and frees
-//! multi-megabyte staging vectors (sort scratch, gather outputs, column
-//! clones). The system allocator hands such blocks straight back to the
-//! kernel on free, so every reallocation pays the full cost of faulting
-//! the pages in again — on virtualised hosts that dwarfs the actual
-//! compute. `RecyclingAlloc` keeps freed large blocks in per-size free
+//! multi-megabyte staging vectors (sort scratch, gather outputs, the copy
+//! a write to a shared buffer makes; a column several buffers share is
+//! one block, freed when its last sharer drops). The system allocator
+//! hands such blocks straight back to the kernel on free, so every
+//! reallocation pays the full cost of faulting the pages in again — on
+//! virtualised hosts that dwarfs the actual compute. `RecyclingAlloc` keeps freed large blocks in per-size free
 //! lists and reuses them, so pages are faulted once per high-water mark
 //! instead of once per allocation.
 //!
@@ -31,7 +32,7 @@ use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU64, Ordering};
 
 /// Smallest request worth recycling. Below this the system allocator's
 /// own small-object caching is already fine.
-const MIN_RECYCLE_BYTES: usize = 64 * 1024;
+pub(crate) const MIN_RECYCLE_BYTES: usize = 64 * 1024;
 
 /// log2 of [`MIN_RECYCLE_BYTES`] — index origin of the bucket array.
 const MIN_SHIFT: u32 = 16;
