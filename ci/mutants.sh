@@ -19,7 +19,9 @@
 #     failing test, `<source file>::<test path>`, or the source file of a
 #     test binary that failed without naming a test);
 #   - `gpu_lint --deny-warnings`, whose summary line must also match the
-#     unmutated run's (`gpu_lint`);
+#     unmutated run's (`gpu_lint:<ids>`, the rule ids its output names,
+#     so a kill counts for the pass family that reported it; `gpu_lint`
+#     when it names none);
 #   - `fault_smoke` at GPU_SIM_FAULT_RATE=0.2 (`fault_smoke`) and
 #     `cost_smoke` (`cost_smoke`);
 #   - the `declarative_query` example (`example:declarative_query`);
@@ -116,8 +118,12 @@ run_checks() {
     /^error: test failed, to rerun pass/ { failed[cur] = 1 }
     END { for (c in failed) if (!(c in named)) print c }
   ' "$out/test"
-  (cd "$tree" && timeout 600 "$bin/gpu_lint" --deny-warnings >"$out/lint" 2>&1) \
-    && grep -qxF "$lint_summary" "$out/lint" || echo gpu_lint
+  if ! (cd "$tree" && timeout 600 "$bin/gpu_lint" --deny-warnings >"$out/lint" 2>&1) \
+    || ! grep -qxF "$lint_summary" "$out/lint"; then
+    local ids
+    ids=$(grep -oE '\bGL[0-9]{3}\b' "$out/lint" | sort -u | paste -sd, -)
+    echo "gpu_lint${ids:+:$ids}"
+  fi
   (cd "$tree" && GPU_SIM_FAULT_RATE=0.2 timeout 600 "$bin/fault_smoke" >/dev/null 2>&1) || echo fault_smoke
   (cd "$tree" && timeout 600 "$bin/cost_smoke" >/dev/null 2>&1) || echo cost_smoke
   (cd "$tree" && timeout 600 "$bin/examples/declarative_query" >/dev/null 2>&1) || echo example:declarative_query

@@ -26,24 +26,9 @@ use gpu_sim::{Device, Reservation};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Public description of a compiled [`Program`]: the instruction list plus
-/// the leaf table's dtypes and the stack depth the engine will reserve.
-/// Produced by [`Program::spec`]; checkers (and hazard-injection tests)
-/// can also build one directly since all fields are public.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProgramSpec {
-    /// Post-order instruction list, as the engine runs it.
-    pub instrs: Vec<Instr>,
-    /// Dtype of each leaf slot (`Instr::Load` indexes this).
-    pub leaf_dtypes: Vec<DType>,
-    /// Stack depth the executor allocates; must cover the true maximum.
-    pub declared_stack_depth: usize,
-}
-
 /// A lazy tree compiled to a flat post-order program.
 ///
-/// `Debug` summarizes shape only (instruction/leaf counts); use
-/// [`Program::spec`] for a structural view.
+/// `Debug` summarizes shape only (instruction/leaf counts).
 pub struct Program {
     code: expr::Program,
     /// Distinct leaf columns in slot order (`Instr::Load` indexes this).
@@ -69,15 +54,6 @@ impl Program {
         Program {
             code: expr::Program::new(instrs),
             leaves,
-        }
-    }
-
-    /// Analysis view of this program (see [`ProgramSpec`]).
-    pub fn spec(&self) -> ProgramSpec {
-        ProgramSpec {
-            instrs: self.code.instrs().to_vec(),
-            leaf_dtypes: self.leaves.iter().map(|c| c.dtype()).collect(),
-            declared_stack_depth: self.code.depth(),
         }
     }
 
@@ -224,7 +200,7 @@ mod tests {
     }
 
     #[test]
-    fn spec_lists_the_engine_instructions() {
+    fn compile_lists_the_engine_instructions() {
         let a = leaf(1, vec![1.0, 2.0]);
         let b = leaf(2, vec![3.0, 4.0]);
         let tree = Node::Cast(
@@ -235,10 +211,10 @@ mod tests {
                 Arc::new(Node::ScalarRhs(BinaryOp::Mul, b, Scalar::F64(2.0))),
             )),
         );
-        let spec = Program::compile(&tree).spec();
+        let prog = Program::compile(&tree);
         assert_eq!(
-            spec.instrs,
-            vec![
+            prog.code.instrs(),
+            [
                 Instr::Load(0),
                 Instr::Unary(UnaryOp::Abs),
                 Instr::Load(1),
@@ -247,8 +223,9 @@ mod tests {
                 Instr::Cast(Cast::U32),
             ]
         );
-        assert_eq!(spec.leaf_dtypes, vec![DType::F64, DType::F64]);
-        assert_eq!(spec.declared_stack_depth, 2);
+        let dtypes: Vec<DType> = prog.leaves.iter().map(|c| c.dtype()).collect();
+        assert_eq!(dtypes, [DType::F64, DType::F64]);
+        assert_eq!(prog.code.depth(), 2);
     }
 
     /// Integer and boolean leaves are read in place; every observable

@@ -1,17 +1,14 @@
 //! `gpu_lint` — replay experiments on tracing backends and statically
-//! analyze every artifact: device traces (buffer lifetimes) and
-//! representative compiled Programs.
+//! analyze what they leave: device traces (buffer lifetimes, GL0xx) and
+//! the TPC-H plans' cost reports (memory budgets, GL6xx).
 //!
 //! ```text
 //! gpu_lint [EXPERIMENT ...] [--deny-warnings] [--timeline] [--dump]
 //! ```
 //!
 //! With no experiment ids, lints the full grid (see
-//! `bench::traced::EXPERIMENTS`) plus the Program targets and one plan
-//! target per TPC-H query × planner mode × backend, each checked once
-//! against the plan families: slot lifetimes and operand shapes
-//! (GL4xx), the costed memory estimate (GL6xx) and translation
-//! validation (GL7xx).
+//! `bench::traced::EXPERIMENTS`) plus one plan target per TPC-H query ×
+//! planner mode × backend (`bench::plan_lint::translation_reports`).
 //! Exits nonzero if any `Severity::Error` diagnostic fires — or any
 //! warning, under `--deny-warnings`. `--timeline` prints an annotated
 //! timeline for every unclean trace; `--dump` prints every event of
@@ -27,57 +24,6 @@ const USAGE: &str = "usage: gpu_lint [EXPERIMENT ...] [--deny-warnings] [--timel
 fn reject(msg: &str) -> ! {
     eprintln!("gpu_lint: {msg}");
     std::process::exit(2);
-}
-
-/// Compile the predicate shapes the ArrayFire experiments JIT (Q6-style
-/// conjunction, Q1-ish arithmetic) and verify each one.
-fn program_reports() -> Vec<Report> {
-    use arrayfire_sim::node::Node;
-    use arrayfire_sim::{BinaryOp, ColumnData, Program, Scalar, UnaryOp};
-    use std::sync::Arc;
-
-    let dev = gpu_sim::Device::with_defaults();
-    let leaf = |id: u64, data: Vec<f64>| {
-        Arc::new(Node::Leaf(
-            id,
-            Arc::new(ColumnData::from_f64(&dev, data).unwrap()),
-        ))
-    };
-    let data: Vec<f64> = (0..256).map(|i| f64::from(i) * 0.5).collect();
-    let q6 = Node::Binary(
-        BinaryOp::And,
-        Arc::new(Node::Binary(
-            BinaryOp::And,
-            Arc::new(Node::ScalarRhs(
-                BinaryOp::Ge,
-                leaf(1, data.clone()),
-                Scalar::F64(16.0),
-            )),
-            Arc::new(Node::ScalarRhs(
-                BinaryOp::Lt,
-                leaf(1, data.clone()),
-                Scalar::F64(64.0),
-            )),
-        )),
-        Arc::new(Node::ScalarRhs(
-            BinaryOp::Lt,
-            leaf(2, data.clone()),
-            Scalar::F64(100.0),
-        )),
-    );
-    let revenue = Node::Binary(
-        BinaryOp::Mul,
-        leaf(1, data.clone()),
-        Arc::new(Node::ScalarLhs(
-            BinaryOp::Sub,
-            Scalar::F64(1.0),
-            Arc::new(Node::Unary(UnaryOp::Abs, leaf(2, data))),
-        )),
-    );
-    vec![
-        gpu_lint::lint_program("program(q6-predicate)", &Program::compile(&q6).spec()),
-        gpu_lint::lint_program("program(q1-revenue)", &Program::compile(&revenue).spec()),
-    ]
 }
 
 fn main() {
@@ -139,7 +85,6 @@ fn main() {
         }
     }
     if wanted.is_empty() {
-        reports.extend(program_reports());
         reports.extend(bench::plan_lint::translation_reports());
     }
 

@@ -1,48 +1,32 @@
 //! The `gpu-lint` plan driver, the CI gate over the six TPC-H queries:
 //! [`translation_reports`] compiles each query once per planner mode on
-//! every backend and checks that one plan against every plan rule — its
-//! [`gpu_lint::PhysView`] (GL4xx), its
-//! [`proto_core::costing::CostReport`] when costing priced it (GL6xx),
-//! and its certified rewrite trace (GL7xx).
+//! every backend and checks the plan's
+//! [`proto_core::costing::CostReport`], when costing priced it, against
+//! the memory budget (GL6xx). A plan without a cost report has nothing to
+//! check and reports clean.
 
 use gpu_lint::Report;
 use gpu_sim::DeviceSpec;
-use proto_core::backend::GpuBackend;
 use proto_core::costing::TableStats;
-use proto_core::optimizer::{self, CostingOptions, FusionPolicy, PassTrace, PlannerOptions};
+use proto_core::optimizer::{self, CostingOptions, FusionPolicy, PlannerOptions};
 use proto_core::physical::PhysicalPlan;
 
-/// Lint one plan `b` compiled, with its rewrite `traces`, against every
-/// plan rule as `target`: GL4xx and GL7xx on the plan, and GL6xx on its
-/// cost report — when costing priced it — against `mem_budget_bytes` and
-/// `spec`.
+/// Lint `plan` as `target`: its cost report — when costing priced it —
+/// against `mem_budget_bytes` and `spec` (GL6xx).
 pub(crate) fn lint_plan(
     target: String,
-    b: &dyn GpuBackend,
     plan: &PhysicalPlan,
-    traces: &[PassTrace],
     mem_budget_bytes: Option<u64>,
     spec: &DeviceSpec,
 ) -> Report {
-    let view = gpu_lint::phys_view(plan, optimizer::supported_joins(b));
-    let mut parts = vec![gpu_lint::lint_physical_plan(&target, &view)];
-    if let Some(cost) = plan.cost_report() {
-        parts.push(gpu_lint::lint_costed_plan(
-            &target,
-            cost,
-            mem_budget_bytes,
-            spec,
-        ));
+    match plan.cost_report() {
+        Some(cost) => gpu_lint::lint_costed_plan(target, cost, mem_budget_bytes, spec),
+        None => Report::new(target, Vec::new()),
     }
-    parts.push(gpu_lint::lint_translation(&target, traces, &view));
-    Report::new(
-        target,
-        parts.into_iter().flat_map(|r| r.diagnostics).collect(),
-    )
 }
 
 /// Compile all six TPC-H queries ([`tpch::queries::LOGICAL_PLANS`]) with
-/// [`optimizer::plan_traced`] under all three planner modes — heuristic
+/// [`optimizer::plan_with`] under all three planner modes — heuristic
 /// (defaults), fusion ([`FusionPolicy::on`]), and costing (default table
 /// stats for the paper device) — on every paper backend, and lint each
 /// plan once with `lint_plan`, declaring the paper device's own
@@ -75,12 +59,10 @@ pub fn translation_reports() -> Vec<Report> {
         for (mode, opts) in &modes {
             for b in fw.backends() {
                 let b = b.as_ref();
-                match optimizer::plan_traced(q, &logical(), b, opts) {
-                    Ok((plan, traces)) => reports.push(lint_plan(
+                match optimizer::plan_with(q, &logical(), b, opts) {
+                    Ok(plan) => reports.push(lint_plan(
                         format!("plan({q}/{mode}/{})", b.name()),
-                        b,
                         &plan,
-                        &traces,
                         Some(spec.global_mem_bytes),
                         &spec,
                     )),
@@ -113,10 +95,10 @@ mod tests {
             )),
             ..PlannerOptions::default()
         };
-        let (plan, traces) =
-            optimizer::plan_traced("Q1", &tpch::queries::q1::logical_plan(), b, &opts).unwrap();
+        let plan =
+            optimizer::plan_with("Q1", &tpch::queries::q1::logical_plan(), b, &opts).unwrap();
         let peak = plan.cost_report().map_or(0, |c| c.peak_device_bytes);
-        let report = lint_plan("Q1".into(), b, &plan, &traces, mem_budget_bytes, &spec);
+        let report = lint_plan("Q1".into(), &plan, mem_budget_bytes, &spec);
         (report, peak)
     }
 
@@ -156,15 +138,9 @@ mod tests {
     fn uncosted_plans_have_no_estimate_to_lint() {
         let fw = crate::paper_framework();
         let b = fw.backend("Thrust").unwrap();
-        let (plan, traces) = optimizer::plan_traced(
-            "Q1",
-            &tpch::queries::q1::logical_plan(),
-            b,
-            &PlannerOptions::default(),
-        )
-        .unwrap();
+        let plan = optimizer::plan("Q1", &tpch::queries::q1::logical_plan(), b).unwrap();
         let spec = crate::paper_device();
-        let r = lint_plan("Q1".into(), b, &plan, &traces, Some(1), &spec);
+        let r = lint_plan("Q1".into(), &plan, Some(1), &spec);
         assert!(r.is_clean(), "{}", r.render());
     }
 }

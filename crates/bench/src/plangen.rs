@@ -1,20 +1,15 @@
-//! Seeded random logical-plan generator shared by the property suites.
-//!
-//! The fusion-equivalence test (`tests/fusion_equivalence.rs`) and the
-//! translation-validation property test
-//! (`tests/translation_property.rs`) both need the same thing: random
-//! filter → aggregate chains over a fixed four-column table, drawn from
-//! the expression grammar *both* lowerings accept — products of
-//! columns, affine column maps and comparison masks (column±column sums
-//! are outside the Table-II operator set and excluded). Keeping the
-//! generator here means every suite explores the identical plan space
-//! and a seed reproduces the same chain everywhere.
+//! Seeded random logical-plan generator for the planner property suite
+//! (`tests/fusion_equivalence.rs`): random filter → aggregate chains over
+//! a fixed four-column table, drawn from the expression grammar *both*
+//! lowerings accept — products of columns, affine column maps and
+//! comparison masks (column±column sums are outside the Table-II operator
+//! set and excluded). A seed reproduces the same chain everywhere.
 
 use proto_core::logical::{AggExpr, ColumnDecl, LogicalPlan};
 use proto_core::ops::CmpOp;
 use proto_core::plan::{Expr, Predicate};
 
-/// The property suites' shared seed list.
+/// The property suite's seed list.
 pub const SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 21, 34];
 
 /// The generated table's `f64` value columns (plus a `u32` `t.key`).

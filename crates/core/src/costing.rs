@@ -478,7 +478,7 @@ impl Walk<'_> {
                 .get(name)
                 .map_or(8, |t| t.width() as u64),
             ColRef::Slot(i) => match self.plan.slots()[*i].kind {
-                SlotKind::Device { dtype, .. } => dtype.width() as u64,
+                SlotKind::Device { dtype } => dtype.width() as u64,
                 _ => 8,
             },
         }
@@ -499,7 +499,7 @@ impl Walk<'_> {
     /// live/peak device-byte accounting for a device slot.
     fn produce(&mut self, i: usize, rows: f64) {
         self.rows[i] = rows;
-        if let SlotKind::Device { dtype, .. } = self.plan.slots()[i].kind {
+        if let SlotKind::Device { dtype } = self.plan.slots()[i].kind {
             let bytes = (rows * dtype.width() as f64) as u64;
             self.live_bytes = self.live_bytes - self.slot_bytes[i] + bytes;
             self.slot_bytes[i] = bytes;
@@ -1387,6 +1387,7 @@ mod tests {
 
     #[test]
     fn selectivities_are_sane() {
+        assert!(cmp_selectivity(CmpOp::Eq) < cmp_selectivity(CmpOp::Lt));
         assert!(cmp_selectivity(CmpOp::Lt) < cmp_selectivity(CmpOp::Ne));
         // Overrides clamp to a valid probability.
         let wild = TableStats::new().with_selectivity("t.key", 7.0);

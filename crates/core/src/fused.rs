@@ -168,7 +168,7 @@ impl FusedExpr {
     /// under a `Mask` comparison. The composed realisation runs
     /// `affine`/`product` on these, which require `f64` columns, so
     /// fused kernels enforce the same rule and both dispatch paths
-    /// accept exactly the same plans (gpu-lint rule GL405).
+    /// accept exactly the same plans.
     pub(crate) fn arith_inputs(&self) -> Vec<usize> {
         fn walk(e: &FusedExpr, out: &mut Vec<usize>) {
             match e {
@@ -247,7 +247,7 @@ fn input<'a>(inputs: &[&'a Col], i: usize) -> Result<&'a Col> {
 /// Validate a fused kernel's operands exactly like the composed chain
 /// would: every referenced input bound and owned by `backend`, all
 /// inputs the same length, and arithmetic reads `f64` (the
-/// `affine`/`product` dtype rule — gpu-lint GL405). Returns the row
+/// `affine`/`product` dtype rule). Returns the row
 /// count. Backend overrides call this before touching device storage so
 /// fused and composed dispatch reject exactly the same plans.
 pub(crate) fn check_fused_inputs(

@@ -261,7 +261,7 @@ impl LogicalPlan {
 
     /// Whether the tree contains a [`LogicalPlan::Join`] — backends with
     /// no supported [`crate::ops::JoinAlgo`] cannot run such plans.
-    pub fn contains_join(&self) -> bool {
+    pub(crate) fn contains_join(&self) -> bool {
         match self {
             LogicalPlan::Scan { .. } => false,
             LogicalPlan::Filter { input, .. }

@@ -30,14 +30,13 @@
 //! carrying a [`RewriteCert`] — the before/after trees of a rewrite,
 //! the join algorithm chosen against the backend's legal set, the
 //! costed dispatch, or a fused kernel's lifted expression and
-//! predicate list. `gpu-lint`'s GL7xx translation validator replays
-//! those certificates after the fact to prove the output plan
-//! semantically equivalent to the logical input (DESIGN.md §7).
+//! predicate list: the record of why the plan is what it is, pinned by
+//! the `optimizer_traced` and `plan_matrix` goldens.
 //!
 //! Adding a pass: write a `fn my_pass(&LogicalPlan) -> LogicalPlan`
 //! rewriting the tree, append it to `PASSES` (which [`optimize`] and
 //! [`optimize_traced`] both walk, so golden tests snapshot its effect
-//! and the validator re-checks its certificate), and cover it with a
+//! and its certificate), and cover it with a
 //! structural unit test here — plans are `PartialEq`.
 
 use crate::backend::{ColType, GpuBackend};
@@ -61,7 +60,7 @@ pub fn best_join(backend: &dyn GpuBackend) -> Option<JoinAlgo> {
 
 /// Every join algorithm `backend` supports, in the Table-II preference
 /// order — the candidate set the cost-based planner prices.
-pub fn supported_joins(backend: &dyn GpuBackend) -> Vec<JoinAlgo> {
+pub(crate) fn supported_joins(backend: &dyn GpuBackend) -> Vec<JoinAlgo> {
     [JoinAlgo::Hash, JoinAlgo::Merge, JoinAlgo::NestedLoops]
         .into_iter()
         .filter(|algo| backend.support(algo.operator()) != Support::None)
@@ -151,19 +150,18 @@ pub struct PassTrace {
     /// decision entries (join selection, fused lowerings, costed
     /// dispatch) that leave the logical tree unchanged.
     pub plan: String,
-    /// Machine-checkable certificate for the rewrite this entry records,
-    /// consumed by gpu-lint's GL7xx translation validator. `None` for
-    /// the `"initial"` snapshot.
+    /// Machine-checkable certificate for the rewrite this entry records.
+    /// `None` for the `"initial"` snapshot.
     pub cert: Option<RewriteCert>,
 }
 
 /// A rewrite certificate: enough evidence for an *independent* checker
 /// to re-establish that one planner decision preserved plan semantics.
 ///
-/// Every variant names the rule that produced it; the GL7xx validator
-/// in gpu-lint replays the evidence (abstract interpretation of the
-/// before/after trees, predicate-implication checking, lifting fused
-/// programs back to [`Expr`]) rather than trusting the planner.
+/// Every variant names the rule that produced it and carries the
+/// evidence a checker would replay — the before/after trees, the legal
+/// join set, a fused program's logical [`Expr`] — rather than trust the
+/// planner.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RewriteCert {
     /// A tree-to-tree logical rewrite (predicate pushdown, projection
@@ -576,8 +574,7 @@ pub fn plan_with(
 /// `optimize_traced` pass snapshots plus one certificate-bearing entry
 /// per planner decision — join selection, each fused-kernel lowering,
 /// and (on the costed path) the fused-vs-composed dispatch. The
-/// compiled [`PhysicalPlan`] is byte-identical to [`plan_with`]'s; the
-/// trace is what gpu-lint's GL7xx translation validator consumes.
+/// compiled [`PhysicalPlan`] is byte-identical to [`plan_with`]'s.
 pub fn plan_traced(
     query: &str,
     logical: &LogicalPlan,
@@ -897,8 +894,8 @@ impl Scope<'_> {
 /// A fused step's input columns, deduplicated so a column uploads into
 /// the kernel once. `binds` stays parallel to `cols`: the logical
 /// subexpression each input materialises, the witness the
-/// [`RewriteCert::FusedLowering`] certificate carries so gpu-lint can
-/// lift the fused program back to [`Expr`] and check it independently.
+/// [`RewriteCert::FusedLowering`] certificate carries, so the fused
+/// program can be read back as the [`Expr`] it computes.
 #[derive(Default)]
 struct FusedInputs {
     cols: Vec<ColRef>,
@@ -1013,13 +1010,13 @@ impl Lowerer<'_> {
         self.realize.push(how);
     }
 
-    fn device(dtype: ColType, sorted: bool) -> SlotKind {
-        SlotKind::Device { dtype, sorted }
+    fn device(dtype: ColType) -> SlotKind {
+        SlotKind::Device { dtype }
     }
 
     fn slot_dtype(&self, slot: usize) -> ColType {
         match self.slots[slot].kind {
-            SlotKind::Device { dtype, .. } => dtype,
+            SlotKind::Device { dtype } => dtype,
             _ => ColType::F64,
         }
     }
@@ -1044,7 +1041,7 @@ impl Lowerer<'_> {
     }
 
     fn emit_gather(&mut self, data: ColRef, dtype: ColType, ids: usize, label: &str) -> usize {
-        let out = self.new_slot(label, Self::device(dtype, false));
+        let out = self.new_slot(label, Self::device(dtype));
         let how = self.how(DbOperator::ScatterGather);
         self.emit(
             Step::Gather {
@@ -1529,7 +1526,7 @@ impl Lowerer<'_> {
         match pred {
             Predicate::Cmp(col, cmp, lit) => {
                 let (input, _) = self.rel_ref(rel, col)?;
-                let out = self.new_slot("ids", Self::device(ColType::U32, true));
+                let out = self.new_slot("ids", Self::device(ColType::U32));
                 let how = self.how(DbOperator::Selection);
                 self.emit(
                     Step::Selection {
@@ -1545,7 +1542,7 @@ impl Lowerer<'_> {
             Predicate::ColCmp(a, cmp, b) => {
                 let (ra, _) = self.rel_ref(rel, a)?;
                 let (rb, _) = self.rel_ref(rel, b)?;
-                let out = self.new_slot("ids", Self::device(ColType::U32, true));
+                let out = self.new_slot("ids", Self::device(ColType::U32));
                 let how = self.how(DbOperator::Selection);
                 self.emit(
                     Step::SelectionCmpCols {
@@ -1580,7 +1577,7 @@ impl Lowerer<'_> {
                         )),
                     })
                     .collect::<Result<_>>()?;
-                let out = self.new_slot("ids", Self::device(ColType::U32, true));
+                let out = self.new_slot("ids", Self::device(ColType::U32));
                 let how = self.how(DbOperator::ConjunctionDisjunction);
                 self.emit(Step::SelectionMulti { preds, conn, out }, how);
                 Ok(out)
@@ -1611,8 +1608,8 @@ impl Lowerer<'_> {
         let how = self.how(algo.operator());
         // Outer-row indices come out non-decreasing; inner-row ones do
         // not (hash/probe order).
-        let out_left = self.new_slot("join_l", Self::device(ColType::U32, true));
-        let out_right = self.new_slot("join_r", Self::device(ColType::U32, false));
+        let out_left = self.new_slot("join_l", Self::device(ColType::U32));
+        let out_right = self.new_slot("join_r", Self::device(ColType::U32));
         self.emit(
             Step::Join {
                 outer,
@@ -1626,7 +1623,7 @@ impl Lowerer<'_> {
         if *semi_distinct {
             // EXISTS: collapse matches to distinct build rows by grouping
             // the build-side indices over a ones column.
-            let ones = self.new_slot("ones", Self::device(ColType::F64, false));
+            let ones = self.new_slot("ones", Self::device(ColType::F64));
             let how = self.how(DbOperator::Product);
             self.emit(
                 Step::ConstantOnes {
@@ -1635,8 +1632,8 @@ impl Lowerer<'_> {
                 },
                 how,
             );
-            let dk = self.new_slot("distinct", Self::device(ColType::U32, true));
-            let dn = self.new_slot("distinct_n", Self::device(ColType::F64, false));
+            let dk = self.new_slot("distinct", Self::device(ColType::U32));
+            let dn = self.new_slot("distinct_n", Self::device(ColType::F64));
             let how = self.how(DbOperator::GroupedAggregation);
             self.emit(
                 Step::GroupedSum {
@@ -1761,7 +1758,7 @@ impl Lowerer<'_> {
                     // COUNT(*) sums a ones column: derived from the first
                     // f64 input via `0·x + 1` when one exists (no fresh
                     // allocation path), otherwise filled to key length.
-                    let out = self.new_slot("ones", Self::device(ColType::F64, false));
+                    let out = self.new_slot("ones", Self::device(ColType::F64));
                     let how = self.how(DbOperator::Product);
                     match &first_f64 {
                         Some(r) => self.emit(
@@ -1788,8 +1785,8 @@ impl Lowerer<'_> {
         }
         let mut pairs = Vec::new();
         for ((name, _), val) in aggs.iter().zip(&val_refs) {
-            let out_keys = self.new_slot("group_keys", Self::device(ColType::U32, true));
-            let out_vals = self.new_slot(name, Self::device(ColType::F64, false));
+            let out_keys = self.new_slot("group_keys", Self::device(ColType::U32));
+            let out_vals = self.new_slot(name, Self::device(ColType::F64));
             let how = self.how(DbOperator::GroupedAggregation);
             self.emit(
                 Step::GroupedSum {
@@ -1908,7 +1905,7 @@ impl Lowerer<'_> {
                         unreachable!("emit_expr_slot returns a slot")
                     };
                     let how = self.how(DbOperator::ScatterGather);
-                    let out = self.new_slot(short(name), Self::device(ColType::F64, false));
+                    let out = self.new_slot(short(name), Self::device(ColType::F64));
                     if ctx.defer_depth > 0 {
                         ctx.deferred.push(out);
                     }
@@ -1946,7 +1943,7 @@ impl Lowerer<'_> {
         step: impl FnOnce(usize) -> Step,
         ctx: &mut ExprCtx,
     ) -> ColRef {
-        let out = self.new_slot(label, Self::device(ColType::F64, false));
+        let out = self.new_slot(label, Self::device(ColType::F64));
         if ctx.defer_depth > 0 {
             ctx.deferred.push(out);
         }

@@ -52,9 +52,6 @@ pub enum SlotKind {
     Device {
         /// Element dtype.
         dtype: ColType,
-        /// Whether the values are known to ascend (selection outputs,
-        /// grouped keys) — consumed by the GL4xx merge-join-order lint.
-        sorted: bool,
     },
     /// A host scalar (reduction output).
     Scalar,
@@ -279,31 +276,20 @@ pub enum Step {
     },
 }
 
-/// One column operand of a [`Step`] ([`Step::reads`]), with what the
-/// step's backend call requires of it.
+/// One column operand of a [`Step`] ([`Step::reads`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepRead<'a> {
     /// The operand.
     pub col: &'a ColRef,
-    /// Device dtype the call requires, if it requires one.
-    pub dtype: Option<ColType>,
-    /// Whether the call requires ascending values (merge-join keys).
-    pub sorted: bool,
-    /// Whether a fused expression reads the column arithmetically (the
-    /// `check_fused_inputs` contract: it must hold `f64`).
-    pub fused_arith: bool,
     /// Whether only the operand's length matters ([`Step::ConstantOnes`]
     /// sizes its output by it, so it may be a row-id column).
     pub len_only: bool,
 }
 
 impl<'a> StepRead<'a> {
-    fn new(col: &'a ColRef, dtype: Option<ColType>) -> Self {
+    fn new(col: &'a ColRef) -> Self {
         StepRead {
             col,
-            dtype,
-            sorted: false,
-            fused_arith: false,
             len_only: false,
         }
     }
@@ -339,52 +325,32 @@ impl Step {
     /// (A [`Step::HostSort`] reads no column: it reorders the host
     /// vectors it [`Step::writes`] in place.)
     pub fn reads(&self) -> Vec<StepRead<'_>> {
-        use ColType::{F64, U32};
-        let any = |c| StepRead::new(c, None);
-        let f64s = |c| StepRead::new(c, Some(F64));
-        let u32s = |c| StepRead::new(c, Some(U32));
+        let col = StepRead::new;
         match self {
-            Step::Selection { input, .. } | Step::DenseMask { input, .. } => vec![any(input)],
-            Step::SelectionMulti { preds, .. } => preds.iter().map(|p| any(&p.col)).collect(),
-            Step::SelectionCmpCols { a, b, .. } => vec![any(a), any(b)],
-            Step::Gather { data, ids, .. } => vec![any(data), u32s(ids)],
-            Step::Affine { input, .. } | Step::Reduce { input, .. } => vec![f64s(input)],
-            Step::Product { a, b, .. } => vec![f64s(a), f64s(b)],
+            Step::Selection { input, .. }
+            | Step::DenseMask { input, .. }
+            | Step::Affine { input, .. }
+            | Step::Reduce { input, .. }
+            | Step::DownloadU32 { input, .. }
+            | Step::DownloadF64 { input, .. } => vec![col(input)],
+            Step::SelectionMulti { preds, .. } => preds.iter().map(|p| col(&p.col)).collect(),
+            Step::SelectionCmpCols { a, b, .. } | Step::Product { a, b, .. } => {
+                vec![col(a), col(b)]
+            }
+            Step::Gather { data, ids, .. } => vec![col(data), col(ids)],
             Step::ConstantOnes { like, .. } => vec![StepRead {
                 len_only: true,
-                ..any(like)
+                ..col(like)
             }],
-            Step::Join {
-                outer, inner, algo, ..
-            } => [outer, inner]
-                .map(|c| StepRead {
-                    sorted: *algo == JoinAlgo::Merge,
-                    ..u32s(c)
-                })
-                .to_vec(),
-            Step::GroupedSum { keys, vals, .. } => vec![u32s(keys), f64s(vals)],
-            Step::FilterSumProduct { a, b, preds, .. } => [f64s(a), f64s(b)]
+            Step::Join { outer, inner, .. } => vec![col(outer), col(inner)],
+            Step::GroupedSum { keys, vals, .. } => vec![col(keys), col(vals)],
+            Step::FilterSumProduct { a, b, preds, .. } => [col(a), col(b)]
                 .into_iter()
-                .chain(preds.iter().map(|p| any(&p.col)))
+                .chain(preds.iter().map(|p| col(&p.col)))
                 .collect(),
-            // Inputs the expression reads arithmetically must hold f64;
-            // predicate- and mask-only ones compare in their own dtype.
-            Step::FusedMap { inputs, expr, .. } | Step::FusedFilterAgg { inputs, expr, .. } => {
-                let arith = expr.arith_inputs();
-                let read = |(i, c)| {
-                    if arith.contains(&i) {
-                        StepRead {
-                            fused_arith: true,
-                            ..f64s(c)
-                        }
-                    } else {
-                        any(c)
-                    }
-                };
-                inputs.iter().enumerate().map(read).collect()
+            Step::FusedMap { inputs, .. } | Step::FusedFilterAgg { inputs, .. } => {
+                inputs.iter().map(col).collect()
             }
-            Step::DownloadU32 { input, .. } => vec![u32s(input)],
-            Step::DownloadF64 { input, .. } => vec![f64s(input)],
             Step::HostSort { .. } | Step::Free { .. } => Vec::new(),
         }
     }
@@ -577,8 +543,7 @@ pub(crate) type SlotStore = Vec<Option<SlotVal>>;
 ///
 /// Produced by [`crate::optimizer::plan`]; run with
 /// [`PhysicalPlan::execute`]. Inspect with [`PhysicalPlan::explain`]
-/// (the Table-II lowering) or walk [`PhysicalPlan::steps`] directly —
-/// the GL4xx gpu-lint passes do.
+/// (the Table-II lowering) or walk [`PhysicalPlan::steps`] directly.
 #[derive(Debug, Clone)]
 pub struct PhysicalPlan {
     pub(crate) query: String,
@@ -604,14 +569,8 @@ impl PhysicalPlan {
     }
 
     /// Name of the backend the plan was lowered for.
-    pub fn backend_name(&self) -> &str {
+    pub(crate) fn backend_name(&self) -> &str {
         &self.backend
-    }
-
-    /// The join algorithm the planner selected (None for join-free
-    /// plans).
-    pub fn join_algo(&self) -> Option<JoinAlgo> {
-        self.join_algo
     }
 
     /// The step list, in execution order.

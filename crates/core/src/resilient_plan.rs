@@ -13,8 +13,8 @@
 //!    checkpoint: they are never recomputed.
 //! 2. **Slot checkpointing** — every completed step's output slots
 //!    survive a retry or fallback. A plan's explicit frees are
-//!    respected: a freed slot is never checkpointed, because no plan
-//!    step writes a slot after its free (gpu-lint's GL406).
+//!    respected: a freed slot is never checkpointed, because the
+//!    lowering writes every slot once, before any free of it.
 //! 3. **Partitioned re-execution** — on out-of-memory, plans whose shape
 //!    is *partition-safe* (see [the contract](#partition-safety)) re-run
 //!    over horizontal row partitions of the columns named by a

@@ -5,12 +5,10 @@
 //! `GLxxx` id — ids never change meaning, so CI gates, suppressions and
 //! the hazard-injection tests can match on them across versions. Rule
 //! numbering is grouped by pass family: `GL0xx` buffer lifetimes,
-//! `GL2xx` compiled Programs, `GL4xx` compiled physical query plans,
-//! `GL6xx` costed-plan resource estimates, `GL7xx` planner translation
-//! validation (logical→physical semantic equivalence). Retired ids are
-//! not reused: `GL3xx` belonged to a scheduler-plan pass, `GL5xx` to a
-//! recovery-log pass, and GL707 (a free before an output's download) is
-//! a case of GL404.
+//! `GL6xx` costed-plan resource estimates. Retired ids are not reused:
+//! `GL1xx` (stream ordering), `GL2xx` (compiled Programs), `GL3xx`
+//! (scheduler plans), `GL4xx` (physical-plan slots and operands),
+//! `GL5xx` (recovery logs) and `GL7xx` (planner translation validation).
 
 use std::fmt;
 
@@ -81,68 +79,12 @@ rules! {
     DeadHostToDevice = "GL006" Warning,
     /// GL007 — free of a buffer the trace never saw allocated.
     UnknownFree = "GL007" Error,
-    /// GL201 — program stack underflows or does not end with exactly
-    /// one value.
-    StackImbalance = "GL201" Error,
-    /// GL202 — load of a leaf slot outside the program's leaf table.
-    UnboundLeaf = "GL202" Error,
-    /// GL203 — logical operator applied to a non-boolean operand.
-    DtypeMismatch = "GL203" Warning,
-    /// GL204 — leaf bound in the table but never loaded (dead
-    /// subexpression: its host→f64 conversion is pure waste).
-    DeadLeaf = "GL204" Warning,
-    /// GL205 — true stack depth exceeds what the executor reserves.
-    StackDepthExceeded = "GL205" Error,
-    /// GL401 — device column a physical plan creates but never frees.
-    UnfreedPlanColumn = "GL401" Warning,
-    /// GL402 — step operand whose dtype does not match what the call
-    /// requires (e.g. `f64` gather indices, `u32` arithmetic input).
-    PlanDtypeMismatch = "GL402" Error,
-    /// GL403 — merge join over a key column not known to be sorted.
-    MergeJoinUnsorted = "GL403" Error,
-    /// GL404 — step reads or frees a slot that is undefined or already
-    /// freed at that point in the plan.
-    PlanUseAfterFree = "GL404" Error,
-    /// GL405 — a fused step's expression reads a column arithmetically
-    /// that does not hold `f64` (the fused-kernel contract
-    /// `check_fused_inputs` enforces at run time; mask-only comparisons
-    /// may stay native).
-    FusedArithNotF64 = "GL405" Error,
-    /// GL406 — step writes a slot that an earlier `Free` released. Plan
-    /// slots are written once: a second life escapes the plan's free,
-    /// and a resilient run would checkpoint or carry recycled memory.
-    PlanWriteAfterFree = "GL406" Error,
     /// GL601 — a costed plan's estimated peak device bytes exceed the
     /// declared memory budget: partitioned execution will engage.
     CostExceedsMemBudget = "GL601" Warning,
     /// GL602 — a costed plan's estimated peak device bytes exceed the
     /// device's physical memory: it cannot run un-partitioned.
     CostExceedsDeviceMemory = "GL602" Error,
-    /// GL701 — a rewrite pass changed the plan's root facts: output
-    /// column set, sortedness or nullability no longer match the tree
-    /// it replaced (or a certificate needed for checking is missing).
-    TranslationSchemaMismatch = "GL701" Error,
-    /// GL702 — a rewrite pass changed the dtype of a surviving output
-    /// column.
-    TranslationDtypeChange = "GL702" Error,
-    /// GL703 — a rewrite pass moved the plan's root cardinality
-    /// interval to one disjoint from the original — row counts the two
-    /// trees can produce no longer overlap.
-    TranslationCardinalityViolation = "GL703" Warning,
-    /// GL704 — the rewritten tree's predicate set is not equivalent to
-    /// the original's: a pushed/pruned conjunct was dropped, widened or
-    /// invented, per the literal-conjunct decision procedure.
-    PredicateNotImplied = "GL704" Error,
-    /// GL705 — a fused kernel (`FusedMap` / `FusedFilterAgg` /
-    /// `FilterSumProduct`) does not implement the logical expression
-    /// chain its certificate says it replaced, per lifting the fused
-    /// program back to `Expr` and seeded sampling.
-    FusedLoweringMismatch = "GL705" Error,
-    /// GL706 — the physical plan does not conform to the final logical
-    /// tree: output shape (names, order, slot kinds) diverges from the
-    /// root aggregate, or the join algorithm is absent/illegal for the
-    /// backend per Table II.
-    PlanShapeNonconforming = "GL706" Error,
 }
 
 /// One finding: a rule, where in the analyzed artifact it anchors, and a
@@ -151,9 +93,8 @@ rules! {
 pub struct Diagnostic {
     /// Which rule fired.
     pub rule: Rule,
-    /// Indices of the implicated events — trace-event indices for trace
-    /// passes, instruction indices for Program passes. Ordered; the first
-    /// index is the anchor.
+    /// Indices of the implicated trace events (the cost-report pass
+    /// anchors none). Ordered; the first index is the anchor.
     pub events: Vec<usize>,
     /// What went wrong, with buffer/slot identities inline.
     pub message: String,

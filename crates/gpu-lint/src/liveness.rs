@@ -1,5 +1,5 @@
-//! The one def / use / free liveness walk every lifetime rule feeds:
-//! trace buffers (GL001/002/004/007) and plan slots (GL401/404/406).
+//! The def / use / free liveness walk the trace-buffer lifetime rules
+//! feed (GL001/002/004/007).
 //!
 //! A [`Liveness`] map holds one [`Life`] per key. The caller walks its
 //! artifact in order and reports each answer under its own rule ids.

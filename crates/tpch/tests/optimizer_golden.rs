@@ -60,7 +60,7 @@ fn pass_traces_and_explains_match_the_golden_file() {
 }
 
 /// Render every `plan_traced` trace entry as `pass: certificate` — the
-/// full rewrite-certificate stream GL7xx consumes, covering a
+/// full rewrite-certificate stream, covering a
 /// join-selection decision (Q3 heuristic), both fused-lowering shapes
 /// (Q6 heuristic fast path, Q6 general fusion), and a costed
 /// fused-vs-composed dispatch (Q6 costing).
@@ -168,4 +168,49 @@ fn the_fast_path_and_general_fusion_q6_listings_differ_only_in_strategy() {
     assert!(fast.explain().contains("filter_sum_product"));
     assert!(!general.explain().contains("filter_sum_product"));
     assert!(general.explain().contains("fused_filter_agg"));
+}
+
+/// No TPC-H query writes a filter above a join, so this is the one input
+/// that routes conjuncts through pushdown at a join: a build-side-only
+/// and a probe-side-only conjunct each sink into its own side, leaving
+/// nothing between the aggregate and the join.
+#[test]
+fn single_side_filters_above_a_join_sink_into_their_inputs() {
+    let customer = LogicalPlan::scan(
+        "customer",
+        vec![ColumnDecl::u32("mktsegment"), ColumnDecl::u32("custkey")],
+    );
+    let orders = LogicalPlan::scan(
+        "orders",
+        vec![ColumnDecl::u32("custkey"), ColumnDecl::f64("totalprice")],
+    );
+    let plan = LogicalPlan::join(
+        customer,
+        orders,
+        "customer.custkey",
+        "orders.custkey",
+        vec![JoinCol::probe("price", "orders.totalprice")],
+    )
+    .filter(Predicate::And(vec![
+        Predicate::cmp("customer.mktsegment", CmpOp::Eq, 1.0),
+        Predicate::cmp("orders.totalprice", CmpOp::Gt, 100.0),
+    ]))
+    .aggregate(None, vec![("total", AggExpr::Sum(Expr::col("price")))]);
+    let optimized = optimizer::optimize(&plan);
+    let LogicalPlan::Aggregate { input, .. } = &optimized else {
+        panic!("the root stays an aggregate: {}", optimized.render());
+    };
+    let LogicalPlan::Join { build, probe, .. } = input.as_ref() else {
+        panic!("a filter stayed above the join: {}", optimized.render());
+    };
+    assert!(
+        build.render().contains("Filter customer.mktsegment Eq 1"),
+        "{}",
+        optimized.render()
+    );
+    assert!(
+        probe.render().contains("Filter orders.totalprice Gt 100"),
+        "{}",
+        optimized.render()
+    );
 }

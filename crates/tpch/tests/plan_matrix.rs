@@ -1,6 +1,7 @@
 //! Plan-matrix golden: every TPC-H query × every paper backend × the
-//! three planner modes the GL7xx gate lints (defaults, general fusion,
-//! costing on the paper device with default table stats).
+//! three planner modes the `gpu_lint` plan targets compile (defaults,
+//! general fusion, costing on the paper device with default table
+//! stats).
 //!
 //! Each entry lists every `plan_traced` pass with its certificate, then
 //! the compiled plan's `explain()` (which renders the cost report when

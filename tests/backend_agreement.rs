@@ -230,3 +230,29 @@ fn unsupported_operations_error_cleanly_not_panic() {
     assert!(th.join(&to, &ti, JoinAlgo::Hash).is_err());
     assert!(th.join(&to, &ti, JoinAlgo::NestedLoops).is_ok());
 }
+
+/// Q5's result order, value descending with ties by ascending key, on
+/// group sums that tie exactly: every backend puts key 2 before key 4
+/// and key 1 before key 3.
+#[test]
+fn tied_group_sums_come_out_by_ascending_key() {
+    let fw = fw();
+    let plan = LogicalPlan::scan("t", vec![ColumnDecl::u32("k"), ColumnDecl::f64("v")])
+        .aggregate(Some("t.k"), vec![("s", AggExpr::Sum(Expr::col("t.v")))])
+        .sort_limit(ResultOrder::ValueDescKeyAsc, None);
+    // Sums: key 1 → 2, key 2 → 5, key 3 → 2, key 4 → 5.
+    let (keys, vals) = ([4, 1, 3, 2, 4, 2], [2.5, 2.0, 2.0, 5.0, 2.5, 0.0]);
+    let order = agree(&fw, |b| {
+        let physical = gpu_proto_db::core::optimizer::plan("ties", &plan, b).unwrap();
+        let (k, v) = (b.upload_u32(&keys).unwrap(), b.upload_f64(&vals).unwrap());
+        let mut binds = PlanBindings::new();
+        binds.bind("t.k", &k).bind("t.v", &v);
+        let out = physical.execute(b, &binds).unwrap();
+        let order = out.u32s("keys").unwrap().to_vec();
+        for c in [k, v] {
+            b.free(c).unwrap();
+        }
+        order
+    });
+    assert_eq!(order, [2, 4, 1, 3]);
+}

@@ -353,6 +353,54 @@ fn plan_fallback_chain_replays_on_the_spare_backend() {
     }
 }
 
+/// A spare lane with the failed lane's own lowering (handwritten on a
+/// second device) takes over the downloads the failed lane completed as
+/// host checkpoints and launches none of them again: the two lanes
+/// together transfer what one clean run does.
+#[test]
+fn a_fallback_lane_does_not_repeat_completed_downloads() {
+    let db = tpch::generate(0.002);
+    let spec = DeviceSpec::gtx1080();
+    let hw = || Framework::single_backend(&spec, "Handwritten");
+    let clean = hw();
+    let q1 = Q1Data::upload(clean.as_ref(), &db).unwrap();
+    let before = clean.device().stats().dtoh_count;
+    let want = q1.execute(clean.as_ref()).unwrap();
+    let clean_downloads = clean.device().stats().dtoh_count - before;
+    let exec = ResilientPlanExecutor::new(PlanRecovery {
+        retry: RetryPolicy::no_retry(),
+        ..PlanRecovery::default()
+    });
+    for seed in 0..300 {
+        let (lib, spare) = (hw(), hw());
+        let q1 = Q1Data::upload(lib.as_ref(), &db).unwrap();
+        let spare_q1 = Q1Data::upload(spare.as_ref(), &db).unwrap();
+        let (lib_before, spare_before) = (
+            lib.device().stats().dtoh_count,
+            spare.device().stats().dtoh_count,
+        );
+        let mut faults = FaultPlan::uniform(seed, 0.0);
+        faults.rates[FaultSite::PlanStep.index()] = 0.15;
+        lib.device().install_fault_plan(faults);
+        let got = q1
+            .execute_with_fallback(lib.as_ref(), (&spare_q1, spare.as_ref()), &exec)
+            .unwrap();
+        let lib_downloads = lib.device().stats().dtoh_count - lib_before;
+        if spare.device().stats().fallbacks != 1 || lib_downloads == 0 {
+            continue; // no fallback, or none after a completed download
+        }
+        assert_eq!(got, want, "seed {seed}");
+        let spare_downloads = spare.device().stats().dtoh_count - spare_before;
+        assert_eq!(
+            lib_downloads + spare_downloads,
+            clean_downloads,
+            "seed {seed}: downloads must split across the lanes, not repeat"
+        );
+        return;
+    }
+    panic!("no seed failed the primary lane after a completed download");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
