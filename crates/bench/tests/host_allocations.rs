@@ -1,9 +1,9 @@
 //! Large host blocks the simulator allocates. The shape-priced grid rows
 //! run dry without materialising data no charge reads: they generate,
 //! upload and allocate only the columns an input check reads. A column
-//! uploaded to the four paper backends is held once. The tests take one
-//! lock, because `hostalloc::stats()` counts the large host blocks of the
-//! whole process.
+//! uploaded to the four paper backends is held once, and a generated
+//! TPC-H column is allocated once. The tests take one lock, because
+//! `hostalloc::stats()` counts the large host blocks of the whole process.
 
 use bench::experiments::run_serial;
 use bench::grid::GridConfig;
@@ -71,4 +71,71 @@ fn a_column_on_four_backends_is_one_host_block() {
         b.free(cols.0).unwrap();
         b.free(cols.1).unwrap();
     }
+}
+
+/// Bytes each column of `db` has room for.
+fn column_capacities(db: &tpch::Database) -> Vec<usize> {
+    fn bytes<T>(col: &Vec<T>) -> usize {
+        col.capacity() * std::mem::size_of::<T>()
+    }
+    let (li, o, c) = (&db.lineitem, &db.orders, &db.customer);
+    let (p, s, ps) = (&db.part, &db.supplier, &db.partsupp);
+    let u32s = [
+        &li.orderkey,
+        &li.partkey,
+        &li.suppkey,
+        &li.linenumber,
+        &li.returnflag,
+        &li.linestatus,
+        &li.shipdate,
+        &li.commitdate,
+        &li.receiptdate,
+        &o.orderkey,
+        &o.custkey,
+        &o.orderdate,
+        &o.orderpriority,
+        &o.shippriority,
+        &c.custkey,
+        &c.nationkey,
+        &c.mktsegment,
+        &p.partkey,
+        &p.size,
+        &s.suppkey,
+        &s.nationkey,
+        &ps.partkey,
+        &ps.suppkey,
+        &ps.availqty,
+        &db.nation.nationkey,
+        &db.nation.regionkey,
+        &db.region.regionkey,
+    ];
+    let f64s = [
+        &li.quantity,
+        &li.extendedprice,
+        &li.discount,
+        &li.tax,
+        &o.totalprice,
+        &c.acctbal,
+        &p.retailprice,
+        &s.acctbal,
+        &ps.supplycost,
+    ];
+    let u32s = u32s.into_iter().map(bytes);
+    u32s.chain(f64s.into_iter().map(bytes)).collect()
+}
+
+/// One generation at SF 0.05 (the `queries_scan` scale) allocates each
+/// column of 64 KiB or more as one large host block: 24 of them, where
+/// `lineitem` and `orders` columns growing by doubling made 112, every
+/// freed step kept resident by the recycling allocator.
+#[test]
+fn tpch_generation_allocates_each_large_column_once() {
+    let _counting = COUNTING.lock().unwrap_or_else(|e| e.into_inner());
+    let before = large_allocations();
+    let db = tpch::generate_seeded(0.05, 3);
+    let blocks = large_allocations() - before;
+    let large = column_capacities(&db);
+    let large = large.iter().filter(|&&b| b >= 64 << 10).count() as u64;
+    assert_eq!(blocks, large, "large host blocks vs large columns");
+    assert_eq!(large, 24, "large columns at SF 0.05");
 }

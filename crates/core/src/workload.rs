@@ -216,8 +216,8 @@ pub mod cache {
     //! the underlying generator returns — callers observe no difference
     //! beyond the saved work.
 
-    use std::collections::HashMap;
-    use std::sync::{Arc, Mutex, OnceLock};
+    use std::collections::{HashMap, VecDeque};
+    use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
     #[derive(Hash, PartialEq, Eq, Clone)]
     enum Key {
@@ -246,31 +246,56 @@ pub mod cache {
         },
     }
 
-    #[derive(Clone)]
-    enum Entry {
-        U32(Arc<Vec<u32>>),
-        F64(Arc<Vec<f64>>),
-        Pair(Arc<(Vec<u32>, Vec<u32>)>),
-    }
+    type Slots<T> = HashMap<Key, Arc<OnceLock<Arc<T>>>>;
+    type Pair = (Vec<u32>, Vec<u32>);
+    /// Removes a key from the map of its value type.
+    type Forget = fn(&mut Store, &Key);
 
-    type Slot = Arc<OnceLock<Entry>>;
-
+    /// One map per value type, so a slot's type is known statically.
+    #[derive(Default)]
     struct Store {
-        slots: HashMap<Key, Slot>,
-        /// Insertion-ordered `(key, bytes)` log for FIFO eviction.
-        order: std::collections::VecDeque<(Key, usize)>,
+        u32s: Slots<Vec<u32>>,
+        f64s: Slots<Vec<f64>>,
+        pairs: Slots<Pair>,
+        /// Insertion-ordered `(key, bytes, forget)` log for FIFO eviction.
+        order: VecDeque<(Key, usize, Forget)>,
         bytes: usize,
     }
 
-    fn store() -> &'static Mutex<Store> {
+    /// A value type the cache holds, and its map in the [`Store`].
+    trait Cached: Send + Sync + Sized + 'static {
+        fn slots(st: &mut Store) -> &mut Slots<Self>;
+
+        fn forget(st: &mut Store, key: &Key) {
+            Self::slots(st).remove(key);
+        }
+    }
+
+    impl Cached for Vec<u32> {
+        fn slots(st: &mut Store) -> &mut Slots<Self> {
+            &mut st.u32s
+        }
+    }
+
+    impl Cached for Vec<f64> {
+        fn slots(st: &mut Store) -> &mut Slots<Self> {
+            &mut st.f64s
+        }
+    }
+
+    impl Cached for Pair {
+        fn slots(st: &mut Store) -> &mut Slots<Self> {
+            &mut st.pairs
+        }
+    }
+
+    /// The store, locked. A panic under the lock cannot leave it
+    /// half-updated (generation runs outside it), so a poisoned lock is
+    /// still usable.
+    fn store() -> MutexGuard<'static, Store> {
         static STORE: OnceLock<Mutex<Store>> = OnceLock::new();
-        STORE.get_or_init(|| {
-            Mutex::new(Store {
-                slots: HashMap::new(),
-                order: std::collections::VecDeque::new(),
-                bytes: 0,
-            })
-        })
+        let store = STORE.get_or_init(Default::default);
+        store.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Retention budget in bytes (128 MiB). Entries are dropped
@@ -281,20 +306,17 @@ pub mod cache {
     /// experiment's working set resident.
     const BUDGET_BYTES: usize = 128 << 20;
 
-    fn slot(key: Key) -> Slot {
-        let mut st = store().lock().unwrap();
-        st.slots.entry(key).or_default().clone()
-    }
-
     /// Charge a freshly generated entry against the budget, evicting the
     /// oldest entries until the total fits again.
-    fn charge(key: Key, bytes: usize) {
-        let mut st = store().lock().unwrap();
+    fn charge<T: Cached>(key: Key, bytes: usize) {
+        let mut st = store();
         st.bytes += bytes;
-        st.order.push_back((key, bytes));
+        st.order.push_back((key, bytes, T::forget));
         while st.bytes > BUDGET_BYTES && st.order.len() > 1 {
-            let (old, sz) = st.order.pop_front().unwrap();
-            st.slots.remove(&old);
+            let Some((old, sz, forget)) = st.order.pop_front() else {
+                break;
+            };
+            forget(&mut st, &old);
             st.bytes -= sz;
         }
     }
@@ -307,18 +329,20 @@ pub mod cache {
     // holding it, and a later request for the same key regenerates the
     // identical data.
 
-    fn get_u32(key: Key, bytes: usize, gen: impl FnOnce() -> Vec<u32>) -> Arc<Vec<u32>> {
-        let s = slot(key.clone());
+    fn get<T: Cached>(key: Key, bytes: usize, gen: impl FnOnce() -> T) -> Arc<T> {
+        let s = T::slots(&mut store())
+            .entry(key.clone())
+            .or_default()
+            .clone();
         let mut fresh = false;
-        let out = match s.get_or_init(|| {
-            fresh = true;
-            Entry::U32(Arc::new(gen()))
-        }) {
-            Entry::U32(v) => v.clone(),
-            _ => unreachable!(),
-        };
+        let out = s
+            .get_or_init(|| {
+                fresh = true;
+                Arc::new(gen())
+            })
+            .clone();
         if fresh {
-            charge(key, bytes);
+            charge::<T>(key, bytes);
         }
         out
     }
@@ -326,25 +350,12 @@ pub mod cache {
     /// Cached [`uniform_u32`](super::uniform_u32).
     pub fn uniform_u32(n: usize, bound: u32, seed: u64) -> Arc<Vec<u32>> {
         let key = Key::U32 { n, bound, seed };
-        get_u32(key, n * 4, || super::uniform_u32(n, bound, seed))
+        get(key, n * 4, || super::uniform_u32(n, bound, seed))
     }
 
     /// Cached [`uniform_f64`](super::uniform_f64).
     pub fn uniform_f64(n: usize, seed: u64) -> Arc<Vec<f64>> {
-        let key = Key::F64 { n, seed };
-        let s = slot(key.clone());
-        let mut fresh = false;
-        let out = match s.get_or_init(|| {
-            fresh = true;
-            Entry::F64(Arc::new(super::uniform_f64(n, seed)))
-        }) {
-            Entry::F64(v) => v.clone(),
-            _ => unreachable!(),
-        };
-        if fresh {
-            charge(key, n * 8);
-        }
-        out
+        get(Key::F64 { n, seed }, n * 8, || super::uniform_f64(n, seed))
     }
 
     /// Cached [`zipf_keys`](super::zipf_keys).
@@ -355,7 +366,7 @@ pub mod cache {
             theta: theta.to_bits(),
             seed,
         };
-        get_u32(key, n * 4, || super::zipf_keys(n, groups, theta, seed))
+        get(key, n * 4, || super::zipf_keys(n, groups, theta, seed))
     }
 
     /// Cached [`selectivity_column`](super::selectivity_column). The
@@ -374,25 +385,13 @@ pub mod cache {
             inner: inner_n,
             seed,
         };
-        let s = slot(key.clone());
-        let mut fresh = false;
-        let out = match s.get_or_init(|| {
-            fresh = true;
-            Entry::Pair(Arc::new(super::fk_join(outer_n, inner_n, seed)))
-        }) {
-            Entry::Pair(v) => v.clone(),
-            _ => unreachable!(),
-        };
-        if fresh {
-            charge(key, (outer_n + inner_n) * 4);
-        }
-        out
+        let bytes = (outer_n + inner_n) * 4;
+        get(key, bytes, || super::fk_join(outer_n, inner_n, seed))
     }
 
     /// Cached [`shuffled_indices`](super::shuffled_indices).
     pub fn shuffled_indices(n: usize) -> Arc<Vec<u32>> {
-        let key = Key::Perm { n };
-        get_u32(key, n * 4, || super::shuffled_indices(n))
+        get(Key::Perm { n }, n * 4, || super::shuffled_indices(n))
     }
 }
 

@@ -18,6 +18,16 @@
 //! `o_orderdate` + 1..=121 days, `o_orderdate` uniform over
 //! [1992-01-01, 1998-08-02], `l_extendedprice` derived from the part's
 //! retail price × quantity.
+//!
+//! Every column is sized before its first row is generated, so each is one
+//! host allocation: a `Vec` that grows instead frees a block at every
+//! doubling, and `gpu_sim::hostalloc` keeps those blocks cached and
+//! resident. `orders` reserves exactly its row count. `lineitem`'s count is
+//! known only after the last order, so it reserves the expected count plus
+//! ten standard deviations, not the bound of seven lines per order: that
+//! bound is 1.75 times the expected count, and a recycled block is resident
+//! in full. Nothing is shrunk afterwards, since `shrink_to_fit` would copy
+//! the column and free a block again.
 
 use crate::dates;
 use crate::schema::*;
@@ -25,6 +35,20 @@ use rand::prelude::*;
 
 /// Default generator seed (scale-factor independent part).
 pub const SEED: u64 = 19_920_101;
+
+/// Most lines an order has: dbgen draws the count uniformly from 1..=7.
+const MAX_LINES: u32 = 7;
+
+/// Rows to reserve for the lines of `orders` orders: the mean of their
+/// uniform line counts plus ten standard deviations, never more than
+/// [`MAX_LINES`] per order. Hoeffding's inequality puts the odds that a
+/// seed draws more lines below 10^-9; the columns would then grow.
+fn lineitem_capacity(orders: usize) -> usize {
+    let (n, m) = (orders as f64, f64::from(MAX_LINES));
+    let (mean, variance) = (n * (1.0 + m) / 2.0, n * (m * m - 1.0) / 12.0);
+    let rows = (mean + 10.0 * variance.sqrt()).ceil() as usize;
+    rows.min(orders * MAX_LINES as usize)
+}
 
 fn rows(base: u64, sf: f64) -> usize {
     ((base as f64 * sf).round() as usize).max(1)
@@ -120,15 +144,15 @@ pub fn generate_seeded(scale_factor: f64, seed: u64) -> Database {
 
     let n_ord = rows(1_500_000, sf);
     let max_date = dates::max_orderdate();
-    let mut orders = Orders::default();
-    let mut lineitem = Lineitem::default();
+    let mut orders = orders_with_capacity(n_ord);
+    let mut lineitem = lineitem_with_capacity(lineitem_capacity(n_ord));
     for o in 1..=n_ord as u32 {
         // dbgen leaves gaps in orderkeys; we keep them dense — no studied
         // query depends on key sparsity.
         let orderdate = rng.gen_range(0..=max_date);
         let custkey = rng.gen_range(1..=n_cust as u32);
         let priority = rng.gen_range(0..PRIORITIES.len() as u32);
-        let lines = rng.gen_range(1..=7u32);
+        let lines = rng.gen_range(1..=MAX_LINES);
         let mut total = 0.0;
         for ln in 1..=lines {
             let partkey = rng.gen_range(1..=n_part as u32);
@@ -189,6 +213,37 @@ pub fn generate_seeded(scale_factor: f64, seed: u64) -> Database {
         partsupp,
         nation,
         region,
+    }
+}
+
+/// Empty `orders` columns with room for `rows` rows each.
+fn orders_with_capacity(rows: usize) -> Orders {
+    Orders {
+        orderkey: Vec::with_capacity(rows),
+        custkey: Vec::with_capacity(rows),
+        totalprice: Vec::with_capacity(rows),
+        orderdate: Vec::with_capacity(rows),
+        orderpriority: Vec::with_capacity(rows),
+        shippriority: Vec::with_capacity(rows),
+    }
+}
+
+/// Empty `lineitem` columns with room for `rows` rows each.
+fn lineitem_with_capacity(rows: usize) -> Lineitem {
+    Lineitem {
+        orderkey: Vec::with_capacity(rows),
+        partkey: Vec::with_capacity(rows),
+        suppkey: Vec::with_capacity(rows),
+        linenumber: Vec::with_capacity(rows),
+        quantity: Vec::with_capacity(rows),
+        extendedprice: Vec::with_capacity(rows),
+        discount: Vec::with_capacity(rows),
+        tax: Vec::with_capacity(rows),
+        returnflag: Vec::with_capacity(rows),
+        linestatus: Vec::with_capacity(rows),
+        shipdate: Vec::with_capacity(rows),
+        commitdate: Vec::with_capacity(rows),
+        receiptdate: Vec::with_capacity(rows),
     }
 }
 
