@@ -7,8 +7,8 @@
 //! ```
 //!
 //! With no experiment ids, lints the full grid (see
-//! `bench::traced::EXPERIMENTS`) plus one plan target per TPC-H query ×
-//! planner mode × backend (`bench::plan_lint::translation_reports`).
+//! `bench::traced::EXPERIMENTS`) plus one costed plan target per TPC-H
+//! query × backend (`bench::plan_lint::translation_reports`).
 //! Exits nonzero if any `Severity::Error` diagnostic fires — or any
 //! warning, under `--deny-warnings`. `--timeline` prints an annotated
 //! timeline for every unclean trace; `--dump` prints every event of

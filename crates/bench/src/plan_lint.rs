@@ -1,74 +1,58 @@
 //! The `gpu-lint` plan driver, the CI gate over the six TPC-H queries:
-//! [`translation_reports`] compiles each query once per planner mode on
-//! every backend and checks the plan's
-//! [`proto_core::costing::CostReport`], when costing priced it, against
-//! the memory budget (GL6xx). A plan without a cost report has nothing to
-//! check and reports clean.
+//! [`translation_reports`] compiles each query with the cost-based
+//! planner on every backend and checks the plan's
+//! [`proto_core::costing::CostReport`] against the memory budget (GL6xx).
+//! Heuristic and fusion plans carry no cost report, so they have nothing
+//! to lint.
 
 use gpu_lint::Report;
 use gpu_sim::DeviceSpec;
 use proto_core::costing::TableStats;
-use proto_core::optimizer::{self, CostingOptions, FusionPolicy, PlannerOptions};
+use proto_core::optimizer::{self, CostingOptions, PlannerOptions};
 use proto_core::physical::PhysicalPlan;
 
-/// Lint `plan` as `target`: its cost report — when costing priced it —
-/// against `mem_budget_bytes` and `spec` (GL6xx).
+/// Lint the costed `plan` as `target`: its cost report against
+/// `mem_budget_bytes` and `spec` (GL6xx).
 pub(crate) fn lint_plan(
     target: String,
     plan: &PhysicalPlan,
     mem_budget_bytes: Option<u64>,
     spec: &DeviceSpec,
 ) -> Report {
-    match plan.cost_report() {
-        Some(cost) => gpu_lint::lint_costed_plan(target, cost, mem_budget_bytes, spec),
-        None => Report::new(target, Vec::new()),
-    }
+    let cost = plan
+        .cost_report()
+        .expect("a costed plan carries its cost report");
+    gpu_lint::lint_costed_plan(target, cost, mem_budget_bytes, spec)
 }
 
 /// Compile all six TPC-H queries ([`tpch::queries::LOGICAL_PLANS`]) with
-/// [`optimizer::plan_with`] under all three planner modes — heuristic
-/// (defaults), fusion ([`FusionPolicy::on`]), and costing (default table
-/// stats for the paper device) — on every paper backend, and lint each
-/// plan once with `lint_plan`, declaring the paper device's own
-/// capacity as the memory budget. ArrayFire is skipped for the
-/// join-bearing queries — it has no join algorithm (Table II), so the
-/// planner refuses at compile time and there is no plan to lint; any
-/// other refusal panics.
+/// [`optimizer::plan_with`] under the cost-based planner (default table
+/// stats for the paper device) on every paper backend, and lint each
+/// plan once with `lint_plan`, declaring the paper device's own capacity
+/// as the memory budget. ArrayFire is skipped for the join-bearing
+/// queries — it has no join algorithm (Table II), so the planner refuses
+/// at compile time and there is no plan to lint; any other refusal
+/// panics.
 pub fn translation_reports() -> Vec<Report> {
     let spec = crate::paper_device();
-    let modes = [
-        ("heuristic", PlannerOptions::default()),
-        (
-            "fusion",
-            PlannerOptions {
-                fusion: FusionPolicy::on(),
-                ..PlannerOptions::default()
-            },
-        ),
-        (
-            "costing",
-            PlannerOptions {
-                costing: Some(CostingOptions::new(&spec, TableStats::new())),
-                ..PlannerOptions::default()
-            },
-        ),
-    ];
+    let opts = PlannerOptions {
+        costing: Some(CostingOptions::new(&spec, TableStats::new())),
+        ..PlannerOptions::default()
+    };
     let fw = crate::paper_framework();
     let mut reports = Vec::new();
     for (q, logical) in tpch::queries::LOGICAL_PLANS {
-        for (mode, opts) in &modes {
-            for b in fw.backends() {
-                let b = b.as_ref();
-                match optimizer::plan_with(q, &logical(), b, opts) {
-                    Ok(plan) => reports.push(lint_plan(
-                        format!("plan({q}/{mode}/{})", b.name()),
-                        &plan,
-                        Some(spec.global_mem_bytes),
-                        &spec,
-                    )),
-                    Err(_) => {
-                        assert_eq!(b.name(), "ArrayFire", "only ArrayFire may fail to plan")
-                    }
+        for b in fw.backends() {
+            let b = b.as_ref();
+            match optimizer::plan_with(q, &logical(), b, &opts) {
+                Ok(plan) => reports.push(lint_plan(
+                    format!("plan({q}/costing/{})", b.name()),
+                    &plan,
+                    Some(spec.global_mem_bytes),
+                    &spec,
+                )),
+                Err(_) => {
+                    assert_eq!(b.name(), "ArrayFire", "only ArrayFire may fail to plan")
                 }
             }
         }
@@ -132,15 +116,5 @@ mod tests {
             assert_eq!(ids, want, "{}", r.render());
             assert_eq!(r.errors(), 1);
         }
-    }
-
-    #[test]
-    fn uncosted_plans_have_no_estimate_to_lint() {
-        let fw = crate::paper_framework();
-        let b = fw.backend("Thrust").unwrap();
-        let plan = optimizer::plan("Q1", &tpch::queries::q1::logical_plan(), b).unwrap();
-        let spec = crate::paper_device();
-        let r = lint_plan("Q1".into(), &plan, Some(1), &spec);
-        assert!(r.is_clean(), "{}", r.render());
     }
 }

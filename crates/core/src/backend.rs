@@ -165,8 +165,11 @@ pub trait GpuBackend: Send + Sync {
 
     // -- Table II operators ----------------------------------------------
 
-    /// Selection: row ids (ascending) where `cmp(col, lit)` holds.
-    fn selection(&self, col: &Col, cmp: CmpOp, lit: f64) -> Result<Col>;
+    /// Selection: row ids (ascending) where `cmp(col, lit)` holds — a
+    /// one-predicate [`Self::selection_multi`].
+    fn selection(&self, col: &Col, cmp: CmpOp, lit: f64) -> Result<Col> {
+        self.selection_multi(&[Pred { col, cmp, lit }], Connective::And)
+    }
 
     /// Multi-predicate selection combined with `conn`.
     fn selection_multi(&self, preds: &[Pred<'_>], conn: Connective) -> Result<Col>;

@@ -209,10 +209,6 @@ impl GpuBackend for ArrayFireBackend {
         self.slab.take(col.id).map(drop)
     }
 
-    fn selection(&self, col: &Col, cmp: CmpOp, lit: f64) -> Result<Col> {
-        self.selection_multi(&[Pred { col, cmp, lit }], Connective::And)
-    }
-
     fn selection_multi(&self, preds: &[Pred<'_>], conn: Connective) -> Result<Col> {
         same_len(preds)?;
         let all = conn == Connective::And;

@@ -245,10 +245,6 @@ impl<L: EagerLib> GpuBackend for EagerBackend<L> {
         self.slab.take(col.id).map(drop)
     }
 
-    fn selection(&self, col: &Col, cmp: CmpOp, lit: f64) -> Result<Col> {
-        self.selection_multi(&[Pred { col, cmp, lit }], Connective::And)
-    }
-
     fn selection_multi(&self, preds: &[Pred<'_>], conn: Connective) -> Result<Col> {
         let n = same_len(preds)?;
         let ((ids, _), srcs) = select(self.lib.device(), &self.slab, preds, conn)?;

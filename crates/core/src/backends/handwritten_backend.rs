@@ -158,10 +158,6 @@ impl GpuBackend for HandwrittenBackend {
         self.slab.take(col.id).map(drop)
     }
 
-    fn selection(&self, col: &Col, cmp: CmpOp, lit: f64) -> Result<Col> {
-        self.selection_multi(&[Pred { col, cmp, lit }], Connective::And)
-    }
-
     fn selection_multi(&self, preds: &[Pred<'_>], conn: Connective) -> Result<Col> {
         let n = same_len(preds)?;
         // One fused kernel evaluates the whole connective per row.

@@ -121,7 +121,7 @@ pub(crate) fn cmp_selectivity(cmp: CmpOp) -> f64 {
 pub struct StepCost {
     /// Step index in [`PhysicalPlan::steps`].
     pub index: usize,
-    /// Short operator tag (`"selection"`, `"join[Hash]"`, …).
+    /// Short operator tag (`"selection_multi"`, `"join[Hash]"`, …).
     pub op: String,
     /// Estimated output rows (of the widest slot produced).
     pub rows_out: u64,
@@ -559,17 +559,6 @@ impl Walk<'_> {
         let mut dispatch = None;
         // Rows of every slot the step writes.
         let rows_out = match step {
-            Step::Selection { input, cmp, .. } => {
-                let n = self.rows_of(input);
-                let ests = [PredEst {
-                    width: self.width_of(input),
-                    sel: self.sel_of(input, *cmp),
-                    cmp: *cmp,
-                }];
-                let m = n * ests[0].sel;
-                selection_recipe(&mut acc, profile, n, &ests, Connective::And, m);
-                m
-            }
             Step::SelectionMulti { preds, conn, .. } => {
                 let n = preds.first().map_or(0.0, |p| self.rows_of(&p.col));
                 let ests = self.plan_pred_ests(preds);

@@ -72,9 +72,7 @@ pub mod prelude {
     pub use crate::fused::{FusedExpr, FusedPred};
     pub use crate::logical::{AggExpr, ColumnDecl, JoinCol, JoinSide, LogicalPlan, ResultOrder};
     pub use crate::ops::{CmpOp, Connective, DbOperator, JoinAlgo, Support};
-    pub use crate::optimizer::{
-        CostingOptions, FusionPolicy, PassTrace, PlannerOptions, RewriteCert,
-    };
+    pub use crate::optimizer::{CostingOptions, FusionPolicy, PassTrace, PlannerOptions};
     pub use crate::physical::{PhysicalPlan, PlanBindings, PlanOutput, Step};
     pub use crate::plan::{Agg, AggQuery, Bindings, Expr, Predicate, QueryResult};
     pub use crate::resilient::{ResilientBackend, RetryPolicy};

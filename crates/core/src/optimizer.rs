@@ -25,18 +25,16 @@
 //!    `SUM(col · col)` is read off the same candidate as the
 //!    [`Step::FilterSumProduct`] fast path.
 //!
-//! Every decision the pipeline takes is *certified*: [`plan_traced`]
-//! returns the compiled plan plus a [`PassTrace`] per step, each
-//! carrying a [`RewriteCert`] — the before/after trees of a rewrite,
-//! the join algorithm chosen against the backend's legal set, the
-//! costed dispatch, or a fused kernel's lifted expression and
-//! predicate list: the record of why the plan is what it is, pinned by
-//! the `optimizer_traced` and `plan_matrix` goldens.
+//! [`plan_traced`] also returns a [`PassTrace`] per pass and decision:
+//! each rewrite, the join algorithm chosen, the costed dispatch and every
+//! fused kernel's lifted expression, as one note line, formatted only on
+//! the traced path and pinned by the `optimizer_traced` and
+//! `plan_matrix` goldens.
 //!
 //! Adding a pass: write a `fn my_pass(&LogicalPlan) -> LogicalPlan`
 //! rewriting the tree, append it to `PASSES` (which [`optimize`] and
 //! [`optimize_traced`] both walk, so golden tests snapshot its effect
-//! and its certificate), and cover it with a
+//! and its note), and cover it with a
 //! structural unit test here — plans are `PartialEq`.
 
 use crate::backend::{ColType, GpuBackend};
@@ -49,22 +47,21 @@ use crate::plan::{Expr, Predicate};
 use gpu_sim::{Result, SimError};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Pick the best join algorithm `backend` supports: hash beats merge
-/// beats nested loops. `None` when the backend cannot join at all
-/// (ArrayFire, per Table II).
-pub fn best_join(backend: &dyn GpuBackend) -> Option<JoinAlgo> {
-    [JoinAlgo::Hash, JoinAlgo::Merge, JoinAlgo::NestedLoops]
-        .into_iter()
-        .find(|algo| backend.support(algo.operator()) != Support::None)
-}
-
 /// Every join algorithm `backend` supports, in the Table-II preference
-/// order — the candidate set the cost-based planner prices.
+/// order (hash > merge > nested loops): the candidate set the cost-based
+/// planner prices.
 pub(crate) fn supported_joins(backend: &dyn GpuBackend) -> Vec<JoinAlgo> {
     [JoinAlgo::Hash, JoinAlgo::Merge, JoinAlgo::NestedLoops]
         .into_iter()
         .filter(|algo| backend.support(algo.operator()) != Support::None)
         .collect()
+}
+
+/// The best join algorithm `backend` supports, the first in the Table-II
+/// preference order. `None` when the backend cannot join at all
+/// (ArrayFire, per Table II).
+pub fn best_join(backend: &dyn GpuBackend) -> Option<JoinAlgo> {
+    supported_joins(backend).first().copied()
 }
 
 /// Knobs of [`plan_with`].
@@ -150,123 +147,18 @@ pub struct PassTrace {
     /// decision entries (join selection, fused lowerings, costed
     /// dispatch) that leave the logical tree unchanged.
     pub plan: String,
-    /// Machine-checkable certificate for the rewrite this entry records.
-    /// `None` for the `"initial"` snapshot.
-    pub cert: Option<RewriteCert>,
-}
-
-/// A rewrite certificate: enough evidence for an *independent* checker
-/// to re-establish that one planner decision preserved plan semantics.
-///
-/// Every variant names the rule that produced it and carries the
-/// evidence a checker would replay — the before/after trees, the legal
-/// join set, a fused program's logical [`Expr`] — rather than trust the
-/// planner.
-#[derive(Debug, Clone, PartialEq)]
-pub enum RewriteCert {
-    /// A tree-to-tree logical rewrite (predicate pushdown, projection
-    /// pruning): both subtrees are carried so per-node facts — schema,
-    /// dtypes, sortedness, cardinality intervals, predicate atoms —
-    /// can be recomputed on each side and compared.
-    Rewrite {
-        /// Stable rule id, e.g. `"predicate_pushdown"`.
-        rule: &'static str,
-        /// The tree before the pass ran.
-        before: LogicalPlan,
-        /// The tree after the pass ran.
-        after: LogicalPlan,
-    },
-    /// The Table-II join-selection decision: which algorithm was chosen
-    /// for this backend, out of which supported set.
-    JoinSelection {
-        /// Stable rule id, e.g. `"join_selection"`.
-        rule: &'static str,
-        /// Backend the selection was made for.
-        backend: String,
-        /// The algorithm the planner picked.
-        algo: JoinAlgo,
-        /// Every algorithm Table II allows on this backend, in
-        /// preference order.
-        supported: Vec<JoinAlgo>,
-    },
-    /// One fused-kernel lowering (`FilterSumProduct`, `FusedFilterAgg`
-    /// or `FusedMap`): the logical expression chain the fused step
-    /// replaced, plus how each fused input column binds back to it.
-    FusedLowering {
-        /// Stable rule id, e.g. `"fuse_filter_agg"`.
-        rule: &'static str,
-        /// Logical subexpression materialised by each fused input
-        /// column, parallel to the emitted step's input list.
-        bindings: Vec<Expr>,
-        /// Literal filter conjuncts the fused step must apply
-        /// (empty for a pure map).
-        preds: Vec<(String, CmpOp, f64)>,
-        /// The complete logical value expression the fused kernel
-        /// computes per surviving row.
-        expr: Expr,
-    },
-    /// The costed fused-vs-composed / join-algorithm dispatch: which
-    /// candidate won, out of which enumerated set.
-    CostedDispatch {
-        /// Stable rule id, e.g. `"costed_dispatch"`.
-        rule: &'static str,
-        /// Name of the winning candidate.
-        chosen: String,
-        /// Every candidate the coster priced, in enumeration order.
-        candidates: Vec<String>,
-    },
-}
-
-impl RewriteCert {
-    /// The stable rule id this certificate was emitted under.
-    pub fn rule(&self) -> &'static str {
-        match self {
-            RewriteCert::Rewrite { rule, .. }
-            | RewriteCert::JoinSelection { rule, .. }
-            | RewriteCert::FusedLowering { rule, .. }
-            | RewriteCert::CostedDispatch { rule, .. } => rule,
-        }
-    }
-
-    /// One-line human-readable summary (used by the traced golden).
-    pub fn describe(&self) -> String {
-        match self {
-            RewriteCert::Rewrite { rule, .. } => format!("rewrite rule={rule}"),
-            RewriteCert::JoinSelection {
-                backend,
-                algo,
-                supported,
-                ..
-            } => format!("join_selection backend={backend} algo={algo:?} supported={supported:?}"),
-            RewriteCert::FusedLowering {
-                rule,
-                bindings,
-                preds,
-                expr,
-            } => {
-                let binds: Vec<String> = bindings.iter().map(|b| b.to_string()).collect();
-                let preds: Vec<String> = preds
-                    .iter()
-                    .map(|(c, op, lit)| format!("{c} {op:?} {lit}"))
-                    .collect();
-                format!(
-                    "fused_lowering rule={rule} expr={expr} bindings=[{}] preds=[{}]",
-                    binds.join(", "),
-                    preds.join(", ")
-                )
-            }
-            RewriteCert::CostedDispatch {
-                chosen, candidates, ..
-            } => format!("costed_dispatch chosen={chosen} candidates={candidates:?}"),
-        }
-    }
+    /// One line saying what the entry decided: the rewrite rule, the join
+    /// algorithm out of the backend's legal set, the costed winner out of
+    /// its candidates, or a fused kernel's expression, input bindings and
+    /// predicates. `None` for the `"initial"` snapshot.
+    pub note: Option<String>,
 }
 
 /// A rewrite pass: the tree in, the rewritten tree out.
 type Pass = fn(&LogicalPlan) -> LogicalPlan;
 
 /// The rewrite passes, in the order [`optimize`] and [`optimize_traced`]
-/// run them; each name is also its certificate's rule id.
+/// run them; each name is also its note's rule id.
 const PASSES: [(&str, Pass); 2] = [
     ("predicate_pushdown", predicate_pushdown),
     ("projection_pruning", projection_pruning),
@@ -274,33 +166,37 @@ const PASSES: [(&str, Pass); 2] = [
 
 /// Run every rewrite pass in `PASSES` order.
 pub fn optimize(plan: &LogicalPlan) -> LogicalPlan {
-    let [(_, first), rest @ ..] = &PASSES;
-    rest.iter().fold(first(plan), |tree, (_, pass)| pass(&tree))
+    run_passes(plan, None)
 }
 
 /// [`optimize`], returning the rendered tree after each pass for
 /// inspection and golden tests.
 pub fn optimize_traced(plan: &LogicalPlan) -> (LogicalPlan, Vec<PassTrace>) {
-    let mut traces = vec![PassTrace {
-        pass: "initial",
-        plan: plan.render(),
-        cert: None,
-    }];
-    let mut tree = plan.clone();
-    for (rule, pass) in PASSES {
-        let after = pass(&tree);
-        traces.push(PassTrace {
-            pass: rule,
-            plan: after.render(),
-            cert: Some(RewriteCert::Rewrite {
-                rule,
-                before: tree,
-                after: after.clone(),
-            }),
-        });
-        tree = after;
-    }
+    let mut traces = Vec::new();
+    let tree = run_passes(plan, Some(&mut traces));
     (tree, traces)
+}
+
+/// The one body of [`optimize`] and [`optimize_traced`]: with a `trace`,
+/// also render the input and each pass's output.
+fn run_passes(plan: &LogicalPlan, mut trace: Option<&mut Vec<PassTrace>>) -> LogicalPlan {
+    let mut snapshot = |pass, tree: &LogicalPlan| {
+        if let Some(traces) = trace.as_deref_mut() {
+            traces.push(PassTrace {
+                pass,
+                plan: tree.render(),
+                note: (pass != "initial").then(|| format!("rewrite rule={pass}")),
+            });
+        }
+    };
+    snapshot("initial", plan);
+    let mut tree: Option<LogicalPlan> = None;
+    for (rule, pass) in PASSES {
+        let after = pass(tree.as_ref().unwrap_or(plan));
+        snapshot(rule, &after);
+        tree = Some(after);
+    }
+    tree.expect("PASSES is not empty")
 }
 
 /// Sink filter conjuncts as close to their scans as possible.
@@ -571,9 +467,9 @@ pub fn plan_with(
 }
 
 /// [`plan_with`], additionally returning the full rewrite trace: the
-/// `optimize_traced` pass snapshots plus one certificate-bearing entry
-/// per planner decision — join selection, each fused-kernel lowering,
-/// and (on the costed path) the fused-vs-composed dispatch. The
+/// `optimize_traced` pass snapshots plus one noted entry per planner
+/// decision — join selection, each fused-kernel lowering, and (on the
+/// costed path) the fused-vs-composed dispatch. The
 /// compiled [`PhysicalPlan`] is byte-identical to [`plan_with`]'s.
 pub fn plan_traced(
     query: &str,
@@ -593,9 +489,9 @@ pub fn plan_traced(
 /// options' [`FusionPolicy`] — so it neither prices nor names anything.
 /// Costed planning enumerates every supported join algorithm × {fused,
 /// composed}, prices each against the [`CostModel`] and attaches the
-/// winner's report. Without a `trace` the rewrite passes run through
-/// [`optimize`], which renders no trees — planning an overhead-bound
-/// query must not pay for snapshots nobody reads.
+/// winner's report. Without a `trace` nothing is rendered or noted —
+/// planning an overhead-bound query must not pay for snapshots nobody
+/// reads.
 fn plan_impl(
     query: &str,
     logical: &LogicalPlan,
@@ -603,14 +499,7 @@ fn plan_impl(
     opts: &PlannerOptions,
     mut trace: Option<&mut Vec<PassTrace>>,
 ) -> Result<PhysicalPlan> {
-    let optimized = match trace.as_deref_mut() {
-        Some(traces) => {
-            let (optimized, passes) = optimize_traced(logical);
-            traces.extend(passes);
-            optimized
-        }
-        None => optimize(logical),
-    };
+    let optimized = run_passes(logical, trace.as_deref_mut());
     let model = opts
         .costing
         .as_ref()
@@ -647,14 +536,15 @@ fn plan_impl(
         report: Option<CostReport>,
         total: u64,
         idx: usize,
-        certs: Vec<RewriteCert>,
+        notes: Vec<String>,
         algo: Option<JoinAlgo>,
     }
     let mut best: Option<Best> = None;
     let mut alternatives = Vec::new();
+    let traced = trace.is_some();
     for &algo in &algos {
         for &(tag, dispatch) in &dispatches {
-            let (plan, certs) = lower_collect(query, &optimized, backend, dispatch, algo)?;
+            let (plan, notes) = lower_collect(query, &optimized, backend, dispatch, algo, traced)?;
             let report = model.as_ref().map(|m| m.cost_plan(&plan));
             let total = report.as_ref().map_or(0, CostReport::cold_ns);
             if let Some(r) = &report {
@@ -674,7 +564,7 @@ fn plan_impl(
                     report,
                     total,
                     idx: alternatives.len().saturating_sub(1),
-                    certs,
+                    notes,
                     algo,
                 });
             }
@@ -684,40 +574,35 @@ fn plan_impl(
         mut plan,
         report,
         idx: chosen,
-        certs,
+        notes,
         algo,
         ..
     } = best.expect("at least one candidate");
     if let Some(traces) = trace {
-        if report.is_some() {
+        let mut decision = |pass, note| {
             traces.push(PassTrace {
-                pass: "costed_dispatch",
+                pass,
                 plan: String::new(),
-                cert: Some(RewriteCert::CostedDispatch {
-                    rule: "costed_dispatch",
-                    chosen: alternatives[chosen].name.clone(),
-                    candidates: alternatives.iter().map(|a| a.name.clone()).collect(),
-                }),
-            });
+                note: Some(note),
+            })
+        };
+        if report.is_some() {
+            let candidates: Vec<&str> = alternatives.iter().map(|a| a.name.as_str()).collect();
+            let chosen = &alternatives[chosen].name;
+            decision(
+                "costed_dispatch",
+                format!("costed_dispatch chosen={chosen} candidates={candidates:?}"),
+            );
         }
         if let Some(algo) = algo {
-            traces.push(PassTrace {
-                pass: "join_selection",
-                plan: String::new(),
-                cert: Some(RewriteCert::JoinSelection {
-                    rule: "join_selection",
-                    backend: backend.name().to_string(),
-                    algo,
-                    supported: supported_joins(backend),
-                }),
-            });
+            let (name, supported) = (backend.name(), supported_joins(backend));
+            decision(
+                "join_selection",
+                format!("join_selection backend={name} algo={algo:?} supported={supported:?}"),
+            );
         }
-        for cert in certs {
-            traces.push(PassTrace {
-                pass: "fused_lowering",
-                plan: String::new(),
-                cert: Some(cert),
-            });
+        for note in notes {
+            decision("fused_lowering", note);
         }
     }
     if let Some(mut report) = report {
@@ -746,20 +631,21 @@ pub fn plan_with_algo(
         )));
     }
     let optimized = optimize(logical);
-    lower_collect(query, &optimized, backend, opts.fusion, Some(algo)).map(|(plan, _)| plan)
+    lower_collect(query, &optimized, backend, opts.fusion, Some(algo), false).map(|(plan, _)| plan)
 }
 
 /// Lower `optimized` for `backend` with `join_algo` already selected and
-/// the fusion policy fixed — one planning candidate. Also
-/// returns the [`RewriteCert`]s the lowering emitted (one per fused
-/// kernel, in emission order).
+/// the fusion policy fixed — one planning candidate. When `traced`, also
+/// returns the note of each fused kernel the lowering emitted, in
+/// emission order.
 fn lower_collect(
     query: &str,
     optimized: &LogicalPlan,
     backend: &dyn GpuBackend,
     fusion: FusionPolicy,
     join_algo: Option<JoinAlgo>,
-) -> Result<(PhysicalPlan, Vec<RewriteCert>)> {
+    traced: bool,
+) -> Result<(PhysicalPlan, Vec<String>)> {
     let mut lw = Lowerer {
         backend,
         fusion: fusion.threshold,
@@ -772,7 +658,7 @@ fn lower_collect(
         outputs: Vec::new(),
         base: BTreeMap::new(),
         rel_cache: Vec::new(),
-        certs: Vec::new(),
+        notes: traced.then(Vec::new),
     };
     lw.lower_root(optimized)?;
     let plan = PhysicalPlan {
@@ -787,7 +673,7 @@ fn lower_collect(
         base: lw.base,
         cost: None,
     };
-    Ok((plan, lw.certs))
+    Ok((plan, lw.notes.unwrap_or_default()))
 }
 
 /// A lowered relation: how the rows of a logical subtree exist on the
@@ -892,24 +778,31 @@ impl Scope<'_> {
 }
 
 /// A fused step's input columns, deduplicated so a column uploads into
-/// the kernel once. `binds` stays parallel to `cols`: the logical
-/// subexpression each input materialises, the witness the
-/// [`RewriteCert::FusedLowering`] certificate carries, so the fused
-/// program can be read back as the [`Expr`] it computes.
-#[derive(Default)]
+/// the kernel once. On a traced lowering `binds` stays parallel to
+/// `cols`: the logical subexpression each input materialises, rendered
+/// for the fused lowering's note.
 struct FusedInputs {
     cols: Vec<ColRef>,
-    binds: Vec<Expr>,
+    binds: Option<Vec<String>>,
 }
 
 impl FusedInputs {
+    fn new(traced: bool) -> Self {
+        FusedInputs {
+            cols: Vec::new(),
+            binds: traced.then(Vec::new),
+        }
+    }
+
     /// Index of `r` in the input list, appending it on first use.
-    fn leaf(&mut self, r: ColRef, bind: &Expr) -> usize {
+    fn leaf(&mut self, r: ColRef, bind: &dyn std::fmt::Display) -> usize {
         if let Some(i) = self.cols.iter().position(|x| *x == r) {
             i
         } else {
             self.cols.push(r);
-            self.binds.push(bind.clone());
+            if let Some(binds) = &mut self.binds {
+                binds.push(bind.to_string());
+            }
             self.cols.len() - 1
         }
     }
@@ -917,6 +810,7 @@ impl FusedInputs {
 
 /// Expression-lowering context: the subexpression cache plus the
 /// eager-free bookkeeping for scalar aggregates.
+#[derive(Default)]
 struct ExprCtx {
     cache: Vec<(Expr, ColRef)>,
     /// Grouped mode caches every composite result; scalar mode caches
@@ -935,21 +829,15 @@ struct ExprCtx {
 impl ExprCtx {
     fn grouped() -> Self {
         ExprCtx {
-            cache: Vec::new(),
             cache_all: true,
-            shared: Vec::new(),
-            defer_depth: 0,
-            deferred: Vec::new(),
+            ..ExprCtx::default()
         }
     }
 
     fn scalar(shared: Vec<Expr>) -> Self {
         ExprCtx {
-            cache: Vec::new(),
-            cache_all: false,
             shared,
-            defer_depth: 0,
-            deferred: Vec::new(),
+            ..ExprCtx::default()
         }
     }
 
@@ -977,13 +865,26 @@ struct Lowerer<'a> {
     /// Structural CSE: identical logical subtrees lower once (Q5 shares
     /// the region-filtered nations between two joins).
     rel_cache: Vec<(LogicalPlan, Rel)>,
-    /// Rewrite certificates emitted while lowering (one per fused
-    /// kernel), in step-emission order.
-    certs: Vec<RewriteCert>,
+    /// On a traced lowering, one note per fused kernel, in
+    /// step-emission order.
+    notes: Option<Vec<String>>,
 }
 
 fn unknown(name: &str) -> SimError {
     SimError::Unsupported(format!("unknown plan column `{name}`"))
+}
+
+/// The named entries of `cols` a projection keeps, in `names` order.
+fn keep<T: Clone>(cols: &[(String, T)], names: &[String]) -> Result<Vec<(String, T)>> {
+    names
+        .iter()
+        .map(|name| {
+            cols.iter()
+                .find(|(n, _)| n == name)
+                .cloned()
+                .ok_or_else(|| unknown(name))
+        })
+        .collect()
 }
 
 /// Unqualified tail of a column name, for slot labels.
@@ -1008,6 +909,31 @@ impl Lowerer<'_> {
     fn emit(&mut self, step: Step, how: String) {
         self.steps.push(step);
         self.realize.push(how);
+    }
+
+    /// Note a fused kernel's lowering: its logical expression, the
+    /// subexpression each of `fin`'s `inputs` binds and its literal filter
+    /// conjuncts. Only a traced lowering formats anything.
+    fn note_fused(
+        &mut self,
+        rule: &str,
+        expr: &Expr,
+        fin: &FusedInputs,
+        inputs: impl IntoIterator<Item = usize>,
+        preds: &[(String, CmpOp, f64)],
+    ) {
+        if let (Some(notes), Some(binds)) = (&mut self.notes, &fin.binds) {
+            let binds: Vec<&str> = inputs.into_iter().map(|i| binds[i].as_str()).collect();
+            let preds: Vec<String> = preds
+                .iter()
+                .map(|(c, op, lit)| format!("{c} {op:?} {lit}"))
+                .collect();
+            notes.push(format!(
+                "fused_lowering rule={rule} expr={expr} bindings=[{}] preds=[{}]",
+                binds.join(", "),
+                preds.join(", ")
+            ));
+        }
     }
 
     fn device(dtype: ColType) -> SlotKind {
@@ -1218,12 +1144,12 @@ impl Lowerer<'_> {
             if self.fusable_ops(e, &scope, &ctx).is_none_or(|p| p.konst) {
                 return Ok(None);
             }
-            let mut fin = FusedInputs::default();
+            let mut fin = FusedInputs::new(self.notes.is_some());
             let preds: Vec<FusedPred> = cmps
                 .iter()
                 .zip(&pred_cols)
                 .map(|((c, cmp, lit), r)| FusedPred {
-                    input: fin.leaf(r.clone(), &Expr::Col(c.clone())),
+                    input: fin.leaf(r.clone(), c),
                     cmp: *cmp,
                     lit: *lit,
                 })
@@ -1247,12 +1173,7 @@ impl Lowerer<'_> {
             };
             self.fused = true;
             let out = self.new_slot(name, SlotKind::Scalar);
-            self.certs.push(RewriteCert::FusedLowering {
-                rule: "fuse_filter_sum_product",
-                bindings: vec![fin.binds[*a].clone(), fin.binds[*b].clone()],
-                preds: cmps,
-                expr: (*e).clone(),
-            });
+            self.note_fused("fuse_filter_sum_product", e, fin, [*a, *b], &cmps);
             let preds = preds
                 .iter()
                 .map(|p| PlanPred {
@@ -1269,12 +1190,7 @@ impl Lowerer<'_> {
         let mut outs = Vec::new();
         for (name, fin, preds, expr, e) in built {
             let out = self.new_slot(name, SlotKind::Scalar);
-            self.certs.push(RewriteCert::FusedLowering {
-                rule: "fuse_filter_agg",
-                bindings: fin.binds,
-                preds: cmps.clone(),
-                expr: e.clone(),
-            });
+            self.note_fused("fuse_filter_agg", e, &fin, 0..fin.cols.len(), &cmps);
             let step = Step::FusedFilterAgg {
                 inputs: fin.cols,
                 preds,
@@ -1353,9 +1269,7 @@ impl Lowerer<'_> {
             }
             Expr::Mask(name, cmp, lit) => match scope.get(name) {
                 Some(r) if !ctx.shared.contains(e) => Ok(Val::Ref(FusedExpr::Mask {
-                    input: Box::new(FusedExpr::Col(
-                        fin.leaf(r.clone(), &Expr::Col(name.clone())),
-                    )),
+                    input: Box::new(FusedExpr::Col(fin.leaf(r.clone(), name))),
                     cmp: *cmp,
                     lit: *lit,
                 })),
@@ -1422,16 +1336,11 @@ impl Lowerer<'_> {
         scope: &Scope,
         ctx: &mut ExprCtx,
     ) -> Result<ColRef> {
-        let mut fin = FusedInputs::default();
+        let mut fin = FusedInputs::new(self.notes.is_some());
         let Val::Ref(expr) = self.build_fused(whole, scope, ctx, &mut fin)? else {
             unreachable!("the fusion probe rejects constant expressions")
         };
-        self.certs.push(RewriteCert::FusedLowering {
-            rule: "fuse_map",
-            bindings: fin.binds,
-            preds: Vec::new(),
-            expr: whole.clone(),
-        });
+        self.note_fused("fuse_map", whole, &fin, 0..fin.cols.len(), &[]);
         let inputs = fin.cols;
         let r = self.emit_expr_slot(
             "fused",
@@ -1485,30 +1394,11 @@ impl Lowerer<'_> {
                         }
                         Rel::Mat { cols, join: None }
                     }
-                    Rel::Base(cols) => {
-                        let kept: Vec<(String, ColType)> = columns
-                            .iter()
-                            .map(|name| {
-                                cols.iter()
-                                    .find(|(n, _)| n == name)
-                                    .cloned()
-                                    .ok_or_else(|| unknown(name))
-                            })
-                            .collect::<Result<_>>()?;
-                        Rel::Base(kept)
-                    }
-                    Rel::Mat { cols, join } => {
-                        let kept: Vec<(String, usize)> = columns
-                            .iter()
-                            .map(|name| {
-                                cols.iter()
-                                    .find(|(n, _)| n == name)
-                                    .cloned()
-                                    .ok_or_else(|| unknown(name))
-                            })
-                            .collect::<Result<_>>()?;
-                        Rel::Mat { cols: kept, join }
-                    }
+                    Rel::Base(cols) => Rel::Base(keep(&cols, columns)?),
+                    Rel::Mat { cols, join } => Rel::Mat {
+                        cols: keep(&cols, columns)?,
+                        join,
+                    },
                 }
             }
             LogicalPlan::Join { .. } => self.lower_join(plan)?,
@@ -1523,66 +1413,61 @@ impl Lowerer<'_> {
     }
 
     fn lower_filter(&mut self, rel: &Rel, pred: &Predicate) -> Result<usize> {
-        match pred {
-            Predicate::Cmp(col, cmp, lit) => {
-                let (input, _) = self.rel_ref(rel, col)?;
-                let out = self.new_slot("ids", Self::device(ColType::U32));
-                let how = self.how(DbOperator::Selection);
-                self.emit(
-                    Step::Selection {
-                        input,
+        if let Predicate::ColCmp(a, cmp, b) = pred {
+            let (ra, _) = self.rel_ref(rel, a)?;
+            let (rb, _) = self.rel_ref(rel, b)?;
+            let out = self.new_slot("ids", Self::device(ColType::U32));
+            let how = self.how(DbOperator::Selection);
+            self.emit(
+                Step::SelectionCmpCols {
+                    a: ra,
+                    b: rb,
+                    cmp: *cmp,
+                    out,
+                },
+                how,
+            );
+            return Ok(out);
+        }
+        // A lone literal comparison is a one-predicate conjunction: the
+        // same backend call, realised as Table II's selection.
+        let (parts, conn, op) = match pred {
+            Predicate::And(parts) => (
+                &parts[..],
+                Connective::And,
+                DbOperator::ConjunctionDisjunction,
+            ),
+            Predicate::Or(parts) => (
+                &parts[..],
+                Connective::Or,
+                DbOperator::ConjunctionDisjunction,
+            ),
+            _ => (
+                std::slice::from_ref(pred),
+                Connective::And,
+                DbOperator::Selection,
+            ),
+        };
+        let preds: Vec<PlanPred> = parts
+            .iter()
+            .map(|p| match p {
+                Predicate::Cmp(c, cmp, lit) => {
+                    let (col, _) = self.rel_ref(rel, c)?;
+                    Ok(PlanPred {
+                        col,
                         cmp: *cmp,
                         lit: *lit,
-                        out,
-                    },
-                    how,
-                );
-                Ok(out)
-            }
-            Predicate::ColCmp(a, cmp, b) => {
-                let (ra, _) = self.rel_ref(rel, a)?;
-                let (rb, _) = self.rel_ref(rel, b)?;
-                let out = self.new_slot("ids", Self::device(ColType::U32));
-                let how = self.how(DbOperator::Selection);
-                self.emit(
-                    Step::SelectionCmpCols {
-                        a: ra,
-                        b: rb,
-                        cmp: *cmp,
-                        out,
-                    },
-                    how,
-                );
-                Ok(out)
-            }
-            Predicate::And(parts) | Predicate::Or(parts) => {
-                let conn = if matches!(pred, Predicate::And(_)) {
-                    Connective::And
-                } else {
-                    Connective::Or
-                };
-                let preds: Vec<PlanPred> = parts
-                    .iter()
-                    .map(|p| match p {
-                        Predicate::Cmp(c, cmp, lit) => {
-                            let (col, _) = self.rel_ref(rel, c)?;
-                            Ok(PlanPred {
-                                col,
-                                cmp: *cmp,
-                                lit: *lit,
-                            })
-                        }
-                        _ => Err(SimError::Unsupported(
-                            "only literal comparisons compose under AND/OR in a plan filter".into(),
-                        )),
                     })
-                    .collect::<Result<_>>()?;
-                let out = self.new_slot("ids", Self::device(ColType::U32));
-                let how = self.how(DbOperator::ConjunctionDisjunction);
-                self.emit(Step::SelectionMulti { preds, conn, out }, how);
-                Ok(out)
-            }
-        }
+                }
+                _ => Err(SimError::Unsupported(
+                    "only literal comparisons compose under AND/OR in a plan filter".into(),
+                )),
+            })
+            .collect::<Result<_>>()?;
+        let out = self.new_slot("ids", Self::device(ColType::U32));
+        let how = self.how(op);
+        self.emit(Step::SelectionMulti { preds, conn, out }, how);
+        Ok(out)
     }
 
     fn lower_join(&mut self, plan: &LogicalPlan) -> Result<Rel> {

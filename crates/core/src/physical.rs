@@ -85,22 +85,13 @@ pub struct PlanPred {
 
 /// One backend call (or host sort) of a [`PhysicalPlan`].
 ///
-/// Each variant maps 1:1 onto a [`crate::backend::GpuBackend`] method;
+/// Each variant maps 1:1 onto a required [`crate::backend::GpuBackend`]
+/// method (`selection` is sugar for a one-predicate `selection_multi`);
 /// `out*` fields name the slot(s) the result is stored in.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Step {
-    /// `selection(input, cmp, lit)` → sorted row-id column.
-    Selection {
-        /// Filtered column.
-        input: ColRef,
-        /// Comparison operator.
-        cmp: CmpOp,
-        /// Literal right-hand side.
-        lit: f64,
-        /// Output slot (`u32` row ids).
-        out: usize,
-    },
-    /// `selection_multi(preds, conn)` → sorted row-id column.
+    /// `selection_multi(preds, conn)` → sorted row-id column (a single
+    /// literal comparison is a one-predicate `And`).
     SelectionMulti {
         /// Literal comparisons, in declaration order.
         preds: Vec<PlanPred>,
@@ -327,8 +318,7 @@ impl Step {
     pub fn reads(&self) -> Vec<StepRead<'_>> {
         let col = StepRead::new;
         match self {
-            Step::Selection { input, .. }
-            | Step::DenseMask { input, .. }
+            Step::DenseMask { input, .. }
             | Step::Affine { input, .. }
             | Step::Reduce { input, .. }
             | Step::DownloadU32 { input, .. }
@@ -367,7 +357,7 @@ impl Step {
         outs.into_iter().flatten().chain(cosorted.iter().copied())
     }
 
-    /// Short operator tag (`"selection"`, `"join[Hash]"`, …): what cost
+    /// Short operator tag (`"selection_multi"`, `"join[Hash]"`, …): what cost
     /// reports and lint diagnostics call the step.
     pub fn label(&self) -> &'static str {
         self.decl().0
@@ -384,7 +374,6 @@ impl Step {
         use RowShape::*;
         let one = |out: &usize| [Some(*out), None];
         match self {
-            Step::Selection { out, .. } => ("selection", Select, one(out)),
             Step::SelectionMulti { out, .. } => ("selection_multi", Select, one(out)),
             Step::SelectionCmpCols { out, .. } => ("selection_cmp_cols", Select, one(out)),
             Step::Gather { out, .. } => ("gather", Gather, one(out)),
@@ -640,14 +629,6 @@ impl PhysicalPlan {
         );
         for (ix, (step, how)) in self.steps.iter().zip(&self.realize).enumerate() {
             let text = match step {
-                Step::Selection {
-                    input,
-                    cmp,
-                    lit,
-                    out,
-                } => {
-                    format!("%{out} = selection({} {cmp:?} {lit})", self.fmt_ref(input))
-                }
                 Step::SelectionMulti { preds, conn, out } => format!(
                     "%{out} = selection_multi({}; {conn:?})",
                     self.fmt_preds(preds)
@@ -838,16 +819,6 @@ impl PhysicalPlan {
         {
             let step = &self.steps[ix];
             match step {
-                Step::Selection {
-                    input,
-                    cmp,
-                    lit,
-                    out,
-                } => {
-                    let c = resolve(store, input)?;
-                    let r = backend.selection(&c, *cmp, *lit)?;
-                    store[*out] = Some(SlotVal::Col(r));
-                }
                 Step::SelectionMulti { preds, conn, out } => {
                     let cols: Vec<Col> = preds
                         .iter()

@@ -16,8 +16,7 @@ use std::collections::BTreeSet;
 
 /// Every label [`Step::label`] returns — one per variant, a join once
 /// per algorithm.
-const EVERY_LABEL: [&str; 20] = [
-    "selection",
+const EVERY_LABEL: [&str; 19] = [
     "selection_multi",
     "selection_cmp_cols",
     "gather",
@@ -44,27 +43,26 @@ const EVERY_LABEL: [&str; 20] = [
 /// the test fails until some plan below emits it.
 fn variant(step: &Step) -> usize {
     match step {
-        Step::Selection { .. } => 0,
-        Step::SelectionMulti { .. } => 1,
-        Step::SelectionCmpCols { .. } => 2,
-        Step::Gather { .. } => 3,
-        Step::Affine { .. } => 4,
-        Step::Product { .. } => 5,
-        Step::DenseMask { .. } => 6,
-        Step::ConstantOnes { .. } => 7,
-        Step::Join { .. } => 8,
-        Step::GroupedSum { .. } => 9,
-        Step::Reduce { .. } => 10,
-        Step::FilterSumProduct { .. } => 11,
-        Step::FusedMap { .. } => 12,
-        Step::FusedFilterAgg { .. } => 13,
-        Step::DownloadU32 { .. } => 14,
-        Step::DownloadF64 { .. } => 15,
-        Step::HostSort { .. } => 16,
-        Step::Free { .. } => 17,
+        Step::SelectionMulti { .. } => 0,
+        Step::SelectionCmpCols { .. } => 1,
+        Step::Gather { .. } => 2,
+        Step::Affine { .. } => 3,
+        Step::Product { .. } => 4,
+        Step::DenseMask { .. } => 5,
+        Step::ConstantOnes { .. } => 6,
+        Step::Join { .. } => 7,
+        Step::GroupedSum { .. } => 8,
+        Step::Reduce { .. } => 9,
+        Step::FilterSumProduct { .. } => 10,
+        Step::FusedMap { .. } => 11,
+        Step::FusedFilterAgg { .. } => 12,
+        Step::DownloadU32 { .. } => 13,
+        Step::DownloadF64 { .. } => 14,
+        Step::HostSort { .. } => 15,
+        Step::Free { .. } => 16,
     }
 }
-const VARIANTS: usize = 18;
+const VARIANTS: usize = 17;
 
 /// What a slot holds, comparable across a step: a device column by its
 /// (never reused) handle, host values by their bits.

@@ -59,8 +59,8 @@ fn pass_traces_and_explains_match_the_golden_file() {
     );
 }
 
-/// Render every `plan_traced` trace entry as `pass: certificate` — the
-/// full rewrite-certificate stream, covering a
+/// Render every `plan_traced` trace entry as `pass: note` — the full
+/// decision-note stream, covering a
 /// join-selection decision (Q3 heuristic), both fused-lowering shapes
 /// (Q6 heuristic fast path, Q6 general fusion), and a costed
 /// fused-vs-composed dispatch (Q6 costing).
@@ -107,17 +107,15 @@ fn traced_snapshot() -> String {
         let (_, traces) = optimizer::plan_traced(q, plan, b, opts).unwrap();
         doc.push_str(&format!("==== {title} ====\n"));
         for t in &traces {
-            match &t.cert {
-                Some(c) => doc.push_str(&format!("{}: {}\n", t.pass, c.describe())),
-                None => doc.push_str(&format!("{}: (no certificate)\n", t.pass)),
-            }
+            let note = t.note.as_deref().unwrap_or("(no certificate)");
+            doc.push_str(&format!("{}: {note}\n", t.pass));
         }
     }
     doc
 }
 
 #[test]
-fn rewrite_certificates_match_the_golden_trace_file() {
+fn trace_notes_match_the_golden_trace_file() {
     let got = traced_snapshot();
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
@@ -130,7 +128,7 @@ fn rewrite_certificates_match_the_golden_trace_file() {
     let want = std::fs::read_to_string(path).expect("golden file; UPDATE_GOLDEN=1 to create");
     assert_eq!(
         got, want,
-        "rewrite certificates drifted from tests/golden/optimizer_traced.txt"
+        "trace notes drifted from tests/golden/optimizer_traced.txt"
     );
 }
 

@@ -3,11 +3,11 @@
 //! general fusion, costing on the paper device with default table
 //! stats).
 //!
-//! Each entry lists every `plan_traced` pass with its certificate, then
-//! the compiled plan's `explain()` (which renders the cost report when
-//! the plan was costed). A planning error is recorded as its message.
-//! Any change to an emitted step, slot label, `Free` placement,
-//! certificate or error text shows up here — regenerate with
+//! Each entry lists every `plan_traced` pass with its note, then the
+//! compiled plan's `explain()` (which renders the cost report when the
+//! plan was costed), which must equal the untraced `plan_with`'s. A
+//! planning error is recorded as its message. Any change to an emitted
+//! step, slot label, `Free` placement, note or error text shows up here — regenerate with
 //! `UPDATE_GOLDEN=1 cargo test -p tpch --test plan_matrix` only when a
 //! planner decision is meant to change.
 
@@ -46,18 +46,30 @@ fn snapshot() -> String {
         for (mode, opts) in modes() {
             for b in fw.backends() {
                 doc.push_str(&format!("==== {q} / {mode} / {} ====\n", b.name()));
-                match optimizer::plan_traced(q, &logical(), b.as_ref(), &opts) {
-                    Ok((plan, traces)) => {
+                let traced = optimizer::plan_traced(q, &logical(), b.as_ref(), &opts);
+                // Tracing only records: the untraced planner compiles the
+                // same plan, or fails the same way.
+                let untraced = optimizer::plan_with(q, &logical(), b.as_ref(), &opts);
+                let heading = format!("{q} / {mode} / {}", b.name());
+                match (traced, untraced) {
+                    (Ok((plan, traces)), Ok(same)) => {
+                        assert_eq!(plan.explain(), same.explain(), "{heading}");
                         for t in &traces {
-                            match &t.cert {
-                                Some(c) => doc.push_str(&format!("{}: {}\n", t.pass, c.describe())),
-                                None => doc.push_str(&format!("{}: (no certificate)\n", t.pass)),
-                            }
+                            let note = t.note.as_deref().unwrap_or("(no certificate)");
+                            doc.push_str(&format!("{}: {note}\n", t.pass));
                         }
                         doc.push_str(&plan.explain());
                         doc.push('\n');
                     }
-                    Err(e) => doc.push_str(&format!("error: {e}\n")),
+                    (Err(e), Err(same)) => {
+                        assert_eq!(e.to_string(), same.to_string(), "{heading}");
+                        doc.push_str(&format!("error: {e}\n"));
+                    }
+                    (traced, untraced) => panic!(
+                        "{heading}: traced {:?} but untraced {:?}",
+                        traced.err(),
+                        untraced.err()
+                    ),
                 }
             }
         }
