@@ -5,6 +5,8 @@
 #   unsafe DIR...  lines of the .rs files under DIR... that name `unsafe`,
 #                  not counting `//` comment lines
 #   bytes FILE     the size of FILE
+#   files REGEX DIR...  the number of .rs files under DIR... with a line
+#                  that matches the extended REGEX
 # The gate fails when a value is over its ceiling (raising a ceiling needs a
 # CHANGES.md line that says why), and when a ceiling is looser than its value
 # by more than SLACK_PCT percent, so a deletion must tighten it.
@@ -20,13 +22,14 @@ SLACK_PCT=2
 nontest() { awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"; }
 unsafe() { find "$@" -name '*.rs' -exec cat {} + | grep -E '\bunsafe\b' | grep -cvE '^\s*//' || true; }
 bytes() { wc -c <"$1" | tr -d ' '; }
+files() { find "${@:2}" -name '*.rs' -exec grep -lE "$1" {} + | wc -l || true; }
 
 # measure <how>: the value of one budget line.
 measure() {
   local args
   read -ra args <<<"$1"
   case ${args[0]} in
-    nontest | unsafe | bytes) "${args[@]}" ;;
+    nontest | unsafe | bytes | files) "${args[@]}" ;;
     *) echo "budget.sh: unknown measure '${args[0]}' in $budget" >&2; exit 2 ;;
   esac
 }
@@ -51,7 +54,7 @@ if [ "${1:-}" = --print ]; then
   done < <(rows)
   exit 0
 fi
-[ $# -eq 0 ] || { sed -n '2,14p' "$0" >&2; exit 2; }
+[ $# -eq 0 ] || { sed -n '2,16p' "$0" >&2; exit 2; }
 
 fail=0
 while IFS=$'\t' read -r metric ceiling how; do

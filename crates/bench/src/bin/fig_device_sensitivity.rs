@@ -7,6 +7,8 @@ use bench::experiments::run_serial;
 use bench::grid::GridConfig;
 use proto_core::framework::Framework;
 use proto_core::runner::{fmt_duration, Experiment};
+use proto_core::workload::cache::Pin;
+use std::sync::Arc;
 
 fn main() {
     bench::report::parse_args("fig_device_sensitivity", &[]);
@@ -21,15 +23,18 @@ fn main() {
         ..GridConfig::default()
     };
     println!("## E16 — backend ordering across device presets\n");
-    for spec in presets {
-        let fw = Framework::with_all_backends(&spec);
-        let sel = run_serial("E3", &fw, &point).remove(0);
-        let agg = run_serial("E6", &fw, &point).remove(0);
-        println!("{}:", spec.name);
-        print_ranking("selection ranking:   ", &sel, 1 << 20);
-        print_ranking("grouped-sum ranking: ", &agg, 64);
-        println!();
-    }
+    // One pin across the presets: each point's columns are generated once.
+    Arc::new(Pin::default()).scope(|| {
+        for spec in presets {
+            let fw = Framework::with_all_backends(&spec);
+            let sel = run_serial("E3", &fw, &point).remove(0);
+            let agg = run_serial("E6", &fw, &point).remove(0);
+            println!("{}:", spec.name);
+            print_ranking("selection ranking:   ", &sel, 1 << 20);
+            print_ranking("grouped-sum ranking: ", &agg, 64);
+            println!();
+        }
+    });
     println!(
         "The handwritten backend leads and Boost.Compute trails on every\n\
          preset: the paper's conclusions are not an artefact of one card."

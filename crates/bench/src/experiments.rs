@@ -47,6 +47,7 @@ use proto_core::framework::Framework;
 use proto_core::ops::Connective;
 use proto_core::resilient::RetryPolicy;
 use proto_core::runner::{Experiment, Sample};
+use proto_core::workload::cache::Pin;
 use tpch::queries::{q1::Q1, q6::Q6};
 
 use crate::grid::GridConfig;
@@ -733,25 +734,24 @@ pub(crate) fn emitting_row(id: &str) -> (usize, &'static Row) {
 
 /// Run experiment `id` (see [`EXPERIMENTS`]) by itself: its lane cells
 /// on `fw`'s backends, one after the other, its other cells on fresh
-/// paper devices. Returns what the row emits (five experiments for
-/// `"E7"`, four for `"E12"`, one otherwise).
+/// paper devices, all under one cache [`Pin`]: each column is generated
+/// once per call (once across calls inside an outer pin).
+/// Returns what the row emits (five experiments for `"E7"`, four for
+/// `"E12"`, one otherwise).
 ///
 /// # Panics
 /// On an unknown id, or when `fw` lacks a backend the row runs on.
 pub fn run_serial(id: &str, fw: &Framework, cfg: &GridConfig) -> Vec<Experiment> {
     let (_, row) = emitting_row(id);
     let cfg = Arc::new(cfg.clone());
-    let outs = row
-        .cells(&cfg)
-        .into_iter()
-        .map(|cell| {
-            let lane = cell.lane().map(|name| {
-                fw.backend(name)
-                    .unwrap_or_else(|| panic!("{id} runs on {name}, which `fw` lacks"))
-            });
-            cell.run(lane, false).0
-        })
-        .collect();
+    let cells = row.cells(&cfg).into_iter().map(|cell| {
+        let lane = cell.lane().map(|name| {
+            fw.backend(name)
+                .unwrap_or_else(|| panic!("{id} runs on {name}, which `fw` lacks"))
+        });
+        cell.run(lane, false).0
+    });
+    let outs = Arc::new(Pin::default()).scope(|| cells.collect());
     row.assemble(&cfg, outs)
 }
 

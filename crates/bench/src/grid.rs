@@ -28,6 +28,7 @@
 use proto_core::backend::GpuBackend;
 use proto_core::backends::PAPER_BACKENDS;
 use proto_core::framework::Framework;
+use proto_core::workload::cache::Pin;
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
@@ -168,8 +169,9 @@ struct Slot {
 struct Lane {
     /// The lane's backend; `None` for a fresh cell.
     backend: Option<Box<dyn GpuBackend>>,
-    /// The cells still to run, each with the index of its [`Slot`].
-    cells: VecDeque<(usize, Cell)>,
+    /// The cells still to run, each with the index of its [`Slot`] and its
+    /// row's pin, which every cell of the row holds until it has run.
+    cells: VecDeque<(usize, Cell, Arc<Pin>)>,
 }
 
 /// Every cell of the experiment [`TABLE`], as slots in canonical cell
@@ -181,6 +183,7 @@ fn build(cfg: &Arc<GridConfig>) -> (Vec<Slot>, Vec<Lane>) {
     let mut queues = PAPER_BACKENDS.map(|_| Vec::new());
     let mut fresh = Vec::new();
     for (row, r) in execution_order() {
+        let pin = Arc::new(Pin::default());
         for (index, cell) in r.cells(cfg).into_iter().enumerate() {
             let label = format!("{}/{}", r.section, cell.label);
             let queue = match cell.lane() {
@@ -190,18 +193,18 @@ fn build(cfg: &Arc<GridConfig>) -> (Vec<Slot>, Vec<Lane>) {
                 }
                 None => &mut fresh,
             };
-            queue.push((Slot { label, row, index }, cell));
+            queue.push((Slot { label, row, index }, cell, pin.clone()));
         }
     }
 
     let mut slots = Vec::new();
-    let mut lane = |backend, cells: Vec<(Slot, Cell)>| Lane {
+    let mut lane = |backend, cells: Vec<(Slot, Cell, Arc<Pin>)>| Lane {
         backend,
         cells: cells
             .into_iter()
-            .map(|(slot, cell)| {
+            .map(|(slot, cell, pin)| {
                 slots.push(slot);
-                (slots.len() - 1, cell)
+                (slots.len() - 1, cell, pin)
             })
             .collect(),
     };
@@ -232,8 +235,9 @@ fn build(cfg: &Arc<GridConfig>) -> (Vec<Slot>, Vec<Lane>) {
 /// cell timings on the same VM showed that wait: before dry rows stopped
 /// generating their body-only columns, E7's cells took 159 and 162 ms on
 /// the Thrust and Boost.Compute lanes, which arrived first, against 60 and
-/// 47 ms on ArrayFire and Handwritten. Lanes far apart can find a column
-/// already evicted from the cache's FIFO and generate it again.
+/// 47 ms on ArrayFire and Handwritten. A row's columns live until its last
+/// cell, on whichever lane, has run (`run` pins them per row), so lanes in
+/// step also free them sooner.
 ///
 /// A panicking cell stops the run: no worker takes another cell, every
 /// worker returns, and the panic is raised again here.
@@ -296,6 +300,9 @@ fn run_lanes<L: Send>(lanes: Vec<L>, jobs: usize, step: impl Fn(&mut L) -> bool 
 }
 
 /// Run the whole grid on `jobs` workers and return its assembled output.
+/// The cells of one row read their generated columns under one shared
+/// [`Pin`], dropped when the row's last cell has run, so a column lives
+/// while its row runs and no longer.
 ///
 /// Also divides the host-thread budget of the `gpu-sim` host-execution
 /// engine across workers, so cell workers × per-cell `hostexec` threads
@@ -311,9 +318,9 @@ pub fn run(cfg: GridConfig, jobs: usize) -> GridRun {
         Mutex::new(slots.iter().map(|_| None).collect());
     let t0 = std::time::Instant::now();
     run_lanes(lanes, jobs, |lane| {
-        let (slot, cell) = lane.cells.pop_front().expect("a queued lane has a cell");
+        let (slot, cell, pin) = lane.cells.pop_front().expect("a queued lane has a cell");
         let t = std::time::Instant::now();
-        let out = cell.run(lane.backend.as_deref(), false).0;
+        let out = pin.scope(|| cell.run(lane.backend.as_deref(), false).0);
         let ms = t.elapsed().as_millis();
         done.lock().expect("no cell panics holding the lock")[slot] = Some((out, ms));
         !lane.cells.is_empty()
@@ -594,7 +601,7 @@ A3/Handwritten|-
         assert_eq!(slots.len(), 166);
         let order: Vec<usize> = lanes
             .iter()
-            .flat_map(|lane| lane.cells.iter().map(|(slot, _)| *slot))
+            .flat_map(|lane| lane.cells.iter().map(|(slot, ..)| *slot))
             .collect();
         assert_eq!(order, (0..166).collect::<Vec<_>>(), "slots in lane order");
         let got: Vec<String> = lanes
@@ -604,7 +611,7 @@ A3/Handwritten|-
                 let slots = &slots;
                 lane.cells
                     .iter()
-                    .map(move |(slot, _)| format!("{}|{name}", slots[*slot].label))
+                    .map(move |(slot, ..)| format!("{}|{name}", slots[*slot].label))
             })
             .collect();
         let want: Vec<&str> = DEFAULT_PLAN.split_whitespace().collect();

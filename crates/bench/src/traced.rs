@@ -12,6 +12,8 @@
 
 use std::sync::Arc;
 
+use proto_core::workload::cache::Pin;
+
 use crate::experiments::emitting_row;
 pub use crate::experiments::EXPERIMENTS;
 use crate::grid::GridConfig;
@@ -81,23 +83,26 @@ pub fn golden_waivers() -> Vec<gpu_lint::Waiver> {
 }
 
 /// Run one experiment's cells (see [`EXPERIMENTS`]) on fresh traced
-/// devices and return each cell's trace, labelled `id/cell` — a cell
-/// that also builds a replica device yields a second `…/replica` trace.
+/// devices, under one cache [`Pin`], and return each cell's trace,
+/// labelled `id/cell` — a cell that also builds a replica device yields a
+/// second `…/replica` trace.
 ///
 /// # Panics
 /// On an unknown experiment id.
 pub fn traced_experiment(cfg: &GridConfig, exp: &str) -> Vec<TracedCell> {
     let (_, row) = emitting_row(exp);
     let mut traced = Vec::new();
-    for cell in row.cells(&Arc::new(cfg.clone())) {
-        let label = format!("{exp}/{}", cell.label);
-        for (suffix, trace) in cell.run(None, true).1 {
-            traced.push(TracedCell {
-                label: format!("{label}{suffix}"),
-                trace,
-            });
+    Arc::new(Pin::default()).scope(|| {
+        for cell in row.cells(&Arc::new(cfg.clone())) {
+            let label = format!("{exp}/{}", cell.label);
+            for (suffix, trace) in cell.run(None, true).1 {
+                traced.push(TracedCell {
+                    label: format!("{label}{suffix}"),
+                    trace,
+                });
+            }
         }
-    }
+    });
     traced
 }
 

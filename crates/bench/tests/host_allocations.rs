@@ -2,8 +2,10 @@
 //! run dry without materialising data no charge reads: they generate,
 //! upload and allocate only the columns an input check reads. A column
 //! uploaded to the four paper backends is held once, and a generated
-//! TPC-H column is allocated once. The tests take one lock, because
-//! `hostalloc::stats()` counts the large host blocks of the whole process.
+//! TPC-H column is allocated once, and a generated column lives only
+//! while the grid row that read it runs. The tests take one lock, because
+//! `hostalloc::stats()` counts the large host blocks of the whole process
+//! and `workload::cache` holds its columns for the whole process.
 
 use bench::experiments::run_serial;
 use bench::grid::GridConfig;
@@ -40,6 +42,15 @@ fn dry_shape_priced_rows_allocate_only_the_columns_a_check_reads() {
     let index_columns = cfg.sizes.iter().filter(|&&n| n * 4 >= 64 << 10).count() as u64;
     let per_size = 1 + PAPER_BACKENDS.len() as u64;
     assert_eq!(large_allocations() - before, index_columns * per_size, "E7");
+}
+
+/// Once the grid returns, no column it generated is alive: each row's pin
+/// drops with the row's last cell, on whichever lane that ran.
+#[test]
+fn a_finished_grid_holds_no_generated_column() {
+    let _counting = COUNTING.lock().unwrap_or_else(|e| e.into_inner());
+    bench::grid::run(bench::traced::lint_config(), 2);
+    assert_eq!(proto_core::workload::cache::live_columns(), 0);
 }
 
 /// One 2^20-row column (a NaN among its values) uploaded from a slice to

@@ -203,170 +203,144 @@ pub fn shuffled_indices(n: usize) -> Vec<u32> {
 }
 
 pub mod cache {
-    //! Memoizing wrappers over the workload generators.
+    //! Memoizing wrappers over the workload generators, kept alive by pins.
     //!
     //! The benchmark grid reuses the same synthetic columns across
-    //! backends (and sometimes across experiments: E5a/E5b sort the same
-    //! keys, E4 rethresholds one column per selectivity). The cache
-    //! generates each distinct `(generator, arguments)` input once while
-    //! it stays within the retention budget and hands out `Arc`s, so
-    //! parallel experiment cells share one copy instead of regenerating
-    //! per backend; an input the FIFO has evicted is generated again, with
-    //! the same values, when it is next asked for. Values are exactly what
-    //! the underlying generator returns — callers observe no difference
-    //! beyond the saved work.
+    //! backends (and within a row's sweep: E4 rethresholds one column per
+    //! selectivity). A read inside [`Pin::scope`] generates each distinct
+    //! `(generator, arguments)` input once, hands out `Arc`s and keeps the
+    //! column for as long as the pin lives, so the cells of one experiment
+    //! row share one copy instead of regenerating per backend. The map
+    //! itself holds only `Weak` slots: once the last pin that read a column
+    //! drops, the column is freed, and a later read generates it again with
+    //! the same values. A read with no pin keeps nothing. Values are
+    //! exactly what the underlying generator returns — callers observe no
+    //! difference beyond the saved work.
 
-    use std::collections::{HashMap, VecDeque};
-    use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+    use std::any::Any;
+    use std::cell::RefCell;
+    use std::collections::HashMap;
+    use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 
-    #[derive(Hash, PartialEq, Eq, Clone)]
+    /// A generator and its arguments (Zipf's `theta` as its bits).
+    #[derive(Debug, Hash, PartialEq, Eq, Clone)]
     enum Key {
-        U32 {
-            n: usize,
-            bound: u32,
-            seed: u64,
-        },
-        F64 {
-            n: usize,
-            seed: u64,
-        },
-        Zipf {
-            n: usize,
-            groups: usize,
-            theta: u64,
-            seed: u64,
-        },
-        FkJoin {
-            outer: usize,
-            inner: usize,
-            seed: u64,
-        },
-        Perm {
-            n: usize,
-        },
+        U32(usize, u32, u64),
+        F64(usize, u64),
+        Zipf(usize, usize, u64, u64),
+        FkJoin(usize, usize, u64),
+        Perm(usize),
     }
 
-    type Slots<T> = HashMap<Key, Arc<OnceLock<Arc<T>>>>;
-    type Pair = (Vec<u32>, Vec<u32>);
-    /// Removes a key from the map of its value type.
-    type Forget = fn(&mut Store, &Key);
+    /// A column's slot, filled by its first reader: an `OnceLock<Arc<T>>`,
+    /// where the key's variant fixes `T`.
+    type Slot = dyn Any + Send + Sync;
 
-    /// One map per value type, so a slot's type is known statically.
-    #[derive(Default)]
-    struct Store {
-        u32s: Slots<Vec<u32>>,
-        f64s: Slots<Vec<f64>>,
-        pairs: Slots<Pair>,
-        /// Insertion-ordered `(key, bytes, forget)` log for FIFO eviction.
-        order: VecDeque<(Key, usize, Forget)>,
-        bytes: usize,
+    /// The slot of every column that is alive, by key.
+    fn slots() -> MutexGuard<'static, HashMap<Key, Weak<Slot>>> {
+        static SLOTS: OnceLock<Mutex<HashMap<Key, Weak<Slot>>>> = OnceLock::new();
+        lock(SLOTS.get_or_init(Default::default))
     }
 
-    /// A value type the cache holds, and its map in the [`Store`].
-    trait Cached: Send + Sync + Sized + 'static {
-        fn slots(st: &mut Store) -> &mut Slots<Self>;
+    /// `m`, locked. A panic under the map's lock or a pin's cannot leave
+    /// either half-updated (generation runs outside them), so a poisoned
+    /// lock is still usable.
+    fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+        m.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
-        fn forget(st: &mut Store, key: &Key) {
-            Self::slots(st).remove(key);
+    /// Holds every column read on a thread while it is that thread's
+    /// current pin ([`Pin::scope`]), until the pin drops. A runner shares
+    /// one pin across the cells of an experiment row, so the row generates
+    /// each column once and frees it after its last cell.
+    #[derive(Debug, Default)]
+    pub struct Pin {
+        held: Mutex<HashMap<Key, Arc<Slot>>>,
+    }
+
+    thread_local! {
+        /// The pin this thread's reads keep their columns in.
+        static CURRENT: RefCell<Option<Arc<Pin>>> = const { RefCell::new(None) };
+    }
+
+    impl Pin {
+        /// Run `f` with this pin current on the calling thread. Inside
+        /// another pin's scope the outer pin stays current: it outlives
+        /// this one, so it keeps whatever this one would.
+        pub fn scope<R>(self: &Arc<Self>, f: impl FnOnce() -> R) -> R {
+            /// Clears the current pin when the scope that set it ends.
+            struct Leave;
+            impl Drop for Leave {
+                fn drop(&mut self) {
+                    CURRENT.with(|c| c.borrow_mut().take());
+                }
+            }
+            let _leave = CURRENT.with(|c| {
+                let mut current = c.borrow_mut();
+                current.is_none().then(|| {
+                    *current = Some(Arc::clone(self));
+                    Leave
+                })
+            });
+            f()
         }
     }
 
-    impl Cached for Vec<u32> {
-        fn slots(st: &mut Store) -> &mut Slots<Self> {
-            &mut st.u32s
-        }
-    }
-
-    impl Cached for Vec<f64> {
-        fn slots(st: &mut Store) -> &mut Slots<Self> {
-            &mut st.f64s
-        }
-    }
-
-    impl Cached for Pair {
-        fn slots(st: &mut Store) -> &mut Slots<Self> {
-            &mut st.pairs
-        }
-    }
-
-    /// The store, locked. A panic under the lock cannot leave it
-    /// half-updated (generation runs outside it), so a poisoned lock is
-    /// still usable.
-    fn store() -> MutexGuard<'static, Store> {
-        static STORE: OnceLock<Mutex<Store>> = OnceLock::new();
-        let store = STORE.get_or_init(Default::default);
-        store.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Retention budget in bytes (128 MiB). Entries are dropped
-    /// oldest-first once the total exceeds it; columns still referenced
-    /// by callers stay alive through their own `Arc`s, the cache merely
-    /// forgets them. Unbounded retention shows up as host page-fault
-    /// overhead late in a long run, so the budget keeps roughly one
-    /// experiment's working set resident.
-    const BUDGET_BYTES: usize = 128 << 20;
-
-    /// Charge a freshly generated entry against the budget, evicting the
-    /// oldest entries until the total fits again.
-    fn charge<T: Cached>(key: Key, bytes: usize) {
-        let mut st = store();
-        st.bytes += bytes;
-        st.order.push_back((key, bytes, T::forget));
-        while st.bytes > BUDGET_BYTES && st.order.len() > 1 {
-            let Some((old, sz, forget)) = st.order.pop_front() else {
-                break;
-            };
-            forget(&mut st, &old);
-            st.bytes -= sz;
-        }
+    /// How many columns are alive in the cache: those a pin holds, or a
+    /// read still generating.
+    pub fn live_columns() -> usize {
+        slots()
+            .values()
+            .filter(|slot| slot.strong_count() > 0)
+            .count()
     }
 
     // The map lock is held only to fetch the slot; generation runs under
     // the slot's own `OnceLock`, so concurrent requests for *different*
     // inputs generate in parallel while requests for the *same* input
-    // block on one generation. Eviction removes the map's reference
-    // only — an evicted column stays valid for every caller already
-    // holding it, and a later request for the same key regenerates the
-    // identical data.
+    // block on one generation. A column stays valid for every caller
+    // holding it after its slot dies; a later request for the same key
+    // regenerates the identical data.
 
-    fn get<T: Cached>(key: Key, bytes: usize, gen: impl FnOnce() -> T) -> Arc<T> {
-        let s = T::slots(&mut store())
-            .entry(key.clone())
-            .or_default()
-            .clone();
-        let mut fresh = false;
-        let out = s
-            .get_or_init(|| {
-                fresh = true;
-                Arc::new(gen())
-            })
-            .clone();
-        if fresh {
-            charge::<T>(key, bytes);
-        }
+    fn get<T: Send + Sync + 'static>(key: Key, gen: impl FnOnce() -> T) -> Arc<T> {
+        let slot: Arc<OnceLock<Arc<T>>> = {
+            let mut slots = slots();
+            let live = slots.get(&key).and_then(Weak::upgrade);
+            match live.and_then(|slot| slot.downcast().ok()) {
+                Some(slot) => slot,
+                None => {
+                    slots.retain(|_, slot| slot.strong_count() > 0);
+                    let slot = Arc::new(OnceLock::new());
+                    slots.insert(key.clone(), Arc::<OnceLock<_>>::downgrade(&slot));
+                    slot
+                }
+            }
+        };
+        let out = Arc::clone(slot.get_or_init(|| Arc::new(gen())));
+        CURRENT.with(|c| {
+            if let Some(pin) = &*c.borrow() {
+                lock(&pin.held).entry(key).or_insert(slot);
+            }
+        });
         out
     }
 
     /// Cached [`uniform_u32`](super::uniform_u32).
     pub fn uniform_u32(n: usize, bound: u32, seed: u64) -> Arc<Vec<u32>> {
-        let key = Key::U32 { n, bound, seed };
-        get(key, n * 4, || super::uniform_u32(n, bound, seed))
+        get(Key::U32(n, bound, seed), || {
+            super::uniform_u32(n, bound, seed)
+        })
     }
 
     /// Cached [`uniform_f64`](super::uniform_f64).
     pub fn uniform_f64(n: usize, seed: u64) -> Arc<Vec<f64>> {
-        get(Key::F64 { n, seed }, n * 8, || super::uniform_f64(n, seed))
+        get(Key::F64(n, seed), || super::uniform_f64(n, seed))
     }
 
     /// Cached [`zipf_keys`](super::zipf_keys).
     pub fn zipf_keys(n: usize, groups: usize, theta: f64, seed: u64) -> Arc<Vec<u32>> {
-        let key = Key::Zipf {
-            n,
-            groups,
-            theta: theta.to_bits(),
-            seed,
-        };
-        get(key, n * 4, || super::zipf_keys(n, groups, theta, seed))
+        let key = Key::Zipf(n, groups, theta.to_bits(), seed);
+        get(key, || super::zipf_keys(n, groups, theta, seed))
     }
 
     /// Cached [`selectivity_column`](super::selectivity_column). The
@@ -380,18 +354,13 @@ pub mod cache {
 
     /// Cached [`fk_join`](super::fk_join) — `(outer, inner)`.
     pub fn fk_join(outer_n: usize, inner_n: usize, seed: u64) -> Arc<(Vec<u32>, Vec<u32>)> {
-        let key = Key::FkJoin {
-            outer: outer_n,
-            inner: inner_n,
-            seed,
-        };
-        let bytes = (outer_n + inner_n) * 4;
-        get(key, bytes, || super::fk_join(outer_n, inner_n, seed))
+        let key = Key::FkJoin(outer_n, inner_n, seed);
+        get(key, || super::fk_join(outer_n, inner_n, seed))
     }
 
     /// Cached [`shuffled_indices`](super::shuffled_indices).
     pub fn shuffled_indices(n: usize) -> Arc<Vec<u32>> {
-        get(Key::Perm { n }, n * 4, || super::shuffled_indices(n))
+        get(Key::Perm(n), || super::shuffled_indices(n))
     }
 }
 
@@ -573,18 +542,55 @@ mod tests {
         assert_eq!(*cache::zipf_keys(500, 8, 0.5, 9), zipf_keys(500, 8, 0.5, 9));
         assert_eq!(*cache::fk_join(300, 200, 9), fk_join(300, 200, 9));
         assert_eq!(*cache::shuffled_indices(500), shuffled_indices(500));
-        // Repeated requests share one allocation.
-        assert!(Arc::ptr_eq(
-            &cache::uniform_u32(500, 64, 9),
-            &cache::uniform_u32(500, 64, 9)
-        ));
-        // Every selectivity of a sweep shares the same column.
-        let (c1, t1) = cache::selectivity_column(500, 0.1, SEED);
-        let (c2, t2) = cache::selectivity_column(500, 0.9, SEED);
-        assert!(Arc::ptr_eq(&c1, &c2));
-        assert!(t1 < t2);
-        let (plain, thr) = selectivity_column(500, 0.1, SEED);
-        assert_eq!((&*c1, t1), (&plain, thr));
+        Arc::new(cache::Pin::default()).scope(|| {
+            // Repeated requests under one pin share one allocation.
+            assert!(Arc::ptr_eq(
+                &cache::uniform_u32(500, 64, 9),
+                &cache::uniform_u32(500, 64, 9)
+            ));
+            // Every selectivity of a sweep shares the same column.
+            let (c1, t1) = cache::selectivity_column(500, 0.1, SEED);
+            let (c2, t2) = cache::selectivity_column(500, 0.9, SEED);
+            assert!(Arc::ptr_eq(&c1, &c2));
+            assert!(t1 < t2);
+            let (plain, thr) = selectivity_column(500, 0.1, SEED);
+            assert_eq!((&*c1, t1), (&plain, thr));
+        });
+    }
+
+    /// Pins share what they read and free it with the last of them; a
+    /// nested scope keeps its reads in the outer pin; a read with no pin
+    /// keeps nothing. Each case reads a key no other test reads.
+    #[test]
+    fn a_column_lives_as_long_as_a_pin_that_read_it() {
+        let read = |seed| move || cache::uniform_u32(700, 64, seed);
+        let (a, b) = (
+            Arc::new(cache::Pin::default()),
+            Arc::new(cache::Pin::default()),
+        );
+        let col = a.scope(read(31));
+        assert!(
+            Arc::ptr_eq(&col, &b.scope(read(31))),
+            "two pins share one column"
+        );
+        let column = Arc::downgrade(&col);
+        drop((col, a));
+        assert!(column.upgrade().is_some(), "the other pin still holds it");
+        drop(b);
+        assert!(column.upgrade().is_none(), "freed with the last pin");
+
+        let (outer, inner) = (
+            Arc::new(cache::Pin::default()),
+            Arc::new(cache::Pin::default()),
+        );
+        let column = outer.scope(|| Arc::downgrade(&inner.scope(read(32))));
+        drop(inner);
+        assert!(column.upgrade().is_some(), "held by the outer pin");
+        drop(outer);
+        assert!(column.upgrade().is_none());
+
+        let column = Arc::downgrade(&read(33)());
+        assert!(column.upgrade().is_none(), "an unpinned read keeps nothing");
     }
 
     use rand::distributions::WeightedIndex;
