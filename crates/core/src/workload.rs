@@ -213,10 +213,13 @@ pub mod cache {
     //! row share one copy instead of regenerating per backend. The map
     //! itself holds only `Weak` slots: once the last pin that read a column
     //! drops, the column is freed, and a later read generates it again with
-    //! the same values. A read with no pin keeps nothing. Values are
+    //! the same values. A read with no pin keeps nothing. Each column is
+    //! published when it is generated ([`gpu_sim::publish`]), so its
+    //! uploads to every backend share it instead of copying it. Values are
     //! exactly what the underlying generator returns — callers observe no
     //! difference beyond the saved work.
 
+    use gpu_sim::publish;
     use std::any::Any;
     use std::cell::RefCell;
     use std::collections::HashMap;
@@ -232,8 +235,8 @@ pub mod cache {
         Perm(usize),
     }
 
-    /// A column's slot, filled by its first reader: an `OnceLock<Arc<T>>`,
-    /// where the key's variant fixes `T`.
+    /// A column's slot, filled by its first reader: an `OnceLock<T>`, where
+    /// the key's variant fixes `T`.
     type Slot = dyn Any + Send + Sync;
 
     /// The slot of every column that is alive, by key.
@@ -300,10 +303,13 @@ pub mod cache {
     // inputs generate in parallel while requests for the *same* input
     // block on one generation. A column stays valid for every caller
     // holding it after its slot dies; a later request for the same key
-    // regenerates the identical data.
+    // regenerates the identical data. Each generator publishes its column
+    // inside the slot's `get_or_init`, once per generation, never on a read.
 
-    fn get<T: Send + Sync + 'static>(key: Key, gen: impl FnOnce() -> T) -> Arc<T> {
-        let slot: Arc<OnceLock<Arc<T>>> = {
+    /// The live column `key` names, else the one `gen` makes: an `Arc`'d
+    /// column, or `fk_join`'s pair of them.
+    fn get<T: Clone + Send + Sync + 'static>(key: Key, gen: impl FnOnce() -> T) -> T {
+        let slot: Arc<OnceLock<T>> = {
             let mut slots = slots();
             let live = slots.get(&key).and_then(Weak::upgrade);
             match live.and_then(|slot| slot.downcast().ok()) {
@@ -316,7 +322,7 @@ pub mod cache {
                 }
             }
         };
-        let out = Arc::clone(slot.get_or_init(|| Arc::new(gen())));
+        let out = slot.get_or_init(gen).clone();
         CURRENT.with(|c| {
             if let Some(pin) = &*c.borrow() {
                 lock(&pin.held).entry(key).or_insert(slot);
@@ -328,19 +334,19 @@ pub mod cache {
     /// Cached [`uniform_u32`](super::uniform_u32).
     pub fn uniform_u32(n: usize, bound: u32, seed: u64) -> Arc<Vec<u32>> {
         get(Key::U32(n, bound, seed), || {
-            super::uniform_u32(n, bound, seed)
+            publish(super::uniform_u32(n, bound, seed))
         })
     }
 
     /// Cached [`uniform_f64`](super::uniform_f64).
     pub fn uniform_f64(n: usize, seed: u64) -> Arc<Vec<f64>> {
-        get(Key::F64(n, seed), || super::uniform_f64(n, seed))
+        get(Key::F64(n, seed), || publish(super::uniform_f64(n, seed)))
     }
 
     /// Cached [`zipf_keys`](super::zipf_keys).
     pub fn zipf_keys(n: usize, groups: usize, theta: f64, seed: u64) -> Arc<Vec<u32>> {
         let key = Key::Zipf(n, groups, theta.to_bits(), seed);
-        get(key, || super::zipf_keys(n, groups, theta, seed))
+        get(key, || publish(super::zipf_keys(n, groups, theta, seed)))
     }
 
     /// Cached [`selectivity_column`](super::selectivity_column). The
@@ -352,15 +358,19 @@ pub mod cache {
         (col, threshold)
     }
 
-    /// Cached [`fk_join`](super::fk_join) — `(outer, inner)`.
-    pub fn fk_join(outer_n: usize, inner_n: usize, seed: u64) -> Arc<(Vec<u32>, Vec<u32>)> {
+    /// Cached [`fk_join`](super::fk_join) — `(outer, inner)`, each its own
+    /// column.
+    pub fn fk_join(outer_n: usize, inner_n: usize, seed: u64) -> (Arc<Vec<u32>>, Arc<Vec<u32>>) {
         let key = Key::FkJoin(outer_n, inner_n, seed);
-        get(key, || super::fk_join(outer_n, inner_n, seed))
+        get(key, || {
+            let (outer, inner) = super::fk_join(outer_n, inner_n, seed);
+            (publish(outer), publish(inner))
+        })
     }
 
     /// Cached [`shuffled_indices`](super::shuffled_indices).
     pub fn shuffled_indices(n: usize) -> Arc<Vec<u32>> {
-        get(Key::Perm(n), || super::shuffled_indices(n))
+        get(Key::Perm(n), || publish(super::shuffled_indices(n)))
     }
 }
 
@@ -540,7 +550,8 @@ mod tests {
         assert_eq!(*cache::uniform_u32(500, 64, 9), uniform_u32(500, 64, 9));
         assert_eq!(*cache::uniform_f64(500, 9), uniform_f64(500, 9));
         assert_eq!(*cache::zipf_keys(500, 8, 0.5, 9), zipf_keys(500, 8, 0.5, 9));
-        assert_eq!(*cache::fk_join(300, 200, 9), fk_join(300, 200, 9));
+        let (outer, inner) = cache::fk_join(300, 200, 9);
+        assert_eq!((outer.to_vec(), inner.to_vec()), fk_join(300, 200, 9));
         assert_eq!(*cache::shuffled_indices(500), shuffled_indices(500));
         Arc::new(cache::Pin::default()).scope(|| {
             // Repeated requests under one pin share one allocation.

@@ -8,10 +8,11 @@
 //! abstractions (`thrust::DeviceVector`, `boost::Vector`, `af::Array`).
 //!
 //! The host `Vec` is shared and copy-on-write: a device-to-device copy,
-//! and an upload of a column another buffer already holds, point at the
-//! same `Vec`, and the first write through [`DeviceBuffer::host_mut`]
-//! copies it (DESIGN.md §5, "Reservations"). Only host memory is shared:
-//! every buffer keeps its own reservation, id and charges.
+//! an upload of a column another buffer already holds, and an upload of a
+//! column its owner [`publish`]ed point at the same `Vec`, and the first
+//! write through [`DeviceBuffer::host_mut`] copies it (DESIGN.md §5,
+//! "Reservations"). Only host memory is shared: every buffer keeps its own
+//! reservation, id and charges.
 //!
 //! Inside a dry scope a buffer may be *shape-only* ([`Contents::Shape`]):
 //! a reservation and a length, with no host storage. The device cannot
@@ -233,46 +234,77 @@ impl<T> From<Contents<T>> for Storage<T> {
     }
 }
 
-/// Host copies of the large columns uploaded from a slice, by the slice's
-/// address, length and element type, so the next upload of the same slice
-/// can share the copy while a buffer holds it. Dead entries are dropped
+/// The host storage of the large columns a buffer may share with an
+/// upload of a slice, by the slice's address, length and element type: the
+/// copies earlier uploads made of it, and the columns their owners
+/// published ([`publish`]), each held as a `Weak`. Dead entries are dropped
 /// when the table has doubled since the last sweep.
 struct Uploads {
-    copies: HashMap<(usize, usize, TypeId), Weak<dyn Any + Send + Sync>>,
+    columns: HashMap<(usize, usize, TypeId), Weak<dyn Any + Send + Sync>>,
     sweep_at: usize,
+}
+
+impl Uploads {
+    /// Enter `col` as what an upload of `host` may share.
+    fn enter<T: DeviceCopy>(&mut self, host: &[T], col: &Arc<Vec<T>>) {
+        let weak = Arc::downgrade(col);
+        self.columns.insert(key(host), weak);
+        if self.columns.len() >= self.sweep_at {
+            self.columns.retain(|_, col| col.strong_count() > 0);
+            self.sweep_at = (2 * self.columns.len()).max(64);
+        }
+    }
 }
 
 static UPLOADS: LazyLock<Mutex<Uploads>> = LazyLock::new(|| {
     Mutex::new(Uploads {
-        copies: HashMap::new(),
+        columns: HashMap::new(),
         sweep_at: 64,
     })
 });
 
-/// The host storage of an upload of `host`: the copy a live buffer holds
-/// of the same slice when its bits are still `host`'s, else a new copy.
-/// Slices under [`MIN_RECYCLE_BYTES`] are always copied.
+/// A slice's entry in [`UPLOADS`].
+fn key<T: 'static>(host: &[T]) -> (usize, usize, TypeId) {
+    (host.as_ptr() as usize, host.len(), TypeId::of::<T>())
+}
+
+/// `values` in an `Arc` that every upload of its elements shares as its
+/// host storage, for as long as its owner keeps it: an upload of the slice
+/// the `Arc` derefs to is then no copy, whichever device or backend makes
+/// it. The owner writes through `Arc::make_mut`, which copies while a
+/// buffer shares the column, so a buffer never sees the write. Columns
+/// under 64 KiB are not entered: their uploads copy them.
+pub fn publish<T: DeviceCopy>(values: Vec<T>) -> Arc<Vec<T>> {
+    let col = Arc::new(values);
+    if std::mem::size_of_val(col.as_slice()) >= MIN_RECYCLE_BYTES {
+        UPLOADS.lock().enter(col.as_slice(), &col);
+    }
+    col
+}
+
+/// The host storage of an upload of `host`: the column itself when its
+/// owner published it ([`publish`]), the copy a live buffer holds of the
+/// same slice when its bits are still `host`'s, else a new copy. Slices
+/// under [`MIN_RECYCLE_BYTES`] are always copied.
 pub(crate) fn upload_copy<T: DeviceCopy>(host: &[T]) -> Arc<Vec<T>> {
     if std::mem::size_of_val(host) < MIN_RECYCLE_BYTES {
         return Arc::new(host.to_vec());
     }
-    let key = (host.as_ptr() as usize, host.len(), TypeId::of::<T>());
-    let held = UPLOADS.lock().copies.get(&key).and_then(Weak::upgrade);
+    let held = UPLOADS
+        .lock()
+        .columns
+        .get(&key(host))
+        .and_then(Weak::upgrade);
     // Compared outside the lock: grid workers uploading other columns do
-    // not wait for this one.
+    // not wait for this one. A live column whose elements are the slice
+    // itself (a published one) needs no comparing.
     if let Some(held) = held.and_then(|h| h.downcast::<Vec<T>>().ok()) {
-        if T::same_bits(&held, host) {
+        if std::ptr::eq(held.as_slice(), host) || T::same_bits(&held, host) {
             return held;
         }
     }
     let copy = Arc::new(host.to_vec());
-    let weak = Arc::downgrade(&copy);
-    let mut table = UPLOADS.lock();
-    table.copies.insert(key, weak);
-    if table.copies.len() >= table.sweep_at {
-        table.copies.retain(|_, copy| copy.strong_count() > 0);
-        table.sweep_at = (2 * table.copies.len()).max(64);
-    }
+    UPLOADS.lock().enter(host, &copy);
     copy
 }
 
@@ -459,6 +491,58 @@ mod tests {
         let small = [1u32, 2];
         let (d, e) = (dev.htod(&small).unwrap(), dev.htod(&small).unwrap());
         assert!(!std::ptr::eq(d.host(), e.host()), "under 64 KiB: copied");
+    }
+
+    /// The `Arc` behind a buffer's host storage.
+    fn storage<T: DeviceCopy>(buf: &DeviceBuffer<T>) -> Arc<Vec<T>> {
+        match buf.share() {
+            Storage::Data(v) => v,
+            Storage::Shape(_) => unreachable!("uploads hold data"),
+        }
+    }
+
+    #[test]
+    fn an_upload_of_a_published_column_shares_it() {
+        let (dev, other) = (
+            Device::new(DeviceSpec::gtx1080()),
+            Device::new(DeviceSpec::gtx1080()),
+        );
+        let col = publish((0..1u32 << 14).collect());
+        let (a, b) = (dev.htod(&col).unwrap(), other.htod(&col).unwrap());
+        assert!(Arc::ptr_eq(&storage(&a), &col), "shared, not copied");
+        assert!(Arc::ptr_eq(&storage(&b), &col), "on any device");
+        let prefix = dev.htod(&col[..100]).unwrap();
+        assert_eq!(prefix.host(), &col[..100], "another length: copied");
+        let small = publish(vec![1u32, 2]);
+        let c = dev.htod(&small).unwrap();
+        assert!(!Arc::ptr_eq(&storage(&c), &small), "under 64 KiB: copied");
+    }
+
+    /// A published column that has died leaves its entry behind; the next
+    /// slice at its address and length (here its own `Vec`, moved out of
+    /// the dead `Arc`, as `hostalloc` hands a freed block to the next
+    /// request of its size) uploads its own bits.
+    #[test]
+    fn a_slice_where_a_published_column_died_uploads_its_own_bits() {
+        let dev = Device::new(DeviceSpec::gtx1080());
+        let col = publish((0..1u32 << 14).collect());
+        drop(dev.htod(&col).unwrap());
+        let mut reused = Arc::try_unwrap(col).unwrap();
+        reused[5] = 99;
+        let buf = dev.htod(&reused).unwrap();
+        assert_eq!(dev.dtoh(&buf).unwrap(), reused);
+        assert!(!std::ptr::eq(buf.host(), reused.as_slice()), "a copy");
+    }
+
+    #[test]
+    fn writing_a_published_column_leaves_its_uploads_unchanged() {
+        let dev = Device::new(DeviceSpec::gtx1080());
+        let mut col = publish((0..1 << 13).map(f64::from).collect());
+        let before = col.to_vec();
+        let buf = dev.htod(&col).unwrap();
+        Arc::make_mut(&mut col)[0] = -1.0;
+        assert_eq!(dev.dtoh(&buf).unwrap(), before, "the device's bits");
+        assert_eq!(dev.htod(&col).unwrap().host()[0], -1.0, "the new bits");
     }
 
     #[test]

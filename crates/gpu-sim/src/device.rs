@@ -418,11 +418,13 @@ impl Device {
     // Transfers
     // ----------------------------------------------------------------
 
-    /// Copy host data to a new device buffer, charging PCIe time. While a
-    /// buffer holds an upload of the same slice (address, length, element
-    /// type) whose bits are still `host`'s, the new buffer shares its host
-    /// copy instead of making another; a slice under 64 KiB is always
-    /// copied. The device sees the same upload either way.
+    /// Copy host data to a new device buffer, charging PCIe time. When
+    /// `host` is a column its owner published ([`crate::publish`]), the
+    /// buffer shares that column; while a buffer holds an upload of the
+    /// same slice (address, length, element type) whose bits are still
+    /// `host`'s, it shares that copy. Otherwise it makes a copy; a slice
+    /// under 64 KiB is always copied. The device sees the same upload
+    /// either way.
     pub fn htod<T: DeviceCopy>(self: &Arc<Self>, host: &[T]) -> Result<DeviceBuffer<T>> {
         self.htod_with(host, AllocPolicy::Pooled)
     }

@@ -27,7 +27,9 @@
 //! ten standard deviations, not the bound of seven lines per order: that
 //! bound is 1.75 times the expected count, and a recycled block is resident
 //! in full. Nothing is shrunk afterwards, since `shrink_to_fit` would copy
-//! the column and free a block again.
+//! the column and free a block again. Each column is filled as a plain
+//! `Vec`, then wrapped in a [`Column`] and published once, so its uploads
+//! share it.
 
 use crate::dates;
 use crate::schema::*;
@@ -205,8 +207,8 @@ pub fn generate_seeded(scale_factor: f64, seed: u64) -> Database {
 
     Database {
         scale_factor: sf,
-        lineitem,
-        orders,
+        lineitem: lineitem.publish(),
+        orders: orders.publish(),
         customer,
         part,
         supplier,
@@ -216,36 +218,52 @@ pub fn generate_seeded(scale_factor: f64, seed: u64) -> Database {
     }
 }
 
-/// Empty `orders` columns with room for `rows` rows each.
-fn orders_with_capacity(rows: usize) -> Orders {
-    Orders {
-        orderkey: Vec::with_capacity(rows),
-        custkey: Vec::with_capacity(rows),
-        totalprice: Vec::with_capacity(rows),
-        orderdate: Vec::with_capacity(rows),
-        orderpriority: Vec::with_capacity(rows),
-        shippriority: Vec::with_capacity(rows),
-    }
+/// A table's columns as plain `Vec`s while the order loop pushes onto
+/// them (a push through a [`Column`] would check its `Arc` at every row),
+/// the function that makes them empty with room for `rows` rows each, and
+/// `publish`, which wraps each in a [`Column`] once the last row is in.
+macro_rules! filling {
+    ($new:ident -> $rows:ident => $table:ident { $($col:ident: $ty:ty),* $(,)? }) => {
+        struct $rows {
+            $($col: Vec<$ty>),*
+        }
+
+        fn $new(rows: usize) -> $rows {
+            $rows { $($col: Vec::with_capacity(rows)),* }
+        }
+
+        impl $rows {
+            fn publish(self) -> $table {
+                $table { $($col: self.$col.into()),* }
+            }
+        }
+    };
 }
 
-/// Empty `lineitem` columns with room for `rows` rows each.
-fn lineitem_with_capacity(rows: usize) -> Lineitem {
-    Lineitem {
-        orderkey: Vec::with_capacity(rows),
-        partkey: Vec::with_capacity(rows),
-        suppkey: Vec::with_capacity(rows),
-        linenumber: Vec::with_capacity(rows),
-        quantity: Vec::with_capacity(rows),
-        extendedprice: Vec::with_capacity(rows),
-        discount: Vec::with_capacity(rows),
-        tax: Vec::with_capacity(rows),
-        returnflag: Vec::with_capacity(rows),
-        linestatus: Vec::with_capacity(rows),
-        shipdate: Vec::with_capacity(rows),
-        commitdate: Vec::with_capacity(rows),
-        receiptdate: Vec::with_capacity(rows),
-    }
-}
+filling!(orders_with_capacity -> OrdersRows => Orders {
+    orderkey: u32,
+    custkey: u32,
+    totalprice: f64,
+    orderdate: u32,
+    orderpriority: u32,
+    shippriority: u32,
+});
+
+filling!(lineitem_with_capacity -> LineitemRows => Lineitem {
+    orderkey: u32,
+    partkey: u32,
+    suppkey: u32,
+    linenumber: u32,
+    quantity: f64,
+    extendedprice: f64,
+    discount: f64,
+    tax: f64,
+    returnflag: u32,
+    linestatus: u32,
+    shipdate: u32,
+    commitdate: u32,
+    receiptdate: u32,
+});
 
 #[cfg(test)]
 mod tests {

@@ -24,7 +24,7 @@
 
 use crate::dates::date;
 use crate::queries::{close, rows_match, LogicalPlanFn, Query, QueryData};
-use crate::schema::{segment_code, Database};
+use crate::schema::{segment_code, Column, Database};
 use gpu_sim::Result;
 use proto_core::logical::{AggExpr, ColumnDecl, JoinCol, LogicalPlan};
 use proto_core::ops::CmpOp;
@@ -130,8 +130,9 @@ impl Query for Q3 {
     const LOGICAL_PLAN: LogicalPlanFn = logical_plan;
     const REFERENCE: fn(&Database) -> Vec<Q3Row> = reference;
     type Answer = Vec<Q3Row>;
-    /// `o_orderdate` and `o_shippriority`, indexed by `orderkey − 1`.
-    type Host = (Vec<u32>, Vec<u32>);
+    /// `o_orderdate` and `o_shippriority`, indexed by `orderkey − 1`:
+    /// the database's own columns, shared.
+    type Host = (Column<u32>, Column<u32>);
 
     fn host(db: &Database) -> Self::Host {
         (db.orders.orderdate.clone(), db.orders.shippriority.clone())

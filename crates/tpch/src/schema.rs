@@ -5,120 +5,184 @@
 //! measures are `f64`, dates are day numbers (see [`crate::dates`]).
 //! Text columns the benchmark queries never touch are omitted; categorical
 //! text (flags, status, priority, segment) is dictionary-encoded.
+//!
+//! Each column is a [`Column`]: one `Arc`'d `Vec`, published to the
+//! simulator's upload table when it is built ([`gpu_sim::publish`]), so
+//! every upload of it — to any backend, by any query — shares the
+//! database's own copy instead of holding another (DESIGN.md §5,
+//! "Reservations").
 
+use gpu_sim::DeviceCopy;
 use proto_core::resilient_plan::HostCol;
 use std::borrow::Cow;
+use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
+
+/// A table column: its values in one shared `Vec` that uploads of the
+/// column share as their host storage. It reads as the `Vec` it holds; a
+/// write goes through `Arc::make_mut`, so it copies the column first while
+/// an upload shares it, and the copy is not published.
+#[derive(Clone, PartialEq)]
+pub struct Column<T>(Arc<Vec<T>>);
+
+impl<T: DeviceCopy> From<Vec<T>> for Column<T> {
+    /// Wrap `values` and publish them, once.
+    fn from(values: Vec<T>) -> Self {
+        Column(gpu_sim::publish(values))
+    }
+}
+
+impl<T: DeviceCopy> FromIterator<T> for Column<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        iter.into_iter().collect::<Vec<T>>().into()
+    }
+}
+
+impl<T> Default for Column<T> {
+    fn default() -> Self {
+        Column(Arc::default())
+    }
+}
+
+impl<T: std::fmt::Debug> std::fmt::Debug for Column<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.0.fmt(f)
+    }
+}
+
+impl<T> Deref for Column<T> {
+    type Target = Vec<T>;
+
+    fn deref(&self) -> &Vec<T> {
+        &self.0
+    }
+}
+
+impl<T: Clone> DerefMut for Column<T> {
+    fn deref_mut(&mut self) -> &mut Vec<T> {
+        Arc::make_mut(&mut self.0)
+    }
+}
+
+impl<'a, T> IntoIterator for &'a Column<T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
 
 /// `LINEITEM` — the fact table.
 #[derive(Debug, Default, Clone)]
 pub struct Lineitem {
     /// FK to orders.
-    pub orderkey: Vec<u32>,
+    pub orderkey: Column<u32>,
     /// FK to part.
-    pub partkey: Vec<u32>,
+    pub partkey: Column<u32>,
     /// FK to supplier.
-    pub suppkey: Vec<u32>,
+    pub suppkey: Column<u32>,
     /// Line number within the order (1..=7).
-    pub linenumber: Vec<u32>,
+    pub linenumber: Column<u32>,
     /// Quantity, 1..=50.
-    pub quantity: Vec<f64>,
+    pub quantity: Column<f64>,
     /// Extended price.
-    pub extendedprice: Vec<f64>,
+    pub extendedprice: Column<f64>,
     /// Discount, 0.00..=0.10.
-    pub discount: Vec<f64>,
+    pub discount: Column<f64>,
     /// Tax, 0.00..=0.08.
-    pub tax: Vec<f64>,
+    pub tax: Column<f64>,
     /// Return flag, dictionary-encoded (see [`RETURNFLAGS`]).
-    pub returnflag: Vec<u32>,
+    pub returnflag: Column<u32>,
     /// Line status, dictionary-encoded (see [`LINESTATUSES`]).
-    pub linestatus: Vec<u32>,
+    pub linestatus: Column<u32>,
     /// Ship date (day number).
-    pub shipdate: Vec<u32>,
+    pub shipdate: Column<u32>,
     /// Commit date (day number).
-    pub commitdate: Vec<u32>,
+    pub commitdate: Column<u32>,
     /// Receipt date (day number).
-    pub receiptdate: Vec<u32>,
+    pub receiptdate: Column<u32>,
 }
 
 /// `ORDERS`.
 #[derive(Debug, Default, Clone)]
 pub struct Orders {
     /// Primary key.
-    pub orderkey: Vec<u32>,
+    pub orderkey: Column<u32>,
     /// FK to customer.
-    pub custkey: Vec<u32>,
+    pub custkey: Column<u32>,
     /// Total price.
-    pub totalprice: Vec<f64>,
+    pub totalprice: Column<f64>,
     /// Order date (day number).
-    pub orderdate: Vec<u32>,
+    pub orderdate: Column<u32>,
     /// Order priority, dictionary-encoded (see [`PRIORITIES`]).
-    pub orderpriority: Vec<u32>,
+    pub orderpriority: Column<u32>,
     /// Ship priority (always 0 in dbgen).
-    pub shippriority: Vec<u32>,
+    pub shippriority: Column<u32>,
 }
 
 /// `CUSTOMER`.
 #[derive(Debug, Default, Clone)]
 pub struct Customer {
     /// Primary key.
-    pub custkey: Vec<u32>,
+    pub custkey: Column<u32>,
     /// FK to nation.
-    pub nationkey: Vec<u32>,
+    pub nationkey: Column<u32>,
     /// Account balance.
-    pub acctbal: Vec<f64>,
+    pub acctbal: Column<f64>,
     /// Market segment, dictionary-encoded (see [`SEGMENTS`]).
-    pub mktsegment: Vec<u32>,
+    pub mktsegment: Column<u32>,
 }
 
 /// `PART`.
 #[derive(Debug, Default, Clone)]
 pub struct Part {
     /// Primary key.
-    pub partkey: Vec<u32>,
+    pub partkey: Column<u32>,
     /// Retail price.
-    pub retailprice: Vec<f64>,
+    pub retailprice: Column<f64>,
     /// Size, 1..=50.
-    pub size: Vec<u32>,
+    pub size: Column<u32>,
 }
 
 /// `SUPPLIER`.
 #[derive(Debug, Default, Clone)]
 pub struct Supplier {
     /// Primary key.
-    pub suppkey: Vec<u32>,
+    pub suppkey: Column<u32>,
     /// FK to nation.
-    pub nationkey: Vec<u32>,
+    pub nationkey: Column<u32>,
     /// Account balance.
-    pub acctbal: Vec<f64>,
+    pub acctbal: Column<f64>,
 }
 
 /// `PARTSUPP`.
 #[derive(Debug, Default, Clone)]
 pub struct PartSupp {
     /// FK to part.
-    pub partkey: Vec<u32>,
+    pub partkey: Column<u32>,
     /// FK to supplier.
-    pub suppkey: Vec<u32>,
+    pub suppkey: Column<u32>,
     /// Available quantity.
-    pub availqty: Vec<u32>,
+    pub availqty: Column<u32>,
     /// Supply cost.
-    pub supplycost: Vec<f64>,
+    pub supplycost: Column<f64>,
 }
 
 /// `NATION` (fixed 25 rows).
 #[derive(Debug, Default, Clone)]
 pub struct Nation {
     /// Primary key 0..25.
-    pub nationkey: Vec<u32>,
+    pub nationkey: Column<u32>,
     /// FK to region.
-    pub regionkey: Vec<u32>,
+    pub regionkey: Column<u32>,
 }
 
 /// `REGION` (fixed 5 rows).
 #[derive(Debug, Default, Clone)]
 pub struct Region {
     /// Primary key 0..5.
-    pub regionkey: Vec<u32>,
+    pub regionkey: Column<u32>,
 }
 
 /// Dictionary for `l_returnflag`.
@@ -298,6 +362,16 @@ mod tests {
         assert_eq!(segment_code("BUILDING"), Some(1));
         assert_eq!(segment_code("MACHINERY"), Some(4));
         assert_eq!(segment_code("NOPE"), None);
+    }
+
+    #[test]
+    fn an_upload_shares_a_column_until_the_column_is_written() {
+        let dev = gpu_sim::Device::with_defaults();
+        let mut col: Column<u32> = (0..1 << 14).collect();
+        let buf = dev.htod(&col).unwrap();
+        assert!(std::ptr::eq(buf.host(), col.as_slice()), "shared");
+        col[0] = 7;
+        assert_eq!((buf.host()[0], col[0]), (0, 7));
     }
 
     #[test]

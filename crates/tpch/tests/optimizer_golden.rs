@@ -107,8 +107,10 @@ fn traced_snapshot() -> String {
         let (_, traces) = optimizer::plan_traced(q, plan, b, opts).unwrap();
         doc.push_str(&format!("==== {title} ====\n"));
         for t in &traces {
-            let note = t.note.as_deref().unwrap_or("(no certificate)");
-            doc.push_str(&format!("{}: {note}\n", t.pass));
+            match &t.note {
+                Some(note) => doc.push_str(&format!("{}: {note}\n", t.pass)),
+                None => doc.push_str(&format!("{}\n", t.pass)),
+            }
         }
     }
     doc

@@ -55,8 +55,10 @@ fn snapshot() -> String {
                     (Ok((plan, traces)), Ok(same)) => {
                         assert_eq!(plan.explain(), same.explain(), "{heading}");
                         for t in &traces {
-                            let note = t.note.as_deref().unwrap_or("(no certificate)");
-                            doc.push_str(&format!("{}: {note}\n", t.pass));
+                            match &t.note {
+                                Some(note) => doc.push_str(&format!("{}: {note}\n", t.pass)),
+                                None => doc.push_str(&format!("{}\n", t.pass)),
+                            }
                         }
                         doc.push_str(&plan.explain());
                         doc.push('\n');
