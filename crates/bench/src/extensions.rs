@@ -246,8 +246,7 @@ pub(crate) fn e20_default_sizes() -> Vec<usize> {
 /// column is `u32` and read mask-only, so the fused kernels consume it
 /// natively (no f64 round-trip).
 pub(crate) fn e20_logical_plan(threshold: f64) -> proto_core::logical::LogicalPlan {
-    use proto_core::logical::{AggExpr, ColumnDecl, LogicalPlan};
-    use proto_core::plan::{Expr, Predicate};
+    use proto_core::logical::{AggExpr, ColumnDecl, Expr, LogicalPlan, Predicate};
     LogicalPlan::scan(
         "t",
         vec![
@@ -426,8 +425,7 @@ pub(crate) fn e21_fusion_cell_on(b: &dyn GpuBackend, n: usize, fused: bool) -> (
 /// probe-side payload into a scalar sum — the smallest plan whose cost
 /// varies across all three Table-II join algorithms.
 pub(crate) fn e21_join_plan() -> proto_core::logical::LogicalPlan {
-    use proto_core::logical::{AggExpr, ColumnDecl, JoinCol, LogicalPlan};
-    use proto_core::plan::Expr;
+    use proto_core::logical::{AggExpr, ColumnDecl, Expr, JoinCol, LogicalPlan};
     LogicalPlan::join(
         LogicalPlan::scan("dim", vec![ColumnDecl::u32("key")]),
         LogicalPlan::scan("fact", vec![ColumnDecl::u32("key"), ColumnDecl::f64("val")]),

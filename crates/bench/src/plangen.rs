@@ -5,9 +5,8 @@
 //! comparison masks (column±column sums are outside the Table-II operator
 //! set and excluded). A seed reproduces the same chain everywhere.
 
-use proto_core::logical::{AggExpr, ColumnDecl, LogicalPlan};
+use proto_core::logical::{AggExpr, ColumnDecl, Expr, LogicalPlan, Predicate};
 use proto_core::ops::CmpOp;
-use proto_core::plan::{Expr, Predicate};
 
 /// The property suite's seed list.
 pub const SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 21, 34];

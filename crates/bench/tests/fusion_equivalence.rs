@@ -5,8 +5,8 @@
 //! composed realisation) and by the cost-based planner, must produce
 //! bit-identical answers in every configuration on every paper backend.
 //! Each chain is also planned with a scalar `COUNT(*)` next to its sums
-//! — the `AVG` shape the `AggQuery` front-end declares — with and
-//! without its filter; those plans must count the same rows everywhere.
+//! — how a caller declares `AVG`, dividing the two on the host — with
+//! and without its filter; those plans must count the same rows everywhere.
 //!
 //! The expression grammar mirrors what both lowerings accept — products
 //! of columns, affine column maps and comparison masks (column±column
@@ -19,10 +19,9 @@
 
 use bench::plangen::{q6_shaped_chain, random_chain, Rng, SEEDS};
 use proto_core::costing::TableStats;
-use proto_core::logical::{AggExpr, LogicalPlan};
+use proto_core::logical::{AggExpr, Expr, LogicalPlan};
 use proto_core::optimizer::{plan_with, CostingOptions, FusionPolicy, PlannerOptions};
 use proto_core::physical::{PlanBindings, Step};
-use proto_core::plan::Expr;
 use proto_core::workload;
 
 const N: usize = 4096;

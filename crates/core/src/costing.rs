@@ -1340,8 +1340,7 @@ mod tests {
     use crate::optimizer::{self, FusionPolicy, PlannerOptions};
 
     fn q6ish() -> crate::logical::LogicalPlan {
-        use crate::logical::{AggExpr, ColumnDecl, LogicalPlan};
-        use crate::plan::{Expr, Predicate};
+        use crate::logical::{AggExpr, ColumnDecl, Expr, LogicalPlan, Predicate};
         LogicalPlan::scan(
             "t",
             vec![

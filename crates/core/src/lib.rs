@@ -20,7 +20,8 @@
 //! * [`survey`] — the 43-library catalogue (Table I);
 //! * [`runner`] — deterministic simulated-time measurement;
 //! * [`workload`] — seeded data generators for all experiments;
-//! * [`logical`] — the backend-free logical query IR;
+//! * [`logical`] — the backend-free logical query IR, the one way a
+//!   query is declared, and its expression / predicate vocabulary;
 //! * [`optimizer`] — rewrite passes + the planner lowering logical
 //!   plans onto backends;
 //! * [`physical`] — compiled [`PhysicalPlan`](physical::PhysicalPlan)s:
@@ -56,7 +57,6 @@ pub mod logical;
 pub mod ops;
 pub mod optimizer;
 pub mod physical;
-pub mod plan;
 pub mod resilient;
 pub mod resilient_plan;
 pub mod runner;
@@ -70,11 +70,12 @@ pub mod prelude {
     pub use crate::costing::{CostModel, CostReport, StepCost, TableStats};
     pub use crate::framework::Framework;
     pub use crate::fused::{FusedExpr, FusedPred};
-    pub use crate::logical::{AggExpr, ColumnDecl, JoinCol, JoinSide, LogicalPlan, ResultOrder};
+    pub use crate::logical::{
+        AggExpr, ColumnDecl, Expr, JoinCol, JoinSide, LogicalPlan, Predicate, ResultOrder,
+    };
     pub use crate::ops::{CmpOp, Connective, DbOperator, JoinAlgo, Support};
     pub use crate::optimizer::{CostingOptions, FusionPolicy, PassTrace, PlannerOptions};
     pub use crate::physical::{PhysicalPlan, PlanBindings, PlanOutput, Step};
-    pub use crate::plan::{Agg, AggQuery, Bindings, Expr, Predicate, QueryResult};
     pub use crate::resilient::{ResilientBackend, RetryPolicy};
     pub use crate::resilient_plan::{
         PartitionSource, PlanLane, PlanRecovery, ResilientPlanExecutor,

@@ -2,25 +2,218 @@
 //!
 //! [`LogicalPlan`] is the one thing a query is declared as: a tree of
 //! scan / filter / project / join / group-by aggregate / sort-limit
-//! nodes, rich enough to express TPC-H Q1–Q14. A query is *built* here
-//! — directly (`tpch::queries`) or through the
-//! [`crate::plan::AggQuery`] front-end, which compiles to a one-scan
-//! tree — *rewritten* by [`crate::optimizer`]'s passes (predicate
-//! pushdown, projection pruning) and *lowered* onto a specific
+//! nodes over arithmetic [`Expr`]essions and composable [`Predicate`]s,
+//! rich enough to express TPC-H Q1–Q14. A query is *built* here
+//! (`tpch::queries`, `bench::plangen`, the declarative-query example),
+//! *rewritten* by [`crate::optimizer`]'s passes (predicate pushdown,
+//! projection pruning) and *lowered* onto a specific
 //! [`crate::backend::GpuBackend`] as a [`crate::physical::PhysicalPlan`].
-//! Its expressions and predicates are [`crate::plan`]'s [`Expr`] and
-//! [`Predicate`].
 //!
 //! Naming convention: [`LogicalPlan::Scan`] brings `table.column`
 //! qualified names into scope; a [`LogicalPlan::Join`]'s projection
 //! gives its outputs fresh (builder-chosen, plan-unique) names, which
 //! downstream nodes reference. [`LogicalPlan::render`] prints the tree
 //! in the indented form the optimizer golden tests snapshot.
+//!
+//! ```
+//! use proto_core::optimizer;
+//! use proto_core::prelude::*;
+//!
+//! let fw = Framework::with_all_backends(&gpu_sim::DeviceSpec::gtx1080());
+//! let backend = fw.backend("Thrust").unwrap();
+//!
+//! // SELECT SUM(price * (1 - discount)) FROM t WHERE qty < 24
+//! let logical = LogicalPlan::scan(
+//!     "t",
+//!     vec![ColumnDecl::f64("price"), ColumnDecl::f64("discount"), ColumnDecl::f64("qty")],
+//! )
+//! .filter(Predicate::cmp("t.qty", CmpOp::Lt, 24.0))
+//! .aggregate(None, vec![(
+//!     "revenue",
+//!     AggExpr::Sum(Expr::col("t.price") * (Expr::lit(1.0) - Expr::col("t.discount"))),
+//! )]);
+//! let plan = optimizer::plan("revenue", &logical, backend).unwrap();
+//!
+//! let cols = [
+//!     ("t.price", backend.upload_f64(&[10.0, 20.0, 30.0]).unwrap()),
+//!     ("t.discount", backend.upload_f64(&[0.1, 0.2, 0.3]).unwrap()),
+//!     ("t.qty", backend.upload_f64(&[5.0, 50.0, 10.0]).unwrap()),
+//! ];
+//! let mut binds = PlanBindings::new();
+//! for (name, col) in &cols {
+//!     binds.bind(name, col);
+//! }
+//! let out = plan.execute(backend, &binds).unwrap();
+//! assert_eq!(out.scalar("revenue").unwrap(), 10.0 * 0.9 + 30.0 * 0.7);
+//! ```
 
 use crate::backend::ColType;
-use crate::plan::{Expr, Predicate};
+use crate::ops::CmpOp;
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+
+/// An arithmetic expression over named `f64` columns.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Expr {
+    /// A named column reference.
+    Col(String),
+    /// A literal constant.
+    Lit(f64),
+    /// Elementwise addition.
+    Add(Box<Expr>, Box<Expr>),
+    /// Elementwise subtraction.
+    Sub(Box<Expr>, Box<Expr>),
+    /// Elementwise multiplication.
+    Mul(Box<Expr>, Box<Expr>),
+    /// A 0.0/1.0 indicator column: `1.0` where `column CMP literal`
+    /// holds, else `0.0` — the declarative form of the Table-II
+    /// `dense_mask` fast path (a CASE WHEN … THEN 1 ELSE 0 END).
+    Mask(String, CmpOp, f64),
+}
+
+impl Expr {
+    /// A column reference.
+    pub fn col(name: &str) -> Expr {
+        Expr::Col(name.to_string())
+    }
+
+    /// A literal.
+    pub fn lit(v: f64) -> Expr {
+        Expr::Lit(v)
+    }
+
+    /// Column names referenced by the expression, in first-occurrence
+    /// order with duplicates removed (`Vec::dedup` would only drop
+    /// *adjacent* repeats, so `price*qty + price` used to report
+    /// `price` twice).
+    pub fn columns(&self) -> Vec<&str> {
+        let mut seen = BTreeSet::new();
+        let mut out = Vec::new();
+        self.walk(&mut |e| {
+            if let Expr::Col(name) | Expr::Mask(name, _, _) = e {
+                if seen.insert(name.as_str()) {
+                    out.push(name.as_str());
+                }
+            }
+            true
+        });
+        out
+    }
+
+    /// Visit the expression tree in pre-order: a node before its
+    /// operands, left operand first. `visit` returns whether to descend
+    /// into the visited node's operands.
+    pub(crate) fn walk<'a>(&'a self, visit: &mut impl FnMut(&'a Expr) -> bool) {
+        if visit(self) {
+            if let Expr::Add(a, b) | Expr::Sub(a, b) | Expr::Mul(a, b) = self {
+                a.walk(visit);
+                b.walk(visit);
+            }
+        }
+    }
+}
+
+impl std::ops::Add for Expr {
+    type Output = Expr;
+    fn add(self, rhs: Expr) -> Expr {
+        Expr::Add(Box::new(self), Box::new(rhs))
+    }
+}
+
+impl std::ops::Sub for Expr {
+    type Output = Expr;
+    fn sub(self, rhs: Expr) -> Expr {
+        Expr::Sub(Box::new(self), Box::new(rhs))
+    }
+}
+
+impl std::ops::Mul for Expr {
+    type Output = Expr;
+    fn mul(self, rhs: Expr) -> Expr {
+        Expr::Mul(Box::new(self), Box::new(rhs))
+    }
+}
+
+impl fmt::Display for Expr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Expr::Col(name) => write!(f, "{name}"),
+            Expr::Lit(v) => write!(f, "{v}"),
+            Expr::Add(a, b) => write!(f, "({a} + {b})"),
+            Expr::Sub(a, b) => write!(f, "({a} - {b})"),
+            Expr::Mul(a, b) => write!(f, "({a} * {b})"),
+            Expr::Mask(name, cmp, lit) => write!(f, "mask({name} {cmp:?} {lit})"),
+        }
+    }
+}
+
+/// A filter predicate over named columns.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Predicate {
+    /// `column CMP literal`.
+    Cmp(String, CmpOp, f64),
+    /// `column CMP column`.
+    ColCmp(String, CmpOp, String),
+    /// Conjunction.
+    And(Vec<Predicate>),
+    /// Disjunction (literal comparisons only — Table II realises OR with
+    /// flag vectors / set unions over simple predicates).
+    Or(Vec<Predicate>),
+}
+
+impl Predicate {
+    /// `column CMP literal`.
+    pub fn cmp(col: &str, op: CmpOp, lit: f64) -> Predicate {
+        Predicate::Cmp(col.to_string(), op, lit)
+    }
+
+    /// `a CMP b` between two columns.
+    pub fn col_cmp(a: &str, op: CmpOp, b: &str) -> Predicate {
+        Predicate::ColCmp(a.to_string(), op, b.to_string())
+    }
+
+    /// Column names referenced by the predicate, in first-occurrence
+    /// order with duplicates removed.
+    pub fn columns(&self) -> Vec<&str> {
+        let mut out = Vec::new();
+        self.collect_columns(&mut out);
+        let mut seen = BTreeSet::new();
+        out.retain(|name| seen.insert(*name));
+        out
+    }
+
+    fn collect_columns<'a>(&'a self, out: &mut Vec<&'a str>) {
+        match self {
+            Predicate::Cmp(c, _, _) => out.push(c),
+            Predicate::ColCmp(a, _, b) => {
+                out.push(a);
+                out.push(b);
+            }
+            Predicate::And(ps) | Predicate::Or(ps) => {
+                for p in ps {
+                    p.collect_columns(out);
+                }
+            }
+        }
+    }
+
+    pub(crate) fn describe(&self) -> String {
+        match self {
+            Predicate::Cmp(c, op, lit) => format!("{c} {op:?} {lit}"),
+            Predicate::ColCmp(a, op, b) => format!("{a} {op:?} {b}"),
+            Predicate::And(ps) => ps
+                .iter()
+                .map(|p| p.describe())
+                .collect::<Vec<_>>()
+                .join(" AND "),
+            Predicate::Or(ps) => ps
+                .iter()
+                .map(|p| p.describe())
+                .collect::<Vec<_>>()
+                .join(" OR "),
+        }
+    }
+}
 
 /// One column a [`LogicalPlan::Scan`] brings into scope.
 #[derive(Debug, Clone, PartialEq)]
@@ -445,7 +638,6 @@ impl LogicalPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::CmpOp;
 
     fn sample() -> LogicalPlan {
         let part = LogicalPlan::scan("part", vec![ColumnDecl::u32("partkey")]);
@@ -463,6 +655,24 @@ mod tests {
             vec![JoinCol::probe("ext", "lineitem.extendedprice")],
         )
         .aggregate(None, vec![("total", AggExpr::Sum(Expr::col("ext")))])
+    }
+
+    #[test]
+    fn expr_display_and_columns() {
+        let e = (Expr::col("a") + Expr::lit(1.0)) * Expr::col("b") - Expr::lit(2.0);
+        assert_eq!(e.to_string(), "(((a + 1) * b) - 2)");
+        assert_eq!(e.columns(), vec!["a", "b"]);
+    }
+
+    #[test]
+    fn columns_dedups_non_adjacent_repeats_in_first_use_order() {
+        // `price*qty + price` interleaves the repeat — Vec::dedup (the
+        // old implementation) only removes adjacent duplicates and kept
+        // both `price` occurrences.
+        let e = Expr::col("price") * Expr::col("qty") + Expr::col("price");
+        assert_eq!(e.columns(), vec!["price", "qty"]);
+        let e = (Expr::col("b") * Expr::col("a")) * (Expr::col("b") * Expr::col("c"));
+        assert_eq!(e.columns(), vec!["b", "a", "c"]);
     }
 
     #[test]

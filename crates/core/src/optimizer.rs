@@ -40,10 +40,9 @@
 use crate::backend::{ColType, GpuBackend};
 use crate::costing::{Alternative, CostModel, CostReport, TableStats};
 use crate::fused::{FusedExpr, FusedPred};
-use crate::logical::{AggExpr, JoinSide, LogicalPlan};
+use crate::logical::{AggExpr, Expr, JoinSide, LogicalPlan, Predicate};
 use crate::ops::{CmpOp, Connective, DbOperator, JoinAlgo, Support};
 use crate::physical::{ColRef, PhysicalPlan, PlanPred, SlotKind, SlotMeta, Step};
-use crate::plan::{Expr, Predicate};
 use gpu_sim::{Result, SimError};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -2043,6 +2042,31 @@ mod tests {
             panic!()
         };
         assert_eq!(columns, &vec![ColumnDecl::f64("used")]);
+    }
+
+    #[test]
+    fn constant_folding_minimises_kernels() {
+        let fw = fw();
+        let b = fw.backend("Thrust").unwrap();
+        // SUM((2 * 3) * x) folds its constants before touching the device.
+        let tree = LogicalPlan::scan("t", vec![ColumnDecl::f64("x")]).aggregate(
+            None,
+            vec![(
+                "s",
+                AggExpr::Sum((Expr::lit(2.0) * Expr::lit(3.0)) * Expr::col("t.x")),
+            )],
+        );
+        let x = b.upload_f64(&[1.0, 2.0]).unwrap();
+        let mut binds = PlanBindings::new();
+        binds.bind("t.x", &x);
+        b.device().reset_stats();
+        let out = plan("Fold", &tree, b).unwrap().execute(b, &binds).unwrap();
+        assert_eq!(out.scalar("s").unwrap(), 18.0);
+        // One affine (scale) + one reduce — no constant materialisation.
+        let s = b.device().stats();
+        assert_eq!(s.launches_of("thrust::transform"), 1);
+        assert_eq!(s.launches_of("thrust::fill"), 0);
+        b.free(x).unwrap();
     }
 
     #[test]

@@ -7,10 +7,9 @@
 
 use super::*;
 use crate::backends::{make_backend, PAPER_BACKENDS};
-use crate::logical::{AggExpr, ColumnDecl, JoinCol, LogicalPlan, ResultOrder};
+use crate::logical::{AggExpr, ColumnDecl, Expr, JoinCol, LogicalPlan, Predicate, ResultOrder};
 use crate::ops::CmpOp;
 use crate::optimizer::{self, FusionPolicy, PlannerOptions};
-use crate::plan::{Expr, Predicate};
 use gpu_sim::{Device, DeviceSpec};
 use std::collections::BTreeSet;
 

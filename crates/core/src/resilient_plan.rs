@@ -73,7 +73,6 @@ use crate::physical::{
 };
 use crate::resilient::{retry_with_policy, RetryPolicy};
 use gpu_sim::{Recovery, Result, SimDuration, SimError};
-use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Smallest partition, in rows, that partitioned execution will try.
@@ -91,12 +90,12 @@ pub struct PlanRecovery {
 }
 
 /// One host-resident column a plan may be partitioned over.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub enum HostCol<'a> {
     /// A `u32` column.
-    U32(Cow<'a, [u32]>),
+    U32(&'a [u32]),
     /// An `f64` column.
-    F64(Cow<'a, [f64]>),
+    F64(&'a [f64]),
 }
 
 impl HostCol<'_> {
@@ -131,16 +130,14 @@ impl<'a> PartitionSource<'a> {
     }
 
     /// Register a partitioned `u32` column under its qualified name.
-    pub fn bind_u32(&mut self, name: &str, data: impl Into<Cow<'a, [u32]>>) -> &mut Self {
-        self.cols
-            .insert(name.to_string(), HostCol::U32(data.into()));
+    pub fn bind_u32(&mut self, name: &str, data: &'a [u32]) -> &mut Self {
+        self.cols.insert(name.to_string(), HostCol::U32(data));
         self
     }
 
     /// Register a partitioned `f64` column under its qualified name.
-    pub fn bind_f64(&mut self, name: &str, data: impl Into<Cow<'a, [f64]>>) -> &mut Self {
-        self.cols
-            .insert(name.to_string(), HostCol::F64(data.into()));
+    pub fn bind_f64(&mut self, name: &str, data: &'a [f64]) -> &mut Self {
+        self.cols.insert(name.to_string(), HostCol::F64(data));
         self
     }
 
@@ -883,10 +880,9 @@ impl ResilientPlanExecutor {
 mod tests {
     use super::*;
     use crate::backends::HandwrittenBackend;
-    use crate::logical::{AggExpr, ColumnDecl, LogicalPlan, ResultOrder};
+    use crate::logical::{AggExpr, ColumnDecl, Expr, LogicalPlan, Predicate, ResultOrder};
     use crate::ops::CmpOp;
     use crate::optimizer;
-    use crate::plan::{Expr, Predicate};
     use gpu_sim::{Device, DeviceSpec, FaultPlan, FaultSite, TraceKind};
 
     /// filter + two grouped aggregates + key-ordered output: enough

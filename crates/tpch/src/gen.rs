@@ -196,6 +196,7 @@ pub fn generate_seeded(scale_factor: f64, seed: u64) -> Database {
             lineitem.shipdate.push(shipdate);
             lineitem.commitdate.push(commitdate);
             lineitem.receiptdate.push(receiptdate);
+            lineitem.groupkey.push(group_key(returnflag, linestatus));
         }
         orders.orderkey.push(o);
         orders.custkey.push(custkey);
@@ -263,6 +264,7 @@ filling!(lineitem_with_capacity -> LineitemRows => Lineitem {
     shipdate: u32,
     commitdate: u32,
     receiptdate: u32,
+    groupkey: u32,
 });
 
 #[cfg(test)]

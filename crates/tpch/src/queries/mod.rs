@@ -2,9 +2,8 @@
 //!
 //! A query is declared exactly once, as the
 //! [`proto_core::logical::LogicalPlan`] its `logical_plan()` builds —
-//! the IR every query in this repository is planned from (the
-//! single-table [`proto_core::plan::AggQuery`] front-end compiles to the
-//! same IR). Each query module adds a host `reference` implementation
+//! the IR every query in this repository is declared and planned from.
+//! Each query module adds a host `reference` implementation
 //! (the ground truth) and a [`Query`] impl: the name the planner
 //! compiles it under, its answer type and how a [`PlanOutput`] decodes
 //! into that answer.

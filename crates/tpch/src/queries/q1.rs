@@ -27,10 +27,9 @@ use crate::queries::{close, rows_match, LogicalPlanFn, Query, QueryData};
 use crate::schema::{group_key, Database};
 use gpu_sim::Result;
 use proto_core::backend::GpuBackend;
-use proto_core::logical::{AggExpr, ColumnDecl, LogicalPlan, ResultOrder};
+use proto_core::logical::{AggExpr, ColumnDecl, Expr, LogicalPlan, Predicate, ResultOrder};
 use proto_core::ops::CmpOp;
 use proto_core::physical::{PhysicalPlan, PlanOutput};
-use proto_core::plan::{Expr, Predicate};
 
 /// One Q1 result row.
 #[derive(Debug, Clone, PartialEq)]

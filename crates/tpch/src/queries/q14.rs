@@ -26,10 +26,9 @@ use crate::queries::{close, LogicalPlanFn, Query, QueryData};
 use crate::schema::Database;
 use gpu_sim::Result;
 use proto_core::backend::ColType;
-use proto_core::logical::{AggExpr, ColumnDecl, JoinCol, LogicalPlan};
+use proto_core::logical::{AggExpr, ColumnDecl, Expr, JoinCol, LogicalPlan, Predicate};
 use proto_core::ops::CmpOp;
 use proto_core::physical::PlanOutput;
-use proto_core::plan::{Expr, Predicate};
 
 /// Size threshold standing in for `p_type LIKE 'PROMO%'`.
 pub const PROMO_SIZE_MAX: u32 = 10;

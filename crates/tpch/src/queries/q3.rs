@@ -26,10 +26,9 @@ use crate::dates::date;
 use crate::queries::{close, rows_match, LogicalPlanFn, Query, QueryData};
 use crate::schema::{segment_code, Column, Database};
 use gpu_sim::Result;
-use proto_core::logical::{AggExpr, ColumnDecl, JoinCol, LogicalPlan};
+use proto_core::logical::{AggExpr, ColumnDecl, Expr, JoinCol, LogicalPlan, Predicate};
 use proto_core::ops::CmpOp;
 use proto_core::physical::PlanOutput;
-use proto_core::plan::{Expr, Predicate};
 
 /// One Q3 result row.
 #[derive(Debug, Clone, PartialEq)]

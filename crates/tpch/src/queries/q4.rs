@@ -21,10 +21,9 @@ use crate::dates::date;
 use crate::queries::{LogicalPlanFn, Query, QueryData};
 use crate::schema::Database;
 use gpu_sim::Result;
-use proto_core::logical::{AggExpr, ColumnDecl, JoinCol, LogicalPlan};
+use proto_core::logical::{AggExpr, ColumnDecl, JoinCol, LogicalPlan, Predicate};
 use proto_core::ops::CmpOp;
 use proto_core::physical::PlanOutput;
-use proto_core::plan::Predicate;
 
 /// One Q4 result row.
 #[derive(Debug, Clone, PartialEq, Eq)]

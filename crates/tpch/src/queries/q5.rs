@@ -27,10 +27,11 @@ use crate::dates::date;
 use crate::queries::{close, rows_match, LogicalPlanFn, Query, QueryData};
 use crate::schema::{Database, NATIONS, REGIONS};
 use gpu_sim::Result;
-use proto_core::logical::{AggExpr, ColumnDecl, JoinCol, LogicalPlan, ResultOrder};
+use proto_core::logical::{
+    AggExpr, ColumnDecl, Expr, JoinCol, LogicalPlan, Predicate, ResultOrder,
+};
 use proto_core::ops::CmpOp;
 use proto_core::physical::PlanOutput;
-use proto_core::plan::{Expr, Predicate};
 
 /// One Q5 result row.
 #[derive(Debug, Clone, PartialEq)]

@@ -23,10 +23,9 @@ use crate::queries::{close, LogicalPlanFn, Query, QueryData};
 use crate::schema::Database;
 use gpu_sim::Result;
 use proto_core::backend::GpuBackend;
-use proto_core::logical::{AggExpr, ColumnDecl, LogicalPlan};
+use proto_core::logical::{AggExpr, ColumnDecl, Expr, LogicalPlan, Predicate};
 use proto_core::ops::CmpOp;
 use proto_core::physical::{PhysicalPlan, PlanOutput};
-use proto_core::plan::{Expr, Predicate};
 
 /// The Q6 query tree: one conjunctive filter over lineitem, one
 /// `SUM(extendedprice · discount)` aggregate.

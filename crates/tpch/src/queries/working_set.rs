@@ -37,8 +37,8 @@ impl<Q: Query> QueryData<Q> {
         let mut cols = Vec::new();
         for (name, _) in Q::upload_columns() {
             let col = match db.column(&name) {
-                Some(HostCol::U32(v)) => backend.upload_u32(&v)?,
-                Some(HostCol::F64(v)) => backend.upload_f64(&v)?,
+                Some(HostCol::U32(v)) => backend.upload_u32(v)?,
+                Some(HostCol::F64(v)) => backend.upload_f64(v)?,
                 None => {
                     return Err(SimError::Unsupported(format!(
                         "no host column for plan column `{name}`"

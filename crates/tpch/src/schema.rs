@@ -14,7 +14,6 @@
 
 use gpu_sim::DeviceCopy;
 use proto_core::resilient_plan::HostCol;
-use std::borrow::Cow;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
@@ -102,6 +101,10 @@ pub struct Lineitem {
     pub commitdate: Column<u32>,
     /// Receipt date (day number).
     pub receiptdate: Column<u32>,
+    /// Q1's composite group key, `returnflag · 2 + linestatus`: not a
+    /// TPC-H column, but an encoding fixed per table, so it is stored once
+    /// and every upload and partition source shares it.
+    pub groupkey: Column<u32>,
 }
 
 /// `ORDERS`.
@@ -293,18 +296,8 @@ impl Database {
     /// The host column behind a plan's qualified base-column name
     /// (`table.column`), for every column the studied queries scan;
     /// `None` for any other name.
-    ///
-    /// Besides stored columns this answers `lineitem.groupkey`, Q1's
-    /// composite `(returnflag, linestatus)` group key — an encoding
-    /// decision made once per table, so it is derived here for uploads
-    /// and partition sources alike.
     pub fn column(&self, name: &str) -> Option<HostCol<'_>> {
-        fn u(v: &[u32]) -> HostCol<'_> {
-            HostCol::U32(Cow::Borrowed(v))
-        }
-        fn f(v: &[f64]) -> HostCol<'_> {
-            HostCol::F64(Cow::Borrowed(v))
-        }
+        let (u, f) = (HostCol::U32, HostCol::F64);
         let (li, o, c) = (&self.lineitem, &self.orders, &self.customer);
         Some(match name {
             "lineitem.orderkey" => u(&li.orderkey),
@@ -317,13 +310,7 @@ impl Database {
             "lineitem.shipdate" => u(&li.shipdate),
             "lineitem.commitdate" => u(&li.commitdate),
             "lineitem.receiptdate" => u(&li.receiptdate),
-            "lineitem.groupkey" => HostCol::U32(Cow::Owned(
-                li.returnflag
-                    .iter()
-                    .zip(&li.linestatus)
-                    .map(|(&rf, &ls)| group_key(rf, ls))
-                    .collect(),
-            )),
+            "lineitem.groupkey" => u(&li.groupkey),
             "orders.orderkey" => u(&o.orderkey),
             "orders.custkey" => u(&o.custkey),
             "orders.orderdate" => u(&o.orderdate),

@@ -97,6 +97,7 @@ fn parse_date(s: &str) -> Option<u32> {
 /// the export is round-tripped through.
 #[cfg(test)]
 fn parse_lineitem(content: &str) -> Result<Lineitem, String> {
+    use crate::schema::group_key;
     let mut li = Lineitem::default();
     for (lineno, line) in content.lines().enumerate() {
         let fields: Vec<&str> = line.split('|').collect();
@@ -131,8 +132,10 @@ fn parse_lineitem(content: &str) -> Result<Lineitem, String> {
         li.extendedprice.push(parse_f64(5)?);
         li.discount.push(parse_f64(6)?);
         li.tax.push(parse_f64(7)?);
-        li.returnflag.push(dict(8, &RETURNFLAGS)?);
-        li.linestatus.push(dict(9, &LINESTATUSES)?);
+        let (returnflag, linestatus) = (dict(8, &RETURNFLAGS)?, dict(9, &LINESTATUSES)?);
+        li.returnflag.push(returnflag);
+        li.linestatus.push(linestatus);
+        li.groupkey.push(group_key(returnflag, linestatus));
         li.shipdate.push(date_at(10)?);
         li.commitdate.push(date_at(11)?);
         li.receiptdate.push(date_at(12)?);
@@ -153,6 +156,7 @@ mod tests {
         assert_eq!(back.orderkey, db.lineitem.orderkey);
         assert_eq!(back.shipdate, db.lineitem.shipdate);
         assert_eq!(back.returnflag, db.lineitem.returnflag);
+        assert_eq!(back.groupkey, db.lineitem.groupkey);
         assert_eq!(back.quantity, db.lineitem.quantity);
         // Money columns round to cents in the format — the generator only
         // produces cent-precision values, so they survive exactly.
