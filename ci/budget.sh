@@ -2,15 +2,17 @@
 # Size ceilings. Each line of ci/budget.tsv is `metric<TAB>ceiling<TAB>how`,
 # where `how` is one of these measures:
 #   nontest FILE   lines of FILE above its first top-level `#[cfg(test)]`
+#                  that gates more than a one-line `mod x;`
+#   lines DIR [SKIP...]  the `nontest` lines of every .rs file under DIR but
+#                  the test-only files SKIP...
 #   unsafe DIR...  lines of the .rs files under DIR... that name `unsafe`,
 #                  not counting `//` comment lines
 #   bytes FILE     the size of FILE
 #   files REGEX DIR...  the number of .rs files under DIR... with a line
 #                  that matches the extended REGEX
-#   panics DIR [SKIP...]  lines above the first top-level `#[cfg(test)]` of
-#                  each .rs file under DIR, but the test-only files SKIP...,
-#                  that call `.unwrap()`, `.expect(`, `panic!`,
-#                  `unreachable!` or `todo!`, not counting `//` comment lines
+#   panics DIR [SKIP...]  those of the `lines` that call `.unwrap()`,
+#                  `.expect(`, `panic!`, `unreachable!` or `todo!`, not
+#                  counting `//` comment lines
 # The gate fails when a value is over its ceiling (raising a ceiling needs a
 # CHANGES.md line that says why), and when a ceiling is looser than its value
 # by more than SLACK_PCT percent, so a deletion must tighten it.
@@ -23,15 +25,23 @@ cd "$(dirname "$0")/.."
 budget=ci/budget.tsv
 SLACK_PCT=2
 
-nontest_lines() { awk '/^#\[cfg\(test\)\]/ { exit } { print }' "$1"; }
+nontest_lines() {
+  awk 'gate { gate = 0; if ($0 !~ /^(pub(\(crate\))? )?mod [a-z_0-9]+;$/) exit; print cfg }
+       /^#\[cfg\(test\)\]/ { gate = 1; cfg = $0; next }
+       { print }' "$1"
+}
 nontest() { nontest_lines "$1" | wc -l | tr -d ' '; }
+tree_lines() {
+  find "$1" -name '*.rs' | sort | while read -r f; do
+    [[ " ${*:2} " == *" $f "* ]] || nontest_lines "$f"
+  done
+}
+lines() { tree_lines "$@" | wc -l | tr -d ' '; }
 unsafe() { find "$@" -name '*.rs' -exec cat {} + | grep -E '\bunsafe\b' | grep -cvE '^\s*//' || true; }
 bytes() { wc -c <"$1" | tr -d ' '; }
 files() { find "${@:2}" -name '*.rs' -exec grep -lE "$1" {} + | wc -l || true; }
 panics() {
-  find "$1" -name '*.rs' | sort | while read -r f; do
-    [[ " ${*:2} " == *" $f "* ]] || nontest_lines "$f"
-  done | grep -vE '^\s*//' | grep -cE '\.unwrap\(\)|\.expect\(|\b(panic|unreachable|todo)!' || true
+  tree_lines "$@" | grep -vE '^\s*//' | grep -cE '\.unwrap\(\)|\.expect\(|\b(panic|unreachable|todo)!' || true
 }
 
 # measure <how>: the value of one budget line.
@@ -39,7 +49,7 @@ measure() {
   local args
   read -ra args <<<"$1"
   case ${args[0]} in
-    nontest | unsafe | bytes | files | panics) "${args[@]}" ;;
+    nontest | lines | unsafe | bytes | files | panics) "${args[@]}" ;;
     *) echo "budget.sh: unknown measure '${args[0]}' in $budget" >&2; exit 2 ;;
   esac
 }

@@ -416,8 +416,8 @@ pub static TABLE: [Row; 24] = [
     Row::new(
         "validate",
         every_lane(|b, c| {
-            queries::validate_backend(b, &tpch::cached(c.validate_sf)).expect("query validation");
-            out(())
+            let db = tpch::cached(c.validate_sf);
+            out(queries::validate_backend(b, &db).expect("query validation"))
         }),
         Emit::Nothing,
     ),

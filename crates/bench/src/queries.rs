@@ -77,27 +77,32 @@ pub(crate) fn e12_assemble(parts: Vec<[Part; 4]>) -> Vec<Experiment> {
         .collect()
 }
 
+/// A validated query's working set, still on its device.
+pub(crate) type Resident = Box<dyn Send>;
+
 /// Validate one backend's query answers against the host reference —
-/// the per-backend body of [`validate_all`].
-pub(crate) fn validate_backend(b: &dyn GpuBackend, db: &Database) -> Result<(), String> {
-    validate::<Q6>(b, db)?;
-    validate::<Q1>(b, db)?;
+/// the per-backend body of [`validate_all`] — and hand back the working
+/// sets, still uploaded.
+pub(crate) fn validate_backend(b: &dyn GpuBackend, db: &Database) -> Result<Vec<Resident>, String> {
+    let mut resident = vec![validate::<Q6>(b, db)?, validate::<Q1>(b, db)?];
     if tpch::queries::can_join(b) {
-        validate::<Q3>(b, db)?;
-        validate::<Q4>(b, db)?;
-        validate::<Q14>(b, db)?;
-        validate::<Q5>(b, db)?;
+        resident.push(validate::<Q3>(b, db)?);
+        resident.push(validate::<Q4>(b, db)?);
+        resident.push(validate::<Q14>(b, db)?);
+        resident.push(validate::<Q5>(b, db)?);
     }
-    Ok(())
+    Ok(resident)
 }
 
 /// Run `Q` on `b` and compare its whole answer with the host reference.
-/// The working set stays resident: the lane's later experiments run on
-/// this device, and their simulated times include its pool state.
-fn validate<Q: Query>(b: &dyn GpuBackend, db: &Database) -> Result<(), String> {
+/// The working set is returned resident: the grid keeps it on the lane's
+/// device until the run ends, so the lane's later experiments (E10–E12's
+/// cold runs) see the pool state they have always been measured with.
+fn validate<Q: Query + 'static>(b: &dyn GpuBackend, db: &Database) -> Result<Resident, String> {
     let data = QueryData::<Q>::upload(b, db).map_err(|e| e.to_string())?;
     let got = data.execute(b).map_err(|e| e.to_string())?;
-    check::<Q>(b, &got, &(Q::REFERENCE)(db))
+    check::<Q>(b, &got, &(Q::REFERENCE)(db))?;
+    Ok(Box::new(data))
 }
 
 /// `Ok` when `got` is the reference answer `want` ([`Query::matches`]).

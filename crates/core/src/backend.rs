@@ -3,16 +3,15 @@
 //! The paper's framework "allows a user to plug-in new libraries and
 //! custom-written code". A backend adapts one GPU library (or a handwritten
 //! kernel collection) to the common operator vocabulary of
-//! [`crate::ops::DbOperator`]. Columns live on the device
-//! behind opaque [`Col`] handles, so benchmarks measure operator execution
-//! without re-paying PCIe transfers on every call — matching how the paper
-//! times operators in isolation.
+//! [`crate::ops::DbOperator`]. Columns live on the device behind [`Col`]
+//! handles that own them, so benchmarks measure operator execution without
+//! re-paying PCIe transfers on every call — matching how the paper times
+//! operators in isolation.
 
 use crate::fused::{FusedExpr, FusedPred};
 use crate::ops::{CmpOp, Connective, DbOperator, JoinAlgo, Support};
 use gpu_sim::{Device, Result, SimError};
-use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -25,21 +24,93 @@ pub enum ColType {
     F64,
 }
 
-/// Opaque handle to a device-resident column owned by one backend.
+/// The identity of one backend instance: what every handle it mints
+/// carries, and what every read of a handle is checked against.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Owner {
+    id: u64,
+    name: &'static str,
+}
+
+impl Owner {
+    /// A fresh identity for an instance of the backend named `name`,
+    /// equal to no other.
+    pub fn new(name: &'static str) -> Owner {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let id = NEXT.fetch_add(1, Ordering::Relaxed);
+        Owner { id, name }
+    }
+}
+
+/// Handle to a device-resident column, owning it: dropping the handle
+/// frees the column, and [`GpuBackend::free`] is the checked form of that
+/// drop.
 ///
 /// Handles are minted by [`GpuBackend::upload_u32`] /
 /// [`GpuBackend::upload_f64`] / [`GpuBackend::upload`] and by operator
-/// outputs; they are only valid
-/// on the backend that created them.
-#[derive(Debug)]
+/// outputs; only the backend instance that minted one reads it.
 pub struct Col {
-    pub(crate) id: u64,
-    pub(crate) dtype: ColType,
-    pub(crate) len: usize,
-    pub(crate) backend: &'static str,
+    value: Box<dyn Any + Send + Sync>,
+    owner: Owner,
+    dtype: ColType,
+    len: usize,
+}
+
+impl std::fmt::Debug for Col {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Col")
+            .field("backend", &self.owner.name)
+            .field("dtype", &self.dtype)
+            .field("len", &self.len)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Col {
+    /// A handle owning `value`, the column `owner` stores for `len`
+    /// elements of `dtype` — the constructor a backend uses, in tree or
+    /// out of it.
+    pub fn new<T: Any + Send + Sync>(owner: Owner, dtype: ColType, len: usize, value: T) -> Col {
+        let value = Box::new(value);
+        Col {
+            value,
+            owner,
+            dtype,
+            len,
+        }
+    }
+
+    /// The column `owner` stored as a `T`; `Unsupported` when another
+    /// backend instance minted the handle or the column is stored as
+    /// something else.
+    pub fn get<T: Any>(&self, owner: Owner) -> Result<&T> {
+        self.owned_by(owner)?;
+        self.value.downcast_ref().ok_or_else(|| {
+            SimError::Unsupported(format!(
+                "{:?} column where {} expected",
+                self.dtype,
+                std::any::type_name::<T>()
+            ))
+        })
+    }
+
+    /// Drop the handle, freeing its column; `Unsupported` when another
+    /// backend instance minted it, which drops it all the same.
+    pub(crate) fn free(self, owner: Owner) -> Result<()> {
+        self.owned_by(owner)
+    }
+
+    fn owned_by(&self, owner: Owner) -> Result<()> {
+        if self.owner == owner {
+            return Ok(());
+        }
+        let (mine, theirs) = (self.owner.name, owner.name);
+        let which = if mine == theirs { "another" } else { mine };
+        Err(SimError::Unsupported(format!(
+            "column belongs to {which} {mine} instance, not to this {theirs}"
+        )))
+    }
+
     /// Element type.
     pub fn dtype(&self) -> ColType {
         self.dtype
@@ -57,24 +128,7 @@ impl Col {
 
     /// Name of the owning backend.
     pub fn backend(&self) -> &'static str {
-        self.backend
-    }
-
-    /// Construct a handle from raw parts — the constructor external
-    /// (out-of-crate) backend implementations use with their own handle
-    /// table.
-    pub fn from_raw(id: u64, dtype: ColType, len: usize, backend: &'static str) -> Col {
-        Col {
-            id,
-            dtype,
-            len,
-            backend,
-        }
-    }
-
-    /// The raw slab id — for external backend implementations.
-    pub fn raw_id(&self) -> u64 {
-        self.id
+        self.owner.name
     }
 }
 
@@ -280,97 +334,16 @@ pub trait GpuBackend: Send + Sync {
     }
 }
 
-/// Shared handle-slab implementation used by the concrete backends.
-///
-/// Handle ids are process-globally unique so a handle from one backend
-/// instance can never silently alias a column of another instance.
-#[derive(Debug)]
-pub(crate) struct Slab<S> {
-    map: Mutex<HashMap<u64, S>>,
-}
-
-static NEXT_HANDLE_ID: AtomicU64 = AtomicU64::new(1);
-
-impl<S> Default for Slab<S> {
-    fn default() -> Self {
-        Slab {
-            map: Mutex::new(HashMap::new()),
-        }
-    }
-}
-
-impl<S> Slab<S> {
-    /// Store `value`, returning its handle id.
-    pub fn insert(&self, value: S) -> u64 {
-        let id = NEXT_HANDLE_ID.fetch_add(1, Ordering::Relaxed);
-        self.map.lock().insert(id, value);
-        id
-    }
-
-    /// Run `f` with a shared view of the stored value.
-    pub fn with<R>(&self, id: u64, f: impl FnOnce(&S) -> R) -> Result<R> {
-        let map = self.map.lock();
-        let v = map
-            .get(&id)
-            .ok_or_else(|| SimError::Unsupported(format!("dangling column handle {id}")))?;
-        Ok(f(v))
-    }
-
-    /// Run `f` with two stored values.
-    pub(crate) fn with2<R>(&self, a: u64, b: u64, f: impl FnOnce(&S, &S) -> R) -> Result<R> {
-        if a == b {
-            return self.with(a, |v| f(v, v));
-        }
-        let map = self.map.lock();
-        let va = map
-            .get(&a)
-            .ok_or_else(|| SimError::Unsupported(format!("dangling column handle {a}")))?;
-        let vb = map
-            .get(&b)
-            .ok_or_else(|| SimError::Unsupported(format!("dangling column handle {b}")))?;
-        Ok(f(va, vb))
-    }
-
-    /// Run `f` with shared views of many stored values at once (fused
-    /// kernels zip several input columns into one launch). Duplicate
-    /// ids are allowed and resolve to the same view.
-    pub(crate) fn with_many<R>(&self, ids: &[u64], f: impl FnOnce(&[&S]) -> R) -> Result<R> {
-        let map = self.map.lock();
-        let mut views = Vec::with_capacity(ids.len());
-        for id in ids {
-            views
-                .push(map.get(id).ok_or_else(|| {
-                    SimError::Unsupported(format!("dangling column handle {id}"))
-                })?);
-        }
-        Ok(f(&views))
-    }
-
-    /// Remove and return the stored value.
-    pub fn take(&self, id: u64) -> Result<S> {
-        self.map
-            .lock()
-            .remove(&id)
-            .ok_or_else(|| SimError::Unsupported(format!("dangling column handle {id}")))
-    }
-}
-
-/// Helper for backends: verify a handle belongs to `backend` and has the
-/// expected dtype.
-pub(crate) fn check_col(col: &Col, backend: &'static str, dtype: ColType) -> Result<()> {
-    if col.backend != backend {
-        return Err(SimError::Unsupported(format!(
-            "column belongs to backend {}, not {}",
-            col.backend, backend
-        )));
-    }
-    if col.dtype != dtype {
-        return Err(SimError::Unsupported(format!(
+/// `Unsupported` unless `col` holds `dtype` elements.
+pub(crate) fn check_dtype(col: &Col, dtype: ColType) -> Result<()> {
+    if col.dtype == dtype {
+        Ok(())
+    } else {
+        Err(SimError::Unsupported(format!(
             "column dtype {:?} where {:?} expected",
             col.dtype, dtype
-        )));
+        )))
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -378,42 +351,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn slab_insert_with_take() {
-        let slab: Slab<String> = Slab::default();
-        let id = slab.insert("hello".into());
-        assert_eq!(slab.with(id, |s| s.len()).unwrap(), 5);
-        assert_eq!(slab.map.lock().len(), 1);
-        let v = slab.take(id).unwrap();
-        assert_eq!(v, "hello");
-        assert!(slab.map.lock().is_empty());
-        assert!(slab.with(id, |_| ()).is_err());
-        assert!(slab.take(id).is_err());
-    }
-
-    #[test]
-    fn slab_with2_handles_aliasing() {
-        let slab: Slab<u32> = Slab::default();
-        let a = slab.insert(2);
-        let b = slab.insert(3);
-        assert_eq!(slab.with2(a, b, |x, y| x * y).unwrap(), 6);
-        assert_eq!(slab.with2(a, a, |x, y| x + y).unwrap(), 4);
-        assert!(slab.with2(a, 999, |_, _| ()).is_err());
-    }
-
-    #[test]
-    fn check_col_rejects_wrong_backend_and_dtype() {
-        let col = Col {
-            id: 1,
-            dtype: ColType::U32,
-            len: 3,
-            backend: "Thrust",
-        };
-        assert!(check_col(&col, "Thrust", ColType::U32).is_ok());
-        assert!(check_col(&col, "Boost.Compute", ColType::U32).is_err());
-        assert!(check_col(&col, "Thrust", ColType::F64).is_err());
+    fn a_handle_is_read_by_its_owner_as_the_type_it_holds() {
+        let (thrust, other) = (Owner::new("Thrust"), Owner::new("Thrust"));
+        let col = Col::new(thrust, ColType::U32, 3, vec![1u32, 2, 3]);
+        assert_eq!(col.get::<Vec<u32>>(thrust).unwrap(), &[1, 2, 3]);
+        assert!(col.get::<Vec<f64>>(thrust).is_err());
+        assert!(col.get::<Vec<u32>>(other).is_err());
+        assert!(col.get::<Vec<u32>>(Owner::new("Boost.Compute")).is_err());
+        assert!(check_dtype(&col, ColType::U32).is_ok());
+        assert!(check_dtype(&col, ColType::F64).is_err());
         assert_eq!(col.len(), 3);
         assert!(!col.is_empty());
         assert_eq!(col.backend(), "Thrust");
         assert_eq!(col.dtype(), ColType::U32);
+        assert!(col.free(other).is_err());
     }
 }

@@ -10,19 +10,19 @@
 //! compiles into a single kernel.
 
 use super::{check_keyed, check_sum_product, group_sums, kept, row_preds, same_len};
-use crate::backend::{check_col, Col, ColType, GpuBackend, Pred, Slab, Source};
+use crate::backend::{check_dtype, Col, ColType, GpuBackend, Owner, Pred, Source};
 use crate::ops::{CmpOp, Connective, DbOperator, JoinAlgo, Support};
 use arrayfire_sim as af;
 use arrayfire_sim::{Array, ColumnData, DType};
 use gpu_sim::hostexec::{Lane, Rhs, RowPred};
-use gpu_sim::{Device, Readable, Reservation, Result, SimError};
+use gpu_sim::{Device, DeviceBuffer, Readable, Reservation, Result, SimError};
 use std::sync::Arc;
 
 /// The ArrayFire library plugged into the framework.
 pub struct ArrayFireBackend {
     device: Arc<Device>,
     runtime: Arc<af::Backend>,
-    slab: Slab<Array>,
+    owner: Owner,
 }
 
 impl std::fmt::Debug for ArrayFireBackend {
@@ -39,7 +39,7 @@ impl ArrayFireBackend {
         ArrayFireBackend {
             device: Arc::clone(device),
             runtime: af::Backend::new(device),
-            slab: Slab::default(),
+            owner: Owner::new(NAME),
         }
     }
 
@@ -48,17 +48,18 @@ impl ArrayFireBackend {
             DType::U32 => ColType::U32,
             _ => ColType::F64,
         };
-        let len = arr.len();
-        Col {
-            id: self.slab.insert(arr),
-            dtype,
-            len,
-            backend: NAME,
-        }
+        Col::new(self.owner, dtype, arr.len(), arr)
     }
 
-    fn arr(&self, col: &Col) -> Result<Array> {
-        self.slab.with(col.id, |a| a.clone())
+    /// The array behind `col`, once `col` is this backend's.
+    fn arr<'c>(&self, col: &'c Col) -> Result<&'c Array> {
+        col.get(self.owner)
+    }
+
+    /// [`Self::arr`] of a column that must hold `dtype` elements.
+    fn typed<'c>(&self, col: &'c Col, dtype: ColType) -> Result<&'c Array> {
+        check_dtype(col, dtype)?;
+        self.arr(col)
     }
 
     /// [`Device::reads`] over `cols`, evaluated: what an operator building
@@ -74,7 +75,7 @@ impl ArrayFireBackend {
     }
 
     fn mask(&self, p: &Pred<'_>) -> Result<Array> {
-        Ok(cmp_node(&self.arr(p.col)?, p.cmp, p.lit))
+        Ok(cmp_node(self.arr(p.col)?, p.cmp, p.lit))
     }
 
     /// `where()` over the lazy `mask`, charged: the fused mask kernel, the
@@ -100,6 +101,28 @@ fn lane(col: &ColumnData) -> Result<Lane<'_>> {
     }
 }
 
+/// The buffer behind an evaluated `u32` column.
+fn u32s(col: &ColumnData) -> Result<&DeviceBuffer<u32>> {
+    match col {
+        ColumnData::U32(b) => Ok(b),
+        other => Err(SimError::Unsupported(format!(
+            "{} column where u32 expected",
+            other.dtype().name()
+        ))),
+    }
+}
+
+/// The buffer behind an evaluated `f64` column.
+fn f64s(col: &ColumnData) -> Result<&DeviceBuffer<f64>> {
+    match col {
+        ColumnData::F64(b) => Ok(b),
+        other => Err(SimError::Unsupported(format!(
+            "{} column where f64 expected",
+            other.dtype().name()
+        ))),
+    }
+}
+
 /// Lazy comparison node `a CMP lit` (B8 mask).
 fn cmp_node(a: &Array, cmp: CmpOp, lit: f64) -> Array {
     match cmp {
@@ -118,7 +141,7 @@ fn cmp_node(a: &Array, cmp: CmpOp, lit: f64) -> Array {
 /// each exactly the node the unfused `affine`/`product`/`dense_mask`
 /// operators build, so evaluation is element-wise identical. The whole
 /// tree collapses into one generated kernel at `eval()`.
-fn fuse_node(inputs: &[Array], expr: &crate::fused::FusedExpr) -> Result<Array> {
+fn fuse_node(inputs: &[&Array], expr: &crate::fused::FusedExpr) -> Result<Array> {
     use crate::fused::FusedExpr;
     Ok(match expr {
         FusedExpr::Col(i) => inputs[*i].clone(),
@@ -193,20 +216,15 @@ impl GpuBackend for ArrayFireBackend {
     }
 
     fn download_u32(&self, col: &Col) -> Result<Vec<u32>> {
-        check_col(col, NAME, ColType::U32)?;
-        self.arr(col)?.host_u32()
+        self.typed(col, ColType::U32)?.host_u32()
     }
 
     fn download_f64(&self, col: &Col) -> Result<Vec<f64>> {
-        check_col(col, NAME, ColType::F64)?;
-        self.arr(col)?.host_f64()
+        self.typed(col, ColType::F64)?.host_f64()
     }
 
     fn free(&self, col: Col) -> Result<()> {
-        if col.backend != NAME {
-            return Err(SimError::Unsupported("foreign column handle".into()));
-        }
-        self.slab.take(col.id).map(drop)
+        col.free(self.owner)
     }
 
     fn selection_multi(&self, preds: &[Pred<'_>], conn: Connective) -> Result<Col> {
@@ -245,12 +263,12 @@ impl GpuBackend for ArrayFireBackend {
             rhs: Rhs::Col(lane(&cb)?),
         };
         let mask = match cmp {
-            CmpOp::Lt => xa.lt(&xb)?,
-            CmpOp::Le => xa.le(&xb)?,
-            CmpOp::Gt => xa.gt(&xb)?,
-            CmpOp::Ge => xa.ge(&xb)?,
-            CmpOp::Eq => xa.eq_elem(&xb)?,
-            CmpOp::Ne => xa.ne_elem(&xb)?,
+            CmpOp::Lt => xa.lt(xb)?,
+            CmpOp::Le => xa.le(xb)?,
+            CmpOp::Gt => xa.gt(xb)?,
+            CmpOp::Ge => xa.ge(xb)?,
+            CmpOp::Eq => xa.eq_elem(xb)?,
+            CmpOp::Ne => xa.ne_elem(xb)?,
         };
         let (picked, _) = kept(&self.device, &[pred], true);
         let ids = self.charge_where(&mask, picked.len())?;
@@ -268,20 +286,17 @@ impl GpuBackend for ArrayFireBackend {
     }
 
     fn product(&self, a: &Col, b: &Col) -> Result<Col> {
-        check_col(a, NAME, ColType::F64)?;
-        check_col(b, NAME, ColType::F64)?;
+        let (xa, xb) = (self.typed(a, ColType::F64)?, self.typed(b, ColType::F64)?);
         self.reads(&[a, b])?;
-        let (xa, xb) = (self.arr(a)?, self.arr(b)?);
-        let prod = xa.try_binary(af::BinaryOp::Mul, &xb)?;
+        let prod = xa.try_binary(af::BinaryOp::Mul, xb)?;
         prod.eval()?;
         Ok(self.mint(prod))
     }
 
     fn affine(&self, col: &Col, mul: f64, add: f64) -> Result<Col> {
-        check_col(col, NAME, ColType::F64)?;
+        let a = self.typed(col, ColType::F64)?;
         self.reads(&[col])?;
-        let a = self.arr(col)?;
-        let out = &(&a * mul) + add; // lazy — fuses with downstream use
+        let out = &(a * mul) + add; // lazy — fuses with downstream use
         out.eval()?;
         Ok(self.mint(out))
     }
@@ -291,40 +306,36 @@ impl GpuBackend for ArrayFireBackend {
     }
 
     fn reduction(&self, col: &Col) -> Result<f64> {
-        check_col(col, NAME, ColType::F64)?;
-        af::sum(&self.arr(col)?)
+        af::sum(self.typed(col, ColType::F64)?)
     }
 
     fn prefix_sum(&self, col: &Col) -> Result<Col> {
-        check_col(col, NAME, ColType::U32)?;
-        Ok(self.mint(af::scan(&self.arr(col)?, true)?))
+        Ok(self.mint(af::scan(self.typed(col, ColType::U32)?, true)?))
     }
 
     fn sort(&self, col: &Col) -> Result<Col> {
-        check_col(col, NAME, ColType::U32)?;
-        Ok(self.mint(af::sort(&self.arr(col)?)?))
+        Ok(self.mint(af::sort(self.typed(col, ColType::U32)?)?))
     }
 
     fn sort_by_key(&self, keys: &Col, vals: &Col) -> Result<(Col, Col)> {
-        check_col(keys, NAME, ColType::U32)?;
-        check_col(vals, NAME, ColType::F64)?;
-        let (k, v) = af::sort_by_key(&self.arr(keys)?, &self.arr(vals)?)?;
+        let k = self.typed(keys, ColType::U32)?;
+        let (k, v) = af::sort_by_key(k, self.typed(vals, ColType::F64)?)?;
         Ok((self.mint(k), self.mint(v)))
     }
 
     fn grouped_sum(&self, keys: &Col, vals: &Col) -> Result<(Col, Col)> {
-        check_keyed(NAME, keys, vals)?;
-        let (kcol, vcol) = (self.arr(keys)?.eval()?, self.arr(vals)?.eval()?);
-        let (ColumnData::U32(kb), ColumnData::F64(vb)) = (&*kcol, &*vcol) else {
-            unreachable!("dtype checked")
-        };
+        check_keyed(keys, vals)?;
+        let (ka, va) = (self.arr(keys)?, self.arr(vals)?);
+        let (kcol, vcol) = (ka.eval()?, va.eval()?);
+        let (kb, vb) = (u32s(&kcol)?, f64s(&vcol)?);
         // sort(keys, values) then sumByKey(), charged: the sorted columns
         // are never read. The sums come from one row-order pass, seeded so
         // that each group starts from its first value as sumByKey does.
         let (gk, gv) = group_sums(&self.device, kb, vb, -0.0)?;
         let (kd, vd) = (kcol.dtype(), vcol.dtype());
-        let (_sorted_keys, _sorted_vals) = af::charge_sort_by_key(&self.runtime, keys.len, kd, vd)?;
-        let (rk, rv) = af::charge_sum_by_key(&self.runtime, keys.len, gk.len(), kd, vd)?;
+        let n = keys.len();
+        let (_sorted_keys, _sorted_vals) = af::charge_sort_by_key(&self.runtime, n, kd, vd)?;
+        let (rk, rv) = af::charge_sum_by_key(&self.runtime, n, gk.len(), kd, vd)?;
         Ok((
             self.mint(self.runtime.fill_u32(rk, gk)?),
             self.mint(self.runtime.fill_f64(rv, gv)?),
@@ -332,26 +343,21 @@ impl GpuBackend for ArrayFireBackend {
     }
 
     fn gather(&self, data: &Col, idx: &Col) -> Result<Col> {
-        check_col(idx, NAME, ColType::U32)?;
-        if data.backend != NAME {
-            return Err(SimError::Unsupported("foreign column handle".into()));
-        }
-        let out = af::lookup(&self.arr(data)?, &self.arr(idx)?)?;
-        Ok(self.mint(out))
+        let map = self.typed(idx, ColType::U32)?;
+        Ok(self.mint(af::lookup(self.arr(data)?, map)?))
     }
 
     fn scatter(&self, data: &Col, idx: &Col, dst_len: usize) -> Result<Col> {
-        check_col(data, NAME, ColType::U32)?;
-        check_col(idx, NAME, ColType::U32)?;
         // ArrayFire expresses scatter as indexed assignment
         // (`out(idx) = data`); partial support — a host round trip, costed
         // like a random write kernel over the data. The round trip is
         // priced by lengths; only a body reads the data.
-        let (d, i) = (self.arr(data)?, self.arr(idx)?);
+        let (d, i) = (
+            self.typed(data, ColType::U32)?,
+            self.typed(idx, ColType::U32)?,
+        );
         let (dcol, icol) = (d.eval()?, i.eval()?);
-        let (ColumnData::U32(db), ColumnData::U32(ib)) = (&*dcol, &*icol) else {
-            unreachable!("dtype checked")
-        };
+        let (db, ib) = (u32s(&dcol)?, u32s(&icol)?);
         self.device.reads(&[db, ib])?;
         d.charge_download();
         i.charge_download();
@@ -388,8 +394,7 @@ impl GpuBackend for ArrayFireBackend {
         // ArrayFire's native pipeline: the predicate masks, the product
         // and the mask select all fuse into ONE generated kernel;
         // only the final reduction is a second launch.
-        check_col(a, NAME, ColType::F64)?;
-        check_col(b, NAME, ColType::F64)?;
+        let (xa, xb) = (self.typed(a, ColType::F64)?, self.typed(b, ColType::F64)?);
         check_sum_product(a, b, preds)?;
         let cols: Vec<&Col> = [a, b]
             .into_iter()
@@ -400,14 +405,13 @@ impl GpuBackend for ArrayFireBackend {
         for p in &preds[1..] {
             mask = mask.and(&self.mask(p)?)?;
         }
-        let (xa, xb) = (self.arr(a)?, self.arr(b)?);
-        af::sum(&masked_by(&(&xa * &xb), &mask)?)
+        af::sum(&masked_by(&(xa * xb), &mask)?)
     }
 
     fn fused_map(&self, inputs: &[&Col], expr: &crate::fused::FusedExpr) -> Result<Col> {
-        crate::fused::check_fused_inputs(NAME, inputs, &[], expr)?;
+        crate::fused::check_fused_inputs(inputs, &[], expr)?;
         self.reads(inputs)?;
-        let arrs: Vec<Array> = inputs
+        let arrs: Vec<&Array> = inputs
             .iter()
             .map(|c| self.arr(c))
             .collect::<Result<Vec<_>>>()?;
@@ -424,9 +428,9 @@ impl GpuBackend for ArrayFireBackend {
         preds: &[crate::fused::FusedPred],
         expr: &crate::fused::FusedExpr,
     ) -> Result<f64> {
-        crate::fused::check_fused_inputs(NAME, inputs, preds, expr)?;
+        crate::fused::check_fused_inputs(inputs, preds, expr)?;
         self.reads(inputs)?;
-        let arrs: Vec<Array> = inputs
+        let arrs: Vec<&Array> = inputs
             .iter()
             .map(|c| self.arr(c))
             .collect::<Result<Vec<_>>>()?;
@@ -436,7 +440,7 @@ impl GpuBackend for ArrayFireBackend {
         // launch.
         let mut mask: Option<Array> = None;
         for p in preds {
-            let m = cmp_node(&arrs[p.input], p.cmp, p.lit);
+            let m = cmp_node(arrs[p.input], p.cmp, p.lit);
             mask = Some(match mask {
                 None => m,
                 Some(acc) => acc.and(&m)?,

@@ -4,8 +4,8 @@
 //! costs to add.
 //!
 //! [`calls`] is every `GpuBackend` operator applied to three fixed columns,
-//! with the hand-computed answer; the same list is then fed empty columns,
-//! another instance's columns and freed columns. [`bad_operands_are_refused`]
+//! with the hand-computed answer; the same list is then fed empty columns
+//! and another instance's columns. [`bad_operands_are_refused`]
 //! is every way operands can be of the wrong dtype, of unequal lengths or
 //! out of range. Where there is an answer it must be the right one, where
 //! there is none the call must return `Err` — never panic — and either way
@@ -107,12 +107,17 @@ const U: [u32; 4] = [2, 1, 2, 0];
 const K: [u32; 4] = [1, 3, 2, 0];
 const F: [f64; 4] = [20.0, 10.0, 21.0, 5.0];
 
+/// The values of `c`, `u32`s widened.
+fn values(b: Backend<'_>, c: &Col) -> Result<Vec<f64>> {
+    Ok(match c.dtype() {
+        ColType::U32 => b.download_u32(c)?.into_iter().map(f64::from).collect(),
+        ColType::F64 => b.download_f64(c)?,
+    })
+}
+
 /// The values of `c`, which is freed.
 fn take(b: Backend<'_>, c: Col) -> Result<Vec<f64>> {
-    let v = match c.dtype() {
-        ColType::U32 => b.download_u32(&c)?.into_iter().map(f64::from).collect(),
-        ColType::F64 => b.download_f64(&c)?,
-    };
+    let v = values(b, &c)?;
     b.free(c)?;
     Ok(v)
 }
@@ -349,12 +354,6 @@ fn free(b: Backend<'_>, cols: impl IntoIterator<Item = Col>) {
     for c in cols {
         b.free(c).unwrap();
     }
-}
-
-/// A second handle to `c`'s slot, as a caller holding on to a freed
-/// column has.
-fn alias(c: &Col) -> Col {
-    Col::from_raw(c.raw_id(), c.dtype(), c.len(), c.backend())
 }
 
 /// The fixture of the per-library cost-profile tests: `[price, discount,
@@ -733,21 +732,27 @@ fn columns_the_backend_does_not_hold_are_refused() {
             let o = make(other, &b.device());
             let [u, k, f] = upload(o.as_ref(), &U, &K, &F);
             hold(b, calls(b, &u, &k, &f), Operands::NotHeld);
-            assert!(
-                b.free(alias(&u)).is_err(),
-                "{}: freed a foreign column",
-                b.name()
-            );
-            free(o.as_ref(), [u, k, f]);
+            // A refused free still drops the handle, and with it the column.
+            let live = b.device().live_buffers();
+            assert!(b.free(u).is_err(), "{}: freed a foreign column", b.name());
+            assert_eq!(b.device().live_buffers(), live - 1, "{}", b.name());
+            free(o.as_ref(), [k, f]);
         }
-        // Use after free, and the second free itself.
+    });
+}
+
+/// A handle owns its column: dropping uploads and operator outputs gives
+/// every buffer back.
+#[test]
+fn dropping_a_handle_frees_its_column() {
+    on_every_backend(|b| {
         let [u, k, f] = upload(b, &U, &K, &F);
-        let [su, sk, sf] = [alias(&u), alias(&k), alias(&f)];
-        free(b, [u, k, f]);
-        hold(b, calls(b, &su, &sk, &sf), Operands::NotHeld);
-        for c in [su, sk, sf] {
-            assert!(b.free(c).is_err(), "{}: double free", b.name());
-        }
+        let ids = b.selection(&u, CmpOp::Gt, 1.0).unwrap();
+        let (keys, sums) = b.grouped_sum(&u, &f).unwrap();
+        let gathered = b.gather(&f, &k).unwrap();
+        assert!(b.device().live_buffers() >= 7, "{}", b.name());
+        drop((u, k, f, ids, keys, sums, gathered));
+        assert_eq!(b.device().live_buffers(), 0, "{}", b.name());
     });
 }
 
@@ -994,13 +999,13 @@ fn a_dry_scope_charges_what_bodies_charge_and_fills_placeholders() {
                         .map(|c| {
                             let len = c.len() as f64;
                             let before = (dev.stats(), dev.now());
-                            let got = take(b, alias(&c));
+                            let got = values(b, &c);
                             if dry {
                                 let refused = matches!(got, Err(SimError::ShapeOnly { .. }));
                                 assert!(refused, "{name}: {what}: {got:?}");
                                 assert_eq!(before, (dev.stats(), dev.now()), "{name}: {what}");
-                                b.free(c).unwrap();
                             }
+                            b.free(c).unwrap();
                             len
                         })
                         .collect(),

@@ -6,50 +6,20 @@
 //! offers.
 
 use super::{
-    check_keyed, check_reads, check_sum_product, group_sums, leaves, row_preds, row_width,
-    same_len, select, select_cmp_cols, with_lanes, StoredColumn,
+    check_keyed, check_sum_product, group_sums, leaves, row_preds, row_width, same_len, select,
+    select_cmp_cols, Buffers, Element,
 };
-use crate::backend::{check_col, Col, ColType, GpuBackend, Pred, Slab, Source};
+use crate::backend::{Col, ColType, GpuBackend, Owner, Pred, Source};
 use crate::ops::{CmpOp, Connective, DbOperator, JoinAlgo, Support};
 use gpu_sim::hostexec::Lane;
-use gpu_sim::{Contents, Device, DeviceBuffer, Result, SimError};
+use gpu_sim::{Contents, Device, DeviceBuffer, DeviceCopy, Result};
 use handwritten as hw;
 use std::sync::Arc;
-
-enum Stored {
-    U32(DeviceBuffer<u32>),
-    F64(DeviceBuffer<f64>),
-}
-
-impl gpu_sim::Readable for Stored {
-    fn readable(&self) -> Result<()> {
-        match self {
-            Stored::U32(v) => v.readable(),
-            Stored::F64(v) => v.readable(),
-        }
-    }
-}
-
-impl StoredColumn for Stored {
-    fn lane(&self) -> Result<Lane<'_>> {
-        Ok(match self {
-            Stored::U32(v) => Lane::U32(v.data()?),
-            Stored::F64(v) => Lane::F64(v.data()?),
-        })
-    }
-
-    fn buffer_id(&self) -> gpu_sim::BufferId {
-        match self {
-            Stored::U32(v) => v.id(),
-            Stored::F64(v) => v.id(),
-        }
-    }
-}
 
 /// The handwritten kernel collection plugged into the framework.
 pub struct HandwrittenBackend {
     device: Arc<Device>,
-    slab: Slab<Stored>,
+    owner: Owner,
 }
 
 impl std::fmt::Debug for HandwrittenBackend {
@@ -65,28 +35,25 @@ impl HandwrittenBackend {
     pub fn new(device: &Arc<Device>) -> Self {
         HandwrittenBackend {
             device: Arc::clone(device),
-            slab: Slab::default(),
+            owner: Owner::new(NAME),
         }
     }
 
-    fn mint(&self, stored: Stored) -> Col {
-        let (dtype, len) = match &stored {
-            Stored::U32(v) => (ColType::U32, v.len()),
-            Stored::F64(v) => (ColType::F64, v.len()),
-        };
-        Col {
-            id: self.slab.insert(stored),
-            dtype,
-            len,
-            backend: NAME,
-        }
+    fn mint<T: Element>(&self, buf: DeviceBuffer<T>) -> Col {
+        Col::new(self.owner, T::DTYPE, buf.len(), buf)
     }
 
     /// One fused predicate + compact kernel over `n` rows of `width` bytes,
     /// charged; `ids` — the surviving rows — become its output.
     fn select_fused(&self, n: usize, width: usize, ids: Contents<u32>) -> Result<Col> {
         let out = hw::charge_select_fused(&self.device, n, width, ids.len())?;
-        Ok(self.mint(Stored::U32(out.into_buffer(ids))))
+        Ok(self.mint(out.into_buffer(ids)))
+    }
+}
+
+impl Buffers for HandwrittenBackend {
+    fn buffer<'c, T: DeviceCopy>(&self, col: &'c Col) -> Result<&'c DeviceBuffer<T>> {
+        col.get(self.owner)
     }
 }
 
@@ -121,92 +88,70 @@ impl GpuBackend for HandwrittenBackend {
     }
 
     fn upload_u32(&self, data: &[u32]) -> Result<Col> {
-        Ok(self.mint(Stored::U32(self.device.htod(data)?)))
+        Ok(self.mint(self.device.htod(data)?))
     }
 
     fn upload_f64(&self, data: &[f64]) -> Result<Col> {
-        Ok(self.mint(Stored::F64(self.device.htod(data)?)))
+        Ok(self.mint(self.device.htod(data)?))
     }
 
     fn upload(&self, len: usize, source: Source<'_>) -> Result<Col> {
-        Ok(self.mint(match source {
-            Source::U32(values) => Stored::U32(self.device.upload(len, values)?),
-            Source::F64(values) => Stored::F64(self.device.upload(len, values)?),
-        }))
+        Ok(match source {
+            Source::U32(values) => self.mint(self.device.upload(len, values)?),
+            Source::F64(values) => self.mint(self.device.upload(len, values)?),
+        })
     }
 
     fn download_u32(&self, col: &Col) -> Result<Vec<u32>> {
-        check_col(col, NAME, ColType::U32)?;
-        self.slab.with(col.id, |s| match s {
-            Stored::U32(v) => self.device.dtoh(v),
-            _ => unreachable!("dtype checked"),
-        })?
+        self.device.dtoh(self.buffer::<u32>(col)?)
     }
 
     fn download_f64(&self, col: &Col) -> Result<Vec<f64>> {
-        check_col(col, NAME, ColType::F64)?;
-        self.slab.with(col.id, |s| match s {
-            Stored::F64(v) => self.device.dtoh(v),
-            _ => unreachable!("dtype checked"),
-        })?
+        self.device.dtoh(self.buffer::<f64>(col)?)
     }
 
     fn free(&self, col: Col) -> Result<()> {
-        if col.backend != NAME {
-            return Err(SimError::Unsupported("foreign column handle".into()));
-        }
-        self.slab.take(col.id).map(drop)
+        col.free(self.owner)
     }
 
     fn selection_multi(&self, preds: &[Pred<'_>], conn: Connective) -> Result<Col> {
         let n = same_len(preds)?;
         // One fused kernel evaluates the whole connective per row.
-        let ((ids, _), _) = select(&self.device, &self.slab, preds, conn)?;
+        let ((ids, _), _) = select(&self.device, self, preds, conn)?;
         self.select_fused(n, row_width(preds.iter().map(|p| p.col)), ids)
     }
 
     fn selection_cmp_cols(&self, a: &Col, b: &Col, cmp: CmpOp) -> Result<Col> {
-        let (ids, _) = select_cmp_cols(&self.device, &self.slab, a, b, cmp)?;
+        let (ids, _) = select_cmp_cols(&self.device, self, a, b, cmp)?;
         self.select_fused(a.len(), row_width([a, b]), ids)
     }
 
     fn dense_mask(&self, col: &Col, cmp: CmpOp, lit: f64) -> Result<Col> {
         let mask = |x: f64| f64::from(u8::from(cmp.eval(x, lit)));
-        let out: Vec<f64> = self.slab.with(col.id, |s| {
-            Ok(match s.lane()? {
-                Lane::U32(v) => v.iter().map(|&x| mask(f64::from(x))).collect(),
-                Lane::F64(v) => v.iter().map(|&x| mask(x)).collect(),
-            })
-        })??;
+        let out: Vec<f64> = match self.lane(col)?.0 {
+            Lane::U32(v) => v.iter().map(|&x| mask(f64::from(x))).collect(),
+            Lane::F64(v) => v.iter().map(|&x| mask(x)).collect(),
+        };
         charge_map(&self.device, out.len());
         let buf = self
             .device
             .buffer_from_vec(out, gpu_sim::AllocPolicy::Pooled)?;
-        Ok(self.mint(Stored::F64(buf)))
+        Ok(self.mint(buf))
     }
 
     fn product(&self, a: &Col, b: &Col) -> Result<Col> {
-        check_col(a, NAME, ColType::F64)?;
-        check_col(b, NAME, ColType::F64)?;
-        let out = self.slab.with2(a.id, b.id, |x, y| match (x, y) {
-            (Stored::F64(va), Stored::F64(vb)) => hw::product_f64(&self.device, va, vb),
-            _ => unreachable!("dtype checked"),
-        })??;
-        Ok(self.mint(Stored::F64(out)))
+        let (va, vb) = (self.buffer::<f64>(a)?, self.buffer::<f64>(b)?);
+        Ok(self.mint(hw::product_f64(&self.device, va, vb)?))
     }
 
     fn affine(&self, col: &Col, mul: f64, add: f64) -> Result<Col> {
-        check_col(col, NAME, ColType::F64)?;
-        let out = self.slab.with(col.id, |s| match s {
-            Stored::F64(v) => {
-                let data: Vec<f64> = v.data()?.iter().map(|&x| x * mul + add).collect();
-                crate::backends::handwritten_backend::charge_map(&self.device, v.len());
-                self.device
-                    .buffer_from_vec(data, gpu_sim::AllocPolicy::Pooled)
-            }
-            _ => unreachable!("dtype checked"),
-        })??;
-        Ok(self.mint(Stored::F64(out)))
+        let v = self.buffer::<f64>(col)?;
+        let data: Vec<f64> = v.data()?.iter().map(|&x| x * mul + add).collect();
+        charge_map(&self.device, v.len());
+        let out = self
+            .device
+            .buffer_from_vec(data, gpu_sim::AllocPolicy::Pooled)?;
+        Ok(self.mint(out))
     }
 
     fn constant_f64(&self, len: usize, value: f64) -> Result<Col> {
@@ -215,162 +160,111 @@ impl GpuBackend for HandwrittenBackend {
         let buf = self
             .device
             .buffer_from_vec(data, gpu_sim::AllocPolicy::Pooled)?;
-        Ok(self.mint(Stored::F64(buf)))
+        Ok(self.mint(buf))
     }
 
     fn reduction(&self, col: &Col) -> Result<f64> {
-        check_col(col, NAME, ColType::F64)?;
-        self.slab.with(col.id, |s| match s {
-            Stored::F64(v) => hw::reduce_f64(&self.device, v),
-            _ => unreachable!("dtype checked"),
-        })?
+        hw::reduce_f64(&self.device, self.buffer(col)?)
     }
 
     fn prefix_sum(&self, col: &Col) -> Result<Col> {
-        check_col(col, NAME, ColType::U32)?;
-        let out = self.slab.with(col.id, |s| match s {
-            Stored::U32(v) => hw::exclusive_scan_u32(&self.device, v),
-            _ => unreachable!("dtype checked"),
-        })??;
-        Ok(self.mint(Stored::U32(out)))
+        let v = self.buffer::<u32>(col)?;
+        Ok(self.mint(hw::exclusive_scan_u32(&self.device, v)?))
     }
 
     fn sort(&self, col: &Col) -> Result<Col> {
-        check_col(col, NAME, ColType::U32)?;
-        let out = self.slab.with(col.id, |s| match s {
-            Stored::U32(v) => hw::sort_u32(&self.device, v),
-            _ => unreachable!("dtype checked"),
-        })??;
-        Ok(self.mint(Stored::U32(out)))
+        let v = self.buffer::<u32>(col)?;
+        Ok(self.mint(hw::sort_u32(&self.device, v)?))
     }
 
     fn sort_by_key(&self, keys: &Col, vals: &Col) -> Result<(Col, Col)> {
-        check_keyed(NAME, keys, vals)?;
-        check_reads(&self.device, &self.slab, &[keys, vals])?;
+        check_keyed(keys, vals)?;
+        let (kb, vb) = (self.buffer::<u32>(keys)?, self.buffer::<f64>(vals)?);
+        self.check_reads(&self.device, &[keys, vals])?;
         // Sort (key, row-id) pairs, then gather the payload — the tuned
         // pattern for wide payloads.
-        let ids = self
-            .device
-            .outputs(keys.len, || (0..keys.len as u32).collect());
-        let mut kbuf = self.slab.with(keys.id, |s| match s {
-            Stored::U32(v) => self.device.dtod(v),
-            _ => unreachable!("dtype checked"),
-        })??;
+        let n = keys.len();
+        let ids = self.device.outputs(n, || (0..n as u32).collect());
+        let mut kbuf = self.device.dtod(kb)?;
         let mut ibuf = self
             .device
             .buffer_from_vec(ids, gpu_sim::AllocPolicy::Pooled)?;
         hw::radix_sort_pairs(&self.device, &mut kbuf, &mut ibuf)?;
-        let vout = self.slab.with(vals.id, |s| match s {
-            Stored::F64(v) => hw::gather(&self.device, v, &ibuf),
-            _ => unreachable!("dtype checked"),
-        })??;
-        Ok((self.mint(Stored::U32(kbuf)), self.mint(Stored::F64(vout))))
+        let vout = hw::gather(&self.device, vb, &ibuf)?;
+        Ok((self.mint(kbuf), self.mint(vout)))
     }
 
     fn grouped_sum(&self, keys: &Col, vals: &Col) -> Result<(Col, Col)> {
-        check_keyed(NAME, keys, vals)?;
+        check_keyed(keys, vals)?;
         // The hash-aggregation kernel pair, charged; of its five output
         // columns only keys and sums are read, so only they get contents —
         // from one row-order pass seeded like the kernel's zeroed
         // accumulators.
-        let ((gk, gv), reads) = self.slab.with2(keys.id, vals.id, |k, v| match (k, v) {
-            (Stored::U32(kb), Stored::F64(vb)) => {
-                Ok((group_sums(&self.device, kb, vb, 0.0)?, [kb.id(), vb.id()]))
-            }
-            _ => unreachable!("dtype checked"),
-        })??;
-        let out = hw::charge_hash_group_aggregate(&self.device, keys.len, gk.len(), reads)?;
+        let (kb, vb) = (self.buffer::<u32>(keys)?, self.buffer::<f64>(vals)?);
+        let (gk, gv) = group_sums(&self.device, kb, vb, 0.0)?;
+        let reads = [kb.id(), vb.id()];
+        let out = hw::charge_hash_group_aggregate(&self.device, keys.len(), gk.len(), reads)?;
         Ok((
-            self.mint(Stored::U32(out.keys.into_buffer(gk))),
-            self.mint(Stored::F64(out.sums.into_buffer(gv))),
+            self.mint(out.keys.into_buffer(gk)),
+            self.mint(out.sums.into_buffer(gv)),
         ))
     }
 
     fn grouped_sum_count(&self, keys: &Col, vals: &Col) -> Result<(Col, Col, Col)> {
         // One fused hash-aggregation pass yields every aggregate at once —
         // the freedom a custom kernel has and a library interface lacks.
-        check_col(keys, NAME, ColType::U32)?;
-        check_col(vals, NAME, ColType::F64)?;
-        let agg = self.slab.with2(keys.id, vals.id, |k, v| match (k, v) {
-            (Stored::U32(kb), Stored::F64(vb)) => hw::hash_group_aggregate(&self.device, kb, vb),
-            _ => unreachable!("dtype checked"),
-        })??;
+        let (kb, vb) = (self.buffer::<u32>(keys)?, self.buffer::<f64>(vals)?);
+        let agg = hw::hash_group_aggregate(&self.device, kb, vb)?;
         let counts_f64 = self.device.outputs(agg.len(), || {
             agg.counts.host().iter().map(|&c| c as f64).collect()
         });
         let counts = self
             .device
             .buffer_from_vec(counts_f64, gpu_sim::AllocPolicy::Pooled)?;
-        Ok((
-            self.mint(Stored::U32(agg.keys)),
-            self.mint(Stored::F64(agg.sums)),
-            self.mint(Stored::F64(counts)),
-        ))
+        Ok((self.mint(agg.keys), self.mint(agg.sums), self.mint(counts)))
     }
 
     fn gather(&self, data: &Col, idx: &Col) -> Result<Col> {
-        check_col(idx, NAME, ColType::U32)?;
-        if data.backend != NAME {
-            return Err(SimError::Unsupported("foreign column handle".into()));
-        }
-        let stored = self.slab.with2(data.id, idx.id, |d, i| {
-            let Stored::U32(map) = i else {
-                unreachable!("dtype checked")
-            };
-            match d {
-                Stored::U32(v) => hw::gather(&self.device, v, map).map(Stored::U32),
-                Stored::F64(v) => hw::gather(&self.device, v, map).map(Stored::F64),
-            }
-        })??;
-        Ok(self.mint(stored))
+        let map = self.buffer::<u32>(idx)?;
+        Ok(match data.dtype() {
+            ColType::U32 => self.mint(hw::gather(&self.device, self.buffer::<u32>(data)?, map)?),
+            ColType::F64 => self.mint(hw::gather(&self.device, self.buffer::<f64>(data)?, map)?),
+        })
     }
 
     fn scatter(&self, data: &Col, idx: &Col, dst_len: usize) -> Result<Col> {
-        check_col(data, NAME, ColType::U32)?;
-        check_col(idx, NAME, ColType::U32)?;
-        let out = self.slab.with2(data.id, idx.id, |d, i| {
-            let (Stored::U32(src), Stored::U32(map)) = (d, i) else {
-                unreachable!("dtype checked")
-            };
-            hw::scatter_u32(&self.device, src, map, dst_len)
-        })??;
-        Ok(self.mint(Stored::U32(out)))
+        let (src, map) = (self.buffer::<u32>(data)?, self.buffer::<u32>(idx)?);
+        Ok(self.mint(hw::scatter_u32(&self.device, src, map, dst_len)?))
     }
 
     fn join(&self, outer: &Col, inner: &Col, algo: JoinAlgo) -> Result<(Col, Col)> {
-        check_col(outer, NAME, ColType::U32)?;
-        check_col(inner, NAME, ColType::U32)?;
-        check_reads(&self.device, &self.slab, &[outer, inner])?;
-        let result = self.slab.with2(outer.id, inner.id, |o, i| {
-            let (Stored::U32(ov), Stored::U32(iv)) = (o, i) else {
-                unreachable!("dtype checked")
-            };
-            match algo {
-                JoinAlgo::Hash => hw::hash_join(&self.device, ov, iv),
-                JoinAlgo::NestedLoops => hw::nested_loops_join(&self.device, ov, iv),
-                JoinAlgo::Merge => {
-                    // Inputs are arbitrary; a tuned merge join sorts
-                    // (key, row-id) pairs first, merges, then maps row-ids
-                    // back through the sort permutations.
-                    let mut ok = self.device.dtod(ov)?;
-                    let mut oi = self.device.buffer_from_vec(
-                        (0..ov.len() as u32).collect::<Vec<_>>(),
-                        gpu_sim::AllocPolicy::Pooled,
-                    )?;
-                    hw::radix_sort_pairs(&self.device, &mut ok, &mut oi)?;
-                    let mut ik = self.device.dtod(iv)?;
-                    let mut ii = self.device.buffer_from_vec(
-                        (0..iv.len() as u32).collect::<Vec<_>>(),
-                        gpu_sim::AllocPolicy::Pooled,
-                    )?;
-                    hw::radix_sort_pairs(&self.device, &mut ik, &mut ii)?;
-                    let merged = hw::merge_join(&self.device, &ok, &ik)?;
-                    let left = hw::gather(&self.device, &oi, &merged.left)?;
-                    let right = hw::gather(&self.device, &ii, &merged.right)?;
-                    Ok(hw::JoinResult { left, right })
-                }
+        let (ov, iv) = (self.buffer::<u32>(outer)?, self.buffer::<u32>(inner)?);
+        self.check_reads(&self.device, &[outer, inner])?;
+        let result = match algo {
+            JoinAlgo::Hash => hw::hash_join(&self.device, ov, iv)?,
+            JoinAlgo::NestedLoops => hw::nested_loops_join(&self.device, ov, iv)?,
+            JoinAlgo::Merge => {
+                // Inputs are arbitrary; a tuned merge join sorts
+                // (key, row-id) pairs first, merges, then maps row-ids
+                // back through the sort permutations.
+                let mut ok = self.device.dtod(ov)?;
+                let mut oi = self.device.buffer_from_vec(
+                    (0..ov.len() as u32).collect::<Vec<_>>(),
+                    gpu_sim::AllocPolicy::Pooled,
+                )?;
+                hw::radix_sort_pairs(&self.device, &mut ok, &mut oi)?;
+                let mut ik = self.device.dtod(iv)?;
+                let mut ii = self.device.buffer_from_vec(
+                    (0..iv.len() as u32).collect::<Vec<_>>(),
+                    gpu_sim::AllocPolicy::Pooled,
+                )?;
+                hw::radix_sort_pairs(&self.device, &mut ik, &mut ii)?;
+                let merged = hw::merge_join(&self.device, &ok, &ik)?;
+                let left = hw::gather(&self.device, &oi, &merged.left)?;
+                let right = hw::gather(&self.device, &ii, &merged.right)?;
+                hw::JoinResult { left, right }
             }
-        })??;
+        };
         // Normalise output order to (outer, inner) ascending for
         // cross-backend comparability. The hash and nested-loops kernels
         // emit that order already; the merge join emits key order.
@@ -386,41 +280,26 @@ impl GpuBackend for HandwrittenBackend {
         let rb = self
             .device
             .buffer_from_vec(r, gpu_sim::AllocPolicy::Pooled)?;
-        Ok((self.mint(Stored::U32(lb)), self.mint(Stored::U32(rb))))
+        Ok((self.mint(lb), self.mint(rb)))
     }
 
     fn filter_sum_product(&self, a: &Col, b: &Col, preds: &[Pred<'_>]) -> Result<f64> {
-        check_col(a, NAME, ColType::F64)?;
-        check_col(b, NAME, ColType::F64)?;
+        let (va, vb) = (self.buffer::<f64>(a)?, self.buffer::<f64>(b)?);
         check_sum_product(a, b, preds)?;
         let width = row_width(preds.iter().map(|p| p.col));
-        let ids: Vec<u64> = [a.id, b.id]
-            .into_iter()
-            .chain(preds.iter().map(|p| p.col.id))
-            .collect();
-        self.slab.with_many(&ids, |stored| {
-            let (Stored::F64(va), Stored::F64(vb)) = (stored[0], stored[1]) else {
-                unreachable!("dtype checked")
-            };
-            let lanes = stored[2..]
-                .iter()
-                .map(|s| s.lane())
-                .collect::<Result<Vec<_>>>()?;
-            let pred_ids: Vec<gpu_sim::BufferId> =
-                stored[2..].iter().map(|s| s.buffer_id()).collect();
-            let row_preds = row_preds(&lanes, preds);
-            hw::fused_filter_dot(&self.device, va, vb, width, &pred_ids, &row_preds)
-        })?
+        let cols: Vec<&Col> = preds.iter().map(|p| p.col).collect();
+        let (lanes, pred_ids) = self.lanes(&cols)?;
+        let row_preds = row_preds(&lanes, preds);
+        hw::fused_filter_dot(&self.device, va, vb, width, &pred_ids, &row_preds)
     }
 
     fn fused_map(&self, inputs: &[&Col], expr: &crate::fused::FusedExpr) -> Result<Col> {
-        let len = crate::fused::check_fused_inputs(NAME, inputs, &[], expr)?;
+        let len = crate::fused::check_fused_inputs(inputs, &[], expr)?;
         // The whole element-wise chain as one purpose-built kernel.
         let (width, prog) = (row_width(inputs.iter().copied()), expr.compile());
-        let out = with_lanes(&self.slab, inputs, |lanes, ids| {
-            hw::fused_map_expr(&self.device, len, width, ids, &prog, &leaves(lanes))
-        })??;
-        Ok(self.mint(Stored::F64(out)))
+        let (lanes, ids) = self.lanes(inputs)?;
+        let out = hw::fused_map_expr(&self.device, len, width, &ids, &prog, &leaves(&lanes))?;
+        Ok(self.mint(out))
     }
 
     fn fused_filter_agg(
@@ -429,16 +308,15 @@ impl GpuBackend for HandwrittenBackend {
         preds: &[crate::fused::FusedPred],
         expr: &crate::fused::FusedExpr,
     ) -> Result<f64> {
-        let len = crate::fused::check_fused_inputs(NAME, inputs, preds, expr)?;
+        let len = crate::fused::check_fused_inputs(inputs, preds, expr)?;
         // Predicate, value expression and reduction share one pass;
         // failing rows are skipped, not zero-padded, so the fold order
         // is the composed chain's exactly.
         let (width, prog) = (row_width(inputs.iter().copied()), expr.compile());
-        with_lanes(&self.slab, inputs, |lanes, ids| {
-            let row_preds: Vec<_> = preds.iter().map(|p| p.row_pred(lanes)).collect();
-            let cols = leaves(lanes);
-            hw::fused_filter_sum(&self.device, len, width, ids, &prog, &cols, &row_preds)
-        })?
+        let (lanes, ids) = self.lanes(inputs)?;
+        let row_preds: Vec<_> = preds.iter().map(|p| p.row_pred(&lanes)).collect();
+        let cols = leaves(&lanes);
+        hw::fused_filter_sum(&self.device, len, width, &ids, &prog, &cols, &row_preds)
     }
 }
 

@@ -26,24 +26,69 @@ pub use eager::{EagerBackend, EagerLib};
 pub use handwritten_backend::HandwrittenBackend;
 pub use thrust::ThrustBackend;
 
-use crate::backend::{check_col, Col, ColType, Pred, Slab};
+use crate::backend::{check_dtype, Col, ColType, Pred};
 use crate::ops::{CmpOp, Connective};
 use gpu_sim::hostexec::expr::Leaf;
 use gpu_sim::hostexec::{self, Counts, Lane, Rhs, RowPred, Selected};
-use gpu_sim::{BufferId, Contents, Device, DeviceBuffer, Readable, Result, SimError};
+use gpu_sim::{BufferId, Contents, Device, DeviceBuffer, DeviceCopy, Readable, Result, SimError};
 
-/// A backend's stored column, as the shared host kernels and the charge
-/// replays need it.
-trait StoredColumn: Readable {
-    /// The column read in place, each row widened to `f64` where it is
-    /// used — the leaves of a fused kernel's zip iterator and of a
-    /// selection predicate. `u32` widens exactly as `dense_mask` does, so
-    /// a comparison sees the same operand values on every path. A
-    /// shape-only column has no lane: [`SimError::ShapeOnly`].
-    fn lane(&self) -> Result<Lane<'_>>;
+/// A column element type, as [`ColType`] names it.
+trait Element: DeviceCopy {
+    const DTYPE: ColType;
+}
 
-    /// The device buffer behind the column, for kernel footprints.
-    fn buffer_id(&self) -> BufferId;
+impl Element for u32 {
+    const DTYPE: ColType = ColType::U32;
+}
+
+impl Element for f64 {
+    const DTYPE: ColType = ColType::F64;
+}
+
+/// How the shared host kernels and charge replays read an adapter's
+/// columns: each through the device buffer behind it.
+trait Buffers {
+    /// The buffer behind `col`, once `col` is this adapter's and holds
+    /// `T`s.
+    fn buffer<'c, T: DeviceCopy>(&self, col: &'c Col) -> Result<&'c DeviceBuffer<T>>;
+
+    /// `col` read in place, each row widened to `f64` where it is used —
+    /// a leaf of a fused kernel's zip iterator or a selection predicate's
+    /// column — and the buffer behind it, for kernel footprints. `u32`
+    /// widens exactly as `dense_mask` does, so a comparison sees the same
+    /// operand values on every path. A shape-only column has no lane:
+    /// [`SimError::ShapeOnly`].
+    fn lane<'c>(&self, col: &'c Col) -> Result<(Lane<'c>, BufferId)> {
+        Ok(match col.dtype() {
+            ColType::U32 => {
+                let buf = self.buffer::<u32>(col)?;
+                (Lane::U32(buf.data()?), buf.id())
+            }
+            ColType::F64 => {
+                let buf = self.buffer::<f64>(col)?;
+                (Lane::F64(buf.data()?), buf.id())
+            }
+        })
+    }
+
+    /// `cols` read in place ([`Self::lane`]), and the buffers behind them.
+    fn lanes<'c>(&self, cols: &[&'c Col]) -> Result<(Vec<Lane<'c>>, Vec<BufferId>)> {
+        let lanes = cols.iter().map(|c| self.lane(c));
+        Ok(lanes.collect::<Result<Vec<_>>>()?.into_iter().unzip())
+    }
+
+    /// [`Device::reads`] over `cols`: what an operator whose steps read
+    /// its inputs one after another checks before its first step charges
+    /// anything.
+    fn check_reads(&self, device: &Device, cols: &[&Col]) -> Result<()> {
+        let inputs = cols.iter().map(|&c| -> Result<&dyn Readable> {
+            Ok(match c.dtype() {
+                ColType::U32 => self.buffer::<u32>(c)?,
+                ColType::F64 => self.buffer::<f64>(c)?,
+            })
+        });
+        device.reads(&inputs.collect::<Result<Vec<_>>>()?)
+    }
 }
 
 /// `SizeMismatch` unless two operands are equally long.
@@ -76,10 +121,10 @@ fn check_sum_product(a: &Col, b: &Col, preds: &[Pred<'_>]) -> Result<()> {
 }
 
 /// The operands of a keyed operator, checked likewise: `u32` keys and
-/// `f64` values, both `backend`'s and equally long.
-fn check_keyed(backend: &'static str, keys: &Col, vals: &Col) -> Result<()> {
-    check_col(keys, backend, ColType::U32)?;
-    check_col(vals, backend, ColType::F64)?;
+/// `f64` values, equally long.
+fn check_keyed(keys: &Col, vals: &Col) -> Result<()> {
+    check_dtype(keys, ColType::U32)?;
+    check_dtype(vals, ColType::F64)?;
     equal_len(keys.len(), vals.len())
 }
 
@@ -95,36 +140,6 @@ fn row_preds<'a>(lanes: &[Lane<'a>], preds: &[Pred<'_>]) -> Vec<RowPred<'a>> {
             rhs: Rhs::Lit(p.lit),
         })
         .collect()
-}
-
-/// Run `f` over the stored columns behind `cols`, each read in place (the
-/// host-side view of what a kernel zipping them reads; its charge is the
-/// caller's to declare), and their device buffers.
-fn with_lanes<S: StoredColumn, R>(
-    slab: &Slab<S>,
-    cols: &[&Col],
-    f: impl FnOnce(&[Lane<'_>], &[BufferId]) -> R,
-) -> Result<R> {
-    let ids: Vec<u64> = cols.iter().map(|c| c.id).collect();
-    slab.with_many(&ids, |stored| {
-        let lanes = stored
-            .iter()
-            .map(|s| s.lane())
-            .collect::<Result<Vec<_>>>()?;
-        let bufs: Vec<BufferId> = stored.iter().map(|s| s.buffer_id()).collect();
-        Ok(f(&lanes, &bufs))
-    })?
-}
-
-/// [`Device::reads`] over the stored columns behind `cols`: what an
-/// operator whose steps read its inputs one after another checks before
-/// its first step charges anything.
-fn check_reads<S: StoredColumn>(device: &Device, slab: &Slab<S>, cols: &[&Col]) -> Result<()> {
-    let ids: Vec<u64> = cols.iter().map(|c| c.id).collect();
-    slab.with_many(&ids, |stored| {
-        let inputs: Vec<&dyn Readable> = stored.iter().map(|&s| s as &dyn Readable).collect();
-        device.reads(&inputs)
-    })?
 }
 
 /// `lanes` as the leaves of an expression program.
@@ -185,46 +200,35 @@ fn group_sums(
 
 /// The rows `preds` keep under `conn` ([`kept`] on `device`), and the
 /// buffer behind each predicate's column.
-fn select<S: StoredColumn>(
+fn select(
     device: &Device,
-    slab: &Slab<S>,
+    b: &impl Buffers,
     preds: &[Pred<'_>],
     conn: Connective,
 ) -> Result<(Kept, Vec<BufferId>)> {
-    let ids: Vec<u64> = preds.iter().map(|p| p.col.id).collect();
-    slab.with_many(&ids, |stored| {
-        let lanes = stored
-            .iter()
-            .map(|s| s.lane())
-            .collect::<Result<Vec<_>>>()?;
-        Ok((
-            kept(device, &row_preds(&lanes, preds), conn == Connective::And),
-            stored.iter().map(|s| s.buffer_id()).collect(),
-        ))
-    })?
+    let cols: Vec<&Col> = preds.iter().map(|p| p.col).collect();
+    let (lanes, bufs) = b.lanes(&cols)?;
+    let all = conn == Connective::And;
+    Ok((kept(device, &row_preds(&lanes, preds), all), bufs))
 }
 
 /// The rows where `a cmp b` holds between two equally long columns
 /// ([`kept`] on `device`), and the buffers behind them.
-fn select_cmp_cols<S: StoredColumn>(
+fn select_cmp_cols(
     device: &Device,
-    slab: &Slab<S>,
+    buffers: &impl Buffers,
     a: &Col,
     b: &Col,
     cmp: CmpOp,
 ) -> Result<(Contents<u32>, [BufferId; 2])> {
     equal_len(a.len(), b.len())?;
-    slab.with2(a.id, b.id, |sa, sb| {
-        let pred = RowPred {
-            col: sa.lane()?,
-            cmp: cmp.into(),
-            rhs: Rhs::Col(sb.lane()?),
-        };
-        Ok((
-            kept(device, &[pred], true).0,
-            [sa.buffer_id(), sb.buffer_id()],
-        ))
-    })?
+    let ((la, ia), (lb, ib)) = (buffers.lane(a)?, buffers.lane(b)?);
+    let pred = RowPred {
+        col: la,
+        cmp: cmp.into(),
+        rhs: Rhs::Col(lb),
+    };
+    Ok((kept(device, &[pred], true).0, [ia, ib]))
 }
 
 /// The paper's backend line-up, in registration order (the order every
@@ -253,6 +257,10 @@ pub fn make_backend(
         "Boost.Compute" => Box::new(BoostBackend::new(device)),
         "Thrust" => Box::new(ThrustBackend::new(device)),
         "Handwritten" => Box::new(HandwrittenBackend::new(device)),
+        // INVARIANT: callers name a backend from `PAPER_BACKENDS`; the
+        // frozen `Framework::single_backend` has no `Result` to carry a
+        // refusal, so an unknown name is a caller bug (`# Panics`).
+        #[allow(clippy::panic)]
         other => panic!("unknown paper backend: {other}"),
     }
 }

@@ -245,13 +245,12 @@ fn input<'a>(inputs: &[&'a Col], i: usize) -> Result<&'a Col> {
 }
 
 /// Validate a fused kernel's operands exactly like the composed chain
-/// would: every referenced input bound and owned by `backend`, all
-/// inputs the same length, and arithmetic reads `f64` (the
-/// `affine`/`product` dtype rule). Returns the row
-/// count. Backend overrides call this before touching device storage so
-/// fused and composed dispatch reject exactly the same plans.
+/// would: every referenced input bound, all inputs the same length, and
+/// arithmetic reads `f64` (the `affine`/`product` dtype rule). Returns the
+/// row count. Backend overrides call this before touching device storage,
+/// and read every input through their owner-checked accessor, so fused
+/// and composed dispatch reject exactly the same plans.
 pub(crate) fn check_fused_inputs(
-    backend: &'static str,
     inputs: &[&Col],
     preds: &[FusedPred],
     expr: &FusedExpr,
@@ -262,28 +261,23 @@ pub(crate) fn check_fused_inputs(
     for p in preds {
         input(inputs, p.input)?;
     }
+    let len = inputs.first().map_or(0, |c| c.len());
     for c in inputs {
-        if c.backend != backend {
-            return Err(SimError::Unsupported("foreign column handle".into()));
-        }
-    }
-    let len = inputs.first().map_or(0, |c| c.len);
-    for c in inputs {
-        if c.len != len {
+        if c.len() != len {
             return Err(SimError::SizeMismatch {
                 left: len,
-                right: c.len,
+                right: c.len(),
             });
         }
     }
     for i in expr.arith_inputs() {
-        crate::backend::check_col(input(inputs, i)?, backend, crate::backend::ColType::F64)?;
+        crate::backend::check_dtype(input(inputs, i)?, crate::backend::ColType::F64)?;
     }
     Ok(len)
 }
 
 /// Evaluation result while composing: either a borrowed input column or
-/// an operator-produced temporary we must free.
+/// an operator-produced temporary, freed when it drops.
 enum Val<'a> {
     Borrowed(&'a Col),
     Owned(Col),
@@ -296,53 +290,36 @@ impl Val<'_> {
             Val::Owned(c) => c,
         }
     }
-
-    fn release<B: GpuBackend + ?Sized>(self, b: &B) -> Result<()> {
-        if let Val::Owned(c) = self {
-            b.free(c)?;
-        }
-        Ok(())
-    }
 }
 
 /// Evaluate `expr` over `inputs` by composing the ordinary library
 /// operators, post-order — the exact call sequence the unfused plan
-/// would make for this chain. A node's operands are released whether or
-/// not its operator succeeds, so a refused chain leaves nothing behind.
+/// would make for this chain. A node's operands drop as soon as its
+/// operator returns, whether or not it succeeds, so a refused chain
+/// leaves nothing behind.
 fn composed_expr<'a, B: GpuBackend + ?Sized>(
     b: &B,
     inputs: &[&'a Col],
     expr: &FusedExpr,
 ) -> Result<Val<'a>> {
-    match expr {
-        FusedExpr::Col(i) => Ok(Val::Borrowed(input(inputs, *i)?)),
+    Ok(match expr {
+        FusedExpr::Col(i) => Val::Borrowed(input(inputs, *i)?),
         FusedExpr::Affine { input: e, mul, add } => {
             let v = composed_expr(b, inputs, e)?;
-            let out = b.affine(v.col(), *mul, *add);
-            v.release(b)?;
-            Ok(Val::Owned(out?))
+            Val::Owned(b.affine(v.col(), *mul, *add)?)
         }
         FusedExpr::Mul(x, y) => {
             let vx = composed_expr(b, inputs, x)?;
-            let vy = match composed_expr(b, inputs, y) {
-                Ok(v) => v,
-                Err(e) => {
-                    vx.release(b)?;
-                    return Err(e);
-                }
-            };
+            let vy = composed_expr(b, inputs, y)?;
             let out = b.product(vx.col(), vy.col());
-            vx.release(b)?;
-            vy.release(b)?;
-            Ok(Val::Owned(out?))
+            drop((vx, vy));
+            Val::Owned(out?)
         }
         FusedExpr::Mask { input: e, cmp, lit } => {
             let v = composed_expr(b, inputs, e)?;
-            let out = b.dense_mask(v.col(), *cmp, *lit);
-            v.release(b)?;
-            Ok(Val::Owned(out?))
+            Val::Owned(b.dense_mask(v.col(), *cmp, *lit)?)
         }
-    }
+    })
 }
 
 /// The composed (unfused) realisation of [`GpuBackend::fused_map`]:
@@ -372,11 +349,9 @@ pub(crate) fn composed_filter_agg_impl<B: GpuBackend + ?Sized>(
     preds: &[FusedPred],
     expr: &FusedExpr,
 ) -> Result<f64> {
+    let sum = |views: &[&Col]| composed_expr(b, views, expr).and_then(|v| b.reduction(v.col()));
     if preds.is_empty() {
-        let v = composed_expr(b, inputs, expr)?;
-        let total = b.reduction(v.col())?;
-        v.release(b)?;
-        return Ok(total);
+        return sum(inputs);
     }
     let plain: Vec<Pred<'_>> = preds
         .iter()
@@ -390,44 +365,24 @@ pub(crate) fn composed_filter_agg_impl<B: GpuBackend + ?Sized>(
         .collect::<Result<_>>()?;
     let ids = b.selection_multi(&plain, Connective::And)?;
     // Gather each input the value expression reads, then evaluate the
-    // chain over the compacted columns.
+    // chain over the compacted columns. The gathered columns drop in
+    // order, then the row ids.
     let mut used = Vec::new();
     expr.collect_inputs(&mut used);
-    let run = (|| {
-        let mut gathered: Vec<(usize, Col)> = Vec::with_capacity(used.len());
-        for &i in &used {
-            match b.gather(input(inputs, i)?, &ids) {
-                Ok(g) => gathered.push((i, g)),
-                Err(e) => {
-                    for (_, g) in gathered {
-                        b.free(g)?;
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        let views: Vec<&Col> = (0..inputs.len())
-            .map(|i| {
-                gathered
-                    .iter()
-                    .find(|(j, _)| *j == i)
-                    .map(|(_, g)| g)
-                    .unwrap_or(inputs[i])
-            })
-            .collect();
-        let total = (|| {
-            let v = composed_expr(b, &views, expr)?;
-            let total = b.reduction(v.col())?;
-            v.release(b)?;
-            Ok(total)
-        })();
-        for (_, g) in gathered {
-            b.free(g)?;
-        }
-        total
-    })();
-    b.free(ids)?;
-    run
+    let gathered = used
+        .iter()
+        .map(|&i| Ok((i, b.gather(input(inputs, i)?, &ids)?)))
+        .collect::<Result<Vec<(usize, Col)>>>()?;
+    let views: Vec<&Col> = (0..inputs.len())
+        .map(|i| {
+            gathered
+                .iter()
+                .find(|(j, _)| *j == i)
+                .map(|(_, g)| g)
+                .unwrap_or(inputs[i])
+        })
+        .collect();
+    sum(&views)
 }
 
 /// The composed (unfused) map realisation over a trait object — the

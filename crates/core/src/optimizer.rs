@@ -189,13 +189,13 @@ fn run_passes(plan: &LogicalPlan, mut trace: Option<&mut Vec<PassTrace>>) -> Log
         }
     };
     snapshot("initial", plan);
-    let mut tree: Option<LogicalPlan> = None;
+    let mut tree = std::borrow::Cow::Borrowed(plan);
     for (rule, pass) in PASSES {
-        let after = pass(tree.as_ref().unwrap_or(plan));
+        let after = pass(&tree);
         snapshot(rule, &after);
-        tree = Some(after);
+        tree = std::borrow::Cow::Owned(after);
     }
-    tree.expect("PASSES is not empty")
+    tree.into_owned()
 }
 
 /// Sink filter conjuncts as close to their scans as possible.
@@ -220,12 +220,8 @@ fn conjuncts(p: &Predicate, out: &mut Vec<Predicate>) {
     }
 }
 
-fn and_of(mut preds: Vec<Predicate>) -> Predicate {
-    if preds.len() == 1 {
-        preds.pop().expect("non-empty")
-    } else {
-        Predicate::And(preds)
-    }
+fn and_of(preds: Vec<Predicate>) -> Predicate {
+    <[Predicate; 1]>::try_from(preds).map_or_else(Predicate::And, |[one]| one)
 }
 
 fn wrap(plan: LogicalPlan, pending: Vec<Predicate>) -> LogicalPlan {
@@ -576,7 +572,7 @@ fn plan_impl(
         notes,
         algo,
         ..
-    } = best.expect("at least one candidate");
+    } = best.ok_or_else(|| broken("no candidate lowering"))?;
     if let Some(traces) = trace {
         let mut decision = |pass, note| {
             traces.push(PassTrace {
@@ -871,6 +867,11 @@ struct Lowerer<'a> {
 
 fn unknown(name: &str) -> SimError {
     SimError::Unsupported(format!("unknown plan column `{name}`"))
+}
+
+/// A lowering invariant that does not hold, as a refusal.
+fn broken(what: &str) -> SimError {
+    SimError::Unsupported(format!("planner bug: {what}"))
 }
 
 /// The named entries of `cols` a projection keeps, in `names` order.
@@ -1337,7 +1338,7 @@ impl Lowerer<'_> {
     ) -> Result<ColRef> {
         let mut fin = FusedInputs::new(self.notes.is_some());
         let Val::Ref(expr) = self.build_fused(whole, scope, ctx, &mut fin)? else {
-            unreachable!("the fusion probe rejects constant expressions")
+            return Err(broken("a fused map over a constant expression"));
         };
         self.note_fused("fuse_map", whole, &fin, 0..fin.cols.len(), &[]);
         let inputs = fin.cols;
@@ -1479,11 +1480,11 @@ impl Lowerer<'_> {
             project,
         } = plan
         else {
-            unreachable!("lower_join is only called on Join nodes");
+            return Err(broken("a join lowering of a non-join node"));
         };
-        let algo = self
-            .join_algo
-            .expect("join algorithm pre-selected for join-bearing plans");
+        let Some(algo) = self.join_algo else {
+            return Err(broken("a join lowering without a join algorithm"));
+        };
         // Build side first, then probe — the hand-tuned plan order.
         let build_rel = self.lower_rel(build)?;
         let probe_rel = self.lower_rel(probe)?;
@@ -1785,9 +1786,6 @@ impl Lowerer<'_> {
                         ctx,
                     );
                     let right = jc.right_idx;
-                    let ColRef::Slot(ind_slot) = ind else {
-                        unreachable!("emit_expr_slot returns a slot")
-                    };
                     let how = self.how(DbOperator::ScatterGather);
                     let out = self.new_slot(short(name), Self::device(ColType::F64));
                     if ctx.defer_depth > 0 {
@@ -1795,7 +1793,7 @@ impl Lowerer<'_> {
                     }
                     self.emit(
                         Step::Gather {
-                            data: ColRef::Slot(ind_slot),
+                            data: ind,
                             ids: ColRef::Slot(right),
                             out,
                         },

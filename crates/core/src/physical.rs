@@ -18,8 +18,8 @@
 //!   freed eagerly, otherwise at plan end in creation order), so traced
 //!   runs stay alloc/free balanced;
 //! * bound base columns are borrowed, never freed;
-//! * on error the step's failure propagates unchanged (no unwinding
-//!   cleanup), matching the hand-rolled lowering it replaced;
+//! * on error the step's failure propagates unchanged, and the slot
+//!   store's drop frees every column the plan created so far;
 //! * all device work goes through the bound backend, so the
 //!   `gpu_sim::trace` windows lint passes consume are emitted exactly as
 //!   before.
@@ -780,6 +780,26 @@ impl PhysicalPlan {
         store
     }
 
+    /// The device column `r` names: a bound base column, or the slot an
+    /// earlier step wrote.
+    fn resolve<'s>(
+        &self,
+        binds: &'s PlanBindings<'_>,
+        slots: &'s [Option<SlotVal>],
+        r: &ColRef,
+    ) -> Result<&'s Col> {
+        match r {
+            ColRef::Base(name) => binds.get(name),
+            ColRef::Slot(i) => match slots.get(*i).and_then(Option::as_ref) {
+                Some(SlotVal::Col(c)) => Ok(c),
+                _ => Err(SimError::Unsupported(format!(
+                    "plan slot %{i} ({}) does not hold a device column",
+                    self.slots[*i].name
+                ))),
+            },
+        }
+    }
+
     /// Execute step `ix` against `store`, issuing exactly the backend
     /// calls the straight-line interpreter always issued (the
     /// zero-overhead contract: recovery layers drive this per step, and
@@ -796,37 +816,19 @@ impl PhysicalPlan {
         store: &mut SlotStore,
         ix: usize,
     ) -> Result<()> {
-        // Handles are opaque ids; reconstructing one borrows nothing from
-        // the slot store, which keeps operand resolution and result
-        // storage disjoint.
-        fn remint(c: &Col) -> Col {
-            Col::from_raw(c.raw_id(), c.dtype(), c.len(), c.backend())
-        }
-        // Resolve an operand to a device column.
-        let resolve = |store: &[Option<SlotVal>], r: &ColRef| -> Result<Col> {
-            match r {
-                ColRef::Base(name) => binds.get(name).map(remint),
-                ColRef::Slot(i) => match store.get(*i).and_then(Option::as_ref) {
-                    Some(SlotVal::Col(c)) => Ok(remint(c)),
-                    _ => Err(SimError::Unsupported(format!(
-                        "plan slot %{i} ({}) does not hold a device column",
-                        self.slots[*i].name
-                    ))),
-                },
-            }
-        };
-
+        // Operands borrow from `binds` and the slot store; each arm is done
+        // with them before it writes its result.
+        let slots: &[Option<SlotVal>] = store;
+        let col = |r: &ColRef| self.resolve(binds, slots, r);
         {
             let step = &self.steps[ix];
             match step {
                 Step::SelectionMulti { preds, conn, out } => {
-                    let cols: Vec<Col> = preds
-                        .iter()
-                        .map(|p| resolve(store, &p.col))
-                        .collect::<Result<_>>()?;
+                    let cols: Vec<&Col> =
+                        preds.iter().map(|p| col(&p.col)).collect::<Result<_>>()?;
                     let ps: Vec<Pred<'_>> = preds
                         .iter()
-                        .zip(&cols)
+                        .zip(cols)
                         .map(|(p, col)| Pred {
                             col,
                             cmp: p.cmp,
@@ -837,13 +839,13 @@ impl PhysicalPlan {
                     store[*out] = Some(SlotVal::Col(r));
                 }
                 Step::SelectionCmpCols { a, b, cmp, out } => {
-                    let (ca, cb) = (resolve(store, a)?, resolve(store, b)?);
-                    let r = backend.selection_cmp_cols(&ca, &cb, *cmp)?;
+                    let (ca, cb) = (col(a)?, col(b)?);
+                    let r = backend.selection_cmp_cols(ca, cb, *cmp)?;
                     store[*out] = Some(SlotVal::Col(r));
                 }
                 Step::Gather { data, ids, out } => {
-                    let (cd, ci) = (resolve(store, data)?, resolve(store, ids)?);
-                    let r = backend.gather(&cd, &ci)?;
+                    let (cd, ci) = (col(data)?, col(ids)?);
+                    let r = backend.gather(cd, ci)?;
                     store[*out] = Some(SlotVal::Col(r));
                 }
                 Step::Affine {
@@ -852,13 +854,13 @@ impl PhysicalPlan {
                     add,
                     out,
                 } => {
-                    let c = resolve(store, input)?;
-                    let r = backend.affine(&c, *mul, *add)?;
+                    let c = col(input)?;
+                    let r = backend.affine(c, *mul, *add)?;
                     store[*out] = Some(SlotVal::Col(r));
                 }
                 Step::Product { a, b, out } => {
-                    let (ca, cb) = (resolve(store, a)?, resolve(store, b)?);
-                    let r = backend.product(&ca, &cb)?;
+                    let (ca, cb) = (col(a)?, col(b)?);
+                    let r = backend.product(ca, cb)?;
                     store[*out] = Some(SlotVal::Col(r));
                 }
                 Step::DenseMask {
@@ -867,12 +869,12 @@ impl PhysicalPlan {
                     lit,
                     out,
                 } => {
-                    let c = resolve(store, input)?;
-                    let r = backend.dense_mask(&c, *cmp, *lit)?;
+                    let c = col(input)?;
+                    let r = backend.dense_mask(c, *cmp, *lit)?;
                     store[*out] = Some(SlotVal::Col(r));
                 }
                 Step::ConstantOnes { like, out } => {
-                    let c = resolve(store, like)?;
+                    let c = col(like)?;
                     let r = backend.constant_f64(c.len(), 1.0)?;
                     store[*out] = Some(SlotVal::Col(r));
                 }
@@ -883,8 +885,8 @@ impl PhysicalPlan {
                     out_left,
                     out_right,
                 } => {
-                    let (co, ci) = (resolve(store, outer)?, resolve(store, inner)?);
-                    let (l, r) = backend.join(&co, &ci, *algo)?;
+                    let (co, ci) = (col(outer)?, col(inner)?);
+                    let (l, r) = backend.join(co, ci, *algo)?;
                     store[*out_left] = Some(SlotVal::Col(l));
                     store[*out_right] = Some(SlotVal::Col(r));
                 }
@@ -894,32 +896,30 @@ impl PhysicalPlan {
                     out_keys,
                     out_vals,
                 } => {
-                    let (ck, cv) = (resolve(store, keys)?, resolve(store, vals)?);
-                    let (k, v) = backend.grouped_sum(&ck, &cv)?;
+                    let (ck, cv) = (col(keys)?, col(vals)?);
+                    let (k, v) = backend.grouped_sum(ck, cv)?;
                     store[*out_keys] = Some(SlotVal::Col(k));
                     store[*out_vals] = Some(SlotVal::Col(v));
                 }
                 Step::Reduce { input, out } => {
-                    let c = resolve(store, input)?;
-                    let r = backend.reduction(&c)?;
+                    let c = col(input)?;
+                    let r = backend.reduction(c)?;
                     store[*out] = Some(SlotVal::Scalar(r));
                 }
                 Step::FilterSumProduct { a, b, preds, out } => {
-                    let (ca, cb) = (resolve(store, a)?, resolve(store, b)?);
-                    let cols: Vec<Col> = preds
-                        .iter()
-                        .map(|p| resolve(store, &p.col))
-                        .collect::<Result<_>>()?;
+                    let (ca, cb) = (col(a)?, col(b)?);
+                    let cols: Vec<&Col> =
+                        preds.iter().map(|p| col(&p.col)).collect::<Result<_>>()?;
                     let ps: Vec<Pred<'_>> = preds
                         .iter()
-                        .zip(&cols)
+                        .zip(cols)
                         .map(|(p, col)| Pred {
                             col,
                             cmp: p.cmp,
                             lit: p.lit,
                         })
                         .collect();
-                    let r = backend.filter_sum_product(&ca, &cb, &ps)?;
+                    let r = backend.filter_sum_product(ca, cb, &ps)?;
                     store[*out] = Some(SlotVal::Scalar(r));
                 }
                 Step::FusedMap {
@@ -928,11 +928,7 @@ impl PhysicalPlan {
                     threshold,
                     out,
                 } => {
-                    let cols: Vec<Col> = inputs
-                        .iter()
-                        .map(|r| resolve(store, r))
-                        .collect::<Result<_>>()?;
-                    let refs: Vec<&Col> = cols.iter().collect();
+                    let refs: Vec<&Col> = inputs.iter().map(col).collect::<Result<_>>()?;
                     let len = refs.first().map_or(0, |c| c.len());
                     // Size-adaptive dispatch: the single-pass kernel only
                     // wins above the calibrated break-even; both paths are
@@ -951,11 +947,7 @@ impl PhysicalPlan {
                     threshold,
                     out,
                 } => {
-                    let cols: Vec<Col> = inputs
-                        .iter()
-                        .map(|r| resolve(store, r))
-                        .collect::<Result<_>>()?;
-                    let refs: Vec<&Col> = cols.iter().collect();
+                    let refs: Vec<&Col> = inputs.iter().map(col).collect::<Result<_>>()?;
                     let len = refs.first().map_or(0, |c| c.len());
                     let r = if len > *threshold {
                         backend.fused_filter_agg(&refs, preds, expr)?
@@ -965,13 +957,13 @@ impl PhysicalPlan {
                     store[*out] = Some(SlotVal::Scalar(r));
                 }
                 Step::DownloadU32 { input, out } => {
-                    let c = resolve(store, input)?;
-                    let r = backend.download_u32(&c)?;
+                    let c = col(input)?;
+                    let r = backend.download_u32(c)?;
                     store[*out] = Some(SlotVal::U32s(r));
                 }
                 Step::DownloadF64 { input, out } => {
-                    let c = resolve(store, input)?;
-                    let r = backend.download_f64(&c)?;
+                    let c = col(input)?;
+                    let r = backend.download_f64(c)?;
                     store[*out] = Some(SlotVal::F64s(r));
                 }
                 Step::HostSort {
@@ -1035,21 +1027,16 @@ impl PhysicalPlan {
                             Some(SlotVal::F64s(order_ix.iter().map(|&i| vec[i]).collect()));
                     }
                 }
-                Step::Free { slot } => {
-                    let c = match store[*slot].as_ref() {
-                        Some(SlotVal::Col(c)) => remint(c),
-                        _ => {
-                            return Err(SimError::Unsupported(format!(
-                                "plan frees slot %{slot} ({}) which holds no device column",
-                                self.slots[*slot].name
-                            )))
-                        }
-                    };
-                    backend.free(c)?;
-                    // Clear the slot only once the release succeeded, so a
-                    // replayed Free still sees the column.
-                    store[*slot] = None;
-                }
+                Step::Free { slot } => match store[*slot].take() {
+                    Some(SlotVal::Col(c)) => backend.free(c)?,
+                    held => {
+                        store[*slot] = held;
+                        return Err(SimError::Unsupported(format!(
+                            "plan frees slot %{slot} ({}) which holds no device column",
+                            self.slots[*slot].name
+                        )));
+                    }
+                },
             }
         }
         Ok(())
@@ -1177,5 +1164,33 @@ mod tests {
                 b.free(c).unwrap();
             }
         }
+    }
+
+    /// A step that fails partway through a plan leaves no column behind:
+    /// dropping the slot store frees what the steps before it created.
+    #[test]
+    fn a_failing_step_frees_the_columns_the_steps_before_it_created() {
+        use crate::logical::{AggExpr, ColumnDecl, Expr, LogicalPlan, Predicate};
+        use gpu_sim::{FaultPlan, FaultSite};
+        let dev = Device::with_defaults();
+        let b = HandwrittenBackend::new(&dev);
+        let keys = b.upload_u32(&[1, 2, 1, 3]).unwrap();
+        let vals = b.upload_f64(&[0.5, 1.0, 0.25, 2.0]).unwrap();
+        let logical = LogicalPlan::scan("t", vec![ColumnDecl::u32("k"), ColumnDecl::f64("v")])
+            .filter(Predicate::cmp("t.v", CmpOp::Lt, 1.5))
+            .aggregate(Some("t.k"), vec![("sum", AggExpr::Sum(Expr::col("t.v")))]);
+        let plan = crate::optimizer::plan("partway", &logical, &b).unwrap();
+        let mut binds = PlanBindings::new();
+        binds.bind("t.k", &keys).bind("t.v", &vals);
+        // The device steps run; the first download times out.
+        dev.install_fault_plan(FaultPlan::new(7).with_rate(FaultSite::DtoH, 1.0));
+        let (live, launches) = (dev.live_buffers(), dev.stats().total_launches());
+        let failed = plan.execute(&b, &binds);
+        assert!(
+            matches!(failed, Err(SimError::TransferTimeout { .. })),
+            "{failed:?}"
+        );
+        assert!(dev.stats().total_launches() > launches, "no step ran first");
+        assert_eq!(dev.live_buffers(), live);
     }
 }

@@ -64,10 +64,11 @@ fn variant(step: &Step) -> usize {
 const VARIANTS: usize = 17;
 
 /// What a slot holds, comparable across a step: a device column by its
-/// (never reused) handle, host values by their bits.
+/// shape (a step writes only empty slots, so a new column never replaces
+/// one), host values by their bits.
 #[derive(Debug, PartialEq)]
 enum Print {
-    Col(u64),
+    Col(ColType, usize),
     Scalar(u64),
     U32s(Vec<u32>),
     F64s(Vec<u64>),
@@ -78,7 +79,7 @@ fn prints(store: &SlotStore) -> Vec<Option<Print>> {
         .iter()
         .map(|v| {
             v.as_ref().map(|v| match v {
-                SlotVal::Col(c) => Print::Col(c.raw_id()),
+                SlotVal::Col(c) => Print::Col(c.dtype(), c.len()),
                 SlotVal::Scalar(x) => Print::Scalar(x.to_bits()),
                 SlotVal::U32s(v) => Print::U32s(v.clone()),
                 SlotVal::F64s(v) => Print::F64s(v.iter().map(|x| x.to_bits()).collect()),

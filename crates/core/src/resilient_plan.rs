@@ -733,34 +733,25 @@ impl ResilientPlanExecutor {
                 plan.exec_step(lane.backend, lane.binds, &mut store, ix)
             });
             if let Err(e) = r {
-                return Err(self.abandon(lane, store, ix, e));
+                return Err(Self::abandon(store, ix, e));
             }
         }
         plan.collect_outputs(&mut store)
-            .map_err(|e| self.abandon(lane, store, plan.steps().len(), e))
+            .map_err(|e| Self::abandon(store, plan.steps().len(), e))
     }
 
-    /// Abandon an attempt: release every live device column (so later
-    /// attempts and partition chunks see the memory back) and keep the
-    /// host-resident checkpoints.
-    fn abandon(
-        &self,
-        lane: &PlanLane<'_>,
-        mut store: Vec<Option<SlotVal>>,
-        failed_step: usize,
-        err: SimError,
-    ) -> LaneFail {
-        for slot in store.iter_mut() {
-            if matches!(slot, Some(SlotVal::Col(_))) {
-                if let Some(SlotVal::Col(c)) = slot.take() {
-                    let _ = lane.backend.free(c);
-                }
-            }
-        }
+    /// Abandon an attempt: drop every live device column, in slot order
+    /// (so later attempts and partition chunks see the memory back), and
+    /// keep the host-resident checkpoints.
+    fn abandon(store: Vec<Option<SlotVal>>, failed_step: usize, err: SimError) -> LaneFail {
+        let host = store
+            .into_iter()
+            .map(|slot| slot.filter(|v| !matches!(v, SlotVal::Col(_))))
+            .collect();
         LaneFail {
             err,
             failed_step,
-            host: store,
+            host,
         }
     }
 
@@ -822,7 +813,7 @@ impl ResilientPlanExecutor {
 
     /// Execute the plan over rows `start..end` of the partitioned
     /// columns: upload the window, rebind, run with the usual per-step
-    /// recovery, release the window.
+    /// recovery, drop the window.
     fn run_chunk(
         &self,
         lane: &PlanLane<'_>,
@@ -832,28 +823,22 @@ impl ResilientPlanExecutor {
     ) -> Result<PlanOutput> {
         let backend = lane.backend;
         let device = backend.device();
-        let mut uploads: Vec<(String, Col)> = Vec::new();
-        for (name, col) in &source.cols {
-            let up =
-                retry_with_policy(
-                    &device,
-                    &self.recovery.retry,
-                    "partition upload",
-                    || match col {
-                        HostCol::U32(v) => backend.upload_u32(&v[start..end]),
-                        HostCol::F64(v) => backend.upload_f64(&v[start..end]),
-                    },
-                );
-            match up {
-                Ok(c) => uploads.push((name.clone(), c)),
-                Err(e) => {
-                    for (_, c) in uploads {
-                        let _ = backend.free(c);
-                    }
-                    return Err(e);
-                }
-            }
-        }
+        let upload = |col: &HostCol<'_>| {
+            retry_with_policy(
+                &device,
+                &self.recovery.retry,
+                "partition upload",
+                || match col {
+                    HostCol::U32(v) => backend.upload_u32(&v[start..end]),
+                    HostCol::F64(v) => backend.upload_f64(&v[start..end]),
+                },
+            )
+        };
+        let uploads = source
+            .cols
+            .iter()
+            .map(|(name, col)| Ok((name.clone(), upload(col)?)))
+            .collect::<Result<Vec<(String, Col)>>>()?;
         let mut binds = PlanBindings::new();
         for (name, col) in lane.binds.iter() {
             if !source.contains(name) {
@@ -868,11 +853,7 @@ impl ResilientPlanExecutor {
             plan: lane.plan,
             binds: &binds,
         };
-        let r = self.run_lane(&chunk_lane, None).map_err(|fail| fail.err);
-        for (_, c) in uploads {
-            let _ = backend.free(c);
-        }
-        r
+        self.run_lane(&chunk_lane, None).map_err(|fail| fail.err)
     }
 }
 

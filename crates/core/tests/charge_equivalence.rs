@@ -168,15 +168,15 @@ mod old_eager {
     use gpu_sim::eager::{self, Launch, Vector};
     use gpu_sim::SimDuration;
 
-    enum Stored {
+    enum Held {
         U32(Vector<u32>),
         F64(Vector<f64>),
     }
 
-    fn flags<L: Launch>(lib: &L, s: &Stored, cmp: CmpOp, lit: f64) -> Result<Vector<u32>> {
+    fn flags<L: Launch>(lib: &L, s: &Held, cmp: CmpOp, lit: f64) -> Result<Vector<u32>> {
         match s {
-            Stored::U32(v) => eager::transform(lib, v, move |x| u32::from(cmp.eval(x as f64, lit))),
-            Stored::F64(v) => eager::transform(lib, v, move |x| u32::from(cmp.eval(x, lit))),
+            Held::U32(v) => eager::transform(lib, v, move |x| u32::from(cmp.eval(x as f64, lit))),
+            Held::F64(v) => eager::transform(lib, v, move |x| u32::from(cmp.eval(x, lit))),
         }
     }
 
@@ -197,7 +197,7 @@ mod old_eager {
 
     fn selection_multi<L: Launch>(
         lib: &L,
-        cols: &[Stored],
+        cols: &[Held],
         preds: &[(usize, CmpOp, f64)],
         conn: Connective,
     ) -> Result<Vector<u32>> {
@@ -213,14 +213,12 @@ mod old_eager {
         compact(lib, &combined)
     }
 
-    fn cmp_cols<L: Launch>(lib: &L, a: &Stored, b: &Stored, cmp: CmpOp) -> Result<Vector<u32>> {
+    fn cmp_cols<L: Launch>(lib: &L, a: &Held, b: &Held, cmp: CmpOp) -> Result<Vector<u32>> {
         let flags = match (a, b) {
-            (Stored::U32(va), Stored::U32(vb)) => {
-                eager::transform_binary(lib, va, vb, move |x, y| {
-                    u32::from(cmp.eval(x as f64, y as f64))
-                })
-            }
-            (Stored::F64(va), Stored::F64(vb)) => {
+            (Held::U32(va), Held::U32(vb)) => eager::transform_binary(lib, va, vb, move |x, y| {
+                u32::from(cmp.eval(x as f64, y as f64))
+            }),
+            (Held::F64(va), Held::F64(vb)) => {
                 eager::transform_binary(lib, va, vb, move |x, y| u32::from(cmp.eval(x, y)))
             }
             _ => {
@@ -255,11 +253,11 @@ mod old_eager {
         op: &Op<'_>,
         plan: &Option<FaultPlan>,
     ) -> Outcome {
-        let upload = |dev: &Arc<Device>| -> (L, Vec<Stored>) {
+        let upload = |dev: &Arc<Device>| -> (L, Vec<Held>) {
             let lib = cold(dev);
             let up = |c: &HostCol<'_>| match c {
-                HostCol::U32(v) => Stored::U32(Vector::from_host(&lib, v).unwrap()),
-                HostCol::F64(v) => Stored::F64(Vector::from_host(&lib, v).unwrap()),
+                HostCol::U32(v) => Held::U32(Vector::from_host(&lib, v).unwrap()),
+                HostCol::F64(v) => Held::F64(Vector::from_host(&lib, v).unwrap()),
             };
             let cols = match op {
                 Op::GroupedSum { keys, vals } => {
@@ -270,27 +268,27 @@ mod old_eager {
             };
             (lib, cols)
         };
-        let run = |(lib, cols): &(L, Vec<Stored>)| -> Result<Vec<Stored>> {
+        let run = |(lib, cols): &(L, Vec<Held>)| -> Result<Vec<Held>> {
             match op {
                 Op::GroupedSum { .. } => match (&cols[0], &cols[1]) {
-                    (Stored::U32(k), Stored::F64(v)) => {
-                        grouped_sum(lib, k, v).map(|(k, v)| vec![Stored::U32(k), Stored::F64(v)])
+                    (Held::U32(k), Held::F64(v)) => {
+                        grouped_sum(lib, k, v).map(|(k, v)| vec![Held::U32(k), Held::F64(v)])
                     }
                     _ => unreachable!(),
                 },
                 Op::Select { preds, conn, .. } => {
-                    selection_multi(lib, cols, preds, *conn).map(|ids| vec![Stored::U32(ids)])
+                    selection_multi(lib, cols, preds, *conn).map(|ids| vec![Held::U32(ids)])
                 }
                 Op::CmpCols { cmp, .. } => {
-                    cmp_cols(lib, &cols[0], &cols[1], *cmp).map(|ids| vec![Stored::U32(ids)])
+                    cmp_cols(lib, &cols[0], &cols[1], *cmp).map(|ids| vec![Held::U32(ids)])
                 }
             }
         };
-        let download = |_: &(L, Vec<Stored>), out: Vec<Stored>| -> Bits {
+        let download = |_: &(L, Vec<Held>), out: Vec<Held>| -> Bits {
             out.into_iter()
                 .map(|s| match s {
-                    Stored::U32(v) => bits32(&v.to_host().unwrap()),
-                    Stored::F64(v) => bits64(&v.to_host().unwrap()),
+                    Held::U32(v) => bits32(&v.to_host().unwrap()),
+                    Held::F64(v) => bits64(&v.to_host().unwrap()),
                 })
                 .collect()
         };
@@ -390,30 +388,30 @@ mod old_handwritten {
     use gpu_sim::DeviceBuffer;
     use handwritten as hw;
 
-    enum Stored {
+    enum Held {
         U32(DeviceBuffer<u32>),
         F64(DeviceBuffer<f64>),
     }
 
-    impl Stored {
+    impl Held {
         fn values(&self) -> Vec<f64> {
             match self {
-                Stored::U32(v) => v.host().iter().map(|&x| x as f64).collect(),
-                Stored::F64(v) => v.host().to_vec(),
+                Held::U32(v) => v.host().iter().map(|&x| x as f64).collect(),
+                Held::F64(v) => v.host().to_vec(),
             }
         }
 
         fn width(&self) -> usize {
             match self {
-                Stored::U32(_) => 4,
-                Stored::F64(_) => 8,
+                Held::U32(_) => 4,
+                Held::F64(_) => 8,
             }
         }
     }
 
     fn selection_multi(
         device: &Arc<Device>,
-        cols: &[Stored],
+        cols: &[Held],
         preds: &[(usize, CmpOp, f64)],
         conn: Connective,
     ) -> Result<DeviceBuffer<u32>> {
@@ -429,12 +427,7 @@ mod old_handwritten {
         })
     }
 
-    fn cmp_cols(
-        device: &Arc<Device>,
-        a: &Stored,
-        b: &Stored,
-        cmp: CmpOp,
-    ) -> Result<DeviceBuffer<u32>> {
+    fn cmp_cols(device: &Arc<Device>, a: &Held, b: &Held, cmp: CmpOp) -> Result<DeviceBuffer<u32>> {
         let (va, vb) = (a.values(), b.values());
         hw::select_fused(device, va.len(), a.width() + b.width(), |i| {
             cmp.eval(va[i], vb[i])
@@ -451,11 +444,11 @@ mod old_handwritten {
     }
 
     pub fn run(op: &Op<'_>, plan: &Option<FaultPlan>) -> Outcome {
-        type Ctx = (Arc<Device>, Vec<Stored>);
+        type Ctx = (Arc<Device>, Vec<Held>);
         let upload = |dev: &Arc<Device>| -> Ctx {
             let up = |c: &HostCol<'_>| match c {
-                HostCol::U32(v) => Stored::U32(dev.htod(v).unwrap()),
-                HostCol::F64(v) => Stored::F64(dev.htod(v).unwrap()),
+                HostCol::U32(v) => Held::U32(dev.htod(v).unwrap()),
+                HostCol::F64(v) => Held::F64(dev.htod(v).unwrap()),
             };
             let cols = match op {
                 Op::GroupedSum { keys, vals } => {
@@ -466,27 +459,27 @@ mod old_handwritten {
             };
             (Arc::clone(dev), cols)
         };
-        let run = |(dev, cols): &Ctx| -> Result<Vec<Stored>> {
+        let run = |(dev, cols): &Ctx| -> Result<Vec<Held>> {
             match op {
                 Op::GroupedSum { .. } => match (&cols[0], &cols[1]) {
-                    (Stored::U32(k), Stored::F64(v)) => {
-                        grouped_sum(dev, k, v).map(|(k, v)| vec![Stored::U32(k), Stored::F64(v)])
+                    (Held::U32(k), Held::F64(v)) => {
+                        grouped_sum(dev, k, v).map(|(k, v)| vec![Held::U32(k), Held::F64(v)])
                     }
                     _ => unreachable!(),
                 },
                 Op::Select { preds, conn, .. } => {
-                    selection_multi(dev, cols, preds, *conn).map(|ids| vec![Stored::U32(ids)])
+                    selection_multi(dev, cols, preds, *conn).map(|ids| vec![Held::U32(ids)])
                 }
                 Op::CmpCols { cmp, .. } => {
-                    cmp_cols(dev, &cols[0], &cols[1], *cmp).map(|ids| vec![Stored::U32(ids)])
+                    cmp_cols(dev, &cols[0], &cols[1], *cmp).map(|ids| vec![Held::U32(ids)])
                 }
             }
         };
-        let download = |(dev, _): &Ctx, out: Vec<Stored>| -> Bits {
+        let download = |(dev, _): &Ctx, out: Vec<Held>| -> Bits {
             out.into_iter()
                 .map(|s| match s {
-                    Stored::U32(v) => bits32(&dev.dtoh(&v).unwrap()),
-                    Stored::F64(v) => bits64(&dev.dtoh(&v).unwrap()),
+                    Held::U32(v) => bits32(&dev.dtoh(&v).unwrap()),
+                    Held::F64(v) => bits64(&dev.dtoh(&v).unwrap()),
                 })
                 .collect()
         };

@@ -63,7 +63,7 @@ pub trait Query {
     type Answer;
     /// Host data decoding reads besides the plan's output, captured at
     /// upload: Q3's order attributes, `()` elsewhere.
-    type Host: Default;
+    type Host: Default + Send;
 
     /// Decode an executed plan's output.
     fn decode(out: &PlanOutput, host: &Self::Host) -> Result<Self::Answer>;

@@ -31,8 +31,7 @@ pub struct QueryData<Q: Query> {
 
 impl<Q: Query> QueryData<Q> {
     /// Upload [`Query::upload_columns`] in order and capture
-    /// [`Query::host`]. Like the hand-written uploads it replaces, a
-    /// failing upload propagates without releasing the columns before it.
+    /// [`Query::host`]. A failing upload drops the columns before it.
     pub fn upload(backend: &dyn GpuBackend, db: &Database) -> Result<Self> {
         let mut cols = Vec::new();
         for (name, _) in Q::upload_columns() {
@@ -281,6 +280,24 @@ mod tests {
                 "part.size:U32",
             ]
         );
+        assert_eq!(b.device().live_buffers(), 0);
+    }
+
+    /// An upload that runs out of device memory partway leaves no column
+    /// behind: the columns before it drop with the failed working set.
+    #[test]
+    fn a_failing_upload_leaves_no_column_behind() {
+        let db = generate(0.002);
+        let mut spec = DeviceSpec::gtx1080();
+        // Room for Q1's two `u32` columns, not for its four `f64` ones.
+        spec.global_mem_bytes = db.lineitem.len() as u64 * 16;
+        let b = Framework::single_backend(&spec, "Handwritten");
+        let failed = q1::Q1Data::upload(b.as_ref(), &db);
+        assert!(
+            matches!(failed, Err(SimError::OutOfMemory { .. })),
+            "{failed:?}"
+        );
+        assert!(b.device().stats().mem_peak > 0, "no column went up first");
         assert_eq!(b.device().live_buffers(), 0);
     }
 

@@ -56,21 +56,19 @@ fn pool_pressure_is_rescued_by_trim() {
 }
 
 #[test]
-fn freeing_a_foreign_or_stale_handle_errors() {
+fn freeing_a_foreign_handle_errors_and_drops_it() {
     let a = ThrustBackend::new(&Device::with_defaults());
     let b = BoostBackend::new(&Device::with_defaults());
     let col = a.upload_u32(&[1, 2, 3]).unwrap();
-    // Foreign backend rejects it.
+    // Another library rejects it, and so does another Thrust instance: a
+    // handle belongs to the instance that minted it.
     assert!(b.download_u32(&col).is_err());
-    // Rightful owner frees it once…
-    let id_copy =
-        gpu_proto_db::core::backend::Col::from_raw(col.raw_id(), col.dtype(), col.len(), "Thrust");
-    a.free(col).unwrap();
-    // …and a stale duplicate of the handle dangles.
-    assert!(matches!(
-        a.download_u32(&id_copy),
-        Err(SimError::Unsupported(_))
-    ));
+    let other = ThrustBackend::new(&a.device());
+    assert!(other.download_u32(&col).is_err());
+    // A refused free still drops the handle, and with it the column.
+    assert_eq!(a.device().live_buffers(), 1);
+    assert!(matches!(other.free(col), Err(SimError::Unsupported(_))));
+    assert_eq!(a.device().live_buffers(), 0);
 }
 
 #[test]
