@@ -267,38 +267,17 @@ pub enum Step {
     },
 }
 
-/// One column operand of a [`Step`] ([`Step::reads`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StepRead<'a> {
-    /// The operand.
-    pub col: &'a ColRef,
-    /// Whether only the operand's length matters ([`Step::ConstantOnes`]
-    /// sizes its output by it, so it may be a row-id column).
-    pub len_only: bool,
-}
-
-impl<'a> StepRead<'a> {
-    fn new(col: &'a ColRef) -> Self {
-        StepRead {
-            col,
-            len_only: false,
-        }
-    }
-}
-
-/// How a [`Step`]'s output rows relate to its input rows: the class the
+/// How a [`Step`]'s output relates to its inputs: the class the
 /// partition-safety analysis reasons in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum RowShape {
-    /// Row ids of the input rows a predicate keeps.
-    Select,
-    /// One output row per input row.
-    Map,
+    /// A column of rows: the row ids a predicate keeps, one value per
+    /// input row, or one row of data per row id.
+    Rows,
     /// One scalar over all input rows.
     Reduce,
-    /// One row of `data` per row id.
-    Gather,
-    /// Matching (outer, inner) row-id pairs.
+    /// Matching (outer, inner) row-id pairs; the second operand is the
+    /// build side.
     Join,
     /// Distinct keys and per-key sums.
     Group,
@@ -315,31 +294,25 @@ impl Step {
     /// The column operands the step reads, in its call's argument order.
     /// (A [`Step::HostSort`] reads no column: it reorders the host
     /// vectors it [`Step::writes`] in place.)
-    pub fn reads(&self) -> Vec<StepRead<'_>> {
-        let col = StepRead::new;
+    pub fn reads(&self) -> Vec<&ColRef> {
         match self {
             Step::DenseMask { input, .. }
             | Step::Affine { input, .. }
             | Step::Reduce { input, .. }
             | Step::DownloadU32 { input, .. }
-            | Step::DownloadF64 { input, .. } => vec![col(input)],
-            Step::SelectionMulti { preds, .. } => preds.iter().map(|p| col(&p.col)).collect(),
-            Step::SelectionCmpCols { a, b, .. } | Step::Product { a, b, .. } => {
-                vec![col(a), col(b)]
-            }
-            Step::Gather { data, ids, .. } => vec![col(data), col(ids)],
-            Step::ConstantOnes { like, .. } => vec![StepRead {
-                len_only: true,
-                ..col(like)
-            }],
-            Step::Join { outer, inner, .. } => vec![col(outer), col(inner)],
-            Step::GroupedSum { keys, vals, .. } => vec![col(keys), col(vals)],
-            Step::FilterSumProduct { a, b, preds, .. } => [col(a), col(b)]
+            | Step::DownloadF64 { input, .. }
+            | Step::ConstantOnes { like: input, .. } => vec![input],
+            Step::SelectionMulti { preds, .. } => preds.iter().map(|p| &p.col).collect(),
+            Step::SelectionCmpCols { a, b, .. } | Step::Product { a, b, .. } => vec![a, b],
+            Step::Gather { data, ids, .. } => vec![data, ids],
+            Step::Join { outer, inner, .. } => vec![outer, inner],
+            Step::GroupedSum { keys, vals, .. } => vec![keys, vals],
+            Step::FilterSumProduct { a, b, preds, .. } => [a, b]
                 .into_iter()
-                .chain(preds.iter().map(|p| col(&p.col)))
+                .chain(preds.iter().map(|p| &p.col))
                 .collect(),
             Step::FusedMap { inputs, .. } | Step::FusedFilterAgg { inputs, .. } => {
-                inputs.iter().map(col).collect()
+                inputs.iter().collect()
             }
             Step::HostSort { .. } | Step::Free { .. } => Vec::new(),
         }
@@ -363,7 +336,7 @@ impl Step {
         self.decl().0
     }
 
-    /// How the step's output rows relate to its input rows.
+    /// How the step's output relates to its inputs.
     pub(crate) fn shape(&self) -> RowShape {
         self.decl().1
     }
@@ -374,13 +347,13 @@ impl Step {
         use RowShape::*;
         let one = |out: &usize| [Some(*out), None];
         match self {
-            Step::SelectionMulti { out, .. } => ("selection_multi", Select, one(out)),
-            Step::SelectionCmpCols { out, .. } => ("selection_cmp_cols", Select, one(out)),
-            Step::Gather { out, .. } => ("gather", Gather, one(out)),
-            Step::Affine { out, .. } => ("affine", Map, one(out)),
-            Step::Product { out, .. } => ("product", Map, one(out)),
-            Step::DenseMask { out, .. } => ("dense_mask", Map, one(out)),
-            Step::ConstantOnes { out, .. } => ("constant_ones", Map, one(out)),
+            Step::SelectionMulti { out, .. } => ("selection_multi", Rows, one(out)),
+            Step::SelectionCmpCols { out, .. } => ("selection_cmp_cols", Rows, one(out)),
+            Step::Gather { out, .. } => ("gather", Rows, one(out)),
+            Step::Affine { out, .. } => ("affine", Rows, one(out)),
+            Step::Product { out, .. } => ("product", Rows, one(out)),
+            Step::DenseMask { out, .. } => ("dense_mask", Rows, one(out)),
+            Step::ConstantOnes { out, .. } => ("constant_ones", Rows, one(out)),
             Step::Join {
                 algo,
                 out_left,
@@ -399,7 +372,7 @@ impl Step {
             } => ("grouped_sum", Group, [Some(*out_keys), Some(*out_vals)]),
             Step::Reduce { out, .. } => ("reduce", Reduce, one(out)),
             Step::FilterSumProduct { out, .. } => ("filter_sum_product", Reduce, one(out)),
-            Step::FusedMap { out, .. } => ("fused_map", Map, one(out)),
+            Step::FusedMap { out, .. } => ("fused_map", Rows, one(out)),
             Step::FusedFilterAgg { out, .. } => ("fused_filter_agg", Reduce, one(out)),
             Step::DownloadU32 { out, .. } => ("download_u32", Download, one(out)),
             Step::DownloadF64 { out, .. } => ("download_f64", Download, one(out)),

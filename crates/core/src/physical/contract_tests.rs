@@ -236,9 +236,9 @@ fn run_checked(
     for (ix, step) in plan.steps().iter().enumerate() {
         let mut read: Vec<usize> = step
             .reads()
-            .iter()
-            .filter_map(|r| match *r.col {
-                ColRef::Slot(s) => Some(s),
+            .into_iter()
+            .filter_map(|r| match r {
+                ColRef::Slot(s) => Some(*s),
                 ColRef::Base(_) => None,
             })
             .collect();

@@ -84,8 +84,7 @@ impl<Q: Query> QueryData<Q> {
     /// Execute over horizontal partitions of `lineitem`: `exec`
     /// partitions up front when a memory budget is configured, or as the
     /// OOM escalation path otherwise. A plan the executor cannot prove
-    /// partition-safe (the join queries Q3, Q4 and Q5) then fails with
-    /// [`SimError::Unsupported`].
+    /// partition-safe (Q4 and Q5) then fails with [`SimError::Unsupported`].
     pub fn execute_partitioned(
         &self,
         backend: &dyn GpuBackend,
@@ -362,9 +361,9 @@ mod tests {
     /// The shared fallback and partition paths: a fault-free two-lane
     /// chain returns plain execution's answer bit for bit; a budgeted
     /// partitioned run matches it (the sums reassociate) where the plan
-    /// is partition-safe, and is refused with the executor's typed
-    /// `Unsupported` where it is not (the join queries Q3, Q4 and Q5).
-    /// No run leaves a buffer behind.
+    /// is partition-safe (Q1, Q3, Q6 and Q14), and is refused with the
+    /// executor's typed `Unsupported` where it is not (Q4 and Q5), on
+    /// every backend that runs the query. No run leaves a buffer behind.
     #[test]
     fn fallback_chains_and_partitions_run_every_query() {
         fn check<Q: Query>(db: &Database)
@@ -391,17 +390,18 @@ mod tests {
                     "{} on {name}",
                     Q::NAME
                 );
+                let refused = ["Q4", "Q5"].contains(&Q::NAME);
                 match (plain, data.execute_partitioned(b, &parts, db)) {
-                    (Ok(plain), Ok(split)) => {
+                    (Ok(plain), Ok(split)) if !refused => {
                         assert!(Q::matches(&split, &plain), "{} on {name}", Q::NAME);
                         assert!(b.device().stats().plan_partitions > 0);
                     }
-                    (Ok(_), Err(e)) => assert!(
-                        ["Q3", "Q4", "Q5"].contains(&Q::NAME)
-                            && matches!(&e, SimError::Unsupported(m) if m.contains("not partition-safe")),
+                    (Ok(_), Err(e)) if refused => assert!(
+                        matches!(&e, SimError::Unsupported(m) if m.contains("not partition-safe")),
                         "{} on {name}: {e}",
                         Q::NAME
                     ),
+                    (Ok(_), split) => panic!("{} on {name}: partitioned {split:?}", Q::NAME),
                     (Err(_), split) => assert!(
                         matches!(split, Err(SimError::Unsupported(_))),
                         "{} on {name}",
