@@ -325,6 +325,12 @@ impl Array {
         Ok(col)
     }
 
+    /// The column [`Array::eval`] has materialised, without evaluating:
+    /// `None` until it has run.
+    pub fn evaluated(&self) -> Option<Arc<ColumnData>> {
+        self.cache.lock().clone()
+    }
+
     /// What evaluating this (not yet evaluated) array costs on the device:
     /// JIT of the fused kernel's shape on first sight, the output
     /// allocation, and the one fused launch. [`Array::eval`] pays exactly

@@ -174,6 +174,17 @@ pub struct Pred<'a> {
     pub lit: f64,
 }
 
+/// The host answer of one [`GpuBackend::grouped_sum`]: the distinct keys,
+/// ascending, and per key the sum of its values, bit for bit what the
+/// backend's own body computes.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct GroupSums {
+    /// Distinct keys, ascending.
+    pub keys: Vec<u32>,
+    /// Per key, its values folded in row order from the backend's seed.
+    pub sums: Vec<f64>,
+}
+
 /// A GPU library (or handwritten kernel set) plugged into the framework.
 ///
 /// Unsupported operators return [`SimError::Unsupported`]; their Table-II
@@ -264,6 +275,35 @@ pub trait GpuBackend: Send + Sync {
     /// Grouped SUM: distinct keys (ascending) with per-key value sums.
     /// Global group semantics (not run-based).
     fn grouped_sum(&self, keys: &Col, vals: &Col) -> Result<(Col, Col)>;
+
+    /// The host answers of `grouped_sum(keys, v)` for each `v` of `vals`,
+    /// folded in one pass over the rows: what a plan asks for once at the
+    /// first of a run of grouped sums over one key column, each step then
+    /// taking its own through [`Self::grouped_sum_with`]. Entry `i`
+    /// answers `vals[i]`; a `None` or missing entry — the default returns
+    /// none — leaves that step to fold its own. Only bodies run here: no
+    /// check that could fail, no charge, no fault draw, and nothing where
+    /// a step would run no body (DESIGN.md §5).
+    fn shared_group_sums(&self, keys: &Col, vals: &[&Col]) -> Vec<Option<GroupSums>> {
+        let _ = (keys, vals);
+        Vec::new()
+    }
+
+    /// [`Self::grouped_sum`] with the body's answer given when `answer`
+    /// holds one from [`Self::shared_group_sums`] over the same operands:
+    /// the same checks, reservations and charges in the same order, and
+    /// `answer` taken into the outputs only once they are filled, so a
+    /// step that fails before then leaves it for its retry. The default
+    /// folds its own.
+    fn grouped_sum_with(
+        &self,
+        keys: &Col,
+        vals: &Col,
+        answer: &mut Option<GroupSums>,
+    ) -> Result<(Col, Col)> {
+        let _ = answer;
+        self.grouped_sum(keys, vals)
+    }
 
     /// Gather `data[idx[i]]`.
     fn gather(&self, data: &Col, idx: &Col) -> Result<Col>;

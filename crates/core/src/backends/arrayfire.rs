@@ -9,8 +9,8 @@
 //! is lazy JIT fusion: chained element-wise math (Product, predicates)
 //! compiles into a single kernel.
 
-use super::{check_keyed, check_sum_product, group_sums, kept, row_preds, same_len};
-use crate::backend::{check_dtype, Col, ColType, GpuBackend, Owner, Pred, Source};
+use super::{check_keyed, check_sum_product, group_sums, kept, row_preds, same_len, shared_sums};
+use crate::backend::{check_dtype, Col, ColType, GpuBackend, GroupSums, Owner, Pred, Source};
 use crate::ops::{CmpOp, Connective, DbOperator, JoinAlgo, Support};
 use arrayfire_sim as af;
 use arrayfire_sim::{Array, ColumnData, DType};
@@ -324,6 +324,30 @@ impl GpuBackend for ArrayFireBackend {
     }
 
     fn grouped_sum(&self, keys: &Col, vals: &Col) -> Result<(Col, Col)> {
+        self.grouped_sum_with(keys, vals, &mut None)
+    }
+
+    fn shared_group_sums(&self, keys: &Col, vals: &[&Col]) -> Vec<Option<GroupSums>> {
+        // Only arrays evaluated already: evaluating one here would charge
+        // its fused kernel ahead of the step that does.
+        let evaluated = |c: &Col| self.arr(c).ok().and_then(Array::evaluated);
+        let Some(kcol) = evaluated(keys) else {
+            return Vec::new();
+        };
+        let vcols: Vec<_> = vals.iter().map(|&v| evaluated(v)).collect();
+        let vbufs: Vec<_> = vcols
+            .iter()
+            .map(|c| c.as_deref().and_then(|c| f64s(c).ok()))
+            .collect();
+        shared_sums(&self.device, u32s(&kcol).ok(), &vbufs, -0.0)
+    }
+
+    fn grouped_sum_with(
+        &self,
+        keys: &Col,
+        vals: &Col,
+        answer: &mut Option<GroupSums>,
+    ) -> Result<(Col, Col)> {
         check_keyed(keys, vals)?;
         let (ka, va) = (self.arr(keys)?, self.arr(vals)?);
         let (kcol, vcol) = (ka.eval()?, va.eval()?);
@@ -331,11 +355,12 @@ impl GpuBackend for ArrayFireBackend {
         // sort(keys, values) then sumByKey(), charged: the sorted columns
         // are never read. The sums come from one row-order pass, seeded so
         // that each group starts from its first value as sumByKey does.
-        let (gk, gv) = group_sums(&self.device, kb, vb, -0.0)?;
+        let sums = group_sums(&self.device, kb, vb, -0.0, answer)?;
         let (kd, vd) = (kcol.dtype(), vcol.dtype());
         let n = keys.len();
         let (_sorted_keys, _sorted_vals) = af::charge_sort_by_key(&self.runtime, n, kd, vd)?;
-        let (rk, rv) = af::charge_sum_by_key(&self.runtime, n, gk.len(), kd, vd)?;
+        let (rk, rv) = af::charge_sum_by_key(&self.runtime, n, sums.groups(), kd, vd)?;
+        let (gk, gv) = sums.contents();
         Ok((
             self.mint(self.runtime.fill_u32(rk, gk)?),
             self.mint(self.runtime.fill_f64(rv, gv)?),

@@ -19,9 +19,9 @@
 
 use super::{
     check_keyed, check_sum_product, group_sums, leaves, row_width, same_len, select,
-    select_cmp_cols, Buffers, Element,
+    select_cmp_cols, shared_sums, Buffers, Element,
 };
-use crate::backend::{check_dtype, Col, ColType, GpuBackend, Owner, Pred, Source};
+use crate::backend::{check_dtype, Col, ColType, GpuBackend, GroupSums, Owner, Pred, Source};
 use crate::fused::{check_fused_inputs, FusedExpr, FusedPred};
 use crate::ops::{CmpOp, Connective, DbOperator, JoinAlgo, Support};
 use gpu_sim::eager::{self, Launch, Vector};
@@ -263,6 +263,20 @@ impl<L: EagerLib> GpuBackend for EagerBackend<L> {
     }
 
     fn grouped_sum(&self, keys: &Col, vals: &Col) -> Result<(Col, Col)> {
+        self.grouped_sum_with(keys, vals, &mut None)
+    }
+
+    fn shared_group_sums(&self, keys: &Col, vals: &[&Col]) -> Vec<Option<GroupSums>> {
+        let vals: Vec<_> = vals.iter().map(|v| self.buffer::<f64>(v).ok()).collect();
+        shared_sums(self.lib.device(), self.buffer(keys).ok(), &vals, -0.0)
+    }
+
+    fn grouped_sum_with(
+        &self,
+        keys: &Col,
+        vals: &Col,
+        answer: &mut Option<GroupSums>,
+    ) -> Result<(Col, Col)> {
         check_keyed(keys, vals)?;
         // sort_by_key() on copies, then reduce_by_key(), charged: neither
         // sorted copy is ever read. The sums come from one row-order pass,
@@ -270,17 +284,18 @@ impl<L: EagerLib> GpuBackend for EagerBackend<L> {
         // reduce_by_key does.
         let (kb, vb) = (self.buffer::<u32>(keys)?, self.buffer::<f64>(vals)?);
         let device = self.lib.device();
-        let (gk, gv) = group_sums(device, kb, vb, -0.0)?;
+        let sums = group_sums(device, kb, vb, -0.0, answer)?;
         let k = device.reserve_dtod(kb)?;
         let v = device.reserve_dtod(vb)?;
         let (n, reads) = (keys.len(), [k.id(), v.id()]);
         eager::charge_sort_by_key::<u32, f64>(&self.lib, (n, reads[0]), (vals.len(), reads[1]))?;
-        let reduced = eager::charge_reduce_by_key::<u32, f64>(&self.lib, n, gk.len(), reads);
+        let reduced = eager::charge_reduce_by_key::<u32, f64>(&self.lib, n, sums.groups(), reads);
         // Release the sorted scratch on the fault path too: a caller
         // retrying the op must not inherit leaked intermediates.
         drop(k);
         drop(v);
         let (rk, rv) = reduced?;
+        let (gk, gv) = sums.contents();
         Ok((
             self.mint_buffer(rk.into_buffer(gk)),
             self.mint_buffer(rv.into_buffer(gv)),

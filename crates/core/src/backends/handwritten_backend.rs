@@ -7,9 +7,9 @@
 
 use super::{
     check_keyed, check_sum_product, group_sums, leaves, row_preds, row_width, same_len, select,
-    select_cmp_cols, Buffers, Element,
+    select_cmp_cols, shared_sums, Buffers, Element,
 };
-use crate::backend::{Col, ColType, GpuBackend, Owner, Pred, Source};
+use crate::backend::{Col, ColType, GpuBackend, GroupSums, Owner, Pred, Source};
 use crate::ops::{CmpOp, Connective, DbOperator, JoinAlgo, Support};
 use gpu_sim::hostexec::Lane;
 use gpu_sim::{Contents, Device, DeviceBuffer, DeviceCopy, Result};
@@ -195,15 +195,30 @@ impl GpuBackend for HandwrittenBackend {
     }
 
     fn grouped_sum(&self, keys: &Col, vals: &Col) -> Result<(Col, Col)> {
+        self.grouped_sum_with(keys, vals, &mut None)
+    }
+
+    fn shared_group_sums(&self, keys: &Col, vals: &[&Col]) -> Vec<Option<GroupSums>> {
+        let vals: Vec<_> = vals.iter().map(|v| self.buffer::<f64>(v).ok()).collect();
+        shared_sums(&self.device, self.buffer(keys).ok(), &vals, 0.0)
+    }
+
+    fn grouped_sum_with(
+        &self,
+        keys: &Col,
+        vals: &Col,
+        answer: &mut Option<GroupSums>,
+    ) -> Result<(Col, Col)> {
         check_keyed(keys, vals)?;
         // The hash-aggregation kernel pair, charged; of its five output
         // columns only keys and sums are read, so only they get contents —
         // from one row-order pass seeded like the kernel's zeroed
         // accumulators.
         let (kb, vb) = (self.buffer::<u32>(keys)?, self.buffer::<f64>(vals)?);
-        let (gk, gv) = group_sums(&self.device, kb, vb, 0.0)?;
+        let sums = group_sums(&self.device, kb, vb, 0.0, answer)?;
         let reads = [kb.id(), vb.id()];
-        let out = hw::charge_hash_group_aggregate(&self.device, keys.len(), gk.len(), reads)?;
+        let out = hw::charge_hash_group_aggregate(&self.device, keys.len(), sums.groups(), reads)?;
+        let (gk, gv) = sums.contents();
         Ok((
             self.mint(out.keys.into_buffer(gk)),
             self.mint(out.sums.into_buffer(gv)),

@@ -26,7 +26,7 @@ pub use eager::{EagerBackend, EagerLib};
 pub use handwritten_backend::HandwrittenBackend;
 pub use thrust::ThrustBackend;
 
-use crate::backend::{check_dtype, Col, ColType, Pred};
+use crate::backend::{check_dtype, Col, ColType, GroupSums, Pred};
 use crate::ops::{CmpOp, Connective};
 use gpu_sim::hostexec::expr::Leaf;
 use gpu_sim::hostexec::{self, Counts, Lane, Rhs, RowPred, Selected};
@@ -173,29 +173,100 @@ fn kept(device: &Device, preds: &[RowPred<'_>], all: bool) -> Kept {
     )
 }
 
+/// A grouped sum's answer between its body and the outputs it fills: the
+/// step's own, or the one a run of grouped sums shares
+/// ([`shared_sums`]), which stays where the run keeps it until
+/// [`Sums::contents`] takes it, so a step that fails before then leaves it
+/// for its retry.
+enum Sums<'a> {
+    Own(Contents<u32>, Contents<f64>),
+    Shared(&'a mut Option<GroupSums>),
+}
+
+impl Sums<'_> {
+    /// Distinct keys: the group count the charges read.
+    fn groups(&self) -> usize {
+        match self {
+            Sums::Own(keys, _) => keys.len(),
+            Sums::Shared(answer) => answer.as_ref().map_or(0, |a| a.keys.len()),
+        }
+    }
+
+    /// The keys' and the sums' contents.
+    fn contents(self) -> (Contents<u32>, Contents<f64>) {
+        match self {
+            Sums::Own(keys, sums) => (keys, sums),
+            Sums::Shared(answer) => {
+                let GroupSums { keys, sums } = answer.take().unwrap_or_default();
+                (keys.into(), sums.into())
+            }
+        }
+    }
+}
+
 /// The distinct keys of `keys`, ascending, and per key the sum of its
-/// `vals` folded in row order from `seed` ([`hostexec::grouped_sum`]).
-/// Inside `device`'s dry scope both are shape-only of the group count
-/// ([`hostexec::distinct_keys`]), which reads the keys alone: they must
-/// hold data there, and outside the scope so must the values.
-fn group_sums(
+/// `vals` folded in row order from `seed` ([`hostexec::grouped_sums`]) —
+/// `shared` when it holds them. Inside `device`'s dry scope both are
+/// shape-only of the group count ([`hostexec::distinct_keys`]), which
+/// reads the keys alone: they must hold data there, and outside the scope
+/// so must the values.
+fn group_sums<'a>(
     device: &Device,
     keys: &DeviceBuffer<u32>,
     vals: &DeviceBuffer<f64>,
     seed: f64,
-) -> Result<(Contents<u32>, Contents<f64>)> {
+    shared: &'a mut Option<GroupSums>,
+) -> Result<Sums<'a>> {
     let key_data = keys.data()?;
     device.reads(&[vals])?;
+    if shared.is_some() && !device.is_dry() {
+        return Ok(Sums::Shared(shared));
+    }
     Ok(device.body(
         || {
-            let (keys, sums) = hostexec::grouped_sum(key_data, vals.host(), seed);
-            (keys.into(), sums.into())
+            let (keys, mut sums) = hostexec::grouped_sums(key_data, &[vals.host()], seed);
+            Sums::Own(keys.into(), sums.pop().unwrap_or_default().into())
         },
         || {
             let groups = hostexec::distinct_keys(key_data);
-            (Contents::Shape(groups), Contents::Shape(groups))
+            Sums::Own(Contents::Shape(groups), Contents::Shape(groups))
         },
     ))
+}
+
+/// The answers of [`group_sums`] over `keys` and each of `vals` from
+/// `seed`, all folded in one pass ([`GpuBackend::shared_group_sums`]), for
+/// the columns a step's body would read: `None` for an absent or
+/// shape-only column or one of another length, and none at all inside
+/// `device`'s dry scope or for shape-only keys.
+///
+/// [`GpuBackend::shared_group_sums`]: crate::backend::GpuBackend::shared_group_sums
+fn shared_sums(
+    device: &Device,
+    keys: Option<&DeviceBuffer<u32>>,
+    vals: &[Option<&DeviceBuffer<f64>>],
+    seed: f64,
+) -> Vec<Option<GroupSums>> {
+    let key_data = match keys.map(DeviceBuffer::data) {
+        Some(Ok(data)) if !device.is_dry() => data,
+        _ => return Vec::new(),
+    };
+    let (at, cols): (Vec<usize>, Vec<&[f64]>) = vals
+        .iter()
+        .enumerate()
+        .filter_map(|(i, v)| Some((i, v.map(DeviceBuffer::data)?.ok()?)))
+        .filter(|(_, col)| col.len() == key_data.len())
+        .unzip();
+    let mut answers = vec![None; vals.len()];
+    if cols.is_empty() {
+        return answers;
+    }
+    let (keys, sums) = hostexec::grouped_sums(key_data, &cols, seed);
+    for (i, sums) in at.into_iter().zip(sums) {
+        let keys = keys.clone();
+        answers[i] = Some(GroupSums { keys, sums });
+    }
+    answers
 }
 
 /// The rows `preds` keep under `conn` ([`kept`] on `device`), and the

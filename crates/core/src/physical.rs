@@ -28,12 +28,13 @@
 //! (each step with the realising library call), which the optimizer
 //! golden tests snapshot.
 
-use crate::backend::{Col, ColType, GpuBackend, Pred};
+use crate::backend::{Col, ColType, GpuBackend, GroupSums, Pred};
 use crate::fused::{FusedExpr, FusedPred};
 use crate::ops::{CmpOp, Connective, JoinAlgo};
 use gpu_sim::{Result, SimError};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::ops::Range;
 
 /// A step operand: either a named bound base column or the output slot
 /// of an earlier step.
@@ -496,9 +497,27 @@ pub(crate) enum SlotVal {
     F64s(Vec<f64>),
 }
 
-/// The slot store one plan execution writes — `None` until a step
-/// produces the slot (and again after [`Step::Free`] releases it).
-pub(crate) type SlotStore = Vec<Option<SlotVal>>;
+/// What one plan execution holds between steps: the slots its steps write
+/// — `None` until a step produces the slot (and again after [`Step::Free`]
+/// releases it) — and the answers of the run of grouped sums under way.
+#[derive(Debug)]
+pub(crate) struct SlotStore {
+    pub(crate) slots: Vec<Option<SlotVal>>,
+    sums: Option<SumRun>,
+}
+
+/// A run of [`Step::GroupedSum`]s over one key column, and the host
+/// answers [`GpuBackend::shared_group_sums`] gave for it at its first
+/// step. Each step takes its own answer when it succeeds; a retried step
+/// finds it where it was. The run is dropped after its last step, or with
+/// the store when the attempt is abandoned.
+#[derive(Debug)]
+struct SumRun {
+    steps: Range<usize>,
+    /// Per step of the run, in order; shorter (or empty) where the backend
+    /// shares no answer.
+    answers: Vec<Option<GroupSums>>,
+}
 
 /// A compiled, backend-specific query: straight-line [`Step`]s over
 /// numbered slots, with named outputs.
@@ -748,9 +767,31 @@ impl PhysicalPlan {
 
     /// An empty slot store sized for this plan.
     pub(crate) fn new_store(&self) -> SlotStore {
-        let mut store: SlotStore = Vec::with_capacity(self.slots.len());
-        store.resize_with(self.slots.len(), || None);
-        store
+        let mut slots = Vec::with_capacity(self.slots.len());
+        slots.resize_with(self.slots.len(), || None);
+        SlotStore { slots, sums: None }
+    }
+
+    /// The value operands of the run of grouped sums over one key column
+    /// that step `ix` starts: step `ix`'s and those of every step right
+    /// after it that sums over the same keys, when that makes two or more.
+    /// `None` for a step that is not a grouped sum, continues a run, or
+    /// stands alone.
+    fn sum_run(&self, ix: usize) -> Option<Vec<&ColRef>> {
+        let operands = |j: usize| match self.steps.get(j) {
+            Some(Step::GroupedSum { keys, vals, .. }) => Some((keys, vals)),
+            _ => None,
+        };
+        let (keys, _) = operands(ix)?;
+        if ix > 0 && operands(ix - 1).is_some_and(|(k, _)| k == keys) {
+            return None;
+        }
+        let vals: Vec<&ColRef> = (ix..)
+            .map_while(operands)
+            .take_while(|&(k, _)| k == keys)
+            .map(|(_, v)| v)
+            .collect();
+        (vals.len() >= 2).then_some(vals)
     }
 
     /// The device column `r` names: a bound base column, or the slot an
@@ -791,6 +832,7 @@ impl PhysicalPlan {
     ) -> Result<()> {
         // Operands borrow from `binds` and the slot store; each arm is done
         // with them before it writes its result.
+        let SlotStore { slots: store, sums } = store;
         let slots: &[Option<SlotVal>] = store;
         let col = |r: &ColRef| self.resolve(binds, slots, r);
         {
@@ -870,7 +912,29 @@ impl PhysicalPlan {
                     out_vals,
                 } => {
                     let (ck, cv) = (col(keys)?, col(vals)?);
-                    let (k, v) = backend.grouped_sum(ck, cv)?;
+                    // The first step of a run asks once for every step's
+                    // answer, which the body of each then takes in place of
+                    // a fold of its own; the charges stay per step.
+                    if !sums.as_ref().is_some_and(|run| run.steps.contains(&ix)) {
+                        *sums = self.sum_run(ix).and_then(|vals| {
+                            let cols: Vec<&Col> =
+                                vals.iter().map(|v| col(v)).collect::<Result<_>>().ok()?;
+                            let answers = backend.shared_group_sums(ck, &cols);
+                            let steps = ix..ix + vals.len();
+                            Some(SumRun { steps, answers })
+                        });
+                    }
+                    let answer = sums
+                        .as_mut()
+                        .filter(|run| run.steps.contains(&ix))
+                        .and_then(|run| run.answers.get_mut(ix - run.steps.start));
+                    let (k, v) = match answer {
+                        Some(answer) => backend.grouped_sum_with(ck, cv, answer)?,
+                        None => backend.grouped_sum(ck, cv)?,
+                    };
+                    if sums.as_ref().is_some_and(|run| run.steps.end == ix + 1) {
+                        *sums = None;
+                    }
                     store[*out_keys] = Some(SlotVal::Col(k));
                     store[*out_vals] = Some(SlotVal::Col(v));
                 }
@@ -1019,7 +1083,7 @@ impl PhysicalPlan {
     pub(crate) fn collect_outputs(&self, store: &mut SlotStore) -> Result<PlanOutput> {
         let mut out = PlanOutput::default();
         for (name, slot) in &self.outputs {
-            let v = match store[*slot].take() {
+            let v = match store.slots[*slot].take() {
                 Some(SlotVal::Scalar(v)) => PlanValue::Scalar(v),
                 Some(SlotVal::U32s(v)) => PlanValue::U32(v),
                 Some(SlotVal::F64s(v)) => PlanValue::F64(v),

@@ -76,6 +76,7 @@ enum Print {
 
 fn prints(store: &SlotStore) -> Vec<Option<Print>> {
     store
+        .slots
         .iter()
         .map(|v| {
             v.as_ref().map(|v| match v {
@@ -246,20 +247,24 @@ fn run_checked(
             read.extend(step.writes()); // reordered in place
         }
         for s in read {
-            assert!(store[s].is_some(), "{}: reads empty slot %{s}", ctx(ix));
+            assert!(
+                store.slots[s].is_some(),
+                "{}: reads empty slot %{s}",
+                ctx(ix)
+            );
         }
         let before = prints(&store);
         plan.exec_step(backend, binds, &mut store, ix)
             .unwrap_or_else(|e| panic!("{}: {e}", ctx(ix)));
         let after = prints(&store);
-        let changed: BTreeSet<usize> = (0..store.len())
+        let changed: BTreeSet<usize> = (0..store.slots.len())
             .filter(|&s| before[s] != after[s])
             .collect();
         match step {
             Step::Free { slot } => {
                 assert_eq!(step.writes().count(), 0, "{}", ctx(ix));
                 assert_eq!(changed, BTreeSet::from([*slot]), "{}", ctx(ix));
-                assert!(store[*slot].is_none(), "{}", ctx(ix));
+                assert!(store.slots[*slot].is_none(), "{}", ctx(ix));
             }
             _ => assert_eq!(changed, step.writes().collect(), "{}", ctx(ix)),
         }

@@ -17,7 +17,7 @@
 //! With no fault plan installed the wrapper is free: one straight-through
 //! call per operator and zero extra simulated time.
 
-use crate::backend::{Col, GpuBackend, Pred, Source};
+use crate::backend::{Col, GpuBackend, GroupSums, Pred, Source};
 use crate::ops::{CmpOp, Connective, DbOperator, JoinAlgo, Support};
 use gpu_sim::{Device, Recovery, Result, SimDuration, SimError};
 use std::sync::Arc;
@@ -102,7 +102,7 @@ impl ResilientBackend {
     ///
     /// The fast path is a single straight-through call: with no failure
     /// there is no bookkeeping and no simulated-time cost.
-    fn run<T>(&self, what: &str, f: impl Fn() -> Result<T>) -> Result<T> {
+    fn run<T>(&self, what: &str, f: impl FnMut() -> Result<T>) -> Result<T> {
         retry_with_policy(&self.inner.device(), &self.policy, what, f)
     }
 }
@@ -232,6 +232,22 @@ impl GpuBackend for ResilientBackend {
 
     fn grouped_sum(&self, keys: &Col, vals: &Col) -> Result<(Col, Col)> {
         self.run("grouped_sum", || self.inner.grouped_sum(keys, vals))
+    }
+
+    /// Host folds only: nothing here draws a fault, so nothing is retried.
+    fn shared_group_sums(&self, keys: &Col, vals: &[&Col]) -> Vec<Option<GroupSums>> {
+        self.inner.shared_group_sums(keys, vals)
+    }
+
+    fn grouped_sum_with(
+        &self,
+        keys: &Col,
+        vals: &Col,
+        answer: &mut Option<GroupSums>,
+    ) -> Result<(Col, Col)> {
+        self.run("grouped_sum", || {
+            self.inner.grouped_sum_with(keys, vals, answer)
+        })
     }
 
     fn gather(&self, data: &Col, idx: &Col) -> Result<Col> {

@@ -71,7 +71,8 @@
 
 use crate::backend::{Col, GpuBackend};
 use crate::physical::{
-    ColRef, PhysicalPlan, PlanBindings, PlanOutput, PlanValue, RowShape, SlotKind, SlotVal, Step,
+    ColRef, PhysicalPlan, PlanBindings, PlanOutput, PlanValue, RowShape, SlotKind, SlotStore,
+    SlotVal, Step,
 };
 use crate::resilient::{retry_with_policy, RetryPolicy};
 use gpu_sim::{Recovery, Result, SimDuration, SimError};
@@ -559,7 +560,7 @@ impl ResilientPlanExecutor {
             // Checkpoints only transfer when the two lowerings agree
             // step for step; otherwise the new lane replays from
             // scratch. Only host-resident values cross backends.
-            if c.steps == plan.steps() && c.host.len() == store.len() {
+            if c.steps == plan.steps() && c.host.len() == store.slots.len() {
                 for (ix, step) in plan.steps().iter().enumerate().take(c.failed_step) {
                     // Frees write nothing and replay against the new
                     // lane's columns.
@@ -575,8 +576,8 @@ impl ResilientPlanExecutor {
                     if all_host {
                         skip[ix] = true;
                         for s in step.writes() {
-                            if store[s].is_none() {
-                                store[s] = c.host[s].take();
+                            if store.slots[s].is_none() {
+                                store.slots[s] = c.host[s].take();
                             }
                         }
                     }
@@ -602,9 +603,11 @@ impl ResilientPlanExecutor {
 
     /// Abandon an attempt: drop every live device column, in slot order
     /// (so later attempts and partition chunks see the memory back), and
-    /// keep the host-resident checkpoints.
-    fn abandon(store: Vec<Option<SlotVal>>, failed_step: usize, err: SimError) -> LaneFail {
+    /// the answers of a run of grouped sums, and keep the host-resident
+    /// checkpoints.
+    fn abandon(store: SlotStore, failed_step: usize, err: SimError) -> LaneFail {
         let host = store
+            .slots
             .into_iter()
             .map(|slot| slot.filter(|v| !matches!(v, SlotVal::Col(_))))
             .collect();

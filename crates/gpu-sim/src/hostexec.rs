@@ -39,12 +39,13 @@
 //!   addressing (`u32` key → dense group id in first-seen order) elsewhere.
 //!   The join lists each inner key's rows in either layout and probes each
 //!   [`PAR_CHUNK`] window of the outer side once.
-//! * **Answers for whole library chains** (`select`, and [`grouped_sum`] in
+//! * **Answers for whole library chains** (`select`, and [`grouped_sums`] in
 //!   `index`): what `transform → exclusive_scan → scatter_if` and
 //!   `sort_by_key → reduce_by_key` compute, bit for bit, in one fused pass
 //!   each — [`select_rows`] / [`select_where`] compact row ids from typed
-//!   predicates read in place, [`grouped_sum`] folds each key in row order
-//!   from a caller-chosen seed. A backend charges the chain and takes the
+//!   predicates read in place, [`grouped_sums`] folds each key of one or
+//!   more value columns in row order from a caller-chosen seed, all columns
+//!   in one pass. A backend charges the chain and takes the
 //!   answer from here (DESIGN.md §5, "bodies vs. charges"). Inside a dry
 //!   scope it takes only the counts the charges read: [`count_rows`] (the
 //!   same flag pass, no compaction) and [`distinct_keys`] (the group
@@ -64,7 +65,7 @@ mod pool;
 mod radix;
 mod select;
 
-pub use index::{distinct_keys, equi_join, group_aggregate, grouped_sum, GroupStats};
+pub use index::{distinct_keys, equi_join, group_aggregate, grouped_sums, GroupStats};
 pub use radix::{sort_keys, sort_pairs, RadixKey};
 pub use select::{
     count_rows, select_rows, select_where, Cmp, Counts, Lane, Rhs, RowPred, Selected,

@@ -21,7 +21,7 @@
 
 use super::select::count;
 use super::{
-    par_map_blocks, par_map_chunks, piece_range, region_workers, sort_keys, sort_pairs,
+    gather, par_map_blocks, par_map_chunks, piece_range, region_workers, sort_keys, sort_pairs,
     DEFAULT_MIN_SEQ, PAR_CHUNK,
 };
 use std::ops::Range;
@@ -334,7 +334,8 @@ pub fn group_aggregate(keys: &[u32], vals: &[f64]) -> GroupStats {
         min: f64::INFINITY,
         max: f64::NEG_INFINITY,
     };
-    let (keys, stats) = fold_groups(keys, vals, empty);
+    let (keys, columns) = fold_groups(keys, &[vals], empty);
+    let stats = columns.into_iter().next().unwrap_or_default();
     GroupStats {
         keys,
         sums: stats.iter().map(|s| s.sum).collect(),
@@ -344,8 +345,9 @@ pub fn group_aggregate(keys: &[u32], vals: &[f64]) -> GroupStats {
     }
 }
 
-/// Grouped SUM of `vals` by `keys`: the distinct keys ascending, and per
-/// key `seed + v₀ + v₁ + …` over its values strictly in input row order.
+/// Grouped SUM of each of `cols` by `keys`: the distinct keys ascending,
+/// and per column, per key, `seed + v₀ + v₁ + …` over the key's values
+/// strictly in input row order.
 ///
 /// `-0.0` is the additive identity of every `f64` (a signalling NaN comes
 /// back quiet), so seeding with it gives the sum a
@@ -354,16 +356,23 @@ pub fn group_aggregate(keys: &[u32], vals: &[f64]) -> GroupStats {
 /// zero-initialises its accumulators (a group of only `-0.0` then sums to
 /// `+0.0`).
 ///
+/// One pass over the rows folds every column. Each group of each column is
+/// a chain of dependent additions, which no reassociation may shorten
+/// without changing the bits; folding the columns side by side lets the
+/// chains of different columns overlap, so a column costs a fraction of a
+/// pass of its own. Which layout runs depends on the keys alone, so a
+/// column's sums are the same bits whatever columns it is folded with.
+///
 /// # Panics
-/// If `keys` and `vals` differ in length (callers validate first).
-pub fn grouped_sum(keys: &[u32], vals: &[f64], seed: f64) -> (Vec<u32>, Vec<f64>) {
-    fold_groups(keys, vals, seed)
+/// If a column and `keys` differ in length (callers validate first).
+pub fn grouped_sums(keys: &[u32], cols: &[&[f64]], seed: f64) -> (Vec<u32>, Vec<Vec<f64>>) {
+    fold_groups(keys, cols, seed)
 }
 
 /// How many distinct keys `keys` holds: the group count of
-/// [`grouped_sum`] and [`group_aggregate`], without their folds.
+/// [`grouped_sums`] and [`group_aggregate`], without their folds.
 ///
-/// A key range dense enough for [`grouped_sum`]'s direct table is counted
+/// A key range dense enough for [`grouped_sums`]' direct table is counted
 /// on a seen map indexed by `key - min`: each host thread marks the
 /// keys of one piece of the rows in a map of its own, and the maps are
 /// OR-merged. Any other range is sorted and its runs counted.
@@ -417,26 +426,52 @@ fn seen_keys(keys: &[u32], min: u32, range: usize) -> usize {
     count(&seen)
 }
 
-/// Fold `vals` into one accumulator per distinct key, starting each from
-/// `empty`; keys come back ascending with their accumulators beside them.
+/// Fold each of `cols` into one accumulator per distinct key, starting each
+/// from `empty`; keys come back ascending, and per column the accumulators
+/// beside them.
 ///
-/// The path is chosen by the data. If the observed key range is dense
-/// enough for a table indexed by `key - min` ([`DIRECT_BYTES_PER_ROW`]),
-/// one pass over the rows does it. Otherwise rows are hashed into
-/// accumulators until more distinct keys have shown up than a core's
-/// private cache holds accumulators for ([`HASH_GROUPS_MAX`]), at which
-/// point the work so far is dropped and the column is stably sorted by
-/// key and folded segment by segment. All three visit a group's values in
-/// input row order.
-fn fold_groups<A: Fold>(keys: &[u32], vals: &[f64], empty: A) -> (Vec<u32>, Vec<A>) {
-    assert_eq!(keys.len(), vals.len(), "grouped fold length mismatch");
-    if keys.is_empty() {
-        return (Vec::new(), Vec::new());
+/// The path is chosen by the keys. If the observed key range is dense
+/// enough for a table indexed by `key - min` ([`DIRECT_BYTES_PER_ROW`] of
+/// one column's accumulators), one pass over the rows does it. Otherwise
+/// rows are hashed into accumulators until more distinct keys have shown
+/// up than a core's private cache holds accumulators for
+/// ([`HASH_GROUPS_MAX`]), at which point the work so far is dropped and the
+/// rows are stably sorted by key and folded segment by segment. All three
+/// visit a group's values in input row order, and keep a group's
+/// accumulators for all columns side by side.
+fn fold_groups<A: Fold>(keys: &[u32], cols: &[&[f64]], empty: A) -> (Vec<u32>, Vec<Vec<A>>) {
+    for col in cols {
+        assert_eq!(keys.len(), col.len(), "grouped fold length mismatch");
     }
-    if let Some((min, range)) = dense_range(keys, keys.len(), std::mem::size_of::<A>()) {
-        return direct_fold(keys, vals, min, range, empty);
+    let width = cols.len();
+    let (keys, table) = if keys.is_empty() {
+        (Vec::new(), Vec::new())
+    } else if let Some((min, range)) = dense_range(keys, keys.len(), std::mem::size_of::<A>()) {
+        direct_fold(keys, cols, min, range, empty)
+    } else {
+        hash_fold(keys, cols, empty).unwrap_or_else(|| sort_fold(keys, cols, empty))
+    };
+    (keys, columns(table, width))
+}
+
+/// Group-major accumulators — a group's `width` side by side — as one
+/// vector per column. A single column is the table as it stands.
+fn columns<A: Fold>(table: Vec<A>, width: usize) -> Vec<Vec<A>> {
+    if width == 1 {
+        return vec![table];
     }
-    hash_fold(keys, vals, empty).unwrap_or_else(|| sort_fold(keys, vals, empty))
+    (0..width)
+        .map(|c| table.iter().skip(c).step_by(width).copied().collect())
+        .collect()
+}
+
+/// Fold row `row` of every column of `cols` into `accs`, the row's group's
+/// accumulators (one per column).
+#[inline]
+fn fold_row<A: Fold>(accs: &mut [A], cols: &[&[f64]], row: usize) {
+    for (acc, col) in accs.iter_mut().zip(cols) {
+        acc.add(col[row]);
+    }
 }
 
 /// `(min, max - min + 1)` of the non-empty `keys` when a table of
@@ -477,16 +512,17 @@ fn key_range(keys: &[u32]) -> (u32, u32) {
 /// over the seen map keeps the keys that were.
 fn direct_fold<A: Fold>(
     keys: &[u32],
-    vals: &[f64],
+    cols: &[&[f64]],
     min: u32,
     range: usize,
     empty: A,
 ) -> (Vec<u32>, Vec<A>) {
-    let mut table = vec![empty; range];
+    let width = cols.len();
+    let mut table = vec![empty; range * width];
     let mut seen: Vec<u8> = vec![0; range];
-    for (&k, &v) in keys.iter().zip(vals) {
+    for (row, &k) in keys.iter().enumerate() {
         let at = (k - min) as usize;
-        table[at].add(v);
+        fold_row(&mut table[at * width..(at + 1) * width], cols, row);
         seen[at] = 1;
     }
     let groups = seen.iter().map(|&s| usize::from(s)).sum();
@@ -494,10 +530,10 @@ fn direct_fold<A: Fold>(
         return ((0..range as u32).map(|at| min + at).collect(), table);
     }
     let mut out_keys = Vec::with_capacity(groups);
-    let mut out = Vec::with_capacity(groups);
+    let mut out = Vec::with_capacity(groups * width);
     for (at, _) in seen.iter().enumerate().filter(|(_, &s)| s != 0) {
         out_keys.push(min + at as u32);
-        out.push(table[at]);
+        out.extend_from_slice(&table[at * width..(at + 1) * width]);
     }
     drop(seen);
     (out_keys, out)
@@ -505,53 +541,60 @@ fn direct_fold<A: Fold>(
 
 /// One pass over the rows into a hash table of accumulators; `None` once
 /// the table would outgrow [`HASH_GROUPS_MAX`] groups.
-fn hash_fold<A: Fold>(keys: &[u32], vals: &[f64], empty: A) -> Option<(Vec<u32>, Vec<A>)> {
+fn hash_fold<A: Fold>(keys: &[u32], cols: &[&[f64]], empty: A) -> Option<(Vec<u32>, Vec<A>)> {
+    let width = cols.len();
     let mut index = KeyIndex::with_capacity(keys.len().min(1024));
     let mut accs: Vec<A> = Vec::new();
-    for (&k, &v) in keys.iter().zip(vals) {
+    let mut groups = 0;
+    for (row, &k) in keys.iter().enumerate() {
         let g = index.insert(k) as usize;
-        if g == accs.len() {
+        if g == groups {
             if g == HASH_GROUPS_MAX {
                 return None;
             }
-            accs.push(empty);
+            groups += 1;
+            accs.resize(groups * width, empty);
         }
-        accs[g].add(v);
+        fold_row(&mut accs[g * width..(g + 1) * width], cols, row);
     }
     // Order the (unique) group keys with the shared radix sort, carrying
     // the group id instead of moving the wide accumulators per pass.
     let mut sorted_keys = index.keys;
     let mut order: Vec<u32> = (0..sorted_keys.len() as u32).collect();
     sort_pairs(&mut sorted_keys, &mut order);
-    let out = order.iter().map(|&g| accs[g as usize]).collect();
+    let mut out = Vec::with_capacity(accs.len());
+    for &g in &order {
+        let g = g as usize;
+        out.extend_from_slice(&accs[g * width..(g + 1) * width]);
+    }
     Some((sorted_keys, out))
 }
 
-/// Stable sort by key — equal keys stay in row order — then one fold per
-/// run of equal keys.
-fn sort_fold<A: Fold>(keys: &[u32], vals: &[f64], empty: A) -> (Vec<u32>, Vec<A>) {
-    let mut keys = keys.to_vec();
-    let mut vals = vals.to_vec();
-    sort_pairs(&mut keys, &mut vals);
-    let groups = keys.windows(2).filter(|w| w[0] != w[1]).count() + usize::from(!keys.is_empty());
+/// Stable sort of the row ids by key — equal keys stay in row order — and
+/// of each column by them, then one fold per run of equal keys.
+fn sort_fold<A: Fold>(keys: &[u32], cols: &[&[f64]], empty: A) -> (Vec<u32>, Vec<A>) {
+    let width = cols.len();
+    let mut sorted = keys.to_vec();
+    let mut rows: Vec<u32> = (0..keys.len() as u32).collect();
+    sort_pairs(&mut sorted, &mut rows);
+    // Every row id addresses every column: the gather cannot fail.
+    let gathered: Vec<Vec<f64>> = cols
+        .iter()
+        .map(|col| gather(col, &rows).unwrap_or_default())
+        .collect();
+    drop(rows);
+    let cols: Vec<&[f64]> = gathered.iter().map(Vec::as_slice).collect();
+    let groups =
+        sorted.windows(2).filter(|w| w[0] != w[1]).count() + usize::from(!sorted.is_empty());
     let mut out_keys = Vec::with_capacity(groups);
-    let mut out = Vec::with_capacity(groups);
-    let mut rows = keys.iter().zip(&vals);
-    if let Some((&first, &v)) = rows.next() {
-        let (mut key, mut acc) = (first, empty);
-        acc.add(v);
-        for (&k, &v) in rows {
-            if k != key {
-                out_keys.push(key);
-                out.push(acc);
-                (key, acc) = (k, empty);
-            }
-            acc.add(v);
+    let mut out = Vec::with_capacity(groups * width);
+    for (i, &k) in sorted.iter().enumerate() {
+        if out_keys.last() != Some(&k) {
+            out_keys.push(k);
+            out.resize(out.len() + width, empty);
         }
-        out_keys.push(key);
-        out.push(acc);
+        let at = out.len() - width;
+        fold_row(&mut out[at..], &cols, i);
     }
-    drop(keys);
-    drop(vals);
     (out_keys, out)
 }

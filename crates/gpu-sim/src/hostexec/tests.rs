@@ -590,6 +590,13 @@ fn aggregate_hand_over_mid_column_keeps_row_order_sums() {
     });
 }
 
+/// One column's grouped sum: [`grouped_sums`] of that column alone.
+fn grouped_sum(keys: &[u32], vals: &[f64], seed: f64) -> (Vec<u32>, Vec<f64>) {
+    let (keys, mut sums) = grouped_sums(keys, &[vals], seed);
+    assert_eq!(sums.len(), 1);
+    (keys, sums.remove(0))
+}
+
 /// `seed + v₀ + v₁ + …` per key through a `BTreeMap`, in row order.
 fn reference_sums(keys: &[u32], vals: &[f64], seed: f64) -> (Vec<u32>, Vec<u64>) {
     let mut table: BTreeMap<u32, f64> = BTreeMap::new();
@@ -661,6 +668,105 @@ fn grouped_sum_seed_decides_the_sign_of_an_all_negative_zero_group() {
         assert_eq!(bits(&first_value), want);
     }
     assert_eq!(grouped_sum(&[], &[], -0.0), (vec![], vec![]));
+}
+
+/// `n` values for a column folded beside others: random finite values
+/// mixed with NaNs of four payloads (quiet and signalling, both signs),
+/// `±0.0` and `±inf`, so groups meet two NaNs, `inf - inf` and signed
+/// zeros alike.
+fn payload_values(n: usize, seed: u64) -> Vec<f64> {
+    const SPECIALS: [u64; 8] = [
+        0x7FF8_0000_0000_0000,
+        0xFFF8_0000_0000_BEEF,
+        0x7FF0_0000_0000_0001,
+        0xFFF4_0000_0000_0000,
+        0x0000_0000_0000_0000,
+        0x8000_0000_0000_0000,
+        0x7FF0_0000_0000_0000,
+        0xFFF0_0000_0000_0000,
+    ];
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| match rng.gen::<u32>() % 3 {
+            0 => f64::from_bits(SPECIALS[rng.gen::<usize>() % SPECIALS.len()]),
+            _ => (rng.gen::<f64>() - 0.5) * 1e6,
+        })
+        .collect()
+}
+
+/// `grouped_sums` of `cols` is, column by column, the bits of the column's
+/// own fold: the same keys, and each sum bit for bit, under both seeds at
+/// every thread count.
+fn assert_sums_fold_per_column(keys: &[u32], cols: &[Vec<f64>], what: &str) {
+    let refs: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
+    for seed in [-0.0, 0.0] {
+        let want: Vec<(Vec<u32>, Vec<u64>)> = refs
+            .iter()
+            .map(|col| {
+                let (k, s) = grouped_sum(keys, col, seed);
+                (k, bits(&s))
+            })
+            .collect();
+        at_each_thread_count(|threads| {
+            let (k, sums) = grouped_sums(keys, &refs, seed);
+            assert_eq!(sums.len(), refs.len(), "{what}");
+            for (c, (want_k, want_s)) in want.iter().enumerate() {
+                assert!(
+                    &k == want_k && &bits(&sums[c]) == want_s,
+                    "{what}, column {c}, seed {seed:?}, {threads} threads"
+                );
+            }
+        });
+    }
+}
+
+#[test]
+fn grouped_sums_folds_each_column_to_the_bits_of_its_own_fold() {
+    let n = 2 * PAR_CHUNK + 17;
+    let mut rng = StdRng::seed_from_u64(58);
+    let mut sparse: Vec<u32> = (0..n as u32).map(|i| i.wrapping_mul(0x9E37_79B1)).collect();
+    sparse.shuffle(&mut rng);
+    let mut dense: Vec<u32> = (0..n).map(|_| 1000 + rng.gen::<u32>() % 4).collect();
+    dense[n - 1] = 1002;
+    let mut gapped: Vec<u32> = (0..n as u32).map(|i| i % 64 * 2).collect();
+    gapped.shuffle(&mut rng);
+    let cases: Vec<(&str, Vec<u32>, bool)> = vec![
+        ("empty", vec![], false),
+        ("one row", vec![u32::MAX], true),
+        ("all duplicate", vec![7; n], true),
+        ("dense range", dense, true),
+        ("dense range, every other key unseen", gapped, true),
+        (
+            "keys 0 and u32::MAX",
+            (0..n).map(|i| [0, u32::MAX, 5][i % 3]).collect(),
+            false,
+        ),
+        ("more than HASH_GROUPS_MAX distinct keys", sparse, false),
+    ];
+    for (what, keys, direct) in &cases {
+        if !keys.is_empty() {
+            let slot_bytes = std::mem::size_of::<f64>();
+            assert_eq!(
+                dense_range(keys, keys.len(), slot_bytes).is_some(),
+                *direct,
+                "{what}"
+            );
+        }
+        for width in [0, 1, 2, 6] {
+            let cols: Vec<Vec<f64>> = (0..width)
+                .map(|c| payload_values(keys.len(), c as u64))
+                .collect();
+            assert_sums_fold_per_column(keys, &cols, &format!("{what}, {width} columns"));
+        }
+        let (k, sums) = grouped_sums(keys, &[], 0.0);
+        assert!(sums.is_empty());
+        assert_eq!(
+            k,
+            grouped_sum(keys, &vec![0.0; keys.len()], 0.0).0,
+            "{what}"
+        );
+    }
+    assert!(distinct_keys(&cases[6].1) > HASH_GROUPS_MAX);
 }
 
 /// `distinct_keys` counts the groups `grouped_sum` returns, at every thread
@@ -1209,6 +1315,24 @@ fn expr_program_rejects_leftover_values() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 2 } else { 12 }))]
+
+    /// Random length, key domain, column count and content: `grouped_sums`
+    /// folds each column to the bits of the column's own fold.
+    #[test]
+    fn grouped_sums_matches_per_column_folds_on_random_columns(
+        n in 0usize..3 * HASH_GROUPS_MAX,
+        domain_bits in 0u32..=32,
+        width in 1usize..=6,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mask = ((1u64 << domain_bits) - 1) as u32;
+        let keys: Vec<u32> = (0..n).map(|_| rng.gen::<u32>() & mask).collect();
+        let cols: Vec<Vec<f64>> = (0..width)
+            .map(|c| payload_values(n, seed ^ c as u64))
+            .collect();
+        assert_sums_fold_per_column(&keys, &cols, &format!("n={n} bits={domain_bits}"));
+    }
 
     /// Random length, key domain, skew and content: sort, join, aggregates
     /// and compaction all agree with their references at every thread
