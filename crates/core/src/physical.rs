@@ -509,8 +509,8 @@ pub(crate) struct SlotStore {
 /// A run of [`Step::GroupedSum`]s over one key column, and the host
 /// answers [`GpuBackend::shared_group_sums`] gave for it at its first
 /// step. Each step takes its own answer when it succeeds; a retried step
-/// finds it where it was. The run is dropped after its last step, or with
-/// the store when the attempt is abandoned.
+/// finds it where it was. What is left goes with the next run, or with the
+/// store when the attempt ends.
 #[derive(Debug)]
 struct SumRun {
     steps: Range<usize>,
@@ -928,13 +928,7 @@ impl PhysicalPlan {
                         .as_mut()
                         .filter(|run| run.steps.contains(&ix))
                         .and_then(|run| run.answers.get_mut(ix - run.steps.start));
-                    let (k, v) = match answer {
-                        Some(answer) => backend.grouped_sum_with(ck, cv, answer)?,
-                        None => backend.grouped_sum(ck, cv)?,
-                    };
-                    if sums.as_ref().is_some_and(|run| run.steps.end == ix + 1) {
-                        *sums = None;
-                    }
+                    let (k, v) = backend.grouped_sum_with(ck, cv, answer.unwrap_or(&mut None))?;
                     store[*out_keys] = Some(SlotVal::Col(k));
                     store[*out_vals] = Some(SlotVal::Col(v));
                 }
