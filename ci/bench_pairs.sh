@@ -3,12 +3,14 @@
 # host-time claim needs (CONTRIBUTING.md, "Claiming host time").
 #
 #   ci/bench_pairs.sh <parent-checkout> <workload> <pairs> [--trace 1] [--only <regex>]
+#                     [--first-seed N]
 #
 # <parent-checkout> is a clone of the parent commit (`git clone`, not a
 # worktree); the new side is the checkout this script sits in. Each side's
 # harness is built `--offline --locked` into its own `.bench_build`. Pair i
-# runs both sides on seed i, the parent first in odd pairs and second in even
-# ones. A run that is not `"correct":true`, or a pair whose sides attempted
+# runs both sides on seed N + i - 1 (N is `--first-seed`, 1 by default, so a
+# claim can be made on seeds no run used while the change was written), the
+# parent first in odd pairs and second in even ones. A run that is not `"correct":true`, or a pair whose sides attempted
 # different amounts of work, aborts. Per metric of the result line: both
 # medians, both quartile spreads (q3 - q1 over the median), the pairs the new
 # side won (ties count for neither), whether the row is *resolved* by
@@ -21,13 +23,16 @@
 # matches (e.g. 'sort|grouped_sum_distinct|wall_s'). Every run made is kept in
 # the directory the first output line names. Not run by CI.
 set -euo pipefail
-[ $# -ge 3 ] || { sed -n '2,6p' "$0" >&2; exit 2; }
+[ $# -ge 3 ] || { sed -n '2,7p' "$0" >&2; exit 2; }
 parent=$(cd "$1" && pwd); workload=$2; pairs=$3; shift 3
-trace=0; only=
+trace=0; only=; first=1
 while [ $# -gt 0 ]; do
   case $1 in
     --trace) trace=${2:?--trace needs 0 or 1} ;;
     --only) only=${2:?--only needs a regex} ;;
+    --first-seed)
+      first=${2:?--first-seed needs a seed}
+      [[ $first =~ ^[0-9]+$ ]] || { echo "--first-seed needs a non-negative integer: $first" >&2; exit 2; } ;;
     *) echo "unknown argument: $1" >&2; exit 2 ;;
   esac
   shift 2
@@ -44,13 +49,14 @@ for i in $(seq 1 "$pairs"); do
   for side in $order; do
     dir=$parent; [ "$side" = new ] && dir=$new
     CARGO_TARGET_DIR="$dir/.bench_build" bash "$dir/benchmark/run.sh" --workload "$workload" \
-      --seed "$i" --seconds "$seconds" --trace "$trace" | tail -1 >> "$runs/$side.jsonl"
+      --seed "$((first + i - 1))" --seconds "$seconds" --trace "$trace" | tail -1 >> "$runs/$side.jsonl"
     echo "pair $i: $side done" >&2
   done
 done
-python3 - "$runs" "$new/BENCHMARK.json" "$workload" "$only" <<'PY'
+python3 - "$runs" "$new/BENCHMARK.json" "$workload" "$only" "$first" <<'PY'
 import json, re, statistics, sys
-runs, spec, workload, only = sys.argv[1:]
+runs, spec, workload, only, first = sys.argv[1:]
+first = int(first)
 spec = json.load(open(spec))
 sides = {s: [json.loads(l) for l in open(f"{runs}/{s}.jsonl")] for s in ("parent", "new")}
 for i, (p, n) in enumerate(zip(sides["parent"], sides["new"]), 1):
@@ -64,7 +70,7 @@ def stats(v):
     med = statistics.median(v)
     q = statistics.quantiles(v, n=4) if len(v) > 1 else [med] * 3
     return med, (q[2] - q[0]) / med if med else 0.0, q[2] - q[0]
-print(f"{workload}: {len(sides['new'])} pairs, seeds 1..{len(sides['new'])}; runs in {runs}")
+print(f"{workload}: {len(sides['new'])} pairs, seeds {first}..{first + len(sides['new']) - 1}; runs in {runs}")
 print(f"{'metric':42} {'parent':>12} {'new':>12} {'change':>8} {'IQR p':>6} {'IQR n':>6} {'won':>6}  status")
 for name in sides["parent"][0]["metrics"]:
     p = [r["metrics"][name]["value"] for r in sides["parent"]]
