@@ -334,8 +334,7 @@ pub fn group_aggregate(keys: &[u32], vals: &[f64]) -> GroupStats {
         min: f64::INFINITY,
         max: f64::NEG_INFINITY,
     };
-    let (keys, columns) = fold_groups(keys, &[vals], empty);
-    let stats = columns.into_iter().next().unwrap_or_default();
+    let (keys, [stats]) = fold_groups(keys, [vals], empty);
     GroupStats {
         keys,
         sums: stats.iter().map(|s| s.sum).collect(),
@@ -366,7 +365,33 @@ pub fn group_aggregate(keys: &[u32], vals: &[f64]) -> GroupStats {
 /// # Panics
 /// If a column and `keys` differ in length (callers validate first).
 pub fn grouped_sums(keys: &[u32], cols: &[&[f64]], seed: f64) -> (Vec<u32>, Vec<Vec<f64>>) {
-    fold_groups(keys, cols, seed)
+    /// The fold of `cols`, of exactly `W` columns.
+    fn fixed<const W: usize>(
+        keys: &[u32],
+        cols: &[&[f64]],
+        seed: f64,
+    ) -> (Vec<u32>, Vec<Vec<f64>>) {
+        let (keys, sums) = fold_groups::<f64, W>(keys, std::array::from_fn(|c| cols[c]), seed);
+        (keys, sums.into())
+    }
+    // The column count is a constant of each fold, so its row step is
+    // straight-line code; wider calls fold in batches.
+    match cols.len() {
+        0 => fixed::<0>(keys, cols, seed),
+        1 => fixed::<1>(keys, cols, seed),
+        2 => fixed::<2>(keys, cols, seed),
+        3 => fixed::<3>(keys, cols, seed),
+        4 => fixed::<4>(keys, cols, seed),
+        5 => fixed::<5>(keys, cols, seed),
+        6 => fixed::<6>(keys, cols, seed),
+        7 => fixed::<7>(keys, cols, seed),
+        _ => {
+            let (head, tail) = cols.split_at(8);
+            let (keys_out, mut sums) = fixed::<8>(keys, head, seed);
+            sums.extend(grouped_sums(keys, tail, seed).1);
+            (keys_out, sums)
+        }
+    }
 }
 
 /// How many distinct keys `keys` holds: the group count of
@@ -426,9 +451,9 @@ fn seen_keys(keys: &[u32], min: u32, range: usize) -> usize {
     count(&seen)
 }
 
-/// Fold each of `cols` into one accumulator per distinct key, starting each
-/// from `empty`; keys come back ascending, and per column the accumulators
-/// beside them.
+/// Fold each of the `W` columns `cols` into one accumulator per distinct
+/// key, starting each from `empty`; keys come back ascending, and per
+/// column the accumulators beside them.
 ///
 /// The path is chosen by the keys. If the observed key range is dense
 /// enough for a table indexed by `key - min` ([`DIRECT_BYTES_PER_ROW`] of
@@ -437,13 +462,16 @@ fn seen_keys(keys: &[u32], min: u32, range: usize) -> usize {
 /// up than a core's private cache holds accumulators for
 /// ([`HASH_GROUPS_MAX`]), at which point the work so far is dropped and the
 /// rows are stably sorted by key and folded segment by segment. All three
-/// visit a group's values in input row order, and keep a group's
-/// accumulators for all columns side by side.
-fn fold_groups<A: Fold>(keys: &[u32], cols: &[&[f64]], empty: A) -> (Vec<u32>, Vec<Vec<A>>) {
+/// visit a group's values in input row order, and keep a group's `W`
+/// accumulators side by side.
+fn fold_groups<A: Fold, const W: usize>(
+    keys: &[u32],
+    cols: [&[f64]; W],
+    empty: A,
+) -> (Vec<u32>, [Vec<A>; W]) {
     for col in cols {
         assert_eq!(keys.len(), col.len(), "grouped fold length mismatch");
     }
-    let width = cols.len();
     let (keys, table) = if keys.is_empty() {
         (Vec::new(), Vec::new())
     } else if let Some((min, range)) = dense_range(keys, keys.len(), std::mem::size_of::<A>()) {
@@ -451,24 +479,24 @@ fn fold_groups<A: Fold>(keys: &[u32], cols: &[&[f64]], empty: A) -> (Vec<u32>, V
     } else {
         hash_fold(keys, cols, empty).unwrap_or_else(|| sort_fold(keys, cols, empty))
     };
-    (keys, columns(table, width))
+    (keys, columns(table))
 }
 
-/// Group-major accumulators — a group's `width` side by side — as one
-/// vector per column. A single column is the table as it stands.
-fn columns<A: Fold>(table: Vec<A>, width: usize) -> Vec<Vec<A>> {
-    if width == 1 {
-        return vec![table];
+/// Group-major accumulators — a group's `W` side by side — as one vector
+/// per column. A single column is the table as it stands.
+fn columns<A: Fold, const W: usize>(table: Vec<[A; W]>) -> [Vec<A>; W] {
+    if W == 1 {
+        // Collected in place: `[A; 1]` is laid out as `A`.
+        let mut column = Some(table.into_iter().map(|accs| accs[0]).collect());
+        return std::array::from_fn(|_| column.take().unwrap_or_default());
     }
-    (0..width)
-        .map(|c| table.iter().skip(c).step_by(width).copied().collect())
-        .collect()
+    std::array::from_fn(|c| table.iter().map(|accs| accs[c]).collect())
 }
 
-/// Fold row `row` of every column of `cols` into `accs`, the row's group's
+/// Fold row `row` of each of `cols` into `accs`, the row's group's
 /// accumulators (one per column).
 #[inline]
-fn fold_row<A: Fold>(accs: &mut [A], cols: &[&[f64]], row: usize) {
+fn fold_row<A: Fold, const W: usize>(accs: &mut [A; W], cols: &[&[f64]; W], row: usize) {
     for (acc, col) in accs.iter_mut().zip(cols) {
         acc.add(col[row]);
     }
@@ -510,19 +538,20 @@ fn key_range(keys: &[u32]) -> (u32, u32) {
 /// One pass over the rows into a table indexed by `key - min`. A range
 /// whose every key was seen is the answer as it stands; otherwise a walk
 /// over the seen map keeps the keys that were.
-fn direct_fold<A: Fold>(
+fn direct_fold<A: Fold, const W: usize>(
     keys: &[u32],
-    cols: &[&[f64]],
+    cols: [&[f64]; W],
     min: u32,
     range: usize,
     empty: A,
-) -> (Vec<u32>, Vec<A>) {
-    let width = cols.len();
-    let mut table = vec![empty; range * width];
+) -> (Vec<u32>, Vec<[A; W]>) {
+    // Every column as long as the keys, so no row's read is checked.
+    let cols = cols.map(|col| &col[..keys.len()]);
+    let mut table = vec![[empty; W]; range];
     let mut seen: Vec<u8> = vec![0; range];
     for (row, &k) in keys.iter().enumerate() {
         let at = (k - min) as usize;
-        fold_row(&mut table[at * width..(at + 1) * width], cols, row);
+        fold_row(&mut table[at], &cols, row);
         seen[at] = 1;
     }
     let groups = seen.iter().map(|&s| usize::from(s)).sum();
@@ -530,10 +559,10 @@ fn direct_fold<A: Fold>(
         return ((0..range as u32).map(|at| min + at).collect(), table);
     }
     let mut out_keys = Vec::with_capacity(groups);
-    let mut out = Vec::with_capacity(groups * width);
+    let mut out = Vec::with_capacity(groups);
     for (at, _) in seen.iter().enumerate().filter(|(_, &s)| s != 0) {
         out_keys.push(min + at as u32);
-        out.extend_from_slice(&table[at * width..(at + 1) * width]);
+        out.push(table[at]);
     }
     drop(seen);
     (out_keys, out)
@@ -541,60 +570,59 @@ fn direct_fold<A: Fold>(
 
 /// One pass over the rows into a hash table of accumulators; `None` once
 /// the table would outgrow [`HASH_GROUPS_MAX`] groups.
-fn hash_fold<A: Fold>(keys: &[u32], cols: &[&[f64]], empty: A) -> Option<(Vec<u32>, Vec<A>)> {
-    let width = cols.len();
+fn hash_fold<A: Fold, const W: usize>(
+    keys: &[u32],
+    cols: [&[f64]; W],
+    empty: A,
+) -> Option<(Vec<u32>, Vec<[A; W]>)> {
+    let cols = cols.map(|col| &col[..keys.len()]);
     let mut index = KeyIndex::with_capacity(keys.len().min(1024));
-    let mut accs: Vec<A> = Vec::new();
-    let mut groups = 0;
+    let mut accs: Vec<[A; W]> = Vec::new();
     for (row, &k) in keys.iter().enumerate() {
         let g = index.insert(k) as usize;
-        if g == groups {
+        if g == accs.len() {
             if g == HASH_GROUPS_MAX {
                 return None;
             }
-            groups += 1;
-            accs.resize(groups * width, empty);
+            accs.push([empty; W]);
         }
-        fold_row(&mut accs[g * width..(g + 1) * width], cols, row);
+        fold_row(&mut accs[g], &cols, row);
     }
     // Order the (unique) group keys with the shared radix sort, carrying
     // the group id instead of moving the wide accumulators per pass.
     let mut sorted_keys = index.keys;
     let mut order: Vec<u32> = (0..sorted_keys.len() as u32).collect();
     sort_pairs(&mut sorted_keys, &mut order);
-    let mut out = Vec::with_capacity(accs.len());
-    for &g in &order {
-        let g = g as usize;
-        out.extend_from_slice(&accs[g * width..(g + 1) * width]);
-    }
+    let out = order.iter().map(|&g| accs[g as usize]).collect();
     Some((sorted_keys, out))
 }
 
 /// Stable sort of the row ids by key — equal keys stay in row order — and
 /// of each column by them, then one fold per run of equal keys.
-fn sort_fold<A: Fold>(keys: &[u32], cols: &[&[f64]], empty: A) -> (Vec<u32>, Vec<A>) {
-    let width = cols.len();
+fn sort_fold<A: Fold, const W: usize>(
+    keys: &[u32],
+    cols: [&[f64]; W],
+    empty: A,
+) -> (Vec<u32>, Vec<[A; W]>) {
     let mut sorted = keys.to_vec();
     let mut rows: Vec<u32> = (0..keys.len() as u32).collect();
     sort_pairs(&mut sorted, &mut rows);
     // Every row id addresses every column: the gather cannot fail.
-    let gathered: Vec<Vec<f64>> = cols
-        .iter()
-        .map(|col| gather(col, &rows).unwrap_or_default())
-        .collect();
+    let gathered = cols.map(|col| gather(col, &rows).unwrap_or_default());
     drop(rows);
-    let cols: Vec<&[f64]> = gathered.iter().map(Vec::as_slice).collect();
+    let cols = std::array::from_fn(|c| &gathered[c][..sorted.len()]);
     let groups =
         sorted.windows(2).filter(|w| w[0] != w[1]).count() + usize::from(!sorted.is_empty());
     let mut out_keys = Vec::with_capacity(groups);
-    let mut out = Vec::with_capacity(groups * width);
+    let mut out: Vec<[A; W]> = Vec::with_capacity(groups);
     for (i, &k) in sorted.iter().enumerate() {
         if out_keys.last() != Some(&k) {
             out_keys.push(k);
-            out.resize(out.len() + width, empty);
+            out.push([empty; W]);
         }
-        let at = out.len() - width;
-        fold_row(&mut out[at..], &cols, i);
+        if let Some(accs) = out.last_mut() {
+            fold_row(accs, &cols, i);
+        }
     }
     (out_keys, out)
 }
