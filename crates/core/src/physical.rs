@@ -500,7 +500,7 @@ pub(crate) enum SlotVal {
 /// What one plan execution holds between steps: the slots its steps write
 /// — `None` until a step produces the slot (and again after [`Step::Free`]
 /// releases it) — and the answers of the run of grouped sums under way.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct SlotStore {
     pub(crate) slots: Vec<Option<SlotVal>>,
     sums: Option<SumRun>,
