@@ -177,7 +177,7 @@ pub struct Pred<'a> {
 /// The host answer of one [`GpuBackend::grouped_sum`]: the distinct keys,
 /// ascending, and per key the sum of its values, bit for bit what the
 /// backend's own body computes.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default)]
 pub struct GroupSums {
     /// Distinct keys, ascending.
     pub keys: Vec<u32>,

@@ -752,7 +752,7 @@ fn grouped_sums_folds_each_column_to_the_bits_of_its_own_fold() {
                 "{what}"
             );
         }
-        for width in [0, 1, 2, 6] {
+        for width in [0, 1, 2, 6, 9] {
             let cols: Vec<Vec<f64>> = (0..width)
                 .map(|c| payload_values(keys.len(), c as u64))
                 .collect();
